@@ -311,16 +311,28 @@ func BenchmarkEngineClassifyCollector(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
+// benchFrames is how many distinct inputs the forward benchmarks rotate
+// over (see experiments.ForwardInputs for why one constant frame lies).
+const benchFrames = 64
+
+func forwardInputs(b *testing.B, m *core.Model) *experiments.ForwardInputs {
+	b.Helper()
+	in, err := experiments.NewForwardInputs(m, benchFrames, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return in
+}
+
 // BenchmarkDeviceSectionInference measures one end device's per-frame
-// cost: ConvP block + exit head on a single 3×32×32 frame.
+// cost: ConvP block + exit head on single 3×32×32 dataset frames.
 func BenchmarkDeviceSectionInference(b *testing.B) {
 	b.ReportAllocs()
 	m := core.MustNewModel(core.DefaultConfig())
-	x := tensor.New(1, 3, 32, 32)
-	x.FillUniform(rand.New(rand.NewSource(1)), 0, 1)
+	in := forwardInputs(b, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.DeviceForward(0, x)
+		m.DeviceForward(0, in.Views[i%benchFrames])
 	}
 }
 
@@ -329,15 +341,10 @@ func BenchmarkDeviceSectionInference(b *testing.B) {
 func BenchmarkCloudSectionInference(b *testing.B) {
 	b.ReportAllocs()
 	m := core.MustNewModel(core.DefaultConfig())
-	rng := rand.New(rand.NewSource(1))
-	feats := make([]*tensor.Tensor, m.Cfg.Devices)
-	for d := range feats {
-		feats[d] = tensor.New(1, m.Cfg.DeviceFilters, 16, 16)
-		feats[d].FillUniform(rng, -1, 1)
-	}
+	in := forwardInputs(b, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.CloudForward(feats, nil)
+		m.CloudForward(in.Feats[i%benchFrames], nil)
 	}
 }
 
@@ -362,18 +369,26 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkConvPForward measures the fused binary convolution-pool block
-// on a device-sized input.
+// BenchmarkConvPForward measures the binary convolution-pool block on
+// device-sized dataset frames: the fused serving forward against a warm
+// pool, and the layered inference forward it is tested against.
 func BenchmarkConvPForward(b *testing.B) {
-	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	blk := bnn.NewConvP(rng, "bench", 3, 4)
-	x := tensor.New(1, 3, 32, 32)
-	x.FillUniform(rng, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk.Forward(x, false)
-	}
+	in := forwardInputs(b, core.MustNewModel(core.DefaultConfig()))
+	b.Run("fused", func(b *testing.B) {
+		b.ReportAllocs()
+		pool := tensor.NewPool()
+		for i := 0; i < b.N; i++ {
+			pool.Put(blk.ForwardPooled(in.Views[i%benchFrames], pool))
+		}
+	})
+	b.Run("layered", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			blk.Forward(in.Views[i%benchFrames], false)
+		}
+	})
 }
 
 // BenchmarkPackSigns measures eBNN bit-packing of one feature map

@@ -10,6 +10,7 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/bnn"
 	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/experiments"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
@@ -41,7 +42,17 @@ type kernelComparison struct {
 // equal-compute paths are allowed 5% measurement noise.
 const pooledFloor = 0.95
 
-// kernelReport is what -json serializes (BENCH_pr10.json in CI).
+// fusedFloors are the speedup floors of the fused ConvP pass over the
+// layered composition, per dispatch path: the SIMD pass must clearly
+// win (it replaces a scalar pool and a materialised im2col), the
+// portable pass must not lose.
+var fusedFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.3}
+
+// forwardSets is how many distinct inputs the forward rows rotate over
+// (see experiments.ForwardInputs).
+const forwardSets = 64
+
+// kernelReport is what -json serializes (BENCH_pr12.json in CI).
 type kernelReport struct {
 	Results     []kernelResult     `json:"results"`
 	Comparisons []kernelComparison `json:"comparisons"`
@@ -83,11 +94,11 @@ func benchNsBest(f func(b *testing.B)) kernelResult {
 	return best
 }
 
-// runKernels benchmarks the rewritten compute core against the retained
-// reference kernels and the per-tier section forwards, writes the table
+// runKernels benchmarks the compute kernels once per dispatch path, the
+// per-tier section forwards and the fused ConvP pass, writes the table
 // to out and, when jsonPath is non-empty, the JSON report. It returns an
-// error when an optimized kernel measures slower than its naive
-// reference, which is the CI regression gate.
+// error when a comparison's speedup falls below its floor, which is the
+// CI regression gate.
 func runKernels(out io.Writer, jsonPath string) error {
 	// Pin the worker pool to one goroutine: the naive references are
 	// serial, so the comparisons must measure kernel quality, not the
@@ -111,56 +122,6 @@ func runKernels(out io.Writer, jsonPath string) error {
 		return record(name, benchNsBest(f))
 	}
 
-	// GEMM: naive ikj reference vs register-tiled kernel. The historical
-	// rows keep their meaning under the dispatch layer: MatMul and
-	// XnorDot are pinned to the portable go path here, and the per-path
-	// matrix below covers naive and simd.
-	if err := tensor.SetKernelPathName("go"); err != nil {
-		return err
-	}
-	x := tensor.New(32, 256)
-	w := tensor.New(256, 64)
-	x.FillUniform(rng, -1, 1)
-	w.FillUniform(rng, -1, 1)
-	naiveMM := addBest("matmul_naive_32x256x64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulNaive(x, w)
-		}
-	})
-	blockedMM := addBest("matmul_blocked_32x256x64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMul(x, w)
-		}
-	})
-
-	// XNOR dot: byte-wide reference vs 64-bit word kernel.
-	av := make([]float32, 1024)
-	bv := make([]float32, 1024)
-	for i := range av {
-		av[i] = float32(rng.Intn(2)*2 - 1)
-		bv[i] = float32(rng.Intn(2)*2 - 1)
-	}
-	pa, pb := bnn.PackVector(av), bnn.PackVector(bv)
-	ab, bb := pa.Bytes(), pb.Bytes()
-	byteDot := addBest("xnor_dot_byte_1024", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bnn.XnorDotBytes(1024, ab, bb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	wordDot := addBest("xnor_dot_word_1024", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bnn.XnorDot(pa, pb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
 	// Dispatch-path matrix: the same four kernels once per forced path
 	// (naive | go | simd where supported), so the report shows exactly
 	// what each path buys and CI can gate go ≥ naive and simd ≥ go.
@@ -175,6 +136,13 @@ func runKernels(out io.Writer, jsonPath string) error {
 	for i := range gb {
 		gb[i] = rng.Float32()*2 - 1
 	}
+	av := make([]float32, 1024)
+	bv := make([]float32, 1024)
+	for i := range av {
+		av[i] = float32(rng.Intn(2)*2 - 1)
+		bv[i] = float32(rng.Intn(2)*2 - 1)
+	}
+	pa, pb := bnn.PackVector(av), bnn.PackVector(bv)
 	packSrc := make([]float32, 4096)
 	for i := range packSrc {
 		packSrc[i] = rng.Float32()*2 - 1
@@ -217,14 +185,16 @@ func runKernels(out io.Writer, jsonPath string) error {
 	}
 
 	// Per-tier section forwards on the paper's architecture, plus the
-	// pooled serving path.
+	// pooled serving path, rotating over distinct dataset frames.
 	m := core.MustNewModel(core.DefaultConfig())
-	frame := tensor.New(1, 3, 32, 32)
-	frame.FillUniform(rng, 0, 1)
+	in1, err := experiments.NewForwardInputs(m, forwardSets, 1)
+	if err != nil {
+		return err
+	}
 	devFwd := add("device_forward", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.DeviceForward(0, frame)
+			m.DeviceForward(0, in1.Views[i%forwardSets])
 		}
 	})
 	devFwdPooled := add("device_forward_pooled", func(b *testing.B) {
@@ -232,20 +202,15 @@ func runKernels(out io.Writer, jsonPath string) error {
 		pool := tensor.NewPool()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			feat, exitVec := m.DeviceForwardPooled(0, frame, pool)
+			feat, exitVec := m.DeviceForwardPooled(0, in1.Views[i%forwardSets], pool)
 			pool.Put(exitVec)
 			pool.Put(feat)
 		}
 	})
-	feats := make([]*tensor.Tensor, m.Cfg.Devices)
-	for d := range feats {
-		feats[d] = tensor.New(1, m.Cfg.DeviceFilters, m.Cfg.FeatureH(), m.Cfg.FeatureW())
-		feats[d].FillUniform(rng, -1, 1)
-	}
 	cloudFwd := add("cloud_forward", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.CloudForward(feats, nil)
+			m.CloudForward(in1.Feats[i%forwardSets], nil)
 		}
 	})
 	cloudFwdPooled := add("cloud_forward_pooled", func(b *testing.B) {
@@ -253,16 +218,66 @@ func runKernels(out io.Writer, jsonPath string) error {
 		pool := tensor.NewPool()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pool.Put(m.CloudForwardPooled(feats, nil, pool))
+			pool.Put(m.CloudForwardPooled(in1.Feats[i%forwardSets], nil, pool))
 		}
 	})
 
+	// The fused ConvP pass against the layered composition at batch 32,
+	// on the device block's and the first cloud block's geometry, once
+	// per path that has a fused kernel.
+	in32, err := experiments.NewForwardInputs(m, forwardSets, 32)
+	if err != nil {
+		return err
+	}
+	convpRows := []struct {
+		name   string
+		blk    *bnn.ConvP
+		inputs []*tensor.Tensor
+	}{
+		{"convp_device_b32", bnn.NewConvP(rng, "device", m.Cfg.InputC, m.Cfg.DeviceFilters), in32.Views},
+		{"convp_cloud_b32", bnn.NewConvP(rng, "cloud", m.Cfg.Devices*m.Cfg.DeviceFilters, m.Cfg.CloudFilters), in32.Concat},
+	}
+	forward := func(inputs []*tensor.Tensor, f func(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			pool := tensor.NewPool()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.Put(f(inputs[i%forwardSets], pool))
+			}
+		}
+	}
+	var fusedCmps []kernelComparison
+	for _, path := range tensor.KernelPaths() {
+		floor, ok := fusedFloors[path]
+		if !ok {
+			continue
+		}
+		if err := tensor.SetKernelPath(path); err != nil {
+			return err
+		}
+		tag := "[" + path.String() + "]"
+		for _, row := range convpRows {
+			layered := addBest(row.name+"_layered"+tag, forward(row.inputs, row.blk.ForwardLayered))
+			fused := addBest(row.name+tag, forward(row.inputs, row.blk.ForwardPooled))
+			fusedCmps = append(fusedCmps, kernelComparison{
+				Label:      "fused " + row.name + " " + path.String(),
+				Naive:      row.name + "_layered" + tag,
+				Optimized:  row.name + tag,
+				Speedup:    layered.NsPerOp / fused.NsPerOp,
+				MinSpeedup: floor,
+			})
+		}
+	}
+	if err := tensor.SetKernelPath(prevPath); err != nil {
+		return err
+	}
+
 	report.Comparisons = []kernelComparison{
-		{Label: "blocked GEMM vs naive", Naive: "matmul_naive_32x256x64", Optimized: "matmul_blocked_32x256x64", Speedup: naiveMM.NsPerOp / blockedMM.NsPerOp, MinSpeedup: 1},
-		{Label: "word-wide XNOR vs byte", Naive: "xnor_dot_byte_1024", Optimized: "xnor_dot_word_1024", Speedup: byteDot.NsPerOp / wordDot.NsPerOp, MinSpeedup: 1},
 		{Label: "pooled device forward", Naive: "device_forward", Optimized: "device_forward_pooled", Speedup: devFwd.NsPerOp / devFwdPooled.NsPerOp, MinSpeedup: pooledFloor},
 		{Label: "pooled cloud forward", Naive: "cloud_forward", Optimized: "cloud_forward_pooled", Speedup: cloudFwd.NsPerOp / cloudFwdPooled.NsPerOp, MinSpeedup: pooledFloor},
 	}
+	report.Comparisons = append(report.Comparisons, fusedCmps...)
 	// Chain gates over the dispatch-path matrix: each step up the path
 	// ladder must not lose more than the 5% noise floor, for each kernel.
 	// (On AVX2 hosts the simd steps measure well above 1x; the floor only

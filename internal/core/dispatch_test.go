@@ -11,7 +11,7 @@ import (
 
 // These tests pin the kernel dispatch layer at the section level: a
 // model forward must produce bit-identical tensors on every dispatch
-// path, keep the pooled zero-allocation contract on every path, and
+// path (the per-path zero-allocation contract is in pooled_test.go) and
 // stay correct when many goroutines share one pool on the SIMD path
 // (the -race run of this file is the data-race gate for the assembly
 // kernels' Go wrappers).
@@ -78,30 +78,6 @@ func TestSectionForwardsMatchAcrossPaths(t *testing.T) {
 		equal(t, "edge feat", p, ef, efp)
 		equal(t, "edge logits", p, el, elp)
 		equal(t, "cloud logits", p, logits, lg)
-	})
-}
-
-// TestDeviceForwardPooledZeroAllocsAllPaths extends the zero-alloc
-// contract of TestDeviceForwardPooledZeroAllocs to every dispatch
-// path: switching kernels must never reintroduce per-sample heap
-// traffic (the SIMD wrappers are //go:noescape for exactly this).
-func TestDeviceForwardPooledZeroAllocsAllPaths(t *testing.T) {
-	m := MustNewModel(DefaultConfig())
-	x := tensor.New(1, m.Cfg.InputC, m.Cfg.InputH, m.Cfg.InputW)
-	x.FillUniform(rand.New(rand.NewSource(1)), 0, 1)
-	forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
-		pool := tensor.NewPool()
-		run := func() {
-			feat, exitVec := m.DeviceForwardPooled(0, x, pool)
-			pool.Put(exitVec)
-			pool.Put(feat)
-		}
-		for i := 0; i < 8; i++ {
-			run()
-		}
-		if n := testing.AllocsPerRun(100, run); n > 0.5 {
-			t.Errorf("path=%v: DeviceForwardPooled allocates %.2f times per run, want 0", p, n)
-		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -69,25 +70,71 @@ func TestPooledForwardsMatchUnpooled(t *testing.T) {
 	equal("cloud-from-edge logits", cl, pcl)
 }
 
-// TestDeviceForwardPooledZeroAllocs verifies the PR's zero-alloc
-// contract: once the pool is warm, a device section forward touches the
-// heap zero times per sample. The pool's free lists are deliberately
-// GC-proof (not sync.Pool), so this is stable, not a lucky average.
+// requireZeroAllocs warms run's pool and then requires run to touch the
+// heap zero times. The pool's free lists are deliberately GC-proof (not
+// sync.Pool), so this is stable, not a lucky average.
+func requireZeroAllocs(t *testing.T, what string, run func()) {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	if n := testing.AllocsPerRun(10, run); n > 0.5 {
+		t.Errorf("%s allocates %.2f times per run, want 0", what, n)
+	}
+}
+
+// zeroAllocBatches are the batch sizes of the zero-allocation contract:
+// single-sample serving and the engine's micro-batch cap.
+var zeroAllocBatches = []int{1, 32}
+
+// deviceFeats returns one random ±-valued feature map per device.
+func deviceFeats(m *Model, rng *rand.Rand, batch int) []*tensor.Tensor {
+	feats := make([]*tensor.Tensor, m.Cfg.Devices)
+	for d := range feats {
+		feats[d] = tensor.New(batch, m.Cfg.DeviceFilters, m.Cfg.FeatureH(), m.Cfg.FeatureW())
+		feats[d].FillUniform(rng, -1, 1)
+	}
+	return feats
+}
+
+// TestDeviceForwardPooledZeroAllocs verifies the zero-alloc contract of
+// the serving path: once the pool is warm, a device section forward
+// touches the heap zero times, at batch 1 and batch 32, on every
+// dispatch path (the SIMD wrappers are //go:noescape for exactly this).
 func TestDeviceForwardPooledZeroAllocs(t *testing.T) {
 	m := MustNewModel(DefaultConfig())
-	x := tensor.New(1, m.Cfg.InputC, m.Cfg.InputH, m.Cfg.InputW)
-	x.FillUniform(rand.New(rand.NewSource(1)), 0, 1)
-	pool := tensor.NewPool()
-	run := func() {
-		feat, exitVec := m.DeviceForwardPooled(0, x, pool)
-		pool.Put(exitVec)
-		pool.Put(feat)
+	rng := rand.New(rand.NewSource(1))
+	for _, batch := range zeroAllocBatches {
+		x := tensor.New(batch, m.Cfg.InputC, m.Cfg.InputH, m.Cfg.InputW)
+		x.FillUniform(rng, 0, 1)
+		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+			pool := tensor.NewPool()
+			requireZeroAllocs(t, fmt.Sprintf("path=%v batch=%d: DeviceForwardPooled", p, batch), func() {
+				feat, exitVec := m.DeviceForwardPooled(0, x, pool)
+				pool.Put(exitVec)
+				pool.Put(feat)
+			})
+		})
 	}
-	for i := 0; i < 8; i++ {
-		run() // warm the pool
-	}
-	if n := testing.AllocsPerRun(100, run); n > 0.5 {
-		t.Errorf("DeviceForwardPooled allocates %.2f times per run, want 0", n)
+}
+
+// TestEdgeForwardPooledZeroAllocs is the same contract for the edge
+// section (aggregation + one ConvP block + exit head).
+func TestEdgeForwardPooledZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UseEdge = true
+	m := MustNewModel(cfg)
+	rng := rand.New(rand.NewSource(1))
+	for _, batch := range zeroAllocBatches {
+		feats := deviceFeats(m, rng, batch)
+		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+			pool := tensor.NewPool()
+			requireZeroAllocs(t, fmt.Sprintf("path=%v batch=%d: EdgeForwardPooled", p, batch), func() {
+				edgeFeat, logits := m.EdgeForwardPooled(feats, nil, pool)
+				pool.Put(logits)
+				pool.Put(edgeFeat)
+			})
+		})
 	}
 }
 
@@ -96,19 +143,13 @@ func TestDeviceForwardPooledZeroAllocs(t *testing.T) {
 func TestCloudForwardPooledZeroAllocs(t *testing.T) {
 	m := MustNewModel(DefaultConfig())
 	rng := rand.New(rand.NewSource(1))
-	feats := make([]*tensor.Tensor, m.Cfg.Devices)
-	for d := range feats {
-		feats[d] = tensor.New(1, m.Cfg.DeviceFilters, m.Cfg.FeatureH(), m.Cfg.FeatureW())
-		feats[d].FillUniform(rng, -1, 1)
-	}
-	pool := tensor.NewPool()
-	run := func() {
-		pool.Put(m.CloudForwardPooled(feats, nil, pool))
-	}
-	for i := 0; i < 8; i++ {
-		run()
-	}
-	if n := testing.AllocsPerRun(100, run); n > 0.5 {
-		t.Errorf("CloudForwardPooled allocates %.2f times per run, want 0", n)
+	for _, batch := range zeroAllocBatches {
+		feats := deviceFeats(m, rng, batch)
+		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+			pool := tensor.NewPool()
+			requireZeroAllocs(t, fmt.Sprintf("path=%v batch=%d: CloudForwardPooled", p, batch), func() {
+				pool.Put(m.CloudForwardPooled(feats, nil, pool))
+			})
+		})
 	}
 }

@@ -121,23 +121,33 @@ func (bn *BatchNorm) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Ten
 	return y
 }
 
-// inferInto applies the running statistics as a fused per-channel
-// multiply-add: y = scale·x + shift with scale = γ/√(var+ε) and
-// shift = β − scale·mean, the same arithmetic as the per-element closure
-// form it replaces.
+// InferenceAffine returns channel ci's inference transform as the pair
+// (scale, shift) with scale = γ/√(var+ε) and shift = β − scale·mean, so
+// that the normalized value is float32(scale·x) + shift: a rounded
+// multiply, then a rounded add. It is the single definition of that
+// arithmetic — inferInto and the fused ConvP kernel (bnn) both apply it
+// — which is what keeps a value landing exactly on the zero crossing on
+// the same side everywhere.
+func (bn *BatchNorm) InferenceAffine(ci int) (scale, shift float32) {
+	g := bn.Gamma.Value.Data()[ci]
+	inv := float32(1 / math.Sqrt(float64(bn.RunningVar.Data()[ci])+float64(bn.Eps)))
+	return g * inv, bn.Beta.Value.Data()[ci] - g*inv*bn.RunningMean.Data()[ci]
+}
+
+// inferInto applies the running statistics per channel as
+// y = scale·x + shift (see InferenceAffine). The conversion forces the
+// product to round before the add on architectures where the compiler
+// would otherwise fuse the two.
 func (bn *BatchNorm) inferInto(yd, xd []float32, n, s int) {
 	c := bn.C
-	g, b := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
-	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
 	for ci := 0; ci < c; ci++ {
-		inv := float32(1 / math.Sqrt(float64(rv[ci])+float64(bn.Eps)))
-		scale, shift := g[ci]*inv, b[ci]-g[ci]*inv*rm[ci]
+		scale, shift := bn.InferenceAffine(ci)
 		for ni := 0; ni < n; ni++ {
 			base := (ni*c + ci) * s
 			seg := xd[base : base+s]
 			out := yd[base : base+s]
 			for i, v := range seg {
-				out[i] = scale*v + shift
+				out[i] = float32(scale*v) + shift
 			}
 		}
 	}

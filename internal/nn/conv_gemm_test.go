@@ -101,8 +101,9 @@ func TestConvForwardPooledMatchesForward(t *testing.T) {
 	}
 }
 
-// TestMaxPoolInferenceMatchesTraining checks the unrolled inference scan
-// against the argmax-tracking training scan across shapes and strides.
+// TestMaxPoolInferenceMatchesTraining checks that the inference forward
+// (no argmax bookkeeping, nothing cached) equals the training forward
+// across shapes and strides.
 func TestMaxPoolInferenceMatchesTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 60; trial++ {
@@ -116,7 +117,7 @@ func TestMaxPoolInferenceMatchesTraining(t *testing.T) {
 		x.FillUniform(rng, -1, 1)
 
 		want := p.Forward(x, true) // training scan
-		got := p.Forward(x, false) // inference scan
+		got := p.Forward(x, false) // inference, layer state untouched
 		for i, wv := range want.Data() {
 			if got.Data()[i] != wv {
 				t.Fatalf("k=%d s=%d p=%d %dx%d: element %d = %g, training scan %g",

@@ -53,104 +53,6 @@ func (p *MaxPool2D) ForwardPooled(x *tensor.Tensor, pool *tensor.Pool) *tensor.T
 	return y
 }
 
-// inferInto is the inference-only scan: no argmax bookkeeping, and
-// outputs whose 3×3 window lies fully inside the input take an unrolled
-// branch-light path. Max is order-independent over the window (NaNs
-// never win, exactly as in the clipped scan), so outputs are identical
-// to the training path's.
-func (p *MaxPool2D) inferInto(y, x *tensor.Tensor) {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := y.Dim(2), y.Dim(3)
-	k, st, pad := p.Kernel, p.Stride, p.Pad
-	xd, yd := x.Data(), y.Data()
-	inPlane, outPlane := h*w, oh*ow
-	negInf := float32(math.Inf(-1))
-
-	// Interior output columns: window fully inside [0, w).
-	oxLo := (pad + st - 1) / st
-	oxHi := (w - k + pad) / st // inclusive
-	if oxHi > ow-1 {
-		oxHi = ow - 1
-	}
-
-	general := func(in, orow []float32, iy0, iy1, ox0, ox1 int) {
-		for ox := ox0; ox < ox1; ox++ {
-			x0 := ox*st - pad
-			ix0, ix1 := x0, x0+k
-			if ix0 < 0 {
-				ix0 = 0
-			}
-			if ix1 > w {
-				ix1 = w
-			}
-			best := negInf
-			for iy := iy0; iy < iy1; iy++ {
-				row := in[iy*w+ix0 : iy*w+ix1]
-				for _, v := range row {
-					if v > best {
-						best = v
-					}
-				}
-			}
-			orow[ox] = best
-		}
-	}
-
-	for plane := 0; plane < n*c; plane++ {
-		in := xd[plane*inPlane : (plane+1)*inPlane]
-		out := yd[plane*outPlane : (plane+1)*outPlane]
-		for oy := 0; oy < oh; oy++ {
-			y0 := oy*st - pad
-			iy0, iy1 := y0, y0+k
-			if iy0 < 0 {
-				iy0 = 0
-			}
-			if iy1 > h {
-				iy1 = h
-			}
-			orow := out[oy*ow : (oy+1)*ow]
-			general(in, orow, iy0, iy1, 0, min(oxLo, ow))
-			if k == 3 && iy1-iy0 == 3 && oxLo <= oxHi {
-				r0 := in[(iy0+0)*w : (iy0+1)*w]
-				r1 := in[(iy0+1)*w : (iy0+2)*w]
-				r2 := in[(iy0+2)*w : (iy0+3)*w]
-				for ox := oxLo; ox <= oxHi; ox++ {
-					x0 := ox*st - pad
-					m := r0[x0]
-					if v := r0[x0+1]; v > m {
-						m = v
-					}
-					if v := r0[x0+2]; v > m {
-						m = v
-					}
-					if v := r1[x0]; v > m {
-						m = v
-					}
-					if v := r1[x0+1]; v > m {
-						m = v
-					}
-					if v := r1[x0+2]; v > m {
-						m = v
-					}
-					if v := r2[x0]; v > m {
-						m = v
-					}
-					if v := r2[x0+1]; v > m {
-						m = v
-					}
-					if v := r2[x0+2]; v > m {
-						m = v
-					}
-					orow[ox] = m
-				}
-			} else if oxLo <= oxHi {
-				general(in, orow, iy0, iy1, oxLo, oxHi+1)
-			}
-			general(in, orow, iy0, iy1, max(oxHi+1, oxLo), ow)
-		}
-	}
-}
-
 func (p *MaxPool2D) checkInput(x *tensor.Tensor) (n, c, h, w int) {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D input shape %v, want 4-D", x.Shape()))
@@ -162,12 +64,12 @@ func (p *MaxPool2D) checkInput(x *tensor.Tensor) (n, c, h, w int) {
 // out of the inner loops: the window's valid row/column ranges are
 // clipped once, so the hot loop is branch-free apart from the compare.
 // The scan order (window row-major) matches the original per-element
-// bounds-checked loop, so the winning index on ties is unchanged.
+// bounds-checked loop, so the winning index on ties is unchanged. A
+// value wins only when it compares greater than the running maximum,
+// which starts at -Inf: NaN never wins, and this scan — with or without
+// the argmax bookkeeping — is the pool oracle the fused ConvP kernel is
+// tested against.
 func (p *MaxPool2D) forwardInto(y, x *tensor.Tensor, train bool) {
-	if !train {
-		p.inferInto(y, x)
-		return
-	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := y.Dim(2), y.Dim(3)
 	xd, yd := x.Data(), y.Data()

@@ -116,3 +116,24 @@ func (p *Pool) Put(t *Tensor) {
 	}
 	sc.mu.Unlock()
 }
+
+// Retained reports how many retired tensors the pool holds per element
+// count. After a forward on a fresh pool has returned everything it
+// borrowed, it is the list of that forward's draws, which is how tests
+// pin a kernel's scratch footprint.
+func (p *Pool) Retained() map[int]int {
+	out := make(map[int]int)
+	if p == nil {
+		return out
+	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for n, sc := range p.classes {
+		sc.mu.Lock()
+		if len(sc.free) > 0 {
+			out[n] = len(sc.free)
+		}
+		sc.mu.Unlock()
+	}
+	return out
+}
