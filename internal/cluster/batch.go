@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // DefaultMaxLinger is how long the collector holds a partial batch open
@@ -35,9 +33,6 @@ type BatchConfig struct {
 	// before flushing. Zero means DefaultMaxLinger.
 	MaxLinger time.Duration
 }
-
-// enabled reports whether the config actually coalesces sessions.
-func (c BatchConfig) enabled() bool { return c.MaxBatch > 1 }
 
 // linger returns the effective linger bound.
 func (c BatchConfig) linger() time.Duration {
@@ -86,14 +81,13 @@ type batchLane struct {
 
 // batchCollector coalesces concurrent Classify calls into multi-sample
 // gateway sessions, one lane per {tenant, shed level}: a lane's batch
-// flushes as soon as it reaches maxBatch samples, or maxLinger after
-// its first sample arrived, whichever comes first. Callers that cancel
+// flushes as soon as it reaches the engine's maxBatch samples, or linger
+// after its first sample arrived, whichever comes first. Callers that cancel
 // while waiting detach immediately (the batch still classifies their
 // sample; the result is dropped).
 type batchCollector struct {
-	eng      *Engine
-	maxBatch int
-	linger   time.Duration
+	eng    *Engine
+	linger time.Duration
 
 	mu      sync.Mutex
 	lanes   map[laneKey]*batchLane
@@ -101,15 +95,10 @@ type batchCollector struct {
 }
 
 func newBatchCollector(e *Engine, cfg BatchConfig) *batchCollector {
-	maxBatch := cfg.MaxBatch
-	if maxBatch > wire.MaxBatch {
-		maxBatch = wire.MaxBatch
-	}
 	return &batchCollector{
-		eng:      e,
-		maxBatch: maxBatch,
-		linger:   cfg.linger(),
-		lanes:    make(map[laneKey]*batchLane),
+		eng:    e,
+		linger: cfg.linger(),
+		lanes:  make(map[laneKey]*batchLane),
 	}
 }
 
@@ -135,7 +124,7 @@ func (c *batchCollector) classify(ctx context.Context, sampleID uint64, tenant s
 		c.lanes[key] = lane
 	}
 	lane.pending = append(lane.pending, item)
-	if len(lane.pending) >= c.maxBatch {
+	if len(lane.pending) >= c.eng.maxBatch {
 		batch := c.takeLocked(lane)
 		c.mu.Unlock()
 		c.flush(batch, key)
@@ -199,13 +188,11 @@ func (c *batchCollector) flush(batch []batchItem, key laneKey) {
 	}
 	go func() {
 		defer c.eng.endSession()
-		c.eng.sem <- struct{}{}
-		defer func() { <-c.eng.sem }()
 		ids := make([]uint64, len(batch))
 		for i, item := range batch {
 			ids[i] = item.id
 		}
-		results, err := c.eng.gw.ClassifyBatchTenantShed(context.Background(), ids, key.tenant, key.level)
+		results, err := c.eng.runBatch(context.Background(), ids, key.tenant, key.level)
 		for i, item := range batch {
 			out := batchOutcome{err: err}
 			if i < len(results) && results[i] != nil {

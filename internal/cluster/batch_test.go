@@ -74,6 +74,44 @@ func TestBatchCollectorMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestClassifyBatchFirstErrorKeepsCompletedResults pins ClassifyBatch's
+// failure contract at both session sizes: the first session error is
+// returned and cancels the sessions not yet started, while every sample
+// that did complete — in earlier sessions, and beside the failing sample
+// in its own session — keeps its result.
+func TestClassifyBatchFirstErrorKeepsCompletedResults(t *testing.T) {
+	model, test := fixture(t)
+	bad := uint64(test.Len()) + 7 // no device has a frame for it
+	ids := []uint64{0, 1, bad, 2, 3, 4}
+	for _, tc := range []struct {
+		maxBatch int
+		filled   []bool // per ids position
+	}{
+		{0, []bool{true, true, false, false, false, false}}, // sessions {0} {1} {bad} | {2} {3} {4} canceled
+		{2, []bool{true, true, false, true, false, false}},  // sessions {0,1} {bad,2} | {3,4} canceled
+	} {
+		eng, err := NewEngine(model, test, EngineConfig{
+			Gateway:        DefaultGatewayConfig(),
+			MaxConcurrency: 1, // sessions run in order
+			Batch:          BatchConfig{MaxBatch: tc.maxBatch},
+			Logger:         quietLogger(),
+		}, transport.NewMem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := eng.ClassifyBatch(context.Background(), ids)
+		if !errors.Is(err, ErrNoSummaries) {
+			t.Errorf("MaxBatch %d: err = %v, want ErrNoSummaries", tc.maxBatch, err)
+		}
+		for i, want := range tc.filled {
+			if got := results[i] != nil; got != want {
+				t.Errorf("MaxBatch %d: sample %d filled = %v, want %v", tc.maxBatch, ids[i], got, want)
+			}
+		}
+		eng.Close()
+	}
+}
+
 // TestBatchCollectorLingerFlushesPartialBatch checks that a lone Classify
 // call on an idle batching engine is answered after at most roughly the
 // linger bound instead of waiting forever for the batch to fill.
@@ -190,7 +228,7 @@ func TestZeroTimeoutConfigDoesNotExpireInstantly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	res, err := sim.Gateway.Classify(context.Background(), 0)
+	res, err := classifyOne(context.Background(), sim.Gateway, 0)
 	if err != nil {
 		t.Fatalf("zero-timeout config: %v", err)
 	}
@@ -207,7 +245,7 @@ func TestWireBytesBothDirections(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1 // force feature uploads so the uplink dwarfs the downlink
 	sim := newSim(t, cfg)
-	if _, err := sim.Gateway.Classify(context.Background(), 0); err != nil {
+	if _, err := classifyOne(context.Background(), sim.Gateway, 0); err != nil {
 		t.Fatal(err)
 	}
 	up, down := sim.Gateway.WireBytesUp(), sim.Gateway.WireBytesDown()

@@ -19,10 +19,10 @@ import (
 
 // Cloud is the cloud node: it owns the cloud section of the DDNN and runs
 // the final exit, which always classifies. In a two-tier hierarchy it
-// receives the present devices' bit-packed feature maps (CloudClassify +
-// FeatureUploads), aggregates them and runs the upper NN layers; in a
-// three-tier hierarchy it receives a single pre-aggregated EdgeFeature map
-// escalated by the edge node.
+// receives the present devices' bit-packed feature maps
+// (CloudClassifyBatch + one FeatureBatch per device), aggregates them and
+// runs the upper NN layers; in a three-tier hierarchy it receives the
+// pre-aggregated maps of one EdgeFeatureBatch escalated by the edge node.
 //
 // Sessions are demultiplexed by wire session ID, so one downstream
 // connection carries any number of interleaved sessions; each complete
@@ -131,23 +131,21 @@ func (c *Cloud) handle(conn net.Conn) {
 		_, err := wire.Encode(conn, m)
 		return err
 	}
-	// Sessions pin the model their version pin resolved to, so every
-	// frame computes on the same weights even if the replica's active
-	// version flips mid-session.
-	type openSession struct {
-		session uint64
-		model   *core.Model
-		up      *uploadSession
-	}
-	sessions := make(map[uint64]*openSession)
-	type openBatch struct {
-		session uint64
-		model   *core.Model
-		up      *batchUploadSession
-	}
-	batches := make(map[uint64]*openBatch)
+	sessions := sessionTable{reg: c.reg, pool: c.pool, send: send, open: make(map[uint64]*uploadSession)}
+	defer sessions.release()
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
+	// run classifies one complete session in its own goroutine; the
+	// model is frozen (read-only) so sessions run genuinely in parallel.
+	run := func(classify func()) {
+		inflight.Add(1)
+		c.active.Add(1)
+		go func() {
+			defer inflight.Done()
+			defer c.active.Add(-1)
+			classify()
+		}()
+	}
 	for {
 		msg, err := wire.Decode(conn)
 		if err != nil {
@@ -168,83 +166,15 @@ func (c *Cloud) handle(conn net.Conn) {
 			if err := send(m); err != nil {
 				return
 			}
-		case *wire.CloudClassify:
-			if c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeature escalations only"})
-				continue
-			}
-			model, _, err := c.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			sess, err := newUploadSession(model.Cfg, m.SampleID, m.Devices, m.Mask, m.PresentCount(), c.pool)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			if sess.complete() {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "empty device mask"})
-				continue
-			}
-			sessions[m.Session] = &openSession{session: m.Session, model: model, up: sess}
-		case *wire.FeatureUpload:
-			sess, ok := sessions[m.Session]
-			if !ok {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: fmt.Sprintf("upload for unknown session %d", m.Session)})
-				continue
-			}
-			if err := sess.up.add(sess.model, m); err != nil {
-				delete(sessions, m.Session)
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			if sess.up.complete() {
-				delete(sessions, m.Session)
-				inflight.Add(1)
-				c.active.Add(1)
-				go func(sess *openSession) {
-					defer inflight.Done()
-					defer c.active.Add(-1)
-					c.classify(send, sess.session, sess.model, sess.up)
-				}(sess)
-			}
 		case *wire.CloudClassifyBatch:
 			if c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeature escalations only"})
+				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeatureBatch escalations only"})
 				continue
 			}
-			model, _, err := c.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			up, err := newBatchUploadSession(model.Cfg, m.SampleIDs, m.Devices, m.Masks, c.pool)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			batches[m.Session] = &openBatch{session: m.Session, model: model, up: up}
+			sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, nil)
 		case *wire.FeatureBatch:
-			sess, ok := batches[m.Session]
-			if !ok {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: fmt.Sprintf("feature batch for unknown session %d", m.Session)})
-				continue
-			}
-			if err := sess.up.add(sess.model, m); err != nil {
-				delete(batches, m.Session)
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			if sess.up.complete() {
-				delete(batches, m.Session)
-				inflight.Add(1)
-				c.active.Add(1)
-				go func(sess *openBatch) {
-					defer inflight.Done()
-					defer c.active.Add(-1)
-					c.classifyBatch(send, sess.session, sess.model, sess.up)
-				}(sess)
+			if up := sessions.add(m); up != nil {
+				run(func() { c.classify(send, up) })
 			}
 		case *wire.EdgeFeatureBatch:
 			if !c.model.Cfg.UseEdge {
@@ -256,89 +186,27 @@ func (c *Cloud) handle(conn net.Conn) {
 				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 				continue
 			}
-			feat, err := c.unpackEdgeFeatureBatch(model, m)
+			feat, err := c.unpackEdgeFeatures(model, m)
 			if err != nil {
 				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
 				continue
 			}
-			inflight.Add(1)
-			c.active.Add(1)
-			go func(m *wire.EdgeFeatureBatch, feat *tensor.Tensor) {
-				defer inflight.Done()
-				defer c.active.Add(-1)
-				c.classifyFromEdgeBatch(send, model, m, feat)
-			}(m, feat)
-		case *wire.EdgeFeature:
-			if !c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "model has no edge tier; send CloudClassify + FeatureUploads"})
-				continue
-			}
-			model, _, err := c.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			feat, err := c.unpackEdgeFeature(model, m)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			inflight.Add(1)
-			c.active.Add(1)
-			go func(m *wire.EdgeFeature, feat *tensor.Tensor) {
-				defer inflight.Done()
-				defer c.active.Add(-1)
-				c.classifyFromEdge(send, model, m, feat)
-			}(m, feat)
+			run(func() { c.classifyFromEdge(send, model, m, feat) })
 		default:
-			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected CloudClassify(Batch), FeatureUpload/FeatureBatch or EdgeFeature(Batch), got %v", msg.MsgType())})
+			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected CloudClassifyBatch, FeatureBatch or EdgeFeatureBatch, got %v", msg.MsgType())})
 		}
 	}
 }
 
-// unpackEdgeFeature validates an escalated edge feature map against the
-// model's edge section output shape.
-func (c *Cloud) unpackEdgeFeature(model *core.Model, m *wire.EdgeFeature) (*tensor.Tensor, error) {
-	cfg := model.Cfg
-	eh, ew := cfg.FeatureH()/2, cfg.FeatureW()/2
-	if int(m.F) != cfg.EdgeFilters || int(m.H) != eh || int(m.W) != ew {
-		return nil, fmt.Errorf("edge feature shape %d×%d×%d, model expects %d×%d×%d", m.F, m.H, m.W, cfg.EdgeFilters, eh, ew)
-	}
-	feat := c.pool.GetDirty(1, int(m.F), int(m.H), int(m.W))
-	if err := model.UnpackFeatureInto(feat, 0, m.Bits); err != nil {
-		c.pool.Put(feat)
-		return nil, err
-	}
-	return feat, nil
-}
-
-// classify runs the cloud section for one complete two-tier session. The
-// model is frozen (read-only) so sessions run genuinely in parallel.
-func (c *Cloud) classify(send func(wire.Message) error, session uint64, model *core.Model, sess *uploadSession) {
-	logits := model.CloudForwardPooled(sess.feats, sess.mask, c.pool)
-	sess.release(c.pool)
-	c.reply(send, session, sess.sampleID, logits)
-	c.pool.Put(logits)
-}
-
-// classifyFromEdge runs the cloud section on a pre-aggregated edge
-// feature map (three-tier hierarchies).
-func (c *Cloud) classifyFromEdge(send func(wire.Message) error, model *core.Model, m *wire.EdgeFeature, feat *tensor.Tensor) {
-	logits := model.CloudForwardFromEdgePooled(feat, c.pool)
-	c.pool.Put(feat)
-	c.reply(send, m.Session, m.SampleID, logits)
-	c.pool.Put(logits)
-}
-
-// classifyBatch runs the cloud section for one complete batched two-tier
-// session: samples sharing a device mask classify in one masked forward
-// pass, and the whole batch answers with a single ResultBatch whose
-// verdicts follow the header's sample order.
-func (c *Cloud) classifyBatch(send func(wire.Message) error, session uint64, model *core.Model, up *batchUploadSession) {
+// classify runs the cloud section for one complete two-tier session:
+// samples sharing a device mask classify in one masked forward pass, and
+// the whole session answers with a single ResultBatch whose verdicts
+// follow the header's sample order.
+func (c *Cloud) classify(send func(wire.Message) error, up *uploadSession) {
 	verdicts := make([]wire.BatchVerdict, len(up.ids))
-	for _, grp := range groupByMask(up.masks, model.Cfg.Devices) {
+	for _, grp := range groupByMask(up.masks, up.model.Cfg.Devices) {
 		feats := selectGroup(up.feats, grp.indices, len(up.ids), c.pool)
-		logits := model.CloudForwardPooled(feats, grp.present, c.pool)
+		logits := up.model.CloudForwardPooled(feats, grp.present, c.pool)
 		releaseGroup(up.feats, feats, c.pool)
 		probs := nn.Softmax(logits)
 		c.pool.Put(logits)
@@ -347,15 +215,15 @@ func (c *Cloud) classifyBatch(send func(wire.Message) error, session uint64, mod
 		}
 	}
 	up.release(c.pool)
-	if err := send(&wire.ResultBatch{Session: session, Verdicts: verdicts}); err != nil {
-		c.logger.Debug("batch classify reply failed", "session", session, "err", err)
+	if err := send(&wire.ResultBatch{Session: up.session, Verdicts: verdicts}); err != nil {
+		c.logger.Debug("classify reply failed", "session", up.session, "err", err)
 	}
 }
 
-// unpackEdgeFeatureBatch validates an escalated batch of edge feature
-// maps against the model's edge section output shape and assembles the
+// unpackEdgeFeatures validates an escalated batch of edge feature maps
+// against the model's edge section output shape and assembles the
 // [N, F, H, W] batch tensor.
-func (c *Cloud) unpackEdgeFeatureBatch(model *core.Model, m *wire.EdgeFeatureBatch) (*tensor.Tensor, error) {
+func (c *Cloud) unpackEdgeFeatures(model *core.Model, m *wire.EdgeFeatureBatch) (*tensor.Tensor, error) {
 	cfg := model.Cfg
 	eh, ew := cfg.FeatureH()/2, cfg.FeatureW()/2
 	if int(m.F) != cfg.EdgeFilters || int(m.H) != eh || int(m.W) != ew {
@@ -374,10 +242,10 @@ func (c *Cloud) unpackEdgeFeatureBatch(model *core.Model, m *wire.EdgeFeatureBat
 	return feat, nil
 }
 
-// classifyFromEdgeBatch runs the cloud section once over a batch of
+// classifyFromEdge runs the cloud section once over a session's
 // pre-aggregated edge feature maps — the samples that missed the edge
 // exit — and answers with one ResultBatch in SampleIDs order.
-func (c *Cloud) classifyFromEdgeBatch(send func(wire.Message) error, model *core.Model, m *wire.EdgeFeatureBatch, feat *tensor.Tensor) {
+func (c *Cloud) classifyFromEdge(send func(wire.Message) error, model *core.Model, m *wire.EdgeFeatureBatch, feat *tensor.Tensor) {
 	logits := model.CloudForwardFromEdgePooled(feat, c.pool)
 	c.pool.Put(feat)
 	probs := nn.Softmax(logits)
@@ -387,22 +255,7 @@ func (c *Cloud) classifyFromEdgeBatch(send func(wire.Message) error, model *core
 		verdicts[i] = verdictRow(probs, i, id, wire.ExitCloud)
 	}
 	if err := send(&wire.ResultBatch{Session: m.Session, Verdicts: verdicts}); err != nil {
-		c.logger.Debug("edge batch reply failed", "session", m.Session, "err", err)
-	}
-}
-
-func (c *Cloud) reply(send func(wire.Message) error, session, sampleID uint64, logits *tensor.Tensor) {
-	probs := nn.Softmax(logits)
-	row := make([]float32, probs.Dim(1))
-	copy(row, probs.Row(0))
-	if err := send(&wire.ClassifyResult{
-		Session:  session,
-		SampleID: sampleID,
-		Exit:     wire.ExitCloud,
-		Class:    uint16(probs.ArgMaxRow(0)),
-		Probs:    row,
-	}); err != nil {
-		c.logger.Debug("classify reply failed", "sample", sampleID, "err", err)
+		c.logger.Debug("edge escalation reply failed", "session", m.Session, "err", err)
 	}
 }
 

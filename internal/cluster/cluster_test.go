@@ -62,11 +62,21 @@ func newSim(t *testing.T, cfg GatewayConfig) *Sim {
 	return sim
 }
 
+// classifyOne runs a one-sample session on the gateway's default
+// pipeline.
+func classifyOne(ctx context.Context, gw *Gateway, id uint64) (*Result, error) {
+	results, err := gw.Classify(ctx, []uint64{id}, "", ShedNone)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
 func TestClusterClassifiesSamples(t *testing.T) {
 	sim := newSim(t, DefaultGatewayConfig())
 	_, test := fixture(t)
 	for id := 0; id < 10; id++ {
-		res, err := sim.Gateway.Classify(context.Background(), uint64(id))
+		res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -91,7 +101,7 @@ func TestClusterMatchesInProcessInference(t *testing.T) {
 	model, test := fixture(t)
 
 	for id := 0; id < 25; id++ {
-		res, err := sim.Gateway.Classify(context.Background(), uint64(id))
+		res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -125,7 +135,7 @@ func TestThresholdZeroAlwaysGoesToCloud(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1 // even zero entropy cannot pass
 	sim := newSim(t, cfg)
-	res, err := sim.Gateway.Classify(context.Background(), 0)
+	res, err := classifyOne(context.Background(), sim.Gateway, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +149,7 @@ func TestThresholdOneAlwaysExitsLocally(t *testing.T) {
 	cfg.Threshold = 1
 	sim := newSim(t, cfg)
 	for id := 0; id < 5; id++ {
-		res, err := sim.Gateway.Classify(context.Background(), uint64(id))
+		res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +165,7 @@ func TestCommMeterTracksEquationOne(t *testing.T) {
 	sim := newSim(t, cfg)
 	model, _ := fixture(t)
 
-	if _, err := sim.Gateway.Classify(context.Background(), 0); err != nil {
+	if _, err := classifyOne(context.Background(), sim.Gateway, 0); err != nil {
 		t.Fatal(err)
 	}
 	devices := int64(model.Cfg.Devices)
@@ -177,7 +187,7 @@ func TestLocalExitSendsNoFeatures(t *testing.T) {
 	cfg.Threshold = 1 // everything exits locally
 	sim := newSim(t, cfg)
 	for id := 0; id < 5; id++ {
-		if _, err := sim.Gateway.Classify(context.Background(), uint64(id)); err != nil {
+		if _, err := classifyOne(context.Background(), sim.Gateway, uint64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +202,7 @@ func TestFaultToleranceSingleDeviceFailure(t *testing.T) {
 	sim := newSim(t, cfg)
 
 	sim.Devices[2].SetFailed(true)
-	res, err := sim.Gateway.Classify(context.Background(), 3)
+	res, err := classifyOne(context.Background(), sim.Gateway, 3)
 	if err != nil {
 		t.Fatalf("classification failed with one dead device: %v", err)
 	}
@@ -221,7 +231,7 @@ func TestStickyFailureDetection(t *testing.T) {
 
 	sim.Devices[1].SetFailed(true)
 	for id := 0; id < 3; id++ {
-		if _, err := sim.Gateway.Classify(context.Background(), uint64(id)); err != nil {
+		if _, err := classifyOne(context.Background(), sim.Gateway, uint64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +242,7 @@ func TestStickyFailureDetection(t *testing.T) {
 
 	// A down device is skipped immediately: the session must be fast.
 	start := time.Now()
-	if _, err := sim.Gateway.Classify(context.Background(), 10); err != nil {
+	if _, err := classifyOne(context.Background(), sim.Gateway, 10); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > cfg.DeviceTimeout {
@@ -247,7 +257,7 @@ func TestAllDevicesFailedReturnsError(t *testing.T) {
 	for _, d := range sim.Devices {
 		d.SetFailed(true)
 	}
-	if _, err := sim.Gateway.Classify(context.Background(), 0); err == nil {
+	if _, err := classifyOne(context.Background(), sim.Gateway, 0); err == nil {
 		t.Error("classification succeeded with every device dead")
 	}
 }
@@ -259,7 +269,7 @@ func TestDeviceRecovery(t *testing.T) {
 	sim := newSim(t, cfg)
 
 	sim.Devices[0].SetFailed(true)
-	res, err := sim.Gateway.Classify(context.Background(), 0)
+	res, err := classifyOne(context.Background(), sim.Gateway, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +278,7 @@ func TestDeviceRecovery(t *testing.T) {
 	}
 
 	sim.Devices[0].SetFailed(false)
-	res, err = sim.Gateway.Classify(context.Background(), 1)
+	res, err = classifyOne(context.Background(), sim.Gateway, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +332,7 @@ func TestHealthMonitorDetectsFailureAndRecovery(t *testing.T) {
 	}
 
 	// Classification keeps working and skips the dead device immediately.
-	res, err := gw.Classify(context.Background(), 0)
+	res, err := classifyOne(context.Background(), gw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +349,7 @@ func TestHealthMonitorDetectsFailureAndRecovery(t *testing.T) {
 	if down := gw.DownDevices(); len(down) != 0 {
 		t.Fatalf("device did not recover: DownDevices = %v", down)
 	}
-	res, err = gw.Classify(context.Background(), 1)
+	res, err = classifyOne(context.Background(), gw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +381,7 @@ func TestCloudFailureSurfacesError(t *testing.T) {
 	sim.Cloud().Close()
 
 	start := time.Now()
-	_, err := sim.Gateway.Classify(context.Background(), 0)
+	_, err := classifyOne(context.Background(), sim.Gateway, 0)
 	if err == nil {
 		t.Fatal("classification succeeded with the cloud down")
 	}
@@ -390,7 +400,7 @@ func TestCloudFailureSurfacesError(t *testing.T) {
 	}
 	defer sim2.Close()
 	sim2.Cloud().Close()
-	if _, err := sim2.Gateway.Classify(context.Background(), 0); err != nil {
+	if _, err := classifyOne(context.Background(), sim2.Gateway, 0); err != nil {
 		t.Errorf("local-exit classification failed with cloud down: %v", err)
 	}
 }
@@ -408,7 +418,7 @@ func TestCloudRejectsWrongDeviceCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := wire.Encode(conn, &wire.CloudClassify{SampleID: 1, Devices: 99, Mask: 1}); err != nil {
+	if _, err := wire.Encode(conn, &wire.CloudClassifyBatch{Session: 1, Devices: 99, SampleIDs: []uint64{1}, Masks: []uint16{1}}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := wire.Decode(conn)
@@ -420,7 +430,9 @@ func TestCloudRejectsWrongDeviceCount(t *testing.T) {
 	}
 }
 
-func TestDeviceRepliesErrorForUnknownSample(t *testing.T) {
+func TestDeviceMarksUnknownSampleAbsent(t *testing.T) {
+	// A sample the feed cannot produce is an absent frame in the capture
+	// reply, and a typed error when its features are requested.
 	model, test := fixture(t)
 	tr := transport.NewMem()
 	dev := NewDevice(model, 0, DatasetFeed(test, 0), quietLogger())
@@ -433,15 +445,28 @@ func TestDeviceRepliesErrorForUnknownSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := wire.Encode(conn, &wire.CaptureRequest{SampleID: 1 << 40}); err != nil {
+	if _, err := wire.Encode(conn, &wire.CaptureBatch{Session: 1, SampleIDs: []uint64{0, 1 << 40}}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := wire.Decode(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(*wire.Error); !ok {
-		t.Errorf("device replied %v to out-of-range sample, want Error", msg.MsgType())
+	sum, ok := msg.(*wire.SummaryBatch)
+	if !ok {
+		t.Fatalf("device replied %v to a capture, want SummaryBatch", msg.MsgType())
+	}
+	if !wire.IsPresent(sum.Present, 0) || wire.IsPresent(sum.Present, 1) || len(sum.Probs) != model.Cfg.Classes {
+		t.Errorf("present %08b with %d probs, want only sample 0 present", sum.Present, len(sum.Probs))
+	}
+	if _, err := wire.Encode(conn, &wire.FeatureBatchRequest{Session: 1, SampleIDs: []uint64{1 << 40}}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err = wire.Decode(conn); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := msg.(*wire.Error); !ok || e.Code != 404 || e.Session != 1 {
+		t.Errorf("device replied %v to an out-of-range feature request, want Error 404 on session 1", msg)
 	}
 }
 
@@ -473,7 +498,7 @@ func TestClusterOverTCP(t *testing.T) {
 	defer gw.Close()
 
 	for id := 0; id < 5; id++ {
-		res, err := gw.Classify(context.Background(), uint64(id))
+		res, err := classifyOne(context.Background(), gw, uint64(id))
 		if err != nil {
 			t.Fatalf("TCP sample %d: %v", id, err)
 		}
@@ -491,7 +516,7 @@ func TestGatewayConcurrentSessionsMatchSerial(t *testing.T) {
 	const samples = 12
 	want := make([]*Result, samples)
 	for id := 0; id < samples; id++ {
-		res, err := sim.Gateway.Classify(context.Background(), uint64(id))
+		res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
 		if err != nil {
 			t.Fatalf("serial sample %d: %v", id, err)
 		}
@@ -506,7 +531,7 @@ func TestGatewayConcurrentSessionsMatchSerial(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for id := 0; id < samples; id++ {
-				res, err := sim.Gateway.Classify(context.Background(), uint64(id))
+				res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
 				if err != nil {
 					errs <- fmt.Errorf("worker %d sample %d: %w", w, id, err)
 					return
@@ -572,7 +597,7 @@ func TestClassifyCanceledContext(t *testing.T) {
 	sim := newSim(t, DefaultGatewayConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sim.Gateway.Classify(ctx, 0)
+	_, err := classifyOne(ctx, sim.Gateway, 0)
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("err = %v, want ErrCanceled", err)
 	}
@@ -592,7 +617,7 @@ func TestClassifyContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := sim.Gateway.Classify(ctx, 0)
+	_, err := classifyOne(ctx, sim.Gateway, 0)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Errorf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -614,7 +639,7 @@ func TestSimulatedLinksAddLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer simAll.Close()
-	resLocal, err := simAll.Gateway.Classify(context.Background(), 0)
+	resLocal, err := classifyOne(context.Background(), simAll.Gateway, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +654,7 @@ func TestSimulatedLinksAddLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer simCloud.Close()
-	resCloud, err := simCloud.Gateway.Classify(context.Background(), 0)
+	resCloud, err := classifyOne(context.Background(), simCloud.Gateway, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ type Device struct {
 	pool *tensor.Pool
 
 	mu        sync.Mutex // guards features/featOrder only
-	features  map[uint64]*retainedFeature
+	features  map[uint64]retainedFeature
 	featOrder []uint64 // insertion order for eviction
 
 	listener net.Listener
@@ -90,7 +90,7 @@ func NewDevice(model *core.Model, index int, feed Feed, logger *slog.Logger) *De
 		feed:     feed,
 		logger:   logger.With("node", fmt.Sprintf("device-%d", index)),
 		pool:     tensor.NewPool(),
-		features: make(map[uint64]*retainedFeature),
+		features: make(map[uint64]retainedFeature),
 		conns:    make(map[net.Conn]struct{}),
 	}
 }
@@ -179,36 +179,20 @@ func (d *Device) handle(conn net.Conn) {
 			continue
 		}
 		switch m := msg.(type) {
-		case *wire.CaptureRequest:
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if err := d.onCapture(send, m); err != nil {
-					d.logger.Debug("capture failed", "sample", m.SampleID, "err", err)
-				}
-			}()
-		case *wire.FeatureRequest:
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if err := d.onFeatureRequest(send, m); err != nil {
-					d.logger.Debug("feature upload failed", "sample", m.SampleID, "err", err)
-				}
-			}()
 		case *wire.CaptureBatch:
 			reqs.Add(1)
 			go func() {
 				defer reqs.Done()
-				if err := d.onCaptureBatch(send, m); err != nil {
-					d.logger.Debug("batch capture failed", "session", m.Session, "err", err)
+				if err := d.onCapture(send, m); err != nil {
+					d.logger.Debug("capture failed", "session", m.Session, "err", err)
 				}
 			}()
 		case *wire.FeatureBatchRequest:
 			reqs.Add(1)
 			go func() {
 				defer reqs.Done()
-				if err := d.onFeatureBatchRequest(send, m); err != nil {
-					d.logger.Debug("batch feature upload failed", "session", m.Session, "err", err)
+				if err := d.onFeatures(send, m); err != nil {
+					d.logger.Debug("feature upload failed", "session", m.Session, "err", err)
 				}
 			}()
 		case *wire.Heartbeat:
@@ -223,43 +207,29 @@ func (d *Device) handle(conn net.Conn) {
 	}
 }
 
-// onCapture processes the device's sensor frame through its DNN section
-// and replies with the exit summary vector. The binarized feature map is
-// retained under the session ID so a later FeatureRequest can upload it
-// without recomputing.
-func (d *Device) onCapture(send func(wire.Message) error, m *wire.CaptureRequest) error {
-	model, _, err := d.reg.resolve(m.ModelVersion)
-	if err != nil {
-		return send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-	}
-	x, err := d.feed(m.SampleID)
-	if err != nil {
-		return send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
-	}
-	feat, exitVec := model.DeviceForwardPooled(d.index, x, d.pool)
-	d.retainFeature(m.Session, feat, nil)
-
-	probs := make([]float32, exitVec.Dim(1))
-	copy(probs, exitVec.Row(0))
-	d.pool.Put(exitVec)
-	return send(&wire.LocalSummary{
-		Session:  m.Session,
-		SampleID: m.SampleID,
-		Device:   uint16(d.index),
-		Probs:    probs,
-	})
-}
-
-// retainedFeature caches the binarized feature maps of one capture under
-// its session ID: a [N, F, H, W] tensor plus, for batched captures, the
-// row index of each sample ID (nil for single-sample captures, whose
-// tensor is [1, ...]).
+// retainedFeature caches one capture's binarized feature maps under its
+// session ID: row i of the [N, F, H, W] tensor belongs to ids[i], and
+// present (a wire.PackPresent bitmask) marks the rows the feed had a
+// frame for — the others hold no sample.
 type retainedFeature struct {
-	feat *tensor.Tensor
-	rows map[uint64]int
+	feat    *tensor.Tensor
+	ids     []uint64
+	present []byte
 }
 
-func (d *Device) retainFeature(session uint64, feat *tensor.Tensor, rows map[uint64]int) {
+// row returns the retained row of a sample, or -1. Requests list samples
+// in capture order, so the scan starts where the previous lookup stopped.
+func (rf retainedFeature) row(id uint64, from int) int {
+	for k := range rf.ids {
+		i := (from + k) % len(rf.ids)
+		if rf.ids[i] == id && wire.IsPresent(rf.present, i) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (d *Device) retainFeature(session uint64, rf retainedFeature) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if prev, exists := d.features[session]; exists {
@@ -267,7 +237,7 @@ func (d *Device) retainFeature(session uint64, feat *tensor.Tensor, rows map[uin
 	} else {
 		d.featOrder = append(d.featOrder, session)
 	}
-	d.features[session] = &retainedFeature{feat: feat, rows: rows}
+	d.features[session] = rf
 	for len(d.featOrder) > maxRetainedFeatures {
 		oldest := d.featOrder[0]
 		d.featOrder = d.featOrder[1:]
@@ -278,12 +248,15 @@ func (d *Device) retainFeature(session uint64, feat *tensor.Tensor, rows map[uin
 	}
 }
 
-func (d *Device) takeFeature(session uint64) (*retainedFeature, bool) {
+// takeFeature removes and returns the session's retained capture; it is
+// empty (nil tensor, no rows) when the capture was evicted or never
+// happened — e.g. a second gateway attached to this device.
+func (d *Device) takeFeature(session uint64) retainedFeature {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	rf, ok := d.features[session]
 	if !ok {
-		return nil, false
+		return rf
 	}
 	delete(d.features, session)
 	for i, s := range d.featOrder {
@@ -292,131 +265,85 @@ func (d *Device) takeFeature(session uint64) (*retainedFeature, bool) {
 			break
 		}
 	}
-	return rf, true
+	return rf
 }
 
-func (d *Device) onFeatureRequest(send func(wire.Message) error, m *wire.FeatureRequest) error {
-	model, _, rerr := d.reg.resolve(m.ModelVersion)
-	if rerr != nil {
-		return send(&wire.Error{Session: m.Session, Code: 426, Msg: rerr.Error()})
-	}
-	var feat *tensor.Tensor
-	if rf, ok := d.takeFeature(m.Session); ok && rf.rows == nil {
-		// The retained map was computed under the same session — and the
-		// gateway stamps one concrete version per session — so it is
-		// already the right version's feature map.
-		feat = rf.feat
-	} else {
-		if ok {
-			// Batch-retained feature under the same session tag: not
-			// usable for a single-sample request, but still pool-owned.
-			d.pool.Put(rf.feat)
-		}
-		// The cached map was evicted (or the capture never happened —
-		// e.g. a second gateway attached to this device); recompute from
-		// the sensor feed so eviction only costs time, not the session.
-		x, err := d.feed(m.SampleID)
-		if err != nil {
-			return send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
-		}
-		var exitVec *tensor.Tensor
-		feat, exitVec = model.DeviceForwardPooled(d.index, x, d.pool)
-		d.pool.Put(exitVec)
-	}
-	bits := model.PackFeature(feat)
-	f, h, w := feat.Dim(1), feat.Dim(2), feat.Dim(3)
-	d.pool.Put(feat)
-	return send(&wire.FeatureUpload{
-		Session:  m.Session,
-		SampleID: m.SampleID,
-		Device:   uint16(d.index),
-		F:        uint16(f),
-		H:        uint16(h),
-		W:        uint16(w),
-		Bits:     bits,
-	})
-}
-
-// onCaptureBatch stacks the batch's sensor frames into one tensor and
-// runs the device section once, so conv/GEMM setup amortizes across the
-// whole micro-batch. Samples whose feed has no frame are marked absent in
-// the reply's presence bitmask; the rest get one summary row each, and
-// their feature rows are retained for a possible FeatureBatchRequest.
-func (d *Device) onCaptureBatch(send func(wire.Message) error, m *wire.CaptureBatch) error {
+// onCapture stacks the session's sensor frames into one tensor, row i for
+// sample i, and runs the device section once, so conv/GEMM setup
+// amortizes across the whole session. Samples whose feed has no frame are
+// marked absent in the reply's presence bitmask (their rows run as zeros
+// and are never read); the rest get one summary row each, and the feature
+// rows are retained for a possible FeatureBatchRequest.
+func (d *Device) onCapture(send func(wire.Message) error, m *wire.CaptureBatch) error {
 	model, _, err := d.reg.resolve(m.ModelVersion)
 	if err != nil {
 		return send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 	}
+	cfg := model.Cfg
 	n := len(m.SampleIDs)
-	present := make([]bool, n)
-	frames := make([]*tensor.Tensor, 0, n)
-	rows := make(map[uint64]int, n)
+	reply := &wire.SummaryBatch{
+		Session: m.Session, Device: uint16(d.index), Classes: uint16(cfg.Classes),
+		Count: uint16(n), Present: make([]byte, (n+7)/8),
+	}
+	stacked := d.pool.GetDirty(n, cfg.InputC, cfg.InputH, cfg.InputW)
+	frames := 0
 	for i, id := range m.SampleIDs {
+		row := stacked.Sample(i)
 		x, err := d.feed(id)
 		if err != nil {
-			continue // absent frame (object not in view / feed error)
-		}
-		present[i] = true
-		if _, dup := rows[id]; !dup {
-			rows[id] = len(frames)
-			frames = append(frames, x)
-		}
-	}
-	classes := uint16(model.Cfg.Classes)
-	if len(frames) == 0 {
-		return send(&wire.SummaryBatch{
-			Session: m.Session, Device: uint16(d.index), Classes: classes,
-			Count: uint16(n), Present: wire.PackPresent(present),
-		})
-	}
-	cfg := model.Cfg
-	stacked := d.pool.GetDirty(len(frames), cfg.InputC, cfg.InputH, cfg.InputW)
-	tensor.StackInto(stacked, frames)
-	feat, exitVec := model.DeviceForwardPooled(d.index, stacked, d.pool)
-	d.pool.Put(stacked)
-	d.retainFeature(m.Session, feat, rows)
-
-	probs := make([]float32, 0, n*int(classes))
-	for i, id := range m.SampleIDs {
-		if !present[i] {
+			clear(row) // absent frame (object not in view / feed error)
 			continue
 		}
-		probs = append(probs, exitVec.Row(rows[id])...)
+		if x.Size() != len(row) {
+			panic(fmt.Sprintf("cluster: device %d: feed frame has %d values, model input has %d", d.index, x.Size(), len(row)))
+		}
+		copy(row, x.Data())
+		wire.MarkPresent(reply.Present, i)
+		frames++
+	}
+	if frames == 0 {
+		d.pool.Put(stacked)
+		return send(reply)
+	}
+	feat, exitVec := model.DeviceForwardPooled(d.index, stacked, d.pool)
+	d.pool.Put(stacked)
+	d.retainFeature(m.Session, retainedFeature{feat: feat, ids: m.SampleIDs, present: reply.Present})
+
+	reply.Probs = make([]float32, 0, frames*cfg.Classes)
+	for i := range m.SampleIDs {
+		if wire.IsPresent(reply.Present, i) {
+			reply.Probs = append(reply.Probs, exitVec.Row(i)...)
+		}
 	}
 	d.pool.Put(exitVec)
-	return send(&wire.SummaryBatch{
-		Session: m.Session, Device: uint16(d.index), Classes: classes,
-		Count: uint16(n), Present: wire.PackPresent(present), Probs: probs,
-	})
+	return send(reply)
 }
 
-// onFeatureBatchRequest packs the retained feature rows of the requested
-// samples — the batch subset that missed the local exit — into one
-// FeatureBatch frame. Evicted (or never-captured) samples are recomputed
-// from the feed; a sample the feed cannot produce fails the whole fetch,
-// and the gateway degrades by dropping this device from the batch.
-func (d *Device) onFeatureBatchRequest(send func(wire.Message) error, m *wire.FeatureBatchRequest) error {
+// onFeatures packs the retained feature rows of the requested samples —
+// the session's subset that missed the local exit — into one FeatureBatch
+// frame. Evicted (or never-captured) samples are recomputed from the
+// feed, so eviction only costs time, not the session; a sample the feed
+// cannot produce fails the whole fetch, and the gateway degrades by
+// dropping this device from the session.
+func (d *Device) onFeatures(send func(wire.Message) error, m *wire.FeatureBatchRequest) error {
 	model, _, rerr := d.reg.resolve(m.ModelVersion)
 	if rerr != nil {
 		return send(&wire.Error{Session: m.Session, Code: 426, Msg: rerr.Error()})
 	}
-	rf, _ := d.takeFeature(m.Session)
-	if rf != nil && rf.rows == nil {
-		d.pool.Put(rf.feat)
-		rf = nil // single-sample capture under the same session tag
-	}
-	if rf != nil {
-		defer d.pool.Put(rf.feat)
-	}
+	// The retained maps were computed under the same session — and the
+	// gateway stamps one concrete version per session — so they are
+	// already the right version's feature maps.
+	rf := d.takeFeature(m.Session)
+	defer d.pool.Put(rf.feat)
 	cfg := model.Cfg
 	f, h, w := cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW()
 	bits := make([]byte, 0, len(m.SampleIDs)*((f*h*w+7)/8))
+	next := 0
 	for _, id := range m.SampleIDs {
-		if rf != nil {
-			if row, ok := rf.rows[id]; ok {
-				bits = append(bits, model.PackFeatureSample(rf.feat, row)...)
-				continue
-			}
+		if row := rf.row(id, next); row >= 0 {
+			bits = append(bits, model.PackFeatureSample(rf.feat, row)...)
+			next = row + 1
+			continue
 		}
 		x, err := d.feed(id)
 		if err != nil {

@@ -185,25 +185,6 @@ func (e *Edge) acceptLoop() {
 	}
 }
 
-// edgeSession pairs the escalation header with the accumulating device
-// uploads and the model the session's version pin resolved to — every
-// frame of the session computes on those weights even if the node's
-// active version flips mid-session.
-type edgeSession struct {
-	hdr   *wire.EdgeClassify
-	model *core.Model
-	up    *uploadSession
-}
-
-// edgeBatchSession pairs a batched escalation header with the
-// accumulating per-device FeatureBatch frames and the session's pinned
-// model.
-type edgeBatchSession struct {
-	hdr   *wire.EdgeClassifyBatch
-	model *core.Model
-	up    *batchUploadSession
-}
-
 func (e *Edge) handle(conn net.Conn) {
 	var wmu sync.Mutex
 	send := func(m wire.Message) error {
@@ -212,8 +193,8 @@ func (e *Edge) handle(conn net.Conn) {
 		_, err := wire.Encode(conn, m)
 		return err
 	}
-	sessions := make(map[uint64]*edgeSession)
-	batches := make(map[uint64]*edgeBatchSession)
+	sessions := sessionTable{reg: e.reg, pool: e.pool, send: send, open: make(map[uint64]*uploadSession)}
+	defer sessions.release()
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
 	for {
@@ -235,141 +216,33 @@ func (e *Edge) handle(conn net.Conn) {
 			if err := send(m); err != nil {
 				return
 			}
-		case *wire.EdgeClassify:
-			model, _, err := e.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			up, err := newUploadSession(model.Cfg, m.SampleID, m.Devices, m.Mask, m.PresentCount(), e.pool)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			if up.complete() {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "empty device mask"})
-				continue
-			}
-			sessions[m.Session] = &edgeSession{hdr: m, model: model, up: up}
-		case *wire.FeatureUpload:
-			sess, ok := sessions[m.Session]
-			if !ok {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: fmt.Sprintf("upload for unknown session %d", m.Session)})
-				continue
-			}
-			if err := sess.up.add(sess.model, m); err != nil {
-				delete(sessions, m.Session)
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			if sess.up.complete() {
-				delete(sessions, m.Session)
-				inflight.Add(1)
-				e.active.Add(1)
-				go func(sess *edgeSession) {
-					defer inflight.Done()
-					defer e.active.Add(-1)
-					e.classify(send, sess)
-				}(sess)
-			}
 		case *wire.EdgeClassifyBatch:
-			model, _, err := e.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			up, err := newBatchUploadSession(model.Cfg, m.SampleIDs, m.Devices, m.Masks, e.pool)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			batches[m.Session] = &edgeBatchSession{hdr: m, model: model, up: up}
+			sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, m.Thresholds)
 		case *wire.FeatureBatch:
-			sess, ok := batches[m.Session]
-			if !ok {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: fmt.Sprintf("feature batch for unknown session %d", m.Session)})
-				continue
-			}
-			if err := sess.up.add(sess.model, m); err != nil {
-				delete(batches, m.Session)
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			if sess.up.complete() {
-				delete(batches, m.Session)
+			if up := sessions.add(m); up != nil {
 				inflight.Add(1)
 				e.active.Add(1)
-				go func(sess *edgeBatchSession) {
+				go func() {
 					defer inflight.Done()
 					defer e.active.Add(-1)
-					e.classifyBatch(send, sess)
-				}(sess)
+					e.classify(send, up)
+				}()
 			}
 		default:
-			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected EdgeClassify(Batch) or FeatureUpload/FeatureBatch, got %v", msg.MsgType())})
+			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected EdgeClassifyBatch or FeatureBatch, got %v", msg.MsgType())})
 		}
 	}
 }
 
-// classify runs the edge stage for one complete session: aggregate the
-// device feature maps, run the edge section, exit here when confident,
-// and otherwise escalate the edge feature map to the cloud.
-func (e *Edge) classify(send func(wire.Message) error, sess *edgeSession) {
-	edgeFeat, edgeLogits := sess.model.EdgeForwardPooled(sess.up.feats, sess.up.mask, e.pool)
-	sess.up.release(e.pool)
-	defer e.pool.Put(edgeFeat)
-	probs := nn.Softmax(edgeLogits)
-	e.pool.Put(edgeLogits)
-	row := make([]float32, probs.Dim(1))
-	copy(row, probs.Row(0))
-
-	// The first relayed threshold is this tier's exit criterion; an
-	// empty list means the edge never exits and always escalates.
-	confident := len(sess.hdr.Thresholds) > 0 &&
-		nn.NormalizedEntropy(row) <= sess.hdr.Thresholds[0]
-	verdict := &wire.ClassifyResult{
-		Session:  sess.hdr.Session,
-		SampleID: sess.hdr.SampleID,
-		Exit:     wire.ExitEdge,
-		Class:    uint16(probs.ArgMaxRow(0)),
-		Probs:    row,
-	}
-	if confident {
-		if err := send(verdict); err != nil {
-			e.logger.Debug("edge verdict failed", "sample", sess.hdr.SampleID, "err", err)
-		}
-		return
-	}
-
-	cloudVerdict, err := e.escalate(sess, edgeFeat)
-	if err != nil {
-		if e.cfg.CloudFallback {
-			// Degrade rather than fail: answer with the edge's own
-			// best-effort classification while the cloud is down.
-			e.logger.Warn("cloud escalation failed; answering at the edge", "sample", sess.hdr.SampleID, "err", err)
-			if err := send(verdict); err != nil {
-				e.logger.Debug("edge fallback verdict failed", "sample", sess.hdr.SampleID, "err", err)
-			}
-			return
-		}
-		_ = send(&wire.Error{Session: sess.hdr.Session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
-		return
-	}
-	if err := send(cloudVerdict); err != nil {
-		e.logger.Debug("cloud verdict relay failed", "sample", sess.hdr.SampleID, "err", err)
-	}
-}
-
-// classifyBatch runs the edge stage for one complete batched session:
-// samples sharing a device mask aggregate and run the edge section in one
-// forward pass, confident samples exit here (ExitEdge), and only the hard
-// remainder rides a single EdgeFeatureBatch to the cloud — the batched
-// partial exit that keeps upstream hops small. The whole batch answers
-// with one ResultBatch in header order.
-func (e *Edge) classifyBatch(send func(wire.Message) error, sess *edgeBatchSession) {
-	up := sess.up
+// classify runs the edge stage for one complete session: samples sharing
+// a device mask aggregate and run the edge section in one forward pass,
+// confident samples exit here (ExitEdge), and only the hard remainder
+// rides a single EdgeFeatureBatch to the cloud — the partial exit that
+// keeps upstream hops small. The whole session answers with one
+// ResultBatch in header order.
+func (e *Edge) classify(send func(wire.Message) error, up *uploadSession) {
 	n := len(up.ids)
-	cfg := sess.model.Cfg
+	cfg := up.model.Cfg
 	eh, ew := cfg.FeatureH()/2, cfg.FeatureW()/2
 	edgeFeats := e.pool.GetDirty(n, cfg.EdgeFilters, eh, ew)
 	defer e.pool.Put(edgeFeats)
@@ -377,7 +250,7 @@ func (e *Edge) classifyBatch(send func(wire.Message) error, sess *edgeBatchSessi
 	var hard []int
 	for _, grp := range groupByMask(up.masks, cfg.Devices) {
 		feats := selectGroup(up.feats, grp.indices, n, e.pool)
-		edgeFeat, edgeLogits := sess.model.EdgeForwardPooled(feats, grp.present, e.pool)
+		edgeFeat, edgeLogits := up.model.EdgeForwardPooled(feats, grp.present, e.pool)
 		releaseGroup(up.feats, feats, e.pool)
 		probs := nn.Softmax(edgeLogits)
 		e.pool.Put(edgeLogits)
@@ -391,38 +264,38 @@ func (e *Edge) classifyBatch(send func(wire.Message) error, sess *edgeBatchSessi
 	// The first relayed threshold is this tier's exit criterion; an empty
 	// list means the edge never exits and always escalates.
 	for i, v := range verdicts {
-		confident := len(sess.hdr.Thresholds) > 0 &&
-			nn.NormalizedEntropy(v.Probs) <= sess.hdr.Thresholds[0]
+		confident := len(up.thresholds) > 0 &&
+			nn.NormalizedEntropy(v.Probs) <= up.thresholds[0]
 		if !confident {
 			hard = append(hard, i)
 		}
 	}
 	if len(hard) > 0 {
-		cloudVerdicts, err := e.escalateBatch(sess, up.ids, hard, edgeFeats)
+		cloudVerdicts, err := e.escalate(up, hard, edgeFeats)
 		if err != nil && !e.cfg.CloudFallback {
-			_ = send(&wire.Error{Session: sess.hdr.Session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
+			_ = send(&wire.Error{Session: up.session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
 			return
 		}
 		if err != nil {
 			// Degrade rather than fail: the hard samples keep the edge's
 			// own best-effort verdicts while the cloud is down.
-			e.logger.Warn("cloud escalation failed; answering batch at the edge", "samples", len(hard), "err", err)
+			e.logger.Warn("cloud escalation failed; answering at the edge", "samples", len(hard), "err", err)
 		} else {
 			for k, idx := range hard {
 				verdicts[idx] = cloudVerdicts[k]
 			}
 		}
 	}
-	if err := send(&wire.ResultBatch{Session: sess.hdr.Session, Verdicts: verdicts}); err != nil {
-		e.logger.Debug("edge batch verdict failed", "session", sess.hdr.Session, "err", err)
+	if err := send(&wire.ResultBatch{Session: up.session, Verdicts: verdicts}); err != nil {
+		e.logger.Debug("edge verdict failed", "session", up.session, "err", err)
 	}
 }
 
-// escalateBatch packs the hard samples' edge feature rows into one
+// escalate packs the hard samples' edge feature rows into one
 // EdgeFeatureBatch, forwards it to a pool-scheduled cloud replica under
 // a fresh edge-owned session ID and returns the cloud's verdicts in
 // hard-index order.
-func (e *Edge) escalateBatch(sess *edgeBatchSession, ids []uint64, hard []int, edgeFeats *tensor.Tensor) ([]wire.BatchVerdict, error) {
+func (e *Edge) escalate(up *uploadSession, hard []int, edgeFeats *tensor.Tensor) ([]wire.BatchVerdict, error) {
 	if e.cloud == nil {
 		return nil, fmt.Errorf("edge has no cloud connection")
 	}
@@ -430,12 +303,12 @@ func (e *Edge) escalateBatch(sess *edgeBatchSession, ids []uint64, hard []int, e
 	hardIDs := make([]uint64, len(hard))
 	var bits []byte
 	for k, idx := range hard {
-		hardIDs[k] = ids[idx]
-		bits = append(bits, sess.model.PackFeatureSample(edgeFeats, idx)...)
+		hardIDs[k] = up.ids[idx]
+		bits = append(bits, up.model.PackFeatureSample(edgeFeats, idx)...)
 	}
 	msg := &wire.EdgeFeatureBatch{
 		Session:      upSession,
-		ModelVersion: sess.hdr.ModelVersion,
+		ModelVersion: up.modelVersion,
 		F:            uint16(edgeFeats.Dim(1)),
 		H:            uint16(edgeFeats.Dim(2)),
 		W:            uint16(edgeFeats.Dim(3)),
@@ -466,48 +339,6 @@ func (e *Edge) escalateBatch(sess *edgeBatchSession, ids []uint64, hard []int, e
 		return nil, fmt.Errorf("cloud error %d: %s", m.Code, m.Msg)
 	default:
 		return nil, fmt.Errorf("expected ResultBatch, got %v", reply.MsgType())
-	}
-}
-
-// escalate packs the edge feature map, forwards it to a pool-scheduled
-// cloud replica under a fresh edge-owned session ID, waits for the
-// verdict on that replica's link and rewrites it back onto the
-// downstream session.
-func (e *Edge) escalate(sess *edgeSession, edgeFeat *tensor.Tensor) (*wire.ClassifyResult, error) {
-	if e.cloud == nil {
-		return nil, fmt.Errorf("edge has no cloud connection")
-	}
-	upSession := e.nextUpstream.Add(1)
-	bits := sess.model.PackFeature(edgeFeat)
-	up := &wire.EdgeFeature{
-		Session:      upSession,
-		SampleID:     sess.hdr.SampleID,
-		ModelVersion: sess.hdr.ModelVersion,
-		F:            uint16(edgeFeat.Dim(1)),
-		H:            uint16(edgeFeat.Dim(2)),
-		W:            uint16(edgeFeat.Dim(3)),
-		Bits:         bits,
-	}
-	e.Meter.Add("cloud-upload", int64(len(bits)))
-	// One overall budget for pick + send + wait + any failover retries,
-	// so N hung replicas cannot stack N full timeouts (see CloudTimeout).
-	ctx, cancel := context.WithTimeout(context.Background(), e.cfg.CloudTimeout)
-	defer cancel()
-	msg, err := e.cloud.relay(ctx, upSession, e.cfg.CloudTimeout, up)
-	if err != nil {
-		return nil, err
-	}
-	switch m := msg.(type) {
-	case *wire.ClassifyResult:
-		if m.SampleID != sess.hdr.SampleID {
-			return nil, fmt.Errorf("cloud answered sample %d inside session for sample %d", m.SampleID, sess.hdr.SampleID)
-		}
-		m.Session = sess.hdr.Session
-		return m, nil
-	case *wire.Error:
-		return nil, fmt.Errorf("cloud error %d: %s", m.Code, m.Msg)
-	default:
-		return nil, fmt.Errorf("expected ClassifyResult, got %v", msg.MsgType())
 	}
 }
 

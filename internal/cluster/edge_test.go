@@ -10,6 +10,7 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -95,7 +96,7 @@ func TestEdgeTierStagesAreReachable(t *testing.T) {
 			cfg.EdgeThreshold = tc.edgT
 			sim := newEdgeSim(t, cfg)
 			for id := 0; id < 5; id++ {
-				res, err := sim.Gateway.Classify(context.Background(), uint64(id))
+				res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
 				if err != nil {
 					t.Fatalf("sample %d: %v", id, err)
 				}
@@ -117,7 +118,7 @@ func TestEdgeTierMetersBothHops(t *testing.T) {
 	sim := newEdgeSim(t, cfg)
 	model, _ := edgeFixture(t)
 
-	if _, err := sim.Gateway.Classify(context.Background(), 0); err != nil {
+	if _, err := classifyOne(context.Background(), sim.Gateway, 0); err != nil {
 		t.Fatal(err)
 	}
 	devices := int64(model.Cfg.Devices)
@@ -144,7 +145,7 @@ func TestEdgeExitSendsNothingToCloud(t *testing.T) {
 	cfg.EdgeThreshold = 1 // every escalated sample answered at the edge
 	sim := newEdgeSim(t, cfg)
 	for id := 0; id < 5; id++ {
-		if _, err := sim.Gateway.Classify(context.Background(), uint64(id)); err != nil {
+		if _, err := classifyOne(context.Background(), sim.Gateway, uint64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +162,7 @@ func TestEdgeDownSurfacesTypedError(t *testing.T) {
 	sim.Edge().SetFailed(true)
 
 	start := time.Now()
-	_, err := sim.Gateway.Classify(context.Background(), 0)
+	_, err := classifyOne(context.Background(), sim.Gateway, 0)
 	if !errors.Is(err, ErrEdgeUnavailable) {
 		t.Errorf("err = %v, want ErrEdgeUnavailable", err)
 	}
@@ -179,7 +180,7 @@ func TestEdgeDownSurfacesTypedError(t *testing.T) {
 	}
 	defer sim2.Close()
 	sim2.Edge().SetFailed(true)
-	res, err := sim2.Gateway.Classify(context.Background(), 0)
+	res, err := classifyOne(context.Background(), sim2.Gateway, 0)
 	if err != nil {
 		t.Fatalf("local-exit classification failed with edge down: %v", err)
 	}
@@ -200,7 +201,7 @@ func TestEdgeAnswersWhenCloudDown(t *testing.T) {
 	sim.Cloud().Close()
 
 	start := time.Now()
-	res, err := sim.Gateway.Classify(context.Background(), 0)
+	res, err := classifyOne(context.Background(), sim.Gateway, 0)
 	if err != nil {
 		t.Fatalf("classification failed with the cloud down: %v", err)
 	}
@@ -377,7 +378,7 @@ func TestTwoGatewaysShareOneEdge(t *testing.T) {
 	const samples = 8
 	want := make([]*Result, samples)
 	for id := 0; id < samples; id++ {
-		res, err := gws[0].Classify(context.Background(), uint64(id))
+		res, err := classifyOne(context.Background(), gws[0], uint64(id))
 		if err != nil {
 			t.Fatalf("baseline sample %d: %v", id, err)
 		}
@@ -396,7 +397,7 @@ func TestTwoGatewaysShareOneEdge(t *testing.T) {
 				if g == 1 {
 					id = samples - 1 - i
 				}
-				res, err := gw.Classify(context.Background(), uint64(id))
+				res, err := classifyOne(context.Background(), gw, uint64(id))
 				if err != nil {
 					errs <- fmt.Errorf("gateway %d sample %d: %w", g, id, err)
 					return
@@ -421,29 +422,70 @@ func TestTwoGatewaysShareOneEdge(t *testing.T) {
 }
 
 func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
-	// A two-tier cloud must reject EdgeFeature, and an edge-tier cloud
-	// must reject CloudClassify: the hierarchy is part of the protocol
-	// contract.
-	twoTier, _ := fixture(t)
+	// The hierarchy is part of the protocol contract: a two-tier cloud
+	// must reject EdgeFeatureBatch and an edge-tier cloud must reject
+	// CloudClassifyBatch. And no node accepts the eight retired
+	// single-sample frames any more: each answers a session-tagged 400
+	// and keeps serving the connection.
+	twoTier, test := fixture(t)
 	threeTier, _ := edgeFixture(t)
-	cases := []struct {
+	type listener struct {
 		name  string
-		model *core.Model
-		msg   wire.Message
-	}{
-		{"two-tier rejects EdgeFeature", twoTier, &wire.EdgeFeature{Session: 1, SampleID: 1, F: 8, H: 8, W: 8, Bits: make([]byte, 64)}},
-		{"edge-tier rejects CloudClassify", threeTier, &wire.CloudClassify{Session: 1, SampleID: 1, Devices: 6, Mask: 1}},
-		{"edge-tier rejects bad shape", threeTier, &wire.EdgeFeature{Session: 1, SampleID: 1, F: 1, H: 1, W: 1, Bits: make([]byte, 1)}},
+		serve func(tr transport.Transport, addr string) (stop func(), err error)
+	}
+	cloudOf := func(m *core.Model) func(transport.Transport, string) (func(), error) {
+		return func(tr transport.Transport, addr string) (func(), error) {
+			c := NewCloud(m, quietLogger())
+			return func() { c.Close() }, c.Serve(tr, addr)
+		}
+	}
+	twoTierCloud := listener{"two-tier cloud", cloudOf(twoTier)}
+	edgeTierCloud := listener{"edge-tier cloud", cloudOf(threeTier)}
+	edge := listener{"edge", func(tr transport.Transport, addr string) (func(), error) {
+		e, err := NewEdge(threeTier, DefaultEdgeConfig(), quietLogger())
+		if err != nil {
+			return nil, err
+		}
+		return func() { e.Close() }, e.Serve(tr, addr)
+	}}
+	device := listener{"device", func(tr transport.Transport, addr string) (func(), error) {
+		d := NewDevice(twoTier, 0, DatasetFeed(test, 0), quietLogger())
+		return func() { d.Close() }, d.Serve(tr, addr)
+	}}
+	type rejection struct {
+		name string
+		on   listener
+		msg  wire.Message
+	}
+	const sid = 77
+	cases := []rejection{
+		{"two-tier rejects EdgeFeatureBatch", twoTierCloud, &wire.EdgeFeatureBatch{Session: sid, F: 8, H: 8, W: 8, SampleIDs: []uint64{1}, Bits: make([]byte, 64)}},
+		{"edge-tier rejects CloudClassifyBatch", edgeTierCloud, &wire.CloudClassifyBatch{Session: sid, Devices: 6, SampleIDs: []uint64{1}, Masks: []uint16{1}}},
+		{"edge-tier rejects bad shape", edgeTierCloud, &wire.EdgeFeatureBatch{Session: sid, F: 1, H: 1, W: 1, SampleIDs: []uint64{1}, Bits: make([]byte, 1)}},
+	}
+	for _, on := range []listener{device, edge, twoTierCloud, edgeTierCloud} {
+		for _, msg := range []wire.Message{
+			&wire.CaptureRequest{Session: sid, SampleID: 1},
+			&wire.LocalSummary{Session: sid, SampleID: 1, Probs: []float32{1, 0, 0}},
+			&wire.FeatureRequest{Session: sid, SampleID: 1},
+			&wire.FeatureUpload{Session: sid, SampleID: 1, F: 4, H: 16, W: 16, Bits: make([]byte, 128)},
+			&wire.CloudClassify{Session: sid, SampleID: 1, Devices: 6, Mask: 1},
+			&wire.EdgeClassify{Session: sid, SampleID: 1, Devices: 6, Mask: 1, Thresholds: []float64{0.8}},
+			&wire.EdgeFeature{Session: sid, SampleID: 1, F: 8, H: 8, W: 8, Bits: make([]byte, 64)},
+			&wire.ClassifyResult{Session: sid, SampleID: 1, Probs: []float32{1, 0, 0}},
+		} {
+			cases = append(cases, rejection{fmt.Sprintf("%s refuses retired %v", on.name, msg.MsgType()), on, msg})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := transport.NewMem()
-			cloud := NewCloud(tc.model, quietLogger())
-			if err := cloud.Serve(tr, "cloud-tier"); err != nil {
+			stop, err := tc.on.serve(tr, "node")
+			if err != nil {
 				t.Fatal(err)
 			}
-			defer cloud.Close()
-			conn, err := tr.Dial(context.Background(), "cloud-tier")
+			defer stop()
+			conn, err := tr.Dial(context.Background(), "node")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,8 +497,108 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := msg.(*wire.Error); !ok {
-				t.Errorf("cloud replied %v, want Error", msg.MsgType())
+			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 || e.Session != sid {
+				t.Errorf("node replied %+v, want Error 400 on session %d", msg, sid)
+			}
+			// The refusal is per frame: the connection keeps serving.
+			if _, err := wire.Encode(conn, &wire.Heartbeat{NodeID: "probe", Seq: 9}); err != nil {
+				t.Fatal(err)
+			}
+			if msg, err = wire.Decode(conn); err != nil {
+				t.Fatal(err)
+			}
+			if hb, ok := msg.(*wire.Heartbeat); !ok || hb.Seq != 9 {
+				t.Errorf("after the refusal the node replied %+v, want the heartbeat echoed", msg)
+			}
+		})
+	}
+}
+
+// TestOpenSessionTableIsBounded drives an edge and a cloud replica with a
+// raw-wire peer that sends classify headers and never the feature frames:
+// past maxOpenSessions the header is refused with a session-tagged 429,
+// the sessions already open still complete, and closing the connection
+// returns every pinned tensor to the node's pool.
+func TestOpenSessionTableIsBounded(t *testing.T) {
+	twoTier, _ := fixture(t)
+	threeTier, _ := edgeFixture(t)
+	cloud := NewCloud(twoTier, quietLogger())
+	edge, err := NewEdge(threeTier, DefaultEdgeConfig(), quietLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []struct {
+		name   string
+		model  *core.Model
+		serve  func(transport.Transport, string) error
+		close  func() error
+		pool   *tensor.Pool
+		header func(session uint64) wire.Message
+	}{
+		{"cloud", twoTier, cloud.Serve, cloud.Close, cloud.pool, func(s uint64) wire.Message {
+			return &wire.CloudClassifyBatch{Session: s, Devices: 6, SampleIDs: []uint64{1}, Masks: []uint16{1}}
+		}},
+		{"edge", threeTier, edge.Serve, edge.Close, edge.pool, func(s uint64) wire.Message {
+			// Threshold 1: the edge answers the completed session itself.
+			return &wire.EdgeClassifyBatch{Session: s, Devices: 6, SampleIDs: []uint64{1}, Masks: []uint16{1}, Thresholds: []float64{1}}
+		}},
+	} {
+		t.Run(node.name, func(t *testing.T) {
+			tr := transport.NewMem()
+			if err := node.serve(tr, "node"); err != nil {
+				t.Fatal(err)
+			}
+			defer node.close()
+			conn, err := tr.Dial(context.Background(), "node")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for s := uint64(1); s <= maxOpenSessions+1; s++ {
+				if _, err := wire.Encode(conn, node.header(s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			msg, err := wire.Decode(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := msg.(*wire.Error); !ok || e.Code != 429 || e.Session != maxOpenSessions+1 {
+				t.Fatalf("header %d past the cap got %+v, want Error 429 on its session", maxOpenSessions+1, msg)
+			}
+			// An open session is unaffected: its frame completes it.
+			cfg := node.model.Cfg
+			fb := &wire.FeatureBatch{Session: 1, Device: 0, Count: 1,
+				F: uint16(cfg.DeviceFilters), H: uint16(cfg.FeatureH()), W: uint16(cfg.FeatureW()),
+				Bits: make([]byte, (cfg.DeviceFilters*cfg.FeatureH()*cfg.FeatureW()+7)/8)}
+			if _, err := wire.Encode(conn, fb); err != nil {
+				t.Fatal(err)
+			}
+			if msg, err = wire.Decode(conn); err != nil {
+				t.Fatal(err)
+			}
+			if rb, ok := msg.(*wire.ResultBatch); !ok || rb.Session != 1 || len(rb.Verdicts) != 1 {
+				t.Fatalf("completed session got %+v, want its ResultBatch", msg)
+			}
+			// A rejected frame releases its session; so does closing the
+			// connection, for the rest.
+			fb.Session, fb.Device = 2, 3 // device 3 is outside session 2's mask
+			if _, err := wire.Encode(conn, fb); err != nil {
+				t.Fatal(err)
+			}
+			if msg, err = wire.Decode(conn); err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 || e.Session != 2 {
+				t.Fatalf("bad frame got %+v, want Error 400 on session 2", msg)
+			}
+			conn.Close()
+			node.close()
+			// The pool keeps a bounded free list, so count past what the two
+			// settled sessions alone returned.
+			featSize := cfg.DeviceFilters * cfg.FeatureH() * cfg.FeatureW()
+			if got, settled := node.pool.Retained()[featSize], 2*cfg.Devices; got <= settled {
+				t.Errorf("pool holds %d session feature tensors after the connection closed, want more than the %d of the settled sessions", got, settled)
 			}
 		})
 	}

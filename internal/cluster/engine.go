@@ -90,8 +90,12 @@ type Engine struct {
 	deviceAddrs   []string
 	upstreamAddrs []string
 
-	sem       chan struct{}
-	collector *batchCollector // nil unless Batch.MaxBatch > 1
+	sem chan struct{}
+	// maxBatch is the number of samples per session: Batch.MaxBatch
+	// clamped to [1, wire.MaxBatch]. Above 1, concurrent single-sample
+	// calls coalesce through the collector.
+	maxBatch  int
+	collector *batchCollector // nil unless maxBatch > 1
 
 	// reg is the fleet's source of truth for loaded model versions and
 	// the active pointer; every node's registry mirrors it. canary is the
@@ -201,8 +205,14 @@ func newEngine(gw *Gateway, cfg EngineConfig) *Engine {
 	if maxC <= 0 {
 		maxC = DefaultMaxConcurrency
 	}
-	e := &Engine{gw: gw, sem: make(chan struct{}, maxC)}
-	if cfg.Batch.enabled() {
+	e := &Engine{gw: gw, sem: make(chan struct{}, maxC), maxBatch: cfg.Batch.MaxBatch}
+	if e.maxBatch < 1 {
+		e.maxBatch = 1
+	}
+	if e.maxBatch > wire.MaxBatch {
+		e.maxBatch = wire.MaxBatch
+	}
+	if e.maxBatch > 1 {
 		e.collector = newBatchCollector(e, cfg.Batch)
 	}
 	return e
@@ -249,21 +259,30 @@ func (e *Engine) ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant
 	if e.collector != nil {
 		return e.collector.classify(ctx, sampleID, tenant, level)
 	}
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctxErr(ctx.Err())
+	results, err := e.runSession(ctx, []uint64{sampleID}, tenant, level)
+	if err != nil {
+		return nil, err
 	}
-	defer func() { <-e.sem }()
+	return results[0], nil
+}
+
+// runSession registers one gateway session with the engine's lifecycle
+// tracking and runs it; sessions that start after Close fail with
+// ErrClosed.
+func (e *Engine) runSession(ctx context.Context, sampleIDs []uint64, tenant string, level ShedLevel) ([]*Result, error) {
 	if err := e.beginSession(); err != nil {
 		return nil, err
 	}
 	defer e.endSession()
-	return e.gw.ClassifyTenantShed(ctx, sampleID, tenant, level)
+	return e.runBatch(ctx, sampleIDs, tenant, level)
 }
 
-// runBatch runs one multi-sample gateway session under the engine's
-// semaphore and lifecycle tracking.
+// runBatch runs one gateway session over the samples under the engine's
+// concurrency semaphore; it is the only place the engine takes the
+// semaphore and calls the gateway. The context governs the semaphore
+// wait and every stage of the session. The caller has registered the
+// session with beginSession (the collector must, before its flush
+// returns; everyone else goes through runSession).
 func (e *Engine) runBatch(ctx context.Context, sampleIDs []uint64, tenant string, level ShedLevel) ([]*Result, error) {
 	select {
 	case e.sem <- struct{}{}:
@@ -271,20 +290,16 @@ func (e *Engine) runBatch(ctx context.Context, sampleIDs []uint64, tenant string
 		return nil, ctxErr(ctx.Err())
 	}
 	defer func() { <-e.sem }()
-	if err := e.beginSession(); err != nil {
-		return nil, err
-	}
-	defer e.endSession()
-	return e.gw.ClassifyBatchTenantShed(ctx, sampleIDs, tenant, level)
+	return e.gw.Classify(ctx, sampleIDs, tenant, level)
 }
 
 // ClassifyBatch classifies the samples and returns results in input
-// order. With micro-batching enabled the IDs are chunked into
-// Batch.MaxBatch-sized multi-sample sessions that run concurrently
-// (bounded by MaxConcurrency); otherwise each sample runs as its own
-// session. The first session error cancels the remaining sessions and is
-// returned; results for sessions that completed before the failure are
-// still filled in (nil entries mark samples that did not complete).
+// order. The IDs are chunked into sessions of Batch.MaxBatch samples (one
+// sample each when micro-batching is off) that run concurrently, bounded
+// by MaxConcurrency. The first session error cancels the remaining
+// sessions and is returned; results for sessions that completed before
+// the failure are still filled in (nil entries mark samples that did not
+// complete).
 func (e *Engine) ClassifyBatch(ctx context.Context, sampleIDs []uint64) ([]*Result, error) {
 	return e.ClassifyBatchShed(ctx, sampleIDs, ShedNone)
 }
@@ -303,59 +318,13 @@ func (e *Engine) ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64
 	if len(sampleIDs) == 0 {
 		return results, nil
 	}
-	if e.collector != nil {
-		return e.classifyChunked(ctx, sampleIDs, results, tenant, level)
-	}
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// One worker per semaphore slot, not per sample: huge batches must
-	// not allocate a goroutine per ID just to park on the semaphore.
-	workers := cap(e.sem)
-	if workers > len(sampleIDs) {
-		workers = len(sampleIDs)
-	}
-	indices := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				res, err := e.ClassifyTenantShed(bctx, sampleIDs[i], tenant, level)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("sample %d: %w", sampleIDs[i], err)
-						cancel()
-					})
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range sampleIDs {
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
-	if firstErr != nil {
-		return results, firstErr
-	}
-	return results, nil
-}
-
-// classifyChunked splits the IDs into MaxBatch-sized chunks, each a
-// single multi-sample session, and runs the chunks concurrently.
-func (e *Engine) classifyChunked(ctx context.Context, sampleIDs []uint64, results []*Result, tenant string, level ShedLevel) ([]*Result, error) {
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	size := e.collector.maxBatch
+	size := e.maxBatch
 	type chunk struct{ lo, hi int }
 	chunks := make(chan chunk)
+	// One worker per semaphore slot, not per chunk: huge requests must not
+	// allocate a goroutine per session just to park on the semaphore.
 	workers := cap(e.sem)
 	if max := (len(sampleIDs) + size - 1) / size; workers > max {
 		workers = max
@@ -370,7 +339,7 @@ func (e *Engine) classifyChunked(ctx context.Context, sampleIDs []uint64, result
 		go func() {
 			defer wg.Done()
 			for c := range chunks {
-				res, err := e.runBatch(bctx, sampleIDs[c.lo:c.hi], tenant, level)
+				res, err := e.runSession(bctx, sampleIDs[c.lo:c.hi], tenant, level)
 				copy(results[c.lo:c.hi], res)
 				if err != nil {
 					errOnce.Do(func() {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/metrics"
-	"github.com/ddnn/ddnn-go/internal/nn"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
@@ -92,10 +90,11 @@ type Result struct {
 // its healthy replicas and fail over to another replica when one dies
 // mid-session.
 //
-// Classify is safe for concurrent use: each call opens an independent
-// session, tagged with a unique session ID, and the device and upstream
-// links multiplex frames from all in-flight sessions. Only the
-// per-device failure bookkeeping is shared, behind a short-lived mutex.
+// Classify is the one entry point and is safe for concurrent use: each
+// call opens an independent session over any number of samples, tagged
+// with a unique session ID, and the device and upstream links multiplex
+// frames from all in-flight sessions. Only the per-device failure
+// bookkeeping is shared, behind a short-lived mutex.
 type Gateway struct {
 	model    *core.Model
 	reg      *modelRegistry
@@ -108,6 +107,9 @@ type Gateway struct {
 	upstream *ReplicaPool // edge tier for edge-tier models, cloud otherwise
 
 	nextSession atomic.Uint64
+
+	// pool recycles the sessions' per-device exit-vector tensors.
+	pool *tensor.Pool
 
 	// Meter accumulates Eq. (1) payload bytes by category
 	// ("local-summary", plus "cloud-upload" or "edge-upload" for the
@@ -202,6 +204,7 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 		pipeline:      pipeline,
 		logger:        logger.With("node", "gateway"),
 		tr:            tr,
+		pool:          tensor.NewPool(),
 		Meter:         metrics.NewCommMeter(),
 		configVersion: 1,
 		tenants:       make(map[string]tenantEntry),
@@ -297,307 +300,6 @@ func (g *Gateway) WireBytesDown() int64 {
 		}
 	}
 	return t
-}
-
-// capReply carries one device's response to a capture request.
-type capReply struct {
-	device  int
-	probs   []float32
-	timeout bool
-	err     error // session-fatal (context) error
-}
-
-// Classify runs the full staged inference of §III-D for one sample as an
-// independent session. It honors ctx cancellation and deadlines at every
-// stage; on cancellation the error wraps ErrCanceled (or
-// ErrDeadlineExceeded) as well as the context error.
-func (g *Gateway) Classify(ctx context.Context, sampleID uint64) (*Result, error) {
-	return g.classify(ctx, sampleID, g.pipeline)
-}
-
-// ClassifyShed is Classify over the pipeline tightened for a shed level:
-// the session answers at a cheaper exit than the configured thresholds
-// would pick, trading answer quality for upstream-tier load. Results are
-// produced by exactly the same staged computation — only the exit
-// decision moves.
-func (g *Gateway) ClassifyShed(ctx context.Context, sampleID uint64, level ShedLevel) (*Result, error) {
-	return g.classify(ctx, sampleID, g.pipeline.Shed(level))
-}
-
-// ClassifyTenantShed is ClassifyShed under a tenant's exit-threshold
-// pipeline: the tenant resolved at admission (from the auth identity)
-// selects the thresholds, then the shed level tightens them. Unknown
-// tenants run the gateway default pipeline.
-func (g *Gateway) ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant string, level ShedLevel) (*Result, error) {
-	return g.classify(ctx, sampleID, g.TenantPipeline(tenant).Shed(level))
-}
-
-// classify runs one session over an explicit exit pipeline (the
-// configured one, or a per-request shed override).
-func (g *Gateway) classify(ctx context.Context, sampleID uint64, pipeline Pipeline) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, ctxErr(err)
-	}
-	sid := g.nextSession.Add(1)
-	start := time.Now()
-
-	// Pin the session to the model version active right now and stamp
-	// that concrete version (never the 0 sentinel) into every frame: all
-	// hops of this session compute on the same weights even while a
-	// rolling reload flips the fleet's active pointers one replica at a
-	// time.
-	model, mv, _ := g.reg.resolve(0)
-	classes := model.Cfg.Classes
-
-	// Pin the session to the membership and config version current right
-	// now: devices joining or leaving mid-session cannot change which
-	// links this session fans out to.
-	snap := g.snapshotMembers()
-
-	// Stage 1: every live device processes its frame and sends its summary
-	// to the local aggregator.
-	replies := make(chan capReply, len(snap.links))
-	inFlight := 0
-	for d, l := range snap.links {
-		if l == nil {
-			continue
-		}
-		inFlight++
-		go g.captureFrom(ctx, d, l, sid, sampleID, mv, replies)
-	}
-	exitVecs := make([]*tensor.Tensor, len(g.devices))
-	present := make([]bool, len(g.devices))
-	for d := range exitVecs {
-		exitVecs[d] = tensor.New(1, classes)
-	}
-	for i := 0; i < inFlight; i++ {
-		r := <-replies
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.timeout {
-			g.recordTimeout(r.device, snap.links[r.device])
-			continue
-		}
-		g.recordSuccess(r.device, snap.links[r.device])
-		if r.probs == nil {
-			continue // device had no frame (object absent / feed error)
-		}
-		copy(exitVecs[r.device].Row(0), r.probs)
-		present[r.device] = true
-		g.Meter.Add("local-summary", int64(wire.SummaryPayloadBytes(classes)))
-	}
-
-	anyPresent := false
-	for _, p := range present {
-		anyPresent = anyPresent || p
-	}
-	if !anyPresent {
-		return nil, fmt.Errorf("cluster: sample %d: %w", sampleID, ErrNoSummaries)
-	}
-
-	// Stage 2: aggregate and decide the pipeline's first exit.
-	logits := model.LocalAggregate(exitVecs, present)
-	probs := nn.Softmax(logits)
-	row := make([]float32, classes)
-	copy(row, probs.Row(0))
-	entropy := nn.NormalizedEntropy(row)
-	g.instr.observeStage(wire.ExitLocal, time.Since(start))
-	if entropy <= pipeline[0].Threshold {
-		res := &Result{
-			SampleID:      sampleID,
-			Class:         probs.ArgMaxRow(0),
-			Exit:          wire.ExitLocal,
-			Probs:         row,
-			Entropy:       entropy,
-			Present:       present,
-			ConfigVersion: snap.version,
-			ModelVersion:  mv,
-			Latency:       time.Since(start),
-		}
-		g.instr.observeExit(res.Exit, res.Latency)
-		return res, nil
-	}
-
-	// Stage 3: the local exit is not confident; fetch binarized features
-	// from present devices and escalate to the next tier up.
-	escStart := time.Now()
-	res, err := g.escalate(ctx, snap, sid, sampleID, mv, model, present, pipeline)
-	if err != nil {
-		return nil, err
-	}
-	g.instr.observeStage(g.upstreamExit(), time.Since(escStart))
-	res.Entropy = entropy
-	res.Present = present
-	res.ConfigVersion = snap.version
-	res.ModelVersion = mv
-	res.Latency = time.Since(start)
-	g.instr.observeExit(res.Exit, res.Latency)
-	return res, nil
-}
-
-func (g *Gateway) captureFrom(ctx context.Context, device int, l *link, sid, sampleID, mv uint64, replies chan<- capReply) {
-	msg, err := l.request(ctx, sid, &wire.CaptureRequest{Session: sid, SampleID: sampleID, ModelVersion: mv}, g.cfg.DeviceTimeout)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			replies <- capReply{device: device, err: ctxErr(cerr)}
-			return
-		}
-		replies <- capReply{device: device, timeout: true}
-		return
-	}
-	switch m := msg.(type) {
-	case *wire.LocalSummary:
-		replies <- capReply{device: device, probs: m.Probs}
-	case *wire.Error:
-		if m.Code == 426 {
-			// The device's registry no longer holds the session's pinned
-			// version; degrading to "absent frame" would silently answer
-			// on fewer devices, so the session fails typed instead.
-			replies <- capReply{device: device, err: fmt.Errorf("cluster: device %d: %w", device, ErrModelVersionUnknown)}
-			return
-		}
-		replies <- capReply{device: device} // absent frame
-	default:
-		replies <- capReply{device: device, timeout: true}
-	}
-}
-
-// escalate fetches feature maps from present devices and relays them to
-// the next tier of the pipeline — an edge replica, which answers
-// confident samples itself and forwards the rest to the cloud, or a
-// cloud replica directly in a two-tier hierarchy. The replica pool picks
-// the least-loaded healthy replica and retries on another if the chosen
-// one dies mid-session. The relayed thresholds come from the session's
-// pipeline, so per-request shed overrides reach the upper tiers.
-func (g *Gateway) escalate(ctx context.Context, snap memberSnapshot, sid, sampleID, mv uint64, model *core.Model, present []bool, pipeline Pipeline) (*Result, error) {
-	if g.upstream.Down() {
-		return nil, fmt.Errorf("cluster: sample %d: %w: %w", sampleID, g.upstreamSentinel(), ErrNoHealthyReplica)
-	}
-	type upload struct {
-		device int
-		msg    *wire.FeatureUpload
-		err    error
-	}
-	uploads := make(chan upload, len(snap.links))
-	inFlight := 0
-	for d, p := range present {
-		if !p {
-			continue
-		}
-		inFlight++
-		go func(device int, l *link) {
-			m, err := g.fetchFeatures(ctx, device, l, sid, sampleID, mv)
-			uploads <- upload{device: device, msg: m, err: err}
-		}(d, snap.links[d])
-	}
-	var collected []*wire.FeatureUpload
-	var mask uint16
-	for i := 0; i < inFlight; i++ {
-		u := <-uploads
-		if u.err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, ctxErr(cerr)
-			}
-			if errors.Is(u.err, ErrModelVersionUnknown) {
-				return nil, fmt.Errorf("cluster: sample %d: %w", sampleID, u.err)
-			}
-			// The device answered the capture but died before the feature
-			// upload; degrade to the remaining devices.
-			g.logger.Warn("feature fetch failed", "device", u.device, "err", u.err)
-			present[u.device] = false
-			continue
-		}
-		collected = append(collected, u.msg)
-		mask |= 1 << uint(u.device)
-		g.Meter.Add(g.uploadCategory(), int64(len(u.msg.Bits)))
-	}
-	if len(collected) == 0 {
-		return nil, fmt.Errorf("cluster: no features collected for sample %d: %w", sampleID, ErrNoSummaries)
-	}
-
-	// Relay the session header and all uploads as one atomic batch to a
-	// pool-scheduled replica, then wait for this session's verdict on
-	// that replica's link. The header names the escalation target: the
-	// edge tier consumes its own threshold from the relayed pipeline and
-	// forwards the rest, while a two-tier cloud classifies
-	// unconditionally. Because the frames carry the session's complete
-	// feature payload, the pool can re-send them verbatim to a different
-	// replica if the first one dies mid-session.
-	sentinel := g.upstreamSentinel()
-	timeout := g.upstreamTimeout()
-	frames := make([]wire.Message, 0, len(collected)+1)
-	if g.upstreamExit() == wire.ExitEdge {
-		frames = append(frames, &wire.EdgeClassify{
-			Session:      sid,
-			SampleID:     sampleID,
-			ModelVersion: mv,
-			Devices:      uint16(model.Cfg.Devices),
-			Mask:         mask,
-			Thresholds:   pipeline.RelayThresholds(),
-		})
-	} else {
-		frames = append(frames, &wire.CloudClassify{
-			Session:      sid,
-			SampleID:     sampleID,
-			ModelVersion: mv,
-			Devices:      uint16(model.Cfg.Devices),
-			Mask:         mask,
-		})
-	}
-	for _, up := range collected {
-		up.Session = sid
-		frames = append(frames, up)
-	}
-	msg, err := g.upstream.relay(ctx, sid, timeout, frames...)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, ctxErr(cerr)
-		}
-		return nil, fmt.Errorf("cluster: %w: %w", sentinel, err)
-	}
-	cr, ok := msg.(*wire.ClassifyResult)
-	if !ok {
-		if e, isErr := msg.(*wire.Error); isErr {
-			if e.Code == 503 {
-				// The edge reached its own exit but the tier above it
-				// did not answer.
-				return nil, fmt.Errorf("cluster: %w: %v tier: %s", ErrCloudUnavailable, g.upstreamExit(), e.Msg)
-			}
-			if e.Code == 426 {
-				return nil, fmt.Errorf("cluster: %w: %v tier: %s", ErrModelVersionUnknown, g.upstreamExit(), e.Msg)
-			}
-			return nil, fmt.Errorf("cluster: %w: %v error %d: %s", sentinel, g.upstreamExit(), e.Code, e.Msg)
-		}
-		return nil, fmt.Errorf("cluster: expected ClassifyResult, got %v", msg.MsgType())
-	}
-	if cr.SampleID != sampleID {
-		return nil, fmt.Errorf("cluster: %v tier answered sample %d inside session for sample %d", g.upstreamExit(), cr.SampleID, sampleID)
-	}
-	return &Result{
-		SampleID: sampleID,
-		Class:    int(cr.Class),
-		Exit:     cr.Exit,
-		Probs:    cr.Probs,
-	}, nil
-}
-
-func (g *Gateway) fetchFeatures(ctx context.Context, device int, l *link, sid, sampleID, mv uint64) (*wire.FeatureUpload, error) {
-	msg, err := l.request(ctx, sid, &wire.FeatureRequest{Session: sid, SampleID: sampleID, ModelVersion: mv}, g.cfg.DeviceTimeout)
-	if err != nil {
-		return nil, err
-	}
-	switch m := msg.(type) {
-	case *wire.FeatureUpload:
-		return m, nil
-	case *wire.Error:
-		if m.Code == 426 {
-			return nil, fmt.Errorf("cluster: device %d: %w", device, ErrModelVersionUnknown)
-		}
-		return nil, fmt.Errorf("cluster: device %d: %s", device, m.Msg)
-	default:
-		return nil, fmt.Errorf("cluster: expected FeatureUpload, got %v", msg.MsgType())
-	}
 }
 
 // recordTimeout counts a consecutive miss and applies sticky marking.

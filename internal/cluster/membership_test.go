@@ -119,7 +119,7 @@ func TestPartialDeviceSetServesAndAdmits(t *testing.T) {
 	ref := &maskedReference{model: model, test: test, refs: make(map[string]*core.EvalResult)}
 	pol := branchy.NewPolicy(1, 1)
 	for id := 0; id < 8; id++ {
-		res, err := gw.Classify(context.Background(), uint64(id))
+		res, err := classifyOne(context.Background(), gw, uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -145,7 +145,7 @@ func TestPartialDeviceSetServesAndAdmits(t *testing.T) {
 	if v != 2 {
 		t.Errorf("AdmitDevice version = %d, want 2", v)
 	}
-	res, err := gw.Classify(context.Background(), 0)
+	res, err := classifyOne(context.Background(), gw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPartialDeviceSetServesAndAdmits(t *testing.T) {
 	if v != 3 {
 		t.Errorf("RemoveDevice version = %d, want 3", v)
 	}
-	res, err = gw.Classify(context.Background(), 1)
+	res, err = classifyOne(context.Background(), gw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRegistrationHandshake(t *testing.T) {
 	}
 
 	// Classification now uses the full membership.
-	res, err := gw.Classify(ctx, 0)
+	res, err := classifyOne(ctx, gw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestMembershipChurnUnderConcurrentTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				id := (w + i) % samples
-				res, err := gw.Classify(context.Background(), uint64(id))
+				res, err := classifyOne(context.Background(), gw, uint64(id))
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: classify sample %d: %w", w, id, err)
 					return
@@ -467,7 +467,7 @@ func TestMembershipChurnUnderConcurrentTraffic(t *testing.T) {
 		defer wg.Done()
 		ids := []uint64{0, 1, 2, 3}
 		for i := 0; i < iterations; i++ {
-			results, err := gw.ClassifyBatch(context.Background(), ids)
+			results, err := gw.Classify(context.Background(), ids, "", ShedNone)
 			if err != nil {
 				errs <- fmt.Errorf("batch iteration %d: %w", i, err)
 				return
@@ -491,7 +491,7 @@ func TestMembershipChurnUnderConcurrentTraffic(t *testing.T) {
 	// No wedged state: the gateway still serves, with the final
 	// membership (all slots re-admitted) and the final config version.
 	finalV := gw.ConfigVersion()
-	res, err := gw.Classify(context.Background(), 0)
+	res, err := classifyOne(context.Background(), gw, 0)
 	if err != nil {
 		t.Fatalf("post-churn classify: %v", err)
 	}
@@ -526,7 +526,7 @@ func TestChurnWithEscalation(t *testing.T) {
 	pol := branchy.NewPolicy(0.5, 1)
 	verify := func(id int) {
 		t.Helper()
-		res, err := gw.Classify(context.Background(), uint64(id))
+		res, err := classifyOne(context.Background(), gw, uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}

@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/ddnn/ddnn-go/internal/branchy"
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -41,24 +45,53 @@ func argmaxRow(row []float32) int {
 	return best
 }
 
-// checkStagedParity asserts that Engine.ClassifyBatch over the full test
-// set produces exactly the exit point and prediction of core's staged
+// Degraded parity runs take device parityFailedDevice down for the whole
+// run and give device parityAbsentDevice no frame for parityAbsentSample.
+const (
+	parityFailedDevice = 1
+	parityAbsentDevice = 3
+	parityAbsentSample = 5
+)
+
+// checkStagedParity asserts that the engine over the full test set
+// produces exactly the exit point and prediction of core's staged
 // Evaluate for every sample, at the given pipeline thresholds. batch <= 1
-// uses per-sample sessions; larger values drive the micro-batched wire
-// path in batch-sized multi-sample sessions.
-func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, localT, edgeT float64, batch int) {
+// runs every sample as its own one-sample session through
+// Engine.ClassifyTenantShed; larger values drive Engine.ClassifyBatch in
+// batch-sized multi-sample sessions. A degraded run (see the constants
+// above) must match Evaluate under each sample's presence mask.
+func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, localT, edgeT float64, batch int, degraded bool) {
 	t.Helper()
-	res := model.Evaluate(test, nil, 32)
 	var pol branchy.Policy
 	if model.Cfg.UseEdge {
 		pol = branchy.NewPolicy(localT, edgeT, 1)
 	} else {
 		pol = branchy.NewPolicy(localT, 1)
 	}
+	// refs[0] is the reference for the run's common presence mask,
+	// refs[1] the one for parityAbsentSample.
+	var masks [2][]bool
+	ref := model.Evaluate(test, nil, 32)
+	refs := [2]*core.EvalResult{ref, ref}
+	if degraded {
+		for k := range masks {
+			masks[k] = make([]bool, model.Cfg.Devices)
+			for d := range masks[k] {
+				masks[k][d] = d != parityFailedDevice && (k == 0 || d != parityAbsentDevice)
+			}
+			refs[k] = model.Evaluate(test, masks[k], 32)
+		}
+	}
 
 	gcfg := DefaultGatewayConfig()
 	gcfg.Threshold = localT
 	gcfg.EdgeThreshold = edgeT
+	if degraded {
+		// The first session waits out the dead device once; sticky
+		// failure detection then skips it.
+		gcfg.DeviceTimeout = 500 * time.Millisecond
+		gcfg.MaxFailures = 1
+	}
 	eng, err := NewEngine(model, test, EngineConfig{
 		Gateway:        gcfg,
 		MaxConcurrency: 8,
@@ -69,22 +102,30 @@ func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, l
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	if degraded {
+		eng.Devices()[parityFailedDevice].SetFailed(true)
+		dev := eng.Devices()[parityAbsentDevice]
+		feed := dev.feed
+		dev.feed = func(id uint64) (*tensor.Tensor, error) {
+			if id == parityAbsentSample {
+				return nil, errors.New("object not in view")
+			}
+			return feed(id)
+		}
+	}
 
 	ids := make([]uint64, test.Len())
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
 	var results []*Result
-	if batch == 1 {
-		// Exercise the batched wire path with single-sample batches,
-		// which the collector never produces on its own.
-		gw := eng.Gateway()
+	if batch <= 1 {
 		for _, id := range ids {
-			rs, err := gw.ClassifyBatch(context.Background(), []uint64{id})
+			r, err := eng.ClassifyTenantShed(context.Background(), id, "", ShedNone)
 			if err != nil {
 				t.Fatal(err)
 			}
-			results = append(results, rs...)
+			results = append(results, r)
 		}
 	} else {
 		results, err = eng.ClassifyBatch(context.Background(), ids)
@@ -93,13 +134,33 @@ func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, l
 		}
 	}
 	for i, got := range results {
-		wantExit, wantClass := stagedExpectation(res, pol, i)
+		k := 0
+		if i == parityAbsentSample {
+			k = 1
+		}
+		wantExit, wantClass := stagedExpectation(refs[k], pol, i)
 		if got.Exit != wantExit {
 			t.Errorf("sample %d (batch %d): engine exited at %v, staged Evaluate says %v", i, batch, got.Exit, wantExit)
 		}
 		if got.Class != wantClass {
 			t.Errorf("sample %d (batch %d): engine class %d, staged Evaluate says %d", i, batch, got.Class, wantClass)
 		}
+		if degraded && !slices.Equal(got.Present, masks[k]) {
+			t.Errorf("sample %d (batch %d): present %v, want %v", i, batch, got.Present, masks[k])
+		}
+	}
+}
+
+// TestEngineStagedParityDegraded is the parity contract under graceful
+// degradation (§IV-G) on both hierarchies: with one device down and one
+// sample missing another device's frame, one-sample and multi-sample
+// sessions must match staged Evaluate under each sample's presence mask.
+func TestEngineStagedParityDegraded(t *testing.T) {
+	twoTier, test := fixture(t)
+	threeTier, edgeTest := edgeFixture(t)
+	for _, batch := range []int{1, 8} {
+		checkStagedParity(t, twoTier, test, 0.5, 0.8, batch, true)
+		checkStagedParity(t, threeTier, edgeTest, 0.5, 0.5, batch, true)
 	}
 }
 
@@ -109,7 +170,7 @@ func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, l
 func TestEngineStagedParityTwoTier(t *testing.T) {
 	model, test := fixture(t)
 	for _, localT := range []float64{0.3, 0.5, 0.8, 0.95} {
-		checkStagedParity(t, model, test, localT, 0.8, 0)
+		checkStagedParity(t, model, test, localT, 0.8, 0, false)
 	}
 }
 
@@ -121,7 +182,7 @@ func TestEngineStagedParityTwoTierBatched(t *testing.T) {
 	model, test := fixture(t)
 	for _, batch := range []int{1, 8, 32} {
 		for _, localT := range []float64{0.5, 0.8} {
-			checkStagedParity(t, model, test, localT, 0.8, batch)
+			checkStagedParity(t, model, test, localT, 0.8, batch, false)
 		}
 	}
 }
@@ -139,7 +200,7 @@ func TestEngineStagedParityEdgeTier(t *testing.T) {
 		{0.8, 0.8},
 		{0.95, 0.95},
 	} {
-		checkStagedParity(t, model, test, ts[0], ts[1], 0)
+		checkStagedParity(t, model, test, ts[0], ts[1], 0, false)
 	}
 }
 
@@ -154,7 +215,7 @@ func TestEngineStagedParityEdgeTierBatched(t *testing.T) {
 			{0.5, 0.5},
 			{0.8, 0.8},
 		} {
-			checkStagedParity(t, model, test, ts[0], ts[1], batch)
+			checkStagedParity(t, model, test, ts[0], ts[1], batch, false)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func TestCloudReplicaRestart(t *testing.T) {
 
 	check := func(id int) {
 		t.Helper()
-		res, err := sim.Gateway.Classify(ctx, uint64(id))
+		res, err := classifyOne(ctx, sim.Gateway, uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -84,7 +84,7 @@ func TestEdgeReplicaRestart(t *testing.T) {
 
 	classify := func(id int) {
 		t.Helper()
-		res, err := sim.Gateway.Classify(ctx, uint64(id))
+		res, err := classifyOne(ctx, sim.Gateway, uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}

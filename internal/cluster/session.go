@@ -8,101 +8,44 @@ import (
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
-// uploadSession accumulates one escalation session's device feature
-// uploads until every present device's map has arrived. It is shared by
-// cloud replicas (two-tier hierarchies) and edge replicas (three-tier),
-// which receive the same CloudClassify/EdgeClassify + FeatureUpload
-// sequence.
+// maxOpenSessions bounds the escalation sessions one downstream
+// connection may hold open — header received, device frames still
+// outstanding. Each one pins [N, F, H, W] × devices pooled tensors, and a
+// well-behaved peer writes a session's header and frames back to back, so
+// it never has more than a handful open; a peer that sends headers and
+// never the frames is refused past the cap instead of growing the table.
+const maxOpenSessions = 64
+
+// uploadSession accumulates one escalation session's per-device
+// FeatureBatch frames until every device in the union of the per-sample
+// masks has reported. It is shared by the cloud (CloudClassifyBatch) and
+// the edge node (EdgeClassifyBatch).
 type uploadSession struct {
-	sampleID uint64
-	allowed  uint16 // mask of devices whose uploads are expected
-	feats    []*tensor.Tensor
-	mask     []bool
-	pending  int
-}
-
-// newUploadSession validates the escalation header against the model
-// configuration and prepares placeholder feature maps for every device,
-// so absent devices contribute zeros to the aggregation exactly as in
-// masked training (§IV-G). The placeholders come from pool (nil pool
-// allocates); release returns them once the session is classified.
-func newUploadSession(cfg core.Config, sampleID uint64, devices, allowed uint16, present int, pool *tensor.Pool) (*uploadSession, error) {
-	if int(devices) != cfg.Devices {
-		return nil, fmt.Errorf("model has %d devices, session says %d", cfg.Devices, devices)
-	}
-	fh, fw := cfg.FeatureH(), cfg.FeatureW()
-	s := &uploadSession{
-		sampleID: sampleID,
-		allowed:  allowed,
-		feats:    make([]*tensor.Tensor, cfg.Devices),
-		mask:     make([]bool, cfg.Devices),
-		pending:  present,
-	}
-	for d := 0; d < cfg.Devices; d++ {
-		s.feats[d] = pool.Get(1, cfg.DeviceFilters, fh, fw)
-	}
-	return s, nil
-}
-
-// add unpacks one device's upload into the session's pre-allocated
-// feature map. It rejects uploads for the wrong sample, from devices
-// outside the announced mask, duplicates, and shape mismatches against
-// the model configuration.
-func (s *uploadSession) add(m *core.Model, up *wire.FeatureUpload) error {
-	if up.SampleID != s.sampleID {
-		return fmt.Errorf("upload for sample %d inside session for sample %d", up.SampleID, s.sampleID)
-	}
-	dev := int(up.Device)
-	if dev < 0 || dev >= len(s.feats) {
-		return fmt.Errorf("upload from unknown device %d", dev)
-	}
-	if s.allowed&(1<<uint(dev)) == 0 || s.mask[dev] {
-		return fmt.Errorf("unexpected upload from device %d", dev)
-	}
-	cfg := m.Cfg
-	if int(up.F) != cfg.DeviceFilters || int(up.H) != cfg.FeatureH() || int(up.W) != cfg.FeatureW() {
-		return fmt.Errorf("device %d feature shape %d×%d×%d, model expects %d×%d×%d",
-			dev, up.F, up.H, up.W, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
-	}
-	if err := m.UnpackFeatureInto(s.feats[dev], 0, up.Bits); err != nil {
-		return fmt.Errorf("unpack device %d: %w", dev, err)
-	}
-	s.mask[dev] = true
-	s.pending--
-	return nil
-}
-
-// complete reports whether every announced upload has arrived.
-func (s *uploadSession) complete() bool { return s.pending == 0 }
-
-// release returns the session's feature maps to the pool.
-func (s *uploadSession) release(pool *tensor.Pool) {
-	for _, f := range s.feats {
-		pool.Put(f)
-	}
-}
-
-// batchUploadSession accumulates one batched escalation session's
-// per-device FeatureBatch frames until every device in the union of the
-// per-sample masks has reported. It is the batched analogue of
-// uploadSession, shared by the cloud (CloudClassifyBatch) and the edge
-// node (EdgeClassifyBatch).
-type batchUploadSession struct {
-	ids   []uint64
-	masks []uint16
+	session      uint64
+	modelVersion uint64
+	// model is what the session's version pin resolved to: every frame
+	// computes on these weights even if the node's active version flips
+	// mid-session.
+	model *core.Model
+	// thresholds are the exit thresholds relayed with the header (edge
+	// tier only); the first is the receiving tier's own.
+	thresholds []float64
+	ids        []uint64
+	masks      []uint16
 	// feats[d] is the [N, F, H, W] feature tensor of device d; rows of
 	// samples the device does not cover stay zero, exactly like the
-	// placeholder maps of masked per-sample aggregation (§IV-G).
+	// absent-device placeholders of masked training (§IV-G).
 	feats []*tensor.Tensor
-	got   []bool
-	// pending counts devices in the mask union that have not uploaded.
-	pending int
+	// union is the OR of the per-sample masks — the devices expected to
+	// upload — and got the ones that have.
+	union, got uint16
 }
 
-// newBatchUploadSession validates a batched escalation header against the
-// model configuration and draws the per-device batch tensors from pool
-// (nil pool allocates); release returns them after classification.
-func newBatchUploadSession(cfg core.Config, ids []uint64, devices uint16, masks []uint16, pool *tensor.Pool) (*batchUploadSession, error) {
+// newUploadSession validates an escalation header against the model
+// configuration and draws the per-device tensors from pool (nil pool
+// allocates); release returns them.
+func newUploadSession(model *core.Model, devices uint16, ids []uint64, masks []uint16, pool *tensor.Pool) (*uploadSession, error) {
+	cfg := model.Cfg
 	if int(devices) != cfg.Devices {
 		return nil, fmt.Errorf("model has %d devices, session says %d", cfg.Devices, devices)
 	}
@@ -112,38 +55,33 @@ func newBatchUploadSession(cfg core.Config, ids []uint64, devices uint16, masks 
 	if len(ids) != len(masks) {
 		return nil, fmt.Errorf("batch has %d samples but %d masks", len(ids), len(masks))
 	}
-	var union uint16
+	s := &uploadSession{model: model, ids: ids, masks: masks}
 	for _, m := range masks {
-		union |= m
+		s.union |= m
 	}
-	if union == 0 {
+	if s.union == 0 {
 		return nil, fmt.Errorf("empty device mask")
 	}
 	fh, fw := cfg.FeatureH(), cfg.FeatureW()
-	s := &batchUploadSession{
-		ids:   ids,
-		masks: masks,
-		feats: make([]*tensor.Tensor, cfg.Devices),
-		got:   make([]bool, cfg.Devices),
-	}
-	for d := 0; d < cfg.Devices; d++ {
+	s.feats = make([]*tensor.Tensor, cfg.Devices)
+	for d := range s.feats {
 		s.feats[d] = pool.Get(len(ids), cfg.DeviceFilters, fh, fw)
-		if union&(1<<uint(d)) != 0 {
-			s.pending++
-		}
 	}
 	return s, nil
 }
 
-// release returns the session's batch tensors to the pool.
-func (s *batchUploadSession) release(pool *tensor.Pool) {
-	for _, f := range s.feats {
-		pool.Put(f)
+// release returns the session's tensors to the pool.
+func (s *uploadSession) release(pool *tensor.Pool) { putAll(pool, s.feats) }
+
+// putAll retires a per-device tensor set to the pool.
+func putAll(pool *tensor.Pool, ts []*tensor.Tensor) {
+	for _, t := range ts {
+		pool.Put(t)
 	}
 }
 
-// expectedCount returns how many of the batch's samples device d covers.
-func (s *batchUploadSession) expectedCount(d int) int {
+// expectedCount returns how many of the session's samples device d covers.
+func (s *uploadSession) expectedCount(d int) int {
 	c := 0
 	for _, m := range s.masks {
 		if m&(1<<uint(d)) != 0 {
@@ -154,41 +92,112 @@ func (s *batchUploadSession) expectedCount(d int) int {
 }
 
 // add unpacks one device's FeatureBatch into the session: sample k of the
-// frame fills the k-th batch row the device covers, in batch order.
-func (s *batchUploadSession) add(m *core.Model, fb *wire.FeatureBatch) error {
+// frame fills the k-th row the device covers, in header order. It rejects
+// frames from devices outside the announced masks, duplicates, and count
+// or shape mismatches against the header and the model configuration.
+func (s *uploadSession) add(fb *wire.FeatureBatch) error {
 	d := int(fb.Device)
 	if d < 0 || d >= len(s.feats) {
 		return fmt.Errorf("feature batch from unknown device %d", d)
 	}
-	want := s.expectedCount(d)
-	if want == 0 || s.got[d] {
+	bit := uint16(1) << uint(d)
+	if s.union&bit == 0 || s.got&bit != 0 {
 		return fmt.Errorf("unexpected feature batch from device %d", d)
 	}
-	if int(fb.Count) != want {
+	if want := s.expectedCount(d); int(fb.Count) != want {
 		return fmt.Errorf("device %d sent %d feature maps, mask expects %d", d, fb.Count, want)
 	}
-	cfg := m.Cfg
+	cfg := s.model.Cfg
 	if int(fb.F) != cfg.DeviceFilters || int(fb.H) != cfg.FeatureH() || int(fb.W) != cfg.FeatureW() {
 		return fmt.Errorf("device %d feature shape %d×%d×%d, model expects %d×%d×%d",
 			d, fb.F, fb.H, fb.W, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
 	}
 	k := 0
 	for i, mask := range s.masks {
-		if mask&(1<<uint(d)) == 0 {
+		if mask&bit == 0 {
 			continue
 		}
-		if err := m.UnpackFeatureInto(s.feats[d], i, fb.Sample(k)); err != nil {
+		if err := s.model.UnpackFeatureInto(s.feats[d], i, fb.Sample(k)); err != nil {
 			return fmt.Errorf("unpack device %d sample %d: %w", d, i, err)
 		}
 		k++
 	}
-	s.got[d] = true
-	s.pending--
+	s.got |= bit
 	return nil
 }
 
 // complete reports whether every expected device upload has arrived.
-func (s *batchUploadSession) complete() bool { return s.pending == 0 }
+func (s *uploadSession) complete() bool { return s.got == s.union }
+
+// sessionTable is one downstream connection's open escalation sessions,
+// keyed by wire session ID. Edge and cloud replicas receive the same
+// header + FeatureBatch sequence, so they share the bookkeeping: version
+// pinning, header validation, the maxOpenSessions bound and returning a
+// dropped session's tensors to the pool.
+type sessionTable struct {
+	reg  *modelRegistry
+	pool *tensor.Pool
+	send func(wire.Message) error
+	open map[uint64]*uploadSession
+}
+
+// begin opens the session a classify header announces, answering the
+// peer with a typed, session-tagged wire.Error when it cannot: 426 for
+// an unknown pinned version, 400 for a header the model rejects, 429
+// when the connection already holds maxOpenSessions incomplete sessions.
+func (t *sessionTable) begin(session, modelVersion uint64, devices uint16, ids []uint64, masks []uint16, thresholds []float64) {
+	model, _, err := t.reg.resolve(modelVersion)
+	if err != nil {
+		_ = t.send(&wire.Error{Session: session, Code: 426, Msg: err.Error()})
+		return
+	}
+	if len(t.open) >= maxOpenSessions {
+		_ = t.send(&wire.Error{Session: session, Code: 429, Msg: fmt.Sprintf("connection already holds %d incomplete sessions", maxOpenSessions)})
+		return
+	}
+	up, err := newUploadSession(model, devices, ids, masks, t.pool)
+	if err != nil {
+		_ = t.send(&wire.Error{Session: session, Code: 400, Msg: err.Error()})
+		return
+	}
+	if prev := t.open[session]; prev != nil {
+		prev.release(t.pool) // the peer restarted the session
+	}
+	up.session, up.modelVersion, up.thresholds = session, modelVersion, thresholds
+	t.open[session] = up
+}
+
+// add routes one FeatureBatch to its open session and returns the
+// session once it is complete — removed from the table, tensors now owned
+// by the caller. A frame the session rejects drops the session (tensors
+// back to the pool) and answers a 400.
+func (t *sessionTable) add(fb *wire.FeatureBatch) *uploadSession {
+	up, ok := t.open[fb.Session]
+	if !ok {
+		_ = t.send(&wire.Error{Session: fb.Session, Code: 400, Msg: fmt.Sprintf("feature batch for unknown session %d", fb.Session)})
+		return nil
+	}
+	if err := up.add(fb); err != nil {
+		delete(t.open, fb.Session)
+		up.release(t.pool)
+		_ = t.send(&wire.Error{Session: fb.Session, Code: 400, Msg: err.Error()})
+		return nil
+	}
+	if !up.complete() {
+		return nil
+	}
+	delete(t.open, fb.Session)
+	return up
+}
+
+// release returns every still-open session's tensors to the pool; the
+// connection handler calls it when the connection closes.
+func (t *sessionTable) release() {
+	for id, up := range t.open {
+		up.release(t.pool)
+		delete(t.open, id)
+	}
+}
 
 // selectGroup gathers a mask group's batch rows from each per-device
 // tensor into pool-backed sub-batches. When the group spans the whole
@@ -214,9 +223,7 @@ func releaseGroup(orig, sel []*tensor.Tensor, pool *tensor.Pool) {
 	if len(sel) > 0 && len(orig) > 0 && sel[0] == orig[0] {
 		return
 	}
-	for _, t := range sel {
-		pool.Put(t)
-	}
+	putAll(pool, sel)
 }
 
 // maskGroup is a batch subset whose samples share one device-presence
@@ -252,27 +259,17 @@ func groupByMask(masks []uint16, devices int) []maskGroup {
 	return groups
 }
 
-// maskOf packs per-device presence booleans into a wire bitmask.
-func maskOf(present []bool) uint16 {
-	var m uint16
-	for d, p := range present {
-		if p {
-			m |= 1 << uint(d)
-		}
-	}
-	return m
-}
-
 // verdictRow assembles one sample's BatchVerdict from row k of a softmax
-// probability tensor — the shared tail of every tier's batched classify.
+// probability tensor — the shared tail of every tier's classify. The
+// verdict's Probs alias the row, so probs must be private to the session
+// (nn.Softmax returns a fresh tensor) and never pooled.
 func verdictRow(probs *tensor.Tensor, k int, id uint64, exit wire.ExitPoint) wire.BatchVerdict {
-	row := make([]float32, probs.Dim(1))
-	copy(row, probs.Row(k))
+	row := probs.Row(k)
 	return wire.BatchVerdict{
 		SampleID: id,
 		Exit:     exit,
 		Class:    uint16(probs.ArgMaxRow(k)),
-		Probs:    row,
+		Probs:    row[:len(row):len(row)],
 	}
 }
 

@@ -78,10 +78,11 @@ func (r *Runner) CommunicationReduction(threshold float64, maxSamples int) (*Com
 	var localLat, cloudLat time.Duration
 	var localN, cloudN int
 	for id := 0; id < n; id++ {
-		res, err := sim.Gateway.Classify(context.Background(), uint64(id))
+		results, err := sim.Gateway.Classify(context.Background(), []uint64{uint64(id)}, "", cluster.ShedNone)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: classify sample %d: %w", id, err)
 		}
+		res := results[0]
 		switch res.Exit {
 		case wire.ExitLocal:
 			localExits++

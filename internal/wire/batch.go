@@ -51,21 +51,19 @@ func PackPresent(present []bool) []byte {
 	out := make([]byte, (len(present)+7)/8)
 	for i, p := range present {
 		if p {
-			out[i/8] |= 1 << uint(i%8)
+			MarkPresent(out, i)
 		}
 	}
 	return out
 }
 
-// UnpackPresent expands a PackPresent bitmask back to n booleans.
-func UnpackPresent(packed []byte, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		if i/8 < len(packed) && packed[i/8]&(1<<uint(i%8)) != 0 {
-			out[i] = true
-		}
-	}
-	return out
+// MarkPresent sets bit i of a PackPresent-sized bitmask.
+func MarkPresent(packed []byte, i int) { packed[i/8] |= 1 << uint(i%8) }
+
+// IsPresent reports bit i of a PackPresent bitmask; positions past its
+// end read as absent.
+func IsPresent(packed []byte, i int) bool {
+	return i/8 < len(packed) && packed[i/8]&(1<<uint(i%8)) != 0
 }
 
 // CaptureBatch asks a device to process its sensor frames for a whole

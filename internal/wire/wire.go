@@ -196,9 +196,11 @@ var (
 	ErrShortPayload  = errors.New("wire: payload truncated")
 )
 
-// frameBufs recycles encode buffers: every io.Writer this package
-// targets (net.Conn, net.Pipe, the link simulator) has released or
-// copied the slice by the time Write returns, so frames can be reused.
+// frameBufs recycles frame buffers. Encoding: every io.Writer this
+// package targets (net.Conn, net.Pipe, the link simulator) has released
+// or copied the slice by the time Write returns. Decoding: every
+// decodePayload copies what the message keeps, so the payload buffer is
+// free again once it returns.
 var frameBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
@@ -231,7 +233,8 @@ func Encode(w io.Writer, m Message) (int, error) {
 	return n, nil
 }
 
-// Decode reads one framed message.
+// Decode reads one framed message. The payload is read into a pooled
+// buffer that no decoded message references.
 func Decode(r io.Reader) (Message, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -250,7 +253,15 @@ func Decode(r io.Reader) (Message, error) {
 	if length > MaxPayload {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, length)
+	bp := frameBufs.Get().(*[]byte)
+	defer func() {
+		*bp = (*bp)[:0]
+		frameBufs.Put(bp)
+	}()
+	if cap(*bp) < int(length) {
+		*bp = make([]byte, length)
+	}
+	payload := (*bp)[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("wire: read payload: %w", err)
 	}

@@ -75,6 +75,9 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			got := roundTrip(t, tt.msg)
+			// A later frame reuses the decoder's payload buffer; a message
+			// that aliased it would now read 0xFF.
+			roundTrip(t, &FeatureBatch{F: 8, H: 64, W: 64, Count: 1, Bits: bytes.Repeat([]byte{0xFF}, 8*64*64/8)})
 			// Normalize nil-vs-empty slices before comparing.
 			if ls, ok := got.(*LocalSummary); ok && len(ls.Probs) == 0 {
 				ls.Probs = []float32{}
