@@ -1,19 +1,16 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§IV), plus micro-benchmarks of the substrate operations. The experiment
 // benchmarks run with experiments.QuickOptions (reduced epochs/dataset) so
-// a full `go test -bench=.` pass completes in minutes on one core; the
-// recorded full-scale results live in EXPERIMENTS.md and are regenerated
-// with cmd/ddnn-bench.
+// a full `go test -bench=.` pass completes in minutes on one core;
+// full-scale results are regenerated with cmd/ddnn-bench. The serving
+// stack is measured end to end by the benchmark/ ledger, not here.
 package ddnn_test
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
-	ddnn "github.com/ddnn/ddnn-go"
 	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/bnn"
 	"github.com/ddnn/ddnn-go/internal/branchy"
@@ -158,155 +155,6 @@ func BenchmarkCommunicationReduction(b *testing.B) {
 			b.Fatalf("reduction %.1fx, want > 1x", rep.Reduction)
 		}
 	}
-}
-
-// --- Engine serving benchmarks ---
-
-// serveBenchModel trains one quick-scale model shared across the serving
-// benchmarks; each benchmark builds its own Engine over it.
-var (
-	serveBenchModelOnce sync.Once
-	serveBenchModel     *ddnn.Model
-	serveBenchTest      *ddnn.Dataset
-
-	serveBenchOnce sync.Once
-	serveBenchEng  *ddnn.Engine
-)
-
-func serveBenchFixture(b *testing.B) (*ddnn.Model, *ddnn.Dataset) {
-	b.Helper()
-	serveBenchModelOnce.Do(func() {
-		dcfg := ddnn.DefaultDatasetConfig()
-		dcfg.Train, dcfg.Test = 200, 60
-		train, test := ddnn.GenerateDataset(dcfg)
-		cfg := ddnn.DefaultConfig()
-		cfg.CloudFilters = 8
-		m := ddnn.MustNewModel(cfg)
-		tc := ddnn.DefaultTrainConfig()
-		tc.Epochs = 3
-		if _, err := m.Train(train, tc); err != nil {
-			panic(err)
-		}
-		serveBenchModel, serveBenchTest = m, test
-	})
-	return serveBenchModel, serveBenchTest
-}
-
-func serveEngine(b *testing.B) (*ddnn.Engine, int) {
-	b.Helper()
-	m, test := serveBenchFixture(b)
-	serveBenchOnce.Do(func() {
-		// Simulated §IV-B link profiles make the benchmark mirror a real
-		// deployment: concurrent sessions overlap link latency.
-		eng, err := ddnn.NewEngine(m, test,
-			ddnn.WithMaxConcurrency(16),
-			ddnn.WithSimulatedLinks(ddnn.DeviceToGatewayLink, ddnn.GatewayToCloudLink))
-		if err != nil {
-			panic(err)
-		}
-		serveBenchEng = eng
-	})
-	return serveBenchEng, serveBenchTest.Len()
-}
-
-// BenchmarkEngineClassifySerial measures single-flight serving: one
-// session at a time, the old facade's only mode.
-func BenchmarkEngineClassifySerial(b *testing.B) {
-	b.ReportAllocs()
-	eng, n := serveEngine(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Classify(ctx, uint64(i%n)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineClassifyConcurrent measures multi-session serving
-// throughput: RunParallel keeps many sessions in flight, which the Engine
-// multiplexes over the same cluster links. Compare ns/op against
-// BenchmarkEngineClassifySerial for the concurrency speedup.
-func BenchmarkEngineClassifyConcurrent(b *testing.B) {
-	b.ReportAllocs()
-	eng, n := serveEngine(b)
-	ctx := context.Background()
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := uint64(rand.Int63())
-		for pb.Next() {
-			id++
-			if _, err := eng.Classify(ctx, id%uint64(n)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEngineServeByBatch measures full-test-set serving throughput
-// at micro-batch sizes 1 and 32 under the default §IV-B link profiles.
-// Compare ns/op between the sub-benchmarks for the batching speedup: one
-// batched session pays wire framing and conv/GEMM dispatch once for the
-// whole batch, so batch 32 should sustain well over 2x the throughput of
-// batch 1 (the per-sample path).
-func BenchmarkEngineServeByBatch(b *testing.B) {
-	b.ReportAllocs()
-	m, test := serveBenchFixture(b)
-	ids := make([]uint64, test.Len())
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
-	for _, batch := range []int{1, 32} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			eng, err := ddnn.NewEngine(m, test,
-				ddnn.WithMaxConcurrency(16),
-				ddnn.WithBatching(batch, 0),
-				ddnn.WithSimulatedLinks(ddnn.DeviceToGatewayLink, ddnn.GatewayToCloudLink))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.ClassifyBatch(ctx, ids); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(ids))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
-	}
-}
-
-// BenchmarkEngineClassifyCollector measures the adaptive micro-batch
-// collector under concurrent load: parallel Classify callers coalesce
-// into shared sessions (max batch 32, 2 ms linger).
-func BenchmarkEngineClassifyCollector(b *testing.B) {
-	b.ReportAllocs()
-	m, test := serveBenchFixture(b)
-	eng, err := ddnn.NewEngine(m, test,
-		ddnn.WithMaxConcurrency(16),
-		ddnn.WithBatching(32, 0),
-		ddnn.WithSimulatedLinks(ddnn.DeviceToGatewayLink, ddnn.GatewayToCloudLink))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	ctx := context.Background()
-	n := uint64(test.Len())
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := uint64(rand.Int63())
-		for pb.Next() {
-			id++
-			if _, err := eng.Classify(ctx, id%n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // --- substrate micro-benchmarks ---

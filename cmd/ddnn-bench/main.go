@@ -4,9 +4,12 @@
 //
 // Usage:
 //
-//	ddnn-bench [-exp all|table1|table2|fig6|fig7|fig8|fig9|fig10|comm|multifail]
-//	           [-epochs N] [-individual-epochs N] [-quick] [-batch N]
-//	           [-replicas 1,2,4] [-v]
+//	ddnn-bench [-exp all|table1|table2|fig6|fig7|fig8|fig9|fig10|comm|multifail|mixed|edge|kernels]
+//	           [-epochs N] [-individual-epochs N] [-quick] [-json FILE] [-v]
+//
+// -exp takes a comma-separated list. Serving performance (throughput,
+// latency by exit, batching, the collector) is measured by the
+// benchmark/ ledger (bash benchmark/run.sh), not here.
 package main
 
 import (
@@ -14,11 +17,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/ddnn/ddnn-go/internal/branchy"
-	"github.com/ddnn/ddnn-go/internal/cliutil"
 	"github.com/ddnn/ddnn-go/internal/experiments"
 )
 
@@ -29,16 +32,17 @@ func main() {
 	}
 }
 
+// experimentNames are the valid -exp values.
+var experimentNames = []string{"all", "table1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "comm", "multifail", "mixed", "edge", "kernels"}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ddnn-bench", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "all", "experiment: all, table1, table2, fig6, fig7, fig8, fig9, fig10, comm, multifail, mixed, edge, latency, serve, replicas, kernels")
+		exp       = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(experimentNames, ", "))
 		epochs    = fs.Int("epochs", 0, "override DDNN training epochs (default 50, paper uses 100)")
 		indEpochs = fs.Int("individual-epochs", 0, "override individual-model training epochs")
 		quick     = fs.Bool("quick", false, "reduced dataset and epochs for a fast smoke run")
-		batch     = fs.Int("batch", 32, "micro-batch size for the serve experiment (compared against batch 1)")
-		replicaLv = fs.String("replicas", "1,2,4", "comma-separated cloud replica counts for the replica scale-out sweep")
-		jsonOut   = fs.String("json", "", "write the kernels experiment's results to this JSON file (e.g. BENCH_pr4.json)")
+		jsonOut   = fs.String("json", "", "write the kernels experiment's results to this JSON file (e.g. BENCH_pr12.json)")
 		verbose   = fs.Bool("v", false, "log training progress")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -60,6 +64,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	wanted := strings.Split(*exp, ",")
+	for _, w := range wanted {
+		if !slices.Contains(experimentNames, w) {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", w, strings.Join(experimentNames, ", "))
+		}
+	}
 	want := func(name string) bool {
 		for _, w := range wanted {
 			if w == "all" || w == name {
@@ -181,50 +190,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(out, experiments.FormatEdgeHierarchy(row))
-	}
-	if want("latency") {
-		fmt.Fprintln(out, "== §V: response latency by exit point (simulated links) ==")
-		rep, err := runner.LatencyByExit(0.8, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, experiments.FormatLatencyReport(rep))
-		fmt.Fprintln(out, "== §V extension: three-stage latency over the edge tier ==")
-		erep, err := runner.EdgeLatencyByExit(0.8, 0.8, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, experiments.FormatLatencyReport(erep))
-	}
-	if want("serve") {
-		batches := []int{1}
-		if *batch > 1 {
-			batches = append(batches, *batch)
-		}
-		fmt.Fprintln(out, "== Engine: multi-session serving throughput vs single-flight ==")
-		rep, err := runner.ServingThroughput(0.8, 0, []int{1, 2, 4, 8, 16}, batches)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, experiments.FormatServingReport(rep))
-		fmt.Fprintln(out, "== Engine: three-stage device→edge→cloud serving (Fig. 2(e)) ==")
-		erep, err := runner.EdgeServingThroughput(0.8, 0.8, 0, []int{1, 2, 4, 8, 16}, batches)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, experiments.FormatServingReport(erep))
-	}
-	if want("serve") || want("replicas") {
-		counts, err := cliutil.ParseInts(*replicaLv, 1)
-		if err != nil {
-			return fmt.Errorf("bad -replicas: %w", err)
-		}
-		fmt.Fprintln(out, "== Scale-out: cloud replica pool throughput + kill-a-replica failover ==")
-		rrep, err := runner.ReplicaScaling(counts, 0, 16, *batch)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, experiments.FormatReplicaReport(rrep))
 	}
 	if want("comm") {
 		fmt.Fprintln(out, "== §IV-H: communication cost vs raw offloading (measured on cluster) ==")

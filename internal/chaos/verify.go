@@ -141,7 +141,7 @@ func (v *Verifier) CheckResult(src string, res *cluster.Result, level cluster.Sh
 		v.report.violate("%s sample %d: %d probabilities, want %d", src, refID, len(res.Probs), dataset.NumClasses)
 		return
 	}
-	if got := argmax(res.Probs); res.Class != got {
+	if got := core.Argmax(res.Probs); res.Class != got {
 		v.report.violate("%s sample %d: class %d is not the argmax %d of its probabilities", src, refID, res.Class, got)
 	}
 	if res.Entropy < 0 || res.Entropy > 1.0001 {
@@ -245,16 +245,6 @@ func (v *Verifier) CheckStatus(src string, code int, expected ...int) {
 	if !allowedStatuses[code] {
 		v.report.violate("%s: undocumented HTTP status %d", src, code)
 	}
-}
-
-func argmax(row []float32) int {
-	best := 0
-	for i := 1; i < len(row); i++ {
-		if row[i] > row[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // parseExit maps a wire exit name from an HTTP response back to its

@@ -28,7 +28,7 @@ func goodResult(v *Verifier, id int) *cluster.Result {
 	probs := append([]float32(nil), er.LocalProbs[id]...)
 	return &cluster.Result{
 		SampleID:      uint64(id),
-		Class:         argmax(probs),
+		Class:         core.Argmax(probs),
 		Exit:          wire.ExitLocal,
 		Probs:         probs,
 		Entropy:       0.5,
@@ -118,7 +118,7 @@ func TestVerifierCatchesVersionConfusion(t *testing.T) {
 	er2 := v.reference(fullPresence(v.devices), 2)
 	good := &cluster.Result{
 		SampleID:      0,
-		Class:         argmax(er2.LocalProbs[0]),
+		Class:         core.Argmax(er2.LocalProbs[0]),
 		Exit:          wire.ExitLocal,
 		Probs:         append([]float32(nil), er2.LocalProbs[0]...),
 		Entropy:       0.5,
@@ -166,7 +166,7 @@ func TestVerifierCatchesShedViolation(t *testing.T) {
 	res = goodResult(v, 3)
 	res.Exit = wire.ExitCloud
 	res.Probs = append([]float32(nil), er.CloudProbs[3]...)
-	res.Class = argmax(res.Probs)
+	res.Class = core.Argmax(res.Probs)
 	v.CheckResult("test", res, cluster.ShedLocalOnly, 3)
 	if !hasViolation(rep, "local-only") {
 		t.Fatalf("cloud exit under local-only not flagged; violations: %v", rep.Violations())
@@ -195,7 +195,7 @@ func TestVerifierCatchesMaskConfusion(t *testing.T) {
 	}
 	res := &cluster.Result{
 		SampleID:      uint64(id),
-		Class:         argmax(masked.LocalProbs[id]),
+		Class:         core.Argmax(masked.LocalProbs[id]),
 		Exit:          wire.ExitLocal,
 		Probs:         append([]float32(nil), masked.LocalProbs[id]...),
 		Entropy:       0.5,
@@ -210,7 +210,7 @@ func TestVerifierCatchesMaskConfusion(t *testing.T) {
 	// The same numbers claimed under the full mask must fail.
 	res2 := &cluster.Result{
 		SampleID:      uint64(id),
-		Class:         argmax(masked.LocalProbs[id]),
+		Class:         core.Argmax(masked.LocalProbs[id]),
 		Exit:          wire.ExitLocal,
 		Probs:         append([]float32(nil), masked.LocalProbs[id]...),
 		Entropy:       0.5,

@@ -65,13 +65,12 @@ func TestEdgeSimStartsThreeTierTopology(t *testing.T) {
 	}
 	p := sim.Gateway.Pipeline()
 	want := []wire.ExitPoint{wire.ExitLocal, wire.ExitEdge, wire.ExitCloud}
-	got := p.Exits()
-	if len(got) != len(want) {
-		t.Fatalf("pipeline exits = %v, want %v", got, want)
+	if len(p) != len(want) {
+		t.Fatalf("pipeline has %d stages, want %d", len(p), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pipeline exits = %v, want %v", got, want)
+		if p[i].Exit != want[i] {
+			t.Fatalf("pipeline stage %d exits at %v, want %v", i, p[i].Exit, want[i])
 		}
 	}
 }

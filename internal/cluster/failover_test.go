@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"github.com/ddnn/ddnn-go/internal/branchy"
+	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -17,77 +19,103 @@ import (
 // class the staged single-process reference assigns — the failed-over
 // escalation re-sends the same bit-packed feature frames to a replica
 // holding the same frozen model, so the answer is bit-identical.
+//
+// "windows" crashes the replica between serial 16-sample calls;
+// "in-flight" crashes it from inside one call over the whole test set,
+// while up to 8 sessions of 4 samples are in flight.
 func TestCloudReplicaFailoverMidBatch(t *testing.T) {
 	model, test := fixture(t)
 	ref := model.Evaluate(test, nil, 32)
-
-	gcfg := DefaultGatewayConfig()
-	gcfg.Threshold = -1 // force every sample through the cloud pool
-	gcfg.CloudTimeout = 400 * time.Millisecond
-	eng, err := NewEngine(model, test, EngineConfig{
-		Gateway:        gcfg,
-		MaxConcurrency: 4,
-		Batch:          BatchConfig{MaxBatch: 8},
-		CloudReplicas:  2,
-		Logger:         quietLogger(),
-	}, transport.NewMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if got := len(eng.Clouds()); got != 2 {
-		t.Fatalf("engine started %d cloud replicas, want 2", got)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	n := test.Len()
 	killAt := n / 2
-	const window = 16
-	for base := 0; base < n; base += window {
-		if base <= killAt && killAt < base+window {
-			eng.Clouds()[0].SetFailed(true)
-		}
-		end := base + window
-		if end > n {
-			end = n
-		}
-		ids := make([]uint64, 0, end-base)
-		for id := base; id < end; id++ {
-			ids = append(ids, uint64(id))
-		}
-		results, err := eng.ClassifyBatch(ctx, ids)
-		if err != nil {
-			t.Fatalf("window at %d (kill at %d): %v", base, killAt, err)
-		}
-		for i, res := range results {
-			if res == nil {
-				t.Fatalf("sample %d: nil result", base+i)
+	for _, tc := range []struct {
+		name                      string
+		window, batch, concurrent int
+		inFlight                  bool
+	}{
+		{name: "windows", window: 16, batch: 8, concurrent: 4},
+		{name: "in-flight", window: n, batch: 4, concurrent: 8, inFlight: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gcfg := DefaultGatewayConfig()
+			gcfg.Threshold = -1 // force every sample through the cloud pool
+			gcfg.CloudTimeout = 400 * time.Millisecond
+			eng, err := NewEngine(model, test, EngineConfig{
+				Gateway:        gcfg,
+				MaxConcurrency: tc.concurrent,
+				Batch:          BatchConfig{MaxBatch: tc.batch},
+				CloudReplicas:  2,
+				Logger:         quietLogger(),
+			}, transport.NewMem())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if res.Exit != wire.ExitCloud {
-				t.Errorf("sample %d exit = %v, want cloud", base+i, res.Exit)
+			defer eng.Close()
+			if got := len(eng.Clouds()); got != 2 {
+				t.Fatalf("engine started %d cloud replicas, want 2", got)
 			}
-			if want := argmaxRow(ref.CloudProbs[base+i]); res.Class != want {
-				t.Errorf("sample %d class = %d, want %d (bit-identical failover)", base+i, res.Class, want)
+			if tc.inFlight {
+				// Device 0 capturing sample killAt crashes replica 0
+				// while the sessions around it are mid-escalation.
+				dev := eng.Devices()[0]
+				feed := dev.feed
+				dev.feed = func(id uint64) (*tensor.Tensor, error) {
+					if id == uint64(killAt) {
+						eng.Clouds()[0].SetFailed(true)
+					}
+					return feed(id)
+				}
 			}
-		}
-	}
 
-	// Under continued traffic the crashed replica must end up fenced
-	// (consecutive escalation timeouts), with the survivor serving. The
-	// short run above may have routed too few sessions its way, so keep
-	// classifying until the detector trips.
-	deadline := time.Now().Add(20 * time.Second)
-	for eng.Gateway().Upstream().Healthy() != 1 && time.Now().Before(deadline) {
-		if _, err := eng.ClassifyBatch(ctx, []uint64{0, 1, 2, 3}); err != nil {
-			t.Fatalf("classification while waiting for fencing: %v", err)
-		}
-	}
-	if got := eng.Gateway().Upstream().Healthy(); got != 1 {
-		t.Errorf("healthy replicas = %d after the crash, want 1", got)
-	}
-	if eng.Gateway().UpstreamDown() {
-		t.Error("UpstreamDown() = true with one healthy replica left")
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			for base := 0; base < n; base += tc.window {
+				if !tc.inFlight && base <= killAt && killAt < base+tc.window {
+					eng.Clouds()[0].SetFailed(true)
+				}
+				end := min(base+tc.window, n)
+				ids := make([]uint64, 0, end-base)
+				for id := base; id < end; id++ {
+					ids = append(ids, uint64(id))
+				}
+				results, err := eng.ClassifyBatch(ctx, ids)
+				if err != nil {
+					t.Fatalf("window at %d (kill at %d): %v", base, killAt, err)
+				}
+				for i, res := range results {
+					if res == nil {
+						t.Fatalf("sample %d: nil result", base+i)
+					}
+					if res.Exit != wire.ExitCloud {
+						t.Errorf("sample %d exit = %v, want cloud", base+i, res.Exit)
+					}
+					if want := core.Argmax(ref.CloudProbs[base+i]); res.Class != want {
+						t.Errorf("sample %d class = %d, want %d (bit-identical failover)", base+i, res.Class, want)
+					}
+				}
+			}
+			if !eng.Clouds()[0].Failed() {
+				t.Fatal("replica 0 was never crashed")
+			}
+
+			// Under continued traffic the crashed replica must end up
+			// fenced (consecutive escalation timeouts), with the survivor
+			// serving. The short run above may have routed too few
+			// sessions its way, so keep classifying until the detector
+			// trips.
+			deadline := time.Now().Add(20 * time.Second)
+			for eng.Gateway().Upstream().Healthy() != 1 && time.Now().Before(deadline) {
+				if _, err := eng.ClassifyBatch(ctx, []uint64{0, 1, 2, 3}); err != nil {
+					t.Fatalf("classification while waiting for fencing: %v", err)
+				}
+			}
+			if got := eng.Gateway().Upstream().Healthy(); got != 1 {
+				t.Errorf("healthy replicas = %d after the crash, want 1", got)
+			}
+			if eng.Gateway().UpstreamDown() {
+				t.Error("UpstreamDown() = true with one healthy replica left")
+			}
+		})
 	}
 }
 

@@ -15,34 +15,15 @@ import (
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
-// stagedExpectation replays core's staged Evaluate decision for one
-// sample: the first exit whose entropy passes its threshold classifies,
-// and the final exit always does.
+// stagedExpectation is core's staged Evaluate decision for one sample
+// (EvalResult.Exit) as the exit point and class the engine must return.
 func stagedExpectation(res *core.EvalResult, pol branchy.Policy, i int) (wire.ExitPoint, int) {
-	probs := [][]float32{res.LocalProbs[i]}
-	exits := []wire.ExitPoint{wire.ExitLocal}
+	exits := []wire.ExitPoint{wire.ExitLocal, wire.ExitCloud}
 	if res.EdgeProbs != nil {
-		probs = append(probs, res.EdgeProbs[i])
-		exits = append(exits, wire.ExitEdge)
+		exits = []wire.ExitPoint{wire.ExitLocal, wire.ExitEdge, wire.ExitCloud}
 	}
-	probs = append(probs, res.CloudProbs[i])
-	exits = append(exits, wire.ExitCloud)
-	for e := range probs {
-		if pol.ShouldExit(e, probs[e]) {
-			return exits[e], argmaxRow(probs[e])
-		}
-	}
-	return exits[len(exits)-1], argmaxRow(probs[len(probs)-1])
-}
-
-func argmaxRow(row []float32) int {
-	best := 0
-	for i := 1; i < len(row); i++ {
-		if row[i] > row[best] {
-			best = i
-		}
-	}
-	return best
+	e, probs := res.Exit(pol, i)
+	return exits[e], core.Argmax(probs)
 }
 
 // Degraded parity runs take device parityFailedDevice down for the whole

@@ -117,12 +117,3 @@ func (p Pipeline) RelayThresholds() []float64 {
 	}
 	return ts
 }
-
-// Exits returns the exit points in pipeline order.
-func (p Pipeline) Exits() []wire.ExitPoint {
-	out := make([]wire.ExitPoint, len(p))
-	for i, s := range p {
-		out[i] = s.Exit
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/transport"
 )
 
@@ -45,7 +46,7 @@ func TestCloudReplicaRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
-		if want := argmaxRow(ref.CloudProbs[id]); res.Class != want {
+		if want := core.Argmax(ref.CloudProbs[id]); res.Class != want {
 			t.Fatalf("sample %d: class %d, staged reference says %d", id, res.Class, want)
 		}
 	}

@@ -380,8 +380,8 @@ func canaryCompare(ref, got *core.EvalResult) error {
 					return fmt.Errorf("%s row %d class %d: prob %g, want %g", stage, i, j, have[i][j], want[i][j])
 				}
 			}
-			if argmax(want[i]) != argmax(have[i]) {
-				return fmt.Errorf("%s row %d: argmax %d, want %d", stage, i, argmax(have[i]), argmax(want[i]))
+			if core.Argmax(want[i]) != core.Argmax(have[i]) {
+				return fmt.Errorf("%s row %d: argmax %d, want %d", stage, i, core.Argmax(have[i]), core.Argmax(want[i]))
 			}
 		}
 		return nil
@@ -395,15 +395,4 @@ func canaryCompare(ref, got *core.EvalResult) error {
 		}
 	}
 	return check("cloud", ref.CloudProbs, got.CloudProbs)
-}
-
-// argmax returns the index of the row's maximum element.
-func argmax(row []float32) int {
-	best := 0
-	for i := 1; i < len(row); i++ {
-		if row[i] > row[best] {
-			best = i
-		}
-	}
-	return best
 }

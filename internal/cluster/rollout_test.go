@@ -72,9 +72,9 @@ func TestRolloutRollsFleetUnderTraffic(t *testing.T) {
 				var want int
 				switch res.ModelVersion {
 				case 1:
-					want = argmaxRow(ref1.CloudProbs[id])
+					want = core.Argmax(ref1.CloudProbs[id])
 				case 2:
-					want = argmaxRow(ref2.CloudProbs[id])
+					want = core.Argmax(ref2.CloudProbs[id])
 				default:
 					errs <- errors.New("result pinned to unknown model version")
 					return
@@ -210,7 +210,7 @@ func TestRolloutCanaryFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := argmaxRow(ref1.CloudProbs[3]); res.Class != want || res.ModelVersion != 1 {
+	if want := core.Argmax(ref1.CloudProbs[3]); res.Class != want || res.ModelVersion != 1 {
 		t.Fatalf("post-rollback: class %d version %d, want %d version 1", res.Class, res.ModelVersion, want)
 	}
 }

@@ -107,15 +107,6 @@ func (c Config) FeatureW() int { return c.InputW / 2 }
 // layer in Eq. (1). For 32×32 inputs this is 16·16 = 256.
 func (c Config) FeatureSize() int { return c.FeatureH() * c.FeatureW() }
 
-// ExitCount returns the number of exit points (2 without an edge tier,
-// 3 with one).
-func (c Config) ExitCount() int {
-	if c.UseEdge {
-		return 3
-	}
-	return 2
-}
-
 // CommCostBytes evaluates Eq. (1): the expected per-sample communication of
 // an end device given the fraction localExit of samples exiting locally,
 //

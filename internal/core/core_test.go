@@ -165,9 +165,6 @@ func TestEdgeModelProducesThreeExits(t *testing.T) {
 	if logits.Edge.Dim(1) != cfg.Classes {
 		t.Errorf("edge logits shape %v", logits.Edge.Shape())
 	}
-	if cfg.ExitCount() != 3 {
-		t.Errorf("ExitCount = %d, want 3", cfg.ExitCount())
-	}
 }
 
 func TestMixedPrecisionCloud(t *testing.T) {
@@ -474,5 +471,32 @@ func TestOutcomesFeedThresholdSearch(t *testing.T) {
 	pol := branchy.NewPolicy(best.Threshold, 1)
 	if got := res.OverallAccuracy(pol); math.Abs(got-best.Accuracy) > 1e-9 {
 		t.Errorf("sweep accuracy %g vs OverallAccuracy %g at T=%g", best.Accuracy, got, best.Threshold)
+	}
+}
+
+func TestEvalResultExitWalksStages(t *testing.T) {
+	confident := []float32{1, 0, 0}
+	unsure := []float32{0.34, 0.33, 0.33}
+	res := &EvalResult{
+		Labels:     []int{0, 1, 2},
+		LocalProbs: [][]float32{confident, unsure, unsure},
+		EdgeProbs:  [][]float32{unsure, {0.1, 0.9, 0}, unsure},
+		CloudProbs: [][]float32{unsure, unsure, {0.2, 0.2, 0.6}},
+	}
+	pol := branchy.NewPolicy(0.5, 0.5, 1)
+	for i, want := range []int{0, 1, 2} {
+		e, probs := res.Exit(pol, i)
+		if e != want {
+			t.Errorf("sample %d exits at %d, want %d", i, e, want)
+		}
+		if Argmax(probs) != res.Labels[i] {
+			t.Errorf("sample %d predicts %d, want %d", i, Argmax(probs), res.Labels[i])
+		}
+	}
+	if fr := res.ExitFractions(pol); fr[0] != 1.0/3 || fr[1] != 1.0/3 || fr[2] != 1.0/3 {
+		t.Errorf("exit fractions %v, want a third each", fr)
+	}
+	if got := Argmax([]float32{0.5, 0.5, 0}); got != 0 {
+		t.Errorf("Argmax tie = %d, want the first index 0", got)
 	}
 }

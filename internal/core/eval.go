@@ -57,7 +57,9 @@ func probRows(logits *tensor.Tensor) [][]float32 {
 	return rows
 }
 
-func argmax(row []float32) int {
+// Argmax returns the index of the row's largest value, the first on a
+// tie: the class a probability (or logit) row predicts.
+func Argmax(row []float32) int {
 	best := 0
 	for i := 1; i < len(row); i++ {
 		if row[i] > row[best] {
@@ -70,7 +72,7 @@ func argmax(row []float32) int {
 func accuracyOf(probs [][]float32, labels []int) float64 {
 	correct := 0
 	for i, row := range probs {
-		if argmax(row) == labels[i] {
+		if Argmax(row) == labels[i] {
 			correct++
 		}
 	}
@@ -101,16 +103,18 @@ func (r *EvalResult) CloudAccuracy() float64 { return accuracyOf(r.CloudProbs, r
 func (r *EvalResult) OverallAccuracy(policy branchy.Policy) float64 {
 	correct := 0
 	for i := range r.Labels {
-		if argmax(r.exitProbs(policy, i)) == r.Labels[i] {
+		if _, probs := r.Exit(policy, i); Argmax(probs) == r.Labels[i] {
 			correct++
 		}
 	}
 	return float64(correct) / float64(len(r.Labels))
 }
 
-// exitProbs returns the probability vector of the exit that classifies
-// sample i under the policy.
-func (r *EvalResult) exitProbs(policy branchy.Policy, i int) []float32 {
+// Exit replays staged inference for sample i under the policy: the first
+// exit whose normalized entropy is within its threshold classifies, and
+// the final exit always does. It returns that exit's index (0 local,
+// then edge when present, then cloud) and its probability vector.
+func (r *EvalResult) Exit(policy branchy.Policy, i int) (exit int, probs []float32) {
 	exits := [][]float32{r.LocalProbs[i]}
 	if r.EdgeProbs != nil {
 		exits = append(exits, r.EdgeProbs[i])
@@ -118,10 +122,10 @@ func (r *EvalResult) exitProbs(policy branchy.Policy, i int) []float32 {
 	exits = append(exits, r.CloudProbs[i])
 	for e, probs := range exits {
 		if policy.ShouldExit(e, probs) {
-			return probs
+			return e, probs
 		}
 	}
-	return exits[len(exits)-1]
+	return len(exits) - 1, exits[len(exits)-1]
 }
 
 // ExitFractions returns the fraction of samples classified at each exit
@@ -133,17 +137,8 @@ func (r *EvalResult) ExitFractions(policy branchy.Policy) []float64 {
 	}
 	counts := make([]int, exits)
 	for i := range r.Labels {
-		all := [][]float32{r.LocalProbs[i]}
-		if r.EdgeProbs != nil {
-			all = append(all, r.EdgeProbs[i])
-		}
-		all = append(all, r.CloudProbs[i])
-		for e, probs := range all {
-			if policy.ShouldExit(e, probs) {
-				counts[e]++
-				break
-			}
-		}
+		e, _ := r.Exit(policy, i)
+		counts[e]++
 	}
 	fr := make([]float64, exits)
 	for i, c := range counts {
@@ -170,8 +165,8 @@ func (r *EvalResult) Outcomes() []branchy.ExitOutcome {
 	for i, lbl := range r.Labels {
 		out[i] = branchy.ExitOutcome{
 			Entropy:      nn.NormalizedEntropy(r.LocalProbs[i]),
-			LocalCorrect: argmax(r.LocalProbs[i]) == lbl,
-			UpperCorrect: argmax(upper[i]) == lbl,
+			LocalCorrect: Argmax(r.LocalProbs[i]) == lbl,
+			UpperCorrect: Argmax(upper[i]) == lbl,
 		}
 	}
 	return out

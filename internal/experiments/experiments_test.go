@@ -228,104 +228,6 @@ func TestMultiFailureDegradesMonotonically(t *testing.T) {
 	}
 }
 
-func TestLatencyByExit(t *testing.T) {
-	r := runner(t)
-	rep, err := r.LatencyByExit(0.8, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LocalCount+rep.CloudCount != rep.Samples {
-		t.Errorf("exit counts %d+%d != %d samples", rep.LocalCount, rep.CloudCount, rep.Samples)
-	}
-	// Cloud-exited samples pay the WAN link; when both kinds occur, local
-	// must be faster on average.
-	if rep.LocalCount > 0 && rep.CloudCount > 0 && rep.LocalMean >= rep.CloudMean {
-		t.Errorf("local mean %v not below cloud mean %v", rep.LocalMean, rep.CloudMean)
-	}
-	if !strings.Contains(FormatLatencyReport(rep), "local exits") {
-		t.Error("FormatLatencyReport missing local line")
-	}
-}
-
-func TestServingThroughputSweep(t *testing.T) {
-	r := runner(t)
-	rep, err := r.ServingThroughput(0.8, 10, []int{1, 2}, []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Exits) != 2 {
-		t.Fatalf("two-tier sweep has %d exits, want 2", len(rep.Exits))
-	}
-	if len(rep.Points) != 4 {
-		t.Fatalf("got %d points, want 4 (2 levels × 2 batch sizes)", len(rep.Points))
-	}
-	if rep.Points[0].Batch != 1 || rep.Points[len(rep.Points)-1].Batch != 8 {
-		t.Errorf("batch sweep order wrong: first %d, last %d", rep.Points[0].Batch, rep.Points[len(rep.Points)-1].Batch)
-	}
-	if rep.WireUpBytes <= 0 || rep.WireDownBytes <= 0 {
-		t.Errorf("wire traffic not measured: up %.1f down %.1f", rep.WireUpBytes, rep.WireDownBytes)
-	}
-	if rep.Points[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %v, want 1", rep.Points[0].Speedup)
-	}
-	for _, p := range rep.Points {
-		total := 0
-		for _, c := range p.ExitCounts {
-			total += c
-		}
-		if total != p.Samples {
-			t.Errorf("exit counts sum to %d, want %d", total, p.Samples)
-		}
-	}
-	if rep.SummaryBytes <= 0 {
-		t.Error("no summary bytes measured on the device hop")
-	}
-}
-
-func TestEdgeServingThroughputReportsThreeExits(t *testing.T) {
-	r := runner(t)
-	rep, err := r.EdgeServingThroughput(0.8, 0.8, 20, []int{1, 4}, []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Exits) != 3 {
-		t.Fatalf("edge sweep has %d exits, want 3", len(rep.Exits))
-	}
-	for _, p := range rep.Points {
-		total := 0
-		for _, c := range p.ExitCounts {
-			total += c
-		}
-		if total != p.Samples {
-			t.Errorf("exit counts sum to %d, want %d", total, p.Samples)
-		}
-	}
-	out := FormatServingReport(rep)
-	for _, want := range []string{"%local", "%edge", "%cloud", "hop 2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatServingReport missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestEdgeLatencyByExitCoversThreeExits(t *testing.T) {
-	r := runner(t)
-	rep, err := r.EdgeLatencyByExit(0.8, 0.8, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Exits != 3 {
-		t.Fatalf("Exits = %d, want 3", rep.Exits)
-	}
-	if rep.LocalCount+rep.EdgeCount+rep.CloudCount != rep.Samples {
-		t.Errorf("exit counts %d+%d+%d != %d samples",
-			rep.LocalCount, rep.EdgeCount, rep.CloudCount, rep.Samples)
-	}
-	if !strings.Contains(FormatLatencyReport(rep), "edge exits") {
-		t.Error("FormatLatencyReport missing edge line")
-	}
-}
-
 func TestMixedPrecisionAblation(t *testing.T) {
 	r := runner(t)
 	rows, err := r.MixedPrecisionAblation()
@@ -391,33 +293,5 @@ func TestCommunicationReductionMeasuredMatchesAnalytic(t *testing.T) {
 	out := FormatCommReport(rep)
 	if !strings.Contains(out, "reduction") {
 		t.Error("FormatCommReport missing reduction line")
-	}
-}
-
-func TestReplicaScalingAndFailover(t *testing.T) {
-	r := runner(t)
-	rep, err := r.ReplicaScaling([]int{1, 2}, 64, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(rep.Points))
-	}
-	if rep.Points[0].Replicas != 1 || rep.Points[0].Speedup != 1 {
-		t.Errorf("baseline point = %+v, want 1 replica at speedup 1", rep.Points[0])
-	}
-	if rep.Points[1].Throughput <= 0 {
-		t.Errorf("2-replica throughput = %v, want > 0", rep.Points[1].Throughput)
-	}
-	fo := rep.Failover
-	if fo.Errors != 0 {
-		t.Errorf("failover run had %d errors, want 0 (every sample must be classified)", fo.Errors)
-	}
-	if fo.Mismatches != 0 {
-		t.Errorf("failover run had %d mismatches vs the staged reference, want 0 (bit-identical)", fo.Mismatches)
-	}
-	out := FormatReplicaReport(rep)
-	if !strings.Contains(out, "failover: PASS") {
-		t.Errorf("report missing failover verdict:\n%s", out)
 	}
 }

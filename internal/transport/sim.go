@@ -30,16 +30,6 @@ var (
 	GatewayToEdge = LinkProfile{Latency: 5 * time.Millisecond, BandwidthBps: 1 << 20}
 )
 
-// TransferTime returns the simulated time to move n bytes across the link:
-// latency plus serialization at the configured bandwidth.
-func (p LinkProfile) TransferTime(n int) time.Duration {
-	d := p.Latency
-	if p.BandwidthBps > 0 {
-		d += p.SerializeTime(n)
-	}
-	return d
-}
-
 // SerializeTime returns the time the link is occupied putting n bytes on
 // the wire at the configured bandwidth (zero when unlimited).
 func (p LinkProfile) SerializeTime(n int) time.Duration {

@@ -183,22 +183,22 @@ func TestTCPLoopback(t *testing.T) {
 	}
 }
 
-func TestLinkProfileTransferTime(t *testing.T) {
+func TestLinkProfileSerializeTime(t *testing.T) {
 	tests := []struct {
 		name string
 		p    LinkProfile
 		n    int
 		want time.Duration
 	}{
-		{"latency only", LinkProfile{Latency: 10 * time.Millisecond}, 1 << 20, 10 * time.Millisecond},
+		{"unlimited bandwidth", LinkProfile{Latency: 10 * time.Millisecond}, 1 << 20, 0},
 		{"bandwidth only", LinkProfile{BandwidthBps: 1000}, 500, 500 * time.Millisecond},
-		{"both", LinkProfile{Latency: time.Millisecond, BandwidthBps: 1 << 20}, 1 << 20, time.Millisecond + time.Second},
-		{"zero bytes", LinkProfile{Latency: time.Millisecond, BandwidthBps: 1000}, 0, time.Millisecond},
+		{"latency excluded", LinkProfile{Latency: time.Millisecond, BandwidthBps: 1 << 20}, 1 << 20, time.Second},
+		{"zero bytes", LinkProfile{Latency: time.Millisecond, BandwidthBps: 1000}, 0, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.p.TransferTime(tt.n); got != tt.want {
-				t.Errorf("TransferTime(%d) = %v, want %v", tt.n, got, tt.want)
+			if got := tt.p.SerializeTime(tt.n); got != tt.want {
+				t.Errorf("SerializeTime(%d) = %v, want %v", tt.n, got, tt.want)
 			}
 		})
 	}
