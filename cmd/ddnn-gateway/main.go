@@ -112,11 +112,13 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	dialCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	eng, err := ddnn.Connect(dialCtx, model, addrs, upstream,
-		ddnn.WithThreshold(*threshold),
-		ddnn.WithEdgeThreshold(*edgeT),
-		ddnn.WithMaxConcurrency(*concurrency),
-		ddnn.WithBatching(*batch, 0))
+	gcfg := ddnn.DefaultGatewayConfig()
+	gcfg.Threshold, gcfg.EdgeThreshold = *threshold, *edgeT
+	eng, err := ddnn.Connect(dialCtx, model, addrs, upstream, ddnn.EngineConfig{
+		Gateway:        gcfg,
+		MaxConcurrency: *concurrency,
+		Batch:          ddnn.BatchConfig{MaxBatch: *batch},
+	})
 	cancel()
 	if err != nil {
 		return err
@@ -145,7 +147,7 @@ func run(args []string) error {
 	}
 	labels := test.Labels(nil)
 	start := time.Now()
-	results, err := eng.ClassifyBatch(ctx, ids)
+	results, err := eng.ClassifyBatchTenantShed(ctx, ids, "", ddnn.ShedNone)
 	if err != nil {
 		if errors.Is(err, ddnn.ErrCanceled) && ctx.Err() != nil {
 			fmt.Println("interrupted; drained in-flight sessions")
@@ -176,10 +178,10 @@ func run(args []string) error {
 		fmt.Printf("cloud exits:         %.1f%%\n", 100*float64(exits[wire.ExitCloud])/float64(n))
 	}
 	fmt.Printf("latency mean/p95:    %v / %v\n", lat.Mean().Round(time.Microsecond), lat.Percentile(95).Round(time.Microsecond))
-	perDev := float64(eng.PayloadBytes()) / float64(model.Cfg.Devices) / float64(n)
+	perDev := float64(eng.Gateway().Meter.Total()) / float64(model.Cfg.Devices) / float64(n)
 	fmt.Printf("payload per device:  %.1f B/sample (Eq. 1: %.1f B; raw offload: %d B)\n",
 		perDev, model.Cfg.CommCostBytes(l), model.Cfg.RawOffloadBytes())
-	if down := eng.DownDevices(); len(down) > 0 {
+	if down := eng.Gateway().DownDevices(); len(down) > 0 {
 		fmt.Printf("devices marked down: %v\n", down)
 	}
 	return nil

@@ -156,12 +156,13 @@ func run(args []string) error {
 		}
 	}
 
-	opts := []ddnn.Option{
-		ddnn.WithThreshold(*threshold),
-		ddnn.WithEdgeThreshold(*edgeT),
-		ddnn.WithMaxConcurrency(*concurrency),
-		ddnn.WithBatching(*batch, 0),
-		ddnn.WithLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))),
+	gcfg := ddnn.DefaultGatewayConfig()
+	gcfg.Threshold, gcfg.EdgeThreshold = *threshold, *edgeT
+	ecfg := ddnn.EngineConfig{
+		Gateway:        gcfg,
+		MaxConcurrency: *concurrency,
+		Batch:          ddnn.BatchConfig{MaxBatch: *batch},
+		Logger:         slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	}
 	var eng *ddnn.Engine
 	if *devices != "" {
@@ -176,7 +177,7 @@ func run(args []string) error {
 			return fmt.Errorf("pass -cloud with the ddnn-cloud address(es)")
 		}
 		dialCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		e, err := ddnn.Connect(dialCtx, model, deviceAddrs, upstream, opts...)
+		e, err := ddnn.Connect(dialCtx, model, deviceAddrs, upstream, ecfg)
 		cancel()
 		if err != nil {
 			return err
@@ -184,8 +185,8 @@ func run(args []string) error {
 		eng = e
 		logger.Info("attached to cluster", "devices", len(deviceAddrs), "upstream", len(upstream))
 	} else {
-		opts = append(opts, ddnn.WithCloudReplicas(*replicas), ddnn.WithEdgeReplicas(*replicas))
-		e, err := ddnn.NewEngine(model, test, opts...)
+		ecfg.EdgeReplicas, ecfg.CloudReplicas = *replicas, *replicas
+		e, err := ddnn.NewEngine(model, test, ecfg)
 		if err != nil {
 			return err
 		}
@@ -214,7 +215,7 @@ func run(args []string) error {
 	}
 
 	acfg := api.Config{
-		Engine:      eng,
+		Engine:      api.FromEngine(eng),
 		Devices:     model.Cfg.Devices,
 		Auth:        auth,
 		RatePerSec:  *rate,

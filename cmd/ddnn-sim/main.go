@@ -120,17 +120,19 @@ func run(args []string) error {
 
 	ctx := context.Background()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	eng, err := ddnn.NewEngine(model, test,
-		ddnn.WithThreshold(*threshold),
-		ddnn.WithEdgeThreshold(*edgeT),
-		ddnn.WithDeviceTimeout(500*time.Millisecond),
-		ddnn.WithCloudTimeout(time.Second),
-		ddnn.WithEdgeTimeout(2*time.Second),
-		ddnn.WithMaxFailures(0), // leave detection to the health monitor
-		ddnn.WithMaxConcurrency(*concurrency),
-		ddnn.WithCloudReplicas(*replicas),
-		ddnn.WithEdgeReplicas(*replicas),
-		ddnn.WithLogger(logger))
+	gcfg := ddnn.DefaultGatewayConfig()
+	gcfg.Threshold, gcfg.EdgeThreshold = *threshold, *edgeT
+	gcfg.DeviceTimeout = 500 * time.Millisecond
+	gcfg.CloudTimeout = time.Second
+	gcfg.EdgeTimeout = 2 * time.Second
+	gcfg.MaxFailures = 0 // leave detection to the health monitor
+	eng, err := ddnn.NewEngine(model, test, ddnn.EngineConfig{
+		Gateway:        gcfg,
+		MaxConcurrency: *concurrency,
+		EdgeReplicas:   *replicas,
+		CloudReplicas:  *replicas,
+		Logger:         logger,
+	})
 	if err != nil {
 		return err
 	}
@@ -153,7 +155,8 @@ func run(args []string) error {
 	failPoint := int(*failAt * float64(n))
 	recoverPoint := int(*recoverAt * float64(n))
 
-	total, healthy := eng.UpstreamReplicas()
+	pool := eng.Gateway().Upstream()
+	total, healthy := pool.Size(), pool.Healthy()
 	fmt.Printf("classifying %d samples (T=%.2f, %d concurrent sessions, %d/%d upstream replicas healthy)...\n",
 		n, *threshold, *concurrency, healthy, total)
 	start := time.Now()
@@ -163,7 +166,7 @@ func run(args []string) error {
 		if len(failures) > 0 && base <= failPoint && failPoint < base+*concurrency {
 			fmt.Printf("  [%d/%d] crashing devices %v\n", base, n, failures)
 			for _, d := range failures {
-				eng.SetDeviceFailed(d, true)
+				eng.Devices()[d].SetFailed(true)
 			}
 		}
 		if len(churned) > 0 && base <= failPoint && failPoint < base+*concurrency {
@@ -178,18 +181,18 @@ func run(args []string) error {
 		if *failReplica && base <= failPoint && failPoint < base+*concurrency {
 			if model.Cfg.UseEdge {
 				fmt.Printf("  [%d/%d] crashing edge replica 0 (of %d)\n", base, n, *replicas)
-				eng.SetEdgeFailed(0, true)
+				eng.Edges()[0].SetFailed(true)
 			} else {
 				fmt.Printf("  [%d/%d] crashing cloud replica 0 (of %d)\n", base, n, *replicas)
-				eng.SetCloudFailed(0, true)
+				eng.Clouds()[0].SetFailed(true)
 			}
 		}
 		if *failReplica && base <= recoverPoint && recoverPoint < base+*concurrency {
 			fmt.Printf("  [%d/%d] recovering crashed replica 0\n", base, n)
 			if model.Cfg.UseEdge {
-				eng.SetEdgeFailed(0, false)
+				eng.Edges()[0].SetFailed(false)
 			} else {
-				eng.SetCloudFailed(0, false)
+				eng.Clouds()[0].SetFailed(false)
 			}
 		}
 		if len(churned) > 0 && base <= recoverPoint && recoverPoint < base+*concurrency {
@@ -203,9 +206,9 @@ func run(args []string) error {
 		}
 		if len(failures) > 0 && base <= recoverPoint && recoverPoint < base+*concurrency {
 			fmt.Printf("  [%d/%d] recovering devices %v (down at this point: %v)\n",
-				base, n, failures, eng.DownDevices())
+				base, n, failures, eng.Gateway().DownDevices())
 			for _, d := range failures {
-				eng.SetDeviceFailed(d, false)
+				eng.Devices()[d].SetFailed(false)
 			}
 		}
 		end := base + *concurrency
@@ -216,7 +219,7 @@ func run(args []string) error {
 		for id := base; id < end; id++ {
 			ids = append(ids, uint64(id))
 		}
-		results, err := eng.ClassifyBatch(ctx, ids)
+		results, err := eng.ClassifyBatchTenantShed(ctx, ids, "", ddnn.ShedNone)
 		if err != nil {
 			return fmt.Errorf("window at %d: %w", base, err)
 		}
@@ -239,10 +242,10 @@ func run(args []string) error {
 		fmt.Printf("cloud exits:        %.1f%%\n", 100*float64(exits[wire.ExitCloud])/float64(n))
 	}
 	fmt.Printf("latency mean/p95:   %v / %v\n", lat.Mean().Round(time.Microsecond), lat.Percentile(95).Round(time.Microsecond))
-	perDev := float64(eng.PayloadBytes()) / float64(model.Cfg.Devices) / float64(n)
+	perDev := float64(eng.Gateway().Meter.Total()) / float64(model.Cfg.Devices) / float64(n)
 	fmt.Printf("payload per device: %.1f B/sample (Eq. 1: %.1f B, raw offload: %d B)\n",
 		perDev, model.Cfg.CommCostBytes(l), model.Cfg.RawOffloadBytes())
-	if down := eng.DownDevices(); len(down) > 0 {
+	if down := eng.Gateway().DownDevices(); len(down) > 0 {
 		fmt.Printf("still down:         %v\n", down)
 	}
 	return nil

@@ -32,18 +32,21 @@
 //
 // The Engine is the serving entry point: it runs the trained DDNN as an
 // always-on cluster — device nodes, gateway, and replica pools for the
-// edge and cloud tiers (WithEdgeReplicas / WithCloudReplicas) — and
+// edge and cloud tiers (EngineConfig.EdgeReplicas / CloudReplicas) — and
 // classifies any number of samples concurrently. Every call is a
 // context-aware session; sessions are multiplexed over the node links,
 // load-balanced across healthy upstream replicas with mid-session
-// failover, and bounded by the engine's concurrency limit:
+// failover, and bounded by the engine's concurrency limit. Start the
+// config from DefaultGatewayConfig: a zero GatewayConfig has T = 0 and
+// escalates every sample.
 //
-//	eng, _ := ddnn.NewEngine(model, test,
-//		ddnn.WithThreshold(0.8),
-//		ddnn.WithMaxConcurrency(32))
+//	eng, _ := ddnn.NewEngine(model, test, ddnn.EngineConfig{
+//		Gateway:        ddnn.DefaultGatewayConfig(), // T = 0.8
+//		MaxConcurrency: 32,
+//	})
 //	defer eng.Close()
-//	res, err := eng.Classify(ctx, 7)          // one session
-//	batch, err := eng.ClassifyBatch(ctx, ids) // concurrent sessions
+//	res, err := eng.ClassifyTenantShed(ctx, 7, "", ddnn.ShedNone)           // one session
+//	batch, err := eng.ClassifyBatchTenantShed(ctx, ids, "", ddnn.ShedNone) // concurrent sessions
 //
 // Use Connect instead of NewEngine to front nodes that run as separate
 // processes over TCP (cmd/ddnn-device, cmd/ddnn-edge, cmd/ddnn-cloud):

@@ -58,21 +58,21 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Serving runtime through the facade.
-	eng, err := ddnn.NewEngine(loaded, test,
-		ddnn.WithDeviceTimeout(2*time.Second),
-		ddnn.WithMaxConcurrency(4))
+	gcfg := ddnn.DefaultGatewayConfig()
+	gcfg.DeviceTimeout = 2 * time.Second
+	eng, err := ddnn.NewEngine(loaded, test, ddnn.EngineConfig{Gateway: gcfg, MaxConcurrency: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	r, err := eng.Classify(context.Background(), 0)
+	r, err := eng.ClassifyTenantShed(context.Background(), 0, "", ddnn.ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Exit != ddnn.ExitLocal && r.Exit != ddnn.ExitCloud {
 		t.Errorf("unexpected exit %v", r.Exit)
 	}
-	batch, err := eng.ClassifyBatch(context.Background(), []uint64{1, 2, 3})
+	batch, err := eng.ClassifyBatchTenantShed(context.Background(), []uint64{1, 2, 3}, "", ddnn.ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,9 +61,10 @@ func run() error {
 	// Front the remote nodes with an Engine: each Classify is a session
 	// multiplexed over the shared TCP links.
 	ctx := context.Background()
-	eng, err := ddnn.Connect(ctx, model, addrs, []string{cloud.Addr()},
-		ddnn.WithThreshold(0.8),
-		ddnn.WithMaxConcurrency(8))
+	eng, err := ddnn.Connect(ctx, model, addrs, []string{cloud.Addr()}, ddnn.EngineConfig{
+		Gateway:        ddnn.DefaultGatewayConfig(), // local exit threshold T = 0.8
+		MaxConcurrency: 8,
+	})
 	if err != nil {
 		return err
 	}
@@ -76,7 +77,7 @@ func run() error {
 	}
 	fmt.Printf("\nclassifying %d samples over TCP (T=0.8, 8 concurrent sessions)...\n", n)
 	start := time.Now()
-	results, err := eng.ClassifyBatch(ctx, ids)
+	results, err := eng.ClassifyBatchTenantShed(ctx, ids, "", ddnn.ShedNone)
 	if err != nil {
 		return err
 	}
@@ -103,7 +104,7 @@ func run() error {
 		localLat.Count(), n, localLat.Mean().Round(time.Microsecond), localLat.Percentile(95).Round(time.Microsecond))
 	fmt.Printf("cloud exits:       %d/%d samples, mean latency %v (p95 %v)\n",
 		cloudLat.Count(), n, cloudLat.Mean().Round(time.Microsecond), cloudLat.Percentile(95).Round(time.Microsecond))
-	perDev := float64(eng.PayloadBytes()) / float64(model.Cfg.Devices) / float64(n)
+	perDev := float64(eng.Gateway().Meter.Total()) / float64(model.Cfg.Devices) / float64(n)
 	fmt.Printf("payload per device: %.1f B/sample (Eq. 1 predicts %.1f B at this exit rate)\n",
 		perDev, model.Cfg.CommCostBytes(float64(localLat.Count())/float64(n)))
 	fmt.Printf("raw-offload baseline would cost %d B/sample\n", model.Cfg.RawOffloadBytes())

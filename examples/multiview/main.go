@@ -62,9 +62,10 @@ func run() error {
 
 	// The same staged decisions, measured on the live serving Engine with
 	// concurrent sessions instead of in-process evaluation.
-	eng, err := ddnn.NewEngine(model, test,
-		ddnn.WithThreshold(0.8),
-		ddnn.WithMaxConcurrency(8))
+	eng, err := ddnn.NewEngine(model, test, ddnn.EngineConfig{
+		Gateway:        ddnn.DefaultGatewayConfig(), // local exit threshold T = 0.8
+		MaxConcurrency: 8,
+	})
 	if err != nil {
 		return err
 	}
@@ -73,7 +74,7 @@ func run() error {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	results, err := eng.ClassifyBatch(context.Background(), ids)
+	results, err := eng.ClassifyBatchTenantShed(context.Background(), ids, "", ddnn.ShedNone)
 	if err != nil {
 		return err
 	}

@@ -59,9 +59,10 @@ func run() error {
 
 	// Serve the trained model: the Engine runs the full cluster (devices,
 	// gateway, cloud) in-process and classifies sessions concurrently.
-	eng, err := ddnn.NewEngine(model, test,
-		ddnn.WithThreshold(0.8),
-		ddnn.WithMaxConcurrency(8))
+	eng, err := ddnn.NewEngine(model, test, ddnn.EngineConfig{
+		Gateway:        ddnn.DefaultGatewayConfig(), // local exit threshold T = 0.8
+		MaxConcurrency: 8,
+	})
 	if err != nil {
 		return err
 	}
@@ -71,7 +72,7 @@ func run() error {
 		ids[i] = uint64(i)
 	}
 	start := time.Now()
-	results, err := eng.ClassifyBatch(context.Background(), ids)
+	results, err := eng.ClassifyBatchTenantShed(context.Background(), ids, "", ddnn.ShedNone)
 	if err != nil {
 		return err
 	}

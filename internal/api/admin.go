@@ -8,11 +8,11 @@ import (
 	"net/http"
 	"strings"
 
-	"github.com/ddnn/ddnn-go"
+	"github.com/ddnn/ddnn-go/internal/cluster"
 )
 
 // ModelAdmin is the model-lifecycle surface of the engine the admin
-// endpoints drive. *ddnn.Engine satisfies it.
+// endpoints drive. *cluster.Engine satisfies it.
 type ModelAdmin interface {
 	RegisterModelBytes(data []byte) (uint64, error)
 	RolloutModel(ctx context.Context, version uint64) error
@@ -86,9 +86,9 @@ func (s *Server) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
-		case errors.Is(err, ddnn.ErrDuplicateModelVersion):
+		case errors.Is(err, cluster.ErrDuplicateModelVersion):
 			status = http.StatusConflict
-		case errors.Is(err, ddnn.ErrModelConfigMismatch):
+		case errors.Is(err, cluster.ErrModelConfigMismatch):
 			status = http.StatusUnprocessableEntity
 		}
 		writeError(w, status, err.Error())
@@ -118,11 +118,11 @@ func (s *Server) handleAdminRollout(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Rollouts.Inc("failed")
 		status := http.StatusInternalServerError
 		switch {
-		case errors.Is(err, ddnn.ErrModelVersionUnknown):
+		case errors.Is(err, cluster.ErrModelVersionUnknown):
 			status = http.StatusNotFound
-		case errors.Is(err, ddnn.ErrRolloutInProgress):
+		case errors.Is(err, cluster.ErrRolloutInProgress):
 			status = http.StatusConflict
-		case errors.Is(err, ddnn.ErrRolloutFailed):
+		case errors.Is(err, cluster.ErrRolloutFailed):
 			status = http.StatusUnprocessableEntity
 		}
 		s.logger.Warn("model rollout failed", "version", req.Version, "err", err)
@@ -160,13 +160,13 @@ func (s *Server) adminEnabled() bool {
 // ddnn_rollout_state gauge values.
 func rolloutStateCode(state string) float64 {
 	switch state {
-	case ddnn.RolloutRolling:
+	case cluster.RolloutRolling:
 		return 1
-	case ddnn.RolloutRolledBack:
+	case cluster.RolloutRolledBack:
 		return 2
 	default:
 		return 0
 	}
 }
 
-var _ ModelAdmin = (*ddnn.Engine)(nil)
+var _ ModelAdmin = (*cluster.Engine)(nil)

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/ddnn/ddnn-go"
+	"github.com/ddnn/ddnn-go/internal/cluster"
+	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/modelio"
 )
 
 // adminRequest sends one admin-plane request with the given bearer token.
@@ -35,13 +37,13 @@ func adminRequest(t *testing.T, method, url, token, contentType string, body []b
 
 // artifactBytes serializes a seed-variant of the e2e model as a
 // versioned artifact.
-func artifactBytes(t *testing.T, base *ddnn.Model, seed int64, version uint64) []byte {
+func artifactBytes(t *testing.T, base *core.Model, seed int64, version uint64) []byte {
 	t.Helper()
 	cfg := base.Cfg
 	cfg.Seed = seed
-	m := ddnn.MustNewModel(cfg)
+	m := core.MustNewModel(cfg)
 	path := filepath.Join(t.TempDir(), "model.ddnn")
-	if err := ddnn.SaveModelVersion(path, m, version); err != nil {
+	if err := modelio.SaveFileAtomic(path, m, version); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -76,7 +78,7 @@ func TestAdminLifecycle(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&inv); err != nil {
 		t.Fatal(err)
 	}
-	if inv.ActiveVersion != 1 || inv.RolloutState != ddnn.RolloutIdle || len(inv.Versions) != 1 {
+	if inv.ActiveVersion != 1 || inv.RolloutState != cluster.RolloutIdle || len(inv.Versions) != 1 {
 		t.Fatalf("fresh inventory = %+v", inv)
 	}
 

@@ -3,7 +3,7 @@ package api
 import (
 	"sync/atomic"
 
-	"github.com/ddnn/ddnn-go"
+	"github.com/ddnn/ddnn-go/internal/cluster"
 )
 
 // admission bounds in-flight classify work and converts load into shed
@@ -24,7 +24,7 @@ func newAdmission(maxInFlight int) *admission {
 
 // acquire admits one request, returning its shed level and a release
 // func, or reports rejection (the caller answers 503).
-func (a *admission) acquire() (level ddnn.ShedLevel, release func(), ok bool) {
+func (a *admission) acquire() (level cluster.ShedLevel, release func(), ok bool) {
 	n := a.inflight.Add(1)
 	if n > a.max {
 		a.inflight.Add(-1)
@@ -32,11 +32,11 @@ func (a *admission) acquire() (level ddnn.ShedLevel, release func(), ok bool) {
 	}
 	switch {
 	case 2*n <= a.max:
-		level = ddnn.ShedNone
+		level = cluster.ShedNone
 	case 4*n <= 3*a.max:
-		level = ddnn.ShedPreferEdge
+		level = cluster.ShedPreferEdge
 	default:
-		level = ddnn.ShedLocalOnly
+		level = cluster.ShedLocalOnly
 	}
 	return level, func() { a.inflight.Add(-1) }, true
 }

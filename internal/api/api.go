@@ -36,7 +36,8 @@ import (
 	"log/slog"
 	"net/http"
 
-	"github.com/ddnn/ddnn-go"
+	"github.com/ddnn/ddnn-go/internal/cluster"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
 // Config assembles the front door.
@@ -56,7 +57,7 @@ type Config struct {
 	// admin plane unmounted.
 	AdminAuth *Authenticator
 	// ModelAdmin is the lifecycle surface the admin endpoints drive
-	// (*ddnn.Engine satisfies it); required when AdminAuth is set.
+	// (*cluster.Engine satisfies it); required when AdminAuth is set.
 	ModelAdmin ModelAdmin
 	// MaxModelBytes caps an uploaded model artifact on
 	// POST /v1/admin/models; <= 0 means DefaultMaxModelBytes.
@@ -87,8 +88,8 @@ const (
 	DefaultMaxBatch     = 256
 )
 
-// Classifier is the engine surface the handlers call. *ddnn.Engine
-// satisfies it; tests substitute fakes.
+// Classifier is the engine surface the handlers call. FromEngine adapts
+// a *cluster.Engine to it; tests substitute fakes.
 //
 // The front door resolves each request's tenant at admission: the
 // authenticated client identity (the name on the bearer token) is the
@@ -97,12 +98,12 @@ const (
 // pipeline. Clients without a tenant config — and anonymous requests —
 // run the engine's default pipeline.
 type Classifier interface {
-	ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant string, level ddnn.ShedLevel) (ddnn.Result, error)
-	ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64, tenant string, level ddnn.ShedLevel) ([]ddnn.Result, error)
-	ClassifyUpload(ctx context.Context, views []*ddnn.Tensor, level ddnn.ShedLevel) (ddnn.Result, error)
+	ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant string, level cluster.ShedLevel) (cluster.Result, error)
+	ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64, tenant string, level cluster.ShedLevel) ([]cluster.Result, error)
+	ClassifyUpload(ctx context.Context, views []*tensor.Tensor, level cluster.ShedLevel) (cluster.Result, error)
 	UpstreamReplicas() (total, healthy int)
-	Topology() ddnn.TopologyConfig
-	SetInstrumentation(ddnn.Instrumentation)
+	Topology() cluster.TopologyConfig
+	SetInstrumentation(cluster.Instrumentation)
 }
 
 // Server is the assembled front door; build one with NewServer and

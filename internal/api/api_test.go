@@ -16,32 +16,35 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ddnn/ddnn-go"
+	"github.com/ddnn/ddnn-go/internal/cluster"
+	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/tensor"
+	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // fakeEngine is a scriptable Classifier for handler and middleware
 // tests; the real engine is exercised by the e2e test.
 type fakeEngine struct {
 	mu      sync.Mutex
-	classed []uint64         // sample IDs seen by ClassifyTenantShed
-	views   [][]*ddnn.Tensor // uploads seen by ClassifyUpload
-	levels  []ddnn.ShedLevel // levels granted to each call
-	tenants []string         // tenants resolved for each classify call
-	block   chan struct{}    // when non-nil, classify blocks until closed
-	started chan struct{}    // receives one token per classify entered
-	err     error            // forced classify error
-	panics  bool             // classify panics
+	classed []uint64            // sample IDs seen by ClassifyTenantShed
+	views   [][]*tensor.Tensor  // uploads seen by ClassifyUpload
+	levels  []cluster.ShedLevel // levels granted to each call
+	tenants []string            // tenants resolved for each classify call
+	block   chan struct{}       // when non-nil, classify blocks until closed
+	started chan struct{}       // receives one token per classify entered
+	err     error               // forced classify error
+	panics  bool                // classify panics
 	total   int
 	healthy int
 }
 
 func newFakeEngine() *fakeEngine { return &fakeEngine{total: 2, healthy: 2} }
 
-func (f *fakeEngine) result(id uint64) ddnn.Result {
-	return ddnn.Result{
+func (f *fakeEngine) result(id uint64) cluster.Result {
+	return cluster.Result{
 		SampleID:      id,
 		Class:         3,
-		Exit:          ddnn.ExitLocal,
+		Exit:          wire.ExitLocal,
 		Probs:         []float32{0.1, 0.9},
 		Entropy:       0.25,
 		Latency:       1500 * time.Microsecond,
@@ -49,7 +52,7 @@ func (f *fakeEngine) result(id uint64) ddnn.Result {
 	}
 }
 
-func (f *fakeEngine) enter(ctx context.Context, level ddnn.ShedLevel) error {
+func (f *fakeEngine) enter(ctx context.Context, level cluster.ShedLevel) error {
 	f.mu.Lock()
 	f.levels = append(f.levels, level)
 	block, started := f.block, f.started
@@ -70,9 +73,9 @@ func (f *fakeEngine) enter(ctx context.Context, level ddnn.ShedLevel) error {
 	return f.err
 }
 
-func (f *fakeEngine) ClassifyTenantShed(ctx context.Context, id uint64, tenant string, level ddnn.ShedLevel) (ddnn.Result, error) {
+func (f *fakeEngine) ClassifyTenantShed(ctx context.Context, id uint64, tenant string, level cluster.ShedLevel) (cluster.Result, error) {
 	if err := f.enter(ctx, level); err != nil {
-		return ddnn.Result{}, err
+		return cluster.Result{}, err
 	}
 	f.mu.Lock()
 	f.classed = append(f.classed, id)
@@ -81,23 +84,23 @@ func (f *fakeEngine) ClassifyTenantShed(ctx context.Context, id uint64, tenant s
 	return f.result(id), nil
 }
 
-func (f *fakeEngine) ClassifyBatchTenantShed(ctx context.Context, ids []uint64, tenant string, level ddnn.ShedLevel) ([]ddnn.Result, error) {
+func (f *fakeEngine) ClassifyBatchTenantShed(ctx context.Context, ids []uint64, tenant string, level cluster.ShedLevel) ([]cluster.Result, error) {
 	if err := f.enter(ctx, level); err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
 	f.tenants = append(f.tenants, tenant)
 	f.mu.Unlock()
-	out := make([]ddnn.Result, len(ids))
+	out := make([]cluster.Result, len(ids))
 	for i, id := range ids {
 		out[i] = f.result(id)
 	}
 	return out, nil
 }
 
-func (f *fakeEngine) ClassifyUpload(ctx context.Context, views []*ddnn.Tensor, level ddnn.ShedLevel) (ddnn.Result, error) {
+func (f *fakeEngine) ClassifyUpload(ctx context.Context, views []*tensor.Tensor, level cluster.ShedLevel) (cluster.Result, error) {
 	if err := f.enter(ctx, level); err != nil {
-		return ddnn.Result{}, err
+		return cluster.Result{}, err
 	}
 	f.mu.Lock()
 	f.views = append(f.views, views)
@@ -105,15 +108,15 @@ func (f *fakeEngine) ClassifyUpload(ctx context.Context, views []*ddnn.Tensor, l
 	return f.result(0), nil
 }
 
-func (f *fakeEngine) UpstreamReplicas() (int, int)            { return f.total, f.healthy }
-func (f *fakeEngine) SetInstrumentation(ddnn.Instrumentation) {}
+func (f *fakeEngine) UpstreamReplicas() (int, int)               { return f.total, f.healthy }
+func (f *fakeEngine) SetInstrumentation(cluster.Instrumentation) {}
 
-func (f *fakeEngine) Topology() ddnn.TopologyConfig {
-	return ddnn.TopologyConfig{
+func (f *fakeEngine) Topology() cluster.TopologyConfig {
+	return cluster.TopologyConfig{
 		Version: 7,
 		Slots:   2,
 		Present: []bool{true, true},
-		Tenants: map[string]ddnn.TenantConfig{"alice": {LocalThreshold: 0.5, EdgeThreshold: 0.5}},
+		Tenants: map[string]cluster.TenantConfig{"alice": {LocalThreshold: 0.5, EdgeThreshold: 0.5}},
 	}
 }
 
@@ -412,12 +415,12 @@ func TestEngineErrorMapping(t *testing.T) {
 		err  error
 		want int
 	}{
-		{ddnn.ErrCanceled, 499},
-		{ddnn.ErrDeadlineExceeded, http.StatusGatewayTimeout},
-		{ddnn.ErrEngineClosed, http.StatusServiceUnavailable},
-		{ddnn.ErrUploadUnsupported, http.StatusNotImplemented},
-		{ddnn.ErrCloudUnavailable, http.StatusBadGateway},
-		{ddnn.ErrNoHealthyReplica, http.StatusBadGateway},
+		{cluster.ErrCanceled, 499},
+		{cluster.ErrDeadlineExceeded, http.StatusGatewayTimeout},
+		{cluster.ErrClosed, http.StatusServiceUnavailable},
+		{cluster.ErrUploadUnsupported, http.StatusNotImplemented},
+		{cluster.ErrCloudUnavailable, http.StatusBadGateway},
+		{cluster.ErrNoHealthyReplica, http.StatusBadGateway},
 		{fmt.Errorf("mystery"), http.StatusInternalServerError},
 	} {
 		fake := newFakeEngine()
@@ -510,7 +513,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestAdmissionShedProgression(t *testing.T) {
 	a := newAdmission(8)
 	var releases []func()
-	grant := func(want ddnn.ShedLevel) {
+	grant := func(want cluster.ShedLevel) {
 		t.Helper()
 		level, release, ok := a.acquire()
 		if !ok {
@@ -522,13 +525,13 @@ func TestAdmissionShedProgression(t *testing.T) {
 		releases = append(releases, release)
 	}
 	for i := 0; i < 4; i++ {
-		grant(ddnn.ShedNone)
+		grant(cluster.ShedNone)
 	}
 	for i := 0; i < 2; i++ {
-		grant(ddnn.ShedPreferEdge)
+		grant(cluster.ShedPreferEdge)
 	}
 	for i := 0; i < 2; i++ {
-		grant(ddnn.ShedLocalOnly)
+		grant(cluster.ShedLocalOnly)
 	}
 	if _, _, ok := a.acquire(); ok {
 		t.Fatal("request beyond capacity admitted")
@@ -539,7 +542,7 @@ func TestAdmissionShedProgression(t *testing.T) {
 	if a.current() != 0 {
 		t.Fatalf("inflight after release = %d", a.current())
 	}
-	if level, release, ok := a.acquire(); !ok || level != ddnn.ShedNone {
+	if level, release, ok := a.acquire(); !ok || level != cluster.ShedNone {
 		t.Fatalf("post-drain acquire = %v, %v", level, ok)
 	} else {
 		release()
@@ -601,7 +604,7 @@ func TestRawTensorUpload(t *testing.T) {
 	fake := newFakeEngine()
 	_, ts := newTestServer(t, Config{Engine: fake, Devices: devices})
 
-	viewVals := ddnn.ImageC * ddnn.ImageH * ddnn.ImageW
+	viewVals := dataset.ImageC * dataset.ImageH * dataset.ImageW
 	raw := make([]byte, devices*viewVals*4)
 	for i := 0; i < devices*viewVals; i++ {
 		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(float32(i)))

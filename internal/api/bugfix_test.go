@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ddnn/ddnn-go"
+	"github.com/ddnn/ddnn-go/internal/cluster"
+	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // TestSlowBodyDoesNotHoldAdmissionSlot pins the body-read-before-admit
@@ -25,7 +27,7 @@ func TestSlowBodyDoesNotHoldAdmissionSlot(t *testing.T) {
 	fake := newFakeEngine()
 	srv, ts := newTestServer(t, Config{Engine: fake, MaxInFlight: 1})
 
-	viewVals := ddnn.ImageC * ddnn.ImageH * ddnn.ImageW
+	viewVals := dataset.ImageC * dataset.ImageH * dataset.ImageW
 	payload := make([]byte, 2*viewVals*4) // Devices defaults to 2 in newTestServer
 	pr, pw := io.Pipe()
 
@@ -203,8 +205,8 @@ func TestParseTokensLongLines(t *testing.T) {
 func TestExitLatencyObserved(t *testing.T) {
 	m := NewMetrics()
 	in := m.Instrumentation()
-	in.ExitObserved(ddnn.ExitLocal, 5*time.Millisecond)
-	in.ExitObserved(ddnn.ExitCloud, 20*time.Millisecond)
+	in.ExitObserved(wire.ExitLocal, 5*time.Millisecond)
+	in.ExitObserved(wire.ExitCloud, 20*time.Millisecond)
 	if got := m.ExitLatency.Count("local"); got != 1 {
 		t.Errorf(`ExitLatency.Count("local") = %d, want 1`, got)
 	}
@@ -223,8 +225,8 @@ func TestExitLatencyObserved(t *testing.T) {
 // TestPresentFieldSerialized: classify responses expose the observed
 // device-presence mask.
 func TestPresentFieldSerialized(t *testing.T) {
-	res := ddnn.Result{SampleID: 1, Class: 2, Exit: ddnn.ExitLocal, Probs: []float32{0, 1}, Present: []bool{true, false}}
-	raw, err := json.Marshal(toResponse(res, ddnn.ShedNone))
+	res := cluster.Result{SampleID: 1, Class: 2, Exit: wire.ExitLocal, Probs: []float32{0, 1}, Present: []bool{true, false}}
+	raw, err := json.Marshal(toResponse(res, cluster.ShedNone))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,11 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/ddnn/ddnn-go"
+	"github.com/ddnn/ddnn-go/internal/cluster"
+	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/transport"
+	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // The e2e tests run the HTTP front door over a real in-process cluster
@@ -20,20 +24,20 @@ import (
 // over HTTP are bit-identical to the engine's own.
 var (
 	e2eOnce  sync.Once
-	e2eModel *ddnn.Model
-	e2eTest  *ddnn.Dataset
+	e2eModel *core.Model
+	e2eTest  *dataset.Dataset
 )
 
-func e2eFixture(t *testing.T) (*ddnn.Model, *ddnn.Dataset) {
+func e2eFixture(t *testing.T) (*core.Model, *dataset.Dataset) {
 	t.Helper()
 	e2eOnce.Do(func() {
-		dcfg := ddnn.DefaultDatasetConfig()
+		dcfg := dataset.DefaultConfig()
 		dcfg.Train, dcfg.Test = 120, 40
-		train, test := ddnn.GenerateDataset(dcfg)
-		cfg := ddnn.DefaultConfig()
+		train, test := dataset.MustGenerate(dcfg)
+		cfg := core.DefaultConfig()
 		cfg.CloudFilters = 8
-		m := ddnn.MustNewModel(cfg)
-		tc := ddnn.DefaultTrainConfig()
+		m := core.MustNewModel(cfg)
+		tc := core.DefaultTrainConfig()
 		tc.Epochs = 3
 		if _, err := m.Train(train, tc); err != nil {
 			panic(err)
@@ -43,18 +47,20 @@ func e2eFixture(t *testing.T) (*ddnn.Model, *ddnn.Dataset) {
 	return e2eModel, e2eTest
 }
 
-func newE2EServer(t *testing.T, cfg Config) (*ddnn.Engine, *httptest.Server) {
+func newE2EServer(t *testing.T, cfg Config) (*cluster.Engine, *httptest.Server) {
 	t.Helper()
 	model, test := e2eFixture(t)
-	eng, err := ddnn.NewEngine(model, test,
-		ddnn.WithMaxConcurrency(8),
-		ddnn.WithCloudReplicas(2), // a replicated upper tier, like production
-		ddnn.WithLogger(quietLogger()))
+	eng, err := cluster.NewEngine(model, test, cluster.EngineConfig{
+		Gateway:        cluster.DefaultGatewayConfig(),
+		MaxConcurrency: 8,
+		CloudReplicas:  2, // a replicated upper tier, like production
+		Logger:         quietLogger(),
+	}, transport.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	cfg.Engine = eng
+	cfg.Engine = FromEngine(eng)
 	cfg.Devices = model.Cfg.Devices
 	if cfg.AdminAuth != nil {
 		cfg.ModelAdmin = eng
@@ -80,13 +86,13 @@ func TestE2EClassifyMatchesEngine(t *testing.T) {
 	ctx := context.Background()
 
 	const samples = 10
-	want := make([]ddnn.Result, samples)
+	want := make([]cluster.Result, samples)
 	for id := 0; id < samples; id++ {
-		res, err := eng.ClassifyShed(ctx, uint64(id), ddnn.ShedNone)
+		res, err := eng.ClassifyTenantShed(ctx, uint64(id), "", cluster.ShedNone)
 		if err != nil {
 			t.Fatalf("baseline sample %d: %v", id, err)
 		}
-		want[id] = res
+		want[id] = *res
 	}
 
 	const workers = 8
@@ -138,13 +144,13 @@ func TestE2EUploadMatchesDatasetSample(t *testing.T) {
 	ctx := context.Background()
 
 	const id = 3
-	want, err := eng.ClassifyShed(ctx, id, ddnn.ShedNone)
+	want, err := eng.ClassifyTenantShed(ctx, id, "", cluster.ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	views := test.AllDeviceBatches(model.Cfg.Devices, []int{id})
-	viewVals := ddnn.ImageC * ddnn.ImageH * ddnn.ImageW
+	viewVals := dataset.ImageC * dataset.ImageH * dataset.ImageW
 	raw := make([]byte, 0, len(views)*viewVals*4)
 	var buf [4]byte
 	for _, v := range views {
@@ -179,13 +185,13 @@ func TestE2EBatchMatchesEngine(t *testing.T) {
 	ctx := context.Background()
 
 	ids := []uint64{0, 1, 2, 3, 4}
-	want := make([]ddnn.Result, len(ids))
+	want := make([]cluster.Result, len(ids))
 	for i, id := range ids {
-		res, err := eng.ClassifyShed(ctx, id, ddnn.ShedNone)
+		res, err := eng.ClassifyTenantShed(ctx, id, "", cluster.ShedNone)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = res
+		want[i] = *res
 	}
 
 	body, _ := json.Marshal(map[string]any{"sample_ids": ids})
@@ -220,16 +226,43 @@ func TestE2EShedLevelsStillAnswer(t *testing.T) {
 	// exercise levels directly against the engine instead.
 	eng, _ := newE2EServer(t, Config{})
 	ctx := context.Background()
-	for _, level := range []ddnn.ShedLevel{ddnn.ShedNone, ddnn.ShedPreferEdge, ddnn.ShedLocalOnly} {
-		res, err := eng.ClassifyShed(ctx, 0, level)
+	for _, level := range []cluster.ShedLevel{cluster.ShedNone, cluster.ShedPreferEdge, cluster.ShedLocalOnly} {
+		res, err := eng.ClassifyTenantShed(ctx, 0, "", level)
 		if err != nil {
 			t.Fatalf("level %v: %v", level, err)
 		}
 		if res.Class < 0 {
 			t.Errorf("level %v: class %d", level, res.Class)
 		}
-		if level == ddnn.ShedLocalOnly && res.Exit != ddnn.ExitLocal {
+		if level == cluster.ShedLocalOnly && res.Exit != wire.ExitLocal {
 			t.Errorf("device-only shed exited at %v", res.Exit)
+		}
+	}
+}
+
+// TestE2EClosedEngineAnswers503 closes the real engine behind the server
+// and checks every classify route maps its ErrClosed to 503 through
+// FromEngine — the typed-error table run against a real engine, not a
+// fake.
+func TestE2EClosedEngineAnswers503(t *testing.T) {
+	eng, ts := newE2EServer(t, Config{})
+	model, _ := e2eFixture(t)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	upload := strings.Repeat("\x00", model.Cfg.Devices*dataset.ImageC*dataset.ImageH*dataset.ImageW*4)
+	for _, tc := range []struct{ path, contentType, body string }{
+		{"/v1/classify", "application/json", `{"sample_id": 0}`},
+		{"/v1/classify", "application/octet-stream", upload},
+		{"/v1/classify/batch", "application/json", `{"sample_ids": [0, 1, 2]}`},
+	} {
+		resp, err := ts.Client().Post(ts.URL+tc.path, tc.contentType, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s %s on a closed engine: status %d, want 503", tc.path, tc.contentType, resp.StatusCode)
 		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/ddnn/ddnn-go"
+	"github.com/ddnn/ddnn-go/internal/cluster"
+	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
 // shedLevelHeader reports which exit pipeline the admission controller
@@ -61,7 +63,7 @@ type batchResponse struct {
 	ShedLevel string             `json:"shed_level"`
 }
 
-func toResponse(res ddnn.Result, level ddnn.ShedLevel) classifyResponse {
+func toResponse(res cluster.Result, level cluster.ShedLevel) classifyResponse {
 	return classifyResponse{
 		SampleID:      res.SampleID,
 		Class:         res.Class,
@@ -111,18 +113,18 @@ func writeBodyError(w http.ResponseWriter, err error) {
 // docs/OPERATIONS.md for the full table.
 func httpStatus(err error) int {
 	switch {
-	case errors.Is(err, ddnn.ErrCanceled):
+	case errors.Is(err, cluster.ErrCanceled):
 		return 499 // client closed request (nginx convention)
-	case errors.Is(err, ddnn.ErrDeadlineExceeded):
+	case errors.Is(err, cluster.ErrDeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, ddnn.ErrEngineClosed):
+	case errors.Is(err, cluster.ErrClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, ddnn.ErrUploadUnsupported):
+	case errors.Is(err, cluster.ErrUploadUnsupported):
 		return http.StatusNotImplemented
-	case errors.Is(err, ddnn.ErrCloudUnavailable),
-		errors.Is(err, ddnn.ErrEdgeUnavailable),
-		errors.Is(err, ddnn.ErrNoHealthyReplica),
-		errors.Is(err, ddnn.ErrNoSummaries):
+	case errors.Is(err, cluster.ErrCloudUnavailable),
+		errors.Is(err, cluster.ErrEdgeUnavailable),
+		errors.Is(err, cluster.ErrNoHealthyReplica),
+		errors.Is(err, cluster.ErrNoSummaries):
 		return http.StatusBadGateway
 	default:
 		return http.StatusInternalServerError
@@ -131,7 +133,7 @@ func httpStatus(err error) int {
 
 // admit runs the admission controller for one classify request,
 // stamping the shed-level header or answering 503 at capacity.
-func (s *Server) admit(w http.ResponseWriter, client string) (ddnn.ShedLevel, func(), bool) {
+func (s *Server) admit(w http.ResponseWriter, client string) (cluster.ShedLevel, func(), bool) {
 	level, release, ok := s.admission.acquire()
 	if !ok {
 		s.metrics.Overloaded.Inc(client)
@@ -156,7 +158,7 @@ func (s *Server) admit(w http.ResponseWriter, client string) (ddnn.ShedLevel, fu
 // must not count as shed work or carry a shed-level header.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, client string) {
 	var (
-		views    []*ddnn.Tensor
+		views    []*tensor.Tensor
 		sampleID uint64
 	)
 	if isRawTensor(r) {
@@ -184,7 +186,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, client s
 	}
 	defer release()
 	var (
-		res ddnn.Result
+		res cluster.Result
 		err error
 	)
 	if views != nil {
@@ -210,8 +212,8 @@ func isRawTensor(r *http.Request) bool {
 
 // readViews parses a raw tensor body into per-device views. The body
 // must hold exactly Devices×3×32×32 little-endian float32 values.
-func (s *Server) readViews(body io.Reader) ([]*ddnn.Tensor, error) {
-	viewVals := ddnn.ImageC * ddnn.ImageH * ddnn.ImageW
+func (s *Server) readViews(body io.Reader) ([]*tensor.Tensor, error) {
+	viewVals := dataset.ImageC * dataset.ImageH * dataset.ImageW
 	want := s.cfg.Devices * viewVals * 4
 	raw, err := io.ReadAll(body)
 	if err != nil {
@@ -219,11 +221,11 @@ func (s *Server) readViews(body io.Reader) ([]*ddnn.Tensor, error) {
 	}
 	if len(raw) != want {
 		return nil, fmt.Errorf("tensor body is %d bytes, want %d (%d devices × %d×%d×%d float32)",
-			len(raw), want, s.cfg.Devices, ddnn.ImageC, ddnn.ImageH, ddnn.ImageW)
+			len(raw), want, s.cfg.Devices, dataset.ImageC, dataset.ImageH, dataset.ImageW)
 	}
-	views := make([]*ddnn.Tensor, s.cfg.Devices)
+	views := make([]*tensor.Tensor, s.cfg.Devices)
 	for d := range views {
-		v := ddnn.NewTensor(1, ddnn.ImageC, ddnn.ImageH, ddnn.ImageW)
+		v := tensor.New(1, dataset.ImageC, dataset.ImageH, dataset.ImageW)
 		data := v.Data()
 		base := d * viewVals * 4
 		for i := range data {

@@ -5,8 +5,9 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/ddnn/ddnn-go"
 	"github.com/ddnn/ddnn-go/internal/api/promtext"
+	"github.com/ddnn/ddnn-go/internal/cluster"
+	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // Metrics is the front door's instrument catalogue, rendered by
@@ -80,13 +81,13 @@ func (m *Metrics) observeModel(ma ModelAdmin) {
 
 // Instrumentation returns the engine callbacks that feed the per-exit
 // and per-tier instruments; install with Engine.SetInstrumentation.
-func (m *Metrics) Instrumentation() ddnn.Instrumentation {
-	return ddnn.Instrumentation{
-		ExitObserved: func(exit ddnn.ExitPoint, latency time.Duration) {
+func (m *Metrics) Instrumentation() cluster.Instrumentation {
+	return cluster.Instrumentation{
+		ExitObserved: func(exit wire.ExitPoint, latency time.Duration) {
 			m.Exits.Inc(exit.String())
 			m.ExitLatency.Observe(exit.String(), latency.Seconds())
 		},
-		StageObserved: func(tier ddnn.ExitPoint, latency time.Duration) {
+		StageObserved: func(tier wire.ExitPoint, latency time.Duration) {
 			m.StageLatency.Observe(tier.String(), latency.Seconds())
 		},
 	}

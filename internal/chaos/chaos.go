@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	ddnn "github.com/ddnn/ddnn-go"
 	"github.com/ddnn/ddnn-go/internal/api"
 	"github.com/ddnn/ddnn-go/internal/cluster"
 	"github.com/ddnn/ddnn-go/internal/core"
@@ -226,7 +225,7 @@ func New(model *core.Model, ds *dataset.Dataset, cfg Config) (*Harness, error) {
 	}
 
 	acfg := api.Config{
-		Engine:      &engineAdapter{eng: eng},
+		Engine:      api.FromEngine(eng),
 		Devices:     model.Cfg.Devices,
 		Auth:        api.NewAuthenticator(map[string]string{"chaos": chaosToken}),
 		MaxInFlight: cfg.MaxInFlight,
@@ -283,52 +282,6 @@ func (h *Harness) buildArtifacts() error {
 	bcfg.Seed = h.model.Cfg.Seed + 999983
 	h.badModel = core.MustNewModel(bcfg)
 	return nil
-}
-
-// engineAdapter satisfies api.Classifier over the in-process cluster
-// engine (the public facade's job, re-done here because the harness
-// needs the cluster-level engine for its restart and replica hooks).
-type engineAdapter struct{ eng *cluster.Engine }
-
-func (a *engineAdapter) ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant string, level ddnn.ShedLevel) (ddnn.Result, error) {
-	res, err := a.eng.ClassifyTenantShed(ctx, sampleID, tenant, level)
-	if err != nil {
-		return ddnn.Result{}, err
-	}
-	return *res, nil
-}
-
-func (a *engineAdapter) ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64, tenant string, level ddnn.ShedLevel) ([]ddnn.Result, error) {
-	inner, err := a.eng.ClassifyBatchTenantShed(ctx, sampleIDs, tenant, level)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ddnn.Result, len(inner))
-	for i, r := range inner {
-		out[i] = *r
-	}
-	return out, nil
-}
-
-func (a *engineAdapter) ClassifyUpload(ctx context.Context, views []*ddnn.Tensor, level ddnn.ShedLevel) (ddnn.Result, error) {
-	res, err := a.eng.ClassifyUpload(ctx, views, level)
-	if err != nil {
-		return ddnn.Result{}, err
-	}
-	return *res, nil
-}
-
-func (a *engineAdapter) UpstreamReplicas() (total, healthy int) {
-	pool := a.eng.Gateway().Upstream()
-	return pool.Size(), pool.Healthy()
-}
-
-func (a *engineAdapter) SetInstrumentation(in ddnn.Instrumentation) {
-	a.eng.Gateway().SetInstrumentation(in)
-}
-
-func (a *engineAdapter) Topology() ddnn.TopologyConfig {
-	return a.eng.Topology()
 }
 
 // startMonitor (re)starts the health monitor unless one is running.
@@ -530,7 +483,7 @@ func (h *Harness) sweep(ctx context.Context) {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			res, err := h.eng.ClassifyShed(cctx, uint64(id), cluster.ShedNone)
+			res, err := h.eng.ClassifyTenantShed(cctx, uint64(id), "", cluster.ShedNone)
 			cancel()
 			if err == nil && fullMask(res.Present) {
 				h.verifier.CheckResult("sweep", res, cluster.ShedNone, id)
@@ -832,7 +785,7 @@ func (h *Harness) opEngine(ctx context.Context, rng *rand.Rand) {
 		for i := range ids {
 			ids[i] = uint64(rng.Intn(h.sampleN))
 		}
-		results, err := h.eng.ClassifyBatchShed(cctx, ids, level)
+		results, err := h.eng.ClassifyBatchTenantShed(cctx, ids, "", level)
 		if err != nil {
 			h.verifier.CheckError("engine batch", err)
 			h.report.Record(OutcomeFailed)
@@ -849,7 +802,7 @@ func (h *Harness) opEngine(ctx context.Context, rng *rand.Rand) {
 		return
 	}
 	id := rng.Intn(h.sampleN)
-	res, err := h.eng.ClassifyShed(cctx, uint64(id), level)
+	res, err := h.eng.ClassifyTenantShed(cctx, uint64(id), "", level)
 	if err != nil {
 		h.verifier.CheckError("engine classify", err)
 		h.report.Record(OutcomeFailed)
@@ -933,7 +886,7 @@ func (h *Harness) opCanceled(ctx context.Context, rng *rand.Rand) {
 	cctx, cancel := context.WithTimeout(ctx, time.Duration(1+rng.Intn(20))*time.Millisecond)
 	defer cancel()
 	id := rng.Intn(h.sampleN)
-	res, err := h.eng.ClassifyShed(cctx, uint64(id), cluster.ShedNone)
+	res, err := h.eng.ClassifyTenantShed(cctx, uint64(id), "", cluster.ShedNone)
 	if err != nil {
 		h.verifier.CheckError("engine canceled", err)
 		h.report.Record(OutcomeFailed)

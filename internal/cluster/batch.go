@@ -11,10 +11,9 @@ import (
 const DefaultMaxLinger = 2 * time.Millisecond
 
 // DefaultMaxBatch is a sensible micro-batch cap for callers that enable
-// batching without picking a size (the public facade option and the CLI
-// -batch flags default to it). It is small enough that one batch's
-// frames stay far under wire.MaxPayload while amortizing most of the
-// per-session overhead.
+// batching without picking a size (the ddnn-serve -batch flag defaults
+// to it). It is small enough that one batch's frames stay far under
+// wire.MaxPayload while amortizing most of the per-session overhead.
 const DefaultMaxBatch = 32
 
 // BatchConfig tunes the engine's adaptive micro-batching: concurrent

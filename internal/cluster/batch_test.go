@@ -27,7 +27,7 @@ func TestBatchCollectorMatchesSerial(t *testing.T) {
 	defer base.Close()
 	want := make([]*Result, test.Len())
 	for i := range want {
-		res, err := base.Classify(context.Background(), uint64(i))
+		res, err := base.ClassifyTenantShed(context.Background(), uint64(i), "", ShedNone)
 		if err != nil {
 			t.Fatalf("baseline sample %d: %v", i, err)
 		}
@@ -54,7 +54,7 @@ func TestBatchCollectorMatchesSerial(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < test.Len(); i++ {
 				id := (i + w) % test.Len()
-				res, err := eng.Classify(context.Background(), uint64(id))
+				res, err := eng.ClassifyTenantShed(context.Background(), uint64(id), "", ShedNone)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d sample %d: %w", w, id, err)
 					return
@@ -99,7 +99,7 @@ func TestClassifyBatchFirstErrorKeepsCompletedResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := eng.ClassifyBatch(context.Background(), ids)
+		results, err := eng.ClassifyBatchTenantShed(context.Background(), ids, "", ShedNone)
 		if !errors.Is(err, ErrNoSummaries) {
 			t.Errorf("MaxBatch %d: err = %v, want ErrNoSummaries", tc.maxBatch, err)
 		}
@@ -128,7 +128,7 @@ func TestBatchCollectorLingerFlushesPartialBatch(t *testing.T) {
 	defer eng.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	res, err := eng.Classify(ctx, 0)
+	res, err := eng.ClassifyTenantShed(ctx, 0, "", ShedNone)
 	if err != nil {
 		t.Fatalf("lone batched Classify: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestEngineClassifyCloseRace(t *testing.T) {
 					defer wg.Done()
 					<-start
 					for i := 0; i < 8; i++ {
-						_, err := eng.Classify(context.Background(), uint64((w*8+i)%test.Len()))
+						_, err := eng.ClassifyTenantShed(context.Background(), uint64((w*8+i)%test.Len()), "", ShedNone)
 						if err != nil && !errors.Is(err, ErrClosed) {
 							errs <- fmt.Errorf("batch %d worker %d: %w", batch, w, err)
 							return
@@ -183,7 +183,7 @@ func TestEngineClassifyCloseRace(t *testing.T) {
 			if err := eng.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
-			if _, err := eng.Classify(context.Background(), 0); !errors.Is(err, ErrClosed) {
+			if _, err := eng.ClassifyTenantShed(context.Background(), 0, "", ShedNone); !errors.Is(err, ErrClosed) {
 				t.Errorf("Classify after Close = %v, want ErrClosed", err)
 			}
 			wg.Wait()

@@ -567,7 +567,7 @@ func TestEngineBoundsConcurrencyAndClassifies(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint64(i % test.Len())
 	}
-	results, err := eng.ClassifyBatch(context.Background(), ids)
+	results, err := eng.ClassifyBatchTenantShed(context.Background(), ids, "", ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func TestEngineClassifyAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Close()
-	if _, err := eng.Classify(context.Background(), 0); !errors.Is(err, ErrClosed) {
+	if _, err := eng.ClassifyTenantShed(context.Background(), 0, "", ShedNone); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v, want ErrClosed", err)
 	}
 }

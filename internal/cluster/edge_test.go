@@ -241,7 +241,7 @@ func TestEdgeHealthMonitorDrivesUpstreamState(t *testing.T) {
 	// Escalations now fail fast with the typed error, well under the
 	// escalation timeout.
 	start := time.Now()
-	_, err = eng.Classify(context.Background(), 0)
+	_, err = eng.ClassifyTenantShed(context.Background(), 0, "", ShedNone)
 	if !errors.Is(err, ErrEdgeUnavailable) {
 		t.Errorf("err = %v, want ErrEdgeUnavailable", err)
 	}
@@ -258,7 +258,7 @@ func TestEdgeHealthMonitorDrivesUpstreamState(t *testing.T) {
 	if eng.Gateway().UpstreamDown() {
 		t.Fatal("edge did not recover")
 	}
-	if _, err := eng.Classify(context.Background(), 1); err != nil {
+	if _, err := eng.ClassifyTenantShed(context.Background(), 1, "", ShedNone); err != nil {
 		t.Fatalf("classification after recovery: %v", err)
 	}
 }
@@ -309,7 +309,7 @@ func TestAttachEngineToEdgeTierOverTCP(t *testing.T) {
 	}
 	defer eng.Close()
 
-	results, err := eng.ClassifyBatch(context.Background(), []uint64{0, 1, 2, 3, 4})
+	results, err := eng.ClassifyBatchTenantShed(context.Background(), []uint64{0, 1, 2, 3, 4}, "", ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}

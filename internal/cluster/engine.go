@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
-	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -20,11 +18,12 @@ import (
 // not say otherwise.
 const DefaultMaxConcurrency = 16
 
-// EngineConfig assembles every knob of a serving engine. The public facade
-// builds it from functional options.
+// EngineConfig assembles every knob of a serving engine. Start from
+// DefaultGatewayConfig for Gateway: the zero GatewayConfig has exit
+// threshold T = 0, so every sample escalates past the local exit.
 type EngineConfig struct {
 	// Gateway holds the exit threshold, stage timeouts and failure
-	// detection settings.
+	// detection settings; start from DefaultGatewayConfig.
 	Gateway GatewayConfig
 	// MaxConcurrency bounds the number of in-flight sessions; requests
 	// beyond it queue on a semaphore (respecting their contexts). Zero
@@ -45,13 +44,6 @@ type EngineConfig struct {
 	// Edge configures the in-process edge replicas (NewEngine only);
 	// nil means DefaultEdgeConfig.
 	Edge *EdgeConfig
-	// Workers bounds the worker pool that splits a coalesced batch's
-	// tier forwards across cores — per-sample convolutions and
-	// output-channel blocks of large single-sample convolutions. Zero
-	// keeps the current bound (default GOMAXPROCS). The bound is
-	// process-wide (all engines share the machine's cores), so the last
-	// configured engine wins; see tensor.SetMaxWorkers.
-	Workers int
 	// ModelVersion is the version number the engine's starting model is
 	// registered under in the fleet-wide model registry. Zero means 1.
 	// Later versions arrive via Engine.RegisterModel/RegisterModelBytes
@@ -59,23 +51,6 @@ type EngineConfig struct {
 	ModelVersion uint64
 	// Logger receives node logs; nil means slog.Default().
 	Logger *slog.Logger
-	// DeviceLink, EdgeLink and CloudLink, when non-zero, wrap the
-	// cluster's dialed connections in link simulators with these
-	// profiles (in-process engines only), modelling the constrained
-	// wireless uplinks, the nearby edge hop and the WAN path of
-	// §IV-B/§V. EdgeLink applies to the gateway↔edge hop of edge-tier
-	// models; CloudLink to whichever hop reaches the cloud.
-	DeviceLink transport.LinkProfile
-	// EdgeLink is the gateway↔edge hop's simulated profile; see DeviceLink.
-	EdgeLink transport.LinkProfile
-	// CloudLink is the simulated profile of whichever hop reaches the cloud; see DeviceLink.
-	CloudLink transport.LinkProfile
-}
-
-// simulatesLinks reports whether any link profile is configured.
-func (c EngineConfig) simulatesLinks() bool {
-	zero := transport.LinkProfile{}
-	return c.DeviceLink != zero || c.EdgeLink != zero || c.CloudLink != zero
 }
 
 // Engine is the concurrent serving runtime: a gateway (plus, for
@@ -126,32 +101,14 @@ type Engine struct {
 // counts come from EngineConfig.EdgeReplicas/CloudReplicas. Sample IDs
 // are indices into ds.
 func NewEngine(m *core.Model, ds *dataset.Dataset, cfg EngineConfig, tr transport.Transport) (*Engine, error) {
-	simTr := tr
-	if cfg.simulatesLinks() {
-		simTr = transport.RouteSim{
-			Inner: tr,
-			Pick: func(addr string) transport.LinkProfile {
-				// Replicated tiers listen as "cloud-N" / "edge-N"; every
-				// replica of a tier shares that tier's link profile.
-				switch {
-				case strings.HasPrefix(addr, "cloud"):
-					return cfg.CloudLink
-				case strings.HasPrefix(addr, "edge"):
-					return cfg.EdgeLink
-				default:
-					return cfg.DeviceLink
-				}
-			},
-		}
-	}
 	topo := Topology{EdgeReplicas: cfg.EdgeReplicas, CloudReplicas: cfg.CloudReplicas, Edge: cfg.Edge}
-	sim, err := NewReplicatedSim(m, ds, cfg.Gateway, topo, simTr, cfg.Logger)
+	sim, err := NewReplicatedSim(m, ds, cfg.Gateway, topo, tr, cfg.Logger)
 	if err != nil {
 		return nil, err
 	}
 	e := newEngine(sim.Gateway, cfg)
 	e.sim = sim
-	e.tr = simTr
+	e.tr = tr
 	e.deviceAddrs = sim.DeviceAddrs()
 	e.upstreamAddrs = sim.UpstreamAddrs()
 	base := cfg.ModelVersion
@@ -198,9 +155,6 @@ func AttachEngine(ctx context.Context, m *core.Model, cfg EngineConfig, tr trans
 }
 
 func newEngine(gw *Gateway, cfg EngineConfig) *Engine {
-	if cfg.Workers > 0 {
-		tensor.SetMaxWorkers(cfg.Workers)
-	}
 	maxC := cfg.MaxConcurrency
 	if maxC <= 0 {
 		maxC = DefaultMaxConcurrency
@@ -232,29 +186,18 @@ func (e *Engine) beginSession() error {
 
 func (e *Engine) endSession() { e.wg.Done() }
 
-// Classify runs one inference session, queueing on the engine's
-// concurrency semaphore first. The context governs both the queue wait and
-// every stage of the session. With micro-batching enabled the call
-// instead joins the collector's current batch and shares one
+// ClassifyTenantShed runs one inference session, queueing on the
+// engine's concurrency semaphore first; the context governs both the
+// queue wait and every stage of the session. With micro-batching enabled
+// the call instead joins the collector's current batch and shares one
 // multi-sample session with other concurrent callers.
-func (e *Engine) Classify(ctx context.Context, sampleID uint64) (*Result, error) {
-	return e.ClassifyShed(ctx, sampleID, ShedNone)
-}
-
-// ClassifyShed is Classify over the exit pipeline tightened for a shed
-// level: an overloaded front door degrades answer quality (a cheaper
-// exit) instead of availability. Requests at different shed levels never
-// share a micro-batch, so a coalesced session's single pipeline stays
-// per-request accurate.
-func (e *Engine) ClassifyShed(ctx context.Context, sampleID uint64, level ShedLevel) (*Result, error) {
-	return e.ClassifyTenantShed(ctx, sampleID, "", level)
-}
-
-// ClassifyTenantShed is ClassifyShed under a tenant's exit-threshold
-// pipeline: the tenant (resolved at admission from the client identity)
-// picks the thresholds, the shed level tightens them. Requests for
-// different tenants never share a micro-batch. Unknown tenants — and
-// the empty tenant — run the engine's default pipeline.
+//
+// The tenant (resolved at admission from the client identity) picks the
+// exit thresholds and the shed level tightens them: an overloaded front
+// door degrades answer quality (a cheaper exit) instead of availability.
+// Unknown tenants — and the empty tenant — run the engine's default
+// pipeline; ShedNone runs it unchanged. Requests for different tenants
+// or shed levels never share a micro-batch.
 func (e *Engine) ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant string, level ShedLevel) (*Result, error) {
 	if e.collector != nil {
 		return e.collector.classify(ctx, sampleID, tenant, level)
@@ -293,26 +236,14 @@ func (e *Engine) runBatch(ctx context.Context, sampleIDs []uint64, tenant string
 	return e.gw.Classify(ctx, sampleIDs, tenant, level)
 }
 
-// ClassifyBatch classifies the samples and returns results in input
-// order. The IDs are chunked into sessions of Batch.MaxBatch samples (one
-// sample each when micro-batching is off) that run concurrently, bounded
-// by MaxConcurrency. The first session error cancels the remaining
-// sessions and is returned; results for sessions that completed before
-// the failure are still filled in (nil entries mark samples that did not
-// complete).
-func (e *Engine) ClassifyBatch(ctx context.Context, sampleIDs []uint64) ([]*Result, error) {
-	return e.ClassifyBatchShed(ctx, sampleIDs, ShedNone)
-}
-
-// ClassifyBatchShed is ClassifyBatch over the exit pipeline tightened
-// for a shed level; see ClassifyShed.
-func (e *Engine) ClassifyBatchShed(ctx context.Context, sampleIDs []uint64, level ShedLevel) ([]*Result, error) {
-	return e.ClassifyBatchTenantShed(ctx, sampleIDs, "", level)
-}
-
-// ClassifyBatchTenantShed is ClassifyBatch under a tenant's
-// exit-threshold pipeline tightened for a shed level; see
-// ClassifyTenantShed.
+// ClassifyBatchTenantShed classifies the samples under a tenant's
+// pipeline tightened for a shed level (see ClassifyTenantShed) and
+// returns results in input order. The IDs are chunked into sessions of
+// Batch.MaxBatch samples (one sample each when micro-batching is off)
+// that run concurrently, bounded by MaxConcurrency. The first session
+// error cancels the remaining sessions and is returned; results for
+// sessions that completed before the failure are still filled in (nil
+// entries mark samples that did not complete).
 func (e *Engine) ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64, tenant string, level ShedLevel) ([]*Result, error) {
 	results := make([]*Result, len(sampleIDs))
 	if len(sampleIDs) == 0 {
@@ -443,22 +374,12 @@ func (e *Engine) RestartCloudReplica(i int) error {
 
 // AdmitDevice (re-)admits the device in slot into the live topology by
 // dialing its known address — the one the engine was built with — and
-// returns the resulting config version; see Gateway.AdmitDevice. Use
-// AdmitDeviceAddr when the device moved to a new address.
+// returns the resulting config version; see Gateway.AdmitDevice.
 func (e *Engine) AdmitDevice(ctx context.Context, slot int) (uint64, error) {
 	if e.tr == nil || slot < 0 || slot >= len(e.deviceAddrs) {
 		return 0, fmt.Errorf("cluster: admit device: engine has no address for slot %d: %w", slot, ErrDeviceSlotMismatch)
 	}
 	return e.gw.AdmitDevice(ctx, slot, e.deviceAddrs[slot])
-}
-
-// AdmitDeviceAddr admits a device at an explicit address into slot; see
-// Gateway.AdmitDevice.
-func (e *Engine) AdmitDeviceAddr(ctx context.Context, slot int, addr string) (uint64, error) {
-	if e.tr == nil {
-		return 0, fmt.Errorf("cluster: engine has no transport to dial devices")
-	}
-	return e.gw.AdmitDevice(ctx, slot, addr)
 }
 
 // RemoveDevice deregisters the device in slot from the live topology

@@ -6,7 +6,7 @@ import (
 	"fmt"
 )
 
-// Typed serving errors. The public facade re-exports these so callers can
+// Typed serving errors. The root ddnn package re-exports these so callers can
 // errors.Is against stable sentinels instead of matching strings.
 var (
 	// ErrCanceled reports that the session's context was canceled before

@@ -78,7 +78,7 @@ func TestCloudReplicaFailoverMidBatch(t *testing.T) {
 				for id := base; id < end; id++ {
 					ids = append(ids, uint64(id))
 				}
-				results, err := eng.ClassifyBatch(ctx, ids)
+				results, err := eng.ClassifyBatchTenantShed(ctx, ids, "", ShedNone)
 				if err != nil {
 					t.Fatalf("window at %d (kill at %d): %v", base, killAt, err)
 				}
@@ -105,7 +105,7 @@ func TestCloudReplicaFailoverMidBatch(t *testing.T) {
 			// trips.
 			deadline := time.Now().Add(20 * time.Second)
 			for eng.Gateway().Upstream().Healthy() != 1 && time.Now().Before(deadline) {
-				if _, err := eng.ClassifyBatch(ctx, []uint64{0, 1, 2, 3}); err != nil {
+				if _, err := eng.ClassifyBatchTenantShed(ctx, []uint64{0, 1, 2, 3}, "", ShedNone); err != nil {
 					t.Fatalf("classification while waiting for fencing: %v", err)
 				}
 			}
@@ -155,7 +155,7 @@ func TestEdgeReplicaFailoverMidStream(t *testing.T) {
 		if i == killAt {
 			eng.Edges()[0].SetFailed(true)
 		}
-		r, err := eng.Classify(ctx, uint64(i))
+		r, err := eng.ClassifyTenantShed(ctx, uint64(i), "", ShedNone)
 		if err != nil {
 			t.Fatalf("sample %d (kill at %d): %v", i, killAt, err)
 		}

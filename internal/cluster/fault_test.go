@@ -59,7 +59,7 @@ func TestEdgeTierDeviceKillMidStreamNoDeadlock(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				res, err := eng.Classify(ctx, uint64((w*perWorker+i)%test.Len()))
+				res, err := eng.ClassifyTenantShed(ctx, uint64((w*perWorker+i)%test.Len()), "", ShedNone)
 				done := bump()
 				// Kill half the devices mid-stream once the pipeline is
 				// warm, and revive one of them later, racing in-flight
@@ -116,7 +116,7 @@ func TestEdgeTierDeviceKillMidStreamNoDeadlock(t *testing.T) {
 	for d := 0; d < model.Cfg.Devices; d++ {
 		eng.Devices()[d].SetFailed(false)
 	}
-	res, err := eng.Classify(context.Background(), 0)
+	res, err := eng.ClassifyTenantShed(context.Background(), 0, "", ShedNone)
 	if err != nil {
 		t.Fatalf("classification after full recovery: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestHealthMonitorFlappingDeviceRecovery(t *testing.T) {
 					return
 				default:
 				}
-				res, err := eng.Classify(ctx, uint64((w*31+i)%test.Len()))
+				res, err := eng.ClassifyTenantShed(ctx, uint64((w*31+i)%test.Len()), "", ShedNone)
 				if err != nil {
 					if !errors.Is(err, ErrNoSummaries) && !errors.Is(err, ErrCloudUnavailable) &&
 						!errors.Is(err, ErrDeadlineExceeded) && !errors.Is(err, ErrCanceled) {
@@ -213,7 +213,7 @@ func TestHealthMonitorFlappingDeviceRecovery(t *testing.T) {
 	if down := eng.Gateway().DownDevices(); len(down) != 0 {
 		t.Fatalf("flapping device never re-admitted: DownDevices = %v", down)
 	}
-	res, err := eng.Classify(context.Background(), 0)
+	res, err := eng.ClassifyTenantShed(context.Background(), 0, "", ShedNone)
 	if err != nil {
 		t.Fatalf("classification after flap settled: %v", err)
 	}

@@ -109,7 +109,7 @@ func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, l
 			results = append(results, r)
 		}
 	} else {
-		results, err = eng.ClassifyBatch(context.Background(), ids)
+		results, err = eng.ClassifyBatchTenantShed(context.Background(), ids, "", ShedNone)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func TestRolloutRollsFleetUnderTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for id := w; !stop.Load(); id = (id + 4) % test.Len() {
-				res, err := eng.Classify(ctx, uint64(id))
+				res, err := eng.ClassifyTenantShed(ctx, uint64(id), "", ShedNone)
 				if err != nil {
 					errs <- err
 					return
@@ -105,7 +105,7 @@ func TestRolloutRollsFleetUnderTraffic(t *testing.T) {
 	if got := eng.RolloutState(); got != RolloutIdle {
 		t.Fatalf("rollout state = %q, want %q", got, RolloutIdle)
 	}
-	res, err := eng.Classify(ctx, 0)
+	res, err := eng.ClassifyTenantShed(ctx, 0, "", ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRolloutCanaryFailureRollsBack(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for id := w; !stop.Load(); id = (id + 2) % test.Len() {
-				res, err := eng.Classify(ctx, uint64(id))
+				res, err := eng.ClassifyTenantShed(ctx, uint64(id), "", ShedNone)
 				if err != nil {
 					errs <- err
 					return
@@ -206,7 +206,7 @@ func TestRolloutCanaryFailureRollsBack(t *testing.T) {
 		}
 	}
 	// Rolled-back fleet still answers with version-1 staged parity.
-	res, err := eng.Classify(ctx, 3)
+	res, err := eng.ClassifyTenantShed(ctx, 3, "", ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRolloutSurvivesReplicaRestart(t *testing.T) {
 			t.Errorf("cloud %d active = %d, want 2", i, c.reg.activeVersion())
 		}
 	}
-	res, err := eng.Classify(ctx, 0)
+	res, err := eng.ClassifyTenantShed(ctx, 0, "", ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}

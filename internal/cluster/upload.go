@@ -97,5 +97,5 @@ func (e *Engine) ClassifyUpload(ctx context.Context, views []*tensor.Tensor, lev
 	}
 	id := e.sim.uploads.add(views)
 	defer e.sim.uploads.remove(id)
-	return e.ClassifyShed(ctx, id, level)
+	return e.ClassifyTenantShed(ctx, id, "", level)
 }

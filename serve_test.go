@@ -38,10 +38,16 @@ func serveFixture(t *testing.T) (*ddnn.Model, *ddnn.Dataset) {
 	return serveModel, serveTest
 }
 
-func newServeEngine(t *testing.T, opts ...ddnn.Option) *ddnn.Engine {
+// serveConfig is the default engine config with MaxConcurrency set; the
+// gateway starts from its defaults (a zero GatewayConfig is T = 0).
+func serveConfig(maxConcurrency int) ddnn.EngineConfig {
+	return ddnn.EngineConfig{Gateway: ddnn.DefaultGatewayConfig(), MaxConcurrency: maxConcurrency}
+}
+
+func newServeEngine(t *testing.T, cfg ddnn.EngineConfig) *ddnn.Engine {
 	t.Helper()
 	model, test := serveFixture(t)
-	eng, err := ddnn.NewEngine(model, test, opts...)
+	eng, err := ddnn.NewEngine(model, test, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,17 +61,17 @@ func newServeEngine(t *testing.T, opts ...ddnn.Option) *ddnn.Engine {
 // nodes, shared model — is data-race free, and it checks every session's
 // decision against the single-flight result.
 func TestEngineConcurrentSessions(t *testing.T) {
-	eng := newServeEngine(t, ddnn.WithMaxConcurrency(8))
+	eng := newServeEngine(t, serveConfig(8))
 	ctx := context.Background()
 
 	const samples = 10
 	want := make([]ddnn.Result, samples)
 	for id := 0; id < samples; id++ {
-		res, err := eng.Classify(ctx, uint64(id))
+		res, err := eng.ClassifyTenantShed(ctx, uint64(id), "", ddnn.ShedNone)
 		if err != nil {
 			t.Fatalf("baseline sample %d: %v", id, err)
 		}
-		want[id] = res
+		want[id] = *res
 	}
 
 	const workers = 8
@@ -76,7 +82,7 @@ func TestEngineConcurrentSessions(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for id := 0; id < samples; id++ {
-				res, err := eng.Classify(ctx, uint64(id))
+				res, err := eng.ClassifyTenantShed(ctx, uint64(id), "", ddnn.ShedNone)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d sample %d: %w", w, id, err)
 					return
@@ -97,9 +103,9 @@ func TestEngineConcurrentSessions(t *testing.T) {
 }
 
 func TestEngineClassifyBatchOrdersResults(t *testing.T) {
-	eng := newServeEngine(t, ddnn.WithMaxConcurrency(4))
+	eng := newServeEngine(t, serveConfig(4))
 	ids := []uint64{5, 0, 9, 3, 7, 1, 8, 2}
-	results, err := eng.ClassifyBatch(context.Background(), ids)
+	results, err := eng.ClassifyBatchTenantShed(context.Background(), ids, "", ddnn.ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +120,10 @@ func TestEngineClassifyBatchOrdersResults(t *testing.T) {
 }
 
 func TestEngineCancellationSurfacesTypedError(t *testing.T) {
-	eng := newServeEngine(t)
+	eng := newServeEngine(t, serveConfig(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.Classify(ctx, 0)
+	_, err := eng.ClassifyTenantShed(ctx, 0, "", ddnn.ShedNone)
 	if !errors.Is(err, ddnn.ErrCanceled) {
 		t.Errorf("err = %v, want ddnn.ErrCanceled", err)
 	}
@@ -127,20 +133,20 @@ func TestEngineCancellationSurfacesTypedError(t *testing.T) {
 }
 
 func TestEngineDeadlineSurfacesTypedError(t *testing.T) {
-	eng := newServeEngine(t)
+	eng := newServeEngine(t, serveConfig(0))
 	// Crash every device so the session can only end via the deadline.
 	model, _ := serveFixture(t)
 	for d := 0; d < model.Cfg.Devices; d++ {
-		eng.SetDeviceFailed(d, true)
+		eng.Devices()[d].SetFailed(true)
 	}
 	t.Cleanup(func() {
 		for d := 0; d < model.Cfg.Devices; d++ {
-			eng.SetDeviceFailed(d, false)
+			eng.Devices()[d].SetFailed(false)
 		}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := eng.Classify(ctx, 0)
+	_, err := eng.ClassifyTenantShed(ctx, 0, "", ddnn.ShedNone)
 	if !errors.Is(err, ddnn.ErrDeadlineExceeded) {
 		t.Errorf("err = %v, want ddnn.ErrDeadlineExceeded", err)
 	}
@@ -151,27 +157,27 @@ func TestEngineDeadlineSurfacesTypedError(t *testing.T) {
 
 func TestEngineClosedError(t *testing.T) {
 	model, test := serveFixture(t)
-	eng, err := ddnn.NewEngine(model, test)
+	eng, err := ddnn.NewEngine(model, test, serveConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
-	if _, err := eng.Classify(context.Background(), 0); !errors.Is(err, ddnn.ErrEngineClosed) {
+	if _, err := eng.ClassifyTenantShed(context.Background(), 0, "", ddnn.ShedNone); !errors.Is(err, ddnn.ErrEngineClosed) {
 		t.Errorf("err = %v, want ddnn.ErrEngineClosed", err)
 	}
 }
 
 func TestEngineFaultToleranceUnderConcurrency(t *testing.T) {
-	eng := newServeEngine(t,
-		ddnn.WithDeviceTimeout(200*time.Millisecond),
-		ddnn.WithMaxFailures(0),
-		ddnn.WithMaxConcurrency(8))
-	eng.SetDeviceFailed(2, true)
+	cfg := serveConfig(8)
+	cfg.Gateway.DeviceTimeout = 200 * time.Millisecond
+	cfg.Gateway.MaxFailures = 0
+	eng := newServeEngine(t, cfg)
+	eng.Devices()[2].SetFailed(true)
 	ids := make([]uint64, 8)
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	results, err := eng.ClassifyBatch(context.Background(), ids)
+	results, err := eng.ClassifyBatchTenantShed(context.Background(), ids, "", ddnn.ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,19 +188,19 @@ func TestEngineFaultToleranceUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestEngineBatchingMatchesPerSample checks the public batching option:
+// TestEngineBatchingMatchesPerSample checks EngineConfig.Batch:
 // micro-batched serving must produce exactly the per-sample results, in
 // order, and report wire traffic in both directions.
 func TestEngineBatchingMatchesPerSample(t *testing.T) {
 	model, test := serveFixture(t)
-	plain, err := ddnn.NewEngine(model, test)
+	plain, err := ddnn.NewEngine(model, test, serveConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	batched, err := ddnn.NewEngine(model, test,
-		ddnn.WithBatching(8, 2*time.Millisecond),
-		ddnn.WithMaxConcurrency(4))
+	cfg := serveConfig(4)
+	cfg.Batch = ddnn.BatchConfig{MaxBatch: 8, MaxLinger: 2 * time.Millisecond}
+	batched, err := ddnn.NewEngine(model, test, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +210,11 @@ func TestEngineBatchingMatchesPerSample(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	want, err := plain.ClassifyBatch(context.Background(), ids)
+	want, err := plain.ClassifyBatchTenantShed(context.Background(), ids, "", ddnn.ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := batched.ClassifyBatch(context.Background(), ids)
+	got, err := batched.ClassifyBatchTenantShed(context.Background(), ids, "", ddnn.ShedNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +224,7 @@ func TestEngineBatchingMatchesPerSample(t *testing.T) {
 				i, got[i].SampleID, got[i].Class, got[i].Exit, want[i].SampleID, want[i].Class, want[i].Exit)
 		}
 	}
-	if up, down := batched.WireBytesUp(), batched.WireBytesDown(); up <= 0 || down <= 0 {
+	if up, down := batched.Gateway().WireBytesUp(), batched.Gateway().WireBytesDown(); up <= 0 || down <= 0 {
 		t.Errorf("wire traffic not measured: up %d down %d", up, down)
 	}
 }
