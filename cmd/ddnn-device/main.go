@@ -12,7 +12,8 @@
 // registration plane (DeviceHello) after its listener is up, joining the
 // hierarchy without a gateway restart, and deregisters (DeviceGoodbye)
 // on SIGINT/SIGTERM so the gateway drops the slot cleanly instead of
-// discovering the loss through timeouts.
+// discovering the loss through timeouts. On SIGINT/SIGTERM the node then
+// drains: in-flight requests still answer, within 5 s in all.
 package main
 
 import (
@@ -93,14 +94,16 @@ func run(args []string) error {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Println("shutting down")
+	// One 5 s budget covers the goodbye and the drain: deregistering first
+	// stops new sessions, then in-flight requests answer before teardown.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	if *register != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_, err := cluster.Deregister(ctx, transport.TCP{}, *register, &wire.DeviceGoodbye{
 			NodeID: id,
 			Slot:   uint16(*device),
 			Reason: "shutdown",
 		})
-		cancel()
 		if err != nil {
 			// Best-effort: the gateway will notice via timeouts anyway.
 			fmt.Fprintf(os.Stderr, "ddnn-device: deregister: %v\n", err)
@@ -108,5 +111,8 @@ func run(args []string) error {
 			fmt.Printf("deregistered from %s\n", *register)
 		}
 	}
-	return node.Close()
+	if err := node.Drain(ctx); err != nil {
+		fmt.Println("drain deadline exceeded; closed with requests in flight")
+	}
+	return nil
 }

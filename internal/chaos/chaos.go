@@ -431,17 +431,11 @@ func (h *Harness) heal() {
 			h.report.violate("heal: device slot %d could not be re-admitted: %v", slot, err)
 		}
 	}
-	if h.model.Cfg.UseEdge {
-		for i := 0; i < h.cfg.EdgeReplicas; i++ {
-			if e := h.eng.EdgeReplica(i); e != nil {
-				e.SetFailed(false)
-			}
-		}
+	for _, e := range h.eng.Edges() {
+		e.SetFailed(false)
 	}
-	for i := 0; i < h.cfg.CloudReplicas; i++ {
-		if c := h.eng.CloudReplica(i); c != nil {
-			c.SetFailed(false)
-		}
+	for _, c := range h.eng.Clouds() {
+		c.SetFailed(false)
 	}
 	for i := 0; i < 100 && !h.monitorRunning(); i++ {
 		h.startMonitor(context.Background())

@@ -215,33 +215,25 @@ func (h *Harness) replicaKiller(ctx context.Context, rng *rand.Rand) {
 		case rng.Intn(3) != 0: // silent failure, then recover
 			if useEdge {
 				i := rng.Intn(edges)
-				if e := h.eng.EdgeReplica(i); e != nil {
-					e.SetFailed(true)
-					h.report.countFault("edge-fail")
-					sleepCtx(ctx, jitter(rng, 80*time.Millisecond, 350*time.Millisecond))
-					// The node may have been restarted meanwhile; unfailing
-					// the current holder of the address is always safe.
-					if e := h.eng.EdgeReplica(i); e != nil {
-						e.SetFailed(false)
-					}
-				}
+				h.eng.Edges()[i].SetFailed(true)
+				h.report.countFault("edge-fail")
+				sleepCtx(ctx, jitter(rng, 80*time.Millisecond, 350*time.Millisecond))
+				// The node may have been restarted meanwhile; unfailing the
+				// current holder of the address is always safe.
+				h.eng.Edges()[i].SetFailed(false)
 			} else {
 				i := rng.Intn(clouds)
-				if c := h.eng.CloudReplica(i); c != nil {
-					c.SetFailed(true)
-					h.report.countFault("cloud-fail")
-					sleepCtx(ctx, jitter(rng, 80*time.Millisecond, 350*time.Millisecond))
-					if c := h.eng.CloudReplica(i); c != nil {
-						c.SetFailed(false)
-					}
-				}
+				h.eng.Clouds()[i].SetFailed(true)
+				h.report.countFault("cloud-fail")
+				sleepCtx(ctx, jitter(rng, 80*time.Millisecond, 350*time.Millisecond))
+				h.eng.Clouds()[i].SetFailed(false)
 			}
 		case useEdge:
-			if err := h.eng.RestartEdgeReplica(rng.Intn(edges)); err == nil {
+			if err := h.eng.RestartEdge(rng.Intn(edges)); err == nil {
 				h.report.countFault("edge-restart")
 			}
 		default:
-			if err := h.eng.RestartCloudReplica(rng.Intn(clouds)); err == nil {
+			if err := h.eng.RestartCloud(rng.Intn(clouds)); err == nil {
 				h.report.countFault("cloud-restart")
 			}
 		}

@@ -2,9 +2,6 @@ package chaos
 
 import (
 	"errors"
-	"strconv"
-	"strings"
-	"sync"
 
 	"github.com/ddnn/ddnn-go/internal/cluster"
 	"github.com/ddnn/ddnn-go/internal/core"
@@ -31,17 +28,8 @@ type Verifier struct {
 	ds      *dataset.Dataset
 	devices int
 	report  *Report
-
-	mu     sync.Mutex
-	cache  map[string]*core.EvalResult
-	models map[uint64]*core.Model
+	ref     *core.Reference
 }
-
-// maskCacheLimit bounds the reference cache; the fault actors keep only
-// a couple of devices dead at once and the rollout actor only a handful
-// of versions, so the observed (mask, version) set is tiny, and a
-// runaway would recompute rather than grow without bound.
-const maskCacheLimit = 256
 
 func newVerifier(model *core.Model, ds *dataset.Dataset, report *Report) *Verifier {
 	return &Verifier{
@@ -49,59 +37,14 @@ func newVerifier(model *core.Model, ds *dataset.Dataset, report *Report) *Verifi
 		ds:      ds,
 		devices: model.Cfg.Devices,
 		report:  report,
-		cache:   make(map[string]*core.EvalResult),
-		models:  map[uint64]*core.Model{1: model},
+		ref:     core.NewReference(model, ds),
 	}
 }
 
 // AddModel registers the weights behind a model version, so results
 // stamped with that version verify against the right reference. The
 // base model is pre-registered as version 1.
-func (v *Verifier) AddModel(version uint64, m *core.Model) {
-	v.mu.Lock()
-	v.models[version] = m
-	v.mu.Unlock()
-}
-
-// reference returns the staged evaluation of the whole dataset under
-// the device-presence mask by the given model version, cached per
-// (mask, version). A nil return means the version is unknown to the
-// verifier — itself a violation the caller reports.
-func (v *Verifier) reference(present []bool, version uint64) *core.EvalResult {
-	key := maskKey(present) + ":" + strconv.FormatUint(version, 10)
-	v.mu.Lock()
-	if er, ok := v.cache[key]; ok {
-		v.mu.Unlock()
-		return er
-	}
-	m := v.models[version]
-	v.mu.Unlock()
-	if m == nil {
-		return nil
-	}
-	// Evaluate outside the lock — it is the expensive part — and let a
-	// concurrent duplicate win the race benignly.
-	mask := append([]bool(nil), present...)
-	er := m.Evaluate(v.ds, mask, 32)
-	v.mu.Lock()
-	if len(v.cache) < maskCacheLimit {
-		v.cache[key] = er
-	}
-	v.mu.Unlock()
-	return er
-}
-
-func maskKey(present []bool) string {
-	var b strings.Builder
-	for _, p := range present {
-		if p {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	return b.String()
-}
+func (v *Verifier) AddModel(version uint64, m *core.Model) { v.ref.AddModel(version, m) }
 
 // CheckResult verifies one completed classification. refID is the
 // dataset row the sample's views came from — the sample ID itself for
@@ -148,7 +91,7 @@ func (v *Verifier) CheckResult(src string, res *cluster.Result, level cluster.Sh
 		v.report.violate("%s sample %d: normalized entropy %v outside [0,1]", src, refID, res.Entropy)
 	}
 	v.checkShedExit(src, res, level, refID)
-	er := v.reference(res.Present, res.ModelVersion)
+	er := v.ref.For(res.Present, res.ModelVersion)
 	if er == nil {
 		v.report.violate("%s sample %d: answered under unknown model version %d", src, refID, res.ModelVersion)
 		return
@@ -171,8 +114,8 @@ func (v *Verifier) CheckResult(src string, res *cluster.Result, level cluster.Sh
 	}
 	for i := range want {
 		if res.Probs[i] != want[i] {
-			v.report.violate("%s sample %d: %v-exit probs diverge from the staged reference under mask %s version %d: got %v, want %v",
-				src, refID, res.Exit, maskKey(res.Present), res.ModelVersion, res.Probs, want)
+			v.report.violate("%s sample %d: %v-exit probs diverge from the staged reference under mask %v version %d: got %v, want %v",
+				src, refID, res.Exit, res.Present, res.ModelVersion, res.Probs, want)
 			return
 		}
 	}

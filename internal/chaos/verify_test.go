@@ -24,7 +24,7 @@ func newTestVerifier(t *testing.T) (*Verifier, *Report) {
 // goodResult builds a classification that matches the staged reference
 // for sample id at the local exit under the full mask.
 func goodResult(v *Verifier, id int) *cluster.Result {
-	er := v.reference(fullPresence(v.devices), 1)
+	er := v.ref.For(fullPresence(v.devices), 1)
 	probs := append([]float32(nil), er.LocalProbs[id]...)
 	return &cluster.Result{
 		SampleID:      uint64(id),
@@ -115,7 +115,7 @@ func TestVerifierCatchesVersionConfusion(t *testing.T) {
 	vcfg.Seed = vcfg.Seed + 7777
 	variant := core.MustNewModel(vcfg)
 	v.AddModel(2, variant)
-	er2 := v.reference(fullPresence(v.devices), 2)
+	er2 := v.ref.For(fullPresence(v.devices), 2)
 	good := &cluster.Result{
 		SampleID:      0,
 		Class:         core.Argmax(er2.LocalProbs[0]),
@@ -162,7 +162,7 @@ func TestVerifierCatchesShedViolation(t *testing.T) {
 	if len(rep.Violations()) != 0 {
 		t.Fatalf("local exit under local-only flagged: %v", rep.Violations())
 	}
-	er := v.reference(fullPresence(v.devices), 1)
+	er := v.ref.For(fullPresence(v.devices), 1)
 	res = goodResult(v, 3)
 	res.Exit = wire.ExitCloud
 	res.Probs = append([]float32(nil), er.CloudProbs[3]...)
@@ -179,8 +179,8 @@ func TestVerifierCatchesMaskConfusion(t *testing.T) {
 	v, rep := newTestVerifier(t)
 	mask := fullPresence(v.devices)
 	mask[1] = false
-	masked := v.reference(mask, 1)
-	full := v.reference(fullPresence(v.devices), 1)
+	masked := v.ref.For(mask, 1)
+	full := v.ref.For(fullPresence(v.devices), 1)
 	// Find a sample whose masked and unmasked local aggregates genuinely
 	// differ, so the two claims below are distinguishable.
 	id := -1

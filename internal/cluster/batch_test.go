@@ -223,12 +223,8 @@ func TestNewGatewayRejectsTooManyDevices(t *testing.T) {
 func TestZeroTimeoutConfigDoesNotExpireInstantly(t *testing.T) {
 	model, test := fixture(t)
 	cfg := GatewayConfig{Threshold: -1} // force escalation; every timeout field zero
-	sim, err := NewSim(model, test, cfg, transport.NewMem(), quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	res, err := classifyOne(context.Background(), sim.Gateway, 0)
+	eng := startEngine(t, model, test, EngineConfig{Gateway: cfg})
+	res, err := classifyOne(context.Background(), eng.Gateway(), 0)
 	if err != nil {
 		t.Fatalf("zero-timeout config: %v", err)
 	}
@@ -244,11 +240,11 @@ func TestZeroTimeoutConfigDoesNotExpireInstantly(t *testing.T) {
 func TestWireBytesBothDirections(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1 // force feature uploads so the uplink dwarfs the downlink
-	sim := newSim(t, cfg)
-	if _, err := classifyOne(context.Background(), sim.Gateway, 0); err != nil {
+	eng := newTwoTier(t, cfg)
+	if _, err := classifyOne(context.Background(), eng.Gateway(), 0); err != nil {
 		t.Fatal(err)
 	}
-	up, down := sim.Gateway.WireBytesUp(), sim.Gateway.WireBytesDown()
+	up, down := eng.Gateway().WireBytesUp(), eng.Gateway().WireBytesDown()
 	if up <= 0 || down <= 0 {
 		t.Fatalf("WireBytesUp=%d WireBytesDown=%d, want both positive", up, down)
 	}

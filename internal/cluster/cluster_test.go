@@ -51,15 +51,27 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-func newSim(t *testing.T, cfg GatewayConfig) *Sim {
+// startEngine starts an in-process engine over the model (quiet logs,
+// batching off unless cfg says otherwise) and closes it with the test.
+func startEngine(t *testing.T, model *core.Model, test *dataset.Dataset, cfg EngineConfig) *Engine {
 	t.Helper()
-	model, test := fixture(t)
-	sim, err := NewSim(model, test, cfg, transport.NewMem(), quietLogger())
+	if cfg.Logger == nil {
+		cfg.Logger = quietLogger()
+	}
+	eng, err := NewEngine(model, test, cfg, transport.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sim.Close() })
-	return sim
+	t.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// newTwoTier starts the two-tier fixture hierarchy; tests drive its
+// gateway directly.
+func newTwoTier(t *testing.T, cfg GatewayConfig) *Engine {
+	t.Helper()
+	model, test := fixture(t)
+	return startEngine(t, model, test, EngineConfig{Gateway: cfg})
 }
 
 // classifyOne runs a one-sample session on the gateway's default
@@ -73,10 +85,10 @@ func classifyOne(ctx context.Context, gw *Gateway, id uint64) (*Result, error) {
 }
 
 func TestClusterClassifiesSamples(t *testing.T) {
-	sim := newSim(t, DefaultGatewayConfig())
+	eng := newTwoTier(t, DefaultGatewayConfig())
 	_, test := fixture(t)
 	for id := 0; id < 10; id++ {
-		res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
+		res, err := classifyOne(context.Background(), eng.Gateway(), uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -97,11 +109,11 @@ func TestClusterMatchesInProcessInference(t *testing.T) {
 	// The distributed pipeline must produce the same decisions as running
 	// the model in-process: same exit choice and same predicted class.
 	gcfg := DefaultGatewayConfig()
-	sim := newSim(t, gcfg)
+	eng := newTwoTier(t, gcfg)
 	model, test := fixture(t)
 
 	for id := 0; id < 25; id++ {
-		res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
+		res, err := classifyOne(context.Background(), eng.Gateway(), uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -134,8 +146,8 @@ func TestClusterMatchesInProcessInference(t *testing.T) {
 func TestThresholdZeroAlwaysGoesToCloud(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1 // even zero entropy cannot pass
-	sim := newSim(t, cfg)
-	res, err := classifyOne(context.Background(), sim.Gateway, 0)
+	eng := newTwoTier(t, cfg)
+	res, err := classifyOne(context.Background(), eng.Gateway(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +159,9 @@ func TestThresholdZeroAlwaysGoesToCloud(t *testing.T) {
 func TestThresholdOneAlwaysExitsLocally(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = 1
-	sim := newSim(t, cfg)
+	eng := newTwoTier(t, cfg)
 	for id := 0; id < 5; id++ {
-		res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
+		res, err := classifyOne(context.Background(), eng.Gateway(), uint64(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,22 +174,22 @@ func TestThresholdOneAlwaysExitsLocally(t *testing.T) {
 func TestCommMeterTracksEquationOne(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1 // force cloud escalation: both Eq. (1) terms charged
-	sim := newSim(t, cfg)
+	eng := newTwoTier(t, cfg)
 	model, _ := fixture(t)
 
-	if _, err := classifyOne(context.Background(), sim.Gateway, 0); err != nil {
+	if _, err := classifyOne(context.Background(), eng.Gateway(), 0); err != nil {
 		t.Fatal(err)
 	}
 	devices := int64(model.Cfg.Devices)
 	wantSummary := devices * int64(wire.SummaryPayloadBytes(model.Cfg.Classes))
-	if got := sim.Gateway.Meter.Get("local-summary"); got != wantSummary {
+	if got := eng.Gateway().Meter.Get("local-summary"); got != wantSummary {
 		t.Errorf("local-summary bytes = %d, want %d (= n·4·|C|)", got, wantSummary)
 	}
 	featBytes := int64(model.Cfg.DeviceFilters*model.Cfg.FeatureSize()) / 8
-	if got := sim.Gateway.Meter.Get("cloud-upload"); got != devices*featBytes {
+	if got := eng.Gateway().Meter.Get("cloud-upload"); got != devices*featBytes {
 		t.Errorf("cloud-upload bytes = %d, want %d (= n·f·o/8)", got, devices*featBytes)
 	}
-	if sim.Gateway.WireBytesUp() <= wantSummary {
+	if eng.Gateway().WireBytesUp() <= wantSummary {
 		t.Error("wire bytes must exceed payload bytes (framing overhead)")
 	}
 }
@@ -185,13 +197,13 @@ func TestCommMeterTracksEquationOne(t *testing.T) {
 func TestLocalExitSendsNoFeatures(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = 1 // everything exits locally
-	sim := newSim(t, cfg)
+	eng := newTwoTier(t, cfg)
 	for id := 0; id < 5; id++ {
-		if _, err := classifyOne(context.Background(), sim.Gateway, uint64(id)); err != nil {
+		if _, err := classifyOne(context.Background(), eng.Gateway(), uint64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := sim.Gateway.Meter.Get("cloud-upload"); got != 0 {
+	if got := eng.Gateway().Meter.Get("cloud-upload"); got != 0 {
 		t.Errorf("cloud-upload bytes = %d, want 0 when all samples exit locally", got)
 	}
 }
@@ -199,10 +211,10 @@ func TestLocalExitSendsNoFeatures(t *testing.T) {
 func TestFaultToleranceSingleDeviceFailure(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.DeviceTimeout = 200 * time.Millisecond
-	sim := newSim(t, cfg)
+	eng := newTwoTier(t, cfg)
 
-	sim.Devices[2].SetFailed(true)
-	res, err := classifyOne(context.Background(), sim.Gateway, 3)
+	eng.Devices()[2].SetFailed(true)
+	res, err := classifyOne(context.Background(), eng.Gateway(), 3)
 	if err != nil {
 		t.Fatalf("classification failed with one dead device: %v", err)
 	}
@@ -227,22 +239,22 @@ func TestStickyFailureDetection(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.DeviceTimeout = 100 * time.Millisecond
 	cfg.MaxFailures = 2
-	sim := newSim(t, cfg)
+	eng := newTwoTier(t, cfg)
 
-	sim.Devices[1].SetFailed(true)
+	eng.Devices()[1].SetFailed(true)
 	for id := 0; id < 3; id++ {
-		if _, err := classifyOne(context.Background(), sim.Gateway, uint64(id)); err != nil {
+		if _, err := classifyOne(context.Background(), eng.Gateway(), uint64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	down := sim.Gateway.DownDevices()
+	down := eng.Gateway().DownDevices()
 	if len(down) != 1 || down[0] != 1 {
 		t.Errorf("DownDevices = %v, want [1]", down)
 	}
 
 	// A down device is skipped immediately: the session must be fast.
 	start := time.Now()
-	if _, err := classifyOne(context.Background(), sim.Gateway, 10); err != nil {
+	if _, err := classifyOne(context.Background(), eng.Gateway(), 10); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > cfg.DeviceTimeout {
@@ -253,11 +265,11 @@ func TestStickyFailureDetection(t *testing.T) {
 func TestAllDevicesFailedReturnsError(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.DeviceTimeout = 100 * time.Millisecond
-	sim := newSim(t, cfg)
-	for _, d := range sim.Devices {
+	eng := newTwoTier(t, cfg)
+	for _, d := range eng.Devices() {
 		d.SetFailed(true)
 	}
-	if _, err := classifyOne(context.Background(), sim.Gateway, 0); err == nil {
+	if _, err := classifyOne(context.Background(), eng.Gateway(), 0); err == nil {
 		t.Error("classification succeeded with every device dead")
 	}
 }
@@ -266,10 +278,10 @@ func TestDeviceRecovery(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.DeviceTimeout = 100 * time.Millisecond
 	cfg.MaxFailures = 0 // no sticky marking: retry each session
-	sim := newSim(t, cfg)
+	eng := newTwoTier(t, cfg)
 
-	sim.Devices[0].SetFailed(true)
-	res, err := classifyOne(context.Background(), sim.Gateway, 0)
+	eng.Devices()[0].SetFailed(true)
+	res, err := classifyOne(context.Background(), eng.Gateway(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +289,8 @@ func TestDeviceRecovery(t *testing.T) {
 		t.Error("failed device contributed")
 	}
 
-	sim.Devices[0].SetFailed(false)
-	res, err = classifyOne(context.Background(), sim.Gateway, 1)
+	eng.Devices()[0].SetFailed(false)
+	res, err = classifyOne(context.Background(), eng.Gateway(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,14 +371,14 @@ func TestHealthMonitorDetectsFailureAndRecovery(t *testing.T) {
 }
 
 func TestHealthMonitorRejectsBadArgs(t *testing.T) {
-	sim := newSim(t, DefaultGatewayConfig())
+	eng := newTwoTier(t, DefaultGatewayConfig())
 	tr := transport.NewMem()
 	model, _ := fixture(t)
 	tooMany := make([]string, model.Cfg.Devices+1)
-	if _, err := sim.Gateway.StartHealthMonitor(context.Background(), tr, tooMany, nil, time.Second, 3); !errors.Is(err, ErrDeviceSlotMismatch) {
+	if _, err := eng.Gateway().StartHealthMonitor(context.Background(), tr, tooMany, nil, time.Second, 3); !errors.Is(err, ErrDeviceSlotMismatch) {
 		t.Errorf("too many addresses: err = %v, want ErrDeviceSlotMismatch", err)
 	}
-	if _, err := sim.Gateway.StartHealthMonitor(context.Background(), tr, nil, nil, 0, 3); err == nil {
+	if _, err := eng.Gateway().StartHealthMonitor(context.Background(), tr, nil, nil, 0, 3); err == nil {
 		t.Error("accepted non-positive interval")
 	}
 }
@@ -377,11 +389,11 @@ func TestCloudFailureSurfacesError(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1 // force every sample to the cloud
 	cfg.CloudTimeout = 300 * time.Millisecond
-	sim := newSim(t, cfg)
-	sim.Cloud().Close()
+	eng := newTwoTier(t, cfg)
+	eng.Clouds()[0].Close()
 
 	start := time.Now()
-	_, err := classifyOne(context.Background(), sim.Gateway, 0)
+	_, err := classifyOne(context.Background(), eng.Gateway(), 0)
 	if err == nil {
 		t.Fatal("classification succeeded with the cloud down")
 	}
@@ -393,14 +405,9 @@ func TestCloudFailureSurfacesError(t *testing.T) {
 	cfg2 := DefaultGatewayConfig()
 	cfg2.Threshold = 1
 	model, test := fixture(t)
-	tr := transport.NewMem()
-	sim2, err := NewSim(model, test, cfg2, tr, quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim2.Close()
-	sim2.Cloud().Close()
-	if _, err := classifyOne(context.Background(), sim2.Gateway, 0); err != nil {
+	eng2 := startEngine(t, model, test, EngineConfig{Gateway: cfg2})
+	eng2.Clouds()[0].Close()
+	if _, err := classifyOne(context.Background(), eng2.Gateway(), 0); err != nil {
 		t.Errorf("local-exit classification failed with cloud down: %v", err)
 	}
 }
@@ -512,11 +519,11 @@ func TestClusterOverTCP(t *testing.T) {
 func TestGatewayConcurrentSessionsMatchSerial(t *testing.T) {
 	// Many concurrent sessions must produce exactly the decisions the
 	// serial gateway produced: same class, same exit, per sample.
-	sim := newSim(t, DefaultGatewayConfig())
+	eng := newTwoTier(t, DefaultGatewayConfig())
 	const samples = 12
 	want := make([]*Result, samples)
 	for id := 0; id < samples; id++ {
-		res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
+		res, err := classifyOne(context.Background(), eng.Gateway(), uint64(id))
 		if err != nil {
 			t.Fatalf("serial sample %d: %v", id, err)
 		}
@@ -531,7 +538,7 @@ func TestGatewayConcurrentSessionsMatchSerial(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for id := 0; id < samples; id++ {
-				res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
+				res, err := classifyOne(context.Background(), eng.Gateway(), uint64(id))
 				if err != nil {
 					errs <- fmt.Errorf("worker %d sample %d: %w", w, id, err)
 					return
@@ -594,10 +601,10 @@ func TestEngineClassifyAfterCloseFails(t *testing.T) {
 }
 
 func TestClassifyCanceledContext(t *testing.T) {
-	sim := newSim(t, DefaultGatewayConfig())
+	eng := newTwoTier(t, DefaultGatewayConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := classifyOne(ctx, sim.Gateway, 0)
+	_, err := classifyOne(ctx, eng.Gateway(), 0)
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("err = %v, want ErrCanceled", err)
 	}
@@ -610,14 +617,14 @@ func TestClassifyContextDeadline(t *testing.T) {
 	// A deadline shorter than any device round trip must surface as
 	// ErrDeadlineExceeded even though DeviceTimeout is generous.
 	cfg := DefaultGatewayConfig()
-	sim := newSim(t, cfg)
-	sim.Devices[0].SetFailed(true) // at least one silent device keeps the session waiting
-	for _, d := range sim.Devices {
+	eng := newTwoTier(t, cfg)
+	eng.Devices()[0].SetFailed(true) // at least one silent device keeps the session waiting
+	for _, d := range eng.Devices() {
 		d.SetFailed(true)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := classifyOne(ctx, sim.Gateway, 0)
+	_, err := classifyOne(ctx, eng.Gateway(), 0)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Errorf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -626,35 +633,24 @@ func TestClassifyContextDeadline(t *testing.T) {
 func TestSimulatedLinksAddLatency(t *testing.T) {
 	// With simulated link profiles, a cloud-exit sample must be slower
 	// than a local-exit sample (vertical-scaling latency claim of §V).
-	model, test := fixture(t)
-	tr := transport.NewMem()
 
 	// Local-exit-only gateway.
-	simAll, err := NewSim(model, test, GatewayConfig{
+	engLocal := newTwoTier(t, GatewayConfig{
 		Threshold:     1,
 		DeviceTimeout: 2 * time.Second,
 		CloudTimeout:  5 * time.Second,
-	}, tr, quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer simAll.Close()
-	resLocal, err := classifyOne(context.Background(), simAll.Gateway, 0)
+	})
+	resLocal, err := classifyOne(context.Background(), engLocal.Gateway(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tr2 := transport.NewMem()
-	simCloud, err := NewSim(model, test, GatewayConfig{
+	engCloud := newTwoTier(t, GatewayConfig{
 		Threshold:     -1,
 		DeviceTimeout: 2 * time.Second,
 		CloudTimeout:  5 * time.Second,
-	}, tr2, quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer simCloud.Close()
-	resCloud, err := classifyOne(context.Background(), simCloud.Gateway, 0)
+	})
+	resCloud, err := classifyOne(context.Background(), engCloud.Gateway(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

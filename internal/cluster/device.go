@@ -21,17 +21,13 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"sync"
-	"sync/atomic"
 
 	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/dataset"
 	"github.com/ddnn/ddnn-go/internal/tensor"
-	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
@@ -50,160 +46,64 @@ const maxRetainedFeatures = 256
 // serves capture and feature-upload requests from the gateway. Requests
 // are served concurrently; the model section is shared read-only.
 type Device struct {
-	model  *core.Model
-	reg    *modelRegistry
-	index  int
-	feed   Feed
-	logger *slog.Logger
+	server
 
-	failed atomic.Bool
+	index int
+	feed  Feed
 
-	// pool recycles the node's forward tensors (feature maps, exit
-	// vectors, conv scratch) across sessions, keeping steady-state
-	// capture handling free of per-sample heap allocation.
-	pool *tensor.Pool
-
-	mu        sync.Mutex // guards features/featOrder only
+	featMu    sync.Mutex // guards features/featOrder only
 	features  map[uint64]retainedFeature
 	featOrder []uint64 // insertion order for eviction
-
-	listener net.Listener
-	wg       sync.WaitGroup
-
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
 }
 
 // NewDevice constructs a device node for device `index` of the model,
 // reading frames from feed.
 func NewDevice(model *core.Model, index int, feed Feed, logger *slog.Logger) *Device {
-	if logger == nil {
-		logger = slog.Default()
-	}
-	return &Device{
-		model:    model,
-		reg:      newModelRegistry(model, 1),
+	d := &Device{
 		index:    index,
 		feed:     feed,
-		logger:   logger.With("node", fmt.Sprintf("device-%d", index)),
-		pool:     tensor.NewPool(),
 		features: make(map[uint64]retainedFeature),
-		conns:    make(map[net.Conn]struct{}),
+	}
+	d.init(fmt.Sprintf("device-%d", index), model, logger, d.frame)
+	return d
+}
+
+// DatasetFeed builds a Feed serving one device's views from a dataset.
+// The returned feed is safe for concurrent sessions. Frames are views of
+// the dataset's storage (no copy); consumers must treat them as
+// read-only, which the inference path guarantees.
+func DatasetFeed(ds *dataset.Dataset, device int) Feed {
+	return func(sampleID uint64) (*tensor.Tensor, error) {
+		idx := int(sampleID)
+		if idx < 0 || idx >= ds.Len() {
+			return nil, fmt.Errorf("cluster: sample %d out of range [0,%d)", idx, ds.Len())
+		}
+		return ds.DeviceView(device, idx), nil
 	}
 }
 
-// Serve starts accepting gateway connections on the transport address.
-// It returns once the listener is active.
-func (d *Device) Serve(tr transport.Transport, addr string) error {
-	l, err := tr.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("cluster: device %d: %w", d.index, err)
-	}
-	d.listener = l
-	d.wg.Add(1)
-	go d.acceptLoop()
-	return nil
-}
-
-func (d *Device) acceptLoop() {
-	defer d.wg.Done()
-	for {
-		conn, err := d.listener.Accept()
-		if err != nil {
-			return
-		}
-		d.connMu.Lock()
-		if d.closed {
-			d.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		d.conns[conn] = struct{}{}
-		d.connMu.Unlock()
-		d.wg.Add(1)
+// frame serves one gateway frame: every request runs on its own
+// goroutine, so one connection carries any number of concurrent sessions.
+func (d *Device) frame(c *nodeConn, msg wire.Message) {
+	switch m := msg.(type) {
+	case *wire.CaptureBatch:
+		c.add()
 		go func() {
-			defer d.wg.Done()
-			defer func() {
-				conn.Close()
-				d.connMu.Lock()
-				delete(d.conns, conn)
-				d.connMu.Unlock()
-			}()
-			d.handle(conn)
+			defer c.done()
+			if err := d.onCapture(c, m); err != nil {
+				d.logger.Debug("capture failed", "session", m.Session, "err", err)
+			}
 		}()
-	}
-}
-
-// Addr returns the listener's address; it is only valid after Serve.
-func (d *Device) Addr() string {
-	if d.listener == nil {
-		return ""
-	}
-	return d.listener.Addr().String()
-}
-
-// SetFailed toggles simulated failure: a failed device stops answering
-// requests, which the gateway observes as timeouts (§IV-G).
-func (d *Device) SetFailed(failed bool) { d.failed.Store(failed) }
-
-// Failed reports the simulated-failure state.
-func (d *Device) Failed() bool { return d.failed.Load() }
-
-// handle decodes frames and serves each request in its own goroutine, so
-// one connection carries any number of concurrent sessions. Replies are
-// serialized through a per-connection write lock.
-func (d *Device) handle(conn net.Conn) {
-	var wmu sync.Mutex
-	send := func(m wire.Message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := wire.Encode(conn, m)
-		return err
-	}
-	var reqs sync.WaitGroup
-	defer reqs.Wait()
-	for {
-		msg, err := wire.Decode(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				d.logger.Debug("decode error", "err", err)
+	case *wire.FeatureBatchRequest:
+		c.add()
+		go func() {
+			defer c.done()
+			if err := d.onFeatures(c, m); err != nil {
+				d.logger.Debug("feature upload failed", "session", m.Session, "err", err)
 			}
-			return
-		}
-		if d.failed.Load() {
-			// A crashed device goes silent; it neither computes nor
-			// replies. The gateway's timeout handles the rest.
-			continue
-		}
-		switch m := msg.(type) {
-		case *wire.CaptureBatch:
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if err := d.onCapture(send, m); err != nil {
-					d.logger.Debug("capture failed", "session", m.Session, "err", err)
-				}
-			}()
-		case *wire.FeatureBatchRequest:
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if err := d.onFeatures(send, m); err != nil {
-					d.logger.Debug("feature upload failed", "session", m.Session, "err", err)
-				}
-			}()
-		case *wire.Heartbeat:
-			// Echo liveness probes so the gateway's failure detector can
-			// distinguish a live device from a crashed one.
-			if err := send(m); err != nil {
-				return
-			}
-		default:
-			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("unexpected %v", msg.MsgType())})
-		}
+		}()
+	default:
+		_ = c.send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("unexpected %v", msg.MsgType())})
 	}
 }
 
@@ -230,8 +130,8 @@ func (rf retainedFeature) row(id uint64, from int) int {
 }
 
 func (d *Device) retainFeature(session uint64, rf retainedFeature) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.featMu.Lock()
+	defer d.featMu.Unlock()
 	if prev, exists := d.features[session]; exists {
 		d.pool.Put(prev.feat)
 	} else {
@@ -252,8 +152,8 @@ func (d *Device) retainFeature(session uint64, rf retainedFeature) {
 // empty (nil tensor, no rows) when the capture was evicted or never
 // happened — e.g. a second gateway attached to this device.
 func (d *Device) takeFeature(session uint64) retainedFeature {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.featMu.Lock()
+	defer d.featMu.Unlock()
 	rf, ok := d.features[session]
 	if !ok {
 		return rf
@@ -274,10 +174,10 @@ func (d *Device) takeFeature(session uint64) retainedFeature {
 // marked absent in the reply's presence bitmask (their rows run as zeros
 // and are never read); the rest get one summary row each, and the feature
 // rows are retained for a possible FeatureBatchRequest.
-func (d *Device) onCapture(send func(wire.Message) error, m *wire.CaptureBatch) error {
+func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch) error {
 	model, _, err := d.reg.resolve(m.ModelVersion)
 	if err != nil {
-		return send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
+		return c.send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 	}
 	cfg := model.Cfg
 	n := len(m.SampleIDs)
@@ -303,7 +203,7 @@ func (d *Device) onCapture(send func(wire.Message) error, m *wire.CaptureBatch) 
 	}
 	if frames == 0 {
 		d.pool.Put(stacked)
-		return send(reply)
+		return c.send(reply)
 	}
 	feat, exitVec := model.DeviceForwardPooled(d.index, stacked, d.pool)
 	d.pool.Put(stacked)
@@ -316,7 +216,7 @@ func (d *Device) onCapture(send func(wire.Message) error, m *wire.CaptureBatch) 
 		}
 	}
 	d.pool.Put(exitVec)
-	return send(reply)
+	return c.send(reply)
 }
 
 // onFeatures packs the retained feature rows of the requested samples —
@@ -325,10 +225,10 @@ func (d *Device) onCapture(send func(wire.Message) error, m *wire.CaptureBatch) 
 // feed, so eviction only costs time, not the session; a sample the feed
 // cannot produce fails the whole fetch, and the gateway degrades by
 // dropping this device from the session.
-func (d *Device) onFeatures(send func(wire.Message) error, m *wire.FeatureBatchRequest) error {
+func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest) error {
 	model, _, rerr := d.reg.resolve(m.ModelVersion)
 	if rerr != nil {
-		return send(&wire.Error{Session: m.Session, Code: 426, Msg: rerr.Error()})
+		return c.send(&wire.Error{Session: m.Session, Code: 426, Msg: rerr.Error()})
 	}
 	// The retained maps were computed under the same session — and the
 	// gateway stamps one concrete version per session — so they are
@@ -347,35 +247,18 @@ func (d *Device) onFeatures(send func(wire.Message) error, m *wire.FeatureBatchR
 		}
 		x, err := d.feed(id)
 		if err != nil {
-			return send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
+			return c.send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
 		}
 		feat, exitVec := model.DeviceForwardPooled(d.index, x, d.pool)
 		bits = append(bits, model.PackFeature(feat)...)
 		d.pool.Put(feat)
 		d.pool.Put(exitVec)
 	}
-	return send(&wire.FeatureBatch{
+	return c.send(&wire.FeatureBatch{
 		Session: m.Session,
 		Device:  uint16(d.index),
 		F:       uint16(f), H: uint16(h), W: uint16(w),
 		Count: uint16(len(m.SampleIDs)),
 		Bits:  bits,
 	})
-}
-
-// Close stops the device node, terminating any in-flight connections.
-func (d *Device) Close() error {
-	d.closeOnce.Do(func() {
-		if d.listener != nil {
-			d.listener.Close()
-		}
-		d.connMu.Lock()
-		d.closed = true
-		for conn := range d.conns {
-			conn.Close()
-		}
-		d.connMu.Unlock()
-	})
-	d.wg.Wait()
-	return nil
 }

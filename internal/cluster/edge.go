@@ -2,12 +2,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,14 +53,9 @@ func DefaultEdgeConfig() EdgeConfig {
 // is frozen (read-only), so complete sessions classify in parallel
 // goroutines.
 type Edge struct {
-	model  *core.Model
-	reg    *modelRegistry
-	cfg    EdgeConfig
-	logger *slog.Logger
+	server
 
-	// pool recycles session feature maps and forward tensors across
-	// classifications, keeping the steady-state handler allocation-free.
-	pool *tensor.Pool
+	cfg EdgeConfig
 
 	cloud *ReplicaPool // nil until ConnectCloud
 
@@ -78,19 +69,6 @@ type Edge struct {
 	// replica pool — reusing them there would collide across gateways
 	// and misroute verdicts.
 	nextUpstream atomic.Uint64
-
-	failed atomic.Bool
-	// active counts in-flight classifications (goroutines spawned by the
-	// connection handlers); Drain polls it to zero before tearing down.
-	active atomic.Int64
-
-	listener  net.Listener
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
 }
 
 // NewEdge constructs the edge node around a trained edge-tier model.
@@ -98,21 +76,19 @@ func NewEdge(model *core.Model, cfg EdgeConfig, logger *slog.Logger) (*Edge, err
 	if !model.Cfg.UseEdge {
 		return nil, fmt.Errorf("cluster: edge node needs a model built with UseEdge")
 	}
-	if logger == nil {
-		logger = slog.Default()
-	}
 	if cfg.CloudTimeout <= 0 {
 		cfg.CloudTimeout = DefaultEdgeConfig().CloudTimeout
 	}
-	return &Edge{
-		model:  model,
-		reg:    newModelRegistry(model, 1),
-		cfg:    cfg,
-		logger: logger.With("node", "edge"),
-		pool:   tensor.NewPool(),
-		Meter:  metrics.NewCommMeter(),
-		conns:  make(map[net.Conn]struct{}),
-	}, nil
+	e := &Edge{cfg: cfg, Meter: metrics.NewCommMeter()}
+	e.init("edge", model, logger, e.frame)
+	// Closing the cloud links fails escalations still in flight over to
+	// CloudFallback, so Close never waits out a cloud timeout.
+	e.onClose = func() {
+		if e.cloud != nil {
+			e.cloud.close()
+		}
+	}
+	return e, nil
 }
 
 // ConnectCloud dials the upstream cloud replicas and pools them: edge
@@ -129,108 +105,23 @@ func (e *Edge) ConnectCloud(ctx context.Context, tr transport.Transport, addrs .
 	return nil
 }
 
-// Serve starts accepting gateway connections.
-func (e *Edge) Serve(tr transport.Transport, addr string) error {
-	l, err := tr.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("cluster: edge: %w", err)
-	}
-	e.listener = l
-	e.wg.Add(1)
-	go e.acceptLoop()
-	return nil
-}
-
-// Addr returns the listener's address; it is only valid after Serve.
-func (e *Edge) Addr() string {
-	if e.listener == nil {
-		return ""
-	}
-	return e.listener.Addr().String()
-}
-
-// SetFailed toggles simulated failure: a failed edge node goes silent,
-// which the gateway observes as escalation timeouts.
-func (e *Edge) SetFailed(failed bool) { e.failed.Store(failed) }
-
-// Failed reports the simulated-failure state.
-func (e *Edge) Failed() bool { return e.failed.Load() }
-
-func (e *Edge) acceptLoop() {
-	defer e.wg.Done()
-	for {
-		conn, err := e.listener.Accept()
-		if err != nil {
-			return
-		}
-		e.connMu.Lock()
-		if e.closed {
-			e.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		e.conns[conn] = struct{}{}
-		e.connMu.Unlock()
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer func() {
-				conn.Close()
-				e.connMu.Lock()
-				delete(e.conns, conn)
-				e.connMu.Unlock()
+// frame serves one gateway frame: a session's header and device feature
+// frames accumulate in the connection's session table, and each complete
+// session classifies on its own goroutine.
+func (e *Edge) frame(c *nodeConn, msg wire.Message) {
+	switch m := msg.(type) {
+	case *wire.EdgeClassifyBatch:
+		c.sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, m.Thresholds)
+	case *wire.FeatureBatch:
+		if up := c.sessions.add(m); up != nil {
+			c.add()
+			go func() {
+				defer c.done()
+				e.classify(c, up)
 			}()
-			e.handle(conn)
-		}()
-	}
-}
-
-func (e *Edge) handle(conn net.Conn) {
-	var wmu sync.Mutex
-	send := func(m wire.Message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := wire.Encode(conn, m)
-		return err
-	}
-	sessions := sessionTable{reg: e.reg, pool: e.pool, send: send, open: make(map[uint64]*uploadSession)}
-	defer sessions.release()
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-	for {
-		msg, err := wire.Decode(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				e.logger.Debug("decode error", "err", err)
-			}
-			return
 		}
-		if e.failed.Load() {
-			// A crashed edge goes silent; the gateway's escalation
-			// timeout handles the rest.
-			continue
-		}
-		switch m := msg.(type) {
-		case *wire.Heartbeat:
-			// Echo liveness probes for the gateway's failure detector.
-			if err := send(m); err != nil {
-				return
-			}
-		case *wire.EdgeClassifyBatch:
-			sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, m.Thresholds)
-		case *wire.FeatureBatch:
-			if up := sessions.add(m); up != nil {
-				inflight.Add(1)
-				e.active.Add(1)
-				go func() {
-					defer inflight.Done()
-					defer e.active.Add(-1)
-					e.classify(send, up)
-				}()
-			}
-		default:
-			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected EdgeClassifyBatch or FeatureBatch, got %v", msg.MsgType())})
-		}
+	default:
+		_ = c.send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected EdgeClassifyBatch or FeatureBatch, got %v", msg.MsgType())})
 	}
 }
 
@@ -240,7 +131,7 @@ func (e *Edge) handle(conn net.Conn) {
 // rides a single EdgeFeatureBatch to the cloud — the partial exit that
 // keeps upstream hops small. The whole session answers with one
 // ResultBatch in header order.
-func (e *Edge) classify(send func(wire.Message) error, up *uploadSession) {
+func (e *Edge) classify(c *nodeConn, up *uploadSession) {
 	n := len(up.ids)
 	cfg := up.model.Cfg
 	eh, ew := cfg.FeatureH()/2, cfg.FeatureW()/2
@@ -273,7 +164,7 @@ func (e *Edge) classify(send func(wire.Message) error, up *uploadSession) {
 	if len(hard) > 0 {
 		cloudVerdicts, err := e.escalate(up, hard, edgeFeats)
 		if err != nil && !e.cfg.CloudFallback {
-			_ = send(&wire.Error{Session: up.session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
+			_ = c.send(&wire.Error{Session: up.session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
 			return
 		}
 		if err != nil {
@@ -286,7 +177,7 @@ func (e *Edge) classify(send func(wire.Message) error, up *uploadSession) {
 			}
 		}
 	}
-	if err := send(&wire.ResultBatch{Session: up.session, Verdicts: verdicts}); err != nil {
+	if err := c.send(&wire.ResultBatch{Session: up.session, Verdicts: verdicts}); err != nil {
 		e.logger.Debug("edge verdict failed", "session", up.session, "err", err)
 	}
 }
@@ -340,40 +231,4 @@ func (e *Edge) escalate(up *uploadSession, hard []int, edgeFeats *tensor.Tensor)
 	default:
 		return nil, fmt.Errorf("expected ResultBatch, got %v", reply.MsgType())
 	}
-}
-
-// Drain gracefully shuts the edge node down: it stops accepting new
-// connections immediately, then waits for in-flight classifications
-// (including their cloud escalations) to settle before tearing the node
-// down. Downstream gateways hold their connections open indefinitely, so
-// Drain waits on the classification counter, not on connection EOFs.
-// When the context expires first, the node is torn down anyway and the
-// context error is returned.
-func (e *Edge) Drain(ctx context.Context) error {
-	if e.listener != nil {
-		e.listener.Close()
-	}
-	err := awaitIdle(ctx, &e.active)
-	e.Close()
-	return err
-}
-
-// Close stops the edge node, terminating any in-flight connections.
-func (e *Edge) Close() error {
-	e.closeOnce.Do(func() {
-		if e.listener != nil {
-			e.listener.Close()
-		}
-		e.connMu.Lock()
-		e.closed = true
-		for conn := range e.conns {
-			conn.Close()
-		}
-		e.connMu.Unlock()
-		if e.cloud != nil {
-			e.cloud.close()
-		}
-	})
-	e.wg.Wait()
-	return nil
 }

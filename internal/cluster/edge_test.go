@@ -44,26 +44,23 @@ func edgeFixture(t *testing.T) (*core.Model, *dataset.Dataset) {
 	return edgeFixtureModel, edgeFixtureTest
 }
 
-func newEdgeSim(t *testing.T, cfg GatewayConfig) *Sim {
+// newThreeTier starts the edge fixture hierarchy; tests drive its
+// gateway directly.
+func newThreeTier(t *testing.T, cfg GatewayConfig) *Engine {
 	t.Helper()
 	model, test := edgeFixture(t)
-	sim, err := NewSim(model, test, cfg, transport.NewMem(), quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sim.Close() })
-	return sim
+	return startEngine(t, model, test, EngineConfig{Gateway: cfg})
 }
 
 func TestEdgeSimStartsThreeTierTopology(t *testing.T) {
-	sim := newEdgeSim(t, DefaultGatewayConfig())
-	if sim.Edge() == nil {
-		t.Fatal("edge-tier sim has no edge node")
+	eng := newThreeTier(t, DefaultGatewayConfig())
+	if len(eng.Edges()) != 1 {
+		t.Fatalf("edge-tier engine has %d edge nodes, want 1", len(eng.Edges()))
 	}
-	if addrs := sim.UpstreamAddrs(); len(addrs) != 1 || addrs[0] != "edge-0" {
+	if addrs := eng.upstreamAddrs; len(addrs) != 1 || addrs[0] != "edge-0" {
 		t.Errorf("upstream addrs = %v, want [edge-0]", addrs)
 	}
-	p := sim.Gateway.Pipeline()
+	p := eng.Gateway().Pipeline()
 	want := []wire.ExitPoint{wire.ExitLocal, wire.ExitEdge, wire.ExitCloud}
 	if len(p) != len(want) {
 		t.Fatalf("pipeline has %d stages, want %d", len(p), len(want))
@@ -93,9 +90,9 @@ func TestEdgeTierStagesAreReachable(t *testing.T) {
 			cfg := DefaultGatewayConfig()
 			cfg.Threshold = tc.localT
 			cfg.EdgeThreshold = tc.edgT
-			sim := newEdgeSim(t, cfg)
+			eng := newThreeTier(t, cfg)
 			for id := 0; id < 5; id++ {
-				res, err := classifyOne(context.Background(), sim.Gateway, uint64(id))
+				res, err := classifyOne(context.Background(), eng.Gateway(), uint64(id))
 				if err != nil {
 					t.Fatalf("sample %d: %v", id, err)
 				}
@@ -114,26 +111,26 @@ func TestEdgeTierMetersBothHops(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1
 	cfg.EdgeThreshold = -1 // force the full three-stage escalation
-	sim := newEdgeSim(t, cfg)
+	eng := newThreeTier(t, cfg)
 	model, _ := edgeFixture(t)
 
-	if _, err := classifyOne(context.Background(), sim.Gateway, 0); err != nil {
+	if _, err := classifyOne(context.Background(), eng.Gateway(), 0); err != nil {
 		t.Fatal(err)
 	}
 	devices := int64(model.Cfg.Devices)
 	wantSummary := devices * int64(wire.SummaryPayloadBytes(model.Cfg.Classes))
-	if got := sim.Gateway.Meter.Get("local-summary"); got != wantSummary {
+	if got := eng.Gateway().Meter.Get("local-summary"); got != wantSummary {
 		t.Errorf("local-summary bytes = %d, want %d", got, wantSummary)
 	}
 	featBytes := int64(model.Cfg.DeviceFilters*model.Cfg.FeatureSize()) / 8
-	if got := sim.Gateway.Meter.Get("edge-upload"); got != devices*featBytes {
+	if got := eng.Gateway().Meter.Get("edge-upload"); got != devices*featBytes {
 		t.Errorf("edge-upload bytes = %d, want %d (= n·f·o/8 on the first hop)", got, devices*featBytes)
 	}
-	if got := sim.Gateway.Meter.Get("cloud-upload"); got != 0 {
+	if got := eng.Gateway().Meter.Get("cloud-upload"); got != 0 {
 		t.Errorf("gateway cloud-upload bytes = %d, want 0 (the edge owns the second hop)", got)
 	}
 	edgeBytes := int64(model.Cfg.EdgeFilters*(model.Cfg.FeatureH()/2)*(model.Cfg.FeatureW()/2)) / 8
-	if got := sim.Edge().Meter.Get("cloud-upload"); got != edgeBytes {
+	if got := eng.Edges()[0].Meter.Get("cloud-upload"); got != edgeBytes {
 		t.Errorf("edge→cloud bytes = %d, want %d (bit-packed edge features)", got, edgeBytes)
 	}
 }
@@ -142,13 +139,13 @@ func TestEdgeExitSendsNothingToCloud(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1
 	cfg.EdgeThreshold = 1 // every escalated sample answered at the edge
-	sim := newEdgeSim(t, cfg)
+	eng := newThreeTier(t, cfg)
 	for id := 0; id < 5; id++ {
-		if _, err := classifyOne(context.Background(), sim.Gateway, uint64(id)); err != nil {
+		if _, err := classifyOne(context.Background(), eng.Gateway(), uint64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := sim.Edge().Meter.Get("cloud-upload"); got != 0 {
+	if got := eng.Edges()[0].Meter.Get("cloud-upload"); got != 0 {
 		t.Errorf("edge→cloud bytes = %d, want 0 when the edge answers everything", got)
 	}
 }
@@ -157,11 +154,11 @@ func TestEdgeDownSurfacesTypedError(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1 // force escalation
 	cfg.EdgeTimeout = 300 * time.Millisecond
-	sim := newEdgeSim(t, cfg)
-	sim.Edge().SetFailed(true)
+	eng := newThreeTier(t, cfg)
+	eng.Edges()[0].SetFailed(true)
 
 	start := time.Now()
-	_, err := classifyOne(context.Background(), sim.Gateway, 0)
+	_, err := classifyOne(context.Background(), eng.Gateway(), 0)
 	if !errors.Is(err, ErrEdgeUnavailable) {
 		t.Errorf("err = %v, want ErrEdgeUnavailable", err)
 	}
@@ -173,13 +170,9 @@ func TestEdgeDownSurfacesTypedError(t *testing.T) {
 	cfg2 := DefaultGatewayConfig()
 	cfg2.Threshold = 1
 	model, test := edgeFixture(t)
-	sim2, err := NewSim(model, test, cfg2, transport.NewMem(), quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim2.Close()
-	sim2.Edge().SetFailed(true)
-	res, err := classifyOne(context.Background(), sim2.Gateway, 0)
+	eng2 := startEngine(t, model, test, EngineConfig{Gateway: cfg2})
+	eng2.Edges()[0].SetFailed(true)
+	res, err := classifyOne(context.Background(), eng2.Gateway(), 0)
 	if err != nil {
 		t.Fatalf("local-exit classification failed with edge down: %v", err)
 	}
@@ -196,11 +189,11 @@ func TestEdgeAnswersWhenCloudDown(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1
 	cfg.EdgeThreshold = -1 // every sample wants the cloud
-	sim := newEdgeSim(t, cfg)
-	sim.Cloud().Close()
+	eng := newThreeTier(t, cfg)
+	eng.Clouds()[0].Close()
 
 	start := time.Now()
-	res, err := classifyOne(context.Background(), sim.Gateway, 0)
+	res, err := classifyOne(context.Background(), eng.Gateway(), 0)
 	if err != nil {
 		t.Fatalf("classification failed with the cloud down: %v", err)
 	}
@@ -229,7 +222,7 @@ func TestEdgeHealthMonitorDrivesUpstreamState(t *testing.T) {
 	}
 	defer hm.Stop()
 
-	eng.Edge().SetFailed(true)
+	eng.Edges()[0].SetFailed(true)
 	deadline := time.Now().Add(3 * time.Second)
 	for !eng.Gateway().UpstreamDown() && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -250,7 +243,7 @@ func TestEdgeHealthMonitorDrivesUpstreamState(t *testing.T) {
 	}
 
 	// Recovery flips the flag back and sessions flow again.
-	eng.Edge().SetFailed(false)
+	eng.Edges()[0].SetFailed(false)
 	deadline = time.Now().Add(3 * time.Second)
 	for eng.Gateway().UpstreamDown() && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -319,7 +312,7 @@ func TestAttachEngineToEdgeTierOverTCP(t *testing.T) {
 		}
 	}
 	// The attached engine exposes no in-process edge node.
-	if eng.Edge() != nil {
+	if len(eng.Edges()) != 0 {
 		t.Error("attached engine must not expose an in-process edge")
 	}
 }

@@ -54,12 +54,11 @@ type EngineConfig struct {
 }
 
 // Engine is the concurrent serving runtime: a gateway (plus, for
-// in-process engines, the device and cloud nodes it talks to) behind a
-// semaphore that bounds in-flight sessions. All methods are safe for
-// concurrent use.
+// in-process engines, the device, edge and cloud nodes it talks to)
+// behind a semaphore that bounds in-flight sessions. All methods are safe
+// for concurrent use.
 type Engine struct {
-	gw  *Gateway
-	sim *Sim // nil when attached to remote nodes
+	gw *Gateway
 
 	tr            transport.Transport
 	deviceAddrs   []string
@@ -79,6 +78,19 @@ type Engine struct {
 	reg    *modelRegistry
 	canary *dataset.Dataset
 
+	// The in-process nodes (NewEngine); all empty for attached engines.
+	// nodeMu serializes RestartEdge/RestartCloud with each other and with
+	// Close, and guards the edges/clouds slots they replace — read them
+	// through Edges/Clouds. Device nodes never restart.
+	nodeMu  sync.Mutex
+	devices []*Device
+	edges   []*Edge
+	clouds  []*Cloud
+	// uploads stages ClassifyUpload samples for the in-process devices.
+	uploads *uploadStore
+	edgeCfg EdgeConfig
+	logger  *slog.Logger
+
 	rolloutMu    sync.Mutex   // serializes RolloutModel
 	rolloutState atomic.Int32 // rolloutIdle / rolloutRolling / rolloutRolledBack
 	tamperMu     sync.Mutex
@@ -95,34 +107,29 @@ type Engine struct {
 	wg      sync.WaitGroup
 }
 
-// NewEngine starts a complete in-process cluster — device nodes, the
-// edge replicas for edge-tier models, the cloud replicas and a gateway
-// over the transport — and returns a serving engine for it. Replica
-// counts come from EngineConfig.EdgeReplicas/CloudReplicas. Sample IDs
-// are indices into ds.
+// NewEngine starts a complete in-process cluster over the transport and
+// returns a serving engine for it: one device node per sensor, reading
+// ds (sample IDs are indices into ds), EngineConfig.CloudReplicas cloud
+// nodes, EngineConfig.EdgeReplicas edge nodes for edge-tier models (each
+// pooling every cloud replica), and a gateway escalating to the edge
+// replicas, or to the cloud replicas without an edge tier. The nodes
+// listen on "device-N", "edge-N" and "cloud-N"; to serve over TCP, start
+// the nodes yourself and use AttachEngine.
 func NewEngine(m *core.Model, ds *dataset.Dataset, cfg EngineConfig, tr transport.Transport) (*Engine, error) {
-	topo := Topology{EdgeReplicas: cfg.EdgeReplicas, CloudReplicas: cfg.CloudReplicas, Edge: cfg.Edge}
-	sim, err := NewReplicatedSim(m, ds, cfg.Gateway, topo, tr, cfg.Logger)
+	e := newEngine(m, cfg, tr)
+	e.uploads, e.logger, e.edgeCfg = newUploadStore(), cfg.Logger, DefaultEdgeConfig()
+	if cfg.Edge != nil {
+		e.edgeCfg = *cfg.Edge
+	}
+	err := e.startNodes(m, ds, max(cfg.CloudReplicas, 1), max(cfg.EdgeReplicas, 1))
+	if err == nil {
+		err = e.connect(context.Background(), m, cfg)
+	}
 	if err != nil {
+		e.closeNodes()
 		return nil, err
 	}
-	e := newEngine(sim.Gateway, cfg)
-	e.sim = sim
-	e.tr = tr
-	e.deviceAddrs = sim.DeviceAddrs()
-	e.upstreamAddrs = sim.UpstreamAddrs()
-	base := cfg.ModelVersion
-	if base == 0 {
-		base = 1
-	}
-	e.reg = newModelRegistry(m, base)
-	if base != 1 {
-		sim.setModelVersion(base)
-	}
-	n := ds.Len()
-	if n > canarySamples {
-		n = canarySamples
-	}
+	n := min(ds.Len(), canarySamples)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -137,39 +144,136 @@ func NewEngine(m *core.Model, ds *dataset.Dataset, cfg EngineConfig, tr transpor
 // UseEdge, cloud nodes otherwise. Sessions load-balance across the
 // upstream replicas. The context bounds connection setup.
 func AttachEngine(ctx context.Context, m *core.Model, cfg EngineConfig, tr transport.Transport, deviceAddrs []string, upstreamAddrs []string) (*Engine, error) {
-	gw, err := NewGateway(ctx, m, cfg.Gateway, tr, deviceAddrs, upstreamAddrs, cfg.Logger)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(gw, cfg)
-	e.tr = tr
+	e := newEngine(m, cfg, tr)
 	e.deviceAddrs = append([]string(nil), deviceAddrs...)
 	e.upstreamAddrs = append([]string(nil), upstreamAddrs...)
-	base := cfg.ModelVersion
-	if base == 0 {
-		base = 1
+	if err := e.connect(ctx, m, cfg); err != nil {
+		return nil, err
 	}
-	e.reg = newModelRegistry(m, base)
-	gw.reg = newModelRegistry(m, base)
 	return e, nil
 }
 
-func newEngine(gw *Gateway, cfg EngineConfig) *Engine {
+func newEngine(m *core.Model, cfg EngineConfig, tr transport.Transport) *Engine {
 	maxC := cfg.MaxConcurrency
 	if maxC <= 0 {
 		maxC = DefaultMaxConcurrency
 	}
-	e := &Engine{gw: gw, sem: make(chan struct{}, maxC), maxBatch: cfg.Batch.MaxBatch}
-	if e.maxBatch < 1 {
-		e.maxBatch = 1
-	}
-	if e.maxBatch > wire.MaxBatch {
-		e.maxBatch = wire.MaxBatch
+	e := &Engine{
+		tr:       tr,
+		sem:      make(chan struct{}, maxC),
+		maxBatch: min(max(cfg.Batch.MaxBatch, 1), wire.MaxBatch),
+		reg:      newModelRegistry(m, cfg.ModelVersion),
 	}
 	if e.maxBatch > 1 {
 		e.collector = newBatchCollector(e, cfg.Batch)
 	}
 	return e
+}
+
+// connect builds the gateway over the engine's device and upstream
+// addresses and seeds its registry from the engine's.
+func (e *Engine) connect(ctx context.Context, m *core.Model, cfg EngineConfig) error {
+	gw, err := NewGateway(ctx, m, cfg.Gateway, e.tr, e.deviceAddrs, e.upstreamAddrs, cfg.Logger)
+	if err != nil {
+		return err
+	}
+	gw.reg.adopt(e.reg.snapshot())
+	e.gw = gw
+	return nil
+}
+
+// startNodes starts the in-process nodes: the devices, the cloud replicas
+// and, for edge-tier models, the edge replicas, which then are the
+// gateway's upstream tier.
+func (e *Engine) startNodes(m *core.Model, ds *dataset.Dataset, clouds, edges int) error {
+	e.deviceAddrs = nodeAddrs("device", m.Cfg.Devices)
+	for d, addr := range e.deviceAddrs {
+		dev := NewDevice(m, d, uploadFeed(e.uploads, DatasetFeed(ds, d), d), e.logger)
+		e.devices = append(e.devices, dev)
+		if err := e.serve(&dev.server, e.reg, addr); err != nil {
+			return err
+		}
+	}
+	e.upstreamAddrs = nodeAddrs("cloud", clouds)
+	for _, addr := range e.upstreamAddrs {
+		c := NewCloud(m, e.logger)
+		e.clouds = append(e.clouds, c)
+		if err := e.serve(&c.server, e.reg, addr); err != nil {
+			return err
+		}
+	}
+	if !m.Cfg.UseEdge {
+		return nil
+	}
+	e.upstreamAddrs = nodeAddrs("edge", edges)
+	for _, addr := range e.upstreamAddrs {
+		ed, err := e.newEdge(m)
+		if err != nil {
+			return err
+		}
+		e.edges = append(e.edges, ed)
+		if err := e.serve(&ed.server, e.reg, addr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nodeAddrs are the in-process addresses of a tier's n nodes: "cloud-0",
+// "cloud-1", ….
+func nodeAddrs(tier string, n int) []string {
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("%s-%d", tier, i)
+	}
+	return addrs
+}
+
+// newEdge builds an edge node pooling every cloud replica.
+func (e *Engine) newEdge(m *core.Model) (*Edge, error) {
+	ed, err := NewEdge(m, e.edgeCfg, e.logger)
+	if err != nil {
+		return nil, err
+	}
+	if err := ed.ConnectCloud(context.Background(), e.tr, nodeAddrs("cloud", len(e.clouds))...); err != nil {
+		return nil, err
+	}
+	return ed, nil
+}
+
+// serve seeds a node's registry from src — the engine's at construction,
+// the gateway's when a restart replaces a node mid-lifecycle, so the
+// replacement serves the fleet's current versions and resolves any
+// version a live session pinned — and starts the node on addr.
+func (e *Engine) serve(n *server, src *modelRegistry, addr string) error {
+	n.reg.adopt(src.snapshot())
+	return n.Serve(e.tr, addr)
+}
+
+// fleet returns every in-process node — devices, then edge and cloud
+// replicas in slot order — from one snapshot of the slots, so a
+// concurrent restart lands either wholly before or wholly after it.
+func (e *Engine) fleet() []*server {
+	e.nodeMu.Lock()
+	defer e.nodeMu.Unlock()
+	nodes := make([]*server, 0, len(e.devices)+len(e.edges)+len(e.clouds))
+	for _, d := range e.devices {
+		nodes = append(nodes, &d.server)
+	}
+	for _, ed := range e.edges {
+		nodes = append(nodes, &ed.server)
+	}
+	for _, c := range e.clouds {
+		nodes = append(nodes, &c.server)
+	}
+	return nodes
+}
+
+// closeNodes tears every in-process node down.
+func (e *Engine) closeNodes() {
+	for _, n := range e.fleet() {
+		n.Close()
+	}
 }
 
 // beginSession registers a session with the engine's lifecycle tracking.
@@ -297,79 +401,88 @@ func (e *Engine) ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64
 // DownDevices).
 func (e *Engine) Gateway() *Gateway { return e.gw }
 
-// Devices returns the in-process device nodes, or nil for an attached
-// engine. Simulations use it to inject failures.
-func (e *Engine) Devices() []*Device {
-	if e.sim == nil {
-		return nil
-	}
-	return e.sim.Devices
-}
-
-// Edge returns the first in-process edge replica, or nil for two-tier
-// models and attached engines. Simulations use it to inject failures and
-// read the edge→cloud hop's communication meter.
-func (e *Engine) Edge() *Edge {
-	if e.sim == nil {
-		return nil
-	}
-	return e.sim.Edge()
-}
+// Devices returns the in-process device nodes, in slot order, or nil for
+// an attached engine. Simulations use them to inject failures.
+func (e *Engine) Devices() []*Device { return e.devices }
 
 // Edges returns the in-process edge replicas, or nil for two-tier models
-// and attached engines. Simulations use them to inject replica failures.
+// and attached engines. The slice is a copy of the current slots:
+// RestartEdge replaces a slot's node, so read it again after a restart.
+// Simulations use the replicas to inject failures and read the edge→cloud
+// hop's communication meter.
 func (e *Engine) Edges() []*Edge {
-	if e.sim == nil {
-		return nil
-	}
-	return e.sim.Edges
+	e.nodeMu.Lock()
+	defer e.nodeMu.Unlock()
+	return append([]*Edge(nil), e.edges...)
 }
 
 // Clouds returns the in-process cloud replicas, or nil for attached
-// engines. Simulations use them to inject replica failures.
+// engines; like Edges, a copy of the current slots.
 func (e *Engine) Clouds() []*Cloud {
-	if e.sim == nil {
-		return nil
-	}
-	return e.sim.Clouds
+	e.nodeMu.Lock()
+	defer e.nodeMu.Unlock()
+	return append([]*Cloud(nil), e.clouds...)
 }
 
-// EdgeReplica returns in-process edge replica i through the Sim's
-// restart-safe accessor, or nil for attached engines; see
-// Sim.EdgeReplica.
-func (e *Engine) EdgeReplica(i int) *Edge {
-	if e.sim == nil {
-		return nil
+// RestartCloud hard-restarts in-process cloud replica i: the old node is
+// torn down (its listener and every link into it die, unlike the silent
+// failure of SetFailed) and a fresh replica starts on the same address.
+// Downstream replica pools re-admit it lazily (a session's re-dial or a
+// health-monitor probe), exactly as they would a rebooted host.
+func (e *Engine) RestartCloud(i int) error {
+	e.nodeMu.Lock()
+	defer e.nodeMu.Unlock()
+	if err := e.checkSlot("cloud", i, len(e.clouds)); err != nil {
+		return err
 	}
-	return e.sim.EdgeReplica(i)
+	e.clouds[i].Close()
+	c := NewCloud(e.gw.model, e.logger)
+	if err := e.serve(&c.server, e.gw.reg, nodeAddrs("cloud", len(e.clouds))[i]); err != nil {
+		return fmt.Errorf("cluster: restart cloud %d: %w", i, err)
+	}
+	e.clouds[i] = c
+	return nil
 }
 
-// CloudReplica returns in-process cloud replica i through the Sim's
-// restart-safe accessor, or nil for attached engines; see
-// Sim.CloudReplica.
-func (e *Engine) CloudReplica(i int) *Cloud {
-	if e.sim == nil {
-		return nil
+// RestartEdge hard-restarts in-process edge replica i on its original
+// address; see RestartCloud. The replacement is fully wired (cloud pool
+// connected) before the old node is torn down, so a cloud replica that
+// is unreachable at restart time fails the restart and leaves the old
+// node serving. A replacement that cannot listen is closed with its cloud
+// links; the slot then holds no serving node until a later restart
+// succeeds.
+func (e *Engine) RestartEdge(i int) error {
+	e.nodeMu.Lock()
+	defer e.nodeMu.Unlock()
+	if err := e.checkSlot("edge", i, len(e.edges)); err != nil {
+		return err
 	}
-	return e.sim.CloudReplica(i)
+	ed, err := e.newEdge(e.gw.model)
+	if err != nil {
+		return fmt.Errorf("cluster: restart edge %d: %w", i, err)
+	}
+	e.edges[i].Close()
+	if err := e.serve(&ed.server, e.gw.reg, e.upstreamAddrs[i]); err != nil {
+		ed.Close() // its cloud pool is already connected
+		return fmt.Errorf("cluster: restart edge %d: %w", i, err)
+	}
+	e.edges[i] = ed
+	return nil
 }
 
-// RestartEdgeReplica hard-restarts in-process edge replica i; see
-// Sim.RestartEdge. Attached engines cannot restart their remote nodes.
-func (e *Engine) RestartEdgeReplica(i int) error {
-	if e.sim == nil {
-		return fmt.Errorf("cluster: attached engine cannot restart replicas")
+// checkSlot refuses a restart of a closed engine or of a slot it does
+// not have; the caller holds nodeMu.
+func (e *Engine) checkSlot(tier string, i, slots int) error {
+	e.mu.Lock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
+		return ErrClosed
 	}
-	return e.sim.RestartEdge(i)
-}
-
-// RestartCloudReplica hard-restarts in-process cloud replica i; see
-// Sim.RestartCloud.
-func (e *Engine) RestartCloudReplica(i int) error {
-	if e.sim == nil {
-		return fmt.Errorf("cluster: attached engine cannot restart replicas")
+	if i < 0 || i >= slots {
+		return fmt.Errorf("cluster: %s replica %d out of range [0,%d)", tier, i, slots)
 	}
-	return e.sim.RestartCloud(i)
+	return nil
 }
 
 // AdmitDevice (re-)admits the device in slot into the live topology by
@@ -449,8 +562,7 @@ func (e *Engine) Close() error {
 	e.closed = true
 	e.mu.Unlock()
 	e.wg.Wait()
-	if e.sim != nil {
-		return e.sim.Close()
-	}
-	return e.gw.Close()
+	e.gw.Close()
+	e.closeNodes()
+	return nil
 }

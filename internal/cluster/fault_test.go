@@ -233,11 +233,11 @@ func TestHealthMonitorFlappingDeviceRecovery(t *testing.T) {
 func TestHealthMonitorSurvivesUnresponsiveProbePeer(t *testing.T) {
 	model, test := fixture(t)
 	tr := transport.NewMem()
-	sim, err := NewSim(model, test, DefaultGatewayConfig(), tr, quietLogger())
+	eng, err := NewEngine(model, test, EngineConfig{Gateway: DefaultGatewayConfig(), Logger: quietLogger()}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
+	defer eng.Close()
 
 	// Black-hole listeners: they accept probe connections and never
 	// read a byte.
@@ -273,7 +273,7 @@ func TestHealthMonitorSurvivesUnresponsiveProbePeer(t *testing.T) {
 		}()
 	}
 
-	hm, err := sim.Gateway.StartHealthMonitor(context.Background(), tr, addrs, nil, 20*time.Millisecond, 2)
+	hm, err := eng.Gateway().StartHealthMonitor(context.Background(), tr, addrs, nil, 20*time.Millisecond, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +281,10 @@ func TestHealthMonitorSurvivesUnresponsiveProbePeer(t *testing.T) {
 	// The blocked writes must count as missed probes: every device goes
 	// down even though no probe ever errored out at the peer.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(sim.Gateway.DownDevices()) < model.Cfg.Devices && time.Now().Before(deadline) {
+	for len(eng.Gateway().DownDevices()) < model.Cfg.Devices && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if down := sim.Gateway.DownDevices(); len(down) != model.Cfg.Devices {
+	if down := eng.Gateway().DownDevices(); len(down) != model.Cfg.Devices {
 		t.Fatalf("DownDevices = %v, want all %d devices", down, model.Cfg.Devices)
 	}
 

@@ -131,13 +131,9 @@ type Gateway struct {
 	tenants       map[string]tenantEntry
 	closed        bool
 
-	// registration is the optional registration-plane listener started
-	// by ServeRegistration; guarded by regMu.
-	regMu        sync.Mutex
-	regListener  interface{ Close() error }
-	regConns     map[interface{ Close() error }]struct{}
-	regClosed    bool
-	regWaitGroup sync.WaitGroup
+	// regPlane is the optional registration-plane listener started by
+	// ServeRegistration.
+	regPlane server
 }
 
 // tenantEntry pairs a tenant's raw config with its resolved, validated
@@ -208,6 +204,7 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 		Meter:         metrics.NewCommMeter(),
 		configVersion: 1,
 		tenants:       make(map[string]tenantEntry),
+		regPlane:      server{name: "registration plane"},
 	}
 	// All slots exist from construction; the ones without an address
 	// begin absent (nil link) and join later via registration.
@@ -363,7 +360,7 @@ func (g *Gateway) setUpstreamReplicaDown(replica int, down bool) {
 // Close tears down all connections, including the registration plane
 // when one is serving.
 func (g *Gateway) Close() error {
-	g.closeRegistration()
+	g.regPlane.Close()
 	g.stateMu.Lock()
 	g.closed = true
 	var links []*link

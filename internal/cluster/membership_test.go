@@ -10,7 +10,6 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/branchy"
 	"github.com/ddnn/ddnn-go/internal/core"
-	"github.com/ddnn/ddnn-go/internal/dataset"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -37,40 +36,6 @@ func membershipCluster(t *testing.T, tr transport.Transport, prefix string) (add
 	}
 	t.Cleanup(func() { cloud.Close() })
 	return addrs, cloudAddr
-}
-
-// maskKey renders a presence mask as a cache key.
-func maskKey(present []bool) string {
-	b := make([]byte, len(present))
-	for i, p := range present {
-		if p {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
-}
-
-// maskedReference evaluates the staged core reference under one presence
-// mask, cached per mask because Evaluate runs the whole test set.
-type maskedReference struct {
-	mu    sync.Mutex
-	model *core.Model
-	test  *dataset.Dataset
-	refs  map[string]*core.EvalResult
-}
-
-func (r *maskedReference) get(present []bool) *core.EvalResult {
-	key := maskKey(present)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ref, ok := r.refs[key]; ok {
-		return ref
-	}
-	ref := r.model.Evaluate(r.test, present, 32)
-	r.refs[key] = ref
-	return ref
 }
 
 func TestGatewayRejectsTooManyDeviceAddrs(t *testing.T) {
@@ -116,7 +81,7 @@ func TestPartialDeviceSetServesAndAdmits(t *testing.T) {
 	for d := range wantMask {
 		wantMask[d] = d != absent
 	}
-	ref := &maskedReference{model: model, test: test, refs: make(map[string]*core.EvalResult)}
+	ref := core.NewReference(model, test)
 	pol := branchy.NewPolicy(1, 1)
 	for id := 0; id < 8; id++ {
 		res, err := classifyOne(context.Background(), gw, uint64(id))
@@ -129,10 +94,10 @@ func TestPartialDeviceSetServesAndAdmits(t *testing.T) {
 		if res.ConfigVersion != 1 {
 			t.Errorf("sample %d: ConfigVersion = %d, want 1", id, res.ConfigVersion)
 		}
-		wantExit, wantClass := stagedExpectation(ref.get(res.Present), pol, id)
+		wantExit, wantClass := stagedExpectation(ref.For(res.Present, 1), pol, id)
 		if res.Exit != wantExit || res.Class != wantClass {
-			t.Errorf("sample %d: got %v/%d, staged reference says %v/%d under mask %s",
-				id, res.Exit, res.Class, wantExit, wantClass, maskKey(res.Present))
+			t.Errorf("sample %d: got %v/%d, staged reference says %v/%d under mask %v",
+				id, res.Exit, res.Class, wantExit, wantClass, res.Present)
 		}
 	}
 
@@ -155,7 +120,7 @@ func TestPartialDeviceSetServesAndAdmits(t *testing.T) {
 	if res.ConfigVersion != 2 {
 		t.Errorf("post-admission ConfigVersion = %d, want 2", res.ConfigVersion)
 	}
-	wantExit, wantClass := stagedExpectation(ref.get(res.Present), pol, 0)
+	wantExit, wantClass := stagedExpectation(ref.For(res.Present, 1), pol, 0)
 	if res.Exit != wantExit || res.Class != wantClass {
 		t.Errorf("post-admission: got %v/%d, want %v/%d", res.Exit, res.Class, wantExit, wantClass)
 	}
@@ -417,7 +382,7 @@ func TestMembershipChurnUnderConcurrentTraffic(t *testing.T) {
 		}
 	}()
 
-	ref := &maskedReference{model: model, test: test, refs: make(map[string]*core.EvalResult)}
+	ref := core.NewReference(model, test)
 	pol := branchy.NewPolicy(1, 1)
 	check := func(res *Result, id int) error {
 		for _, d := range []int{0, 3} {
@@ -428,10 +393,10 @@ func TestMembershipChurnUnderConcurrentTraffic(t *testing.T) {
 		if res.ConfigVersion < 1 {
 			return fmt.Errorf("sample %d: ConfigVersion = %d", id, res.ConfigVersion)
 		}
-		wantExit, wantClass := stagedExpectation(ref.get(res.Present), pol, id)
+		wantExit, wantClass := stagedExpectation(ref.For(res.Present, 1), pol, id)
 		if res.Exit != wantExit || res.Class != wantClass {
-			return fmt.Errorf("sample %d: got %v/%d, staged reference says %v/%d under mask %s",
-				id, res.Exit, res.Class, wantExit, wantClass, maskKey(res.Present))
+			return fmt.Errorf("sample %d: got %v/%d, staged reference says %v/%d under mask %v",
+				id, res.Exit, res.Class, wantExit, wantClass, res.Present)
 		}
 		return nil
 	}
@@ -522,7 +487,7 @@ func TestChurnWithEscalation(t *testing.T) {
 	}
 	defer gw.Close()
 
-	ref := &maskedReference{model: model, test: test, refs: make(map[string]*core.EvalResult)}
+	ref := core.NewReference(model, test)
 	pol := branchy.NewPolicy(0.5, 1)
 	verify := func(id int) {
 		t.Helper()
@@ -530,10 +495,10 @@ func TestChurnWithEscalation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
-		wantExit, wantClass := stagedExpectation(ref.get(res.Present), pol, id)
+		wantExit, wantClass := stagedExpectation(ref.For(res.Present, 1), pol, id)
 		if res.Exit != wantExit || res.Class != wantClass {
-			t.Errorf("sample %d: got %v/%d, want %v/%d under mask %s",
-				id, res.Exit, res.Class, wantExit, wantClass, maskKey(res.Present))
+			t.Errorf("sample %d: got %v/%d, want %v/%d under mask %v",
+				id, res.Exit, res.Class, wantExit, wantClass, res.Present)
 		}
 	}
 

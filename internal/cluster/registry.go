@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/ddnn/ddnn-go/internal/transport"
@@ -28,75 +27,25 @@ const registrationDialTimeout = 5 * time.Second
 // removes the slot and is acknowledged the same way. The listener runs
 // until the gateway closes.
 func (g *Gateway) ServeRegistration(tr transport.Transport, addr string) error {
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("cluster: registration listen %s: %w", addr, err)
+	if err := g.regPlane.listen(tr, addr, g.handleRegistration); err != nil {
+		return err
 	}
-	g.regMu.Lock()
-	if g.regClosed {
-		g.regMu.Unlock()
-		ln.Close()
-		return ErrClosed
-	}
-	if g.regListener != nil {
-		g.regMu.Unlock()
-		ln.Close()
-		return fmt.Errorf("cluster: registration plane already serving")
-	}
-	g.regListener = ln
-	if g.regConns == nil {
-		g.regConns = make(map[interface{ Close() error }]struct{})
-	}
-	g.regWaitGroup.Add(1)
-	g.regMu.Unlock()
 	g.logger.Info("registration plane serving", "addr", addr)
-	go g.acceptRegistrations(ln)
 	return nil
-}
-
-// acceptRegistrations is the registration listener's accept loop.
-func (g *Gateway) acceptRegistrations(ln net.Listener) {
-	defer g.regWaitGroup.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		g.regMu.Lock()
-		if g.regClosed {
-			g.regMu.Unlock()
-			conn.Close()
-			return
-		}
-		g.regConns[conn] = struct{}{}
-		g.regWaitGroup.Add(1)
-		g.regMu.Unlock()
-		go func() {
-			defer g.regWaitGroup.Done()
-			g.handleRegistration(conn)
-			g.regMu.Lock()
-			delete(g.regConns, conn)
-			g.regMu.Unlock()
-		}()
-	}
 }
 
 // handleRegistration serves one registration connection: any number of
 // hello/goodbye exchanges (a device may register, later deregister, and
 // re-register over one connection or fresh ones — both work).
 func (g *Gateway) handleRegistration(conn net.Conn) {
-	defer conn.Close()
-	var wmu sync.Mutex
 	send := func(m wire.Message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
 		_, err := wire.Encode(conn, m)
 		return err
 	}
 	for {
 		msg, err := wire.Decode(conn)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !g.registrationClosed() {
+			if !errors.Is(err, io.EOF) && !g.regPlane.isClosed() {
 				g.logger.Warn("registration frame error", "err", err)
 			}
 			return
@@ -143,38 +92,6 @@ func (g *Gateway) handleRegistration(conn net.Conn) {
 			}
 		}
 	}
-}
-
-// registrationClosed reports whether the registration plane has shut down.
-func (g *Gateway) registrationClosed() bool {
-	g.regMu.Lock()
-	defer g.regMu.Unlock()
-	return g.regClosed
-}
-
-// closeRegistration tears the registration plane down and waits for its
-// handlers to drain.
-func (g *Gateway) closeRegistration() {
-	g.regMu.Lock()
-	if g.regClosed {
-		g.regMu.Unlock()
-		g.regWaitGroup.Wait()
-		return
-	}
-	g.regClosed = true
-	ln := g.regListener
-	conns := make([]interface{ Close() error }, 0, len(g.regConns))
-	for c := range g.regConns {
-		conns = append(conns, c)
-	}
-	g.regMu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	g.regWaitGroup.Wait()
 }
 
 // Register performs the device side of the registration handshake: it

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,17 +35,13 @@ func TestCloudReplicaRestart(t *testing.T) {
 	gcfg := DefaultGatewayConfig()
 	gcfg.Threshold = 0 // force every sample through the cloud
 	gcfg.CloudTimeout = 2 * time.Second
-	sim, err := NewReplicatedSim(model, test, gcfg, Topology{CloudReplicas: 2}, transport.NewMem(), quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
+	eng := startEngine(t, model, test, EngineConfig{Gateway: gcfg, CloudReplicas: 2})
 	ref := model.Evaluate(test, nil, 32)
 	ctx := context.Background()
 
 	check := func(id int) {
 		t.Helper()
-		res, err := classifyOne(ctx, sim.Gateway, uint64(id))
+		res, err := classifyOne(ctx, eng.Gateway(), uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -52,11 +51,11 @@ func TestCloudReplicaRestart(t *testing.T) {
 	}
 	check(0)
 
-	old := sim.CloudReplica(0)
-	if err := sim.RestartCloud(0); err != nil {
+	old := eng.Clouds()[0]
+	if err := eng.RestartCloud(0); err != nil {
 		t.Fatal(err)
 	}
-	if sim.CloudReplica(0) == old {
+	if eng.Clouds()[0] == old {
 		t.Fatal("restart kept the old node")
 	}
 	// Sessions right after the restart fail over to replica 1 and stay
@@ -66,7 +65,7 @@ func TestCloudReplicaRestart(t *testing.T) {
 	}
 	// The reborn replica is re-admitted (trial session re-dial after the
 	// fencing cooldown) and serves again.
-	waitHealthy(t, sim.Gateway, 2, 5*time.Second)
+	waitHealthy(t, eng.Gateway(), 2, 5*time.Second)
 	check(6)
 }
 
@@ -76,16 +75,12 @@ func TestEdgeReplicaRestart(t *testing.T) {
 	model, test := edgeFixture(t)
 	gcfg := DefaultGatewayConfig()
 	gcfg.Threshold = 0 // force escalation to the edge tier
-	sim, err := NewReplicatedSim(model, test, gcfg, Topology{EdgeReplicas: 2, CloudReplicas: 1}, transport.NewMem(), quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
+	eng := startEngine(t, model, test, EngineConfig{Gateway: gcfg, EdgeReplicas: 2})
 	ctx := context.Background()
 
 	classify := func(id int) {
 		t.Helper()
-		res, err := classifyOne(ctx, sim.Gateway, uint64(id))
+		res, err := classifyOne(ctx, eng.Gateway(), uint64(id))
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -94,15 +89,74 @@ func TestEdgeReplicaRestart(t *testing.T) {
 		}
 	}
 	classify(0)
-	old := sim.EdgeReplica(1)
-	if err := sim.RestartEdge(1); err != nil {
+	old := eng.Edges()[1]
+	if err := eng.RestartEdge(1); err != nil {
 		t.Fatal(err)
 	}
-	if sim.EdgeReplica(1) == old {
+	if eng.Edges()[1] == old {
 		t.Fatal("restart kept the old node")
 	}
 	for id := 1; id < 6; id++ {
 		classify(id)
 	}
-	waitHealthy(t, sim.Gateway, 2, 5*time.Second)
+	waitHealthy(t, eng.Gateway(), 2, 5*time.Second)
+}
+
+// refusingTransport is the in-memory transport with a switch that makes
+// Listen fail.
+type refusingTransport struct {
+	*transport.Mem
+	refuse atomic.Bool
+}
+
+func (r *refusingTransport) Listen(addr string) (net.Listener, error) {
+	if r.refuse.Load() {
+		return nil, fmt.Errorf("listen %s refused", addr)
+	}
+	return r.Mem.Listen(addr)
+}
+
+// TestEdgeRestartFailureClosesReplacement refuses a restart's Listen:
+// the replacement edge, whose cloud pool connects before the old node is
+// torn down, must be closed rather than leak its cloud links, and the
+// slot must stay restartable — once a restart succeeds, the cloud
+// replica holds exactly the connections it held before.
+func TestEdgeRestartFailureClosesReplacement(t *testing.T) {
+	model, test := edgeFixture(t)
+	tr := &refusingTransport{Mem: transport.NewMem()}
+	eng, err := NewEngine(model, test, EngineConfig{Gateway: DefaultGatewayConfig(), EdgeReplicas: 2, Logger: quietLogger()}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	cloud := eng.Clouds()[0]
+	awaitConns := func(want int) {
+		t.Helper()
+		got := -1
+		for stop := time.Now().Add(5 * time.Second); time.Now().Before(stop); time.Sleep(5 * time.Millisecond) {
+			cloud.mu.Lock()
+			got = len(cloud.conns)
+			cloud.mu.Unlock()
+			if got == want {
+				return
+			}
+		}
+		t.Fatalf("cloud replica holds %d connections, want %d", got, want)
+	}
+	before := len(eng.Edges()) // one pool link per edge replica
+	awaitConns(before)
+
+	tr.refuse.Store(true)
+	if err := eng.RestartEdge(1); err == nil {
+		t.Fatal("restart succeeded with Listen refused")
+	}
+	tr.refuse.Store(false)
+	// The old edge-1 is torn down and the replacement closed: only
+	// edge-0's link is left.
+	awaitConns(before - 1)
+
+	if err := eng.RestartEdge(1); err != nil {
+		t.Fatalf("restart after a failed restart: %v", err)
+	}
+	awaitConns(before)
 }

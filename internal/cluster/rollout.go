@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/modelio"
@@ -113,8 +112,8 @@ func (e *Engine) tamperFor(tier wire.ExitPoint, replica int) *core.Model {
 //     outputs for a held-out sample batch bit-identically, with finite
 //     probabilities. Only then is it unfenced and the next replica
 //     rolled.
-//  3. When every replica passes, the devices, the gateway and the
-//     engine flip their active pointers; new sessions pin the new
+//  3. When every replica passes, the engine and the gateway flip their
+//     active pointers, then every node does; new sessions pin the new
 //     version from then on.
 //
 // Sessions in flight during the rollout are never disturbed: each pinned
@@ -128,7 +127,7 @@ func (e *Engine) tamperFor(tier wire.ExitPoint, replica int) *core.Model {
 // RolloutModel requires an in-process engine (NewEngine); engines
 // attached to remote nodes cannot reach into their registries.
 func (e *Engine) RolloutModel(ctx context.Context, version uint64) error {
-	if e.sim == nil {
+	if len(e.devices) == 0 {
 		return fmt.Errorf("cluster: rollout requires an in-process engine")
 	}
 	if version == 0 {
@@ -160,10 +159,10 @@ func (e *Engine) RolloutModel(ctx context.Context, version uint64) error {
 	ref := next.Evaluate(e.canary, nil, canarySamples)
 
 	var failErr error
-	for i := 0; i < e.sim.edgeCount() && failErr == nil; i++ {
+	for i := 0; i < len(e.Edges()) && failErr == nil; i++ {
 		failErr = e.rollReplica(ctx, wire.ExitEdge, i, version, ref)
 	}
-	for i := 0; i < e.sim.cloudCount() && failErr == nil; i++ {
+	for i := 0; i < len(e.Clouds()) && failErr == nil; i++ {
 		failErr = e.rollReplica(ctx, wire.ExitCloud, i, version, ref)
 	}
 	if failErr != nil {
@@ -172,55 +171,29 @@ func (e *Engine) RolloutModel(ctx context.Context, version uint64) error {
 		return fmt.Errorf("%w: %w", ErrRolloutFailed, failErr)
 	}
 
-	// Flip the gateway (and engine) before refreshing the replicas: a
-	// replica hard-restarted mid-rollout seeds its registry from the
-	// gateway's under the sim lock, and the refresh loop re-fetches each
-	// slot under that same lock, so every restart/flip interleaving
-	// leaves the fleet on the new version.
+	// Flip the gateway (and engine) before the fleet: a replica
+	// hard-restarted mid-rollout seeds its registry from the gateway's
+	// under the node lock, and the fleet walk snapshots the slots under
+	// that same lock, so every restart/flip interleaving leaves the fleet
+	// on the new version. Re-installing catches restarted replicas too.
 	e.reg.setActive(version)
 	e.gw.reg.setActive(version)
-	for _, d := range e.sim.Devices {
-		d.reg.setActive(version)
+	for _, n := range e.fleet() {
+		n.reg.install(version, next)
+		n.reg.setActive(version)
 	}
-	e.refreshReplicas(version, next)
 	e.rolloutState.Store(rolloutIdle)
 	return nil
 }
 
-// refreshReplicas re-stages and re-activates a version on every upstream
-// replica, catching nodes that were hard-restarted mid-rollout.
-func (e *Engine) refreshReplicas(version uint64, m *core.Model) {
-	for i := 0; i < e.sim.edgeCount(); i++ {
-		if ed := e.sim.EdgeReplica(i); ed != nil {
-			ed.reg.install(version, m)
-			ed.reg.setActive(version)
-		}
-	}
-	for i := 0; i < e.sim.cloudCount(); i++ {
-		if c := e.sim.CloudReplica(i); c != nil {
-			c.reg.install(version, m)
-			c.reg.setActive(version)
-		}
-	}
-}
-
 // installEverywhere stages a version in every node registry without
-// activating it anywhere.
+// activating it anywhere — the gateway's first, so a replica restarted
+// meanwhile adopts it.
 func (e *Engine) installEverywhere(version uint64, m *core.Model) {
-	for _, d := range e.sim.Devices {
-		d.reg.install(version, m)
-	}
-	for i := 0; i < e.sim.edgeCount(); i++ {
-		if ed := e.sim.EdgeReplica(i); ed != nil {
-			ed.reg.install(version, m)
-		}
-	}
-	for i := 0; i < e.sim.cloudCount(); i++ {
-		if c := e.sim.CloudReplica(i); c != nil {
-			c.reg.install(version, m)
-		}
-	}
 	e.gw.reg.install(version, m)
+	for _, n := range e.fleet() {
+		n.reg.install(version, m)
+	}
 }
 
 // rollReplica fences, drains, flips and canaries one upstream replica.
@@ -230,26 +203,16 @@ func (e *Engine) rollReplica(ctx context.Context, tier wire.ExitPoint, i int, ve
 
 	// Re-fetch the replica after fencing: a chaos restart may have
 	// replaced the node since the rollout started.
-	var active *atomic.Int64
-	var reg *modelRegistry
-	switch tier {
-	case wire.ExitEdge:
-		ed := e.sim.EdgeReplica(i)
-		if ed == nil {
-			return fmt.Errorf("edge replica %d: gone", i)
-		}
-		active, reg = &ed.active, ed.reg
-	default:
-		c := e.sim.CloudReplica(i)
-		if c == nil {
-			return fmt.Errorf("cloud replica %d: gone", i)
-		}
-		active, reg = &c.active, c.reg
+	var n *server
+	if tier == wire.ExitEdge {
+		n = &e.Edges()[i].server
+	} else {
+		n = &e.Clouds()[i].server
 	}
 
 	// Drain: wait for the replica's in-flight classifications to settle.
 	// Fencing already diverts new sessions to the other replicas.
-	if err := awaitIdle(ctx, active); err != nil {
+	if err := awaitIdle(ctx, &n.active); err != nil {
 		return fmt.Errorf("%v replica %d: drain: %w", tier, i, err)
 	}
 
@@ -257,16 +220,16 @@ func (e *Engine) rollReplica(ctx context.Context, tier wire.ExitPoint, i int, ve
 	// copy right before the flip — exactly the failure the canary exists
 	// to catch.
 	if bad := e.tamperFor(tier, i); bad != nil {
-		reg.install(version, bad)
+		n.reg.install(version, bad)
 	}
-	if err := reg.setActive(version); err != nil {
+	if err := n.reg.setActive(version); err != nil {
 		return fmt.Errorf("%v replica %d: activate: %w", tier, i, err)
 	}
 
 	// Canary: the replica's resolved copy of the new version must
 	// reproduce the staged reference bit-identically with finite
 	// probabilities before traffic returns.
-	m, _, err := reg.resolve(version)
+	m, _, err := n.reg.resolve(version)
 	if err != nil {
 		return fmt.Errorf("%v replica %d: canary resolve: %w", tier, i, err)
 	}
@@ -286,8 +249,8 @@ func (e *Engine) setFence(tier wire.ExitPoint, i int, fenced bool) {
 		return
 	}
 	// Cloud tier behind the edge tier: fence in every edge's pool.
-	for j := 0; j < e.sim.edgeCount(); j++ {
-		if ed := e.sim.EdgeReplica(j); ed != nil && ed.cloud != nil {
+	for _, ed := range e.Edges() {
+		if ed.cloud != nil {
 			ed.cloud.setFenced(i, fenced)
 		}
 	}
@@ -311,18 +274,8 @@ func (e *Engine) rollbackTo(prev, attempted uint64, good *core.Model) {
 	// gateway's registry.
 	e.reg.setActive(prev)
 	restore(e.gw.reg)
-	for _, d := range e.sim.Devices {
-		restore(d.reg)
-	}
-	for i := 0; i < e.sim.edgeCount(); i++ {
-		if ed := e.sim.EdgeReplica(i); ed != nil {
-			restore(ed.reg)
-		}
-	}
-	for i := 0; i < e.sim.cloudCount(); i++ {
-		if c := e.sim.CloudReplica(i); c != nil {
-			restore(c.reg)
-		}
+	for _, n := range e.fleet() {
+		restore(n.reg)
 	}
 }
 
@@ -331,30 +284,13 @@ func (e *Engine) rollbackTo(prev, attempted uint64, good *core.Model) {
 // the first divergent node. Chaos harnesses call it after healing to
 // prove rollouts and restarts interleaved without splitting the fleet.
 func (e *Engine) VerifyModelConvergence() error {
-	if e.sim == nil {
-		return nil
-	}
 	want := e.reg.activeVersion()
 	if got := e.gw.reg.activeVersion(); got != want {
 		return fmt.Errorf("cluster: gateway active version %d, engine %d", got, want)
 	}
-	for i, d := range e.sim.Devices {
-		if got := d.reg.activeVersion(); got != want {
-			return fmt.Errorf("cluster: device %d active version %d, engine %d", i, got, want)
-		}
-	}
-	for i := 0; i < e.sim.edgeCount(); i++ {
-		if ed := e.sim.EdgeReplica(i); ed != nil {
-			if got := ed.reg.activeVersion(); got != want {
-				return fmt.Errorf("cluster: edge replica %d active version %d, engine %d", i, got, want)
-			}
-		}
-	}
-	for i := 0; i < e.sim.cloudCount(); i++ {
-		if c := e.sim.CloudReplica(i); c != nil {
-			if got := c.reg.activeVersion(); got != want {
-				return fmt.Errorf("cluster: cloud replica %d active version %d, engine %d", i, got, want)
-			}
+	for i, n := range e.fleet() {
+		if got := n.reg.activeVersion(); got != want {
+			return fmt.Errorf("cluster: %s (fleet node %d) active version %d, engine %d", n.name, i, got, want)
 		}
 	}
 	return nil

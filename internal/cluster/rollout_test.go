@@ -191,13 +191,12 @@ func TestRolloutCanaryFailureRollsBack(t *testing.T) {
 	}
 	// Every node converged back to version 1, and the tampered replica's
 	// copy of version 2 was repaired with the engine's good weights.
-	for i := 0; i < eng.sim.edgeCount(); i++ {
-		if ed := eng.sim.EdgeReplica(i); ed.reg.activeVersion() != 1 {
+	for i, ed := range eng.Edges() {
+		if ed.reg.activeVersion() != 1 {
 			t.Errorf("edge %d active = %d, want 1", i, ed.reg.activeVersion())
 		}
 	}
-	for i := 0; i < eng.sim.cloudCount(); i++ {
-		c := eng.sim.CloudReplica(i)
+	for i, c := range eng.Clouds() {
 		if c.reg.activeVersion() != 1 {
 			t.Errorf("cloud %d active = %d, want 1", i, c.reg.activeVersion())
 		}
@@ -241,7 +240,7 @@ func TestRolloutSurvivesReplicaRestart(t *testing.T) {
 		if replica == 0 {
 			// While replica 0 is being rolled, hard-restart replica 1: the
 			// fresh node must adopt the fleet registry mid-rollout.
-			if err := eng.sim.RestartCloud(1); err != nil {
+			if err := eng.RestartCloud(1); err != nil {
 				t.Errorf("restart cloud 1: %v", err)
 			}
 		}
@@ -256,8 +255,8 @@ func TestRolloutSurvivesReplicaRestart(t *testing.T) {
 	if got := eng.ModelVersion(); got != 2 {
 		t.Fatalf("active version = %d, want 2", got)
 	}
-	for i := 0; i < eng.sim.cloudCount(); i++ {
-		if c := eng.sim.CloudReplica(i); c.reg.activeVersion() != 2 {
+	for i, c := range eng.Clouds() {
+		if c.reg.activeVersion() != 2 {
 			t.Errorf("cloud %d active = %d, want 2", i, c.reg.activeVersion())
 		}
 	}

@@ -138,7 +138,7 @@ type sessionTable struct {
 	reg  *modelRegistry
 	pool *tensor.Pool
 	send func(wire.Message) error
-	open map[uint64]*uploadSession
+	open map[uint64]*uploadSession // made by the first begin
 }
 
 // begin opens the session a classify header announces, answering the
@@ -162,6 +162,9 @@ func (t *sessionTable) begin(session, modelVersion uint64, devices uint16, ids [
 	}
 	if prev := t.open[session]; prev != nil {
 		prev.release(t.pool) // the peer restarted the session
+	}
+	if t.open == nil {
+		t.open = make(map[uint64]*uploadSession)
 	}
 	up.session, up.modelVersion, up.thresholds = session, modelVersion, thresholds
 	t.open[session] = up
@@ -191,7 +194,7 @@ func (t *sessionTable) add(fb *wire.FeatureBatch) *uploadSession {
 }
 
 // release returns every still-open session's tensors to the pool; the
-// connection handler calls it when the connection closes.
+// frame loop calls it when the connection closes.
 func (t *sessionTable) release() {
 	for id, up := range t.open {
 		up.release(t.pool)

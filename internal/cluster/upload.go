@@ -17,7 +17,7 @@ const uploadIDBase = uint64(1) << 63
 
 // uploadStore holds caller-uploaded multi-view samples for the duration
 // of their classification session. It is shared by every in-process
-// device node of a Sim, which is what lets an HTTP front door accept a
+// device node of an Engine, which is what lets an HTTP front door accept a
 // raw tensor body: the uploaded views are staged here under a fresh
 // sample ID, the session runs the normal staged pipeline against that
 // ID, and the entry is removed when the session settles.
@@ -84,7 +84,7 @@ func uploadFeed(store *uploadStore, base Feed, device int) Feed {
 // (NewEngine) support uploads — an engine attached to remote nodes
 // returns ErrUploadUnsupported, since its devices own their sensors.
 func (e *Engine) ClassifyUpload(ctx context.Context, views []*tensor.Tensor, level ShedLevel) (*Result, error) {
-	if e.sim == nil || e.sim.uploads == nil {
+	if e.uploads == nil {
 		return nil, ErrUploadUnsupported
 	}
 	if len(views) != e.gw.model.Cfg.Devices {
@@ -95,7 +95,7 @@ func (e *Engine) ClassifyUpload(ctx context.Context, views []*tensor.Tensor, lev
 			return nil, fmt.Errorf("cluster: upload view %d must be [1, %d, %d, %d]", d, dataset.ImageC, dataset.ImageH, dataset.ImageW)
 		}
 	}
-	id := e.sim.uploads.add(views)
-	defer e.sim.uploads.remove(id)
+	id := e.uploads.add(views)
+	defer e.uploads.remove(id)
 	return e.ClassifyTenantShed(ctx, id, "", level)
 }

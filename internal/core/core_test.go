@@ -500,3 +500,45 @@ func TestEvalResultExitWalksStages(t *testing.T) {
 		t.Errorf("Argmax tie = %d, want the first index 0", got)
 	}
 }
+
+// TestReferenceCachesPerMaskAndVersion: the oracle evaluates each
+// (presence mask, model version) once, keeps masks and versions apart,
+// and answers nil for a version it was never given.
+func TestReferenceCachesPerMaskAndVersion(t *testing.T) {
+	m, test := trained(t)
+	ref := NewReference(m, test)
+	full := []bool{true, true, true, true, true, true}
+	er := ref.For(full, 1)
+	if ref.For(full, 1) != er {
+		t.Error("a repeated (mask, version) was evaluated again")
+	}
+	masked := append([]bool(nil), full...)
+	masked[0] = false
+	if got, want := ref.For(masked, 1).LocalProbs, m.Evaluate(test, masked, 32).LocalProbs; !probsEqual(got, want) {
+		t.Error("masked reference differs from Evaluate under the mask")
+	}
+	if ref.For(nil, 2) != nil {
+		t.Error("an unregistered version has a reference")
+	}
+	cfg := m.Cfg
+	cfg.Seed += 99
+	v2 := MustNewModel(cfg)
+	ref.AddModel(2, v2)
+	if got, want := ref.For(full, 2).CloudProbs, v2.Evaluate(test, full, 32).CloudProbs; !probsEqual(got, want) {
+		t.Error("version 2 reference is not version 2's evaluation")
+	}
+}
+
+func probsEqual(a, b [][]float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}

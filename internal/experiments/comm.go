@@ -64,11 +64,12 @@ func (r *Runner) CommunicationReduction(threshold float64, maxSamples int) (*Com
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.Threshold = threshold
 	quiet := slog.New(slog.NewTextHandler(discardWriter{}, &slog.HandlerOptions{Level: slog.LevelError}))
-	sim, err := cluster.NewSim(m, r.test, gcfg, transport.NewMem(), quiet)
+	eng, err := cluster.NewEngine(m, r.test, cluster.EngineConfig{Gateway: gcfg, Logger: quiet}, transport.NewMem())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: start cluster: %w", err)
 	}
-	defer sim.Close()
+	defer eng.Close()
+	gw := eng.Gateway()
 
 	n := r.test.Len()
 	if maxSamples > 0 && maxSamples < n {
@@ -78,7 +79,7 @@ func (r *Runner) CommunicationReduction(threshold float64, maxSamples int) (*Com
 	var localLat, cloudLat time.Duration
 	var localN, cloudN int
 	for id := 0; id < n; id++ {
-		results, err := sim.Gateway.Classify(context.Background(), []uint64{uint64(id)}, "", cluster.ShedNone)
+		results, err := gw.Classify(context.Background(), []uint64{uint64(id)}, "", cluster.ShedNone)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: classify sample %d: %w", id, err)
 		}
@@ -95,8 +96,8 @@ func (r *Runner) CommunicationReduction(threshold float64, maxSamples int) (*Com
 	}
 
 	devices := float64(m.Cfg.Devices)
-	payload := float64(sim.Gateway.Meter.Total()) / (devices * float64(n))
-	wireBytes := float64(sim.Gateway.WireBytesUp()) / (devices * float64(n))
+	payload := float64(gw.Meter.Total()) / (devices * float64(n))
+	wireBytes := float64(gw.WireBytesUp()) / (devices * float64(n))
 	l := float64(localExits) / float64(n)
 	report := &CommReport{
 		Threshold:            threshold,
