@@ -1,7 +1,8 @@
 // Package promtext is a minimal, dependency-free metrics registry that
 // renders the Prometheus text exposition format (version 0.0.4). It
 // implements exactly the instrument kinds the serving front door needs —
-// counters, gauges, histograms, each optionally split by one label — so
+// counters split by one label, and gauges and histograms optionally split
+// by one — so
 // /metrics can be scraped by any Prometheus-compatible collector without
 // pulling a client library into a stdlib-only module.
 //
@@ -109,42 +110,6 @@ func formatFloat(v float64) string {
 	default:
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Counter
-
-// Counter is a monotonically increasing value.
-type Counter struct {
-	fname string
-	help  string
-	v     atomic.Uint64
-}
-
-// NewCounter registers a counter family with a single unlabelled sample.
-func NewCounter(r *Registry, name, help string) *Counter {
-	c := &Counter{fname: name, help: help}
-	r.register(c)
-	return c
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n; negative deltas are ignored (counters are monotonic).
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-func (c *Counter) name() string { return c.fname }
-
-func (c *Counter) write(w io.Writer) error {
-	if err := writeHeader(w, c.fname, c.help, "counter"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", c.fname, c.v.Load())
-	return err
 }
 
 // ---------------------------------------------------------------------------

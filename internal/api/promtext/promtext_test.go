@@ -18,21 +18,21 @@ func render(t *testing.T, r *Registry) string {
 
 func TestCounterExposition(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter(r, "ddnn_requests_total", "Total requests.")
-	c.Inc()
-	c.Add(2)
+	c := NewCounterVec(r, "ddnn_requests_total", "Total requests.", "code")
+	c.Inc("200")
+	c.Add("200", 2)
 	out := render(t, r)
 	for _, want := range []string{
 		"# HELP ddnn_requests_total Total requests.\n",
 		"# TYPE ddnn_requests_total counter\n",
-		"ddnn_requests_total 3\n",
+		`ddnn_requests_total{code="200"} 3` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if c.Value() != 3 {
-		t.Errorf("Value() = %d, want 3", c.Value())
+	if c.Value("200") != 3 {
+		t.Errorf("Value() = %d, want 3", c.Value("200"))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestHistogramVecPerLabelSamples(t *testing.T) {
 
 func TestFamiliesSortedByName(t *testing.T) {
 	r := NewRegistry()
-	NewCounter(r, "zzz_total", "Last.")
+	NewCounterVec(r, "zzz_total", "Last.", "l")
 	NewGauge(r, "aaa_current", "First.")
 	out := render(t, r)
 	if a, z := strings.Index(out, "aaa_current"), strings.Index(out, "zzz_total"); a == -1 || z == -1 || a > z {
@@ -145,18 +145,17 @@ func TestFamiliesSortedByName(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	NewCounter(r, "dup_total", "One.")
+	NewCounterVec(r, "dup_total", "One.", "l")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	NewCounter(r, "dup_total", "Two.")
+	NewCounterVec(r, "dup_total", "Two.", "l")
 }
 
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter(r, "conc_total", "Concurrent counter.")
 	cv := NewCounterVec(r, "conc_by_client_total", "Concurrent vec.", "client")
 	h := NewHistogramVec(r, "conc_seconds", "Concurrent histogram.", "tier", nil)
 	var wg sync.WaitGroup
@@ -166,7 +165,6 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			client := string(rune('a' + i%3))
 			for j := 0; j < 500; j++ {
-				c.Inc()
 				cv.Inc(client)
 				h.Observe(client, float64(j)/1000)
 				if j%100 == 0 {
@@ -177,9 +175,6 @@ func TestConcurrentUse(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Value() != 8*500 {
-		t.Errorf("counter = %d, want %d", c.Value(), 8*500)
-	}
 	total := cv.Value("a") + cv.Value("b") + cv.Value("c")
 	if total != 8*500 {
 		t.Errorf("vec total = %d, want %d", total, 8*500)

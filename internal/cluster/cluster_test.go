@@ -299,6 +299,38 @@ func TestDeviceRecovery(t *testing.T) {
 	}
 }
 
+// TestDeviceRecoversAfterStickyDown: a device marked down by sticky
+// detection gets a half-open trial session once the cooldown has passed,
+// the way a fenced replica does, so it returns without a health monitor.
+func TestDeviceRecoversAfterStickyDown(t *testing.T) {
+	cfg := DefaultGatewayConfig()
+	cfg.DeviceTimeout = 100 * time.Millisecond
+	cfg.MaxFailures = 1
+	eng := newTwoTier(t, cfg)
+	gw := eng.Gateway()
+
+	eng.Devices()[1].SetFailed(true)
+	if _, err := classifyOne(context.Background(), gw, 0); err != nil {
+		t.Fatal(err)
+	}
+	if down := gw.DownDevices(); len(down) != 1 || down[0] != 1 {
+		t.Fatalf("DownDevices = %v, want [1]", down)
+	}
+
+	eng.Devices()[1].SetFailed(false)
+	time.Sleep(replicaCooldown + 50*time.Millisecond)
+	res, err := classifyOne(context.Background(), gw, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Present[1] {
+		t.Error("healed device still left out after the cooldown")
+	}
+	if down := gw.DownDevices(); len(down) != 0 {
+		t.Errorf("DownDevices = %v after the trial session answered, want none", down)
+	}
+}
+
 func TestHealthMonitorDetectsFailureAndRecovery(t *testing.T) {
 	model, test := fixture(t)
 	tr := transport.NewMem()

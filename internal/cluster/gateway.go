@@ -38,8 +38,9 @@ type GatewayConfig struct {
 	// as with CloudTimeout, a failover retry gets its own budget.
 	EdgeTimeout time.Duration
 	// MaxFailures marks a device as down after this many consecutive
-	// timeouts, so later samples skip it immediately. Zero disables
-	// sticky failure detection.
+	// timeouts, so later samples skip it immediately; without a health
+	// monitor, one session per cooldown tries it again and an answer
+	// re-admits it. Zero disables sticky failure detection.
 	MaxFailures int
 }
 
@@ -149,6 +150,11 @@ type deviceLink struct {
 	link     *link // nil while the slot is absent
 	failures int
 	down     bool
+	// retryAt is when a down device may take its next trial session;
+	// monitored hands its recovery to a health monitor instead (the
+	// same half-open rule as a replica; see ReplicaPool.startTrial).
+	retryAt   time.Time
+	monitored bool
 }
 
 // NewGateway connects to the device nodes and the next tier up — the
@@ -299,11 +305,12 @@ func (g *Gateway) WireBytesDown() int64 {
 	return t
 }
 
-// recordTimeout counts a consecutive miss and applies sticky marking.
-// The session's snapshot link guards against membership churn: a
-// timeout observed on a link that has since been replaced (the slot
-// re-registered or left) must not count against the slot's current
-// occupant.
+// recordTimeout counts a consecutive miss and applies sticky marking;
+// marking down starts the cooldown before the device's first trial
+// session (see snapshotMembers). The session's snapshot link guards
+// against membership churn: a timeout observed on a link that has since
+// been replaced (the slot re-registered or left) must not count against
+// the slot's current occupant.
 func (g *Gateway) recordTimeout(device int, l *link) {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
@@ -315,11 +322,14 @@ func (g *Gateway) recordTimeout(device int, l *link) {
 	if g.cfg.MaxFailures > 0 && dl.failures >= g.cfg.MaxFailures && !dl.down {
 		g.logger.Warn("device marked down", "device", device, "consecutive_timeouts", dl.failures)
 		dl.down = true
+		dl.retryAt = time.Now().Add(replicaCooldown)
 	}
 }
 
-// recordSuccess resets the consecutive-miss counter; stale observations
-// from before a membership change are dropped (see recordTimeout).
+// recordSuccess resets the consecutive-miss counter and re-admits a down
+// device that answered (a trial session, or one that started before it
+// was marked down); stale observations from before a membership change
+// are dropped (see recordTimeout).
 func (g *Gateway) recordSuccess(device int, l *link) {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
@@ -328,6 +338,10 @@ func (g *Gateway) recordSuccess(device int, l *link) {
 		return
 	}
 	dl.failures = 0
+	if dl.down {
+		dl.down = false
+		g.logger.Info("device recovered", "device", device)
+	}
 }
 
 // DownDevices returns the indices of devices currently marked down by

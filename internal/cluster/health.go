@@ -29,8 +29,10 @@ type HealthMonitor struct {
 	misses   int
 
 	// monitored records that this monitor took over the upstream pool's
-	// recovery; Stop must hand it back.
+	// recovery, and devices lists the devices whose recovery it took
+	// over; Stop must hand both back.
 	monitored bool
+	devices   []int
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -40,9 +42,10 @@ type HealthMonitor struct {
 // StartHealthMonitor dials a probe connection to each device and to each
 // upstream replica and begins heartbeating every interval. A node is
 // marked down after `misses` consecutive unanswered probes and marked up
-// again on the first answer. Attaching a monitor hands the upstream
-// pool's recovery to it: the pool stops sending half-open trial sessions
-// to fenced replicas. The context bounds the initial probe dials only.
+// again on the first answer. Attaching a monitor hands the recovery of
+// the upstream pool and of the probed devices to it: no half-open trial
+// sessions go to fenced replicas or down devices. The context bounds the
+// initial probe dials only.
 func (g *Gateway) StartHealthMonitor(ctx context.Context, tr transport.Transport, deviceAddrs []string, upstreamAddrs []string, interval time.Duration, misses int) (*HealthMonitor, error) {
 	if len(deviceAddrs) > len(g.devices) {
 		return nil, fmt.Errorf("cluster: health monitor got %d device addresses for %d slots: %w", len(deviceAddrs), len(g.devices), ErrDeviceSlotMismatch)
@@ -91,6 +94,8 @@ func (g *Gateway) StartHealthMonitor(ctx context.Context, tr transport.Transport
 		hm.wg.Add(1)
 		go hm.probeLoop(targets[i], addr, conn)
 	}
+	hm.devices = targets[:len(targets)-len(upstreamAddrs)]
+	g.setDevicesMonitored(hm.devices, true)
 	if len(upstreamAddrs) > 0 {
 		// Only a running monitor may own the pool's recovery; Stop hands
 		// it back to half-open trial sessions.
@@ -204,15 +209,26 @@ func (hm *HealthMonitor) probeOnce(conn net.Conn, nodeID string, seq uint64) (ok
 	}
 }
 
-// Stop terminates all probe loops and closes their connections. If the
-// monitor owned the upstream pool's recovery, ownership reverts to the
-// pool's half-open trial sessions, so replicas fenced after Stop can
-// still be re-admitted.
+// Stop terminates all probe loops and closes their connections.
+// Recovery of the devices and replicas the monitor owned reverts to
+// half-open trial sessions, so nodes marked down can still be
+// re-admitted.
 func (hm *HealthMonitor) Stop() {
 	hm.once.Do(func() { close(hm.stop) })
 	hm.wg.Wait()
+	hm.gw.setDevicesMonitored(hm.devices, false)
 	if hm.monitored {
 		hm.gw.upstream.setMonitored(false)
+	}
+}
+
+// setDevicesMonitored hands the devices' recovery to a health monitor
+// (on) or back to half-open trial sessions (off).
+func (g *Gateway) setDevicesMonitored(devices []int, on bool) {
+	g.stateMu.Lock()
+	defer g.stateMu.Unlock()
+	for _, d := range devices {
+		g.devices[d].monitored = on
 	}
 }
 

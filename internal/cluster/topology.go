@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"github.com/ddnn/ddnn-go/internal/transport"
 )
@@ -201,15 +202,25 @@ type memberSnapshot struct {
 }
 
 // snapshotMembers captures the session's membership view under the
-// state lock.
+// state lock. A down device is left out, except that once its cooldown
+// has passed the next session takes it as a half-open trial and re-arms
+// the cooldown — unless a health monitor probes the device and owns its
+// recovery. A trial that answers re-admits the device (recordSuccess).
 func (g *Gateway) snapshotMembers() memberSnapshot {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
 	links := make([]*link, len(g.devices))
 	for i, dl := range g.devices {
-		if dl.link != nil && !dl.down {
-			links[i] = dl.link
+		if dl.link == nil {
+			continue
 		}
+		if dl.down {
+			if dl.monitored || time.Now().Before(dl.retryAt) {
+				continue
+			}
+			dl.retryAt = time.Now().Add(replicaCooldown)
+		}
+		links[i] = dl.link
 	}
 	return memberSnapshot{version: g.configVersion, links: links}
 }

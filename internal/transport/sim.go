@@ -152,31 +152,6 @@ func (c *simConn) Close() error {
 	return c.Conn.Close()
 }
 
-// SimTransport decorates a transport so every dialed connection
-// experiences a link profile. Listeners are passed through unchanged; the
-// delay is applied on the dialer's writes (its uplink).
-type SimTransport struct {
-	Inner   Transport
-	Profile LinkProfile
-}
-
-var _ Transport = SimTransport{}
-
-// Listen delegates to the inner transport.
-func (s SimTransport) Listen(addr string) (net.Listener, error) {
-	return s.Inner.Listen(addr)
-}
-
-// Dial delegates to the inner transport and wraps the connection with the
-// link simulation.
-func (s SimTransport) Dial(ctx context.Context, addr string) (net.Conn, error) {
-	c, err := s.Inner.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	return Simulate(c, s.Profile), nil
-}
-
 // RouteSim decorates a transport so each dialed connection experiences a
 // per-address link profile — device uplinks and the WAN path to the cloud
 // carry different latency/bandwidth within one cluster. Listeners pass

@@ -292,7 +292,7 @@ func TestSimulateOverlapsPropagation(t *testing.T) {
 	}
 }
 
-func TestSimTransportWrapsDials(t *testing.T) {
+func TestRouteSimWrapsDials(t *testing.T) {
 	mem := NewMem()
 	l, err := mem.Listen("a")
 	if err != nil {
@@ -307,7 +307,7 @@ func TestSimTransportWrapsDials(t *testing.T) {
 		defer conn.Close()
 		io.Copy(io.Discard, conn)
 	}()
-	sim := SimTransport{Inner: mem, Profile: LinkProfile{BandwidthBps: 10}}
+	sim := RouteSim{Inner: mem, Pick: func(string) LinkProfile { return LinkProfile{BandwidthBps: 10} }}
 	c, err := sim.Dial(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
@@ -323,12 +323,12 @@ func TestSimTransportWrapsDials(t *testing.T) {
 	}
 	// Listeners pass through unchanged.
 	if _, err := sim.Listen("b"); err != nil {
-		t.Errorf("Listen through SimTransport: %v", err)
+		t.Errorf("Listen through RouteSim: %v", err)
 	}
 }
 
-func TestSimTransportDialError(t *testing.T) {
-	sim := SimTransport{Inner: NewMem()}
+func TestRouteSimDialError(t *testing.T) {
+	sim := RouteSim{Inner: NewMem(), Pick: func(string) LinkProfile { return LinkProfile{} }}
 	if _, err := sim.Dial(context.Background(), "missing"); err == nil {
 		t.Error("Dial to missing address succeeded")
 	}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -26,23 +25,6 @@ func appendSampleIDs(dst []byte, ids []uint64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, id)
 	}
 	return dst
-}
-
-// readSampleIDs decodes a uint16-counted ID list, returning the rest.
-func readSampleIDs(src []byte) ([]uint64, []byte, error) {
-	if len(src) < 2 {
-		return nil, nil, ErrShortPayload
-	}
-	n := int(binary.LittleEndian.Uint16(src[0:2]))
-	src = src[2:]
-	if len(src) < 8*n {
-		return nil, nil, ErrShortPayload
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint64(src[8*i:])
-	}
-	return ids, src[8*n:], nil
 }
 
 // PackPresent bit-packs a presence vector for the batch frames: bit i of
@@ -91,20 +73,9 @@ func (m *CaptureBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *CaptureBatch) decodePayload(src []byte) error {
-	if len(src) < 16 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	ids, rest, err := readSampleIDs(src[16:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShortPayload
-	}
-	m.SampleIDs = ids
-	return nil
+	r := reader{buf: src}
+	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.u64(), r.ids()
+	return r.end()
 }
 
 // SummaryBatch is a device's reply to a CaptureBatch: one class-summary
@@ -157,29 +128,11 @@ func (m *SummaryBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *SummaryBatch) decodePayload(src []byte) error {
-	if len(src) < 14 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.Device = binary.LittleEndian.Uint16(src[8:10])
-	m.Classes = binary.LittleEndian.Uint16(src[10:12])
-	m.Count = binary.LittleEndian.Uint16(src[12:14])
-	src = src[14:]
-	pb := (int(m.Count) + 7) / 8
-	if len(src) < pb {
-		return ErrShortPayload
-	}
-	m.Present = append([]byte(nil), src[:pb]...)
-	src = src[pb:]
-	n := m.PresentCount() * int(m.Classes)
-	if len(src) != 4*n {
-		return ErrShortPayload
-	}
-	m.Probs = make([]float32, n)
-	for i := range m.Probs {
-		m.Probs[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return nil
+	r := reader{buf: src}
+	m.Session, m.Device, m.Classes, m.Count = r.u64(), r.u16(), r.u16(), r.u16()
+	m.Present = r.bytes((int(m.Count) + 7) / 8)
+	m.Probs = r.f32s(m.PresentCount() * int(m.Classes))
+	return r.end()
 }
 
 // FeatureBatchRequest asks a device for the binarized feature maps of the
@@ -207,20 +160,9 @@ func (m *FeatureBatchRequest) appendPayload(dst []byte) []byte {
 }
 
 func (m *FeatureBatchRequest) decodePayload(src []byte) error {
-	if len(src) < 16 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	ids, rest, err := readSampleIDs(src[16:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShortPayload
-	}
-	m.SampleIDs = ids
-	return nil
+	r := reader{buf: src}
+	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.u64(), r.ids()
+	return r.end()
 }
 
 // FeatureBatch carries one device's bit-packed binarized feature maps for
@@ -250,7 +192,7 @@ func (m *FeatureBatch) SessionID() uint64 { return m.Session }
 
 // SampleBytes returns the packed size of one sample's feature map.
 func (m *FeatureBatch) SampleBytes() int {
-	return (int(m.F)*int(m.H)*int(m.W) + 7) / 8
+	return featureBytes(m.F, m.H, m.W)
 }
 
 // Sample returns the packed bits of the i-th sample.
@@ -269,24 +211,12 @@ func (m *FeatureBatch) appendPayload(dst []byte) []byte {
 	return append(dst, m.Bits...)
 }
 
-func (m *FeatureBatch) decodePayload(src []byte) error {
-	if len(src) < 18 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.Device = binary.LittleEndian.Uint16(src[8:10])
-	m.F = binary.LittleEndian.Uint16(src[10:12])
-	m.H = binary.LittleEndian.Uint16(src[12:14])
-	m.W = binary.LittleEndian.Uint16(src[14:16])
-	m.Count = binary.LittleEndian.Uint16(src[16:18])
-	src = src[18:]
-	want := int(m.Count) * m.SampleBytes()
-	if len(src) != want {
-		return fmt.Errorf("wire: feature batch has %d bytes for %d samples of %d×%d×%d bits (want %d)",
-			len(src), m.Count, m.F, m.H, m.W, want)
-	}
-	m.Bits = append([]byte(nil), src...)
-	return nil
+func (m *FeatureBatch) decodePayload(src []byte) (err error) {
+	r := reader{buf: src}
+	m.Session, m.Device = r.u64(), r.u16()
+	m.F, m.H, m.W, m.Count = r.u16(), r.u16(), r.u16(), r.u16()
+	m.Bits, err = r.features("feature batch", r.rest(), int(m.Count), m.F, m.H, m.W)
+	return err
 }
 
 // CloudClassifyBatch opens a batched cloud classification session: it
@@ -326,24 +256,6 @@ func appendIDMaskPairs(dst []byte, ids []uint64, masks []uint16) []byte {
 	return dst
 }
 
-func readIDMaskPairs(src []byte) ([]uint64, []uint16, []byte, error) {
-	if len(src) < 2 {
-		return nil, nil, nil, ErrShortPayload
-	}
-	n := int(binary.LittleEndian.Uint16(src[0:2]))
-	src = src[2:]
-	if len(src) < 10*n {
-		return nil, nil, nil, ErrShortPayload
-	}
-	ids := make([]uint64, n)
-	masks := make([]uint16, n)
-	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint64(src[10*i:])
-		masks[i] = binary.LittleEndian.Uint16(src[10*i+8:])
-	}
-	return ids, masks, src[10*n:], nil
-}
-
 func (m *CloudClassifyBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
 	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
@@ -352,21 +264,10 @@ func (m *CloudClassifyBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *CloudClassifyBatch) decodePayload(src []byte) error {
-	if len(src) < 18 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	m.Devices = binary.LittleEndian.Uint16(src[16:18])
-	ids, masks, rest, err := readIDMaskPairs(src[18:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShortPayload
-	}
-	m.SampleIDs, m.Masks = ids, masks
-	return nil
+	r := reader{buf: src}
+	m.Session, m.ModelVersion, m.Devices = r.u64(), r.u64(), r.u16()
+	m.SampleIDs, m.Masks = r.idMasks()
+	return r.end()
 }
 
 // EdgeClassifyBatch opens a batched edge classification session: the
@@ -410,30 +311,11 @@ func (m *EdgeClassifyBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *EdgeClassifyBatch) decodePayload(src []byte) error {
-	if len(src) < 18 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	m.Devices = binary.LittleEndian.Uint16(src[16:18])
-	ids, masks, rest, err := readIDMaskPairs(src[18:])
-	if err != nil {
-		return err
-	}
-	if len(rest) < 2 {
-		return ErrShortPayload
-	}
-	n := int(binary.LittleEndian.Uint16(rest[0:2]))
-	rest = rest[2:]
-	if len(rest) != 8*n {
-		return ErrShortPayload
-	}
-	m.Thresholds = make([]float64, n)
-	for i := range m.Thresholds {
-		m.Thresholds[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-	}
-	m.SampleIDs, m.Masks = ids, masks
-	return nil
+	r := reader{buf: src}
+	m.Session, m.ModelVersion, m.Devices = r.u64(), r.u64(), r.u16()
+	m.SampleIDs, m.Masks = r.idMasks()
+	m.Thresholds = r.f64s(int(r.u16()))
+	return r.end()
 }
 
 // EdgeFeatureBatch carries the bit-packed edge feature maps of the
@@ -462,7 +344,7 @@ func (m *EdgeFeatureBatch) SessionID() uint64 { return m.Session }
 
 // SampleBytes returns the packed size of one sample's feature map.
 func (m *EdgeFeatureBatch) SampleBytes() int {
-	return (int(m.F)*int(m.H)*int(m.W) + 7) / 8
+	return featureBytes(m.F, m.H, m.W)
 }
 
 // Sample returns the packed bits of the i-th sample.
@@ -481,27 +363,13 @@ func (m *EdgeFeatureBatch) appendPayload(dst []byte) []byte {
 	return append(dst, m.Bits...)
 }
 
-func (m *EdgeFeatureBatch) decodePayload(src []byte) error {
-	if len(src) < 22 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	m.F = binary.LittleEndian.Uint16(src[16:18])
-	m.H = binary.LittleEndian.Uint16(src[18:20])
-	m.W = binary.LittleEndian.Uint16(src[20:22])
-	ids, rest, err := readSampleIDs(src[22:])
-	if err != nil {
-		return err
-	}
-	want := len(ids) * m.SampleBytes()
-	if len(rest) != want {
-		return fmt.Errorf("wire: edge feature batch has %d bytes for %d samples of %d×%d×%d bits (want %d)",
-			len(rest), len(ids), m.F, m.H, m.W, want)
-	}
-	m.SampleIDs = ids
-	m.Bits = append([]byte(nil), rest...)
-	return nil
+func (m *EdgeFeatureBatch) decodePayload(src []byte) (err error) {
+	r := reader{buf: src}
+	m.Session, m.ModelVersion = r.u64(), r.u64()
+	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
+	m.SampleIDs = r.ids()
+	m.Bits, err = r.features("edge feature batch", r.rest(), len(m.SampleIDs), m.F, m.H, m.W)
+	return err
 }
 
 // BatchVerdict is one sample's outcome inside a ResultBatch.
@@ -550,36 +418,15 @@ func (m *ResultBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *ResultBatch) decodePayload(src []byte) error {
-	if len(src) < 10 {
-		return ErrShortPayload
+	r := reader{buf: src}
+	m.Session = r.u64()
+	// Each verdict is at least 13 bytes, so the count is checked against
+	// the payload before the slice is sized from it.
+	m.Verdicts = make([]BatchVerdict, r.count(13))
+	for i := range m.Verdicts {
+		v := &m.Verdicts[i]
+		v.SampleID, v.Exit, v.Class = r.u64(), ExitPoint(r.u8()), r.u16()
+		v.Probs = r.f32s(int(r.u16()))
 	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	n := int(binary.LittleEndian.Uint16(src[8:10]))
-	src = src[10:]
-	m.Verdicts = make([]BatchVerdict, 0, n)
-	for i := 0; i < n; i++ {
-		if len(src) < 13 {
-			return ErrShortPayload
-		}
-		v := BatchVerdict{
-			SampleID: binary.LittleEndian.Uint64(src[0:8]),
-			Exit:     ExitPoint(src[8]),
-			Class:    binary.LittleEndian.Uint16(src[9:11]),
-		}
-		np := int(binary.LittleEndian.Uint16(src[11:13]))
-		src = src[13:]
-		if len(src) < 4*np {
-			return ErrShortPayload
-		}
-		v.Probs = make([]float32, np)
-		for j := range v.Probs {
-			v.Probs[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
-		}
-		src = src[4*np:]
-		m.Verdicts = append(m.Verdicts, v)
-	}
-	if len(src) != 0 {
-		return ErrShortPayload
-	}
-	return nil
+	return r.end()
 }

@@ -21,7 +21,6 @@ func encodeFrame(tb testing.TB, m Message) []byte {
 // corpus starts from one valid frame per decoder path.
 func seedMessages() []Message {
 	return []Message{
-		&Hello{NodeID: "device-3", Role: RoleDevice, Device: 3},
 		&LocalSummary{Session: 17, SampleID: 42, Device: 1, Probs: []float32{0.1, 0.7, 0.2}},
 		&FeatureRequest{Session: 3, SampleID: 99, ModelVersion: 2},
 		&FeatureUpload{Session: 9, SampleID: 7, Device: 2, F: 4, H: 16, W: 16, Bits: make([]byte, 4*16*16/8)},
@@ -155,9 +154,9 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 	}
 	// Model version pinning rides every session-opening frame.
 	mv := session ^ sample
-	switch kind % 22 {
+	switch kind % 21 {
 	case 0:
-		return &Hello{NodeID: s, Role: Role(a), Device: b}
+		return &DeviceGoodbye{NodeID: s, Slot: b, Reason: s}
 	case 1:
 		return &LocalSummary{Session: session, SampleID: sample, Device: a, Probs: probs}
 	case 2:
@@ -236,8 +235,6 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 		return &DeviceHello{NodeID: s, Slot: a, Tenant: tenant, Addr: s}
 	case 20:
 		return &DeviceWelcome{Slot: a, Devices: b, ConfigVersion: session}
-	case 21:
-		return &DeviceGoodbye{NodeID: s, Slot: b, Reason: s}
 	default:
 		vs := make([]BatchVerdict, len(ids))
 		for i := range vs {

@@ -4,69 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 )
-
-// Role identifies a node's position in the distributed computing
-// hierarchy.
-type Role uint8
-
-// Node roles.
-const (
-	RoleDevice Role = iota + 1
-	RoleEdge
-	RoleCloud
-	RoleGateway
-)
-
-// String names the role.
-func (r Role) String() string {
-	switch r {
-	case RoleDevice:
-		return "device"
-	case RoleEdge:
-		return "edge"
-	case RoleCloud:
-		return "cloud"
-	case RoleGateway:
-		return "gateway"
-	default:
-		return fmt.Sprintf("Role(%d)", uint8(r))
-	}
-}
-
-// Hello announces a node after connecting.
-type Hello struct {
-	// NodeID names the sending node.
-	NodeID string
-	// Role is the sender's role in the hierarchy.
-	Role Role
-	// Device is the device index for RoleDevice nodes.
-	Device uint16
-}
-
-// MsgType implements Message.
-func (*Hello) MsgType() MsgType { return TypeHello }
-
-func (m *Hello) appendPayload(dst []byte) []byte {
-	dst = appendString(dst, m.NodeID)
-	dst = append(dst, byte(m.Role))
-	return binary.LittleEndian.AppendUint16(dst, m.Device)
-}
-
-func (m *Hello) decodePayload(src []byte) error {
-	s, rest, err := readString(src)
-	if err != nil {
-		return err
-	}
-	if len(rest) < 3 {
-		return ErrShortPayload
-	}
-	m.NodeID = s
-	m.Role = Role(rest[0])
-	m.Device = binary.LittleEndian.Uint16(rest[1:3])
-	return nil
-}
 
 // LocalSummary is the per-sample class-probability vector a device sends to
 // the local aggregator. Its payload charges exactly 4 bytes per class, the
@@ -100,22 +38,10 @@ func (m *LocalSummary) appendPayload(dst []byte) []byte {
 }
 
 func (m *LocalSummary) decodePayload(src []byte) error {
-	if len(src) < 20 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.Device = binary.LittleEndian.Uint16(src[16:18])
-	n := int(binary.LittleEndian.Uint16(src[18:20]))
-	src = src[20:]
-	if len(src) != 4*n {
-		return ErrShortPayload
-	}
-	m.Probs = make([]float32, n)
-	for i := range m.Probs {
-		m.Probs[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return nil
+	r := reader{buf: src}
+	m.Session, m.SampleID, m.Device = r.u64(), r.u64(), r.u16()
+	m.Probs = r.f32s(int(r.u16()))
+	return r.end()
 }
 
 // SummaryPayloadBytes returns the Eq. (1) accounting charge of a summary:
@@ -146,13 +72,9 @@ func (m *FeatureRequest) appendPayload(dst []byte) []byte {
 }
 
 func (m *FeatureRequest) decodePayload(src []byte) error {
-	if len(src) != 24 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	return nil
+	r := reader{buf: src}
+	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
+	return r.end()
 }
 
 // FeatureUpload carries a device's bit-packed binarized feature map: f
@@ -187,27 +109,12 @@ func (m *FeatureUpload) appendPayload(dst []byte) []byte {
 	return append(dst, m.Bits...)
 }
 
-func (m *FeatureUpload) decodePayload(src []byte) error {
-	if len(src) < 28 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.Device = binary.LittleEndian.Uint16(src[16:18])
-	m.F = binary.LittleEndian.Uint16(src[18:20])
-	m.H = binary.LittleEndian.Uint16(src[20:22])
-	m.W = binary.LittleEndian.Uint16(src[22:24])
-	n := int(binary.LittleEndian.Uint32(src[24:28]))
-	src = src[28:]
-	if len(src) != n {
-		return ErrShortPayload
-	}
-	want := (int(m.F)*int(m.H)*int(m.W) + 7) / 8
-	if n != want {
-		return fmt.Errorf("wire: feature upload has %d bytes for %d×%d×%d bits (want %d)", n, m.F, m.H, m.W, want)
-	}
-	m.Bits = append([]byte(nil), src...)
-	return nil
+func (m *FeatureUpload) decodePayload(src []byte) (err error) {
+	r := reader{buf: src}
+	m.Session, m.SampleID, m.Device = r.u64(), r.u64(), r.u16()
+	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
+	m.Bits, err = r.features("feature upload", r.take(int(r.u32())), 1, m.F, m.H, m.W)
+	return err
 }
 
 // ExitPoint identifies where a sample was classified.
@@ -267,23 +174,11 @@ func (m *ClassifyResult) appendPayload(dst []byte) []byte {
 }
 
 func (m *ClassifyResult) decodePayload(src []byte) error {
-	if len(src) < 21 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.Exit = ExitPoint(src[16])
-	m.Class = binary.LittleEndian.Uint16(src[17:19])
-	n := int(binary.LittleEndian.Uint16(src[19:21]))
-	src = src[21:]
-	if len(src) != 4*n {
-		return ErrShortPayload
-	}
-	m.Probs = make([]float32, n)
-	for i := range m.Probs {
-		m.Probs[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return nil
+	r := reader{buf: src}
+	m.Session, m.SampleID = r.u64(), r.u64()
+	m.Exit, m.Class = ExitPoint(r.u8()), r.u16()
+	m.Probs = r.f32s(int(r.u16()))
+	return r.end()
 }
 
 // Heartbeat is the liveness signal for failure detection.
@@ -303,16 +198,9 @@ func (m *Heartbeat) appendPayload(dst []byte) []byte {
 }
 
 func (m *Heartbeat) decodePayload(src []byte) error {
-	s, rest, err := readString(src)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 8 {
-		return ErrShortPayload
-	}
-	m.NodeID = s
-	m.Seq = binary.LittleEndian.Uint64(rest)
-	return nil
+	r := reader{buf: src}
+	m.NodeID, m.Seq = r.str(), r.u64()
+	return r.end()
 }
 
 // Error reports a protocol or processing failure. Session routes the error
@@ -340,20 +228,9 @@ func (m *Error) appendPayload(dst []byte) []byte {
 }
 
 func (m *Error) decodePayload(src []byte) error {
-	if len(src) < 10 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.Code = binary.LittleEndian.Uint16(src[8:10])
-	s, rest, err := readString(src[10:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShortPayload
-	}
-	m.Msg = s
-	return nil
+	r := reader{buf: src}
+	m.Session, m.Code, m.Msg = r.u64(), r.u16(), r.str()
+	return r.end()
 }
 
 // CaptureRequest asks a device to process its sensor frame for a sample
@@ -380,13 +257,9 @@ func (m *CaptureRequest) appendPayload(dst []byte) []byte {
 }
 
 func (m *CaptureRequest) decodePayload(src []byte) error {
-	if len(src) != 24 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	return nil
+	r := reader{buf: src}
+	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
+	return r.end()
 }
 
 // CloudClassify opens a cloud classification session for a sample: it
@@ -421,20 +294,10 @@ func (m *CloudClassify) appendPayload(dst []byte) []byte {
 }
 
 func (m *CloudClassify) decodePayload(src []byte) error {
-	if len(src) != 28 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	m.Devices = binary.LittleEndian.Uint16(src[24:26])
-	m.Mask = binary.LittleEndian.Uint16(src[26:28])
-	return nil
-}
-
-// PresentCount returns the number of devices whose features follow.
-func (m *CloudClassify) PresentCount() int {
-	return bits.OnesCount16(m.Mask)
+	r := reader{buf: src}
+	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
+	m.Devices, m.Mask = r.u16(), r.u16()
+	return r.end()
 }
 
 // EdgeClassify opens an edge classification session for a sample: it
@@ -483,29 +346,11 @@ func (m *EdgeClassify) appendPayload(dst []byte) []byte {
 }
 
 func (m *EdgeClassify) decodePayload(src []byte) error {
-	if len(src) < 30 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	m.Devices = binary.LittleEndian.Uint16(src[24:26])
-	m.Mask = binary.LittleEndian.Uint16(src[26:28])
-	n := int(binary.LittleEndian.Uint16(src[28:30]))
-	src = src[30:]
-	if len(src) != 8*n {
-		return ErrShortPayload
-	}
-	m.Thresholds = make([]float64, n)
-	for i := range m.Thresholds {
-		m.Thresholds[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return nil
-}
-
-// PresentCount returns the number of devices whose features follow.
-func (m *EdgeClassify) PresentCount() int {
-	return bits.OnesCount16(m.Mask)
+	r := reader{buf: src}
+	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
+	m.Devices, m.Mask = r.u16(), r.u16()
+	m.Thresholds = r.f64s(int(r.u16()))
+	return r.end()
 }
 
 // EdgeFeature carries the bit-packed binarized edge feature map an edge
@@ -544,42 +389,15 @@ func (m *EdgeFeature) appendPayload(dst []byte) []byte {
 	return append(dst, m.Bits...)
 }
 
-func (m *EdgeFeature) decodePayload(src []byte) error {
-	if len(src) < 34 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	m.F = binary.LittleEndian.Uint16(src[24:26])
-	m.H = binary.LittleEndian.Uint16(src[26:28])
-	m.W = binary.LittleEndian.Uint16(src[28:30])
-	n := int(binary.LittleEndian.Uint32(src[30:34]))
-	src = src[34:]
-	if len(src) != n {
-		return ErrShortPayload
-	}
-	want := (int(m.F)*int(m.H)*int(m.W) + 7) / 8
-	if n != want {
-		return fmt.Errorf("wire: edge feature has %d bytes for %d×%d×%d bits (want %d)", n, m.F, m.H, m.W, want)
-	}
-	m.Bits = append([]byte(nil), src...)
-	return nil
+func (m *EdgeFeature) decodePayload(src []byte) (err error) {
+	r := reader{buf: src}
+	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
+	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
+	m.Bits, err = r.features("edge feature", r.take(int(r.u32())), 1, m.F, m.H, m.W)
+	return err
 }
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...)
-}
-
-func readString(src []byte) (string, []byte, error) {
-	if len(src) < 2 {
-		return "", nil, ErrShortPayload
-	}
-	n := int(binary.LittleEndian.Uint16(src[0:2]))
-	src = src[2:]
-	if len(src) < n {
-		return "", nil, ErrShortPayload
-	}
-	return string(src[:n]), src[n:], nil
 }

@@ -35,30 +35,9 @@ func (m *DeviceHello) appendPayload(dst []byte) []byte {
 }
 
 func (m *DeviceHello) decodePayload(src []byte) error {
-	node, rest, err := readString(src)
-	if err != nil {
-		return err
-	}
-	if len(rest) < 2 {
-		return ErrShortPayload
-	}
-	slot := binary.LittleEndian.Uint16(rest[0:2])
-	tenant, rest, err := readString(rest[2:])
-	if err != nil {
-		return err
-	}
-	addr, rest, err := readString(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShortPayload
-	}
-	m.NodeID = node
-	m.Slot = slot
-	m.Tenant = tenant
-	m.Addr = addr
-	return nil
+	r := reader{buf: src}
+	m.NodeID, m.Slot, m.Tenant, m.Addr = r.str(), r.u16(), r.str(), r.str()
+	return r.end()
 }
 
 // DeviceWelcome acknowledges a DeviceHello: the slot is installed in
@@ -84,13 +63,9 @@ func (m *DeviceWelcome) appendPayload(dst []byte) []byte {
 }
 
 func (m *DeviceWelcome) decodePayload(src []byte) error {
-	if len(src) != 12 {
-		return ErrShortPayload
-	}
-	m.Slot = binary.LittleEndian.Uint16(src[0:2])
-	m.Devices = binary.LittleEndian.Uint16(src[2:4])
-	m.ConfigVersion = binary.LittleEndian.Uint64(src[4:12])
-	return nil
+	r := reader{buf: src}
+	m.Slot, m.Devices, m.ConfigVersion = r.u16(), r.u16(), r.u64()
+	return r.end()
 }
 
 // DeviceGoodbye deregisters a device slot: the gateway removes the slot
@@ -117,23 +92,7 @@ func (m *DeviceGoodbye) appendPayload(dst []byte) []byte {
 }
 
 func (m *DeviceGoodbye) decodePayload(src []byte) error {
-	node, rest, err := readString(src)
-	if err != nil {
-		return err
-	}
-	if len(rest) < 2 {
-		return ErrShortPayload
-	}
-	slot := binary.LittleEndian.Uint16(rest[0:2])
-	reason, rest, err := readString(rest[2:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShortPayload
-	}
-	m.NodeID = node
-	m.Slot = slot
-	m.Reason = reason
-	return nil
+	r := reader{buf: src}
+	m.NodeID, m.Slot, m.Reason = r.str(), r.u16(), r.str()
+	return r.end()
 }

@@ -53,8 +53,9 @@ type MsgType uint8
 
 // Message types.
 const (
-	// TypeHello announces a node and its role after connecting.
-	TypeHello MsgType = iota + 1
+	// Tag 1 is retired and unassigned: it belonged to a node announcement
+	// no node ever sent. Decoding it is ErrUnknownType.
+	_ MsgType = iota + 1
 	// TypeLocalSummary carries a device's per-class probability summary to
 	// the local aggregator (the first term of Eq. 1).
 	TypeLocalSummary
@@ -118,56 +119,42 @@ const (
 	TypeDeviceGoodbye
 )
 
+// messages is the message table, indexed by tag: each type's name and
+// constructor. MsgType.String and Decode read it; an empty row is an
+// unassigned tag.
+var messages = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypeLocalSummary:        {"LocalSummary", func() Message { return new(LocalSummary) }},
+	TypeFeatureRequest:      {"FeatureRequest", func() Message { return new(FeatureRequest) }},
+	TypeFeatureUpload:       {"FeatureUpload", func() Message { return new(FeatureUpload) }},
+	TypeClassifyResult:      {"ClassifyResult", func() Message { return new(ClassifyResult) }},
+	TypeHeartbeat:           {"Heartbeat", func() Message { return new(Heartbeat) }},
+	TypeError:               {"Error", func() Message { return new(Error) }},
+	TypeCaptureRequest:      {"CaptureRequest", func() Message { return new(CaptureRequest) }},
+	TypeCloudClassify:       {"CloudClassify", func() Message { return new(CloudClassify) }},
+	TypeEdgeClassify:        {"EdgeClassify", func() Message { return new(EdgeClassify) }},
+	TypeEdgeFeature:         {"EdgeFeature", func() Message { return new(EdgeFeature) }},
+	TypeCaptureBatch:        {"CaptureBatch", func() Message { return new(CaptureBatch) }},
+	TypeSummaryBatch:        {"SummaryBatch", func() Message { return new(SummaryBatch) }},
+	TypeFeatureBatchRequest: {"FeatureBatchRequest", func() Message { return new(FeatureBatchRequest) }},
+	TypeFeatureBatch:        {"FeatureBatch", func() Message { return new(FeatureBatch) }},
+	TypeCloudClassifyBatch:  {"CloudClassifyBatch", func() Message { return new(CloudClassifyBatch) }},
+	TypeEdgeClassifyBatch:   {"EdgeClassifyBatch", func() Message { return new(EdgeClassifyBatch) }},
+	TypeEdgeFeatureBatch:    {"EdgeFeatureBatch", func() Message { return new(EdgeFeatureBatch) }},
+	TypeResultBatch:         {"ResultBatch", func() Message { return new(ResultBatch) }},
+	TypeDeviceHello:         {"DeviceHello", func() Message { return new(DeviceHello) }},
+	TypeDeviceWelcome:       {"DeviceWelcome", func() Message { return new(DeviceWelcome) }},
+	TypeDeviceGoodbye:       {"DeviceGoodbye", func() Message { return new(DeviceGoodbye) }},
+}
+
 // String names the message type.
 func (t MsgType) String() string {
-	switch t {
-	case TypeHello:
-		return "Hello"
-	case TypeLocalSummary:
-		return "LocalSummary"
-	case TypeFeatureRequest:
-		return "FeatureRequest"
-	case TypeFeatureUpload:
-		return "FeatureUpload"
-	case TypeClassifyResult:
-		return "ClassifyResult"
-	case TypeHeartbeat:
-		return "Heartbeat"
-	case TypeError:
-		return "Error"
-	case TypeCaptureRequest:
-		return "CaptureRequest"
-	case TypeCloudClassify:
-		return "CloudClassify"
-	case TypeEdgeClassify:
-		return "EdgeClassify"
-	case TypeEdgeFeature:
-		return "EdgeFeature"
-	case TypeCaptureBatch:
-		return "CaptureBatch"
-	case TypeSummaryBatch:
-		return "SummaryBatch"
-	case TypeFeatureBatchRequest:
-		return "FeatureBatchRequest"
-	case TypeFeatureBatch:
-		return "FeatureBatch"
-	case TypeCloudClassifyBatch:
-		return "CloudClassifyBatch"
-	case TypeEdgeClassifyBatch:
-		return "EdgeClassifyBatch"
-	case TypeEdgeFeatureBatch:
-		return "EdgeFeatureBatch"
-	case TypeResultBatch:
-		return "ResultBatch"
-	case TypeDeviceHello:
-		return "DeviceHello"
-	case TypeDeviceWelcome:
-		return "DeviceWelcome"
-	case TypeDeviceGoodbye:
-		return "DeviceGoodbye"
-	default:
-		return fmt.Sprintf("MsgType(%d)", uint8(t))
+	if int(t) < len(messages) && messages[t].name != "" {
+		return messages[t].name
 	}
+	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
 // Message is any DDNN protocol message.
@@ -243,13 +230,14 @@ func Decode(r io.Reader) (Message, error) {
 		}
 		return nil, fmt.Errorf("wire: read header: %w", err)
 	}
-	if binary.LittleEndian.Uint16(hdr[0:2]) != Magic {
+	h := reader{buf: hdr[:]}
+	magic, version, t, length := h.u16(), h.u8(), MsgType(h.u8()), h.u32()
+	if magic != Magic {
 		return nil, ErrBadMagic
 	}
-	if hdr[2] != Version {
+	if version != Version {
 		return nil, ErrBadVersion
 	}
-	length := binary.LittleEndian.Uint32(hdr[4:8])
 	if length > MaxPayload {
 		return nil, ErrFrameTooLarge
 	}
@@ -265,65 +253,14 @@ func Decode(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("wire: read payload: %w", err)
 	}
-	m, err := newMessage(MsgType(hdr[3]))
-	if err != nil {
-		return nil, err
+	if int(t) >= len(messages) || messages[t].new == nil {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
+	m := messages[t].new()
 	if err := m.decodePayload(payload); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-func newMessage(t MsgType) (Message, error) {
-	switch t {
-	case TypeHello:
-		return &Hello{}, nil
-	case TypeLocalSummary:
-		return &LocalSummary{}, nil
-	case TypeFeatureRequest:
-		return &FeatureRequest{}, nil
-	case TypeFeatureUpload:
-		return &FeatureUpload{}, nil
-	case TypeClassifyResult:
-		return &ClassifyResult{}, nil
-	case TypeHeartbeat:
-		return &Heartbeat{}, nil
-	case TypeError:
-		return &Error{}, nil
-	case TypeCaptureRequest:
-		return &CaptureRequest{}, nil
-	case TypeCloudClassify:
-		return &CloudClassify{}, nil
-	case TypeEdgeClassify:
-		return &EdgeClassify{}, nil
-	case TypeEdgeFeature:
-		return &EdgeFeature{}, nil
-	case TypeCaptureBatch:
-		return &CaptureBatch{}, nil
-	case TypeSummaryBatch:
-		return &SummaryBatch{}, nil
-	case TypeFeatureBatchRequest:
-		return &FeatureBatchRequest{}, nil
-	case TypeFeatureBatch:
-		return &FeatureBatch{}, nil
-	case TypeCloudClassifyBatch:
-		return &CloudClassifyBatch{}, nil
-	case TypeEdgeClassifyBatch:
-		return &EdgeClassifyBatch{}, nil
-	case TypeEdgeFeatureBatch:
-		return &EdgeFeatureBatch{}, nil
-	case TypeResultBatch:
-		return &ResultBatch{}, nil
-	case TypeDeviceHello:
-		return &DeviceHello{}, nil
-	case TypeDeviceWelcome:
-		return &DeviceWelcome{}, nil
-	case TypeDeviceGoodbye:
-		return &DeviceGoodbye{}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
-	}
 }
 
 // EncodedSize returns the full frame size Encode would produce for m.

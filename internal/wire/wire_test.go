@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -34,8 +37,6 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		name string
 		msg  Message
 	}{
-		{"Hello", &Hello{NodeID: "device-3", Role: RoleDevice, Device: 3}},
-		{"Hello empty id", &Hello{NodeID: "", Role: RoleCloud}},
 		{"LocalSummary", &LocalSummary{Session: 17, SampleID: 42, Device: 1, Probs: []float32{0.1, 0.7, 0.2}}},
 		{"LocalSummary empty", &LocalSummary{SampleID: 1, Device: 0, Probs: []float32{}}},
 		{"FeatureRequest", &FeatureRequest{Session: 3, SampleID: 99}},
@@ -91,7 +92,8 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 
 func TestSessionScopedMessagesImplementSessioned(t *testing.T) {
 	// Every message the gateway demultiplexes by session must carry the
-	// session tag; Hello and Heartbeat are connection-scoped.
+	// session tag; Heartbeat and the registration plane are
+	// connection-scoped.
 	sessioned := []Message{
 		&LocalSummary{Session: 7},
 		&FeatureRequest{Session: 7},
@@ -121,7 +123,7 @@ func TestSessionScopedMessagesImplementSessioned(t *testing.T) {
 			t.Errorf("%v SessionID = %d, want 7", m.MsgType(), s.SessionID())
 		}
 	}
-	for _, m := range []Message{&Hello{}, &Heartbeat{}, &DeviceHello{}, &DeviceWelcome{}, &DeviceGoodbye{}} {
+	for _, m := range []Message{&Heartbeat{}, &DeviceHello{}, &DeviceWelcome{}, &DeviceGoodbye{}} {
 		if _, ok := m.(Sessioned); ok {
 			t.Errorf("%v must stay connection-scoped", m.MsgType())
 		}
@@ -187,14 +189,17 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, &Heartbeat{NodeID: "x", Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[3] = 200
-	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrUnknownType) {
-		t.Errorf("err = %v, want ErrUnknownType", err)
+	// Tag 1 is retired and unassigned; 200 is past the table.
+	for _, tag := range []byte{1, 200} {
+		var buf bytes.Buffer
+		if _, err := Encode(&buf, &Heartbeat{NodeID: "x", Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		raw[3] = tag
+		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("tag %d: err = %v, want ErrUnknownType", tag, err)
+		}
 	}
 }
 
@@ -229,7 +234,7 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 func TestStreamOfMessages(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		&Hello{NodeID: "d0", Role: RoleDevice},
+		&Heartbeat{NodeID: "d0", Seq: 1},
 		&LocalSummary{SampleID: 1, Probs: []float32{0.9, 0.05, 0.05}},
 		&FeatureRequest{SampleID: 1},
 		&FeatureUpload{SampleID: 1, F: 1, H: 4, W: 4, Bits: []byte{0xAB, 0xCD}},
@@ -307,35 +312,104 @@ func TestHeartbeatRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestCloudClassifyPresentCount(t *testing.T) {
-	tests := []struct {
-		mask uint16
-		want int
-	}{
-		{0, 0}, {1, 1}, {0b111111, 6}, {0b101010, 3}, {1 << 15, 1},
-	}
-	for _, tt := range tests {
-		m := &CloudClassify{Mask: tt.mask}
-		if got := m.PresentCount(); got != tt.want {
-			t.Errorf("PresentCount(%b) = %d, want %d", tt.mask, got, tt.want)
+func TestMsgTypeAndExitPointStrings(t *testing.T) {
+	// Every table row names its type and builds a message of that type;
+	// retired tag 1 and tags past the table have no name.
+	named := 0
+	for tag := 0; tag < 256; tag++ {
+		mt := MsgType(tag)
+		if tag >= len(messages) || messages[tag].new == nil {
+			if name := mt.String(); name != fmt.Sprintf("MsgType(%d)", tag) {
+				t.Errorf("unassigned tag %d is named %q", tag, name)
+			}
+			continue
+		}
+		named++
+		if got := messages[tag].new().MsgType(); got != mt {
+			t.Errorf("table row %d builds a %v", tag, got)
+		}
+		if name := mt.String(); name == "" || name[0] == 'M' {
+			t.Errorf("MsgType(%d) has no name", tag)
 		}
 	}
-}
-
-func TestMsgTypeAndRoleStrings(t *testing.T) {
-	for _, mt := range []MsgType{TypeHello, TypeLocalSummary, TypeFeatureRequest, TypeFeatureUpload, TypeClassifyResult, TypeHeartbeat, TypeError, TypeCaptureRequest, TypeCloudClassify, TypeEdgeClassify, TypeEdgeFeature} {
-		if mt.String() == "" || mt.String()[0] == 'M' {
-			t.Errorf("MsgType(%d) has no name", mt)
-		}
-	}
-	for _, r := range []Role{RoleDevice, RoleEdge, RoleCloud, RoleGateway} {
-		if r.String() == "" || r.String()[0] == 'R' {
-			t.Errorf("Role(%d) has no name", r)
-		}
+	if named != len(seedMessages()) {
+		t.Errorf("table has %d message types, seedMessages covers %d", named, len(seedMessages()))
 	}
 	for _, e := range []ExitPoint{ExitLocal, ExitEdge, ExitCloud} {
 		if e.String() == "" || e.String()[0] == 'E' {
 			t.Errorf("ExitPoint(%d) has no name", e)
 		}
+	}
+}
+
+// frameOf frames a payload under a type tag, whatever its length.
+func frameOf(mt MsgType, payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint16(nil, Magic)
+	frame = append(frame, Version, byte(mt))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	return append(frame, payload...)
+}
+
+// TestDecodeContract pins the decoder contract for one frame of every
+// message type: every strict prefix of its payload and the payload plus
+// one byte fail to decode, and a decode costs exactly its pinned
+// allocations (the header buffer, the message, and one per slice or
+// string the message keeps).
+func TestDecodeContract(t *testing.T) {
+	allocs := map[MsgType]float64{
+		TypeLocalSummary: 3, TypeFeatureRequest: 2, TypeFeatureUpload: 3,
+		TypeClassifyResult: 3, TypeHeartbeat: 3, TypeError: 3,
+		TypeCaptureRequest: 2, TypeCloudClassify: 2, TypeEdgeClassify: 3,
+		TypeEdgeFeature: 3, TypeCaptureBatch: 3, TypeSummaryBatch: 4,
+		TypeFeatureBatchRequest: 3, TypeFeatureBatch: 3, TypeCloudClassifyBatch: 4,
+		TypeEdgeClassifyBatch: 5, TypeEdgeFeatureBatch: 4, TypeResultBatch: 5,
+		TypeDeviceHello: 5, TypeDeviceWelcome: 2, TypeDeviceGoodbye: 4,
+	}
+	for _, m := range seedMessages() {
+		mt := m.MsgType()
+		t.Run(mt.String(), func(t *testing.T) {
+			payload := m.appendPayload(nil)
+			for n := 0; n < len(payload); n++ {
+				if _, err := Decode(bytes.NewReader(frameOf(mt, payload[:n]))); err == nil {
+					t.Errorf("accepted a %d-byte prefix of the %d-byte payload", n, len(payload))
+				}
+			}
+			if _, err := Decode(bytes.NewReader(frameOf(mt, append(payload, 0)))); err == nil {
+				t.Error("accepted the payload plus one trailing byte")
+			}
+			if raceEnabled {
+				return // the race detector's instrumentation allocates
+			}
+			frame := frameOf(mt, payload)
+			r := bytes.NewReader(frame)
+			got := testing.AllocsPerRun(100, func() {
+				r.Reset(frame)
+				if _, err := Decode(r); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != allocs[mt] {
+				t.Errorf("Decode allocates %v times, want %v", got, allocs[mt])
+			}
+		})
+	}
+}
+
+func TestDecodeHostileResultBatchCount(t *testing.T) {
+	// Header + session + a count of 0xFFFF verdicts and nothing else: the
+	// count must be checked against the payload before anything is sized
+	// from it.
+	frame := frameOf(TypeResultBatch, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Decode(bytes.NewReader(frame)); !errors.Is(err, ErrShortPayload) {
+			t.Fatalf("err = %v, want ErrShortPayload", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perDecode := (after.TotalAlloc - before.TotalAlloc) / runs; perDecode >= 64<<10 {
+		t.Errorf("an 18-byte frame allocated %d bytes per decode, want < 64 KB", perDecode)
 	}
 }
