@@ -54,7 +54,7 @@ func run(args []string) error {
 		devKills   = fs.Bool("device-kills", true, "arm the device killer")
 		repKills   = fs.Bool("replica-kills", true, "arm the replica killer/restarter")
 		linkFaults = fs.Bool("link-faults", true, "arm link partitions and degradation")
-		flaps      = fs.Bool("health-flaps", true, "arm health-monitor flapping")
+		flaps      = fs.Bool("health-flaps", true, "arm device and replica liveness flaps across the heartbeat detection window")
 		corruption = fs.Bool("frame-corruption", true, "arm wire-frame corruption")
 		churn      = fs.Bool("device-churn", true, "arm membership churn (device leave/join cycles)")
 		rollouts   = fs.Bool("model-rollouts", true, "arm the model lifecycle actor (registrations, rollouts, forced rollbacks)")
@@ -112,23 +112,18 @@ func run(args []string) error {
 		return err
 	}
 	logger.Info("chaos run starting", "seed", *seed, "window", window)
-	rep, err := h.Run(context.Background())
-	if rep != nil {
-		if *soak > 0 {
-			// Soak mode keeps stdout machine-readable; the curve goes to
-			// stderr for anyone watching.
-			fmt.Fprint(os.Stderr, rep)
-			out, jerr := rep.JSON()
-			if jerr != nil {
-				return jerr
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(rep)
+	rep := h.Run(context.Background())
+	if *soak > 0 {
+		// Soak mode keeps stdout machine-readable; the curve goes to
+		// stderr for anyone watching.
+		fmt.Fprint(os.Stderr, rep)
+		out, err := rep.JSON()
+		if err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		return err
+		fmt.Println(string(out))
+	} else {
+		fmt.Print(rep)
 	}
 	if v := rep.Violations(); len(v) > 0 {
 		return fmt.Errorf("%d invariant violations (seed %d)", len(v), *seed)

@@ -1,11 +1,11 @@
 // Command ddnn-sim trains (or loads) a DDNN and serves the complete
 // hierarchy in one process over in-memory links through the Engine API:
-// device nodes, gateway with health monitoring, the edge replicas for
-// edge-tier models, and the cloud replicas, classifying many samples
-// concurrently. It can inject device failures partway through to
-// demonstrate detection, graceful degradation and recovery, and — with
-// -replicas > 1 — crash an upper-tier replica mid-run to demonstrate
-// health-aware failover.
+// device nodes, a gateway whose heartbeats ride its data links, the edge
+// replicas for edge-tier models, and the cloud replicas, classifying
+// many samples concurrently. It can inject device failures partway
+// through to demonstrate detection, graceful degradation and recovery,
+// and — with -replicas > 1 — crash an upper-tier replica mid-run to
+// demonstrate health-aware failover.
 //
 // Usage:
 //
@@ -15,10 +15,10 @@
 //	         [-recover-at 0.66] [-samples 0]
 //
 // -fail crashes devices silently (the gateway discovers the loss through
-// timeouts and probes); -churn instead deregisters them through the
-// versioned topology (RemoveDevice) and re-admits them at -recover-at,
-// so each change bumps the config version and takes effect on the next
-// session without any detection lag.
+// timeouts and missed heartbeat echoes); -churn instead deregisters them
+// through the versioned topology (RemoveDevice) and re-admits them at
+// -recover-at, so each change bumps the config version and takes effect
+// on the next session without any detection lag.
 package main
 
 import (
@@ -125,7 +125,8 @@ func run(args []string) error {
 	gcfg.DeviceTimeout = 500 * time.Millisecond
 	gcfg.CloudTimeout = time.Second
 	gcfg.EdgeTimeout = 2 * time.Second
-	gcfg.MaxFailures = 0 // leave detection to the health monitor
+	gcfg.MaxFailures = 0 // leave detection to the heartbeats
+	gcfg.HeartbeatInterval = 50 * time.Millisecond
 	eng, err := ddnn.NewEngine(model, test, ddnn.EngineConfig{
 		Gateway:        gcfg,
 		MaxConcurrency: *concurrency,
@@ -137,12 +138,6 @@ func run(args []string) error {
 		return err
 	}
 	defer eng.Close()
-
-	hm, err := eng.StartHealthMonitor(ctx, 50*time.Millisecond, 2)
-	if err != nil {
-		return err
-	}
-	defer hm.Stop()
 
 	n := test.Len()
 	if *samples > 0 && *samples < n {

@@ -7,13 +7,13 @@
 // While seeded traffic drivers push mixed load through both the HTTP
 // API and the engine directly, seeded fault actors concurrently kill
 // and restart replicas, silently fail devices, partition and degrade
-// links, flap the health monitor, and write corrupt wire frames at
-// live nodes. A verifier holds the run to the serving system's
-// contract the whole time: every completed classification bit-identical
-// to the staged core reference under the observed device-presence
-// mask, typed errors only, documented HTTP statuses only, and — after
-// the faults stop — full recovery, drained admission counters and no
-// wedged sessions.
+// links, flap device and replica liveness across the heartbeat
+// detector's window, and write corrupt wire frames at live nodes. A
+// verifier holds the run to the serving system's contract the whole
+// time: every completed classification bit-identical to the staged core
+// reference under the observed device-presence mask, typed errors only,
+// documented HTTP statuses only, and — after the faults stop — full
+// recovery, drained admission counters and no wedged sessions.
 //
 // Every run is reproducible from its seed: the same seed replays the
 // same fault schedule (modulo goroutine scheduling). Failures print
@@ -76,8 +76,9 @@ type Config struct {
 	ReplicaKills bool
 	// LinkFaults arms the actor that partitions and degrades links.
 	LinkFaults bool
-	// HealthFlaps arms the actor that flaps device probes and the
-	// health monitor itself.
+	// HealthFlaps arms the actor that flaps the liveness of devices and
+	// upstream replicas for durations on both sides of the gateway's
+	// heartbeat detection window.
 	HealthFlaps bool
 	// FrameCorruption arms the actor that writes corrupt wire frames
 	// from the fuzz corpus into live listeners.
@@ -167,18 +168,13 @@ type Harness struct {
 	// copy its tamper hook plants to force canary failures.
 	artifacts []modelArtifact
 	badModel  *core.Model
-
-	// monMu guards the health monitor handle, which the flapper stops
-	// and restarts mid-run.
-	monMu sync.Mutex
-	mon   *cluster.HealthMonitor
 }
 
 // New builds the topology: model.Cfg decides two or three tiers. The
 // gateway runs with chaos-tuned timeouts (hundreds of milliseconds, so
-// a fault window of seconds spans many failure-detection cycles) and
-// micro-batching on, the front door with authentication and a small
-// admission bound.
+// a fault window of seconds spans many failure-detection cycles), 50 ms
+// heartbeats and micro-batching on, the front door with authentication
+// and a small admission bound.
 func New(model *core.Model, ds *dataset.Dataset, cfg Config) (*Harness, error) {
 	cfg = cfg.withDefaults()
 	h := &Harness{
@@ -197,6 +193,7 @@ func New(model *core.Model, ds *dataset.Dataset, cfg Config) (*Harness, error) {
 	gcfg.EdgeTimeout = 1500 * time.Millisecond
 	gcfg.CloudTimeout = 1000 * time.Millisecond
 	gcfg.MaxFailures = 2
+	gcfg.HeartbeatInterval = 50 * time.Millisecond
 	ecfg := cluster.EdgeConfig{CloudTimeout: 700 * time.Millisecond, CloudFallback: true}
 	eng, err := cluster.NewEngine(model, ds, cluster.EngineConfig{
 		Gateway:        gcfg,
@@ -284,51 +281,12 @@ func (h *Harness) buildArtifacts() error {
 	return nil
 }
 
-// startMonitor (re)starts the health monitor unless one is running.
-func (h *Harness) startMonitor(ctx context.Context) {
-	h.monMu.Lock()
-	defer h.monMu.Unlock()
-	if h.mon != nil {
-		return
-	}
-	mon, err := h.eng.StartHealthMonitor(ctx, 50*time.Millisecond, 2)
-	if err != nil {
-		// A replica can be mid-restart (its listener briefly down); the
-		// flapper and the heal phase retry.
-		return
-	}
-	h.mon = mon
-}
-
-func (h *Harness) stopMonitor() {
-	h.monMu.Lock()
-	mon := h.mon
-	h.mon = nil
-	h.monMu.Unlock()
-	if mon != nil {
-		mon.Stop()
-	}
-}
-
-func (h *Harness) monitorRunning() bool {
-	h.monMu.Lock()
-	defer h.monMu.Unlock()
-	return h.mon != nil
-}
-
 // Run executes the full protocol — fault window, heal, recovery wait,
-// full-fidelity sweep, drain — and returns the report. The error is
-// non-nil only for harness-level failures (e.g. the monitor never
-// started); invariant violations live on the report.
-func (h *Harness) Run(ctx context.Context) (*Report, error) {
+// full-fidelity sweep, drain — and returns the report, which carries
+// every invariant violation.
+func (h *Harness) Run(ctx context.Context) *Report {
 	defer h.ts.Close()
 	defer h.closeEngine()
-	defer h.stopMonitor()
-
-	h.startMonitor(ctx)
-	if !h.monitorRunning() {
-		return h.report, fmt.Errorf("chaos: health monitor never started")
-	}
 
 	base := rand.New(rand.NewSource(h.cfg.Seed))
 	faultCtx, stopFaults := context.WithTimeout(ctx, h.cfg.FaultWindow)
@@ -373,11 +331,11 @@ func (h *Harness) Run(ctx context.Context) (*Report, error) {
 	// by request timeouts well under a second.
 	if !waitTimeout(&traffic, h.cfg.FaultWindow+30*time.Second) {
 		h.report.violate("traffic drivers wedged after the fault window:\n%s", stackDump())
-		return h.report, nil
+		return h.report
 	}
 	if !waitTimeout(&faults, 30*time.Second) {
 		h.report.violate("fault actors wedged after the fault window:\n%s", stackDump())
-		return h.report, nil
+		return h.report
 	}
 
 	h.heal()
@@ -387,7 +345,7 @@ func (h *Harness) Run(ctx context.Context) (*Report, error) {
 	}
 	h.sweep(ctx)
 	h.awaitQuiescence(5 * time.Second)
-	return h.report, nil
+	return h.report
 }
 
 // awaitModelConvergence waits out any rollout still finishing
@@ -408,8 +366,7 @@ func (h *Harness) awaitModelConvergence(deadline time.Duration) {
 	}
 }
 
-// heal clears every standing fault, restores full device membership and
-// makes sure the monitor runs.
+// heal clears every standing fault and restores full device membership.
 func (h *Harness) heal() {
 	// Disarm any planted canary tamper so late rollouts cannot corrupt
 	// the convergence and sweep phases' expectations.
@@ -436,15 +393,6 @@ func (h *Harness) heal() {
 	}
 	for _, c := range h.eng.Clouds() {
 		c.SetFailed(false)
-	}
-	for i := 0; i < 100 && !h.monitorRunning(); i++ {
-		h.startMonitor(context.Background())
-		if !h.monitorRunning() {
-			time.Sleep(100 * time.Millisecond)
-		}
-	}
-	if !h.monitorRunning() {
-		h.report.violate("health monitor could not be restarted after the fault window")
 	}
 }
 

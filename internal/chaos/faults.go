@@ -262,34 +262,35 @@ func (h *Harness) linkFaulter(ctx context.Context, rng *rand.Rand) {
 	h.ft.Heal()
 }
 
-// healthFlapper stops and restarts the health monitor so recovery
-// ownership bounces between probe verdicts and the pool's half-open
-// trial sessions, and briefly flaps devices so probe verdicts churn.
+// healthFlapper flaps the liveness (SetFailed) of devices and upstream
+// replicas, some for less than the heartbeat detector's window of two
+// 50 ms intervals and some for longer, so the detector marks links down
+// and echoes re-admit them while sessions run over the same links.
 func (h *Harness) healthFlapper(ctx context.Context, rng *rand.Rand) {
 	devices := h.eng.Devices()
 	for ctx.Err() == nil {
-		switch rng.Intn(3) {
-		case 0:
-			h.stopMonitor()
-			h.report.countFault("monitor-flap")
-			sleepCtx(ctx, jitter(rng, 50*time.Millisecond, 250*time.Millisecond))
-			h.startMonitor(ctx)
-		default:
-			d := rng.Intn(len(devices))
-			devices[d].SetFailed(true)
-			h.report.countFault("probe-flap")
-			sleepCtx(ctx, jitter(rng, 10*time.Millisecond, 60*time.Millisecond))
-			devices[d].SetFailed(false)
+		down := jitter(rng, 10*time.Millisecond, 60*time.Millisecond)
+		if rng.Intn(2) == 0 {
+			down = jitter(rng, 150*time.Millisecond, 300*time.Millisecond)
 		}
+		fault, setFailed := "device-flap", devices[rng.Intn(len(devices))].SetFailed
+		if rng.Intn(3) == 0 {
+			// Re-read the slot when unfailing: the replica killer may have
+			// restarted the node meanwhile.
+			fault = "replica-flap"
+			if h.model.Cfg.UseEdge {
+				i := rng.Intn(h.cfg.EdgeReplicas)
+				setFailed = func(f bool) { h.eng.Edges()[i].SetFailed(f) }
+			} else {
+				i := rng.Intn(h.cfg.CloudReplicas)
+				setFailed = func(f bool) { h.eng.Clouds()[i].SetFailed(f) }
+			}
+		}
+		setFailed(true)
+		h.report.countFault(fault)
+		sleepCtx(ctx, down)
+		setFailed(false)
 		sleepCtx(ctx, jitter(rng, 50*time.Millisecond, 250*time.Millisecond))
-	}
-	// The monitor must be running again when the heal phase starts; a
-	// replica may be mid-restart, so retry briefly.
-	for i := 0; i < 50 && !h.monitorRunning(); i++ {
-		h.startMonitor(context.Background())
-		if !h.monitorRunning() {
-			time.Sleep(100 * time.Millisecond)
-		}
 	}
 }
 

@@ -301,7 +301,7 @@ func TestDeviceRecovery(t *testing.T) {
 
 // TestDeviceRecoversAfterStickyDown: a device marked down by sticky
 // detection gets a half-open trial session once the cooldown has passed,
-// the way a fenced replica does, so it returns without a health monitor.
+// the way a fenced replica does, so it returns without heartbeats.
 func TestDeviceRecoversAfterStickyDown(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.DeviceTimeout = 100 * time.Millisecond
@@ -328,90 +328,6 @@ func TestDeviceRecoversAfterStickyDown(t *testing.T) {
 	}
 	if down := gw.DownDevices(); len(down) != 0 {
 		t.Errorf("DownDevices = %v after the trial session answered, want none", down)
-	}
-}
-
-func TestHealthMonitorDetectsFailureAndRecovery(t *testing.T) {
-	model, test := fixture(t)
-	tr := transport.NewMem()
-	cfg := DefaultGatewayConfig()
-	cfg.MaxFailures = 0 // leave detection entirely to the health monitor
-
-	addrs := make([]string, model.Cfg.Devices)
-	var devices []*Device
-	for d := 0; d < model.Cfg.Devices; d++ {
-		dev := NewDevice(model, d, DatasetFeed(test, d), quietLogger())
-		addrs[d] = "hm-device-" + string(rune('0'+d))
-		if err := dev.Serve(tr, addrs[d]); err != nil {
-			t.Fatal(err)
-		}
-		defer dev.Close()
-		devices = append(devices, dev)
-	}
-	cloud := NewCloud(model, quietLogger())
-	if err := cloud.Serve(tr, "hm-cloud"); err != nil {
-		t.Fatal(err)
-	}
-	defer cloud.Close()
-	gw, err := NewGateway(context.Background(), model, cfg, tr, addrs, []string{"hm-cloud"}, quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-
-	hm, err := gw.StartHealthMonitor(context.Background(), tr, addrs, []string{"hm-cloud"}, 25*time.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hm.Stop()
-
-	// Crash device 3 and wait for the detector.
-	devices[3].SetFailed(true)
-	deadline := time.Now().Add(3 * time.Second)
-	for len(gw.DownDevices()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if down := gw.DownDevices(); len(down) != 1 || down[0] != 3 {
-		t.Fatalf("DownDevices = %v, want [3]", down)
-	}
-
-	// Classification keeps working and skips the dead device immediately.
-	res, err := classifyOne(context.Background(), gw, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Present[3] {
-		t.Error("down device contributed to inference")
-	}
-
-	// Recover the device; the monitor must mark it up automatically.
-	devices[3].SetFailed(false)
-	deadline = time.Now().Add(3 * time.Second)
-	for len(gw.DownDevices()) != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if down := gw.DownDevices(); len(down) != 0 {
-		t.Fatalf("device did not recover: DownDevices = %v", down)
-	}
-	res, err = classifyOne(context.Background(), gw, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Present[3] {
-		t.Error("recovered device still excluded from inference")
-	}
-}
-
-func TestHealthMonitorRejectsBadArgs(t *testing.T) {
-	eng := newTwoTier(t, DefaultGatewayConfig())
-	tr := transport.NewMem()
-	model, _ := fixture(t)
-	tooMany := make([]string, model.Cfg.Devices+1)
-	if _, err := eng.Gateway().StartHealthMonitor(context.Background(), tr, tooMany, nil, time.Second, 3); !errors.Is(err, ErrDeviceSlotMismatch) {
-		t.Errorf("too many addresses: err = %v, want ErrDeviceSlotMismatch", err)
-	}
-	if _, err := eng.Gateway().StartHealthMonitor(context.Background(), tr, nil, nil, 0, 3); err == nil {
-		t.Error("accepted non-positive interval")
 	}
 }
 

@@ -97,7 +97,7 @@ func NewEdge(model *core.Model, cfg EdgeConfig, logger *slog.Logger) (*Edge, err
 // (or without) a cloud connection fail over per EdgeConfig.CloudFallback.
 // The context bounds connection setup only.
 func (e *Edge) ConnectCloud(ctx context.Context, tr transport.Transport, addrs ...string) error {
-	pool, err := newReplicaPool(ctx, wire.ExitCloud, tr, addrs, e.logger)
+	pool, err := newReplicaPool(ctx, wire.ExitCloud, tr, addrs, true, e.logger)
 	if err != nil {
 		return fmt.Errorf("cluster: edge dial cloud: %w", err)
 	}

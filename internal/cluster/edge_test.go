@@ -205,57 +205,6 @@ func TestEdgeAnswersWhenCloudDown(t *testing.T) {
 	}
 }
 
-func TestEdgeHealthMonitorDrivesUpstreamState(t *testing.T) {
-	model, test := edgeFixture(t)
-	cfg := DefaultGatewayConfig()
-	cfg.Threshold = -1 // escalations exercise the upstream state
-	cfg.EdgeTimeout = 500 * time.Millisecond
-	cfg.MaxFailures = 0
-	eng, err := NewEngine(model, test, EngineConfig{Gateway: cfg, Logger: quietLogger()}, transport.NewMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	hm, err := eng.StartHealthMonitor(context.Background(), 25*time.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hm.Stop()
-
-	eng.Edges()[0].SetFailed(true)
-	deadline := time.Now().Add(3 * time.Second)
-	for !eng.Gateway().UpstreamDown() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !eng.Gateway().UpstreamDown() {
-		t.Fatal("health monitor never marked the edge down")
-	}
-
-	// Escalations now fail fast with the typed error, well under the
-	// escalation timeout.
-	start := time.Now()
-	_, err = eng.ClassifyTenantShed(context.Background(), 0, "", ShedNone)
-	if !errors.Is(err, ErrEdgeUnavailable) {
-		t.Errorf("err = %v, want ErrEdgeUnavailable", err)
-	}
-	if elapsed := time.Since(start); elapsed > cfg.EdgeTimeout {
-		t.Errorf("marked-down escalation took %v, want < %v", elapsed, cfg.EdgeTimeout)
-	}
-
-	// Recovery flips the flag back and sessions flow again.
-	eng.Edges()[0].SetFailed(false)
-	deadline = time.Now().Add(3 * time.Second)
-	for eng.Gateway().UpstreamDown() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if eng.Gateway().UpstreamDown() {
-		t.Fatal("edge did not recover")
-	}
-	if _, err := eng.ClassifyTenantShed(context.Background(), 1, "", ShedNone); err != nil {
-		t.Fatalf("classification after recovery: %v", err)
-	}
-}
-
 // TestAttachEngineToEdgeTierOverTCP runs the full three-tier topology as
 // it would deploy: every node on its own TCP listener (ddnn-device /
 // ddnn-edge / ddnn-cloud style) with the engine attached from outside.

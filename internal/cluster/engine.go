@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
@@ -427,8 +426,8 @@ func (e *Engine) Clouds() []*Cloud {
 // RestartCloud hard-restarts in-process cloud replica i: the old node is
 // torn down (its listener and every link into it die, unlike the silent
 // failure of SetFailed) and a fresh replica starts on the same address.
-// Downstream replica pools re-admit it lazily (a session's re-dial or a
-// health-monitor probe), exactly as they would a rebooted host.
+// Downstream replica pools re-admit it lazily (a session's re-dial, or the
+// gateway's heartbeat re-dial), exactly as they would a rebooted host.
 func (e *Engine) RestartCloud(i int) error {
 	e.nodeMu.Lock()
 	defer e.nodeMu.Unlock()
@@ -529,16 +528,6 @@ func (e *Engine) ConfigVersion() uint64 { return e.gw.ConfigVersion() }
 // Topology returns a snapshot of the versioned runtime topology; see
 // Gateway.Topology.
 func (e *Engine) Topology() TopologyConfig { return e.gw.Topology() }
-
-// StartHealthMonitor begins heartbeat probing of the engine's devices
-// and every upstream replica over its transport; see
-// Gateway.StartHealthMonitor.
-func (e *Engine) StartHealthMonitor(ctx context.Context, interval time.Duration, misses int) (*HealthMonitor, error) {
-	if e.tr == nil || len(e.deviceAddrs) == 0 {
-		return nil, fmt.Errorf("cluster: engine has no device addresses to probe")
-	}
-	return e.gw.StartHealthMonitor(ctx, e.tr, e.deviceAddrs, e.upstreamAddrs, interval, misses)
-}
 
 // Close drains in-flight sessions and tears the engine (and, for
 // in-process engines, the whole cluster) down. Samples already queued in

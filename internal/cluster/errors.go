@@ -28,8 +28,8 @@ var (
 	// hierarchy — could not be reached.
 	ErrEdgeUnavailable = errors.New("ddnn: edge unavailable")
 	// ErrNoHealthyReplica reports that every replica of an upstream tier
-	// (edge or cloud pool) is fenced — marked down by the health monitor
-	// or by in-session failure detection — so an escalation had no
+	// (edge or cloud pool) is fenced — marked down by the heartbeat
+	// detector or by in-session failure detection — so an escalation had no
 	// replica to run on. It is always wrapped in the tier's sentinel
 	// (ErrEdgeUnavailable or ErrCloudUnavailable).
 	ErrNoHealthyReplica = errors.New("ddnn: no healthy replica")

@@ -38,10 +38,18 @@ type GatewayConfig struct {
 	// as with CloudTimeout, a failover retry gets its own budget.
 	EdgeTimeout time.Duration
 	// MaxFailures marks a device as down after this many consecutive
-	// timeouts, so later samples skip it immediately; without a health
-	// monitor, one session per cooldown tries it again and an answer
-	// re-admits it. Zero disables sticky failure detection.
+	// timeouts, so later samples skip it immediately. Without heartbeats,
+	// one session per cooldown tries it again and an answer re-admits it;
+	// with them, the device's next heartbeat echo does. Zero disables
+	// sticky failure detection.
 	MaxFailures int
+	// HeartbeatInterval runs the gateway's failure detector on its device
+	// and upstream replica links: a link idle for one interval carries a
+	// heartbeat, which nodes echo; two silent intervals mark its device or
+	// replica down; its next frame re-admits it. It must exceed the link
+	// round trip. Zero, the default, turns the detector off; down devices
+	// and replicas then recover through half-open trial sessions.
+	HeartbeatInterval time.Duration
 }
 
 // DefaultGatewayConfig returns sensible simulation defaults.
@@ -135,6 +143,11 @@ type Gateway struct {
 	// regPlane is the optional registration-plane listener started by
 	// ServeRegistration.
 	regPlane server
+
+	// stopDetect stops the failure detector, and detectDone closes once it
+	// has returned; both are nil while HeartbeatInterval is zero.
+	stopDetect context.CancelFunc
+	detectDone chan struct{}
 }
 
 // tenantEntry pairs a tenant's raw config with its resolved, validated
@@ -150,11 +163,9 @@ type deviceLink struct {
 	link     *link // nil while the slot is absent
 	failures int
 	down     bool
-	// retryAt is when a down device may take its next trial session;
-	// monitored hands its recovery to a health monitor instead (the
+	// retryAt is when a down device may take its next trial session (the
 	// same half-open rule as a replica; see ReplicaPool.startTrial).
-	retryAt   time.Time
-	monitored bool
+	retryAt time.Time
 }
 
 // NewGateway connects to the device nodes and the next tier up — the
@@ -195,6 +206,9 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 	if cfg.EdgeTimeout <= 0 {
 		cfg.EdgeTimeout = def.EdgeTimeout
 	}
+	if cfg.HeartbeatInterval < 0 {
+		return nil, fmt.Errorf("cluster: heartbeat interval must not be negative, got %v", cfg.HeartbeatInterval)
+	}
 	pipeline := BuildPipeline(model.Cfg, cfg.Threshold, cfg.EdgeThreshold)
 	if err := pipeline.Validate(); err != nil {
 		return nil, err
@@ -230,15 +244,56 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 		}
 		cc := transport.NewCountingConn(conn)
 		g.wireConns[i] = cc
-		g.devices[i].link = newLink(cc)
+		g.devices[i].link = newLink(cc, func(l *link) { g.recordSuccess(i, l) })
 	}
-	pool, err := newReplicaPool(ctx, g.upstreamExit(), tr, upstreamAddrs, g.logger)
+	pool, err := newReplicaPool(ctx, g.upstreamExit(), tr, upstreamAddrs, cfg.HeartbeatInterval == 0, g.logger)
 	if err != nil {
 		g.Close()
 		return nil, err
 	}
 	g.upstream = pool
+	if cfg.HeartbeatInterval > 0 {
+		dctx, cancel := context.WithCancel(context.Background())
+		g.stopDetect, g.detectDone = cancel, make(chan struct{})
+		go g.detect(dctx, cfg.HeartbeatInterval)
+	}
 	return g, nil
+}
+
+// detect is the gateway's failure detector: every interval it beats each
+// device and upstream replica link (link.beat), so one silence rule marks
+// both down and one echo re-admits them. A tick ends once its heartbeats
+// are written.
+func (g *Gateway) detect(ctx context.Context, interval time.Duration) {
+	defer close(g.detectDone)
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	hb := &wire.Heartbeat{NodeID: "gateway"}
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+		}
+		hb.Seq++
+		var sends sync.WaitGroup
+		g.stateMu.Lock()
+		for _, dl := range g.devices {
+			if dl.link == nil {
+				continue
+			}
+			dl.link.beat(hb, interval, &sends, func(dead bool) bool {
+				if dead && !dl.down {
+					g.logger.Warn("device marked down", "device", dl.index, "silent_intervals", heartbeatMisses)
+					dl.down, dl.failures = true, 0
+				}
+				return dl.down
+			})
+		}
+		g.stateMu.Unlock()
+		g.upstream.beat(ctx, hb, interval, &sends)
+		sends.Wait()
+	}
 }
 
 // Upstream exposes the gateway's upstream replica pool for stats
@@ -327,9 +382,10 @@ func (g *Gateway) recordTimeout(device int, l *link) {
 }
 
 // recordSuccess resets the consecutive-miss counter and re-admits a down
-// device that answered (a trial session, or one that started before it
-// was marked down); stale observations from before a membership change
-// are dropped (see recordTimeout).
+// device that answered (a trial session, one that started before it was
+// marked down, or a frame on a link the heartbeat detector armed); stale
+// observations from before a membership change are dropped (see
+// recordTimeout).
 func (g *Gateway) recordSuccess(device int, l *link) {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
@@ -359,20 +415,14 @@ func (g *Gateway) DownDevices() []int {
 }
 
 // UpstreamDown reports whether no replica of the next tier up (edge or
-// cloud) can currently serve — every replica is fenced by the health
-// monitor or by in-session failure detection, and none is eligible for
+// cloud) can currently serve — every replica is fenced by the heartbeat
+// detector or by in-session failure detection, and none is eligible for
 // a trial. Escalations then fail fast with the tier's typed error
 // wrapping ErrNoHealthyReplica instead of waiting out the timeout.
 func (g *Gateway) UpstreamDown() bool { return g.upstream.Down() }
 
-// setUpstreamReplicaDown flips one upstream replica's availability from
-// the failure detector.
-func (g *Gateway) setUpstreamReplicaDown(replica int, down bool) {
-	g.upstream.setDown(replica, down)
-}
-
-// Close tears down all connections, including the registration plane
-// when one is serving.
+// Close stops the failure detector and tears down all connections,
+// including the registration plane when one is serving.
 func (g *Gateway) Close() error {
 	g.regPlane.Close()
 	g.stateMu.Lock()
@@ -387,6 +437,11 @@ func (g *Gateway) Close() error {
 	g.stateMu.Unlock()
 	for _, l := range links {
 		l.close()
+	}
+	if g.detectDone != nil {
+		// Before the pool closes, so no re-dial outlives it.
+		g.stopDetect()
+		<-g.detectDone
 	}
 	if g.upstream != nil {
 		g.upstream.close()

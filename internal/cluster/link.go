@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ddnn/ddnn-go/internal/wire"
@@ -21,6 +22,14 @@ type link struct {
 
 	wmu sync.Mutex // serializes frame writes
 
+	// Failure-detector state (see beat): readLoop sets seen on every
+	// frame, and the first frame on an armed link calls revive, which
+	// re-admits the link's device or replica.
+	seen   atomic.Bool
+	silent int // consecutive silent intervals; owned by beat
+	armed  atomic.Bool
+	revive func(*link)
+
 	mu      sync.Mutex
 	waiters map[uint64]chan wire.Message
 	err     error // terminal read error, set before done is closed
@@ -30,9 +39,10 @@ type link struct {
 }
 
 // newLink wraps conn and starts its reader.
-func newLink(conn net.Conn) *link {
+func newLink(conn net.Conn, revive func(*link)) *link {
 	l := &link{
 		conn:    conn,
+		revive:  revive,
 		waiters: make(map[uint64]chan wire.Message),
 		done:    make(chan struct{}),
 	}
@@ -46,6 +56,10 @@ func (l *link) readLoop() {
 		if err != nil {
 			l.fail(err)
 			return
+		}
+		l.seen.Store(true)
+		if l.armed.Load() && l.armed.CompareAndSwap(true, false) {
+			l.revive(l)
 		}
 		s, ok := msg.(wire.Sessioned)
 		if !ok {
@@ -145,6 +159,36 @@ func (l *link) wait(ctx context.Context, ch <-chan wire.Message, timeout time.Du
 		err := l.err
 		l.mu.Unlock()
 		return nil, fmt.Errorf("cluster: link failed: %w", err)
+	}
+}
+
+// heartbeatMisses is how many heartbeat intervals a link may read nothing
+// before the failure detector marks it down.
+const heartbeatMisses = 2
+
+// beat runs one failure-detector tick on the link. mark records whether
+// the link has read nothing for heartbeatMisses intervals and reports
+// whether its device or replica is down; a down link is armed before the
+// heartbeat goes out, so the echo re-admits it. Only a link idle for the
+// interval gets a heartbeat, written on its own goroutine (counted in
+// sends) under a deadline of one interval, so a peer that stopped reading
+// holds neither this link's writer nor the other links' heartbeats.
+func (l *link) beat(hb *wire.Heartbeat, interval time.Duration, sends *sync.WaitGroup, mark func(dead bool) (down bool)) {
+	idle := !l.seen.Swap(false)
+	if idle {
+		l.silent++
+	} else {
+		l.silent = 0
+	}
+	if mark(l.silent >= heartbeatMisses) {
+		l.armed.Store(true)
+	}
+	if idle {
+		sends.Add(1)
+		go func() {
+			defer sends.Done()
+			_ = l.send(interval, hb) // a failed write shows up as silence
+		}()
 	}
 }
 

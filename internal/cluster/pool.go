@@ -19,8 +19,8 @@ import (
 const (
 	// replicaCooldown is how long a self-detected-down replica stays
 	// fenced before a single trial session may probe it again (half-open
-	// circuit breaker). Pools driven by a health monitor skip trials —
-	// the monitor owns recovery.
+	// circuit breaker). Pools watched by the gateway's heartbeat detector
+	// run no trials: a heartbeat echo re-admits instead.
 	replicaCooldown = time.Second
 	// replicaMaxTimeouts marks a replica down after this many consecutive
 	// timed-out escalations. A broken connection marks it down
@@ -49,7 +49,8 @@ type replica struct {
 	inFlight atomic.Int64
 
 	mu       sync.Mutex
-	lk       *link // nil until dialed; replaced on re-dial
+	lk       *link       // nil until dialed; replaced on re-dial
+	revive   func(*link) // its links' revive hook: reportSuccess
 	down     bool
 	timeouts int       // consecutive timed-out escalations
 	retryAt  time.Time // when a down replica becomes eligible for a trial
@@ -99,7 +100,7 @@ func (r *replica) ensureLink(ctx context.Context, tr transport.Transport) error 
 		conn.Close()
 		return nil
 	}
-	r.lk = newLink(conn)
+	r.lk = newLink(conn, r.revive)
 	return nil
 }
 
@@ -107,8 +108,8 @@ func (r *replica) ensureLink(ctx context.Context, tr transport.Transport) error 
 // behind a single escalation endpoint. It load-balances sessions across
 // healthy replicas with power-of-two-choices on in-flight count (ties
 // broken round-robin), fences replicas that stop answering (fast-fail),
-// re-admits them via health-monitor probes or half-open trial sessions,
-// and retries an in-flight escalation on a different replica when one
+// re-admits them via heartbeat echoes or half-open trial sessions, and
+// retries an in-flight escalation on a different replica when one
 // dies mid-session — escalations are idempotent because every retry
 // re-sends the full bit-packed feature frames.
 type ReplicaPool struct {
@@ -120,17 +121,18 @@ type ReplicaPool struct {
 	rr       atomic.Uint64 // round-robin tie-breaker
 	rng      atomic.Uint64 // splitmix64 state for pick-two sampling
 
-	// monitored is set once a health monitor probes this pool's
-	// replicas; trial sessions are then disabled, because the monitor
-	// both fences and re-admits replicas on its own.
-	monitored atomic.Bool
+	// trials enables half-open trial sessions to down replicas. It is
+	// false when the gateway's heartbeat detector watches the pool, whose
+	// echoes re-admit replicas instead.
+	trials bool
 }
 
 // newReplicaPool dials every replica address and returns the pool. All
 // initial dials must succeed — a replica that is down at construction
 // time is a deployment error, while failures after construction are
-// handled by fencing and failover.
-func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Transport, addrs []string, logger *slog.Logger) (*ReplicaPool, error) {
+// handled by fencing and failover. trials enables half-open trial
+// sessions (see ReplicaPool.trials).
+func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Transport, addrs []string, trials bool, logger *slog.Logger) (*ReplicaPool, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: %v pool needs at least one replica address", tier)
 	}
@@ -141,7 +143,7 @@ func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Trans
 	if logger == nil {
 		logger = slog.Default()
 	}
-	p := &ReplicaPool{tier: tier, tr: tr, logger: logger}
+	p := &ReplicaPool{tier: tier, tr: tr, trials: trials, logger: logger}
 	p.rng.Store(uint64(uintptr(len(addrs))) + 0x9E3779B97F4A7C15)
 	for i, addr := range addrs {
 		conn, err := tr.Dial(ctx, addr)
@@ -149,7 +151,10 @@ func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Trans
 			p.close()
 			return nil, fmt.Errorf("cluster: dial %v replica %d (%s): %w", tier, i, addr, err)
 		}
-		p.replicas = append(p.replicas, &replica{index: i, addr: addr, lk: newLink(conn)})
+		r := &replica{index: i, addr: addr}
+		r.revive = func(*link) { p.reportSuccess(r) }
+		r.lk = newLink(conn, r.revive)
+		p.replicas = append(p.replicas, r)
 	}
 	return p, nil
 }
@@ -187,7 +192,7 @@ func (p *ReplicaPool) Down() bool {
 	now := time.Now()
 	for _, r := range p.replicas {
 		r.mu.Lock()
-		ok := !r.fenced && (!r.down || (!p.monitored.Load() && !r.probing && now.After(r.retryAt)))
+		ok := !r.fenced && (!r.down || (p.trials && !r.probing && now.After(r.retryAt)))
 		r.mu.Unlock()
 		if ok {
 			return false
@@ -195,12 +200,6 @@ func (p *ReplicaPool) Down() bool {
 	}
 	return true
 }
-
-// setMonitored flips whether a health monitor owns this pool's
-// recovery. While true, trial sessions to fenced replicas are disabled
-// (the monitor both fences and re-admits); a stopped monitor must hand
-// recovery back by clearing it.
-func (p *ReplicaPool) setMonitored(on bool) { p.monitored.Store(on) }
 
 // splitmix64 advances the pool's sampling state and returns a well-mixed
 // 64-bit value; it is lock-free and deterministic per pool.
@@ -215,9 +214,9 @@ func (p *ReplicaPool) splitmix64() uint64 {
 // choices on in-flight count among healthy, untried replicas, ties
 // broken round-robin. When every healthy replica has been tried (or none
 // is healthy), a fenced replica whose cooldown has passed may take a
-// single half-open trial session — unless a health monitor owns
-// recovery. The caller must pair a successful pick with done, and
-// should report the outcome via reportSuccess/reportFailure.
+// single half-open trial session, if the pool runs trials. The caller
+// must pair a successful pick with done, and should report the outcome
+// via reportSuccess/reportFailure.
 func (p *ReplicaPool) pick(ctx context.Context, tried uint64) (*replica, bool, error) {
 	var cands []*replica
 	for _, r := range p.replicas {
@@ -280,10 +279,10 @@ func (p *ReplicaPool) pick(ctx context.Context, tried uint64) (*replica, bool, e
 }
 
 // startTrial claims one fenced replica past its cooldown for a half-open
-// trial session, or nil when recovery belongs to a health monitor or no
-// replica is eligible.
+// trial session, or nil when the pool runs no trials or no replica is
+// eligible.
 func (p *ReplicaPool) startTrial(tried uint64) *replica {
-	if p.monitored.Load() {
+	if !p.trials {
 		return nil
 	}
 	now := time.Now()
@@ -352,9 +351,9 @@ func (p *ReplicaPool) reportFailure(r *replica) {
 	}
 }
 
-// setDown flips one replica's availability from an external failure
-// detector (the gateway's health monitor). Marking down fences the
-// replica; marking up re-admits it immediately.
+// setDown flips one replica's availability from outside the session
+// path. Marking down fences the replica and starts its cooldown; marking
+// up re-admits it immediately.
 func (p *ReplicaPool) setDown(i int, down bool) {
 	if i < 0 || i >= len(p.replicas) {
 		return
@@ -370,10 +369,35 @@ func (p *ReplicaPool) setDown(i int, down bool) {
 	r.mu.Unlock()
 	if changed {
 		if down {
-			p.logger.Warn("health monitor fenced replica", "tier", p.tier.String(), "replica", i, "addr", r.addr)
+			p.logger.Warn("replica fenced", "tier", p.tier.String(), "replica", i, "addr", r.addr)
 		} else {
-			p.logger.Info("health monitor re-admitted replica", "tier", p.tier.String(), "replica", i, "addr", r.addr)
+			p.logger.Info("replica recovered", "tier", p.tier.String(), "replica", i, "addr", r.addr)
 		}
+	}
+}
+
+// beat runs one tick of the gateway's failure detector (Gateway.detect)
+// on every replica. A broken link is re-dialed first, so a restarted node
+// is re-admitted by its first echo without waiting for traffic; a replica
+// that cannot be re-dialed is down.
+func (p *ReplicaPool) beat(ctx context.Context, hb *wire.Heartbeat, interval time.Duration, sends *sync.WaitGroup) {
+	for _, r := range p.replicas {
+		dctx, cancel := context.WithTimeout(ctx, interval)
+		err := r.ensureLink(dctx, p.tr)
+		cancel()
+		l := r.link()
+		if err != nil || l == nil {
+			p.setDown(r.index, true)
+			continue
+		}
+		l.beat(hb, interval, sends, func(dead bool) bool {
+			if dead {
+				p.setDown(r.index, true)
+			}
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return r.down
+		})
 	}
 }
 

@@ -36,7 +36,7 @@ func poolFixture(t *testing.T, n int) *ReplicaPool {
 			}
 		}()
 	}
-	pool, err := newReplicaPool(context.Background(), wire.ExitCloud, tr, addrs, quietLogger())
+	pool, err := newReplicaPool(context.Background(), wire.ExitCloud, tr, addrs, true, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,6 @@ func TestPoolSkipsFencedReplica(t *testing.T) {
 
 func TestPoolAllDownTypedError(t *testing.T) {
 	pool := poolFixture(t, 2)
-	pool.setMonitored(true) // the monitor owns recovery: no trial sessions
 	pool.setDown(0, true)
 	pool.setDown(1, true)
 	if !pool.Down() {

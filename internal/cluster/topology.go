@@ -98,7 +98,7 @@ func (g *Gateway) AdmitDevice(ctx context.Context, slot int, addr string) (uint6
 		return 0, fmt.Errorf("cluster: admit device %d: dial %s: %w", slot, addr, err)
 	}
 	cc := transport.NewCountingConn(conn)
-	l := newLink(cc)
+	l := newLink(cc, func(l *link) { g.recordSuccess(slot, l) })
 	g.stateMu.Lock()
 	if g.closed {
 		g.stateMu.Unlock()
@@ -202,10 +202,10 @@ type memberSnapshot struct {
 }
 
 // snapshotMembers captures the session's membership view under the
-// state lock. A down device is left out, except that once its cooldown
-// has passed the next session takes it as a half-open trial and re-arms
-// the cooldown — unless a health monitor probes the device and owns its
-// recovery. A trial that answers re-admits the device (recordSuccess).
+// state lock. A down device is left out. Without heartbeats, once its
+// cooldown has passed the next session takes it as a half-open trial and
+// re-arms the cooldown; a trial that answers re-admits the device
+// (recordSuccess). With heartbeats, the device's next echo does.
 func (g *Gateway) snapshotMembers() memberSnapshot {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
@@ -215,7 +215,7 @@ func (g *Gateway) snapshotMembers() memberSnapshot {
 			continue
 		}
 		if dl.down {
-			if dl.monitored || time.Now().Before(dl.retryAt) {
+			if g.cfg.HeartbeatInterval > 0 || time.Now().Before(dl.retryAt) {
 				continue
 			}
 			dl.retryAt = time.Now().Add(replicaCooldown)

@@ -138,10 +138,6 @@ type EngineConfig = cluster.EngineConfig
 // EngineConfig.Batch.
 type BatchConfig = cluster.BatchConfig
 
-// HealthMonitor drives automatic device up/down detection; see
-// Engine.StartHealthMonitor.
-type HealthMonitor = cluster.HealthMonitor
-
 // NewEngine starts a complete in-process DDNN cluster — device nodes,
 // gateway, the edge replicas for models built with UseEdge
 // (cfg.EdgeReplicas) and the cloud replicas (cfg.CloudReplicas) over
