@@ -125,7 +125,6 @@ func run(args []string) error {
 	gcfg.DeviceTimeout = 500 * time.Millisecond
 	gcfg.CloudTimeout = time.Second
 	gcfg.EdgeTimeout = 2 * time.Second
-	gcfg.MaxFailures = 0 // leave detection to the heartbeats
 	gcfg.HeartbeatInterval = 50 * time.Millisecond
 	eng, err := ddnn.NewEngine(model, test, ddnn.EngineConfig{
 		Gateway:        gcfg,

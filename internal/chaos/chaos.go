@@ -192,7 +192,6 @@ func New(model *core.Model, ds *dataset.Dataset, cfg Config) (*Harness, error) {
 	gcfg.DeviceTimeout = 300 * time.Millisecond
 	gcfg.EdgeTimeout = 1500 * time.Millisecond
 	gcfg.CloudTimeout = 1000 * time.Millisecond
-	gcfg.MaxFailures = 2
 	gcfg.HeartbeatInterval = 50 * time.Millisecond
 	ecfg := cluster.EdgeConfig{CloudTimeout: 700 * time.Millisecond, CloudFallback: true}
 	eng, err := cluster.NewEngine(model, ds, cluster.EngineConfig{
@@ -417,8 +416,8 @@ func (h *Harness) awaitRecovery(deadline time.Duration) {
 // sweep classifies a slice of the dataset at full fidelity after
 // recovery: every sample must complete with the full presence mask and
 // verify bit-identical against the unmasked reference. Transient
-// partial-mask answers (e.g. an edge cloud pool still re-admitting a
-// replica via half-open trials) are retried until the deadline.
+// partial-mask answers (e.g. a device round trip still missed while the
+// links settle after the heal) are retried until the deadline.
 func (h *Harness) sweep(ctx context.Context) {
 	n := min(h.sampleN, 20)
 	for id := 0; id < n; id++ {

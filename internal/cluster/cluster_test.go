@@ -235,30 +235,38 @@ func TestFaultToleranceSingleDeviceFailure(t *testing.T) {
 	}
 }
 
+// TestStickyFailureDetection: a silent device is marked down by the
+// failure detector with no session issued, stays down while silent, and
+// sessions skip it without waiting out DeviceTimeout.
 func TestStickyFailureDetection(t *testing.T) {
 	cfg := DefaultGatewayConfig()
-	cfg.DeviceTimeout = 100 * time.Millisecond
-	cfg.MaxFailures = 2
+	cfg.DeviceTimeout = 500 * time.Millisecond
+	cfg.HeartbeatInterval = 25 * time.Millisecond
 	eng := newTwoTier(t, cfg)
+	gw := eng.Gateway()
 
 	eng.Devices()[1].SetFailed(true)
-	for id := 0; id < 3; id++ {
-		if _, err := classifyOne(context.Background(), eng.Gateway(), uint64(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	down := eng.Gateway().DownDevices()
-	if len(down) != 1 || down[0] != 1 {
-		t.Errorf("DownDevices = %v, want [1]", down)
+	waitFor(3*time.Second, func() bool { return len(gw.DownDevices()) != 0 })
+	if down := gw.DownDevices(); len(down) != 1 || down[0] != 1 {
+		t.Fatalf("DownDevices = %v, want [1]", down)
 	}
 
-	// A down device is skipped immediately: the session must be fast.
-	start := time.Now()
-	if _, err := classifyOne(context.Background(), eng.Gateway(), 10); err != nil {
-		t.Fatal(err)
+	// A down device is skipped immediately: every session must be fast.
+	for id := 0; id < 3; id++ {
+		start := time.Now()
+		res, err := classifyOne(context.Background(), gw, uint64(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > cfg.DeviceTimeout {
+			t.Errorf("session with down device took %v, want < %v (no timeout wait)", elapsed, cfg.DeviceTimeout)
+		}
+		if res.Present[1] {
+			t.Error("down device contributed")
+		}
 	}
-	if elapsed := time.Since(start); elapsed > cfg.DeviceTimeout {
-		t.Errorf("session with down device took %v, want < %v (no timeout wait)", elapsed, cfg.DeviceTimeout)
+	if down := gw.DownDevices(); len(down) != 1 || down[0] != 1 {
+		t.Errorf("DownDevices = %v after the sessions, want [1]", down)
 	}
 }
 
@@ -277,7 +285,6 @@ func TestAllDevicesFailedReturnsError(t *testing.T) {
 func TestDeviceRecovery(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.DeviceTimeout = 100 * time.Millisecond
-	cfg.MaxFailures = 0 // no sticky marking: retry each session
 	eng := newTwoTier(t, cfg)
 
 	eng.Devices()[0].SetFailed(true)
@@ -296,38 +303,6 @@ func TestDeviceRecovery(t *testing.T) {
 	}
 	if !res.Present[0] {
 		t.Error("recovered device still absent")
-	}
-}
-
-// TestDeviceRecoversAfterStickyDown: a device marked down by sticky
-// detection gets a half-open trial session once the cooldown has passed,
-// the way a fenced replica does, so it returns without heartbeats.
-func TestDeviceRecoversAfterStickyDown(t *testing.T) {
-	cfg := DefaultGatewayConfig()
-	cfg.DeviceTimeout = 100 * time.Millisecond
-	cfg.MaxFailures = 1
-	eng := newTwoTier(t, cfg)
-	gw := eng.Gateway()
-
-	eng.Devices()[1].SetFailed(true)
-	if _, err := classifyOne(context.Background(), gw, 0); err != nil {
-		t.Fatal(err)
-	}
-	if down := gw.DownDevices(); len(down) != 1 || down[0] != 1 {
-		t.Fatalf("DownDevices = %v, want [1]", down)
-	}
-
-	eng.Devices()[1].SetFailed(false)
-	time.Sleep(replicaCooldown + 50*time.Millisecond)
-	res, err := classifyOne(context.Background(), gw, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Present[1] {
-		t.Error("healed device still left out after the cooldown")
-	}
-	if down := gw.DownDevices(); len(down) != 0 {
-		t.Errorf("DownDevices = %v after the trial session answered, want none", down)
 	}
 }
 

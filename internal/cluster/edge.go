@@ -23,8 +23,8 @@ type EdgeConfig struct {
 	// EdgeTimeout or the downstream tier gives up before the edge can
 	// answer (or fall back). A replica that dies fast leaves the rest of
 	// the budget to the retry; one that hangs consumes it, and the
-	// session falls back while fencing removes the replica for later
-	// sessions.
+	// session falls back while the edge's failure detector marks the
+	// replica down for later sessions.
 	CloudTimeout time.Duration
 	// CloudFallback, when true, answers an escalated sample with the
 	// edge's own (unconfident) classification if the cloud round trip
@@ -58,6 +58,9 @@ type Edge struct {
 	cfg EdgeConfig
 
 	cloud *ReplicaPool // nil until ConnectCloud
+	// detector beats the cloud pool's links at the default interval, the
+	// same loop the gateway runs on its own links.
+	detector *detector
 
 	// Meter accumulates the edge→cloud hop's Eq. (1)-style payload
 	// bytes under "cloud-upload".
@@ -82,8 +85,10 @@ func NewEdge(model *core.Model, cfg EdgeConfig, logger *slog.Logger) (*Edge, err
 	e := &Edge{cfg: cfg, Meter: metrics.NewCommMeter()}
 	e.init("edge", model, logger, e.frame)
 	// Closing the cloud links fails escalations still in flight over to
-	// CloudFallback, so Close never waits out a cloud timeout.
+	// CloudFallback, so Close never waits out a cloud timeout. The
+	// detector stops first, so no re-dial outlives the pool.
 	e.onClose = func() {
+		e.detector.close()
 		if e.cloud != nil {
 			e.cloud.close()
 		}
@@ -93,15 +98,19 @@ func NewEdge(model *core.Model, cfg EdgeConfig, logger *slog.Logger) (*Edge, err
 
 // ConnectCloud dials the upstream cloud replicas and pools them: edge
 // escalations load-balance across healthy cloud replicas and retry on
-// another replica when one dies mid-session. Sessions escalated before
+// another replica when one dies mid-session. The edge's failure detector
+// then beats the pool's links every second: a silent cloud replica is
+// marked down, so escalations skip it instead of waiting out
+// CloudTimeout, and its next echo re-admits it. Sessions escalated before
 // (or without) a cloud connection fail over per EdgeConfig.CloudFallback.
 // The context bounds connection setup only.
 func (e *Edge) ConnectCloud(ctx context.Context, tr transport.Transport, addrs ...string) error {
-	pool, err := newReplicaPool(ctx, wire.ExitCloud, tr, addrs, true, e.logger)
+	pool, err := newReplicaPool(ctx, wire.ExitCloud, tr, addrs, e.logger)
 	if err != nil {
 		return fmt.Errorf("cluster: edge dial cloud: %w", err)
 	}
 	e.cloud = pool
+	e.detector = startDetector("edge", defaultHeartbeatInterval, pool.beat)
 	return nil
 }
 

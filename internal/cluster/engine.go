@@ -426,8 +426,10 @@ func (e *Engine) Clouds() []*Cloud {
 // RestartCloud hard-restarts in-process cloud replica i: the old node is
 // torn down (its listener and every link into it die, unlike the silent
 // failure of SetFailed) and a fresh replica starts on the same address.
-// Downstream replica pools re-admit it lazily (a session's re-dial, or the
-// gateway's heartbeat re-dial), exactly as they would a rebooted host.
+// Downstream replica pools reach it again through a session's re-dial or
+// their failure detector's, and a replica the detector marked down
+// meanwhile is re-admitted by its first echo, exactly as a rebooted host
+// would be.
 func (e *Engine) RestartCloud(i int) error {
 	e.nodeMu.Lock()
 	defer e.nodeMu.Unlock()

@@ -40,6 +40,9 @@ func TestCloudReplicaFailoverMidBatch(t *testing.T) {
 			gcfg := DefaultGatewayConfig()
 			gcfg.Threshold = -1 // force every sample through the cloud pool
 			gcfg.CloudTimeout = 400 * time.Millisecond
+			// Sessions picking the crashed replica fail over until the
+			// detector marks it down, two intervals after it went silent.
+			gcfg.HeartbeatInterval = 100 * time.Millisecond
 			eng, err := NewEngine(model, test, EngineConfig{
 				Gateway:        gcfg,
 				MaxConcurrency: tc.concurrent,
@@ -98,17 +101,9 @@ func TestCloudReplicaFailoverMidBatch(t *testing.T) {
 				t.Fatal("replica 0 was never crashed")
 			}
 
-			// Under continued traffic the crashed replica must end up
-			// fenced (consecutive escalation timeouts), with the survivor
-			// serving. The short run above may have routed too few
-			// sessions its way, so keep classifying until the detector
-			// trips.
-			deadline := time.Now().Add(20 * time.Second)
-			for eng.Gateway().Upstream().Healthy() != 1 && time.Now().Before(deadline) {
-				if _, err := eng.ClassifyBatchTenantShed(ctx, []uint64{0, 1, 2, 3}, "", ShedNone); err != nil {
-					t.Fatalf("classification while waiting for fencing: %v", err)
-				}
-			}
+			// The crashed replica ends up marked down by the detector,
+			// traffic or not, with the survivor serving.
+			waitFor(5*time.Second, func() bool { return eng.Gateway().Upstream().Healthy() == 1 })
 			if got := eng.Gateway().Upstream().Healthy(); got != 1 {
 				t.Errorf("healthy replicas = %d after the crash, want 1", got)
 			}
@@ -133,6 +128,7 @@ func TestEdgeReplicaFailoverMidStream(t *testing.T) {
 	gcfg.Threshold = localT
 	gcfg.EdgeThreshold = edgeT
 	gcfg.EdgeTimeout = 600 * time.Millisecond
+	gcfg.HeartbeatInterval = 100 * time.Millisecond // as in the cloud variant
 	eng, err := NewEngine(model, test, EngineConfig{
 		Gateway:        gcfg,
 		MaxConcurrency: 4,

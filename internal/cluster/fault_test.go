@@ -25,7 +25,6 @@ func TestEdgeTierDeviceKillMidStreamNoDeadlock(t *testing.T) {
 	gcfg.EdgeThreshold = 0.5
 	gcfg.DeviceTimeout = 150 * time.Millisecond
 	gcfg.EdgeTimeout = 2 * time.Second
-	gcfg.MaxFailures = 0 // no sticky marking: every session re-probes the dead devices
 	eng, err := NewEngine(model, test, EngineConfig{
 		Gateway:        gcfg,
 		MaxConcurrency: 8,

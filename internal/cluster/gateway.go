@@ -37,30 +37,24 @@ type GatewayConfig struct {
 	// three-tier hierarchy, including any cloud relay behind the edge;
 	// as with CloudTimeout, a failover retry gets its own budget.
 	EdgeTimeout time.Duration
-	// MaxFailures marks a device as down after this many consecutive
-	// timeouts, so later samples skip it immediately. Without heartbeats,
-	// one session per cooldown tries it again and an answer re-admits it;
-	// with them, the device's next heartbeat echo does. Zero disables
-	// sticky failure detection.
-	MaxFailures int
-	// HeartbeatInterval runs the gateway's failure detector on its device
-	// and upstream replica links: a link idle for one interval carries a
-	// heartbeat, which nodes echo; two silent intervals mark its device or
-	// replica down; its next frame re-admits it. It must exceed the link
-	// round trip. Zero, the default, turns the detector off; down devices
-	// and replicas then recover through half-open trial sessions.
+	// HeartbeatInterval paces the gateway's failure detector, which alone
+	// marks devices and upstream replicas down and up: a link idle for one
+	// interval carries a heartbeat, which nodes echo; two silent intervals
+	// mark its device or replica down; its next frame re-admits it.
+	// Sessions never mark health. It must exceed the link round trip. The
+	// detector always runs; zero means the default, one second.
 	HeartbeatInterval time.Duration
 }
 
 // DefaultGatewayConfig returns sensible simulation defaults.
 func DefaultGatewayConfig() GatewayConfig {
 	return GatewayConfig{
-		Threshold:     0.8,
-		EdgeThreshold: 0.8,
-		DeviceTimeout: 2 * time.Second,
-		CloudTimeout:  5 * time.Second,
-		EdgeTimeout:   7 * time.Second,
-		MaxFailures:   3,
+		Threshold:         0.8,
+		EdgeThreshold:     0.8,
+		DeviceTimeout:     2 * time.Second,
+		CloudTimeout:      5 * time.Second,
+		EdgeTimeout:       7 * time.Second,
+		HeartbeatInterval: defaultHeartbeatInterval,
 	}
 }
 
@@ -102,8 +96,8 @@ type Result struct {
 // Classify is the one entry point and is safe for concurrent use: each
 // call opens an independent session over any number of samples, tagged
 // with a unique session ID, and the device and upstream links multiplex
-// frames from all in-flight sessions. Only the per-device failure
-// bookkeeping is shared, behind a short-lived mutex.
+// frames from all in-flight sessions. Only the membership view is
+// shared, behind a short-lived mutex.
 type Gateway struct {
 	model    *core.Model
 	reg      *modelRegistry
@@ -134,7 +128,7 @@ type Gateway struct {
 	instr instrumentation
 
 	// stateMu guards the versioned topology state: deviceLink.link /
-	// .failures / .down, wireConns, tenants, configVersion and closed.
+	// .down, wireConns, tenants, configVersion and closed.
 	stateMu       sync.Mutex
 	configVersion uint64
 	tenants       map[string]tenantEntry
@@ -144,10 +138,8 @@ type Gateway struct {
 	// ServeRegistration.
 	regPlane server
 
-	// stopDetect stops the failure detector, and detectDone closes once it
-	// has returned; both are nil while HeartbeatInterval is zero.
-	stopDetect context.CancelFunc
-	detectDone chan struct{}
+	// detector beats the device and upstream replica links (see beat).
+	detector *detector
 }
 
 // tenantEntry pairs a tenant's raw config with its resolved, validated
@@ -160,12 +152,8 @@ type tenantEntry struct {
 type deviceLink struct {
 	index int
 	// guarded by Gateway.stateMu:
-	link     *link // nil while the slot is absent
-	failures int
-	down     bool
-	// retryAt is when a down device may take its next trial session (the
-	// same half-open rule as a replica; see ReplicaPool.startTrial).
-	retryAt time.Time
+	link *link // nil while the slot is absent
+	down bool  // marked down by the failure detector
 }
 
 // NewGateway connects to the device nodes and the next tier up — the
@@ -209,6 +197,9 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 	if cfg.HeartbeatInterval < 0 {
 		return nil, fmt.Errorf("cluster: heartbeat interval must not be negative, got %v", cfg.HeartbeatInterval)
 	}
+	if cfg.HeartbeatInterval == 0 {
+		cfg.HeartbeatInterval = def.HeartbeatInterval
+	}
 	pipeline := BuildPipeline(model.Cfg, cfg.Threshold, cfg.EdgeThreshold)
 	if err := pipeline.Validate(); err != nil {
 		return nil, err
@@ -244,56 +235,37 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 		}
 		cc := transport.NewCountingConn(conn)
 		g.wireConns[i] = cc
-		g.devices[i].link = newLink(cc, func(l *link) { g.recordSuccess(i, l) })
+		g.devices[i].link = newLink(cc, func(l *link) { g.reviveDevice(i, l) })
 	}
-	pool, err := newReplicaPool(ctx, g.upstreamExit(), tr, upstreamAddrs, cfg.HeartbeatInterval == 0, g.logger)
+	pool, err := newReplicaPool(ctx, g.upstreamExit(), tr, upstreamAddrs, g.logger)
 	if err != nil {
 		g.Close()
 		return nil, err
 	}
 	g.upstream = pool
-	if cfg.HeartbeatInterval > 0 {
-		dctx, cancel := context.WithCancel(context.Background())
-		g.stopDetect, g.detectDone = cancel, make(chan struct{})
-		go g.detect(dctx, cfg.HeartbeatInterval)
-	}
+	g.detector = startDetector("gateway", cfg.HeartbeatInterval, g.beat)
 	return g, nil
 }
 
-// detect is the gateway's failure detector: every interval it beats each
-// device and upstream replica link (link.beat), so one silence rule marks
-// both down and one echo re-admits them. A tick ends once its heartbeats
-// are written.
-func (g *Gateway) detect(ctx context.Context, interval time.Duration) {
-	defer close(g.detectDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	hb := &wire.Heartbeat{NodeID: "gateway"}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
+// beat is the gateway's failure-detector tick: it beats each device and
+// upstream replica link (link.beat), so one silence rule marks both down
+// and one echo re-admits them.
+func (g *Gateway) beat(ctx context.Context, hb *wire.Heartbeat, interval time.Duration, sends *sync.WaitGroup) {
+	g.stateMu.Lock()
+	for _, dl := range g.devices {
+		if dl.link == nil {
+			continue
 		}
-		hb.Seq++
-		var sends sync.WaitGroup
-		g.stateMu.Lock()
-		for _, dl := range g.devices {
-			if dl.link == nil {
-				continue
+		dl.link.beat(hb, interval, sends, func(dead bool) bool {
+			if dead && !dl.down {
+				g.logger.Warn("device marked down", "device", dl.index, "silent_intervals", heartbeatMisses)
+				dl.down = true
 			}
-			dl.link.beat(hb, interval, &sends, func(dead bool) bool {
-				if dead && !dl.down {
-					g.logger.Warn("device marked down", "device", dl.index, "silent_intervals", heartbeatMisses)
-					dl.down, dl.failures = true, 0
-				}
-				return dl.down
-			})
-		}
-		g.stateMu.Unlock()
-		g.upstream.beat(ctx, hb, interval, &sends)
-		sends.Wait()
+			return dl.down
+		})
 	}
+	g.stateMu.Unlock()
+	g.upstream.beat(ctx, hb, interval, sends)
 }
 
 // Upstream exposes the gateway's upstream replica pool for stats
@@ -360,48 +332,24 @@ func (g *Gateway) WireBytesDown() int64 {
 	return t
 }
 
-// recordTimeout counts a consecutive miss and applies sticky marking;
-// marking down starts the cooldown before the device's first trial
-// session (see snapshotMembers). The session's snapshot link guards
-// against membership churn: a timeout observed on a link that has since
-// been replaced (the slot re-registered or left) must not count against
-// the slot's current occupant.
-func (g *Gateway) recordTimeout(device int, l *link) {
+// reviveDevice is a device link's revive hook: the first frame on a link
+// the failure detector armed re-admits the device. A frame on a link that
+// has since been replaced (the slot re-registered or left) is stale and
+// must not touch the slot's current occupant.
+func (g *Gateway) reviveDevice(device int, l *link) {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
 	dl := g.devices[device]
-	if dl.link != l {
-		return // stale observation from before a membership change
-	}
-	dl.failures++
-	if g.cfg.MaxFailures > 0 && dl.failures >= g.cfg.MaxFailures && !dl.down {
-		g.logger.Warn("device marked down", "device", device, "consecutive_timeouts", dl.failures)
-		dl.down = true
-		dl.retryAt = time.Now().Add(replicaCooldown)
-	}
-}
-
-// recordSuccess resets the consecutive-miss counter and re-admits a down
-// device that answered (a trial session, one that started before it was
-// marked down, or a frame on a link the heartbeat detector armed); stale
-// observations from before a membership change are dropped (see
-// recordTimeout).
-func (g *Gateway) recordSuccess(device int, l *link) {
-	g.stateMu.Lock()
-	defer g.stateMu.Unlock()
-	dl := g.devices[device]
-	if dl.link != l {
+	if dl.link != l || !dl.down {
 		return
 	}
-	dl.failures = 0
-	if dl.down {
-		dl.down = false
-		g.logger.Info("device recovered", "device", device)
-	}
+	dl.down = false
+	g.logger.Info("device recovered", "device", device)
 }
 
-// DownDevices returns the indices of devices currently marked down by
-// sticky failure detection.
+// DownDevices returns the indices of devices the failure detector
+// currently marks down: their links read nothing for two heartbeat
+// intervals and have not answered since.
 func (g *Gateway) DownDevices() []int {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
@@ -415,10 +363,10 @@ func (g *Gateway) DownDevices() []int {
 }
 
 // UpstreamDown reports whether no replica of the next tier up (edge or
-// cloud) can currently serve — every replica is fenced by the heartbeat
-// detector or by in-session failure detection, and none is eligible for
-// a trial. Escalations then fail fast with the tier's typed error
-// wrapping ErrNoHealthyReplica instead of waiting out the timeout.
+// cloud) can currently serve — every replica is marked down by the
+// failure detector or fenced by a rollout. Escalations then fail fast
+// with the tier's typed error wrapping ErrNoHealthyReplica instead of
+// waiting out the timeout.
 func (g *Gateway) UpstreamDown() bool { return g.upstream.Down() }
 
 // Close stops the failure detector and tears down all connections,
@@ -438,11 +386,8 @@ func (g *Gateway) Close() error {
 	for _, l := range links {
 		l.close()
 	}
-	if g.detectDone != nil {
-		// Before the pool closes, so no re-dial outlives it.
-		g.stopDetect()
-		<-g.detectDone
-	}
+	// Before the pool closes, so no re-dial outlives it.
+	g.detector.close()
 	if g.upstream != nil {
 		g.upstream.close()
 	}

@@ -14,9 +14,10 @@ import (
 
 // capReply carries one device's response to a capture request.
 type capReply struct {
-	device  int
-	summary *wire.SummaryBatch // nil: the device had no frame for any sample
-	timeout bool
+	device int
+	// summary is nil when the device missed the round trip or had no
+	// frame for any sample; the session degrades without it.
+	summary *wire.SummaryBatch
 	err     error // session-fatal (context or version-pin) error
 }
 
@@ -122,11 +123,6 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 		if r.err != nil {
 			return nil, r.err
 		}
-		if r.timeout {
-			g.recordTimeout(r.device, s.snap.links[r.device])
-			continue
-		}
-		g.recordSuccess(r.device, s.snap.links[r.device])
 		if r.summary == nil {
 			continue
 		}
@@ -210,16 +206,13 @@ func (g *Gateway) captureFrom(ctx context.Context, device int, l *link, req *wir
 			replies <- capReply{device: device, err: ctxErr(cerr)}
 			return
 		}
-		replies <- capReply{device: device, timeout: true}
-		return
 	}
 	switch m := msg.(type) {
 	case *wire.SummaryBatch:
-		if int(m.Count) != len(req.SampleIDs) || int(m.Classes) != g.model.Cfg.Classes {
-			replies <- capReply{device: device, timeout: true}
+		if int(m.Count) == len(req.SampleIDs) && int(m.Classes) == g.model.Cfg.Classes {
+			replies <- capReply{device: device, summary: m}
 			return
 		}
-		replies <- capReply{device: device, summary: m}
 	case *wire.Error:
 		if m.Code == 426 {
 			// The device's registry no longer holds the session's pinned
@@ -228,11 +221,10 @@ func (g *Gateway) captureFrom(ctx context.Context, device int, l *link, req *wir
 			replies <- capReply{device: device, err: fmt.Errorf("cluster: device %d: %w", device, ErrModelVersionUnknown)}
 			return
 		}
-		// The device had no frame for any sample (feed failure).
-		replies <- capReply{device: device}
-	default:
-		replies <- capReply{device: device, timeout: true}
 	}
+	// A missed round trip, a malformed summary or no frame for any sample
+	// (feed failure): the session degrades without this device.
+	replies <- capReply{device: device}
 }
 
 func (g *Gateway) fetchFrom(ctx context.Context, device int, l *link, req *wire.FeatureBatchRequest, replies chan<- fetchReply) {

@@ -27,7 +27,6 @@ func TestHeartbeatDetectsFailureAndRecovery(t *testing.T) {
 	model, test := fixture(t)
 	tr := transport.NewMem()
 	cfg := DefaultGatewayConfig()
-	cfg.MaxFailures = 0 // leave detection entirely to the heartbeats
 	cfg.HeartbeatInterval = 25 * time.Millisecond
 
 	addrs := make([]string, model.Cfg.Devices)
@@ -96,7 +95,6 @@ func TestHeartbeatDrivesEdgeUpstreamState(t *testing.T) {
 	cfg := DefaultGatewayConfig()
 	cfg.Threshold = -1 // escalations exercise the upstream state
 	cfg.EdgeTimeout = 500 * time.Millisecond
-	cfg.MaxFailures = 0
 	cfg.HeartbeatInterval = 25 * time.Millisecond
 	eng := startEngine(t, model, test, EngineConfig{Gateway: cfg})
 
@@ -126,6 +124,48 @@ func TestHeartbeatDrivesEdgeUpstreamState(t *testing.T) {
 	}
 }
 
+// TestEdgeHeartbeatFencesSilentCloud: the edge runs the same detector on
+// its own cloud pool, at the default interval. A silent cloud is marked
+// down with no traffic, so escalations fall back to the edge exit without
+// waiting out EdgeConfig.CloudTimeout, and the cloud's next echo
+// re-admits it with no session issued first.
+func TestEdgeHeartbeatFencesSilentCloud(t *testing.T) {
+	model, test := edgeFixture(t)
+	gcfg := DefaultGatewayConfig()
+	gcfg.Threshold = -1     // every sample goes to the edge...
+	gcfg.EdgeThreshold = -1 // ...and on to the cloud
+	ecfg := DefaultEdgeConfig()
+	eng := startEngine(t, model, test, EngineConfig{Gateway: gcfg, Edge: &ecfg})
+	pool := eng.Edges()[0].cloud
+
+	eng.Clouds()[0].SetFailed(true)
+	if !waitFor(5*time.Second, pool.Down) {
+		t.Fatal("the edge's detector never marked the silent cloud down")
+	}
+	start := time.Now()
+	res, err := classifyOne(context.Background(), eng.Gateway(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exit != wire.ExitEdge {
+		t.Errorf("exit = %v with the cloud down, want the edge fallback", res.Exit)
+	}
+	if elapsed := time.Since(start); elapsed > ecfg.CloudTimeout/10 {
+		t.Errorf("fallback took %v, want well under the %v CloudTimeout", elapsed, ecfg.CloudTimeout)
+	}
+
+	eng.Clouds()[0].SetFailed(false)
+	if !waitFor(5*time.Second, func() bool { return !pool.Down() }) {
+		t.Fatal("the cloud's echo never re-admitted it at the edge")
+	}
+	if res, err = classifyOne(context.Background(), eng.Gateway(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if res.Exit != wire.ExitCloud {
+		t.Errorf("exit = %v after the cloud recovered, want cloud", res.Exit)
+	}
+}
+
 // TestHeartbeatFlappingDeviceRecovery exercises recovery flapping (run
 // with -race in CI): a device that oscillates down→up→down across
 // heartbeat intervals must be skipped while down and re-admitted while up
@@ -137,7 +177,6 @@ func TestHeartbeatDrivesEdgeUpstreamState(t *testing.T) {
 func TestHeartbeatFlappingDeviceRecovery(t *testing.T) {
 	model, test := fixture(t)
 	gcfg := DefaultGatewayConfig()
-	gcfg.MaxFailures = 0 // detection belongs to the heartbeats alone
 	gcfg.DeviceTimeout = 200 * time.Millisecond
 	gcfg.HeartbeatInterval = 20 * time.Millisecond
 	eng := startEngine(t, model, test, EngineConfig{Gateway: gcfg, MaxConcurrency: 4})
@@ -307,9 +346,10 @@ func TestHeartbeatReadmitsRestartedReplicaWithoutTraffic(t *testing.T) {
 
 // TestHeartbeatsOnlyOnIdleLinks pins that heartbeats cost nothing on busy
 // links: back-to-back sessions, each well inside the interval, move the
-// same device-link bytes with heartbeats on, over several intervals, as
-// the same sessions with heartbeats off. Once the links go idle, the byte
-// counts grow by whole heartbeat frames only.
+// same device-link bytes over several intervals as the same sessions
+// under a detector whose interval outlasts the test, which never beats.
+// Once the links go idle, the byte counts grow by whole heartbeat frames
+// only.
 func TestHeartbeatsOnlyOnIdleLinks(t *testing.T) {
 	model, test := fixture(t)
 	const interval = 100 * time.Millisecond
@@ -344,12 +384,12 @@ func TestHeartbeatsOnlyOnIdleLinks(t *testing.T) {
 	eng.Close() // stops the detector, so no frame is half counted
 	idle := bytesOf(gw)
 
-	_, offGW := start(0)
+	_, quietGW := start(time.Hour)
 	for id := 0; id < n; id++ {
-		classify(offGW, id)
+		classify(quietGW, id)
 	}
-	if off := bytesOf(offGW); busy != off {
-		t.Fatalf("%d busy sessions moved %v B (up, down) with heartbeats, %v B without", n, busy, off)
+	if quiet := bytesOf(quietGW); busy != quiet {
+		t.Fatalf("%d busy sessions moved %v B (up, down) with heartbeats, %v B without", n, busy, quiet)
 	}
 	var frame bytes.Buffer
 	if _, err := wire.Encode(&frame, &wire.Heartbeat{NodeID: "gateway"}); err != nil {

@@ -162,9 +162,59 @@ func (l *link) wait(ctx context.Context, ch <-chan wire.Message, timeout time.Du
 	}
 }
 
-// heartbeatMisses is how many heartbeat intervals a link may read nothing
-// before the failure detector marks it down.
-const heartbeatMisses = 2
+const (
+	// heartbeatMisses is how many heartbeat intervals a link may read
+	// nothing before the failure detector marks it down.
+	heartbeatMisses = 2
+	// defaultHeartbeatInterval paces the failure detector when
+	// GatewayConfig.HeartbeatInterval is zero, and always on an edge's
+	// cloud pool.
+	defaultHeartbeatInterval = time.Second
+)
+
+// detector is the failure-detector loop the gateway and the edge share,
+// and the one place device and replica health is decided: every interval
+// tick beats the node's links (link.beat) with one heartbeat frame, and
+// the tick ends once its heartbeats are written.
+type detector struct {
+	stop context.CancelFunc
+	done chan struct{}
+}
+
+// startDetector runs tick every interval until close. nodeID names the
+// node in its heartbeats.
+func startDetector(nodeID string, interval time.Duration, tick func(ctx context.Context, hb *wire.Heartbeat, interval time.Duration, sends *sync.WaitGroup)) *detector {
+	ctx, stop := context.WithCancel(context.Background())
+	d := &detector{stop: stop, done: make(chan struct{})}
+	go func() {
+		defer close(d.done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		hb := &wire.Heartbeat{NodeID: nodeID}
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+			}
+			hb.Seq++
+			var sends sync.WaitGroup
+			tick(ctx, hb, interval, &sends)
+			sends.Wait()
+		}
+	}()
+	return d
+}
+
+// close stops the loop and returns once it has; a nil detector (a node
+// that never started one) is a no-op.
+func (d *detector) close() {
+	if d == nil {
+		return
+	}
+	d.stop()
+	<-d.done
+}
 
 // beat runs one failure-detector tick on the link. mark records whether
 // the link has read nothing for heartbeatMisses intervals and reports

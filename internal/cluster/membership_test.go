@@ -346,8 +346,7 @@ func TestMembershipChurnUnderConcurrentTraffic(t *testing.T) {
 	addrs, cloudAddr := membershipCluster(t, tr, "churn")
 
 	gcfg := DefaultGatewayConfig()
-	gcfg.Threshold = 1   // local exits: each verdict is fully determined by its observed mask
-	gcfg.MaxFailures = 0 // churn must not poison slots via sticky marking
+	gcfg.Threshold = 1 // local exits: each verdict is fully determined by its observed mask
 	gw, err := NewGateway(context.Background(), model, gcfg, tr, addrs, []string{cloudAddr}, quietLogger())
 	if err != nil {
 		t.Fatal(err)

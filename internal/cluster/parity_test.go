@@ -68,10 +68,10 @@ func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, l
 	gcfg.Threshold = localT
 	gcfg.EdgeThreshold = edgeT
 	if degraded {
-		// The first session waits out the dead device once; sticky
-		// failure detection then skips it.
+		// Sessions wait out the dead device until the failure detector
+		// marks it down, within a few intervals; then they skip it.
 		gcfg.DeviceTimeout = 500 * time.Millisecond
-		gcfg.MaxFailures = 1
+		gcfg.HeartbeatInterval = 50 * time.Millisecond
 	}
 	eng, err := NewEngine(model, test, EngineConfig{
 		Gateway:        gcfg,

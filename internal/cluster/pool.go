@@ -13,25 +13,10 @@ import (
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
-// Replica-pool tunables. They are constants rather than config because
-// every deployment wants the same behavior: fail over fast, re-probe a
-// dead replica occasionally, never flap on a single slow response.
-const (
-	// replicaCooldown is how long a self-detected-down replica stays
-	// fenced before a single trial session may probe it again (half-open
-	// circuit breaker). Pools watched by the gateway's heartbeat detector
-	// run no trials: a heartbeat echo re-admits instead.
-	replicaCooldown = time.Second
-	// replicaMaxTimeouts marks a replica down after this many consecutive
-	// timed-out escalations. A broken connection marks it down
-	// immediately; timeouts get one extra chance because a loaded replica
-	// can miss a deadline without being dead.
-	replicaMaxTimeouts = 2
-	// redialTimeout bounds the lazy re-dial of a replica whose data
-	// connection died, so a session never spends its whole deadline
-	// waiting on connection setup to a dead host.
-	redialTimeout = time.Second
-)
+// redialTimeout bounds the lazy re-dial of a replica whose data
+// connection died, so a session never spends its whole deadline waiting
+// on connection setup to a dead host.
+const redialTimeout = time.Second
 
 // errReplicaUnreachable marks an escalation failure attributable to one
 // replica (connection death, missed deadline) rather than to the session
@@ -48,38 +33,24 @@ type replica struct {
 	// pool's power-of-two-choices scheduler compares these counts.
 	inFlight atomic.Int64
 
-	mu       sync.Mutex
-	lk       *link       // nil until dialed; replaced on re-dial
-	revive   func(*link) // its links' revive hook: reportSuccess
-	down     bool
-	timeouts int       // consecutive timed-out escalations
-	retryAt  time.Time // when a down replica becomes eligible for a trial
-	probing  bool      // a trial session is in flight (half-open breaker)
+	mu     sync.Mutex
+	lk     *link       // nil until dialed; replaced on re-dial
+	revive func(*link) // its links' revive hook: setDown(index, false)
+	down   bool        // marked down by the failure detector
 	// fenced takes the replica out of scheduling without marking it
 	// unhealthy: a rollout fences one replica at a time to drain and swap
-	// its weights. Unlike down, a fenced replica is never eligible for a
-	// half-open trial, and failure-detector updates leave the flag alone.
+	// its weights. The failure detector leaves the flag alone.
 	fenced bool
 }
 
-// link returns the replica's current link, or nil when undialed/dead.
-func (r *replica) link() *link {
+// ensureLink returns the replica's link, re-dialing the data connection
+// first if the current one is missing or broken. Concurrent callers race
+// benignly: the loser closes its spare connection.
+func (r *replica) ensureLink(ctx context.Context, tr transport.Transport) (*link, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lk != nil && r.lk.broken() {
-		return nil
-	}
-	return r.lk
-}
-
-// ensureLink re-dials the replica's data connection if the current one is
-// missing or broken. Concurrent callers race benignly: the loser closes
-// its spare connection.
-func (r *replica) ensureLink(ctx context.Context, tr transport.Transport) error {
-	r.mu.Lock()
-	if r.lk != nil && !r.lk.broken() {
+	if lk := r.lk; lk != nil && !lk.broken() {
 		r.mu.Unlock()
-		return nil
+		return lk, nil
 	}
 	old := r.lk
 	r.lk = nil
@@ -91,27 +62,27 @@ func (r *replica) ensureLink(ctx context.Context, tr transport.Transport) error 
 	conn, err := tr.Dial(dctx, r.addr)
 	cancel()
 	if err != nil {
-		return fmt.Errorf("%w: dial %s: %w", errReplicaUnreachable, r.addr, err)
+		return nil, fmt.Errorf("%w: dial %s: %w", errReplicaUnreachable, r.addr, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.lk != nil && !r.lk.broken() {
 		// Another session re-dialed first; keep theirs.
 		conn.Close()
-		return nil
+		return r.lk, nil
 	}
 	r.lk = newLink(conn, r.revive)
-	return nil
+	return r.lk, nil
 }
 
 // ReplicaPool holds the N replicas of one upstream tier (edge or cloud)
 // behind a single escalation endpoint. It load-balances sessions across
 // healthy replicas with power-of-two-choices on in-flight count (ties
-// broken round-robin), fences replicas that stop answering (fast-fail),
-// re-admits them via heartbeat echoes or half-open trial sessions, and
-// retries an in-flight escalation on a different replica when one
-// dies mid-session — escalations are idempotent because every retry
-// re-sends the full bit-packed feature frames.
+// broken round-robin), leaves out replicas the owning node's failure
+// detector marked down until their next echo re-admits them, and retries
+// an in-flight escalation on a different replica when one dies
+// mid-session — escalations are idempotent because every retry re-sends
+// the full bit-packed feature frames. Sessions never mark health.
 type ReplicaPool struct {
 	tier   wire.ExitPoint
 	tr     transport.Transport
@@ -120,19 +91,13 @@ type ReplicaPool struct {
 	replicas []*replica
 	rr       atomic.Uint64 // round-robin tie-breaker
 	rng      atomic.Uint64 // splitmix64 state for pick-two sampling
-
-	// trials enables half-open trial sessions to down replicas. It is
-	// false when the gateway's heartbeat detector watches the pool, whose
-	// echoes re-admit replicas instead.
-	trials bool
 }
 
 // newReplicaPool dials every replica address and returns the pool. All
 // initial dials must succeed — a replica that is down at construction
 // time is a deployment error, while failures after construction are
-// handled by fencing and failover. trials enables half-open trial
-// sessions (see ReplicaPool.trials).
-func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Transport, addrs []string, trials bool, logger *slog.Logger) (*ReplicaPool, error) {
+// handled by the failure detector and failover.
+func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Transport, addrs []string, logger *slog.Logger) (*ReplicaPool, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: %v pool needs at least one replica address", tier)
 	}
@@ -143,7 +108,7 @@ func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Trans
 	if logger == nil {
 		logger = slog.Default()
 	}
-	p := &ReplicaPool{tier: tier, tr: tr, trials: trials, logger: logger}
+	p := &ReplicaPool{tier: tier, tr: tr, logger: logger}
 	p.rng.Store(uint64(uintptr(len(addrs))) + 0x9E3779B97F4A7C15)
 	for i, addr := range addrs {
 		conn, err := tr.Dial(ctx, addr)
@@ -152,7 +117,7 @@ func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Trans
 			return nil, fmt.Errorf("cluster: dial %v replica %d (%s): %w", tier, i, addr, err)
 		}
 		r := &replica{index: i, addr: addr}
-		r.revive = func(*link) { p.reportSuccess(r) }
+		r.revive = func(*link) { p.setDown(i, false) }
 		r.lk = newLink(conn, r.revive)
 		p.replicas = append(p.replicas, r)
 	}
@@ -186,20 +151,9 @@ func (p *ReplicaPool) Healthy() int {
 }
 
 // Down reports whether no replica can serve right now: every replica is
-// fenced and none is eligible for a trial session. Escalations then fail
-// fast with ErrNoHealthyReplica instead of waiting out a timeout.
-func (p *ReplicaPool) Down() bool {
-	now := time.Now()
-	for _, r := range p.replicas {
-		r.mu.Lock()
-		ok := !r.fenced && (!r.down || (p.trials && !r.probing && now.After(r.retryAt)))
-		r.mu.Unlock()
-		if ok {
-			return false
-		}
-	}
-	return true
-}
+// marked down or fenced. Escalations then fail fast with
+// ErrNoHealthyReplica instead of waiting out a timeout.
+func (p *ReplicaPool) Down() bool { return p.Healthy() == 0 }
 
 // splitmix64 advances the pool's sampling state and returns a well-mixed
 // 64-bit value; it is lock-free and deterministic per pool.
@@ -212,12 +166,8 @@ func (p *ReplicaPool) splitmix64() uint64 {
 
 // pick selects the replica for one escalation attempt: power-of-two-
 // choices on in-flight count among healthy, untried replicas, ties
-// broken round-robin. When every healthy replica has been tried (or none
-// is healthy), a fenced replica whose cooldown has passed may take a
-// single half-open trial session, if the pool runs trials. The caller
-// must pair a successful pick with done, and should report the outcome
-// via reportSuccess/reportFailure.
-func (p *ReplicaPool) pick(ctx context.Context, tried uint64) (*replica, bool, error) {
+// broken round-robin. The caller must pair a successful pick with done.
+func (p *ReplicaPool) pick(tried uint64) (*replica, error) {
 	var cands []*replica
 	for _, r := range p.replicas {
 		if tried&(1<<uint(r.index)) != 0 {
@@ -231,14 +181,9 @@ func (p *ReplicaPool) pick(ctx context.Context, tried uint64) (*replica, bool, e
 		}
 	}
 	var chosen *replica
-	trial := false
 	switch len(cands) {
 	case 0:
-		chosen = p.startTrial(tried)
-		if chosen == nil {
-			return nil, false, fmt.Errorf("cluster: %v tier: %w", p.tier, ErrNoHealthyReplica)
-		}
-		trial = true
+		return nil, fmt.Errorf("cluster: %v tier: %w", p.tier, ErrNoHealthyReplica)
 	case 1:
 		chosen = cands[0]
 	default:
@@ -263,97 +208,15 @@ func (p *ReplicaPool) pick(ctx context.Context, tried uint64) (*replica, bool, e
 			chosen = b
 		}
 	}
-	if err := chosen.ensureLink(ctx, p.tr); err != nil {
-		p.reportFailure(chosen)
-		if trial {
-			// Release the half-open claim, or no later session could ever
-			// re-probe this replica.
-			chosen.mu.Lock()
-			chosen.probing = false
-			chosen.mu.Unlock()
-		}
-		return nil, false, err
-	}
 	chosen.inFlight.Add(1)
-	return chosen, trial, nil
+	return chosen, nil
 }
 
-// startTrial claims one fenced replica past its cooldown for a half-open
-// trial session, or nil when the pool runs no trials or no replica is
-// eligible.
-func (p *ReplicaPool) startTrial(tried uint64) *replica {
-	if !p.trials {
-		return nil
-	}
-	now := time.Now()
-	for _, r := range p.replicas {
-		if tried&(1<<uint(r.index)) != 0 {
-			continue
-		}
-		r.mu.Lock()
-		if r.down && !r.fenced && !r.probing && now.After(r.retryAt) {
-			r.probing = true
-			r.mu.Unlock()
-			return r
-		}
-		r.mu.Unlock()
-	}
-	return nil
-}
+// done releases a picked replica: its in-flight count drops.
+func (p *ReplicaPool) done(r *replica) { r.inFlight.Add(-1) }
 
-// done releases a picked replica: the in-flight count drops and, for
-// the session that claimed a half-open trial, the trial claim is
-// cleared. Only the trial holder may clear it — a normal session that
-// happened to finish on a since-fenced replica must not wipe another
-// session's in-flight trial. (The trial verdict itself comes from
-// reportSuccess/reportFailure; a session that ends neutrally — e.g.
-// canceled — leaves the replica's health state untouched.)
-func (p *ReplicaPool) done(r *replica, trial bool) {
-	r.inFlight.Add(-1)
-	if trial {
-		r.mu.Lock()
-		r.probing = false
-		r.mu.Unlock()
-	}
-}
-
-// reportSuccess records a completed escalation: the replica's consecutive
-// timeout count resets and a fenced replica is re-admitted.
-func (p *ReplicaPool) reportSuccess(r *replica) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.timeouts = 0
-	if r.down {
-		r.down = false
-		p.logger.Info("replica recovered", "tier", p.tier.String(), "replica", r.index, "addr", r.addr)
-	}
-}
-
-// reportFailure records a failed escalation attempt. A broken connection
-// fences the replica immediately; a timeout fences it after
-// replicaMaxTimeouts consecutive misses (a loaded replica can miss one
-// deadline without being dead). Fencing starts the cooldown clock for
-// half-open trials.
-func (p *ReplicaPool) reportFailure(r *replica) {
-	dead := false
-	if lk := r.link(); lk == nil {
-		dead = true // connection is gone, not merely slow
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.timeouts++
-	if !r.down && (dead || r.timeouts >= replicaMaxTimeouts) {
-		r.down = true
-		p.logger.Warn("replica fenced", "tier", p.tier.String(), "replica", r.index, "addr", r.addr, "dead_link", dead, "timeouts", r.timeouts)
-	}
-	if r.down {
-		r.retryAt = time.Now().Add(replicaCooldown)
-	}
-}
-
-// setDown flips one replica's availability from outside the session
-// path. Marking down fences the replica and starts its cooldown; marking
-// up re-admits it immediately.
+// setDown records the failure detector's verdict on one replica: down
+// takes it out of scheduling, up re-admits it.
 func (p *ReplicaPool) setDown(i int, down bool) {
 	if i < 0 || i >= len(p.replicas) {
 		return
@@ -362,10 +225,6 @@ func (p *ReplicaPool) setDown(i int, down bool) {
 	r.mu.Lock()
 	changed := r.down != down
 	r.down = down
-	r.timeouts = 0
-	if down && changed {
-		r.retryAt = time.Now().Add(replicaCooldown)
-	}
 	r.mu.Unlock()
 	if changed {
 		if down {
@@ -376,17 +235,16 @@ func (p *ReplicaPool) setDown(i int, down bool) {
 	}
 }
 
-// beat runs one tick of the gateway's failure detector (Gateway.detect)
-// on every replica. A broken link is re-dialed first, so a restarted node
-// is re-admitted by its first echo without waiting for traffic; a replica
-// that cannot be re-dialed is down.
+// beat runs one failure-detector tick (see detector) on every replica. A
+// broken link is re-dialed first, so a restarted node is re-admitted by
+// its first echo without waiting for traffic; a replica that cannot be
+// re-dialed is down.
 func (p *ReplicaPool) beat(ctx context.Context, hb *wire.Heartbeat, interval time.Duration, sends *sync.WaitGroup) {
 	for _, r := range p.replicas {
 		dctx, cancel := context.WithTimeout(ctx, interval)
-		err := r.ensureLink(dctx, p.tr)
+		l, err := r.ensureLink(dctx, p.tr)
 		cancel()
-		l := r.link()
-		if err != nil || l == nil {
+		if err != nil {
 			p.setDown(r.index, true)
 			continue
 		}
@@ -402,8 +260,7 @@ func (p *ReplicaPool) beat(ctx context.Context, hb *wire.Heartbeat, interval tim
 }
 
 // setFenced flips one replica's rollout fence: a fenced replica takes no
-// new sessions (and no half-open trials) until unfenced, while its
-// failure-detection state — down, timeouts, cooldown — is untouched, so
+// new sessions until unfenced, while its down flag is untouched, so
 // fencing and unfencing never masks a genuinely dead replica.
 func (p *ReplicaPool) setFenced(i int, fenced bool) {
 	if i < 0 || i >= len(p.replicas) {
@@ -417,39 +274,31 @@ func (p *ReplicaPool) setFenced(i int, fenced bool) {
 
 // relay runs one session's escalation with failover: it sends the frames
 // to a scheduled replica and waits for the session's reply, retrying on
-// a different replica when one proves unreachable mid-session. Retries
-// are safe because frames carry the session's complete bit-packed
-// feature payload — a replica that half-processed the session before
-// dying leaves no state the retry depends on. Non-replica failures
-// (context cancellation, protocol errors from a live replica) are
-// returned immediately.
+// a different replica when one proves unreachable mid-session. Every
+// replica is tried at most once per session. Retries are safe because
+// frames carry the session's complete bit-packed feature payload — a
+// replica that half-processed the session before dying leaves no state
+// the retry depends on. Non-replica failures (context cancellation,
+// protocol errors from a live replica) are returned immediately.
 func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Duration, frames ...wire.Message) (wire.Message, error) {
 	var tried uint64
 	var lastErr error
 	for attempt := 0; attempt < len(p.replicas); attempt++ {
-		r, trial, err := p.pick(ctx, tried)
+		r, err := p.pick(tried)
 		if err != nil {
-			if errors.Is(err, errReplicaUnreachable) {
-				// The chosen replica could not even be re-dialed; pick
-				// already fenced it, so the next iteration tries the rest.
-				lastErr = err
-				continue
-			}
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last: %w)", err, lastErr)
 			}
 			return nil, err
 		}
 		msg, rerr := p.relayOn(ctx, r, sid, timeout, frames)
-		p.done(r, trial)
+		p.done(r)
 		if rerr == nil {
-			p.reportSuccess(r)
 			return msg, nil
 		}
 		if !errors.Is(rerr, errReplicaUnreachable) {
 			return nil, rerr // session-fatal: context or protocol error
 		}
-		p.reportFailure(r)
 		p.logger.Warn("escalation failed; retrying on another replica",
 			"tier", p.tier.String(), "replica", r.index, "session", sid, "err", rerr)
 		tried |= 1 << uint(r.index)
@@ -458,11 +307,12 @@ func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Durati
 	return nil, fmt.Errorf("all %d %v replicas failed: %w", len(p.replicas), p.tier, lastErr)
 }
 
-// relayOn performs one escalation attempt against a single replica.
+// relayOn performs one escalation attempt against a single replica,
+// re-dialing it first if its connection died.
 func (p *ReplicaPool) relayOn(ctx context.Context, r *replica, sid uint64, timeout time.Duration, frames []wire.Message) (wire.Message, error) {
-	lk := r.link()
-	if lk == nil {
-		return nil, fmt.Errorf("%w: connection lost", errReplicaUnreachable)
+	lk, err := r.ensureLink(ctx, p.tr)
+	if err != nil {
+		return nil, err
 	}
 	ch, err := lk.subscribe(sid)
 	if err != nil {

@@ -63,8 +63,8 @@ func TestCloudReplicaRestart(t *testing.T) {
 	for id := 1; id < 6; id++ {
 		check(id)
 	}
-	// The reborn replica is re-admitted (trial session re-dial after the
-	// fencing cooldown) and serves again.
+	// The reborn replica is reached again (a session's or the detector's
+	// re-dial) and serves again.
 	waitHealthy(t, eng.Gateway(), 2, 5*time.Second)
 	check(6)
 }

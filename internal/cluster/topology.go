@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/ddnn/ddnn-go/internal/transport"
 )
@@ -87,7 +86,7 @@ func (g *Gateway) PresentSlots() []bool {
 // state lock and bumps the config version. An occupied slot is replaced
 // — that is re-registration: the old link closes, in-flight sessions
 // that snapshotted it degrade gracefully, and new sessions use the fresh
-// link. Sticky failure state resets, so an admitted device starts live.
+// link. The down flag resets, so an admitted device starts live.
 // It returns the config version the admission produced.
 func (g *Gateway) AdmitDevice(ctx context.Context, slot int, addr string) (uint64, error) {
 	if slot < 0 || slot >= len(g.devices) {
@@ -98,7 +97,7 @@ func (g *Gateway) AdmitDevice(ctx context.Context, slot int, addr string) (uint6
 		return 0, fmt.Errorf("cluster: admit device %d: dial %s: %w", slot, addr, err)
 	}
 	cc := transport.NewCountingConn(conn)
-	l := newLink(cc, func(l *link) { g.recordSuccess(slot, l) })
+	l := newLink(cc, func(l *link) { g.reviveDevice(slot, l) })
 	g.stateMu.Lock()
 	if g.closed {
 		g.stateMu.Unlock()
@@ -108,7 +107,7 @@ func (g *Gateway) AdmitDevice(ctx context.Context, slot int, addr string) (uint6
 	dl := g.devices[slot]
 	old := dl.link
 	dl.link = l
-	dl.failures, dl.down = 0, false
+	dl.down = false
 	g.wireConns[slot] = cc
 	g.configVersion++
 	v := g.configVersion
@@ -135,7 +134,7 @@ func (g *Gateway) RemoveDevice(slot int) (uint64, error) {
 	dl := g.devices[slot]
 	old := dl.link
 	dl.link = nil
-	dl.failures, dl.down = 0, false
+	dl.down = false
 	g.wireConns[slot] = nil
 	g.configVersion++
 	v := g.configVersion
@@ -202,25 +201,16 @@ type memberSnapshot struct {
 }
 
 // snapshotMembers captures the session's membership view under the
-// state lock. A down device is left out. Without heartbeats, once its
-// cooldown has passed the next session takes it as a half-open trial and
-// re-arms the cooldown; a trial that answers re-admits the device
-// (recordSuccess). With heartbeats, the device's next echo does.
+// state lock. A device the failure detector marked down is left out
+// until its next echo re-admits it.
 func (g *Gateway) snapshotMembers() memberSnapshot {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
 	links := make([]*link, len(g.devices))
 	for i, dl := range g.devices {
-		if dl.link == nil {
-			continue
+		if !dl.down {
+			links[i] = dl.link
 		}
-		if dl.down {
-			if g.cfg.HeartbeatInterval > 0 || time.Now().Before(dl.retryAt) {
-				continue
-			}
-			dl.retryAt = time.Now().Add(replicaCooldown)
-		}
-		links[i] = dl.link
 	}
 	return memberSnapshot{version: g.configVersion, links: links}
 }

@@ -170,7 +170,6 @@ func TestEngineClosedError(t *testing.T) {
 func TestEngineFaultToleranceUnderConcurrency(t *testing.T) {
 	cfg := serveConfig(8)
 	cfg.Gateway.DeviceTimeout = 200 * time.Millisecond
-	cfg.Gateway.MaxFailures = 0
 	eng := newServeEngine(t, cfg)
 	eng.Devices()[2].SetFailed(true)
 	ids := make([]uint64, 8)
