@@ -406,34 +406,23 @@ func BenchmarkXnorDot(b *testing.B) {
 }
 
 // BenchmarkPackedLinear measures the deployed XNOR-popcount exit head
-// (1024→3): Forward allocates its output, ForwardInto reuses one.
+// (1024→3) on one packed input.
 func BenchmarkPackedLinear(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	l := bnn.NewBinaryLinear(rng, "bench", 1024, 3)
-	p := bnn.Deploy(l)
+	p := bnn.NewBinaryLinear(rng, "bench", 1024, 3).Packed()
 	v := make([]float32, 1024)
 	for i := range v {
 		v[i] = float32(rng.Intn(2)*2 - 1)
 	}
-	x := bnn.PackVector(v)
-	b.Run("forward", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Forward(x); err != nil {
-				b.Fatal(err)
-			}
+	x := bnn.PackVector(v).Bytes()
+	dst := make([]float32, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.ForwardInto(dst, x); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("into", func(b *testing.B) {
-		b.ReportAllocs()
-		dst := make([]int, 3)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := p.ForwardInto(dst, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkDeviceForward compares the unpooled section forward (fresh

@@ -48,11 +48,16 @@ const pooledFloor = 0.95
 // portable pass must not lose.
 var fusedFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.3}
 
+// xnorFloors are the speedup floors of the XNOR convolution over the
+// float sign tile on ternary cloud-block inputs, per dispatch path: the
+// bit-domain pass must not lose on either.
+var xnorFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.0}
+
 // forwardSets is how many distinct inputs the forward rows rotate over
 // (see experiments.ForwardInputs).
 const forwardSets = 64
 
-// kernelReport is what -json serializes (BENCH_pr12.json in CI).
+// kernelReport is what -json serializes (BENCH_pr28.json in CI).
 type kernelReport struct {
 	Results     []kernelResult     `json:"results"`
 	Comparisons []kernelComparison `json:"comparisons"`
@@ -265,6 +270,58 @@ func runKernels(out io.Writer, jsonPath string) error {
 				Naive:      row.name + "_layered" + tag,
 				Optimized:  row.name + tag,
 				Speedup:    layered.NsPerOp / fused.NsPerOp,
+				MinSpeedup: floor,
+			})
+		}
+	}
+	// The XNOR convolution against the float tile on the two cloud
+	// blocks, whose inputs are ternary: the same block on the same inputs
+	// except that the sign row's copies hold 0.5 in channel 0's first
+	// column, so every band fails its ternary check on its first pixel and
+	// runs the float tile.
+	b1 := bnn.NewConvP(rng, "cloud.b1", m.Cfg.Devices*m.Cfg.DeviceFilters, m.Cfg.CloudFilters)
+	b2 := bnn.NewConvP(rng, "cloud.b2", m.Cfg.CloudFilters, m.Cfg.CloudFilters)
+	b2In := make([]*tensor.Tensor, len(in32.Concat))
+	for i, x := range in32.Concat {
+		b2In[i] = b1.ForwardPooled(x, nil)
+	}
+	floatTile := func(xs []*tensor.Tensor) []*tensor.Tensor {
+		out := make([]*tensor.Tensor, len(xs))
+		for i, x := range xs {
+			out[i] = x.Clone()
+			for n := 0; n < x.Dim(0); n++ {
+				for y := 0; y < x.Dim(2); y++ {
+					out[i].Set(0.5, n, 0, y, 0)
+				}
+			}
+		}
+		return out
+	}
+	xnorRows := []struct {
+		name   string
+		blk    *bnn.ConvP
+		inputs []*tensor.Tensor
+	}{
+		{"convp_cloud_b1_b32", b1, in32.Concat},
+		{"convp_cloud_b2_b32", b2, b2In},
+	}
+	for _, path := range tensor.KernelPaths() {
+		floor, ok := xnorFloors[path]
+		if !ok {
+			continue
+		}
+		if err := tensor.SetKernelPath(path); err != nil {
+			return err
+		}
+		tag := "[" + path.String() + "]"
+		for _, row := range xnorRows {
+			sign := addBest(row.name+"_sign"+tag, forward(floatTile(row.inputs), row.blk.ForwardPooled))
+			xnor := addBest(row.name+"_xnor"+tag, forward(row.inputs, row.blk.ForwardPooled))
+			fusedCmps = append(fusedCmps, kernelComparison{
+				Label:      "xnor " + row.name + " " + path.String(),
+				Naive:      row.name + "_sign" + tag,
+				Optimized:  row.name + "_xnor" + tag,
+				Speedup:    sign.NsPerOp / xnor.NsPerOp,
 				MinSpeedup: floor,
 			})
 		}

@@ -94,6 +94,10 @@ func (a *BinaryActivation) Params() []*nn.Param { return nil }
 type BinaryConv2D struct {
 	Latent *nn.Param
 	inner  *nn.Conv2D
+	// xnor holds 3×3 filters bit-packed in window order for the fused
+	// ConvP pass's XNOR convolution (xnorconv.go). SyncWeights writes it
+	// together with the float weights, so the two never disagree.
+	xnor []uint64
 }
 
 var _ nn.Layer = (*BinaryConv2D)(nil)
@@ -139,11 +143,15 @@ func (c *BinaryConv2D) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.T
 	return c.inner.ForwardPooled(x, p)
 }
 
-// SyncWeights rewrites the effective weights as sign(latent). It must be
-// called after the latent weights change outside a training forward (state
-// loading, manual optimizer steps) and before concurrent inference starts.
+// SyncWeights rewrites the effective weights as sign(latent), as floats
+// and, for 3×3 kernels, bit-packed. It must be called after the latent
+// weights change outside a training forward (state loading, manual
+// optimizer steps) and before concurrent inference starts.
 func (c *BinaryConv2D) SyncWeights() {
 	Binarize(c.inner.Weight.Value, c.Latent.Value)
+	if c.inner.Kernel == 3 {
+		c.xnor = packXnorFilters(c.xnor, c.inner.Weight.Value.Data(), c.inner.OutC, c.inner.InC)
+	}
 }
 
 // Backward routes the weight gradient to the latent parameter
@@ -172,6 +180,9 @@ func (c *BinaryConv2D) PackedWeights() []byte {
 type BinaryLinear struct {
 	Latent *nn.Param
 	inner  *nn.Linear
+	// packed is the weights' deployed bit form, written by SyncWeights
+	// together with the float weights.
+	packed PackedLinear
 }
 
 var _ nn.Layer = (*BinaryLinear)(nil)
@@ -211,11 +222,17 @@ func (l *BinaryLinear) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.T
 	return l.inner.ForwardPooled(x, p)
 }
 
-// SyncWeights rewrites the effective weights as sign(latent); call it
-// whenever the latent weights change outside a training forward.
+// SyncWeights rewrites the effective weights as sign(latent), as floats
+// and bit-packed (Packed); call it whenever the latent weights change
+// outside a training forward.
 func (l *BinaryLinear) SyncWeights() {
 	Binarize(l.inner.Weight.Value, l.Latent.Value)
+	l.packed.pack(l.inner.Weight.Value.Data(), l.inner.In, l.inner.Out)
 }
+
+// Packed returns the layer's deployed XNOR-popcount form as of the last
+// SyncWeights. Like the float weights, it is read-only to inference.
+func (l *BinaryLinear) Packed() *PackedLinear { return &l.packed }
 
 // Backward routes the weight gradient to the latent parameter and returns
 // the input gradient.

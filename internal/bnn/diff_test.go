@@ -160,21 +160,21 @@ func TestXnorDotDiffAllPaths(t *testing.T) {
 }
 
 // TestPackedLinearDiffAllPaths runs a deployed layer end to end on
-// every path: the integer pre-activations must be identical, pinning
-// the Deploy packing and the forward kernel together.
+// every path: the pre-activations must be identical, pinning the
+// SyncWeights packing, the path-dispatched input pack and the forward
+// kernel together.
 func TestPackedLinearDiffAllPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	l := NewBinaryLinear(rng, "diff", 317, 10)
-	p := Deploy(l)
 	x := make([]float32, 317)
 	for i := range x {
 		x[i] = float32(rng.Intn(2)*2 - 1)
 	}
 
-	var want []int
+	var want []float32
 	forEachKernelPath(t, func(t *testing.T, kp tensor.KernelPath) {
-		out, err := p.Forward(PackVector(x))
-		if err != nil {
+		out := make([]float32, 10)
+		if err := l.Packed().ForwardInto(out, PackVector(x).Bytes()); err != nil {
 			t.Fatalf("path=%v: %v", kp, err)
 		}
 		if want == nil {
@@ -183,7 +183,7 @@ func TestPackedLinearDiffAllPaths(t *testing.T) {
 		}
 		for i := range out {
 			if out[i] != want[i] {
-				t.Fatalf("path=%v: output %d = %d, first path gave %d", kp, i, out[i], want[i])
+				t.Fatalf("path=%v: output %d = %g, first path gave %g", kp, i, out[i], want[i])
 			}
 		}
 	})

@@ -12,3 +12,12 @@ func xnorHammingSIMD(aw, bw []uint64) int { return xnorHammingWords(aw, bw) }
 func packSignsSIMD(dst []byte, src []float32) { packSignsUnrolled(dst, src, 0) }
 
 func packWordsSIMD(words []uint64, v []float32) { packWordsGo(words, v) }
+
+// The bands the simd pack would take run the float tile.
+func ternaryMasksSIMD(pos, nz []byte, src []float32, chStride, c, groups int) bool { return false }
+
+func xnorRowSIMD(out []float32, cs int, win []uint64, w, kw, groups int, wts []uint64) {
+	for f := 0; f < 4*groups; f++ {
+		xnorRowN(out[f*cs:][:w], win, wts[f/4*kw*4+f%4:], kw)
+	}
+}

@@ -56,20 +56,24 @@ type fusedPlan struct {
 	band       int // convolution rows per band (even)
 	plane      int // floats per channel in xb
 	cs         int // floats per filter in cb
-	xbLen      int
+	rsw        int // words per band row of a bit plane (see xnorconv.go)
+	xbLen      int // the float band, or the bit planes sharing its storage
 	size       int // xb + cb + per-filter scale and shift
 }
 
 func planFused(c, h, w, f int) fusedPlan {
 	pl := fusedPlan{c: c, h: h, w: w, f: f, ph: (h-1)/2 + 1, pw: (w-1)/2 + 1, wp: w + 2}
+	pl.rsw = xnorRowWords(c, pl.wp)
 	layout := func(band int) {
 		pl.band = band
 		pl.plane = (band + 2) * pl.wp
 		span := tensor.ConvSignSpan(band, pl.wp)
 		pl.cs = 1 + pl.wp + span
 		// ConvSign3x3 reads 2 rows + 2 columns past each position of the
-		// span, in the last plane too.
-		pl.xbLen = (c-1)*pl.plane + 2*pl.wp + 2 + span
+		// span, in the last plane too. The XNOR path's two bit planes and
+		// window (words of two floats each, plus one float of alignment
+		// slack) reuse the same storage.
+		pl.xbLen = max((c-1)*pl.plane+2*pl.wp+2+span, 2*xnorScratchWords(c, w, band)+1)
 		pl.size = pl.xbLen + f*pl.cs + 2*f
 	}
 	// Largest even band within budget, then rebalanced so the bands of
@@ -124,7 +128,8 @@ func (b *ConvP) fusedRange(path tensor.KernelPath, y, x *tensor.Tensor, pl fused
 		scale[f], shift[f] = b.BN.InferenceAffine(f)
 		cb[f*pl.cs] = negInf
 	}
-	wd := b.Conv.inner.Weight.Value.Data()
+	wd, xw := b.Conv.inner.Weight.Value.Data(), b.Conv.xnor
+	bits := newXnorScratch(xb, pl)
 	wp, cs := pl.wp, pl.cs
 	// Within a filter's cb segment, row t (0 = carried row, 1.. = band
 	// rows) has its column −1 at t*wp and its column 0 at 1+t*wp.
@@ -138,8 +143,12 @@ func (b *ConvP) fusedRange(path tensor.KernelPath, y, x *tensor.Tensor, pl fused
 		}
 		for r0 := 0; r0 < pl.h; r0 += pl.band {
 			rows := min(pl.band, pl.h-r0)
-			lowerBand(xb, sample, pl, r0, rows)
-			tensor.ConvSign3x3(path, conv, cs, wd, xb, pl.c, pl.plane, wp, rows, f0, f1)
+			if packTernaryBand(path, bits, sample, pl, r0, rows) {
+				xnorConv3x3(path, conv, cs, xw, bits, pl, rows, f0, f1)
+			} else {
+				lowerBand(xb, sample, pl, r0, rows)
+				tensor.ConvSign3x3(path, conv, cs, wd, xb, pl.c, pl.plane, wp, rows, f0, f1)
+			}
 			for f := f0; f < f1; f++ {
 				seg := cb[f*cs : (f+1)*cs]
 				for t := 1; t <= rows; t++ {

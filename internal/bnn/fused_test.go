@@ -362,11 +362,16 @@ func TestConvPFusedSharedPool(t *testing.T) {
 // FuzzConvPParity lets the fuzzer choose the geometry, the weights, the
 // batch-norm statistics and the raw bit patterns of the input (so −0,
 // denormals, ±Inf and every NaN payload are reachable) and requires the
-// fused kernel on every path to reproduce the layered reference.
+// fused kernel on every path to reproduce the layered reference. With the
+// top bit of nr set, input words map to +1, −1, +0 and −0 by their low
+// two bits — the XNOR convolution's inputs — except one in sixteen, which
+// keeps its raw bits and sends its bands back to the float tile.
 func FuzzConvPParity(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint8(4), uint8(32), uint8(32), []byte("convp-parity-seed-0123456789"))
 	f.Add(uint8(2), uint8(5), uint8(3), uint8(12), uint8(20), []byte{0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0xff, 0x00, 0x00, 0x00, 0x80})
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
+	f.Add(uint8(0x81), uint8(8), uint8(8), uint8(15), uint8(15), []byte("ternary-seed-all-four-values-0123"))
+	f.Add(uint8(0x80), uint8(5), uint8(7), uint8(9), uint8(13), []byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x21, 0x32, 0x43, 0xf7, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, nr, cr, fr, hr, wr uint8, raw []byte) {
 		n, c, fl := 1+int(nr)%3, 1+int(cr)%9, 1+int(fr)%9
 		h, w := 1+int(hr)%20, 1+int(wr)%20
@@ -390,7 +395,11 @@ func FuzzConvPParity(f *testing.F) {
 		}
 		x := tensor.New(n, c, h, w)
 		for i := range x.Data() {
-			x.Data()[i] = math.Float32frombits(word(2000 + i))
+			u := word(2000 + i)
+			x.Data()[i] = math.Float32frombits(u)
+			if nr&0x80 != 0 && u&0xf0 != 0xf0 {
+				x.Data()[i] = [4]float32{1, -1, 0, negZero}[u&3]
+			}
 		}
 		want := convpOracle(t, blk, x)
 

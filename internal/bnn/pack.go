@@ -22,19 +22,10 @@ func PackSigns(t *tensor.Tensor) []byte {
 // given shape.
 func UnpackSigns(data []byte, shape ...int) (*tensor.Tensor, error) {
 	t := tensor.New(shape...)
-	n := t.Size()
-	if need := (n + 7) / 8; len(data) != need {
+	if need := PackedSize(t.Size()); len(data) != need {
 		return nil, fmt.Errorf("bnn: packed data is %d bytes, shape %v needs %d", len(data), shape, need)
 	}
-	td := t.Data()
-	for i := range td {
-		if data[i/8]&(1<<uint(i%8)) != 0 {
-			td[i] = 1
-		} else {
-			td[i] = -1
-		}
-	}
-	return t, nil
+	return t, UnpackSignsInto(t.Data(), data)
 }
 
 // PackedSize returns the number of bytes PackSigns produces for n elements.
@@ -52,19 +43,46 @@ func PackSignsSample(t *tensor.Tensor, i int) []byte {
 	return out
 }
 
+// PackSamplesInto bit-packs every leading-dimension sample of t into dst,
+// back to back: PackSignsSample's bytes for each sample in turn, each
+// PackedSize(t.SampleSize()) long. dst must have exactly that many bytes
+// per sample.
+func PackSamplesInto(dst []byte, t *tensor.Tensor) {
+	n, stride := t.Dim(0), PackedSize(t.SampleSize())
+	if len(dst) != n*stride {
+		panic(fmt.Sprintf("bnn: PackSamplesInto: %d bytes for %d samples of %d", len(dst), n, stride))
+	}
+	clear(dst) // the pack kernels OR bits into a sample's last byte
+	for i := 0; i < n; i++ {
+		packSignsInto(dst[i*stride:(i+1)*stride], t.Sample(i))
+	}
+}
+
+// unpackTable[b] is byte b unpacked: element k is +1 when bit k is set
+// and −1 otherwise.
+var unpackTable = func() (t [256][8]float32) {
+	for b := range t {
+		for k := range t[b] {
+			t[b][k] = float32(b>>k&1)*2 - 1
+		}
+	}
+	return t
+}()
+
 // UnpackSignsInto expands a bit-packed sign vector into dst as ±1 values.
 // It is the in-place analogue of UnpackSigns, used to fill one sample row
-// of a pre-allocated batch tensor.
+// of a pre-allocated batch tensor. Each byte is one table lookup and one
+// 32-byte store, with no branch on the data.
 func UnpackSignsInto(dst []float32, data []byte) error {
 	if need := (len(dst) + 7) / 8; len(data) != need {
 		return fmt.Errorf("bnn: packed data is %d bytes, %d elements need %d", len(data), len(dst), need)
 	}
-	for i := range dst {
-		if data[i/8]&(1<<uint(i%8)) != 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = -1
-		}
+	full := len(dst) / 8
+	for i, b := range data[:full] {
+		*(*[8]float32)(dst[8*i:]) = unpackTable[b]
+	}
+	if full < len(data) {
+		copy(dst[8*full:], unpackTable[data[full]][:])
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package bnn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -18,7 +19,8 @@ import (
 // so Bytes/PackedVectorFromBytes round-trip without bit shuffling. The
 // float training path (BinaryLinear) and this packed path are verified
 // against each other in the tests, as are the word-wide kernels against
-// the byte-wide reference (XnorDotBytes).
+// the byte-wide reference (XnorDotBytes). The serving exit heads run on
+// PackedLinear, whose columns BinaryLinear.SyncWeights keeps current.
 
 // PackedVector is a bit-packed ±1 vector in 64-bit lanes: bit i (counting
 // little-endian within and across words) is set when element i is +1.
@@ -110,33 +112,32 @@ func XnorDotBytes(n int, a, b []byte) (int, error) {
 }
 
 // PackedLinear is the deployed form of a BinaryLinear layer: weights
-// stored 1 bit each, evaluated with XNOR-popcount. The packed columns are
-// interleaved by word index — w[wi·Out+j] is word wi of output j's column
-// — so Forward streams the weights sequentially while evaluating every
-// output column in one pass over the input.
+// stored 1 bit each and evaluated with XNOR-popcount. Output j's column is
+// the words w[j·words : (j+1)·words], bit i set when weight (i, j) is +1
+// and zero past In. BinaryLinear.SyncWeights rewrites it together with
+// the float weights, so the two forms never disagree.
 type PackedLinear struct {
 	In, Out int
 	words   int // 64-bit words per column
 	w       []uint64
 }
 
-// Deploy converts a trained BinaryLinear into its packed deployment form.
-func Deploy(l *BinaryLinear) *PackedLinear {
-	in, out := l.In(), l.Out()
-	p := &PackedLinear{In: in, Out: out, words: packedWords(in)}
-	p.w = make([]uint64, p.words*out)
-	w := l.Latent.Value // [in, out]
-	col := make([]float32, in)
-	for j := 0; j < out; j++ {
-		for i := 0; i < in; i++ {
-			col[i] = w.At(i, j)
-		}
-		pv := PackVector(col)
-		for wi, word := range pv.Words {
-			p.w[wi*out+j] = word
+// pack rewrites the columns from ±1 weights [in, out], reusing the
+// storage when the shape is unchanged.
+func (p *PackedLinear) pack(w []float32, in, out int) {
+	p.In, p.Out, p.words = in, out, packedWords(in)
+	if len(p.w) != p.words*out {
+		p.w = make([]uint64, p.words*out)
+	} else {
+		clear(p.w)
+	}
+	for i := 0; i < in; i++ {
+		for j, v := range w[i*out : (i+1)*out] {
+			if v > 0 {
+				p.w[j*p.words+i/64] |= 1 << uint(i%64)
+			}
 		}
 	}
-	return p
 }
 
 // MemoryBytes returns the deployed weight footprint in the byte-packed
@@ -145,52 +146,36 @@ func (p *PackedLinear) MemoryBytes() int {
 	return p.Out * PackedSize(p.In)
 }
 
-// Forward evaluates the layer on a packed ±1 input vector, producing the
-// integer pre-activations (one per output). They equal the float path's
-// x·sign(W) exactly when x is itself a sign vector.
-func (p *PackedLinear) Forward(x PackedVector) ([]int, error) {
-	out := make([]int, p.Out)
-	if err := p.ForwardInto(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardInto evaluates the layer into a caller-provided slice, avoiding
-// the per-call allocation of Forward. Validation happens once up front;
-// the fused kernel then visits every output column per input word, so the
-// input is read exactly once regardless of layer width.
-func (p *PackedLinear) ForwardInto(dst []int, x PackedVector) error {
-	if x.N != p.In {
-		return fmt.Errorf("bnn: PackedLinear input length %d, want %d", x.N, p.In)
-	}
-	if len(x.Words) != p.words {
-		return fmt.Errorf("bnn: PackedLinear input has %d words, want %d", len(x.Words), p.words)
+// ForwardInto evaluates the layer on one ±1 input in PackSigns byte form
+// (PackedSize(In) bytes) and writes output j's In − 2·popcount(x ⊕ wⱼ) to
+// dst[j]: exactly the float layer's x·sign(W) for that input, since every
+// term is ±1 and the sums are small integers. Bits past In in the last
+// input byte are ignored.
+func (p *PackedLinear) ForwardInto(dst []float32, x []byte) error {
+	if need := PackedSize(p.In); len(x) != need {
+		return fmt.Errorf("bnn: PackedLinear input is %d bytes, %d inputs need %d", len(x), p.In, need)
 	}
 	if len(dst) != p.Out {
 		return fmt.Errorf("bnn: PackedLinear output length %d, want %d", len(dst), p.Out)
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	tailMask := ^uint64(0)
+	full := p.In / 64
+	var tail uint64
 	if rem := p.In % 64; rem != 0 {
-		tailMask = 1<<uint(rem) - 1
-	}
-	for wi := 0; wi < p.words; wi++ {
-		xw := x.Words[wi]
-		if wi == p.words-1 {
-			// The deployed columns have zero tail bits, so masking the
-			// input's tail once makes the xor of the tails zero.
-			xw &= tailMask
+		for k, b := range x[8*full:] {
+			tail |= uint64(b) << uint(8*k)
 		}
-		row := p.w[wi*p.Out : (wi+1)*p.Out]
-		for j, cw := range row {
-			dst[j] += bits.OnesCount64(xw ^ cw)
-		}
+		tail &= 1<<uint(rem) - 1
 	}
 	for j := range dst {
-		dst[j] = p.In - 2*dst[j]
+		col := p.w[j*p.words : (j+1)*p.words]
+		h := 0
+		for wi, cw := range col[:full] {
+			h += bits.OnesCount64(binary.LittleEndian.Uint64(x[8*wi:]) ^ cw)
+		}
+		if full < p.words {
+			h += bits.OnesCount64(tail ^ col[full])
+		}
+		dst[j] = float32(p.In - 2*h)
 	}
 	return nil
 }

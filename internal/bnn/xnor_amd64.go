@@ -53,3 +53,27 @@ func packWordsSIMD(words []uint64, v []float32) {
 	view := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
 	packSignsSIMD(view, v)
 }
+
+// ternaryMasksAVX2 (xnor_amd64.s) classifies groups×8 floats of each of
+// c channel rows chStride floats apart: see ternaryMasks.
+//
+//go:noescape
+func ternaryMasksAVX2(pos, nz *byte, src *float32, chStride, c, groups int) bool
+
+// ternaryMasksSIMD runs the AVX2 kernel on slices the caller has sized:
+// pos and nz hold groups·c bytes, src (c−1)·chStride + 8·groups floats.
+func ternaryMasksSIMD(pos, nz []byte, src []float32, chStride, c, groups int) bool {
+	return ternaryMasksAVX2(&pos[0], &nz[0], &src[0], chStride, c, groups)
+}
+
+// xnorRowAVX2 (xnor_amd64.s) sweeps groups×4 filters over one output row
+// of w windows; see xnorConv3x3.
+//
+//go:noescape
+func xnorRowAVX2(out *float32, cs int, win *uint64, w, kw, groups int, wts *uint64)
+
+// xnorRowSIMD runs the AVX2 sweep: out starts at the first filter's
+// output row, wts at its group's words. The caller keeps kw ≤ 31.
+func xnorRowSIMD(out []float32, cs int, win []uint64, w, kw, groups int, wts []uint64) {
+	xnorRowAVX2(&out[0], cs, &win[0], w, kw, groups, &wts[0])
+}

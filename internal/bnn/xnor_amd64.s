@@ -103,3 +103,155 @@ packloop:
 packdone:
 	VZEROUPPER
 	RET
+
+DATA oneShifted<>+0(SB)/4, $0x7f000000
+GLOBL oneShifted<>(SB), RODATA|NOPTR, $4
+
+// func ternaryMasksAVX2(pos, nz *byte, src *float32, chStride, c, groups int) bool
+//
+// For each of c channel rows (chStride floats apart, starting at src) and
+// each of groups consecutive 8-float groups g of the row, writes at byte
+// g·c+ci the +1 lanes (pos) and the ±1 lanes (nz) of the group, bit k
+// for float k. Returns false at the first group holding a value other
+// than −1, −0, +0 or +1: the float shifted left by one (dropping the
+// sign) must equal 0 or 1.0's magnitude bits, so NaN and ±Inf fail.
+TEXT ·ternaryMasksAVX2(SB), NOSPLIT, $0-49
+	MOVQ pos+0(FP), DI
+	MOVQ nz+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ chStride+24(FP), R9
+	SHLQ $2, R9 // bytes between channel rows
+	MOVQ c+32(FP), R10
+	MOVQ groups+40(FP), R11
+	VPBROADCASTD oneShifted<>(SB), Y5
+	VPXOR Y6, Y6, Y6
+	XORQ CX, CX // channel
+
+chanloop:
+	CMPQ CX, R10
+	JGE tmdone
+	MOVQ SI, R12  // group pointer
+	MOVQ CX, R13  // output byte offset g·c+ci
+	XORQ BX, BX   // group
+
+grouploop:
+	CMPQ BX, R11
+	JGE nextchan
+	VMOVUPS (R12), Y0
+	VPSLLD $1, Y0, Y1
+	VPCMPEQD Y5, Y1, Y2 // ±1
+	VPCMPEQD Y6, Y1, Y3 // ±0
+	VPOR Y2, Y3, Y3
+	VMOVMSKPS Y3, AX
+	CMPL AX, $0xff
+	JNE tmfail
+	VMOVMSKPS Y2, AX
+	MOVB AX, (R8)(R13*1)
+	VMOVMSKPS Y0, DX // sign bits
+	NOTL DX
+	ANDL DX, AX
+	MOVB AX, (DI)(R13*1)
+	ADDQ $32, R12
+	ADDQ R10, R13
+	INCQ BX
+	JMP grouploop
+
+nextchan:
+	ADDQ R9, SI
+	INCQ CX
+	JMP chanloop
+
+tmdone:
+	MOVB $1, ret+48(FP)
+	VZEROUPPER
+	RET
+
+tmfail:
+	MOVB $0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func xnorRowAVX2(out *float32, cs int, win *uint64, w, kw, groups int, wts *uint64)
+//
+// Sweeps groups×4 filters over one output row of w windows (xnorconv.go):
+// window ox is 2·kw+1 words at win — kw (sign, nonzero) pairs, then the
+// nonzero count — and filter group g is kw×4 words at wts, word i of its
+// four filters side by side. Each YMM lane holds one filter: per word,
+// (sign ⊕ filter) ∧ nonzero is popcounted with the nibble lookup into byte
+// counts (at most 8 per byte per word, so kw ≤ 31 cannot overflow), which
+// VPSADBW folds into the four popcounts h. Filter 4g+l's output at column
+// ox is the float nz − 2h at out + ((4g+l)·cs + ox)·4.
+TEXT ·xnorRowAVX2(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ cs+8(FP), R8
+	SHLQ $2, R8 // bytes between filter rows
+	MOVQ win+16(FP), SI
+	MOVQ kw+32(FP), R10
+	MOVQ groups+40(FP), R11
+	MOVQ wts+48(FP), DX
+	LEAQ 1(R10)(R10*1), R12
+	SHLQ $3, R12 // bytes per window
+	MOVQ w+24(FP), R9
+	IMULQ R12, R9
+	ADDQ SI, R9 // end of the row's windows
+	VMOVDQU popcntLUT<>(SB), Y4
+	VMOVDQU nibbleMask<>(SB), Y5
+	VPXOR Y6, Y6, Y6
+
+posloop:
+	CMPQ SI, R9
+	JGE rowdone
+	LEAQ (R10)(R10*1), AX
+	MOVQ (SI)(AX*8), AX // nonzero count
+	VMOVQ AX, X10 // VEX form: a legacy-SSE MOVQ here costs an AVX transition
+	VPBROADCASTD X10, X10
+	MOVQ DX, BX  // filter words
+	MOVQ DI, AX  // output of the group's first filter
+	MOVQ R11, CX // groups left
+
+grouploop:
+	MOVQ SI, R13 // window words
+	MOVQ R10, R14
+	VPXOR Y7, Y7, Y7
+
+wordloop:
+	VPBROADCASTQ (R13), Y0
+	VPBROADCASTQ 8(R13), Y1
+	VPXOR (BX), Y0, Y0
+	VPAND Y1, Y0, Y0
+	VPAND Y5, Y0, Y2
+	VPSRLW $4, Y0, Y3
+	VPAND Y5, Y3, Y3
+	VPSHUFB Y2, Y4, Y2
+	VPSHUFB Y3, Y4, Y3
+	VPADDB Y2, Y7, Y7
+	VPADDB Y3, Y7, Y7
+	ADDQ $16, R13
+	ADDQ $32, BX
+	DECQ R14
+	JNE wordloop
+
+	VPSADBW Y6, Y7, Y7
+	VEXTRACTI128 $1, Y7, X8
+	VSHUFPS $0x88, X8, X7, X7 // h of the four filters
+	VPSLLD $1, X7, X7
+	VPSUBD X7, X10, X7
+	VCVTDQ2PS X7, X7
+	VMOVSS X7, (AX)
+	ADDQ R8, AX
+	VEXTRACTPS $1, X7, (AX)
+	ADDQ R8, AX
+	VEXTRACTPS $2, X7, (AX)
+	ADDQ R8, AX
+	VEXTRACTPS $3, X7, (AX)
+	ADDQ R8, AX
+	DECQ CX
+	JNE grouploop
+
+	ADDQ R12, SI
+	ADDQ $4, DI
+	JMP posloop
+
+rowdone:
+	VZEROUPPER
+	RET

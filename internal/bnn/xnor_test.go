@@ -145,25 +145,38 @@ func TestPackedLinearForwardInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, in := range []int{5, 64, 100, 129} {
 		l := NewBinaryLinear(rng, "bl", in, 7)
-		p := Deploy(l)
+		p := l.Packed()
 		x := tensor.New(1, in)
 		for i := range x.Data() {
 			x.Data()[i] = float32(rng.Intn(2)*2 - 1)
 		}
 		want := l.Forward(x, false)
-		dst := make([]int, 7)
-		if err := p.ForwardInto(dst, PackVector(x.Row(0))); err != nil {
+		bits := PackVector(x.Row(0)).Bytes()
+		dst := make([]float32, 7)
+		if err := p.ForwardInto(dst, bits); err != nil {
 			t.Fatal(err)
 		}
 		for j, got := range dst {
-			if float32(got) != want.At(0, j) {
-				t.Errorf("in=%d output %d: packed %d vs float %g", in, j, got, want.At(0, j))
+			if got != want.At(0, j) {
+				t.Errorf("in=%d output %d: packed %g vs float %g", in, j, got, want.At(0, j))
 			}
 		}
-		if err := p.ForwardInto(make([]int, 6), PackVector(x.Row(0))); err == nil {
+		// Garbage past In in the last byte must not count.
+		if in%8 != 0 {
+			bits[len(bits)-1] |= 0xff << uint(in%8)
+			if err := p.ForwardInto(dst, bits); err != nil {
+				t.Fatal(err)
+			}
+			for j, got := range dst {
+				if got != want.At(0, j) {
+					t.Errorf("in=%d output %d with tail garbage: %g vs %g", in, j, got, want.At(0, j))
+				}
+			}
+		}
+		if err := p.ForwardInto(make([]float32, 6), bits); err == nil {
 			t.Error("accepted wrong output width")
 		}
-		if err := p.ForwardInto(dst, PackVector(make([]float32, in+1))); err == nil {
+		if err := p.ForwardInto(dst, make([]byte, PackedSize(in)+1)); err == nil {
 			t.Error("accepted wrong input width")
 		}
 	}
@@ -180,7 +193,6 @@ func TestPackedLinearMatchesFloatPath(t *testing.T) {
 	// training path x·sign(W) for sign inputs.
 	rng := rand.New(rand.NewSource(2))
 	l := NewBinaryLinear(rng, "bl", 37, 5) // odd width exercises tail bits
-	p := Deploy(l)
 
 	x := tensor.New(1, 37)
 	for i := range x.Data() {
@@ -188,21 +200,20 @@ func TestPackedLinearMatchesFloatPath(t *testing.T) {
 	}
 	want := l.Forward(x, false)
 
-	got, err := p.Forward(PackVector(x.Row(0)))
-	if err != nil {
+	got := make([]float32, 5)
+	if err := l.Packed().ForwardInto(got, PackVector(x.Row(0)).Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	for j := range got {
-		if float32(got[j]) != want.At(0, j) {
-			t.Errorf("output %d: packed %d vs float %g", j, got[j], want.At(0, j))
+		if got[j] != want.At(0, j) {
+			t.Errorf("output %d: packed %g vs float %g", j, got[j], want.At(0, j))
 		}
 	}
 }
 
 func TestPackedLinearMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	l := NewBinaryLinear(rng, "bl", 1024, 3)
-	p := Deploy(l)
+	p := NewBinaryLinear(rng, "bl", 1024, 3).Packed()
 	// 1024 bits = 128 B per output column.
 	if got := p.MemoryBytes(); got != 3*128 {
 		t.Errorf("MemoryBytes = %d, want 384", got)
@@ -215,8 +226,8 @@ func TestPackedLinearMemory(t *testing.T) {
 
 func TestPackedLinearRejectsWrongWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	p := Deploy(NewBinaryLinear(rng, "bl", 8, 2))
-	if _, err := p.Forward(PackVector(make([]float32, 9))); err == nil {
+	p := NewBinaryLinear(rng, "bl", 8, 2).Packed()
+	if err := p.ForwardInto(make([]float32, 2), PackVector(make([]float32, 9)).Bytes()); err == nil {
 		t.Error("accepted wrong input width")
 	}
 }

@@ -107,14 +107,21 @@ func (d *Device) frame(c *nodeConn, msg wire.Message) {
 	}
 }
 
-// retainedFeature caches one capture's binarized feature maps under its
-// session ID: row i of the [N, F, H, W] tensor belongs to ids[i], and
-// present (a wire.PackPresent bitmask) marks the rows the feed had a
-// frame for — the others hold no sample.
+// retainedFeature caches one capture's binarized feature maps, bit-packed
+// as they go on the wire, under its session ID: row i of bits (every row
+// the same length) belongs to ids[i], and present (a wire.PackPresent
+// bitmask) marks the rows the feed had a frame for — the others hold no
+// sample.
 type retainedFeature struct {
-	feat    *tensor.Tensor
+	bits    []byte
 	ids     []uint64
 	present []byte
+}
+
+// sample returns row i's packed feature map.
+func (rf retainedFeature) sample(i int) []byte {
+	n := len(rf.bits) / len(rf.ids)
+	return rf.bits[i*n : (i+1)*n]
 }
 
 // row returns the retained row of a sample, or -1. Requests list samples
@@ -133,7 +140,7 @@ func (d *Device) retainFeature(session uint64, rf retainedFeature) {
 	d.featMu.Lock()
 	defer d.featMu.Unlock()
 	if prev, exists := d.features[session]; exists {
-		d.pool.Put(prev.feat)
+		d.pool.PutBytes(prev.bits)
 	} else {
 		d.featOrder = append(d.featOrder, session)
 	}
@@ -142,14 +149,14 @@ func (d *Device) retainFeature(session uint64, rf retainedFeature) {
 		oldest := d.featOrder[0]
 		d.featOrder = d.featOrder[1:]
 		if rf, ok := d.features[oldest]; ok {
-			d.pool.Put(rf.feat)
+			d.pool.PutBytes(rf.bits)
 		}
 		delete(d.features, oldest)
 	}
 }
 
 // takeFeature removes and returns the session's retained capture; it is
-// empty (nil tensor, no rows) when the capture was evicted or never
+// empty (no bits, no rows) when the capture was evicted or never
 // happened — e.g. a second gateway attached to this device.
 func (d *Device) takeFeature(session uint64) retainedFeature {
 	d.featMu.Lock()
@@ -205,9 +212,9 @@ func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch) error {
 		d.pool.Put(stacked)
 		return c.send(reply)
 	}
-	feat, exitVec := model.DeviceForwardPooled(d.index, stacked, d.pool)
+	bits, exitVec := model.DeviceForwardPacked(d.index, stacked, d.pool)
 	d.pool.Put(stacked)
-	d.retainFeature(m.Session, retainedFeature{feat: feat, ids: m.SampleIDs, present: reply.Present})
+	d.retainFeature(m.Session, retainedFeature{bits: bits, ids: m.SampleIDs, present: reply.Present})
 
 	reply.Probs = make([]float32, 0, frames*cfg.Classes)
 	for i := range m.SampleIDs {
@@ -219,12 +226,12 @@ func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch) error {
 	return c.send(reply)
 }
 
-// onFeatures packs the retained feature rows of the requested samples —
-// the session's subset that missed the local exit — into one FeatureBatch
-// frame. Evicted (or never-captured) samples are recomputed from the
-// feed, so eviction only costs time, not the session; a sample the feed
-// cannot produce fails the whole fetch, and the gateway degrades by
-// dropping this device from the session.
+// onFeatures copies the retained packed feature rows of the requested
+// samples — the session's subset that missed the local exit — into one
+// FeatureBatch frame. Evicted (or never-captured) samples are recomputed
+// from the feed, so eviction only costs time, not the session; a sample
+// the feed cannot produce fails the whole fetch, and the gateway degrades
+// by dropping this device from the session.
 func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest) error {
 	model, _, rerr := d.reg.resolve(m.ModelVersion)
 	if rerr != nil {
@@ -234,14 +241,14 @@ func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest) error {
 	// gateway stamps one concrete version per session — so they are
 	// already the right version's feature maps.
 	rf := d.takeFeature(m.Session)
-	defer d.pool.Put(rf.feat)
+	defer d.pool.PutBytes(rf.bits)
 	cfg := model.Cfg
 	f, h, w := cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW()
 	bits := make([]byte, 0, len(m.SampleIDs)*((f*h*w+7)/8))
 	next := 0
 	for _, id := range m.SampleIDs {
 		if row := rf.row(id, next); row >= 0 {
-			bits = append(bits, model.PackFeatureSample(rf.feat, row)...)
+			bits = append(bits, rf.sample(row)...)
 			next = row + 1
 			continue
 		}
@@ -249,9 +256,9 @@ func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest) error {
 		if err != nil {
 			return c.send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
 		}
-		feat, exitVec := model.DeviceForwardPooled(d.index, x, d.pool)
-		bits = append(bits, model.PackFeature(feat)...)
-		d.pool.Put(feat)
+		fb, exitVec := model.DeviceForwardPacked(d.index, x, d.pool)
+		bits = append(bits, fb...)
+		d.pool.PutBytes(fb)
 		d.pool.Put(exitVec)
 	}
 	return c.send(&wire.FeatureBatch{

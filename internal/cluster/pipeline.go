@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/wire"
@@ -73,9 +74,11 @@ func (s ShedLevel) String() string {
 }
 
 // Shed returns a tightened copy of the pipeline for one session: the
-// stage `level` tiers below the final one has its threshold raised to 1,
-// so every sample that reaches it passes the normalized-entropy test
-// (entropy is always ≤ 1) and the tiers above it never see the session.
+// stage `level` tiers below the final one has its threshold raised to
+// +Inf, so every sample that reaches it passes the normalized-entropy
+// test and the tiers above it never see the session. (A threshold of 1
+// is not enough: a uniform distribution's entropy rounds a few ulps above
+// 1.)
 // Shed(ShedNone) returns the pipeline unchanged; levels past the bottom
 // of the pipeline clamp to the local exit. The receiver is never mutated.
 func (p Pipeline) Shed(level ShedLevel) Pipeline {
@@ -88,7 +91,7 @@ func (p Pipeline) Shed(level ShedLevel) Pipeline {
 	}
 	out := make(Pipeline, len(p))
 	copy(out, p)
-	out[stop].Threshold = 1
+	out[stop].Threshold = math.Inf(1)
 	return out
 }
 

@@ -50,13 +50,49 @@ func (e *exitHead) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // forwardPooled accepts the unflattened feature map directly — the
-// pooled linear layers flatten implicitly, so the hot path skips the
-// Reshape view allocation.
+// pooled layers flatten implicitly, so the hot path skips the Reshape
+// view allocation. On the go and simd paths the head runs on bits
+// (forwardBits); the naive path keeps the float layers as its oracle.
 func (e *exitHead) forwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
+	if tensor.CurrentKernelPath() == tensor.KernelNaive {
+		return e.forwardFloat(x, p)
+	}
+	bits := packSamples(x, p)
+	out := e.forwardBits(bits, x.Dim(0), p)
+	p.PutBytes(bits)
+	return out
+}
+
+func (e *exitHead) forwardFloat(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
 	y := e.lin.ForwardPooled(x, p)
 	out := e.bn.ForwardPooled(y, p)
 	p.Put(y)
 	return out
+}
+
+// forwardBits runs the head on n samples bit-packed back to back
+// (bnn.PackSamplesInto). A head's input is a binary ConvP block's output,
+// exactly ±1 by construction, so its sign bits lose nothing and the
+// XNOR-popcount pre-activations equal the float GEMM's exact integer sums.
+func (e *exitHead) forwardBits(bits []byte, n int, p *tensor.Pool) *tensor.Tensor {
+	lin := e.lin.Packed()
+	y := p.GetDirty(n, lin.Out)
+	stride := len(bits) / n
+	for i := 0; i < n; i++ {
+		if err := lin.ForwardInto(y.Row(i), bits[i*stride:(i+1)*stride]); err != nil {
+			panic(err) // the sections size bits from the same model
+		}
+	}
+	out := e.bn.ForwardPooled(y, p)
+	p.Put(y)
+	return out
+}
+
+// packSamples bit-packs every sample of x into a buffer drawn from p.
+func packSamples(x *tensor.Tensor, p *tensor.Pool) []byte {
+	bits := p.GetBytes(x.Dim(0) * bnn.PackedSize(x.SampleSize()))
+	bnn.PackSamplesInto(bits, x)
+	return bits
 }
 
 func (e *exitHead) backward(grad *tensor.Tensor) *tensor.Tensor {

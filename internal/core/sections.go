@@ -29,13 +29,36 @@ func (m *Model) DeviceForward(device int, x *tensor.Tensor) (feat, exitVec *tens
 // should Put them back once consumed. A nil pool allocates, making
 // DeviceForward the p == nil special case.
 func (m *Model) DeviceForwardPooled(device int, x *tensor.Tensor, p *tensor.Pool) (feat, exitVec *tensor.Tensor) {
-	if device < 0 || device >= m.Cfg.Devices {
-		panic(fmt.Sprintf("core: device %d out of range [0,%d)", device, m.Cfg.Devices))
-	}
-	dev := m.devices[device]
+	dev := m.device(device)
 	feat = dev.convp.ForwardPooled(x, p)
 	exitVec = dev.exit.forwardPooled(feat, p)
 	return feat, exitVec
+}
+
+// DeviceForwardPacked is DeviceForwardPooled for a node that ships the
+// feature map rather than computing on it: bits holds each sample's
+// PackFeatureSample bytes back to back, drawn from p (PutBytes it back
+// once consumed), and exitVec comes from p too. The float map goes back
+// to p before it returns. On the go and simd paths the same bits feed the
+// exit head, so the map is packed once.
+func (m *Model) DeviceForwardPacked(device int, x *tensor.Tensor, p *tensor.Pool) (bits []byte, exitVec *tensor.Tensor) {
+	dev := m.device(device)
+	feat := dev.convp.ForwardPooled(x, p)
+	bits = packSamples(feat, p)
+	if tensor.CurrentKernelPath() == tensor.KernelNaive {
+		exitVec = dev.exit.forwardFloat(feat, p)
+	} else {
+		exitVec = dev.exit.forwardBits(bits, feat.Dim(0), p)
+	}
+	p.Put(feat)
+	return bits, exitVec
+}
+
+func (m *Model) device(i int) *deviceSection {
+	if i < 0 || i >= m.Cfg.Devices {
+		panic(fmt.Sprintf("core: device %d out of range [0,%d)", i, m.Cfg.Devices))
+	}
+	return m.devices[i]
 }
 
 // LocalAggregate combines per-device exit vectors into local-exit logits.

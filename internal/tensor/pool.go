@@ -37,8 +37,9 @@ type Pool struct {
 }
 
 type sizeClass struct {
-	mu   sync.Mutex
-	free []*Tensor
+	mu    sync.Mutex
+	free  []*Tensor
+	bytes [][]byte // GetBytes/PutBytes buffers of the class's length
 }
 
 // NewPool returns an empty pool.
@@ -113,6 +114,43 @@ func (p *Pool) Put(t *Tensor) {
 	sc.mu.Lock()
 	if len(sc.free) < maxFreePerClass {
 		sc.free = append(sc.free, t)
+	}
+	sc.mu.Unlock()
+}
+
+// GetBytes returns a byte buffer of length n with unspecified contents,
+// reusing a retired one of the same length when available: the storage of
+// bit-packed feature maps on the serving path. On a nil pool it simply
+// allocates.
+func (p *Pool) GetBytes(n int) []byte {
+	if p == nil || n == 0 {
+		return make([]byte, n)
+	}
+	sc := p.class(n)
+	sc.mu.Lock()
+	var b []byte
+	if last := len(sc.bytes) - 1; last >= 0 {
+		b = sc.bytes[last]
+		sc.bytes[last] = nil
+		sc.bytes = sc.bytes[:last]
+	}
+	sc.mu.Unlock()
+	if b == nil {
+		b = make([]byte, n)
+	}
+	return b
+}
+
+// PutBytes retires a byte buffer for reuse by later GetBytes of the same
+// length. PutBytes on a nil pool, or of an empty buffer, is a no-op.
+func (p *Pool) PutBytes(b []byte) {
+	if p == nil || len(b) == 0 {
+		return
+	}
+	sc := p.class(len(b))
+	sc.mu.Lock()
+	if len(sc.bytes) < maxFreePerClass {
+		sc.bytes = append(sc.bytes, b)
 	}
 	sc.mu.Unlock()
 }
