@@ -4,9 +4,10 @@
 // device→edge→cloud hierarchy.
 //
 // By default it trains (or loads) a model and serves a complete
-// in-process cluster over in-memory links; with -devices/-cloud/-edge
-// it attaches to already-running nodes over TCP instead (raw tensor
-// uploads then answer 501 — remote devices own their sensors).
+// in-process cluster over in-memory links; with -devices plus -cloud or
+// -edge-addr it attaches to running ddnn-node processes over TCP instead
+// (raw tensor uploads then answer 501 — remote devices own their
+// sensors).
 //
 // Usage:
 //
@@ -15,7 +16,7 @@
 //	           [-max-inflight 64] [-concurrency 16] [-batch 32]
 //	           [-replicas 1] [-threshold 0.8] [-edge-threshold 0.8]
 //	           [-devices host:port,...] [-cloud host:port] [-edge-addr host:port]
-//	           [-tenant alice=0.5:0.7] [-register host:port]
+//	           [-tenant alice=0.5:0.7] [-register host:port] [-data-seed 1]
 //	           [-admin-tokens admin.txt] [-drain-timeout 10s]
 //
 // Without -tokens the API is open (every request runs as the
@@ -29,7 +30,8 @@
 // instead of the default -threshold/-edge-threshold, so one cluster
 // serves applications with different accuracy/latency trade-offs.
 // -register serves the device registration plane so devices can join
-// and leave the hierarchy at runtime (see ddnn-device -register).
+// and leave the hierarchy at runtime (see ddnn-node -tier device
+// -register).
 //
 // -admin-tokens mounts the model lifecycle admin plane (POST/GET
 // /v1/admin/models, POST /v1/admin/rollout — see docs/OPERATIONS.md)
@@ -89,15 +91,12 @@ func parseTenant(spec string) (string, ddnn.TenantConfig, error) {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ddnn-serve", flag.ContinueOnError)
-	var cloudAddrs, edgeAddrs, tenantSpecs cliutil.AddrList
-	fs.Var(&cloudAddrs, "cloud", "cloud replica address to attach to (repeatable; with -devices)")
-	fs.Var(&edgeAddrs, "edge-addr", "edge replica address to attach to (repeatable; with -devices, edge-tier models)")
+	var c cliutil.Cluster
+	c.Flags(fs)
+	var tenantSpecs cliutil.AddrList
 	fs.Var(&tenantSpecs, "tenant", "per-tenant exit thresholds as name=localT[:edgeT] (repeatable); the tenant name is the authenticated client name from -tokens")
 	var (
 		listen       = fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
-		modelPath    = fs.String("model", "", "trained model file (empty: train now)")
-		useEdge      = fs.Bool("edge", false, "train with an edge tier when -model is empty")
-		epochs       = fs.Int("epochs", 25, "training epochs when -model is empty")
 		tokensPath   = fs.String("tokens", "", "token file of client:token lines (empty: open access)")
 		adminTokens  = fs.String("admin-tokens", "", "token file for the model lifecycle admin plane (empty: admin endpoints absent); in-process engine only")
 		rate         = fs.Float64("rate", 50, "per-client sustained requests/s (0: unlimited)")
@@ -105,12 +104,8 @@ func run(args []string) error {
 		maxInflight  = fs.Int("max-inflight", api.DefaultMaxInFlight, "admitted in-flight requests before 503; load sheds to cheaper exits as this nears")
 		concurrency  = fs.Int("concurrency", 16, "concurrent classification sessions")
 		batch        = fs.Int("batch", ddnn.DefaultMaxBatch, "micro-batch size: coalesce up to this many samples per session (1 = per-sample)")
-		replicas     = fs.Int("replicas", 1, "replicas of each upper tier (in-process engine only)")
 		threshold    = fs.Float64("threshold", 0.8, "local exit entropy threshold T")
 		edgeT        = fs.Float64("edge-threshold", 0.8, "edge exit entropy threshold (edge-tier models)")
-		devices      = fs.String("devices", "", "attach to running device nodes at these comma-separated addresses instead of simulating in-process; with -register, fewer entries than the model has slots (or empty entries) leave those slots absent until a device registers")
-		register     = fs.String("register", "", "serve the device registration plane on this address so devices join/leave at runtime (ddnn-device -register)")
-		dataSeed     = fs.Int64("data-seed", 1, "dataset seed")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -132,74 +127,30 @@ func run(args []string) error {
 		logger.Warn("no -tokens file: API is open to unauthenticated clients")
 	}
 
-	dcfg := ddnn.DefaultDatasetConfig()
-	dcfg.Seed = *dataSeed
-	train, test := ddnn.GenerateDataset(dcfg)
-
-	var model *ddnn.Model
-	if *modelPath != "" {
-		m, err := ddnn.LoadModel(*modelPath)
-		if err != nil {
-			return err
-		}
-		model = m
-		logger.Info("model loaded", "path", *modelPath)
-	} else {
-		cfg := ddnn.DefaultConfig()
-		cfg.UseEdge = *useEdge
-		model = ddnn.MustNewModel(cfg)
-		tc := ddnn.DefaultTrainConfig()
-		tc.Epochs = *epochs
-		logger.Info("training model", "epochs", *epochs)
-		if _, err := model.Train(train, tc); err != nil {
-			return err
-		}
+	if *adminTokens != "" && c.Remote() {
+		return fmt.Errorf("-admin-tokens requires the in-process engine: rolling model reloads need registry access on every node")
+	}
+	train, test := c.Dataset()
+	model, err := c.Model(train, logger)
+	if err != nil {
+		return err
 	}
 
 	gcfg := ddnn.DefaultGatewayConfig()
 	gcfg.Threshold, gcfg.EdgeThreshold = *threshold, *edgeT
-	ecfg := ddnn.EngineConfig{
+	eng, err := c.Engine(context.Background(), model, test, ddnn.EngineConfig{
 		Gateway:        gcfg,
 		MaxConcurrency: *concurrency,
 		Batch:          ddnn.BatchConfig{MaxBatch: *batch},
 		Logger:         slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
-	}
-	var eng *ddnn.Engine
-	if *devices != "" {
-		deviceAddrs := strings.Split(*devices, ",")
-		upstream := []string(cloudAddrs)
-		if model.Cfg.UseEdge {
-			if len(edgeAddrs) == 0 {
-				return fmt.Errorf("model has an edge tier; pass -edge-addr with the ddnn-edge address(es)")
-			}
-			upstream = edgeAddrs
-		} else if len(cloudAddrs) == 0 {
-			return fmt.Errorf("pass -cloud with the ddnn-cloud address(es)")
-		}
-		dialCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		e, err := ddnn.Connect(dialCtx, model, deviceAddrs, upstream, ecfg)
-		cancel()
-		if err != nil {
-			return err
-		}
-		eng = e
-		logger.Info("attached to cluster", "devices", len(deviceAddrs), "upstream", len(upstream))
-	} else {
-		ecfg.EdgeReplicas, ecfg.CloudReplicas = *replicas, *replicas
-		e, err := ddnn.NewEngine(model, test, ecfg)
-		if err != nil {
-			return err
-		}
-		eng = e
-		logger.Info("in-process cluster started", "devices", model.Cfg.Devices, "replicas", *replicas)
+	})
+	if err != nil {
+		return err
 	}
 	defer eng.Close()
-
-	if *register != "" {
-		if err := eng.ServeRegistration(*register); err != nil {
-			return err
-		}
-		logger.Info("registration plane serving", "addr", *register, "config_version", eng.ConfigVersion())
+	logger.Info("cluster ready", "remote", c.Remote(), "devices", model.Cfg.Devices, "upstream_replicas", eng.Gateway().Upstream().Size())
+	if c.Register != "" {
+		logger.Info("registration plane serving", "addr", c.Register, "config_version", eng.ConfigVersion())
 	}
 	for _, spec := range tenantSpecs {
 		name, tc, err := parseTenant(spec)
@@ -224,9 +175,6 @@ func run(args []string) error {
 		Logger:      logger,
 	}
 	if *adminTokens != "" {
-		if *devices != "" {
-			return fmt.Errorf("-admin-tokens requires the in-process engine: rolling model reloads need registry access on every node")
-		}
 		aa, err := api.LoadTokenFile(*adminTokens)
 		if err != nil {
 			return err

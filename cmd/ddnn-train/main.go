@@ -1,6 +1,7 @@
 // Command ddnn-train jointly trains a DDNN on the synthetic multi-view
 // multi-camera dataset and saves the model to a file, ready to be deployed
-// with ddnn-device / ddnn-cloud / ddnn-gateway.
+// with ddnn-node (one process per device, edge and cloud node) and
+// driven by ddnn-sim or ddnn-serve.
 //
 // Usage:
 //

@@ -49,7 +49,7 @@
 //	batch, err := eng.ClassifyBatchTenantShed(ctx, ids, "", ddnn.ShedNone) // concurrent sessions
 //
 // Use Connect instead of NewEngine to front nodes that run as separate
-// processes over TCP (cmd/ddnn-device, cmd/ddnn-edge, cmd/ddnn-cloud):
+// processes over TCP (cmd/ddnn-node -tier device|edge|cloud):
 // the gateway then dials the devices plus its upstream tier — the edge
 // node for UseEdge models, the cloud otherwise.
 //

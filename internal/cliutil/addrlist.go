@@ -1,4 +1,6 @@
-// Package cliutil holds small flag helpers shared by the cmd binaries.
+// Package cliutil holds the flag helpers shared by the cmd binaries: the
+// repeatable address flag, integer lists, and the Cluster flag set that
+// picks a model and where its hierarchy runs.
 package cliutil
 
 import (
@@ -9,8 +11,8 @@ import (
 
 // AddrList is a repeatable address flag (flag.Value): each occurrence
 // appends one address, and an occurrence may also hold a
-// comma-separated list. ddnn-gateway and ddnn-edge use it for their
-// replica address flags.
+// comma-separated list. The replica address flags (-cloud, -edge-addr)
+// of ddnn-node and Cluster use it.
 type AddrList []string
 
 // String renders the accumulated addresses.
@@ -27,8 +29,8 @@ func (a *AddrList) Set(v string) error {
 }
 
 // ParseInts parses a comma-separated list of integers no smaller than
-// min, ignoring empty elements. ddnn-bench (-replicas) and ddnn-sim
-// (-fail) share it for their list flags.
+// min, ignoring empty elements. ddnn-sim parses its -fail and -churn
+// device lists with it.
 func ParseInts(s string, min int) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {

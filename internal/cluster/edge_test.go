@@ -206,8 +206,8 @@ func TestEdgeAnswersWhenCloudDown(t *testing.T) {
 }
 
 // TestAttachEngineToEdgeTierOverTCP runs the full three-tier topology as
-// it would deploy: every node on its own TCP listener (ddnn-device /
-// ddnn-edge / ddnn-cloud style) with the engine attached from outside.
+// it would deploy: every node on its own TCP listener (as ddnn-node
+// runs them) with the engine attached from outside.
 func TestAttachEngineToEdgeTierOverTCP(t *testing.T) {
 	model, test := edgeFixture(t)
 	tr := transport.TCP{}

@@ -138,8 +138,8 @@ func NewEngine(m *core.Model, ds *dataset.Dataset, cfg EngineConfig, tr transpor
 }
 
 // AttachEngine connects a serving engine to already-running nodes (e.g.
-// over TCP): the device nodes plus the replicas of the gateway's
-// upstream tier — edge nodes (cmd/ddnn-edge) for models built with
+// ddnn-node processes over TCP): the device nodes plus the replicas of
+// the gateway's upstream tier — edge nodes for models built with
 // UseEdge, cloud nodes otherwise. Sessions load-balance across the
 // upstream replicas. The context bounds connection setup.
 func AttachEngine(ctx context.Context, m *core.Model, cfg EngineConfig, tr transport.Transport, deviceAddrs []string, upstreamAddrs []string) (*Engine, error) {

@@ -147,10 +147,10 @@ func NewEngine(m *Model, ds *Dataset, cfg EngineConfig) (*Engine, error) {
 	return cluster.NewEngine(m, ds, cfg, transport.NewMem())
 }
 
-// Connect attaches an engine to already-running nodes over TCP: the
-// device nodes (cmd/ddnn-device) plus the replicas of the gateway's
-// upstream tier — edge nodes (cmd/ddnn-edge) for models built with
-// UseEdge, cloud nodes (cmd/ddnn-cloud) otherwise. deviceAddrs must be
+// Connect attaches an engine to already-running nodes over TCP
+// (cmd/ddnn-node): the device nodes plus the replicas of the gateway's
+// upstream tier — edge nodes for models built with UseEdge, cloud nodes
+// otherwise. deviceAddrs must be
 // in device order; it may name fewer devices than the model has slots
 // (or leave slots empty with "") — absent slots join later through the
 // registration plane (Engine.ServeRegistration). upstreamAddrs lists the
