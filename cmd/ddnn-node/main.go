@@ -7,8 +7,9 @@
 //
 // Usage:
 //
-//	ddnn-node -tier device -model model.ddnn -device 0 [-listen 127.0.0.1:7001]
-//	          [-data-seed 1] [-register 127.0.0.1:7200] [-node-id cam-lobby]
+//	ddnn-node -tier device -model model.ddnn -device 0
+//	          [-listen 127.0.0.1:7001 | -register 127.0.0.1:7200 [-node-id cam-lobby]]
+//	          [-data-seed 1]
 //	ddnn-node -tier edge -model model.ddnn [-listen 127.0.0.1:7050]
 //	          -cloud 127.0.0.1:7100 [-cloud 127.0.0.1:7101 ...]
 //	          [-cloud-timeout 5s] [-no-fallback]
@@ -16,10 +17,13 @@
 //
 // A device node feeds its sensor from the deterministic synthetic
 // dataset (acting as the camera), so it must share -data-seed with the
-// gateway. With -register it announces itself to a running gateway's
-// registration plane (DeviceHello) once its listener is up, joining the
-// hierarchy without a gateway restart, and deregisters (DeviceGoodbye)
-// before it drains.
+// gateway. By default it listens for the gateway's dial. With -register
+// it listens for nothing: it dials a running gateway's registration
+// plane, says hello (DeviceHello) and serves the gateway's sessions on
+// that one connection, joining the hierarchy without a gateway restart
+// — it works behind NAT or a firewall. When the link drops it re-dials
+// every second until it is welcomed again, and on shutdown it says
+// goodbye (DeviceGoodbye) on the link before it drains.
 //
 // An edge node needs a model trained with an edge tier (ddnn-train
 // -edge). -cloud is repeatable (and accepts comma-separated lists):
@@ -33,6 +37,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +52,6 @@ import (
 	"github.com/ddnn/ddnn-go/internal/cliutil"
 	"github.com/ddnn/ddnn-go/internal/cluster"
 	"github.com/ddnn/ddnn-go/internal/transport"
-	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 func main() {
@@ -90,7 +94,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline for in-flight requests (a device's goodbye included)")
 		device       = fs.Int("device", 0, "device: index of this node's sensor")
 		dataSeed     = fs.Int64("data-seed", 1, "device: dataset seed (must match the gateway)")
-		register     = fs.String("register", "", "device: gateway registration address; announce this node (DeviceHello) after the listener is up, deregister on shutdown")
+		register     = fs.String("register", "", "device: gateway registration address; dial it, say hello (DeviceHello) and serve on that connection instead of listening, say goodbye on shutdown")
 		nodeID       = fs.String("node-id", "", "device: stable node identity for registration (default device-<index>)")
 		cloudTimeout = fs.Duration("cloud-timeout", 5*time.Second, "edge: edge→cloud round trip bound")
 		noFallback   = fs.Bool("no-fallback", false, "edge: abort escalated sessions when the cloud is down instead of answering at the edge")
@@ -100,6 +104,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if err := checkTierFlags(fs, *tier); err != nil {
 		return err
+	}
+	if *register != "" && *listen != "" {
+		return errors.New("-listen and -register exclude each other: a registering device serves on the connection it dials")
 	}
 	if *listen == "" {
 		*listen = tiers[*tier].listen
@@ -138,60 +145,42 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	case "cloud":
 		n = cluster.NewCloud(model, nil)
 	}
-	if err := n.Serve(transport.TCP{}, *listen); err != nil {
-		n.Close()
-		return err
-	}
-	switch *tier {
-	case "device":
-		fmt.Fprintf(stdout, "device %d serving on %s (section: %d B deployed)\n", *device, n.Addr(), model.DeviceMemoryBytes())
-	case "edge":
-		fmt.Fprintf(stdout, "edge serving on %s, escalating to %d cloud replica(s) at %s (%d devices, %d edge filters, %v edge aggregation)\n",
-			n.Addr(), len(cloudAddrs), strings.Join(cloudAddrs, ","), model.Cfg.Devices, model.Cfg.EdgeFilters, model.Cfg.EdgeAgg)
-	case "cloud":
-		fmt.Fprintf(stdout, "cloud serving on %s (%d devices expected, %v aggregation)\n", n.Addr(), model.Cfg.Devices, model.Cfg.CloudAgg)
-	}
-
-	id := *nodeID
-	if id == "" {
-		id = fmt.Sprintf("device-%d", *device)
-	}
 	if *register != "" {
-		regCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		welcome, err := cluster.Register(regCtx, transport.TCP{}, *register, &wire.DeviceHello{
-			NodeID: id,
-			Slot:   uint16(*device),
-			Addr:   n.Addr(),
-		})
+		id := *nodeID
+		if id == "" {
+			id = fmt.Sprintf("device-%d", *device)
+		}
+		joinCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		welcome, err := n.(*cluster.Device).Join(joinCtx, transport.TCP{}, *register, id)
 		cancel()
 		if err != nil {
 			n.Close()
 			return fmt.Errorf("register with %s: %w", *register, err)
 		}
-		fmt.Fprintf(stdout, "registered with %s as slot %d/%d (topology version %d)\n",
-			*register, welcome.Slot, welcome.Devices, welcome.ConfigVersion)
+		fmt.Fprintf(stdout, "device %d registered with %s as slot %d/%d (topology version %d), serving on the link it dialed (section: %d B deployed)\n",
+			*device, *register, welcome.Slot, welcome.Devices, welcome.ConfigVersion, model.DeviceMemoryBytes())
+	} else {
+		if err := n.Serve(transport.TCP{}, *listen); err != nil {
+			n.Close()
+			return err
+		}
+		switch *tier {
+		case "device":
+			fmt.Fprintf(stdout, "device %d serving on %s (section: %d B deployed)\n", *device, n.Addr(), model.DeviceMemoryBytes())
+		case "edge":
+			fmt.Fprintf(stdout, "edge serving on %s, escalating to %d cloud replica(s) at %s (%d devices, %d edge filters, %v edge aggregation)\n",
+				n.Addr(), len(cloudAddrs), strings.Join(cloudAddrs, ","), model.Cfg.Devices, model.Cfg.EdgeFilters, model.Cfg.EdgeAgg)
+		case "cloud":
+			fmt.Fprintf(stdout, "cloud serving on %s (%d devices expected, %v aggregation)\n", n.Addr(), model.Cfg.Devices, model.Cfg.CloudAgg)
+		}
 	}
 
 	<-ctx.Done()
 	fmt.Fprintf(stdout, "shutting down (draining up to %v)\n", *drainTimeout)
-	// One budget covers the goodbye and the drain: deregistering first
-	// stops new sessions, then in-flight requests answer before teardown.
-	// ctx has ended by now, so the budget cannot derive from it.
+	// One budget covers a registered device's goodbye and the drain. ctx
+	// has ended by now, so the budget cannot derive from it.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if *register != "" {
-		_, err := cluster.Deregister(drainCtx, transport.TCP{}, *register, &wire.DeviceGoodbye{
-			NodeID: id,
-			Slot:   uint16(*device),
-			Reason: "shutdown",
-		})
-		if err != nil {
-			// Best-effort: the gateway's failure detector notices anyway.
-			fmt.Fprintf(os.Stderr, "ddnn-node: deregister: %v\n", err)
-		} else {
-			fmt.Fprintf(stdout, "deregistered from %s\n", *register)
-		}
-	}
 	// A drain-deadline overrun is reported but not an error: the process
 	// still exits cleanly.
 	if err := n.Drain(drainCtx); err != nil {

@@ -150,7 +150,7 @@ func run(args []string) error {
 	defer eng.Close()
 	logger.Info("cluster ready", "remote", c.Remote(), "devices", model.Cfg.Devices, "upstream_replicas", eng.Gateway().Upstream().Size())
 	if c.Register != "" {
-		logger.Info("registration plane serving", "addr", c.Register, "config_version", eng.ConfigVersion())
+		logger.Info("registration plane serving", "addr", c.Register, "config_version", eng.Topology().Version)
 	}
 	for _, spec := range tenantSpecs {
 		name, tc, err := parseTenant(spec)

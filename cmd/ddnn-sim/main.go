@@ -130,7 +130,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	defer eng.Close()
 	if c.Register != "" {
-		fmt.Fprintf(stdout, "registration plane on %s (topology version %d)\n", c.Register, eng.ConfigVersion())
+		fmt.Fprintf(stdout, "registration plane on %s (topology version %d)\n", c.Register, eng.Topology().Version)
 		if *waitDevices > 0 {
 			if err := waitForMembers(ctx, eng, *waitDevices, stdout); err != nil {
 				return err

@@ -244,9 +244,9 @@ func TestWireBytesBothDirections(t *testing.T) {
 	if _, err := classifyOne(context.Background(), eng.Gateway(), 0); err != nil {
 		t.Fatal(err)
 	}
-	up, down := eng.Gateway().WireBytesUp(), eng.Gateway().WireBytesDown()
+	up, down := eng.Gateway().WireBytes()
 	if up <= 0 || down <= 0 {
-		t.Fatalf("WireBytesUp=%d WireBytesDown=%d, want both positive", up, down)
+		t.Fatalf("WireBytes up=%d down=%d, want both positive", up, down)
 	}
 	if up <= down {
 		t.Errorf("uplink (%d B) should exceed downlink (%d B) when features are uploaded", up, down)

@@ -189,7 +189,7 @@ func TestCommMeterTracksEquationOne(t *testing.T) {
 	if got := eng.Gateway().Meter.Get("cloud-upload"); got != devices*featBytes {
 		t.Errorf("cloud-upload bytes = %d, want %d (= n·f·o/8)", got, devices*featBytes)
 	}
-	if eng.Gateway().WireBytesUp() <= wantSummary {
+	if up, _ := eng.Gateway().WireBytes(); up <= wantSummary {
 		t.Error("wire bytes must exceed payload bytes (framing overhead)")
 	}
 }

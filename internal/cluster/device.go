@@ -21,6 +21,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -43,7 +44,8 @@ type Feed func(sampleID uint64) (*tensor.Tensor, error)
 const maxRetainedFeatures = 256
 
 // Device is an end-device node: it owns one device section of the DDNN and
-// serves capture and feature-upload requests from the gateway. Requests
+// serves capture and feature-upload requests from the gateway, over
+// connections it accepts (Serve) or the one it dialed (Join). Requests
 // are served concurrently; the model section is shared read-only.
 type Device struct {
 	server
@@ -54,6 +56,11 @@ type Device struct {
 	featMu    sync.Mutex // guards features/featOrder only
 	features  map[uint64]retainedFeature
 	featOrder []uint64 // insertion order for eviction
+
+	// leaving ends on Drain or Close: a joined device says goodbye and
+	// stops re-joining (Join).
+	leaving context.Context
+	leave   context.CancelFunc
 }
 
 // NewDevice constructs a device node for device `index` of the model,
@@ -65,6 +72,8 @@ func NewDevice(model *core.Model, index int, feed Feed, logger *slog.Logger) *De
 		features: make(map[uint64]retainedFeature),
 	}
 	d.init(fmt.Sprintf("device-%d", index), model, logger, d.frame)
+	d.leaving, d.leave = context.WithCancel(context.Background())
+	d.onClose = d.leave
 	return d
 }
 

@@ -396,7 +396,7 @@ func (e *Engine) ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64
 	return results, firstErr
 }
 
-// Gateway exposes the underlying gateway for stats (Meter, WireBytesUp,
+// Gateway exposes the underlying gateway for stats (Meter, WireBytes,
 // DownDevices).
 func (e *Engine) Gateway() *Gateway { return e.gw }
 
@@ -490,7 +490,7 @@ func (e *Engine) checkSlot(tier string, i, slots int) error {
 // dialing its known address — the one the engine was built with — and
 // returns the resulting config version; see Gateway.AdmitDevice.
 func (e *Engine) AdmitDevice(ctx context.Context, slot int) (uint64, error) {
-	if e.tr == nil || slot < 0 || slot >= len(e.deviceAddrs) {
+	if slot < 0 || slot >= len(e.deviceAddrs) {
 		return 0, fmt.Errorf("cluster: admit device: engine has no address for slot %d: %w", slot, ErrDeviceSlotMismatch)
 	}
 	return e.gw.AdmitDevice(ctx, slot, e.deviceAddrs[slot])
@@ -517,15 +517,8 @@ func (e *Engine) RemoveTenant(name string) uint64 {
 // the engine's transport, so devices can join, leave and re-register
 // mid-run; see Gateway.ServeRegistration.
 func (e *Engine) ServeRegistration(addr string) error {
-	if e.tr == nil {
-		return fmt.Errorf("cluster: engine has no transport to serve registration")
-	}
 	return e.gw.ServeRegistration(e.tr, addr)
 }
-
-// ConfigVersion returns the current topology config version; see
-// Gateway.ConfigVersion.
-func (e *Engine) ConfigVersion() uint64 { return e.gw.ConfigVersion() }
 
 // Topology returns a snapshot of the versioned runtime topology; see
 // Gateway.Topology.

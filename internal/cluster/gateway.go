@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,7 +105,7 @@ type Gateway struct {
 	cfg      GatewayConfig
 	pipeline Pipeline
 	logger   *slog.Logger
-	tr       transport.Transport // retained for membership dial-backs
+	tr       transport.Transport // retained for AdmitDevice's dials
 
 	devices  []*deviceLink
 	upstream *ReplicaPool // edge tier for edge-tier models, cloud otherwise
@@ -118,24 +119,21 @@ type Gateway struct {
 	// ("local-summary", plus "cloud-upload" or "edge-upload" for the
 	// device feature maps relayed up the hierarchy's first hop).
 	Meter *metrics.CommMeter
-	// wireConns counts actual bytes on each device uplink including
-	// framing, for comparison against the analytic model. Slot-indexed;
-	// nil for absent slots. Guarded by stateMu.
-	wireConns []*transport.CountingConn
 
 	// instr holds the optional observability callbacks installed with
 	// SetInstrumentation.
 	instr instrumentation
 
 	// stateMu guards the versioned topology state: deviceLink.link /
-	// .down, wireConns, tenants, configVersion and closed.
+	// .down, tenants, configVersion and closed.
 	stateMu       sync.Mutex
 	configVersion uint64
 	tenants       map[string]tenantEntry
 	closed        bool
 
 	// regPlane is the optional registration-plane listener started by
-	// ServeRegistration.
+	// ServeRegistration; it holds each device connection it accepted
+	// until the data link the connection became ends.
 	regPlane server
 
 	// detector beats the device and upstream replica links (see beat).
@@ -205,22 +203,20 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 		return nil, err
 	}
 	g := &Gateway{
-		model:         model,
-		reg:           newModelRegistry(model, 1),
-		cfg:           cfg,
-		pipeline:      pipeline,
-		logger:        logger.With("node", "gateway"),
-		tr:            tr,
-		pool:          tensor.NewPool(),
-		Meter:         metrics.NewCommMeter(),
-		configVersion: 1,
-		tenants:       make(map[string]tenantEntry),
-		regPlane:      server{name: "registration plane"},
+		model:    model,
+		reg:      newModelRegistry(model, 1),
+		cfg:      cfg,
+		pipeline: pipeline,
+		logger:   logger.With("node", "gateway"),
+		tr:       tr,
+		pool:     tensor.NewPool(),
+		Meter:    metrics.NewCommMeter(),
+		tenants:  make(map[string]tenantEntry),
+		regPlane: server{name: "registration plane"},
 	}
 	// All slots exist from construction; the ones without an address
 	// begin absent (nil link) and join later via registration.
 	g.devices = make([]*deviceLink, model.Cfg.Devices)
-	g.wireConns = make([]*transport.CountingConn, model.Cfg.Devices)
 	for i := range g.devices {
 		g.devices[i] = &deviceLink{index: i}
 	}
@@ -233,10 +229,9 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 			g.Close()
 			return nil, fmt.Errorf("cluster: dial device %d: %w", i, err)
 		}
-		cc := transport.NewCountingConn(conn)
-		g.wireConns[i] = cc
-		g.devices[i].link = newLink(cc, func(l *link) { g.reviveDevice(i, l) })
+		g.admitConn(i, conn, false) // an open gateway, no welcome: cannot fail
 	}
+	g.configVersion = 1 // construction is version 1, whatever the slots hold
 	pool, err := newReplicaPool(ctx, g.upstreamExit(), tr, upstreamAddrs, g.logger)
 	if err != nil {
 		g.Close()
@@ -302,34 +297,41 @@ func (g *Gateway) uploadCategory() string {
 	return "cloud-upload"
 }
 
-// WireBytesUp returns the total bytes the gateway has received on all
-// device uplinks (the device→gateway direction: summaries and feature
-// uploads), including protocol framing.
-func (g *Gateway) WireBytesUp() int64 {
+// WireBytes returns the bytes, protocol framing included, the gateway
+// has read from its current device links (up: summaries and feature
+// uploads) and written to them (down: capture and feature requests).
+func (g *Gateway) WireBytes() (up, down int64) {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
-	var t int64
-	for _, c := range g.wireConns {
-		if c != nil {
-			t += c.BytesRead() // device→gateway direction
+	for _, dl := range g.devices {
+		if dl.link != nil {
+			cc := dl.link.conn.(*transport.CountingConn)
+			up, down = up+cc.BytesRead(), down+cc.BytesWritten()
 		}
 	}
-	return t
+	return up, down
 }
 
-// WireBytesDown returns the total bytes the gateway has written to all
-// device links (the gateway→device direction: capture and feature
-// requests), including protocol framing.
-func (g *Gateway) WireBytesDown() int64 {
-	g.stateMu.Lock()
-	defer g.stateMu.Unlock()
-	var t int64
-	for _, c := range g.wireConns {
-		if c != nil {
-			t += c.BytesWritten() // gateway→device direction
-		}
+// newDeviceLink wraps a connection to the device in slot, counting its
+// bytes. A goodbye on it vacates the slot unless the link no longer
+// holds it (reviveDevice's stale-link rule); closing acknowledges it.
+func (g *Gateway) newDeviceLink(slot int, conn net.Conn) *link {
+	return newLink(transport.NewCountingConn(conn),
+		func(l *link) { g.reviveDevice(slot, l) },
+		func(l *link, bye *wire.DeviceGoodbye) {
+			if v, ok := g.swapLink(slot, nil, l); ok {
+				g.logger.Info("device deregistered", "node", bye.NodeID, "slot", slot, "reason", bye.Reason, "config_version", v)
+			}
+			l.close()
+		})
+}
+
+// checkDeviceSlot refuses a slot the hierarchy does not have.
+func (g *Gateway) checkDeviceSlot(slot int) error {
+	if slot < 0 || slot >= len(g.devices) {
+		return fmt.Errorf("slot %d of %d slots: %w", slot, len(g.devices), ErrDeviceSlotMismatch)
 	}
-	return t
+	return nil
 }
 
 // reviveDevice is a device link's revive hook: the first frame on a link
@@ -375,17 +377,12 @@ func (g *Gateway) Close() error {
 	g.regPlane.Close()
 	g.stateMu.Lock()
 	g.closed = true
-	var links []*link
 	for _, dl := range g.devices {
 		if dl.link != nil {
-			links = append(links, dl.link)
-			dl.link = nil
+			dl.link.close() // the slot keeps it, and WireBytes its count
 		}
 	}
 	g.stateMu.Unlock()
-	for _, l := range links {
-		l.close()
-	}
 	// Before the pool closes, so no re-dial outlives it.
 	g.detector.close()
 	if g.upstream != nil {

@@ -365,7 +365,7 @@ func TestHeartbeatsOnlyOnIdleLinks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bytesOf := func(gw *Gateway) [2]int64 { return [2]int64{gw.WireBytesUp(), gw.WireBytesDown()} }
+	bytesOf := func(gw *Gateway) [2]int64 { up, down := gw.WireBytes(); return [2]int64{up, down} }
 
 	// Busy for three intervals. If the scheduler ever left a link without
 	// a frame for half an interval, the premise did not hold.

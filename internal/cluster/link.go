@@ -25,10 +25,11 @@ type link struct {
 	// Failure-detector state (see beat): readLoop sets seen on every
 	// frame, and the first frame on an armed link calls revive, which
 	// re-admits the link's device or replica.
-	seen   atomic.Bool
-	silent int // consecutive silent intervals; owned by beat
-	armed  atomic.Bool
-	revive func(*link)
+	seen    atomic.Bool
+	silent  int // consecutive silent intervals; owned by beat
+	armed   atomic.Bool
+	revive  func(*link)
+	goodbye func(*link, *wire.DeviceGoodbye) // a device link's; else nil
 
 	mu      sync.Mutex
 	waiters map[uint64]chan wire.Message
@@ -39,10 +40,11 @@ type link struct {
 }
 
 // newLink wraps conn and starts its reader.
-func newLink(conn net.Conn, revive func(*link)) *link {
+func newLink(conn net.Conn, revive func(*link), goodbye func(*link, *wire.DeviceGoodbye)) *link {
 	l := &link{
 		conn:    conn,
 		revive:  revive,
+		goodbye: goodbye,
 		waiters: make(map[uint64]chan wire.Message),
 		done:    make(chan struct{}),
 	}
@@ -62,8 +64,11 @@ func (l *link) readLoop() {
 			l.revive(l)
 		}
 		s, ok := msg.(wire.Sessioned)
-		if !ok {
-			continue // connection-scoped frame (heartbeat echo etc.)
+		if !ok { // connection-scoped frame: a heartbeat echo or a goodbye
+			if bye, ok := msg.(*wire.DeviceGoodbye); ok && l.goodbye != nil {
+				l.goodbye(l, bye)
+			}
+			continue
 		}
 		l.mu.Lock()
 		ch := l.waiters[s.SessionID()]

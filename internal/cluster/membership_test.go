@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,7 +71,7 @@ func TestPartialDeviceSetServesAndAdmits(t *testing.T) {
 	}
 	defer gw.Close()
 
-	if v := gw.ConfigVersion(); v != 1 {
+	if v := gw.Topology().Version; v != 1 {
 		t.Errorf("fresh gateway ConfigVersion = %d, want 1", v)
 	}
 	topo := gw.Topology()
@@ -153,39 +155,30 @@ func TestPartialDeviceSetServesAndAdmits(t *testing.T) {
 	}
 }
 
-// TestRegistrationHandshake drives the wire-level registration plane:
-// devices join via DeviceHello, leave via DeviceGoodbye, and re-register
-// — all against a live gateway, without restarts.
+// TestRegistrationHandshake drives the registration plane, one
+// connection per device: devices that never listen join with a hello and
+// serve sessions on the connection they dialed, each welcome reports its
+// admission's config version, a draining device's goodbye vacates its
+// slot, a fresh device re-registers it, and a hello for a slot the
+// hierarchy lacks is refused.
 func TestRegistrationHandshake(t *testing.T) {
-	model, _ := fixture(t)
+	model, test := fixture(t)
 	tr := transport.NewMem()
 	addrs, cloudAddr := membershipCluster(t, tr, "reg")
 
 	// Start with only device 0 present.
 	partial := make([]string, model.Cfg.Devices)
 	partial[0] = addrs[0]
-	gw, err := NewGateway(context.Background(), model, DefaultGatewayConfig(), tr, partial, []string{cloudAddr}, quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	if err := gw.ServeRegistration(tr, "reg-plane"); err != nil {
-		t.Fatal(err)
-	}
+	gw := registrationGateway(t, tr, DefaultGatewayConfig(), partial, cloudAddr)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	// Join every remaining slot through the handshake.
+	devs := make([]*Device, model.Cfg.Devices)
 	for d := 1; d < model.Cfg.Devices; d++ {
-		welcome, err := Register(ctx, tr, "reg-plane", &wire.DeviceHello{
-			NodeID: fmt.Sprintf("node-%d", d),
-			Slot:   uint16(d),
-			Addr:   addrs[d],
-		})
-		if err != nil {
-			t.Fatalf("register slot %d: %v", d, err)
-		}
+		var welcome *wire.DeviceWelcome
+		devs[d], welcome = joinDevice(t, ctx, tr, d)
 		if int(welcome.Slot) != d || int(welcome.Devices) != model.Cfg.Devices {
 			t.Errorf("welcome = %+v", welcome)
 		}
@@ -194,7 +187,7 @@ func TestRegistrationHandshake(t *testing.T) {
 			t.Errorf("slot %d welcome version = %d, want %d", d, welcome.ConfigVersion, d+1)
 		}
 	}
-	for d, p := range gw.PresentSlots() {
+	for d, p := range gw.Topology().Present {
 		if !p {
 			t.Errorf("slot %d absent after registration", d)
 		}
@@ -211,28 +204,230 @@ func TestRegistrationHandshake(t *testing.T) {
 		}
 	}
 
-	// Leave and re-register slot 2.
-	before := gw.ConfigVersion()
-	welcome, err := Deregister(ctx, tr, "reg-plane", &wire.DeviceGoodbye{NodeID: "node-2", Slot: 2, Reason: "draining"})
-	if err != nil {
+	// Slot 2 drains: its goodbye vacates the slot, and the gateway
+	// closing the link acknowledges it before Drain returns.
+	before := gw.Topology().Version
+	if err := devs[2].Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if welcome.ConfigVersion != before+1 {
-		t.Errorf("goodbye version = %d, want %d", welcome.ConfigVersion, before+1)
+	if v := gw.Topology().Version; v != before+1 {
+		t.Errorf("version after goodbye = %d, want %d", v, before+1)
 	}
-	if gw.PresentSlots()[2] {
+	if gw.Topology().Present[2] {
 		t.Error("slot 2 still present after goodbye")
 	}
-	if _, err := Register(ctx, tr, "reg-plane", &wire.DeviceHello{NodeID: "node-2b", Slot: 2, Addr: addrs[2]}); err != nil {
-		t.Fatalf("re-register: %v", err)
-	}
-	if !gw.PresentSlots()[2] {
+	joinDevice(t, ctx, tr, 2)
+	if !gw.Topology().Present[2] {
 		t.Error("slot 2 absent after re-registration")
 	}
 
 	// A hello naming an impossible slot is refused with a wire error.
-	if _, err := Register(ctx, tr, "reg-plane", &wire.DeviceHello{NodeID: "bad", Slot: uint16(model.Cfg.Devices), Addr: addrs[0]}); err == nil {
-		t.Error("out-of-range hello accepted")
+	bad := NewDevice(model, model.Cfg.Devices, DatasetFeed(test, 0), quietLogger())
+	defer bad.Close()
+	if _, err := bad.Join(ctx, tr, "reg-plane", "bad"); err == nil || !strings.Contains(err.Error(), "refused: 400") {
+		t.Errorf("out-of-range hello: Join = %v, want a 400 refusal", err)
+	}
+}
+
+// registrationGateway builds a gateway over deviceAddrs serving the
+// registration plane at "reg-plane".
+func registrationGateway(t *testing.T, tr transport.Transport, gcfg GatewayConfig, deviceAddrs []string, cloudAddr string) *Gateway {
+	t.Helper()
+	model, _ := fixture(t)
+	gw, err := NewGateway(context.Background(), model, gcfg, tr, deviceAddrs, []string{cloudAddr}, quietLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	if err := gw.ServeRegistration(tr, "reg-plane"); err != nil {
+		t.Fatal(err)
+	}
+	return gw
+}
+
+// joinDevice starts a device for slot that never listens and joins it
+// to the registration plane at "reg-plane".
+func joinDevice(t *testing.T, ctx context.Context, tr transport.Transport, slot int) (*Device, *wire.DeviceWelcome) {
+	t.Helper()
+	model, test := fixture(t)
+	dev := NewDevice(model, slot, DatasetFeed(test, slot), quietLogger())
+	t.Cleanup(func() { dev.Close() })
+	welcome, err := dev.Join(ctx, tr, "reg-plane", fmt.Sprintf("node-%d", slot))
+	if err != nil {
+		t.Fatalf("join slot %d: %v", slot, err)
+	}
+	if dev.Addr() != "" {
+		t.Errorf("joined device listens on %q", dev.Addr())
+	}
+	return dev, welcome
+}
+
+// slotLink returns the gateway's current link for slot.
+func slotLink(gw *Gateway, slot int) *link {
+	gw.stateMu.Lock()
+	defer gw.stateMu.Unlock()
+	return gw.devices[slot].link
+}
+
+// TestJoinedDeviceServesWithoutListener: a device that never calls Serve
+// joins over the in-memory transport, and sessions that escalate as
+// well as those that exit locally count it present and match the staged
+// reference under the mask they report.
+func TestJoinedDeviceServesWithoutListener(t *testing.T) {
+	model, test := fixture(t)
+	tr := transport.NewMem()
+	addrs, cloudAddr := membershipCluster(t, tr, "nolisten")
+	joined := model.Cfg.Devices - 1
+	static := append([]string(nil), addrs[:joined]...)
+	gcfg := DefaultGatewayConfig()
+	gcfg.Threshold = 0.5 // a mix of local exits and cloud escalations
+	gw := registrationGateway(t, tr, gcfg, static, cloudAddr)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	joinDevice(t, ctx, tr, joined)
+
+	ref := core.NewReference(model, test)
+	pol := branchy.NewPolicy(0.5, 1)
+	ids := []uint64{0, 1, 2, 3, 4, 5, 6, 7}
+	results, err := gw.Classify(ctx, ids, "", ShedNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if !res.Present[joined] {
+			t.Errorf("sample %d: joined slot %d not present", ids[i], joined)
+		}
+		wantExit, wantClass := stagedExpectation(ref.For(res.Present, 1), pol, int(ids[i]))
+		if res.Exit != wantExit || res.Class != wantClass {
+			t.Errorf("sample %d: got %v/%d, staged reference says %v/%d under mask %v",
+				ids[i], res.Exit, res.Class, wantExit, wantClass, res.Present)
+		}
+	}
+}
+
+// TestJoinedDeviceRejoinsAfterLinkLoss: when the gateway closes a
+// registered device's link, the device re-dials and says hello again,
+// and the slot comes back on a new link under a bumped config version.
+func TestJoinedDeviceRejoinsAfterLinkLoss(t *testing.T) {
+	model, _ := fixture(t)
+	tr := transport.NewMem()
+	addrs, cloudAddr := membershipCluster(t, tr, "rejoin")
+	slot := model.Cfg.Devices - 1
+	gw := registrationGateway(t, tr, DefaultGatewayConfig(), addrs[:slot], cloudAddr)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	joinDevice(t, ctx, tr, slot)
+
+	lost := slotLink(gw, slot)
+	before := gw.Topology().Version
+	lost.close()
+	for stop := time.Now().Add(5 * time.Second); slotLink(gw, slot) == lost; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(stop) {
+			t.Fatal("the device did not re-join within 5s of losing its link")
+		}
+	}
+	if v := gw.Topology().Version; v != before+1 {
+		t.Errorf("version after re-join = %d, want %d", v, before+1)
+	}
+	res, err := classifyOne(ctx, gw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Present[slot] {
+		t.Errorf("re-joined slot %d not present in %v", slot, res.Present)
+	}
+}
+
+// TestStaleGoodbyeLeavesReplacement: device A holds slot 2 and device B
+// re-registers it. A goodbye read on A's replaced link must leave B
+// present and the config version untouched — the stale-link rule the
+// detector's revive follows too.
+func TestStaleGoodbyeLeavesReplacement(t *testing.T) {
+	tr := transport.NewMem()
+	addrs, cloudAddr := membershipCluster(t, tr, "stale")
+	partial := append([]string(nil), addrs...)
+	partial[2] = ""
+	gw := registrationGateway(t, tr, DefaultGatewayConfig(), partial, cloudAddr)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	a, _ := joinDevice(t, ctx, tr, 2)
+	aLink := slotLink(gw, 2)
+	joinDevice(t, ctx, tr, 2)
+	// A drains before its re-join interval runs out; its goodbye finds the
+	// link the gateway already closed.
+	if err := a.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := gw.Topology().Version
+	aLink.goodbye(aLink, &wire.DeviceGoodbye{NodeID: "node-2", Slot: 2, Reason: "late"})
+	if !gw.Topology().Present[2] {
+		t.Fatal("a stale goodbye vacated the slot's new occupant")
+	}
+	if v := gw.Topology().Version; v != before {
+		t.Errorf("a stale goodbye bumped the version from %d to %d", before, v)
+	}
+	res, err := classifyOne(ctx, gw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Present[2] {
+		t.Errorf("replacement in slot 2 not present in %v", res.Present)
+	}
+}
+
+// TestRegistrationHelloBound: the registration plane gives a new
+// connection the failure detector's silence bound to send its hello. A
+// silent connection is closed; one whose first frame is not a hello, or
+// a hello for a slot the hierarchy lacks, gets a 400 wire.Error and is
+// closed.
+func TestRegistrationHelloBound(t *testing.T) {
+	model, _ := fixture(t)
+	tr := transport.NewMem()
+	addrs, cloudAddr := membershipCluster(t, tr, "hello")
+	gcfg := DefaultGatewayConfig()
+	gcfg.HeartbeatInterval = 50 * time.Millisecond
+	registrationGateway(t, tr, gcfg, addrs, cloudAddr)
+
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := tr.Dial(context.Background(), "reg-plane")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+	// closed asserts the gateway hung up rather than the read timing out.
+	closed := func(conn net.Conn, what string) {
+		t.Helper()
+		_, err := wire.Decode(conn)
+		var ne net.Error
+		if err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("%s: connection still open after 5s (read: %v)", what, err)
+		}
+	}
+
+	start := time.Now()
+	closed(dial(), "silent connection")
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("silent connection closed after %v, want about %v", took, heartbeatMisses*gcfg.HeartbeatInterval)
+	}
+
+	for _, first := range []wire.Message{
+		&wire.Heartbeat{NodeID: "not-a-device", Seq: 1},
+		&wire.DeviceHello{NodeID: "bad", Slot: uint16(model.Cfg.Devices)},
+	} {
+		conn := dial()
+		if _, err := wire.Encode(conn, first); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := wire.Decode(conn)
+		if e, ok := msg.(*wire.Error); err != nil || !ok || e.Code != 400 {
+			t.Errorf("first frame %v: reply %+v, %v; want a 400 wire.Error", first.MsgType(), msg, err)
+		}
+		closed(conn, fmt.Sprintf("after a %v", first.MsgType()))
 	}
 }
 
@@ -325,7 +520,7 @@ func TestTenantPipelinesDifferentExitDistributions(t *testing.T) {
 	// classify time (BuildPipeline always yields a valid shape, so drive
 	// Validate through a gateway-level SetTenant with a broken model
 	// config is not possible; assert version bump bookkeeping instead).
-	v1 := eng.ConfigVersion()
+	v1 := eng.Topology().Version
 	v2, err := eng.SetTenant("lenient", TenantConfig{LocalThreshold: 0.5, EdgeThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +649,7 @@ func TestMembershipChurnUnderConcurrentTraffic(t *testing.T) {
 
 	// No wedged state: the gateway still serves, with the final
 	// membership (all slots re-admitted) and the final config version.
-	finalV := gw.ConfigVersion()
+	finalV := gw.Topology().Version
 	res, err := classifyOne(context.Background(), gw, 0)
 	if err != nil {
 		t.Fatalf("post-churn classify: %v", err)

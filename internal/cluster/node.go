@@ -18,11 +18,11 @@ import (
 )
 
 // server is the node lifecycle every tier shares: one listener, the set
-// of live connections, the accept loop and Close, plus — for Device, Edge
-// and Cloud, which embed it — the frame loop, simulated failure, the
-// model registry and tensor pool, and the in-flight work counter Drain
-// waits on. The gateway's registration plane uses only the listener half
-// (listen, Close).
+// of live connections (accepted, or dialed by a joined device), the
+// accept loop and Close, plus — for Device, Edge and Cloud, which embed
+// it — the frame loop, simulated failure, the model registry and tensor
+// pool, and the in-flight work counter Drain waits on. The gateway's
+// registration plane uses only the connection half (listen, Close).
 type server struct {
 	// name labels the node in logs and errors ("device-3", "edge").
 	name   string
@@ -40,8 +40,8 @@ type server struct {
 	onClose func()
 
 	failed atomic.Bool
-	// active counts in-flight work spawned by the frame loop; Drain polls
-	// it to zero before tearing down.
+	// active counts in-flight work spawned by the frame loop, and a
+	// joined device's link; Drain polls it to zero before tearing down.
 	active atomic.Int64
 
 	mu        sync.Mutex // guards listener, conns and closed
@@ -67,7 +67,7 @@ func (s *server) init(name string, model *core.Model, logger *slog.Logger, frame
 // Serve starts accepting connections on the transport address. It
 // returns once the listener is active.
 func (s *server) Serve(tr transport.Transport, addr string) error {
-	return s.listen(tr, addr, s.serveFrames)
+	return s.listen(tr, addr, func(conn net.Conn) { s.serveFrames(&nodeConn{conn: conn, srv: s}) })
 }
 
 // listen opens the listener and starts the accept loop, which runs
@@ -89,7 +89,6 @@ func (s *server) listen(tr transport.Transport, addr string, handle func(net.Con
 		return fmt.Errorf("cluster: %s already serving", s.name)
 	}
 	s.listener = l
-	s.conns = make(map[net.Conn]struct{})
 	s.wg.Add(1)
 	go s.accept(l, handle)
 	return nil
@@ -102,24 +101,35 @@ func (s *server) accept(l net.Listener, handle func(net.Conn)) {
 		if err != nil {
 			return // listener closed
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			handle(conn)
-			conn.Close()
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
+		s.serve(conn, handle)
 	}
+}
+
+// serve runs handle on conn on its own goroutine, tracked like every
+// connection of the node: Close closes conn and waits for handle, and
+// conn closes when handle returns. Once Close has begun it closes conn
+// instead and reports false.
+func (s *server) serve(conn net.Conn, handle func(net.Conn)) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		conn.Close()
+		return false
+	}
+	if s.conns == nil {
+		s.conns = make(map[net.Conn]struct{})
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		handle(conn)
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
+	return true
 }
 
 // Addr returns the listener's address; it is only valid after Serve.
@@ -187,7 +197,7 @@ func (s *server) Close() error {
 	return nil
 }
 
-// nodeConn is one accepted tier connection. Every reply goes through send
+// nodeConn is one connection of a tier node. Every reply goes through send
 // under one write lock, whichever goroutine produced it, and work spawned
 // for the connection's frames is counted both here (the frame loop waits
 // for it before the connection closes) and on the node (Drain waits for
@@ -233,13 +243,12 @@ func (c *nodeConn) done() {
 // connection carries any number of interleaved sessions. It returns once
 // the connection's spawned work has finished and its open sessions are
 // released.
-func (s *server) serveFrames(conn net.Conn) {
-	c := &nodeConn{conn: conn, srv: s}
+func (s *server) serveFrames(c *nodeConn) {
 	c.sessions = sessionTable{reg: s.reg, pool: s.pool, send: c.send}
 	defer c.sessions.release()
 	defer c.work.Wait()
 	for {
-		msg, err := wire.Decode(conn)
+		msg, err := wire.Decode(c.conn)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logger.Debug("decode error", "err", err)

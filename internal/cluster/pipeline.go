@@ -76,9 +76,7 @@ func (s ShedLevel) String() string {
 // Shed returns a tightened copy of the pipeline for one session: the
 // stage `level` tiers below the final one has its threshold raised to
 // +Inf, so every sample that reaches it passes the normalized-entropy
-// test and the tiers above it never see the session. (A threshold of 1
-// is not enough: a uniform distribution's entropy rounds a few ulps above
-// 1.)
+// test and the tiers above it never see the session.
 // Shed(ShedNone) returns the pipeline unchanged; levels past the bottom
 // of the pipeline clamp to the local exit. The receiver is never mutated.
 func (p Pipeline) Shed(level ShedLevel) Pipeline {

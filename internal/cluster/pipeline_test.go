@@ -1,23 +1,25 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/nn"
+	"github.com/ddnn/ddnn-go/internal/transport"
+	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // TestPipelineShedExitsMaxEntropySamples pins the shed contract on the
 // sample easiest to break: a uniform distribution, whose normalized
-// entropy rounds a few ulps above 1 (1 + 2.7e-9 for three classes). The
-// stage a shed level stops at must answer it on both hierarchies, or the
-// sample escalates past the level it was granted.
+// entropy is the maximum, 1. The stage a shed level stops at must answer
+// it on both hierarchies, or the sample escalates past the level it was
+// granted.
 func TestPipelineShedExitsMaxEntropySamples(t *testing.T) {
 	third := float32(1) / 3
 	uniform := nn.NormalizedEntropy([]float32{third, third, third})
-	if uniform <= 1 {
-		t.Fatalf("uniform three-class entropy %v no longer rounds above 1; the case is not exercised", uniform)
-	}
 	for _, edge := range []bool{false, true} {
 		cfg := core.DefaultConfig()
 		cfg.UseEdge = edge
@@ -28,4 +30,84 @@ func TestPipelineShedExitsMaxEntropySamples(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUniformLocalDistributionExitsAtThresholdOne: a local threshold of
+// exactly 1 always exits, even for the least confident sample. Devices
+// whose every summary row is all zeros max-pool to a uniform local
+// distribution — its float32 entries round, and an unclamped entropy
+// lands a few ulps above 1 — and every sample must still exit locally,
+// on both hierarchies.
+func TestUniformLocalDistributionExitsAtThresholdOne(t *testing.T) {
+	two, _ := fixture(t)
+	three, _ := edgeFixture(t)
+	for _, model := range []*core.Model{two, three} {
+		t.Run(fmt.Sprintf("edge=%v", model.Cfg.UseEdge), func(t *testing.T) {
+			tr := transport.NewMem()
+			addrs := make([]string, model.Cfg.Devices)
+			for d := range addrs {
+				addrs[d] = fmt.Sprintf("zero-device-%d", d)
+				zeroSummaryPeer(t, tr, addrs[d], d, model.Cfg.Classes)
+			}
+			// The upstream only ever sees heartbeats: nothing escalates.
+			zeroSummaryPeer(t, tr, "upstream", 0, model.Cfg.Classes)
+			gcfg := DefaultGatewayConfig()
+			gcfg.Threshold, gcfg.EdgeThreshold = 1, 1
+			gcfg.CloudTimeout, gcfg.EdgeTimeout = 200*time.Millisecond, 200*time.Millisecond
+			gw, err := NewGateway(context.Background(), model, gcfg, tr, addrs, []string{"upstream"}, quietLogger())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			results, err := gw.Classify(context.Background(), []uint64{0, 1, 2}, "", ShedNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range results {
+				if res.Exit != wire.ExitLocal || res.Entropy != 1 {
+					t.Errorf("sample %d: exit %v at entropy %v, want a local exit at entropy 1", res.SampleID, res.Exit, res.Entropy)
+				}
+			}
+		})
+	}
+}
+
+// zeroSummaryPeer serves addr as a raw wire peer that echoes heartbeats
+// and answers every capture with all-zero summary rows from device
+// index; it ignores every other frame.
+func zeroSummaryPeer(t *testing.T, tr transport.Transport, addr string, index, classes int) {
+	t.Helper()
+	l, err := tr.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() { // ends when the gateway hangs up
+				for {
+					msg, err := wire.Decode(conn)
+					if err != nil {
+						return
+					}
+					switch m := msg.(type) {
+					case *wire.Heartbeat:
+						_, _ = wire.Encode(conn, m)
+					case *wire.CaptureBatch:
+						n := len(m.SampleIDs)
+						reply := &wire.SummaryBatch{Session: m.Session, Device: uint16(index), Classes: uint16(classes),
+							Count: uint16(n), Present: make([]byte, (n+7)/8), Probs: make([]float32, n*classes)}
+						for i := range m.SampleIDs {
+							wire.MarkPresent(reply.Present, i)
+						}
+						_, _ = wire.Encode(conn, reply)
+					}
+				}
+			}()
+		}
+	}()
 }

@@ -71,7 +71,7 @@ func (r *replica) ensureLink(ctx context.Context, tr transport.Transport) (*link
 		conn.Close()
 		return r.lk, nil
 	}
-	r.lk = newLink(conn, r.revive)
+	r.lk = newLink(conn, r.revive, nil)
 	return r.lk, nil
 }
 
@@ -118,7 +118,7 @@ func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Trans
 		}
 		r := &replica{index: i, addr: addr}
 		r.revive = func(*link) { p.setDown(i, false) }
-		r.lk = newLink(conn, r.revive)
+		r.lk = newLink(conn, r.revive, nil)
 		p.replicas = append(p.replicas, r)
 	}
 	return p, nil
@@ -126,15 +126,6 @@ func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Trans
 
 // Size returns the number of replicas in the pool.
 func (p *ReplicaPool) Size() int { return len(p.replicas) }
-
-// Addrs returns the replica addresses, in replica order.
-func (p *ReplicaPool) Addrs() []string {
-	out := make([]string, len(p.replicas))
-	for i, r := range p.replicas {
-		out[i] = r.addr
-	}
-	return out
-}
 
 // Healthy returns the number of replicas currently schedulable — not
 // marked down by failure detection and not fenced by a rollout.

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -12,20 +10,15 @@ import (
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
-// registrationDialTimeout bounds the gateway's dial-back to a
-// registering device's data-plane address.
-const registrationDialTimeout = 5 * time.Second
-
-// ServeRegistration starts the gateway's registration plane on addr: a
-// listener accepting DeviceHello / DeviceGoodbye frames so devices can
-// join, leave and re-register mid-run without a gateway restart. On a
-// hello the gateway dials the device's advertised data-plane address
-// back (the data plane keeps its gateway→device dial direction, so the
-// capture/feature machinery is unchanged), installs the slot, and
-// answers with a DeviceWelcome carrying the new topology config
-// version; registration failures answer with a wire.Error. A goodbye
-// removes the slot and is acknowledged the same way. The listener runs
-// until the gateway closes.
+// ServeRegistration starts the gateway's registration plane on addr, a
+// listener devices dial to join without a gateway restart, until the
+// gateway closes. A device's first frame is a DeviceHello; the gateway
+// installs the connection as the slot's data link (admitConn) and
+// answers with a DeviceWelcome. A DeviceGoodbye on the link vacates the
+// slot, and the link closing acknowledges it. A connection that sends no
+// hello within the detector's silence bound (heartbeatMisses intervals)
+// is closed; any other first frame, or a slot the hierarchy lacks, gets
+// a wire.Error and is closed.
 func (g *Gateway) ServeRegistration(tr transport.Transport, addr string) error {
 	if err := g.regPlane.listen(tr, addr, g.handleRegistration); err != nil {
 		return err
@@ -34,114 +27,130 @@ func (g *Gateway) ServeRegistration(tr transport.Transport, addr string) error {
 	return nil
 }
 
-// handleRegistration serves one registration connection: any number of
-// hello/goodbye exchanges (a device may register, later deregister, and
-// re-register over one connection or fresh ones — both work).
+// handleRegistration serves one accepted registration connection: its
+// hello, then nothing until the data link it became ends, so the plane
+// tracks the connection — and Close closes it — like any other.
 func (g *Gateway) handleRegistration(conn net.Conn) {
-	send := func(m wire.Message) error {
-		_, err := wire.Encode(conn, m)
-		return err
+	_ = conn.SetDeadline(time.Now().Add(heartbeatMisses * g.cfg.HeartbeatInterval))
+	msg, err := wire.Decode(conn)
+	if err != nil {
+		if !g.regPlane.isClosed() {
+			g.logger.Warn("registration connection ended without a hello", "err", err)
+		}
+		return
+	}
+	hello, ok := msg.(*wire.DeviceHello)
+	if !ok {
+		err = fmt.Errorf("expected DeviceHello, got %v", msg.MsgType())
+	} else {
+		err = g.checkDeviceSlot(int(hello.Slot))
+	}
+	if err != nil {
+		g.logger.Warn("registration refused", "err", err)
+		_, _ = wire.Encode(conn, &wire.Error{Code: 400, Msg: err.Error()})
+		return
+	}
+	_ = conn.SetDeadline(time.Time{})
+	l, v, err := g.admitConn(int(hello.Slot), conn, true)
+	if err != nil {
+		g.logger.Warn("registration failed", "node", hello.NodeID, "slot", hello.Slot, "err", err)
+		return
+	}
+	g.logger.Info("device registered", "node", hello.NodeID, "slot", hello.Slot, "config_version", v)
+	<-l.done
+}
+
+// Join registers the device with the gateway's registration plane at
+// addr under nodeID: it dials, says hello and, once the DeviceWelcome
+// arrives, serves the gateway's sessions on that one connection — no
+// listener. It returns the welcome or the refusal, within ctx. Whenever
+// the link ends the device re-dials and says hello again, every
+// heartbeat interval, until Drain (which says goodbye first) or Close.
+func (d *Device) Join(ctx context.Context, tr transport.Transport, addr, nodeID string) (*wire.DeviceWelcome, error) {
+	j := &joiner{d: d, tr: tr, addr: addr, hello: wire.DeviceHello{NodeID: nodeID, Slot: uint16(d.index)}}
+	conn, welcome, err := j.dial(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: join %s: %w", d.name, addr, err)
+	}
+	if !d.serve(conn, j.serve) {
+		return nil, ErrClosed
+	}
+	return welcome, nil
+}
+
+// joiner is a joined device's side of its link.
+type joiner struct {
+	d     *Device
+	tr    transport.Transport
+	addr  string
+	hello wire.DeviceHello
+}
+
+// dial dials the registration plane and says hello; it returns the
+// connection once its first frame, the DeviceWelcome, arrives.
+func (j *joiner) dial(ctx context.Context) (net.Conn, *wire.DeviceWelcome, error) {
+	conn, err := j.tr.Dial(ctx, j.addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	var msg wire.Message
+	if _, err = wire.Encode(conn, &j.hello); err == nil {
+		msg, err = wire.Decode(conn)
+	}
+	switch m := msg.(type) {
+	case nil: // err says why
+	case *wire.DeviceWelcome:
+		return conn, m, nil
+	case *wire.Error:
+		err = fmt.Errorf("gateway refused: %d %s", m.Code, m.Msg)
+	default:
+		err = fmt.Errorf("expected DeviceWelcome, got %v", msg.MsgType())
+	}
+	conn.Close()
+	return nil, nil, err
+}
+
+// serve runs the frame loop on a connection the device dialed. The link
+// counts as in-flight work, so Drain waits for the gateway to close it
+// after the goodbye the device sends when it starts leaving. A link that
+// ends otherwise is re-dialed every heartbeat interval until a hello is
+// welcomed, and the new connection is served the same way.
+func (j *joiner) serve(conn net.Conn) {
+	d := j.d
+	c := &nodeConn{conn: conn, srv: &d.server}
+	d.active.Add(1)
+	stop := context.AfterFunc(d.leaving, func() {
+		_ = c.send(&wire.DeviceGoodbye{NodeID: j.hello.NodeID, Slot: j.hello.Slot, Reason: "shutdown"})
+	})
+	d.serveFrames(c)
+	stop()
+	d.active.Add(-1)
+	conn.Close()
+	if d.leaving.Err() == nil {
+		d.logger.Warn("gateway link ended; re-joining", "gateway", j.addr)
 	}
 	for {
-		msg, err := wire.Decode(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !g.regPlane.isClosed() {
-				g.logger.Warn("registration frame error", "err", err)
-			}
+		select {
+		case <-d.leaving.Done():
+			return
+		case <-time.After(defaultHeartbeatInterval):
+		}
+		ctx, cancel := context.WithTimeout(d.leaving, heartbeatMisses*defaultHeartbeatInterval)
+		next, welcome, err := j.dial(ctx)
+		cancel()
+		if err == nil {
+			d.logger.Info("re-joined", "gateway", j.addr, "config_version", welcome.ConfigVersion)
+			d.serve(next, j.serve)
 			return
 		}
-		switch m := msg.(type) {
-		case *wire.DeviceHello:
-			ctx, cancel := context.WithTimeout(context.Background(), registrationDialTimeout)
-			v, err := g.AdmitDevice(ctx, int(m.Slot), m.Addr)
-			cancel()
-			if err != nil {
-				g.logger.Warn("registration rejected", "node", m.NodeID, "slot", m.Slot, "err", err)
-				code := uint16(400)
-				if errors.Is(err, ErrClosed) {
-					code = 503
-				}
-				if send(&wire.Error{Code: code, Msg: err.Error()}) != nil {
-					return
-				}
-				continue
-			}
-			g.logger.Info("device registered", "node", m.NodeID, "slot", m.Slot, "tenant", m.Tenant, "config_version", v)
-			if send(&wire.DeviceWelcome{Slot: m.Slot, Devices: uint16(len(g.devices)), ConfigVersion: v}) != nil {
-				return
-			}
-		case *wire.DeviceGoodbye:
-			v, err := g.RemoveDevice(int(m.Slot))
-			if err != nil {
-				if send(&wire.Error{Code: 400, Msg: err.Error()}) != nil {
-					return
-				}
-				continue
-			}
-			g.logger.Info("device deregistered", "node", m.NodeID, "slot", m.Slot, "reason", m.Reason, "config_version", v)
-			if send(&wire.DeviceWelcome{Slot: m.Slot, Devices: uint16(len(g.devices)), ConfigVersion: v}) != nil {
-				return
-			}
-		case *wire.Heartbeat:
-			if send(m) != nil { // echo, same as the data-plane nodes
-				return
-			}
-		default:
-			if send(&wire.Error{Code: 400, Msg: fmt.Sprintf("unexpected %v on registration plane", msg.MsgType())}) != nil {
-				return
-			}
-		}
+		d.logger.Debug("re-join failed", "gateway", j.addr, "err", err)
 	}
 }
 
-// Register performs the device side of the registration handshake: it
-// dials the gateway's registration plane, announces the device's slot,
-// tenant and data-plane address, and waits for the DeviceWelcome. The
-// returned welcome carries the topology config version the admission
-// produced. The context bounds the whole exchange.
-func Register(ctx context.Context, tr transport.Transport, gatewayAddr string, hello *wire.DeviceHello) (*wire.DeviceWelcome, error) {
-	reply, err := registrationExchange(ctx, tr, gatewayAddr, hello)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: register device %d: %w", hello.Slot, err)
-	}
-	return reply, nil
-}
-
-// Deregister performs the device side of a goodbye: it tells the
-// gateway's registration plane the slot is vacating and waits for the
-// acknowledging DeviceWelcome.
-func Deregister(ctx context.Context, tr transport.Transport, gatewayAddr string, goodbye *wire.DeviceGoodbye) (*wire.DeviceWelcome, error) {
-	reply, err := registrationExchange(ctx, tr, gatewayAddr, goodbye)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: deregister device %d: %w", goodbye.Slot, err)
-	}
-	return reply, nil
-}
-
-// registrationExchange dials the registration plane, sends one frame
-// and reads the reply, honoring ctx through a connection deadline.
-func registrationExchange(ctx context.Context, tr transport.Transport, addr string, m wire.Message) (*wire.DeviceWelcome, error) {
-	conn, err := tr.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-	if _, err := wire.Encode(conn, m); err != nil {
-		return nil, err
-	}
-	reply, err := wire.Decode(conn)
-	if err != nil {
-		return nil, err
-	}
-	switch r := reply.(type) {
-	case *wire.DeviceWelcome:
-		return r, nil
-	case *wire.Error:
-		return nil, fmt.Errorf("gateway refused: %d %s", r.Code, r.Msg)
-	default:
-		return nil, fmt.Errorf("expected DeviceWelcome, got %v", reply.MsgType())
-	}
+// Drain gracefully shuts the device down like every node (server.Drain);
+// a joined device says goodbye on its link first.
+func (d *Device) Drain(ctx context.Context) error {
+	d.leave()
+	return d.server.Drain(ctx)
 }

@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
+	"time"
 
-	"github.com/ddnn/ddnn-go/internal/transport"
+	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // TenantConfig selects the exit-threshold policy one tenant's traffic
@@ -29,7 +31,8 @@ type TenantConfig struct {
 // it, so staged parity stays bit-identical across membership and
 // threshold changes (the same mechanism a model-version rollout needs).
 type TopologyConfig struct {
-	// Version is the monotonically increasing config version.
+	// Version is the config version: 1 for a new gateway, then bumped by
+	// every mutation.
 	Version uint64
 	// Slots is the total device-slot count of the hierarchy
 	// (model.Cfg.Devices); it never changes at runtime.
@@ -39,15 +42,6 @@ type TopologyConfig struct {
 	Present []bool
 	// Tenants maps tenant name to its exit-threshold config.
 	Tenants map[string]TenantConfig
-}
-
-// ConfigVersion returns the current topology config version. It starts
-// at 1 for a freshly constructed gateway and bumps on every membership
-// or tenant mutation.
-func (g *Gateway) ConfigVersion() uint64 {
-	g.stateMu.Lock()
-	defer g.stateMu.Unlock()
-	return g.configVersion
 }
 
 // Topology returns a snapshot of the versioned runtime topology.
@@ -69,81 +63,87 @@ func (g *Gateway) Topology() TopologyConfig {
 	return tc
 }
 
-// PresentSlots reports which device slots are occupied by a registered
-// device (membership, not health).
-func (g *Gateway) PresentSlots() []bool {
-	g.stateMu.Lock()
-	defer g.stateMu.Unlock()
-	out := make([]bool, len(g.devices))
-	for i, dl := range g.devices {
-		out[i] = dl.link != nil
-	}
-	return out
-}
-
-// AdmitDevice installs (or re-installs) a device into slot: the gateway
-// dials the device's data-plane address, swaps the slot's link under the
-// state lock and bumps the config version. An occupied slot is replaced
-// — that is re-registration: the old link closes, in-flight sessions
-// that snapshotted it degrade gracefully, and new sessions use the fresh
-// link. The down flag resets, so an admitted device starts live.
-// It returns the config version the admission produced.
+// AdmitDevice installs (or re-installs) a device into slot by dialing
+// its data-plane address; see admitConn. It returns the config version
+// the admission produced.
 func (g *Gateway) AdmitDevice(ctx context.Context, slot int, addr string) (uint64, error) {
-	if slot < 0 || slot >= len(g.devices) {
-		return 0, fmt.Errorf("cluster: admit device: slot %d of %d slots: %w", slot, len(g.devices), ErrDeviceSlotMismatch)
+	if err := g.checkDeviceSlot(slot); err != nil {
+		return 0, fmt.Errorf("cluster: admit device: %w", err)
 	}
 	conn, err := g.tr.Dial(ctx, addr)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: admit device %d: dial %s: %w", slot, addr, err)
 	}
-	cc := transport.NewCountingConn(conn)
-	l := newLink(cc, func(l *link) { g.reviveDevice(slot, l) })
-	g.stateMu.Lock()
-	if g.closed {
-		g.stateMu.Unlock()
-		l.close()
-		return 0, ErrClosed
-	}
-	dl := g.devices[slot]
-	old := dl.link
-	dl.link = l
-	dl.down = false
-	g.wireConns[slot] = cc
-	g.configVersion++
-	v := g.configVersion
-	g.stateMu.Unlock()
-	if old != nil {
-		old.close()
+	_, v, err := g.admitConn(slot, conn, false)
+	if err != nil {
+		return 0, err
 	}
 	g.logger.Info("device admitted", "slot", slot, "addr", addr, "config_version", v)
 	return v, nil
 }
 
-// RemoveDevice deregisters the device in slot: the slot becomes absent,
-// its link closes and the config version bumps. Sessions in flight
-// complete under the membership snapshot they observed (the closed link
-// degrades like a device timeout); new sessions no longer fan out to the
-// slot. Removing an already-absent slot still bumps the version, so a
-// goodbye always produces a fresh version to acknowledge with. It
-// returns the resulting config version.
-func (g *Gateway) RemoveDevice(slot int) (uint64, error) {
-	if slot < 0 || slot >= len(g.devices) {
-		return 0, fmt.Errorf("cluster: remove device: slot %d of %d slots: %w", slot, len(g.devices), ErrDeviceSlotMismatch)
+// admitConn installs conn as the data link of slot, which the caller has
+// checked (swapLink). With welcome — a device that dialed in — the
+// DeviceWelcome is the link's first frame: sessions and heartbeats write
+// through the link's write lock, held from before the link is visible
+// until the welcome is out. On error conn is closed.
+func (g *Gateway) admitConn(slot int, conn net.Conn, welcome bool) (*link, uint64, error) {
+	l := g.newDeviceLink(slot, conn)
+	if welcome {
+		l.wmu.Lock()
+		defer l.wmu.Unlock()
 	}
+	v, ok := g.swapLink(slot, l, nil)
+	if !ok {
+		l.close()
+		return nil, 0, ErrClosed
+	}
+	if welcome {
+		_ = l.conn.SetWriteDeadline(time.Now().Add(g.cfg.HeartbeatInterval))
+		_, err := wire.Encode(l.conn, &wire.DeviceWelcome{Slot: uint16(slot), Devices: uint16(len(g.devices)), ConfigVersion: v})
+		_ = l.conn.SetWriteDeadline(time.Time{})
+		if err != nil { // the slot keeps the dead link, as when any link drops
+			l.close()
+			return nil, 0, err
+		}
+	}
+	return l, v, nil
+}
+
+// RemoveDevice deregisters the device in slot (swapLink): the slot
+// becomes absent and new sessions no longer fan out to it. Removing an
+// absent slot still bumps the version; a device that joined through the
+// registration plane re-joins on its own. It returns the new version.
+func (g *Gateway) RemoveDevice(slot int) (uint64, error) {
+	if err := g.checkDeviceSlot(slot); err != nil {
+		return 0, fmt.Errorf("cluster: remove device: %w", err)
+	}
+	v, _ := g.swapLink(slot, nil, nil)
+	g.logger.Info("device removed", "slot", slot, "config_version", v)
+	return v, nil
+}
+
+// swapLink makes l the link of slot — nil vacates it — resets its down
+// flag, bumps the config version and closes the replaced link, whose
+// in-flight sessions degrade like a device timeout; it returns the new
+// version. It changes nothing and reports false when only is non-nil and
+// no longer holds the slot, or when l is new and the gateway is closed.
+func (g *Gateway) swapLink(slot int, l, only *link) (uint64, bool) {
 	g.stateMu.Lock()
 	dl := g.devices[slot]
+	if l != nil && g.closed || only != nil && dl.link != only {
+		g.stateMu.Unlock()
+		return 0, false
+	}
 	old := dl.link
-	dl.link = nil
-	dl.down = false
-	g.wireConns[slot] = nil
+	dl.link, dl.down = l, false
 	g.configVersion++
 	v := g.configVersion
 	g.stateMu.Unlock()
 	if old != nil {
 		old.close()
 	}
-	g.logger.Info("device removed", "slot", slot, "config_version", v)
-	return v, nil
+	return v, true
 }
 
 // SetTenant installs or updates a tenant's exit-threshold config and

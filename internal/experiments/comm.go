@@ -97,7 +97,8 @@ func (r *Runner) CommunicationReduction(threshold float64, maxSamples int) (*Com
 
 	devices := float64(m.Cfg.Devices)
 	payload := float64(gw.Meter.Total()) / (devices * float64(n))
-	wireBytes := float64(gw.WireBytesUp()) / (devices * float64(n))
+	up, _ := gw.WireBytes()
+	wireBytes := float64(up) / (devices * float64(n))
 	l := float64(localExits) / float64(n)
 	report := &CommReport{
 		Threshold:            threshold,

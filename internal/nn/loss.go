@@ -83,7 +83,9 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 // NormalizedEntropy computes the paper's confidence criterion
 // η(x) = −Σᵢ xᵢ·log xᵢ / log|C| for a probability vector x. The result is
 // in [0, 1]: values near 0 mean the prediction is confident, values near 1
-// mean it is not (§III-D).
+// mean it is not (§III-D). It is clamped to 1, which a uniform vector's
+// rounded float32 entries would otherwise overshoot by a few ulps, so a
+// threshold of 1 always exits.
 func NormalizedEntropy(probs []float32) float64 {
 	if len(probs) < 2 {
 		return 0
@@ -94,5 +96,5 @@ func NormalizedEntropy(probs []float32) float64 {
 			h -= float64(p) * math.Log(float64(p))
 		}
 	}
-	return h / math.Log(float64(len(probs)))
+	return min(h/math.Log(float64(len(probs))), 1)
 }

@@ -81,7 +81,7 @@ func TestNormalizedEntropyInUnitIntervalProperty(t *testing.T) {
 			float32((float64(c) + 1) / s),
 		}
 		h := NormalizedEntropy(probs)
-		return h >= 0 && h <= 1+1e-9
+		return h >= 0 && h <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

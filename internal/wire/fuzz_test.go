@@ -44,7 +44,7 @@ func seedMessages() []Message {
 			{SampleID: 5, Exit: ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}},
 			{SampleID: 6, Exit: ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}},
 		}},
-		&DeviceHello{NodeID: "device-4", Slot: 4, Tenant: "tenant-a", Addr: "127.0.0.1:9104"},
+		&DeviceHello{NodeID: "device-4", Slot: 4},
 		&DeviceWelcome{Slot: 4, Devices: 6, ConfigVersion: 17},
 		&DeviceGoodbye{NodeID: "device-4", Slot: 4, Reason: "draining"},
 	}
@@ -228,11 +228,7 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 		}
 		return &EdgeFeatureBatch{Session: session, ModelVersion: mv, F: fDim, H: h, W: w, SampleIDs: ids, Bits: bits}
 	case 19:
-		tenant := ""
-		if len(blob) > 0 {
-			tenant = s[:len(s)/2]
-		}
-		return &DeviceHello{NodeID: s, Slot: a, Tenant: tenant, Addr: s}
+		return &DeviceHello{NodeID: s, Slot: a}
 	case 20:
 		return &DeviceWelcome{Slot: a, Devices: b, ConfigVersion: session}
 	default:

@@ -49,7 +49,7 @@ func main() {
 		"seed-cloud-classify":          frame(&wire.CloudClassify{Session: 6, SampleID: 8, ModelVersion: 3, Devices: 6, Mask: 0b101101}),
 		"seed-edge-classify":           frame(&wire.EdgeClassify{Session: 11, SampleID: 9, ModelVersion: 4, Devices: 6, Mask: 0b011011, Thresholds: []float64{0.8, 0.5}}),
 		"seed-edge-feature":            frame(&wire.EdgeFeature{Session: 13, SampleID: 21, ModelVersion: 5, F: 8, H: 8, W: 8, Bits: make([]byte, 64)}),
-		"seed-device-hello":            frame(&wire.DeviceHello{NodeID: "device-4", Slot: 4, Tenant: "tenant-a", Addr: "127.0.0.1:9104"}),
+		"seed-device-hello":            frame(&wire.DeviceHello{NodeID: "device-4", Slot: 4}),
 		"seed-device-welcome":          frame(&wire.DeviceWelcome{Slot: 4, Devices: 6, ConfigVersion: 17}),
 		"seed-device-goodbye":          frame(&wire.DeviceGoodbye{NodeID: "device-4", Slot: 4, Reason: "draining"}),
 		"seed-empty":                   {},

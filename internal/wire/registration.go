@@ -4,24 +4,18 @@ import (
 	"encoding/binary"
 )
 
-// DeviceHello opens a registration handshake: a device announces itself
-// to the gateway's registration plane, naming the slot it wants to
-// occupy, the tenant it serves, and the address of its data-plane
-// listener. The gateway dials that address back to establish the
-// capture/feature link (keeping the gateway→device dial direction of
-// the data plane), installs the slot into the live topology, bumps the
-// topology config version, and answers with a DeviceWelcome — or a
-// wire.Error when the slot is out of range or already occupied by a
-// different node.
+// DeviceHello is the first frame on a connection a device dials to the
+// gateway's registration plane: it names the slot the device claims. The
+// gateway installs the slot into the live topology — replacing the
+// link of any device that held it — bumps the topology config version
+// and answers with a DeviceWelcome, after which the connection is the
+// device's data link. A slot out of range is refused with a wire.Error
+// and the connection closes.
 type DeviceHello struct {
 	// NodeID names the registering device.
 	NodeID string
 	// Slot is the device slot (index into the presence mask) being claimed.
 	Slot uint16
-	// Tenant optionally names the tenant/application the device serves.
-	Tenant string
-	// Addr is the device's data-plane listen address the gateway dials back.
-	Addr string
 }
 
 // MsgType implements Message.
@@ -29,21 +23,20 @@ func (*DeviceHello) MsgType() MsgType { return TypeDeviceHello }
 
 func (m *DeviceHello) appendPayload(dst []byte) []byte {
 	dst = appendString(dst, m.NodeID)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Slot)
-	dst = appendString(dst, m.Tenant)
-	return appendString(dst, m.Addr)
+	return binary.LittleEndian.AppendUint16(dst, m.Slot)
 }
 
 func (m *DeviceHello) decodePayload(src []byte) error {
 	r := reader{buf: src}
-	m.NodeID, m.Slot, m.Tenant, m.Addr = r.str(), r.u16(), r.str(), r.str()
+	m.NodeID, m.Slot = r.str(), r.u16()
 	return r.end()
 }
 
 // DeviceWelcome acknowledges a DeviceHello: the slot is installed in
 // the live topology and the gateway reports the hierarchy size and the
 // topology config version the admission produced, so the device knows
-// which version of the world it joined.
+// which version of the world it joined. It is the first frame the
+// device reads on its link; session frames follow it.
 type DeviceWelcome struct {
 	// Slot is the device slot that was admitted.
 	Slot uint16
@@ -68,11 +61,13 @@ func (m *DeviceWelcome) decodePayload(src []byte) error {
 	return r.end()
 }
 
-// DeviceGoodbye deregisters a device slot: the gateway removes the slot
-// from the live topology and bumps the config version. Sessions already
-// in flight complete under the membership snapshot they observed; new
-// sessions no longer fan out to the departed slot. The gateway answers
-// with a DeviceWelcome carrying the post-departure config version.
+// DeviceGoodbye deregisters a device slot: a registered device sends it
+// on its data link, and the gateway removes the slot from the live
+// topology and bumps the config version. Sessions already in flight
+// complete under the membership snapshot they observed; new sessions no
+// longer fan out to the departed slot. The gateway closing the link is
+// the acknowledgement. A goodbye on a link that no longer holds its slot
+// (the slot re-registered since) leaves the slot's new occupant alone.
 type DeviceGoodbye struct {
 	// NodeID names the departing device.
 	NodeID string

@@ -109,11 +109,11 @@ const (
 	// TypeResultBatch reports the per-sample verdicts of one batched
 	// session in a single frame.
 	TypeResultBatch
-	// TypeDeviceHello opens a registration handshake: a device asks the
-	// gateway's registration plane to admit it into a device slot.
+	// TypeDeviceHello opens a device's registration connection: the
+	// device asks the gateway to admit it into a device slot.
 	TypeDeviceHello
-	// TypeDeviceWelcome acknowledges an admission or departure and
-	// reports the resulting topology config version.
+	// TypeDeviceWelcome acknowledges an admission and reports the
+	// resulting topology config version.
 	TypeDeviceWelcome
 	// TypeDeviceGoodbye deregisters a device slot from the live topology.
 	TypeDeviceGoodbye

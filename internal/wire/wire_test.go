@@ -67,8 +67,8 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			{SampleID: 5, Exit: ExitLocal, Class: 1, Probs: []float32{0.1, 0.8, 0.1}},
 			{SampleID: 6, Exit: ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}},
 		}}},
-		{"DeviceHello", &DeviceHello{NodeID: "device-2", Slot: 2, Tenant: "tenant-a", Addr: "127.0.0.1:9102"}},
-		{"DeviceHello no tenant", &DeviceHello{NodeID: "device-0", Slot: 0, Addr: "device-0"}},
+		{"DeviceHello", &DeviceHello{NodeID: "device-2", Slot: 2}},
+		{"DeviceHello bare", &DeviceHello{Slot: 0}},
 		{"DeviceWelcome", &DeviceWelcome{Slot: 2, Devices: 6, ConfigVersion: 41}},
 		{"DeviceGoodbye", &DeviceGoodbye{NodeID: "device-2", Slot: 2, Reason: "draining"}},
 		{"DeviceGoodbye bare", &DeviceGoodbye{NodeID: "device-5", Slot: 5}},
@@ -363,7 +363,7 @@ func TestDecodeContract(t *testing.T) {
 		TypeEdgeFeature: 3, TypeCaptureBatch: 3, TypeSummaryBatch: 4,
 		TypeFeatureBatchRequest: 3, TypeFeatureBatch: 3, TypeCloudClassifyBatch: 4,
 		TypeEdgeClassifyBatch: 5, TypeEdgeFeatureBatch: 4, TypeResultBatch: 5,
-		TypeDeviceHello: 5, TypeDeviceWelcome: 2, TypeDeviceGoodbye: 4,
+		TypeDeviceHello: 3, TypeDeviceWelcome: 2, TypeDeviceGoodbye: 4,
 	}
 	for _, m := range seedMessages() {
 		mt := m.MsgType()

@@ -223,7 +223,7 @@ func TestEngineBatchingMatchesPerSample(t *testing.T) {
 				i, got[i].SampleID, got[i].Class, got[i].Exit, want[i].SampleID, want[i].Class, want[i].Exit)
 		}
 	}
-	if up, down := batched.Gateway().WireBytesUp(), batched.Gateway().WireBytesDown(); up <= 0 || down <= 0 {
+	if up, down := batched.Gateway().WireBytes(); up <= 0 || down <= 0 {
 		t.Errorf("wire traffic not measured: up %d down %d", up, down)
 	}
 }
