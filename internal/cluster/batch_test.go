@@ -217,8 +217,8 @@ func TestNewGatewayRejectsTooManyDevices(t *testing.T) {
 	}
 }
 
-// TestZeroTimeoutConfigDoesNotExpireInstantly pins the link.wait fix: a
-// zero-value GatewayConfig (no explicit timeouts) must classify normally
+// TestZeroTimeoutConfigDoesNotExpireInstantly pins exchange's zero-timeout
+// rule: a zero-value GatewayConfig (no explicit timeouts) must classify normally
 // — previously time.NewTimer(0) made every round trip expire at once.
 func TestZeroTimeoutConfigDoesNotExpireInstantly(t *testing.T) {
 	model, test := fixture(t)

@@ -226,13 +226,8 @@ func (e *Edge) escalate(up *uploadSession, hard []int, edgeFeats *tensor.Tensor)
 	}
 	switch m := reply.(type) {
 	case *wire.ResultBatch:
-		if len(m.Verdicts) != len(hardIDs) {
-			return nil, fmt.Errorf("cloud answered %d verdicts for %d samples", len(m.Verdicts), len(hardIDs))
-		}
-		for k, v := range m.Verdicts {
-			if v.SampleID != hardIDs[k] {
-				return nil, fmt.Errorf("cloud verdict %d is for sample %d, want %d", k, v.SampleID, hardIDs[k])
-			}
+		if err := checkVerdicts(m.Verdicts, hardIDs); err != nil {
+			return nil, fmt.Errorf("cloud: %w", err)
 		}
 		return m.Verdicts, nil
 	case *wire.Error:

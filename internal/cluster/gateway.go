@@ -105,7 +105,7 @@ type Gateway struct {
 	cfg      GatewayConfig
 	pipeline Pipeline
 	logger   *slog.Logger
-	tr       transport.Transport // retained for AdmitDevice's dials
+	tr       transport.Transport // retained for AdmitDevice's dials and re-dials
 
 	devices  []*deviceLink
 	upstream *ReplicaPool // edge tier for edge-tier models, cloud otherwise
@@ -150,8 +150,9 @@ type tenantEntry struct {
 type deviceLink struct {
 	index int
 	// guarded by Gateway.stateMu:
-	link *link // nil while the slot is absent
-	down bool  // marked down by the failure detector
+	link *link  // nil while the slot is absent
+	addr string // the address link was dialed at; "" if the device dialed in
+	down bool   // marked down by the failure detector
 }
 
 // NewGateway connects to the device nodes and the next tier up — the
@@ -229,7 +230,7 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 			g.Close()
 			return nil, fmt.Errorf("cluster: dial device %d: %w", i, err)
 		}
-		g.admitConn(i, conn, false) // an open gateway, no welcome: cannot fail
+		g.admitConn(i, conn, addr, nil) // an open gateway, no welcome: cannot fail
 	}
 	g.configVersion = 1 // construction is version 1, whatever the slots hold
 	pool, err := newReplicaPool(ctx, g.upstreamExit(), tr, upstreamAddrs, g.logger)
@@ -244,12 +245,18 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 
 // beat is the gateway's failure-detector tick: it beats each device and
 // upstream replica link (link.beat), so one silence rule marks both down
-// and one echo re-admits them.
+// and one echo re-admits them. Then, as ReplicaPool.beat does, it re-dials
+// each broken device link it had dialed, outside stateMu and within one
+// interval; a device that dialed in re-joins by itself.
 func (g *Gateway) beat(ctx context.Context, hb *wire.Heartbeat, interval time.Duration, sends *sync.WaitGroup) {
+	var lost []deviceLink // copies of the slots to re-dial
 	g.stateMu.Lock()
 	for _, dl := range g.devices {
 		if dl.link == nil {
 			continue
+		}
+		if dl.addr != "" && !g.closed && dl.link.broken() {
+			lost = append(lost, *dl)
 		}
 		dl.link.beat(hb, interval, sends, func(dead bool) bool {
 			if dead && !dl.down {
@@ -261,6 +268,18 @@ func (g *Gateway) beat(ctx context.Context, hb *wire.Heartbeat, interval time.Du
 	}
 	g.stateMu.Unlock()
 	g.upstream.beat(ctx, hb, interval, sends)
+	for _, dl := range lost {
+		dctx, cancel := context.WithTimeout(ctx, interval)
+		conn, err := g.tr.Dial(dctx, dl.addr)
+		cancel()
+		if err != nil {
+			continue // still silent, so marked down
+		}
+		// admitConn leaves a slot that changed meanwhile alone.
+		if _, v, err := g.admitConn(dl.index, conn, dl.addr, dl.link); err == nil {
+			g.logger.Info("device re-dialed", "slot", dl.index, "addr", dl.addr, "config_version", v)
+		}
+	}
 }
 
 // Upstream exposes the gateway's upstream replica pool for stats
@@ -319,7 +338,7 @@ func (g *Gateway) newDeviceLink(slot int, conn net.Conn) *link {
 	return newLink(transport.NewCountingConn(conn),
 		func(l *link) { g.reviveDevice(slot, l) },
 		func(l *link, bye *wire.DeviceGoodbye) {
-			if v, ok := g.swapLink(slot, nil, l); ok {
+			if v, ok := g.swapLink(slot, nil, "", l); ok {
 				g.logger.Info("device deregistered", "node", bye.NodeID, "slot", slot, "reason", bye.Reason, "config_version", v)
 			}
 			l.close()

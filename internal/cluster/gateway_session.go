@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,22 +10,6 @@ import (
 	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
-
-// capReply carries one device's response to a capture request.
-type capReply struct {
-	device int
-	// summary is nil when the device missed the round trip or had no
-	// frame for any sample; the session degrades without it.
-	summary *wire.SummaryBatch
-	err     error // session-fatal (context or version-pin) error
-}
-
-// fetchReply carries one device's response to a feature request.
-type fetchReply struct {
-	device int
-	feats  *wire.FeatureBatch
-	err    error
-}
 
 // gatewaySession is the state one Classify call threads through its
 // stages: the pins taken when it started, and per-sample bookkeeping
@@ -103,40 +86,47 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 
 	// Stage 1: every live device runs the whole session in one forward
 	// pass and sends a single summary frame.
-	replies := make(chan capReply, devices)
-	req := &wire.CaptureBatch{Session: s.sid, ModelVersion: s.mv, SampleIDs: sampleIDs}
-	inFlight := 0
-	for d, l := range s.snap.links {
-		if l == nil {
-			continue
-		}
-		inFlight++
-		go g.captureFrom(ctx, d, l, req, replies)
+	capture := []wire.Message{&wire.CaptureBatch{Session: s.sid, ModelVersion: s.mv, SampleIDs: sampleIDs}}
+	reqs := make([][]wire.Message, devices)
+	for d := range reqs {
+		reqs[d] = capture // exchange skips absent and down slots
+	}
+	replies, err := exchange(ctx, s.sid, s.snap.links, g.cfg.DeviceTimeout, reqs)
+	if err != nil {
+		return nil, err
 	}
 	exitVecs := make([]*tensor.Tensor, devices)
 	for d := range exitVecs {
 		exitVecs[d] = g.pool.Get(n, classes)
 	}
 	defer putAll(g.pool, exitVecs)
-	for ; inFlight > 0; inFlight-- {
-		r := <-replies
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.summary == nil {
-			continue
-		}
-		rows := 0
-		for i := 0; i < n; i++ {
-			if !wire.IsPresent(r.summary.Present, i) {
-				continue // absent frame (object not in view / feed error)
+	for d, r := range replies {
+		// A missed round trip, a malformed summary or no frame for any
+		// sample (feed failure): the session degrades without this device.
+		switch m := r.msg.(type) {
+		case *wire.Error:
+			if m.Code == 426 {
+				// The device's registry no longer holds the session's pinned
+				// version; degrading to "absent frame" would silently answer
+				// on fewer devices, so the session fails typed instead.
+				return nil, fmt.Errorf("cluster: device %d: %w", d, ErrModelVersionUnknown)
 			}
-			copy(exitVecs[r.device].Row(i), r.summary.Probs[rows*classes:(rows+1)*classes])
-			rows++
-			s.present[i*devices+r.device] = true
-			s.masks[i] |= 1 << uint(r.device)
+		case *wire.SummaryBatch:
+			if int(m.Count) != n || int(m.Classes) != classes {
+				continue
+			}
+			rows := 0
+			for i := 0; i < n; i++ {
+				if !wire.IsPresent(m.Present, i) {
+					continue // absent frame (object not in view / feed error)
+				}
+				copy(exitVecs[d].Row(i), m.Probs[rows*classes:(rows+1)*classes])
+				rows++
+				s.present[i*devices+d] = true
+				s.masks[i] |= 1 << uint(d)
+			}
+			g.Meter.Add("local-summary", int64(rows)*int64(wire.SummaryPayloadBytes(classes)))
 		}
-		g.Meter.Add("local-summary", int64(rows)*int64(wire.SummaryPayloadBytes(classes)))
 	}
 
 	// Stage 2: aggregate and decide the first exit. Samples sharing a
@@ -199,58 +189,6 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 	return s.results, firstErr
 }
 
-func (g *Gateway) captureFrom(ctx context.Context, device int, l *link, req *wire.CaptureBatch, replies chan<- capReply) {
-	msg, err := l.request(ctx, req.Session, req, g.cfg.DeviceTimeout)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			replies <- capReply{device: device, err: ctxErr(cerr)}
-			return
-		}
-	}
-	switch m := msg.(type) {
-	case *wire.SummaryBatch:
-		if int(m.Count) == len(req.SampleIDs) && int(m.Classes) == g.model.Cfg.Classes {
-			replies <- capReply{device: device, summary: m}
-			return
-		}
-	case *wire.Error:
-		if m.Code == 426 {
-			// The device's registry no longer holds the session's pinned
-			// version; degrading to "absent frame" would silently answer
-			// on fewer devices, so the session fails typed instead.
-			replies <- capReply{device: device, err: fmt.Errorf("cluster: device %d: %w", device, ErrModelVersionUnknown)}
-			return
-		}
-	}
-	// A missed round trip, a malformed summary or no frame for any sample
-	// (feed failure): the session degrades without this device.
-	replies <- capReply{device: device}
-}
-
-func (g *Gateway) fetchFrom(ctx context.Context, device int, l *link, req *wire.FeatureBatchRequest, replies chan<- fetchReply) {
-	msg, err := l.request(ctx, req.Session, req, g.cfg.DeviceTimeout)
-	if err != nil {
-		replies <- fetchReply{device: device, err: err}
-		return
-	}
-	switch m := msg.(type) {
-	case *wire.FeatureBatch:
-		if int(m.Count) != len(req.SampleIDs) {
-			replies <- fetchReply{device: device, err: fmt.Errorf("cluster: device %d sent %d feature maps, want %d", device, m.Count, len(req.SampleIDs))}
-			return
-		}
-		replies <- fetchReply{device: device, feats: m}
-	case *wire.Error:
-		if m.Code == 426 {
-			replies <- fetchReply{device: device, err: fmt.Errorf("cluster: device %d: %w", device, ErrModelVersionUnknown)}
-			return
-		}
-		replies <- fetchReply{device: device, err: fmt.Errorf("cluster: device %d: %s", device, m.Msg)}
-	default:
-		replies <- fetchReply{device: device, err: fmt.Errorf("cluster: expected FeatureBatch, got %v", msg.MsgType())}
-	}
-}
-
 // escalate fetches the escalating samples' feature maps from the devices
 // that cover them — each device packs its whole subset into one frame —
 // and relays them behind a classify header to the next tier of the
@@ -277,54 +215,64 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession, hard []int) e
 
 	// A device is asked for exactly the escalating samples it summarized;
 	// devices that cover all of them share one request.
-	all := &wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: escIDs}
-	fetches := make(chan fetchReply, devices)
-	inFlight := 0
-	for d := 0; d < devices; d++ {
+	all := []wire.Message{&wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: escIDs}}
+	reqs := make([][]wire.Message, devices)
+	want := make([]int, devices) // feature maps asked of each device
+	for d := range reqs {
 		bit := uint16(1) << uint(d)
-		covered := 0
 		for _, m := range escMasks {
 			if m&bit != 0 {
-				covered++
+				want[d]++
 			}
 		}
-		if covered == 0 {
-			continue
-		}
-		req := all
-		if covered < len(escIDs) {
-			ids := make([]uint64, 0, covered)
+		switch want[d] {
+		case 0:
+		case len(escIDs):
+			reqs[d] = all
+		default:
+			ids := make([]uint64, 0, want[d])
 			for k, m := range escMasks {
 				if m&bit != 0 {
 					ids = append(ids, escIDs[k])
 				}
 			}
-			req = &wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: ids}
+			reqs[d] = []wire.Message{&wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: ids}}
 		}
-		inFlight++
-		go g.fetchFrom(ctx, d, s.snap.links[d], req, fetches)
+	}
+	replies, err := exchange(ctx, s.sid, s.snap.links, g.cfg.DeviceTimeout, reqs)
+	if err != nil {
+		return err
 	}
 	frames := make([]wire.Message, 1, devices+1) // frames[0] is the header
-	for ; inFlight > 0; inFlight-- {
-		f := <-fetches
-		if f.err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return ctxErr(cerr)
-			}
-			if errors.Is(f.err, ErrModelVersionUnknown) {
-				return fmt.Errorf("cluster: session of %d samples: %w", len(hard), f.err)
-			}
-			// The device answered the capture but died before the feature
-			// fetch; degrade to the remaining devices for every sample.
-			g.logger.Warn("feature fetch failed", "device", f.device, "err", f.err)
-			for k, idx := range hard {
-				s.present[idx*devices+f.device] = false
-				escMasks[k] &^= 1 << uint(f.device)
-			}
+	for d, r := range replies {
+		if reqs[d] == nil {
 			continue
 		}
-		frames = append(frames, f.feats)
-		g.Meter.Add(g.uploadCategory(), int64(f.feats.Count)*int64(f.feats.SampleBytes()))
+		err := r.err
+		switch m := r.msg.(type) {
+		case *wire.FeatureBatch:
+			if int(m.Count) == want[d] {
+				frames = append(frames, m)
+				g.Meter.Add(g.uploadCategory(), int64(m.Count)*int64(m.SampleBytes()))
+				continue
+			}
+			err = fmt.Errorf("cluster: device %d sent %d feature maps, want %d", d, m.Count, want[d])
+		case *wire.Error:
+			if m.Code == 426 {
+				return fmt.Errorf("cluster: session of %d samples: device %d: %w", len(hard), d, ErrModelVersionUnknown)
+			}
+			err = fmt.Errorf("cluster: device %d: %s", d, m.Msg)
+		case nil:
+		default:
+			err = fmt.Errorf("cluster: expected FeatureBatch, got %v", m.MsgType())
+		}
+		// The device answered the capture but died before the feature
+		// fetch; degrade to the remaining devices for every sample.
+		g.logger.Warn("feature fetch failed", "device", d, "err", err)
+		for k, idx := range hard {
+			s.present[idx*devices+d] = false
+			escMasks[k] &^= 1 << uint(d)
+		}
 	}
 	if len(frames) == 1 {
 		return fmt.Errorf("cluster: no features collected for session of %d samples: %w", len(hard), ErrNoSummaries)
@@ -391,14 +339,11 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession, hard []int) e
 		}
 		return fmt.Errorf("cluster: expected ResultBatch, got %v", msg.MsgType())
 	}
-	if len(rb.Verdicts) != len(hard) {
-		return fmt.Errorf("cluster: %v tier answered %d verdicts for %d samples", g.upstreamExit(), len(rb.Verdicts), len(hard))
+	if err := checkVerdicts(rb.Verdicts, escIDs); err != nil {
+		return fmt.Errorf("cluster: %v tier: %w", g.upstreamExit(), err)
 	}
 	for k, v := range rb.Verdicts {
 		idx := hard[k]
-		if v.SampleID != s.sampleIDs[idx] {
-			return fmt.Errorf("cluster: %v tier verdict %d is for sample %d, want %d", g.upstreamExit(), k, v.SampleID, s.sampleIDs[idx])
-		}
 		r := &s.slab[idx]
 		r.Class = int(v.Class)
 		r.Exit = v.Exit

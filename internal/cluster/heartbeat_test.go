@@ -23,6 +23,40 @@ func waitFor(timeout time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// TestStaticDeviceRedialedAfterRestart: a device the gateway dialed whose
+// node restarts on the same address is re-dialed by the failure
+// detector, and is up and present in sessions again within a few
+// intervals, with no AdmitDevice call.
+func TestStaticDeviceRedialedAfterRestart(t *testing.T) {
+	model, test := fixture(t)
+	tr := transport.NewMem()
+	gcfg := DefaultGatewayConfig()
+	gcfg.HeartbeatInterval = 50 * time.Millisecond
+	eng, err := NewEngine(model, test, EngineConfig{Gateway: gcfg, Logger: quietLogger()}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const slot = 2
+	old := eng.Devices()[slot]
+	addr := old.Addr()
+	old.Close()
+	fresh := NewDevice(model, slot, DatasetFeed(test, slot), quietLogger())
+	if err := fresh.Serve(tr, addr); err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+
+	gw := eng.Gateway()
+	back := waitFor(40*gcfg.HeartbeatInterval, func() bool {
+		res, err := classifyOne(context.Background(), gw, 0)
+		return err == nil && res.Present[slot] && len(gw.DownDevices()) == 0
+	})
+	if !back {
+		t.Fatalf("slot %d not up and present within %v of its device restarting (down: %v)", slot, 40*gcfg.HeartbeatInterval, gw.DownDevices())
+	}
+}
+
 func TestHeartbeatDetectsFailureAndRecovery(t *testing.T) {
 	model, test := fixture(t)
 	tr := transport.NewMem()

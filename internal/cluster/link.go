@@ -15,8 +15,7 @@ import (
 // Frame writes are serialized by a mutex; a single reader goroutine decodes
 // frames and hands each to the waiter subscribed for its session tag.
 // Frames for sessions with no waiter — replies that arrive after their
-// session timed out — are dropped, which replaces the old lock-step
-// protocol's "discard stale sample IDs" loop.
+// session timed out — are dropped.
 type link struct {
 	conn net.Conn
 
@@ -32,11 +31,25 @@ type link struct {
 	goodbye func(*link, *wire.DeviceGoodbye) // a device link's; else nil
 
 	mu      sync.Mutex
-	waiters map[uint64]chan wire.Message
+	waiters map[uint64]waiter
 	err     error // terminal read error, set before done is closed
+	done    chan struct{}
+}
 
-	done      chan struct{}
-	closeOnce sync.Once
+// waiter is one session's subscription on a link. It takes one frame:
+// the session's next frame, or the link's failure, goes to ch as a reply
+// marked tag, and the waiter is removed.
+type waiter struct {
+	tag int
+	ch  chan<- reply
+}
+
+// reply is one link's answer in an exchange: its frame, or the error
+// that replaced it.
+type reply struct {
+	tag int
+	msg wire.Message
+	err error
 }
 
 // newLink wraps conn and starts its reader.
@@ -45,7 +58,7 @@ func newLink(conn net.Conn, revive func(*link), goodbye func(*link, *wire.Device
 		conn:    conn,
 		revive:  revive,
 		goodbye: goodbye,
-		waiters: make(map[uint64]chan wire.Message),
+		waiters: make(map[uint64]waiter),
 		done:    make(chan struct{}),
 	}
 	go l.readLoop()
@@ -71,64 +84,61 @@ func (l *link) readLoop() {
 			continue
 		}
 		l.mu.Lock()
-		ch := l.waiters[s.SessionID()]
+		w, ok := l.waiters[s.SessionID()]
+		delete(l.waiters, s.SessionID())
 		l.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- msg:
-			default: // waiter already satisfied; drop
-			}
+		if ok { // ch has room: it holds one reply per waiter
+			w.ch <- reply{tag: w.tag, msg: msg}
 		}
 	}
 }
 
 // broken reports whether the link has hit its terminal read error and can
-// no longer deliver replies; replica pools re-dial broken links lazily.
+// no longer deliver replies; its owner re-dials broken links.
 func (l *link) broken() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err != nil
 }
 
-// fail records the terminal error and wakes every pending waiter.
+// fail records the terminal error, once, and hands it to every pending
+// waiter, so no session waits out its deadline on a dead link.
 func (l *link) fail(err error) {
 	l.mu.Lock()
-	if l.err == nil {
-		l.err = err
+	if l.err != nil {
+		l.mu.Unlock()
+		return
 	}
+	l.err = err
+	waiters := l.waiters
+	l.waiters = nil // subscribe refuses from now on
 	l.mu.Unlock()
-	l.closeOnce.Do(func() { close(l.done) })
+	err = fmt.Errorf("cluster: link failed: %w", err)
+	for _, w := range waiters {
+		w.ch <- reply{tag: w.tag, err: err}
+	}
+	close(l.done)
 }
 
-// subscribe registers a waiter for the session's frames. The returned
-// channel holds one frame; unsubscribe must be called when the session is
-// done with this link.
-func (l *link) subscribe(session uint64) (<-chan wire.Message, error) {
+// subscribe registers w for the session's next frame.
+func (l *link) subscribe(session uint64, w waiter) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
-		return nil, l.err
+		return fmt.Errorf("cluster: link failed: %w", l.err)
 	}
-	ch := make(chan wire.Message, 1)
-	l.waiters[session] = ch
-	return ch, nil
-}
-
-func (l *link) unsubscribe(session uint64) {
-	l.mu.Lock()
-	delete(l.waiters, session)
-	l.mu.Unlock()
+	l.waiters[session] = w
+	return nil
 }
 
 // send writes frames atomically with respect to other sessions. A
-// positive timeout bounds the whole batch via a write deadline, so a
-// stalled peer cannot wedge the link's writer; a zero or negative timeout
-// leaves the write unbounded (context-only callers).
-func (l *link) send(timeout time.Duration, msgs ...wire.Message) error {
+// non-zero deadline bounds the writes, so a stalled peer cannot wedge the
+// link's writer; a zero one leaves them unbounded.
+func (l *link) send(deadline time.Time, msgs ...wire.Message) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	if timeout > 0 {
-		_ = l.conn.SetWriteDeadline(time.Now().Add(timeout))
+	if !deadline.IsZero() {
+		_ = l.conn.SetWriteDeadline(deadline)
 		defer l.conn.SetWriteDeadline(time.Time{})
 	}
 	for _, m := range msgs {
@@ -139,32 +149,67 @@ func (l *link) send(timeout time.Duration, msgs ...wire.Message) error {
 	return nil
 }
 
-// wait blocks until the session's next frame, the timeout, the context, or
-// link failure. A positive timeout bounds this stage even when ctx has no
-// deadline; ctx cancellation and earlier ctx deadlines still win. A zero
-// or negative timeout means the stage is bounded by the context alone —
-// it must never make the wait expire instantly (a zero-value config is
-// "no per-stage timeout", not "always time out").
-func (l *link) wait(ctx context.Context, ch <-chan wire.Message, timeout time.Duration) (wire.Message, error) {
-	var timerC <-chan time.Time
+// exchange is one round trip of a session stage: it subscribes every link
+// that has frames to one reply channel, writes the frames from the calling
+// goroutine, and collects the first reply per link until all have
+// answered, the stage deadline passes, or ctx ends. Writes and wait share
+// the deadline; a timeout <= 0 leaves the stage to ctx alone (a zero
+// config is "no per-stage timeout", not "always time out"). Each link gets
+// one entry: its frame, or the error that replaced it (failed write, link
+// failure, deadline); a nil link or one without frames, a zero entry.
+// Only a done context is returned as the error.
+func exchange(ctx context.Context, session uint64, links []*link, timeout time.Duration, frames [][]wire.Message) ([]reply, error) {
+	out := make([]reply, len(links))
+	ch := make(chan reply, len(links))
+	var deadline time.Time
+	var expire <-chan time.Time
 	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
-		timerC = timer.C
+		expire = timer.C
 	}
-	select {
-	case msg := <-ch:
-		return msg, nil
-	case <-timerC:
-		return nil, fmt.Errorf("cluster: %w after %v", ErrDeadlineExceeded, timeout)
-	case <-ctx.Done():
-		return nil, ctxErr(ctx.Err())
-	case <-l.done:
-		l.mu.Lock()
-		err := l.err
-		l.mu.Unlock()
-		return nil, fmt.Errorf("cluster: link failed: %w", err)
+	pending := 0
+	for i, l := range links {
+		if l == nil || len(frames[i]) == 0 {
+			continue
+		}
+		if out[i].err = l.subscribe(session, waiter{tag: i, ch: ch}); out[i].err == nil {
+			if out[i].err = l.send(deadline, frames[i]...); out[i].err == nil {
+				pending++
+			}
+		}
 	}
+	var missed error
+	for pending > 0 {
+		select {
+		case r := <-ch:
+			if out[r.tag].err == nil { // else its write failed first
+				out[r.tag] = r
+				pending--
+			}
+		case <-expire:
+			missed, pending = fmt.Errorf("cluster: %w after %v", ErrDeadlineExceeded, timeout), 0
+		case <-ctx.Done():
+			pending = 0
+		}
+	}
+	err := ctx.Err()
+	if err != nil {
+		err = ctxErr(err)
+		missed = err
+	}
+	for i, l := range links {
+		if l != nil && len(frames[i]) > 0 {
+			l.mu.Lock()
+			delete(l.waiters, session) // already gone if it delivered
+			l.mu.Unlock()
+			if out[i].msg == nil && out[i].err == nil {
+				out[i].err = missed
+			}
+		}
+	}
+	return out, err
 }
 
 const (
@@ -242,32 +287,13 @@ func (l *link) beat(hb *wire.Heartbeat, interval time.Duration, sends *sync.Wait
 		sends.Add(1)
 		go func() {
 			defer sends.Done()
-			_ = l.send(interval, hb) // a failed write shows up as silence
+			_ = l.send(time.Now().Add(interval), hb) // a failed write shows up as silence
 		}()
 	}
 }
 
-// request sends one frame and waits for the session's reply.
-func (l *link) request(ctx context.Context, session uint64, req wire.Message, timeout time.Duration) (wire.Message, error) {
-	ch, err := l.subscribe(session)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: link failed: %w", err)
-	}
-	defer l.unsubscribe(session)
-	if err := l.send(timeout, req); err != nil {
-		return nil, err
-	}
-	return l.wait(ctx, ch, timeout)
-}
-
+// close fails the link, waking its waiters, and closes the connection.
 func (l *link) close() error {
-	l.closeOnce.Do(func() {
-		l.mu.Lock()
-		if l.err == nil {
-			l.err = net.ErrClosed
-		}
-		l.mu.Unlock()
-		close(l.done)
-	})
+	l.fail(net.ErrClosed)
 	return l.conn.Close()
 }

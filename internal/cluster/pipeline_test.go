@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -72,10 +73,10 @@ func TestUniformLocalDistributionExitsAtThresholdOne(t *testing.T) {
 	}
 }
 
-// zeroSummaryPeer serves addr as a raw wire peer that echoes heartbeats
-// and answers every capture with all-zero summary rows from device
-// index; it ignores every other frame.
-func zeroSummaryPeer(t *testing.T, tr transport.Transport, addr string, index, classes int) {
+// rawPeer serves addr as a raw wire peer: it echoes heartbeats and hands
+// every other frame to serve, hanging up on the connection when serve
+// says so.
+func rawPeer(t *testing.T, tr transport.Transport, addr string, serve func(conn net.Conn, m wire.Message) (hangUp bool)) {
 	t.Helper()
 	l, err := tr.Listen(addr)
 	if err != nil {
@@ -88,26 +89,39 @@ func zeroSummaryPeer(t *testing.T, tr transport.Transport, addr string, index, c
 			if err != nil {
 				return
 			}
-			go func() { // ends when the gateway hangs up
+			go func() { // ends when either side hangs up
+				defer conn.Close()
 				for {
 					msg, err := wire.Decode(conn)
 					if err != nil {
 						return
 					}
-					switch m := msg.(type) {
-					case *wire.Heartbeat:
-						_, _ = wire.Encode(conn, m)
-					case *wire.CaptureBatch:
-						n := len(m.SampleIDs)
-						reply := &wire.SummaryBatch{Session: m.Session, Device: uint16(index), Classes: uint16(classes),
-							Count: uint16(n), Present: make([]byte, (n+7)/8), Probs: make([]float32, n*classes)}
-						for i := range m.SampleIDs {
-							wire.MarkPresent(reply.Present, i)
-						}
-						_, _ = wire.Encode(conn, reply)
+					if hb, ok := msg.(*wire.Heartbeat); ok {
+						_, _ = wire.Encode(conn, hb)
+					} else if serve(conn, msg) {
+						return
 					}
 				}
 			}()
 		}
 	}()
+}
+
+// zeroSummaryPeer serves addr as a raw wire peer that answers every
+// capture with all-zero summary rows from device index; it ignores every
+// other frame.
+func zeroSummaryPeer(t *testing.T, tr transport.Transport, addr string, index, classes int) {
+	t.Helper()
+	rawPeer(t, tr, addr, func(conn net.Conn, msg wire.Message) bool {
+		if m, ok := msg.(*wire.CaptureBatch); ok {
+			n := len(m.SampleIDs)
+			reply := &wire.SummaryBatch{Session: m.Session, Device: uint16(index), Classes: uint16(classes),
+				Count: uint16(n), Present: make([]byte, (n+7)/8), Probs: make([]float32, n*classes)}
+			for i := range m.SampleIDs {
+				wire.MarkPresent(reply.Present, i)
+			}
+			_, _ = wire.Encode(conn, reply)
+		}
+		return false
+	})
 }

@@ -305,22 +305,14 @@ func (p *ReplicaPool) relayOn(ctx context.Context, r *replica, sid uint64, timeo
 	if err != nil {
 		return nil, err
 	}
-	ch, err := lk.subscribe(sid)
+	replies, err := exchange(ctx, sid, []*link{lk}, timeout, [][]wire.Message{frames})
 	if err != nil {
+		return nil, err
+	}
+	if err := replies[0].err; err != nil {
 		return nil, fmt.Errorf("%w: %w", errReplicaUnreachable, err)
 	}
-	defer lk.unsubscribe(sid)
-	if err := lk.send(timeout, frames...); err != nil {
-		return nil, fmt.Errorf("%w: relay frames: %w", errReplicaUnreachable, err)
-	}
-	msg, err := lk.wait(ctx, ch, timeout)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, ctxErr(cerr)
-		}
-		return nil, fmt.Errorf("%w: %w", errReplicaUnreachable, err)
-	}
-	return msg, nil
+	return replies[0].msg, nil
 }
 
 // close tears down every replica connection.

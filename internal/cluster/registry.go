@@ -51,7 +51,7 @@ func (g *Gateway) handleRegistration(conn net.Conn) {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	l, v, err := g.admitConn(int(hello.Slot), conn, true)
+	l, v, err := g.admitConn(int(hello.Slot), conn, "", nil)
 	if err != nil {
 		g.logger.Warn("registration failed", "node", hello.NodeID, "slot", hello.Slot, "err", err)
 		return

@@ -276,6 +276,20 @@ func verdictRow(probs *tensor.Tensor, k int, id uint64, exit wire.ExitPoint) wir
 	}
 }
 
+// checkVerdicts reports whether the verdicts of a relayed session's
+// ResultBatch answer exactly ids, in order.
+func checkVerdicts(verdicts []wire.BatchVerdict, ids []uint64) error {
+	if len(verdicts) != len(ids) {
+		return fmt.Errorf("%d verdicts for %d samples", len(verdicts), len(ids))
+	}
+	for k, v := range verdicts {
+		if v.SampleID != ids[k] {
+			return fmt.Errorf("verdict %d is for sample %d, want %d", k, v.SampleID, ids[k])
+		}
+	}
+	return nil
+}
+
 // sessionOf extracts a message's session tag, or 0 for connection-scoped
 // frames, so error replies to unexpected messages still reach the
 // session's waiter instead of being dropped by the demultiplexer.

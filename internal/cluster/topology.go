@@ -74,7 +74,7 @@ func (g *Gateway) AdmitDevice(ctx context.Context, slot int, addr string) (uint6
 	if err != nil {
 		return 0, fmt.Errorf("cluster: admit device %d: dial %s: %w", slot, addr, err)
 	}
-	_, v, err := g.admitConn(slot, conn, false)
+	_, v, err := g.admitConn(slot, conn, addr, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -82,18 +82,19 @@ func (g *Gateway) AdmitDevice(ctx context.Context, slot int, addr string) (uint6
 	return v, nil
 }
 
-// admitConn installs conn as the data link of slot, which the caller has
-// checked (swapLink). With welcome — a device that dialed in — the
-// DeviceWelcome is the link's first frame: sessions and heartbeats write
-// through the link's write lock, held from before the link is visible
+// admitConn installs conn, dialed at addr, as the data link of slot,
+// which the caller has checked; only is as in swapLink. An empty addr is
+// a device that dialed in: the DeviceWelcome is the link's first
+// frame, so the link's write lock is held from before the link is visible
 // until the welcome is out. On error conn is closed.
-func (g *Gateway) admitConn(slot int, conn net.Conn, welcome bool) (*link, uint64, error) {
+func (g *Gateway) admitConn(slot int, conn net.Conn, addr string, only *link) (*link, uint64, error) {
 	l := g.newDeviceLink(slot, conn)
+	welcome := addr == ""
 	if welcome {
 		l.wmu.Lock()
 		defer l.wmu.Unlock()
 	}
-	v, ok := g.swapLink(slot, l, nil)
+	v, ok := g.swapLink(slot, l, addr, only)
 	if !ok {
 		l.close()
 		return nil, 0, ErrClosed
@@ -118,17 +119,17 @@ func (g *Gateway) RemoveDevice(slot int) (uint64, error) {
 	if err := g.checkDeviceSlot(slot); err != nil {
 		return 0, fmt.Errorf("cluster: remove device: %w", err)
 	}
-	v, _ := g.swapLink(slot, nil, nil)
+	v, _ := g.swapLink(slot, nil, "", nil)
 	g.logger.Info("device removed", "slot", slot, "config_version", v)
 	return v, nil
 }
 
-// swapLink makes l the link of slot — nil vacates it — resets its down
-// flag, bumps the config version and closes the replaced link, whose
-// in-flight sessions degrade like a device timeout; it returns the new
-// version. It changes nothing and reports false when only is non-nil and
-// no longer holds the slot, or when l is new and the gateway is closed.
-func (g *Gateway) swapLink(slot int, l, only *link) (uint64, bool) {
+// swapLink makes l (dialed at addr) the link of slot — nil vacates it —
+// resets its down flag, bumps the config version and closes the replaced
+// link, whose in-flight sessions degrade like a device timeout; it returns
+// the new version. It changes nothing and reports false when only is
+// non-nil and no longer holds the slot, or l is new and the gateway closed.
+func (g *Gateway) swapLink(slot int, l *link, addr string, only *link) (uint64, bool) {
 	g.stateMu.Lock()
 	dl := g.devices[slot]
 	if l != nil && g.closed || only != nil && dl.link != only {
@@ -136,7 +137,7 @@ func (g *Gateway) swapLink(slot int, l, only *link) (uint64, bool) {
 		return 0, false
 	}
 	old := dl.link
-	dl.link, dl.down = l, false
+	dl.link, dl.addr, dl.down = l, addr, false
 	g.configVersion++
 	v := g.configVersion
 	g.stateMu.Unlock()

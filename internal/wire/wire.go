@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -242,16 +243,20 @@ func Decode(r io.Reader) (Message, error) {
 		return nil, ErrFrameTooLarge
 	}
 	bp := frameBufs.Get().(*[]byte)
+	payload := (*bp)[:0]
 	defer func() {
-		*bp = (*bp)[:0]
+		*bp = payload[:0]
 		frameBufs.Put(bp)
 	}()
-	if cap(*bp) < int(length) {
-		*bp = make([]byte, length)
-	}
-	payload := (*bp)[:length]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("wire: read payload: %w", err)
+	for len(payload) < int(length) {
+		// Grow by at most 64 KiB past what has arrived, so a header
+		// claiming MaxPayload pins memory only as its bytes come in.
+		n := min(int(length), max(cap(payload), len(payload)+64<<10))
+		payload = slices.Grow(payload, n-len(payload))
+		if _, err := io.ReadFull(r, payload[len(payload):n]); err != nil {
+			return nil, fmt.Errorf("wire: read payload: %w", err)
+		}
+		payload = payload[:n]
 	}
 	if int(t) >= len(messages) || messages[t].new == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)

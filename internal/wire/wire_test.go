@@ -413,3 +413,23 @@ func TestDecodeHostileResultBatchCount(t *testing.T) {
 		t.Errorf("an 18-byte frame allocated %d bytes per decode, want < 64 KB", perDecode)
 	}
 }
+
+func TestDecodeHostileClaimedLength(t *testing.T) {
+	// A header claiming MaxPayload, a few payload bytes, then EOF: the
+	// payload buffer may grow only with the bytes that arrived, not to the
+	// claimed length.
+	frame := binary.LittleEndian.AppendUint16(nil, Magic)
+	frame = append(frame, Version, byte(TypeFeatureBatch))
+	frame = binary.LittleEndian.AppendUint32(frame, MaxPayload)
+	frame = append(frame, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want the payload read's io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a header claiming %d bytes followed by 100 allocated %d bytes, want < 1 MiB", MaxPayload, alloc)
+	}
+}
