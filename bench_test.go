@@ -359,52 +359,6 @@ func BenchmarkIm2col(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulNaive is the reference ikj kernel on the same shapes as
-// BenchmarkMatMul; the ratio is the register-tiling speedup.
-func BenchmarkMatMulNaive(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.New(32, 256)
-	w := tensor.New(256, 64)
-	x.FillUniform(rng, -1, 1)
-	w.FillUniform(rng, -1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulNaive(x, w)
-	}
-}
-
-// BenchmarkXnorDot compares the word-wide (64-bit lanes, deployed)
-// kernel against the byte-wide reference on a device-exit-sized dot
-// (1024 weights, the 4×16×16 feature map against one weight column).
-func BenchmarkXnorDot(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	v := make([]float32, 1024)
-	w := make([]float32, 1024)
-	for i := range v {
-		v[i] = float32(rng.Intn(2)*2 - 1)
-		w[i] = float32(rng.Intn(2)*2 - 1)
-	}
-	pv, pw := bnn.PackVector(v), bnn.PackVector(w)
-	vb, wb := pv.Bytes(), pw.Bytes()
-	b.Run("word", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bnn.XnorDot(pv, pw); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("byte", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bnn.XnorDotBytes(1024, vb, wb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkPackedLinear measures the deployed XNOR-popcount exit head
 // (1024→3) on one packed input.
 func BenchmarkPackedLinear(b *testing.B) {

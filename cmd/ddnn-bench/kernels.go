@@ -53,11 +53,17 @@ var fusedFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.Ker
 // bit-domain pass must not lose on either.
 var xnorFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.0}
 
+// chainFloors are the speedup floors of the bit-domain cloud chain — six
+// devices' packed features aggregated into bit planes and carried as
+// bits to the logits — over unpacking them for the float-in section
+// forward, per dispatch path: the bit chain must not lose on either.
+var chainFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.0}
+
 // forwardSets is how many distinct inputs the forward rows rotate over
 // (see experiments.ForwardInputs).
 const forwardSets = 64
 
-// kernelReport is what -json serializes (BENCH_pr28.json in CI).
+// kernelReport is what -json serializes (BENCH_pr33.json in CI).
 type kernelReport struct {
 	Results     []kernelResult     `json:"results"`
 	Comparisons []kernelComparison `json:"comparisons"`
@@ -325,6 +331,71 @@ func runKernels(out io.Writer, jsonPath string) error {
 				MinSpeedup: floor,
 			})
 		}
+	}
+	// The whole cloud section on a session's wire bytes: the devices'
+	// packed batch-32 feature maps, all six present, to logits — once
+	// unpacked into per-device float maps (zero-filled, as a session
+	// holding float tensors drew them) for CloudForwardPooled, once
+	// through CloudForwardBits.
+	wire := make([][][]byte, len(in32.Feats))
+	masks := make([]uint16, 32)
+	for i := range masks {
+		masks[i] = 1<<uint(m.Cfg.Devices) - 1
+	}
+	for s, set := range in32.Feats {
+		wire[s] = make([][]byte, len(set))
+		for d, f := range set {
+			wire[s][d] = make([]byte, f.Dim(0)*bnn.PackedSize(f.SampleSize()))
+			bnn.PackSamplesInto(wire[s][d], f)
+		}
+	}
+	chain := func(f func(feats [][]byte, pool *tensor.Pool) *tensor.Tensor) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			pool := tensor.NewPool()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.Put(f(wire[i%forwardSets], pool))
+			}
+		}
+	}
+	unpacked := func(feats [][]byte, pool *tensor.Pool) *tensor.Tensor {
+		maps := make([]*tensor.Tensor, len(feats))
+		for d, bits := range feats {
+			maps[d] = pool.Get(32, m.Cfg.DeviceFilters, m.Cfg.FeatureH(), m.Cfg.FeatureW())
+			stride := len(bits) / 32
+			for i := 0; i < 32; i++ {
+				if err := m.UnpackFeatureInto(maps[d], i, bits[i*stride:(i+1)*stride]); err != nil {
+					panic(err)
+				}
+			}
+		}
+		logits := m.CloudForwardPooled(maps, nil, pool)
+		for _, t := range maps {
+			pool.Put(t)
+		}
+		return logits
+	}
+	bitsChain := func(feats [][]byte, pool *tensor.Pool) *tensor.Tensor { return m.CloudForwardBits(feats, masks, pool) }
+	for _, path := range tensor.KernelPaths() {
+		floor, ok := chainFloors[path]
+		if !ok {
+			continue
+		}
+		if err := tensor.SetKernelPath(path); err != nil {
+			return err
+		}
+		tag := "[" + path.String() + "]"
+		const name = "convp_cloud_chain_b32"
+		float := addBest(name+"_unpack"+tag, chain(unpacked))
+		bits := addBest(name+"_bits"+tag, chain(bitsChain))
+		fusedCmps = append(fusedCmps, kernelComparison{
+			Label:      "bits " + name + " " + path.String(),
+			Naive:      name + "_unpack" + tag,
+			Optimized:  name + "_bits" + tag,
+			Speedup:    float.NsPerOp / bits.NsPerOp,
+			MinSpeedup: floor,
+		})
 	}
 	if err := tensor.SetKernelPath(prevPath); err != nil {
 		return err

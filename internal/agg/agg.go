@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/ddnn/ddnn-go/internal/bnn"
 	"github.com/ddnn/ddnn-go/internal/nn"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
@@ -80,6 +81,53 @@ func ForwardPooled(a Aggregator, inputs []*tensor.Tensor, mask []bool, p *tensor
 	return a.Forward(inputs, mask, false)
 }
 
+// BitAggregator is implemented by the feature aggregators whose output
+// on ±1 device maps is itself ternary, MP and CC, so a bit-domain ConvP
+// block (bnn.Planes) can read it with no float round trip. Avg is not
+// one: a mean of ±1 values is not ternary, so AP keeps the float path.
+type BitAggregator interface {
+	// AggregateBits aggregates one session's device features into dst,
+	// whose C is FeatureOutChannels, each sample under its own presence
+	// mask: masks[i] has bit d set when device d covers sample i, and
+	// feats[d] holds device d's packed maps (bnn.PackSigns bytes) of the
+	// samples it covers, in sample order. dst must be zeroed.
+	AggregateBits(dst bnn.Planes, feats [][]byte, masks []uint16)
+}
+
+// maxBitDevices bounds the devices a bit aggregation takes: a presence
+// mask is 16 bits.
+const maxBitDevices = 16
+
+// sessionMaps walks a session's device features sample by sample (see
+// BitAggregator.AggregateBits), each device's maps f·H·W bits long.
+type sessionMaps struct {
+	feats  [][]byte
+	stride int
+	buf    [maxBitDevices][]byte
+	at     [maxBitDevices]int // each device's next byte
+}
+
+func newSessionMaps(feats [][]byte, f int, dst bnn.Planes) sessionMaps {
+	if len(feats) > maxBitDevices {
+		panic(fmt.Sprintf("agg: %d devices in a bit aggregation, at most %d", len(feats), maxBitDevices))
+	}
+	return sessionMaps{feats: feats, stride: bnn.PackedSize(f * dst.H * dst.W)}
+}
+
+// next returns the next sample's device maps under its presence mask,
+// nil for an absent device.
+func (s *sessionMaps) next(mask uint16) [][]byte {
+	maps := s.buf[:len(s.feats)]
+	for d := range maps {
+		maps[d] = nil
+		if mask&(1<<uint(d)) != 0 {
+			maps[d] = s.feats[d][s.at[d] : s.at[d]+s.stride]
+			s.at[d] += s.stride
+		}
+	}
+	return maps
+}
+
 func checkInputs(inputs []*tensor.Tensor, mask []bool) {
 	if len(inputs) == 0 {
 		panic("agg: no inputs")
@@ -119,7 +167,10 @@ type Max struct {
 	winner []int32 // device index per element, -1 when no device present
 }
 
-var _ Aggregator = (*Max)(nil)
+var (
+	_ Aggregator    = (*Max)(nil)
+	_ BitAggregator = (*Max)(nil)
+)
 
 // NewMax constructs an MP aggregator.
 func NewMax() *Max { return &Max{} }
@@ -194,6 +245,22 @@ func (a *Max) ForwardPooled(inputs []*tensor.Tensor, mask []bool, p *tensor.Pool
 	return out
 }
 
+// AggregateBits ORs each sample's present devices' sign bits into its
+// channels: the max of ±1 values is +1 exactly when one of them is. With
+// no device present the nonzero bits stay clear, which is Forward's
+// fallback to zero.
+func (a *Max) AggregateBits(dst bnn.Planes, feats [][]byte, masks []uint16) {
+	s := newSessionMaps(feats, dst.C, dst)
+	for i, mask := range masks {
+		maps := s.next(mask)
+		for d := range maps {
+			if maps[d] != nil {
+				dst.Place(i, 0, maps[d:d+1], dst.C)
+			}
+		}
+	}
+}
+
 // Backward routes each gradient element to the winning device.
 func (a *Max) Backward(grad *tensor.Tensor) []*tensor.Tensor {
 	if a.winner == nil {
@@ -217,7 +284,8 @@ func (a *Max) Params() []*nn.Param { return nil }
 
 // Avg implements AP: the elementwise mean over present devices. Averaging
 // can damp noise but, as §IV-C observes, it also dilutes strong responses
-// when the object is absent from some views.
+// when the object is absent from some views. Its output is not ternary,
+// so it has no bit form (see BitAggregator).
 type Avg struct {
 	n     int
 	shape []int

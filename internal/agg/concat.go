@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/ddnn/ddnn-go/internal/bnn"
 	"github.com/ddnn/ddnn-go/internal/nn"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
@@ -107,7 +108,10 @@ type ConcatFeat struct {
 	mask  []bool
 }
 
-var _ Aggregator = (*ConcatFeat)(nil)
+var (
+	_ Aggregator    = (*ConcatFeat)(nil)
+	_ BitAggregator = (*ConcatFeat)(nil)
+)
 
 // NewConcatFeat constructs a channel-concatenating CC aggregator for n
 // devices.
@@ -175,6 +179,17 @@ func (a *ConcatFeat) ForwardPooled(inputs []*tensor.Tensor, mask []bool, p *tens
 		}
 	}
 	return out
+}
+
+// AggregateBits writes each present device's map into its own channel
+// group; an absent device's group keeps its nonzero bits clear,
+// Forward's zero channels.
+func (a *ConcatFeat) AggregateBits(dst bnn.Planes, feats [][]byte, masks []uint16) {
+	f := dst.C / a.n
+	s := newSessionMaps(feats, f, dst)
+	for i, mask := range masks {
+		dst.Place(i, 0, s.next(mask), f)
+	}
 }
 
 // Backward splits the channel-concatenated gradient back per device.

@@ -16,18 +16,23 @@ type ConvP struct {
 	Pool *nn.MaxPool2D
 	BN   *nn.BatchNorm
 	Act  *BinaryActivation
+	// thresh is the bit-domain forwards' per-filter epilogue, derived
+	// from BN by SyncWeights (fused.go).
+	thresh []threshold
 }
 
 var _ nn.Layer = (*ConvP)(nil)
 
 // NewConvP constructs a ConvP block with f output filters.
 func NewConvP(rng *rand.Rand, name string, inC, f int) *ConvP {
-	return &ConvP{
+	b := &ConvP{
 		Conv: NewBinaryConv2D(rng, name+".conv", inC, f, 3, 1, 1),
 		Pool: nn.NewMaxPool2D(3, 2, 1),
 		BN:   nn.NewBatchNorm(name+".bn", f),
 		Act:  NewBinaryActivation(),
 	}
+	b.thresh = deriveThresholds(nil, b.BN, inC)
+	return b
 }
 
 // Forward applies conv → pool → batch norm → binary activation.
@@ -66,6 +71,33 @@ func (b *ConvP) ForwardLayered(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor 
 	return y4
 }
 
+// ForwardPlanes is the bit-domain inference forward for a block that
+// feeds another one: the input is a ternary map already in bit planes
+// (an MP or CC aggregation of ±1 device features, or the previous
+// block's output), and the output goes straight into the returned
+// planes, the next block's input (from p; Put them back once consumed):
+// a worker packs each sample's signs in its scratch and places them as
+// the aggregation places a device's map. The outputs are the signs ForwardPooled computes on
+// the same map as floats (fused.go), under the thresholds of the last
+// SyncWeights.
+func (b *ConvP) ForwardPlanes(in Planes, p *tensor.Pool) Planes {
+	out := GetPlanes(p, in.N, b.Filters(), (in.H-1)/2+1, (in.W-1)/2+1)
+	b.forwardBits(fusedIO{in: in, next: out}, p)
+	return out
+}
+
+// ForwardPacked is ForwardPlanes for the last block of a section: the
+// sign bits go into PackSigns bytes, one PackedSize(F·H'·W') run per
+// sample back to back — the exit head's input and the wire's feature
+// payload. The buffer comes from p (PutBytes it back once consumed).
+func (b *ConvP) ForwardPacked(in Planes, p *tensor.Pool) []byte {
+	stride := PackedSize(b.Filters() * ((in.H-1)/2 + 1) * ((in.W-1)/2 + 1))
+	out := p.GetBytes(in.N * stride)
+	clear(out)
+	b.forwardBits(fusedIO{in: in, packed: out}, p)
+	return out
+}
+
 // Backward propagates through the block in reverse.
 func (b *ConvP) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	grad = b.Act.Backward(grad)
@@ -85,8 +117,12 @@ func (b *ConvP) Params() []*nn.Param {
 func (b *ConvP) Filters() int { return b.Conv.OutChannels() }
 
 // SyncWeights re-derives the block's binarized weights from the latent
-// parameters, making subsequent inference forwards read-only.
-func (b *ConvP) SyncWeights() { b.Conv.SyncWeights() }
+// parameters, and the bit-domain thresholds from the batch norm, making
+// subsequent inference forwards read-only.
+func (b *ConvP) SyncWeights() {
+	b.Conv.SyncWeights()
+	b.thresh = deriveThresholds(b.thresh, b.BN, b.Conv.inner.InC)
+}
 
 // MemoryBits returns the eBNN deployment footprint: 1 bit per binarized
 // weight plus 32 bits per batch-norm scale/shift pair (γ, β fused with the

@@ -76,7 +76,7 @@ func packRef(v []float32) []byte {
 }
 
 // TestPackSignsDiffAllPaths pins PackSigns, PackVector and
-// PackSignsSample on every dispatch path to the reference packer, over
+// PackSamplesInto on every dispatch path to the reference packer, over
 // adversarial lengths and -0.0/NaN/±Inf inputs.
 func TestPackSignsDiffAllPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -111,10 +111,15 @@ func TestPackSignsDiffAllPaths(t *testing.T) {
 	bt := tensor.New(batch, dim)
 	fillSpecials(bt.Data(), rng)
 	forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+		stride := PackedSize(dim)
+		got := make([]byte, batch*stride)
+		for i := range got {
+			got[i] = 0xa5 // dirty, as a pooled buffer is
+		}
+		PackSamplesInto(got, bt)
 		for i := 0; i < batch; i++ {
-			want := packRef(bt.Sample(i))
-			if got := PackSignsSample(bt, i); !bytes.Equal(got, want) {
-				t.Fatalf("path=%v sample %d: %x, want %x", p, i, got, want)
+			if want := packRef(bt.Sample(i)); !bytes.Equal(got[i*stride:(i+1)*stride], want) {
+				t.Fatalf("path=%v sample %d: %x, want %x", p, i, got[i*stride:(i+1)*stride], want)
 			}
 		}
 	})

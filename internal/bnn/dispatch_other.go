@@ -16,8 +16,9 @@ func packWordsSIMD(words []uint64, v []float32) { packWordsGo(words, v) }
 // The bands the simd pack would take run the float tile.
 func ternaryMasksSIMD(pos, nz []byte, src []float32, chStride, c, groups int) bool { return false }
 
-func xnorRowSIMD(out []float32, cs int, win []uint64, w, kw, groups int, wts []uint64) {
+func xnorRowSIMD(out []float32, cs int, win []uint64, w, segw, rs, groups int, wts []uint64) {
+	kw := 3 * segw
 	for f := 0; f < 4*groups; f++ {
-		xnorRowN(out[f*cs:][:w], win, wts[f/4*kw*4+f%4:], kw)
+		xnorRowN(out[f*cs:][:w], win, rs, segw, wts[f/4*kw*4+f%4:])
 	}
 }

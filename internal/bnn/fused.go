@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/ddnn/ddnn-go/internal/nn"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
 // This file is the fused inference kernel behind ConvP.ForwardPooled on
-// the go and simd dispatch paths. It walks the batch sample by sample
-// and each sample band by band: a band of input rows is copied once
-// into a zero-padded scratch buffer, the sign convolution runs over it
-// directly (tensor.ConvSign3x3 — no im2col matrix), and each pooled row
-// the band completes is max-pooled, batch-normalized and binarized in
-// one step (tensor.PoolAffineSignRow) straight into the ±1 output. The
-// only float intermediate is the band's convolution output, which never
-// leaves the worker's scratch.
+// the go and simd dispatch paths, and behind the bit-domain forwards
+// (ForwardPlanes, ForwardPacked) on every path. It walks the batch sample
+// by sample and each sample band by band: the band's convolution runs
+// over a zero-padded view of its input rows — copied once into scratch
+// from a float input, or read in place from the caller's bit planes —
+// and each pooled row the band completes is pooled, normalized and
+// binarized in one step. The only float intermediate is the band's
+// convolution output, which never leaves the worker's scratch.
 //
 // Numeric contract: the output is bit-identical to the layered
 // composition (ForwardLayered, and ConvP.Forward in inference mode).
@@ -24,11 +25,21 @@ import (
 // the pool scans its window row-major under "a value wins only if it
 // compares greater", so NaN never wins; batch normalization is
 // nn.BatchNorm.InferenceAffine's rounded multiply and rounded add; the
-// activation is `>= 0` (−0 → +1, NaN → −1). Batch normalization is
-// deliberately not refolded into a per-channel threshold on the pooled
-// value: the device block convolves real-valued inputs, and a threshold
-// computed in different arithmetic would flip values that land on the
-// zero crossing.
+// activation is `>= 0` (−0 → +1, NaN → −1).
+//
+// A float input keeps that float epilogue (tensor.PoolAffineSignRow): a
+// device block convolves real-valued frames, whose pooled values are
+// not integers, and a threshold computed in different arithmetic would
+// flip values that land on the zero crossing. A bit-plane input is
+// ternary, so every convolution output and every pooled value is an
+// integer m in [−9C, 9C], and sign(affine(m)) is a predicate on that
+// finite set. SyncWeights evaluates InferenceAffine's own expression on
+// every integer of the range once and stores where it flips: the
+// epilogue is then one compare per output, m ≥ τ (scale > 0), m ≤ τ
+// (scale < 0) or a constant (scale 0, or a NaN parameter). Rounding is
+// monotone, so a single flip point exists and the compare reproduces
+// the float epilogue exactly, by construction; deriveThresholds checks
+// every point anyway.
 
 // fusedScratchBudget caps one worker's scratch at 32 KB so the band, its
 // convolution output and the four filters' weights in flight stay
@@ -89,6 +100,17 @@ func planFused(c, h, w, f int) fusedPlan {
 
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
+// fusedIO is one fused pass's data: a float input x and output y, or
+// (x nil) input bit planes in and, for the output signs, the next
+// block's planes next (next.N > 0) or PackSigns bytes packed, one run
+// per sample.
+type fusedIO struct {
+	x, y   *tensor.Tensor
+	in     Planes
+	next   Planes
+	packed []byte
+}
+
 // forwardFused is ForwardPooled on the go and simd paths.
 func (b *ConvP) forwardFused(path tensor.KernelPath, x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
 	conv := b.Conv.inner
@@ -99,27 +121,51 @@ func (b *ConvP) forwardFused(path tensor.KernelPath, x *tensor.Tensor, p *tensor
 	pl := planFused(conv.InC, x.Dim(2), x.Dim(3), conv.OutC)
 	y := p.GetDirty(n, pl.f, pl.ph, pl.pw)
 
+	// Each call builds its own fusedIO: one a goroutine's closure
+	// captured would move to the heap, and the serial path allocates
+	// nothing.
 	big := pl.f*pl.c*9*pl.h*pl.w >= fusedParallelOps && tensor.MaxWorkers() > 1
 	switch {
 	case n > 1 && big:
-		tensor.ParallelFor(n, 1, func(lo, hi int) { b.fusedRange(path, y, x, pl, p, lo, hi, 0, pl.f) })
+		tensor.ParallelFor(n, 1, func(lo, hi int) { b.fusedRange(path, &fusedIO{x: x, y: y}, pl, p, lo, hi, 0, pl.f) })
 	case n == 1 && big && pl.f >= 8:
 		// One big sample (a cloud block at batch 1): every worker lowers
 		// the bands itself — cheap next to the convolution — and owns a
 		// block of filters end to end.
-		tensor.ParallelFor(pl.f, 4, func(lo, hi int) { b.fusedRange(path, y, x, pl, p, 0, 1, lo, hi) })
+		tensor.ParallelFor(pl.f, 4, func(lo, hi int) { b.fusedRange(path, &fusedIO{x: x, y: y}, pl, p, 0, 1, lo, hi) })
 	default:
-		b.fusedRange(path, y, x, pl, p, 0, n, 0, pl.f)
+		b.fusedRange(path, &fusedIO{x: x, y: y}, pl, p, 0, n, 0, pl.f)
 	}
 	return y
 }
 
+// forwardBits is the bit-domain pass behind ForwardPlanes and
+// ForwardPacked. It splits work over samples only: the filters of one
+// sample share the bytes of its output, so a filter split would race.
+func (b *ConvP) forwardBits(io fusedIO, p *tensor.Pool) {
+	in, conv := io.in, b.Conv.inner
+	if in.C != conv.InC {
+		panic(fmt.Sprintf("bnn: ConvP %s input planes have %d channels, want %d", conv.Weight.Name, in.C, conv.InC))
+	}
+	if len(b.thresh) != conv.OutC {
+		panic(fmt.Sprintf("bnn: ConvP %s has no thresholds; call SyncWeights", conv.Weight.Name))
+	}
+	path := tensor.CurrentKernelPath()
+	pl := planFused(in.C, in.H, in.W, conv.OutC)
+	if in.N > 1 && pl.f*pl.c*9*pl.h*pl.w >= fusedParallelOps && tensor.MaxWorkers() > 1 {
+		shared := io // on the heap only on this branch
+		tensor.ParallelFor(in.N, 1, func(lo, hi int) { b.fusedRange(path, &shared, pl, p, lo, hi, 0, pl.f) })
+		return
+	}
+	b.fusedRange(path, &io, pl, p, 0, in.N, 0, pl.f)
+}
+
 // fusedRange computes output filters [f0, f1) of samples [n0, n1) with
 // one scratch buffer borrowed from p.
-func (b *ConvP) fusedRange(path tensor.KernelPath, y, x *tensor.Tensor, pl fusedPlan, p *tensor.Pool, n0, n1, f0, f1 int) {
+func (b *ConvP) fusedRange(path tensor.KernelPath, io *fusedIO, pl fusedPlan, p *tensor.Pool, n0, n1, f0, f1 int) {
 	buf := p.GetDirty(pl.size)
 	defer p.Put(buf)
-	scratch, yd, xd := buf.Data(), y.Data(), x.Data()
+	scratch := buf.Data()
 	xb := scratch[:pl.xbLen]
 	cb := scratch[pl.xbLen : pl.xbLen+pl.f*pl.cs]
 	affine := scratch[pl.xbLen+pl.f*pl.cs:]
@@ -134,42 +180,154 @@ func (b *ConvP) fusedRange(path tensor.KernelPath, y, x *tensor.Tensor, pl fused
 	// Within a filter's cb segment, row t (0 = carried row, 1.. = band
 	// rows) has its column −1 at t*wp and its column 0 at 1+t*wp.
 	conv := cb[1+wp:]
+	// On the bit path a sample's signs go to signs, PackSigns order: its
+	// run of io.packed, or own, placed in io.next once the sample is done.
+	stride := PackedSize(pl.f * pl.ph * pl.pw)
+	var sample []float32
+	var signs, own []byte
+	if io.x == nil && io.next.N > 0 {
+		own = p.GetBytes(stride)
+		defer p.PutBytes(own)
+	}
+	// The two junk positions ending each band row are the pool's −Inf
+	// padding. The float tile overwrites them every band; the XNOR
+	// convolution writes only image columns, so on the bit path, where
+	// every band is XNOR, they are set once.
+	junk := func(f, rows int) {
+		seg := cb[f*cs : (f+1)*cs]
+		for t := 1; t <= rows; t++ {
+			seg[1+t*wp+pl.w], seg[1+t*wp+pl.w+1] = negInf, negInf
+		}
+	}
+	if io.x == nil {
+		for f := f0; f < f1; f++ {
+			junk(f, pl.band)
+		}
+	}
 
 	for ni := n0; ni < n1; ni++ {
-		sample := xd[ni*pl.c*pl.h*pl.w : (ni+1)*pl.c*pl.h*pl.w]
+		switch {
+		case io.x != nil:
+			sample = io.x.Data()[ni*pl.c*pl.h*pl.w : (ni+1)*pl.c*pl.h*pl.w]
+		case own != nil:
+			signs = own
+			clear(signs)
+		default:
+			signs = io.packed[ni*stride : (ni+1)*stride]
+		}
 		for f := f0; f < f1; f++ {
 			// Row −1 of the convolution output is pool padding.
 			fill(cb[f*cs+1:f*cs+1+wp], negInf)
 		}
 		for r0 := 0; r0 < pl.h; r0 += pl.band {
 			rows := min(pl.band, pl.h-r0)
-			if packTernaryBand(path, bits, sample, pl, r0, rows) {
+			switch {
+			case io.x == nil:
+				// Padded rows r0 .. r0+rows+1 are input rows r0−1 .. r0+rows.
+				bits.sgn, bits.nz = io.in.rows(ni, r0)
 				xnorConv3x3(path, conv, cs, xw, bits, pl, rows, f0, f1)
-			} else {
+			case packTernaryBand(path, bits, sample, pl, r0, rows):
+				xnorConv3x3(path, conv, cs, xw, bits, pl, rows, f0, f1)
+			default:
 				lowerBand(xb, sample, pl, r0, rows)
 				tensor.ConvSign3x3(path, conv, cs, wd, xb, pl.c, pl.plane, wp, rows, f0, f1)
 			}
 			for f := f0; f < f1; f++ {
 				seg := cb[f*cs : (f+1)*cs]
-				for t := 1; t <= rows; t++ {
-					seg[1+t*wp+pl.w], seg[1+t*wp+pl.w+1] = negInf, negInf
+				if io.x != nil {
+					junk(f, rows)
 				}
 				// Pooled row py covers convolution rows 2py−1..2py+1,
-				// i.e. segment rows t−1..t+1 with t = 2py−r0+1.
-				for py := r0 / 2; py < (r0+rows+1)/2; py++ {
+				// i.e. segment rows t−1..t+1 with t = 2py−r0+1; a band's
+				// pooled rows are two segment rows apart.
+				rowsOf := func(py int) (top, mid, bot []float32) {
 					t := 2*py - r0 + 1
-					top, mid := seg[(t-1)*wp:], seg[t*wp:]
-					bot := mid // row 2py+1 is below the image: repeat one that is not
+					top, mid = seg[(t-1)*wp:], seg[t*wp:]
+					bot = mid // row 2py+1 is below the image: repeat one that is not
 					if 2*py+1 < pl.h {
 						bot = seg[(t+1)*wp:]
 					}
-					out := yd[((ni*pl.f+f)*pl.ph+py)*pl.pw:][:pl.pw]
-					tensor.PoolAffineSignRow(path, out, top, mid, bot, scale[f], shift[f])
+					return top, mid, bot
+				}
+				py0, py1 := r0/2, (r0+rows+1)/2
+				if io.x == nil {
+					// A filter's pooled rows are consecutive runs of its
+					// PackSigns bits, so up to 64 bits go at once.
+					th := b.thresh[f]
+					for py := py0; py < py1; {
+						top, mid, bot := rowsOf(py)
+						// nr rows at once while their windows stay in the image.
+						nr, k := 1, min(64, pl.pw)
+						if q := (pl.h - 2*py) / 2; q > 0 && pl.pw <= 64 {
+							nr = min(64/pl.pw, py1-py, q)
+						}
+						for px := 0; px < pl.pw; px += k {
+							k = min(k, pl.pw-px)
+							putBits(signs, (f*pl.ph+py)*pl.pw+px, tensor.PoolThresholdRows(path, top[2*px:], mid[2*px:], bot[2*px:], 2*wp, nr, k, th.s, th.t), nr*k)
+						}
+						py += nr
+					}
+				} else {
+					for py := py0; py < py1; py++ {
+						top, mid, bot := rowsOf(py)
+						out := io.y.Data()[((ni*pl.f+f)*pl.ph+py)*pl.pw:][:pl.pw]
+						tensor.PoolAffineSignRow(path, out, top, mid, bot, scale[f], shift[f])
+					}
 				}
 				copy(seg[1:1+wp], seg[1+rows*wp:1+(rows+1)*wp])
 			}
 		}
+		if own != nil {
+			io.next.Place(ni, 0, [][]byte{own}, pl.f)
+		}
 	}
+}
+
+// threshold is one filter's integer epilogue on bit-plane input: the
+// block outputs +1 exactly when s·m ≥ t, m being the window's maximum
+// convolution output and s ±1. t is an integer, or ±Inf for an output
+// that is constant.
+type threshold struct{ s, t float32 }
+
+// deriveThresholds writes filter f's threshold for convolutions over c
+// input channels into dst[f], reusing dst when its length fits. It
+// evaluates bn's inference transform exactly as the float epilogue does,
+// float32(scale·m) + shift ≥ 0, at every integer m in [−9c, 9c] and
+// records the one point where the answer flips (see the file comment),
+// then confirms the compare on every point.
+func deriveThresholds(dst []threshold, bn *nn.BatchNorm, c int) []threshold {
+	if len(dst) != bn.C {
+		dst = make([]threshold, bn.C)
+	}
+	k := 9 * c
+	for f := range dst {
+		scale, shift := bn.InferenceAffine(f)
+		pass := func(m int) bool { return float32(scale*float32(m))+shift >= 0 }
+		th := threshold{s: 1, t: float32(math.Inf(1))} // never +1
+		switch lo, hi := pass(-k), pass(k); {
+		case lo && hi:
+			th.t = negInf // always +1
+		case hi: // false then true: m ≥ τ
+			m := -k
+			for !pass(m) {
+				m++
+			}
+			th.t = float32(m)
+		case lo: // true then false: m ≤ τ, i.e. −m ≥ −τ
+			m := k
+			for !pass(m) {
+				m--
+			}
+			th = threshold{s: -1, t: float32(-m)}
+		}
+		for m := -k; m <= k; m++ {
+			if pass(m) != (th.s*float32(m) >= th.t) {
+				panic(fmt.Sprintf("bnn: batch norm %s channel %d is not monotone at %d (scale %g, shift %g)", bn.Gamma.Name, f, m, scale, shift))
+			}
+		}
+		dst[f] = th
+	}
+	return dst
 }
 
 // lowerBand copies input rows r0−1 .. r0+rows of every channel into the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -362,16 +363,22 @@ func TestConvPFusedSharedPool(t *testing.T) {
 // FuzzConvPParity lets the fuzzer choose the geometry, the weights, the
 // batch-norm statistics and the raw bit patterns of the input (so −0,
 // denormals, ±Inf and every NaN payload are reachable) and requires the
-// fused kernel on every path to reproduce the layered reference. With the
-// top bit of nr set, input words map to +1, −1, +0 and −0 by their low
-// two bits — the XNOR convolution's inputs — except one in sixteen, which
-// keeps its raw bits and sends its bands back to the float tile.
+// fused kernel on every path to reproduce the layered reference. Three
+// bits of each filter's parameter word plant what the bit-domain
+// thresholds must survive: a NaN γ or β, γ = 0, or an exact zero crossing
+// (scale 1, shift −mean, the mean an integer); γ < 0 comes from the
+// random range. With the top bit of nr set, input words map to +1, −1, +0
+// and −0 by their low two bits — the XNOR convolution's inputs — except
+// one in sixteen, which keeps its raw bits and sends its bands back to
+// the float tile; the all-ternary version of that input also runs
+// through the bit-plane forwards, ForwardPacked and ForwardPlanes.
 func FuzzConvPParity(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint8(4), uint8(32), uint8(32), []byte("convp-parity-seed-0123456789"))
 	f.Add(uint8(2), uint8(5), uint8(3), uint8(12), uint8(20), []byte{0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0xff, 0x00, 0x00, 0x00, 0x80})
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
 	f.Add(uint8(0x81), uint8(8), uint8(8), uint8(15), uint8(15), []byte("ternary-seed-all-four-values-0123"))
 	f.Add(uint8(0x80), uint8(5), uint8(7), uint8(9), uint8(13), []byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x21, 0x32, 0x43, 0xf7, 0xff, 0x7f})
+	f.Add(uint8(0x82), uint8(7), uint8(8), uint8(16), uint8(16), []byte{0x00, 0x80, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x80, 0x01, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, nr, cr, fr, hr, wr uint8, raw []byte) {
 		n, c, fl := 1+int(nr)%3, 1+int(cr)%9, 1+int(fr)%9
 		h, w := 1+int(hr)%20, 1+int(wr)%20
@@ -385,23 +392,39 @@ func FuzzConvPParity(f *testing.F) {
 		for i := range blk.Conv.Latent.Value.Data() {
 			blk.Conv.Latent.Value.Data()[i] = float32(int32(word(i)>>7&2) - 1)
 		}
-		blk.SyncWeights()
+		nan := float32(math.NaN())
 		for ci := 0; ci < fl; ci++ {
 			u := word(1000 + ci)
-			blk.BN.Gamma.Value.Data()[ci] = float32(int32(u&7)-3) / 2
-			blk.BN.Beta.Value.Data()[ci] = float32(int32(u>>3&15)-7) / 4
-			blk.BN.RunningMean.Data()[ci] = float32(int32(u>>7&31) - 15)
-			blk.BN.RunningVar.Data()[ci] = float32(u>>12&7)/2 + 0.25
+			g, b := float32(int32(u&7)-3)/2, float32(int32(u>>3&15)-7)/4
+			mean, v := float32(int32(u>>7&31)-15), float32(u>>12&7)/2+0.25
+			switch u >> 15 & 7 {
+			case 0:
+				g = nan
+			case 1:
+				b = nan
+			case 2:
+				g = 0
+			case 3:
+				g, b, v = 2, 0, 4-blk.BN.Eps
+			}
+			blk.BN.Gamma.Value.Data()[ci], blk.BN.Beta.Value.Data()[ci] = g, b
+			blk.BN.RunningMean.Data()[ci], blk.BN.RunningVar.Data()[ci] = mean, v
 		}
-		x := tensor.New(n, c, h, w)
+		blk.SyncWeights()
+		x, xt := tensor.New(n, c, h, w), tensor.New(n, c, h, w)
 		for i := range x.Data() {
 			u := word(2000 + i)
 			x.Data()[i] = math.Float32frombits(u)
+			xt.Data()[i] = [4]float32{1, -1, 0, negZero}[u&3]
 			if nr&0x80 != 0 && u&0xf0 != 0xf0 {
-				x.Data()[i] = [4]float32{1, -1, 0, negZero}[u&3]
+				x.Data()[i] = xt.Data()[i]
 			}
 		}
 		want := convpOracle(t, blk, x)
+		var wantBits *tensor.Tensor
+		if nr&0x80 != 0 {
+			wantBits = convpOracle(t, blk, xt)
+		}
 
 		prev := tensor.CurrentKernelPath()
 		defer tensor.SetKernelPath(prev)
@@ -414,6 +437,15 @@ func FuzzConvPParity(f *testing.F) {
 				if got.Data()[i] != wv {
 					t.Fatalf("path=%v n=%d c=%d f=%d %dx%d: element %d = %g, reference %g", p, n, c, fl, h, w, i, got.Data()[i], wv)
 				}
+			}
+			if wantBits == nil {
+				continue
+			}
+			if !slices.Equal(blk.ForwardPacked(planesOf(xt), nil), packedOf(wantBits)) {
+				t.Fatalf("path=%v n=%d c=%d f=%d %dx%d: ForwardPacked differs from the packed reference", p, n, c, fl, h, w)
+			}
+			if !samePlanes(blk.ForwardPlanes(planesOf(xt), nil), planesOf(wantBits)) {
+				t.Fatalf("path=%v n=%d c=%d f=%d %dx%d: ForwardPlanes differs from the reference's planes", p, n, c, fl, h, w)
 			}
 		}
 	})

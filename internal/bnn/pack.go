@@ -31,22 +31,11 @@ func UnpackSigns(data []byte, shape ...int) (*tensor.Tensor, error) {
 // PackedSize returns the number of bytes PackSigns produces for n elements.
 func PackedSize(n int) int { return (n + 7) / 8 }
 
-// PackSignsSample bit-packs the signs of one leading-dimension sample
-// block of a batched tensor, producing exactly the bytes PackSigns would
-// produce for that sample alone — each sample of a micro-batch starts on
-// its own byte boundary, so batched and per-sample uploads stay
-// bit-identical.
-func PackSignsSample(t *tensor.Tensor, i int) []byte {
-	td := t.Sample(i)
-	out := make([]byte, (len(td)+7)/8)
-	packSignsInto(out, td)
-	return out
-}
-
 // PackSamplesInto bit-packs every leading-dimension sample of t into dst,
-// back to back: PackSignsSample's bytes for each sample in turn, each
-// PackedSize(t.SampleSize()) long. dst must have exactly that many bytes
-// per sample.
+// back to back: the bytes PackSigns would produce for each sample alone,
+// each PackedSize(t.SampleSize()) long — each sample of a micro-batch
+// starts on its own byte boundary, so batched and per-sample uploads stay
+// bit-identical. dst must have exactly that many bytes per sample.
 func PackSamplesInto(dst []byte, t *tensor.Tensor) {
 	n, stride := t.Dim(0), PackedSize(t.SampleSize())
 	if len(dst) != n*stride {

@@ -19,7 +19,7 @@ import (
 // so Bytes/PackedVectorFromBytes round-trip without bit shuffling. The
 // float training path (BinaryLinear) and this packed path are verified
 // against each other in the tests, as are the word-wide kernels against
-// the byte-wide reference (XnorDotBytes). The serving exit heads run on
+// the tests' byte-wide reference (XnorDotBytes). The serving exit heads run on
 // PackedLinear, whose columns BinaryLinear.SyncWeights keeps current.
 
 // PackedVector is a bit-packed ±1 vector in 64-bit lanes: bit i (counting
@@ -89,26 +89,6 @@ func XnorDot(a, b PackedVector) (int, error) {
 		hamming += bits.OnesCount64((a.Words[full] ^ b.Words[full]) & mask)
 	}
 	return a.N - 2*hamming, nil
-}
-
-// XnorDotBytes is the byte-wide reference kernel (the original
-// implementation, one OnesCount8 per byte) over PackSigns byte forms. It
-// is kept as ground truth for the word-wide kernel's parity tests and
-// the naive-vs-optimized benchmarks.
-func XnorDotBytes(n int, a, b []byte) (int, error) {
-	if need := PackedSize(n); len(a) != need || len(b) != need {
-		return 0, fmt.Errorf("bnn: XnorDotBytes packed size %d vs %d, want %d", len(a), len(b), need)
-	}
-	hamming := 0
-	full := n / 8
-	for i := 0; i < full; i++ {
-		hamming += bits.OnesCount8(a[i] ^ b[i])
-	}
-	if rem := n % 8; rem != 0 {
-		mask := byte(1<<uint(rem)) - 1
-		hamming += bits.OnesCount8((a[full] ^ b[full]) & mask)
-	}
-	return n - 2*hamming, nil
 }
 
 // PackedLinear is the deployed form of a BinaryLinear layer: weights

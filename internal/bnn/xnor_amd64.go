@@ -67,13 +67,16 @@ func ternaryMasksSIMD(pos, nz []byte, src []float32, chStride, c, groups int) bo
 }
 
 // xnorRowAVX2 (xnor_amd64.s) sweeps groups×4 filters over one output row
-// of w windows; see xnorConv3x3.
+// of w windows read from the band's row segments; see xnorConv3x3.
 //
 //go:noescape
-func xnorRowAVX2(out *float32, cs int, win *uint64, w, kw, groups int, wts *uint64)
+func xnorRowAVX2(out *float32, cs int, win *uint64, w, segw, rs, groups int, wts *uint64)
 
 // xnorRowSIMD runs the AVX2 sweep: out starts at the first filter's
-// output row, wts at its group's words. The caller keeps kw ≤ 31.
-func xnorRowSIMD(out []float32, cs int, win []uint64, w, kw, groups int, wts []uint64) {
-	xnorRowAVX2(&out[0], cs, &win[0], w, kw, groups, &wts[0])
+// output row, win at the row's segments, wts at its group's words. The
+// caller keeps 3·segw ≤ 31.
+func xnorRowSIMD(out []float32, cs int, win []uint64, w, segw, rs, groups int, wts []uint64) {
+	if w > 0 {
+		xnorRowAVX2(&out[0], cs, &win[0], w, segw, rs, groups, &wts[0])
+	}
 }

@@ -171,39 +171,47 @@ tmfail:
 	VZEROUPPER
 	RET
 
-// func xnorRowAVX2(out *float32, cs int, win *uint64, w, kw, groups int, wts *uint64)
+// func xnorRowAVX2(out *float32, cs int, win *uint64, w, segw, rs, groups int, wts *uint64)
 //
-// Sweeps groups×4 filters over one output row of w windows (xnorconv.go):
-// window ox is 2·kw+1 words at win — kw (sign, nonzero) pairs, then the
-// nonzero count — and filter group g is kw×4 words at wts, word i of its
-// four filters side by side. Each YMM lane holds one filter: per word,
-// (sign ⊕ filter) ∧ nonzero is popcounted with the nibble lookup into byte
-// counts (at most 8 per byte per word, so kw ≤ 31 cannot overflow), which
-// VPSADBW folds into the four popcounts h. Filter 4g+l's output at column
-// ox is the float nz − 2h at out + ((4g+l)·cs + ox)·4.
-TEXT ·xnorRowAVX2(SB), NOSPLIT, $0-56
+// Sweeps groups×4 filters over one output row of w windows (xnorconv.go).
+// Window ox is three row segments, rs words apart, from win + ox·(2·segw+1)
+// words: each is segw (sign, nonzero) pairs and the row's nonzero count.
+// Filter group g is 3·segw×4 words at wts, word i of its four filters
+// side by side. Each YMM lane holds one filter: per word, (sign ⊕ filter)
+// ∧ nonzero is popcounted with the nibble lookup into byte counts (at most
+// 8 per byte per word, so 3·segw ≤ 31 cannot overflow), which VPSADBW
+// folds into the four popcounts h. Filter 4g+l's output at column ox is
+// the float nz − 2h at out + ((4g+l)·cs + ox)·4. The frame holds the
+// positions left and the step from a segment's end to the next row's.
+TEXT ·xnorRowAVX2(SB), NOSPLIT, $16-64
 	MOVQ out+0(FP), DI
 	MOVQ cs+8(FP), R8
 	SHLQ $2, R8 // bytes between filter rows
 	MOVQ win+16(FP), SI
-	MOVQ kw+32(FP), R10
-	MOVQ groups+40(FP), R11
-	MOVQ wts+48(FP), DX
-	LEAQ 1(R10)(R10*1), R12
-	SHLQ $3, R12 // bytes per window
-	MOVQ w+24(FP), R9
-	IMULQ R12, R9
-	ADDQ SI, R9 // end of the row's windows
+	MOVQ w+24(FP), AX
+	MOVQ AX, 0(SP) // positions left
+	MOVQ segw+32(FP), R10
+	MOVQ rs+40(FP), R12
+	SHLQ $3, R12 // bytes between kernel rows
+	MOVQ R10, AX
+	SHLQ $4, AX
+	MOVQ R12, BX
+	SUBQ AX, BX
+	MOVQ BX, 8(SP) // from the end of a segment's pairs to the next row's
+	MOVQ groups+48(FP), R11
+	MOVQ wts+56(FP), DX
 	VMOVDQU popcntLUT<>(SB), Y4
 	VMOVDQU nibbleMask<>(SB), Y5
 	VPXOR Y6, Y6, Y6
 
 posloop:
-	CMPQ SI, R9
-	JGE rowdone
 	LEAQ (R10)(R10*1), AX
-	MOVQ (SI)(AX*8), AX // nonzero count
-	VMOVQ AX, X10 // VEX form: a legacy-SSE MOVQ here costs an AVX transition
+	LEAQ (SI)(AX*8), R13 // row 0's nonzero count
+	MOVQ (R13), CX
+	ADDQ (R13)(R12*1), CX
+	LEAQ (R13)(R12*2), R13
+	ADDQ (R13), CX
+	VMOVQ CX, X10 // VEX form: a legacy-SSE MOVQ here costs an AVX transition
 	VPBROADCASTD X10, X10
 	MOVQ DX, BX  // filter words
 	MOVQ DI, AX  // output of the group's first filter
@@ -211,8 +219,11 @@ posloop:
 
 grouploop:
 	MOVQ SI, R13 // window words
-	MOVQ R10, R14
+	MOVQ $3, R9  // kernel rows left
 	VPXOR Y7, Y7, Y7
+
+rowloop:
+	MOVQ R10, R14
 
 wordloop:
 	VPBROADCASTQ (R13), Y0
@@ -231,6 +242,10 @@ wordloop:
 	DECQ R14
 	JNE wordloop
 
+	ADDQ 8(SP), R13
+	DECQ R9
+	JNE rowloop
+
 	VPSADBW Y6, Y7, Y7
 	VEXTRACTI128 $1, Y7, X8
 	VSHUFPS $0x88, X8, X7, X7 // h of the four filters
@@ -248,10 +263,11 @@ wordloop:
 	DECQ CX
 	JNE grouploop
 
-	ADDQ R12, SI
+	LEAQ (R10)(R10*1), AX
+	LEAQ 8(SI)(AX*8), SI // the next position's segments
 	ADDQ $4, DI
-	JMP posloop
+	DECQ 0(SP)
+	JNE posloop
 
-rowdone:
 	VZEROUPPER
 	RET

@@ -1,6 +1,8 @@
 package bnn
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -230,4 +232,55 @@ func TestPackedLinearRejectsWrongWidth(t *testing.T) {
 	if err := p.ForwardInto(make([]float32, 2), PackVector(make([]float32, 9)).Bytes()); err == nil {
 		t.Error("accepted wrong input width")
 	}
+}
+
+// XnorDotBytes is the byte-wide reference kernel (the original
+// implementation, one OnesCount8 per byte) over PackSigns byte forms:
+// the ground truth for the word-wide kernel's parity tests and the
+// word-vs-byte benchmark.
+func XnorDotBytes(n int, a, b []byte) (int, error) {
+	if need := PackedSize(n); len(a) != need || len(b) != need {
+		return 0, fmt.Errorf("bnn: XnorDotBytes packed size %d vs %d, want %d", len(a), len(b), need)
+	}
+	hamming := 0
+	full := n / 8
+	for i := 0; i < full; i++ {
+		hamming += bits.OnesCount8(a[i] ^ b[i])
+	}
+	if rem := n % 8; rem != 0 {
+		mask := byte(1<<uint(rem)) - 1
+		hamming += bits.OnesCount8((a[full] ^ b[full]) & mask)
+	}
+	return n - 2*hamming, nil
+}
+
+// BenchmarkXnorDot compares the word-wide (64-bit lanes, deployed)
+// kernel against the byte-wide reference on a device-exit-sized dot
+// (1024 weights, the 4×16×16 feature map against one weight column).
+func BenchmarkXnorDot(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	v := make([]float32, 1024)
+	w := make([]float32, 1024)
+	for i := range v {
+		v[i] = float32(rng.Intn(2)*2 - 1)
+		w[i] = float32(rng.Intn(2)*2 - 1)
+	}
+	pv, pw := PackVector(v), PackVector(w)
+	vb, wb := pv.Bytes(), pw.Bytes()
+	b.Run("word", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := XnorDot(pv, pw); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("byte", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := XnorDotBytes(1024, vb, wb); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

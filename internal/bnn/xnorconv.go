@@ -2,6 +2,7 @@ package bnn
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"unsafe"
@@ -24,15 +25,17 @@ import (
 // same value and never at −0 — so the two are bit-identical by
 // construction.
 //
-// A band is packed into two bit planes, sign and nonzero, pixel-major:
-// padded pixel x of band row t holds channels 0..C−1 at bits x·C..x·C+C−1
-// of the row's bit string. A window's kernel row ky is then the 3C
+// The convolution reads two bit planes, sign and nonzero, pixel-major:
+// padded pixel x of a row holds channels 0..C−1 at bits x·C..x·C+C−1 of
+// the row's bit string. A window's kernel row ky is then the 3C
 // consecutive bits starting at ox·C of row oy+ky, read as segw words; the
-// filters are packed the same way (BinaryConv2D.SyncWeights). The pack
-// checks every value: only −1, +1 and ±0 (−0 counts as zero) are
-// accepted, and a band holding anything else — a real-valued sensor
-// frame, an averaged feature, NaN, ±Inf — runs the float tile instead, so
-// every input keeps its float answer.
+// filters are packed the same way (BinaryConv2D.SyncWeights). A float
+// input is packed band by band, and the pack checks every value: only
+// −1, +1 and ±0 (−0 counts as zero) are accepted, and a band holding
+// anything else — a real-valued sensor frame, an averaged feature, NaN,
+// ±Inf — runs the float tile instead, so every input keeps its float
+// answer. A bit-domain input arrives as Planes, the same layout over a
+// whole padded image, filled from packed feature maps by Place.
 
 // oneBits is the IEEE-754 bit pattern of 1.0 shifted left by one: the
 // magnitude bits of ±1 as packPixel compares them.
@@ -48,17 +51,18 @@ func xnorSegWords(c int) int { return (3*c + 63) / 64 }
 func xnorRowWords(c, wp int) int { return (wp*c+63)/64 + 2 }
 
 // xnorScratchWords returns the words the XNOR path needs for a band of
-// rows convolution rows w wide: the two bit planes, one output row's
-// windows (per position, 3·segw sign/nonzero word pairs and the nonzero
-// count) and one input row's channel-major masks (simd path).
+// rows convolution rows w wide: the two bit planes, the band's row
+// segments (per padded row and position, segw sign/nonzero word pairs
+// and their nonzero count) and one input row's channel-major masks (simd
+// path).
 func xnorScratchWords(c, w, rows int) int {
-	return 2*(rows+2)*xnorRowWords(c, w+2) + w*(6*xnorSegWords(c)+1) + (2*(w/8)*c+7)/8
+	return 2*(rows+2)*xnorRowWords(c, w+2) + (rows+2)*w*(2*xnorSegWords(c)+1) + (2*(w/8)*c+7)/8
 }
 
 // xnorScratch is the XNOR path's view of a worker's band scratch.
 type xnorScratch struct {
 	sgn, nz []uint64 // the band's bit planes, rows of rsw words
-	win     []uint64 // one output row's windows
+	seg     []uint64 // the band's row segments (xnorConv3x3)
 	pos, m  []byte   // one input row's masks: byte g·c+ci = pixels 8g..8g+7 of channel ci
 }
 
@@ -69,7 +73,8 @@ func newXnorScratch(xb []float32, pl fusedPlan) xnorScratch {
 	planes := (pl.band + 2) * pl.rsw
 	s := xnorScratch{sgn: words[:planes], nz: words[planes : 2*planes]}
 	words = words[2*planes:]
-	s.win, words = words[:pl.w*(6*xnorSegWords(pl.c)+1)], words[pl.w*(6*xnorSegWords(pl.c)+1):]
+	n := (pl.band + 2) * pl.w * (2*xnorSegWords(pl.c) + 1)
+	s.seg, words = words[:n], words[n:]
 	if n := (pl.w / 8) * pl.c; n > 0 {
 		b := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
 		s.pos, s.m = b[:n], b[n:2*n]
@@ -228,91 +233,333 @@ func packPixel(sgn, nz []uint64, sample []float32, pl fusedPlan, t, iy, x, c0 in
 // [f0, f1) into conv exactly where tensor.ConvSign3x3 would: filter f's
 // output row oy, column ox at conv[f*cs + oy*wp + ox]. It writes only the
 // w image columns of each row; the caller overwrites the two that end it.
-// Each output row's windows are extracted once into win, then swept by
-// every filter: on the simd path the whole groups of four inside
+// Each padded row's segments — per position ox, the 3C bits from bit ox·C
+// as segw (sign, nonzero) word pairs, then their nonzero count — are
+// extracted once into seg; the window of output (oy, ox) is the segments
+// of rows oy, oy+1 and oy+2 at ox, w·(2·segw+1) words apart, which every
+// filter sweeps: on the simd path the whole groups of four inside
 // [f0, f1) by the AVX2 kernel, the rest one filter at a time.
 func xnorConv3x3(path tensor.KernelPath, conv []float32, cs int, wts []uint64, s xnorScratch, pl fusedPlan, rows, f0, f1 int) {
 	c, w, rsw := pl.c, pl.w, pl.rsw
 	segw := xnorSegWords(c)
-	kw := 3 * segw
-	ws := 2*kw + 1
+	kw, ss := 3*segw, 2*segw+1
+	rs := w * ss                               // words between a window's kernel rows
 	last := ^uint64(0) >> uint((64-3*c%64)%64) // the 3C bits of a segment's last word
-	sgn, nz, win := s.sgn, s.nz, s.win[:w*ws]
+	sgn, nz, seg := s.sgn, s.nz, s.seg[:(rows+2)*rs]
 	lo, hi := f1, f1 // filters [lo, hi) go to the AVX2 sweep
 	if path == tensor.KernelSIMD && kw <= 31 && (f0+3)/4 < f1/4 {
 		lo, hi = (f0+3)/4*4, f1/4*4
 	}
-	for oy := 0; oy < rows; oy++ {
+	for t := 0; t < rows+2; t++ {
 		for ox := 0; ox < w; ox++ {
-			v := win[ox*ws : (ox+1)*ws : (ox+1)*ws]
+			v := seg[t*rs+ox*ss : t*rs+(ox+1)*ss : t*rs+(ox+1)*ss]
 			off := ox * c
 			r, l := uint(off)&63, (63-uint(off))&63 // a word at bit off is p[q]>>r | p[q+1]<<1<<l
+			q := t*rsw + off/64
+			ps, pm := sgn[q:q+segw+1:q+segw+1], nz[q:q+segw+1:q+segw+1]
 			nzc := 0
-			for ky := 0; ky < 3; ky++ {
-				q := (oy+ky)*rsw + off/64
-				ps, pm := sgn[q:q+segw+1:q+segw+1], nz[q:q+segw+1:q+segw+1]
-				for i := 0; i < segw; i++ {
-					m := pm[i]>>r | pm[i+1]<<1<<l
-					if i == segw-1 {
-						m &= last
-					}
-					k := 2 * (ky*segw + i)
-					v[k], v[k+1] = ps[i]>>r|ps[i+1]<<1<<l, m
-					nzc += bits.OnesCount64(m)
+			for i := 0; i < segw; i++ {
+				m := pm[i]>>r | pm[i+1]<<1<<l
+				if i == segw-1 {
+					m &= last
 				}
+				v[2*i], v[2*i+1] = ps[i]>>r|ps[i+1]<<1<<l, m
+				nzc += bits.OnesCount64(m)
 			}
-			v[2*kw] = uint64(nzc)
+			v[2*segw] = uint64(nzc)
 		}
+	}
+	for oy := 0; oy < rows; oy++ {
+		win := seg[oy*rs:]
 		for f := f0; f < f1; f++ {
 			if f == lo {
-				xnorRowSIMD(conv[f*cs+oy*pl.wp:], cs, win, w, kw, (hi-lo)/4, wts[f*kw:])
+				xnorRowSIMD(conv[f*cs+oy*pl.wp:], cs, win, w, segw, rs, (hi-lo)/4, wts[f*kw:])
 				f = hi - 1
 				continue
 			}
 			out := conv[f*cs+oy*pl.wp:][:w]
 			b := wts[f/4*kw*4+f%4:]
-			switch kw {
-			case 3:
-				xnorRow3(out, win, b[0], b[4], b[8])
-			case 6:
-				xnorRow6(out, win, b[0], b[4], b[8], b[12], b[16], b[20])
+			switch segw {
+			case 1:
+				xnorRow3(out, win, rs, b[0], b[4], b[8])
+			case 2:
+				xnorRow6(out, win, rs, b[0], b[4], b[8], b[12], b[16], b[20])
 			default:
-				xnorRowN(out, win, b, kw)
+				xnorRowN(out, win, rs, segw, b)
 			}
 		}
 	}
 }
 
-// xnorRow3 sweeps one filter over a row of windows of 3 words (C ≤ 21:
-// each kernel row fits one word).
-func xnorRow3(out []float32, win []uint64, b0, b1, b2 uint64) {
+// xnorRow3 sweeps one filter over a row of windows whose kernel rows are
+// one word each (C ≤ 21): the segments at win, win[rs:] and win[2rs:],
+// three words per position.
+func xnorRow3(out []float32, win []uint64, rs int, b0, b1, b2 uint64) {
 	for ox := range out {
-		v := win[ox*7 : ox*7+7 : ox*7+7]
-		h := bits.OnesCount64((v[0]^b0)&v[1]) + bits.OnesCount64((v[2]^b1)&v[3]) + bits.OnesCount64((v[4]^b2)&v[5])
-		out[ox] = float32(int(v[6]) - 2*h)
+		u := win[ox*3 : ox*3+3 : ox*3+3]
+		v := win[rs+ox*3 : rs+ox*3+3 : rs+ox*3+3]
+		x := win[2*rs+ox*3 : 2*rs+ox*3+3 : 2*rs+ox*3+3]
+		h := bits.OnesCount64((u[0]^b0)&u[1]) + bits.OnesCount64((v[0]^b1)&v[1]) + bits.OnesCount64((x[0]^b2)&x[1])
+		out[ox] = float32(int(u[2]+v[2]+x[2]) - 2*h)
 	}
 }
 
-// xnorRow6 is xnorRow3 for windows of 6 words (22 ≤ C ≤ 42).
-func xnorRow6(out []float32, win []uint64, b0, b1, b2, b3, b4, b5 uint64) {
+// xnorRow6 is xnorRow3 for kernel rows of two words (22 ≤ C ≤ 42).
+func xnorRow6(out []float32, win []uint64, rs int, b0, b1, b2, b3, b4, b5 uint64) {
 	for ox := range out {
-		v := win[ox*13 : ox*13+13 : ox*13+13]
-		h := bits.OnesCount64((v[0]^b0)&v[1]) + bits.OnesCount64((v[2]^b1)&v[3]) +
-			bits.OnesCount64((v[4]^b2)&v[5]) + bits.OnesCount64((v[6]^b3)&v[7]) +
-			bits.OnesCount64((v[8]^b4)&v[9]) + bits.OnesCount64((v[10]^b5)&v[11])
-		out[ox] = float32(int(v[12]) - 2*h)
+		u := win[ox*5 : ox*5+5 : ox*5+5]
+		v := win[rs+ox*5 : rs+ox*5+5 : rs+ox*5+5]
+		x := win[2*rs+ox*5 : 2*rs+ox*5+5 : 2*rs+ox*5+5]
+		h := bits.OnesCount64((u[0]^b0)&u[1]) + bits.OnesCount64((u[2]^b1)&u[3]) +
+			bits.OnesCount64((v[0]^b2)&v[1]) + bits.OnesCount64((v[2]^b3)&v[3]) +
+			bits.OnesCount64((x[0]^b4)&x[1]) + bits.OnesCount64((x[2]^b5)&x[3])
+		out[ox] = float32(int(u[4]+v[4]+x[4]) - 2*h)
 	}
 }
 
-// xnorRowN is the sweep for any window width kw; the filter's words are
-// b[0], b[4], … (packXnorFilters' interleaving).
-func xnorRowN(out []float32, win, b []uint64, kw int) {
+// xnorRowN is the sweep for kernel rows of any segw words; the filter's
+// words are b[0], b[4], … (packXnorFilters' interleaving).
+func xnorRowN(out []float32, win []uint64, rs, segw int, b []uint64) {
+	ss := 2*segw + 1
 	for ox := range out {
-		v := win[ox*(2*kw+1) : (ox+1)*(2*kw+1)]
-		h := 0
-		for i := 0; i < kw; i++ {
-			h += bits.OnesCount64((v[2*i] ^ b[4*i]) & v[2*i+1])
+		h, nzc := 0, 0
+		for ky := 0; ky < 3; ky++ {
+			v := win[ky*rs+ox*ss : ky*rs+(ox+1)*ss]
+			for i := 0; i < segw; i++ {
+				h += bits.OnesCount64((v[2*i] ^ b[4*(ky*segw+i)]) & v[2*i+1])
+			}
+			nzc += int(v[2*segw])
 		}
-		out[ox] = float32(int(v[2*kw]) - 2*h)
+		out[ox] = float32(nzc - 2*h)
+	}
+}
+
+// Planes is a batch of ternary feature maps in the layout the XNOR
+// convolution reads, so a block can take its input without a float
+// round trip: per sample, the zero-padded image — H+2 rows of W+2
+// pixels — as the two pixel-major bit planes described above, sign (+1)
+// and nonzero, each row rsw words (xnorRowWords). A clear nonzero bit is
+// a 0 input: the padding, an absent device's channel group, an element
+// no present device covers.
+type Planes struct {
+	N, C, H, W int
+	rsw        int
+	sgn, nz    []uint64
+	buf        *tensor.Tensor // the pool storage behind sgn and nz
+}
+
+// GetPlanes returns zeroed planes for n maps of c channels, h×w, drawn
+// from p; Put returns them.
+func GetPlanes(p *tensor.Pool, n, c, h, w int) Planes {
+	pl := Planes{N: n, C: c, H: h, W: w, rsw: xnorRowWords(c, w+2)}
+	words := n * (h + 2) * pl.rsw
+	pl.buf = p.Get(4*words + 1) // two planes of words, and wordView's alignment slack
+	v := wordView(pl.buf.Data())
+	pl.sgn, pl.nz = v[:words:words], v[words:2*words:2*words]
+	return pl
+}
+
+// Put returns the planes' storage to p.
+func (pl Planes) Put(p *tensor.Pool) { p.Put(pl.buf) }
+
+// rows returns sample i's planes from padded row r on.
+func (pl Planes) rows(i, r int) (sgn, nz []uint64) {
+	per := (pl.H + 2) * pl.rsw
+	lo, hi := i*per+r*pl.rsw, (i+1)*per
+	return pl.sgn[lo:hi:hi], pl.nz[lo:hi:hi]
+}
+
+// Place ORs one sample's packed feature maps into sample i, side by
+// side from channel c0 on: maps[k] — f channels of H×W in PackSigns
+// order, the wire's feature payload — fills channels c0+k·f … c0+k·f+f−1
+// and sets their nonzero bits, and a nil map leaves its channel group
+// absent. Maps placed on the same channels OR their signs, which is the
+// MP of ±1 maps; maps placed side by side are their CC.
+func (pl Planes) Place(i, c0 int, maps [][]byte, f int) {
+	h, w, c, rsw := pl.H, pl.W, pl.C, pl.rsw
+	n := len(maps) * f // channels placed
+	if c0 < 0 || c0+n > c {
+		panic(fmt.Sprintf("bnn: Place channels [%d,%d) of %d-channel planes", c0, c0+n, c))
+	}
+	for _, m := range maps {
+		if m != nil && len(m) != PackedSize(f*h*w) {
+			panic(fmt.Sprintf("bnn: Place a %d-byte map as %d channels of %d×%d", len(m), f, h, w))
+		}
+	}
+	sgn, nz := pl.rows(i, 0)
+	// Every image pixel gets the same nonzero bits, so image row 0 (padded
+	// row 1) collects them and is copied to the others.
+	tmpl := nz[rsw : 2*rsw]
+	for k, m := range maps {
+		if m != nil {
+			for x := 1; x <= w; x++ {
+				setRun(tmpl, x*c+c0+k*f, f)
+			}
+		}
+	}
+	for y := 2; y <= h; y++ {
+		for j, v := range tmpl {
+			nz[y*rsw+j] |= v
+		}
+	}
+	if w%8 == 0 && c%8 == 0 && c0%8 == 0 && c <= 64 {
+		pl.placeBytes(sgn, c0, maps, f)
+		return
+	}
+	// Signs, 64 channels at a time: per 8-pixel run of a row, eight
+	// channels are one 8×8 bit transpose, and a pixel's channels are then
+	// one run of bits.
+	var src [64][]byte // the chunk's channels: their map, nil if absent
+	var off [64]int    // the bit where each one's plane starts
+	for k64 := 0; k64 < n; k64 += 64 {
+		cn := min(64, n-k64)
+		for k := 0; k < cn; k++ {
+			src[k], off[k] = maps[(k64+k)/f], (k64+k)%f*h*w
+		}
+		for y := 0; y < h; y++ {
+			row := uint((y+1)*rsw*64 + c0 + k64)
+			for x0 := 0; x0 < w; x0 += 8 {
+				var pix [8]uint64
+				for k0 := 0; k0 < cn; k0 += 8 {
+					var t uint64
+					for k := k0; k < min(cn, k0+8); k++ {
+						if src[k] != nil {
+							t |= bits8(src[k], off[k]+y*w+x0) << uint(8*(k-k0))
+						}
+					}
+					if t == 0 {
+						continue
+					}
+					t = transpose8(t) // byte j: pixel x0+j's channels k0 … k0+7
+					for j := range pix {
+						pix[j] |= (t >> uint(8*j) & 0xff) << uint(k0)
+					}
+				}
+				b := row + uint((x0+1)*c)
+				for j := 0; j < min(8, w-x0); j, b = j+1, b+uint(c) {
+					if v := pix[j]; v != 0 {
+						q, r := b/64, b%64
+						sgn[q] |= v << r
+						sgn[q+1] |= v >> 1 >> (63 - r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// placeBytes is Place's sign pass when rows hold whole bytes of pixels
+// (W a multiple of 8) and a pixel's channels are whole bytes from a byte
+// on (C ≤ 64 and c0 multiples of 8), as in the cloud's geometry. For
+// each eight channels, their planes are read 64 pixels at a time and one
+// 8×8 byte transpose groups each 8-pixel run's bytes; per run, one 8×8
+// bit transpose per eight channels gives each pixel's channel bytes, and
+// the run's C bytes per pixel are ORed into the plane a word at a time.
+func (pl Planes) placeBytes(sgn []uint64, c0 int, maps [][]byte, f int) {
+	h, w, pb := pl.H, pl.W, pl.C/8 // pb: bytes per pixel
+	plane := h * w / 8             // bytes per channel
+	out := unsafe.Slice((*byte)(unsafe.Pointer(&sgn[0])), 8*len(sgn))
+	n := len(maps) * f
+	var src [8][8][]byte // channel 8q+k's plane, nil if absent
+	for k := 0; k < n; k++ {
+		if m := maps[k/f]; m != nil {
+			src[k/8][k%8] = m[k%f*plane : (k%f+1)*plane]
+		}
+	}
+	rowBytes := pl.rsw * 8
+	at, x := rowBytes+pb+c0/8, 0 // pixel (0, 0)'s first byte for these channels, and x of the run
+	for j0 := 0; j0 < plane; j0 += 8 {
+		var a [8][8]uint64 // per eight channels, runs j0 … j0+7
+		for q := 0; q < (n+7)/8; q++ {
+			for k, s := range src[q] {
+				a[q][k] = load64(s, j0)
+			}
+			byteTranspose(&a[q])
+		}
+		for j := 0; j < min(8, plane-j0); j++ {
+			var run [64]byte // the run's pixels, pb bytes each
+			for q := 0; q < (n+7)/8; q++ {
+				t := transpose8(a[q][j]) // byte i: pixel x+i's channels 8q … 8q+7
+				for i := 0; i < 8; i++ {
+					run[(i*pb+q)&63] = byte(t >> uint(8*i))
+				}
+			}
+			for k, b := 0, at+x*pb; k < pb; k, b = k+1, b+8 {
+				if v := binary.LittleEndian.Uint64(run[8*k:]); v != 0 {
+					binary.LittleEndian.PutUint64(out[b:], binary.LittleEndian.Uint64(out[b:])|v)
+				}
+			}
+			if x += 8; x == w {
+				x, at = 0, at+rowBytes
+			}
+		}
+	}
+}
+
+// load64 reads eight bytes of b from off on, little-endian, zero past
+// its end.
+func load64(b []byte, off int) uint64 {
+	if off+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[off:])
+	}
+	var v uint64
+	for k := off; k < len(b); k++ {
+		v |= uint64(b[k]) << uint(8*(k-off))
+	}
+	return v
+}
+
+// byteTranspose transposes the 8×8 byte matrix whose row k is a[k]: byte
+// k of a[j] becomes byte j of the old a[k].
+func byteTranspose(a *[8]uint64) {
+	const m1, m2, m3 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff
+	for k := 0; k < 8; k += 2 {
+		x, y := a[k], a[k+1]
+		a[k], a[k+1] = x&m1|(y&m1)<<8, x>>8&m1|y&^m1
+	}
+	for _, k := range [4]int{0, 1, 4, 5} {
+		x, y := a[k], a[k+2]
+		a[k], a[k+2] = x&m2|(y&m2)<<16, x>>16&m2|y&^m2
+	}
+	for k := 0; k < 4; k++ {
+		x, y := a[k], a[k+4]
+		a[k], a[k+4] = x&m3|y<<32, x>>32|y&^m3
+	}
+}
+
+// setRun sets the n bits of words from bit b on.
+func setRun(words []uint64, b, n int) {
+	for n > 0 {
+		q, r := b/64, uint(b%64)
+		k := min(n, 64-int(r))
+		words[q] |= (^uint64(0) >> uint(64-k)) << r
+		b, n = b+k, n-k
+	}
+}
+
+// bits8 returns the eight bits of src from bit off on (LSB first), zero
+// past its end.
+func bits8(src []byte, off int) uint64 {
+	q, r := off/8, uint(off%8)
+	if r == 0 {
+		return uint64(src[q])
+	}
+	v := uint64(src[q])
+	if q+1 < len(src) {
+		v |= uint64(src[q+1]) << 8
+	}
+	return v >> r & 0xff
+}
+
+// putBits ORs the k low bits of v, the rest being zero, into dst from
+// bit off on.
+func putBits(dst []byte, off int, v uint64, k int) {
+	for k > 0 {
+		q, r := off/8, off%8
+		dst[q] |= byte(v << uint(r))
+		n := min(k, 8-r)
+		v >>= uint(n)
+		off += n
+		k -= n
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Engine.ClassifyTenantShed on a two-tier in-memory cluster — every
 // node's share included, since they all run in this process — may not
 // allocate more than 135 times per local exit and 265 per cloud exit
-// (126 and 249 measured, plus a small margin).
+// (126 and 246 measured, plus a small margin).
 func TestOneSampleSessionAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops items at random, so counts are not stable")

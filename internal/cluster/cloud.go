@@ -6,7 +6,6 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/nn"
-	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
@@ -65,71 +64,57 @@ func (c *Cloud) frame(nc *nodeConn, msg wire.Message) {
 			_ = nc.send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 			return
 		}
-		feat, err := c.unpackEdgeFeatures(model, m)
-		if err != nil {
+		if err := checkEdgeFeatures(model.Cfg, m); err != nil {
 			_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
 			return
 		}
 		nc.add()
 		go func() {
 			defer nc.done()
-			c.classifyFromEdge(nc, model, m, feat)
+			c.classifyFromEdge(nc, model, m)
 		}()
 	default:
 		_ = nc.send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected CloudClassifyBatch, FeatureBatch or EdgeFeatureBatch, got %v", msg.MsgType())})
 	}
 }
 
-// classify runs the cloud section for one complete two-tier session:
-// samples sharing a device mask classify in one masked forward pass, and
-// the whole session answers with a single ResultBatch whose verdicts
-// follow the header's sample order.
+// classify runs the cloud section for one complete two-tier session, on
+// the devices' packed features as they arrived and each sample under its
+// own presence mask, and answers with a single ResultBatch whose
+// verdicts follow the header's sample order.
 func (c *Cloud) classify(nc *nodeConn, up *uploadSession) {
+	logits := up.model.CloudForwardBits(up.bits, up.masks, c.pool)
+	probs := nn.Softmax(logits)
+	c.pool.Put(logits)
 	verdicts := make([]wire.BatchVerdict, len(up.ids))
-	for _, grp := range groupByMask(up.masks, up.model.Cfg.Devices) {
-		feats := selectGroup(up.feats, grp.indices, len(up.ids), c.pool)
-		logits := up.model.CloudForwardPooled(feats, grp.present, c.pool)
-		releaseGroup(up.feats, feats, c.pool)
-		probs := nn.Softmax(logits)
-		c.pool.Put(logits)
-		for k, idx := range grp.indices {
-			verdicts[idx] = verdictRow(probs, k, up.ids[idx], wire.ExitCloud)
-		}
+	for i, id := range up.ids {
+		verdicts[i] = verdictRow(probs, i, id, wire.ExitCloud)
 	}
-	up.release(c.pool)
 	if err := nc.send(&wire.ResultBatch{Session: up.session, Verdicts: verdicts}); err != nil {
 		c.logger.Debug("classify reply failed", "session", up.session, "err", err)
 	}
 }
 
-// unpackEdgeFeatures validates an escalated batch of edge feature maps
-// against the model's edge section output shape and assembles the
-// [N, F, H, W] batch tensor.
-func (c *Cloud) unpackEdgeFeatures(model *core.Model, m *wire.EdgeFeatureBatch) (*tensor.Tensor, error) {
-	cfg := model.Cfg
+// checkEdgeFeatures validates an escalated batch of edge feature maps
+// against the model's edge section output shape; the wire codec has
+// already matched the payload to the shape and sample count.
+func checkEdgeFeatures(cfg core.Config, m *wire.EdgeFeatureBatch) error {
 	eh, ew := cfg.FeatureH()/2, cfg.FeatureW()/2
 	if int(m.F) != cfg.EdgeFilters || int(m.H) != eh || int(m.W) != ew {
-		return nil, fmt.Errorf("edge feature shape %d×%d×%d, model expects %d×%d×%d", m.F, m.H, m.W, cfg.EdgeFilters, eh, ew)
+		return fmt.Errorf("edge feature shape %d×%d×%d, model expects %d×%d×%d", m.F, m.H, m.W, cfg.EdgeFilters, eh, ew)
 	}
 	if len(m.SampleIDs) == 0 {
-		return nil, fmt.Errorf("empty edge feature batch")
+		return fmt.Errorf("empty edge feature batch")
 	}
-	feat := c.pool.GetDirty(len(m.SampleIDs), int(m.F), int(m.H), int(m.W))
-	for i := range m.SampleIDs {
-		if err := model.UnpackFeatureInto(feat, i, m.Sample(i)); err != nil {
-			c.pool.Put(feat)
-			return nil, err
-		}
-	}
-	return feat, nil
+	return nil
 }
 
 // classifyFromEdge runs the cloud section once over a session's
 // pre-aggregated edge feature maps — the samples that missed the edge
-// exit — and answers with one ResultBatch in SampleIDs order.
-func (c *Cloud) classifyFromEdge(nc *nodeConn, model *core.Model, m *wire.EdgeFeatureBatch, feat *tensor.Tensor) {
-	logits := model.CloudForwardFromEdgePooled(feat, c.pool)
-	c.pool.Put(feat)
+// exit, packed as they arrived — and answers with one ResultBatch in
+// SampleIDs order.
+func (c *Cloud) classifyFromEdge(nc *nodeConn, model *core.Model, m *wire.EdgeFeatureBatch) {
+	logits := model.CloudForwardFromEdgeBits(m.Bits, len(m.SampleIDs), c.pool)
 	probs := nn.Softmax(logits)
 	c.pool.Put(logits)
 	verdicts := make([]wire.BatchVerdict, len(m.SampleIDs))

@@ -10,7 +10,6 @@ import (
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/metrics"
 	"github.com/ddnn/ddnn-go/internal/nn"
-	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -134,44 +133,31 @@ func (e *Edge) frame(c *nodeConn, msg wire.Message) {
 	}
 }
 
-// classify runs the edge stage for one complete session: samples sharing
-// a device mask aggregate and run the edge section in one forward pass,
-// confident samples exit here (ExitEdge), and only the hard remainder
-// rides a single EdgeFeatureBatch to the cloud — the partial exit that
-// keeps upstream hops small. The whole session answers with one
-// ResultBatch in header order.
+// classify runs the edge stage for one complete session, on the
+// devices' packed features as they arrived and each sample under its own
+// presence mask: confident samples exit here (ExitEdge), and only the
+// hard remainder rides a single EdgeFeatureBatch to the cloud — the
+// partial exit that keeps upstream hops small. The whole session answers
+// with one ResultBatch in header order.
 func (e *Edge) classify(c *nodeConn, up *uploadSession) {
-	n := len(up.ids)
-	cfg := up.model.Cfg
-	eh, ew := cfg.FeatureH()/2, cfg.FeatureW()/2
-	edgeFeats := e.pool.GetDirty(n, cfg.EdgeFilters, eh, ew)
-	defer e.pool.Put(edgeFeats)
-	verdicts := make([]wire.BatchVerdict, n)
+	edgeBits, edgeLogits := up.model.EdgeForwardBits(up.bits, up.masks, e.pool)
+	defer e.pool.PutBytes(edgeBits)
+	probs := nn.Softmax(edgeLogits)
+	e.pool.Put(edgeLogits)
+	verdicts := make([]wire.BatchVerdict, len(up.ids))
 	var hard []int
-	for _, grp := range groupByMask(up.masks, cfg.Devices) {
-		feats := selectGroup(up.feats, grp.indices, n, e.pool)
-		edgeFeat, edgeLogits := up.model.EdgeForwardPooled(feats, grp.present, e.pool)
-		releaseGroup(up.feats, feats, e.pool)
-		probs := nn.Softmax(edgeLogits)
-		e.pool.Put(edgeLogits)
-		for k, idx := range grp.indices {
-			copy(edgeFeats.Sample(idx), edgeFeat.Sample(k))
-			verdicts[idx] = verdictRow(probs, k, up.ids[idx], wire.ExitEdge)
-		}
-		e.pool.Put(edgeFeat)
-	}
-	up.release(e.pool)
-	// The first relayed threshold is this tier's exit criterion; an empty
-	// list means the edge never exits and always escalates.
-	for i, v := range verdicts {
+	for i, id := range up.ids {
+		verdicts[i] = verdictRow(probs, i, id, wire.ExitEdge)
+		// The first relayed threshold is this tier's exit criterion; an
+		// empty list means the edge never exits and always escalates.
 		confident := len(up.thresholds) > 0 &&
-			nn.NormalizedEntropy(v.Probs) <= up.thresholds[0]
+			nn.NormalizedEntropy(verdicts[i].Probs) <= up.thresholds[0]
 		if !confident {
 			hard = append(hard, i)
 		}
 	}
 	if len(hard) > 0 {
-		cloudVerdicts, err := e.escalate(up, hard, edgeFeats)
+		cloudVerdicts, err := e.escalate(up, hard, edgeBits)
 		if err != nil && !e.cfg.CloudFallback {
 			_ = c.send(&wire.Error{Session: up.session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
 			return
@@ -191,27 +177,30 @@ func (e *Edge) classify(c *nodeConn, up *uploadSession) {
 	}
 }
 
-// escalate packs the hard samples' edge feature rows into one
-// EdgeFeatureBatch, forwards it to a pool-scheduled cloud replica under
-// a fresh edge-owned session ID and returns the cloud's verdicts in
+// escalate moves the hard samples' packed edge feature maps to the front
+// of edgeBits (every sample's, as EdgeForwardBits returned them) and
+// sends them as one EdgeFeatureBatch to a pool-scheduled cloud replica
+// under a fresh edge-owned session ID; it returns the cloud's verdicts in
 // hard-index order.
-func (e *Edge) escalate(up *uploadSession, hard []int, edgeFeats *tensor.Tensor) ([]wire.BatchVerdict, error) {
+func (e *Edge) escalate(up *uploadSession, hard []int, edgeBits []byte) ([]wire.BatchVerdict, error) {
 	if e.cloud == nil {
 		return nil, fmt.Errorf("edge has no cloud connection")
 	}
 	upSession := e.nextUpstream.Add(1)
 	hardIDs := make([]uint64, len(hard))
-	var bits []byte
-	for k, idx := range hard {
+	stride := len(edgeBits) / len(up.ids)
+	for k, idx := range hard { // idx ≥ k: a row moves only forward
 		hardIDs[k] = up.ids[idx]
-		bits = append(bits, up.model.PackFeatureSample(edgeFeats, idx)...)
+		copy(edgeBits[k*stride:(k+1)*stride], edgeBits[idx*stride:(idx+1)*stride])
 	}
+	bits := edgeBits[:len(hard)*stride]
+	cfg := up.model.Cfg
 	msg := &wire.EdgeFeatureBatch{
 		Session:      upSession,
 		ModelVersion: up.modelVersion,
-		F:            uint16(edgeFeats.Dim(1)),
-		H:            uint16(edgeFeats.Dim(2)),
-		W:            uint16(edgeFeats.Dim(3)),
+		F:            uint16(cfg.EdgeFilters),
+		H:            uint16(cfg.FeatureH() / 2),
+		W:            uint16(cfg.FeatureW() / 2),
 		SampleIDs:    hardIDs,
 		Bits:         bits,
 	}

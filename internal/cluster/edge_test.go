@@ -458,8 +458,8 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 // TestOpenSessionTableIsBounded drives an edge and a cloud replica with a
 // raw-wire peer that sends classify headers and never the feature frames:
 // past maxOpenSessions the header is refused with a session-tagged 429,
-// the sessions already open still complete, and closing the connection
-// returns every pinned tensor to the node's pool.
+// the sessions already open still complete, and an open session holds
+// only its frames' payloads: nothing of the node's pool.
 func TestOpenSessionTableIsBounded(t *testing.T) {
 	twoTier, _ := fixture(t)
 	threeTier, _ := edgeFixture(t)
@@ -521,8 +521,7 @@ func TestOpenSessionTableIsBounded(t *testing.T) {
 			if rb, ok := msg.(*wire.ResultBatch); !ok || rb.Session != 1 || len(rb.Verdicts) != 1 {
 				t.Fatalf("completed session got %+v, want its ResultBatch", msg)
 			}
-			// A rejected frame releases its session; so does closing the
-			// connection, for the rest.
+			// A rejected frame drops its session.
 			fb.Session, fb.Device = 2, 3 // device 3 is outside session 2's mask
 			if _, err := wire.Encode(conn, fb); err != nil {
 				t.Fatal(err)
@@ -533,13 +532,15 @@ func TestOpenSessionTableIsBounded(t *testing.T) {
 			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 || e.Session != 2 {
 				t.Fatalf("bad frame got %+v, want Error 400 on session 2", msg)
 			}
+			// 63 sessions are still open; dropping them with the
+			// connection returns nothing to the pool, because they drew
+			// nothing from it.
+			featSize := cfg.DeviceFilters * cfg.FeatureH() * cfg.FeatureW()
+			before := node.pool.Retained()[featSize]
 			conn.Close()
 			node.close()
-			// The pool keeps a bounded free list, so count past what the two
-			// settled sessions alone returned.
-			featSize := cfg.DeviceFilters * cfg.FeatureH() * cfg.FeatureW()
-			if got, settled := node.pool.Retained()[featSize], 2*cfg.Devices; got <= settled {
-				t.Errorf("pool holds %d session feature tensors after the connection closed, want more than the %d of the settled sessions", got, settled)
+			if got := node.pool.Retained()[featSize]; got != before {
+				t.Errorf("closing the connection returned %d per-device feature tensors to the pool; open sessions should hold none", got-before)
 			}
 		})
 	}

@@ -134,17 +134,17 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 	// the whole session when every device is up.
 	var firstErr error
 	var hard []int
-	for _, grp := range groupByMask(s.masks, devices) {
-		if grp.mask == 0 {
+	for _, grp := range core.MaskGroups(s.masks, devices) {
+		if grp.Mask == 0 {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: sample %d: %w", sampleIDs[grp.indices[0]], ErrNoSummaries)
+				firstErr = fmt.Errorf("cluster: sample %d: %w", sampleIDs[grp.Rows[0]], ErrNoSummaries)
 			}
 			continue
 		}
-		vecs := selectGroup(exitVecs, grp.indices, n, g.pool)
-		probs := nn.Softmax(s.model.LocalAggregate(vecs, grp.present))
+		vecs := selectGroup(exitVecs, grp.Rows, n, g.pool)
+		probs := nn.Softmax(s.model.LocalAggregate(vecs, grp.Present))
 		releaseGroup(exitVecs, vecs, g.pool)
-		for k, idx := range grp.indices {
+		for k, idx := range grp.Rows {
 			// Probs aliases the softmax row; probs is private to the session.
 			row := probs.Row(k)
 			r := &s.slab[idx]

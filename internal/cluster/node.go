@@ -241,11 +241,9 @@ func (c *nodeConn) done() {
 // detectors can tell a live node from a crashed one; and it hands every
 // other frame to the tier's frame handler on this goroutine, so one
 // connection carries any number of interleaved sessions. It returns once
-// the connection's spawned work has finished and its open sessions are
-// released.
+// the connection's spawned work has finished.
 func (s *server) serveFrames(c *nodeConn) {
-	c.sessions = sessionTable{reg: s.reg, pool: s.pool, send: c.send}
-	defer c.sessions.release()
+	c.sessions = sessionTable{reg: s.reg, send: c.send}
 	defer c.work.Wait()
 	for {
 		msg, err := wire.Decode(c.conn)

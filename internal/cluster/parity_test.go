@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/branchy"
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
@@ -199,4 +200,39 @@ func TestEngineStagedParityEdgeTierBatched(t *testing.T) {
 			checkStagedParity(t, model, test, ts[0], ts[1], batch, false)
 		}
 	}
+}
+
+// apFixture trains a model whose features reach the upper tier through
+// AP: the cloud's aggregator on two tiers, the edge's on three.
+func apFixture(t *testing.T, edge bool) (*core.Model, *dataset.Dataset) {
+	t.Helper()
+	dcfg := dataset.DefaultConfig()
+	dcfg.Train, dcfg.Test = 120, 40
+	train, test := dataset.MustGenerate(dcfg)
+	cfg := core.DefaultConfig()
+	cfg.CloudFilters = 8
+	cfg.UseEdge, cfg.CloudAgg, cfg.EdgeAgg = edge, agg.AP, agg.AP
+	m := core.MustNewModel(cfg)
+	tc := core.DefaultTrainConfig()
+	tc.Epochs = 2
+	if _, err := m.Train(train, tc); err != nil {
+		t.Fatal(err)
+	}
+	return m, test
+}
+
+// TestEngineStagedParityAP is the parity contract with AP aggregation
+// into the cloud (two tiers) and the edge (three tiers). A mean of ±1
+// maps is not ternary, so these sessions take the float fallback of the
+// bits-in forwards instead of bit planes; one-sample and batched
+// sessions, and a degraded run, must still match staged Evaluate.
+func TestEngineStagedParityAP(t *testing.T) {
+	twoTier, test := apFixture(t, false)
+	threeTier, edgeTest := apFixture(t, true)
+	for _, batch := range []int{1, 8} {
+		checkStagedParity(t, twoTier, test, 0.5, 0.8, batch, false)
+		checkStagedParity(t, threeTier, edgeTest, 0.5, 0.5, batch, false)
+	}
+	checkStagedParity(t, twoTier, test, 0.5, 0.8, 8, true)
+	checkStagedParity(t, threeTier, edgeTest, 0.5, 0.5, 8, true)
 }

@@ -10,7 +10,7 @@ import (
 
 // maxOpenSessions bounds the escalation sessions one downstream
 // connection may hold open — header received, device frames still
-// outstanding. Each one pins [N, F, H, W] × devices pooled tensors, and a
+// outstanding. Each one pins the frames received so far, and a
 // well-behaved peer writes a session's header and frames back to back, so
 // it never has more than a handful open; a peer that sends headers and
 // never the frames is refused past the cap instead of growing the table.
@@ -32,19 +32,18 @@ type uploadSession struct {
 	thresholds []float64
 	ids        []uint64
 	masks      []uint16
-	// feats[d] is the [N, F, H, W] feature tensor of device d; rows of
-	// samples the device does not cover stay zero, exactly like the
-	// absent-device placeholders of masked training (§IV-G).
-	feats []*tensor.Tensor
+	// bits[d] is device d's FeatureBatch payload as decoded: the packed
+	// feature maps of the samples its mask bit covers, in header order
+	// (core.Model.CloudForwardBits). A device no sample covers has none.
+	bits [][]byte
 	// union is the OR of the per-sample masks — the devices expected to
 	// upload — and got the ones that have.
 	union, got uint16
 }
 
 // newUploadSession validates an escalation header against the model
-// configuration and draws the per-device tensors from pool (nil pool
-// allocates); release returns them.
-func newUploadSession(model *core.Model, devices uint16, ids []uint64, masks []uint16, pool *tensor.Pool) (*uploadSession, error) {
+// configuration.
+func newUploadSession(model *core.Model, devices uint16, ids []uint64, masks []uint16) (*uploadSession, error) {
 	cfg := model.Cfg
 	if int(devices) != cfg.Devices {
 		return nil, fmt.Errorf("model has %d devices, session says %d", cfg.Devices, devices)
@@ -62,16 +61,9 @@ func newUploadSession(model *core.Model, devices uint16, ids []uint64, masks []u
 	if s.union == 0 {
 		return nil, fmt.Errorf("empty device mask")
 	}
-	fh, fw := cfg.FeatureH(), cfg.FeatureW()
-	s.feats = make([]*tensor.Tensor, cfg.Devices)
-	for d := range s.feats {
-		s.feats[d] = pool.Get(len(ids), cfg.DeviceFilters, fh, fw)
-	}
+	s.bits = make([][]byte, cfg.Devices)
 	return s, nil
 }
-
-// release returns the session's tensors to the pool.
-func (s *uploadSession) release(pool *tensor.Pool) { putAll(pool, s.feats) }
 
 // putAll retires a per-device tensor set to the pool.
 func putAll(pool *tensor.Pool, ts []*tensor.Tensor) {
@@ -91,13 +83,13 @@ func (s *uploadSession) expectedCount(d int) int {
 	return c
 }
 
-// add unpacks one device's FeatureBatch into the session: sample k of the
-// frame fills the k-th row the device covers, in header order. It rejects
-// frames from devices outside the announced masks, duplicates, and count
-// or shape mismatches against the header and the model configuration.
+// add keeps one device's FeatureBatch payload: sample k of the frame is
+// the k-th sample the device covers, in header order. It rejects frames
+// from devices outside the announced masks, duplicates, and count or
+// shape mismatches against the header and the model configuration.
 func (s *uploadSession) add(fb *wire.FeatureBatch) error {
 	d := int(fb.Device)
-	if d < 0 || d >= len(s.feats) {
+	if d < 0 || d >= len(s.bits) {
 		return fmt.Errorf("feature batch from unknown device %d", d)
 	}
 	bit := uint16(1) << uint(d)
@@ -112,16 +104,7 @@ func (s *uploadSession) add(fb *wire.FeatureBatch) error {
 		return fmt.Errorf("device %d feature shape %d×%d×%d, model expects %d×%d×%d",
 			d, fb.F, fb.H, fb.W, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
 	}
-	k := 0
-	for i, mask := range s.masks {
-		if mask&bit == 0 {
-			continue
-		}
-		if err := s.model.UnpackFeatureInto(s.feats[d], i, fb.Sample(k)); err != nil {
-			return fmt.Errorf("unpack device %d sample %d: %w", d, i, err)
-		}
-		k++
-	}
+	s.bits[d] = fb.Bits
 	s.got |= bit
 	return nil
 }
@@ -132,11 +115,9 @@ func (s *uploadSession) complete() bool { return s.got == s.union }
 // sessionTable is one downstream connection's open escalation sessions,
 // keyed by wire session ID. Edge and cloud replicas receive the same
 // header + FeatureBatch sequence, so they share the bookkeeping: version
-// pinning, header validation, the maxOpenSessions bound and returning a
-// dropped session's tensors to the pool.
+// pinning, header validation and the maxOpenSessions bound.
 type sessionTable struct {
 	reg  *modelRegistry
-	pool *tensor.Pool
 	send func(wire.Message) error
 	open map[uint64]*uploadSession // made by the first begin
 }
@@ -155,25 +136,21 @@ func (t *sessionTable) begin(session, modelVersion uint64, devices uint16, ids [
 		_ = t.send(&wire.Error{Session: session, Code: 429, Msg: fmt.Sprintf("connection already holds %d incomplete sessions", maxOpenSessions)})
 		return
 	}
-	up, err := newUploadSession(model, devices, ids, masks, t.pool)
+	up, err := newUploadSession(model, devices, ids, masks)
 	if err != nil {
 		_ = t.send(&wire.Error{Session: session, Code: 400, Msg: err.Error()})
 		return
-	}
-	if prev := t.open[session]; prev != nil {
-		prev.release(t.pool) // the peer restarted the session
 	}
 	if t.open == nil {
 		t.open = make(map[uint64]*uploadSession)
 	}
 	up.session, up.modelVersion, up.thresholds = session, modelVersion, thresholds
-	t.open[session] = up
+	t.open[session] = up // replaces a session the peer restarted
 }
 
 // add routes one FeatureBatch to its open session and returns the
-// session once it is complete — removed from the table, tensors now owned
-// by the caller. A frame the session rejects drops the session (tensors
-// back to the pool) and answers a 400.
+// session once it is complete, removed from the table. A frame the
+// session rejects drops the session and answers a 400.
 func (t *sessionTable) add(fb *wire.FeatureBatch) *uploadSession {
 	up, ok := t.open[fb.Session]
 	if !ok {
@@ -182,7 +159,6 @@ func (t *sessionTable) add(fb *wire.FeatureBatch) *uploadSession {
 	}
 	if err := up.add(fb); err != nil {
 		delete(t.open, fb.Session)
-		up.release(t.pool)
 		_ = t.send(&wire.Error{Session: fb.Session, Code: 400, Msg: err.Error()})
 		return nil
 	}
@@ -191,15 +167,6 @@ func (t *sessionTable) add(fb *wire.FeatureBatch) *uploadSession {
 	}
 	delete(t.open, fb.Session)
 	return up
-}
-
-// release returns every still-open session's tensors to the pool; the
-// frame loop calls it when the connection closes.
-func (t *sessionTable) release() {
-	for id, up := range t.open {
-		up.release(t.pool)
-		delete(t.open, id)
-	}
 }
 
 // selectGroup gathers a mask group's batch rows from each per-device
@@ -227,39 +194,6 @@ func releaseGroup(orig, sel []*tensor.Tensor, pool *tensor.Pool) {
 		return
 	}
 	putAll(pool, sel)
-}
-
-// maskGroup is a batch subset whose samples share one device-presence
-// mask, so a single masked forward pass covers the whole group and stays
-// bit-identical to running each sample alone.
-type maskGroup struct {
-	mask uint16
-	// indices are batch positions, in batch order.
-	indices []int
-	// present is the mask expanded to per-device booleans.
-	present []bool
-}
-
-// groupByMask splits batch positions by device-presence mask. Group order
-// is first-appearance order; the common all-devices-up case yields a
-// single group spanning the whole batch.
-func groupByMask(masks []uint16, devices int) []maskGroup {
-	var groups []maskGroup
-	at := make(map[uint16]int)
-	for i, m := range masks {
-		gi, ok := at[m]
-		if !ok {
-			present := make([]bool, devices)
-			for d := 0; d < devices; d++ {
-				present[d] = m&(1<<uint(d)) != 0
-			}
-			gi = len(groups)
-			at[m] = gi
-			groups = append(groups, maskGroup{mask: m, present: present})
-		}
-		groups[gi].indices = append(groups[gi].indices, i)
-	}
-	return groups
 }
 
 // verdictRow assembles one sample's BatchVerdict from row k of a softmax

@@ -209,6 +209,17 @@ func (c *cloudSection) forwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.T
 	return logits
 }
 
+// forwardBits runs a binary cloud section on bit planes: b1 writes b2's
+// planes and b2 the exit head's packed bytes (see CloudForwardBits).
+func (c *cloudSection) forwardBits(in bnn.Planes, p *tensor.Pool) *tensor.Tensor {
+	mid := c.b1.(*bnn.ConvP).ForwardPlanes(in, p)
+	bits := c.b2.(*bnn.ConvP).ForwardPacked(mid, p)
+	mid.Put(p)
+	logits := c.exit.(*exitHead).forwardBits(bits, in.N, p)
+	p.PutBytes(bits)
+	return logits
+}
+
 func (c *cloudSection) backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := c.exit.backward(grad)
 	g = g.Reshape(c.featShape...)

@@ -63,9 +63,9 @@ func TestExitHeadPackedParityAllPaths(t *testing.T) {
 }
 
 // TestDeviceForwardPackedMatchesPooled pins DeviceForwardPacked to
-// DeviceForwardPooled on every path: the bits are the float map's
-// PackFeatureSample bytes, the exit vectors are identical, and a warm
-// pool serves it without touching the heap.
+// DeviceForwardPooled on every path: the bits are each sample's
+// PackFeature bytes, the exit vectors are identical, and a warm pool
+// serves it without touching the heap.
 func TestDeviceForwardPackedMatchesPooled(t *testing.T) {
 	m := MustNewModel(DefaultConfig())
 	rng := rand.New(rand.NewSource(42))
@@ -77,10 +77,11 @@ func TestDeviceForwardPackedMatchesPooled(t *testing.T) {
 		bits, got := m.DeviceForwardPacked(2, x, pool)
 		var wantBits []byte
 		for i := 0; i < feat.Dim(0); i++ {
-			wantBits = append(wantBits, m.PackFeatureSample(feat, i)...)
+			one := tensor.FromSlice(feat.Sample(i), 1, feat.Dim(1), feat.Dim(2), feat.Dim(3))
+			wantBits = append(wantBits, m.PackFeature(one)...)
 		}
 		if !bytes.Equal(bits, wantBits) {
-			t.Fatalf("path=%v: packed feature bytes differ from PackFeatureSample", p)
+			t.Fatalf("path=%v: packed feature bytes differ from PackFeature's", p)
 		}
 		requireIdentical(t, fmt.Sprintf("path=%v exit vector", p), want, got)
 		pool.PutBytes(bits)

@@ -62,8 +62,8 @@ func (c *Conv2D) OutSize(in int) int {
 
 // Forward computes the convolution for x of shape [N, InC, H, W] by
 // lowering each sample to its im2col matrix and running one blocked GEMM
-// per sample (see forwardInto). Results match the tap-loop reference
-// (forwardTaps) exactly.
+// per sample (see forwardInto). Results match the tap-loop reference the
+// tests keep (forwardTaps) exactly.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := c.checkInput(x)
 	oh, ow := c.OutSize(h), c.OutSize(w)
@@ -167,74 +167,6 @@ func (c *Conv2D) forwardInto(y, x *tensor.Tensor, p *tensor.Pool) {
 					out[i] += bv
 				}
 			}
-		}
-	}
-}
-
-// forwardTaps is the scalar per-tap reference convolution the GEMM path
-// replaced. It is retained as the ground truth for the im2col+GEMM
-// parity tests.
-func (c *Conv2D) forwardTaps(x *tensor.Tensor) *tensor.Tensor {
-	n, h, w := c.checkInput(x)
-	oh, ow := c.OutSize(h), c.OutSize(w)
-	y := tensor.New(n, c.OutC, oh, ow)
-	xd, yd, wd := x.Data(), y.Data(), c.Weight.Value.Data()
-	k, st, pad := c.Kernel, c.Stride, c.Pad
-	inPlane := h * w
-	outPlane := oh * ow
-	for ni := 0; ni < n; ni++ {
-		xBase := ni * c.InC * inPlane
-		yBase := ni * c.OutC * outPlane
-		for f := 0; f < c.OutC; f++ {
-			out := yd[yBase+f*outPlane : yBase+(f+1)*outPlane]
-			for ci := 0; ci < c.InC; ci++ {
-				in := xd[xBase+ci*inPlane : xBase+(ci+1)*inPlane]
-				wBase := (f*c.InC + ci) * k * k
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						wv := wd[wBase+ky*k+kx]
-						if wv == 0 {
-							continue
-						}
-						convAccum(out, in, wv, oh, ow, h, w, ky-pad, kx-pad, st)
-					}
-				}
-			}
-			if c.Bias != nil {
-				bv := c.Bias.Value.Data()[f]
-				for i := range out {
-					out[i] += bv
-				}
-			}
-		}
-	}
-	return y
-}
-
-// convAccum adds wv * shifted(in) into out for one kernel tap. dy/dx are the
-// spatial offsets of the tap relative to the output origin; st is the
-// stride. Out-of-bounds input locations contribute zero (zero padding).
-func convAccum(out, in []float32, wv float32, oh, ow, ih, iw, dy, dx, st int) {
-	for oy := 0; oy < oh; oy++ {
-		iy := oy*st + dy
-		if iy < 0 || iy >= ih {
-			continue
-		}
-		orow := out[oy*ow : (oy+1)*ow]
-		irow := in[iy*iw : (iy+1)*iw]
-		// Valid output columns: 0 <= ox*st+dx < iw.
-		ox0, ox1 := colRange(ow, iw, dx, st)
-		if st == 1 {
-			// Contiguous fast path: orow[ox] += wv * irow[ox+dx].
-			src := irow[ox0+dx : ox1+dx]
-			dst := orow[ox0:ox1]
-			for i, sv := range src {
-				dst[i] += wv * sv
-			}
-			continue
-		}
-		for ox := ox0; ox < ox1; ox++ {
-			orow[ox] += wv * irow[ox*st+dx]
 		}
 	}
 }

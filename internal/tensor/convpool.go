@@ -197,6 +197,33 @@ func PoolAffineSignRow(path KernelPath, dst, r0, r1, r2 []float32, scale, shift 
 	}
 }
 
+// PoolThresholdRows is PoolAffineSignRow's pooling with an integer
+// threshold for an epilogue, for the bit-domain ConvP pass (bnn), whose
+// convolution outputs are exact integers. It pools p rows of k outputs,
+// p·k ≤ 64: pooled row j reads r0, r1 and r2 from j·step on, as
+// PoolAffineSignRow reads its rows. Output i of row j is bit j·k+i of
+// the result, set when s·m ≥ t for its window maximum m; with s = ±1 and
+// t an integer (or ±Inf) the compare is exact.
+func PoolThresholdRows(path KernelPath, r0, r1, r2 []float32, step, p, k int, s, t float32) uint64 {
+	if need := (p-1)*step + 2*k + 1; p*k > 64 || len(r0) < need || len(r1) < need || len(r2) < need {
+		panic(fmt.Sprintf("tensor: PoolThresholdRows rows %d,%d,%d too short for %d×%d ≤ 64 outputs %d apart", len(r0), len(r1), len(r2), p, k, step))
+	}
+	if path == KernelSIMD && k%4 == 0 {
+		return poolThresholdRowsSIMD(r0, r1, r2, step, p, k, s, t)
+	}
+	var out uint64
+	for j, b := 0, 0; j < p; j++ {
+		for i := 0; i < k; i, b = i+1, b+1 {
+			at := j*step + 2*i
+			m := window3(window3(window3(negInf32, r0[at:]), r1[at:]), r2[at:])
+			if s*m >= t {
+				out |= 1 << uint(b)
+			}
+		}
+	}
+	return out
+}
+
 // window3 folds the first three values of r into the running maximum m.
 func window3(m float32, r []float32) float32 {
 	r = r[:3:3]

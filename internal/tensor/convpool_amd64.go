@@ -14,6 +14,12 @@ func convSignKernel4x16(dst *float32, ds int, w, src *float32, ch, plane, wp int
 //go:noescape
 func poolAffineSignKernel4(dst, r0, r1, r2 *float32, quads int, scale, shift float32)
 
+// poolThresholdKernel4 (convpool_amd64.s) computes rows pooled rows of
+// quads×4 outputs of PoolThresholdRows as bits; step is in bytes.
+//
+//go:noescape
+func poolThresholdKernel4(r0, r1, r2 *float32, step, rows, quads int, s, t float32) uint64
+
 // convSign3x3SIMD tiles filters by 4 and positions by 16 over the AVX2
 // micro-kernel; a tail of fewer than 4 filters goes to the portable
 // kernel, which accumulates in the same order.
@@ -39,4 +45,10 @@ func poolAffineSignRowSIMD(dst, r0, r1, r2 []float32, scale, shift float32) int 
 		poolAffineSignKernel4(&dst[0], &r0[0], &r1[0], &r2[0], quads, scale, shift)
 	}
 	return quads * 4
+}
+
+// poolThresholdRowsSIMD runs the AVX2 kernel; the caller keeps k a
+// multiple of 4.
+func poolThresholdRowsSIMD(r0, r1, r2 []float32, step, p, k int, s, t float32) uint64 {
+	return poolThresholdKernel4(&r0[0], &r1[0], &r2[0], 4*step, p, k/4, s, t)
 }

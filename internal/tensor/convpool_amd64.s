@@ -201,3 +201,78 @@ poolquad:
 pooldone:
 	VZEROUPPER
 	RET
+
+// func poolThresholdKernel4(r0, r1, r2 *float32, step, rows, quads int, s, t float32) uint64
+//
+// poolAffineSignKernel4's pooling with a threshold for an epilogue, over
+// rows pooled rows step bytes apart: per row quads×4 window maxima m,
+// eight at a time and then a last four, and bit i of the result set
+// where s·m >= t (ordered), i counting outputs across the rows. A
+// group's bits come from VMOVMSKPS and land at its first output's
+// position.
+TEXT ·poolThresholdKernel4(SB), NOSPLIT, $0-64
+	MOVQ r0+0(FP), R8
+	MOVQ r1+8(FP), R9
+	MOVQ r2+16(FP), R10
+	MOVQ step+24(FP), R12
+	MOVQ rows+32(FP), R13
+	MOVQ quads+40(FP), DI
+	VBROADCASTSS s+48(FP), Y8
+	VBROADCASTSS t+52(FP), Y9
+
+	VPCMPEQD Y10, Y10, Y10
+	VPSLLD $23, Y10, Y10    // 0xFF800000 = −Inf
+
+	XORQ AX, AX             // result
+	XORQ CX, CX             // bit position of the next group (CL: the shift count)
+
+threshrow:
+	MOVQ R8, R11            // the row's cursors
+	MOVQ R9, R14
+	MOVQ R10, SI
+	MOVQ DI, DX
+	SHRQ $1, DX             // groups of eight
+	JE threshquad
+
+threshgroup:
+	VMOVAPS Y10, Y0
+	POOLROW(R11)
+	POOLROW(R14)
+	POOLROW(SI)
+	VPERMPD $0xD8, Y0, Y0   // back to output order
+	VMULPS Y8, Y0, Y0
+	VCMPPS $13, Y9, Y0, Y1  // s·m >= t, ordered (GE_OS)
+	VMOVMSKPS Y1, BX
+	SHLQ CX, BX
+	ORQ BX, AX
+	ADDQ $8, CX
+	ADDQ $64, R11
+	ADDQ $64, R14
+	ADDQ $64, SI
+	DECQ DX
+	JNE threshgroup
+
+threshquad:
+	TESTQ $1, DI            // a trailing group of four
+	JE threshnext
+	VMOVAPS X10, X0
+	POOLROWX(R11)
+	POOLROWX(R14)
+	POOLROWX(SI)
+	VMULPS X8, X0, X0
+	VCMPPS $13, X9, X0, X1
+	VMOVMSKPS X1, BX
+	SHLQ CX, BX
+	ORQ BX, AX
+	ADDQ $4, CX
+
+threshnext:
+	ADDQ R12, R8
+	ADDQ R12, R9
+	ADDQ R12, R10
+	DECQ R13
+	JNE threshrow
+
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET

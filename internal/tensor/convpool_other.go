@@ -10,3 +10,5 @@ func convSign3x3SIMD(dst []float32, ds int, w, src []float32, ch, plane, wp, row
 }
 
 func poolAffineSignRowSIMD(dst, r0, r1, r2 []float32, scale, shift float32) int { return 0 }
+
+func poolThresholdRowsSIMD(r0, r1, r2 []float32, step, p, k int, s, t float32) uint64 { return 0 }

@@ -193,3 +193,29 @@ func TestIm2colMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// MatMulNaive is the reference ikj kernel: one row of A at a time, B
+// streamed per shared-dimension step — the ground truth for the blocked
+// kernel's parity tests and benchmarks.
+func MatMulNaive(a, b *Tensor) *Tensor {
+	m, k, n := matmulDims(a, b)
+	c := New(m, n)
+	matmulRows(c.data, a.data, b.data, 0, m, k, n)
+	return c
+}
+
+// BenchmarkMatMulNaive is the reference ikj kernel on the shapes of the
+// root package's BenchmarkMatMul; the ratio is the register-tiling
+// speedup.
+func BenchmarkMatMulNaive(b *testing.B) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(1))
+	x := New(32, 256)
+	w := New(256, 64)
+	x.FillUniform(rng, -1, 1)
+	w.FillUniform(rng, -1, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulNaive(x, w)
+	}
+}

@@ -6,21 +6,11 @@ import "fmt"
 // new [m,n] tensor. The kernel is register-blocked (four rows of A share
 // each streamed row of B) and splits large products across the package
 // worker pool; per-element accumulation order is identical to the naive
-// ikj kernel, so results match MatMulNaive exactly.
+// ikj kernel (matmulRows), so results match it exactly.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := matmulDims(a, b)
 	c := New(m, n)
 	matmulInto(c.data, a.data, b.data, m, k, n, false)
-	return c
-}
-
-// MatMulNaive is the reference ikj kernel: one row of A at a time, B
-// streamed per shared-dimension step. It is kept as the ground truth for
-// the blocked kernel's parity tests and benchmarks.
-func MatMulNaive(a, b *Tensor) *Tensor {
-	m, k, n := matmulDims(a, b)
-	c := New(m, n)
-	matmulRows(c.data, a.data, b.data, 0, m, k, n)
 	return c
 }
 
