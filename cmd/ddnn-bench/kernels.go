@@ -48,16 +48,13 @@ const pooledFloor = 0.95
 // portable pass must not lose.
 var fusedFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.3}
 
-// xnorFloors are the speedup floors of the XNOR convolution over the
-// float sign tile on ternary cloud-block inputs, per dispatch path: the
-// bit-domain pass must not lose on either.
+// xnorFloors are the speedup floors of the bit-domain passes, per
+// dispatch path: the XNOR convolution over the float sign tile on
+// ternary cloud-block inputs, and the cloud chain — six devices' packed
+// features aggregated into bit planes and carried as bits to the logits —
+// over unpacking them for the float-in section forward. Neither may lose
+// on either path.
 var xnorFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.0}
-
-// chainFloors are the speedup floors of the bit-domain cloud chain — six
-// devices' packed features aggregated into bit planes and carried as
-// bits to the logits — over unpacking them for the float-in section
-// forward, per dispatch path: the bit chain must not lose on either.
-var chainFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.0}
 
 // forwardSets is how many distinct inputs the forward rows rotate over
 // (see experiments.ForwardInputs).
@@ -378,7 +375,7 @@ func runKernels(out io.Writer, jsonPath string) error {
 	}
 	bitsChain := func(feats [][]byte, pool *tensor.Pool) *tensor.Tensor { return m.CloudForwardBits(feats, masks, pool) }
 	for _, path := range tensor.KernelPaths() {
-		floor, ok := chainFloors[path]
+		floor, ok := xnorFloors[path]
 		if !ok {
 			continue
 		}

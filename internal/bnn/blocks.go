@@ -74,15 +74,19 @@ func (b *ConvP) ForwardLayered(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor 
 // ForwardPlanes is the bit-domain inference forward for a block that
 // feeds another one: the input is a ternary map already in bit planes
 // (an MP or CC aggregation of ±1 device features, or the previous
-// block's output), and the output goes straight into the returned
-// planes, the next block's input (from p; Put them back once consumed):
-// a worker packs each sample's signs in its scratch and places them as
-// the aggregation places a device's map. The outputs are the signs ForwardPooled computes on
-// the same map as floats (fused.go), under the thresholds of the last
-// SyncWeights.
+// block's output), and each sample's output signs are placed into the
+// returned planes, the next block's input (from p; Put them back once
+// consumed), as the aggregation places a device's map. The outputs are
+// the signs ForwardPooled computes on the same map as floats (fused.go),
+// under the thresholds of the last SyncWeights.
 func (b *ConvP) ForwardPlanes(in Planes, p *tensor.Pool) Planes {
-	out := GetPlanes(p, in.N, b.Filters(), (in.H-1)/2+1, (in.W-1)/2+1)
-	b.forwardBits(fusedIO{in: in, next: out}, p)
+	signs := b.ForwardPacked(in, p)
+	defer p.PutBytes(signs)
+	f, h, w := b.Filters(), (in.H-1)/2+1, (in.W-1)/2+1
+	out, stride := GetPlanes(p, in.N, f, h, w), PackedSize(f*h*w)
+	for i := 0; i < in.N; i++ {
+		out.Place(i, 0, [][]byte{signs[i*stride : (i+1)*stride]}, f)
+	}
 	return out
 }
 
@@ -94,7 +98,7 @@ func (b *ConvP) ForwardPacked(in Planes, p *tensor.Pool) []byte {
 	stride := PackedSize(b.Filters() * ((in.H-1)/2 + 1) * ((in.W-1)/2 + 1))
 	out := p.GetBytes(in.N * stride)
 	clear(out)
-	b.forwardBits(fusedIO{in: in, packed: out}, p)
+	b.forwardBits(in, out, stride, p)
 	return out
 }
 

@@ -100,17 +100,6 @@ func planFused(c, h, w, f int) fusedPlan {
 
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
-// fusedIO is one fused pass's data: a float input x and output y, or
-// (x nil) input bit planes in and, for the output signs, the next
-// block's planes next (next.N > 0) or PackSigns bytes packed, one run
-// per sample.
-type fusedIO struct {
-	x, y   *tensor.Tensor
-	in     Planes
-	next   Planes
-	packed []byte
-}
-
 // forwardFused is ForwardPooled on the go and simd paths.
 func (b *ConvP) forwardFused(path tensor.KernelPath, x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
 	conv := b.Conv.inner
@@ -121,51 +110,27 @@ func (b *ConvP) forwardFused(path tensor.KernelPath, x *tensor.Tensor, p *tensor
 	pl := planFused(conv.InC, x.Dim(2), x.Dim(3), conv.OutC)
 	y := p.GetDirty(n, pl.f, pl.ph, pl.pw)
 
-	// Each call builds its own fusedIO: one a goroutine's closure
-	// captured would move to the heap, and the serial path allocates
-	// nothing.
 	big := pl.f*pl.c*9*pl.h*pl.w >= fusedParallelOps && tensor.MaxWorkers() > 1
 	switch {
 	case n > 1 && big:
-		tensor.ParallelFor(n, 1, func(lo, hi int) { b.fusedRange(path, &fusedIO{x: x, y: y}, pl, p, lo, hi, 0, pl.f) })
+		tensor.ParallelFor(n, 1, func(lo, hi int) { b.fusedRange(path, y, x, pl, p, lo, hi, 0, pl.f) })
 	case n == 1 && big && pl.f >= 8:
 		// One big sample (a cloud block at batch 1): every worker lowers
 		// the bands itself — cheap next to the convolution — and owns a
 		// block of filters end to end.
-		tensor.ParallelFor(pl.f, 4, func(lo, hi int) { b.fusedRange(path, &fusedIO{x: x, y: y}, pl, p, 0, 1, lo, hi) })
+		tensor.ParallelFor(pl.f, 4, func(lo, hi int) { b.fusedRange(path, y, x, pl, p, 0, 1, lo, hi) })
 	default:
-		b.fusedRange(path, &fusedIO{x: x, y: y}, pl, p, 0, n, 0, pl.f)
+		b.fusedRange(path, y, x, pl, p, 0, n, 0, pl.f)
 	}
 	return y
 }
 
-// forwardBits is the bit-domain pass behind ForwardPlanes and
-// ForwardPacked. It splits work over samples only: the filters of one
-// sample share the bytes of its output, so a filter split would race.
-func (b *ConvP) forwardBits(io fusedIO, p *tensor.Pool) {
-	in, conv := io.in, b.Conv.inner
-	if in.C != conv.InC {
-		panic(fmt.Sprintf("bnn: ConvP %s input planes have %d channels, want %d", conv.Weight.Name, in.C, conv.InC))
-	}
-	if len(b.thresh) != conv.OutC {
-		panic(fmt.Sprintf("bnn: ConvP %s has no thresholds; call SyncWeights", conv.Weight.Name))
-	}
-	path := tensor.CurrentKernelPath()
-	pl := planFused(in.C, in.H, in.W, conv.OutC)
-	if in.N > 1 && pl.f*pl.c*9*pl.h*pl.w >= fusedParallelOps && tensor.MaxWorkers() > 1 {
-		shared := io // on the heap only on this branch
-		tensor.ParallelFor(in.N, 1, func(lo, hi int) { b.fusedRange(path, &shared, pl, p, lo, hi, 0, pl.f) })
-		return
-	}
-	b.fusedRange(path, &io, pl, p, 0, in.N, 0, pl.f)
-}
-
 // fusedRange computes output filters [f0, f1) of samples [n0, n1) with
 // one scratch buffer borrowed from p.
-func (b *ConvP) fusedRange(path tensor.KernelPath, io *fusedIO, pl fusedPlan, p *tensor.Pool, n0, n1, f0, f1 int) {
+func (b *ConvP) fusedRange(path tensor.KernelPath, y, x *tensor.Tensor, pl fusedPlan, p *tensor.Pool, n0, n1, f0, f1 int) {
 	buf := p.GetDirty(pl.size)
 	defer p.Put(buf)
-	scratch := buf.Data()
+	scratch, yd, xd := buf.Data(), y.Data(), x.Data()
 	xb := scratch[:pl.xbLen]
 	cb := scratch[pl.xbLen : pl.xbLen+pl.f*pl.cs]
 	affine := scratch[pl.xbLen+pl.f*pl.cs:]
@@ -180,107 +145,129 @@ func (b *ConvP) fusedRange(path tensor.KernelPath, io *fusedIO, pl fusedPlan, p 
 	// Within a filter's cb segment, row t (0 = carried row, 1.. = band
 	// rows) has its column −1 at t*wp and its column 0 at 1+t*wp.
 	conv := cb[1+wp:]
-	// On the bit path a sample's signs go to signs, PackSigns order: its
-	// run of io.packed, or own, placed in io.next once the sample is done.
-	stride := PackedSize(pl.f * pl.ph * pl.pw)
-	var sample []float32
-	var signs, own []byte
-	if io.x == nil && io.next.N > 0 {
-		own = p.GetBytes(stride)
-		defer p.PutBytes(own)
-	}
-	// The two junk positions ending each band row are the pool's −Inf
-	// padding. The float tile overwrites them every band; the XNOR
-	// convolution writes only image columns, so on the bit path, where
-	// every band is XNOR, they are set once.
-	junk := func(f, rows int) {
-		seg := cb[f*cs : (f+1)*cs]
-		for t := 1; t <= rows; t++ {
-			seg[1+t*wp+pl.w], seg[1+t*wp+pl.w+1] = negInf, negInf
-		}
-	}
-	if io.x == nil {
-		for f := f0; f < f1; f++ {
-			junk(f, pl.band)
-		}
-	}
 
 	for ni := n0; ni < n1; ni++ {
-		switch {
-		case io.x != nil:
-			sample = io.x.Data()[ni*pl.c*pl.h*pl.w : (ni+1)*pl.c*pl.h*pl.w]
-		case own != nil:
-			signs = own
-			clear(signs)
-		default:
-			signs = io.packed[ni*stride : (ni+1)*stride]
-		}
+		sample := xd[ni*pl.c*pl.h*pl.w : (ni+1)*pl.c*pl.h*pl.w]
 		for f := f0; f < f1; f++ {
 			// Row −1 of the convolution output is pool padding.
 			fill(cb[f*cs+1:f*cs+1+wp], negInf)
 		}
 		for r0 := 0; r0 < pl.h; r0 += pl.band {
 			rows := min(pl.band, pl.h-r0)
-			switch {
-			case io.x == nil:
-				// Padded rows r0 .. r0+rows+1 are input rows r0−1 .. r0+rows.
-				bits.sgn, bits.nz = io.in.rows(ni, r0)
+			if packTernaryBand(path, bits, sample, pl, r0, rows) {
 				xnorConv3x3(path, conv, cs, xw, bits, pl, rows, f0, f1)
-			case packTernaryBand(path, bits, sample, pl, r0, rows):
-				xnorConv3x3(path, conv, cs, xw, bits, pl, rows, f0, f1)
-			default:
+			} else {
 				lowerBand(xb, sample, pl, r0, rows)
 				tensor.ConvSign3x3(path, conv, cs, wd, xb, pl.c, pl.plane, wp, rows, f0, f1)
 			}
 			for f := f0; f < f1; f++ {
 				seg := cb[f*cs : (f+1)*cs]
-				if io.x != nil {
-					junk(f, rows)
-				}
-				// Pooled row py covers convolution rows 2py−1..2py+1,
-				// i.e. segment rows t−1..t+1 with t = 2py−r0+1; a band's
-				// pooled rows are two segment rows apart.
-				rowsOf := func(py int) (top, mid, bot []float32) {
-					t := 2*py - r0 + 1
-					top, mid = seg[(t-1)*wp:], seg[t*wp:]
-					bot = mid // row 2py+1 is below the image: repeat one that is not
-					if 2*py+1 < pl.h {
-						bot = seg[(t+1)*wp:]
-					}
-					return top, mid, bot
-				}
-				py0, py1 := r0/2, (r0+rows+1)/2
-				if io.x == nil {
-					// A filter's pooled rows are consecutive runs of its
-					// PackSigns bits, so up to 64 bits go at once.
-					th := b.thresh[f]
-					for py := py0; py < py1; {
-						top, mid, bot := rowsOf(py)
-						// nr rows at once while their windows stay in the image.
-						nr, k := 1, min(64, pl.pw)
-						if q := (pl.h - 2*py) / 2; q > 0 && pl.pw <= 64 {
-							nr = min(64/pl.pw, py1-py, q)
-						}
-						for px := 0; px < pl.pw; px += k {
-							k = min(k, pl.pw-px)
-							putBits(signs, (f*pl.ph+py)*pl.pw+px, tensor.PoolThresholdRows(path, top[2*px:], mid[2*px:], bot[2*px:], 2*wp, nr, k, th.s, th.t), nr*k)
-						}
-						py += nr
-					}
-				} else {
-					for py := py0; py < py1; py++ {
-						top, mid, bot := rowsOf(py)
-						out := io.y.Data()[((ni*pl.f+f)*pl.ph+py)*pl.pw:][:pl.pw]
-						tensor.PoolAffineSignRow(path, out, top, mid, bot, scale[f], shift[f])
-					}
+				padRowEnds(seg, pl, rows)
+				for py := r0 / 2; py < (r0+rows+1)/2; py++ {
+					top, mid, bot := poolRows(seg, pl, r0, py)
+					out := yd[((ni*pl.f+f)*pl.ph+py)*pl.pw:][:pl.pw]
+					tensor.PoolAffineSignRow(path, out, top, mid, bot, scale[f], shift[f])
 				}
 				copy(seg[1:1+wp], seg[1+rows*wp:1+(rows+1)*wp])
 			}
 		}
-		if own != nil {
-			io.next.Place(ni, 0, [][]byte{own}, pl.f)
+	}
+}
+
+// forwardBits is the bit-domain pass behind ForwardPacked: ternary bit
+// planes in, one PackSigns run of stride bytes per sample out. It splits
+// work over samples only: the filters of one sample share the bytes of
+// its output, so a filter split would race.
+func (b *ConvP) forwardBits(in Planes, out []byte, stride int, p *tensor.Pool) {
+	conv := b.Conv.inner
+	if in.C != conv.InC {
+		panic(fmt.Sprintf("bnn: ConvP %s input planes have %d channels, want %d", conv.Weight.Name, in.C, conv.InC))
+	}
+	if len(b.thresh) != conv.OutC {
+		panic(fmt.Sprintf("bnn: ConvP %s has no thresholds; call SyncWeights", conv.Weight.Name))
+	}
+	path := tensor.CurrentKernelPath()
+	pl := planFused(in.C, in.H, in.W, conv.OutC)
+	if in.N > 1 && pl.f*pl.c*9*pl.h*pl.w >= fusedParallelOps && tensor.MaxWorkers() > 1 {
+		tensor.ParallelFor(in.N, 1, func(lo, hi int) { b.bitsRange(path, in, out, stride, pl, p, lo, hi) })
+		return
+	}
+	b.bitsRange(path, in, out, stride, pl, p, 0, in.N)
+}
+
+// bitsRange is fusedRange on bit planes, for samples [n0, n1) and every
+// filter: the bands are read from the planes in place, every band is
+// XNOR, and each filter's pooled rows end in its integer threshold,
+// written as its run of the sample's PackSigns bits.
+func (b *ConvP) bitsRange(path tensor.KernelPath, in Planes, out []byte, stride int, pl fusedPlan, p *tensor.Pool, n0, n1 int) {
+	buf := p.GetDirty(pl.size)
+	defer p.Put(buf)
+	scratch := buf.Data()
+	cb := scratch[pl.xbLen : pl.xbLen+pl.f*pl.cs]
+	bits := newXnorScratch(scratch[:pl.xbLen], pl)
+	wp, cs := pl.wp, pl.cs
+	conv := cb[1+wp:] // as in fusedRange
+	for f := 0; f < pl.f; f++ {
+		cb[f*cs] = negInf
+		// The XNOR convolution writes only image columns, so the pool's
+		// padding at the row ends is set once for every band.
+		padRowEnds(cb[f*cs:(f+1)*cs], pl, pl.band)
+	}
+
+	for ni := n0; ni < n1; ni++ {
+		signs := out[ni*stride : (ni+1)*stride]
+		for f := 0; f < pl.f; f++ {
+			fill(cb[f*cs+1:f*cs+1+wp], negInf)
+		}
+		for r0 := 0; r0 < pl.h; r0 += pl.band {
+			rows := min(pl.band, pl.h-r0)
+			// Padded rows r0 .. r0+rows+1 are input rows r0−1 .. r0+rows.
+			bits.sgn, bits.nz = in.rows(ni, r0)
+			xnorConv3x3(path, conv, cs, b.Conv.xnor, bits, pl, rows, 0, pl.f)
+			py1 := (r0 + rows + 1) / 2
+			for f := 0; f < pl.f; f++ {
+				seg, th := cb[f*cs:(f+1)*cs], b.thresh[f]
+				// A filter's pooled rows are consecutive runs of its
+				// PackSigns bits, so up to 64 bits go at once: nr rows
+				// while their windows stay in the image.
+				for py := r0 / 2; py < py1; {
+					top, mid, bot := poolRows(seg, pl, r0, py)
+					nr, k := 1, min(64, pl.pw)
+					if q := (pl.h - 2*py) / 2; q > 0 && pl.pw <= 64 {
+						nr = min(64/pl.pw, py1-py, q)
+					}
+					for px := 0; px < pl.pw; px += k {
+						k = min(k, pl.pw-px)
+						putBits(signs, (f*pl.ph+py)*pl.pw+px, tensor.PoolThresholdRows(path, top[2*px:], mid[2*px:], bot[2*px:], 2*wp, nr, k, th.s, th.t), nr*k)
+					}
+					py += nr
+				}
+				copy(seg[1:1+wp], seg[1+rows*wp:1+(rows+1)*wp])
+			}
 		}
 	}
+}
+
+// padRowEnds sets the two junk positions that end each of a filter
+// segment's first rows band rows to −Inf, the pool's padding.
+func padRowEnds(seg []float32, pl fusedPlan, rows int) {
+	for t := 1; t <= rows; t++ {
+		seg[1+t*pl.wp+pl.w], seg[1+t*pl.wp+pl.w+1] = negInf, negInf
+	}
+}
+
+// poolRows returns the three convolution rows of a filter segment that
+// pooled row py reads in the band from row r0: rows 2py−1..2py+1, i.e.
+// segment rows t−1..t+1 with t = 2py−r0+1, so a band's pooled rows are
+// two segment rows apart.
+func poolRows(seg []float32, pl fusedPlan, r0, py int) (top, mid, bot []float32) {
+	t := 2*py - r0 + 1
+	top, mid = seg[(t-1)*pl.wp:], seg[t*pl.wp:]
+	bot = mid // row 2py+1 is below the image: repeat one that is not
+	if 2*py+1 < pl.h {
+		bot = seg[(t+1)*pl.wp:]
+	}
+	return top, mid, bot
 }
 
 // threshold is one filter's integer epilogue on bit-plane input: the

@@ -402,10 +402,6 @@ func (pl Planes) Place(i, c0 int, maps [][]byte, f int) {
 			nz[y*rsw+j] |= v
 		}
 	}
-	if w%8 == 0 && c%8 == 0 && c0%8 == 0 && c <= 64 {
-		pl.placeBytes(sgn, c0, maps, f)
-		return
-	}
 	// Signs, 64 channels at a time: per 8-pixel run of a row, eight
 	// channels are one 8×8 bit transpose, and a pixel's channels are then
 	// one run of bits.
@@ -445,85 +441,6 @@ func (pl Planes) Place(i, c0 int, maps [][]byte, f int) {
 				}
 			}
 		}
-	}
-}
-
-// placeBytes is Place's sign pass when rows hold whole bytes of pixels
-// (W a multiple of 8) and a pixel's channels are whole bytes from a byte
-// on (C ≤ 64 and c0 multiples of 8), as in the cloud's geometry. For
-// each eight channels, their planes are read 64 pixels at a time and one
-// 8×8 byte transpose groups each 8-pixel run's bytes; per run, one 8×8
-// bit transpose per eight channels gives each pixel's channel bytes, and
-// the run's C bytes per pixel are ORed into the plane a word at a time.
-func (pl Planes) placeBytes(sgn []uint64, c0 int, maps [][]byte, f int) {
-	h, w, pb := pl.H, pl.W, pl.C/8 // pb: bytes per pixel
-	plane := h * w / 8             // bytes per channel
-	out := unsafe.Slice((*byte)(unsafe.Pointer(&sgn[0])), 8*len(sgn))
-	n := len(maps) * f
-	var src [8][8][]byte // channel 8q+k's plane, nil if absent
-	for k := 0; k < n; k++ {
-		if m := maps[k/f]; m != nil {
-			src[k/8][k%8] = m[k%f*plane : (k%f+1)*plane]
-		}
-	}
-	rowBytes := pl.rsw * 8
-	at, x := rowBytes+pb+c0/8, 0 // pixel (0, 0)'s first byte for these channels, and x of the run
-	for j0 := 0; j0 < plane; j0 += 8 {
-		var a [8][8]uint64 // per eight channels, runs j0 … j0+7
-		for q := 0; q < (n+7)/8; q++ {
-			for k, s := range src[q] {
-				a[q][k] = load64(s, j0)
-			}
-			byteTranspose(&a[q])
-		}
-		for j := 0; j < min(8, plane-j0); j++ {
-			var run [64]byte // the run's pixels, pb bytes each
-			for q := 0; q < (n+7)/8; q++ {
-				t := transpose8(a[q][j]) // byte i: pixel x+i's channels 8q … 8q+7
-				for i := 0; i < 8; i++ {
-					run[(i*pb+q)&63] = byte(t >> uint(8*i))
-				}
-			}
-			for k, b := 0, at+x*pb; k < pb; k, b = k+1, b+8 {
-				if v := binary.LittleEndian.Uint64(run[8*k:]); v != 0 {
-					binary.LittleEndian.PutUint64(out[b:], binary.LittleEndian.Uint64(out[b:])|v)
-				}
-			}
-			if x += 8; x == w {
-				x, at = 0, at+rowBytes
-			}
-		}
-	}
-}
-
-// load64 reads eight bytes of b from off on, little-endian, zero past
-// its end.
-func load64(b []byte, off int) uint64 {
-	if off+8 <= len(b) {
-		return binary.LittleEndian.Uint64(b[off:])
-	}
-	var v uint64
-	for k := off; k < len(b); k++ {
-		v |= uint64(b[k]) << uint(8*(k-off))
-	}
-	return v
-}
-
-// byteTranspose transposes the 8×8 byte matrix whose row k is a[k]: byte
-// k of a[j] becomes byte j of the old a[k].
-func byteTranspose(a *[8]uint64) {
-	const m1, m2, m3 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff
-	for k := 0; k < 8; k += 2 {
-		x, y := a[k], a[k+1]
-		a[k], a[k+1] = x&m1|(y&m1)<<8, x>>8&m1|y&^m1
-	}
-	for _, k := range [4]int{0, 1, 4, 5} {
-		x, y := a[k], a[k+2]
-		a[k], a[k+2] = x&m2|(y&m2)<<16, x>>16&m2|y&^m2
-	}
-	for k := 0; k < 4; k++ {
-		x, y := a[k], a[k+4]
-		a[k], a[k+4] = x&m3|y<<32, x>>32|y&^m3
 	}
 }
 

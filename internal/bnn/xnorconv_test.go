@@ -96,7 +96,7 @@ func TestConvPXnorFilterRangeParity(t *testing.T) {
 			}
 			for _, r := range [][2]int{{0, 1}, {1, 2}, {3, 7}, {5, 16}, {4, 12}, {13, 16}, {0, 16}} {
 				y := tensor.New(1, f, pl.ph, pl.pw)
-				blk.fusedRange(p, &fusedIO{x: x, y: y}, pl, nil, 0, 1, r[0], r[1])
+				blk.fusedRange(p, y, x, pl, nil, 0, 1, r[0], r[1])
 				for i := r[0] * per; i < r[1]*per; i++ {
 					if y.Data()[i] != want.Data()[i] {
 						t.Fatalf("path=%v c=%d filters [%d,%d): element %d = %g, reference %g", p, c, r[0], r[1], i, y.Data()[i], want.Data()[i])
