@@ -56,29 +56,21 @@ func ParseScheme(s string) (Scheme, error) {
 func Schemes() []Scheme { return []Scheme{MP, AP, CC} }
 
 // Aggregator combines per-device tensors of identical shape into a single
-// tensor for the next stage of a DDNN. mask[i] reports whether device i is
-// present; a nil mask means all devices are present. Backward returns one
-// gradient per device (zero tensors for absent devices).
+// tensor for the next stage of a DDNN. Backward returns one gradient per
+// device (zero tensors for absent devices).
 type Aggregator interface {
+	// Forward is the training forward and the oracle: mask[i] reports
+	// whether device i is present for the whole batch, and a nil mask
+	// means all devices are present.
 	Forward(inputs []*tensor.Tensor, mask []bool, train bool) *tensor.Tensor
+	// ForwardPooled is the inference forward, each sample under its own
+	// presence mask: masks[i] has bit d set when device d covers sample
+	// i, and nil means every device covers every sample. Row i equals
+	// Forward's under sample i's mask, bit for bit. The output comes from
+	// p; the caller should Put it back once consumed.
+	ForwardPooled(inputs []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) []*tensor.Tensor
 	Params() []*nn.Param
-}
-
-// PooledAggregator is implemented by aggregators whose inference forward
-// can draw the output from a tensor.Pool; the caller owns the returned
-// tensor and should Put it back once consumed.
-type PooledAggregator interface {
-	ForwardPooled(inputs []*tensor.Tensor, mask []bool, p *tensor.Pool) *tensor.Tensor
-}
-
-// ForwardPooled runs a's pooled inference forward when it has one,
-// falling back to a plain inference Forward otherwise.
-func ForwardPooled(a Aggregator, inputs []*tensor.Tensor, mask []bool, p *tensor.Pool) *tensor.Tensor {
-	if pa, ok := a.(PooledAggregator); ok {
-		return pa.ForwardPooled(inputs, mask, p)
-	}
-	return a.Forward(inputs, mask, false)
 }
 
 // BitAggregator is implemented by the feature aggregators whose output
@@ -94,22 +86,22 @@ type BitAggregator interface {
 	AggregateBits(dst bnn.Planes, feats [][]byte, masks []uint16)
 }
 
-// maxBitDevices bounds the devices a bit aggregation takes: a presence
-// mask is 16 bits.
-const maxBitDevices = 16
+// maxDevices bounds the devices a per-sample masked aggregation takes: a
+// presence mask is 16 bits.
+const maxDevices = 16
 
 // sessionMaps walks a session's device features sample by sample (see
 // BitAggregator.AggregateBits), each device's maps f·H·W bits long.
 type sessionMaps struct {
 	feats  [][]byte
 	stride int
-	buf    [maxBitDevices][]byte
-	at     [maxBitDevices]int // each device's next byte
+	buf    [maxDevices][]byte
+	at     [maxDevices]int // each device's next byte
 }
 
 func newSessionMaps(feats [][]byte, f int, dst bnn.Planes) sessionMaps {
-	if len(feats) > maxBitDevices {
-		panic(fmt.Sprintf("agg: %d devices in a bit aggregation, at most %d", len(feats), maxBitDevices))
+	if len(feats) > maxDevices {
+		panic(fmt.Sprintf("agg: %d devices in a bit aggregation, at most %d", len(feats), maxDevices))
 	}
 	return sessionMaps{feats: feats, stride: bnn.PackedSize(f * dst.H * dst.W)}
 }
@@ -142,7 +134,25 @@ func checkInputs(inputs []*tensor.Tensor, mask []bool) {
 	}
 }
 
+// checkMasks is checkInputs for a forward under per-sample masks: one
+// mask per sample of the batch, each wide enough for every device.
+func checkMasks(inputs []*tensor.Tensor, masks []uint16) {
+	checkInputs(inputs, nil)
+	if masks == nil {
+		return
+	}
+	if n := inputs[0].Dim(0); len(masks) != n {
+		panic(fmt.Sprintf("agg: %d masks for a batch of %d", len(masks), n))
+	}
+	if len(inputs) > maxDevices {
+		panic(fmt.Sprintf("agg: %d devices under per-sample masks, at most %d", len(inputs), maxDevices))
+	}
+}
+
 func present(mask []bool, i int) bool { return mask == nil || mask[i] }
+
+// covers reports whether device d covers sample i under per-sample masks.
+func covers(masks []uint16, i, d int) bool { return masks == nil || masks[i]&(1<<uint(d)) != 0 }
 
 func presentCount(mask []bool, n int) int {
 	if mask == nil {
@@ -214,32 +224,33 @@ func (a *Max) Forward(inputs []*tensor.Tensor, mask []bool, train bool) *tensor.
 	return out
 }
 
-// ForwardPooled is the inference forward against a tensor pool. It skips
-// the winner bookkeeping (only backward needs it) but reproduces
-// Forward's values exactly: elements no present device raised above -inf
-// fall back to zero.
-func (a *Max) ForwardPooled(inputs []*tensor.Tensor, mask []bool, p *tensor.Pool) *tensor.Tensor {
-	checkInputs(inputs, mask)
+// ForwardPooled is the inference forward under per-sample masks. It
+// skips the winner bookkeeping (only backward needs it) but reproduces
+// Forward's values exactly: elements no covering device raised above
+// -inf fall back to zero.
+func (a *Max) ForwardPooled(inputs []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor {
+	checkMasks(inputs, masks)
 	out := p.GetDirty(inputs[0].Shape()...)
-	od := out.Data()
 	negInf := float32(math.Inf(-1))
-	for i := range od {
-		od[i] = negInf
-	}
-	for d, in := range inputs {
-		if !present(mask, d) {
-			continue
+	for i := 0; i < out.Dim(0); i++ {
+		od := out.Sample(i)
+		for j := range od {
+			od[j] = negInf
 		}
-		id := in.Data()
-		for i, v := range id {
-			if v > od[i] {
-				od[i] = v
+		for d, in := range inputs {
+			if !covers(masks, i, d) {
+				continue
+			}
+			for j, v := range in.Sample(i) {
+				if v > od[j] {
+					od[j] = v
+				}
 			}
 		}
-	}
-	for i := range od {
-		if od[i] == negInf {
-			od[i] = 0
+		for j := range od {
+			if od[j] == negInf {
+				od[j] = 0
+			}
 		}
 	}
 	return out
@@ -326,25 +337,29 @@ func (a *Avg) Forward(inputs []*tensor.Tensor, mask []bool, train bool) *tensor.
 	return out
 }
 
-// ForwardPooled is the inference forward against a tensor pool.
-func (a *Avg) ForwardPooled(inputs []*tensor.Tensor, mask []bool, p *tensor.Pool) *tensor.Tensor {
-	checkInputs(inputs, mask)
+// ForwardPooled is the inference forward under per-sample masks: each
+// row is divided by its own count of covering devices.
+func (a *Avg) ForwardPooled(inputs []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor {
+	checkMasks(inputs, masks)
 	out := p.Get(inputs[0].Shape()...)
-	k := presentCount(mask, len(inputs))
-	if k == 0 {
-		return out
-	}
-	od := out.Data()
-	for d, in := range inputs {
-		if !present(mask, d) {
-			continue
+	for i := 0; i < out.Dim(0); i++ {
+		od, k := out.Sample(i), 0
+		for d, in := range inputs {
+			if !covers(masks, i, d) {
+				continue
+			}
+			k++
+			for j, v := range in.Sample(i) {
+				od[j] += v
+			}
 		}
-		id := in.Data()
-		for i, v := range id {
-			od[i] += v
+		if k > 0 {
+			s := 1 / float32(k) // Forward's Scale factor
+			for j := range od {
+				od[j] *= s
+			}
 		}
 	}
-	out.Scale(1 / float32(k))
 	return out
 }
 

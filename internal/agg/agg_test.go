@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -308,4 +309,66 @@ func TestAggregatorsPanicOnShapeMismatch(t *testing.T) {
 		}
 	}()
 	NewMax().Forward([]*tensor.Tensor{tensor.New(1, 2), tensor.New(1, 3)}, nil, false)
+}
+
+// TestForwardPooledMatchesForwardPerSample is the per-sample mask
+// contract every aggregator's inference forward keeps: row i of
+// ForwardPooled equals Forward on sample i alone under that sample's
+// mask, bit for bit — for all-absent, single-device, full and random
+// masks, for nil masks, and through a pool handing back dirty buffers.
+// A mask count other than the batch size panics.
+func TestForwardPooledMatchesForwardPerSample(t *testing.T) {
+	const devices, n = 5, 9
+	rng := rand.New(rand.NewSource(6))
+	pool := tensor.NewPool()
+	for _, tc := range []struct {
+		name   string
+		a      Aggregator
+		sample []int // one sample's shape
+	}{
+		{"MP vec", NewMax(), []int{4}},
+		{"MP feat", NewMax(), []int{2, 3, 3}},
+		{"AP vec", NewAvg(), []int{4}},
+		{"AP feat", NewAvg(), []int{2, 3, 3}},
+		{"CC vec", NewConcatVec(rng, "cc", devices, 4), []int{4}},
+		{"CC feat", NewConcatFeat(devices), []int{2, 3, 3}},
+	} {
+		inputs := make([]*tensor.Tensor, devices)
+		for d := range inputs {
+			inputs[d] = tensor.New(append([]int{n}, tc.sample...)...)
+			inputs[d].FillUniform(rng, -1, 1)
+		}
+		masks := make([]uint16, n) // masks[0] stays all-absent
+		masks[1] = 1 << uint(rng.Intn(devices))
+		masks[2] = 1<<devices - 1
+		for i := 3; i < n; i++ {
+			masks[i] = uint16(rng.Intn(1 << devices))
+		}
+		for _, ms := range [][]uint16{masks, nil, masks} {
+			out := tc.a.ForwardPooled(inputs, ms, pool)
+			for i := 0; i < n; i++ {
+				one := make([]*tensor.Tensor, devices)
+				present := make([]bool, devices)
+				for d := range one {
+					one[d] = tensor.FromSlice(inputs[d].Sample(i), append([]int{1}, tc.sample...)...)
+					present[d] = ms == nil || ms[i]&(1<<uint(d)) != 0
+				}
+				want := tc.a.Forward(one, present, false)
+				for j, v := range want.Data() {
+					if got := out.Sample(i)[j]; math.Float32bits(got) != math.Float32bits(v) {
+						t.Fatalf("%s: sample %d (mask %v) element %d = %g, Forward alone gives %g", tc.name, i, present, j, got, v)
+					}
+				}
+			}
+			pool.Put(out)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: %d masks for a batch of %d did not panic", tc.name, n-1, n)
+				}
+			}()
+			tc.a.ForwardPooled(inputs, masks[:n-1], pool)
+		}()
+	}
 }

@@ -54,22 +54,21 @@ func (a *ConcatVec) Forward(inputs []*tensor.Tensor, mask []bool, train bool) *t
 	return a.linear.Forward(cat, train)
 }
 
-// ForwardPooled is the inference forward against a tensor pool: the
+// ForwardPooled is the inference forward under per-sample masks: the
 // concatenation buffer is borrowed and returned, and the projection
 // output comes from the pool.
-func (a *ConcatVec) ForwardPooled(inputs []*tensor.Tensor, mask []bool, p *tensor.Pool) *tensor.Tensor {
-	checkInputs(inputs, mask)
+func (a *ConcatVec) ForwardPooled(inputs []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor {
+	checkMasks(inputs, masks)
 	if len(inputs) != a.n {
 		panic(fmt.Sprintf("agg: ConcatVec built for %d devices, got %d", a.n, len(inputs)))
 	}
 	batch := inputs[0].Dim(0)
 	cat := p.Get(batch, a.n*a.c)
 	for d, in := range inputs {
-		if !present(mask, d) {
-			continue
-		}
 		for b := 0; b < batch; b++ {
-			copy(cat.Row(b)[d*a.c:(d+1)*a.c], in.Row(b))
+			if covers(masks, b, d) {
+				copy(cat.Row(b)[d*a.c:(d+1)*a.c], in.Row(b))
+			}
 		}
 	}
 	out := a.linear.ForwardPooled(cat, p)
@@ -153,9 +152,9 @@ func (a *ConcatFeat) Forward(inputs []*tensor.Tensor, mask []bool, train bool) *
 	return out
 }
 
-// ForwardPooled is the inference forward against a tensor pool.
-func (a *ConcatFeat) ForwardPooled(inputs []*tensor.Tensor, mask []bool, p *tensor.Pool) *tensor.Tensor {
-	checkInputs(inputs, mask)
+// ForwardPooled is the inference forward under per-sample masks.
+func (a *ConcatFeat) ForwardPooled(inputs []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor {
+	checkMasks(inputs, masks)
 	if len(inputs) != a.n {
 		panic(fmt.Sprintf("agg: ConcatFeat built for %d devices, got %d", a.n, len(inputs)))
 	}
@@ -169,13 +168,11 @@ func (a *ConcatFeat) ForwardPooled(inputs []*tensor.Tensor, mask []bool, p *tens
 	plane := f * h * w
 	od := out.Data()
 	for d, in := range inputs {
-		if !present(mask, d) {
-			continue
-		}
 		id := in.Data()
 		for b := 0; b < batch; b++ {
-			dst := od[(b*a.n+d)*plane : (b*a.n+d+1)*plane]
-			copy(dst, id[b*plane:(b+1)*plane])
+			if covers(masks, b, d) {
+				copy(od[(b*a.n+d)*plane:(b*a.n+d+1)*plane], id[b*plane:(b+1)*plane])
+			}
 		}
 	}
 	return out

@@ -45,9 +45,10 @@ type gatewaySession struct {
 // Classify runs the full staged inference of §III-D for the samples as
 // one session under the tenant's exit pipeline, tightened for the shed
 // level (unknown tenants run the gateway default): one capture round trip
-// per device, one aggregated forward pass per device-mask group, and —
-// for the samples that miss the local exit — one escalation carrying only
-// that hard remainder upstream. Every stage processes samples row-wise,
+// per device, one aggregated forward pass over the whole session with
+// each sample under its own device-presence mask, and — for the samples
+// that miss the local exit — one escalation carrying only that hard
+// remainder upstream. Every stage processes samples row-wise,
 // so how callers group samples into sessions changes wire framing and
 // dispatch overhead, never decisions or probabilities. It honors ctx
 // cancellation and deadlines at every stage; on cancellation the error
@@ -129,42 +130,37 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 		}
 	}
 
-	// Stage 2: aggregate and decide the first exit. Samples sharing a
-	// device-presence mask aggregate in one masked forward pass, which is
-	// the whole session when every device is up.
+	// Stage 2: aggregate the whole session in one forward, each sample
+	// under its own presence mask, and decide the first exit.
 	var firstErr error
 	var hard []int
-	for _, grp := range core.MaskGroups(s.masks, devices) {
-		if grp.Mask == 0 {
+	probs := nn.Softmax(s.model.LocalAggregate(exitVecs, s.masks))
+	for i := 0; i < n; i++ {
+		if s.masks[i] == 0 {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: sample %d: %w", sampleIDs[grp.Rows[0]], ErrNoSummaries)
+				firstErr = fmt.Errorf("cluster: sample %d: %w", sampleIDs[i], ErrNoSummaries)
 			}
 			continue
 		}
-		vecs := selectGroup(exitVecs, grp.Rows, n, g.pool)
-		probs := nn.Softmax(s.model.LocalAggregate(vecs, grp.Present))
-		releaseGroup(exitVecs, vecs, g.pool)
-		for k, idx := range grp.Rows {
-			// Probs aliases the softmax row; probs is private to the session.
-			row := probs.Row(k)
-			r := &s.slab[idx]
-			*r = Result{
-				SampleID:      sampleIDs[idx],
-				Probs:         row[:classes:classes],
-				Entropy:       nn.NormalizedEntropy(row),
-				Present:       s.present[idx*devices : (idx+1)*devices : (idx+1)*devices],
-				ConfigVersion: s.snap.version,
-				ModelVersion:  s.mv,
-			}
-			if r.Entropy > s.pipeline[0].Threshold {
-				hard = append(hard, idx)
-				continue
-			}
-			r.Class = probs.ArgMaxRow(k)
-			r.Exit = wire.ExitLocal
-			r.Latency = time.Since(s.start)
-			s.results[idx] = r
+		// Probs aliases the softmax row; probs is private to the session.
+		row := probs.Row(i)
+		r := &s.slab[i]
+		*r = Result{
+			SampleID:      sampleIDs[i],
+			Probs:         row[:classes:classes],
+			Entropy:       nn.NormalizedEntropy(row),
+			Present:       s.present[i*devices : (i+1)*devices : (i+1)*devices],
+			ConfigVersion: s.snap.version,
+			ModelVersion:  s.mv,
 		}
+		if r.Entropy > s.pipeline[0].Threshold {
+			hard = append(hard, i)
+			continue
+		}
+		r.Class = probs.ArgMaxRow(i)
+		r.Exit = wire.ExitLocal
+		r.Latency = time.Since(s.start)
+		s.results[i] = r
 	}
 	g.instr.observeStage(wire.ExitLocal, time.Since(s.start))
 

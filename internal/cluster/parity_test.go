@@ -11,6 +11,7 @@ import (
 	"github.com/ddnn/ddnn-go/internal/branchy"
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/nn"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
@@ -203,15 +204,16 @@ func TestEngineStagedParityEdgeTierBatched(t *testing.T) {
 }
 
 // apFixture trains a model whose features reach the upper tier through
-// AP: the cloud's aggregator on two tiers, the edge's on three.
-func apFixture(t *testing.T, edge bool) (*core.Model, *dataset.Dataset) {
+// AP — the cloud's aggregator on two tiers, the edge's on three — and
+// whose exit vectors are aggregated locally with the given scheme.
+func apFixture(t *testing.T, edge bool, local agg.Scheme) (*core.Model, *dataset.Dataset) {
 	t.Helper()
 	dcfg := dataset.DefaultConfig()
 	dcfg.Train, dcfg.Test = 120, 40
 	train, test := dataset.MustGenerate(dcfg)
 	cfg := core.DefaultConfig()
 	cfg.CloudFilters = 8
-	cfg.UseEdge, cfg.CloudAgg, cfg.EdgeAgg = edge, agg.AP, agg.AP
+	cfg.UseEdge, cfg.LocalAgg, cfg.CloudAgg, cfg.EdgeAgg = edge, local, agg.AP, agg.AP
 	m := core.MustNewModel(cfg)
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 2
@@ -227,12 +229,31 @@ func apFixture(t *testing.T, edge bool) (*core.Model, *dataset.Dataset) {
 // bits-in forwards instead of bit planes; one-sample and batched
 // sessions, and a degraded run, must still match staged Evaluate.
 func TestEngineStagedParityAP(t *testing.T) {
-	twoTier, test := apFixture(t, false)
-	threeTier, edgeTest := apFixture(t, true)
+	twoTier, test := apFixture(t, false, agg.MP)
+	threeTier, edgeTest := apFixture(t, true, agg.MP)
 	for _, batch := range []int{1, 8} {
 		checkStagedParity(t, twoTier, test, 0.5, 0.8, batch, false)
 		checkStagedParity(t, threeTier, edgeTest, 0.5, 0.5, batch, false)
 	}
 	checkStagedParity(t, twoTier, test, 0.5, 0.8, 8, true)
 	checkStagedParity(t, threeTier, edgeTest, 0.5, 0.5, 8, true)
+}
+
+// TestEngineStagedParityLocalAgg runs the gateway's local stage with AP
+// and CC local aggregation, where every other fixture uses MP. The runs
+// are degraded at batch 8, so one session mixes presence masks: each
+// sample's average must divide by its own device count, and the CC
+// projection must see zeros for its own absent devices. The threshold is
+// the median local entropy, so about half the samples exit locally.
+func TestEngineStagedParityLocalAgg(t *testing.T) {
+	for _, local := range []agg.Scheme{agg.AP, agg.CC} {
+		model, test := apFixture(t, local == agg.CC, local)
+		var entropies []float64
+		for _, row := range model.Evaluate(test, nil, 32).LocalProbs {
+			entropies = append(entropies, nn.NormalizedEntropy(row))
+		}
+		slices.Sort(entropies)
+		localT := entropies[len(entropies)/2]
+		checkStagedParity(t, model, test, localT, 0.5, 8, true)
+	}
 }

@@ -169,33 +169,6 @@ func (t *sessionTable) add(fb *wire.FeatureBatch) *uploadSession {
 	return up
 }
 
-// selectGroup gathers a mask group's batch rows from each per-device
-// tensor into pool-backed sub-batches. When the group spans the whole
-// batch — the common all-devices-up case — the original tensors are
-// returned as-is, skipping the copy; releaseGroup knows the difference.
-func selectGroup(feats []*tensor.Tensor, indices []int, total int, pool *tensor.Pool) []*tensor.Tensor {
-	if len(indices) == total {
-		return feats
-	}
-	sel := make([]*tensor.Tensor, len(feats))
-	for d, f := range feats {
-		shape := append([]int{len(indices)}, f.Shape()[1:]...)
-		t := pool.GetDirty(shape...)
-		f.SelectSamplesInto(t, indices)
-		sel[d] = t
-	}
-	return sel
-}
-
-// releaseGroup returns selectGroup's copies to the pool; a group that
-// reused the originals is left alone (the session's release owns them).
-func releaseGroup(orig, sel []*tensor.Tensor, pool *tensor.Pool) {
-	if len(sel) > 0 && len(orig) > 0 && sel[0] == orig[0] {
-		return
-	}
-	putAll(pool, sel)
-}
-
 // verdictRow assembles one sample's BatchVerdict from row k of a softmax
 // probability tensor — the shared tail of every tier's classify. The
 // verdict's Probs alias the row, so probs must be private to the session

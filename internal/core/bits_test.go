@@ -33,8 +33,8 @@ func randomizeBN(m *Model, rng *rand.Rand) {
 // sessionFeatures draws n samples' ±1 device feature maps and presence
 // masks and packs them as a session's FeatureBatch payloads. Sample 0
 // has a single present device, sample 1 none, and the rest random masks
-// with repeats, so groups of one device, of none and of several are all
-// present.
+// with repeats, so masks of one device, of none and of several all occur
+// in one session.
 func sessionFeatures(m *Model, n int, rng *rand.Rand) (maps [][]*tensor.Tensor, masks []uint16, feats [][]byte) {
 	cfg := m.Cfg
 	masks = make([]uint16, n)
@@ -64,14 +64,6 @@ func sessionFeatures(m *Model, n int, rng *rand.Rand) (maps [][]*tensor.Tensor, 
 		}
 	}
 	return maps, masks, feats
-}
-
-func presentOf(mask uint16, devices int) []bool {
-	p := make([]bool, devices)
-	for d := range p {
-		p[d] = mask&(1<<uint(d)) != 0
-	}
-	return p
 }
 
 // naive runs fn on the naive path, the layered oracle.
@@ -114,12 +106,12 @@ func TestBitsInParityAllPaths(t *testing.T) {
 			var wantBits [][]byte
 			naive(t, func() {
 				for i := 0; i < n; i++ {
-					present := presentOf(masks[i], cfg.Devices)
+					mask := masks[i : i+1]
 					if !edge {
-						wantLogits = append(wantLogits, m.CloudForward(maps[i], present))
+						wantLogits = append(wantLogits, m.CloudForward(maps[i], mask))
 						continue
 					}
-					feat, logits := m.EdgeForward(maps[i], present)
+					feat, logits := m.EdgeForward(maps[i], mask)
 					wantEdge = append(wantEdge, logits)
 					wantBits = append(wantBits, bnn.PackSigns(feat))
 					wantLogits = append(wantLogits, m.CloudForwardFromEdge(feat))

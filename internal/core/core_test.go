@@ -407,8 +407,8 @@ func TestPackUnpackFeatureRoundTrip(t *testing.T) {
 	if len(bits) != wantBytes {
 		t.Errorf("packed feature = %d bytes, want %d (Eq. 1: f·o/8)", len(bits), wantBytes)
 	}
-	back, err := m.UnpackFeature(bits, feat.Dim(1), feat.Dim(2), feat.Dim(3))
-	if err != nil {
+	back := tensor.New(feat.Shape()...)
+	if err := m.UnpackFeatureInto(back, 0, bits); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range feat.Data() {

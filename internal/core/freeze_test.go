@@ -48,11 +48,10 @@ func TestInferenceForwardsAreReadOnly(t *testing.T) {
 				}
 				copy(vecs[device].Row(0), exitVec.Row(0))
 				feats[device] = feat
-				mask := make([]bool, cfg.Devices)
-				mask[device] = true
+				masks := []uint16{1 << uint(device)}
 
-				m.LocalAggregate(vecs, mask)
-				m.CloudForward(feats, mask)
+				m.LocalAggregate(vecs, masks)
+				m.CloudForward(feats, masks)
 			}
 		}(w)
 	}

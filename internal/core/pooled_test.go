@@ -42,9 +42,9 @@ func TestPooledForwardsMatchUnpooled(t *testing.T) {
 			feats[d] = tensor.New(2, m.Cfg.DeviceFilters, m.Cfg.FeatureH(), m.Cfg.FeatureW())
 			feats[d].FillUniform(rng, -1, 1)
 		}
-		mask := []bool{true, false, true, true, true, false}[:m.Cfg.Devices]
-		logits := m.CloudForward(feats, mask)
-		plogits := m.CloudForwardPooled(feats, mask, pool)
+		masks := []uint16{0b011101, 0b000110}
+		logits := m.CloudForward(feats, masks)
+		plogits := m.CloudForwardPooled(feats, masks, pool)
 		equal("cloud logits", logits, plogits)
 
 		pool.Put(pfeat)

@@ -61,28 +61,30 @@ func (m *Model) device(i int) *deviceSection {
 	return m.devices[i]
 }
 
-// LocalAggregate combines per-device exit vectors into local-exit logits.
-// mask marks present devices (nil = all).
-func (m *Model) LocalAggregate(exitVecs []*tensor.Tensor, mask []bool) *tensor.Tensor {
-	return m.localAgg.Forward(exitVecs, mask, false)
+// LocalAggregate combines per-device exit vectors into local-exit logits,
+// each sample under its own presence mask: masks[i] has bit d set when
+// device d covers sample i, and nil means every device covers every
+// sample. Row i equals the aggregation of sample i alone under its mask.
+func (m *Model) LocalAggregate(exitVecs []*tensor.Tensor, masks []uint16) *tensor.Tensor {
+	return m.localAgg.ForwardPooled(exitVecs, masks, nil)
 }
 
 // CloudForward aggregates per-device feature maps and runs the cloud
-// section, returning cloud-exit logits. mask marks present devices (nil =
-// all). It must not be used on models built with an edge tier; those use
-// EdgeForward first.
-func (m *Model) CloudForward(feats []*tensor.Tensor, mask []bool) *tensor.Tensor {
-	return m.CloudForwardPooled(feats, mask, nil)
+// section, returning cloud-exit logits. masks are per-sample presence
+// masks as LocalAggregate takes them (nil = all). It must not be used on
+// models built with an edge tier; those use EdgeForward first.
+func (m *Model) CloudForward(feats []*tensor.Tensor, masks []uint16) *tensor.Tensor {
+	return m.CloudForwardPooled(feats, masks, nil)
 }
 
 // CloudForwardPooled is CloudForward drawing the aggregation buffer,
 // layer intermediates and returned logits from a tensor pool; the caller
 // should Put the logits back once consumed. A nil pool allocates.
-func (m *Model) CloudForwardPooled(feats []*tensor.Tensor, mask []bool, p *tensor.Pool) *tensor.Tensor {
+func (m *Model) CloudForwardPooled(feats []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor {
 	if m.edge != nil {
 		panic("core: CloudForward on an edge-tier model; use EdgeForward")
 	}
-	cloudIn := agg.ForwardPooled(m.cloudAgg, feats, mask, p)
+	cloudIn := m.cloudAgg.ForwardPooled(feats, masks, p)
 	logits := m.cloud.forwardPooled(cloudIn, p)
 	p.Put(cloudIn)
 	return logits
@@ -102,8 +104,8 @@ func (m *Model) CloudForwardPooled(feats []*tensor.Tensor, mask []bool, p *tenso
 // writes its signs into the next one's input, and the exit head reads
 // the last block's packed bytes. AP, whose mean of ±1 values is not
 // ternary, the §VI float cloud and the naive path (the oracle) keep the
-// float path: each group of samples sharing a mask is unpacked,
-// aggregated and run through CloudForwardPooled's layers.
+// float path: the session is unpacked into batch-wide device maps (see
+// unpackSession) for one CloudForwardPooled.
 func (m *Model) CloudForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool) *tensor.Tensor {
 	if m.edge != nil {
 		panic("core: CloudForward on an edge-tier model; use EdgeForward")
@@ -113,14 +115,11 @@ func (m *Model) CloudForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool)
 		in.Put(p)
 		return logits
 	}
-	logits := p.GetDirty(len(masks), m.Cfg.Classes)
-	m.forEachMaskGroup(m.cloudAgg, feats, masks, p, func(rows []int, in *tensor.Tensor) {
-		l := m.cloud.forwardPooled(in, p)
-		for k, i := range rows {
-			copy(logits.Row(i), l.Row(k))
-		}
-		p.Put(l)
-	})
+	maps := m.unpackSession(feats, masks, p)
+	logits := m.CloudForwardPooled(maps, masks, p)
+	for _, t := range maps {
+		p.Put(t)
+	}
 	return logits
 }
 
@@ -129,50 +128,43 @@ func (m *Model) CloudForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool)
 // PackFeature bytes back to back — the EdgeFeatureBatch payload
 // for the samples that escalate — and the edge-exit logits, both from p.
 // An MP or CC edge aggregator keeps the features in bits throughout; AP
-// and the naive path run EdgeForwardPooled's layers per mask group and
-// pack the result.
+// and the naive path unpack the session for one EdgeForwardPooled and
+// pack its feature map.
 func (m *Model) EdgeForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool) (edgeBits []byte, edgeLogits *tensor.Tensor) {
 	if m.edge == nil {
 		panic("core: EdgeForward on a model without an edge tier")
 	}
-	n := len(masks)
 	if in, ok := m.aggregateBits(m.edgeAgg, m.Cfg.EdgeAgg, true, feats, masks, p); ok {
 		edgeBits = m.edge.convp.ForwardPacked(in, p)
 		in.Put(p)
-		return edgeBits, m.edge.exit.forwardBits(edgeBits, n, p)
+		return edgeBits, m.edge.exit.forwardBits(edgeBits, len(masks), p)
 	}
-	stride := bnn.PackedSize(m.Cfg.EdgeFilters * (m.Cfg.FeatureH() / 2) * (m.Cfg.FeatureW() / 2))
-	edgeBits, edgeLogits = p.GetBytes(n*stride), p.GetDirty(n, m.Cfg.Classes)
-	m.forEachMaskGroup(m.edgeAgg, feats, masks, p, func(rows []int, in *tensor.Tensor) {
-		feat := m.edge.convp.ForwardPooled(in, p)
-		l := m.edge.exit.forwardPooled(feat, p)
-		bits := packSamples(feat, p)
-		for k, i := range rows {
-			copy(edgeBits[i*stride:(i+1)*stride], bits[k*stride:(k+1)*stride])
-			copy(edgeLogits.Row(i), l.Row(k))
-		}
-		p.PutBytes(bits)
-		p.Put(l)
-		p.Put(feat)
-	})
+	maps := m.unpackSession(feats, masks, p)
+	feat, edgeLogits := m.EdgeForwardPooled(maps, masks, p)
+	for _, t := range maps {
+		p.Put(t)
+	}
+	edgeBits = packSamples(feat, p)
+	p.Put(feat)
 	return edgeBits, edgeLogits
 }
 
 // EdgeForward aggregates device feature maps and runs the edge section,
 // returning the edge feature map (forwarded to the cloud) and edge-exit
-// logits. It is only valid on models built with UseEdge.
-func (m *Model) EdgeForward(feats []*tensor.Tensor, mask []bool) (edgeFeat, edgeLogits *tensor.Tensor) {
-	return m.EdgeForwardPooled(feats, mask, nil)
+// logits, each sample under its own presence mask (see LocalAggregate).
+// It is only valid on models built with UseEdge.
+func (m *Model) EdgeForward(feats []*tensor.Tensor, masks []uint16) (edgeFeat, edgeLogits *tensor.Tensor) {
+	return m.EdgeForwardPooled(feats, masks, nil)
 }
 
 // EdgeForwardPooled is EdgeForward drawing its outputs and scratch from
 // a tensor pool: both returned tensors come from p, and the caller
 // should Put them back once consumed. A nil pool allocates.
-func (m *Model) EdgeForwardPooled(feats []*tensor.Tensor, mask []bool, p *tensor.Pool) (edgeFeat, edgeLogits *tensor.Tensor) {
+func (m *Model) EdgeForwardPooled(feats []*tensor.Tensor, masks []uint16, p *tensor.Pool) (edgeFeat, edgeLogits *tensor.Tensor) {
 	if m.edge == nil {
 		panic("core: EdgeForward on a model without an edge tier")
 	}
-	edgeIn := agg.ForwardPooled(m.edgeAgg, feats, mask, p)
+	edgeIn := m.edgeAgg.ForwardPooled(feats, masks, p)
 	edgeFeat = m.edge.convp.ForwardPooled(edgeIn, p)
 	p.Put(edgeIn)
 	edgeLogits = m.edge.exit.forwardPooled(edgeFeat, p)
@@ -246,72 +238,26 @@ func (m *Model) aggregateBits(a agg.Aggregator, s agg.Scheme, binary bool, feats
 	return in, true
 }
 
-// MaskGroup is a batch subset whose samples share one device-presence
-// mask, so one masked forward pass covers it and stays bit-identical to
-// running each sample alone.
-type MaskGroup struct {
-	Mask uint16
-	// Rows are the batch positions, in batch order.
-	Rows []int
-	// Present is the mask expanded to per-device booleans.
-	Present []bool
-}
-
-// MaskGroups splits batch positions by presence mask, bit d for device
-// d, in order of first appearance; the common all-devices-up case is a
-// single group spanning the batch.
-func MaskGroups(masks []uint16, devices int) []MaskGroup {
-	var groups []MaskGroup
-	at := make(map[uint16]int)
-	for i, m := range masks {
-		gi, ok := at[m]
-		if !ok {
-			present := make([]bool, devices)
-			for d := range present {
-				present[d] = m&(1<<uint(d)) != 0
-			}
-			gi = len(groups)
-			at[m] = gi
-			groups = append(groups, MaskGroup{Mask: m, Present: present})
-		}
-		groups[gi].Rows = append(groups[gi].Rows, i)
-	}
-	return groups
-}
-
-// forEachMaskGroup is the float path of the bits-in forwards: for each
-// mask group it unpacks the group's features into per-device ±1 maps
-// (zero for an absent device, as in masked training), aggregates them
-// with a and hands fn the group's sample indices and aggregated input,
-// which goes back to p when fn returns.
-func (m *Model) forEachMaskGroup(a agg.Aggregator, feats [][]byte, masks []uint16, p *tensor.Pool, fn func(rows []int, in *tensor.Tensor)) {
+// unpackSession is the float fallback of the bits-in forwards: it
+// unpacks each device's packed features (see CloudForwardBits) into one
+// batch-wide ±1 map from p, a row per sample the device covers. Rows it
+// does not cover stay zero, as for an absent device in masked training.
+func (m *Model) unpackSession(feats [][]byte, masks []uint16, p *tensor.Pool) []*tensor.Tensor {
 	cfg := m.Cfg
 	m.checkFeats(feats)
 	stride := bnn.PackedSize(cfg.DeviceFilters * cfg.FeatureSize())
 	maps := make([]*tensor.Tensor, cfg.Devices)
-	for _, g := range MaskGroups(masks, cfg.Devices) {
-		for d := range maps {
-			maps[d] = p.Get(len(g.Rows), cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
-			for k, i := range g.Rows {
-				if !g.Present[d] {
-					break
-				}
-				at := 0 // sample i's place among the samples d covers
-				for _, before := range masks[:i] {
-					if before&(1<<uint(d)) != 0 {
-						at++
-					}
-				}
-				_ = bnn.UnpackSignsInto(maps[d].Sample(k), feats[d][at*stride:(at+1)*stride]) // sized by stride
+	for d := range maps {
+		maps[d] = p.Get(len(masks), cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
+		rest := feats[d]
+		for i, mask := range masks {
+			if mask&(1<<uint(d)) != 0 {
+				_ = bnn.UnpackSignsInto(maps[d].Sample(i), rest[:stride]) // sized by stride
+				rest = rest[stride:]
 			}
 		}
-		in := agg.ForwardPooled(a, maps, g.Present, p)
-		for _, t := range maps {
-			p.Put(t)
-		}
-		fn(g.Rows, in)
-		p.Put(in)
 	}
+	return maps
 }
 
 // checkFeats panics unless feats has one entry per device, the
@@ -327,11 +273,6 @@ func (m *Model) checkFeats(feats [][]byte) {
 // hold a single sample [1, F, H, W].
 func (m *Model) PackFeature(feat *tensor.Tensor) []byte {
 	return bnn.PackSigns(feat)
-}
-
-// UnpackFeature reverses PackFeature into a [1, F, H, W] ±1 tensor.
-func (m *Model) UnpackFeature(bits []byte, f, h, w int) (*tensor.Tensor, error) {
-	return bnn.UnpackSigns(bits, 1, f, h, w)
 }
 
 // UnpackFeatureInto reverses PackFeature's bytes for one sample into

@@ -210,26 +210,3 @@ func StackInto(dst *Tensor, ts []*Tensor) {
 		panic(fmt.Sprintf("tensor: StackInto wrote %d of %d elements", off, len(dst.data)))
 	}
 }
-
-// SelectSamples gathers the listed leading-dimension blocks into a new
-// tensor of shape [len(indices), d...], preserving order. The inverse
-// operation for micro-batching: a subset of a batch (e.g. the samples
-// that missed an exit) becomes its own smaller batch.
-func (t *Tensor) SelectSamples(indices []int) *Tensor {
-	if len(t.shape) < 2 {
-		panic("tensor: SelectSamples requires at least 2 dims")
-	}
-	shape := append([]int{len(indices)}, t.shape[1:]...)
-	out := New(shape...)
-	t.SelectSamplesInto(out, indices)
-	return out
-}
-
-// SelectSamplesInto is SelectSamples writing into a pre-sized
-// destination of shape [len(indices), d...].
-func (t *Tensor) SelectSamplesInto(dst *Tensor, indices []int) {
-	ss := t.SampleSize()
-	for k, i := range indices {
-		copy(dst.data[k*ss:(k+1)*ss], t.Sample(i))
-	}
-}

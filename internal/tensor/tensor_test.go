@@ -394,7 +394,7 @@ func TestFillDistributions(t *testing.T) {
 	}
 }
 
-func TestStackAndSelectSamples(t *testing.T) {
+func TestStack(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 1, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 1, 2, 3)
 	s := Stack([]*Tensor{a, b})
@@ -403,11 +403,6 @@ func TestStackAndSelectSamples(t *testing.T) {
 	}
 	if s.Sample(1)[0] != 7 {
 		t.Errorf("Sample(1)[0] = %v, want 7", s.Sample(1)[0])
-	}
-	// Round trip: selecting each sample recovers the inputs.
-	sel := s.SelectSamples([]int{1, 0})
-	if sel.Sample(0)[0] != 7 || sel.Sample(1)[0] != 1 {
-		t.Errorf("SelectSamples order wrong: %v / %v", sel.Sample(0), sel.Sample(1))
 	}
 	if s.SampleSize() != 6 {
 		t.Errorf("SampleSize = %d, want 6", s.SampleSize())
