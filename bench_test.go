@@ -259,9 +259,10 @@ func BenchmarkUnpackSigns(b *testing.B) {
 	t := tensor.New(1, 4, 16, 16)
 	t.FillUniform(rng, -1, 1)
 	bits := bnn.PackSigns(t)
+	dst := make([]float32, t.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bnn.UnpackSigns(bits, 1, 4, 16, 16); err != nil {
+		if err := bnn.UnpackSignsInto(dst, bits); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -60,7 +60,7 @@ var xnorFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.Kern
 // (see experiments.ForwardInputs).
 const forwardSets = 64
 
-// kernelReport is what -json serializes (BENCH_pr33.json in CI).
+// kernelReport is what -json serializes (BENCH_pr35.json in CI).
 type kernelReport struct {
 	Results     []kernelResult     `json:"results"`
 	Comparisons []kernelComparison `json:"comparisons"`
@@ -232,7 +232,8 @@ func runKernels(out io.Writer, jsonPath string) error {
 
 	// The fused ConvP pass against the layered composition at batch 32,
 	// on the device block's and the first cloud block's geometry, once
-	// per path that has a fused kernel.
+	// per path that has a fused kernel. Both take float maps, so the
+	// cloud block's ternary input runs the float tile on both sides.
 	in32, err := experiments.NewForwardInputs(m, forwardSets, 32)
 	if err != nil {
 		return err
@@ -278,35 +279,42 @@ func runKernels(out io.Writer, jsonPath string) error {
 		}
 	}
 	// The XNOR convolution against the float tile on the two cloud
-	// blocks, whose inputs are ternary: the same block on the same inputs
-	// except that the sign row's copies hold 0.5 in channel 0's first
-	// column, so every band fails its ternary check on its first pixel and
-	// runs the float tile.
+	// blocks, whose inputs are ternary: ForwardPooled on the ±1 maps as
+	// floats, and ForwardPacked on the same maps as bit planes, built
+	// outside the timed loop.
 	b1 := bnn.NewConvP(rng, "cloud.b1", m.Cfg.Devices*m.Cfg.DeviceFilters, m.Cfg.CloudFilters)
 	b2 := bnn.NewConvP(rng, "cloud.b2", m.Cfg.CloudFilters, m.Cfg.CloudFilters)
 	b2In := make([]*tensor.Tensor, len(in32.Concat))
 	for i, x := range in32.Concat {
 		b2In[i] = b1.ForwardPooled(x, nil)
 	}
-	floatTile := func(xs []*tensor.Tensor) []*tensor.Tensor {
-		out := make([]*tensor.Tensor, len(xs))
+	planes := func(xs []*tensor.Tensor) []bnn.Planes {
+		out := make([]bnn.Planes, len(xs))
 		for i, x := range xs {
-			out[i] = x.Clone()
-			for n := 0; n < x.Dim(0); n++ {
-				for y := 0; y < x.Dim(2); y++ {
-					out[i].Set(0.5, n, 0, y, 0)
-				}
-			}
+			packed := make([]byte, x.Dim(0)*bnn.PackedSize(x.SampleSize()))
+			bnn.PackSamplesInto(packed, x)
+			out[i] = bnn.PlacePacked(nil, packed, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
 		}
 		return out
+	}
+	packedForward := func(blk *bnn.ConvP, inputs []bnn.Planes) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			pool := tensor.NewPool()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.PutBytes(blk.ForwardPacked(inputs[i%forwardSets], pool))
+			}
+		}
 	}
 	xnorRows := []struct {
 		name   string
 		blk    *bnn.ConvP
 		inputs []*tensor.Tensor
+		planes []bnn.Planes
 	}{
-		{"convp_cloud_b1_b32", b1, in32.Concat},
-		{"convp_cloud_b2_b32", b2, b2In},
+		{"convp_cloud_b1_b32", b1, in32.Concat, planes(in32.Concat)},
+		{"convp_cloud_b2_b32", b2, b2In, planes(b2In)},
 	}
 	for _, path := range tensor.KernelPaths() {
 		floor, ok := xnorFloors[path]
@@ -318,8 +326,8 @@ func runKernels(out io.Writer, jsonPath string) error {
 		}
 		tag := "[" + path.String() + "]"
 		for _, row := range xnorRows {
-			sign := addBest(row.name+"_sign"+tag, forward(floatTile(row.inputs), row.blk.ForwardPooled))
-			xnor := addBest(row.name+"_xnor"+tag, forward(row.inputs, row.blk.ForwardPooled))
+			sign := addBest(row.name+"_sign"+tag, forward(row.inputs, row.blk.ForwardPooled))
+			xnor := addBest(row.name+"_xnor"+tag, packedForward(row.blk, row.planes))
 			fusedCmps = append(fusedCmps, kernelComparison{
 				Label:      "xnor " + row.name + " " + path.String(),
 				Naive:      row.name + "_sign" + tag,
@@ -332,8 +340,8 @@ func runKernels(out io.Writer, jsonPath string) error {
 	// The whole cloud section on a session's wire bytes: the devices'
 	// packed batch-32 feature maps, all six present, to logits — once
 	// unpacked into per-device float maps (zero-filled, as a session
-	// holding float tensors drew them) for CloudForwardPooled, once
-	// through CloudForwardBits.
+	// holding float tensors drew them) for CloudForwardPooled, whose b1
+	// runs the float tile, once through CloudForwardBits.
 	wire := make([][][]byte, len(in32.Feats))
 	masks := make([]uint16, 32)
 	for i := range masks {

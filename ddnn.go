@@ -146,7 +146,8 @@ func DefaultTrainConfig() TrainConfig { return core.DefaultTrainConfig() }
 
 // KernelPath reports the active compute-kernel dispatch path ("naive",
 // "go" or "simd"): the best supported path by default, or the one
-// forced via the DDNN_KERNELS environment variable. All paths produce
+// forced via the DDNN_KERNELS environment variable. The path picks the
+// kernels every forward runs, not its algorithm, so all paths produce
 // identical classifications; serving binaries log this at startup.
 func KernelPath() string { return core.KernelPath() }
 

@@ -43,23 +43,10 @@ func (b *ConvP) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return b.Act.Forward(y, train)
 }
 
-// ForwardPooled is the inference forward against a tensor pool; the
-// caller owns the returned tensor. On the go and simd dispatch paths it
-// is one fused pass per sample (see fused.go) that draws only the output
-// and a per-worker scratch buffer from p; on the naive path it is the
-// layered composition, which is the fused kernel's oracle. The output is
-// bit-identical on every path and to Forward(x, false).
-func (b *ConvP) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	if path := tensor.CurrentKernelPath(); path != tensor.KernelNaive {
-		return b.forwardFused(path, x, p)
-	}
-	return b.ForwardLayered(x, p)
-}
-
 // ForwardLayered is the pooled inference forward as four separate layer
 // sweeps, each intermediate returned to the pool as soon as the next
-// stage has consumed it: ForwardPooled on the naive path, and the
-// baseline the kernels benchmark times the fused pass against.
+// stage has consumed it: the baseline the kernels benchmark times the
+// fused pass (ForwardPooled, fused.go) against.
 func (b *ConvP) ForwardLayered(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
 	y1 := b.Conv.ForwardPooled(x, p)
 	y2 := b.Pool.ForwardPooled(y1, p)
@@ -82,12 +69,7 @@ func (b *ConvP) ForwardLayered(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor 
 func (b *ConvP) ForwardPlanes(in Planes, p *tensor.Pool) Planes {
 	signs := b.ForwardPacked(in, p)
 	defer p.PutBytes(signs)
-	f, h, w := b.Filters(), (in.H-1)/2+1, (in.W-1)/2+1
-	out, stride := GetPlanes(p, in.N, f, h, w), PackedSize(f*h*w)
-	for i := 0; i < in.N; i++ {
-		out.Place(i, 0, [][]byte{signs[i*stride : (i+1)*stride]}, f)
-	}
-	return out
+	return PlacePacked(p, signs, in.N, b.Filters(), (in.H-1)/2+1, (in.W-1)/2+1)
 }
 
 // ForwardPacked is ForwardPlanes for the last block of a section: the

@@ -170,12 +170,12 @@ func TestPackUnpackRoundTripProperty(t *testing.T) {
 		if len(packed) != PackedSize(n) {
 			return false
 		}
-		back, err := UnpackSigns(packed, n)
-		if err != nil {
+		back := make([]float32, n)
+		if err := UnpackSignsInto(back, packed); err != nil {
 			return false
 		}
-		for i := range back.Data() {
-			if back.Data()[i] != bin.Data()[i] {
+		for i := range back {
+			if back[i] != bin.Data()[i] {
 				return false
 			}
 		}
@@ -187,11 +187,12 @@ func TestPackUnpackRoundTripProperty(t *testing.T) {
 }
 
 func TestUnpackSignsRejectsWrongLength(t *testing.T) {
-	if _, err := UnpackSigns([]byte{0xFF}, 9); err == nil {
-		t.Error("UnpackSigns accepted 1 byte for 9 elements")
+	dst := make([]float32, 9)
+	if err := UnpackSignsInto(dst, []byte{0xFF}); err == nil {
+		t.Error("UnpackSignsInto accepted 1 byte for 9 elements")
 	}
-	if _, err := UnpackSigns([]byte{0xFF, 0x00, 0x00}, 9); err == nil {
-		t.Error("UnpackSigns accepted 3 bytes for 9 elements")
+	if err := UnpackSignsInto(dst, []byte{0xFF, 0x00, 0x00}); err == nil {
+		t.Error("UnpackSignsInto accepted 3 bytes for 9 elements")
 	}
 }
 
@@ -307,8 +308,8 @@ func TestPackedWeightsMatchSigns(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	l := NewBinaryLinear(rng, "bl", 5, 3)
 	packed := l.PackedWeights()
-	back, err := UnpackSigns(packed, 5, 3)
-	if err != nil {
+	back := make([]float32, 15)
+	if err := UnpackSignsInto(back, packed); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range l.Latent.Value.Data() {
@@ -316,8 +317,8 @@ func TestPackedWeightsMatchSigns(t *testing.T) {
 		if v < 0 {
 			want = -1
 		}
-		if back.Data()[i] != want {
-			t.Errorf("packed weight %d = %g, want %g", i, back.Data()[i], want)
+		if back[i] != want {
+			t.Errorf("packed weight %d = %g, want %g", i, back[i], want)
 		}
 	}
 	if math.Abs(float64(len(packed))-math.Ceil(float64(15)/8)) > 0 {

@@ -8,15 +8,18 @@ import (
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
-// This file is the fused inference kernel behind ConvP.ForwardPooled on
-// the go and simd dispatch paths, and behind the bit-domain forwards
-// (ForwardPlanes, ForwardPacked) on every path. It walks the batch sample
-// by sample and each sample band by band: the band's convolution runs
-// over a zero-padded view of its input rows — copied once into scratch
-// from a float input, or read in place from the caller's bit planes —
-// and each pooled row the band completes is pooled, normalized and
-// binarized in one step. The only float intermediate is the band's
-// convolution output, which never leaves the worker's scratch.
+// This file is the fused inference kernel of the ConvP block. Its input
+// type picks the convolution: a float map (ConvP.ForwardPooled) runs the
+// float sign tile, tensor.ConvSign3x3, whatever values it holds; bit
+// planes (ForwardPlanes, ForwardPacked) run the XNOR convolution
+// (xnorconv.go). The kernel path only picks the kernels either one runs.
+// Both walk the batch sample by sample and each sample band by band: the
+// band's convolution runs over a zero-padded view of its input rows —
+// copied once into scratch from a float input, or read in place from the
+// caller's bit planes — and each pooled row the band completes is
+// pooled, normalized and binarized in one step. The only float
+// intermediate is the band's convolution output, which never leaves the
+// worker's scratch.
 //
 // Numeric contract: the output is bit-identical to the layered
 // composition (ForwardLayered, and ConvP.Forward in inference mode).
@@ -67,8 +70,8 @@ type fusedPlan struct {
 	band       int // convolution rows per band (even)
 	plane      int // floats per channel in xb
 	cs         int // floats per filter in cb
-	rsw        int // words per band row of a bit plane (see xnorconv.go)
-	xbLen      int // the float band, or the bit planes sharing its storage
+	rsw        int // words per padded row of a bit plane (see xnorconv.go)
+	xbLen      int // the float band, or the row segments sharing its storage
 	size       int // xb + cb + per-filter scale and shift
 }
 
@@ -81,10 +84,10 @@ func planFused(c, h, w, f int) fusedPlan {
 		span := tensor.ConvSignSpan(band, pl.wp)
 		pl.cs = 1 + pl.wp + span
 		// ConvSign3x3 reads 2 rows + 2 columns past each position of the
-		// span, in the last plane too. The XNOR path's two bit planes and
-		// window (words of two floats each, plus one float of alignment
-		// slack) reuse the same storage.
-		pl.xbLen = max((c-1)*pl.plane+2*pl.wp+2+span, 2*xnorScratchWords(c, w, band)+1)
+		// span, in the last plane too. The bit pass's row segments (words
+		// of two floats each, plus one float of alignment slack) reuse the
+		// same storage.
+		pl.xbLen = max((c-1)*pl.plane+2*pl.wp+2+span, 2*xnorSegmentWords(c, w, band)+1)
 		pl.size = pl.xbLen + f*pl.cs + 2*f
 	}
 	// Largest even band within budget, then rebalanced so the bands of
@@ -100,9 +103,12 @@ func planFused(c, h, w, f int) fusedPlan {
 
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
-// forwardFused is ForwardPooled on the go and simd paths.
-func (b *ConvP) forwardFused(path tensor.KernelPath, x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	conv := b.Conv.inner
+// ForwardPooled is the inference forward on a float map against a tensor
+// pool: one fused pass per sample, the float tile, that draws only the
+// output (the caller owns it) and a per-worker scratch buffer from p. The
+// output is bit-identical on every kernel path and to Forward(x, false).
+func (b *ConvP) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
+	path, conv := tensor.CurrentKernelPath(), b.Conv.inner
 	if x.Dims() != 4 || x.Dim(1) != conv.InC {
 		panic(fmt.Sprintf("bnn: ConvP %s input shape %v, want [N %d H W]", conv.Weight.Name, x.Shape(), conv.InC))
 	}
@@ -139,8 +145,7 @@ func (b *ConvP) fusedRange(path tensor.KernelPath, y, x *tensor.Tensor, pl fused
 		scale[f], shift[f] = b.BN.InferenceAffine(f)
 		cb[f*pl.cs] = negInf
 	}
-	wd, xw := b.Conv.inner.Weight.Value.Data(), b.Conv.xnor
-	bits := newXnorScratch(xb, pl)
+	wd := b.Conv.inner.Weight.Value.Data()
 	wp, cs := pl.wp, pl.cs
 	// Within a filter's cb segment, row t (0 = carried row, 1.. = band
 	// rows) has its column −1 at t*wp and its column 0 at 1+t*wp.
@@ -154,12 +159,8 @@ func (b *ConvP) fusedRange(path tensor.KernelPath, y, x *tensor.Tensor, pl fused
 		}
 		for r0 := 0; r0 < pl.h; r0 += pl.band {
 			rows := min(pl.band, pl.h-r0)
-			if packTernaryBand(path, bits, sample, pl, r0, rows) {
-				xnorConv3x3(path, conv, cs, xw, bits, pl, rows, f0, f1)
-			} else {
-				lowerBand(xb, sample, pl, r0, rows)
-				tensor.ConvSign3x3(path, conv, cs, wd, xb, pl.c, pl.plane, wp, rows, f0, f1)
-			}
+			lowerBand(xb, sample, pl, r0, rows)
+			tensor.ConvSign3x3(path, conv, cs, wd, xb, pl.c, pl.plane, wp, rows, f0, f1)
 			for f := f0; f < f1; f++ {
 				seg := cb[f*cs : (f+1)*cs]
 				padRowEnds(seg, pl, rows)
@@ -204,7 +205,7 @@ func (b *ConvP) bitsRange(path tensor.KernelPath, in Planes, out []byte, stride 
 	defer p.Put(buf)
 	scratch := buf.Data()
 	cb := scratch[pl.xbLen : pl.xbLen+pl.f*pl.cs]
-	bits := newXnorScratch(scratch[:pl.xbLen], pl)
+	seg := wordView(scratch[:pl.xbLen])
 	wp, cs := pl.wp, pl.cs
 	conv := cb[1+wp:] // as in fusedRange
 	for f := 0; f < pl.f; f++ {
@@ -222,8 +223,8 @@ func (b *ConvP) bitsRange(path tensor.KernelPath, in Planes, out []byte, stride 
 		for r0 := 0; r0 < pl.h; r0 += pl.band {
 			rows := min(pl.band, pl.h-r0)
 			// Padded rows r0 .. r0+rows+1 are input rows r0−1 .. r0+rows.
-			bits.sgn, bits.nz = in.rows(ni, r0)
-			xnorConv3x3(path, conv, cs, b.Conv.xnor, bits, pl, rows, 0, pl.f)
+			sgn, nz := in.rows(ni, r0)
+			xnorConv3x3(path, conv, cs, b.Conv.xnor, sgn, nz, seg, pl, rows)
 			py1 := (r0 + rows + 1) / 2
 			for f := 0; f < pl.f; f++ {
 				seg, th := cb[f*cs:(f+1)*cs], b.thresh[f]

@@ -250,9 +250,6 @@ func TestConvPFusedGuardedBuffers(t *testing.T) {
 		want := convpOracle(t, blk, x)
 		pl := planFused(c, h, w, f)
 		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
-			if p == tensor.KernelNaive {
-				return
-			}
 			pool := tensor.NewPool()
 			out, outIntact := guarded(n, f, pl.ph, pl.pw)
 			scratch, scratchIntact := guarded(pl.size)
@@ -294,9 +291,6 @@ func TestConvPFusedPoolDraws(t *testing.T) {
 			x := tensor.New(tc.n, c, h, w)
 			x.FillUniform(rng, -1, 1)
 			forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
-				if p == tensor.KernelNaive {
-					return
-				}
 				pool := tensor.NewPool()
 				y := blk.ForwardPooled(x, pool)
 				drawn := pool.Retained() // everything but the output is back
@@ -368,9 +362,9 @@ func TestConvPFusedSharedPool(t *testing.T) {
 // thresholds must survive: a NaN γ or β, γ = 0, or an exact zero crossing
 // (scale 1, shift −mean, the mean an integer); γ < 0 comes from the
 // random range. With the top bit of nr set, input words map to +1, −1, +0
-// and −0 by their low two bits — the XNOR convolution's inputs — except
-// one in sixteen, which keeps its raw bits and sends its bands back to
-// the float tile; the all-ternary version of that input also runs
+// and −0 by their low two bits, except one in sixteen, which keeps its
+// raw bits; ForwardPooled runs that float input on the float tile, and
+// the all-ternary version of it, as planes, runs the XNOR convolution
 // through the bit-plane forwards, ForwardPacked and ForwardPlanes.
 func FuzzConvPParity(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint8(4), uint8(32), uint8(32), []byte("convp-parity-seed-0123456789"))

@@ -18,16 +18,6 @@ func PackSigns(t *tensor.Tensor) []byte {
 	return out
 }
 
-// UnpackSigns expands a bit-packed sign vector back into a ±1 tensor of the
-// given shape.
-func UnpackSigns(data []byte, shape ...int) (*tensor.Tensor, error) {
-	t := tensor.New(shape...)
-	if need := PackedSize(t.Size()); len(data) != need {
-		return nil, fmt.Errorf("bnn: packed data is %d bytes, shape %v needs %d", len(data), shape, need)
-	}
-	return t, UnpackSignsInto(t.Data(), data)
-}
-
 // PackedSize returns the number of bytes PackSigns produces for n elements.
 func PackedSize(n int) int { return (n + 7) / 8 }
 
@@ -58,10 +48,9 @@ var unpackTable = func() (t [256][8]float32) {
 	return t
 }()
 
-// UnpackSignsInto expands a bit-packed sign vector into dst as ±1 values.
-// It is the in-place analogue of UnpackSigns, used to fill one sample row
-// of a pre-allocated batch tensor. Each byte is one table lookup and one
-// 32-byte store, with no branch on the data.
+// UnpackSignsInto expands a bit-packed sign vector into dst as ±1 values,
+// e.g. one sample row of a pre-allocated batch tensor. Each byte is one
+// table lookup and one 32-byte store, with no branch on the data.
 func UnpackSignsInto(dst []float32, data []byte) error {
 	if need := (len(dst) + 7) / 8; len(data) != need {
 		return fmt.Errorf("bnn: packed data is %d bytes, %d elements need %d", len(data), len(dst), need)

@@ -54,18 +54,6 @@ func packWordsSIMD(words []uint64, v []float32) {
 	packSignsSIMD(view, v)
 }
 
-// ternaryMasksAVX2 (xnor_amd64.s) classifies groups×8 floats of each of
-// c channel rows chStride floats apart: see ternaryMasks.
-//
-//go:noescape
-func ternaryMasksAVX2(pos, nz *byte, src *float32, chStride, c, groups int) bool
-
-// ternaryMasksSIMD runs the AVX2 kernel on slices the caller has sized:
-// pos and nz hold groups·c bytes, src (c−1)·chStride + 8·groups floats.
-func ternaryMasksSIMD(pos, nz []byte, src []float32, chStride, c, groups int) bool {
-	return ternaryMasksAVX2(&pos[0], &nz[0], &src[0], chStride, c, groups)
-}
-
 // xnorRowAVX2 (xnor_amd64.s) sweeps groups×4 filters over one output row
 // of w windows read from the band's row segments; see xnorConv3x3.
 //

@@ -104,73 +104,6 @@ packdone:
 	VZEROUPPER
 	RET
 
-DATA oneShifted<>+0(SB)/4, $0x7f000000
-GLOBL oneShifted<>(SB), RODATA|NOPTR, $4
-
-// func ternaryMasksAVX2(pos, nz *byte, src *float32, chStride, c, groups int) bool
-//
-// For each of c channel rows (chStride floats apart, starting at src) and
-// each of groups consecutive 8-float groups g of the row, writes at byte
-// g·c+ci the +1 lanes (pos) and the ±1 lanes (nz) of the group, bit k
-// for float k. Returns false at the first group holding a value other
-// than −1, −0, +0 or +1: the float shifted left by one (dropping the
-// sign) must equal 0 or 1.0's magnitude bits, so NaN and ±Inf fail.
-TEXT ·ternaryMasksAVX2(SB), NOSPLIT, $0-49
-	MOVQ pos+0(FP), DI
-	MOVQ nz+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ chStride+24(FP), R9
-	SHLQ $2, R9 // bytes between channel rows
-	MOVQ c+32(FP), R10
-	MOVQ groups+40(FP), R11
-	VPBROADCASTD oneShifted<>(SB), Y5
-	VPXOR Y6, Y6, Y6
-	XORQ CX, CX // channel
-
-chanloop:
-	CMPQ CX, R10
-	JGE tmdone
-	MOVQ SI, R12  // group pointer
-	MOVQ CX, R13  // output byte offset g·c+ci
-	XORQ BX, BX   // group
-
-grouploop:
-	CMPQ BX, R11
-	JGE nextchan
-	VMOVUPS (R12), Y0
-	VPSLLD $1, Y0, Y1
-	VPCMPEQD Y5, Y1, Y2 // ±1
-	VPCMPEQD Y6, Y1, Y3 // ±0
-	VPOR Y2, Y3, Y3
-	VMOVMSKPS Y3, AX
-	CMPL AX, $0xff
-	JNE tmfail
-	VMOVMSKPS Y2, AX
-	MOVB AX, (R8)(R13*1)
-	VMOVMSKPS Y0, DX // sign bits
-	NOTL DX
-	ANDL DX, AX
-	MOVB AX, (DI)(R13*1)
-	ADDQ $32, R12
-	ADDQ R10, R13
-	INCQ BX
-	JMP grouploop
-
-nextchan:
-	ADDQ R9, SI
-	INCQ CX
-	JMP chanloop
-
-tmdone:
-	MOVB $1, ret+48(FP)
-	VZEROUPPER
-	RET
-
-tmfail:
-	MOVB $0, ret+48(FP)
-	VZEROUPPER
-	RET
-
 // func xnorRowAVX2(out *float32, cs int, win *uint64, w, segw, rs, groups int, wts *uint64)
 //
 // Sweeps groups×4 filters over one output row of w windows (xnorconv.go).

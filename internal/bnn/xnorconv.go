@@ -1,20 +1,18 @@
 package bnn
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"unsafe"
 
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
-// This file is the bit-domain convolution of the fused ConvP pass. Above
-// the devices a ConvP block's input is already ternary: ±1 feature maps,
-// and zero channels where a device is absent. For x ∈ {−1, 0, +1} and
-// weights w ∈ {−1, +1} every product is ±1 or 0, so a 3×3×C window sums
-// to
+// This file is the bit-domain convolution of the ConvP block, the one a
+// block runs when its input arrives as bit planes. Above the devices a
+// ConvP block's input is ternary: ±1 feature maps, and zero channels
+// where a device is absent. For x ∈ {−1, 0, +1} and weights w ∈ {−1, +1}
+// every product is ±1 or 0, so a 3×3×C window sums to
 //
 //	Σ wᵢ·xᵢ = nz − 2·popcount((s ⊕ b) ∧ m)
 //
@@ -29,58 +27,24 @@ import (
 // padded pixel x of a row holds channels 0..C−1 at bits x·C..x·C+C−1 of
 // the row's bit string. A window's kernel row ky is then the 3C
 // consecutive bits starting at ox·C of row oy+ky, read as segw words; the
-// filters are packed the same way (BinaryConv2D.SyncWeights). A float
-// input is packed band by band, and the pack checks every value: only
-// −1, +1 and ±0 (−0 counts as zero) are accepted, and a band holding
-// anything else — a real-valued sensor frame, an averaged feature, NaN,
-// ±Inf — runs the float tile instead, so every input keeps its float
-// answer. A bit-domain input arrives as Planes, the same layout over a
-// whole padded image, filled from packed feature maps by Place.
-
-// oneBits is the IEEE-754 bit pattern of 1.0 shifted left by one: the
-// magnitude bits of ±1 as packPixel compares them.
-const oneBits = 0x3f800000 << 1
+// filters are packed the same way (BinaryConv2D.SyncWeights). The input
+// is a Planes, this layout over a whole padded image, filled from packed
+// feature maps by Place. A float input never comes here: it runs the
+// float tile (fused.go), whatever values it holds.
 
 // xnorSegWords returns the words one kernel row of a window (3C bits)
 // spans.
 func xnorSegWords(c int) int { return (3*c + 63) / 64 }
 
-// xnorRowWords returns the words of one padded band row's bit string: wp
+// xnorRowWords returns the words of one padded row's bit string: wp
 // pixels of c bits, plus the two words a window read or a pixel store may
 // touch past the last bit.
 func xnorRowWords(c, wp int) int { return (wp*c+63)/64 + 2 }
 
-// xnorScratchWords returns the words the XNOR path needs for a band of
-// rows convolution rows w wide: the two bit planes, the band's row
-// segments (per padded row and position, segw sign/nonzero word pairs
-// and their nonzero count) and one input row's channel-major masks (simd
-// path).
-func xnorScratchWords(c, w, rows int) int {
-	return 2*(rows+2)*xnorRowWords(c, w+2) + (rows+2)*w*(2*xnorSegWords(c)+1) + (2*(w/8)*c+7)/8
-}
-
-// xnorScratch is the XNOR path's view of a worker's band scratch.
-type xnorScratch struct {
-	sgn, nz []uint64 // the band's bit planes, rows of rsw words
-	seg     []uint64 // the band's row segments (xnorConv3x3)
-	pos, m  []byte   // one input row's masks: byte g·c+ci = pixels 8g..8g+7 of channel ci
-}
-
-// newXnorScratch carves the XNOR scratch out of the float band buffer xb
-// (planFused sizes xb for both uses).
-func newXnorScratch(xb []float32, pl fusedPlan) xnorScratch {
-	words := wordView(xb)
-	planes := (pl.band + 2) * pl.rsw
-	s := xnorScratch{sgn: words[:planes], nz: words[planes : 2*planes]}
-	words = words[2*planes:]
-	n := (pl.band + 2) * pl.w * (2*xnorSegWords(pl.c) + 1)
-	s.seg, words = words[:n], words[n:]
-	if n := (pl.w / 8) * pl.c; n > 0 {
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
-		s.pos, s.m = b[:n], b[n:2*n]
-	}
-	return s
-}
+// xnorSegmentWords returns the words of a band's row segments (see
+// xnorConv3x3) for rows convolution rows w wide: per padded row and
+// position, segw sign/nonzero word pairs and their nonzero count.
+func xnorSegmentWords(c, w, rows int) int { return (rows + 2) * w * (2*xnorSegWords(c) + 1) }
 
 // packXnorFilters packs ±1 filters [f, c, 3, 3] in window order: a
 // filter is kw = 3·segw words, kernel row ky at words ky·segw.., bit
@@ -124,131 +88,27 @@ func wordView(f []float32) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&f[0])), len(f)/2)
 }
 
-// packTernaryBand packs input rows r0−1 .. r0+rows of every channel into
-// the sign and nonzero bit planes (rows outside the image and the border
-// columns stay zero) and reports whether every value was −1, ±0 or +1.
-// It stops at the first row (simd path) or pixel (go path) holding
-// another value: the band then runs the float tile. On the simd path the
-// AVX2 kernel classifies whole 8-pixel groups of each channel row and
-// scatterMasks transposes them into the planes; leftover columns, and the
-// go path, gather one pixel's channels at a time (packPixel).
-func packTernaryBand(path tensor.KernelPath, s xnorScratch, sample []float32, pl fusedPlan, r0, rows int) bool {
-	n := (rows + 2) * pl.rsw
-	clear(s.sgn[:n])
-	clear(s.nz[:n])
-	h, w, c := pl.h, pl.w, pl.c
-	groups := 0
-	if path == tensor.KernelSIMD {
-		groups = w / 8
-	}
-	for t := 0; t < rows+2; t++ {
-		iy := r0 - 1 + t
-		if iy < 0 || iy >= h {
-			continue
-		}
-		if groups > 0 {
-			if !ternaryMasksSIMD(s.pos, s.m, sample[iy*w:], h*w, c, groups) {
-				return false
-			}
-			scatterMasks(s, pl, t, groups)
-		}
-		for x := 8 * groups; x < w; x++ {
-			for c0 := 0; c0 < c; c0 += 64 {
-				if !packPixel(s.sgn, s.nz, sample, pl, t, iy, x, c0) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// scatterMasks moves one input row's channel-major masks into band row t
-// of the pixel-major planes, eight channels × eight pixels at a time.
-func scatterMasks(s xnorScratch, pl fusedPlan, t, groups int) {
-	c := pl.c
-	for g := 0; g < groups; g++ {
-		for c0 := 0; c0 < c; c0 += 8 {
-			p := transpose8(gather8(s.pos[g*c+c0:], c-c0))
-			m := transpose8(gather8(s.m[g*c+c0:], c-c0))
-			// Byte i of p and m is pixel 8g+i's channels c0..c0+7.
-			for i, b := 0, t*pl.rsw*64+(8*g+1)*c+c0; i < 8; i, b = i+1, b+c {
-				q, r := b/64, uint(b%64)
-				pi, mi := p>>(8*i)&0xff, m>>(8*i)&0xff
-				s.sgn[q] |= pi << r
-				s.sgn[q+1] |= pi >> (64 - r)
-				s.nz[q] |= mi << r
-				s.nz[q+1] |= mi >> (64 - r)
-			}
-		}
-	}
-}
-
-// gather8 reads up to eight bytes little-endian, zero-filling past n.
-func gather8(b []byte, n int) uint64 {
-	if n >= 8 {
-		return binary.LittleEndian.Uint64(b)
-	}
-	var x uint64
-	for k := 0; k < n; k++ {
-		x |= uint64(b[k]) << (8 * k)
-	}
-	return x
-}
-
-// transpose8 transposes the 8×8 bit matrix whose row k is byte k of x.
-func transpose8(x uint64) uint64 {
-	t := (x ^ x>>7) & 0x00aa00aa00aa00aa
-	x ^= t ^ t<<7
-	t = (x ^ x>>14) & 0x0000cccc0000cccc
-	x ^= t ^ t<<14
-	t = (x ^ x>>28) & 0x00000000f0f0f0f0
-	return x ^ t ^ t<<28
-}
-
-// packPixel packs channels c0 .. c0+63 of pixel x of input row iy,
-// gathered in registers, into the planes at bit (x+1)·c + c0 of band row
-// t, and reports whether each was −1, ±0 or +1.
-func packPixel(sgn, nz []uint64, sample []float32, pl fusedPlan, t, iy, x, c0 int) bool {
-	h, w, c := pl.h, pl.w, pl.c
-	var s, m, odd uint64
-	for ci, k := 0, (c0*h+iy)*w+x; ci < min(64, c-c0); ci, k = ci+1, k+h*w {
-		u := math.Float32bits(sample[k])
-		a := u << 1
-		nzb := uint64(a>>24) & 1
-		odd |= uint64(a) ^ (-nzb & oneBits) // zero iff a is 0 or oneBits
-		m |= nzb << uint(ci)
-		s |= (nzb &^ uint64(u>>31)) << uint(ci)
-	}
-	b := t*pl.rsw*64 + (x+1)*c + c0
-	q, r := b/64, uint(b%64)
-	nz[q] |= m << r
-	nz[q+1] |= m >> (64 - r)
-	sgn[q] |= s << r
-	sgn[q+1] |= s >> (64 - r)
-	return odd == 0
-}
-
-// xnorConv3x3 writes the convolution of the packed band for filters
-// [f0, f1) into conv exactly where tensor.ConvSign3x3 would: filter f's
+// xnorConv3x3 writes the convolution of rows output rows, read from the
+// bit planes sgn and nz from the band's first padded row on, for every
+// filter into conv exactly where tensor.ConvSign3x3 would: filter f's
 // output row oy, column ox at conv[f*cs + oy*wp + ox]. It writes only the
 // w image columns of each row; the caller overwrites the two that end it.
 // Each padded row's segments — per position ox, the 3C bits from bit ox·C
 // as segw (sign, nonzero) word pairs, then their nonzero count — are
-// extracted once into seg; the window of output (oy, ox) is the segments
-// of rows oy, oy+1 and oy+2 at ox, w·(2·segw+1) words apart, which every
-// filter sweeps: on the simd path the whole groups of four inside
-// [f0, f1) by the AVX2 kernel, the rest one filter at a time.
-func xnorConv3x3(path tensor.KernelPath, conv []float32, cs int, wts []uint64, s xnorScratch, pl fusedPlan, rows, f0, f1 int) {
+// extracted once into seg (xnorSegmentWords); the window of output
+// (oy, ox) is the segments of rows oy, oy+1 and oy+2 at ox, w·(2·segw+1)
+// words apart, which every filter sweeps: on the simd path the whole
+// groups of four by the AVX2 kernel, the rest one filter at a time.
+func xnorConv3x3(path tensor.KernelPath, conv []float32, cs int, wts, sgn, nz, seg []uint64, pl fusedPlan, rows int) {
 	c, w, rsw := pl.c, pl.w, pl.rsw
 	segw := xnorSegWords(c)
 	kw, ss := 3*segw, 2*segw+1
 	rs := w * ss                               // words between a window's kernel rows
 	last := ^uint64(0) >> uint((64-3*c%64)%64) // the 3C bits of a segment's last word
-	sgn, nz, seg := s.sgn, s.nz, s.seg[:(rows+2)*rs]
-	lo, hi := f1, f1 // filters [lo, hi) go to the AVX2 sweep
-	if path == tensor.KernelSIMD && kw <= 31 && (f0+3)/4 < f1/4 {
-		lo, hi = (f0+3)/4*4, f1/4*4
+	seg = seg[:(rows+2)*rs]
+	simd := 0 // filters [0, simd) go to the AVX2 sweep
+	if path == tensor.KernelSIMD && kw <= 31 {
+		simd = pl.f / 4 * 4
 	}
 	for t := 0; t < rows+2; t++ {
 		for ox := 0; ox < w; ox++ {
@@ -271,12 +131,10 @@ func xnorConv3x3(path tensor.KernelPath, conv []float32, cs int, wts []uint64, s
 	}
 	for oy := 0; oy < rows; oy++ {
 		win := seg[oy*rs:]
-		for f := f0; f < f1; f++ {
-			if f == lo {
-				xnorRowSIMD(conv[f*cs+oy*pl.wp:], cs, win, w, segw, rs, (hi-lo)/4, wts[f*kw:])
-				f = hi - 1
-				continue
-			}
+		if simd > 0 {
+			xnorRowSIMD(conv[oy*pl.wp:], cs, win, w, segw, rs, simd/4, wts)
+		}
+		for f := simd; f < pl.f; f++ {
 			out := conv[f*cs+oy*pl.wp:][:w]
 			b := wts[f/4*kw*4+f%4:]
 			switch segw {
@@ -369,6 +227,18 @@ func (pl Planes) rows(i, r int) (sgn, nz []uint64) {
 	return pl.sgn[lo:hi:hi], pl.nz[lo:hi:hi]
 }
 
+// PlacePacked returns planes from p (Put them back once consumed) holding
+// n maps of c channels, h×w, packed back to back one PackedSize(c·h·w)
+// run per sample: PackSamplesInto's layout, ForwardPacked's output and
+// the wire's batched feature payload.
+func PlacePacked(p *tensor.Pool, packed []byte, n, c, h, w int) Planes {
+	pl, stride := GetPlanes(p, n, c, h, w), PackedSize(c*h*w)
+	for i := 0; i < n; i++ {
+		pl.Place(i, 0, [][]byte{packed[i*stride : (i+1)*stride]}, c)
+	}
+	return pl
+}
+
 // Place ORs one sample's packed feature maps into sample i, side by
 // side from channel c0 on: maps[k] — f channels of H×W in PackSigns
 // order, the wire's feature payload — fills channels c0+k·f … c0+k·f+f−1
@@ -442,6 +312,16 @@ func (pl Planes) Place(i, c0 int, maps [][]byte, f int) {
 			}
 		}
 	}
+}
+
+// transpose8 transposes the 8×8 bit matrix whose row k is byte k of x.
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00aa00aa00aa00aa
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000cccc0000cccc
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000f0f0f0f0
+	return x ^ t ^ t<<28
 }
 
 // setRun sets the n bits of words from bit b on.

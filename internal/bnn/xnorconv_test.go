@@ -10,9 +10,9 @@ import (
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
-// The tests in this file pin the fused ConvP pass's XNOR convolution
-// (xnorconv.go) to the layered naive-path reference: on ternary inputs,
-// which take it, and on bands that must fall back to the float tile.
+// The tests in this file pin the ConvP block's XNOR convolution
+// (xnorconv.go), which runs on bit-plane inputs, and the planes
+// themselves to the layered naive-path reference.
 
 var negZero = float32(math.Copysign(0, -1))
 
@@ -23,24 +23,26 @@ func fillTernary(dst []float32, rng *rand.Rand) {
 	}
 }
 
-// TestConvPXnorDiffAllPaths runs every ternary case through ForwardPooled
-// on every path against the naive-path reference: all-±1 bands, zeroed
-// channel groups (absent devices), −0, and one NaN, ±Inf or non-ternary
-// finite value (only the bands reading it fall back), for channel counts
-// on both sides of the one-, two- and three-word window segments. Batch
-// 1 with three workers splits the big geometry's filters unevenly
-// ([0,6) [6,12) [12,16)), so the AVX2 sweep and the one-filter sweep
-// share rows.
+// TestConvPXnorDiffAllPaths runs every ternary case through both routes
+// into the convolution on every path against the naive-path reference:
+// the float map through ForwardPooled (the float tile) and, when it is
+// ternary, the same map as planes through ForwardPacked (XNOR). The
+// cases are all-±1 maps, zeroed channel groups (absent devices), −0,
+// and one NaN, ±Inf or non-ternary finite value (a float input, so the
+// float tile only), for channel counts on both sides of the one-, two-
+// and three-word window segments. Batch 1 with three workers splits the
+// big geometry's filters unevenly ([0,6) [6,12) [12,16)).
 func TestConvPXnorDiffAllPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pool := tensor.NewPool()
 	defer tensor.SetMaxWorkers(0)
 	cases := []struct {
-		name string
-		fill func(x *tensor.Tensor)
+		name    string
+		ternary bool
+		fill    func(x *tensor.Tensor)
 	}{
-		{"signs", func(x *tensor.Tensor) { fillSigns(x.Data(), rng) }},
-		{"absent-devices", func(x *tensor.Tensor) {
+		{"signs", true, func(x *tensor.Tensor) { fillSigns(x.Data(), rng) }},
+		{"absent-devices", true, func(x *tensor.Tensor) {
 			fillSigns(x.Data(), rng)
 			c, plane := x.Dim(1), x.Dim(2)*x.Dim(3)
 			for n := 0; n < x.Dim(0); n++ {
@@ -48,15 +50,16 @@ func TestConvPXnorDiffAllPaths(t *testing.T) {
 				clear(x.Sample(n)[(c-1)*plane:])
 			}
 		}},
-		{"ternary-negzero", func(x *tensor.Tensor) { fillTernary(x.Data(), rng) }},
-		{"all-negzero", func(x *tensor.Tensor) { x.Fill(negZero) }},
+		{"ternary-negzero", true, func(x *tensor.Tensor) { fillTernary(x.Data(), rng) }},
+		{"all-negzero", true, func(x *tensor.Tensor) { x.Fill(negZero) }},
 	}
 	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0.5, 2} {
 		v := v
 		cases = append(cases, struct {
-			name string
-			fill func(x *tensor.Tensor)
-		}{fmt.Sprintf("one-%g", v), func(x *tensor.Tensor) {
+			name    string
+			ternary bool
+			fill    func(x *tensor.Tensor)
+		}{fmt.Sprintf("one-%g", v), false, func(x *tensor.Tensor) {
 			fillSigns(x.Data(), rng)
 			x.Data()[rng.Intn(x.Size())] = v
 		}})
@@ -65,21 +68,36 @@ func TestConvPXnorDiffAllPaths(t *testing.T) {
 		for _, g := range [][3]int{{16, 16, 16}, {5, 8, 12}, {9, 7, 5}} { // filters, h, w
 			f, h, w := g[0], g[1], g[2]
 			blk := newDiffConvP(rng, c, f)
+			blk.SyncWeights() // the thresholds follow the random batch norm
 			for _, tc := range cases {
 				for _, run := range [][2]int{{2, 1}, {1, 3}} { // batch, workers
 					tensor.SetMaxWorkers(run[1])
 					x := tensor.New(run[0], c, h, w)
 					tc.fill(x)
-					checkAllPaths(t, fmt.Sprintf("%s c=%d f=%d %dx%d n=%d", tc.name, c, f, h, w, run[0]), blk, x, convpOracle(t, blk, x), pool)
+					what := fmt.Sprintf("%s c=%d f=%d %dx%d n=%d", tc.name, c, f, h, w, run[0])
+					want := convpOracle(t, blk, x)
+					checkAllPaths(t, what, blk, x, want, pool)
+					if !tc.ternary {
+						continue
+					}
+					in := planesOf(x)
+					forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+						packed := blk.ForwardPacked(in, pool)
+						if !slices.Equal(packed, packedOf(want)) {
+							t.Fatalf("%s path=%v: ForwardPacked differs from the packed reference", what, p)
+						}
+						pool.PutBytes(packed)
+					})
 				}
 			}
 		}
 	}
 }
 
-// TestConvPXnorFilterRangeParity computes filter sub-ranges of one sample
-// directly, as the filter split's workers do, so ranges that start and
-// end inside a group of four reach both sweeps.
+// TestConvPXnorFilterRangeParity computes filter sub-ranges of one
+// ternary sample directly, as the batch-1 filter split's workers do, so
+// ranges that start and end inside a group of four reach both the
+// four-filter tile and the one-filter tail of the float tile.
 func TestConvPXnorFilterRangeParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for _, c := range []int{16, 24, 65} {
@@ -91,9 +109,6 @@ func TestConvPXnorFilterRangeParity(t *testing.T) {
 		pl := planFused(c, h, w, f)
 		per := pl.ph * pl.pw
 		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
-			if p == tensor.KernelNaive {
-				return
-			}
 			for _, r := range [][2]int{{0, 1}, {1, 2}, {3, 7}, {5, 16}, {4, 12}, {13, 16}, {0, 16}} {
 				y := tensor.New(1, f, pl.ph, pl.pw)
 				blk.fusedRange(p, y, x, pl, nil, 0, 1, r[0], r[1])
@@ -107,43 +122,46 @@ func TestConvPXnorFilterRangeParity(t *testing.T) {
 	}
 }
 
-// TestConvPXnorBandFallbackParity puts one non-ternary value in a ternary
-// input and checks band by band that exactly the bands reading its row —
-// the band it lies in, and a neighbour whose halo row it is — refuse the
-// pack, on both packing paths, and that the block's output still matches
-// the reference.
+// TestConvPXnorBandFallbackParity puts one value in the rows that two
+// bands read — inside a band, its last row, and the next band's first
+// row, which is the previous band's halo — of an input of several bands.
+// A 0.5 there keeps the input float, and every band of it runs the float
+// tile: no band falls back on its own. A 0 there keeps it ternary, and
+// as planes every band runs XNOR, reading its halo rows from the planes
+// in place. Both must match the reference on every path.
 func TestConvPXnorBandFallbackParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	const c, f, h, w = 24, 16, 16, 16
 	blk := newDiffConvP(rng, c, f)
+	blk.SyncWeights()
 	pl := planFused(c, h, w, f)
 	if pl.band >= h {
 		t.Fatalf("geometry has one band (%d rows); the test needs several", pl.band)
 	}
+	pool := tensor.NewPool()
 	for _, y := range []int{pl.band / 2, pl.band - 1, pl.band} {
 		x := tensor.New(1, c, h, w)
 		fillSigns(x.Data(), rng)
-		x.Set(0.5, 0, c-1, y, w-1) // the last value a band's pack reaches
-		for _, p := range []tensor.KernelPath{tensor.KernelGo, tensor.KernelSIMD} {
-			if !tensor.KernelPathSupported(p) {
-				continue
+		x.Set(0.5, 0, c-1, y, w-1) // the last value a band's lowering reaches
+		checkAllPaths(t, fmt.Sprintf("one 0.5 in row %d", y), blk, x, convpOracle(t, blk, x), pool)
+
+		x.Set(0, 0, c-1, y, w-1)
+		want := packedOf(convpOracle(t, blk, x))
+		in := planesOf(x)
+		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+			packed := blk.ForwardPacked(in, pool)
+			if !slices.Equal(packed, want) {
+				t.Errorf("path=%v one 0 in row %d: ForwardPacked differs from the packed reference", p, y)
 			}
-			s := newXnorScratch(make([]float32, pl.xbLen), pl)
-			for r0 := 0; r0 < h; r0 += pl.band {
-				rows := min(pl.band, h-r0)
-				reads := r0-1 <= y && y <= r0+rows
-				if got := packTernaryBand(p, s, x.Sample(0), pl, r0, rows); got == reads {
-					t.Errorf("path=%v value in row %d: band at row %d packed=%v, want %v", p, y, r0, got, !reads)
-				}
-			}
-		}
-		checkAllPaths(t, fmt.Sprintf("one 0.5 in row %d", y), blk, x, convpOracle(t, blk, x), tensor.NewPool())
+			pool.PutBytes(packed)
+		})
 	}
 }
 
 // TestConvPXnorResyncParity changes a block's latent weights after
 // construction: SyncWeights must re-derive the packed filters with the
-// float ones, so every path follows the new weights.
+// float ones, so the float tile and the XNOR convolution follow the new
+// weights on every path.
 func TestConvPXnorResyncParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	blk := newDiffConvP(rng, 24, 16)
@@ -166,6 +184,11 @@ func TestConvPXnorResyncParity(t *testing.T) {
 		t.Fatal("flipping a third of the latent weights changed no output")
 	}
 	checkAllPaths(t, "after re-sync", blk, x, want, tensor.NewPool())
+	forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+		if !slices.Equal(blk.ForwardPacked(planesOf(x), nil), packedOf(want)) {
+			t.Fatalf("path=%v: ForwardPacked after re-sync differs from the packed reference", p)
+		}
+	})
 
 	l := NewBinaryLinear(rng, "resync", 100, 3)
 	in := tensor.New(1, 100)
@@ -188,7 +211,7 @@ func TestConvPXnorResyncParity(t *testing.T) {
 	}
 }
 
-// TestTranspose8RoundTrip pins the 8×8 bit transpose the simd pack uses.
+// TestTranspose8RoundTrip pins the 8×8 bit transpose Planes.Place uses.
 func TestTranspose8RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	for trial := 0; trial < 100; trial++ {

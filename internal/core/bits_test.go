@@ -14,8 +14,9 @@ import (
 // These tests pin the bits-in section forwards (CloudForwardBits,
 // EdgeForwardBits, CloudForwardFromEdgeBits), which take a session's
 // device features as the wire carries them, to the layered float
-// sections evaluated one sample at a time under that sample's own
-// presence mask on the naive path.
+// sections of Evaluate's path — the aggregator's Forward and the
+// section's forward in inference mode — evaluated one sample at a time
+// under that sample's own presence mask.
 
 // randomizeBN gives every batch norm random statistics and affine
 // parameters, negative scales included, and re-derives the model's
@@ -66,15 +67,27 @@ func sessionFeatures(m *Model, n int, rng *rand.Rand) (maps [][]*tensor.Tensor, 
 	return maps, masks, feats
 }
 
-// naive runs fn on the naive path, the layered oracle.
-func naive(t *testing.T, fn func()) {
-	t.Helper()
-	prev := tensor.CurrentKernelPath()
-	if err := tensor.SetKernelPath(tensor.KernelNaive); err != nil {
-		t.Fatal(err)
+// presence expands a per-sample presence mask into the training
+// forward's per-device form.
+func presence(mask uint16, devices int) []bool {
+	present := make([]bool, devices)
+	for d := range present {
+		present[d] = mask&(1<<uint(d)) != 0
 	}
-	defer tensor.SetKernelPath(prev)
-	fn()
+	return present
+}
+
+// layeredSample is the oracle for one sample: the layered float forwards
+// Evaluate runs, under the sample's own mask, returning the edge feature
+// map and logits (nil without an edge tier) and the cloud logits.
+func layeredSample(m *Model, maps []*tensor.Tensor, mask uint16) (edgeFeat, edgeLogits, cloudLogits *tensor.Tensor) {
+	present := presence(mask, m.Cfg.Devices)
+	if m.edge == nil {
+		return nil, nil, m.cloud.forward(m.cloudAgg.Forward(maps, present, false), false)
+	}
+	edgeFeat = m.edge.convp.Forward(m.edgeAgg.Forward(maps, present, false), false)
+	edgeLogits = m.edge.exit.forward(edgeFeat.Reshape(1, edgeFeat.Size()), false)
+	return edgeFeat, edgeLogits, m.cloud.forward(edgeFeat, false)
 }
 
 // TestBitsInParityAllPaths runs sessions of random per-sample presence
@@ -82,7 +95,9 @@ func naive(t *testing.T, fn func()) {
 // aggregation on both hierarchies and the §VI float cloud (AP and the
 // float cloud take the float fallback), and requires every logit and
 // every packed edge feature bit to equal the layered oracle's for that
-// sample alone.
+// sample alone. The naive path runs the same bit-domain algorithms with
+// the scalar kernels, so it is checked against the oracle like the
+// others.
 func TestBitsInParityAllPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pool := tensor.NewPool()
@@ -104,19 +119,14 @@ func TestBitsInParityAllPaths(t *testing.T) {
 			// The oracle: each sample alone, under its own mask.
 			var wantLogits, wantEdge []*tensor.Tensor
 			var wantBits [][]byte
-			naive(t, func() {
-				for i := 0; i < n; i++ {
-					mask := masks[i : i+1]
-					if !edge {
-						wantLogits = append(wantLogits, m.CloudForward(maps[i], mask))
-						continue
-					}
-					feat, logits := m.EdgeForward(maps[i], mask)
-					wantEdge = append(wantEdge, logits)
+			for i := 0; i < n; i++ {
+				feat, edgeLogits, logits := layeredSample(m, maps[i], masks[i])
+				wantLogits = append(wantLogits, logits)
+				if edge {
+					wantEdge = append(wantEdge, edgeLogits)
 					wantBits = append(wantBits, bnn.PackSigns(feat))
-					wantLogits = append(wantLogits, m.CloudForwardFromEdge(feat))
 				}
-			})
+			}
 			forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
 				if !edge {
 					logits := m.CloudForwardBits(feats, masks, pool)

@@ -34,11 +34,12 @@ func forEachKernelPath(t *testing.T, fn func(t *testing.T, p tensor.KernelPath))
 	}
 }
 
-// TestSectionForwardsMatchAcrossPaths runs the device, cloud and edge
-// section forwards once per dispatch path and requires bit-identical
-// outputs: the chaos and staged-parity suites assume a classification
-// is a pure function of the model and input, independent of which
-// kernels the host selected.
+// TestSectionForwardsMatchAcrossPaths runs the device, edge and
+// cloud-from-edge section forwards once per dispatch path and requires
+// each to equal the layered oracle — the training-path layers Evaluate
+// runs, in inference mode — bit for bit: the chaos and staged-parity
+// suites assume a classification is a pure function of the model and
+// input, independent of which kernels the host selected.
 func TestSectionForwardsMatchAcrossPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cfg := DefaultConfig()
@@ -52,32 +53,21 @@ func TestSectionForwardsMatchAcrossPaths(t *testing.T) {
 		feats[d].FillUniform(rng, -1, 1)
 	}
 
-	equal := func(t *testing.T, name string, p tensor.KernelPath, want, got *tensor.Tensor) {
-		t.Helper()
-		if !want.SameShape(got) {
-			t.Fatalf("%s path=%v: shape %v vs %v", name, p, got.Shape(), want.Shape())
-		}
-		for i, w := range want.Data() {
-			if got.Data()[i] != w {
-				t.Fatalf("%s path=%v: element %d = %g, naive %g", name, p, i, got.Data()[i], w)
-			}
-		}
-	}
-
-	var feat, exitVec, ef, el, logits *tensor.Tensor
+	dev := m.devices[0]
+	feat := dev.convp.Forward(x, false)
+	exitVec := dev.exit.forward(feat.Reshape(2, feat.Size()/2), false)
+	ef := m.edge.convp.Forward(m.edgeAgg.Forward(feats, nil, false), false)
+	el := m.edge.exit.forward(ef.Reshape(2, ef.Size()/2), false)
+	logits := m.cloud.forward(ef, false)
 	forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
 		f, e := m.DeviceForward(0, x)
 		efp, elp := m.EdgeForward(feats, nil)
 		lg := m.CloudForwardFromEdge(efp)
-		if feat == nil { // first path (naive) is the reference
-			feat, exitVec, ef, el, logits = f, e, efp, elp, lg
-			return
-		}
-		equal(t, "device feat", p, feat, f)
-		equal(t, "device exit", p, exitVec, e)
-		equal(t, "edge feat", p, ef, efp)
-		equal(t, "edge logits", p, el, elp)
-		equal(t, "cloud logits", p, logits, lg)
+		requireIdentical(t, fmt.Sprintf("device feat path=%v", p), feat, f)
+		requireIdentical(t, fmt.Sprintf("device exit path=%v", p), exitVec, e)
+		requireIdentical(t, fmt.Sprintf("edge feat path=%v", p), ef, efp)
+		requireIdentical(t, fmt.Sprintf("edge logits path=%v", p), el, elp)
+		requireIdentical(t, fmt.Sprintf("cloud logits path=%v", p), logits, lg)
 	})
 }
 

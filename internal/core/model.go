@@ -49,24 +49,12 @@ func (e *exitHead) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return e.bn.Forward(e.lin.Forward(x, train), train)
 }
 
-// forwardPooled accepts the unflattened feature map directly — the
-// pooled layers flatten implicitly, so the hot path skips the Reshape
-// view allocation. On the go and simd paths the head runs on bits
-// (forwardBits); the naive path keeps the float layers as its oracle.
+// forwardPooled accepts the unflattened ±1 feature map directly and runs
+// the head on its sign bits (forwardBits).
 func (e *exitHead) forwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	if tensor.CurrentKernelPath() == tensor.KernelNaive {
-		return e.forwardFloat(x, p)
-	}
 	bits := packSamples(x, p)
 	out := e.forwardBits(bits, x.Dim(0), p)
 	p.PutBytes(bits)
-	return out
-}
-
-func (e *exitHead) forwardFloat(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	y := e.lin.ForwardPooled(x, p)
-	out := e.bn.ForwardPooled(y, p)
-	p.Put(y)
 	return out
 }
 
@@ -200,22 +188,39 @@ func (c *cloudSection) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.exit.forward(y.Reshape(n, y.Size()/n), train)
 }
 
+// forwardPooled runs the section on a float map. A binary section's b1
+// runs the float tile and places its ±1 output into b2's bit planes, so
+// b2 and the exit head run on bits as in forwardBits.
 func (c *cloudSection) forwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	y1 := nn.ForwardPooled(c.b1, x, p)
-	y2 := nn.ForwardPooled(c.b2, y1, p)
+	b1, ok := c.b1.(*bnn.ConvP)
+	if !ok {
+		y1 := nn.ForwardPooled(c.b1, x, p)
+		y2 := nn.ForwardPooled(c.b2, y1, p)
+		p.Put(y1)
+		logits := c.exit.forwardPooled(y2, p)
+		p.Put(y2)
+		return logits
+	}
+	y1 := b1.ForwardPooled(x, p)
+	bits := packSamples(y1, p)
+	mid := bnn.PlacePacked(p, bits, y1.Dim(0), y1.Dim(1), y1.Dim(2), y1.Dim(3))
+	p.PutBytes(bits)
 	p.Put(y1)
-	logits := c.exit.forwardPooled(y2, p)
-	p.Put(y2)
-	return logits
+	return c.forwardTail(mid, p)
 }
 
 // forwardBits runs a binary cloud section on bit planes: b1 writes b2's
 // planes and b2 the exit head's packed bytes (see CloudForwardBits).
 func (c *cloudSection) forwardBits(in bnn.Planes, p *tensor.Pool) *tensor.Tensor {
-	mid := c.b1.(*bnn.ConvP).ForwardPlanes(in, p)
+	return c.forwardTail(c.b1.(*bnn.ConvP).ForwardPlanes(in, p), p)
+}
+
+// forwardTail runs b2 and the exit head of a binary section on b2's
+// input planes, and returns the planes to p.
+func (c *cloudSection) forwardTail(mid bnn.Planes, p *tensor.Pool) *tensor.Tensor {
 	bits := c.b2.(*bnn.ConvP).ForwardPacked(mid, p)
 	mid.Put(p)
-	logits := c.exit.(*exitHead).forwardBits(bits, in.N, p)
+	logits := c.exit.(*exitHead).forwardBits(bits, mid.N, p)
 	p.PutBytes(bits)
 	return logits
 }

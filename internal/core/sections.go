@@ -39,17 +39,13 @@ func (m *Model) DeviceForwardPooled(device int, x *tensor.Tensor, p *tensor.Pool
 // feature map rather than computing on it: bits holds each sample's
 // PackFeature bytes back to back, drawn from p (PutBytes it back
 // once consumed), and exitVec comes from p too. The float map goes back
-// to p before it returns. On the go and simd paths the same bits feed the
-// exit head, so the map is packed once.
+// to p before it returns. The same bits feed the exit head, so the map
+// is packed once.
 func (m *Model) DeviceForwardPacked(device int, x *tensor.Tensor, p *tensor.Pool) (bits []byte, exitVec *tensor.Tensor) {
 	dev := m.device(device)
 	feat := dev.convp.ForwardPooled(x, p)
 	bits = packSamples(feat, p)
-	if tensor.CurrentKernelPath() == tensor.KernelNaive {
-		exitVec = dev.exit.forwardFloat(feat, p)
-	} else {
-		exitVec = dev.exit.forwardBits(bits, feat.Dim(0), p)
-	}
+	exitVec = dev.exit.forwardBits(bits, feat.Dim(0), p)
 	p.Put(feat)
 	return bits, exitVec
 }
@@ -98,14 +94,13 @@ func (m *Model) CloudForwardPooled(feats []*tensor.Tensor, masks []uint16, p *te
 // from p (Put them back once consumed); row i is CloudForwardPooled's
 // for sample i under its own mask, bit for bit.
 //
-// With an MP or CC aggregator and a binary cloud, on the go and simd
-// paths, the features stay bits from the wire to the logits: they are
-// aggregated straight into the first block's bit planes, each block
-// writes its signs into the next one's input, and the exit head reads
-// the last block's packed bytes. AP, whose mean of ±1 values is not
-// ternary, the §VI float cloud and the naive path (the oracle) keep the
-// float path: the session is unpacked into batch-wide device maps (see
-// unpackSession) for one CloudForwardPooled.
+// With an MP or CC aggregator and a binary cloud the features stay bits
+// from the wire to the logits: they are aggregated straight into the
+// first block's bit planes, each block writes its signs into the next
+// one's input, and the exit head reads the last block's packed bytes.
+// AP, whose mean of ±1 values is not ternary, and the §VI float cloud
+// keep the float path: the session is unpacked into batch-wide device
+// maps (see unpackSession) for one CloudForwardPooled.
 func (m *Model) CloudForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool) *tensor.Tensor {
 	if m.edge != nil {
 		panic("core: CloudForward on an edge-tier model; use EdgeForward")
@@ -128,8 +123,8 @@ func (m *Model) CloudForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool)
 // PackFeature bytes back to back — the EdgeFeatureBatch payload
 // for the samples that escalate — and the edge-exit logits, both from p.
 // An MP or CC edge aggregator keeps the features in bits throughout; AP
-// and the naive path unpack the session for one EdgeForwardPooled and
-// pack its feature map.
+// unpacks the session for one EdgeForwardPooled and packs its feature
+// map.
 func (m *Model) EdgeForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool) (edgeBits []byte, edgeLogits *tensor.Tensor) {
 	if m.edge == nil {
 		panic("core: EdgeForward on a model without an edge tier")
@@ -189,9 +184,8 @@ func (m *Model) CloudForwardFromEdgePooled(edgeFeat *tensor.Tensor, p *tensor.Po
 // CloudForwardFromEdgeBits runs the cloud section on n edge feature
 // maps packed back to back as EdgeForwardBits returns them — an
 // EdgeFeatureBatch payload — and returns the logits from p. A binary
-// cloud reads the bytes straight into its first block's planes on the
-// go and simd paths; the float cloud and the naive path unpack them for
-// CloudForwardFromEdgePooled's layers.
+// cloud reads the bytes straight into its first block's planes; the
+// float cloud unpacks them for CloudForwardFromEdgePooled's layers.
 func (m *Model) CloudForwardFromEdgeBits(edgeBits []byte, n int, p *tensor.Pool) *tensor.Tensor {
 	if m.edge == nil {
 		panic("core: CloudForwardFromEdge on a model without an edge tier")
@@ -201,11 +195,8 @@ func (m *Model) CloudForwardFromEdgeBits(edgeBits []byte, n int, p *tensor.Pool)
 	if len(edgeBits) != n*stride {
 		panic(fmt.Sprintf("core: %d bytes of edge features for %d samples of %d", len(edgeBits), n, stride))
 	}
-	if onBits(!m.Cfg.FloatCloud) {
-		in := bnn.GetPlanes(p, n, f, eh, ew)
-		for i := 0; i < n; i++ {
-			in.Place(i, 0, [][]byte{edgeBits[i*stride : (i+1)*stride]}, f)
-		}
+	if !m.Cfg.FloatCloud {
+		in := bnn.PlacePacked(p, edgeBits, n, f, eh, ew)
 		logits := m.cloud.forwardBits(in, p)
 		in.Put(p)
 		return logits
@@ -219,16 +210,12 @@ func (m *Model) CloudForwardFromEdgeBits(edgeBits []byte, n int, p *tensor.Pool)
 	return logits
 }
 
-// onBits reports whether a section of binary blocks runs in the bit
-// domain: on the go and simd paths. The naive path is the float oracle.
-func onBits(binary bool) bool { return binary && tensor.CurrentKernelPath() != tensor.KernelNaive }
-
 // aggregateBits aggregates a session's packed device features (see
 // CloudForwardBits) into the bit planes of a section fed by a, when a
-// has a bit form and the section runs on bits.
+// has a bit form and the section's blocks are binary.
 func (m *Model) aggregateBits(a agg.Aggregator, s agg.Scheme, binary bool, feats [][]byte, masks []uint16, p *tensor.Pool) (bnn.Planes, bool) {
 	ba, ok := a.(agg.BitAggregator)
-	if !ok || !onBits(binary) {
+	if !ok || !binary {
 		return bnn.Planes{}, false
 	}
 	cfg := m.Cfg

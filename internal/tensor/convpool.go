@@ -12,7 +12,7 @@ import (
 // activation to each pooled value before it is stored. Both take the
 // dispatch path from the caller, which reads it once per forward, and
 // have a portable (go) and an AVX2 (simd) implementation; the naive
-// path never reaches them (it runs the layered composition).
+// path runs the portable one.
 
 // convSignLanes is the position granularity of ConvSign3x3's widest
 // kernel: a band's destination rows and source need slack for its

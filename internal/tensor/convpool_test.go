@@ -7,7 +7,7 @@ import (
 )
 
 // fusedPaths are the dispatch paths the fused-ConvP kernels implement:
-// the naive path never reaches them (it runs the layered composition).
+// the naive path runs the portable kernel, which the go path covers.
 func fusedPaths() []KernelPath {
 	var out []KernelPath
 	for _, p := range KernelPaths() {

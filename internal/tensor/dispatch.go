@@ -7,17 +7,22 @@ import (
 )
 
 // KernelPath identifies one implementation tier of the compute kernels:
-// float GEMM and sign GEMM here, XNOR-popcount dot products and sign
-// packing in package bnn. Every path is bit-identical on its documented
-// domain — the paths differ only in speed — and the naive kernels are
-// the parity oracles the differential tests and fuzz targets pin the
-// optimized paths against.
+// float GEMM, sign GEMM and the fused ConvP kernels here, XNOR-popcount
+// dot products, sign packing and the XNOR convolution's sweep in package
+// bnn. A path picks kernels, never algorithms: every forward runs the
+// same algorithm on every path, chosen by its input's type. Every path
+// is bit-identical on its documented domain — the paths differ only in
+// speed — and the naive kernels are the parity oracles the differential
+// tests and fuzz targets pin the optimized kernels against.
 type KernelPath int32
 
 const (
 	// KernelNaive is the scalar reference path: one accumulator per
 	// output element, ascending shared-dimension accumulation, no
-	// tiling. It is the oracle every other path must match bit for bit.
+	// tiling. Its kernels are the oracles every other path must match
+	// bit for bit; where a kernel has no separate naive form (the fused
+	// ConvP kernels, the XNOR convolution's sweep) it runs the portable
+	// one.
 	KernelNaive KernelPath = iota
 	// KernelGo is the portable optimized path: register-tiled pure-Go
 	// kernels (2x4 float GEMM tiles, 4x4 sign GEMM tiles, 64-bit-word
