@@ -5,7 +5,7 @@ import (
 	"log/slog"
 
 	"github.com/ddnn/ddnn-go/internal/core"
-	"github.com/ddnn/ddnn-go/internal/nn"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
@@ -29,69 +29,85 @@ type Cloud struct {
 // NewCloud constructs the cloud node around a trained model.
 func NewCloud(model *core.Model, logger *slog.Logger) *Cloud {
 	c := &Cloud{model: model}
-	c.init("cloud", model, logger, c.frame)
+	c.init("cloud", model, logger, c.frame, c.run)
 	return c
 }
 
 // frame serves one downstream frame: a two-tier session's header and
 // device feature frames accumulate in the connection's session table, an
 // edge escalation arrives whole, and each complete session classifies on
-// its own goroutine — the model is frozen (read-only), so sessions run
-// genuinely in parallel.
-func (c *Cloud) frame(nc *nodeConn, msg wire.Message) {
-	switch m := msg.(type) {
+// a worker — the model is frozen (read-only), so sessions run genuinely
+// in parallel.
+func (c *Cloud) frame(nc *nodeConn, f *wire.Frame) {
+	switch m := f.Msg.(type) {
 	case *wire.CloudClassifyBatch:
 		if c.model.Cfg.UseEdge {
 			_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeatureBatch escalations only"})
-			return
+		} else {
+			nc.sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, nil)
 		}
-		nc.sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, nil)
+		f.Release()
 	case *wire.FeatureBatch:
-		if up := nc.sessions.add(m); up != nil {
-			nc.add()
-			go func() {
-				defer nc.done()
-				c.classify(nc, up)
-			}()
+		if up := nc.sessions.add(f); up != nil {
+			nc.spawn(task{up: up})
 		}
 	case *wire.EdgeFeatureBatch:
 		if !c.model.Cfg.UseEdge {
 			_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: "model has no edge tier; send CloudClassifyBatch + FeatureBatches"})
+			f.Release()
 			return
 		}
-		model, _, err := c.reg.resolve(m.ModelVersion)
-		if err != nil {
-			_ = nc.send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-			return
-		}
-		if err := checkEdgeFeatures(model.Cfg, m); err != nil {
-			_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-			return
-		}
-		nc.add()
-		go func() {
-			defer nc.done()
-			c.classifyFromEdge(nc, model, m)
-		}()
+		nc.spawn(task{f: f})
 	default:
-		_ = nc.send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected CloudClassifyBatch, FeatureBatch or EdgeFeatureBatch, got %v", msg.MsgType())})
+		_ = nc.send(&wire.Error{Session: sessionOf(f.Msg), Code: 400, Msg: fmt.Sprintf("expected CloudClassifyBatch, FeatureBatch or EdgeFeatureBatch, got %v", f.Msg.MsgType())})
+		f.Release()
 	}
+}
+
+// run serves one task on a worker: a complete two-tier session, or an
+// edge escalation frame.
+func (c *Cloud) run(nc *nodeConn, t task, sc *scratch) {
+	if t.up != nil {
+		c.classify(nc, t.up, sc)
+		nc.sessions.release(t.up)
+		return
+	}
+	defer t.f.Release()
+	m := t.f.Msg.(*wire.EdgeFeatureBatch)
+	model, _, err := c.reg.resolve(m.ModelVersion)
+	if err != nil {
+		_ = nc.send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
+		return
+	}
+	if err := checkEdgeFeatures(model.Cfg, m); err != nil {
+		_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
+		return
+	}
+	c.classifyFromEdge(nc, model, m, sc)
 }
 
 // classify runs the cloud section for one complete two-tier session, on
 // the devices' packed features as they arrived and each sample under its
 // own presence mask, and answers with a single ResultBatch whose
 // verdicts follow the header's sample order.
-func (c *Cloud) classify(nc *nodeConn, up *uploadSession) {
+func (c *Cloud) classify(nc *nodeConn, up *uploadSession, sc *scratch) {
 	logits := up.model.CloudForwardBits(up.bits, up.masks, c.pool)
-	probs := nn.Softmax(logits)
+	c.reply(nc, up.session, up.ids, logits, sc)
+}
+
+// reply answers a session with its cloud verdicts, one per logits row in
+// ids order, and retires the logits to the pool.
+func (c *Cloud) reply(nc *nodeConn, session uint64, ids []uint64, logits *tensor.Tensor, sc *scratch) {
+	probs := sc.softmaxRows(logits)
+	classes := logits.Dim(1)
 	c.pool.Put(logits)
-	verdicts := make([]wire.BatchVerdict, len(up.ids))
-	for i, id := range up.ids {
-		verdicts[i] = verdictRow(probs, i, id, wire.ExitCloud)
+	verdicts := resize(sc.results.Verdicts, len(ids))
+	for i, id := range ids {
+		verdicts[i] = verdictRow(probs, classes, i, id, wire.ExitCloud)
 	}
-	if err := nc.send(&wire.ResultBatch{Session: up.session, Verdicts: verdicts}); err != nil {
-		c.logger.Debug("classify reply failed", "session", up.session, "err", err)
+	sc.results = wire.ResultBatch{Session: session, Verdicts: verdicts}
+	if err := nc.send(&sc.results); err != nil {
+		c.logger.Debug("classify reply failed", "session", session, "err", err)
 	}
 }
 
@@ -113,15 +129,7 @@ func checkEdgeFeatures(cfg core.Config, m *wire.EdgeFeatureBatch) error {
 // pre-aggregated edge feature maps — the samples that missed the edge
 // exit, packed as they arrived — and answers with one ResultBatch in
 // SampleIDs order.
-func (c *Cloud) classifyFromEdge(nc *nodeConn, model *core.Model, m *wire.EdgeFeatureBatch) {
+func (c *Cloud) classifyFromEdge(nc *nodeConn, model *core.Model, m *wire.EdgeFeatureBatch, sc *scratch) {
 	logits := model.CloudForwardFromEdgeBits(m.Bits, len(m.SampleIDs), c.pool)
-	probs := nn.Softmax(logits)
-	c.pool.Put(logits)
-	verdicts := make([]wire.BatchVerdict, len(m.SampleIDs))
-	for i, id := range m.SampleIDs {
-		verdicts[i] = verdictRow(probs, i, id, wire.ExitCloud)
-	}
-	if err := nc.send(&wire.ResultBatch{Session: m.Session, Verdicts: verdicts}); err != nil {
-		c.logger.Debug("edge escalation reply failed", "session", m.Session, "err", err)
-	}
+	c.reply(nc, m.Session, m.SampleIDs, logits, sc)
 }

@@ -28,14 +28,14 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
-	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
-// Feed supplies a device's sensor view for a sample ID as a [1, C, H, W]
-// tensor. Returning an error means the device has no frame for the sample.
-// Feeds must be safe for concurrent use; DatasetFeed is.
-type Feed func(sampleID uint64) (*tensor.Tensor, error)
+// Feed copies a device's sensor view of a sample into dst, one
+// [C, H, W] row of a capture batch (C·H·W values, the model's input
+// size). Returning an error means the device has no frame for the
+// sample. Feeds must be safe for concurrent use; DatasetFeed is.
+type Feed func(sampleID uint64, dst []float32) error
 
 // maxRetainedFeatures bounds the per-device cache of feature maps kept
 // between a capture and a possible feature request. Sessions that exit
@@ -54,8 +54,10 @@ type Device struct {
 	feed  Feed
 
 	featMu    sync.Mutex // guards features/featOrder only
-	features  map[uint64]retainedFeature
+	features  map[uint64]*retainedFeature
 	featOrder []uint64 // insertion order for eviction
+	// retained recycles the cache entries (their ID and presence copies).
+	retained freeList[retainedFeature]
 
 	// leaving ends on Drain or Close: a joined device says goodbye and
 	// stops re-joining (Join).
@@ -69,58 +71,70 @@ func NewDevice(model *core.Model, index int, feed Feed, logger *slog.Logger) *De
 	d := &Device{
 		index:    index,
 		feed:     feed,
-		features: make(map[uint64]retainedFeature),
+		features: make(map[uint64]*retainedFeature),
 	}
-	d.init(fmt.Sprintf("device-%d", index), model, logger, d.frame)
+	d.init(fmt.Sprintf("device-%d", index), model, logger, d.frame, d.run)
 	d.leaving, d.leave = context.WithCancel(context.Background())
 	d.onClose = d.leave
 	return d
 }
 
-// DatasetFeed builds a Feed serving one device's views from a dataset.
-// The returned feed is safe for concurrent sessions. Frames are views of
-// the dataset's storage (no copy); consumers must treat them as
-// read-only, which the inference path guarantees.
+// DatasetFeed builds a Feed serving one device's views from a dataset,
+// copied straight from the dataset's storage. The returned feed is safe
+// for concurrent sessions.
 func DatasetFeed(ds *dataset.Dataset, device int) Feed {
-	return func(sampleID uint64) (*tensor.Tensor, error) {
+	return func(sampleID uint64, dst []float32) error {
 		idx := int(sampleID)
 		if idx < 0 || idx >= ds.Len() {
-			return nil, fmt.Errorf("cluster: sample %d out of range [0,%d)", idx, ds.Len())
+			return fmt.Errorf("cluster: sample %d out of range [0,%d)", idx, ds.Len())
 		}
-		return ds.DeviceView(device, idx), nil
+		return copyView(dst, ds.View(device, idx))
 	}
 }
 
-// frame serves one gateway frame: every request runs on its own
-// goroutine, so one connection carries any number of concurrent sessions.
-func (d *Device) frame(c *nodeConn, msg wire.Message) {
-	switch m := msg.(type) {
-	case *wire.CaptureBatch:
-		c.add()
-		go func() {
-			defer c.done()
-			if err := d.onCapture(c, m); err != nil {
-				d.logger.Debug("capture failed", "session", m.Session, "err", err)
-			}
-		}()
-	case *wire.FeatureBatchRequest:
-		c.add()
-		go func() {
-			defer c.done()
-			if err := d.onFeatures(c, m); err != nil {
-				d.logger.Debug("feature upload failed", "session", m.Session, "err", err)
-			}
-		}()
+// copyView copies one sensor view into a capture row of the same size.
+func copyView(dst, view []float32) error {
+	if len(view) != len(dst) {
+		return fmt.Errorf("cluster: sensor view has %d values, model input has %d", len(view), len(dst))
+	}
+	copy(dst, view)
+	return nil
+}
+
+// frame serves one gateway frame: every request runs on a worker of the
+// connection (nodeConn.spawn), so one connection carries any number of
+// concurrent sessions.
+func (d *Device) frame(c *nodeConn, f *wire.Frame) {
+	switch f.Msg.(type) {
+	case *wire.CaptureBatch, *wire.FeatureBatchRequest:
+		c.spawn(task{f: f})
 	default:
-		_ = c.send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("unexpected %v", msg.MsgType())})
+		_ = c.send(&wire.Error{Session: sessionOf(f.Msg), Code: 400, Msg: fmt.Sprintf("unexpected %v", f.Msg.MsgType())})
+		f.Release()
+	}
+}
+
+// run serves one request frame on a worker.
+func (d *Device) run(c *nodeConn, t task, sc *scratch) {
+	defer t.f.Release()
+	switch m := t.f.Msg.(type) {
+	case *wire.CaptureBatch:
+		if err := d.onCapture(c, m, sc); err != nil {
+			d.logger.Debug("capture failed", "session", m.Session, "err", err)
+		}
+	case *wire.FeatureBatchRequest:
+		if err := d.onFeatures(c, m, sc); err != nil {
+			d.logger.Debug("feature upload failed", "session", m.Session, "err", err)
+		}
 	}
 }
 
 // retainedFeature caches one capture's binarized feature maps, bit-packed
 // as they go on the wire, under its session ID: row i of bits (every row
-// the same length) belongs to ids[i], and present (a wire.PackPresent
-// bitmask) marks the rows the feed had a frame for — the others hold no
-// sample.
+// the same length, drawn from the node's pool) belongs to ids[i], and
+// present (a wire.PackPresent bitmask) marks the rows the feed had a
+// frame for — the others hold no sample. ids and present are the entry's
+// own copies: the capture frame they came from is released.
 type retainedFeature struct {
 	bits    []byte
 	ids     []uint64
@@ -128,14 +142,18 @@ type retainedFeature struct {
 }
 
 // sample returns row i's packed feature map.
-func (rf retainedFeature) sample(i int) []byte {
+func (rf *retainedFeature) sample(i int) []byte {
 	n := len(rf.bits) / len(rf.ids)
 	return rf.bits[i*n : (i+1)*n]
 }
 
 // row returns the retained row of a sample, or -1. Requests list samples
 // in capture order, so the scan starts where the previous lookup stopped.
-func (rf retainedFeature) row(id uint64, from int) int {
+// A nil entry (nothing retained) has no rows.
+func (rf *retainedFeature) row(id uint64, from int) int {
+	if rf == nil {
+		return -1
+	}
 	for k := range rf.ids {
 		i := (from + k) % len(rf.ids)
 		if rf.ids[i] == id && wire.IsPresent(rf.present, i) {
@@ -145,11 +163,17 @@ func (rf retainedFeature) row(id uint64, from int) int {
 	return -1
 }
 
-func (d *Device) retainFeature(session uint64, rf retainedFeature) {
+// retainFeature caches a capture's feature rows under its session,
+// copying ids and present.
+func (d *Device) retainFeature(session uint64, bits []byte, ids []uint64, present []byte) {
+	rf := d.retained.get()
+	rf.bits = bits
+	rf.ids = append(rf.ids[:0], ids...)
+	rf.present = append(rf.present[:0], present...)
 	d.featMu.Lock()
 	defer d.featMu.Unlock()
 	if prev, exists := d.features[session]; exists {
-		d.pool.PutBytes(prev.bits)
+		d.dropFeature(prev)
 	} else {
 		d.featOrder = append(d.featOrder, session)
 	}
@@ -158,21 +182,32 @@ func (d *Device) retainFeature(session uint64, rf retainedFeature) {
 		oldest := d.featOrder[0]
 		d.featOrder = d.featOrder[1:]
 		if rf, ok := d.features[oldest]; ok {
-			d.pool.PutBytes(rf.bits)
+			d.dropFeature(rf)
 		}
 		delete(d.features, oldest)
 	}
 }
 
+// dropFeature retires a cache entry: its bits go back to the pool and
+// the entry to the free list. A nil entry is a no-op.
+func (d *Device) dropFeature(rf *retainedFeature) {
+	if rf == nil {
+		return
+	}
+	d.pool.PutBytes(rf.bits)
+	rf.bits = nil
+	d.retained.put(rf)
+}
+
 // takeFeature removes and returns the session's retained capture; it is
-// empty (no bits, no rows) when the capture was evicted or never
-// happened — e.g. a second gateway attached to this device.
-func (d *Device) takeFeature(session uint64) retainedFeature {
+// nil when the capture was evicted or never happened — e.g. a second
+// gateway attached to this device.
+func (d *Device) takeFeature(session uint64) *retainedFeature {
 	d.featMu.Lock()
 	defer d.featMu.Unlock()
 	rf, ok := d.features[session]
 	if !ok {
-		return rf
+		return nil
 	}
 	delete(d.features, session)
 	for i, s := range d.featOrder {
@@ -190,30 +225,27 @@ func (d *Device) takeFeature(session uint64) retainedFeature {
 // marked absent in the reply's presence bitmask (their rows run as zeros
 // and are never read); the rest get one summary row each, and the feature
 // rows are retained for a possible FeatureBatchRequest.
-func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch) error {
+func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch, sc *scratch) error {
 	model, _, err := d.reg.resolve(m.ModelVersion)
 	if err != nil {
 		return c.send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 	}
 	cfg := model.Cfg
 	n := len(m.SampleIDs)
-	reply := &wire.SummaryBatch{
+	reply := &sc.summary
+	*reply = wire.SummaryBatch{
 		Session: m.Session, Device: uint16(d.index), Classes: uint16(cfg.Classes),
-		Count: uint16(n), Present: make([]byte, (n+7)/8),
+		Count: uint16(n), Present: resize(reply.Present, (n+7)/8), Probs: reply.Probs[:0],
 	}
+	clear(reply.Present)
 	stacked := d.pool.GetDirty(n, cfg.InputC, cfg.InputH, cfg.InputW)
 	frames := 0
 	for i, id := range m.SampleIDs {
 		row := stacked.Sample(i)
-		x, err := d.feed(id)
-		if err != nil {
+		if err := d.feed(id, row); err != nil {
 			clear(row) // absent frame (object not in view / feed error)
 			continue
 		}
-		if x.Size() != len(row) {
-			panic(fmt.Sprintf("cluster: device %d: feed frame has %d values, model input has %d", d.index, x.Size(), len(row)))
-		}
-		copy(row, x.Data())
 		wire.MarkPresent(reply.Present, i)
 		frames++
 	}
@@ -223,9 +255,7 @@ func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch) error {
 	}
 	bits, exitVec := model.DeviceForwardPacked(d.index, stacked, d.pool)
 	d.pool.Put(stacked)
-	d.retainFeature(m.Session, retainedFeature{bits: bits, ids: m.SampleIDs, present: reply.Present})
-
-	reply.Probs = make([]float32, 0, frames*cfg.Classes)
+	d.retainFeature(m.Session, bits, m.SampleIDs, reply.Present)
 	for i := range m.SampleIDs {
 		if wire.IsPresent(reply.Present, i) {
 			reply.Probs = append(reply.Probs, exitVec.Row(i)...)
@@ -241,7 +271,7 @@ func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch) error {
 // from the feed, so eviction only costs time, not the session; a sample
 // the feed cannot produce fails the whole fetch, and the gateway degrades
 // by dropping this device from the session.
-func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest) error {
+func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest, sc *scratch) error {
 	model, _, rerr := d.reg.resolve(m.ModelVersion)
 	if rerr != nil {
 		return c.send(&wire.Error{Session: m.Session, Code: 426, Msg: rerr.Error()})
@@ -250,10 +280,11 @@ func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest) error {
 	// gateway stamps one concrete version per session — so they are
 	// already the right version's feature maps.
 	rf := d.takeFeature(m.Session)
-	defer d.pool.PutBytes(rf.bits)
+	defer d.dropFeature(rf)
 	cfg := model.Cfg
 	f, h, w := cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW()
-	bits := make([]byte, 0, len(m.SampleIDs)*((f*h*w+7)/8))
+	reply := &sc.features
+	bits := reply.Bits[:0]
 	next := 0
 	for _, id := range m.SampleIDs {
 		if row := rf.row(id, next); row >= 0 {
@@ -261,20 +292,23 @@ func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest) error {
 			next = row + 1
 			continue
 		}
-		x, err := d.feed(id)
-		if err != nil {
+		x := d.pool.GetDirty(1, cfg.InputC, cfg.InputH, cfg.InputW)
+		if err := d.feed(id, x.Data()); err != nil {
+			d.pool.Put(x)
 			return c.send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
 		}
 		fb, exitVec := model.DeviceForwardPacked(d.index, x, d.pool)
+		d.pool.Put(x)
 		bits = append(bits, fb...)
 		d.pool.PutBytes(fb)
 		d.pool.Put(exitVec)
 	}
-	return c.send(&wire.FeatureBatch{
+	*reply = wire.FeatureBatch{
 		Session: m.Session,
 		Device:  uint16(d.index),
 		F:       uint16(f), H: uint16(h), W: uint16(w),
 		Count: uint16(len(m.SampleIDs)),
 		Bits:  bits,
-	})
+	}
+	return c.send(reply)
 }

@@ -82,7 +82,7 @@ func NewEdge(model *core.Model, cfg EdgeConfig, logger *slog.Logger) (*Edge, err
 		cfg.CloudTimeout = DefaultEdgeConfig().CloudTimeout
 	}
 	e := &Edge{cfg: cfg, Meter: metrics.NewCommMeter()}
-	e.init("edge", model, logger, e.frame)
+	e.init("edge", model, logger, e.frame, e.run)
 	// Closing the cloud links fails escalations still in flight over to
 	// CloudFallback, so Close never waits out a cloud timeout. The
 	// detector stops first, so no re-dial outlives the pool.
@@ -115,22 +115,26 @@ func (e *Edge) ConnectCloud(ctx context.Context, tr transport.Transport, addrs .
 
 // frame serves one gateway frame: a session's header and device feature
 // frames accumulate in the connection's session table, and each complete
-// session classifies on its own goroutine.
-func (e *Edge) frame(c *nodeConn, msg wire.Message) {
-	switch m := msg.(type) {
+// session classifies on a worker.
+func (e *Edge) frame(c *nodeConn, f *wire.Frame) {
+	switch m := f.Msg.(type) {
 	case *wire.EdgeClassifyBatch:
 		c.sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, m.Thresholds)
+		f.Release()
 	case *wire.FeatureBatch:
-		if up := c.sessions.add(m); up != nil {
-			c.add()
-			go func() {
-				defer c.done()
-				e.classify(c, up)
-			}()
+		if up := c.sessions.add(f); up != nil {
+			c.spawn(task{up: up})
 		}
 	default:
-		_ = c.send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected EdgeClassifyBatch or FeatureBatch, got %v", msg.MsgType())})
+		_ = c.send(&wire.Error{Session: sessionOf(f.Msg), Code: 400, Msg: fmt.Sprintf("expected EdgeClassifyBatch or FeatureBatch, got %v", f.Msg.MsgType())})
+		f.Release()
 	}
+}
+
+// run classifies one complete session on a worker, then releases it.
+func (e *Edge) run(c *nodeConn, t task, sc *scratch) {
+	e.classify(c, t.up, sc)
+	c.sessions.release(t.up)
 }
 
 // classify runs the edge stage for one complete session, on the
@@ -139,15 +143,16 @@ func (e *Edge) frame(c *nodeConn, msg wire.Message) {
 // hard remainder rides a single EdgeFeatureBatch to the cloud — the
 // partial exit that keeps upstream hops small. The whole session answers
 // with one ResultBatch in header order.
-func (e *Edge) classify(c *nodeConn, up *uploadSession) {
+func (e *Edge) classify(c *nodeConn, up *uploadSession, sc *scratch) {
 	edgeBits, edgeLogits := up.model.EdgeForwardBits(up.bits, up.masks, e.pool)
 	defer e.pool.PutBytes(edgeBits)
-	probs := nn.Softmax(edgeLogits)
+	probs := sc.softmaxRows(edgeLogits)
+	classes := edgeLogits.Dim(1)
 	e.pool.Put(edgeLogits)
-	verdicts := make([]wire.BatchVerdict, len(up.ids))
-	var hard []int
+	verdicts := resize(sc.results.Verdicts, len(up.ids))
+	hard := sc.hard[:0]
 	for i, id := range up.ids {
-		verdicts[i] = verdictRow(probs, i, id, wire.ExitEdge)
+		verdicts[i] = verdictRow(probs, classes, i, id, wire.ExitEdge)
 		// The first relayed threshold is this tier's exit criterion; an
 		// empty list means the edge never exits and always escalates.
 		confident := len(up.thresholds) > 0 &&
@@ -156,8 +161,10 @@ func (e *Edge) classify(c *nodeConn, up *uploadSession) {
 			hard = append(hard, i)
 		}
 	}
+	sc.hard = hard
+	var cloud *wire.Frame // the cloud's verdicts, held until the reply is out
 	if len(hard) > 0 {
-		cloudVerdicts, err := e.escalate(up, hard, edgeBits)
+		f, err := e.escalate(up, hard, edgeBits, sc)
 		if err != nil && !e.cfg.CloudFallback {
 			_ = c.send(&wire.Error{Session: up.session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
 			return
@@ -167,27 +174,32 @@ func (e *Edge) classify(c *nodeConn, up *uploadSession) {
 			// own best-effort verdicts while the cloud is down.
 			e.logger.Warn("cloud escalation failed; answering at the edge", "samples", len(hard), "err", err)
 		} else {
+			cloud = f
 			for k, idx := range hard {
-				verdicts[idx] = cloudVerdicts[k]
+				verdicts[idx] = f.Msg.(*wire.ResultBatch).Verdicts[k]
 			}
 		}
 	}
-	if err := c.send(&wire.ResultBatch{Session: up.session, Verdicts: verdicts}); err != nil {
+	sc.results = wire.ResultBatch{Session: up.session, Verdicts: verdicts}
+	if err := c.send(&sc.results); err != nil {
 		e.logger.Debug("edge verdict failed", "session", up.session, "err", err)
 	}
+	cloud.Release()
 }
 
 // escalate moves the hard samples' packed edge feature maps to the front
 // of edgeBits (every sample's, as EdgeForwardBits returned them) and
 // sends them as one EdgeFeatureBatch to a pool-scheduled cloud replica
-// under a fresh edge-owned session ID; it returns the cloud's verdicts in
-// hard-index order.
-func (e *Edge) escalate(up *uploadSession, hard []int, edgeBits []byte) ([]wire.BatchVerdict, error) {
+// under a fresh edge-owned session ID; it returns the cloud's
+// ResultBatch frame, whose verdicts follow hard-index order, for the
+// caller to release.
+func (e *Edge) escalate(up *uploadSession, hard []int, edgeBits []byte, sc *scratch) (*wire.Frame, error) {
 	if e.cloud == nil {
 		return nil, fmt.Errorf("edge has no cloud connection")
 	}
 	upSession := e.nextUpstream.Add(1)
-	hardIDs := make([]uint64, len(hard))
+	hardIDs := resize(sc.ids, len(hard))
+	sc.ids = hardIDs
 	stride := len(edgeBits) / len(up.ids)
 	for k, idx := range hard { // idx ≥ k: a row moves only forward
 		hardIDs[k] = up.ids[idx]
@@ -195,7 +207,7 @@ func (e *Edge) escalate(up *uploadSession, hard []int, edgeBits []byte) ([]wire.
 	}
 	bits := edgeBits[:len(hard)*stride]
 	cfg := up.model.Cfg
-	msg := &wire.EdgeFeatureBatch{
+	sc.edge = wire.EdgeFeatureBatch{
 		Session:      upSession,
 		ModelVersion: up.modelVersion,
 		F:            uint16(cfg.EdgeFilters),
@@ -207,21 +219,23 @@ func (e *Edge) escalate(up *uploadSession, hard []int, edgeBits []byte) ([]wire.
 	e.Meter.Add("cloud-upload", int64(len(bits)))
 	// One overall budget for pick + send + wait + any failover retries,
 	// so N hung replicas cannot stack N full timeouts (see CloudTimeout).
-	ctx, cancel := context.WithTimeout(context.Background(), e.cfg.CloudTimeout)
-	defer cancel()
-	reply, err := e.cloud.relay(ctx, upSession, e.cfg.CloudTimeout, msg)
+	budget := time.Now().Add(e.cfg.CloudTimeout)
+	f, err := e.cloud.relay(context.Background(), &sc.stage, upSession, e.cfg.CloudTimeout, budget, &sc.edge)
 	if err != nil {
 		return nil, err
 	}
-	switch m := reply.(type) {
+	switch m := f.Msg.(type) {
 	case *wire.ResultBatch:
 		if err := checkVerdicts(m.Verdicts, hardIDs); err != nil {
+			f.Release()
 			return nil, fmt.Errorf("cloud: %w", err)
 		}
-		return m.Verdicts, nil
+		return f, nil
 	case *wire.Error:
-		return nil, fmt.Errorf("cloud error %d: %s", m.Code, m.Msg)
+		err = fmt.Errorf("cloud error %d: %s", m.Code, m.Msg)
 	default:
-		return nil, fmt.Errorf("expected ResultBatch, got %v", reply.MsgType())
+		err = fmt.Errorf("expected ResultBatch, got %v", m.MsgType())
 	}
+	f.Release()
+	return nil, err
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"math/bits"
 	"net"
 	"slices"
@@ -125,5 +126,60 @@ func TestLinkDeathFailsReplicaOverAtOnce(t *testing.T) {
 		if want := core.Argmax(ref.CloudProbs[id]); res.Exit != wire.ExitCloud || res.Class != want {
 			t.Errorf("sample %d = %v/%d, want cloud/%d", id, res.Exit, res.Class, want)
 		}
+	}
+}
+
+// TestLinkDeathOnStalledWrite: a bounded write that the peer stalls part
+// way through fails the link at once. The peer reads one frame header and
+// stops, so on net.Pipe the write returns after those 8 bytes with a
+// timeout, and the peer holds a torn frame: the link must not write
+// anything after it. Its pending waiter gets the error, the connection
+// closes — the peer's next read ends instead of returning the rest of a
+// frame or the start of another — and the link reports broken, so its
+// owner re-dials it.
+func TestLinkDeathOnStalledWrite(t *testing.T) {
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	l := newLink(conn, func(*link) {}, nil)
+	defer l.close()
+	sent := make(chan struct{})  // closed once send has returned
+	after := make(chan error, 1) // the peer's read once it has
+	go func() {
+		if _, err := io.ReadFull(peer, make([]byte, 8)); err != nil {
+			after <- err
+			return
+		}
+		<-sent
+		_, err := peer.Read(make([]byte, 1))
+		after <- err
+	}()
+	replies := make(chan reply, 1)
+	if err := l.subscribe(7, waiter{ch: replies}); err != nil {
+		t.Fatal(err)
+	}
+	frame := &wire.FeatureBatch{Session: 7, F: 8, H: 8, W: 8, Count: 3, Bits: make([]byte, 3*64)}
+	err := l.send(time.Now().Add(50*time.Millisecond), frame)
+	close(sent)
+	if err == nil {
+		t.Fatal("a write the peer stalled part way through succeeded")
+	}
+	select {
+	case r := <-replies:
+		if r.err == nil {
+			t.Errorf("the waiter got a frame, want the link's failure")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the failed write left the link's waiter pending")
+	}
+	if !l.broken() {
+		t.Error("the link is not broken after a failed write, so nothing re-dials it")
+	}
+	select {
+	case err := <-after:
+		if err == nil {
+			t.Error("the peer read on past the torn frame")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the link kept the connection open after a failed write")
 	}
 }

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/ddnn/ddnn-go/internal/branchy"
 	"github.com/ddnn/ddnn-go/internal/core"
-	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -62,11 +62,11 @@ func TestCloudReplicaFailoverMidBatch(t *testing.T) {
 				// while the sessions around it are mid-escalation.
 				dev := eng.Devices()[0]
 				feed := dev.feed
-				dev.feed = func(id uint64) (*tensor.Tensor, error) {
+				dev.feed = func(id uint64, dst []float32) error {
 					if id == uint64(killAt) {
 						eng.Clouds()[0].SetFailed(true)
 					}
-					return feed(id)
+					return feed(id, dst)
 				}
 			}
 
@@ -94,6 +94,9 @@ func TestCloudReplicaFailoverMidBatch(t *testing.T) {
 					}
 					if want := core.Argmax(ref.CloudProbs[base+i]); res.Class != want {
 						t.Errorf("sample %d class = %d, want %d (bit-identical failover)", base+i, res.Class, want)
+					}
+					if want := ref.CloudProbs[base+i]; !slices.Equal(res.Probs, want) {
+						t.Errorf("sample %d probabilities %v, want %v (bit-identical failover)", base+i, res.Probs, want)
 					}
 				}
 			}
@@ -159,5 +162,6 @@ func TestEdgeReplicaFailoverMidStream(t *testing.T) {
 		if r.Exit != wantExit || r.Class != wantClass {
 			t.Errorf("sample %d = (%v, %d), want (%v, %d)", i, r.Exit, r.Class, wantExit, wantClass)
 		}
+		checkStagedProbs(t, r, res, pol, i)
 	}
 }

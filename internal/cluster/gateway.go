@@ -114,6 +114,8 @@ type Gateway struct {
 
 	// pool recycles the sessions' per-device exit-vector tensors.
 	pool *tensor.Pool
+	// sessions recycles session state between Classify calls.
+	sessions freeList[gatewaySession]
 
 	// Meter accumulates Eq. (1) payload bytes by category
 	// ("local-summary", plus "cloud-upload" or "edge-upload" for the

@@ -12,8 +12,12 @@ import (
 )
 
 // gatewaySession is the state one Classify call threads through its
-// stages: the pins taken when it started, and per-sample bookkeeping
-// indexed by position in sampleIDs.
+// stages: the pins taken when it started, per-sample bookkeeping indexed
+// by position in ids, and the frames and buffers its round trips reuse.
+// Sessions are recycled through the gateway's free list. What a Result
+// keeps — its row of probs, its presence flags, the Result itself — is
+// allocated for each session and never recycled, since the caller owns
+// it; everything else is the session's own.
 type gatewaySession struct {
 	sid   uint64
 	start time.Time
@@ -26,20 +30,70 @@ type gatewaySession struct {
 	mv    uint64
 	// snap pins the membership and config version: devices joining or
 	// leaving mid-session cannot change which links the session uses.
-	snap      memberSnapshot
-	pipeline  Pipeline
-	sampleIDs []uint64
+	snap     memberSnapshot
+	pipeline Pipeline
+	// ids is the session's copy of the caller's sample IDs.
+	ids []uint64
 
 	// present is sample-major: sample i's per-device flags are
 	// present[i*devices : (i+1)*devices], which is also what its
-	// Result.Present aliases. masks holds the same as wire bitmasks.
+	// Result.Present aliases. probs holds the samples' probability rows
+	// the same way, which their Result.Probs alias. masks holds present
+	// as wire bitmasks.
 	present []bool
+	probs   []float32
 	masks   []uint16
 	// slab backs every Result of the session in one allocation. results[i]
 	// points at slab[i] once sample i is classified; until then slab[i]
 	// carries what the local stage already knows (entropy, presence).
 	slab    []Result
 	results []*Result
+
+	// stage runs the session's round trips: capture, feature fetch and
+	// the upstream relay.
+	stage    stage
+	exitVecs []*tensor.Tensor
+	reqs     [][]wire.Message
+	capture  wire.CaptureBatch
+	// fetchAll asks a device for every escalating sample; fetch[d] for
+	// the subset device d covers when that is fewer.
+	fetchAll    wire.FeatureBatchRequest
+	fetch       []wire.FeatureBatchRequest
+	frame       [1]wire.Message // capture or fetchAll
+	fetchFrames [][1]wire.Message
+	want        []int
+	hard        []int
+	escIDs      []uint64
+	escMasks    []uint16
+	// held are the device frames of the feature fetch: the relay sends
+	// their messages, so they are released once it returns.
+	held       []*wire.Frame
+	relayed    []wire.Message
+	cloudHdr   wire.CloudClassifyBatch
+	edgeHdr    wire.EdgeClassifyBatch
+	thresholds []float64
+}
+
+// releaseHeld releases the feature fetch's frames.
+func (s *gatewaySession) releaseHeld() {
+	for i, f := range s.held {
+		f.Release()
+		s.held[i] = nil
+	}
+	s.held = s.held[:0]
+}
+
+// recycle returns the session to the gateway's free list, first dropping
+// what it must not keep: what its caller now owns and the shared
+// pipeline (a poisoning free list would overwrite them), and pointers to
+// links, frames and pooled tensors it is done with.
+func (g *Gateway) recycle(s *gatewaySession) {
+	s.model, s.pipeline = nil, nil
+	s.present, s.probs, s.slab, s.results = nil, nil, nil, nil
+	clear(s.snap.links)
+	clear(s.relayed)
+	clear(s.exitVecs)
+	g.sessions.put(s)
 }
 
 // Classify runs the full staged inference of §III-D for the samples as
@@ -58,7 +112,8 @@ type gatewaySession struct {
 // The returned slice always has len(sampleIDs) entries in input order.
 // When some samples fail (e.g. no device produced a summary for them, or
 // the upstream tier was unreachable) their entries are nil and the first
-// such failure is returned alongside the successful results.
+// such failure is returned alongside the successful results. Classify
+// does not keep sampleIDs.
 func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant string, level ShedLevel) ([]*Result, error) {
 	n := len(sampleIDs)
 	if n == 0 {
@@ -71,45 +126,49 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 		return nil, ctxErr(err)
 	}
 	devices := len(g.devices)
-	s := gatewaySession{
-		sid:       g.nextSession.Add(1),
-		start:     time.Now(),
-		pipeline:  g.TenantPipeline(tenant).Shed(level),
-		sampleIDs: sampleIDs,
-		present:   make([]bool, n*devices),
-		masks:     make([]uint16, n),
-		slab:      make([]Result, n),
-		results:   make([]*Result, n),
-	}
+	s := g.sessions.get()
+	defer g.recycle(s)
+	s.sid, s.start = g.nextSession.Add(1), time.Now()
+	s.pipeline = g.TenantPipeline(tenant).Shed(level)
+	s.ids = append(s.ids[:0], sampleIDs...)
 	s.model, s.mv, _ = g.reg.resolve(0)
-	s.snap = g.snapshotMembers()
+	g.snapshotMembers(&s.snap)
 	classes := s.model.Cfg.Classes
+	s.present = make([]bool, n*devices)
+	s.probs = make([]float32, n*classes)
+	s.slab = make([]Result, n)
+	s.results = make([]*Result, n)
+	s.masks = resize(s.masks, n)
+	clear(s.masks)
 
 	// Stage 1: every live device runs the whole session in one forward
 	// pass and sends a single summary frame.
-	capture := []wire.Message{&wire.CaptureBatch{Session: s.sid, ModelVersion: s.mv, SampleIDs: sampleIDs}}
-	reqs := make([][]wire.Message, devices)
-	for d := range reqs {
-		reqs[d] = capture // exchange skips absent and down slots
+	s.capture = wire.CaptureBatch{Session: s.sid, ModelVersion: s.mv, SampleIDs: s.ids}
+	s.frame[0] = &s.capture
+	s.reqs = resize(s.reqs, devices)
+	for d := range s.reqs {
+		s.reqs[d] = s.frame[:] // exchange skips absent and down slots
 	}
-	replies, err := exchange(ctx, s.sid, s.snap.links, g.cfg.DeviceTimeout, reqs)
+	replies, err := s.stage.exchange(ctx, s.sid, s.snap.links, g.cfg.DeviceTimeout, s.reqs)
 	if err != nil {
+		releaseReplies(replies)
 		return nil, err
 	}
-	exitVecs := make([]*tensor.Tensor, devices)
-	for d := range exitVecs {
-		exitVecs[d] = g.pool.Get(n, classes)
+	s.exitVecs = resize(s.exitVecs, devices)
+	for d := range s.exitVecs {
+		s.exitVecs[d] = g.pool.Get(n, classes)
 	}
-	defer putAll(g.pool, exitVecs)
+	defer putAll(g.pool, s.exitVecs)
 	for d, r := range replies {
 		// A missed round trip, a malformed summary or no frame for any
 		// sample (feed failure): the session degrades without this device.
-		switch m := r.msg.(type) {
+		switch m := r.msg().(type) {
 		case *wire.Error:
 			if m.Code == 426 {
 				// The device's registry no longer holds the session's pinned
 				// version; degrading to "absent frame" would silently answer
 				// on fewer devices, so the session fails typed instead.
+				releaseReplies(replies)
 				return nil, fmt.Errorf("cluster: device %d: %w", d, ErrModelVersionUnknown)
 			}
 		case *wire.SummaryBatch:
@@ -121,7 +180,7 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 				if !wire.IsPresent(m.Present, i) {
 					continue // absent frame (object not in view / feed error)
 				}
-				copy(exitVecs[d].Row(i), m.Probs[rows*classes:(rows+1)*classes])
+				copy(s.exitVecs[d].Row(i), m.Probs[rows*classes:(rows+1)*classes])
 				rows++
 				s.present[i*devices+d] = true
 				s.masks[i] |= 1 << uint(d)
@@ -129,12 +188,15 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 			g.Meter.Add("local-summary", int64(rows)*int64(wire.SummaryPayloadBytes(classes)))
 		}
 	}
+	releaseReplies(replies)
 
 	// Stage 2: aggregate the whole session in one forward, each sample
 	// under its own presence mask, and decide the first exit.
 	var firstErr error
-	var hard []int
-	probs := nn.Softmax(s.model.LocalAggregate(exitVecs, s.masks))
+	logits := s.model.LocalAggregatePooled(s.exitVecs, s.masks, g.pool)
+	nn.SoftmaxInto(s.probs, logits)
+	g.pool.Put(logits)
+	s.hard = s.hard[:0]
 	for i := 0; i < n; i++ {
 		if s.masks[i] == 0 {
 			if firstErr == nil {
@@ -142,22 +204,21 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 			}
 			continue
 		}
-		// Probs aliases the softmax row; probs is private to the session.
-		row := probs.Row(i)
+		row := s.probs[i*classes : (i+1)*classes : (i+1)*classes]
 		r := &s.slab[i]
 		*r = Result{
 			SampleID:      sampleIDs[i],
-			Probs:         row[:classes:classes],
+			Probs:         row,
 			Entropy:       nn.NormalizedEntropy(row),
 			Present:       s.present[i*devices : (i+1)*devices : (i+1)*devices],
 			ConfigVersion: s.snap.version,
 			ModelVersion:  s.mv,
 		}
 		if r.Entropy > s.pipeline[0].Threshold {
-			hard = append(hard, i)
+			s.hard = append(s.hard, i)
 			continue
 		}
-		r.Class = probs.ArgMaxRow(i)
+		r.Class = core.Argmax(row)
 		r.Exit = wire.ExitLocal
 		r.Latency = time.Since(s.start)
 		s.results[i] = r
@@ -166,9 +227,9 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 
 	// Stage 3: the hard remainder — and only it — rides upstream as one
 	// escalation (the paper's staged partial exit).
-	if len(hard) > 0 {
+	if len(s.hard) > 0 {
 		escStart := time.Now()
-		err := g.escalate(ctx, &s, hard)
+		err := g.escalate(ctx, s)
 		if err == nil {
 			g.instr.observeStage(g.upstreamExit(), time.Since(escStart))
 		} else if firstErr == nil {
@@ -185,36 +246,44 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 	return s.results, firstErr
 }
 
-// escalate fetches the escalating samples' feature maps from the devices
-// that cover them — each device packs its whole subset into one frame —
-// and relays them behind a classify header to the next tier of the
-// pipeline: an edge replica, which answers confident samples itself and
-// forwards the rest to the cloud, or a cloud replica directly in a
-// two-tier hierarchy. The replica pool picks the least-loaded healthy
-// replica and, because the frames carry the session's complete feature
-// payload, re-sends them verbatim to another replica if the chosen one
-// dies mid-session. The relayed thresholds come from the session's
-// pipeline, so tenant and shed overrides reach the upper tiers. Results
-// are filled for every escalating index from the returned ResultBatch.
-func (g *Gateway) escalate(ctx context.Context, s *gatewaySession, hard []int) error {
+// escalate fetches the escalating samples' (s.hard) feature maps from
+// the devices that cover them — each device packs its whole subset into
+// one frame — and relays them behind a classify header to the next tier
+// of the pipeline: an edge replica, which answers confident samples
+// itself and forwards the rest to the cloud, or a cloud replica directly
+// in a two-tier hierarchy. The replica pool picks the least-loaded
+// healthy replica and, because the frames carry the session's complete
+// feature payload, re-sends them verbatim to another replica if the
+// chosen one dies mid-session. The relayed thresholds come from the
+// session's pipeline, so tenant and shed overrides reach the upper tiers.
+// Results are filled for every escalating index from the returned
+// ResultBatch.
+func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
+	hard := s.hard
 	sentinel := g.upstreamSentinel()
 	if g.upstream.Down() {
 		return fmt.Errorf("cluster: session of %d samples: %w: %w", len(hard), sentinel, ErrNoHealthyReplica)
 	}
 	devices := len(g.devices)
-	escIDs := make([]uint64, len(hard))
-	escMasks := make([]uint16, len(hard))
+	escIDs := resize(s.escIDs, len(hard))
+	escMasks := resize(s.escMasks, len(hard))
+	s.escIDs, s.escMasks = escIDs, escMasks
 	for k, idx := range hard {
-		escIDs[k] = s.sampleIDs[idx]
+		escIDs[k] = s.ids[idx]
 		escMasks[k] = s.masks[idx]
 	}
 
 	// A device is asked for exactly the escalating samples it summarized;
 	// devices that cover all of them share one request.
-	all := []wire.Message{&wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: escIDs}}
-	reqs := make([][]wire.Message, devices)
-	want := make([]int, devices) // feature maps asked of each device
+	s.fetchAll = wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: escIDs}
+	s.frame[0] = &s.fetchAll
+	reqs := s.reqs
+	want := resize(s.want, devices) // feature maps asked of each device
+	s.want = want
+	s.fetch = resize(s.fetch, devices)
+	s.fetchFrames = resize(s.fetchFrames, devices)
 	for d := range reqs {
+		reqs[d], want[d] = nil, 0
 		bit := uint16(1) << uint(d)
 		for _, m := range escMasks {
 			if m&bit != 0 {
@@ -224,28 +293,38 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession, hard []int) e
 		switch want[d] {
 		case 0:
 		case len(escIDs):
-			reqs[d] = all
+			reqs[d] = s.frame[:]
 		default:
-			ids := make([]uint64, 0, want[d])
+			fr := &s.fetch[d]
+			ids := fr.SampleIDs[:0]
 			for k, m := range escMasks {
 				if m&bit != 0 {
 					ids = append(ids, escIDs[k])
 				}
 			}
-			reqs[d] = []wire.Message{&wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: ids}}
+			*fr = wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: ids}
+			s.fetchFrames[d][0] = fr
+			reqs[d] = s.fetchFrames[d][:]
 		}
 	}
-	replies, err := exchange(ctx, s.sid, s.snap.links, g.cfg.DeviceTimeout, reqs)
+	replies, err := s.stage.exchange(ctx, s.sid, s.snap.links, g.cfg.DeviceTimeout, reqs)
+	// The relay reuses the stage, so the fetched frames move to held.
+	for _, r := range replies {
+		if r.f != nil {
+			s.held = append(s.held, r.f)
+		}
+	}
+	defer s.releaseHeld()
 	if err != nil {
 		return err
 	}
-	frames := make([]wire.Message, 1, devices+1) // frames[0] is the header
+	frames := append(s.relayed[:0], nil) // frames[0] is the header
 	for d, r := range replies {
 		if reqs[d] == nil {
 			continue
 		}
 		err := r.err
-		switch m := r.msg.(type) {
+		switch m := r.msg().(type) {
 		case *wire.FeatureBatch:
 			if int(m.Count) == want[d] {
 				frames = append(frames, m)
@@ -270,6 +349,7 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession, hard []int) e
 			escMasks[k] &^= 1 << uint(d)
 		}
 	}
+	s.relayed = frames
 	if len(frames) == 1 {
 		return fmt.Errorf("cluster: no features collected for session of %d samples: %w", len(hard), ErrNoSummaries)
 	}
@@ -283,7 +363,7 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession, hard []int) e
 	for k, idx := range hard {
 		if escMasks[k] == 0 {
 			if dropErr == nil {
-				dropErr = fmt.Errorf("cluster: sample %d: %w", s.sampleIDs[idx], ErrNoSummaries)
+				dropErr = fmt.Errorf("cluster: sample %d: %w", s.ids[idx], ErrNoSummaries)
 			}
 			continue
 		}
@@ -296,33 +376,37 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession, hard []int) e
 	}
 
 	if g.upstreamExit() == wire.ExitEdge {
-		frames[0] = &wire.EdgeClassifyBatch{
+		s.thresholds = s.pipeline.appendRelayThresholds(s.thresholds[:0])
+		s.edgeHdr = wire.EdgeClassifyBatch{
 			Session:      s.sid,
 			ModelVersion: s.mv,
 			Devices:      uint16(devices),
 			SampleIDs:    escIDs,
 			Masks:        escMasks,
-			Thresholds:   s.pipeline.RelayThresholds(),
+			Thresholds:   s.thresholds,
 		}
+		frames[0] = &s.edgeHdr
 	} else {
-		frames[0] = &wire.CloudClassifyBatch{
+		s.cloudHdr = wire.CloudClassifyBatch{
 			Session:      s.sid,
 			ModelVersion: s.mv,
 			Devices:      uint16(devices),
 			SampleIDs:    escIDs,
 			Masks:        escMasks,
 		}
+		frames[0] = &s.cloudHdr
 	}
-	msg, err := g.upstream.relay(ctx, s.sid, g.upstreamTimeout(), frames...)
+	f, err := g.upstream.relay(ctx, &s.stage, s.sid, g.upstreamTimeout(), time.Time{}, frames...)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return ctxErr(cerr)
 		}
 		return fmt.Errorf("cluster: %w: %w", sentinel, err)
 	}
-	rb, ok := msg.(*wire.ResultBatch)
+	defer f.Release()
+	rb, ok := f.Msg.(*wire.ResultBatch)
 	if !ok {
-		if e, isErr := msg.(*wire.Error); isErr {
+		if e, isErr := f.Msg.(*wire.Error); isErr {
 			if e.Code == 503 {
 				// The edge reached its own exit but the tier above it
 				// did not answer.
@@ -333,17 +417,25 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession, hard []int) e
 			}
 			return fmt.Errorf("cluster: %w: %v error %d: %s", sentinel, g.upstreamExit(), e.Code, e.Msg)
 		}
-		return fmt.Errorf("cluster: expected ResultBatch, got %v", msg.MsgType())
+		return fmt.Errorf("cluster: expected ResultBatch, got %v", f.Msg.MsgType())
 	}
 	if err := checkVerdicts(rb.Verdicts, escIDs); err != nil {
 		return fmt.Errorf("cluster: %v tier: %w", g.upstreamExit(), err)
 	}
+	classes := s.model.Cfg.Classes
 	for k, v := range rb.Verdicts {
 		idx := hard[k]
 		r := &s.slab[idx]
 		r.Class = int(v.Class)
 		r.Exit = v.Exit
-		r.Probs = v.Probs
+		// The verdict's probabilities alias the reply frame: copy them
+		// into the sample's own row.
+		if len(v.Probs) == classes {
+			r.Probs = s.probs[idx*classes : (idx+1)*classes : (idx+1)*classes]
+			copy(r.Probs, v.Probs)
+		} else {
+			r.Probs = append([]float32(nil), v.Probs...)
+		}
 		r.Latency = time.Since(s.start)
 		s.results[idx] = r
 	}

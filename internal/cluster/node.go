@@ -33,8 +33,13 @@ type server struct {
 	// handlers free of per-sample heap allocation.
 	pool *tensor.Pool
 	// frame is the tier's half of the frame loop: its switch over the
-	// message types it serves.
-	frame func(c *nodeConn, m wire.Message)
+	// message types it serves. It owns the frame: it releases it, or
+	// hands it to a worker with nodeConn.spawn.
+	frame func(c *nodeConn, f *wire.Frame)
+	// run is the tier's worker half: it serves one task that frame
+	// spawned, with the worker's reply scratch, and releases what the
+	// task holds.
+	run func(c *nodeConn, t task, sc *scratch)
 	// onClose runs once, after the listener and connections close and
 	// before Close waits for their handlers.
 	onClose func()
@@ -53,7 +58,7 @@ type server struct {
 }
 
 // init sets up a tier node serving model's sections.
-func (s *server) init(name string, model *core.Model, logger *slog.Logger, frame func(*nodeConn, wire.Message)) {
+func (s *server) init(name string, model *core.Model, logger *slog.Logger, frame func(*nodeConn, *wire.Frame), run func(*nodeConn, task, *scratch)) {
 	if logger == nil {
 		logger = slog.Default()
 	}
@@ -62,6 +67,7 @@ func (s *server) init(name string, model *core.Model, logger *slog.Logger, frame
 	s.reg = newModelRegistry(model, 1)
 	s.pool = tensor.NewPool()
 	s.frame = frame
+	s.run = run
 }
 
 // Serve starts accepting connections on the transport address. It
@@ -207,9 +213,33 @@ type nodeConn struct {
 	srv  *server
 	wmu  sync.Mutex
 	work sync.WaitGroup
+	// tasks hands spawned work to the connection's idle workers.
+	tasks chan task
 	// sessions holds the connection's open escalation sessions (edge and
 	// cloud only).
 	sessions sessionTable
+}
+
+// task is one unit of work a frame handler spawns: a request frame
+// (device, cloud) or a complete escalation session (edge, cloud).
+type task struct {
+	f  *wire.Frame
+	up *uploadSession
+}
+
+// scratch is one worker's reply storage. A worker sends each reply
+// before it takes its next task, so every task it runs reuses the same
+// frames and buffers.
+type scratch struct {
+	summary  wire.SummaryBatch
+	features wire.FeatureBatch
+	results  wire.ResultBatch
+	edge     wire.EdgeFeatureBatch
+	probs    []float32
+	ids      []uint64
+	hard     []int
+	// stage carries the edge's escalations to the cloud pool.
+	stage stage
 }
 
 // send writes one frame to the peer.
@@ -220,18 +250,28 @@ func (c *nodeConn) send(m wire.Message) error {
 	return err
 }
 
-// add counts one unit of work about to start on its own goroutine, which
-// must call done when it finishes. Callers write the goroutine out
-// (go func() { defer c.done(); … }()) so spawning costs its one closure.
-func (c *nodeConn) add() {
+// spawn runs t on one of the connection's workers: an idle one when
+// there is one, else a new one, which then stays for later tasks until
+// the frame loop ends. Frames run as concurrently as with a goroutine
+// each, while a steady stream reuses the workers and their scratch.
+func (c *nodeConn) spawn(t task) {
 	c.work.Add(1)
 	c.srv.active.Add(1)
+	select {
+	case c.tasks <- t:
+	default:
+		go c.worker(t)
+	}
 }
 
-// done marks one unit of work counted by add as finished.
-func (c *nodeConn) done() {
-	c.srv.active.Add(-1)
-	c.work.Done()
+// worker runs tasks until the frame loop closes tasks.
+func (c *nodeConn) worker(t task) {
+	sc := new(scratch)
+	for ok := true; ok; t, ok = <-c.tasks {
+		c.srv.run(c, t, sc)
+		c.srv.active.Add(-1)
+		c.work.Done()
+	}
 }
 
 // serveFrames is the frame loop of every tier connection. It decodes
@@ -244,9 +284,14 @@ func (c *nodeConn) done() {
 // the connection's spawned work has finished.
 func (s *server) serveFrames(c *nodeConn) {
 	c.sessions = sessionTable{reg: s.reg, send: c.send}
-	defer c.work.Wait()
+	c.tasks = make(chan task)
+	defer func() {
+		c.work.Wait()
+		close(c.tasks) // idle workers exit
+	}()
+	dec := wire.NewDecoder(c.conn)
 	for {
-		msg, err := wire.Decode(c.conn)
+		f, err := dec.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logger.Debug("decode error", "err", err)
@@ -254,15 +299,18 @@ func (s *server) serveFrames(c *nodeConn) {
 			return
 		}
 		if s.failed.Load() {
+			f.Release()
 			continue
 		}
-		if hb, ok := msg.(*wire.Heartbeat); ok {
-			if c.send(hb) != nil {
+		if hb, ok := f.Msg.(*wire.Heartbeat); ok {
+			err := c.send(hb)
+			f.Release()
+			if err != nil {
 				return
 			}
 			continue
 		}
-		s.frame(c, msg)
+		s.frame(c, f)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
 	"github.com/ddnn/ddnn-go/internal/nn"
-	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -26,6 +25,17 @@ func stagedExpectation(res *core.EvalResult, pol branchy.Policy, i int) (wire.Ex
 	}
 	e, probs := res.Exit(pol, i)
 	return exits[e], core.Argmax(probs)
+}
+
+// checkStagedProbs reports a result whose probabilities are not, bit for
+// bit, those of its exit in the staged reference. Results own their
+// probabilities: one that still aliased a released reply frame would
+// read another session's values, or poison under -tags ddnnpoison.
+func checkStagedProbs(t *testing.T, got *Result, res *core.EvalResult, pol branchy.Policy, i int) {
+	t.Helper()
+	if _, want := res.Exit(pol, i); !slices.Equal(got.Probs, want) {
+		t.Errorf("sample %d: probabilities %v, staged Evaluate says %v", i, got.Probs, want)
+	}
 }
 
 // Degraded parity runs take device parityFailedDevice down for the whole
@@ -89,11 +99,11 @@ func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, l
 		eng.Devices()[parityFailedDevice].SetFailed(true)
 		dev := eng.Devices()[parityAbsentDevice]
 		feed := dev.feed
-		dev.feed = func(id uint64) (*tensor.Tensor, error) {
+		dev.feed = func(id uint64, dst []float32) error {
 			if id == parityAbsentSample {
-				return nil, errors.New("object not in view")
+				return errors.New("object not in view")
 			}
-			return feed(id)
+			return feed(id, dst)
 		}
 	}
 
@@ -128,6 +138,7 @@ func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, l
 		if got.Class != wantClass {
 			t.Errorf("sample %d (batch %d): engine class %d, staged Evaluate says %d", i, batch, got.Class, wantClass)
 		}
+		checkStagedProbs(t, got, refs[k], pol, i)
 		if degraded && !slices.Equal(got.Present, masks[k]) {
 			t.Errorf("sample %d (batch %d): present %v, want %v", i, batch, got.Present, masks[k])
 		}

@@ -104,17 +104,13 @@ func (p Pipeline) Validate() error {
 	return nil
 }
 
-// RelayThresholds returns the thresholds the gateway forwards with an
-// escalation: every stage above the local exit except the final stage,
-// which always classifies. Each intermediate tier consumes the first
-// entry and relays the rest.
-func (p Pipeline) RelayThresholds() []float64 {
-	if len(p) <= 2 {
-		return nil
-	}
-	ts := make([]float64, 0, len(p)-2)
+// appendRelayThresholds appends the thresholds the gateway forwards with
+// an escalation to dst: every stage above the local exit except the final
+// stage, which always classifies. Each intermediate tier consumes the
+// first entry and relays the rest.
+func (p Pipeline) appendRelayThresholds(dst []float64) []float64 {
 	for _, s := range p[1 : len(p)-1] {
-		ts = append(ts, s.Threshold)
+		dst = append(dst, s.Threshold)
 	}
-	return ts
+	return dst
 }

@@ -159,7 +159,8 @@ func (p *ReplicaPool) splitmix64() uint64 {
 // choices on in-flight count among healthy, untried replicas, ties
 // broken round-robin. The caller must pair a successful pick with done.
 func (p *ReplicaPool) pick(tried uint64) (*replica, error) {
-	var cands []*replica
+	var buf [64]*replica // newReplicaPool caps the pool at 64
+	cands := buf[:0]
 	for _, r := range p.replicas {
 		if tried&(1<<uint(r.index)) != 0 {
 			continue
@@ -270,8 +271,11 @@ func (p *ReplicaPool) setFenced(i int, fenced bool) {
 // frames carry the session's complete bit-packed feature payload — a
 // replica that half-processed the session before dying leaves no state
 // the retry depends on. Non-replica failures (context cancellation,
-// protocol errors from a live replica) are returned immediately.
-func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Duration, frames ...wire.Message) (wire.Message, error) {
+// protocol errors from a live replica) are returned immediately. Each
+// attempt waits up to timeout, cut short by budget when that is not
+// zero: one bound for every attempt together. The round trips run on
+// st, and the reply frame is the caller's to release.
+func (p *ReplicaPool) relay(ctx context.Context, st *stage, sid uint64, timeout time.Duration, budget time.Time, frames ...wire.Message) (*wire.Frame, error) {
 	var tried uint64
 	var lastErr error
 	for attempt := 0; attempt < len(p.replicas); attempt++ {
@@ -282,10 +286,17 @@ func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Durati
 			}
 			return nil, err
 		}
-		msg, rerr := p.relayOn(ctx, r, sid, timeout, frames)
+		t := timeout
+		if !budget.IsZero() {
+			if t = min(t, time.Until(budget)); t <= 0 {
+				p.done(r)
+				return nil, fmt.Errorf("cluster: %w after %v", ErrDeadlineExceeded, timeout)
+			}
+		}
+		f, rerr := p.relayOn(ctx, st, r, sid, t, frames)
 		p.done(r)
 		if rerr == nil {
-			return msg, nil
+			return f, nil
 		}
 		if !errors.Is(rerr, errReplicaUnreachable) {
 			return nil, rerr // session-fatal: context or protocol error
@@ -300,19 +311,21 @@ func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Durati
 
 // relayOn performs one escalation attempt against a single replica,
 // re-dialing it first if its connection died.
-func (p *ReplicaPool) relayOn(ctx context.Context, r *replica, sid uint64, timeout time.Duration, frames []wire.Message) (wire.Message, error) {
+func (p *ReplicaPool) relayOn(ctx context.Context, st *stage, r *replica, sid uint64, timeout time.Duration, frames []wire.Message) (*wire.Frame, error) {
 	lk, err := r.ensureLink(ctx, p.tr)
 	if err != nil {
 		return nil, err
 	}
-	replies, err := exchange(ctx, sid, []*link{lk}, timeout, [][]wire.Message{frames})
+	st.one, st.oneFrames = [1]*link{lk}, [1][]wire.Message{frames}
+	replies, err := st.exchange(ctx, sid, st.one[:], timeout, st.oneFrames[:])
+	st.one, st.oneFrames = [1]*link{}, [1][]wire.Message{}
 	if err != nil {
 		return nil, err
 	}
 	if err := replies[0].err; err != nil {
 		return nil, fmt.Errorf("%w: %w", errReplicaUnreachable, err)
 	}
-	return replies[0].msg, nil
+	return replies[0].f, nil
 }
 
 // close tears down every replica connection.

@@ -162,7 +162,7 @@ func TestPoolAllDownTypedError(t *testing.T) {
 	if _, err := pool.pick(0); !errors.Is(err, ErrNoHealthyReplica) {
 		t.Fatalf("pick with all replicas fenced: err = %v, want ErrNoHealthyReplica", err)
 	}
-	if _, err := pool.relay(context.Background(), 1, time.Second, &wire.Heartbeat{}); !errors.Is(err, ErrNoHealthyReplica) {
+	if _, err := pool.relay(context.Background(), new(stage), 1, time.Second, time.Time{}, &wire.Heartbeat{}); !errors.Is(err, ErrNoHealthyReplica) {
 		t.Fatalf("relay with all replicas fenced: err = %v, want ErrNoHealthyReplica", err)
 	}
 }
@@ -178,13 +178,14 @@ func TestPoolRelaySkipsUndialableReplica(t *testing.T) {
 	kill(0)
 	for i := 0; i < 50; i++ {
 		sid := uint64(i + 1)
-		msg, err := pool.relay(context.Background(), sid, time.Second, &wire.Error{Session: sid, Code: 200})
+		f, err := pool.relay(context.Background(), new(stage), sid, time.Second, time.Time{}, &wire.Error{Session: sid, Code: 200})
 		if err != nil {
 			t.Fatalf("relay %d: %v", i, err)
 		}
-		if e, ok := msg.(*wire.Error); !ok || e.Session != sid {
-			t.Fatalf("relay %d answered %+v, want the echo of session %d", i, msg, sid)
+		if e, ok := f.Msg.(*wire.Error); !ok || e.Session != sid {
+			t.Fatalf("relay %d answered %+v, want the echo of session %d", i, f.Msg, sid)
 		}
+		f.Release()
 	}
 	if got := pool.replicas[1].inFlight.Load() + pool.replicas[0].inFlight.Load(); got != 0 {
 		t.Errorf("%d sessions still counted in flight after every relay returned", got)

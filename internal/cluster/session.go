@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/nn"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -19,7 +20,9 @@ const maxOpenSessions = 64
 // uploadSession accumulates one escalation session's per-device
 // FeatureBatch frames until every device in the union of the per-sample
 // masks has reported. It is shared by the cloud (CloudClassifyBatch) and
-// the edge node (EdgeClassifyBatch).
+// the edge node (EdgeClassifyBatch). Sessions are recycled through the
+// connection's sessionTable: the header's lists are copied into the
+// session's own storage, and the device frames stay held until release.
 type uploadSession struct {
 	session      uint64
 	modelVersion uint64
@@ -35,34 +38,35 @@ type uploadSession struct {
 	// bits[d] is device d's FeatureBatch payload as decoded: the packed
 	// feature maps of the samples its mask bit covers, in header order
 	// (core.Model.CloudForwardBits). A device no sample covers has none.
-	bits [][]byte
+	// The payloads alias frames, which the session holds until release.
+	bits   [][]byte
+	frames []*wire.Frame
 	// union is the OR of the per-sample masks — the devices expected to
 	// upload — and got the ones that have.
 	union, got uint16
 }
 
-// newUploadSession validates an escalation header against the model
-// configuration.
-func newUploadSession(model *core.Model, devices uint16, ids []uint64, masks []uint16) (*uploadSession, error) {
+// checkHeader validates an escalation header against the model
+// configuration and returns the union of its masks.
+func checkHeader(model *core.Model, devices uint16, ids []uint64, masks []uint16) (uint16, error) {
 	cfg := model.Cfg
 	if int(devices) != cfg.Devices {
-		return nil, fmt.Errorf("model has %d devices, session says %d", cfg.Devices, devices)
+		return 0, fmt.Errorf("model has %d devices, session says %d", cfg.Devices, devices)
 	}
 	if len(ids) == 0 {
-		return nil, fmt.Errorf("empty batch")
+		return 0, fmt.Errorf("empty batch")
 	}
 	if len(ids) != len(masks) {
-		return nil, fmt.Errorf("batch has %d samples but %d masks", len(ids), len(masks))
+		return 0, fmt.Errorf("batch has %d samples but %d masks", len(ids), len(masks))
 	}
-	s := &uploadSession{model: model, ids: ids, masks: masks}
+	var union uint16
 	for _, m := range masks {
-		s.union |= m
+		union |= m
 	}
-	if s.union == 0 {
-		return nil, fmt.Errorf("empty device mask")
+	if union == 0 {
+		return 0, fmt.Errorf("empty device mask")
 	}
-	s.bits = make([][]byte, cfg.Devices)
-	return s, nil
+	return union, nil
 }
 
 // putAll retires a per-device tensor set to the pool.
@@ -83,11 +87,12 @@ func (s *uploadSession) expectedCount(d int) int {
 	return c
 }
 
-// add keeps one device's FeatureBatch payload: sample k of the frame is
-// the k-th sample the device covers, in header order. It rejects frames
-// from devices outside the announced masks, duplicates, and count or
-// shape mismatches against the header and the model configuration.
-func (s *uploadSession) add(fb *wire.FeatureBatch) error {
+// add keeps one device's FeatureBatch payload, and holds its frame:
+// sample k of the frame is the k-th sample the device covers, in header
+// order. It rejects frames from devices outside the announced masks,
+// duplicates, and count or shape mismatches against the header and the
+// model configuration; a rejected frame is not held.
+func (s *uploadSession) add(f *wire.Frame, fb *wire.FeatureBatch) error {
 	d := int(fb.Device)
 	if d < 0 || d >= len(s.bits) {
 		return fmt.Errorf("feature batch from unknown device %d", d)
@@ -105,6 +110,7 @@ func (s *uploadSession) add(fb *wire.FeatureBatch) error {
 			d, fb.F, fb.H, fb.W, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
 	}
 	s.bits[d] = fb.Bits
+	s.frames = append(s.frames, f)
 	s.got |= bit
 	return nil
 }
@@ -120,12 +126,15 @@ type sessionTable struct {
 	reg  *modelRegistry
 	send func(wire.Message) error
 	open map[uint64]*uploadSession // made by the first begin
+	// free recycles finished sessions; release may run on a worker.
+	free freeList[uploadSession]
 }
 
-// begin opens the session a classify header announces, answering the
-// peer with a typed, session-tagged wire.Error when it cannot: 426 for
-// an unknown pinned version, 400 for a header the model rejects, 429
-// when the connection already holds maxOpenSessions incomplete sessions.
+// begin opens the session a classify header announces, copying its
+// lists, and answers the peer with a typed, session-tagged wire.Error
+// when it cannot: 426 for an unknown pinned version, 400 for a header the
+// model rejects, 429 when the connection already holds maxOpenSessions
+// incomplete sessions.
 func (t *sessionTable) begin(session, modelVersion uint64, devices uint16, ids []uint64, masks []uint16, thresholds []float64) {
 	model, _, err := t.reg.resolve(modelVersion)
 	if err != nil {
@@ -136,7 +145,7 @@ func (t *sessionTable) begin(session, modelVersion uint64, devices uint16, ids [
 		_ = t.send(&wire.Error{Session: session, Code: 429, Msg: fmt.Sprintf("connection already holds %d incomplete sessions", maxOpenSessions)})
 		return
 	}
-	up, err := newUploadSession(model, devices, ids, masks)
+	union, err := checkHeader(model, devices, ids, masks)
 	if err != nil {
 		_ = t.send(&wire.Error{Session: session, Code: 400, Msg: err.Error()})
 		return
@@ -144,22 +153,37 @@ func (t *sessionTable) begin(session, modelVersion uint64, devices uint16, ids [
 	if t.open == nil {
 		t.open = make(map[uint64]*uploadSession)
 	}
-	up.session, up.modelVersion, up.thresholds = session, modelVersion, thresholds
-	t.open[session] = up // replaces a session the peer restarted
+	up := t.free.get()
+	up.session, up.modelVersion, up.model = session, modelVersion, model
+	up.ids = append(up.ids[:0], ids...)
+	up.masks = append(up.masks[:0], masks...)
+	up.thresholds = append(up.thresholds[:0], thresholds...)
+	up.bits = resize(up.bits, model.Cfg.Devices)
+	clear(up.bits)
+	up.union, up.got = union, 0
+	if prev := t.open[session]; prev != nil {
+		t.release(prev) // the peer restarted the session
+	}
+	t.open[session] = up
 }
 
-// add routes one FeatureBatch to its open session and returns the
+// add routes one FeatureBatch frame to its open session and returns the
 // session once it is complete, removed from the table. A frame the
-// session rejects drops the session and answers a 400.
-func (t *sessionTable) add(fb *wire.FeatureBatch) *uploadSession {
+// session rejects drops the session and answers a 400. The frame is
+// released unless the session holds it.
+func (t *sessionTable) add(f *wire.Frame) *uploadSession {
+	fb := f.Msg.(*wire.FeatureBatch)
 	up, ok := t.open[fb.Session]
 	if !ok {
 		_ = t.send(&wire.Error{Session: fb.Session, Code: 400, Msg: fmt.Sprintf("feature batch for unknown session %d", fb.Session)})
+		f.Release()
 		return nil
 	}
-	if err := up.add(fb); err != nil {
+	if err := up.add(f, fb); err != nil {
 		delete(t.open, fb.Session)
 		_ = t.send(&wire.Error{Session: fb.Session, Code: 400, Msg: err.Error()})
+		f.Release()
+		t.release(up)
 		return nil
 	}
 	if !up.complete() {
@@ -169,17 +193,37 @@ func (t *sessionTable) add(fb *wire.FeatureBatch) *uploadSession {
 	return up
 }
 
-// verdictRow assembles one sample's BatchVerdict from row k of a softmax
-// probability tensor — the shared tail of every tier's classify. The
-// verdict's Probs alias the row, so probs must be private to the session
-// (nn.Softmax returns a fresh tensor) and never pooled.
-func verdictRow(probs *tensor.Tensor, k int, id uint64, exit wire.ExitPoint) wire.BatchVerdict {
-	row := probs.Row(k)
+// release ends a session: its frames are released and it is recycled.
+func (t *sessionTable) release(up *uploadSession) {
+	for i, f := range up.frames {
+		f.Release()
+		up.frames[i] = nil
+	}
+	up.frames = up.frames[:0]
+	clear(up.bits)
+	up.model = nil
+	t.free.put(up)
+}
+
+// softmaxRows writes the softmax of logits into the worker's probs
+// scratch and returns it, row-major.
+func (sc *scratch) softmaxRows(logits *tensor.Tensor) []float32 {
+	sc.probs = resize(sc.probs, logits.Size())
+	nn.SoftmaxInto(sc.probs, logits)
+	return sc.probs
+}
+
+// verdictRow assembles one sample's BatchVerdict from row k of softmax
+// probabilities with the given class count — the shared tail of every
+// tier's classify. The verdict's Probs alias the row, so the reply must
+// go out before probs is reused.
+func verdictRow(probs []float32, classes, k int, id uint64, exit wire.ExitPoint) wire.BatchVerdict {
+	row := probs[k*classes : (k+1)*classes : (k+1)*classes]
 	return wire.BatchVerdict{
 		SampleID: id,
 		Exit:     exit,
-		Class:    uint16(probs.ArgMaxRow(k)),
-		Probs:    row[:len(row):len(row)],
+		Class:    uint16(core.Argmax(row)),
+		Probs:    row,
 	}
 }
 

@@ -100,11 +100,10 @@ func (g *Gateway) admitConn(slot int, conn net.Conn, addr string, only *link) (*
 		return nil, 0, ErrClosed
 	}
 	if welcome {
-		_ = l.conn.SetWriteDeadline(time.Now().Add(g.cfg.HeartbeatInterval))
-		_, err := wire.Encode(l.conn, &wire.DeviceWelcome{Slot: uint16(slot), Devices: uint16(len(g.devices)), ConfigVersion: v})
-		_ = l.conn.SetWriteDeadline(time.Time{})
-		if err != nil { // the slot keeps the dead link, as when any link drops
-			l.close()
+		// A failed write fails the link; the slot keeps the dead link, as
+		// when any link drops.
+		err := l.write(time.Now().Add(g.cfg.HeartbeatInterval), &wire.DeviceWelcome{Slot: uint16(slot), Devices: uint16(len(g.devices)), ConfigVersion: v})
+		if err != nil {
 			return nil, 0, err
 		}
 	}
@@ -125,10 +124,11 @@ func (g *Gateway) RemoveDevice(slot int) (uint64, error) {
 }
 
 // swapLink makes l (dialed at addr) the link of slot — nil vacates it —
-// resets its down flag, bumps the config version and closes the replaced
-// link, whose in-flight sessions degrade like a device timeout; it returns
-// the new version. It changes nothing and reports false when only is
-// non-nil and no longer holds the slot, or l is new and the gateway closed.
+// resets its down flag (a re-dial of a down slot keeps it), bumps the
+// config version and closes the replaced link, whose in-flight sessions
+// degrade like a device timeout; it returns the new version. It changes
+// nothing and reports false when only is non-nil and no longer holds the
+// slot, or l is new and the gateway closed.
 func (g *Gateway) swapLink(slot int, l *link, addr string, only *link) (uint64, bool) {
 	g.stateMu.Lock()
 	dl := g.devices[slot]
@@ -137,7 +137,14 @@ func (g *Gateway) swapLink(slot int, l *link, addr string, only *link) (uint64, 
 		return 0, false
 	}
 	old := dl.link
-	dl.link, dl.addr, dl.down = l, addr, false
+	dl.link, dl.addr = l, addr
+	if l != nil && only != nil && dl.down {
+		// A re-dial replaces a broken link but proves nothing about the
+		// device: it stays down until the new link's first frame.
+		l.armed.Store(true)
+	} else {
+		dl.down = false
+	}
 	g.configVersion++
 	v := g.configVersion
 	g.stateMu.Unlock()
@@ -202,16 +209,17 @@ type memberSnapshot struct {
 }
 
 // snapshotMembers captures the session's membership view under the
-// state lock. A device the failure detector marked down is left out
-// until its next echo re-admits it.
-func (g *Gateway) snapshotMembers() memberSnapshot {
+// state lock into snap, reusing its links slice. A device the failure
+// detector marked down is left out until its next echo re-admits it.
+func (g *Gateway) snapshotMembers(snap *memberSnapshot) {
 	g.stateMu.Lock()
 	defer g.stateMu.Unlock()
-	links := make([]*link, len(g.devices))
+	snap.version = g.configVersion
+	snap.links = resize(snap.links, len(g.devices))
 	for i, dl := range g.devices {
+		snap.links[i] = nil
 		if !dl.down {
-			links[i] = dl.link
+			snap.links[i] = dl.link
 		}
 	}
-	return memberSnapshot{version: g.configVersion, links: links}
 }

@@ -66,11 +66,15 @@ func (s *uploadStore) remove(id uint64) {
 // uploadFeed routes upload-space sample IDs to the shared store and
 // everything else to the device's base feed.
 func uploadFeed(store *uploadStore, base Feed, device int) Feed {
-	return func(sampleID uint64) (*tensor.Tensor, error) {
-		if sampleID >= uploadIDBase {
-			return store.view(device, sampleID)
+	return func(sampleID uint64, dst []float32) error {
+		if sampleID < uploadIDBase {
+			return base(sampleID, dst)
 		}
-		return base(sampleID)
+		view, err := store.view(device, sampleID)
+		if err != nil {
+			return err
+		}
+		return copyView(dst, view.Data())
 	}
 }
 

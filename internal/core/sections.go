@@ -62,7 +62,14 @@ func (m *Model) device(i int) *deviceSection {
 // device d covers sample i, and nil means every device covers every
 // sample. Row i equals the aggregation of sample i alone under its mask.
 func (m *Model) LocalAggregate(exitVecs []*tensor.Tensor, masks []uint16) *tensor.Tensor {
-	return m.localAgg.ForwardPooled(exitVecs, masks, nil)
+	return m.LocalAggregatePooled(exitVecs, masks, nil)
+}
+
+// LocalAggregatePooled is LocalAggregate drawing the returned logits from
+// a tensor pool; the caller should Put them back once consumed. A nil
+// pool allocates.
+func (m *Model) LocalAggregatePooled(exitVecs []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor {
+	return m.localAgg.ForwardPooled(exitVecs, masks, p)
 }
 
 // CloudForward aggregates per-device feature maps and runs the cloud

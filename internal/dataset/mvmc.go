@@ -385,10 +385,17 @@ func (d *Dataset) DeviceBatch(device int, indices []int) *tensor.Tensor {
 
 // DeviceView returns one device's view of one sample as a
 // [1, C, H, W] tensor sharing the dataset's storage — no copy, so the
-// caller must not mutate it. It is the zero-allocation-path analogue of
-// DeviceBatch(device, []int{idx}) used by the serving runtime's feeds.
+// caller must not mutate it. It is DeviceBatch(device, []int{idx})
+// without the copy.
 func (d *Dataset) DeviceView(device, idx int) *tensor.Tensor {
-	return tensor.FromSlice(d.Samples[idx].Views[device], 1, ImageC, ImageH, ImageW)
+	return tensor.FromSlice(d.View(device, idx), 1, ImageC, ImageH, ImageW)
+}
+
+// View returns one device's view of one sample as its C·H·W values in
+// the dataset's storage, the serving runtime's capture source: no copy
+// and no allocation, so the caller must not mutate it.
+func (d *Dataset) View(device, idx int) []float32 {
+	return d.Samples[idx].Views[device]
 }
 
 // AllDeviceBatches assembles the input tensors for the first k devices; a

@@ -13,10 +13,20 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	if logits.Dims() != 2 {
 		panic(fmt.Sprintf("nn: Softmax input %v, want [N C]", logits.Shape()))
 	}
+	out := tensor.New(logits.Dim(0), logits.Dim(1))
+	SoftmaxInto(out.Data(), logits)
+	return out
+}
+
+// SoftmaxInto is Softmax writing the probabilities into dst, row-major
+// with the logits' layout, instead of a new tensor.
+func SoftmaxInto(dst []float32, logits *tensor.Tensor) {
+	if logits.Dims() != 2 || len(dst) != logits.Size() {
+		panic(fmt.Sprintf("nn: SoftmaxInto input %v into %d values, want [N C] into N·C", logits.Shape(), len(dst)))
+	}
 	n, c := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, c)
 	for i := 0; i < n; i++ {
-		src, dst := logits.Row(i), out.Row(i)
+		src, out := logits.Row(i), dst[i*c:(i+1)*c]
 		maxv := src[0]
 		for _, v := range src[1:] {
 			if v > maxv {
@@ -26,15 +36,14 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 		var sum float64
 		for j, v := range src {
 			e := math.Exp(float64(v - maxv))
-			dst[j] = float32(e)
+			out[j] = float32(e)
 			sum += e
 		}
 		inv := float32(1 / sum)
-		for j := range dst {
-			dst[j] *= inv
+		for j := range out {
+			out[j] *= inv
 		}
 	}
-	return out
 }
 
 // SoftmaxCrossEntropy computes the mean softmax cross-entropy loss over a

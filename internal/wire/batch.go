@@ -72,9 +72,8 @@ func (m *CaptureBatch) appendPayload(dst []byte) []byte {
 	return appendSampleIDs(dst, m.SampleIDs)
 }
 
-func (m *CaptureBatch) decodePayload(src []byte) error {
-	r := reader{buf: src}
-	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.u64(), r.ids()
+func (m *CaptureBatch) decodePayload(r *reader) error {
+	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.u64(), r.ids(m.SampleIDs)
 	return r.end()
 }
 
@@ -127,11 +126,10 @@ func (m *SummaryBatch) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func (m *SummaryBatch) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *SummaryBatch) decodePayload(r *reader) error {
 	m.Session, m.Device, m.Classes, m.Count = r.u64(), r.u16(), r.u16(), r.u16()
 	m.Present = r.bytes((int(m.Count) + 7) / 8)
-	m.Probs = r.f32s(m.PresentCount() * int(m.Classes))
+	m.Probs = r.f32s(m.PresentCount()*int(m.Classes), m.Probs)
 	return r.end()
 }
 
@@ -159,9 +157,8 @@ func (m *FeatureBatchRequest) appendPayload(dst []byte) []byte {
 	return appendSampleIDs(dst, m.SampleIDs)
 }
 
-func (m *FeatureBatchRequest) decodePayload(src []byte) error {
-	r := reader{buf: src}
-	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.u64(), r.ids()
+func (m *FeatureBatchRequest) decodePayload(r *reader) error {
+	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.u64(), r.ids(m.SampleIDs)
 	return r.end()
 }
 
@@ -211,8 +208,7 @@ func (m *FeatureBatch) appendPayload(dst []byte) []byte {
 	return append(dst, m.Bits...)
 }
 
-func (m *FeatureBatch) decodePayload(src []byte) (err error) {
-	r := reader{buf: src}
+func (m *FeatureBatch) decodePayload(r *reader) (err error) {
 	m.Session, m.Device = r.u64(), r.u16()
 	m.F, m.H, m.W, m.Count = r.u16(), r.u16(), r.u16(), r.u16()
 	m.Bits, err = r.features("feature batch", r.rest(), int(m.Count), m.F, m.H, m.W)
@@ -263,10 +259,9 @@ func (m *CloudClassifyBatch) appendPayload(dst []byte) []byte {
 	return appendIDMaskPairs(dst, m.SampleIDs, m.Masks)
 }
 
-func (m *CloudClassifyBatch) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *CloudClassifyBatch) decodePayload(r *reader) error {
 	m.Session, m.ModelVersion, m.Devices = r.u64(), r.u64(), r.u16()
-	m.SampleIDs, m.Masks = r.idMasks()
+	m.SampleIDs, m.Masks = r.idMasks(m.SampleIDs, m.Masks)
 	return r.end()
 }
 
@@ -310,11 +305,10 @@ func (m *EdgeClassifyBatch) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func (m *EdgeClassifyBatch) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *EdgeClassifyBatch) decodePayload(r *reader) error {
 	m.Session, m.ModelVersion, m.Devices = r.u64(), r.u64(), r.u16()
-	m.SampleIDs, m.Masks = r.idMasks()
-	m.Thresholds = r.f64s(int(r.u16()))
+	m.SampleIDs, m.Masks = r.idMasks(m.SampleIDs, m.Masks)
+	m.Thresholds = r.f64s(int(r.u16()), m.Thresholds)
 	return r.end()
 }
 
@@ -363,11 +357,10 @@ func (m *EdgeFeatureBatch) appendPayload(dst []byte) []byte {
 	return append(dst, m.Bits...)
 }
 
-func (m *EdgeFeatureBatch) decodePayload(src []byte) (err error) {
-	r := reader{buf: src}
+func (m *EdgeFeatureBatch) decodePayload(r *reader) (err error) {
 	m.Session, m.ModelVersion = r.u64(), r.u64()
 	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
-	m.SampleIDs = r.ids()
+	m.SampleIDs = r.ids(m.SampleIDs)
 	m.Bits, err = r.features("edge feature batch", r.rest(), len(m.SampleIDs), m.F, m.H, m.W)
 	return err
 }
@@ -417,16 +410,15 @@ func (m *ResultBatch) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func (m *ResultBatch) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *ResultBatch) decodePayload(r *reader) error {
 	m.Session = r.u64()
 	// Each verdict is at least 13 bytes, so the count is checked against
 	// the payload before the slice is sized from it.
-	m.Verdicts = make([]BatchVerdict, r.count(13))
+	m.Verdicts = resize(m.Verdicts, r.count(13))
 	for i := range m.Verdicts {
 		v := &m.Verdicts[i]
 		v.SampleID, v.Exit, v.Class = r.u64(), ExitPoint(r.u8()), r.u16()
-		v.Probs = r.f32s(int(r.u16()))
+		v.Probs = r.f32s(int(r.u16()), v.Probs)
 	}
 	return r.end()
 }

@@ -50,9 +50,11 @@ func seedMessages() []Message {
 	}
 }
 
-// FuzzDecode feeds arbitrary byte streams to the frame decoder. The
-// decoder must never panic or over-allocate: it either returns an error
-// or a message that survives a bit-exact re-encode/decode round trip.
+// FuzzDecode feeds arbitrary byte streams to both frame decoders. Neither
+// may panic or over-allocate: each returns an error or a message that
+// survives a bit-exact re-encode/decode round trip, and they agree on
+// which. The read loops' Decoder then decodes the re-encoded frame twice
+// in a row, the second time into the frame the first released.
 func FuzzDecode(f *testing.F) {
 	for _, m := range seedMessages() {
 		frame := encodeFrame(f, m)
@@ -70,10 +72,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x17, 0xDD, Version, byte(TypeHeartbeat), 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(bytes.NewReader(data))
+		fr, derr := NewDecoder(bytes.NewReader(data)).Next()
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("Decode err = %v, Decoder.Next err = %v", err, derr)
+		}
 		if err != nil {
 			return // malformed input must only ever yield an error
 		}
 		reenc := encodeFrame(t, msg)
+		if got := encodeFrame(t, fr.Msg); !bytes.Equal(got, reenc) {
+			t.Fatalf("%v: Decoder and Decode disagree:\n %x\n %x", msg.MsgType(), got, reenc)
+		}
+		fr.Release()
+		checkDecoderStream(t, reenc)
 		again, err := Decode(bytes.NewReader(reenc))
 		if err != nil {
 			t.Fatalf("re-decode of %v failed: %v", msg.MsgType(), err)
@@ -120,7 +131,26 @@ func FuzzRoundTrip(f *testing.F) {
 		if !bytes.Equal(frame, buf2.Bytes()) {
 			t.Fatalf("%v round trip not bit-exact:\n in  %x\n out %x", m.MsgType(), frame, buf2.Bytes())
 		}
+		checkDecoderStream(t, frame)
 	})
+}
+
+// checkDecoderStream decodes frame twice from one stream through one
+// Decoder, releasing in between, and requires both decodes to re-encode
+// to frame: the second decodes into the storage the first released.
+func checkDecoderStream(t *testing.T, frame []byte) {
+	t.Helper()
+	dec := NewDecoder(bytes.NewReader(append(frame[:len(frame):len(frame)], frame...)))
+	for i := 0; i < 2; i++ {
+		f, err := dec.Next()
+		if err != nil {
+			t.Fatalf("Decoder.Next #%d: %v", i, err)
+		}
+		if got := encodeFrame(t, f.Msg); !bytes.Equal(got, frame) {
+			t.Fatalf("Decoder.Next #%d of %v not bit-exact:\n in  %x\n out %x", i, f.Msg.MsgType(), frame, got)
+		}
+		f.Release()
+	}
 }
 
 // buildMessage derives a structurally valid message of the kind-selected

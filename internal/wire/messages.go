@@ -37,10 +37,9 @@ func (m *LocalSummary) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func (m *LocalSummary) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *LocalSummary) decodePayload(r *reader) error {
 	m.Session, m.SampleID, m.Device = r.u64(), r.u64(), r.u16()
-	m.Probs = r.f32s(int(r.u16()))
+	m.Probs = r.f32s(int(r.u16()), m.Probs)
 	return r.end()
 }
 
@@ -71,8 +70,7 @@ func (m *FeatureRequest) appendPayload(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
 }
 
-func (m *FeatureRequest) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *FeatureRequest) decodePayload(r *reader) error {
 	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
 	return r.end()
 }
@@ -109,8 +107,7 @@ func (m *FeatureUpload) appendPayload(dst []byte) []byte {
 	return append(dst, m.Bits...)
 }
 
-func (m *FeatureUpload) decodePayload(src []byte) (err error) {
-	r := reader{buf: src}
+func (m *FeatureUpload) decodePayload(r *reader) (err error) {
 	m.Session, m.SampleID, m.Device = r.u64(), r.u64(), r.u16()
 	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
 	m.Bits, err = r.features("feature upload", r.take(int(r.u32())), 1, m.F, m.H, m.W)
@@ -173,11 +170,10 @@ func (m *ClassifyResult) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func (m *ClassifyResult) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *ClassifyResult) decodePayload(r *reader) error {
 	m.Session, m.SampleID = r.u64(), r.u64()
 	m.Exit, m.Class = ExitPoint(r.u8()), r.u16()
-	m.Probs = r.f32s(int(r.u16()))
+	m.Probs = r.f32s(int(r.u16()), m.Probs)
 	return r.end()
 }
 
@@ -197,9 +193,8 @@ func (m *Heartbeat) appendPayload(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint64(dst, m.Seq)
 }
 
-func (m *Heartbeat) decodePayload(src []byte) error {
-	r := reader{buf: src}
-	m.NodeID, m.Seq = r.str(), r.u64()
+func (m *Heartbeat) decodePayload(r *reader) error {
+	m.NodeID, m.Seq = r.str(m.NodeID), r.u64()
 	return r.end()
 }
 
@@ -227,9 +222,8 @@ func (m *Error) appendPayload(dst []byte) []byte {
 	return appendString(dst, m.Msg)
 }
 
-func (m *Error) decodePayload(src []byte) error {
-	r := reader{buf: src}
-	m.Session, m.Code, m.Msg = r.u64(), r.u16(), r.str()
+func (m *Error) decodePayload(r *reader) error {
+	m.Session, m.Code, m.Msg = r.u64(), r.u16(), r.str(m.Msg)
 	return r.end()
 }
 
@@ -256,8 +250,7 @@ func (m *CaptureRequest) appendPayload(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
 }
 
-func (m *CaptureRequest) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *CaptureRequest) decodePayload(r *reader) error {
 	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
 	return r.end()
 }
@@ -293,8 +286,7 @@ func (m *CloudClassify) appendPayload(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint16(dst, m.Mask)
 }
 
-func (m *CloudClassify) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *CloudClassify) decodePayload(r *reader) error {
 	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
 	m.Devices, m.Mask = r.u16(), r.u16()
 	return r.end()
@@ -345,11 +337,10 @@ func (m *EdgeClassify) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func (m *EdgeClassify) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *EdgeClassify) decodePayload(r *reader) error {
 	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
 	m.Devices, m.Mask = r.u16(), r.u16()
-	m.Thresholds = r.f64s(int(r.u16()))
+	m.Thresholds = r.f64s(int(r.u16()), m.Thresholds)
 	return r.end()
 }
 
@@ -389,8 +380,7 @@ func (m *EdgeFeature) appendPayload(dst []byte) []byte {
 	return append(dst, m.Bits...)
 }
 
-func (m *EdgeFeature) decodePayload(src []byte) (err error) {
-	r := reader{buf: src}
+func (m *EdgeFeature) decodePayload(r *reader) (err error) {
 	m.Session, m.SampleID, m.ModelVersion = r.u64(), r.u64(), r.u64()
 	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
 	m.Bits, err = r.features("edge feature", r.take(int(r.u32())), 1, m.F, m.H, m.W)

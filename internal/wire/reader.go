@@ -12,9 +12,27 @@ import (
 // zero value, so no decoder computes an offset or a minimum length.
 // Counted lists check their byte length against what is left before
 // allocating, so a hostile count costs no more than the bytes it came in.
+//
+// Every list read takes the slice the message held before and reuses its
+// storage when it has room, so a message a Decoder decodes into again
+// allocates nothing once its slices have grown; a fresh message (Decode)
+// gets fresh slices.
 type reader struct {
 	buf   []byte
 	short bool
+	// alias makes byte fields (bytes, features) views of buf instead of
+	// copies: a Decoder's frame keeps its buffer until released.
+	alias bool
+}
+
+// resize returns dst with length n, reusing its storage when it has room;
+// a nil dst gets fresh storage, so a fresh message's empty list is
+// non-nil.
+func resize[T any](dst []T, n int) []T {
+	if dst == nil || cap(dst) < n {
+		return make([]T, n)
+	}
+	return dst[:n]
 }
 
 // take returns a view of the next n bytes, or nil once the payload is
@@ -64,11 +82,25 @@ func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
 func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
 func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
 
-// str reads a string: u16 length + bytes.
-func (r *reader) str() string { return string(r.take(int(r.u16()))) }
+// str reads a string: u16 length + bytes. It returns prev when prev
+// already holds those bytes, so a reused message re-reading the same
+// string (a heartbeat's node ID) does not allocate.
+func (r *reader) str(prev string) string {
+	b := r.take(int(r.u16()))
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
 
-// bytes copies the next n bytes out of the frame buffer (nil for none).
-func (r *reader) bytes(n int) []byte { return append([]byte(nil), r.take(n)...) }
+// bytes returns the next n bytes: a view of the frame buffer when
+// aliasing, else a copy (nil for none).
+func (r *reader) bytes(n int) []byte {
+	if r.alias {
+		return r.take(n)
+	}
+	return append([]byte(nil), r.take(n)...)
+}
 
 // count reads a u16 element count and checks that count elements of at
 // least size bytes each are left, returning 0 on a short payload.
@@ -82,9 +114,9 @@ func (r *reader) count(size int) int {
 }
 
 // ids reads a sample-ID list: u16 count + count × u64.
-func (r *reader) ids() []uint64 {
+func (r *reader) ids(dst []uint64) []uint64 {
 	b := r.take(8 * int(r.u16()))
-	ids := make([]uint64, len(b)/8)
+	ids := resize(dst, len(b)/8)
 	for i := range ids {
 		ids[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
@@ -92,9 +124,9 @@ func (r *reader) ids() []uint64 {
 }
 
 // idMasks reads an ID+mask list: u16 count + count × (u64 ID, u16 mask).
-func (r *reader) idMasks() ([]uint64, []uint16) {
+func (r *reader) idMasks(idDst []uint64, maskDst []uint16) ([]uint64, []uint16) {
 	b := r.take(10 * int(r.u16()))
-	ids, masks := make([]uint64, len(b)/10), make([]uint16, len(b)/10)
+	ids, masks := resize(idDst, len(b)/10), resize(maskDst, len(b)/10)
 	for i := range ids {
 		ids[i] = binary.LittleEndian.Uint64(b[10*i:])
 		masks[i] = binary.LittleEndian.Uint16(b[10*i+8:])
@@ -103,9 +135,9 @@ func (r *reader) idMasks() ([]uint64, []uint16) {
 }
 
 // f32s reads a run of n float32 values.
-func (r *reader) f32s(n int) []float32 {
+func (r *reader) f32s(n int, dst []float32) []float32 {
 	b := r.take(4 * n)
-	out := make([]float32, len(b)/4)
+	out := resize(dst, len(b)/4)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
@@ -113,9 +145,9 @@ func (r *reader) f32s(n int) []float32 {
 }
 
 // f64s reads a run of n float64 values.
-func (r *reader) f64s(n int) []float64 {
+func (r *reader) f64s(n int, dst []float64) []float64 {
 	b := r.take(8 * n)
-	out := make([]float64, len(b)/8)
+	out := resize(dst, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
@@ -128,14 +160,18 @@ func featureBytes(f, h, w uint16) int { return (int(f)*int(h)*int(w) + 7) / 8 }
 
 // features ends a payload whose last field is packed feature bits: it
 // returns end's error first, then checks the bits against their declared
-// shape — count maps of f×h×w bits — and copies them out of the frame
-// buffer. A shape mismatch is a descriptive error naming the frame.
+// shape — count maps of f×h×w bits — and returns them, copied out of the
+// frame buffer unless the reader aliases it. A shape mismatch is a
+// descriptive error naming the frame.
 func (r *reader) features(frame string, bits []byte, count int, f, h, w uint16) ([]byte, error) {
 	if err := r.end(); err != nil {
 		return nil, err
 	}
 	if want := count * featureBytes(f, h, w); len(bits) != want {
 		return nil, fmt.Errorf("wire: %s has %d bytes for %d maps of %d×%d×%d bits (want %d)", frame, len(bits), count, f, h, w, want)
+	}
+	if r.alias {
+		return bits, nil
 	}
 	return append([]byte(nil), bits...), nil
 }

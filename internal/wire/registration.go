@@ -26,9 +26,8 @@ func (m *DeviceHello) appendPayload(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint16(dst, m.Slot)
 }
 
-func (m *DeviceHello) decodePayload(src []byte) error {
-	r := reader{buf: src}
-	m.NodeID, m.Slot = r.str(), r.u16()
+func (m *DeviceHello) decodePayload(r *reader) error {
+	m.NodeID, m.Slot = r.str(m.NodeID), r.u16()
 	return r.end()
 }
 
@@ -55,8 +54,7 @@ func (m *DeviceWelcome) appendPayload(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint64(dst, m.ConfigVersion)
 }
 
-func (m *DeviceWelcome) decodePayload(src []byte) error {
-	r := reader{buf: src}
+func (m *DeviceWelcome) decodePayload(r *reader) error {
 	m.Slot, m.Devices, m.ConfigVersion = r.u16(), r.u16(), r.u64()
 	return r.end()
 }
@@ -86,8 +84,7 @@ func (m *DeviceGoodbye) appendPayload(dst []byte) []byte {
 	return appendString(dst, m.Reason)
 }
 
-func (m *DeviceGoodbye) decodePayload(src []byte) error {
-	r := reader{buf: src}
-	m.NodeID, m.Slot, m.Reason = r.str(), r.u16(), r.str()
+func (m *DeviceGoodbye) decodePayload(r *reader) error {
+	m.NodeID, m.Slot, m.Reason = r.str(m.NodeID), r.u16(), r.str(m.Reason)
 	return r.end()
 }

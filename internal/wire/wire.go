@@ -31,6 +31,8 @@ import (
 	"io"
 	"slices"
 	"sync"
+
+	"github.com/ddnn/ddnn-go/internal/poison"
 )
 
 // Magic identifies DDNN protocol frames.
@@ -164,8 +166,9 @@ type Message interface {
 	MsgType() MsgType
 	// appendPayload appends the encoded payload.
 	appendPayload(dst []byte) []byte
-	// decodePayload parses the payload.
-	decodePayload(src []byte) error
+	// decodePayload parses the payload, reusing the message's own slices
+	// where they have room (see reader).
+	decodePayload(r *reader) error
 }
 
 // Sessioned is implemented by messages that belong to one classification
@@ -186,26 +189,30 @@ var (
 
 // frameBufs recycles frame buffers. Encoding: every io.Writer this
 // package targets (net.Conn, net.Pipe, the link simulator) has released
-// or copied the slice by the time Write returns. Decoding: every
-// decodePayload copies what the message keeps, so the payload buffer is
-// free again once it returns.
+// or copied the slice by the time Write returns. Decoding: Decode's
+// messages copy what they keep, so its buffer is free again once it
+// returns.
 var frameBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
+	return &frameBuf{b: make([]byte, 0, 1024)}
 }}
+
+// frameBuf is one pooled frame buffer, with the payload cursor Decode
+// hands to the message (a cursor on the stack would escape through the
+// Message interface).
+type frameBuf struct {
+	b []byte
+	r reader
+}
 
 // Encode writes one framed message and returns the number of bytes
 // written. The frame is assembled in a pooled buffer, so steady-state
 // encoding does not allocate.
 func Encode(w io.Writer, m Message) (int, error) {
-	bp := frameBufs.Get().(*[]byte)
-	defer func() {
-		*bp = (*bp)[:0]
-		frameBufs.Put(bp)
-	}()
-	frame := (*bp)[:headerSize] // pool's New caps at 1024 ≥ headerSize
+	fb := frameBufs.Get().(*frameBuf)
+	defer frameBufs.Put(fb)
+	frame := fb.b[:headerSize] // pool's New caps at 1024 ≥ headerSize
 	frame = m.appendPayload(frame)
-	*bp = frame
+	fb.b = frame[:0]
 	payloadLen := len(frame) - headerSize
 	if payloadLen > MaxPayload {
 		return 0, ErrFrameTooLarge
@@ -221,51 +228,159 @@ func Encode(w io.Writer, m Message) (int, error) {
 	return n, nil
 }
 
-// Decode reads one framed message. The payload is read into a pooled
-// buffer that no decoded message references.
+// Decode reads one framed message into a fresh message that owns all its
+// memory: the header and payload are read into a pooled buffer that no
+// decoded message references. Read loops use a Decoder instead.
 func Decode(r io.Reader) (Message, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: read header: %w", err)
+	fb := frameBufs.Get().(*frameBuf)
+	defer frameBufs.Put(fb)
+	t, length, err := readHeader(r, fb.b[:headerSize]) // New caps at 1024 ≥ headerSize
+	if err != nil {
+		return nil, err
 	}
-	h := reader{buf: hdr[:]}
-	magic, version, t, length := h.u16(), h.u8(), MsgType(h.u8()), h.u32()
-	if magic != Magic {
-		return nil, ErrBadMagic
-	}
-	if version != Version {
-		return nil, ErrBadVersion
-	}
-	if length > MaxPayload {
-		return nil, ErrFrameTooLarge
-	}
-	bp := frameBufs.Get().(*[]byte)
-	payload := (*bp)[:0]
-	defer func() {
-		*bp = payload[:0]
-		frameBufs.Put(bp)
-	}()
-	for len(payload) < int(length) {
-		// Grow by at most 64 KiB past what has arrived, so a header
-		// claiming MaxPayload pins memory only as its bytes come in.
-		n := min(int(length), max(cap(payload), len(payload)+64<<10))
-		payload = slices.Grow(payload, n-len(payload))
-		if _, err := io.ReadFull(r, payload[len(payload):n]); err != nil {
-			return nil, fmt.Errorf("wire: read payload: %w", err)
-		}
-		payload = payload[:n]
-	}
-	if int(t) >= len(messages) || messages[t].new == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
+	fb.b, err = readPayload(r, fb.b[:0], length)
+	if err != nil {
+		return nil, err
 	}
 	m := messages[t].new()
-	if err := m.decodePayload(payload); err != nil {
+	fb.r = reader{buf: fb.b}
+	if err := m.decodePayload(&fb.r); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// readHeader reads one frame header into hdr (headerSize bytes) and
+// returns the frame's type and payload length once they pass the
+// protocol checks. A clean end of stream before the header is io.EOF.
+func readHeader(r io.Reader, hdr []byte) (MsgType, int, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if errors.Is(err, io.EOF) {
+			return 0, 0, io.EOF
+		}
+		return 0, 0, fmt.Errorf("wire: read header: %w", err)
+	}
+	h := reader{buf: hdr}
+	magic, version, t, length := h.u16(), h.u8(), MsgType(h.u8()), h.u32()
+	switch {
+	case magic != Magic:
+		return 0, 0, ErrBadMagic
+	case version != Version:
+		return 0, 0, ErrBadVersion
+	case length > MaxPayload:
+		return 0, 0, ErrFrameTooLarge
+	case int(t) >= len(messages) || messages[t].new == nil:
+		return 0, 0, fmt.Errorf("%w: %d", ErrUnknownType, t)
+	}
+	return t, int(length), nil
+}
+
+// readPayload reads length payload bytes into buf's storage (buf is
+// empty) and returns them. It grows buf by at most 64 KiB past what has
+// arrived, so a header claiming MaxPayload pins memory only as its bytes
+// come in.
+func readPayload(r io.Reader, buf []byte, length int) ([]byte, error) {
+	for len(buf) < length {
+		n := min(length, max(cap(buf), len(buf)+64<<10))
+		buf = slices.Grow(buf, n-len(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):n]); err != nil {
+			return buf[:0], fmt.Errorf("wire: read payload: %w", err)
+		}
+		buf = buf[:n]
+	}
+	return buf, nil
+}
+
+// Decoder reads the frames of one stream — a connection's read loop —
+// into storage it owns, so a steady stream decodes without allocating.
+// Each frame it returns is one message of a type-specific free list,
+// decoded into again when recycled, with a payload buffer its byte
+// fields (feature bits, presence masks) alias; its other slices are the
+// message's own storage, reused. A frame stays valid until Release: the
+// handler or session that consumed it releases it once nothing it keeps
+// still points into the message. Anything that must outlive the frame —
+// a result's probabilities, a retained ID list — is copied out first.
+//
+// Next must be called from one goroutine; Release may be called from
+// any.
+type Decoder struct {
+	r   io.Reader
+	hdr [headerSize]byte
+	rd  reader // the payload cursor of the frame being decoded
+
+	mu   sync.Mutex
+	free [len(messages)][]*Frame
+}
+
+// maxFreeFrames bounds each type's free list: frames released beyond it
+// are left to the garbage collector.
+const maxFreeFrames = 64
+
+// NewDecoder returns a decoder reading frames from r.
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
+
+// Frame is one message read by a Decoder. Msg and every slice in it are
+// valid until Release.
+type Frame struct {
+	// Msg is the decoded message.
+	Msg Message
+	buf []byte
+	dec *Decoder
+	t   MsgType
+}
+
+// Next reads one frame. Its errors are Decode's.
+func (d *Decoder) Next() (*Frame, error) {
+	t, length, err := readHeader(d.r, d.hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	f := d.get(t)
+	if f.buf, err = readPayload(d.r, f.buf[:0], length); err != nil {
+		f.Release()
+		return nil, err
+	}
+	d.rd = reader{buf: f.buf, alias: true}
+	if err := f.Msg.decodePayload(&d.rd); err != nil {
+		f.Release()
+		return nil, err
+	}
+	return f, nil
+}
+
+// get takes a released frame of type t, or makes one.
+func (d *Decoder) get(t MsgType) *Frame {
+	d.mu.Lock()
+	free := d.free[t]
+	if n := len(free); n > 0 {
+		f := free[n-1]
+		free[n-1] = nil
+		d.free[t] = free[:n-1]
+		d.mu.Unlock()
+		return f
+	}
+	d.mu.Unlock()
+	return &Frame{Msg: messages[t].new(), dec: d, t: t}
+}
+
+// Release hands the frame back to its decoder for reuse; neither it nor
+// anything its message holds may be used afterwards. Release of a nil
+// frame is a no-op.
+func (f *Frame) Release() {
+	if f == nil {
+		return
+	}
+	if poison.On {
+		poison.Fill(&f.buf)
+		poison.Fill(f.Msg)
+		return // dropped: a stale reader keeps seeing the poison
+	}
+	d := f.dec
+	d.mu.Lock()
+	if len(d.free[f.t]) < maxFreeFrames {
+		d.free[f.t] = append(d.free[f.t], f)
+	}
+	d.mu.Unlock()
 }
 
 // EncodedSize returns the full frame size Encode would produce for m.

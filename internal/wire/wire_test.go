@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"github.com/ddnn/ddnn-go/internal/poison"
 )
 
 func roundTrip(t *testing.T, m Message) Message {
@@ -353,17 +355,17 @@ func frameOf(mt MsgType, payload []byte) []byte {
 // TestDecodeContract pins the decoder contract for one frame of every
 // message type: every strict prefix of its payload and the payload plus
 // one byte fail to decode, and a decode costs exactly its pinned
-// allocations (the header buffer, the message, and one per slice or
-// string the message keeps).
+// allocations (the message, and one per slice or string it keeps; the
+// header is read into the pooled frame buffer).
 func TestDecodeContract(t *testing.T) {
 	allocs := map[MsgType]float64{
-		TypeLocalSummary: 3, TypeFeatureRequest: 2, TypeFeatureUpload: 3,
-		TypeClassifyResult: 3, TypeHeartbeat: 3, TypeError: 3,
-		TypeCaptureRequest: 2, TypeCloudClassify: 2, TypeEdgeClassify: 3,
-		TypeEdgeFeature: 3, TypeCaptureBatch: 3, TypeSummaryBatch: 4,
-		TypeFeatureBatchRequest: 3, TypeFeatureBatch: 3, TypeCloudClassifyBatch: 4,
-		TypeEdgeClassifyBatch: 5, TypeEdgeFeatureBatch: 4, TypeResultBatch: 5,
-		TypeDeviceHello: 3, TypeDeviceWelcome: 2, TypeDeviceGoodbye: 4,
+		TypeLocalSummary: 2, TypeFeatureRequest: 1, TypeFeatureUpload: 2,
+		TypeClassifyResult: 2, TypeHeartbeat: 2, TypeError: 2,
+		TypeCaptureRequest: 1, TypeCloudClassify: 1, TypeEdgeClassify: 2,
+		TypeEdgeFeature: 2, TypeCaptureBatch: 2, TypeSummaryBatch: 3,
+		TypeFeatureBatchRequest: 2, TypeFeatureBatch: 2, TypeCloudClassifyBatch: 3,
+		TypeEdgeClassifyBatch: 4, TypeEdgeFeatureBatch: 3, TypeResultBatch: 4,
+		TypeDeviceHello: 2, TypeDeviceWelcome: 1, TypeDeviceGoodbye: 3,
 	}
 	for _, m := range seedMessages() {
 		mt := m.MsgType()
@@ -392,6 +394,114 @@ func TestDecodeContract(t *testing.T) {
 				t.Errorf("Decode allocates %v times, want %v", got, allocs[mt])
 			}
 		})
+	}
+}
+
+// TestDecoderContract pins the read loops' decoder on every frame type:
+// it rejects what Decode rejects, decodes what Decode decodes to the same
+// bytes, and — once a frame of the type has been released — decodes the
+// serving path's frames without allocating.
+func TestDecoderContract(t *testing.T) {
+	hot := map[MsgType]bool{
+		TypeCaptureBatch: true, TypeSummaryBatch: true, TypeFeatureBatchRequest: true,
+		TypeFeatureBatch: true, TypeCloudClassifyBatch: true, TypeEdgeClassifyBatch: true,
+		TypeEdgeFeatureBatch: true, TypeResultBatch: true, TypeHeartbeat: true, TypeError: true,
+	}
+	for _, m := range seedMessages() {
+		mt := m.MsgType()
+		t.Run(mt.String(), func(t *testing.T) {
+			payload := m.appendPayload(nil)
+			for n := 0; n < len(payload); n++ {
+				if f, err := NewDecoder(bytes.NewReader(frameOf(mt, payload[:n]))).Next(); err == nil {
+					f.Release()
+					t.Errorf("accepted a %d-byte prefix of the %d-byte payload", n, len(payload))
+				}
+			}
+			if f, err := NewDecoder(bytes.NewReader(frameOf(mt, append(payload, 0)))).Next(); err == nil {
+				f.Release()
+				t.Error("accepted the payload plus one trailing byte")
+			}
+			frame := frameOf(mt, payload)
+			r := bytes.NewReader(frame)
+			dec := NewDecoder(r)
+			next := func() {
+				r.Reset(frame)
+				f, err := dec.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := encodeFrame(t, f.Msg); !bytes.Equal(got, frame) {
+					t.Fatalf("decoder round trip:\n in  %x\n out %x", frame, got)
+				}
+				f.Release()
+			}
+			next()
+			if raceEnabled || poison.On || !hot[mt] {
+				return // race instrumentation allocates; poisoning drops released frames
+			}
+			dec = NewDecoder(r)
+			next() // the first frame of a type is made, later ones reused
+			if got := testing.AllocsPerRun(100, func() {
+				r.Reset(frame)
+				f, err := dec.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Release()
+			}); got != 0 {
+				t.Errorf("Decoder.Next allocates %v times, want 0", got)
+			}
+		})
+	}
+}
+
+// TestDecoderConcurrentRelease: frames released from other goroutines
+// while the decoder goes on reading are recycled safely — every frame
+// still reads as it was written until its own release (run with -race).
+func TestDecoderConcurrentRelease(t *testing.T) {
+	const frames, workers = 400, 4
+	pr, pw := io.Pipe()
+	go func() {
+		for i := 0; i < frames; i++ {
+			m := &FeatureBatch{Session: uint64(i), F: 1, H: 1, W: 8, Count: uint16(i % 4), Bits: bytes.Repeat([]byte{byte(i)}, i%4)}
+			if _, err := Encode(pw, m); err != nil {
+				pw.CloseWithError(err)
+				return
+			}
+		}
+		pw.Close()
+	}()
+	dec := NewDecoder(pr)
+	work := make(chan *Frame)
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			var err error
+			for f := range work {
+				m := f.Msg.(*FeatureBatch)
+				if err == nil && (int(m.Count) != int(m.Session)%4 || !bytes.Equal(m.Bits, bytes.Repeat([]byte{byte(m.Session)}, int(m.Count)))) {
+					err = fmt.Errorf("frame of session %d reads count %d bits %x", m.Session, m.Count, m.Bits)
+				}
+				f.Release()
+			}
+			errs <- err
+		}()
+	}
+	for {
+		f, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		work <- f
+	}
+	close(work)
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
