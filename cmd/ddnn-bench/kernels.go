@@ -60,7 +60,7 @@ var xnorFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.Kern
 // (see experiments.ForwardInputs).
 const forwardSets = 64
 
-// kernelReport is what -json serializes (BENCH_pr35.json in CI).
+// kernelReport is what -json serializes (BENCH_pr37.json in CI).
 type kernelReport struct {
 	Results     []kernelResult     `json:"results"`
 	Comparisons []kernelComparison `json:"comparisons"`
@@ -70,7 +70,7 @@ type kernelReport struct {
 // names, so the comparison entries reference the exact result rows.
 func sizeTag(kernel string) string {
 	switch kernel {
-	case "gemm", "gemm_sign":
+	case "gemm":
 		return "32x256x64"
 	case "xnor_dot":
 		return "1024"
@@ -130,16 +130,14 @@ func runKernels(out io.Writer, jsonPath string) error {
 		return record(name, benchNsBest(f))
 	}
 
-	// Dispatch-path matrix: the same four kernels once per forced path
+	// Dispatch-path matrix: the same three kernels once per forced path
 	// (naive | go | simd where supported), so the report shows exactly
 	// what each path buys and CI can gate go ≥ naive and simd ≥ go.
 	ga := make([]float32, 32*256)
 	gb := make([]float32, 256*64)
 	gc := make([]float32, 32*64)
-	sa := make([]float32, 32*256)
 	for i := range ga {
 		ga[i] = rng.Float32()*2 - 1
-		sa[i] = float32(rng.Intn(2)*2 - 1)
 	}
 	for i := range gb {
 		gb[i] = rng.Float32()*2 - 1
@@ -165,12 +163,6 @@ func runKernels(out io.Writer, jsonPath string) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tensor.Gemm(gc, ga, gb, 32, 256, 64)
-			}
-		})
-		pathRows["gemm_sign"+tag] = addBest("gemm_sign_32x256x64"+tag, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tensor.GemmSign(gc, sa, gb, 32, 256, 64)
 			}
 		})
 		pathRows["xnor_dot"+tag] = addBest("xnor_dot_1024"+tag, func(b *testing.B) {
@@ -416,7 +408,7 @@ func runKernels(out io.Writer, jsonPath string) error {
 	// (On AVX2 hosts the simd steps measure well above 1x; the floor only
 	// absorbs scheduler noise, not regressions.)
 	pathNames := tensor.KernelPaths()
-	for _, kernel := range []string{"gemm", "gemm_sign", "xnor_dot", "pack_signs"} {
+	for _, kernel := range []string{"gemm", "xnor_dot", "pack_signs"} {
 		for i := 1; i < len(pathNames); i++ {
 			lo, hi := "["+pathNames[i-1].String()+"]", "["+pathNames[i].String()+"]"
 			base, step := pathRows[kernel+lo], pathRows[kernel+hi]

@@ -106,9 +106,6 @@ var _ nn.Layer = (*BinaryConv2D)(nil)
 // norm that follows in a ConvP block provides the affine shift).
 func NewBinaryConv2D(rng *rand.Rand, name string, inC, outC, kernel, stride, pad int) *BinaryConv2D {
 	inner := nn.NewConv2D(rng, name, inC, outC, kernel, stride, pad, false)
-	// The effective weights are always sign(latent), so the conv may use
-	// the add/sub sign GEMM (bit-identical to the float kernel for ±1).
-	inner.SignWeights = true
 	latent := nn.NewParam(name+".latent", outC, inC, kernel, kernel)
 	// Start the latent weights from the He initialization of the inner
 	// conv, scaled into the clip window.

@@ -23,8 +23,8 @@ import (
 //
 // Numeric contract: the output is bit-identical to the layered
 // composition (ForwardLayered, and ConvP.Forward in inference mode).
-// Every convolution output is the same ascending (c, ky, kx) add/sub
-// sequence from +0 the lowered GEMM performs, padding taps included;
+// Every convolution output is the exact ±1 product the lowered GEMM
+// computes from +0 in ascending (c, ky, kx) order, padding taps included;
 // the pool scans its window row-major under "a value wins only if it
 // compares greater", so NaN never wins; batch normalization is
 // nn.BatchNorm.InferenceAffine's rounded multiply and rounded add; the

@@ -14,7 +14,7 @@ import (
 
 // The tests in this file pin the fused ConvP kernel (fused.go) to the
 // layered reference ConvP.Forward(x, false) evaluated on the naive
-// dispatch path — im2col + the scalar sign GEMM, the clipped pool scan,
+// dispatch path — im2col + the scalar GEMM, the clipped pool scan,
 // BatchNorm's inference loop and Binarize — which shares no code with
 // the fused kernel beyond BatchNorm.InferenceAffine.
 

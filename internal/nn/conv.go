@@ -20,11 +20,6 @@ type Conv2D struct {
 	cachedInH, cachedInW   int
 	cachedOutH, cachedOutW int
 
-	// SignWeights declares that every weight is exactly ±1 (binarized
-	// layers), switching the GEMM to the add/sub sign kernel. Results
-	// are bit-identical to the float kernel; see tensor.GemmSign.
-	SignWeights bool
-
 	// w2d views the weights as the [OutC, InC·K·K] GEMM operand of the
 	// im2col forward. It shares storage with Weight.Value, so weight
 	// updates (and binarization syncs) need no re-pack.
@@ -61,9 +56,10 @@ func (c *Conv2D) OutSize(in int) int {
 }
 
 // Forward computes the convolution for x of shape [N, InC, H, W] by
-// lowering each sample to its im2col matrix and running one blocked GEMM
-// per sample (see forwardInto). Results match the tap-loop reference the
-// tests keep (forwardTaps) exactly.
+// lowering each sample to its im2col matrix and running one tensor.Gemm
+// per sample (see forwardInto). Binarized layers take the same GEMM: a
+// ±1 weight makes every product exact. Results match the tap-loop
+// reference the tests keep (forwardTaps) exactly.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := c.checkInput(x)
 	oh, ow := c.OutSize(h), c.OutSize(w)
@@ -120,10 +116,6 @@ func (c *Conv2D) forwardInto(y, x *tensor.Tensor, p *tensor.Pool) {
 	}
 	wd := c.w2d.Data()
 	outPlane := c.OutC * cols
-	gemm := tensor.Gemm
-	if c.SignWeights {
-		gemm = tensor.GemmSign
-	}
 
 	ops := c.OutC * rows * cols
 	switch {
@@ -135,7 +127,7 @@ func (c *Conv2D) forwardInto(y, x *tensor.Tensor, p *tensor.Pool) {
 			defer scratch.Put(buf)
 			for ni := lo; ni < hi; ni++ {
 				tensor.Im2colInto(buf.Data(), x, ni, c.Kernel, c.Stride, c.Pad)
-				gemm(y.Data()[ni*outPlane:(ni+1)*outPlane], wd, buf.Data(), c.OutC, rows, cols)
+				tensor.Gemm(y.Data()[ni*outPlane:(ni+1)*outPlane], wd, buf.Data(), c.OutC, rows, cols)
 			}
 		})
 	case n == 1 && c.OutC >= 8 && ops >= convParallelOps && tensor.MaxWorkers() > 1:
@@ -146,13 +138,13 @@ func (c *Conv2D) forwardInto(y, x *tensor.Tensor, p *tensor.Pool) {
 		tensor.Im2colInto(buf.Data(), x, 0, c.Kernel, c.Stride, c.Pad)
 		yd := y.Data()
 		tensor.ParallelFor(c.OutC, 4, func(lo, hi int) {
-			gemm(yd[lo*cols:hi*cols], wd[lo*rows:hi*rows], buf.Data(), hi-lo, rows, cols)
+			tensor.Gemm(yd[lo*cols:hi*cols], wd[lo*rows:hi*rows], buf.Data(), hi-lo, rows, cols)
 		})
 	default:
 		buf := scratch.GetDirty(rows, cols)
 		for ni := 0; ni < n; ni++ {
 			tensor.Im2colInto(buf.Data(), x, ni, c.Kernel, c.Stride, c.Pad)
-			gemm(y.Data()[ni*outPlane:(ni+1)*outPlane], wd, buf.Data(), c.OutC, rows, cols)
+			tensor.Gemm(y.Data()[ni*outPlane:(ni+1)*outPlane], wd, buf.Data(), c.OutC, rows, cols)
 		}
 		scratch.Put(buf)
 	}

@@ -47,7 +47,8 @@ func TestConvForwardMatchesTapLoop(t *testing.T) {
 }
 
 // TestConvForwardSignKernelMatchesTapLoop is the same contract for
-// binarized ±1 weights, which take the add/sub sign-GEMM path.
+// binarized ±1 weights, the weights BinaryConv2D convolves with; they
+// run the same GEMM as any other weights.
 func TestConvForwardSignKernelMatchesTapLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 60; trial++ {
@@ -65,7 +66,6 @@ func TestConvForwardSignKernelMatchesTapLoop(t *testing.T) {
 		for i := range wd {
 			wd[i] = float32(rng.Intn(2)*2 - 1)
 		}
-		conv.SignWeights = true
 		x := tensor.New(n, inC, h, w)
 		x.FillUniform(rng, -1, 1)
 

@@ -39,11 +39,11 @@ func ConvSignSpan(rows, wp int) int {
 //
 // summed in ascending (c, ky, kx) order from +0. Every weight must be
 // exactly +1 or −1, so each term is an exact ±src and the sum is the
-// operation sequence GemmSign applies to the im2col matrix, padding
-// taps included: bit-identical to the lowered convolution. The other
-// positions below ConvSignSpan(rows, wp) — the two that end each row and
-// the rounding slack — may be written with values the caller must
-// ignore.
+// exact ±1 product Gemm computes over the im2col matrix in that same
+// ascending (c, ky, kx) order, padding taps included: bit-identical to
+// the lowered convolution. The other positions below
+// ConvSignSpan(rows, wp) — the two that end each row and the rounding
+// slack — may be written with values the caller must ignore.
 //
 // dst rows need ConvSignSpan(rows, wp) floats, and src must be readable
 // up to (ch−1)*plane + 2*wp + 2 + ConvSignSpan(rows, wp).
@@ -151,8 +151,8 @@ func convSign3x3Go(dst []float32, ds int, w, src []float32, ch, plane, wp, rows,
 }
 
 // signAcc4 is one tap for one filter over four positions: add where the
-// weight is positive, subtract otherwise — GemmSign's step, which for ±1
-// weights is the exact product the contract states.
+// weight is positive, subtract otherwise. For a ±1 weight s ± b is
+// exactly Gemm's s + w·b, the product the contract states.
 func signAcc4(w, s0, s1, s2, s3, b0, b1, b2, b3 float32) (float32, float32, float32, float32) {
 	if w > 0 {
 		return s0 + b0, s1 + b1, s2 + b2, s3 + b3

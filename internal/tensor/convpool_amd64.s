@@ -5,9 +5,10 @@
 // results are bit-identical to the portable path.
 
 // SIGNROW adds (weight > 0) or subtracts (otherwise) the 16 source
-// values in Y12:Y13 into one filter's accumulators — gemmSignKernel4x16's
-// step: the ordered GT compare sends a NaN weight to the subtract branch
-// like the scalar `w > 0` test, and s + (b XOR signbit) is s − b.
+// values in Y12:Y13 into one filter's accumulators — for a ±1 weight the
+// exact product s + w·b that Gemm computes. The ordered GT compare sends
+// a NaN weight to the subtract branch like the scalar `w > 0` test, and
+// s + (b XOR signbit) is s − b.
 #define SIGNROW(wreg, woff, acc0, acc1) \
 	VBROADCASTSS woff(wreg), Y14; \
 	VCMPPS $14, Y11, Y14, Y14; \

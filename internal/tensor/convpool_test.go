@@ -19,7 +19,7 @@ func fusedPaths() []KernelPath {
 }
 
 // TestConvSign3x3DiffAllPaths pins the band convolution on both paths
-// to the lowered oracle — im2col followed by the naive sign GEMM — bit
+// to the lowered oracle — im2col followed by the naive GEMM — bit
 // for bit (any NaN matching any NaN), over channel and filter tails,
 // odd sizes and ±Inf/NaN inputs, writing into a guard-padded
 // destination.
@@ -41,7 +41,7 @@ func TestConvSign3x3DiffAllPaths(t *testing.T) {
 		lowered := make([]float32, rows*cols)
 		Im2colInto(lowered, x, 0, 3, 1, 1)
 		want := make([]float32, f*cols)
-		gemmSignRows(want, wt, lowered, 0, f, rows, cols)
+		matmulRows(want, wt, lowered, 0, f, rows, cols)
 
 		wp := w + 2
 		plane := (h + 2) * wp

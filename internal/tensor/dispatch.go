@@ -7,7 +7,7 @@ import (
 )
 
 // KernelPath identifies one implementation tier of the compute kernels:
-// float GEMM, sign GEMM and the fused ConvP kernels here, XNOR-popcount
+// the float GEMM and the fused ConvP kernels here, XNOR-popcount
 // dot products, sign packing and the XNOR convolution's sweep in package
 // bnn. A path picks kernels, never algorithms: every forward runs the
 // same algorithm on every path, chosen by its input's type. Every path
@@ -25,8 +25,8 @@ const (
 	// one.
 	KernelNaive KernelPath = iota
 	// KernelGo is the portable optimized path: register-tiled pure-Go
-	// kernels (2x4 float GEMM tiles, 4x4 sign GEMM tiles, 64-bit-word
-	// popcount, 8-wide unrolled sign packing).
+	// kernels (2x4 float GEMM tiles, 64-bit-word popcount, 8-wide
+	// unrolled sign packing).
 	KernelGo
 	// KernelSIMD is the arch-specific path: AVX2 assembly kernels on
 	// amd64 (4x16 GEMM tiles without FMA, PSHUFB nibble popcount,

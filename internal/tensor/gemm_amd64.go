@@ -9,13 +9,6 @@ package tensor
 //go:noescape
 func gemmKernel4x16(c, a, b *float32, k, n int)
 
-// gemmSignKernel4x16 (gemm_amd64.s) is the ±1 sign variant: B rows are
-// added after conditionally flipping their sign bits, which is the same
-// IEEE operation as the scalar add/sub kernel.
-//
-//go:noescape
-func gemmSignKernel4x16(c, a, b *float32, k, n int)
-
 // gemmSIMD computes C rows [i0,i1) with the AVX2 4x16 micro-kernel,
 // handing row tails (fewer than 4 rows) and column tails (fewer than 16
 // columns) to the scalar kernels. Every element still accumulates in
@@ -42,28 +35,6 @@ func gemmSIMD(c, a, b []float32, i0, i1, k, n int) {
 	matmulRows(c, a, b, i, i1, k, n)
 }
 
-// gemmSignSIMD is gemmSIMD for the ±1 sign kernel family.
-func gemmSignSIMD(c, a, b []float32, i0, i1, k, n int) {
-	if k == 0 || n == 0 {
-		return
-	}
-	if n < 16 {
-		gemmSignBlocked(c, a, b, i0, i1, k, n)
-		return
-	}
-	i := i0
-	for ; i+4 <= i1; i += 4 {
-		j := 0
-		for ; j+16 <= n; j += 16 {
-			gemmSignKernel4x16(&c[i*n+j], &a[i*k], &b[j], k, n)
-		}
-		if j < n {
-			gemmSignColsTail(c, a, b, i, i+4, j, k, n)
-		}
-	}
-	gemmSignRows(c, a, b, i, i1, k, n)
-}
-
 // gemmColsTail finishes columns [j0,n) of C rows [r0,r1) element by
 // element in ascending shared-dimension order.
 func gemmColsTail(c, a, b []float32, r0, r1, j0, k, n int) {
@@ -75,28 +46,6 @@ func gemmColsTail(c, a, b []float32, r0, r1, j0, k, n int) {
 			bi := j
 			for p := 0; p < k; p++ {
 				s += arow[p] * b[bi]
-				bi += n
-			}
-			crow[j] = s
-		}
-	}
-}
-
-// gemmSignColsTail is gemmColsTail with the sign add/sub in place of
-// the multiply.
-func gemmSignColsTail(c, a, b []float32, r0, r1, j0, k, n int) {
-	for i := r0; i < r1; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n : (i+1)*n]
-		for j := j0; j < n; j++ {
-			s := crow[j]
-			bi := j
-			for p := 0; p < k; p++ {
-				if arow[p] > 0 {
-					s += b[bi]
-				} else {
-					s -= b[bi]
-				}
 				bi += n
 			}
 			crow[j] = s

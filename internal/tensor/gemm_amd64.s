@@ -1,12 +1,12 @@
 #include "textflag.h"
 
-// AVX2 GEMM micro-kernels. Both kernels keep a 4-row × 16-column tile
-// of C in eight YMM accumulators for the whole shared-dimension sweep.
+// AVX2 GEMM micro-kernel. It keeps a 4-row × 16-column tile of C in
+// eight YMM accumulators for the whole shared-dimension sweep.
 // Multiplication and addition are separate roundings (VMULPS + VADDPS,
 // never FMA) and every C element accumulates its products in ascending
 // shared-dimension order with the accumulator as the addition's first
 // source — exactly the scalar kernels' operation sequence — so results
-// are bit-identical to the naive oracles, including NaN and Inf
+// are bit-identical to the naive oracle (matmulRows), including NaN and Inf
 // propagation.
 
 // func gemmKernel4x16(c, a, b *float32, k, n int)
@@ -81,108 +81,6 @@ gemmloop:
 	JNE gemmloop
 
 gemmstore:
-	VMOVUPS Y0, (R13)
-	VMOVUPS Y1, 32(R13)
-	ADDQ DX, R13
-	VMOVUPS Y2, (R13)
-	VMOVUPS Y3, 32(R13)
-	ADDQ DX, R13
-	VMOVUPS Y4, (R13)
-	VMOVUPS Y5, 32(R13)
-	ADDQ DX, R13
-	VMOVUPS Y6, (R13)
-	VMOVUPS Y7, 32(R13)
-	VZEROUPPER
-	RET
-
-// func gemmSignKernel4x16(c, a, b *float32, k, n int)
-//
-// The ±1 sign variant of gemmKernel4x16: where A[r][p] > 0 the B row is
-// added; otherwise B's sign bits are flipped and the result added —
-// s + (b XOR signbit) and s − b are the same IEEE-754 operation. The
-// comparison uses the ordered GT predicate, so a NaN in A selects the
-// subtract branch exactly like the scalar kernels' `av > 0` test.
-TEXT ·gemmSignKernel4x16(SB), NOSPLIT, $0-40
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ k+24(FP), CX
-	MOVQ n+32(FP), DX
-	SHLQ $2, DX
-
-	MOVQ k+24(FP), R8
-	SHLQ $2, R8
-	MOVQ SI, R9
-	LEAQ (SI)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	LEAQ (R11)(R8*1), R12
-
-	// Y10 = 0x80000000 in every lane, Y11 = +0.0 for the comparisons.
-	VPCMPEQD Y10, Y10, Y10
-	VPSLLD $31, Y10, Y10
-	VXORPS Y11, Y11, Y11
-
-	MOVQ DI, R13
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	ADDQ DX, DI
-	VMOVUPS (DI), Y2
-	VMOVUPS 32(DI), Y3
-	ADDQ DX, DI
-	VMOVUPS (DI), Y4
-	VMOVUPS 32(DI), Y5
-	ADDQ DX, DI
-	VMOVUPS (DI), Y6
-	VMOVUPS 32(DI), Y7
-
-	TESTQ CX, CX
-	JE signstore
-
-signloop:
-	VMOVUPS (BX), Y12
-	VMOVUPS 32(BX), Y13
-
-	VBROADCASTSS (R9), Y14
-	VCMPPS $14, Y11, Y14, Y14 // av > 0, ordered (GT_OS)
-	VPANDN Y10, Y14, Y14      // sign flip: 0 where av > 0, signbit elsewhere
-	VPXOR Y12, Y14, Y15
-	VADDPS Y15, Y0, Y0
-	VPXOR Y13, Y14, Y15
-	VADDPS Y15, Y1, Y1
-
-	VBROADCASTSS (R10), Y14
-	VCMPPS $14, Y11, Y14, Y14
-	VPANDN Y10, Y14, Y14
-	VPXOR Y12, Y14, Y15
-	VADDPS Y15, Y2, Y2
-	VPXOR Y13, Y14, Y15
-	VADDPS Y15, Y3, Y3
-
-	VBROADCASTSS (R11), Y14
-	VCMPPS $14, Y11, Y14, Y14
-	VPANDN Y10, Y14, Y14
-	VPXOR Y12, Y14, Y15
-	VADDPS Y15, Y4, Y4
-	VPXOR Y13, Y14, Y15
-	VADDPS Y15, Y5, Y5
-
-	VBROADCASTSS (R12), Y14
-	VCMPPS $14, Y11, Y14, Y14
-	VPANDN Y10, Y14, Y14
-	VPXOR Y12, Y14, Y15
-	VADDPS Y15, Y6, Y6
-	VPXOR Y13, Y14, Y15
-	VADDPS Y15, Y7, Y7
-
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-	ADDQ $4, R12
-	ADDQ DX, BX
-	DECQ CX
-	JNE signloop
-
-signstore:
 	VMOVUPS Y0, (R13)
 	VMOVUPS Y1, 32(R13)
 	ADDQ DX, R13

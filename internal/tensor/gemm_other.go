@@ -9,8 +9,3 @@ package tensor
 func gemmSIMD(c, a, b []float32, i0, i1, k, n int) {
 	matmulBlocked(c, a, b, i0, i1, k, n)
 }
-
-// gemmSignSIMD is the sign-kernel analogue of gemmSIMD.
-func gemmSignSIMD(c, a, b []float32, i0, i1, k, n int) {
-	gemmSignBlocked(c, a, b, i0, i1, k, n)
-}

@@ -21,15 +21,6 @@ func Im2colShape(x *Tensor, kernel, stride, pad int) (rows, cols int) {
 	return c * kernel * kernel, oh * ow
 }
 
-// Im2col lowers sample i of x into a freshly allocated [rows, cols]
-// tensor. Use Im2colInto with a reusable buffer on hot paths.
-func Im2col(x *Tensor, sample, kernel, stride, pad int) *Tensor {
-	rows, cols := Im2colShape(x, kernel, stride, pad)
-	dst := New(rows, cols)
-	Im2colInto(dst.data, x, sample, kernel, stride, pad)
-	return dst
-}
-
 // Im2colInto lowers sample `sample` of x into dst, which must hold at
 // least rows·cols elements (see Im2colShape). Contents beyond the matrix
 // are left untouched.

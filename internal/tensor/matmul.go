@@ -3,26 +3,25 @@ package tensor
 import "fmt"
 
 // MatMul computes C = A·B for 2-D tensors A [m,k] and B [k,n], returning a
-// new [m,n] tensor. The kernel is register-blocked (four rows of A share
-// each streamed row of B) and splits large products across the package
-// worker pool; per-element accumulation order is identical to the naive
-// ikj kernel (matmulRows), so results match it exactly.
+// new [m,n] tensor. It runs the active KernelPath's GEMM and splits large
+// products row-wise across the package worker pool; per-element
+// accumulation order is identical to the naive ikj kernel (matmulRows),
+// so results match it exactly.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := matmulDims(a, b)
 	c := New(m, n)
-	matmulInto(c.data, a.data, b.data, m, k, n, false)
-	return c
-}
-
-// MatMulInto computes C = A·B, writing into an existing [m,n] tensor,
-// avoiding an allocation. If accumulate is true the product is added to C
-// instead of overwriting it.
-func MatMulInto(c, a, b *Tensor, accumulate bool) {
-	m, k, n := matmulDims(a, b)
-	if len(c.shape) != 2 || c.shape[0] != m || c.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto destination shape %v, need [%d %d]", c.shape, m, n))
+	path := CurrentKernelPath()
+	if m >= 8 && m*k*n >= gemmParallelOps && MaxWorkers() > 1 {
+		// Row blocks of C are independent, and each element still
+		// accumulates its products in ascending shared-dimension order, so
+		// splitting changes nothing but wall-clock time.
+		ParallelFor(m, 4, func(lo, hi int) {
+			gemmRowsPath(path, c.data, a.data, b.data, lo, hi, k, n)
+		})
+		return c
 	}
-	matmulInto(c.data, a.data, b.data, m, k, n, accumulate)
+	gemmRowsPath(path, c.data, a.data, b.data, 0, m, k, n)
+	return c
 }
 
 // Gemm computes C = A·B over raw row-major slices: A is [m,k], B is [k,n]
@@ -56,170 +55,10 @@ func gemmRowsPath(path KernelPath, c, a, b []float32, i0, i1, k, n int) {
 	}
 }
 
-// gemmSignRowsPath is gemmRowsPath for the ±1 sign kernel family.
-func gemmSignRowsPath(path KernelPath, c, a, b []float32, i0, i1, k, n int) {
-	switch path {
-	case KernelNaive:
-		gemmSignRows(c, a, b, i0, i1, k, n)
-	case KernelSIMD:
-		gemmSignSIMD(c, a, b, i0, i1, k, n)
-	default:
-		gemmSignBlocked(c, a, b, i0, i1, k, n)
-	}
-}
-
-// GemmSign is Gemm for a sign matrix A whose every element is exactly +1
-// or −1 (binarized weights): multiplies become adds and subtracts, which
-// the scalar pipeline retires notably faster. The results are
-// bit-identical to Gemm — c += 1·b and c += (−1)·b are exactly c += b
-// and c −= b in IEEE arithmetic — and the per-element accumulation order
-// is unchanged. Calling it with other A values silently computes
-// C = sign(A)·B instead; the convolution layer gates it on binarized
-// weights.
-func GemmSign(c, a, b []float32, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic(fmt.Sprintf("tensor: GemmSign slice sizes %d,%d,%d too small for [%d %d]·[%d %d]", len(c), len(a), len(b), m, k, k, n))
-	}
-	clear(c[:m*n])
-	gemmSignRowsPath(CurrentKernelPath(), c, a, b, 0, m, k, n)
-}
-
-// gemmSignBlocked is the portable optimized sign kernel over C rows
-// [i0,i1): a 4×4 register tile of accumulators per sweep, adds and
-// subtracts selected by the sign of A. Matrices with at most 4 output
-// columns use the float small-n kernel instead — for ±1 A the multiply
-// is exact, so the results are identical.
-func gemmSignBlocked(c, a, b []float32, i0, i1, k, n int) {
-	if n <= 4 {
-		matmulSmallN(c, a, b, i0, i1, k, n)
-		return
-	}
-	i := i0
-	for ; i+4 <= i1; i += 4 {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
-		c0 := c[(i+0)*n : (i+1)*n]
-		c1 := c[(i+1)*n : (i+2)*n]
-		c2 := c[(i+2)*n : (i+3)*n]
-		c3 := c[(i+3)*n : (i+4)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s00, s01, s02, s03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
-			s10, s11, s12, s13 := c1[j], c1[j+1], c1[j+2], c1[j+3]
-			s20, s21, s22, s23 := c2[j], c2[j+1], c2[j+2], c2[j+3]
-			s30, s31, s32, s33 := c3[j], c3[j+1], c3[j+2], c3[j+3]
-			bi := j
-			for p := 0; p < k; p++ {
-				bp := b[bi : bi+4 : bi+4]
-				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-				if a0[p] > 0 {
-					s00 += b0
-					s01 += b1
-					s02 += b2
-					s03 += b3
-				} else {
-					s00 -= b0
-					s01 -= b1
-					s02 -= b2
-					s03 -= b3
-				}
-				if a1[p] > 0 {
-					s10 += b0
-					s11 += b1
-					s12 += b2
-					s13 += b3
-				} else {
-					s10 -= b0
-					s11 -= b1
-					s12 -= b2
-					s13 -= b3
-				}
-				if a2[p] > 0 {
-					s20 += b0
-					s21 += b1
-					s22 += b2
-					s23 += b3
-				} else {
-					s20 -= b0
-					s21 -= b1
-					s22 -= b2
-					s23 -= b3
-				}
-				if a3[p] > 0 {
-					s30 += b0
-					s31 += b1
-					s32 += b2
-					s33 += b3
-				} else {
-					s30 -= b0
-					s31 -= b1
-					s32 -= b2
-					s33 -= b3
-				}
-				bi += n
-			}
-			c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-			c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-			c2[j], c2[j+1], c2[j+2], c2[j+3] = s20, s21, s22, s23
-			c3[j], c3[j+1], c3[j+2], c3[j+3] = s30, s31, s32, s33
-		}
-		for ; j < n; j++ {
-			s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
-			bi := j
-			for p := 0; p < k; p++ {
-				bv := b[bi]
-				if a0[p] > 0 {
-					s0 += bv
-				} else {
-					s0 -= bv
-				}
-				if a1[p] > 0 {
-					s1 += bv
-				} else {
-					s1 -= bv
-				}
-				if a2[p] > 0 {
-					s2 += bv
-				} else {
-					s2 -= bv
-				}
-				if a3[p] > 0 {
-					s3 += bv
-				} else {
-					s3 -= bv
-				}
-				bi += n
-			}
-			c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-		}
-	}
-	gemmSignRows(c, a, b, i, i1, k, n)
-}
-
-// gemmSignRows is the naive sign kernel over C rows [i0,i1): stream
-// whole B rows, adding or subtracting per sign of A. It is the parity
-// oracle for the blocked and SIMD sign kernels, and handles their row
-// tails.
-func gemmSignRows(c, a, b []float32, i0, i1, k, n int) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n : (i+1)*n : (i+1)*n]
-		for p, av := range arow {
-			brow := b[p*n : (p+1)*n : (p+1)*n]
-			if av > 0 {
-				for j, bv := range brow {
-					crow[j] += bv
-				}
-			} else {
-				for j, bv := range brow {
-					crow[j] -= bv
-				}
-			}
-		}
-	}
-}
+// GemmSign is Gemm. It survives only for the serving benchmark's
+// tensor.gemm_sign_us probe, whose A must still be ±1 (binarized
+// weights); ROADMAP item B1 deletes it with that probe.
+func GemmSign(c, a, b []float32, m, k, n int) { Gemm(c, a, b, m, k, n) }
 
 func matmulDims(a, b *Tensor) (m, k, n int) {
 	if len(a.shape) != 2 || len(b.shape) != 2 {
@@ -235,23 +74,6 @@ func matmulDims(a, b *Tensor) (m, k, n int) {
 // split row-wise across the worker pool. Below it the goroutine handoff
 // costs more than the multiply.
 const gemmParallelOps = 1 << 18
-
-func matmulInto(c, a, b []float32, m, k, n int, accumulate bool) {
-	if !accumulate {
-		clear(c[:m*n])
-	}
-	path := CurrentKernelPath()
-	if m >= 8 && m*k*n >= gemmParallelOps && MaxWorkers() > 1 {
-		// Row blocks of C are independent, and each element still
-		// accumulates its products in ascending shared-dimension order, so
-		// splitting changes nothing but wall-clock time.
-		ParallelFor(m, 4, func(lo, hi int) {
-			gemmRowsPath(path, c, a, b, lo, hi, k, n)
-		})
-		return
-	}
-	gemmRowsPath(path, c, a, b, 0, m, k, n)
-}
 
 // matmulBlocked processes C rows [i0,i1) with a 2×4 register-tiled
 // micro-kernel: a 2-row × 4-column tile of C lives in registers for the

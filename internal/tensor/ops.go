@@ -195,18 +195,3 @@ func Stack(ts []*Tensor) *Tensor {
 	}
 	return out
 }
-
-// StackInto is Stack writing into a pre-sized destination (shape
-// [Σn_i, d...]), so pooled batch assembly avoids the allocation.
-func StackInto(dst *Tensor, ts []*Tensor) {
-	if len(ts) == 0 {
-		panic("tensor: StackInto of no tensors")
-	}
-	off := 0
-	for _, t := range ts {
-		off += copy(dst.data[off:], t.data)
-	}
-	if off != len(dst.data) {
-		panic(fmt.Sprintf("tensor: StackInto wrote %d of %d elements", off, len(dst.data)))
-	}
-}

@@ -228,25 +228,6 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-func TestMatMulIntoAccumulate(t *testing.T) {
-	a := FromSlice([]float32{1, 0, 0, 1}, 2, 2)
-	b := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	c := Full(10, 2, 2)
-	MatMulInto(c, a, b, true)
-	want := []float32{11, 12, 13, 14}
-	for i, v := range c.Data() {
-		if v != want[i] {
-			t.Errorf("accumulated MatMulInto[%d] = %g, want %g", i, v, want[i])
-		}
-	}
-	MatMulInto(c, a, b, false)
-	for i, v := range c.Data() {
-		if v != b.Data()[i] {
-			t.Errorf("overwriting MatMulInto[%d] = %g, want %g", i, v, b.Data()[i])
-		}
-	}
-}
-
 // matmulNaive is an independent reference implementation used by the
 // property tests below.
 func matmulNaive(a, b *Tensor) *Tensor {
