@@ -57,7 +57,7 @@ func run(args []string) error {
 		flaps      = fs.Bool("health-flaps", true, "arm device and replica liveness flaps across the heartbeat detection window")
 		corruption = fs.Bool("frame-corruption", true, "arm wire-frame corruption")
 		churn      = fs.Bool("device-churn", true, "arm membership churn (device leave/join cycles)")
-		rollouts   = fs.Bool("model-rollouts", true, "arm the model lifecycle actor (registrations, rollouts, forced rollbacks)")
+		rollouts   = fs.Bool("model-rollouts", true, "arm the model lifecycle actor (registrations, rollouts, a NaN-weights rollout the canary must refuse)")
 		soak       = fs.Duration("soak", 0, "soak mode: run this long (overrides -duration) and print the per-bucket availability report as JSON on stdout")
 		verbose    = fs.Bool("v", false, "log cluster node output")
 	)

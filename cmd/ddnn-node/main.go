@@ -51,6 +51,7 @@ import (
 	ddnn "github.com/ddnn/ddnn-go"
 	"github.com/ddnn/ddnn-go/internal/cliutil"
 	"github.com/ddnn/ddnn-go/internal/cluster"
+	"github.com/ddnn/ddnn-go/internal/modelio"
 	"github.com/ddnn/ddnn-go/internal/transport"
 )
 
@@ -112,7 +113,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		*listen = tiers[*tier].listen
 	}
 
-	model, err := ddnn.LoadModel(*modelPath)
+	// The node's registry holds the model under the file's version stamp,
+	// which the gateway's sessions must pin.
+	model, version, err := modelio.LoadFileVersioned(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -125,9 +128,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		dcfg := ddnn.DefaultDatasetConfig()
 		dcfg.Seed = *dataSeed
 		_, test := ddnn.GenerateDataset(dcfg)
-		n = cluster.NewDevice(model, *device, cluster.DatasetFeed(test, *device), nil)
+		n = cluster.NewDevice(model, version, *device, cluster.DatasetFeed(test, *device), nil)
 	case "edge":
-		ed, err := cluster.NewEdge(model, cluster.EdgeConfig{CloudTimeout: *cloudTimeout, CloudFallback: !*noFallback}, nil)
+		ed, err := cluster.NewEdge(model, version, cluster.EdgeConfig{CloudTimeout: *cloudTimeout, CloudFallback: !*noFallback}, nil)
 		if err != nil {
 			return err
 		}
@@ -143,7 +146,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		n = ed
 	case "cloud":
-		n = cluster.NewCloud(model, nil)
+		n = cluster.NewCloud(model, version, nil)
 	}
 	if *register != "" {
 		id := *nodeID

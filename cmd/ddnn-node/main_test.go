@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"path/filepath"
@@ -124,6 +125,54 @@ func TestRegisteredDeviceServesWithoutListening(t *testing.T) {
 	drained(t, done)
 	if remote.Topology().Present[last] {
 		t.Errorf("slot %d still present after the device drained", last)
+	}
+	cancel()
+	for _, done := range nodes {
+		drained(t, done)
+	}
+}
+
+// TestNodesServeTheirFilesVersionStamp starts a cloud and every device
+// from a model file stamped with version 7: a gateway whose registry
+// starts at the same stamp gets answers pinned to 7, and one that pins
+// version 1 — what every node registered before the stamp was read —
+// gets the typed unknown-version error instead of an answer.
+func TestNodesServeTheirFilesVersionStamp(t *testing.T) {
+	path, model := trainModel(t, false)
+	if err := ddnn.SaveModelVersion(path, model, 7); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var nodes []<-chan nodeExit
+	start := func(args ...string) string {
+		addr, done := startNode(t, ctx, append([]string{"-model", path, "-listen", "127.0.0.1:0"}, args...)...)
+		nodes = append(nodes, done)
+		return addr
+	}
+	cloud := start("-tier", "cloud")
+	devices := make([]string, model.Cfg.Devices)
+	for d := range devices {
+		devices[d] = start("-tier", "device", "-device", strconv.Itoa(d))
+	}
+	for _, tc := range []struct {
+		version uint64
+		wantErr error
+	}{{7, nil}, {1, ddnn.ErrModelVersionUnknown}} {
+		cfg := engineConfig
+		cfg.ModelVersion = tc.version
+		remote, err := ddnn.Connect(ctx, model, devices, []string{cloud}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := remote.ClassifyTenantShed(ctx, 0, "", ddnn.ShedNone)
+		remote.Close()
+		switch {
+		case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+			t.Errorf("gateway pinning version %d: %v, want %v", tc.version, err, tc.wantErr)
+		case tc.wantErr == nil && (err != nil || res.ModelVersion != 7):
+			t.Errorf("gateway pinning version 7: %v, %+v; want an answer pinned to 7", err, res)
+		}
 	}
 	cancel()
 	for _, done := range nodes {

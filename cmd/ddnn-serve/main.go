@@ -128,10 +128,10 @@ func run(args []string) error {
 	}
 
 	if *adminTokens != "" && c.Remote() {
-		return fmt.Errorf("-admin-tokens requires the in-process engine: rolling model reloads need registry access on every node")
+		return fmt.Errorf("-admin-tokens requires the in-process engine: a rollout flips the one registry its nodes share, and ddnn-node processes hold their own")
 	}
 	train, test := c.Dataset()
-	model, err := c.Model(train, logger)
+	model, version, err := c.Model(train, logger)
 	if err != nil {
 		return err
 	}
@@ -142,6 +142,7 @@ func run(args []string) error {
 		Gateway:        gcfg,
 		MaxConcurrency: *concurrency,
 		Batch:          ddnn.BatchConfig{MaxBatch: *batch},
+		ModelVersion:   version,
 		Logger:         slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	})
 	if err != nil {

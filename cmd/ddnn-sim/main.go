@@ -109,7 +109,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	train, test := c.Dataset()
-	model, err := c.Model(train, slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	model, version, err := c.Model(train, slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	if err != nil {
 		return err
 	}
@@ -123,6 +123,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Gateway:        gatewayConfig(c.Remote(), *threshold, *edgeT),
 		MaxConcurrency: *concurrency,
 		Batch:          ddnn.BatchConfig{MaxBatch: *batch},
+		ModelVersion:   version,
 		Logger:         slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	})
 	if err != nil {

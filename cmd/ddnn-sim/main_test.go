@@ -68,14 +68,14 @@ func TestRunDrivesTCPCluster(t *testing.T) {
 	_, test := ddnn.GenerateDataset(ddnn.DefaultDatasetConfig())
 	var devices []string
 	for d := 0; d < m.Cfg.Devices; d++ {
-		dev := cluster.NewDevice(m, d, cluster.DatasetFeed(test, d), nil)
+		dev := cluster.NewDevice(m, 1, d, cluster.DatasetFeed(test, d), nil)
 		if err := dev.Serve(transport.TCP{}, "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { dev.Close() })
 		devices = append(devices, dev.Addr())
 	}
-	cloud := cluster.NewCloud(m, nil)
+	cloud := cluster.NewCloud(m, 1, nil)
 	if err := cloud.Serve(transport.TCP{}, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

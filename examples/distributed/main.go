@@ -43,7 +43,7 @@ func run() error {
 	fmt.Println("deploying sections onto TCP nodes...")
 	addrs := make([]string, model.Cfg.Devices)
 	for d := 0; d < model.Cfg.Devices; d++ {
-		dev := cluster.NewDevice(model, d, cluster.DatasetFeed(test, d), nil)
+		dev := cluster.NewDevice(model, 1, d, cluster.DatasetFeed(test, d), nil)
 		if err := dev.Serve(tr, "127.0.0.1:0"); err != nil {
 			return err
 		}
@@ -51,7 +51,7 @@ func run() error {
 		addrs[d] = dev.Addr()
 		fmt.Printf("  device %d  @ %s\n", d+1, addrs[d])
 	}
-	cloud := cluster.NewCloud(model, nil)
+	cloud := cluster.NewCloud(model, 1, nil)
 	if err := cloud.Serve(tr, "127.0.0.1:0"); err != nil {
 		return err
 	}

@@ -98,11 +98,12 @@ func (s *Server) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]uint64{"version": version})
 }
 
-// handleAdminRollout answers POST /v1/admin/rollout: a zero-downtime
-// rolling reload onto {"version": N}. 200 when the fleet converged on
-// the new version; 404 for an unregistered version, 409 when another
-// rollout is in flight, 422 when a canary failed and the fleet rolled
-// back (the response carries the typed failure).
+// handleAdminRollout answers POST /v1/admin/rollout: a checked flip of
+// the active version to {"version": N}. 200 when the version is active;
+// 404 for an unregistered version, 409 when another rollout is in
+// flight, 422 when the canary refused the version (the prior version
+// stays active; the response carries the typed failure), 501 when the
+// engine is attached to remote nodes.
 func (s *Server) handleAdminRollout(w http.ResponseWriter, r *http.Request) {
 	var req rolloutRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -124,6 +125,8 @@ func (s *Server) handleAdminRollout(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusConflict
 		case errors.Is(err, cluster.ErrRolloutFailed):
 			status = http.StatusUnprocessableEntity
+		case errors.Is(err, cluster.ErrRolloutUnsupported):
+			status = http.StatusNotImplemented
 		}
 		s.logger.Warn("model rollout failed", "version", req.Version, "err", err)
 		writeError(w, status, err.Error())

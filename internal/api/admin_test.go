@@ -2,8 +2,12 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +16,7 @@ import (
 	"github.com/ddnn/ddnn-go/internal/cluster"
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/modelio"
+	"github.com/ddnn/ddnn-go/internal/transport"
 )
 
 // adminRequest sends one admin-plane request with the given bearer token.
@@ -173,5 +178,88 @@ func TestAdminUnmountedWithoutAdminAuth(t *testing.T) {
 	resp := adminRequest(t, http.MethodGet, ts.URL+"/v1/admin/models", "anything", "", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unmounted admin plane: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestAdminRolloutRefusedByCanary registers an artifact whose cloud exit
+// holds a NaN weight and rolls out to it: 422, and the inventory still
+// shows version 1 active with the rollout state rolled_back.
+func TestAdminRolloutRefusedByCanary(t *testing.T) {
+	model, _ := e2eFixture(t)
+	_, ts := newE2EServer(t, Config{AdminAuth: NewAuthenticator(map[string]string{"ops": "admin-token"})})
+
+	bad := core.MustNewModel(model.Cfg)
+	for _, nt := range bad.StateDict() {
+		if nt.Name == "cloud.exitbn.gamma" {
+			nt.T.Data()[0] = float32(math.NaN())
+		}
+	}
+	var buf bytes.Buffer
+	if err := modelio.SaveVersion(&buf, bad, 2); err != nil {
+		t.Fatal(err)
+	}
+	resp := adminRequest(t, http.MethodPost, ts.URL+"/v1/admin/models", "admin-token", "application/octet-stream", buf.Bytes())
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register: status %d, want 201", resp.StatusCode)
+	}
+	resp = adminRequest(t, http.MethodPost, ts.URL+"/v1/admin/rollout", "admin-token", "application/json", []byte(`{"version": 2}`))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("rollout to NaN weights: status %d, want 422", resp.StatusCode)
+	}
+	resp = adminRequest(t, http.MethodGet, ts.URL+"/v1/admin/models", "admin-token", "", nil)
+	var inv modelsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&inv); err != nil {
+		t.Fatal(err)
+	}
+	if inv.ActiveVersion != 1 || inv.RolloutState != cluster.RolloutRolledBack {
+		t.Fatalf("after refusal: %+v, want version 1 active and state %q", inv, cluster.RolloutRolledBack)
+	}
+}
+
+// TestAdminRolloutOnAttachedEngine: an engine attached to standalone
+// nodes (each holding its own registry) still registers artifacts, but
+// a rollout answers 501 Not Implemented, not 500.
+func TestAdminRolloutOnAttachedEngine(t *testing.T) {
+	model, test := e2eFixture(t)
+	tr := transport.NewMem()
+	devices := make([]string, model.Cfg.Devices)
+	for d := range devices {
+		dev := cluster.NewDevice(model, 1, d, cluster.DatasetFeed(test, d), quietLogger())
+		devices[d] = fmt.Sprintf("device-%d", d)
+		if err := dev.Serve(tr, devices[d]); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dev.Close() })
+	}
+	cloud := cluster.NewCloud(model, 1, quietLogger())
+	if err := cloud.Serve(tr, "cloud"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cloud.Close() })
+	eng, err := cluster.AttachEngine(context.Background(), model, cluster.EngineConfig{Gateway: cluster.DefaultGatewayConfig(), Logger: quietLogger()}, tr, devices, []string{"cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv, err := NewServer(Config{
+		Engine:     FromEngine(eng),
+		Devices:    model.Cfg.Devices,
+		AdminAuth:  NewAuthenticator(map[string]string{"ops": "admin-token"}),
+		ModelAdmin: eng,
+		Logger:     quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	resp := adminRequest(t, http.MethodPost, ts.URL+"/v1/admin/models", "admin-token", "application/octet-stream", artifactBytes(t, model, 4242, 2))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register on an attached engine: status %d, want 201", resp.StatusCode)
+	}
+	resp = adminRequest(t, http.MethodPost, ts.URL+"/v1/admin/rollout", "admin-token", "application/json", []byte(`{"version": 2}`))
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("rollout on an attached engine: status %d, want 501", resp.StatusCode)
 	}
 }

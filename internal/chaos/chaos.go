@@ -91,10 +91,10 @@ type Config struct {
 	// ModelRollout arms the actor that drives the model lifecycle admin
 	// plane under live traffic: registering versioned artifacts
 	// (including deliberately corrupt ones), rolling the fleet across
-	// versions, and planting canary failures that must trigger automatic
-	// full-fleet rollbacks. Every completed classification still has to
-	// verify bit-identical against the reference weights of the model
-	// version its session pinned.
+	// versions, and rolling out to a registered artifact with NaN weights,
+	// which the rollout canary must refuse. Every completed classification
+	// still has to verify bit-identical against the reference weights of
+	// the model version its session pinned.
 	ModelRollout bool
 	// Logger receives node logs; nil discards them (chaos runs are
 	// noisy by design).
@@ -164,10 +164,10 @@ type Harness struct {
 	sampleN int
 
 	// artifacts are the pre-generated versioned model artifacts the
-	// rollout actor registers and rolls to; badModel is the wrong-weights
-	// copy its tamper hook plants to force canary failures.
-	artifacts []modelArtifact
-	badModel  *core.Model
+	// rollout actor registers and rolls to; nanArtifact is the one whose
+	// cloud exit holds a NaN weight, which the rollout canary must refuse.
+	artifacts   []modelArtifact
+	nanArtifact modelArtifact
 }
 
 // New builds the topology: model.Cfg decides two or three tiers. The
@@ -257,26 +257,37 @@ type modelArtifact struct {
 }
 
 // buildArtifacts pre-generates the rollout actor's model inventory:
-// seed-variant models of the base architecture under versions 2..6 —
-// within the registry's retention bound — serialized as modelio v2
-// artifacts, plus the never-registered wrong-weights model the tamper
-// hook plants. Each variant is registered with the verifier up front so
-// results stamped with its version verify against the right reference.
+// seed-variant models of the base architecture under versions 2..6,
+// serialized as modelio v2 artifacts, plus version 7, a variant whose
+// cloud.exitbn.gamma holds a NaN. Seven versions stay within the
+// registry's retention bound. Each good variant is registered with the
+// verifier up front so results stamped with its version verify against
+// the right reference; version 7 is not, so an answer pinned to it is a
+// violation.
 func (h *Harness) buildArtifacts() error {
-	for v := uint64(2); v <= 6; v++ {
+	for v := uint64(2); v <= 7; v++ {
 		mcfg := h.model.Cfg
 		mcfg.Seed = h.model.Cfg.Seed + 1000*int64(v) + 17
 		m := core.MustNewModel(mcfg)
+		if v == 7 {
+			for _, nt := range m.StateDict() {
+				if nt.Name == "cloud.exitbn.gamma" {
+					nt.T.Data()[0] = float32(math.NaN())
+				}
+			}
+		}
 		var buf bytes.Buffer
 		if err := modelio.SaveVersion(&buf, m, v); err != nil {
 			return err
 		}
-		h.artifacts = append(h.artifacts, modelArtifact{version: v, model: m, data: buf.Bytes()})
+		art := modelArtifact{version: v, model: m, data: buf.Bytes()}
+		if v == 7 {
+			h.nanArtifact = art
+			continue
+		}
+		h.artifacts = append(h.artifacts, art)
 		h.verifier.AddModel(v, m)
 	}
-	bcfg := h.model.Cfg
-	bcfg.Seed = h.model.Cfg.Seed + 999983
-	h.badModel = core.MustNewModel(bcfg)
 	return nil
 }
 
@@ -339,37 +350,13 @@ func (h *Harness) Run(ctx context.Context) *Report {
 
 	h.heal()
 	h.awaitRecovery(15 * time.Second)
-	if h.cfg.ModelRollout {
-		h.awaitModelConvergence(10 * time.Second)
-	}
 	h.sweep(ctx)
 	h.awaitQuiescence(5 * time.Second)
 	return h.report
 }
 
-// awaitModelConvergence waits out any rollout still finishing
-// server-side (the actor's canceled request aborts it, but the rollback
-// runs to completion in the handler goroutine), then asserts every node
-// in the hierarchy converged on the engine's active model version.
-func (h *Harness) awaitModelConvergence(deadline time.Duration) {
-	stop := time.Now().Add(deadline)
-	for time.Now().Before(stop) && h.eng.RolloutState() == cluster.RolloutRolling {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if h.eng.RolloutState() == cluster.RolloutRolling {
-		h.report.violate("a model rollout never finished after the fault window")
-		return
-	}
-	if err := h.eng.VerifyModelConvergence(); err != nil {
-		h.report.violate("fleet diverged on model versions after healing: %v", err)
-	}
-}
-
 // heal clears every standing fault and restores full device membership.
 func (h *Harness) heal() {
-	// Disarm any planted canary tamper so late rollouts cannot corrupt
-	// the convergence and sweep phases' expectations.
-	h.eng.SetRolloutTamper(nil)
 	h.ft.Heal()
 	for _, d := range h.eng.Devices() {
 		d.SetFailed(false)

@@ -116,18 +116,18 @@ func TestChaosSeededMembershipChurn(t *testing.T) {
 // TestChaosSeededModelRollout pushes the model lifecycle plane
 // specifically: the rollout actor registers versioned artifacts
 // (including corrupt uploads that must bounce), rolls the fleet across
-// versions and plants canary-failing tampers while the full fault mix
-// runs. Every completed classification must verify bit-identical
-// against the weights of the model version its session pinned, and the
-// fleet must converge on one version after healing.
+// versions and rolls out to a NaN-weights artifact the canary must
+// refuse while the full fault mix runs. Every completed classification
+// must verify bit-identical against the weights of the model version its
+// session pinned.
 func TestChaosSeededModelRollout(t *testing.T) {
 	model, test := threeTier(t)
 	rep := runSeed(t, model, test, 8)
 	if rep.FaultCount("model-register") == 0 {
 		t.Fatalf("seed 8 registered no model artifacts; faults: %d kinds", rep.FaultKinds())
 	}
-	if rep.FaultCount("model-rollout")+rep.FaultCount("model-rollback") == 0 {
-		t.Fatalf("seed 8 completed no rollouts or rollbacks; faults: %d kinds", rep.FaultKinds())
+	if rep.FaultCount("model-rollout")+rep.FaultCount("model-rollout-refused") == 0 {
+		t.Fatalf("seed 8 completed no rollouts and had none refused; faults: %d kinds", rep.FaultKinds())
 	}
 }
 

@@ -7,12 +7,11 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
-	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/transport"
-	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // faultTransport wraps a transport with runtime-switchable link faults,
@@ -322,9 +321,9 @@ func (h *Harness) frameCorrupter(ctx context.Context, rng *rand.Rand) {
 // modelRoller drives the model lifecycle admin plane under live
 // traffic: registering pre-generated versioned artifacts (and
 // deliberately corrupt ones, which must bounce off the integrity
-// checks), rolling the fleet across versions, and occasionally planting
-// a canary-failing tamper that must trigger an automatic full-fleet
-// rollback. Traffic keeps flowing the whole time; the verifier holds
+// checks), rolling the fleet across versions, and occasionally rolling
+// out to the registered NaN-weights artifact, which the canary must
+// refuse. Traffic keeps flowing the whole time; the verifier holds
 // every answer to the reference weights of the version it pinned.
 func (h *Harness) modelRoller(ctx context.Context, rng *rand.Rand) {
 	for ctx.Err() == nil {
@@ -336,14 +335,12 @@ func (h *Harness) modelRoller(ctx context.Context, rng *rand.Rand) {
 		case 4:
 			h.opRolloutUnknown(ctx, rng)
 		case 5:
-			h.opTamperedRollout(ctx, rng)
+			h.opNaNRollout(ctx)
 		default:
 			h.opRollout(ctx, rng)
 		}
 		sleepCtx(ctx, jitter(rng, 30*time.Millisecond, 200*time.Millisecond))
 	}
-	// Never leave a planted tamper armed for the heal phase.
-	h.eng.SetRolloutTamper(nil)
 }
 
 // adminDo sends one admin-plane request and checks the status against
@@ -413,67 +410,51 @@ func (h *Harness) inventory(ctx context.Context) (versions []uint64, active uint
 	return inv.Versions, inv.ActiveVersion, true
 }
 
-// opRollout rolls the fleet to a random registered version. 200 covers
-// both a completed rollout and a no-op onto the active version; under
-// concurrent replica restarts and partitions the rollout may also roll
-// back (422) or collide with a still-finishing one (409).
+// opRollout rolls the fleet to a random registered version with good
+// weights. 200 covers both a completed rollout and a no-op onto the
+// active version; 409 is a collision with a still-finishing one. The
+// canary refuses only bad weights, so restarts and partitions cannot
+// make a good version's rollout fail.
 func (h *Harness) opRollout(ctx context.Context, rng *rand.Rand) {
 	versions, _, ok := h.inventory(ctx)
-	if !ok || len(versions) == 0 {
+	if !ok {
+		return
+	}
+	versions = slices.DeleteFunc(versions, func(v uint64) bool { return v == h.nanArtifact.version })
+	if len(versions) == 0 {
 		return
 	}
 	v := versions[rng.Intn(len(versions))]
 	body, _ := json.Marshal(map[string]uint64{"version": v})
 	code, _, ok := h.adminDo(ctx, http.MethodPost, "/v1/admin/rollout", "application/json", body,
-		"model rollout", http.StatusOK, http.StatusConflict, http.StatusUnprocessableEntity)
-	if !ok {
-		return
-	}
-	switch code {
-	case http.StatusOK:
+		"model rollout", http.StatusOK, http.StatusConflict)
+	if ok && code == http.StatusOK {
 		h.report.countFault("model-rollout")
-	case http.StatusUnprocessableEntity:
-		h.report.countFault("model-rollback")
 	}
 }
 
-// opTamperedRollout plants a wrong-weights copy on one upstream replica
-// and rolls to a non-active version: the canary must catch the tampered
-// replica and roll the whole fleet back (422) — the tampered weights
-// must never answer traffic, which the verifier proves by holding every
-// response to its pinned version's reference.
-func (h *Harness) opTamperedRollout(ctx context.Context, rng *rand.Rand) {
-	versions, active, ok := h.inventory(ctx)
+// opNaNRollout registers the artifact whose cloud exit holds a NaN
+// weight (201, or 409 once registered) and rolls out to it: the canary
+// must refuse it (422) and the active version must not move. The
+// verifier holds every answer to a good version's reference, so an
+// answer pinned to the NaN version is a violation too.
+func (h *Harness) opNaNRollout(ctx context.Context) {
+	if _, _, ok := h.adminDo(ctx, http.MethodPost, "/v1/admin/models", "application/octet-stream", h.nanArtifact.data,
+		"NaN-weights register", http.StatusCreated, http.StatusConflict); !ok {
+		return
+	}
+	_, before, ok := h.inventory(ctx)
 	if !ok {
 		return
 	}
-	targets := versions[:0:0]
-	for _, v := range versions {
-		if v != active {
-			targets = append(targets, v)
-		}
-	}
-	if len(targets) == 0 {
+	body, _ := json.Marshal(map[string]uint64{"version": h.nanArtifact.version})
+	code, _, ok := h.adminDo(ctx, http.MethodPost, "/v1/admin/rollout", "application/json", body,
+		"NaN-weights rollout", http.StatusUnprocessableEntity, http.StatusConflict)
+	if !ok || code != http.StatusUnprocessableEntity {
 		return
 	}
-	tier, replicas := wire.ExitCloud, h.cfg.CloudReplicas
-	if h.model.Cfg.UseEdge && rng.Intn(2) == 0 {
-		tier, replicas = wire.ExitEdge, h.cfg.EdgeReplicas
-	}
-	target := rng.Intn(replicas)
-	h.eng.SetRolloutTamper(func(t wire.ExitPoint, i int) *core.Model {
-		if t == tier && i == target {
-			return h.badModel
-		}
-		return nil
-	})
-	defer h.eng.SetRolloutTamper(nil)
-
-	v := targets[rng.Intn(len(targets))]
-	body, _ := json.Marshal(map[string]uint64{"version": v})
-	code, _, ok := h.adminDo(ctx, http.MethodPost, "/v1/admin/rollout", "application/json", body,
-		"tampered rollout", http.StatusUnprocessableEntity, http.StatusConflict)
-	if ok && code == http.StatusUnprocessableEntity {
-		h.report.countFault("model-rollback")
+	h.report.countFault("model-rollout-refused")
+	if _, after, ok := h.inventory(ctx); ok && after != before {
+		h.report.violate("refused rollout of version %d moved the active version from %d to %d", h.nanArtifact.version, before, after)
 	}
 }

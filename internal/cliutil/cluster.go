@@ -71,23 +71,26 @@ func (c *Cluster) Dataset() (train, test *dataset.Dataset) {
 }
 
 // Model loads -model, or trains a fresh model on train when it is empty,
-// and logs which. It checks the flag combination first, so a mistake
-// fails before minutes of training.
-func (c *Cluster) Model(train *dataset.Dataset, logger *slog.Logger) (*core.Model, error) {
+// and logs which. It also returns the model's version: the file's stamp
+// (ddnn-train -model-version), or 1 for a model trained now. Pass it as
+// EngineConfig.ModelVersion, so sessions pin the version ddnn-node
+// processes that loaded the same file hold. It checks the flag
+// combination first, so a mistake fails before minutes of training.
+func (c *Cluster) Model(train *dataset.Dataset, logger *slog.Logger) (*core.Model, uint64, error) {
 	switch {
 	case c.Replicas < 1:
-		return nil, fmt.Errorf("-replicas must be at least 1, got %d", c.Replicas)
+		return nil, 0, fmt.Errorf("-replicas must be at least 1, got %d", c.Replicas)
 	case c.Remote() && c.ModelPath == "":
-		return nil, errors.New("attaching to running nodes needs -model, the file they loaded")
+		return nil, 0, errors.New("attaching to running nodes needs -model, the file they loaded")
 	case c.Remote() && c.Replicas > 1:
-		return nil, errors.New("-replicas starts in-process replicas; name running ones with -cloud or -edge-addr instead")
+		return nil, 0, errors.New("-replicas starts in-process replicas; name running ones with -cloud or -edge-addr instead")
 	}
 	if c.ModelPath != "" {
-		m, err := modelio.LoadFile(c.ModelPath)
+		m, v, err := modelio.LoadFileVersioned(c.ModelPath)
 		if err == nil {
-			logger.Info("model loaded", "path", c.ModelPath, "edge", m.Cfg.UseEdge)
+			logger.Info("model loaded", "path", c.ModelPath, "edge", m.Cfg.UseEdge, "model_version", v)
 		}
-		return m, err
+		return m, v, err
 	}
 	cfg := core.DefaultConfig()
 	cfg.UseEdge = c.UseEdge
@@ -96,9 +99,9 @@ func (c *Cluster) Model(train *dataset.Dataset, logger *slog.Logger) (*core.Mode
 	tc.Epochs = c.Epochs
 	logger.Info("training model", "epochs", c.Epochs, "edge", c.UseEdge)
 	if _, err := m.Train(train, tc); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return m, nil
+	return m, 1, nil
 }
 
 // Engine starts the serving engine for m: attached to the nodes the

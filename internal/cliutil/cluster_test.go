@@ -1,12 +1,18 @@
 package cliutil
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"log/slog"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/ddnn/ddnn-go/internal/cluster"
 	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/modelio"
 )
 
 // TestClusterEngineRejectsMismatchedAddresses: attaching names the
@@ -42,5 +48,48 @@ func TestClusterEngineRejectsMismatchedAddresses(t *testing.T) {
 				t.Fatalf("Engine = %v, want an error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestClusterModelKeepsVersionStamp: a -model file stamped with version 7
+// loads as version 7, the engine built from it answers pinned to 7, and
+// a different artifact genuinely stamped 1 then registers cleanly.
+func TestClusterModelKeepsVersionStamp(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CloudFilters = 8
+	path := filepath.Join(t.TempDir(), "model.ddnn")
+	if err := modelio.SaveFileAtomic(path, core.MustNewModel(cfg), 7); err != nil {
+		t.Fatal(err)
+	}
+	c := Cluster{ModelPath: path, Replicas: 1}
+	m, version, err := c.Model(nil, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != 7 {
+		t.Fatalf("Model() version = %d, want the file's stamp 7", version)
+	}
+	dcfg := dataset.DefaultConfig()
+	dcfg.Train, dcfg.Test = 8, 8
+	_, test := dataset.MustGenerate(dcfg)
+	eng, err := c.Engine(context.Background(), m, test, cluster.EngineConfig{Gateway: cluster.DefaultGatewayConfig(), ModelVersion: version})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.ClassifyTenantShed(context.Background(), 0, "", cluster.ShedNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ModelVersion != 7 {
+		t.Fatalf("answer pinned to version %d, want 7", res.ModelVersion)
+	}
+	cfg.Seed++
+	var buf bytes.Buffer
+	if err := modelio.SaveVersion(&buf, core.MustNewModel(cfg), 1); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := eng.RegisterModelBytes(buf.Bytes()); err != nil || v != 1 {
+		t.Fatalf("registering an artifact stamped 1: version %d, %v; want 1, nil", v, err)
 	}
 }

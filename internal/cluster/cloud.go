@@ -26,10 +26,11 @@ type Cloud struct {
 	model *core.Model
 }
 
-// NewCloud constructs the cloud node around a trained model.
-func NewCloud(model *core.Model, logger *slog.Logger) *Cloud {
+// NewCloud constructs the cloud node around a trained model, registered
+// under modelVersion (see NewDevice).
+func NewCloud(model *core.Model, modelVersion uint64, logger *slog.Logger) *Cloud {
 	c := &Cloud{model: model}
-	c.init("cloud", model, logger, c.frame, c.run)
+	c.init("cloud", model, modelVersion, logger, c.frame, c.run)
 	return c
 }
 

@@ -338,7 +338,7 @@ func TestCloudFailureSurfacesError(t *testing.T) {
 func TestCloudRejectsWrongDeviceCount(t *testing.T) {
 	model, _ := fixture(t)
 	tr := transport.NewMem()
-	cloud := NewCloud(model, quietLogger())
+	cloud := NewCloud(model, 1, quietLogger())
 	if err := cloud.Serve(tr, "cloud-reject"); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestDeviceMarksUnknownSampleAbsent(t *testing.T) {
 	// reply, and a typed error when its features are requested.
 	model, test := fixture(t)
 	tr := transport.NewMem()
-	dev := NewDevice(model, 0, DatasetFeed(test, 0), quietLogger())
+	dev := NewDevice(model, 1, 0, DatasetFeed(test, 0), quietLogger())
 	if err := dev.Serve(tr, "dev-unknown"); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestClusterOverTCP(t *testing.T) {
 	var devices []*Device
 	addrs := make([]string, model.Cfg.Devices)
 	for d := 0; d < model.Cfg.Devices; d++ {
-		dev := NewDevice(model, d, DatasetFeed(test, d), quietLogger())
+		dev := NewDevice(model, 1, d, DatasetFeed(test, d), quietLogger())
 		if err := dev.Serve(tr, "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func TestClusterOverTCP(t *testing.T) {
 		devices = append(devices, dev)
 		addrs[d] = dev.listener.Addr().String()
 	}
-	cloud := NewCloud(model, quietLogger())
+	cloud := NewCloud(model, 1, quietLogger())
 	if err := cloud.Serve(tr, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

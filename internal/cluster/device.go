@@ -66,14 +66,15 @@ type Device struct {
 }
 
 // NewDevice constructs a device node for device `index` of the model,
-// reading frames from feed.
-func NewDevice(model *core.Model, index int, feed Feed, logger *slog.Logger) *Device {
+// reading frames from feed. modelVersion is the version the node's
+// registry holds the model under — a model file's stamp; zero means 1.
+func NewDevice(model *core.Model, modelVersion uint64, index int, feed Feed, logger *slog.Logger) *Device {
 	d := &Device{
 		index:    index,
 		feed:     feed,
 		features: make(map[uint64]*retainedFeature),
 	}
-	d.init(fmt.Sprintf("device-%d", index), model, logger, d.frame, d.run)
+	d.init(fmt.Sprintf("device-%d", index), model, modelVersion, logger, d.frame, d.run)
 	d.leaving, d.leave = context.WithCancel(context.Background())
 	d.onClose = d.leave
 	return d

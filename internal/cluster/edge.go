@@ -73,8 +73,9 @@ type Edge struct {
 	nextUpstream atomic.Uint64
 }
 
-// NewEdge constructs the edge node around a trained edge-tier model.
-func NewEdge(model *core.Model, cfg EdgeConfig, logger *slog.Logger) (*Edge, error) {
+// NewEdge constructs the edge node around a trained edge-tier model,
+// registered under modelVersion (see NewDevice).
+func NewEdge(model *core.Model, modelVersion uint64, cfg EdgeConfig, logger *slog.Logger) (*Edge, error) {
 	if !model.Cfg.UseEdge {
 		return nil, fmt.Errorf("cluster: edge node needs a model built with UseEdge")
 	}
@@ -82,7 +83,7 @@ func NewEdge(model *core.Model, cfg EdgeConfig, logger *slog.Logger) (*Edge, err
 		cfg.CloudTimeout = DefaultEdgeConfig().CloudTimeout
 	}
 	e := &Edge{cfg: cfg, Meter: metrics.NewCommMeter()}
-	e.init("edge", model, logger, e.frame, e.run)
+	e.init("edge", model, modelVersion, logger, e.frame, e.run)
 	// Closing the cloud links fails escalations still in flight over to
 	// CloudFallback, so Close never waits out a cloud timeout. The
 	// detector stops first, so no re-dial outlives the pool.

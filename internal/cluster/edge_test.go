@@ -214,19 +214,19 @@ func TestAttachEngineToEdgeTierOverTCP(t *testing.T) {
 
 	addrs := make([]string, model.Cfg.Devices)
 	for d := 0; d < model.Cfg.Devices; d++ {
-		dev := NewDevice(model, d, DatasetFeed(test, d), quietLogger())
+		dev := NewDevice(model, 1, d, DatasetFeed(test, d), quietLogger())
 		if err := dev.Serve(tr, "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		defer dev.Close()
 		addrs[d] = dev.Addr()
 	}
-	cloud := NewCloud(model, quietLogger())
+	cloud := NewCloud(model, 1, quietLogger())
 	if err := cloud.Serve(tr, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
-	edge, err := NewEdge(model, DefaultEdgeConfig(), quietLogger())
+	edge, err := NewEdge(model, 1, DefaultEdgeConfig(), quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,19 +278,19 @@ func TestTwoGatewaysShareOneEdge(t *testing.T) {
 
 	addrs := make([]string, model.Cfg.Devices)
 	for d := 0; d < model.Cfg.Devices; d++ {
-		dev := NewDevice(model, d, DatasetFeed(test, d), quietLogger())
+		dev := NewDevice(model, 1, d, DatasetFeed(test, d), quietLogger())
 		addrs[d] = fmt.Sprintf("2gw-device-%d", d)
 		if err := dev.Serve(tr, addrs[d]); err != nil {
 			t.Fatal(err)
 		}
 		defer dev.Close()
 	}
-	cloud := NewCloud(model, quietLogger())
+	cloud := NewCloud(model, 1, quietLogger())
 	if err := cloud.Serve(tr, "2gw-cloud"); err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
-	edge, err := NewEdge(model, DefaultEdgeConfig(), quietLogger())
+	edge, err := NewEdge(model, 1, DefaultEdgeConfig(), quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,21 +376,21 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 	}
 	cloudOf := func(m *core.Model) func(transport.Transport, string) (func(), error) {
 		return func(tr transport.Transport, addr string) (func(), error) {
-			c := NewCloud(m, quietLogger())
+			c := NewCloud(m, 1, quietLogger())
 			return func() { c.Close() }, c.Serve(tr, addr)
 		}
 	}
 	twoTierCloud := listener{"two-tier cloud", cloudOf(twoTier)}
 	edgeTierCloud := listener{"edge-tier cloud", cloudOf(threeTier)}
 	edge := listener{"edge", func(tr transport.Transport, addr string) (func(), error) {
-		e, err := NewEdge(threeTier, DefaultEdgeConfig(), quietLogger())
+		e, err := NewEdge(threeTier, 1, DefaultEdgeConfig(), quietLogger())
 		if err != nil {
 			return nil, err
 		}
 		return func() { e.Close() }, e.Serve(tr, addr)
 	}}
 	device := listener{"device", func(tr transport.Transport, addr string) (func(), error) {
-		d := NewDevice(twoTier, 0, DatasetFeed(test, 0), quietLogger())
+		d := NewDevice(twoTier, 1, 0, DatasetFeed(test, 0), quietLogger())
 		return func() { d.Close() }, d.Serve(tr, addr)
 	}}
 	type rejection struct {
@@ -463,8 +463,8 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 func TestOpenSessionTableIsBounded(t *testing.T) {
 	twoTier, _ := fixture(t)
 	threeTier, _ := edgeFixture(t)
-	cloud := NewCloud(twoTier, quietLogger())
-	edge, err := NewEdge(threeTier, DefaultEdgeConfig(), quietLogger())
+	cloud := NewCloud(twoTier, 1, quietLogger())
+	edge, err := NewEdge(threeTier, 1, DefaultEdgeConfig(), quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}

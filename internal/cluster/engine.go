@@ -44,9 +44,10 @@ type EngineConfig struct {
 	// nil means DefaultEdgeConfig.
 	Edge *EdgeConfig
 	// ModelVersion is the version number the engine's starting model is
-	// registered under in the fleet-wide model registry. Zero means 1.
-	// Later versions arrive via Engine.RegisterModel/RegisterModelBytes
-	// and go live via Engine.RolloutModel.
+	// registered under in the engine's model registry — a model file's
+	// stamp (modelio.LoadVersioned). Zero means 1. Later versions arrive
+	// via Engine.RegisterModel/RegisterModelBytes and go live via
+	// Engine.RolloutModel.
 	ModelVersion uint64
 	// Logger receives node logs; nil means slog.Default().
 	Logger *slog.Logger
@@ -70,9 +71,9 @@ type Engine struct {
 	maxBatch  int
 	collector *batchCollector // nil unless maxBatch > 1
 
-	// reg is the fleet's source of truth for loaded model versions and
-	// the active pointer; every node's registry mirrors it. canary is the
-	// held-out batch rollout canaries replay (nil for attached engines,
+	// reg is the one model registry of the process: the gateway and
+	// every in-process node hold this pointer. canary is the held-out
+	// batch a rollout's canary evaluates (nil for attached engines,
 	// which cannot roll out).
 	reg    *modelRegistry
 	canary *dataset.Dataset
@@ -92,8 +93,6 @@ type Engine struct {
 
 	rolloutMu    sync.Mutex   // serializes RolloutModel
 	rolloutState atomic.Int32 // rolloutIdle / rolloutRolling / rolloutRolledBack
-	tamperMu     sync.Mutex
-	tamper       func(tier wire.ExitPoint, replica int) *core.Model
 
 	// mu guards the closed/closing flags AND every wg.Add: a session may
 	// only register with the WaitGroup while `closed` is false under mu,
@@ -170,13 +169,13 @@ func newEngine(m *core.Model, cfg EngineConfig, tr transport.Transport) *Engine 
 }
 
 // connect builds the gateway over the engine's device and upstream
-// addresses and seeds its registry from the engine's.
+// addresses; it resolves sessions in the engine's registry.
 func (e *Engine) connect(ctx context.Context, m *core.Model, cfg EngineConfig) error {
 	gw, err := NewGateway(ctx, m, cfg.Gateway, e.tr, e.deviceAddrs, e.upstreamAddrs, cfg.Logger)
 	if err != nil {
 		return err
 	}
-	gw.reg.adopt(e.reg.snapshot())
+	gw.reg = e.reg
 	e.gw = gw
 	return nil
 }
@@ -187,17 +186,17 @@ func (e *Engine) connect(ctx context.Context, m *core.Model, cfg EngineConfig) e
 func (e *Engine) startNodes(m *core.Model, ds *dataset.Dataset, clouds, edges int) error {
 	e.deviceAddrs = nodeAddrs("device", m.Cfg.Devices)
 	for d, addr := range e.deviceAddrs {
-		dev := NewDevice(m, d, uploadFeed(e.uploads, DatasetFeed(ds, d), d), e.logger)
+		dev := NewDevice(m, 0, d, uploadFeed(e.uploads, DatasetFeed(ds, d), d), e.logger)
 		e.devices = append(e.devices, dev)
-		if err := e.serve(&dev.server, e.reg, addr); err != nil {
+		if err := e.serve(&dev.server, addr); err != nil {
 			return err
 		}
 	}
 	e.upstreamAddrs = nodeAddrs("cloud", clouds)
 	for _, addr := range e.upstreamAddrs {
-		c := NewCloud(m, e.logger)
+		c := NewCloud(m, 0, e.logger)
 		e.clouds = append(e.clouds, c)
-		if err := e.serve(&c.server, e.reg, addr); err != nil {
+		if err := e.serve(&c.server, addr); err != nil {
 			return err
 		}
 	}
@@ -211,7 +210,7 @@ func (e *Engine) startNodes(m *core.Model, ds *dataset.Dataset, clouds, edges in
 			return err
 		}
 		e.edges = append(e.edges, ed)
-		if err := e.serve(&ed.server, e.reg, addr); err != nil {
+		if err := e.serve(&ed.server, addr); err != nil {
 			return err
 		}
 	}
@@ -230,7 +229,7 @@ func nodeAddrs(tier string, n int) []string {
 
 // newEdge builds an edge node pooling every cloud replica.
 func (e *Engine) newEdge(m *core.Model) (*Edge, error) {
-	ed, err := NewEdge(m, e.edgeCfg, e.logger)
+	ed, err := NewEdge(m, 0, e.edgeCfg, e.logger)
 	if err != nil {
 		return nil, err
 	}
@@ -240,12 +239,11 @@ func (e *Engine) newEdge(m *core.Model) (*Edge, error) {
 	return ed, nil
 }
 
-// serve seeds a node's registry from src — the engine's at construction,
-// the gateway's when a restart replaces a node mid-lifecycle, so the
-// replacement serves the fleet's current versions and resolves any
-// version a live session pinned — and starts the node on addr.
-func (e *Engine) serve(n *server, src *modelRegistry, addr string) error {
-	n.reg.adopt(src.snapshot())
+// serve points a node at the engine's registry and starts it on addr. A
+// node started by a restart thus resolves every version a live session
+// pinned and serves whatever is active.
+func (e *Engine) serve(n *server, addr string) error {
+	n.reg = e.reg
 	return n.Serve(e.tr, addr)
 }
 
@@ -437,8 +435,8 @@ func (e *Engine) RestartCloud(i int) error {
 		return err
 	}
 	e.clouds[i].Close()
-	c := NewCloud(e.gw.model, e.logger)
-	if err := e.serve(&c.server, e.gw.reg, nodeAddrs("cloud", len(e.clouds))[i]); err != nil {
+	c := NewCloud(e.gw.model, 0, e.logger)
+	if err := e.serve(&c.server, nodeAddrs("cloud", len(e.clouds))[i]); err != nil {
 		return fmt.Errorf("cluster: restart cloud %d: %w", i, err)
 	}
 	e.clouds[i] = c
@@ -463,7 +461,7 @@ func (e *Engine) RestartEdge(i int) error {
 		return fmt.Errorf("cluster: restart edge %d: %w", i, err)
 	}
 	e.edges[i].Close()
-	if err := e.serve(&ed.server, e.gw.reg, e.upstreamAddrs[i]); err != nil {
+	if err := e.serve(&ed.server, e.upstreamAddrs[i]); err != nil {
 		ed.Close() // its cloud pool is already connected
 		return fmt.Errorf("cluster: restart edge %d: %w", i, err)
 	}

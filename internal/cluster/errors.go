@@ -28,8 +28,8 @@ var (
 	// hierarchy — could not be reached.
 	ErrEdgeUnavailable = errors.New("ddnn: edge unavailable")
 	// ErrNoHealthyReplica reports that every replica of an upstream tier
-	// (edge or cloud pool) is marked down by the heartbeat failure detector
-	// or fenced by a rollout, so an escalation had no replica to run on.
+	// (edge or cloud pool) is marked down by the heartbeat failure
+	// detector, so an escalation had no replica to run on.
 	// It is always wrapped in the tier's sentinel
 	// (ErrEdgeUnavailable or ErrCloudUnavailable).
 	ErrNoHealthyReplica = errors.New("ddnn: no healthy replica")
@@ -38,6 +38,10 @@ var (
 	// shared store, which remote devices (owning their own sensors) do not
 	// consult.
 	ErrUploadUnsupported = errors.New("ddnn: uploads require an in-process engine")
+	// ErrRolloutUnsupported reports RolloutModel on an engine attached to
+	// remote nodes: each remote node holds its own model registry, which
+	// the engine cannot flip.
+	ErrRolloutUnsupported = errors.New("ddnn: rollouts require an in-process engine")
 	// ErrTooManyDevices reports a hierarchy with more devices than the
 	// wire protocol's uint16 present-device masks can describe
 	// (wire.MaxDevices); such configs are rejected at gateway
@@ -50,11 +54,13 @@ var (
 	// (Fewer addresses than slots is not an error — the gateway starts
 	// with a partial device set and admits the rest via registration.)
 	ErrDeviceSlotMismatch = errors.New("ddnn: device slot mismatch")
-	// ErrModelVersionUnknown reports a session pinned to a model version
-	// the serving node's registry does not hold — wire error code 426. It
-	// can only happen when a registry was mutated outside a rollout (e.g.
-	// an eviction raced a very long session); rollouts install a version
-	// on every node before any session can pin it.
+	// ErrModelVersionUnknown reports a model version a registry does not
+	// hold: a rollout to an unregistered version, or a session pinned to a
+	// version a serving node lacks — wire error code 426. An in-process
+	// engine's nodes share its registry, so there a session meets it only
+	// if an eviction raced a very long session; an engine attached to
+	// ddnn-node processes meets it when a node loaded a model file stamped
+	// with another version.
 	ErrModelVersionUnknown = errors.New("ddnn: model version unknown")
 	// ErrDuplicateModelVersion reports registering a model under a
 	// version number the registry already holds. Versions are immutable
@@ -67,11 +73,11 @@ var (
 	// ErrRolloutInProgress reports a RolloutModel call while another
 	// rollout is still running; rollouts are serialized.
 	ErrRolloutInProgress = errors.New("ddnn: rollout already in progress")
-	// ErrRolloutFailed reports a rollout aborted by a failed canary or an
-	// unreachable replica. The fleet has been rolled back to the prior
-	// active version; the wrapping error names the failing replica and
-	// stage.
-	ErrRolloutFailed = errors.New("ddnn: rollout failed and was rolled back")
+	// ErrRolloutFailed reports a rollout refused by its canary: the
+	// candidate version produced a non-finite exit probability on the
+	// held-out batch. The active version never changed; the wrapping
+	// error names the version, sample and exit.
+	ErrRolloutFailed = errors.New("ddnn: rollout refused by its canary")
 )
 
 // ctxErr maps a context error onto the matching typed sentinel while

@@ -387,7 +387,7 @@ func (g *Gateway) DownDevices() []int {
 
 // UpstreamDown reports whether no replica of the next tier up (edge or
 // cloud) can currently serve — every replica is marked down by the
-// failure detector or fenced by a rollout. Escalations then fail fast
+// failure detector. Escalations then fail fast
 // with the tier's typed error wrapping ErrNoHealthyReplica instead of
 // waiting out the timeout.
 func (g *Gateway) UpstreamDown() bool { return g.upstream.Down() }

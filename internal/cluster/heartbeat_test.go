@@ -41,7 +41,7 @@ func TestStaticDeviceRedialedAfterRestart(t *testing.T) {
 	old := eng.Devices()[slot]
 	addr := old.Addr()
 	old.Close()
-	fresh := NewDevice(model, slot, DatasetFeed(test, slot), quietLogger())
+	fresh := NewDevice(model, 1, slot, DatasetFeed(test, slot), quietLogger())
 	if err := fresh.Serve(tr, addr); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestHeartbeatDetectsFailureAndRecovery(t *testing.T) {
 	addrs := make([]string, model.Cfg.Devices)
 	var devices []*Device
 	for d := 0; d < model.Cfg.Devices; d++ {
-		dev := NewDevice(model, d, DatasetFeed(test, d), quietLogger())
+		dev := NewDevice(model, 1, d, DatasetFeed(test, d), quietLogger())
 		addrs[d] = fmt.Sprintf("hb-device-%d", d)
 		if err := dev.Serve(tr, addrs[d]); err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestHeartbeatDetectsFailureAndRecovery(t *testing.T) {
 		defer dev.Close()
 		devices = append(devices, dev)
 	}
-	cloud := NewCloud(model, quietLogger())
+	cloud := NewCloud(model, 1, quietLogger())
 	if err := cloud.Serve(tr, "hb-cloud"); err != nil {
 		t.Fatal(err)
 	}

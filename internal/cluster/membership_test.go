@@ -24,14 +24,14 @@ func membershipCluster(t *testing.T, tr transport.Transport, prefix string) (add
 	model, test := fixture(t)
 	addrs = make([]string, model.Cfg.Devices)
 	for d := 0; d < model.Cfg.Devices; d++ {
-		dev := NewDevice(model, d, DatasetFeed(test, d), quietLogger())
+		dev := NewDevice(model, 1, d, DatasetFeed(test, d), quietLogger())
 		addrs[d] = fmt.Sprintf("%s-device-%d", prefix, d)
 		if err := dev.Serve(tr, addrs[d]); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { dev.Close() })
 	}
-	cloud := NewCloud(model, quietLogger())
+	cloud := NewCloud(model, 1, quietLogger())
 	cloudAddr = prefix + "-cloud"
 	if err := cloud.Serve(tr, cloudAddr); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestRegistrationHandshake(t *testing.T) {
 	}
 
 	// A hello naming an impossible slot is refused with a wire error.
-	bad := NewDevice(model, model.Cfg.Devices, DatasetFeed(test, 0), quietLogger())
+	bad := NewDevice(model, 1, model.Cfg.Devices, DatasetFeed(test, 0), quietLogger())
 	defer bad.Close()
 	if _, err := bad.Join(ctx, tr, "reg-plane", "bad"); err == nil || !strings.Contains(err.Error(), "refused: 400") {
 		t.Errorf("out-of-range hello: Join = %v, want a 400 refusal", err)
@@ -250,7 +250,7 @@ func registrationGateway(t *testing.T, tr transport.Transport, gcfg GatewayConfi
 func joinDevice(t *testing.T, ctx context.Context, tr transport.Transport, slot int) (*Device, *wire.DeviceWelcome) {
 	t.Helper()
 	model, test := fixture(t)
-	dev := NewDevice(model, slot, DatasetFeed(test, slot), quietLogger())
+	dev := NewDevice(model, 1, slot, DatasetFeed(test, slot), quietLogger())
 	t.Cleanup(func() { dev.Close() })
 	welcome, err := dev.Join(ctx, tr, "reg-plane", fmt.Sprintf("node-%d", slot))
 	if err != nil {

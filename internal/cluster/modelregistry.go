@@ -9,18 +9,17 @@ import (
 )
 
 // maxRegistryVersions bounds how many loaded model versions a registry
-// retains. When a registration would exceed it, the oldest inactive
-// version is evicted — the active version (and the one being installed)
-// are never evicted, so a rollback target always survives the rollout
-// that needs it.
+// retains. When a registration would exceed it, the oldest version that
+// is neither active nor the one being registered is evicted.
 const maxRegistryVersions = 8
 
-// modelRegistry holds the loaded model versions one serving node (or the
-// engine itself) can resolve, plus the node's active pointer. Every node
-// owns its own registry — a rolling reload flips replicas' active
-// pointers one at a time — but the *core.Model values are shared by
-// pointer across the fleet: models are frozen read-only after load, so
-// N registries cost one copy of the weights per version, not N.
+// modelRegistry holds the loaded model versions a process can resolve,
+// plus its active pointer. An in-process engine has exactly one: the
+// engine, its gateway and every device, edge and cloud node it starts
+// (restarted ones included) share it, so a rollout is one setActive and
+// no two nodes can disagree on what is active. A ddnn-node process owns
+// its own, started at its model file's version stamp. Models are frozen
+// read-only after load.
 type modelRegistry struct {
 	mu     sync.RWMutex
 	models map[uint64]*core.Model
@@ -71,34 +70,18 @@ func (r *modelRegistry) register(version uint64, m *core.Model) error {
 	return nil
 }
 
-// install force-sets the model stored under a version, registering it if
-// absent. Rollouts use it to push a version onto every node — and to
-// repair a replica whose registry entry a chaos tamper hook corrupted.
-func (r *modelRegistry) install(version uint64, m *core.Model) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.models[version]; !ok {
-		r.order = append(r.order, version)
-	}
-	r.models[version] = m
-	r.evictLocked(version)
-}
-
-// evictLocked drops the oldest inactive versions beyond the capacity
-// bound; keep marks the version being installed, which must survive.
+// evictLocked drops the oldest version that is neither active nor keep
+// (the one just registered) once the registry holds more than
+// maxRegistryVersions; register adds one version at a time, so one
+// eviction restores the bound.
 func (r *modelRegistry) evictLocked(keep uint64) {
-	for len(r.order) > maxRegistryVersions {
-		evicted := false
-		for i, v := range r.order {
-			if v == r.active || v == keep {
-				continue
-			}
+	if len(r.order) <= maxRegistryVersions {
+		return
+	}
+	for i, v := range r.order {
+		if v != r.active && v != keep {
 			delete(r.models, v)
 			r.order = append(r.order[:i], r.order[i+1:]...)
-			evicted = true
-			break
-		}
-		if !evicted {
 			return
 		}
 	}
@@ -145,41 +128,4 @@ func (r *modelRegistry) versions() []uint64 {
 	out := append([]uint64(nil), r.order...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// model returns the model stored under a concrete version, or nil.
-func (r *modelRegistry) model(version uint64) *core.Model {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.models[version]
-}
-
-// snapshot returns every (version, model) pair the registry holds plus
-// the active version — used to seed a freshly restarted replica's
-// registry with the same version set as the rest of the fleet.
-func (r *modelRegistry) snapshot() (map[uint64]*core.Model, uint64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[uint64]*core.Model, len(r.models))
-	for v, m := range r.models {
-		out[v] = m
-	}
-	return out, r.active
-}
-
-// adopt replaces the registry's contents with a snapshot taken from
-// another registry.
-func (r *modelRegistry) adopt(models map[uint64]*core.Model, active uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.models = make(map[uint64]*core.Model, len(models))
-	r.order = r.order[:0]
-	for v, m := range models {
-		r.models[v] = m
-		r.order = append(r.order, v)
-	}
-	sort.Slice(r.order, func(i, j int) bool { return r.order[i] < r.order[j] })
-	if _, ok := r.models[active]; ok {
-		r.active = active
-	}
 }

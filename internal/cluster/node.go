@@ -27,7 +27,10 @@ type server struct {
 	// name labels the node in logs and errors ("device-3", "edge").
 	name   string
 	logger *slog.Logger
-	reg    *modelRegistry
+	// reg resolves the model version each session pinned: the node's
+	// own registry, or — in an in-process engine — the engine's, which
+	// it shares with every other node.
+	reg *modelRegistry
 	// pool recycles the node's forward tensors (feature maps, exit
 	// vectors, conv scratch) across sessions, keeping the steady-state
 	// handlers free of per-sample heap allocation.
@@ -57,14 +60,14 @@ type server struct {
 	closeOnce sync.Once
 }
 
-// init sets up a tier node serving model's sections.
-func (s *server) init(name string, model *core.Model, logger *slog.Logger, frame func(*nodeConn, *wire.Frame), run func(*nodeConn, task, *scratch)) {
+// init sets up a tier node serving model's sections under modelVersion.
+func (s *server) init(name string, model *core.Model, modelVersion uint64, logger *slog.Logger, frame func(*nodeConn, *wire.Frame), run func(*nodeConn, task, *scratch)) {
 	if logger == nil {
 		logger = slog.Default()
 	}
 	s.name = name
 	s.logger = logger.With("node", name)
-	s.reg = newModelRegistry(model, 1)
+	s.reg = newModelRegistry(model, modelVersion)
 	s.pool = tensor.NewPool()
 	s.frame = frame
 	s.run = run

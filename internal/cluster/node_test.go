@@ -28,10 +28,10 @@ func TestDrain(t *testing.T) {
 		node   func(t *testing.T) *server
 		header wire.Message
 	}{
-		{"cloud", twoTier, func(*testing.T) *server { return &NewCloud(twoTier, quietLogger()).server },
+		{"cloud", twoTier, func(*testing.T) *server { return &NewCloud(twoTier, 1, quietLogger()).server },
 			&wire.CloudClassifyBatch{Session: 1, Devices: uint16(twoTier.Cfg.Devices), SampleIDs: []uint64{1}, Masks: []uint16{1}}},
 		{"edge", threeTier, func(t *testing.T) *server {
-			e, err := NewEdge(threeTier, DefaultEdgeConfig(), quietLogger())
+			e, err := NewEdge(threeTier, 1, DefaultEdgeConfig(), quietLogger())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,10 +37,6 @@ type replica struct {
 	lk     *link       // nil until dialed; replaced on re-dial
 	revive func(*link) // its links' revive hook: setDown(index, false)
 	down   bool        // marked down by the failure detector
-	// fenced takes the replica out of scheduling without marking it
-	// unhealthy: a rollout fences one replica at a time to drain and swap
-	// its weights. The failure detector leaves the flag alone.
-	fenced bool
 }
 
 // ensureLink returns the replica's link, re-dialing the data connection
@@ -127,13 +123,13 @@ func newReplicaPool(ctx context.Context, tier wire.ExitPoint, tr transport.Trans
 // Size returns the number of replicas in the pool.
 func (p *ReplicaPool) Size() int { return len(p.replicas) }
 
-// Healthy returns the number of replicas currently schedulable — not
-// marked down by failure detection and not fenced by a rollout.
+// Healthy returns the number of replicas currently schedulable: those
+// the failure detector has not marked down.
 func (p *ReplicaPool) Healthy() int {
 	n := 0
 	for _, r := range p.replicas {
 		r.mu.Lock()
-		if !r.down && !r.fenced {
+		if !r.down {
 			n++
 		}
 		r.mu.Unlock()
@@ -142,7 +138,7 @@ func (p *ReplicaPool) Healthy() int {
 }
 
 // Down reports whether no replica can serve right now: every replica is
-// marked down or fenced. Escalations then fail fast with
+// marked down. Escalations then fail fast with
 // ErrNoHealthyReplica instead of waiting out a timeout.
 func (p *ReplicaPool) Down() bool { return p.Healthy() == 0 }
 
@@ -166,7 +162,7 @@ func (p *ReplicaPool) pick(tried uint64) (*replica, error) {
 			continue
 		}
 		r.mu.Lock()
-		ok := !r.down && !r.fenced
+		ok := !r.down
 		r.mu.Unlock()
 		if ok {
 			cands = append(cands, r)
@@ -249,19 +245,6 @@ func (p *ReplicaPool) beat(ctx context.Context, hb *wire.Heartbeat, interval tim
 			return r.down
 		})
 	}
-}
-
-// setFenced flips one replica's rollout fence: a fenced replica takes no
-// new sessions until unfenced, while its down flag is untouched, so
-// fencing and unfencing never masks a genuinely dead replica.
-func (p *ReplicaPool) setFenced(i int, fenced bool) {
-	if i < 0 || i >= len(p.replicas) {
-		return
-	}
-	r := p.replicas[i]
-	r.mu.Lock()
-	r.fenced = fenced
-	r.mu.Unlock()
 }
 
 // relay runs one session's escalation with failover: it sends the frames

@@ -8,7 +8,6 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/modelio"
-	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // Rollout states, as reported by Engine.RolloutState.
@@ -16,10 +15,10 @@ const (
 	// RolloutIdle means no rollout is running and the last one (if any)
 	// completed successfully.
 	RolloutIdle = "idle"
-	// RolloutRolling means a rollout is flipping replicas right now.
+	// RolloutRolling means a rollout is running its canary right now.
 	RolloutRolling = "rolling"
-	// RolloutRolledBack means the last rollout failed a canary (or lost a
-	// replica) and the fleet was restored to the prior active version.
+	// RolloutRolledBack means the last rollout was refused: its canary
+	// failed, and the fleet never left the prior active version.
 	RolloutRolledBack = "rolled_back"
 )
 
@@ -29,9 +28,8 @@ const (
 	rolloutRolledBack
 )
 
-// canarySamples is the size of the held-out batch every freshly flipped
-// replica must classify bit-identically to the staged reference before
-// the rollout proceeds past it.
+// canarySamples is the size of the held-out batch a rollout evaluates
+// the candidate version on before it flips the active pointer.
 const canarySamples = 8
 
 // RegisterModel registers an already-decoded model under an explicit
@@ -79,56 +77,26 @@ func (e *Engine) RolloutState() string {
 	}
 }
 
-// SetRolloutTamper installs a hook called for every replica a rollout is
-// about to canary: a non-nil return replaces the replica's copy of the
-// new version with the returned model, making the canary compare that
-// (presumably corrupt) copy against the staged reference. Chaos tests
-// use it to plant canary failures; pass nil to clear.
-func (e *Engine) SetRolloutTamper(f func(tier wire.ExitPoint, replica int) *core.Model) {
-	e.tamperMu.Lock()
-	e.tamper = f
-	e.tamperMu.Unlock()
-}
-
-func (e *Engine) tamperFor(tier wire.ExitPoint, replica int) *core.Model {
-	e.tamperMu.Lock()
-	f := e.tamper
-	e.tamperMu.Unlock()
-	if f == nil {
-		return nil
-	}
-	return f(tier, replica)
-}
-
-// RolloutModel performs a zero-downtime rolling reload of the fleet onto
-// an already-registered model version:
+// RolloutModel makes an already-registered model version the active
+// one. It checks the version first: the held-out canary batch runs
+// through the version's layered forward (core.Model.Evaluate) once, and
+// a non-finite probability at any exit refuses the rollout with
+// ErrRolloutFailed, leaving the prior version active. Otherwise one
+// setActive on the engine's registry — the one every in-process node and
+// the gateway share — flips the whole fleet at once, and new sessions
+// pin the new version from then on.
 //
-//  1. The version is installed (but not activated) in every node's
-//     registry, so sessions pinned to it resolve anywhere mid-rollout.
-//  2. One upstream replica at a time — edge replicas first for
-//     three-tier hierarchies, then cloud replicas — is fenced out of its
-//     scheduling pool, drained of in-flight sessions, flipped to the new
-//     version, and canaried: it must reproduce the staged reference
-//     outputs for a held-out sample batch bit-identically, with finite
-//     probabilities. Only then is it unfenced and the next replica
-//     rolled.
-//  3. When every replica passes, the engine and the gateway flip their
-//     active pointers, then every node does; new sessions pin the new
-//     version from then on.
+// Sessions in flight are never disturbed: each pinned its model version
+// (and resolved weights) at session start, and the registry keeps the
+// prior version. Rollouts are serialized; a concurrent call fails fast
+// with ErrRolloutInProgress. Nothing waits, so the context is unused.
 //
-// Sessions in flight during the rollout are never disturbed: each pinned
-// its model version (and resolved weights) at session start, and fencing
-// only diverts new sessions. A failed canary — or a replica lost
-// mid-rollout — aborts the rollout and rolls the whole fleet back to the
-// prior active version; the returned error wraps ErrRolloutFailed and
-// names the failing replica and stage. Rollouts are serialized; a
-// concurrent call fails fast with ErrRolloutInProgress.
-//
-// RolloutModel requires an in-process engine (NewEngine); engines
-// attached to remote nodes cannot reach into their registries.
-func (e *Engine) RolloutModel(ctx context.Context, version uint64) error {
+// RolloutModel requires an in-process engine (NewEngine): an attached
+// engine's remote nodes hold their own registries, so it returns
+// ErrRolloutUnsupported.
+func (e *Engine) RolloutModel(_ context.Context, version uint64) error {
 	if len(e.devices) == 0 {
-		return fmt.Errorf("cluster: rollout requires an in-process engine")
+		return ErrRolloutUnsupported
 	}
 	if version == 0 {
 		return fmt.Errorf("cluster: rollout needs an explicit version: %w", ErrModelVersionUnknown)
@@ -142,193 +110,36 @@ func (e *Engine) RolloutModel(ctx context.Context, version uint64) error {
 	if err != nil {
 		return err
 	}
-	prev := e.reg.activeVersion()
-	if version == prev {
+	if version == e.reg.activeVersion() {
 		return nil // already serving this version
 	}
-
 	e.rolloutState.Store(rolloutRolling)
-
-	// Stage everywhere first: a session pinned to the new version by an
-	// already-flipped replica must resolve on nodes still serving the old
-	// active.
-	e.installEverywhere(version, next)
-
-	// The staged reference the canaries compare against: the engine's own
-	// copy of the new version over the held-out canary batch.
-	ref := next.Evaluate(e.canary, nil, canarySamples)
-
-	var failErr error
-	for i := 0; i < len(e.Edges()) && failErr == nil; i++ {
-		failErr = e.rollReplica(ctx, wire.ExitEdge, i, version, ref)
-	}
-	for i := 0; i < len(e.Clouds()) && failErr == nil; i++ {
-		failErr = e.rollReplica(ctx, wire.ExitCloud, i, version, ref)
-	}
-	if failErr != nil {
-		e.rollbackTo(prev, version, next)
+	if err := finiteProbs(next.Evaluate(e.canary, nil, canarySamples)); err != nil {
 		e.rolloutState.Store(rolloutRolledBack)
-		return fmt.Errorf("%w: %w", ErrRolloutFailed, failErr)
+		return fmt.Errorf("%w: version %d: %w", ErrRolloutFailed, version, err)
 	}
-
-	// Flip the gateway (and engine) before the fleet: a replica
-	// hard-restarted mid-rollout seeds its registry from the gateway's
-	// under the node lock, and the fleet walk snapshots the slots under
-	// that same lock, so every restart/flip interleaving leaves the fleet
-	// on the new version. Re-installing catches restarted replicas too.
-	e.reg.setActive(version)
-	e.gw.reg.setActive(version)
-	for _, n := range e.fleet() {
-		n.reg.install(version, next)
-		n.reg.setActive(version)
+	if err := e.reg.setActive(version); err != nil {
+		e.rolloutState.Store(rolloutRolledBack)
+		return err
 	}
 	e.rolloutState.Store(rolloutIdle)
 	return nil
 }
 
-// installEverywhere stages a version in every node registry without
-// activating it anywhere — the gateway's first, so a replica restarted
-// meanwhile adopts it.
-func (e *Engine) installEverywhere(version uint64, m *core.Model) {
-	e.gw.reg.install(version, m)
-	for _, n := range e.fleet() {
-		n.reg.install(version, m)
-	}
-}
-
-// rollReplica fences, drains, flips and canaries one upstream replica.
-func (e *Engine) rollReplica(ctx context.Context, tier wire.ExitPoint, i int, version uint64, ref *core.EvalResult) error {
-	e.setFence(tier, i, true)
-	defer e.setFence(tier, i, false)
-
-	// Re-fetch the replica after fencing: a chaos restart may have
-	// replaced the node since the rollout started.
-	var n *server
-	if tier == wire.ExitEdge {
-		n = &e.Edges()[i].server
-	} else {
-		n = &e.Clouds()[i].server
-	}
-
-	// Drain: wait for the replica's in-flight classifications to settle.
-	// Fencing already diverts new sessions to the other replicas.
-	if err := awaitIdle(ctx, &n.active); err != nil {
-		return fmt.Errorf("%v replica %d: drain: %w", tier, i, err)
-	}
-
-	// Swap: a planted tamper (chaos/test hook) can corrupt this replica's
-	// copy right before the flip — exactly the failure the canary exists
-	// to catch.
-	if bad := e.tamperFor(tier, i); bad != nil {
-		n.reg.install(version, bad)
-	}
-	if err := n.reg.setActive(version); err != nil {
-		return fmt.Errorf("%v replica %d: activate: %w", tier, i, err)
-	}
-
-	// Canary: the replica's resolved copy of the new version must
-	// reproduce the staged reference bit-identically with finite
-	// probabilities before traffic returns.
-	m, _, err := n.reg.resolve(version)
-	if err != nil {
-		return fmt.Errorf("%v replica %d: canary resolve: %w", tier, i, err)
-	}
-	if err := canaryCompare(ref, m.Evaluate(e.canary, nil, canarySamples)); err != nil {
-		return fmt.Errorf("%v replica %d: canary: %w", tier, i, err)
-	}
-	return nil
-}
-
-// setFence flips a tier replica's scheduling fence in every pool that
-// routes to it: the gateway's upstream pool for the tier the gateway
-// escalates to, and each edge replica's cloud pool for the cloud tier of
-// a three-tier hierarchy.
-func (e *Engine) setFence(tier wire.ExitPoint, i int, fenced bool) {
-	if tier == e.gw.upstreamExit() {
-		e.gw.upstream.setFenced(i, fenced)
-		return
-	}
-	// Cloud tier behind the edge tier: fence in every edge's pool.
-	for _, ed := range e.Edges() {
-		if ed.cloud != nil {
-			ed.cloud.setFenced(i, fenced)
-		}
-	}
-}
-
-// rollbackTo restores the whole fleet to the prior active version and
-// repairs any replica registry a tamper hook corrupted, re-installing
-// the engine's good copy of the attempted version so stale pinned
-// sessions can still resolve it.
-func (e *Engine) rollbackTo(prev, attempted uint64, good *core.Model) {
-	prevModel := e.reg.model(prev)
-	restore := func(r *modelRegistry) {
-		if prevModel != nil {
-			r.install(prev, prevModel)
-		}
-		r.install(attempted, good) // overwrite a tampered copy
-		r.setActive(prev)
-	}
-	// Gateway first, for the same reason RolloutModel flips it before
-	// refreshing replicas: a node restarted mid-rollback seeds from the
-	// gateway's registry.
-	e.reg.setActive(prev)
-	restore(e.gw.reg)
-	for _, n := range e.fleet() {
-		restore(n.reg)
-	}
-}
-
-// VerifyModelConvergence checks that every node in the hierarchy is
-// serving the engine's active model version, returning an error naming
-// the first divergent node. Chaos harnesses call it after healing to
-// prove rollouts and restarts interleaved without splitting the fleet.
-func (e *Engine) VerifyModelConvergence() error {
-	want := e.reg.activeVersion()
-	if got := e.gw.reg.activeVersion(); got != want {
-		return fmt.Errorf("cluster: gateway active version %d, engine %d", got, want)
-	}
-	for i, n := range e.fleet() {
-		if got := n.reg.activeVersion(); got != want {
-			return fmt.Errorf("cluster: %s (fleet node %d) active version %d, engine %d", n.name, i, got, want)
+// finiteProbs checks that every exit probability of a candidate
+// version's canary batch is finite.
+func finiteProbs(r *core.EvalResult) error {
+	for _, exit := range []struct {
+		name  string
+		probs [][]float32
+	}{{"local", r.LocalProbs}, {"edge", r.EdgeProbs}, {"cloud", r.CloudProbs}} {
+		for i, row := range exit.probs {
+			for _, p := range row {
+				if math.IsNaN(float64(p)) || math.IsInf(float64(p), 0) {
+					return fmt.Errorf("canary sample %d: non-finite %s exit probability", i, exit.name)
+				}
+			}
 		}
 	}
 	return nil
-}
-
-// canaryCompare checks a freshly flipped replica's outputs against the
-// staged reference: every probability row must be finite and bit-
-// identical, and every argmax must agree.
-func canaryCompare(ref, got *core.EvalResult) error {
-	check := func(stage string, want, have [][]float32) error {
-		if len(want) != len(have) {
-			return fmt.Errorf("%s: %d rows, want %d", stage, len(have), len(want))
-		}
-		for i := range want {
-			if len(want[i]) != len(have[i]) {
-				return fmt.Errorf("%s row %d: %d classes, want %d", stage, i, len(have[i]), len(want[i]))
-			}
-			for j := range want[i] {
-				if math.IsNaN(float64(have[i][j])) || math.IsInf(float64(have[i][j]), 0) {
-					return fmt.Errorf("%s row %d: non-finite probability", stage, i)
-				}
-				if want[i][j] != have[i][j] {
-					return fmt.Errorf("%s row %d class %d: prob %g, want %g", stage, i, j, have[i][j], want[i][j])
-				}
-			}
-			if core.Argmax(want[i]) != core.Argmax(have[i]) {
-				return fmt.Errorf("%s row %d: argmax %d, want %d", stage, i, core.Argmax(have[i]), core.Argmax(want[i]))
-			}
-		}
-		return nil
-	}
-	if err := check("local", ref.LocalProbs, got.LocalProbs); err != nil {
-		return err
-	}
-	if ref.EdgeProbs != nil {
-		if err := check("edge", ref.EdgeProbs, got.EdgeProbs); err != nil {
-			return err
-		}
-	}
-	return check("cloud", ref.CloudProbs, got.CloudProbs)
 }

@@ -235,12 +235,19 @@ func SaveFileAtomic(path string, m *core.Model, modelVersion uint64) error {
 
 // LoadFile reads a model from a file path.
 func LoadFile(path string) (*core.Model, error) {
+	m, _, err := LoadFileVersioned(path)
+	return m, err
+}
+
+// LoadFileVersioned reads a model from a file path together with its
+// model-version stamp; see LoadVersioned.
+func LoadFileVersioned(path string) (*core.Model, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("modelio: %w", err)
+		return nil, 0, fmt.Errorf("modelio: %w", err)
 	}
 	defer f.Close()
-	return Load(f)
+	return LoadVersioned(f)
 }
 
 // corrupt wraps a read failure as a typed corrupt-artifact error: any

@@ -98,12 +98,15 @@ var (
 	// differs from the serving fleet's.
 	ErrModelConfigMismatch = cluster.ErrModelConfigMismatch
 	// ErrRolloutInProgress reports a RolloutModel call racing another;
-	// rollouts are serialized fleet-wide.
+	// rollouts are serialized.
 	ErrRolloutInProgress = cluster.ErrRolloutInProgress
-	// ErrRolloutFailed reports a rollout that failed a canary (or lost a
-	// replica mid-flight) and automatically rolled the fleet back to the
-	// prior active version.
+	// ErrRolloutFailed reports a rollout its canary refused: the version
+	// produced a non-finite exit probability on the held-out batch, and
+	// the prior version stayed active.
 	ErrRolloutFailed = cluster.ErrRolloutFailed
+	// ErrRolloutUnsupported reports RolloutModel on an engine attached to
+	// remote nodes, which hold their own model registries.
+	ErrRolloutUnsupported = cluster.ErrRolloutUnsupported
 )
 
 // Rollout lifecycle states, as reported by Engine.RolloutState.
@@ -111,10 +114,10 @@ const (
 	// RolloutIdle means no rollout is running and the last one (if any)
 	// completed.
 	RolloutIdle = cluster.RolloutIdle
-	// RolloutRolling means a rolling reload is flipping replicas now.
+	// RolloutRolling means a rollout is running its canary now.
 	RolloutRolling = cluster.RolloutRolling
-	// RolloutRolledBack means the last rollout failed its canary and the
-	// fleet was restored to the prior version.
+	// RolloutRolledBack means the last rollout was refused by its canary;
+	// the fleet never left the prior version.
 	RolloutRolledBack = cluster.RolloutRolledBack
 )
 
