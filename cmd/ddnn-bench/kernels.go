@@ -60,7 +60,7 @@ var xnorFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.Kern
 // (see experiments.ForwardInputs).
 const forwardSets = 64
 
-// kernelReport is what -json serializes (BENCH_pr37.json in CI).
+// kernelReport is what -json serializes (BENCH_pr39.json in CI).
 type kernelReport struct {
 	Results     []kernelResult     `json:"results"`
 	Comparisons []kernelComparison `json:"comparisons"`

@@ -75,7 +75,9 @@ func (s *Server) handleAdminModels(w http.ResponseWriter, r *http.Request) {
 // body is a versioned model artifact (ddnn.SaveModelVersion), decoded,
 // checksum-verified and registered under its stamped version. 201 with
 // the version on success; 400 for corrupt or unsupported artifacts, 409
-// for a version collision, 422 for an architecture mismatch.
+// for a version collision, 422 for an architecture mismatch, 501 when
+// the engine is attached to remote nodes (a version it registered could
+// never roll out).
 func (s *Server) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -90,6 +92,8 @@ func (s *Server) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusConflict
 		case errors.Is(err, cluster.ErrModelConfigMismatch):
 			status = http.StatusUnprocessableEntity
+		case errors.Is(err, cluster.ErrRolloutUnsupported):
+			status = http.StatusNotImplemented
 		}
 		writeError(w, status, err.Error())
 		return

@@ -217,8 +217,9 @@ func TestAdminRolloutRefusedByCanary(t *testing.T) {
 }
 
 // TestAdminRolloutOnAttachedEngine: an engine attached to standalone
-// nodes (each holding its own registry) still registers artifacts, but
-// a rollout answers 501 Not Implemented, not 500.
+// nodes (each holding its own registry) can neither register an
+// artifact nor roll one out — both answer 501 Not Implemented, never a
+// 201 for a version that could not go live.
 func TestAdminRolloutOnAttachedEngine(t *testing.T) {
 	model, test := e2eFixture(t)
 	tr := transport.NewMem()
@@ -255,8 +256,8 @@ func TestAdminRolloutOnAttachedEngine(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	resp := adminRequest(t, http.MethodPost, ts.URL+"/v1/admin/models", "admin-token", "application/octet-stream", artifactBytes(t, model, 4242, 2))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register on an attached engine: status %d, want 201", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("register on an attached engine: status %d, want 501", resp.StatusCode)
 	}
 	resp = adminRequest(t, http.MethodPost, ts.URL+"/v1/admin/rollout", "admin-token", "application/json", []byte(`{"version": 2}`))
 	if resp.StatusCode != http.StatusNotImplemented {

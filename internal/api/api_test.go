@@ -421,6 +421,7 @@ func TestEngineErrorMapping(t *testing.T) {
 		{cluster.ErrUploadUnsupported, http.StatusNotImplemented},
 		{cluster.ErrCloudUnavailable, http.StatusBadGateway},
 		{cluster.ErrNoHealthyReplica, http.StatusBadGateway},
+		{fmt.Errorf("cluster: device 3: %w", cluster.ErrModelVersionUnknown), http.StatusBadGateway},
 		{fmt.Errorf("mystery"), http.StatusInternalServerError},
 	} {
 		fake := newFakeEngine()

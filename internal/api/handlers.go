@@ -124,7 +124,8 @@ func httpStatus(err error) int {
 	case errors.Is(err, cluster.ErrCloudUnavailable),
 		errors.Is(err, cluster.ErrEdgeUnavailable),
 		errors.Is(err, cluster.ErrNoHealthyReplica),
-		errors.Is(err, cluster.ErrNoSummaries):
+		errors.Is(err, cluster.ErrNoSummaries),
+		errors.Is(err, cluster.ErrModelVersionUnknown):
 		return http.StatusBadGateway
 	default:
 		return http.StatusInternalServerError

@@ -119,7 +119,8 @@ func TestChaosSeededMembershipChurn(t *testing.T) {
 // versions and rolls out to a NaN-weights artifact the canary must
 // refuse while the full fault mix runs. Every completed classification
 // must verify bit-identical against the weights of the model version its
-// session pinned.
+// session pinned, and the canary must have refused at least once: the
+// actor makes that refusal its first goal in every run.
 func TestChaosSeededModelRollout(t *testing.T) {
 	model, test := threeTier(t)
 	rep := runSeed(t, model, test, 8)
@@ -128,6 +129,9 @@ func TestChaosSeededModelRollout(t *testing.T) {
 	}
 	if rep.FaultCount("model-rollout")+rep.FaultCount("model-rollout-refused") == 0 {
 		t.Fatalf("seed 8 completed no rollouts and had none refused; faults: %d kinds", rep.FaultKinds())
+	}
+	if rep.FaultCount("model-rollout-refused") == 0 {
+		t.Fatalf("seed 8 had no rollout refused by the canary; faults: %d kinds", rep.FaultKinds())
 	}
 }
 

@@ -321,11 +321,18 @@ func (h *Harness) frameCorrupter(ctx context.Context, rng *rand.Rand) {
 // modelRoller drives the model lifecycle admin plane under live
 // traffic: registering pre-generated versioned artifacts (and
 // deliberately corrupt ones, which must bounce off the integrity
-// checks), rolling the fleet across versions, and occasionally rolling
-// out to the registered NaN-weights artifact, which the canary must
-// refuse. Traffic keeps flowing the whole time; the verifier holds
-// every answer to the reference weights of the version it pinned.
+// checks), rolling the fleet across versions, and rolling out to the
+// registered NaN-weights artifact, which the canary must refuse. That
+// refusal is the actor's first goal in every run, whatever the seed: it
+// retries the NaN rollout at a fixed pace (drawing nothing from rng, so
+// the seeded schedule after it is unchanged) until the canary has
+// refused it once, then draws its random mix, which repeats it now and
+// then. Traffic keeps flowing the whole time; the verifier holds every
+// answer to the reference weights of the version it pinned.
 func (h *Harness) modelRoller(ctx context.Context, rng *rand.Rand) {
+	for ctx.Err() == nil && !h.opNaNRollout(ctx) {
+		sleepCtx(ctx, 50*time.Millisecond)
+	}
 	for ctx.Err() == nil {
 		switch rng.Intn(10) {
 		case 0:
@@ -437,24 +444,26 @@ func (h *Harness) opRollout(ctx context.Context, rng *rand.Rand) {
 // weight (201, or 409 once registered) and rolls out to it: the canary
 // must refuse it (422) and the active version must not move. The
 // verifier holds every answer to a good version's reference, so an
-// answer pinned to the NaN version is a violation too.
-func (h *Harness) opNaNRollout(ctx context.Context) {
+// answer pinned to the NaN version is a violation too. It reports
+// whether the canary refused the rollout.
+func (h *Harness) opNaNRollout(ctx context.Context) bool {
 	if _, _, ok := h.adminDo(ctx, http.MethodPost, "/v1/admin/models", "application/octet-stream", h.nanArtifact.data,
 		"NaN-weights register", http.StatusCreated, http.StatusConflict); !ok {
-		return
+		return false
 	}
 	_, before, ok := h.inventory(ctx)
 	if !ok {
-		return
+		return false
 	}
 	body, _ := json.Marshal(map[string]uint64{"version": h.nanArtifact.version})
 	code, _, ok := h.adminDo(ctx, http.MethodPost, "/v1/admin/rollout", "application/json", body,
 		"NaN-weights rollout", http.StatusUnprocessableEntity, http.StatusConflict)
 	if !ok || code != http.StatusUnprocessableEntity {
-		return
+		return false
 	}
 	h.report.countFault("model-rollout-refused")
 	if _, after, ok := h.inventory(ctx); ok && after != before {
 		h.report.violate("refused rollout of version %d moved the active version from %d to %d", h.nanArtifact.version, before, after)
 	}
+	return true
 }

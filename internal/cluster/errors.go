@@ -38,9 +38,10 @@ var (
 	// shared store, which remote devices (owning their own sensors) do not
 	// consult.
 	ErrUploadUnsupported = errors.New("ddnn: uploads require an in-process engine")
-	// ErrRolloutUnsupported reports RolloutModel on an engine attached to
-	// remote nodes: each remote node holds its own model registry, which
-	// the engine cannot flip.
+	// ErrRolloutUnsupported reports RegisterModel, RegisterModelBytes or
+	// RolloutModel on an engine attached to remote nodes: each remote
+	// node holds its own model registry, which the engine can neither
+	// fill nor flip.
 	ErrRolloutUnsupported = errors.New("ddnn: rollouts require an in-process engine")
 	// ErrTooManyDevices reports a hierarchy with more devices than the
 	// wire protocol's uint16 present-device masks can describe

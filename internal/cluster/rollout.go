@@ -35,8 +35,13 @@ const canarySamples = 8
 // RegisterModel registers an already-decoded model under an explicit
 // version number. The version must be new and the architecture must
 // match the serving fleet's; the active version does not change — use
-// RolloutModel to start serving it.
+// RolloutModel to start serving it. Like RolloutModel it requires an
+// in-process engine: an attached engine returns ErrRolloutUnsupported,
+// since a version its remote nodes never hold could never roll out.
 func (e *Engine) RegisterModel(version uint64, m *core.Model) error {
+	if len(e.devices) == 0 {
+		return ErrRolloutUnsupported
+	}
 	return e.reg.register(version, m)
 }
 
@@ -45,13 +50,14 @@ func (e *Engine) RegisterModel(version uint64, m *core.Model) error {
 // returned. Decode failures surface modelio's typed errors
 // (modelio.ErrCorruptModel, modelio.ErrVersionUnsupported); a version
 // collision or architecture mismatch surfaces
-// ErrDuplicateModelVersion / ErrModelConfigMismatch.
+// ErrDuplicateModelVersion / ErrModelConfigMismatch, and an attached
+// engine ErrRolloutUnsupported (see RegisterModel).
 func (e *Engine) RegisterModelBytes(data []byte) (uint64, error) {
 	m, v, err := modelio.LoadVersioned(bytes.NewReader(data))
 	if err != nil {
 		return 0, err
 	}
-	if err := e.reg.register(v, m); err != nil {
+	if err := e.RegisterModel(v, m); err != nil {
 		return 0, err
 	}
 	return v, nil

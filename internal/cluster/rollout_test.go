@@ -394,8 +394,8 @@ func TestRolloutPinnedVersionMissingOnAttachedNodes(t *testing.T) {
 	if err != nil || res.ModelVersion != 2 {
 		t.Fatalf("matching stamps: %v, %+v; want an answer pinned to version 2", err, res)
 	}
-	if err := eng.RegisterModel(3, variantModel(t, model, 737373)); err != nil {
-		t.Fatal(err)
+	if err := eng.RegisterModel(3, variantModel(t, model, 737373)); !errors.Is(err, ErrRolloutUnsupported) {
+		t.Errorf("register on an attached engine: %v, want ErrRolloutUnsupported", err)
 	}
 	if err := eng.RolloutModel(ctx, 3); !errors.Is(err, ErrRolloutUnsupported) {
 		t.Errorf("rollout on an attached engine: %v, want ErrRolloutUnsupported", err)

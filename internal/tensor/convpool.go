@@ -11,7 +11,7 @@ import (
 // stride-2 max pool that applies batch normalization and the binary
 // activation to each pooled value before it is stored. Both take the
 // dispatch path from the caller, which reads it once per forward, and
-// have a portable (go) and an AVX2 (simd) implementation; the naive
+// have a portable (go) and an AVX2+FMA (simd) implementation; the naive
 // path runs the portable one.
 
 // convSignLanes is the position granularity of ConvSign3x3's widest
@@ -41,9 +41,14 @@ func ConvSignSpan(rows, wp int) int {
 // exactly +1 or −1, so each term is an exact ±src and the sum is the
 // exact ±1 product Gemm computes over the im2col matrix in that same
 // ascending (c, ky, kx) order, padding taps included: bit-identical to
-// the lowered convolution. The other positions below
-// ConvSignSpan(rows, wp) — the two that end each row and the rounding
-// slack — may be written with values the caller must ignore.
+// the lowered convolution on every path. The portable kernel adds or
+// subtracts each source value; the simd kernel fuses w·b into the sum
+// (one FMA per tap), which rounds once to the same float because the
+// product is exact. A weight that is not ±1 breaks the contract and the
+// paths may then disagree; bnn.Binarize never produces one. The other
+// positions below ConvSignSpan(rows, wp) — the two that end each row
+// and the rounding slack — may be written with values the caller must
+// ignore.
 //
 // dst rows need ConvSignSpan(rows, wp) floats, and src must be readable
 // up to (ch−1)*plane + 2*wp + 2 + ConvSignSpan(rows, wp).

@@ -20,8 +20,8 @@ func poolAffineSignKernel4(dst, r0, r1, r2 *float32, quads int, scale, shift flo
 //go:noescape
 func poolThresholdKernel4(r0, r1, r2 *float32, step, rows, quads int, s, t float32) uint64
 
-// convSign3x3SIMD tiles filters by 4 and positions by 16 over the AVX2
-// micro-kernel; a tail of fewer than 4 filters goes to the portable
+// convSign3x3SIMD tiles filters by 4 and positions by 16 over the
+// AVX2+FMA micro-kernel; a tail of fewer than 4 filters goes to the portable
 // kernel, which accumulates in the same order.
 func convSign3x3SIMD(dst []float32, ds int, w, src []float32, ch, plane, wp, rows, f0, f1 int) {
 	k := ch * 9

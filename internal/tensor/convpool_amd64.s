@@ -1,22 +1,25 @@
 #include "textflag.h"
 
-// AVX2 kernels of the fused ConvP block. As in gemm_amd64.s, additions
-// are separate roundings in the scalar kernels' order (never FMA), so
-// results are bit-identical to the portable path.
+// AVX2+FMA kernels of the fused ConvP block. Every sum is accumulated
+// in the scalar kernels' order, so results are bit-identical to the
+// portable path. The ±1 convolution tile uses FMA: with w exactly ±1 the
+// product w·b is exact (±b), so fma(w, b, s) rounds once to the same
+// float as the portable s + b or s − b, for ±0, denormals and ±Inf
+// alike, and NaN lands where it does there. The accumulators start at +0
+// and an exact sum of ±b never rounds to −0. Gemm (gemm_amd64.s), whose
+// products are not exact, stays FMA-free, and so do the pooling
+// kernels: their affine is a rounded multiply and then a rounded add,
+// nn.BatchNorm's inference expression.
 
-// SIGNROW adds (weight > 0) or subtracts (otherwise) the 16 source
-// values in Y12:Y13 into one filter's accumulators — for a ±1 weight the
-// exact product s + w·b that Gemm computes. The ordered GT compare sends
-// a NaN weight to the subtract branch like the scalar `w > 0` test, and
-// s + (b XOR signbit) is s − b.
+// SIGNROW accumulates w·b for one filter's ±1 weight w into its
+// accumulators, b the 16 source values in Y12:Y13 — Gemm's s + w·b in
+// one rounding, since the product is exact. The weights come from
+// bnn.Binarize, which maps every latent (NaN included) to +1 or −1, so
+// a NaN weight never reaches the tile.
 #define SIGNROW(wreg, woff, acc0, acc1) \
 	VBROADCASTSS woff(wreg), Y14; \
-	VCMPPS $14, Y11, Y14, Y14; \
-	VPANDN Y10, Y14, Y14; \
-	VPXOR Y12, Y14, Y15; \
-	VADDPS Y15, acc0, acc0; \
-	VPXOR Y13, Y14, Y15; \
-	VADDPS Y15, acc1, acc1
+	VFMADD231PS Y12, Y14, acc0; \
+	VFMADD231PS Y13, Y14, acc1
 
 // TAP is one kernel column kx (byte offset 4·kx in both the band row
 // and the weight rows) for all four filters.
@@ -51,11 +54,6 @@ TEXT ·convSignKernel4x16(SB), NOSPLIT, $0-56
 	LEAQ (R9)(AX*1), R10
 	LEAQ (R10)(AX*1), R11
 	LEAQ (R11)(AX*1), R12
-
-	// Y10 = 0x80000000 in every lane, Y11 = +0.0 for the comparisons.
-	VPCMPEQD Y10, Y10, Y10
-	VPSLLD $31, Y10, Y10
-	VXORPS Y11, Y11, Y11
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1

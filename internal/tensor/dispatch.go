@@ -29,9 +29,10 @@ const (
 	// unrolled sign packing).
 	KernelGo
 	// KernelSIMD is the arch-specific path: AVX2 assembly kernels on
-	// amd64 (4x16 GEMM tiles without FMA, PSHUFB nibble popcount,
-	// VMOVMSKPS sign packing). Selecting it on hardware without the
-	// required features is an error.
+	// amd64 (4x16 GEMM tiles without FMA, a 4x16 ±1 convolution tile
+	// with one FMA per tap, PSHUFB nibble popcount, VMOVMSKPS sign
+	// packing). It needs AVX2 and FMA3; selecting it on hardware
+	// without both is an error.
 	KernelSIMD
 )
 
@@ -134,7 +135,8 @@ func KernelPathSupported(p KernelPath) bool {
 
 // KernelPaths returns every path the host supports, in naive→go→simd
 // order. The differential tests, fuzz targets and the kernels benchmark
-// iterate it so a host without AVX2 still exercises the portable paths.
+// iterate it so a host without AVX2+FMA still exercises the portable
+// paths.
 func KernelPaths() []KernelPath {
 	paths := []KernelPath{KernelNaive, KernelGo}
 	if hasSIMD() {

@@ -104,8 +104,9 @@ var (
 	// produced a non-finite exit probability on the held-out batch, and
 	// the prior version stayed active.
 	ErrRolloutFailed = cluster.ErrRolloutFailed
-	// ErrRolloutUnsupported reports RolloutModel on an engine attached to
-	// remote nodes, which hold their own model registries.
+	// ErrRolloutUnsupported reports RegisterModel, RegisterModelBytes or
+	// RolloutModel on an engine attached to remote nodes, which hold
+	// their own model registries.
 	ErrRolloutUnsupported = cluster.ErrRolloutUnsupported
 )
 
