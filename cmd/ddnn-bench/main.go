@@ -4,15 +4,19 @@
 //
 // Usage:
 //
-//	ddnn-bench [-exp all|table1|table2|fig6|fig7|fig8|fig9|fig10|comm|multifail|mixed|edge|kernels]
+//	ddnn-bench [-exp all|table1|table2|fig6|fig7|fig8|fig9|fig10|comm|multifail|mixed|edge|kernels|repro]
 //	           [-epochs N] [-individual-epochs N] [-quick] [-json FILE] [-v]
 //
-// -exp takes a comma-separated list. Serving performance (throughput,
+// -exp takes a comma-separated list; "all" runs every experiment but
+// kernels and repro. -exp repro writes the seeded record of the paper's
+// claims at the quick scale (REPRO.json; -json names the file) and
+// prints which of the paper's orderings hold. Serving performance (throughput,
 // latency by exit, batching, the collector) is measured by the
 // benchmark/ ledger (bash benchmark/run.sh), not here.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,7 +37,7 @@ func main() {
 }
 
 // experimentNames are the valid -exp values.
-var experimentNames = []string{"all", "table1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "comm", "multifail", "mixed", "edge", "kernels"}
+var experimentNames = []string{"all", "table1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "comm", "multifail", "mixed", "edge", "kernels", "repro"}
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ddnn-bench", flag.ContinueOnError)
@@ -42,7 +46,7 @@ func run(args []string, out io.Writer) error {
 		epochs    = fs.Int("epochs", 0, "override DDNN training epochs (default 50, paper uses 100)")
 		indEpochs = fs.Int("individual-epochs", 0, "override individual-model training epochs")
 		quick     = fs.Bool("quick", false, "reduced dataset and epochs for a fast smoke run")
-		jsonOut   = fs.String("json", "", "write the kernels experiment's results to this JSON file (e.g. BENCH_pr28.json)")
+		jsonOut   = fs.String("json", "", "write the kernels experiment's results (e.g. BENCH_pr40.json) or the repro record (REPRO.json) to this JSON file")
 		verbose   = fs.Bool("v", false, "log training progress")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -69,9 +73,12 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("unknown experiment %q (valid: %s)", w, strings.Join(experimentNames, ", "))
 		}
 	}
+	if slices.Contains(wanted, "kernels") && slices.Contains(wanted, "repro") && *jsonOut != "" {
+		return fmt.Errorf("-json takes one of kernels and repro, not both")
+	}
 	want := func(name string) bool {
 		for _, w := range wanted {
-			if w == "all" || w == name {
+			if w == name || (w == "all" && name != "repro") {
 				return true
 			}
 		}
@@ -89,13 +96,15 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	onlyKernels := true
-	for _, w := range wanted {
-		if w != "kernels" {
-			onlyKernels = false
+	if want("repro") {
+		// The record is always taken at the quick scale and the default
+		// seed, whatever the other flags say, so REPRO.json has one
+		// meaning.
+		if err := runRepro(out, *jsonOut); err != nil {
+			return err
 		}
 	}
-	if onlyKernels {
+	if !slices.ContainsFunc(wanted, func(w string) bool { return w != "kernels" && w != "repro" }) {
 		fmt.Fprintf(out, "total wall clock: %v\n", time.Since(start).Round(time.Second))
 		return nil
 	}
@@ -202,4 +211,27 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "total wall clock: %v\n", time.Since(start).Round(time.Second))
 	return nil
+}
+
+// runRepro records the paper's claims at QuickOptions and prints the
+// orderings; jsonPath, when set, receives the record.
+func runRepro(out io.Writer, jsonPath string) error {
+	fmt.Fprintln(out, "== Repro record: the paper's claims at the quick scale ==")
+	runner, err := experiments.NewRunner(experiments.QuickOptions())
+	if err != nil {
+		return err
+	}
+	rep, err := runner.Repro()
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, experiments.FormatOrderings(rep.Orderings()))
+	if jsonPath == "" {
+		return nil
+	}
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(jsonPath, append(buf, '\n'), 0o644)
 }
