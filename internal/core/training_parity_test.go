@@ -20,8 +20,8 @@ import (
 // optimizer — shows up here. Such a change updates these values in its
 // own diff, and says why.
 var trainingGolden = map[string]string{
-	"two-tier":   "ca7480138cb8aec8e4f550a651a44bc7cbb75f2990a415940ee5251521efdc4a",
-	"three-tier": "e3bbbf21b0e106bd3a25ea7ed86ff36227d2eaf3762071bf1fc154bf9f6241ef",
+	"two-tier":   "49c186d272450588a48d45542bcd6033d49c3b9f8ea4cf291cb7716ce3e5a5b1",
+	"three-tier": "b7d1cec8b749c9e294586067bd50307187cb31d29b642360b503fff7b1985cf9",
 }
 
 // TestTrainingKernelPathParity trains a small MP-CC DDNN (with and

@@ -20,6 +20,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/ddnn/ddnn-go/internal/tensor"
@@ -42,6 +43,50 @@ const (
 
 // ImageSize is the number of float32 values in one view.
 const ImageSize = ImageC * ImageH * ImageW
+
+// GridSteps is the number of frame grid steps per unit of pixel value:
+// every value of a generated view is q/GridSteps for an integer q in
+// 0…255, the byte a camera delivers (the paper prices a raw frame at
+// one byte per value, §IV-H). The grid keeps the [0, 1) scale the first
+// batch norm sees, and any sum of up to 2¹⁶ ±1-weighted values stays
+// exact in float32, so a float convolution over a frame equals an
+// integer convolution over its bytes.
+const GridSteps = 256
+
+// FrameByte returns the grid index q of a frame value v = q/GridSteps,
+// and false when v is off the grid: not a multiple of 1/GridSteps,
+// outside [0, 255/GridSteps], or NaN.
+func FrameByte(v float32) (byte, bool) {
+	q := v * GridSteps // exact: a power-of-two scale
+	if !(q >= 0 && q <= 255) || q != float32(int(q)) {
+		return 0, false
+	}
+	return byte(q), true
+}
+
+// FrameBytes writes the grid indices of the values of view into dst,
+// which has one byte per value. It fails on the first value that is
+// off the grid (see FrameByte).
+func FrameBytes(dst []byte, view []float32) error {
+	if len(dst) != len(view) {
+		return fmt.Errorf("dataset: %d bytes for a view of %d values", len(dst), len(view))
+	}
+	for i, v := range view {
+		q, ok := FrameByte(v)
+		if !ok {
+			return fmt.Errorf("dataset: value %d (%g) is off the frame grid", i, v)
+		}
+		dst[i] = q
+	}
+	return nil
+}
+
+// quantize rounds a pixel value in [0, 1] to the nearest grid point,
+// 1 going to the top one, 255/GridSteps.
+func quantize(v float32) float32 {
+	q := math.Floor(float64(v)*GridSteps + 0.5)
+	return float32(min(max(q, 0), 255)) / GridSteps
+}
 
 // ClassNames maps labels to the paper's class names.
 var ClassNames = [NumClasses]string{"car", "bus", "person"}
@@ -198,7 +243,8 @@ func synthesizeSample(rng *rand.Rand, cfg Config) Sample {
 	return s
 }
 
-// greyFrame is the all-grey image the paper assigns to absent views.
+// greyFrame is the all-grey image the paper assigns to absent views:
+// 0.5, grid index 128.
 func greyFrame() []float32 {
 	img := make([]float32, ImageSize)
 	for i := range img {
@@ -305,13 +351,9 @@ func renderView(rng *rand.Rand, label, d, jx, jy int, noise float64) []float32 {
 			img[i] += float32(rng.NormFloat64() * noise)
 		}
 	}
-	// Clamp to valid pixel range.
+	// Clamp to the valid pixel range and quantize onto the frame grid.
 	for i, v := range img {
-		if v < 0 {
-			img[i] = 0
-		} else if v > 1 {
-			img[i] = 1
-		}
+		img[i] = quantize(min(max(v, 0), 1))
 	}
 	return img
 }
@@ -396,6 +438,20 @@ func (d *Dataset) DeviceView(device, idx int) *tensor.Tensor {
 // and no allocation, so the caller must not mutate it.
 func (d *Dataset) View(device, idx int) []float32 {
 	return d.Samples[idx].Views[device]
+}
+
+// Frames returns one device's views of every sample as grid bytes
+// (FrameByte), sample after sample, ImageSize bytes each: the bytes a
+// camera delivers, for a serving feed. It panics on an off-grid value,
+// which Generate never produces.
+func (d *Dataset) Frames(device int) []byte {
+	out := make([]byte, d.Len()*ImageSize)
+	for i, s := range d.Samples {
+		if err := FrameBytes(out[i*ImageSize:(i+1)*ImageSize], s.Views[device]); err != nil {
+			panic(fmt.Sprintf("dataset: sample %d device %d: %v", i, device, err))
+		}
+	}
+	return out
 }
 
 // AllDeviceBatches assembles the input tensors for the first k devices; a

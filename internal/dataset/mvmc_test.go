@@ -335,3 +335,36 @@ func TestClassesAreVisuallyDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestViewsOnFrameGrid: every generated value is q/GridSteps for a
+// byte q (absent views are 128/256 exactly), Frames returns those bytes,
+// and FrameByte refuses off-grid, out-of-range and NaN values.
+func TestViewsOnFrameGrid(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Train, cfg.Test = 40, 10
+	train, _ := MustGenerate(cfg)
+	for d := 0; d < NumDevices; d++ {
+		frames := train.Frames(d)
+		for i, s := range train.Samples {
+			for p, v := range s.Views[d] {
+				q := frames[i*ImageSize+p]
+				if float32(q)/GridSteps != v {
+					t.Fatalf("sample %d device %d value %d: %g is not byte %d on the grid", i, d, p, v, q)
+				}
+				if s.ViewLabels[d] == NotPresent && q != 128 {
+					t.Fatalf("sample %d device %d: absent view holds byte %d, want 128", i, d, q)
+				}
+			}
+		}
+	}
+	for _, v := range []float32{1.0 / 512, -1.0 / 256, 1, float32(math.NaN()), float32(math.Inf(1)), 0.1} {
+		if q, ok := FrameByte(v); ok {
+			t.Errorf("FrameByte(%g) = %d, true; want off the grid", v, q)
+		}
+	}
+	for _, q := range []int{0, 1, 128, 255} {
+		if got, ok := FrameByte(float32(q) / GridSteps); !ok || int(got) != q {
+			t.Errorf("FrameByte(%d/256) = %d, %v", q, got, ok)
+		}
+	}
+}
