@@ -600,15 +600,19 @@ func TestOverloadShedsBeforeRejecting(t *testing.T) {
 	}
 }
 
+// TestRawTensorUpload: an on-grid body (every value q/256) reaches the
+// engine as per-device views; a short body, a value between grid points,
+// one at 1 and a NaN are each answered 400 before the engine sees them.
 func TestRawTensorUpload(t *testing.T) {
 	const devices = 2
 	fake := newFakeEngine()
 	_, ts := newTestServer(t, Config{Engine: fake, Devices: devices})
 
 	viewVals := dataset.ImageC * dataset.ImageH * dataset.ImageW
+	value := func(i int) float32 { return float32((i/3+5*(i/viewVals))%256) / dataset.GridSteps }
 	raw := make([]byte, devices*viewVals*4)
 	for i := 0; i < devices*viewVals; i++ {
-		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(float32(i)))
+		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(value(i)))
 	}
 	resp := doClassify(t, ts, "", bytes.NewReader(raw), "application/octet-stream")
 	if resp.StatusCode != http.StatusOK {
@@ -626,7 +630,7 @@ func TestRawTensorUpload(t *testing.T) {
 		if len(data) != viewVals {
 			t.Fatalf("view %d holds %d values, want %d", d, len(data), viewVals)
 		}
-		if want := float32(d * viewVals); data[0] != want {
+		if want := value(d * viewVals); data[0] != want {
 			t.Errorf("view %d first value = %v, want %v", d, data[0], want)
 		}
 	}
@@ -635,6 +639,20 @@ func TestRawTensorUpload(t *testing.T) {
 	resp = doClassify(t, ts, "", bytes.NewReader(raw[:100]), "application/octet-stream")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("short upload = %d, want 400", resp.StatusCode)
+	}
+	for _, bad := range []float32{1.5 / dataset.GridSteps, 1, -1.0 / dataset.GridSteps, float32(math.NaN())} {
+		body := bytes.Clone(raw)
+		binary.LittleEndian.PutUint32(body[4*(viewVals+7):], math.Float32bits(bad))
+		resp := doClassify(t, ts, "", bytes.NewReader(body), "application/octet-stream")
+		msg, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "frame grid") {
+			t.Errorf("upload holding %g = %d %s, want 400 naming the frame grid", bad, resp.StatusCode, msg)
+		}
+	}
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	if len(fake.views) != 1 {
+		t.Errorf("the engine saw %d uploads, want only the on-grid one", len(fake.views))
 	}
 }
 

@@ -121,6 +121,8 @@ func httpStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, cluster.ErrUploadUnsupported):
 		return http.StatusNotImplemented
+	case errors.Is(err, cluster.ErrUploadOffGrid):
+		return http.StatusBadRequest
 	case errors.Is(err, cluster.ErrCloudUnavailable),
 		errors.Is(err, cluster.ErrEdgeUnavailable),
 		errors.Is(err, cluster.ErrNoHealthyReplica),
@@ -212,7 +214,10 @@ func isRawTensor(r *http.Request) bool {
 }
 
 // readViews parses a raw tensor body into per-device views. The body
-// must hold exactly Devices×3×32×32 little-endian float32 values.
+// must hold exactly Devices×3×32×32 little-endian float32 values, each
+// a camera byte on the frame grid (q/256, q in 0…255): a value off it
+// fails with an error wrapping cluster.ErrUploadOffGrid, so the upload
+// is refused before admission rather than by the engine.
 func (s *Server) readViews(body io.Reader) ([]*tensor.Tensor, error) {
 	viewVals := dataset.ImageC * dataset.ImageH * dataset.ImageW
 	want := s.cfg.Devices * viewVals * 4
@@ -232,6 +237,9 @@ func (s *Server) readViews(body io.Reader) ([]*tensor.Tensor, error) {
 		for i := range data {
 			bits := binary.LittleEndian.Uint32(raw[base+i*4:])
 			data[i] = math.Float32frombits(bits)
+			if _, ok := dataset.FrameByte(data[i]); !ok {
+				return nil, fmt.Errorf("%w: view %d value %d is %g", cluster.ErrUploadOffGrid, d, i, data[i])
+			}
 		}
 		views[d] = v
 	}

@@ -16,9 +16,16 @@ type ConvP struct {
 	Pool *nn.MaxPool2D
 	BN   *nn.BatchNorm
 	Act  *BinaryActivation
+	// Frames marks a device block, whose input is byte frames
+	// (ForwardFrames): SyncWeights then also derives the integer frame
+	// epilogue, frames.
+	Frames bool
 	// thresh is the bit-domain forwards' per-filter epilogue, derived
 	// from BN by SyncWeights (fused.go).
 	thresh []threshold
+	// frames is the byte-frame forward's weights and epilogue, derived
+	// by SyncWeights when Frames is set (frames.go).
+	frames frameEpilogue
 }
 
 var _ nn.Layer = (*ConvP)(nil)
@@ -31,7 +38,7 @@ func NewConvP(rng *rand.Rand, name string, inC, f int) *ConvP {
 		BN:   nn.NewBatchNorm(name+".bn", f),
 		Act:  NewBinaryActivation(),
 	}
-	b.thresh = deriveThresholds(nil, b.BN, inC)
+	b.thresh = deriveThresholds(nil, b.BN, 9*inC, 1)
 	return b
 }
 
@@ -103,11 +110,15 @@ func (b *ConvP) Params() []*nn.Param {
 func (b *ConvP) Filters() int { return b.Conv.OutChannels() }
 
 // SyncWeights re-derives the block's binarized weights from the latent
-// parameters, and the bit-domain thresholds from the batch norm, making
-// subsequent inference forwards read-only.
+// parameters, and the bit-domain thresholds (and for a Frames block the
+// byte-frame epilogue) from the batch norm, making subsequent inference
+// forwards read-only.
 func (b *ConvP) SyncWeights() {
 	b.Conv.SyncWeights()
-	b.thresh = deriveThresholds(b.thresh, b.BN, b.Conv.inner.InC)
+	b.thresh = deriveThresholds(b.thresh, b.BN, 9*b.Conv.inner.InC, 1)
+	if b.Frames {
+		b.frames.sync(b)
+	}
 }
 
 // MemoryBits returns the eBNN deployment footprint: 1 bit per binarized

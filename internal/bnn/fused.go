@@ -30,10 +30,11 @@ import (
 // nn.BatchNorm.InferenceAffine's rounded multiply and rounded add; the
 // activation is `>= 0` (−0 → +1, NaN → −1).
 //
-// A float input keeps that float epilogue (tensor.PoolAffineSignRow): a
-// device block convolves real-valued frames, whose pooled values are
-// not integers, and a threshold computed in different arithmetic would
-// flip values that land on the zero crossing. A bit-plane input is
+// A float input keeps that float epilogue (tensor.PoolAffineSignRow):
+// its pooled values are arbitrary floats, and a threshold computed in
+// different arithmetic would flip values that land on the zero crossing.
+// (Serving devices convolve camera bytes instead, frames.go, whose
+// pooled values are integers too.) A bit-plane input is
 // ternary, so every convolution output and every pooled value is an
 // integer m in [−9C, 9C], and sign(affine(m)) is a predicate on that
 // finite set. SyncWeights evaluates InferenceAffine's own expression on
@@ -239,7 +240,7 @@ func (b *ConvP) bitsRange(path tensor.KernelPath, in Planes, out []byte, stride 
 					}
 					for px := 0; px < pl.pw; px += k {
 						k = min(k, pl.pw-px)
-						putBits(signs, (f*pl.ph+py)*pl.pw+px, tensor.PoolThresholdRows(path, top[2*px:], mid[2*px:], bot[2*px:], 2*wp, nr, k, th.s, th.t), nr*k)
+						tensor.OrBits(signs, (f*pl.ph+py)*pl.pw+px, tensor.PoolThresholdRows(path, top[2*px:], mid[2*px:], bot[2*px:], 2*wp, nr, k, th.s, th.t), nr*k)
 					}
 					py += nr
 				}
@@ -277,20 +278,21 @@ func poolRows(seg []float32, pl fusedPlan, r0, py int) (top, mid, bot []float32)
 // that is constant.
 type threshold struct{ s, t float32 }
 
-// deriveThresholds writes filter f's threshold for convolutions over c
-// input channels into dst[f], reusing dst when its length fits. It
-// evaluates bn's inference transform exactly as the float epilogue does,
-// float32(scale·m) + shift ≥ 0, at every integer m in [−9c, 9c] and
-// records the one point where the answer flips (see the file comment),
-// then confirms the compare on every point.
-func deriveThresholds(dst []threshold, bn *nn.BatchNorm, c int) []threshold {
+// deriveThresholds writes filter f's threshold for convolutions whose
+// outputs are m·unit for the integers m in [−k, k] into dst[f],
+// reusing dst when its length fits: k = 9c and unit 1 for bit planes of
+// c channels, and k = 9·c·255, unit 2⁻⁸ for byte frames of c channels
+// (frames.go). It evaluates bn's inference transform exactly as the
+// float epilogue does, float32(scale·v) + shift ≥ 0, at v = m·unit for
+// every m and records the one point where the answer flips (see the
+// file comment), then confirms the compare on every point.
+func deriveThresholds(dst []threshold, bn *nn.BatchNorm, k int, unit float32) []threshold {
 	if len(dst) != bn.C {
 		dst = make([]threshold, bn.C)
 	}
-	k := 9 * c
 	for f := range dst {
 		scale, shift := bn.InferenceAffine(f)
-		pass := func(m int) bool { return float32(scale*float32(m))+shift >= 0 }
+		pass := func(m int) bool { return float32(scale*(float32(m)*unit))+shift >= 0 }
 		th := threshold{s: 1, t: float32(math.Inf(1))} // never +1
 		switch lo, hi := pass(-k), pass(k); {
 		case lo && hi:

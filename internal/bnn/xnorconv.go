@@ -347,16 +347,3 @@ func bits8(src []byte, off int) uint64 {
 	}
 	return v >> r & 0xff
 }
-
-// putBits ORs the k low bits of v, the rest being zero, into dst from
-// bit off on.
-func putBits(dst []byte, off int, v uint64, k int) {
-	for k > 0 {
-		q, r := off/8, off%8
-		dst[q] |= byte(v << uint(r))
-		n := min(k, 8-r)
-		v >>= uint(n)
-		off += n
-		k -= n
-	}
-}

@@ -31,17 +31,24 @@ import (
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
-// Feed copies a device's sensor view of a sample into dst, one
-// [C, H, W] row of a capture batch (C·H·W values, the model's input
-// size). Returning an error means the device has no frame for the
-// sample. Feeds must be safe for concurrent use; DatasetFeed is.
-type Feed func(sampleID uint64, dst []float32) error
+// Feed copies a device's camera frame of a sample into dst, one
+// [C, H, W] row of a capture batch: C·H·W bytes q (the model's input
+// size), each standing for the value q/256 (dataset.FrameByte).
+// Returning an error means the device has no frame for the sample.
+// Feeds must be safe for concurrent use; DatasetFeed is.
+type Feed func(sampleID uint64, dst []byte) error
 
 // maxRetainedFeatures bounds the per-device cache of feature maps kept
-// between a capture and a possible feature request. Sessions that exit
-// locally never fetch their features, so entries are evicted oldest-first
-// once the cache is full.
+// between a capture and a possible feature request: a ring of this many
+// slots, each capture taking the next and evicting what it still holds.
+// Sessions that exit locally never fetch their features, so they age
+// out after this many later captures.
 const maxRetainedFeatures = 256
+
+// retainedSpares is how many cache entries NewDevice creates beyond the
+// ring's: the entries feature requests hold between taking one out of
+// the ring and dropping it.
+const retainedSpares = 8
 
 // Device is an end-device node: it owns one device section of the DDNN and
 // serves capture and feature-upload requests from the gateway, over
@@ -53,10 +60,11 @@ type Device struct {
 	index int
 	feed  Feed
 
-	featMu    sync.Mutex // guards features/featOrder only
-	features  map[uint64]*retainedFeature
-	featOrder []uint64 // insertion order for eviction
-	// retained recycles the cache entries (their ID and presence copies).
+	featMu   sync.Mutex // guards features/featNext only
+	features [maxRetainedFeatures]featureSlot
+	featNext int // the slot the next capture takes
+	// retained holds the entries not in the ring, with their ID and
+	// presence copies; NewDevice fills it, so the cache never allocates.
 	retained freeList[retainedFeature]
 
 	// leaving ends on Drain or Close: a joined device says goodbye and
@@ -69,10 +77,12 @@ type Device struct {
 // reading frames from feed. modelVersion is the version the node's
 // registry holds the model under — a model file's stamp; zero means 1.
 func NewDevice(model *core.Model, modelVersion uint64, index int, feed Feed, logger *slog.Logger) *Device {
-	d := &Device{
-		index:    index,
-		feed:     feed,
-		features: make(map[uint64]*retainedFeature),
+	d := &Device{index: index, feed: feed}
+	for i := range d.features {
+		d.features[i].rf = newRetainedFeature()
+	}
+	for range retainedSpares {
+		d.retained.put(newRetainedFeature())
 	}
 	d.init(fmt.Sprintf("device-%d", index), model, modelVersion, logger, d.frame, d.run)
 	d.leaving, d.leave = context.WithCancel(context.Background())
@@ -80,25 +90,26 @@ func NewDevice(model *core.Model, modelVersion uint64, index int, feed Feed, log
 	return d
 }
 
-// DatasetFeed builds a Feed serving one device's views from a dataset,
-// copied straight from the dataset's storage. The returned feed is safe
-// for concurrent sessions.
+// DatasetFeed builds a Feed serving one device's frames from a
+// dataset: its views as bytes (dataset.Frames, taken once here), copied
+// from there. The returned feed is safe for concurrent sessions.
 func DatasetFeed(ds *dataset.Dataset, device int) Feed {
-	return func(sampleID uint64, dst []float32) error {
+	frames := ds.Frames(device)
+	return func(sampleID uint64, dst []byte) error {
 		idx := int(sampleID)
 		if idx < 0 || idx >= ds.Len() {
 			return fmt.Errorf("cluster: sample %d out of range [0,%d)", idx, ds.Len())
 		}
-		return copyView(dst, ds.View(device, idx))
+		return copyFrame(dst, frames[idx*dataset.ImageSize:(idx+1)*dataset.ImageSize])
 	}
 }
 
-// copyView copies one sensor view into a capture row of the same size.
-func copyView(dst, view []float32) error {
-	if len(view) != len(dst) {
-		return fmt.Errorf("cluster: sensor view has %d values, model input has %d", len(view), len(dst))
+// copyFrame copies one camera frame into a capture row of the same size.
+func copyFrame(dst, frame []byte) error {
+	if len(frame) != len(dst) {
+		return fmt.Errorf("cluster: camera frame has %d bytes, model input has %d", len(frame), len(dst))
 	}
-	copy(dst, view)
+	copy(dst, frame)
 	return nil
 }
 
@@ -142,6 +153,18 @@ type retainedFeature struct {
 	present []byte
 }
 
+// newRetainedFeature returns an empty entry with room for a full batch.
+func newRetainedFeature() *retainedFeature {
+	return &retainedFeature{ids: make([]uint64, 0, DefaultMaxBatch), present: make([]byte, 0, (DefaultMaxBatch+7)/8)}
+}
+
+// featureSlot is one slot of the feature cache's ring: rf is the slot's
+// entry, which holds session's capture while rf.bits is non-nil.
+type featureSlot struct {
+	session uint64
+	rf      *retainedFeature
+}
+
 // sample returns row i's packed feature map.
 func (rf *retainedFeature) sample(i int) []byte {
 	n := len(rf.bits) / len(rf.ids)
@@ -164,60 +187,58 @@ func (rf *retainedFeature) row(id uint64, from int) int {
 	return -1
 }
 
-// retainFeature caches a capture's feature rows under its session,
-// copying ids and present.
+// retainFeature caches a capture's feature rows under its session in
+// the ring's next slot, copying ids and present into the slot's entry;
+// whatever the slot held is evicted, and so is an older capture of the
+// same session.
 func (d *Device) retainFeature(session uint64, bits []byte, ids []uint64, present []byte) {
-	rf := d.retained.get()
-	rf.bits = bits
-	rf.ids = append(rf.ids[:0], ids...)
-	rf.present = append(rf.present[:0], present...)
 	d.featMu.Lock()
 	defer d.featMu.Unlock()
-	if prev, exists := d.features[session]; exists {
-		d.dropFeature(prev)
-	} else {
-		d.featOrder = append(d.featOrder, session)
-	}
-	d.features[session] = rf
-	for len(d.featOrder) > maxRetainedFeatures {
-		oldest := d.featOrder[0]
-		d.featOrder = d.featOrder[1:]
-		if rf, ok := d.features[oldest]; ok {
-			d.dropFeature(rf)
+	for i := range d.features {
+		if sl := &d.features[i]; sl.session == session && sl.rf.bits != nil {
+			d.evict(sl.rf)
 		}
-		delete(d.features, oldest)
 	}
+	sl := &d.features[d.featNext]
+	d.featNext = (d.featNext + 1) % maxRetainedFeatures
+	d.evict(sl.rf)
+	sl.session = session
+	sl.rf.bits = bits
+	sl.rf.ids = append(sl.rf.ids[:0], ids...)
+	sl.rf.present = append(sl.rf.present[:0], present...)
 }
 
-// dropFeature retires a cache entry: its bits go back to the pool and
-// the entry to the free list. A nil entry is a no-op.
+// evict returns a cached entry's bits to the pool, emptying it in place.
+func (d *Device) evict(rf *retainedFeature) {
+	d.pool.PutBytes(rf.bits)
+	rf.bits = nil
+}
+
+// dropFeature retires an entry taken from the cache: its bits go back to
+// the pool and the entry to the free list. A nil entry is a no-op.
 func (d *Device) dropFeature(rf *retainedFeature) {
 	if rf == nil {
 		return
 	}
-	d.pool.PutBytes(rf.bits)
-	rf.bits = nil
+	d.evict(rf)
 	d.retained.put(rf)
 }
 
-// takeFeature removes and returns the session's retained capture; it is
-// nil when the capture was evicted or never happened — e.g. a second
-// gateway attached to this device.
+// takeFeature removes and returns the session's retained capture,
+// leaving a spare entry in its slot; it is nil when the capture was
+// evicted or never happened — e.g. a second gateway attached to this
+// device.
 func (d *Device) takeFeature(session uint64) *retainedFeature {
 	d.featMu.Lock()
 	defer d.featMu.Unlock()
-	rf, ok := d.features[session]
-	if !ok {
-		return nil
-	}
-	delete(d.features, session)
-	for i, s := range d.featOrder {
-		if s == session {
-			d.featOrder = append(d.featOrder[:i], d.featOrder[i+1:]...)
-			break
+	for i := range d.features {
+		if sl := &d.features[i]; sl.session == session && sl.rf.bits != nil {
+			rf := sl.rf
+			sl.rf = d.retained.get()
+			return rf
 		}
 	}
-	return rf
+	return nil
 }
 
 // onCapture stacks the session's sensor frames into one tensor, row i for
@@ -239,10 +260,11 @@ func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch, sc *scratch) error
 		Count: uint16(n), Present: resize(reply.Present, (n+7)/8), Probs: reply.Probs[:0],
 	}
 	clear(reply.Present)
-	stacked := d.pool.GetDirty(n, cfg.InputC, cfg.InputH, cfg.InputW)
+	size := cfg.InputC * cfg.InputH * cfg.InputW
+	stacked := d.pool.GetBytes(n * size)
 	frames := 0
 	for i, id := range m.SampleIDs {
-		row := stacked.Sample(i)
+		row := stacked[i*size : (i+1)*size]
 		if err := d.feed(id, row); err != nil {
 			clear(row) // absent frame (object not in view / feed error)
 			continue
@@ -251,11 +273,11 @@ func (d *Device) onCapture(c *nodeConn, m *wire.CaptureBatch, sc *scratch) error
 		frames++
 	}
 	if frames == 0 {
-		d.pool.Put(stacked)
+		d.pool.PutBytes(stacked)
 		return c.send(reply)
 	}
-	bits, exitVec := model.DeviceForwardPacked(d.index, stacked, d.pool)
-	d.pool.Put(stacked)
+	bits, exitVec := model.DeviceForwardPacked(d.index, stacked, n, d.pool)
+	d.pool.PutBytes(stacked)
 	d.retainFeature(m.Session, bits, m.SampleIDs, reply.Present)
 	for i := range m.SampleIDs {
 		if wire.IsPresent(reply.Present, i) {
@@ -293,13 +315,13 @@ func (d *Device) onFeatures(c *nodeConn, m *wire.FeatureBatchRequest, sc *scratc
 			next = row + 1
 			continue
 		}
-		x := d.pool.GetDirty(1, cfg.InputC, cfg.InputH, cfg.InputW)
-		if err := d.feed(id, x.Data()); err != nil {
-			d.pool.Put(x)
+		x := d.pool.GetBytes(cfg.InputC * cfg.InputH * cfg.InputW)
+		if err := d.feed(id, x); err != nil {
+			d.pool.PutBytes(x)
 			return c.send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
 		}
-		fb, exitVec := model.DeviceForwardPacked(d.index, x, d.pool)
-		d.pool.Put(x)
+		fb, exitVec := model.DeviceForwardPacked(d.index, x, 1, d.pool)
+		d.pool.PutBytes(x)
 		bits = append(bits, fb...)
 		d.pool.PutBytes(fb)
 		d.pool.Put(exitVec)

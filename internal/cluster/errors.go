@@ -38,6 +38,11 @@ var (
 	// shared store, which remote devices (owning their own sensors) do not
 	// consult.
 	ErrUploadUnsupported = errors.New("ddnn: uploads require an in-process engine")
+	// ErrUploadOffGrid reports an uploaded view holding a value that is
+	// not a camera byte on the frame grid: not q/256 for an integer q in
+	// 0…255 (so also NaN, negative or 1 and above). The wrapping error
+	// names the view and the value.
+	ErrUploadOffGrid = errors.New("ddnn: upload value off the frame grid q/256, q in 0..255")
 	// ErrRolloutUnsupported reports RegisterModel, RegisterModelBytes or
 	// RolloutModel on an engine attached to remote nodes: each remote
 	// node holds its own model registry, which the engine can neither

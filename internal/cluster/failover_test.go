@@ -62,7 +62,7 @@ func TestCloudReplicaFailoverMidBatch(t *testing.T) {
 				// while the sessions around it are mid-escalation.
 				dev := eng.Devices()[0]
 				feed := dev.feed
-				dev.feed = func(id uint64, dst []float32) error {
+				dev.feed = func(id uint64, dst []byte) error {
 					if id == uint64(killAt) {
 						eng.Clouds()[0].SetFailed(true)
 					}

@@ -99,7 +99,7 @@ func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, l
 		eng.Devices()[parityFailedDevice].SetFailed(true)
 		dev := eng.Devices()[parityAbsentDevice]
 		feed := dev.feed
-		dev.feed = func(id uint64, dst []float32) error {
+		dev.feed = func(id uint64, dst []byte) error {
 			if id == parityAbsentSample {
 				return errors.New("object not in view")
 			}

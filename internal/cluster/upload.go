@@ -24,16 +24,16 @@ const uploadIDBase = uint64(1) << 63
 type uploadStore struct {
 	mu      sync.Mutex
 	nextID  uint64
-	samples map[uint64][]*tensor.Tensor
+	samples map[uint64][][]byte
 }
 
 func newUploadStore() *uploadStore {
-	return &uploadStore{samples: make(map[uint64][]*tensor.Tensor)}
+	return &uploadStore{samples: make(map[uint64][][]byte)}
 }
 
-// add stages one uploaded sample (one [1, C, H, W] view per device) and
+// add stages one uploaded sample (one frame of bytes per device) and
 // returns its session-scoped sample ID.
-func (s *uploadStore) add(views []*tensor.Tensor) uint64 {
+func (s *uploadStore) add(views [][]byte) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := uploadIDBase | s.nextID
@@ -42,8 +42,8 @@ func (s *uploadStore) add(views []*tensor.Tensor) uint64 {
 	return id
 }
 
-// view returns one device's view of a staged upload.
-func (s *uploadStore) view(device int, id uint64) (*tensor.Tensor, error) {
+// view returns one device's frame of a staged upload.
+func (s *uploadStore) view(device int, id uint64) ([]byte, error) {
 	s.mu.Lock()
 	views := s.samples[id]
 	s.mu.Unlock()
@@ -66,21 +66,24 @@ func (s *uploadStore) remove(id uint64) {
 // uploadFeed routes upload-space sample IDs to the shared store and
 // everything else to the device's base feed.
 func uploadFeed(store *uploadStore, base Feed, device int) Feed {
-	return func(sampleID uint64, dst []float32) error {
+	return func(sampleID uint64, dst []byte) error {
 		if sampleID < uploadIDBase {
 			return base(sampleID, dst)
 		}
-		view, err := store.view(device, sampleID)
+		frame, err := store.view(device, sampleID)
 		if err != nil {
 			return err
 		}
-		return copyView(dst, view.Data())
+		return copyFrame(dst, frame)
 	}
 }
 
 // ClassifyUpload classifies one caller-supplied sample instead of a
 // dataset index: views holds one [1, C, H, W] sensor view per device
-// (dataset.ImageC × ImageH × ImageW). The sample is staged in the
+// (dataset.ImageC × ImageH × ImageW) whose every value is a camera
+// byte on the frame grid, q/256 for an integer q in 0…255 — what the
+// dataset generates; any other value (NaN, out of range, between grid
+// points) fails with ErrUploadOffGrid. The sample is staged as bytes in the
 // cluster's shared upload store under a fresh ID, classified by the
 // normal staged session (including micro-batching and the shed level's
 // pipeline), and unstaged when the session settles; the returned
@@ -94,12 +97,18 @@ func (e *Engine) ClassifyUpload(ctx context.Context, views []*tensor.Tensor, lev
 	if len(views) != e.gw.model.Cfg.Devices {
 		return nil, fmt.Errorf("cluster: upload has %d views, model has %d devices", len(views), e.gw.model.Cfg.Devices)
 	}
+	frames := make([][]byte, len(views))
+	buf := make([]byte, len(views)*dataset.ImageSize)
 	for d, v := range views {
 		if v == nil || v.Dims() != 4 || v.Dim(0) != 1 || v.Dim(1) != dataset.ImageC || v.Dim(2) != dataset.ImageH || v.Dim(3) != dataset.ImageW {
 			return nil, fmt.Errorf("cluster: upload view %d must be [1, %d, %d, %d]", d, dataset.ImageC, dataset.ImageH, dataset.ImageW)
 		}
+		frames[d] = buf[d*dataset.ImageSize : (d+1)*dataset.ImageSize]
+		if err := dataset.FrameBytes(frames[d], v.Data()); err != nil {
+			return nil, fmt.Errorf("%w: view %d: %v", ErrUploadOffGrid, d, err)
+		}
 	}
-	id := e.uploads.add(views)
+	id := e.uploads.add(frames)
 	defer e.uploads.remove(id)
 	return e.ClassifyTenantShed(ctx, id, "", level)
 }

@@ -285,8 +285,10 @@ func NewModel(cfg Config) (*Model, error) {
 	featIn := cfg.DeviceFilters * fh * fw
 	for d := 0; d < cfg.Devices; d++ {
 		name := fmt.Sprintf("dev%d", d)
+		convp := bnn.NewConvP(rng, name+".convp", cfg.InputC, cfg.DeviceFilters)
+		convp.Frames = true // serving feeds it camera bytes (DeviceForwardPacked)
 		m.devices = append(m.devices, &deviceSection{
-			convp: bnn.NewConvP(rng, name+".convp", cfg.InputC, cfg.DeviceFilters),
+			convp: convp,
 			exit:  newExitHead(rng, name, featIn, cfg.Classes),
 		})
 	}

@@ -62,19 +62,23 @@ func TestExitHeadPackedParityAllPaths(t *testing.T) {
 	}
 }
 
-// TestDeviceForwardPackedMatchesPooled pins DeviceForwardPacked to
-// DeviceForwardPooled on every path: the bits are each sample's
-// PackFeature bytes, the exit vectors are identical, and a warm pool
-// serves it without touching the heap.
+// TestDeviceForwardPackedMatchesPooled pins DeviceForwardPacked on byte
+// frames to DeviceForwardPooled on their values q/256 on every path: the
+// bits are each sample's PackFeature bytes, the exit vectors are
+// identical, and a warm pool serves it without touching the heap.
 func TestDeviceForwardPackedMatchesPooled(t *testing.T) {
 	m := MustNewModel(DefaultConfig())
 	rng := rand.New(rand.NewSource(42))
 	x := tensor.New(3, m.Cfg.InputC, m.Cfg.InputH, m.Cfg.InputW)
-	x.FillUniform(rng, 0, 1)
+	frames := make([]byte, len(x.Data()))
+	for i := range frames {
+		frames[i] = byte(rng.Intn(256))
+		x.Data()[i] = float32(frames[i]) / 256
+	}
 	forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
 		pool := tensor.NewPool()
 		feat, want := m.DeviceForwardPooled(2, x, pool)
-		bits, got := m.DeviceForwardPacked(2, x, pool)
+		bits, got := m.DeviceForwardPacked(2, frames, 3, pool)
 		var wantBits []byte
 		for i := 0; i < feat.Dim(0); i++ {
 			one := tensor.FromSlice(feat.Sample(i), 1, feat.Dim(1), feat.Dim(2), feat.Dim(3))
@@ -87,7 +91,7 @@ func TestDeviceForwardPackedMatchesPooled(t *testing.T) {
 		pool.PutBytes(bits)
 		pool.Put(got)
 		requireZeroAllocs(t, fmt.Sprintf("path=%v: DeviceForwardPacked", p), func() {
-			bits, exitVec := m.DeviceForwardPacked(2, x, pool)
+			bits, exitVec := m.DeviceForwardPacked(2, frames, 3, pool)
 			pool.PutBytes(bits)
 			pool.Put(exitVec)
 		})

@@ -35,18 +35,18 @@ func (m *Model) DeviceForwardPooled(device int, x *tensor.Tensor, p *tensor.Pool
 	return feat, exitVec
 }
 
-// DeviceForwardPacked is DeviceForwardPooled for a node that ships the
-// feature map rather than computing on it: bits holds each sample's
-// PackFeature bytes back to back, drawn from p (PutBytes it back
-// once consumed), and exitVec comes from p too. The float map goes back
-// to p before it returns. The same bits feed the exit head, so the map
-// is packed once.
-func (m *Model) DeviceForwardPacked(device int, x *tensor.Tensor, p *tensor.Pool) (bits []byte, exitVec *tensor.Tensor) {
+// DeviceForwardPacked is the device section of a serving node, on
+// camera frames: frames holds n samples of InputC×InputH×InputW bytes
+// q back to back (dataset.FrameByte), standing for the values q/256
+// DeviceForwardPooled reads. bits holds each sample's PackFeature bytes
+// back to back, drawn from p (PutBytes it back once consumed), and
+// exitVec comes from p too; both equal DeviceForwardPooled's on the
+// frames' values, bit for bit. The block is integer throughout
+// (bnn.ConvP.ForwardFrames) and writes the bits the exit head reads.
+func (m *Model) DeviceForwardPacked(device int, frames []byte, n int, p *tensor.Pool) (bits []byte, exitVec *tensor.Tensor) {
 	dev := m.device(device)
-	feat := dev.convp.ForwardPooled(x, p)
-	bits = packSamples(feat, p)
-	exitVec = dev.exit.forwardBits(bits, feat.Dim(0), p)
-	p.Put(feat)
+	bits = dev.convp.ForwardFrames(frames, n, m.Cfg.InputH, m.Cfg.InputW, p)
+	exitVec = dev.exit.forwardBits(bits, n, p)
 	return bits, exitVec
 }
 

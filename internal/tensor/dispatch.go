@@ -30,7 +30,8 @@ const (
 	KernelGo
 	// KernelSIMD is the arch-specific path: AVX2 assembly kernels on
 	// amd64 (4x16 GEMM tiles without FMA, a 4x16 ±1 convolution tile
-	// with one FMA per tap, PSHUFB nibble popcount, VMOVMSKPS sign
+	// with one FMA per tap, a 4x32 VPMADDUBSW tile and a VPMAXSW pool
+	// for byte frames, PSHUFB nibble popcount, VMOVMSKPS sign
 	// packing). It needs AVX2 and FMA3; selecting it on hardware
 	// without both is an error.
 	KernelSIMD

@@ -33,11 +33,16 @@ type Tensor = tensor.Tensor
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 
 // Uploaded sensor view dimensions: each device view of a sample is a
-// [1, ImageC, ImageH, ImageW] tensor.
+// [1, ImageC, ImageH, ImageW] tensor whose values are camera bytes on
+// the frame grid, q/256 for an integer q in 0…255 (FrameGridSteps);
+// Engine.ClassifyUpload refuses any other value with ErrUploadOffGrid.
 const (
 	ImageC = dataset.ImageC
 	ImageH = dataset.ImageH
 	ImageW = dataset.ImageW
+	// FrameGridSteps is the frame grid's steps per unit: an uploaded
+	// value must be q/FrameGridSteps for an integer q in 0…255.
+	FrameGridSteps = dataset.GridSteps
 )
 
 // ShedLevel selects how aggressively an overloaded serving system
@@ -83,6 +88,9 @@ var (
 	ErrNoHealthyReplica  = cluster.ErrNoHealthyReplica
 	ErrTooManyDevices    = cluster.ErrTooManyDevices
 	ErrUploadUnsupported = cluster.ErrUploadUnsupported
+	// ErrUploadOffGrid reports an uploaded value that is not a camera
+	// byte on the frame grid (see FrameGridSteps).
+	ErrUploadOffGrid = cluster.ErrUploadOffGrid
 	// ErrDeviceSlotMismatch reports a device-slot reference the model's
 	// hierarchy cannot satisfy (too many construction addresses, or an
 	// admission/removal naming a slot out of range). Fewer addresses than
