@@ -12,6 +12,7 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/dataset"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
 // Config describes a DDNN instance. The zero value is not usable; start
@@ -22,6 +23,8 @@ type Config struct {
 	// Classes is |C|, the number of target classes.
 	Classes int
 	// InputC, InputH, InputW describe each device's sensor input.
+	// InputC is at most tensor.FrameMaxChannels: the device block sums
+	// frame bytes in int16.
 	InputC, InputH, InputW int
 	// DeviceFilters is f, the filter count of the per-device ConvP block.
 	// The paper sweeps f in Fig. 9 and uses 4 for Fig. 7/Table II.
@@ -76,6 +79,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: need at least two classes, got %d", c.Classes)
 	case c.InputC <= 0 || c.InputH <= 0 || c.InputW <= 0:
 		return fmt.Errorf("core: invalid input shape %d×%d×%d", c.InputC, c.InputH, c.InputW)
+	case c.InputC > tensor.FrameMaxChannels:
+		return fmt.Errorf("core: %d input channels, the device block takes at most %d", c.InputC, tensor.FrameMaxChannels)
 	case c.InputH%4 != 0 || c.InputW%4 != 0:
 		return fmt.Errorf("core: input spatial dims must be divisible by 4, got %d×%d", c.InputH, c.InputW)
 	case c.DeviceFilters <= 0:

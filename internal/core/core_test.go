@@ -63,6 +63,8 @@ func TestConfigValidate(t *testing.T) {
 		{"zero devices", func(c *Config) { c.Devices = 0 }, false},
 		{"one class", func(c *Config) { c.Classes = 1 }, false},
 		{"bad input", func(c *Config) { c.InputH = 0 }, false},
+		{"most input channels", func(c *Config) { c.InputC = tensor.FrameMaxChannels }, true},
+		{"too many input channels", func(c *Config) { c.InputC = tensor.FrameMaxChannels + 1 }, false},
 		{"non-divisible input", func(c *Config) { c.InputH = 30 }, false},
 		{"zero device filters", func(c *Config) { c.DeviceFilters = 0 }, false},
 		{"zero cloud filters", func(c *Config) { c.CloudFilters = 0 }, false},

@@ -265,7 +265,7 @@ func boundConfig(cfg core.Config) error {
 		return fmt.Errorf("modelio: %w: %d devices", ErrCorruptModel, cfg.Devices)
 	case cfg.Classes > 4096:
 		return fmt.Errorf("modelio: %w: %d classes", ErrCorruptModel, cfg.Classes)
-	case cfg.InputC > 16 || cfg.InputH > 512 || cfg.InputW > 512:
+	case cfg.InputC > tensor.FrameMaxChannels || cfg.InputH > 512 || cfg.InputW > 512:
 		return fmt.Errorf("modelio: %w: input shape %d×%d×%d", ErrCorruptModel, cfg.InputC, cfg.InputH, cfg.InputW)
 	case cfg.DeviceFilters > 128 || cfg.CloudFilters > 128 || cfg.EdgeFilters > 128:
 		return fmt.Errorf("modelio: %w: filter counts %d/%d/%d", ErrCorruptModel, cfg.DeviceFilters, cfg.CloudFilters, cfg.EdgeFilters)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
 // tinyConfig is the smallest valid DDNN — fast enough to rebuild inside
@@ -130,12 +131,23 @@ func TestLoadRejectsHostileTensorHeader(t *testing.T) {
 
 func TestLoadRejectsHostileConfig(t *testing.T) {
 	raw := tinyArtifact(t, 3)
-	mut := append([]byte(nil), raw...)
-	// Config starts after magic+format version+model version; first
-	// field is Devices.
-	binary.LittleEndian.PutUint32(mut[18:], 1<<30)
-	if _, _, err := LoadVersioned(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptModel) {
-		t.Errorf("err = %v, want ErrCorruptModel", err)
+	// Config starts after magic+format version+model version with the
+	// uint32 fields Devices, Classes, InputC, ….
+	for _, tc := range []struct {
+		name string
+		off  int
+		val  uint32
+	}{
+		{"devices", 18, 1 << 30},
+		{"input channels", 26, tensor.FrameMaxChannels + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mut := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint32(mut[tc.off:], tc.val)
+			if _, _, err := LoadVersioned(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptModel) {
+				t.Errorf("err = %v, want ErrCorruptModel", err)
+			}
+		})
 	}
 }
 
