@@ -134,7 +134,7 @@ func (b *ConvP) framesRange(path tensor.KernelPath, frames, out []byte, stride i
 				copy(band[ci*pl.plane+(y+1)*pl.wp+1:], frame[(ci*pl.h+y)*pl.w:][:pl.w])
 			}
 		}
-		tensor.ConvFrame3x3(path, rec, pl.ds, fe.weights, band, pl.c, pl.plane, pl.wp, pl.h, 0, pl.f)
+		tensor.ConvFrame3x3(path, rec, pl.ds, fe.weights, band, pl.c, pl.plane, pl.wp)
 		signs := out[ni*stride : (ni+1)*stride]
 		for f := 0; f < pl.f; f++ {
 			tensor.PoolFrameThreshold(path, signs, f*pooled, rec[f*pl.ds:(f+1)*pl.ds], pl.w, pl.h/2, fe.s[f], fe.t1[f])

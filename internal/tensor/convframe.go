@@ -68,12 +68,12 @@ func FrameWeights(dst []int8, w []float32, filters, ch int) []int8 {
 	return dst
 }
 
-// ConvFrame3x3 computes the 3×3, stride-1, ±1 convolution of filters
-// [f0, f1) over a zero-padded band of frame bytes. src holds ch planes
-// of plane bytes, each rows+2 rows of wp = w+2 bytes whose first and last
-// column and first and last row are zero, followed by FrameBandSlack
-// readable bytes. w is FrameWeights' table. For output row oy < rows and
-// column ox < w the sum
+// ConvFrame3x3 computes the 3×3, stride-1, ±1 convolution of every
+// filter of w, FrameWeights' table, over a zero-padded band of frame
+// bytes. src holds ch planes of plane bytes, each rows+2 rows of wp =
+// w+2 bytes (plane = (rows+2)·wp) whose first and last column and first
+// and last row are zero, followed by FrameBandSlack readable bytes. For
+// output row oy < rows and column ox < w the sum
 //
 //	Σ_{c,ky,kx} w[f][c][ky][kx] · src[c*plane + (oy+ky)*wp + ox + kx]
 //
@@ -81,21 +81,20 @@ func FrameWeights(dst []int8, w []float32, filters, ch int) []int8 {
 // column ox's parity (see the file comment); record 0 of each filter
 // (row −1) is not written. Other record entries past column w may be
 // written with values the caller must ignore.
-func ConvFrame3x3(path KernelPath, dst []int16, ds int, w []int8, src []byte, ch, plane, wp, rows, f0, f1 int) {
-	if f0 >= f1 || rows == 0 {
-		return
-	}
+func ConvFrame3x3(path KernelPath, dst []int16, ds int, w []int8, src []byte, ch, plane, wp int) {
 	iw, rs := wp-2, FrameRowLen(wp-2)
-	if ch > FrameMaxChannels || len(dst) < (f1-1)*ds+(rows+1)*rs || len(w) < f1*ch*24 || len(src) < ch*plane+FrameBandSlack || plane < (rows+2)*wp {
-		panic(fmt.Sprintf("tensor: ConvFrame3x3 rows=%d filters=[%d,%d) ch=%d plane=%d wp=%d: slices %d,%d,%d too small",
-			rows, f0, f1, ch, plane, wp, len(dst), len(w), len(src)))
+	rows, filters := plane/wp-2, len(w)/(ch*24)
+	if ch > FrameMaxChannels || rows < 0 || plane != (rows+2)*wp || len(w) != filters*ch*24 ||
+		len(dst) < (filters-1)*ds+(rows+1)*rs || len(src) < ch*plane+FrameBandSlack {
+		panic(fmt.Sprintf("tensor: ConvFrame3x3 ch=%d plane=%d wp=%d: slices %d,%d,%d do not fit",
+			ch, plane, wp, len(dst), len(w), len(src)))
 	}
-	f := f0
+	f := 0
 	if path == KernelSIMD {
-		f = convFrameSIMD(dst, ds, w, src, ch, plane, wp, rows, f0, f1)
+		f = convFrameSIMD(dst, ds, w, src, ch, plane, wp, rows, filters)
 	}
 	half := FrameHalfWidth(iw)
-	for ; f < f1; f++ {
+	for ; f < filters; f++ {
 		wf := w[f*ch*24 : (f+1)*ch*24]
 		for oy := 0; oy < rows; oy++ {
 			rec := dst[f*ds+(oy+1)*rs : f*ds+(oy+2)*rs]

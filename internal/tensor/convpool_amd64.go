@@ -69,11 +69,11 @@ func poolFrameKernel16(rec *int16, rs, half, rows int, s, t1 int16, out *uint16)
 // convFrameSIMD tiles filters by 4 and each output row by 32 columns
 // over the AVX2 kernel, and returns the first filter it left to the
 // portable kernel (a tail of fewer than 4).
-func convFrameSIMD(dst []int16, ds int, w []int8, src []byte, ch, plane, wp, rows, f0, f1 int) int {
+func convFrameSIMD(dst []int16, ds int, w []int8, src []byte, ch, plane, wp, rows, filters int) int {
 	iw := wp - 2
 	rs, half, ws := FrameRowLen(iw), FrameHalfWidth(iw), ch*24
-	f := f0
-	for ; f+4 <= f1; f += 4 {
+	f := 0
+	for ; f+4 <= filters; f += 4 {
 		for oy := 0; oy < rows; oy++ {
 			for x0 := 0; x0 < iw; x0 += frameTile {
 				convFrameKernel4x32(&dst[f*ds+(oy+1)*rs+1+x0/2], ds, half, &w[f*ws], ws, &src[oy*wp+x0], ch, plane, wp)
