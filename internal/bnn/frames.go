@@ -130,8 +130,10 @@ func (b *ConvP) framesRange(path tensor.KernelPath, frames, out []byte, stride i
 	for ni := n0; ni < n1; ni++ {
 		frame := frames[ni*size : (ni+1)*size]
 		for ci := 0; ci < pl.c; ci++ {
+			dst := band[ci*pl.plane+pl.wp+1:]
 			for y := 0; y < pl.h; y++ {
-				copy(band[ci*pl.plane+(y+1)*pl.wp+1:], frame[(ci*pl.h+y)*pl.w:][:pl.w])
+				copy(dst[y*pl.wp:], frame[:pl.w])
+				frame = frame[pl.w:]
 			}
 		}
 		tensor.ConvFrame3x3(path, rec, pl.ds, fe.weights, band, pl.c, pl.plane, pl.wp)

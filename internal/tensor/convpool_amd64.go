@@ -85,7 +85,8 @@ func convFrameSIMD(dst []int16, ds int, w []int8, src []byte, ch, plane, wp, row
 
 // poolFrameSIMD runs PoolFrameThreshold's groups of 16 outputs on the
 // AVX2 kernel, up to 64 pooled rows a call, and keeps each row's bits
-// below w/2.
+// below w/2. A full group that starts on a byte boundary (every group
+// of the device geometry) is ored in as two bytes.
 func poolFrameSIMD(dst []byte, off int, rec []int16, w, prows int, s, t1 int16) bool {
 	rs, half, pw := FrameRowLen(w), FrameHalfWidth(w), w/2
 	var out [64]uint16
@@ -95,7 +96,14 @@ func poolFrameSIMD(dst []byte, off int, rec []int16, w, prows int, s, t1 int16) 
 			k := min(16, pw-px0)
 			poolFrameKernel16(&rec[2*j0*rs+px0], rs, half, n, s, t1, &out[0])
 			for j, bits := range out[:n] {
-				OrBits(dst, off+(j0+j)*pw+px0, uint64(bits)&(1<<k-1), k)
+				at := off + (j0+j)*pw + px0
+				if k == 16 && at%8 == 0 {
+					b := dst[at/8 : at/8+2]
+					b[0] |= byte(bits)
+					b[1] |= byte(bits >> 8)
+					continue
+				}
+				OrBits(dst, at, uint64(bits)&(1<<k-1), k)
 			}
 		}
 	}
