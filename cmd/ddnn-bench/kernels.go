@@ -44,20 +44,14 @@ type kernelComparison struct {
 // equal-compute paths are allowed 5% measurement noise.
 const pooledFloor = 0.95
 
-// fusedFloors are the speedup floors of the fused ConvP pass over the
-// layered composition, per dispatch path: the SIMD pass must clearly
-// win (it replaces a scalar pool and a materialised im2col), the
-// portable pass must not lose.
-var fusedFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.3}
-
 // framesFloors are the speedup floors of the integer device block on
-// byte frames (ForwardFrames) over the fused float pass on the same
+// byte frames (ForwardFrames) over the layered forward on the same
 // frames as floats, per path: the AVX2 integer tile must clearly win,
 // the portable one must not lose; naive is reported, not gated.
 var framesFloors = map[tensor.KernelPath]float64{tensor.KernelNaive: 0, tensor.KernelGo: 1.0, tensor.KernelSIMD: 1.3}
 
 // xnorFloors are the speedup floors of the bit-domain passes, per
-// dispatch path: the XNOR convolution over the float sign tile on
+// dispatch path: the XNOR convolution over the layered forward on
 // ternary cloud-block inputs, and the cloud chain — six devices' packed
 // features aggregated into bit planes and carried as bits to the logits —
 // over unpacking them for the float-in section forward. Neither may lose
@@ -68,7 +62,8 @@ var xnorFloors = map[tensor.KernelPath]float64{tensor.KernelGo: 1.0, tensor.Kern
 // (see experiments.ForwardInputs).
 const forwardSets = 64
 
-// kernelReport is what -json serializes (BENCH_pr39.json in CI).
+// kernelReport is what -json serializes (the bench smoke step of
+// .github/workflows/ci.yml names the file).
 type kernelReport struct {
 	Results     []kernelResult     `json:"results"`
 	Comparisons []kernelComparison `json:"comparisons"`
@@ -122,7 +117,7 @@ func benchInterleaved(fs ...func(b *testing.B)) []kernelResult {
 }
 
 // runKernels benchmarks the compute kernels once per dispatch path, the
-// per-tier section forwards and the fused ConvP pass, writes the table
+// per-tier section forwards and the serving ConvP blocks, writes the table
 // to out and, when jsonPath is non-empty, the JSON report. It returns an
 // error when a comparison's speedup falls below its floor, which is the
 // CI regression gate.
@@ -270,21 +265,14 @@ func runKernels(out io.Writer, jsonPath string) error {
 	})
 	cloudFwd, cloudFwdPooled := cloud[0], cloud[1]
 
-	// The fused ConvP pass against the layered composition at batch 32,
-	// on the device block's and the first cloud block's geometry, once
-	// per path that has a fused kernel. Both take float maps, so the
-	// cloud block's ternary input runs the float tile on both sides.
+	// The device block's integer pass on byte frames
+	// (convp_device_b32_frames) against the layered forward on the same
+	// frames as floats (convp_device_b32) at batch 32, on every path: a
+	// second block with the same weights and batch norm, marked a frame
+	// block so SyncWeights derives its frame epilogue.
 	in32, err := experiments.NewForwardInputs(m, forwardSets, 32)
 	if err != nil {
 		return err
-	}
-	convpRows := []struct {
-		name   string
-		blk    *bnn.ConvP
-		inputs []*tensor.Tensor
-	}{
-		{"convp_device_b32", bnn.NewConvP(rng, "device", m.Cfg.InputC, m.Cfg.DeviceFilters), in32.Views},
-		{"convp_cloud_b32", bnn.NewConvP(rng, "cloud", m.Cfg.Devices*m.Cfg.DeviceFilters, m.Cfg.CloudFilters), in32.Concat},
 	}
 	forward := func(inputs []*tensor.Tensor, f func(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -296,11 +284,7 @@ func runKernels(out io.Writer, jsonPath string) error {
 			}
 		}
 	}
-	// The device block's integer pass on the same frames as bytes
-	// (convp_device_b32_frames) against the fused float pass, on every
-	// path: a second block with the same weights and batch norm, marked
-	// a frame block so SyncWeights derives its frame epilogue.
-	devBlk := convpRows[0].blk
+	devBlk := bnn.NewConvP(rng, "device", m.Cfg.InputC, m.Cfg.DeviceFilters)
 	frameBlk := bnn.NewConvP(rand.New(rand.NewSource(0)), "device.frames", m.Cfg.InputC, m.Cfg.DeviceFilters)
 	frameBlk.Frames = true
 	frameBlk.Conv.Latent.Value.CopyFrom(devBlk.Conv.Latent.Value)
@@ -320,48 +304,25 @@ func runKernels(out io.Writer, jsonPath string) error {
 			pool.PutBytes(frameBlk.ForwardFrames(frames[i%forwardSets], 32, m.Cfg.InputH, m.Cfg.InputW, pool))
 		}
 	}
-	var fusedCmps []kernelComparison
+	var blockCmps []kernelComparison
 	for _, path := range tensor.KernelPaths() {
-		tag := "[" + path.String() + "]"
-		for ri, row := range convpRows {
-			floor, hasFused := fusedFloors[path]
-			framesFloor, hasFrames := framesFloors[path]
-			hasFrames = hasFrames && ri == 0
-			names := []string{row.name + tag}
-			fs := []func(b *testing.B){onPath(path, forward(row.inputs, row.blk.ForwardPooled))}
-			if hasFused {
-				names = append(names, row.name+"_layered"+tag)
-				fs = append(fs, onPath(path, forward(row.inputs, row.blk.ForwardLayered)))
-			}
-			if hasFrames {
-				names = append(names, row.name+"_frames"+tag)
-				fs = append(fs, onPath(path, framesForward))
-			}
-			if len(fs) == 1 {
-				continue
-			}
-			rs := addPaired(names, fs...)
-			if hasFused {
-				fusedCmps = append(fusedCmps, kernelComparison{
-					Label:      "fused " + row.name + " " + path.String(),
-					Naive:      row.name + "_layered" + tag,
-					Optimized:  row.name + tag,
-					Speedup:    rs[1].NsPerOp / rs[0].NsPerOp,
-					MinSpeedup: floor,
-				})
-			}
-			if hasFrames {
-				fusedCmps = append(fusedCmps, kernelComparison{
-					Label:      "frames " + row.name + " " + path.String(),
-					Naive:      row.name + tag,
-					Optimized:  row.name + "_frames" + tag,
-					Speedup:    rs[0].NsPerOp / rs[len(rs)-1].NsPerOp,
-					MinSpeedup: framesFloor,
-				})
-			}
+		floor, ok := framesFloors[path]
+		if !ok {
+			continue
 		}
+		tag := "[" + path.String() + "]"
+		const name = "convp_device_b32"
+		rs := addPaired([]string{name + tag, name + "_frames" + tag},
+			onPath(path, forward(in32.Views, devBlk.ForwardPooled)), onPath(path, framesForward))
+		blockCmps = append(blockCmps, kernelComparison{
+			Label:      "frames " + name + " " + path.String(),
+			Naive:      name + tag,
+			Optimized:  name + "_frames" + tag,
+			Speedup:    rs[0].NsPerOp / rs[1].NsPerOp,
+			MinSpeedup: floor,
+		})
 	}
-	// The XNOR convolution against the float tile on the two cloud
+	// The XNOR convolution against the layered forward on the two cloud
 	// blocks, whose inputs are ternary: ForwardPooled on the ±1 maps as
 	// floats, and ForwardPacked on the same maps as bit planes, built
 	// outside the timed loop.
@@ -406,11 +367,11 @@ func runKernels(out io.Writer, jsonPath string) error {
 		}
 		tag := "[" + path.String() + "]"
 		for _, row := range xnorRows {
-			rs := addPaired([]string{row.name + "_sign" + tag, row.name + "_xnor" + tag},
+			rs := addPaired([]string{row.name + "_layered" + tag, row.name + "_xnor" + tag},
 				onPath(path, forward(row.inputs, row.blk.ForwardPooled)), onPath(path, packedForward(row.blk, row.planes)))
-			fusedCmps = append(fusedCmps, kernelComparison{
+			blockCmps = append(blockCmps, kernelComparison{
 				Label:      "xnor " + row.name + " " + path.String(),
-				Naive:      row.name + "_sign" + tag,
+				Naive:      row.name + "_layered" + tag,
 				Optimized:  row.name + "_xnor" + tag,
 				Speedup:    rs[0].NsPerOp / rs[1].NsPerOp,
 				MinSpeedup: floor,
@@ -420,8 +381,8 @@ func runKernels(out io.Writer, jsonPath string) error {
 	// The whole cloud section on a session's wire bytes: the devices'
 	// packed batch-32 feature maps, all six present, to logits — once
 	// unpacked into per-device float maps (zero-filled, as a session
-	// holding float tensors drew them) for CloudForwardPooled, whose b1
-	// runs the float tile, once through CloudForwardBits.
+	// holding float tensors drew them) for CloudForwardPooled, whose
+	// blocks run the layered forward, once through CloudForwardBits.
 	wire := make([][][]byte, len(in32.Feats))
 	masks := make([]uint16, 32)
 	for i := range masks {
@@ -470,7 +431,7 @@ func runKernels(out io.Writer, jsonPath string) error {
 		tag := "[" + path.String() + "]"
 		const name = "convp_cloud_chain_b32"
 		rs := addPaired([]string{name + "_unpack" + tag, name + "_bits" + tag}, onPath(path, chain(unpacked)), onPath(path, chain(bitsChain)))
-		fusedCmps = append(fusedCmps, kernelComparison{
+		blockCmps = append(blockCmps, kernelComparison{
 			Label:      "bits " + name + " " + path.String(),
 			Naive:      name + "_unpack" + tag,
 			Optimized:  name + "_bits" + tag,
@@ -486,7 +447,7 @@ func runKernels(out io.Writer, jsonPath string) error {
 		{Label: "pooled device forward", Naive: "device_forward", Optimized: "device_forward_pooled", Speedup: devFwd.NsPerOp / devFwdPooled.NsPerOp, MinSpeedup: pooledFloor},
 		{Label: "pooled cloud forward", Naive: "cloud_forward", Optimized: "cloud_forward_pooled", Speedup: cloudFwd.NsPerOp / cloudFwdPooled.NsPerOp, MinSpeedup: pooledFloor},
 	}
-	report.Comparisons = append(report.Comparisons, fusedCmps...)
+	report.Comparisons = append(report.Comparisons, blockCmps...)
 	// Chain gates over the dispatch-path matrix: each step up the path
 	// ladder must not lose more than the 5% noise floor, for each kernel.
 	// (On AVX2 hosts the simd steps measure well above 1x; the floor only

@@ -50,11 +50,13 @@ func (b *ConvP) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return b.Act.Forward(y, train)
 }
 
-// ForwardLayered is the pooled inference forward as four separate layer
-// sweeps, each intermediate returned to the pool as soon as the next
-// stage has consumed it: the baseline the kernels benchmark times the
-// fused pass (ForwardPooled, fused.go) against.
-func (b *ConvP) ForwardLayered(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
+// ForwardPooled is the inference forward on a float map against a tensor
+// pool: conv (im2col + Gemm) → pool → batch norm → sign, each
+// intermediate returned to the pool as soon as the next stage has
+// consumed it; the caller owns the output. It is Forward(x, false) bit
+// for bit on every kernel path. Serving blocks take bit planes
+// (ForwardPlanes) or byte frames (ForwardFrames) instead.
+func (b *ConvP) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
 	y1 := b.Conv.ForwardPooled(x, p)
 	y2 := b.Pool.ForwardPooled(y1, p)
 	p.Put(y1)
@@ -71,8 +73,8 @@ func (b *ConvP) ForwardLayered(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor 
 // block's output), and each sample's output signs are placed into the
 // returned planes, the next block's input (from p; Put them back once
 // consumed), as the aggregation places a device's map. The outputs are
-// the signs ForwardPooled computes on the same map as floats (fused.go),
-// under the thresholds of the last SyncWeights.
+// the signs ForwardPooled computes on the same map as floats, under the
+// thresholds of the last SyncWeights (fused.go).
 func (b *ConvP) ForwardPlanes(in Planes, p *tensor.Pool) Planes {
 	signs := b.ForwardPacked(in, p)
 	defer p.PutBytes(signs)

@@ -8,72 +8,60 @@ import (
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
-// This file is the fused inference kernel of the ConvP block. Its input
-// type picks the convolution: a float map (ConvP.ForwardPooled) runs the
-// float sign tile, tensor.ConvSign3x3, whatever values it holds; bit
-// planes (ForwardPlanes, ForwardPacked) run the XNOR convolution
-// (xnorconv.go). The kernel path only picks the kernels either one runs.
-// Both walk the batch sample by sample and each sample band by band: the
-// band's convolution runs over a zero-padded view of its input rows —
-// copied once into scratch from a float input, or read in place from the
-// caller's bit planes — and each pooled row the band completes is
-// pooled, normalized and binarized in one step. The only float
+// This file is the fused inference pass of the ConvP block on bit
+// planes (ForwardPlanes, ForwardPacked), the pass every edge and cloud
+// block serves on. A float map runs the layered forward instead
+// (ConvP.ForwardPooled), and a device's byte frames the integer block
+// (frames.go). The pass walks the batch sample by sample and each sample
+// band by band: the band's XNOR convolution (xnorconv.go) reads its
+// rows from the caller's planes in place, and each pooled row the band
+// completes is pooled and thresholded in one step. The only float
 // intermediate is the band's convolution output, which never leaves the
-// worker's scratch.
+// worker's scratch. The kernel path only picks the kernels it runs.
 //
 // Numeric contract: the output is bit-identical to the layered
-// composition (ForwardLayered, and ConvP.Forward in inference mode).
-// Every convolution output is the exact ±1 product the lowered GEMM
-// computes from +0 in ascending (c, ky, kx) order, padding taps included;
-// the pool scans its window row-major under "a value wins only if it
-// compares greater", so NaN never wins; batch normalization is
-// nn.BatchNorm.InferenceAffine's rounded multiply and rounded add; the
-// activation is `>= 0` (−0 → +1, NaN → −1).
-//
-// A float input keeps that float epilogue (tensor.PoolAffineSignRow):
-// its pooled values are arbitrary floats, and a threshold computed in
-// different arithmetic would flip values that land on the zero crossing.
-// (Serving devices convolve camera bytes instead, frames.go, whose
-// pooled values are integers too.) A bit-plane input is
-// ternary, so every convolution output and every pooled value is an
-// integer m in [−9C, 9C], and sign(affine(m)) is a predicate on that
-// finite set. SyncWeights evaluates InferenceAffine's own expression on
-// every integer of the range once and stores where it flips: the
-// epilogue is then one compare per output, m ≥ τ (scale > 0), m ≤ τ
-// (scale < 0) or a constant (scale 0, or a NaN parameter). Rounding is
-// monotone, so a single flip point exists and the compare reproduces
-// the float epilogue exactly, by construction; deriveThresholds checks
-// every point anyway.
+// composition (ConvP.Forward in inference mode) on the same map as
+// floats. A bit-plane input is ternary, so every convolution output is
+// the exact integer m in [−9C, 9C] the lowered GEMM computes, and so is
+// every pooled value: the pool scans its window row-major under "a
+// value wins only if it compares greater". Batch normalization followed
+// by the `>= 0` activation is then a predicate on that finite set.
+// SyncWeights evaluates nn.BatchNorm.InferenceAffine's own expression —
+// a rounded multiply and a rounded add — on every integer of the range
+// once and stores where it flips: the epilogue is one compare per
+// output, m ≥ τ (scale > 0), m ≤ τ (scale < 0) or a constant (scale 0,
+// or a NaN parameter). Rounding is monotone, so a single flip point
+// exists and the compare reproduces the float epilogue exactly, by
+// construction; deriveThresholds checks every point anyway.
 
-// fusedScratchBudget caps one worker's scratch at 32 KB so the band, its
-// convolution output and the four filters' weights in flight stay
-// cache-resident. A block too wide for even a two-row band exceeds it.
+// fusedScratchBudget caps one worker's scratch at 32 KB so the band's
+// row segments and its convolution output stay cache-resident. A block
+// too wide for even a two-row band exceeds it.
 const fusedScratchBudget = 32 << 10 / 4 // floats
 
 // fusedParallelOps is the per-sample sign-add count above which a
-// forward is split across the worker pool (over samples, or over filter
-// blocks for one big sample), as nn.Conv2D splits its GEMMs.
+// forward is split over samples across the worker pool, as nn.Conv2D
+// splits its GEMMs.
 const fusedParallelOps = 1 << 15
 
 var negInf = float32(math.Inf(-1))
 
-// fusedPlan is the scratch layout for one input geometry. The padded
-// band xb holds c planes of (band+2) rows × wp columns; the convolution
-// buffer cb holds, per filter, one leading −Inf, one carried row (the
-// last convolution row of the previous band, which the next band's first
-// pooled row still needs) and the band's rows, all wp wide — so the two
-// junk positions that end every row double as the pool's −Inf padding
-// for the row's right edge and the next row's left edge.
+// fusedPlan is the scratch layout for one input geometry. The segment
+// words (xnorConv3x3) come first; the convolution buffer then holds, per
+// filter, one leading −Inf, one carried row (the last convolution row
+// of the previous band, which the next band's first pooled row still
+// needs) and the band's rows, all wp wide — so the two junk positions
+// that end every row double as the pool's −Inf padding for the row's
+// right edge and the next row's left edge.
 type fusedPlan struct {
 	c, h, w, f int
 	ph, pw     int // pooled output size
 	wp         int // padded row width, w+2
 	band       int // convolution rows per band (even)
-	plane      int // floats per channel in xb
-	cs         int // floats per filter in cb
+	cs         int // floats per filter in the convolution buffer
 	rsw        int // words per padded row of a bit plane (see xnorconv.go)
-	xbLen      int // the float band, or the row segments sharing its storage
-	size       int // xb + cb + per-filter scale and shift
+	segLen     int // floats of the band's row segments, two per word plus alignment slack
+	size       int // segLen + f*cs
 }
 
 func planFused(c, h, w, f int) fusedPlan {
@@ -81,15 +69,9 @@ func planFused(c, h, w, f int) fusedPlan {
 	pl.rsw = xnorRowWords(c, pl.wp)
 	layout := func(band int) {
 		pl.band = band
-		pl.plane = (band + 2) * pl.wp
-		span := tensor.ConvSignSpan(band, pl.wp)
-		pl.cs = 1 + pl.wp + span
-		// ConvSign3x3 reads 2 rows + 2 columns past each position of the
-		// span, in the last plane too. The bit pass's row segments (words
-		// of two floats each, plus one float of alignment slack) reuse the
-		// same storage.
-		pl.xbLen = max((c-1)*pl.plane+2*pl.wp+2+span, 2*xnorSegmentWords(c, w, band)+1)
-		pl.size = pl.xbLen + f*pl.cs + 2*f
+		pl.cs = 1 + (band+1)*pl.wp
+		pl.segLen = 2*xnorSegmentWords(c, w, band) + 1
+		pl.size = pl.segLen + f*pl.cs
 	}
 	// Largest even band within budget, then rebalanced so the bands of
 	// one sample are equally tall.
@@ -103,78 +85,6 @@ func planFused(c, h, w, f int) fusedPlan {
 }
 
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
-
-// ForwardPooled is the inference forward on a float map against a tensor
-// pool: one fused pass per sample, the float tile, that draws only the
-// output (the caller owns it) and a per-worker scratch buffer from p. The
-// output is bit-identical on every kernel path and to Forward(x, false).
-func (b *ConvP) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	path, conv := tensor.CurrentKernelPath(), b.Conv.inner
-	if x.Dims() != 4 || x.Dim(1) != conv.InC {
-		panic(fmt.Sprintf("bnn: ConvP %s input shape %v, want [N %d H W]", conv.Weight.Name, x.Shape(), conv.InC))
-	}
-	n := x.Dim(0)
-	pl := planFused(conv.InC, x.Dim(2), x.Dim(3), conv.OutC)
-	y := p.GetDirty(n, pl.f, pl.ph, pl.pw)
-
-	big := pl.f*pl.c*9*pl.h*pl.w >= fusedParallelOps && tensor.MaxWorkers() > 1
-	switch {
-	case n > 1 && big:
-		tensor.ParallelFor(n, 1, func(lo, hi int) { b.fusedRange(path, y, x, pl, p, lo, hi, 0, pl.f) })
-	case n == 1 && big && pl.f >= 8:
-		// One big sample (a cloud block at batch 1): every worker lowers
-		// the bands itself — cheap next to the convolution — and owns a
-		// block of filters end to end.
-		tensor.ParallelFor(pl.f, 4, func(lo, hi int) { b.fusedRange(path, y, x, pl, p, 0, 1, lo, hi) })
-	default:
-		b.fusedRange(path, y, x, pl, p, 0, n, 0, pl.f)
-	}
-	return y
-}
-
-// fusedRange computes output filters [f0, f1) of samples [n0, n1) with
-// one scratch buffer borrowed from p.
-func (b *ConvP) fusedRange(path tensor.KernelPath, y, x *tensor.Tensor, pl fusedPlan, p *tensor.Pool, n0, n1, f0, f1 int) {
-	buf := p.GetDirty(pl.size)
-	defer p.Put(buf)
-	scratch, yd, xd := buf.Data(), y.Data(), x.Data()
-	xb := scratch[:pl.xbLen]
-	cb := scratch[pl.xbLen : pl.xbLen+pl.f*pl.cs]
-	affine := scratch[pl.xbLen+pl.f*pl.cs:]
-	scale, shift := affine[:pl.f], affine[pl.f:2*pl.f]
-	for f := f0; f < f1; f++ {
-		scale[f], shift[f] = b.BN.InferenceAffine(f)
-		cb[f*pl.cs] = negInf
-	}
-	wd := b.Conv.inner.Weight.Value.Data()
-	wp, cs := pl.wp, pl.cs
-	// Within a filter's cb segment, row t (0 = carried row, 1.. = band
-	// rows) has its column −1 at t*wp and its column 0 at 1+t*wp.
-	conv := cb[1+wp:]
-
-	for ni := n0; ni < n1; ni++ {
-		sample := xd[ni*pl.c*pl.h*pl.w : (ni+1)*pl.c*pl.h*pl.w]
-		for f := f0; f < f1; f++ {
-			// Row −1 of the convolution output is pool padding.
-			fill(cb[f*cs+1:f*cs+1+wp], negInf)
-		}
-		for r0 := 0; r0 < pl.h; r0 += pl.band {
-			rows := min(pl.band, pl.h-r0)
-			lowerBand(xb, sample, pl, r0, rows)
-			tensor.ConvSign3x3(path, conv, cs, wd, xb, pl.c, pl.plane, wp, rows, f0, f1)
-			for f := f0; f < f1; f++ {
-				seg := cb[f*cs : (f+1)*cs]
-				padRowEnds(seg, pl, rows)
-				for py := r0 / 2; py < (r0+rows+1)/2; py++ {
-					top, mid, bot := poolRows(seg, pl, r0, py)
-					out := yd[((ni*pl.f+f)*pl.ph+py)*pl.pw:][:pl.pw]
-					tensor.PoolAffineSignRow(path, out, top, mid, bot, scale[f], shift[f])
-				}
-				copy(seg[1:1+wp], seg[1+rows*wp:1+(rows+1)*wp])
-			}
-		}
-	}
-}
 
 // forwardBits is the bit-domain pass behind ForwardPacked: ternary bit
 // planes in, one PackSigns run of stride bytes per sample out. It splits
@@ -197,18 +107,20 @@ func (b *ConvP) forwardBits(in Planes, out []byte, stride int, p *tensor.Pool) {
 	b.bitsRange(path, in, out, stride, pl, p, 0, in.N)
 }
 
-// bitsRange is fusedRange on bit planes, for samples [n0, n1) and every
-// filter: the bands are read from the planes in place, every band is
-// XNOR, and each filter's pooled rows end in its integer threshold,
-// written as its run of the sample's PackSigns bits.
+// bitsRange runs samples [n0, n1) and every filter with one scratch
+// buffer borrowed from p: each band is read from the planes in place and
+// convolved by XNOR, and each filter's pooled rows end in its integer
+// threshold, written as its run of the sample's PackSigns bits.
 func (b *ConvP) bitsRange(path tensor.KernelPath, in Planes, out []byte, stride int, pl fusedPlan, p *tensor.Pool, n0, n1 int) {
 	buf := p.GetDirty(pl.size)
 	defer p.Put(buf)
 	scratch := buf.Data()
-	cb := scratch[pl.xbLen : pl.xbLen+pl.f*pl.cs]
-	seg := wordView(scratch[:pl.xbLen])
+	cb := scratch[pl.segLen:pl.size]
+	seg := wordView(scratch[:pl.segLen])
 	wp, cs := pl.wp, pl.cs
-	conv := cb[1+wp:] // as in fusedRange
+	// Within a filter's cb segment, row t (0 = carried row, 1.. = band
+	// rows) has its column −1 at t*wp and its column 0 at 1+t*wp.
+	conv := cb[1+wp:]
 	for f := 0; f < pl.f; f++ {
 		cb[f*cs] = negInf
 		// The XNOR convolution writes only image columns, so the pool's
@@ -318,27 +230,6 @@ func deriveThresholds(dst []threshold, bn *nn.BatchNorm, k int, unit float32) []
 		dst[f] = th
 	}
 	return dst
-}
-
-// lowerBand copies input rows r0−1 .. r0+rows of every channel into the
-// padded band, zeroing the border columns and the rows outside the
-// image — the zero padding of the convolution.
-func lowerBand(xb, sample []float32, pl fusedPlan, r0, rows int) {
-	h, w, wp := pl.h, pl.w, pl.wp
-	for ci := 0; ci < pl.c; ci++ {
-		in := sample[ci*h*w : (ci+1)*h*w]
-		dst := xb[ci*pl.plane:]
-		for t := 0; t < rows+2; t++ {
-			row := dst[t*wp : (t+1)*wp]
-			iy := r0 - 1 + t
-			if iy < 0 || iy >= h {
-				clear(row)
-				continue
-			}
-			row[0], row[w+1] = 0, 0
-			copy(row[1:], in[iy*w:(iy+1)*w])
-		}
-	}
 }
 
 func fill(s []float32, v float32) {

@@ -12,11 +12,11 @@ import (
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
-// The tests in this file pin the fused ConvP kernel (fused.go) to the
-// layered reference ConvP.Forward(x, false) evaluated on the naive
-// dispatch path — im2col + the scalar GEMM, the clipped pool scan,
-// BatchNorm's inference loop and Binarize — which shares no code with
-// the fused kernel beyond BatchNorm.InferenceAffine.
+// The tests in this file pin the ConvP block's pooled forwards — the
+// layered forward on float maps (ForwardPooled) and the fused bit-domain
+// pass (fused.go) — to the layered reference ConvP.Forward(x, false)
+// evaluated on the naive dispatch path: im2col + the scalar GEMM, the
+// clipped pool scan, BatchNorm's inference loop and Binarize.
 
 // convpOracle evaluates the layered reference on the naive path.
 func convpOracle(t testing.TB, blk *ConvP, x *tensor.Tensor) *tensor.Tensor {
@@ -82,9 +82,8 @@ func checkAllPaths(t *testing.T, what string, blk *ConvP, x, want *tensor.Tensor
 }
 
 // TestConvPFusedDiffAllPaths is the shape matrix: batch sizes around the
-// worker split, plane sizes from a single band to several, non-square
-// and odd planes, and channel/filter counts on every side of the 4-wide
-// filter tile.
+// worker split, small to large, non-square and odd planes, and
+// channel/filter counts on every side of the GEMM's register tiles.
 func TestConvPFusedDiffAllPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	pool := tensor.NewPool()
@@ -127,8 +126,8 @@ func TestConvPFusedDiffAllPaths(t *testing.T) {
 	}
 }
 
-// TestConvPFusedSpecialsDiffAllPaths covers the inputs where a fused
-// kernel can silently differ from the layers: NaN, ±Inf and −0 in the
+// TestConvPFusedSpecialsDiffAllPaths covers the inputs where a pooled
+// forward can silently differ from the layers: NaN, ±Inf and −0 in the
 // input, windows whose every convolution output is −Inf or NaN, pooled
 // values exactly on batch norm's zero crossing, and all-zero channels
 // (the feature map of an absent device).
@@ -234,10 +233,29 @@ func guarded(shape ...int) (*tensor.Tensor, func() bool) {
 	}
 }
 
-// TestConvPFusedGuardedBuffers hands the fused kernel an output
-// tensor and a scratch buffer that are followed by sentinels (by priming
-// the pool with them): the assembly kernels must stay inside both, and
-// must not depend on what a dirty buffer held.
+// guardedBytes is guarded for a byte buffer of length n, filled with
+// 0xA5 throughout.
+func guardedBytes(n int) ([]byte, func() bool) {
+	const guard = 64
+	backing := make([]byte, n+guard)
+	for i := range backing {
+		backing[i] = 0xA5
+	}
+	return backing[:n:n], func() bool {
+		for _, v := range backing[n:] {
+			if v != 0xA5 {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// TestConvPFusedGuardedBuffers hands the bit-domain pass (ForwardPacked)
+// an output buffer and a scratch buffer that are followed by sentinels
+// and full of stale values (by priming the pool with them): the kernels
+// must stay inside both, and must not depend on what a dirty buffer
+// held.
 func TestConvPFusedGuardedBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	defer tensor.SetMaxWorkers(0)
@@ -245,24 +263,23 @@ func TestConvPFusedGuardedBuffers(t *testing.T) {
 	for _, g := range [][5]int{{2, 3, 4, 32, 32}, {2, 24, 16, 16, 16}, {1, 16, 16, 8, 8}, {3, 5, 7, 9, 11}, {1, 1, 1, 1, 1}} {
 		n, c, f, h, w := g[0], g[1], g[2], g[3], g[4]
 		blk := newDiffConvP(rng, c, f)
+		blk.SyncWeights()
 		x := tensor.New(n, c, h, w)
-		x.FillUniform(rng, -1, 1)
-		want := convpOracle(t, blk, x)
+		fillTernary(x.Data(), rng)
+		want, in := packedOf(convpOracle(t, blk, x)), planesOf(x)
 		pl := planFused(c, h, w, f)
 		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
 			pool := tensor.NewPool()
-			out, outIntact := guarded(n, f, pl.ph, pl.pw)
+			out, outIntact := guardedBytes(len(want))
 			scratch, scratchIntact := guarded(pl.size)
-			pool.Put(out)
+			pool.PutBytes(out)
 			pool.Put(scratch)
-			got := blk.ForwardPooled(x, pool)
-			if got != out {
-				t.Fatalf("path=%v %v: forward did not draw the primed output tensor", p, g)
+			got := blk.ForwardPacked(in, pool)
+			if &got[0] != &out[0] {
+				t.Fatalf("path=%v %v: forward did not draw the primed output buffer", p, g)
 			}
-			for i, wv := range want.Data() {
-				if got.Data()[i] != wv {
-					t.Fatalf("path=%v %v: element %d = %g, reference %g", p, g, i, got.Data()[i], wv)
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("path=%v %v: ForwardPacked differs from the packed reference", p, g)
 			}
 			if !outIntact() || !scratchIntact() {
 				t.Fatalf("path=%v %v: wrote past the output (intact=%v) or the scratch (intact=%v)", p, g, outIntact(), scratchIntact())
@@ -271,17 +288,17 @@ func TestConvPFusedGuardedBuffers(t *testing.T) {
 	}
 }
 
-// TestConvPFusedPoolDraws pins the fused block's memory contract
-// on the serving geometries: from a fresh pool, one forward draws its
-// output tensor and one scratch buffer of at most 32 KB per worker —
-// no batch-extent intermediate — where the layered path draws an im2col
-// buffer and three batch-wide tensors.
+// TestConvPFusedPoolDraws pins the bit-domain pass's memory contract on
+// the serving geometries: from a fresh pool, one ForwardPacked draws its
+// output bytes and one scratch buffer of at most 32 KB per worker — no
+// batch-extent intermediate.
 func TestConvPFusedPoolDraws(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	defer tensor.SetMaxWorkers(0)
 	for _, g := range [][4]int{{3, 4, 32, 32}, {24, 16, 16, 16}, {24, 8, 16, 16}, {16, 16, 8, 8}} {
 		c, f, h, w := g[0], g[1], g[2], g[3]
 		blk := newDiffConvP(rng, c, f)
+		blk.SyncWeights()
 		pl := planFused(c, h, w, f)
 		if pl.size*4 > 32<<10 {
 			t.Fatalf("geometry %v: scratch is %d bytes, over the 32 KB budget", g, pl.size*4)
@@ -289,10 +306,11 @@ func TestConvPFusedPoolDraws(t *testing.T) {
 		for _, tc := range []struct{ n, workers int }{{1, 1}, {32, 1}, {32, 2}, {1, 2}} {
 			tensor.SetMaxWorkers(tc.workers)
 			x := tensor.New(tc.n, c, h, w)
-			x.FillUniform(rng, -1, 1)
+			fillSigns(x.Data(), rng)
+			in := planesOf(x)
 			forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
 				pool := tensor.NewPool()
-				y := blk.ForwardPooled(x, pool)
+				out := blk.ForwardPacked(in, pool)
 				drawn := pool.Retained() // everything but the output is back
 				for size, count := range drawn {
 					if size != pl.size || count > tc.workers {
@@ -303,8 +321,8 @@ func TestConvPFusedPoolDraws(t *testing.T) {
 				if len(drawn) != 1 {
 					t.Fatalf("path=%v %v: draws besides the output = %v, want one size class", p, g, drawn)
 				}
-				if y.Size() != tc.n*f*pl.ph*pl.pw {
-					t.Fatalf("output size %d", y.Size())
+				if len(out) != tc.n*PackedSize(f*pl.ph*pl.pw) {
+					t.Fatalf("output is %d bytes", len(out))
 				}
 			})
 		}
@@ -312,20 +330,25 @@ func TestConvPFusedPoolDraws(t *testing.T) {
 }
 
 // TestConvPFusedSharedPool runs eight goroutines through one block
-// and one pool, mixing batch sizes so the sample split, the filter split
-// and the serial path interleave; under -race it is the data-race gate
-// for the fused kernel and its assembly wrappers.
+// and one pool, mixing batch sizes and both pooled forwards — the
+// layered one on floats and ForwardPacked on the same maps as planes —
+// so the sample split and the serial path interleave; under -race it is
+// the data-race gate for the pooled forwards and their assembly kernels.
 func TestConvPFusedSharedPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	defer tensor.SetMaxWorkers(0)
 	tensor.SetMaxWorkers(4)
 	blk := newDiffConvP(rng, 24, 16)
+	blk.SyncWeights()
 	xs := make([]*tensor.Tensor, 3)
 	wants := make([]*tensor.Tensor, 3)
+	planes := make([]Planes, 3)
+	wantPacked := make([][]byte, 3)
 	for i, n := range []int{1, 2, 5} {
 		xs[i] = tensor.New(n, 24, 16, 16)
 		fillSigns(xs[i].Data(), rng)
 		wants[i] = convpOracle(t, blk, xs[i])
+		planes[i], wantPacked[i] = planesOf(xs[i]), packedOf(wants[i])
 	}
 	pool := tensor.NewPool()
 	var wg sync.WaitGroup
@@ -336,6 +359,15 @@ func TestConvPFusedSharedPool(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 30; r++ {
 				i := (g + r) % len(xs)
+				if r%2 == 1 {
+					packed := blk.ForwardPacked(planes[i], pool)
+					if !slices.Equal(packed, wantPacked[i]) {
+						errs <- fmt.Errorf("goroutine %d round %d batch %d: ForwardPacked diverged", g, r, xs[i].Dim(0))
+						return
+					}
+					pool.PutBytes(packed)
+					continue
+				}
 				got := blk.ForwardPooled(xs[i], pool)
 				for j, wv := range wants[i].Data() {
 					if got.Data()[j] != wv {
@@ -357,15 +389,16 @@ func TestConvPFusedSharedPool(t *testing.T) {
 // FuzzConvPParity lets the fuzzer choose the geometry, the weights, the
 // batch-norm statistics and the raw bit patterns of the input (so −0,
 // denormals, ±Inf and every NaN payload are reachable) and requires the
-// fused kernel on every path to reproduce the layered reference. Three
+// pooled forwards on every path to reproduce the layered reference. Three
 // bits of each filter's parameter word plant what the bit-domain
 // thresholds must survive: a NaN γ or β, γ = 0, or an exact zero crossing
 // (scale 1, shift −mean, the mean an integer); γ < 0 comes from the
 // random range. With the top bit of nr set, input words map to +1, −1, +0
 // and −0 by their low two bits, except one in sixteen, which keeps its
-// raw bits; ForwardPooled runs that float input on the float tile, and
-// the all-ternary version of it, as planes, runs the XNOR convolution
-// through the bit-plane forwards, ForwardPacked and ForwardPlanes.
+// raw bits; ForwardPooled runs that float input on the layered forward,
+// and the all-ternary version of it, as planes, runs the XNOR
+// convolution through the bit-plane forwards, ForwardPacked and
+// ForwardPlanes.
 func FuzzConvPParity(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint8(4), uint8(32), uint8(32), []byte("convp-parity-seed-0123456789"))
 	f.Add(uint8(2), uint8(5), uint8(3), uint8(12), uint8(20), []byte{0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0xff, 0x00, 0x00, 0x00, 0x80})

@@ -17,11 +17,11 @@ import (
 //	Σ wᵢ·xᵢ = nz − 2·popcount((s ⊕ b) ∧ m)
 //
 // where m marks the window's nonzero inputs (nz = popcount(m)), s their
-// signs and b the filter's signs. The float tile (tensor.ConvSign3x3)
-// accumulates the same terms as exact integers — every partial sum is an
-// integer of magnitude ≤ 9C, and it starts from +0, so it ends at the
-// same value and never at −0 — so the two are bit-identical by
-// construction.
+// signs and b the filter's signs. The lowered GEMM of the layered
+// forward (ConvP.ForwardPooled) accumulates the same terms on the same
+// map as floats, as exact integers — every partial sum is an integer of
+// magnitude ≤ 9C, and it starts from +0, so it ends at the same value
+// and never at −0 — so the two are bit-identical by construction.
 //
 // The convolution reads two bit planes, sign and nonzero, pixel-major:
 // padded pixel x of a row holds channels 0..C−1 at bits x·C..x·C+C−1 of
@@ -30,7 +30,7 @@ import (
 // filters are packed the same way (BinaryConv2D.SyncWeights). The input
 // is a Planes, this layout over a whole padded image, filled from packed
 // feature maps by Place. A float input never comes here: it runs the
-// float tile (fused.go), whatever values it holds.
+// layered forward, whatever values it holds.
 
 // xnorSegWords returns the words one kernel row of a window (3C bits)
 // spans.
@@ -90,9 +90,9 @@ func wordView(f []float32) []uint64 {
 
 // xnorConv3x3 writes the convolution of rows output rows, read from the
 // bit planes sgn and nz from the band's first padded row on, for every
-// filter into conv exactly where tensor.ConvSign3x3 would: filter f's
-// output row oy, column ox at conv[f*cs + oy*wp + ox]. It writes only the
-// w image columns of each row; the caller overwrites the two that end it.
+// filter into conv: filter f's output row oy, column ox at
+// conv[f*cs + oy*wp + ox]. It writes only the w image columns of each
+// row; the two that end it are the pool's padding (fused.go).
 // Each padded row's segments — per position ox, the 3C bits from bit ox·C
 // as segw (sign, nonzero) word pairs, then their nonzero count — are
 // extracted once into seg (xnorSegmentWords); the window of output

@@ -188,36 +188,21 @@ func (c *cloudSection) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.exit.forward(y.Reshape(n, y.Size()/n), train)
 }
 
-// forwardPooled runs the section on a float map. A binary section's b1
-// runs the float tile and places its ±1 output into b2's bit planes, so
-// b2 and the exit head run on bits as in forwardBits.
+// forwardPooled runs the section on a float map: each block's layered
+// forward (bnn.ConvP.ForwardPooled), then the exit head.
 func (c *cloudSection) forwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	b1, ok := c.b1.(*bnn.ConvP)
-	if !ok {
-		y1 := nn.ForwardPooled(c.b1, x, p)
-		y2 := nn.ForwardPooled(c.b2, y1, p)
-		p.Put(y1)
-		logits := c.exit.forwardPooled(y2, p)
-		p.Put(y2)
-		return logits
-	}
-	y1 := b1.ForwardPooled(x, p)
-	bits := packSamples(y1, p)
-	mid := bnn.PlacePacked(p, bits, y1.Dim(0), y1.Dim(1), y1.Dim(2), y1.Dim(3))
-	p.PutBytes(bits)
+	y1 := nn.ForwardPooled(c.b1, x, p)
+	y2 := nn.ForwardPooled(c.b2, y1, p)
 	p.Put(y1)
-	return c.forwardTail(mid, p)
+	logits := c.exit.forwardPooled(y2, p)
+	p.Put(y2)
+	return logits
 }
 
 // forwardBits runs a binary cloud section on bit planes: b1 writes b2's
 // planes and b2 the exit head's packed bytes (see CloudForwardBits).
 func (c *cloudSection) forwardBits(in bnn.Planes, p *tensor.Pool) *tensor.Tensor {
-	return c.forwardTail(c.b1.(*bnn.ConvP).ForwardPlanes(in, p), p)
-}
-
-// forwardTail runs b2 and the exit head of a binary section on b2's
-// input planes, and returns the planes to p.
-func (c *cloudSection) forwardTail(mid bnn.Planes, p *tensor.Pool) *tensor.Tensor {
+	mid := c.b1.(*bnn.ConvP).ForwardPlanes(in, p)
 	bits := c.b2.(*bnn.ConvP).ForwardPacked(mid, p)
 	mid.Put(p)
 	logits := c.exit.(*exitHead).forwardBits(bits, mid.N, p)

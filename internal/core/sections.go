@@ -27,7 +27,8 @@ func (m *Model) DeviceForward(device int, x *tensor.Tensor) (feat, exitVec *tens
 // DeviceForwardPooled is DeviceForward drawing its outputs and scratch
 // from a tensor pool: both returned tensors come from p, and the caller
 // should Put them back once consumed. A nil pool allocates, making
-// DeviceForward the p == nil special case.
+// DeviceForward the p == nil special case. The block runs the layered
+// forward on floats; a serving device runs DeviceForwardPacked.
 func (m *Model) DeviceForwardPooled(device int, x *tensor.Tensor, p *tensor.Pool) (feat, exitVec *tensor.Tensor) {
 	dev := m.device(device)
 	feat = dev.convp.ForwardPooled(x, p)
@@ -106,8 +107,9 @@ func (m *Model) CloudForwardPooled(feats []*tensor.Tensor, masks []uint16, p *te
 // first block's bit planes, each block writes its signs into the next
 // one's input, and the exit head reads the last block's packed bytes.
 // AP, whose mean of ±1 values is not ternary, and the §VI float cloud
-// keep the float path: the session is unpacked into batch-wide device
-// maps (see unpackSession) for one CloudForwardPooled.
+// run on floats: the session is unpacked into batch-wide device maps
+// (see unpackSession) for one CloudForwardPooled, whose blocks run the
+// layered forward.
 func (m *Model) CloudForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool) *tensor.Tensor {
 	if m.edge != nil {
 		panic("core: CloudForward on an edge-tier model; use EdgeForward")
@@ -130,8 +132,8 @@ func (m *Model) CloudForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool)
 // PackFeature bytes back to back — the EdgeFeatureBatch payload
 // for the samples that escalate — and the edge-exit logits, both from p.
 // An MP or CC edge aggregator keeps the features in bits throughout; AP
-// unpacks the session for one EdgeForwardPooled and packs its feature
-// map.
+// unpacks the session for one EdgeForwardPooled, whose block runs the
+// layered forward, and packs its feature map.
 func (m *Model) EdgeForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool) (edgeBits []byte, edgeLogits *tensor.Tensor) {
 	if m.edge == nil {
 		panic("core: EdgeForward on a model without an edge tier")

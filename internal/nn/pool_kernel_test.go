@@ -8,16 +8,17 @@ import (
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
-// TestPoolKernelMatchesTrainingScan pins the pool kernel of the fused
-// ConvP block (tensor.PoolAffineSignRow, on both of its dispatch paths)
-// to this package's layers: the argmax-tracking training scan of
-// MaxPool2D, BatchNorm's inference transform, and the `>= 0` sign. The
-// kernel is driven the way the fused block drives it — rows padded with
-// −Inf on both sides, a row above the image all −Inf, a row below it
-// replaced by its neighbour — over the batch sizes and plane sizes of
-// the fused block's own differential test, with NaN, ±Inf and −0 in the
-// input and batch-norm statistics that put integer pooled values
-// exactly on the zero crossing.
+// TestPoolKernelMatchesTrainingScan pins the pool kernel of the
+// bit-domain ConvP block (tensor.PoolThresholdRows, on both of its
+// dispatch paths) to this package's argmax-tracking training scan of
+// MaxPool2D: for every window maximum m the scan finds, the kernel's
+// bit must be s·m ≥ t. The kernel is driven the way the block drives
+// it — rows padded with −Inf on both sides, a row above the image all
+// −Inf, a row below it replaced by its neighbour, up to 64 outputs a
+// call over as many pooled rows as stay inside the image — over the
+// batch sizes and plane sizes of the block's own differential test, with
+// NaN, ±Inf and −0 in the input and thresholds that put integer maxima
+// exactly on the compare.
 func TestPoolKernelMatchesTrainingScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	negInf := float32(math.Inf(-1))
@@ -41,41 +42,35 @@ func TestPoolKernelMatchesTrainingScan(t *testing.T) {
 				x.Data()[i] = float32(rng.Intn(13) - 6)
 			}
 		}
-		bn := NewBatchNorm("t", c)
-		for ci := 0; ci < c; ci++ {
-			// inv = 1/√4 exactly, so scale = γ/2 and the crossing sits on
-			// the integer running mean when β = 0.
-			bn.RunningVar.Data()[ci] = 4 - bn.Eps
-			bn.Gamma.Value.Data()[ci] = float32(2 * (rng.Intn(5) - 2))
-			bn.RunningMean.Data()[ci] = float32(4 + rng.Intn(3)) // where 3×3 maxima of −6..6 concentrate
-			if ci%2 == 1 {
-				bn.Beta.Value.Data()[ci] = rng.Float32() - 0.5
-			}
-		}
-		pool := NewMaxPool2D(3, 2, 1)
-		pooled := pool.Forward(x, true) // training scan
-		want := bn.Forward(pooled, false)
+		pooled := NewMaxPool2D(3, 2, 1).Forward(x, true) // training scan
 		ph, pw := pooled.Dim(2), pooled.Dim(3)
-		onCrossing := 0
-		for i, v := range want.Data() {
-			if v == 0 {
-				onCrossing++
-			}
-			if v >= 0 {
-				want.Data()[i] = 1
-			} else {
-				want.Data()[i] = -1
+		// One threshold per plane: ±1 for s, and for t an integer where
+		// 3×3 maxima of −6..6 concentrate, or now and then ±Inf.
+		s, th := make([]float32, n*c), make([]float32, n*c)
+		for plane := range s {
+			s[plane] = float32(rng.Intn(2)*2 - 1)
+			th[plane] = s[plane] * float32(4+rng.Intn(3))
+			switch rng.Intn(8) {
+			case 0:
+				th[plane] = negInf
+			case 1:
+				th[plane] = float32(math.Inf(1))
 			}
 		}
-		if si < 5 && onCrossing == 0 {
-			t.Fatalf("%dx%d: no pooled value landed on the batch-norm zero crossing; the case is not exercised", h, w)
+		onThreshold := 0
+		for i, m := range pooled.Data() {
+			if plane := i / (ph * pw); s[plane]*m == th[plane] {
+				onThreshold++
+			}
+		}
+		if si < 5 && onThreshold == 0 {
+			t.Fatalf("%dx%d: no window maximum landed on its threshold; the case is not exercised", h, w)
 		}
 
 		// The padded plane: row 0 and column 0 are the −Inf border.
 		wp := w + 2
 		padded := make([]float32, (h+2)*wp)
 		for _, p := range tensor.KernelPaths()[1:] {
-			got := make([]float32, pw)
 			for plane := 0; plane < n*c; plane++ {
 				for i := range padded {
 					padded[i] = negInf
@@ -83,20 +78,30 @@ func TestPoolKernelMatchesTrainingScan(t *testing.T) {
 				for y := 0; y < h; y++ {
 					copy(padded[(y+1)*wp+1:], x.Data()[(plane*h+y)*w:(plane*h+y+1)*w])
 				}
-				scale, shift := bn.InferenceAffine(plane % c)
-				for py := 0; py < ph; py++ {
+				for py := 0; py < ph; {
 					top, mid := padded[2*py*wp:], padded[(2*py+1)*wp:]
 					bot := mid
-					if 2*py+1 < h {
+					nr, k := 1, min(64, pw)
+					if q := (h - 2*py) / 2; q > 0 {
 						bot = padded[(2*py+2)*wp:]
-					}
-					tensor.PoolAffineSignRow(p, got, top, mid, bot, scale, shift)
-					for px, g := range got {
-						if wv := want.Data()[(plane*ph+py)*pw+px]; g != wv {
-							t.Fatalf("path=%v %dx%d plane %d: output (%d,%d) = %g, layers give %g (pooled %g)",
-								p, h, w, plane, py, px, g, wv, pooled.Data()[(plane*ph+py)*pw+px])
+						if pw <= 64 {
+							nr = min(64/pw, ph-py, q)
 						}
 					}
+					for px := 0; px < pw; px += k {
+						k = min(k, pw-px)
+						bits := tensor.PoolThresholdRows(p, top[2*px:], mid[2*px:], bot[2*px:], 2*wp, nr, k, s[plane], th[plane])
+						for j := 0; j < nr; j++ {
+							for i := 0; i < k; i++ {
+								m := pooled.Data()[(plane*ph+py+j)*pw+px+i]
+								if got, want := bits>>uint(j*k+i)&1 == 1, s[plane]*m >= th[plane]; got != want {
+									t.Fatalf("path=%v %dx%d plane %d: output (%d,%d) = %v, want %v (scan maximum %g, s %g, t %g)",
+										p, h, w, plane, py+j, px+i, got, want, m, s[plane], th[plane])
+								}
+							}
+						}
+					}
+					py += nr
 				}
 			}
 		}

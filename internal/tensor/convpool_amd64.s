@@ -1,103 +1,9 @@
 #include "textflag.h"
 
-// AVX2+FMA kernels of the fused ConvP block. Every sum is accumulated
-// in the scalar kernels' order, so results are bit-identical to the
-// portable path. The ±1 convolution tile uses FMA: with w exactly ±1 the
-// product w·b is exact (±b), so fma(w, b, s) rounds once to the same
-// float as the portable s + b or s − b, for ±0, denormals and ±Inf
-// alike, and NaN lands where it does there. The accumulators start at +0
-// and an exact sum of ±b never rounds to −0. Gemm (gemm_amd64.s), whose
-// products are not exact, stays FMA-free, and so do the pooling
-// kernels: their affine is a rounded multiply and then a rounded add,
-// nn.BatchNorm's inference expression.
-
-// SIGNROW accumulates w·b for one filter's ±1 weight w into its
-// accumulators, b the 16 source values in Y12:Y13 — Gemm's s + w·b in
-// one rounding, since the product is exact. The weights come from
-// bnn.Binarize, which maps every latent (NaN included) to +1 or −1, so
-// a NaN weight never reaches the tile.
-#define SIGNROW(wreg, woff, acc0, acc1) \
-	VBROADCASTSS woff(wreg), Y14; \
-	VFMADD231PS Y12, Y14, acc0; \
-	VFMADD231PS Y13, Y14, acc1
-
-// TAP is one kernel column kx (byte offset 4·kx in both the band row
-// and the weight rows) for all four filters.
-#define TAP(off) \
-	VMOVUPS off(BX), Y12; \
-	VMOVUPS (off+32)(BX), Y13; \
-	SIGNROW(R9, off, Y0, Y1); \
-	SIGNROW(R10, off, Y2, Y3); \
-	SIGNROW(R11, off, Y4, Y5); \
-	SIGNROW(R12, off, Y6, Y7)
-
-// func convSignKernel4x16(dst *float32, ds int, w, src *float32, ch, plane, wp int)
-//
-// dst[r][j] = Σ_{c,ky,kx} ±src[c*plane + ky*wp + kx + j] for r in [0,4),
-// j in [0,16), accumulated from +0 in ascending (c, ky, kx) order.
-TEXT ·convSignKernel4x16(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ ds+8(FP), DX
-	SHLQ $2, DX             // dst row stride in bytes
-	MOVQ w+16(FP), R9
-	MOVQ src+24(FP), BX
-	MOVQ ch+32(FP), CX
-	MOVQ plane+40(FP), R13
-	MOVQ wp+48(FP), R8
-	SHLQ $2, R8             // band row stride in bytes
-	SHLQ $2, R13
-	LEAQ (R8)(R8*2), AX
-	SUBQ AX, R13            // plane stride minus the three rows walked
-
-	LEAQ (CX)(CX*8), AX
-	SHLQ $2, AX             // weight row stride in bytes (ch*9 floats)
-	LEAQ (R9)(AX*1), R10
-	LEAQ (R10)(AX*1), R11
-	LEAQ (R11)(AX*1), R12
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-
-	TESTQ CX, CX
-	JE convstore
-
-convchannel:
-	MOVQ $3, SI
-convrow:
-	TAP(0)
-	TAP(4)
-	TAP(8)
-	ADDQ $12, R9
-	ADDQ $12, R10
-	ADDQ $12, R11
-	ADDQ $12, R12
-	ADDQ R8, BX
-	DECQ SI
-	JNE convrow
-	ADDQ R13, BX
-	DECQ CX
-	JNE convchannel
-
-convstore:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	ADDQ DX, DI
-	VMOVUPS Y2, (DI)
-	VMOVUPS Y3, 32(DI)
-	ADDQ DX, DI
-	VMOVUPS Y4, (DI)
-	VMOVUPS Y5, 32(DI)
-	ADDQ DX, DI
-	VMOVUPS Y6, (DI)
-	VMOVUPS Y7, 32(DI)
-	VZEROUPPER
-	RET
+// AVX2 kernels of the serving ConvP blocks: the max pool and threshold
+// of the bit-domain block, over float rows of exact integers, and the
+// integer convolution and pool of the byte-frame block. Each is
+// bit-identical to its portable kernel.
 
 // POOLROW folds one input row's three window columns into the running
 // maxima in Y0, in kx order. The row pointer addresses input column
@@ -136,74 +42,9 @@ convstore:
 	VMAXPS X0, X4, X0; \
 	VMAXPS X0, X5, X0
 
-// func poolAffineSignKernel4(dst, r0, r1, r2 *float32, quads int, scale, shift float32)
-//
-// quads×4 outputs, eight at a time and then a last four: 3×3 stride-2
-// max over the three rows, then scale·m (rounded) + shift (rounded),
-// then +1 where the ordered compare `>= 0` holds and −1 elsewhere (so
-// −1 for NaN, +1 for −0). A group of g outputs reads 2g+1 floats of
-// each row.
-TEXT ·poolAffineSignKernel4(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ r0+8(FP), R8
-	MOVQ r1+16(FP), R9
-	MOVQ r2+24(FP), R10
-	MOVQ quads+32(FP), CX
-	VBROADCASTSS scale+40(FP), Y8
-	VBROADCASTSS shift+44(FP), Y9
-
-	VPCMPEQD Y13, Y13, Y13
-	VPSLLD $23, Y13, Y10    // 0xFF800000 = −Inf
-	VPSRLD $25, Y13, Y12
-	VPSLLD $23, Y12, Y12    // 0x3F800000 = +1.0
-	VPSLLD $31, Y13, Y13    // sign bit
-	VXORPS Y11, Y11, Y11
-
-	MOVQ CX, BX
-	ANDQ $1, BX             // a trailing group of four
-	SHRQ $1, CX             // groups of eight
-	JE poolquad
-
-poolgroup:
-	VMOVAPS Y10, Y0
-	POOLROW(R8)
-	POOLROW(R9)
-	POOLROW(R10)
-	VPERMPD $0xD8, Y0, Y0   // back to output order
-	VMULPS Y8, Y0, Y0
-	VADDPS Y9, Y0, Y0
-	VCMPPS $13, Y11, Y0, Y1 // y >= 0, ordered (GE_OS)
-	VPANDN Y13, Y1, Y1      // sign bit where the compare failed
-	VPOR Y12, Y1, Y1        // ±1.0
-	VMOVUPS Y1, (DI)
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $32, DI
-	DECQ CX
-	JNE poolgroup
-
-poolquad:
-	TESTQ BX, BX
-	JE pooldone
-	VMOVAPS X10, X0
-	POOLROWX(R8)
-	POOLROWX(R9)
-	POOLROWX(R10)
-	VMULPS X8, X0, X0
-	VADDPS X9, X0, X0
-	VCMPPS $13, X11, X0, X1
-	VPANDN X13, X1, X1
-	VPOR X12, X1, X1
-	VMOVUPS X1, (DI)
-
-pooldone:
-	VZEROUPPER
-	RET
-
 // func poolThresholdKernel4(r0, r1, r2 *float32, step, rows, quads int, s, t float32) uint64
 //
-// poolAffineSignKernel4's pooling with a threshold for an epilogue, over
+// The 3×3 stride-2 max pool with a threshold for an epilogue, over
 // rows pooled rows step bytes apart: per row quads×4 window maxima m,
 // eight at a time and then a last four, and bit i of the result set
 // where s·m >= t (ordered), i counting outputs across the rows. A

@@ -20,20 +20,19 @@ const (
 	// KernelNaive is the scalar reference path: one accumulator per
 	// output element, ascending shared-dimension accumulation, no
 	// tiling. Its kernels are the oracles every other path must match
-	// bit for bit; where a kernel has no separate naive form (the fused
-	// ConvP kernels, the XNOR convolution's sweep) it runs the portable
-	// one.
+	// bit for bit; where a kernel has no separate naive form (the
+	// bit-domain and byte-frame ConvP kernels, the XNOR convolution's
+	// sweep) it runs the portable one.
 	KernelNaive KernelPath = iota
 	// KernelGo is the portable optimized path: register-tiled pure-Go
 	// kernels (2x4 float GEMM tiles, 64-bit-word popcount, 8-wide
 	// unrolled sign packing).
 	KernelGo
 	// KernelSIMD is the arch-specific path: AVX2 assembly kernels on
-	// amd64 (4x16 GEMM tiles without FMA, a 4x16 ±1 convolution tile
-	// with one FMA per tap, a 4x32 VPMADDUBSW tile and a VPMAXSW pool
-	// for byte frames, PSHUFB nibble popcount, VMOVMSKPS sign
-	// packing). It needs AVX2 and FMA3; selecting it on hardware
-	// without both is an error.
+	// amd64 (4x16 GEMM tiles without FMA, a 4x32 VPMADDUBSW tile and
+	// a VPMAXSW pool for byte frames, PSHUFB nibble popcount,
+	// VMOVMSKPS sign packing). It needs AVX2; selecting it on hardware
+	// without it is an error.
 	KernelSIMD
 )
 
@@ -136,7 +135,7 @@ func KernelPathSupported(p KernelPath) bool {
 
 // KernelPaths returns every path the host supports, in naive→go→simd
 // order. The differential tests, fuzz targets and the kernels benchmark
-// iterate it so a host without AVX2+FMA still exercises the portable
+// iterate it so a host without AVX2 still exercises the portable
 // paths.
 func KernelPaths() []KernelPath {
 	paths := []KernelPath{KernelNaive, KernelGo}

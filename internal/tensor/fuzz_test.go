@@ -57,80 +57,3 @@ func FuzzGemmParity(f *testing.F) {
 		}
 	})
 }
-
-// convSignRef is ConvSign3x3's formula written out with nothing shared
-// with the kernels: for every real output (row oy < rows, column
-// ox < wp−2) the sum from +0 of w·src over ascending (c, ky, kx), each
-// product rounded on its own (exact for a ±1 weight).
-func convSignRef(dst []float32, ds int, w, src []float32, ch, plane, wp, rows, f int) {
-	for fi := 0; fi < f; fi++ {
-		for oy := 0; oy < rows; oy++ {
-			for ox := 0; ox < wp-2; ox++ {
-				j := oy*wp + ox
-				var s float32
-				for c := 0; c < ch; c++ {
-					for ky := 0; ky < 3; ky++ {
-						for kx := 0; kx < 3; kx++ {
-							s += float32(w[fi*ch*9+(c*3+ky)*3+kx] * src[c*plane+ky*wp+kx+j])
-						}
-					}
-				}
-				dst[fi*ds+j] = s
-			}
-		}
-	}
-}
-
-// FuzzConvSign3x3Parity pins ConvSign3x3's raw outputs — before any
-// pooling, batch norm or sign — on every dispatch path to convSignRef
-// bit for bit, NaN placement included (payloads free, as sameBits32
-// says). The fuzzer picks the geometry (filter and position tails of
-// both tiles, widths that tile per row and ones that do not), the split
-// of the filter range, the ±1 weights from the bits of signs and the
-// whole band's raw float bit patterns, padding included: ±0, denormals,
-// ±Inf and any NaN payload are all reachable. A rounding-order or
-// weight-pairing error in a tile shows here in the low bits of any
-// output, where a check after the sign sees it only at a zero crossing.
-func FuzzConvSign3x3Parity(f *testing.F) {
-	f.Add(uint8(3), uint8(4), uint8(4), uint8(16), uint8(2), uint64(0x9e3779b97f4a7c15), []byte("conv-sign-seed-0123456789abcdefghijklmnop"))
-	f.Add(uint8(5), uint8(7), uint8(3), uint8(13), uint8(5), uint64(0xffffffff00000000), []byte("\x00\x00\xc0\x7f\x00\x00\x80\xff\x00\x00\x80\x7f\x00\x00\x00\x80\x01\x00\x00\x00"))
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(0), []byte{})
-	f.Fuzz(func(t *testing.T, cr, fr, hr, wr, cutr uint8, signs uint64, raw []byte) {
-		ch, nf := 1+int(cr)%17, 1+int(fr)%13
-		h, w := 1+int(hr)%9, 1+int(wr)%34
-		cut := int(cutr) % (nf + 1)
-		wp := w + 2
-		plane := (h + 2) * wp
-		n := ConvSignSpan(h, wp)
-
-		wt := make([]float32, nf*ch*9)
-		for i := range wt {
-			if i%64 == 0 && i > 0 {
-				signs = signs*6364136223846793005 + 1442695040888963407
-			}
-			wt[i] = float32(int32(signs>>(i%64)&1)*2 - 1)
-		}
-		src := make([]float32, (ch-1)*plane+2*wp+2+n)
-		fuzzFill(src, raw, 0)
-		want := make([]float32, nf*n)
-		convSignRef(want, n, wt, src, ch, plane, wp, h, nf)
-
-		for _, p := range KernelPaths() {
-			got, backing := makeGuarded(nf * n)
-			ConvSign3x3(p, got, n, wt, src, ch, plane, wp, h, 0, cut)
-			ConvSign3x3(p, got, n, wt, src, ch, plane, wp, h, cut, nf)
-			for fi := 0; fi < nf; fi++ {
-				for oy := 0; oy < h; oy++ {
-					for ox := 0; ox < w; ox++ {
-						i := fi*n + oy*wp + ox
-						if !sameBits32(got[i], want[i]) {
-							t.Fatalf("path=%v ch=%d f=%d %dx%d cut=%d: filter %d (%d,%d) = %08x, reference %08x",
-								p, ch, nf, h, w, cut, fi, oy, ox, math.Float32bits(got[i]), math.Float32bits(want[i]))
-						}
-					}
-				}
-			}
-			checkGuard(t, backing, nf*n, "ConvSign3x3 "+p.String())
-		}
-	})
-}
