@@ -187,7 +187,8 @@ func PoolFrameThreshold(path KernelPath, dst []byte, off int, rec []int16, w, pr
 }
 
 // OrBits ors the k low bits of v into dst from bit off on, bit i of a
-// byte being element 8·byte+i (PackSigns order).
+// byte being element 8·byte+i (PackSigns order). The bits of v at and
+// above k must be zero: they are not masked off.
 func OrBits(dst []byte, off int, v uint64, k int) {
 	for k > 0 {
 		q, r := off/8, off%8
