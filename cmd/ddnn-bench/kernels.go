@@ -13,6 +13,7 @@ import (
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
 	"github.com/ddnn/ddnn-go/internal/experiments"
+	"github.com/ddnn/ddnn-go/internal/nn"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
@@ -26,12 +27,7 @@ type kernelResult struct {
 
 // kernelComparison pairs a reference kernel with its optimized
 // replacement; the CI smoke fails when the measured speedup falls below
-// the comparison's floor. Kernel rewrites must beat their reference
-// outright (floor 1.0); the pooled serving forwards run the same
-// compute as their unpooled twins and only shed allocations, so they
-// get a small tolerance (pooledFloor) for run-to-run scheduler noise —
-// BENCH_pr4.json recorded a 40% pooled-cloud "regression" that five
-// repeated runs could not reproduce (see ROADMAP item 4).
+// the comparison's floor.
 type kernelComparison struct {
 	Label      string  `json:"label"`
 	Naive      string  `json:"naive"`
@@ -40,9 +36,11 @@ type kernelComparison struct {
 	MinSpeedup float64 `json:"min_speedup"`
 }
 
-// pooledFloor is the speedup floor for pooled-vs-unpooled comparisons:
-// equal-compute paths are allowed 5% measurement noise.
-const pooledFloor = 0.95
+// ladderFloor is the speedup floor of each step up the dispatch-path
+// ladder (go over naive, simd over go): a step may not lose more than 5%
+// measurement noise. Where two paths run the same code for a shape (a
+// GEMM narrower than the AVX2 tile), the step measures about 1×.
+const ladderFloor = 0.95
 
 // framesFloors are the speedup floors of the integer device block on
 // byte frames (ForwardFrames) over the layered forward on the same
@@ -77,6 +75,8 @@ func sizeTag(kernel string) string {
 		return "32x256x64"
 	case "xnor_dot":
 		return "1024"
+	case "conv_backward_device", "conv_backward_cloud":
+		return "b32"
 	default:
 		return "4096"
 	}
@@ -116,11 +116,11 @@ func benchInterleaved(fs ...func(b *testing.B)) []kernelResult {
 	return best
 }
 
-// runKernels benchmarks the compute kernels once per dispatch path, the
-// per-tier section forwards and the serving ConvP blocks, writes the table
-// to out and, when jsonPath is non-empty, the JSON report. It returns an
-// error when a comparison's speedup falls below its floor, which is the
-// CI regression gate.
+// runKernels benchmarks the compute kernels and training's convolution
+// backwards once per dispatch path and the serving ConvP blocks, writes
+// the table to out and, when jsonPath is non-empty, the JSON report. It
+// returns an error when a comparison's speedup falls below its floor,
+// which is the CI regression gate.
 func runKernels(out io.Writer, jsonPath string) error {
 	// Each timed run lasts about kernelBenchTime: the gated rows are
 	// timed interleaveRounds times each (benchInterleaved).
@@ -140,7 +140,7 @@ func runKernels(out io.Writer, jsonPath string) error {
 	record := func(name string, r kernelResult) kernelResult {
 		r.Name = name
 		report.Results = append(report.Results, r)
-		fmt.Fprintf(out, "%-28s %12.0f ns/op %8d B/op %6d allocs/op\n", name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		fmt.Fprintf(out, "%-34s %12.0f ns/op %8d B/op %6d allocs/op\n", name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 		return r
 	}
 	// addPaired times rows that a comparison divides in alternation
@@ -176,6 +176,13 @@ func runKernels(out io.Writer, jsonPath string) error {
 	for i := range packSrc {
 		packSrc[i] = rng.Float32()*2 - 1
 	}
+	// Training's convolution backwards at batch 32 on the paper's
+	// architecture: a device block's (parameter gradients only, its
+	// input being camera frames) and the first cloud block's, over six
+	// devices' CC-concatenated feature maps.
+	cfg := core.DefaultConfig()
+	devConv := trainedConv(rng, cfg.InputC, cfg.DeviceFilters, cfg.InputH, cfg.InputW)
+	cloudConv := trainedConv(rng, cfg.Devices*cfg.DeviceFilters, cfg.CloudFilters, cfg.FeatureH(), cfg.FeatureW())
 	// onPath wraps a benchmark body so it runs on one kernel path, which
 	// lets rows of different paths alternate.
 	onPath := func(path tensor.KernelPath, f func(b *testing.B)) func(b *testing.B) {
@@ -210,6 +217,18 @@ func runKernels(out io.Writer, jsonPath string) error {
 				bnn.PackVector(packSrc)
 			}
 		}},
+		{"conv_backward_device", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				devConv.conv.BackwardParams(devConv.grad)
+			}
+		}},
+		{"conv_backward_cloud", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cloudConv.conv.Backward(cloudConv.grad)
+			}
+		}},
 	}
 	pathRows := map[string]kernelResult{}
 	for _, k := range kernels {
@@ -227,49 +246,12 @@ func runKernels(out io.Writer, jsonPath string) error {
 		return err
 	}
 
-	// Per-tier section forwards on the paper's architecture, plus the
-	// pooled serving path, rotating over distinct dataset frames.
-	m := core.MustNewModel(core.DefaultConfig())
-	in1, err := experiments.NewForwardInputs(m, forwardSets, 1)
-	if err != nil {
-		return err
-	}
-	dev := addPaired([]string{"device_forward", "device_forward_pooled"}, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.DeviceForward(0, in1.Views[i%forwardSets])
-		}
-	}, func(b *testing.B) {
-		b.ReportAllocs()
-		pool := tensor.NewPool()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			feat, exitVec := m.DeviceForwardPooled(0, in1.Views[i%forwardSets], pool)
-			pool.Put(exitVec)
-			pool.Put(feat)
-		}
-	})
-	devFwd, devFwdPooled := dev[0], dev[1]
-	cloud := addPaired([]string{"cloud_forward", "cloud_forward_pooled"}, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.CloudForward(in1.Feats[i%forwardSets], nil)
-		}
-	}, func(b *testing.B) {
-		b.ReportAllocs()
-		pool := tensor.NewPool()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pool.Put(m.CloudForwardPooled(in1.Feats[i%forwardSets], nil, pool))
-		}
-	})
-	cloudFwd, cloudFwdPooled := cloud[0], cloud[1]
-
 	// The device block's integer pass on byte frames
 	// (convp_device_b32_frames) against the layered forward on the same
 	// frames as floats (convp_device_b32) at batch 32, on every path: a
 	// second block with the same weights and batch norm, marked a frame
 	// block so SyncWeights derives its frame epilogue.
+	m := core.MustNewModel(cfg)
 	in32, err := experiments.NewForwardInputs(m, forwardSets, 32)
 	if err != nil {
 		return err
@@ -443,17 +425,12 @@ func runKernels(out io.Writer, jsonPath string) error {
 		return err
 	}
 
-	report.Comparisons = []kernelComparison{
-		{Label: "pooled device forward", Naive: "device_forward", Optimized: "device_forward_pooled", Speedup: devFwd.NsPerOp / devFwdPooled.NsPerOp, MinSpeedup: pooledFloor},
-		{Label: "pooled cloud forward", Naive: "cloud_forward", Optimized: "cloud_forward_pooled", Speedup: cloudFwd.NsPerOp / cloudFwdPooled.NsPerOp, MinSpeedup: pooledFloor},
-	}
-	report.Comparisons = append(report.Comparisons, blockCmps...)
+	report.Comparisons = blockCmps
 	// Chain gates over the dispatch-path matrix: each step up the path
 	// ladder must not lose more than the 5% noise floor, for each kernel.
-	// (On AVX2 hosts the simd steps measure well above 1x; the floor only
-	// absorbs scheduler noise, not regressions.)
 	pathNames := tensor.KernelPaths()
-	for _, kernel := range []string{"gemm", "xnor_dot", "pack_signs"} {
+	for _, k := range kernels {
+		kernel := k.name
 		for i := 1; i < len(pathNames); i++ {
 			lo, hi := "["+pathNames[i-1].String()+"]", "["+pathNames[i].String()+"]"
 			base, step := pathRows[kernel+lo], pathRows[kernel+hi]
@@ -462,14 +439,14 @@ func runKernels(out io.Writer, jsonPath string) error {
 				Naive:      kernel + "_" + sizeTag(kernel) + lo,
 				Optimized:  kernel + "_" + sizeTag(kernel) + hi,
 				Speedup:    base.NsPerOp / step.NsPerOp,
-				MinSpeedup: pooledFloor,
+				MinSpeedup: ladderFloor,
 			})
 		}
 	}
 	fmt.Fprintln(out)
 	var slow []string
 	for _, cmp := range report.Comparisons {
-		fmt.Fprintf(out, "%-28s %5.2fx (floor %.2fx)\n", cmp.Label, cmp.Speedup, cmp.MinSpeedup)
+		fmt.Fprintf(out, "%-34s %5.2fx (floor %.2fx)\n", cmp.Label, cmp.Speedup, cmp.MinSpeedup)
 		if cmp.Speedup < cmp.MinSpeedup {
 			slow = append(slow, cmp.Label)
 		}
@@ -490,4 +467,29 @@ func runKernels(out io.Writer, jsonPath string) error {
 		return fmt.Errorf("optimized kernels slower than naive reference: %v", slow)
 	}
 	return nil
+}
+
+// convBackward is a convolution after a training forward, with the
+// output gradient its Backward consumes.
+type convBackward struct {
+	conv *nn.Conv2D
+	grad *tensor.Tensor
+}
+
+// trainedConv builds a 3×3 stride-1 padding-1 convolution (the ConvP
+// block's) from inC to outC channels with ±1 weights, runs its training
+// forward on 32 random ±1 h×w maps and draws an output gradient.
+func trainedConv(rng *rand.Rand, inC, outC, h, w int) convBackward {
+	conv := nn.NewConv2D(rng, "bench", inC, outC, 3, 1, 1, false)
+	x := tensor.New(32, inC, h, w)
+	for _, t := range []*tensor.Tensor{conv.Weight.Value, x} {
+		d := t.Data()
+		for i := range d {
+			d[i] = float32(rng.Intn(2)*2 - 1)
+		}
+	}
+	conv.Forward(x, true)
+	grad := tensor.New(32, outC, h, w)
+	grad.FillUniform(rng, -1, 1)
+	return convBackward{conv, grad}
 }

@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 		epochs    = fs.Int("epochs", 0, "override DDNN training epochs (default 50, paper uses 100)")
 		indEpochs = fs.Int("individual-epochs", 0, "override individual-model training epochs")
 		quick     = fs.Bool("quick", false, "reduced dataset and epochs for a fast smoke run")
-		jsonOut   = fs.String("json", "", "write the kernels experiment's results (e.g. BENCH_pr41.json) or the repro record (REPRO.json) to this JSON file")
+		jsonOut   = fs.String("json", "", "write the kernels experiment's results (e.g. BENCH_pr42.json) or the repro record (REPRO.json) to this JSON file")
 		verbose   = fs.Bool("v", false, "log training progress")
 	)
 	if err := fs.Parse(args); err != nil {

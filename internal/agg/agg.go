@@ -71,6 +71,9 @@ type Aggregator interface {
 	ForwardPooled(inputs []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) []*tensor.Tensor
 	Params() []*nn.Param
+	// ReleaseTraining drops what the last training Forward cached for
+	// Backward, which then panics until the next training Forward.
+	ReleaseTraining()
 }
 
 // BitAggregator is implemented by the feature aggregators whose output
@@ -293,6 +296,9 @@ func (a *Max) Backward(grad *tensor.Tensor) []*tensor.Tensor {
 // Params returns nil: MP has no learnable parameters.
 func (a *Max) Params() []*nn.Param { return nil }
 
+// ReleaseTraining drops the last training forward's winners.
+func (a *Max) ReleaseTraining() { a.shape, a.winner = nil, nil }
+
 // Avg implements AP: the elementwise mean over present devices. Averaging
 // can damp noise but, as §IV-C observes, it also dilutes strong responses
 // when the object is absent from some views. Its output is not ternary,
@@ -381,3 +387,6 @@ func (a *Avg) Backward(grad *tensor.Tensor) []*tensor.Tensor {
 
 // Params returns nil: AP has no learnable parameters.
 func (a *Avg) Params() []*nn.Param { return nil }
+
+// ReleaseTraining drops the last training forward's shape and mask.
+func (a *Avg) ReleaseTraining() { a.shape, a.mask = nil, nil }

@@ -97,6 +97,12 @@ func (a *ConcatVec) Backward(grad *tensor.Tensor) []*tensor.Tensor {
 // Params returns the projection parameters.
 func (a *ConcatVec) Params() []*nn.Param { return a.linear.Params() }
 
+// ReleaseTraining drops the projection's cached input and the mask.
+func (a *ConcatVec) ReleaseTraining() {
+	a.linear.ReleaseTraining()
+	a.mask = nil
+}
+
 // ConcatFeat implements CC for feature maps: per-device [N, F, H, W] maps
 // are concatenated along the channel axis to [N, n·F, H, W]. The NN layers
 // above the aggregator (the cloud convolutions) consume the widened tensor,
@@ -213,6 +219,9 @@ func (a *ConcatFeat) Backward(grad *tensor.Tensor) []*tensor.Tensor {
 
 // Params returns nil: feature concatenation has no learnable parameters.
 func (a *ConcatFeat) Params() []*nn.Param { return nil }
+
+// ReleaseTraining drops the last training forward's shape and mask.
+func (a *ConcatFeat) ReleaseTraining() { a.shape, a.mask = nil, nil }
 
 // NewVector returns the vector aggregator for a scheme, used at the local
 // (and edge) exit points where devices emit |C|-wide probability summaries.

@@ -85,6 +85,9 @@ func (a *BinaryActivation) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// ReleaseTraining drops the last training forward's input.
+func (a *BinaryActivation) ReleaseTraining() { a.x = nil }
+
 // Params returns nil.
 func (a *BinaryActivation) Params() []*nn.Param { return nil }
 
@@ -159,6 +162,17 @@ func (c *BinaryConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.Latent.Grad.Add(c.inner.Weight.Grad)
 	return dx
 }
+
+// BackwardParams is Backward for a first layer: it routes the weight
+// gradient to the latent parameter and computes no input gradient.
+func (c *BinaryConv2D) BackwardParams(grad *tensor.Tensor) {
+	c.inner.Weight.Grad.Zero()
+	c.inner.BackwardParams(grad)
+	c.Latent.Grad.Add(c.inner.Weight.Grad)
+}
+
+// ReleaseTraining releases the convolution's training caches.
+func (c *BinaryConv2D) ReleaseTraining() { c.inner.ReleaseTraining() }
 
 // Params returns the latent weights.
 func (c *BinaryConv2D) Params() []*nn.Param { return []*nn.Param{c.Latent} }
@@ -242,6 +256,9 @@ func (l *BinaryLinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns the latent weights.
 func (l *BinaryLinear) Params() []*nn.Param { return []*nn.Param{l.Latent} }
+
+// ReleaseTraining releases the linear layer's training caches.
+func (l *BinaryLinear) ReleaseTraining() { l.inner.ReleaseTraining() }
 
 // WeightBits returns the deployed (binarized) weight footprint in bits.
 func (l *BinaryLinear) WeightBits() int { return l.Latent.Value.Size() }

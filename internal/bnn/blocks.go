@@ -101,6 +101,23 @@ func (b *ConvP) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return b.Conv.Backward(grad)
 }
 
+// BackwardParams is Backward for a network's first block (a device
+// block over camera frames): it accumulates the parameter gradients and
+// computes no input gradient, which nobody reads.
+func (b *ConvP) BackwardParams(grad *tensor.Tensor) {
+	grad = b.Act.Backward(grad)
+	grad = b.BN.Backward(grad)
+	b.Conv.BackwardParams(b.Pool.Backward(grad))
+}
+
+// ReleaseTraining releases every stage's training caches.
+func (b *ConvP) ReleaseTraining() {
+	b.Conv.ReleaseTraining()
+	b.Pool.ReleaseTraining()
+	b.BN.ReleaseTraining()
+	b.Act.ReleaseTraining()
+}
+
 // Params returns the block's learnable parameters.
 func (b *ConvP) Params() []*nn.Param {
 	ps := b.Conv.Params()
@@ -173,6 +190,13 @@ func (b *FC) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	grad = b.Act.Backward(grad)
 	grad = b.BN.Backward(grad)
 	return b.Linear.Backward(grad)
+}
+
+// ReleaseTraining releases every stage's training caches.
+func (b *FC) ReleaseTraining() {
+	b.Linear.ReleaseTraining()
+	b.BN.ReleaseTraining()
+	b.Act.ReleaseTraining()
 }
 
 // Params returns the block's learnable parameters.

@@ -9,7 +9,10 @@ import (
 // of the binary layers) from the latent parameters, after which all
 // inference-mode forwards — DeviceForward, LocalAggregate, CloudForward,
 // EdgeForward, Infer, Evaluate — are read-only and safe for concurrent use
-// from any number of goroutines.
+// from any number of goroutines. It also releases what training keeps
+// and serving never reads: the last batch's cached activations and the
+// layers' training scratch (nn.Layer.ReleaseTraining). A TrainStep after
+// Freeze caches afresh.
 //
 // Freeze is idempotent and is called automatically by NewModel, at the end
 // of Train, and by LoadStateDict. Call it manually only after mutating
@@ -26,6 +29,28 @@ func (m *Model) Freeze() {
 	syncLayer(m.cloud.b1)
 	syncLayer(m.cloud.b2)
 	m.cloud.exit.syncWeights()
+	m.releaseTraining()
+}
+
+// releaseTraining drops every section's and aggregator's training
+// caches (see Freeze).
+func (m *Model) releaseTraining() {
+	for _, d := range m.devices {
+		d.convp.ReleaseTraining()
+		d.exit.releaseTraining()
+	}
+	m.localAgg.ReleaseTraining()
+	if m.edge != nil {
+		m.edgeAgg.ReleaseTraining()
+		m.edge.convp.ReleaseTraining()
+		m.edge.exit.releaseTraining()
+	}
+	if m.cloudAgg != nil {
+		m.cloudAgg.ReleaseTraining()
+	}
+	m.cloud.b1.ReleaseTraining()
+	m.cloud.b2.ReleaseTraining()
+	m.cloud.exit.releaseTraining()
 }
 
 // syncLayer syncs a layer's derived weights when it has any; float layers
@@ -37,8 +62,11 @@ func syncLayer(l nn.Layer) {
 }
 
 // Freeze syncs the binarized weights from the latent parameters so that
-// inference forwards are read-only; see Model.Freeze.
+// inference forwards are read-only, and releases the training caches;
+// see Model.Freeze.
 func (im *IndividualModel) Freeze() {
 	im.convp.SyncWeights()
 	im.exit.lin.SyncWeights()
+	im.convp.ReleaseTraining()
+	im.exit.releaseTraining()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -95,4 +96,48 @@ func TestFreezeSyncsBinarizedWeights(t *testing.T) {
 	if same {
 		t.Error("Freeze did not re-derive binarized weights from flipped latents")
 	}
+}
+
+// TestFreezeReleasesTrainingState checks that a trained model keeps no
+// more live heap than a fresh one: Train's closing Freeze releases the
+// last batch's cached activations and the layers' training scratch,
+// which serving never reads. Backward then panics, as on a fresh model.
+func TestFreezeReleasesTrainingState(t *testing.T) {
+	dcfg := dataset.DefaultConfig()
+	dcfg.Train, dcfg.Test = 64, 8
+	train, _ := dataset.MustGenerate(dcfg)
+	cfg := DefaultConfig()
+	retained := func(build func() *Model) (*Model, int64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m := build()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return m, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	freshModel, fresh := retained(func() *Model { return MustNewModel(cfg) })
+	m, trained := retained(func() *Model {
+		m := MustNewModel(cfg)
+		tc := DefaultTrainConfig()
+		tc.Epochs = 1
+		if _, err := m.Train(train, tc); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	})
+	runtime.KeepAlive(freshModel)
+	runtime.KeepAlive(train)
+	t.Logf("live heap: fresh model %d B, trained model %d B", fresh, trained)
+	const slack = 256 << 10
+	if trained > fresh+slack {
+		t.Errorf("trained model keeps %d B of live heap, a fresh one %d B", trained, fresh)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("device block Backward after Train did not panic")
+		}
+	}()
+	g := tensor.New(2, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
+	m.devices[0].convp.Backward(g)
 }

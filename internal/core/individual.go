@@ -105,7 +105,7 @@ func (im *IndividualModel) Train(ds *dataset.Dataset, cfg TrainConfig) (float64,
 
 func (im *IndividualModel) exitBackward(grad *tensor.Tensor) {
 	g := im.exit.backward(grad)
-	im.convp.Backward(g.Reshape(g.Dim(0), im.convp.Filters(), im.fh, im.fw))
+	im.convp.BackwardParams(g.Reshape(g.Dim(0), im.convp.Filters(), im.fh, im.fw))
 }
 
 // Accuracy evaluates the individual model over every sample of the dataset

@@ -31,6 +31,7 @@ type head interface {
 	memoryBits() int
 	batchNorm() *nn.BatchNorm
 	syncWeights()
+	releaseTraining()
 }
 
 var (
@@ -97,6 +98,11 @@ func (e *exitHead) batchNorm() *nn.BatchNorm { return e.bn }
 
 func (e *exitHead) syncWeights() { e.lin.SyncWeights() }
 
+func (e *exitHead) releaseTraining() {
+	e.lin.ReleaseTraining()
+	e.bn.ReleaseTraining()
+}
+
 // floatExitHead is the floating-point exit used by mixed-precision clouds:
 // a plain linear layer with bias and batch normalization.
 type floatExitHead struct {
@@ -137,6 +143,11 @@ func (e *floatExitHead) memoryBits() int {
 func (e *floatExitHead) batchNorm() *nn.BatchNorm { return e.bn }
 
 func (e *floatExitHead) syncWeights() {} // no derived weights
+
+func (e *floatExitHead) releaseTraining() {
+	e.lin.ReleaseTraining()
+	e.bn.ReleaseTraining()
+}
 
 // deviceSection is the slice of the DDNN that runs on one end device: a
 // ConvP block producing the binarized feature map that is uploaded on a
@@ -458,7 +469,7 @@ func (m *Model) TrainStep(xs []*tensor.Tensor, labels []int) (total float64, per
 	for d, dev := range m.devices {
 		gFlat := dev.exit.backward(exitGrads[d])
 		featGrads[d].Add(gFlat.Reshape(n, m.Cfg.DeviceFilters, fh, fw))
-		dev.convp.Backward(featGrads[d])
+		dev.convp.BackwardParams(featGrads[d])
 	}
 	return total, perExit
 }

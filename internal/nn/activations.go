@@ -62,6 +62,9 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// ReleaseTraining drops the last training forward's mask.
+func (r *ReLU) ReleaseTraining() { r.mask = nil }
+
 // Params returns nil.
 func (r *ReLU) Params() []*Param { return nil }
 
@@ -92,6 +95,9 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return grad.Reshape(f.inShape...)
 }
+
+// ReleaseTraining drops the cached input shape.
+func (f *Flatten) ReleaseTraining() { f.inShape = nil }
 
 // Params returns nil.
 func (f *Flatten) Params() []*Param { return nil }

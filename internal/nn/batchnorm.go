@@ -200,5 +200,8 @@ func iterChannel(n, c, s, ci int, fn func(off int)) {
 	}
 }
 
+// ReleaseTraining drops the last training forward's normalized input.
+func (bn *BatchNorm) ReleaseTraining() { bn.xhat, bn.invStd, bn.shape = nil, nil, nil }
+
 // Params returns γ and β.
 func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }

@@ -61,6 +61,14 @@ func (b *ConvPoolBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return b.Conv.Backward(grad)
 }
 
+// ReleaseTraining releases every stage's training caches.
+func (b *ConvPoolBlock) ReleaseTraining() {
+	b.Conv.ReleaseTraining()
+	b.Pool.ReleaseTraining()
+	b.BN.ReleaseTraining()
+	b.Act.ReleaseTraining()
+}
+
 // Params returns the block's learnable parameters.
 func (b *ConvPoolBlock) Params() []*Param {
 	return append(b.Conv.Params(), b.BN.Params()...)

@@ -163,118 +163,127 @@ func (c *Conv2D) forwardInto(y, x *tensor.Tensor, p *tensor.Pool) {
 	}
 }
 
-// colRange returns the half-open range of output columns whose sampled
-// input column ox*st+dx lies within [0, iw).
-func colRange(ow, iw, dx, st int) (int, int) {
-	ox0 := 0
-	if dx < 0 {
-		ox0 = (-dx + st - 1) / st
-	}
-	ox1 := ow
-	if maxOx := (iw - 1 - dx) / st; maxOx+1 < ox1 {
-		ox1 = maxOx + 1
-	}
-	if ox1 < ox0 {
-		ox1 = ox0
-	}
-	return ox0, ox1
-}
+// Backward accumulates the weight and bias gradients and returns the
+// input gradient (see backward).
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
 
-// Backward accumulates weight/bias gradients and returns the input
-// gradient.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// BackwardParams accumulates the weight and bias gradients only. It is
+// the backward of a network's first layer, whose input gradient nobody
+// reads; the parameter gradients equal Backward's bit for bit.
+func (c *Conv2D) BackwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
+
+// backward runs the convolution's backward as two GEMMs per sample,
+// split over samples across the worker pool, and returns the input
+// gradient when inputGrad is set (nil otherwise). Both GEMMs add each
+// element's products in the order of the per-tap scatter loop they
+// replaced, so the gradients do not depend on the kernel path or the
+// worker count:
+//
+//   - dW: sample n's partial dWᵀ = col·goutᵀ ([InC·K·K, OutC], from the
+//     im2col matrix and the transposed output gradient) sums every
+//     element from +0 in ascending output position; padding taps add
+//     ±0, which changes nothing. The partials are then added into
+//     Weight.Grad in sample order, whatever the split.
+//   - dX: W′·G, where W′[ci, (f,ky,kx)] = W[f,ci,ky,kx] and G is the
+//     output gradient lowered by tensor.Im2colGradInto, sums each input
+//     element over (f, ky, kx) ascending.
+//
+// The one difference from the tap loop is on non-finite values: the tap
+// loop skipped padding taps and zero weights, while the GEMMs multiply
+// them, so a 0·Inf there is NaN here.
+func (c *Conv2D) backward(grad *tensor.Tensor, inputGrad bool) *tensor.Tensor {
 	if c.x == nil {
 		panic("nn: Conv2D.Backward called before Forward(train=true)")
 	}
 	n := c.x.Dim(0)
 	h, w, oh, ow := c.cachedInH, c.cachedInW, c.cachedOutH, c.cachedOutW
 	k, st, pad := c.Kernel, c.Stride, c.Pad
-	dx := tensor.New(n, c.InC, h, w)
-	xd, gd, dxd := c.x.Data(), grad.Data(), dx.Data()
-	wd, dwd := c.Weight.Value.Data(), c.Weight.Grad.Data()
 	inPlane, outPlane := h*w, oh*ow
+	if grad.Size() != n*c.OutC*outPlane {
+		panic(fmt.Sprintf("nn: Conv2D %s gradient shape %v, want [%d %d %d %d]", c.Weight.Name, grad.Shape(), n, c.OutC, oh, ow))
+	}
+	rows := c.InC * k * k  // im2col rows (ci, ky, kx)
+	taps := c.OutC * k * k // lowered-gradient rows (f, ky, kx)
+	gd := grad.Data()
 
-	for ni := 0; ni < n; ni++ {
-		xBase := ni * c.InC * inPlane
-		gBase := ni * c.OutC * outPlane
+	partials := c.scratch.GetDirty(n, rows*c.OutC)
+	defer c.scratch.Put(partials)
+	ops := rows * outPlane * c.OutC
+	var dx, wT *tensor.Tensor
+	if inputGrad {
+		dx = tensor.New(n, c.InC, h, w)
+		wT = c.scratch.GetDirty(c.InC, taps)
+		defer c.scratch.Put(wT)
+		wd, wtd := c.Weight.Value.Data(), wT.Data()
 		for f := 0; f < c.OutC; f++ {
-			gout := gd[gBase+f*outPlane : gBase+(f+1)*outPlane]
-			if c.Bias != nil {
+			for ci := 0; ci < c.InC; ci++ {
+				copy(wtd[ci*taps+f*k*k:ci*taps+(f+1)*k*k], wd[(f*c.InC+ci)*k*k:(f*c.InC+ci+1)*k*k])
+			}
+		}
+		ops += c.InC * taps * inPlane
+	}
+
+	// Each chunk of samples is at least convParallelOps multiply-adds,
+	// so small convolutions stay on the calling goroutine.
+	tensor.ParallelFor(n, 1+convParallelOps/ops, func(lo, hi int) {
+		col := c.scratch.GetDirty(rows, outPlane)
+		goutT := c.scratch.GetDirty(outPlane, c.OutC)
+		var gcol *tensor.Tensor
+		if inputGrad {
+			gcol = c.scratch.GetDirty(taps, inPlane)
+		}
+		cd, gtd := col.Data(), goutT.Data()
+		for ni := lo; ni < hi; ni++ {
+			gout := gd[ni*c.OutC*outPlane : (ni+1)*c.OutC*outPlane]
+			tensor.Im2colInto(cd, c.x, ni, k, st, pad)
+			for f := 0; f < c.OutC; f++ {
+				for p, v := range gout[f*outPlane : (f+1)*outPlane] {
+					gtd[p*c.OutC+f] = v
+				}
+			}
+			tensor.Gemm(partials.Data()[ni*rows*c.OutC:(ni+1)*rows*c.OutC], cd, gtd, rows, outPlane, c.OutC)
+			if inputGrad {
+				tensor.Im2colGradInto(gcol.Data(), gout, c.OutC, h, w, k, st, pad)
+				tensor.Gemm(dx.Data()[ni*c.InC*inPlane:(ni+1)*c.InC*inPlane], wT.Data(), gcol.Data(), c.InC, taps, inPlane)
+			}
+		}
+		c.scratch.Put(col)
+		c.scratch.Put(goutT)
+		if inputGrad {
+			c.scratch.Put(gcol)
+		}
+	})
+
+	dwd, pd := c.Weight.Grad.Data(), partials.Data()
+	for ni := 0; ni < n; ni++ {
+		part := pd[ni*rows*c.OutC : (ni+1)*rows*c.OutC]
+		for f := 0; f < c.OutC; f++ {
+			dw := dwd[f*rows : (f+1)*rows]
+			for r := range dw {
+				dw[r] += part[r*c.OutC+f]
+			}
+		}
+	}
+	if c.Bias != nil {
+		bd := c.Bias.Grad.Data()
+		for ni := 0; ni < n; ni++ {
+			for f := 0; f < c.OutC; f++ {
 				var s float32
-				for _, v := range gout {
+				for _, v := range gd[(ni*c.OutC+f)*outPlane : (ni*c.OutC+f+1)*outPlane] {
 					s += v
 				}
-				c.Bias.Grad.Data()[f] += s
-			}
-			for ci := 0; ci < c.InC; ci++ {
-				in := xd[xBase+ci*inPlane : xBase+(ci+1)*inPlane]
-				din := dxd[xBase+ci*inPlane : xBase+(ci+1)*inPlane]
-				wBase := (f*c.InC + ci) * k * k
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						widx := wBase + ky*k + kx
-						dy, dxo := ky-pad, kx-pad
-						// dW[f,ci,ky,kx] += Σ gout[oy,ox] * in[oy*st+dy, ox*st+dxo]
-						// dIn[iy,ix]     += Σ gout[oy,ox] * w  (scatter)
-						dwd[widx] += convTapGradW(gout, in, oh, ow, h, w, dy, dxo, st)
-						convTapGradX(din, gout, wd[widx], oh, ow, h, w, dy, dxo, st)
-					}
-				}
+				bd[f] += s
 			}
 		}
 	}
 	return dx
 }
 
-func convTapGradW(gout, in []float32, oh, ow, ih, iw, dy, dx, st int) float32 {
-	var s float32
-	for oy := 0; oy < oh; oy++ {
-		iy := oy*st + dy
-		if iy < 0 || iy >= ih {
-			continue
-		}
-		grow := gout[oy*ow : (oy+1)*ow]
-		irow := in[iy*iw : (iy+1)*iw]
-		ox0, ox1 := colRange(ow, iw, dx, st)
-		if st == 1 {
-			src := irow[ox0+dx : ox1+dx]
-			g := grow[ox0:ox1]
-			for i, gv := range g {
-				s += gv * src[i]
-			}
-			continue
-		}
-		for ox := ox0; ox < ox1; ox++ {
-			s += grow[ox] * irow[ox*st+dx]
-		}
-	}
-	return s
-}
-
-func convTapGradX(din, gout []float32, wv float32, oh, ow, ih, iw, dy, dx, st int) {
-	if wv == 0 {
-		return
-	}
-	for oy := 0; oy < oh; oy++ {
-		iy := oy*st + dy
-		if iy < 0 || iy >= ih {
-			continue
-		}
-		grow := gout[oy*ow : (oy+1)*ow]
-		drow := din[iy*iw : (iy+1)*iw]
-		ox0, ox1 := colRange(ow, iw, dx, st)
-		if st == 1 {
-			dst := drow[ox0+dx : ox1+dx]
-			g := grow[ox0:ox1]
-			for i, gv := range g {
-				dst[i] += wv * gv
-			}
-			continue
-		}
-		for ox := ox0; ox < ox1; ox++ {
-			drow[ox*st+dx] += wv * grow[ox]
-		}
-	}
+// ReleaseTraining drops the last training forward's input and the
+// scratch pool's buffers (see Layer).
+func (c *Conv2D) ReleaseTraining() {
+	c.x = nil
+	c.scratch = tensor.Pool{}
 }
 
 // Params returns the layer parameters.

@@ -45,12 +45,15 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // input, accumulating parameter gradients as a side effect.
 //
 // Backward must be called after Forward with train=true; layers may cache
-// activations between the two calls. Layers are not safe for concurrent
-// use.
+// activations between the two calls. ReleaseTraining drops those caches
+// (and any training scratch) once training is done; Backward then panics
+// until the next training Forward, as on a fresh layer, and inference is
+// unaffected. Layers are not safe for concurrent use.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
+	ReleaseTraining()
 }
 
 // PooledLayer is implemented by layers whose inference forward can draw
@@ -108,6 +111,13 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = s.layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// ReleaseTraining releases every contained layer's training caches.
+func (s *Sequential) ReleaseTraining() {
+	for _, l := range s.layers {
+		l.ReleaseTraining()
+	}
 }
 
 // Params returns the parameters of all contained layers.

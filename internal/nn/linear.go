@@ -103,6 +103,9 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMulTransB(grad, l.Weight.Value)
 }
 
+// ReleaseTraining drops the last training forward's input.
+func (l *Linear) ReleaseTraining() { l.x = nil }
+
 // Params returns the layer parameters.
 func (l *Linear) Params() []*Param {
 	if l.Bias == nil {

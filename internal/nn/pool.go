@@ -68,14 +68,30 @@ func (p *MaxPool2D) checkInput(x *tensor.Tensor) (n, c, h, w int) {
 // value wins only when it compares greater than the running maximum,
 // which starts at -Inf: NaN never wins, and this scan — with or without
 // the argmax bookkeeping — is the pool oracle the fused ConvP kernel is
-// tested against.
+// tested against. The n·C planes are independent, so big pools are
+// split over them across the worker pool (each chunk at least
+// convParallelOps window reads) with unchanged results.
 func (p *MaxPool2D) forwardInto(y, x *tensor.Tensor, train bool) {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	planes := x.Dim(0) * x.Dim(1)
+	grain := 1 + convParallelOps/(y.Dim(2)*y.Dim(3)*p.Kernel*p.Kernel+1)
+	if planes <= grain || tensor.MaxWorkers() == 1 {
+		// No closure: the pooled inference forward stays allocation-free.
+		p.planesInto(y, x, 0, planes, train)
+		return
+	}
+	tensor.ParallelFor(planes, grain, func(lo, hi int) {
+		p.planesInto(y, x, lo, hi, train)
+	})
+}
+
+// planesInto pools planes [lo, hi) of x into y (see forwardInto).
+func (p *MaxPool2D) planesInto(y, x *tensor.Tensor, lo, hi int, train bool) {
+	h, w := x.Dim(2), x.Dim(3)
 	oh, ow := y.Dim(2), y.Dim(3)
 	xd, yd := x.Data(), y.Data()
 	inPlane, outPlane := h*w, oh*ow
 	negInf := float32(math.Inf(-1))
-	for plane := 0; plane < n*c; plane++ {
+	for plane := lo; plane < hi; plane++ {
 		in := xd[plane*inPlane : (plane+1)*inPlane]
 		out := yd[plane*outPlane : (plane+1)*outPlane]
 		for oy := 0; oy < oh; oy++ {
@@ -130,6 +146,9 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
+
+// ReleaseTraining drops the argmax of the last training forward.
+func (p *MaxPool2D) ReleaseTraining() { p.argmax, p.inShape, p.outShape = nil, nil, nil }
 
 // Params returns nil: pooling has no learnable parameters.
 func (p *MaxPool2D) Params() []*Param { return nil }

@@ -157,6 +157,83 @@ func TestIm2colMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIm2colNarrowInputs sweeps every kernel, stride and padding on
+// inputs narrower than the kernel, where padding alone makes a tap fit
+// and a tap can lie wholly right of or below the input.
+func TestIm2colNarrowInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for kernel := 1; kernel <= 5; kernel++ {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= 2; pad++ {
+				for h := max(1, kernel-2*pad); h <= kernel+1; h++ {
+					for w := max(1, kernel-2*pad); w <= kernel+1; w++ {
+						x := New(2, 2, h, w)
+						fillRandom(x, rng)
+						want := im2colReference(x, 1, kernel, stride, pad)
+						got := make([]float32, want.Size())
+						Im2colInto(got, x, 1, kernel, stride, pad)
+						for i, wv := range want.Data() {
+							if got[i] != wv {
+								t.Fatalf("k=%d s=%d p=%d h=%d w=%d: element %d = %g, want %g", kernel, stride, pad, h, w, i, got[i], wv)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIm2colGradMatchesReference checks the output-gradient lowering of
+// the convolution backward against its definition: row (f, ky, kx) at
+// input location (iy, ix) holds g[f][(iy+pad−ky)/stride][(ix+pad−kx)/
+// stride] where that quotient is an integer inside the output, else 0.
+// Every kernel, stride and padding is swept on narrow and wide inputs,
+// into a dirty buffer.
+func TestIm2colGradMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for kernel := 1; kernel <= 5; kernel++ {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= 2; pad++ {
+				for _, hw := range [][2]int{{max(1, kernel-2*pad), kernel + 1}, {kernel + 4, kernel + 7}} {
+					h, w := hw[0], hw[1]
+					outC := 1 + rng.Intn(3)
+					oh := (h+2*pad-kernel)/stride + 1
+					ow := (w+2*pad-kernel)/stride + 1
+					g := make([]float32, outC*oh*ow)
+					for i := range g {
+						g[i] = rng.Float32()*2 - 1
+					}
+					got := make([]float32, outC*kernel*kernel*h*w)
+					for i := range got {
+						got[i] = 999
+					}
+					Im2colGradInto(got, g, outC, h, w, kernel, stride, pad)
+					for f := 0; f < outC; f++ {
+						for ky := 0; ky < kernel; ky++ {
+							for kx := 0; kx < kernel; kx++ {
+								row := (f*kernel+ky)*kernel + kx
+								for iy := 0; iy < h; iy++ {
+									for ix := 0; ix < w; ix++ {
+										var want float32
+										ty, tx := iy+pad-ky, ix+pad-kx
+										if ty >= 0 && tx >= 0 && ty%stride == 0 && tx%stride == 0 && ty/stride < oh && tx/stride < ow {
+											want = g[(f*oh+ty/stride)*ow+tx/stride]
+										}
+										if v := got[row*h*w+iy*w+ix]; v != want {
+											t.Fatalf("k=%d s=%d p=%d %dx%d: row %d at (%d,%d) = %g, want %g", kernel, stride, pad, h, w, row, iy, ix, v, want)
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // MatMulNaive is the reference ikj kernel: one row of A at a time, B
 // streamed per shared-dimension step — the ground truth for the blocked
 // kernel's parity tests and benchmarks.
