@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/bnn"
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
@@ -405,12 +406,27 @@ func runKernels(out io.Writer, jsonPath string) error {
 		return logits
 	}
 	bitsChain := func(feats [][]byte, pool *tensor.Pool) *tensor.Tensor { return m.CloudForwardBits(feats, masks, pool) }
+	// The wire entry alone: a session's six batch-32 payloads placed
+	// into the cloud's CC bit planes (ConcatFeat.AggregateBits), the
+	// first step of bitsChain.
+	cc := agg.NewConcatFeat(m.Cfg.Devices)
+	aggBits := func(b *testing.B) {
+		b.ReportAllocs()
+		pool := tensor.NewPool()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			in := bnn.GetPlanes(pool, 32, m.Cfg.Devices*m.Cfg.DeviceFilters, m.Cfg.FeatureH(), m.Cfg.FeatureW())
+			cc.AggregateBits(in, wire[i%forwardSets], masks)
+			in.Put(pool)
+		}
+	}
 	for _, path := range tensor.KernelPaths() {
 		floor, ok := xnorFloors[path]
 		if !ok {
 			continue
 		}
 		tag := "[" + path.String() + "]"
+		addPaired([]string{"agg_cc_bits_b32" + tag}, onPath(path, aggBits))
 		const name = "convp_cloud_chain_b32"
 		rs := addPaired([]string{name + "_unpack" + tag, name + "_bits" + tag}, onPath(path, chain(unpacked)), onPath(path, chain(bitsChain)))
 		blockCmps = append(blockCmps, kernelComparison{

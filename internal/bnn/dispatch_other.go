@@ -13,9 +13,18 @@ func packSignsSIMD(dst []byte, src []float32) { packSignsUnrolled(dst, src, 0) }
 
 func packWordsSIMD(words []uint64, v []float32) { packWordsGo(words, v) }
 
-func xnorRowSIMD(out []float32, cs int, win []uint64, w, segw, rs, groups int, wts []uint64) {
-	kw := 3 * segw
-	for f := 0; f < 4*groups; f++ {
-		xnorRowN(out[f*cs:][:w], win, rs, segw, wts[f/4*kw*4+f%4:])
-	}
+func xnorSweepSIMD(out []int16, ds int, win []uint64, n, ww, pairs int, wts []uint64) {
+	xnorSweep(out, ds, win, n, ww, 0, 8*pairs, wts)
+}
+
+func (wl xnorWindow) segmentsSIMD(seg, sgn, nz []uint64, c, w, rows, rsw int) {
+	wl.segments(seg, sgn, nz, c, w, rows, rsw)
+}
+
+func (wl xnorWindow) assembleSIMD(win, seg []uint64, w int, tails *windowTails) {
+	wl.assemble(win, seg, w, tails)
+}
+
+func placeSignsSIMD(sgn []uint64, chans *[32][]byte, n, h, w, rowBits, bit0, c int) bool {
+	return false
 }

@@ -27,12 +27,11 @@ import (
 const frameUnit = 1.0 / 256
 
 // frameEpilogue is what a Frames block derives from its parameters in
-// SyncWeights: the convolution's byte weight table and, per filter, the
-// integer threshold as the pool kernel takes it — the output is +1
-// exactly when s·m > t1.
+// SyncWeights: the convolution's byte weight table and each filter's
+// integer threshold (see threshold).
 type frameEpilogue struct {
 	weights []int8
-	s, t1   []int16
+	thresh  []threshold
 }
 
 // sync re-derives the epilogue of b.
@@ -42,21 +41,7 @@ func (fe *frameEpilogue) sync(b *ConvP) {
 		panic(fmt.Sprintf("bnn: frame block %s has %d channels, at most %d fit int16 sums", conv.Weight.Name, conv.InC, tensor.FrameMaxChannels))
 	}
 	fe.weights = tensor.FrameWeights(fe.weights, conv.Weight.Value.Data(), conv.OutC, conv.InC)
-	ths := deriveThresholds(nil, b.BN, 9*conv.InC*255, frameUnit)
-	fe.s, fe.t1 = make([]int16, len(ths)), make([]int16, len(ths))
-	for f, th := range ths {
-		fe.s[f] = int16(th.s)
-		// s·m ≥ t is s·m > t−1 on integers; ±Inf become the int16 bounds,
-		// which no |s·m| ≤ 9·C·255 reaches.
-		switch {
-		case math.IsInf(float64(th.t), 1):
-			fe.t1[f] = math.MaxInt16
-		case math.IsInf(float64(th.t), -1):
-			fe.t1[f] = math.MinInt16
-		default:
-			fe.t1[f] = int16(th.t) - 1
-		}
-	}
+	fe.thresh = deriveThresholds(fe.thresh, b.BN, 9*conv.InC*255, frameUnit)
 }
 
 // framePlan is the scratch layout of ForwardFrames for one geometry:
@@ -90,7 +75,7 @@ func (b *ConvP) ForwardFrames(frames []byte, n, h, w int, p *tensor.Pool) []byte
 	if len(frames) != n*conv.InC*h*w || h%2 != 0 || w%2 != 0 {
 		panic(fmt.Sprintf("bnn: ConvP %s: %d frame bytes for %d samples of [%d %d %d] (sides must be even)", conv.Weight.Name, len(frames), n, conv.InC, h, w))
 	}
-	if len(b.frames.t1) != conv.OutC {
+	if len(b.frames.thresh) != conv.OutC {
 		panic(fmt.Sprintf("bnn: ConvP %s has no frame epilogue; set Frames and call SyncWeights", conv.Weight.Name))
 	}
 	pl := planFrames(conv.InC, h, w, conv.OutC)
@@ -138,8 +123,8 @@ func (b *ConvP) framesRange(path tensor.KernelPath, frames, out []byte, stride i
 		}
 		tensor.ConvFrame3x3(path, rec, pl.ds, fe.weights, band, pl.c, pl.plane, pl.wp)
 		signs := out[ni*stride : (ni+1)*stride]
-		for f := 0; f < pl.f; f++ {
-			tensor.PoolFrameThreshold(path, signs, f*pooled, rec[f*pl.ds:(f+1)*pl.ds], pl.w, pl.h/2, fe.s[f], fe.t1[f])
+		for f, th := range fe.thresh {
+			tensor.PoolFrameThreshold(path, signs, f*pooled, rec[f*pl.ds:(f+1)*pl.ds], pl.w, pl.h/2, th.s, th.t1)
 		}
 	}
 }

@@ -14,6 +14,48 @@ DATA nibbleMask<>+16(SB)/8, $0x0f0f0f0f0f0f0f0f
 DATA nibbleMask<>+24(SB)/8, $0x0f0f0f0f0f0f0f0f
 GLOBL nibbleMask<>(SB), RODATA|NOPTR, $32
 
+// ASMROW copies kernel row k's q whole (sign, nonzero) pairs from its
+// segment at srow to R14, which it advances, ors the segment's tail in
+// at the window's tail words (tails[3k], tails[3k+1] at R8: the tail
+// pair's byte offset from DI and the shift; tails[3k+2]: it spills into
+// the next pair) and adds the segment's nonzero count to R11.
+#define ASMROW(k, srow, copy, tail, done) \
+	LEAQ srow, R13; \
+	MOVQ q+40(FP), R12; \
+	TESTQ R12, R12; \
+	JE tail; \
+copy: \
+	VMOVDQU (R13), X0; \
+	VMOVDQU X0, (R14); \
+	ADDQ $16, R13; \
+	ADDQ $16, R14; \
+	DECQ R12; \
+	JNE copy; \
+tail: \
+	CMPQ tw+48(FP), $0; \
+	JE done; \
+	MOVQ (R13), AX; \
+	MOVQ 8(R13), DX; \
+	ADDQ $16, R13; \
+	MOVQ (k*24)(R8), BX; \
+	ADDQ DI, BX; \
+	MOVQ (k*24+8)(R8), CX; \
+	MOVQ AX, R12; \
+	SHLQ CX, R12; \
+	ORQ R12, (BX); \
+	MOVQ DX, R12; \
+	SHLQ CX, R12; \
+	ORQ R12, 8(BX); \
+	CMPQ (k*24+16)(R8), $0; \
+	JE done; \
+	NEGQ CX; \
+	SHRQ CX, AX; \
+	ORQ AX, 16(BX); \
+	SHRQ CX, DX; \
+	ORQ DX, 24(BX); \
+done: \
+	ADDQ (R13), R11
+
 // func xnorPopcntAVX2(a, b *uint64, quads int) int64
 //
 // Returns Σ popcount(a[i]^b[i]) over quads × 4 consecutive words using
@@ -104,103 +146,324 @@ packdone:
 	VZEROUPPER
 	RET
 
-// func xnorRowAVX2(out *float32, cs int, win *uint64, w, segw, rs, groups int, wts *uint64)
+// POPACC adds the byte popcounts of the bits of Y2 to acc (nibble
+// lookup; Y3 is clobbered).
+#define POPACC(acc) \
+	VPSRLW $4, Y2, Y3; \
+	VPAND Y5, Y2, Y2; \
+	VPAND Y5, Y3, Y3; \
+	VPSHUFB Y2, Y4, Y2; \
+	VPSHUFB Y3, Y4, Y3; \
+	VPADDB Y2, acc, acc; \
+	VPADDB Y3, acc, acc
+
+// func xnorSweepAVX2(out *int16, ds int, win *uint64, n, ww, pairs int, wts *uint64)
 //
-// Sweeps groups×4 filters over one output row of w windows (xnorconv.go).
-// Window ox is three row segments, rs words apart, from win + ox·(2·segw+1)
-// words: each is segw (sign, nonzero) pairs and the row's nonzero count.
-// Filter group g is 3·segw×4 words at wts, word i of its four filters
-// side by side. Each YMM lane holds one filter: per word, (sign ⊕ filter)
-// ∧ nonzero is popcounted with the nibble lookup into byte counts (at most
-// 8 per byte per word, so 3·segw ≤ 31 cannot overflow), which VPSADBW
-// folds into the four popcounts h. Filter 4g+l's output at column ox is
-// the float nz − 2h at out + ((4g+l)·cs + ox)·4. The frame holds the
-// positions left and the step from a segment's end to the next row's.
-TEXT ·xnorRowAVX2(SB), NOSPLIT, $16-64
+// Sweeps pairs×8 filters over n windows (xnorconv.go), 2·ww+1 words
+// apart from win: ww (sign, nonzero) word pairs, then the window's
+// nonzero count nz. Filter group g is ww×4 words at wts, word i of its
+// four filters side by side, and groups 2p and 2p+1 are swept together.
+// Each YMM lane holds one filter: per word, (sign ⊕ filter) ∧ nonzero
+// is popcounted with the nibble lookup into byte counts (at most 8 per
+// byte per word, so ww ≤ 31 cannot overflow), which VPSADBW folds into
+// the popcounts h. Filter f's count for window k, the int16 nz − 2h,
+// goes to out + (f·ds + k)·2. The frame holds the windows left.
+TEXT ·xnorSweepAVX2(SB), NOSPLIT, $8-56
 	MOVQ out+0(FP), DI
-	MOVQ cs+8(FP), R8
-	SHLQ $2, R8 // bytes between filter rows
+	MOVQ ds+8(FP), R8
+	SHLQ $1, R8 // bytes between filters' records
 	MOVQ win+16(FP), SI
-	MOVQ w+24(FP), AX
-	MOVQ AX, 0(SP) // positions left
-	MOVQ segw+32(FP), R10
-	MOVQ rs+40(FP), R12
-	SHLQ $3, R12 // bytes between kernel rows
-	MOVQ R10, AX
-	SHLQ $4, AX
-	MOVQ R12, BX
-	SUBQ AX, BX
-	MOVQ BX, 8(SP) // from the end of a segment's pairs to the next row's
-	MOVQ groups+48(FP), R11
-	MOVQ wts+56(FP), DX
+	MOVQ n+24(FP), AX
+	MOVQ AX, 0(SP) // windows left
+	MOVQ ww+32(FP), R10
+	MOVQ R10, R12
+	SHLQ $4, R12 // bytes of a window's pairs: its count's offset
+	MOVQ pairs+40(FP), R11
+	MOVQ wts+48(FP), DX
 	VMOVDQU popcntLUT<>(SB), Y4
 	VMOVDQU nibbleMask<>(SB), Y5
 	VPXOR Y6, Y6, Y6
+	MOVQ R10, R15
+	SHLQ $5, R15 // bytes of a group's filter words
 
-posloop:
-	LEAQ (R10)(R10*1), AX
-	LEAQ (SI)(AX*8), R13 // row 0's nonzero count
-	MOVQ (R13), CX
-	ADDQ (R13)(R12*1), CX
-	LEAQ (R13)(R12*2), R13
-	ADDQ (R13), CX
-	VMOVQ CX, X10 // VEX form: a legacy-SSE MOVQ here costs an AVX transition
-	VPBROADCASTD X10, X10
-	MOVQ DX, BX  // filter words
-	MOVQ DI, AX  // output of the group's first filter
-	MOVQ R11, CX // groups left
+sweepwin:
+	VPBROADCASTD (SI)(R12*1), Y10 // nz
+	MOVQ DX, BX  // filter words of the pair's first group
+	MOVQ DI, AX  // record of the pair's first filter
+	MOVQ R11, CX // pairs left
 
-grouploop:
+sweeppair:
 	MOVQ SI, R13 // window words
-	MOVQ $3, R9  // kernel rows left
-	VPXOR Y7, Y7, Y7
-
-rowloop:
+	MOVQ BX, R9  // the pair's filter words
 	MOVQ R10, R14
+	VPXOR Y7, Y7, Y7
+	VPXOR Y9, Y9, Y9
 
-wordloop:
+sweepword:
 	VPBROADCASTQ (R13), Y0
 	VPBROADCASTQ 8(R13), Y1
-	VPXOR (BX), Y0, Y0
-	VPAND Y1, Y0, Y0
-	VPAND Y5, Y0, Y2
-	VPSRLW $4, Y0, Y3
-	VPAND Y5, Y3, Y3
-	VPSHUFB Y2, Y4, Y2
-	VPSHUFB Y3, Y4, Y3
-	VPADDB Y2, Y7, Y7
-	VPADDB Y3, Y7, Y7
+	VPXOR (R9), Y0, Y2
+	VPAND Y1, Y2, Y2
+	POPACC(Y7)
+	VPXOR (R9)(R15*1), Y0, Y2
+	VPAND Y1, Y2, Y2
+	POPACC(Y9)
 	ADDQ $16, R13
-	ADDQ $32, BX
+	ADDQ $32, R9
 	DECQ R14
-	JNE wordloop
-
-	ADDQ 8(SP), R13
-	DECQ R9
-	JNE rowloop
+	JNE sweepword
 
 	VPSADBW Y6, Y7, Y7
+	VPSADBW Y6, Y9, Y9
+	VPSLLQ $32, Y9, Y9
+	VPOR Y9, Y7, Y7 // h: filters 0, 4, 1, 5 | 2, 6, 3, 7 of the pair
+	VPSLLD $1, Y7, Y7
+	VPSUBD Y7, Y10, Y7
 	VEXTRACTI128 $1, Y7, X8
-	VSHUFPS $0x88, X8, X7, X7 // h of the four filters
-	VPSLLD $1, X7, X7
-	VPSUBD X7, X10, X7
-	VCVTDQ2PS X7, X7
-	VMOVSS X7, (AX)
+	VPACKSSDW X8, X7, X7 // nz − 2h as int16, exact for |·| ≤ 9C
+	VMOVQ X7, R9
+	MOVW R9, (AX)
+	SHRQ $16, R9
+	MOVW R9, (AX)(R8*4)
 	ADDQ R8, AX
-	VEXTRACTPS $1, X7, (AX)
+	SHRQ $16, R9
+	MOVW R9, (AX)
+	SHRQ $16, R9
+	MOVW R9, (AX)(R8*4)
 	ADDQ R8, AX
-	VEXTRACTPS $2, X7, (AX)
+	VPEXTRQ $1, X7, R9
+	MOVW R9, (AX)
+	SHRQ $16, R9
+	MOVW R9, (AX)(R8*4)
 	ADDQ R8, AX
-	VEXTRACTPS $3, X7, (AX)
+	SHRQ $16, R9
+	MOVW R9, (AX)
+	SHRQ $16, R9
+	MOVW R9, (AX)(R8*4)
 	ADDQ R8, AX
+	LEAQ (AX)(R8*4), AX // the next pair's first filter
+	LEAQ (BX)(R15*2), BX
 	DECQ CX
-	JNE grouploop
+	JNE sweeppair
 
-	LEAQ (R10)(R10*1), AX
-	LEAQ 8(SI)(AX*8), SI // the next position's segments
-	ADDQ $4, DI
+	LEAQ 8(SI)(R12*1), SI // the next window
+	ADDQ $2, DI
 	DECQ 0(SP)
-	JNE posloop
+	JNE sweepwin
 
+	VZEROUPPER
+	RET
+
+// func xnorSegmentsAMD64(seg, sgn, nz *uint64, rows, rsw, n, c, q, ht int, tmask uint64)
+//
+// The row segments of rows padded rows, rsw words apart from sgn and
+// nz: per row, per position ox < n, the 3C bits from bit ox·c as q
+// whole (sign, nonzero) word pairs, then, when ht is 1, the tail pair
+// masked to tmask, then the nonzero count, written back to back from
+// seg.
+TEXT ·xnorSegmentsAMD64(SB), NOSPLIT, $16-80
+	MOVQ seg+0(FP), DI
+	MOVQ sgn+8(FP), SI
+	MOVQ nz+16(FP), R8
+	MOVQ rows+24(FP), AX
+	MOVQ AX, 0(SP) // rows left
+	MOVQ rsw+32(FP), R9
+	SHLQ $3, R9 // bytes between rows
+
+segrow:
+	XORQ R10, R10 // the position's bit offset
+	MOVQ n+40(FP), AX
+	MOVQ AX, 8(SP) // positions left
+
+segpos:
+	MOVQ R10, AX
+	SHRQ $6, AX
+	LEAQ (SI)(AX*8), R13
+	LEAQ (R8)(AX*8), R14
+	MOVQ R10, CX // SHRQ reads its low six bits
+	XORQ R11, R11
+	MOVQ q+56(FP), R12
+	TESTQ R12, R12
+	JE segtail
+
+segword:
+	MOVQ (R13), AX
+	MOVQ 8(R13), BX
+	SHRQ CX, BX, AX
+	MOVQ (R14), DX
+	MOVQ 8(R14), BX
+	SHRQ CX, BX, DX
+	MOVQ AX, (DI)
+	MOVQ DX, 8(DI)
+	POPCNTQ DX, DX
+	ADDQ DX, R11
+	ADDQ $8, R13
+	ADDQ $8, R14
+	ADDQ $16, DI
+	DECQ R12
+	JNE segword
+
+segtail:
+	CMPQ ht+64(FP), $0
+	JE segcount
+	MOVQ (R13), AX
+	MOVQ 8(R13), BX
+	SHRQ CX, BX, AX
+	ANDQ tmask+72(FP), AX
+	MOVQ (R14), DX
+	MOVQ 8(R14), BX
+	SHRQ CX, BX, DX
+	ANDQ tmask+72(FP), DX
+	MOVQ AX, (DI)
+	MOVQ DX, 8(DI)
+	POPCNTQ DX, DX
+	ADDQ DX, R11
+	ADDQ $16, DI
+
+segcount:
+	MOVQ R11, (DI)
+	ADDQ $8, DI
+	ADDQ c+48(FP), R10
+	DECQ 8(SP)
+	JNE segpos
+	ADDQ R9, SI
+	ADDQ R9, R8
+	DECQ 0(SP)
+	JNE segrow
+	RET
+
+// func xnorAssembleAMD64(win, seg *uint64, n, step, rs, q, tw int, tails *windowTails)
+//
+// xnorWindow.build from row segments (xnorSegmentsAMD64): n windows,
+// the first from the segments at seg and each next one step bytes on,
+// kernel rows rs bytes apart, written back to back from win — per
+// window its 3·q whole pairs, its tw tail pairs (zeroed, then each
+// kernel row's tail ored in) and its nonzero count.
+TEXT ·xnorAssembleAMD64(SB), NOSPLIT, $8-64
+	MOVQ win+0(FP), DI
+	MOVQ seg+8(FP), SI
+	MOVQ n+16(FP), AX
+	MOVQ AX, 0(SP) // windows left
+	MOVQ rs+32(FP), R9
+	MOVQ tails+56(FP), R8
+
+asmwin:
+	MOVQ q+40(FP), AX
+	IMUL3Q $48, AX, AX
+	LEAQ (DI)(AX*1), BX // the tail pairs
+	MOVQ tw+48(FP), DX
+	TESTQ DX, DX
+	JE asmrows
+
+asmzero:
+	MOVQ $0, (BX)
+	MOVQ $0, 8(BX)
+	ADDQ $16, BX
+	DECQ DX
+	JNE asmzero
+
+asmrows:
+	XORQ R11, R11
+	MOVQ DI, R14
+	ASMROW(0, (SI), copy0, tail0, done0)
+	ASMROW(1, (SI)(R9*1), copy1, tail1, done1)
+	ASMROW(2, (SI)(R9*2), copy2, tail2, done2)
+	MOVQ tw+48(FP), AX
+	SHLQ $4, AX
+	MOVQ R11, (R14)(AX*1) // the count, after the tail pairs
+	LEAQ 8(R14)(AX*1), DI // the next window
+	ADDQ step+24(FP), SI
+	DECQ 0(SP)
+	JNE asmwin
+	RET
+
+// func placeSignsAMD64(sgn *uint64, chans **byte, n, h, w, rowBits, bit0, c int, st *byte)
+//
+// Planes.Place's signs for up to 32 channels, w a multiple of 8: per
+// image row, each present channel's row bytes (chans[k] is channel k's
+// plane, h·w/8 bytes, nil when absent) are gathered into column k of st,
+// w/8 rows of 32 bytes whose other columns stay zero. Per 8-pixel run,
+// VPMOVMSKB then reads one bit of every byte — pixel x's 32 channel
+// bits — and VPADDB moves the next bit up, pixels 7 … 0 of the run.
+// Each pixel's bits are ored into sgn at bit bit0 + y·rowBits + x·c.
+TEXT ·placeSignsAMD64(SB), NOSPLIT, $0-72
+	MOVQ sgn+0(FP), DI
+	MOVQ h+24(FP), R8
+	MOVQ w+32(FP), R9
+	SHRQ $3, R9 // bytes of a channel's row
+	MOVQ bit0+48(FP), R10
+	XORQ R11, R11 // the row's first byte in a plane
+
+placerow:
+	MOVQ chans+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ st+64(FP), BX
+
+placegather:
+	MOVQ (SI), DX
+	TESTQ DX, DX
+	JE placenextch
+	ADDQ R11, DX
+	MOVQ R9, R12
+	MOVQ BX, R13
+
+placebyte:
+	MOVBLZX (DX), AX
+	MOVB AX, (R13)
+	INCQ DX
+	ADDQ $32, R13
+	DECQ R12
+	JNE placebyte
+
+placenextch:
+	ADDQ $8, SI
+	INCQ BX
+	DECQ CX
+	JNE placegather
+
+	MOVQ st+64(FP), SI
+	MOVQ R9, R12
+	MOVQ c+56(FP), AX
+	MOVQ AX, R15
+	SHLQ $4, R15 // sixteen pixels: from before a run to the next run's last pixel
+	IMUL3Q $7, AX, R13
+	ADDQ R10, R13 // the run's last pixel
+
+placerun:
+	VMOVDQU (SI), Y0
+	MOVQ $8, R14
+
+placepixel:
+	VPMOVMSKB Y0, AX
+	VPADDB Y0, Y0, Y0
+	TESTQ AX, AX
+	JE placeskip
+	MOVQ R13, CX
+	MOVQ R13, DX
+	SHRQ $6, DX
+	MOVQ AX, BX
+	SHLQ CX, BX
+	ORQ BX, (DI)(DX*8)
+	ANDQ $63, CX
+	CMPQ CX, $32
+	JLS placeskip
+	NEGQ CX
+	SHRQ CX, AX
+	ORQ AX, 8(DI)(DX*8)
+
+placeskip:
+	SUBQ c+56(FP), R13
+	DECQ R14
+	JNE placepixel
+
+	ADDQ R15, R13
+	ADDQ $32, SI
+	DECQ R12
+	JNE placerun
+
+	ADDQ rowBits+40(FP), R10
+	ADDQ R9, R11
+	DECQ R8
+	JNE placerow
 	VZEROUPPER
 	RET

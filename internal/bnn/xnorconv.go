@@ -1,6 +1,7 @@
 package bnn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"unsafe"
@@ -25,38 +26,145 @@ import (
 //
 // The convolution reads two bit planes, sign and nonzero, pixel-major:
 // padded pixel x of a row holds channels 0..C−1 at bits x·C..x·C+C−1 of
-// the row's bit string. A window's kernel row ky is then the 3C
-// consecutive bits starting at ox·C of row oy+ky, read as segw words; the
-// filters are packed the same way (BinaryConv2D.SyncWeights). The input
-// is a Planes, this layout over a whole padded image, filled from packed
-// feature maps by Place. A float input never comes here: it runs the
-// layered forward, whatever values it holds.
+// the row's bit string, so a window's kernel row ky is the 3C
+// consecutive bits from bit ox·C of row oy+ky. The input is a Planes,
+// this layout over a whole padded image, filled from packed feature maps
+// by Place. A float input never comes here: it runs the layered forward,
+// whatever values it holds.
+//
+// Each window is built once, as one dense string of 9C sign and 9C
+// nonzero bits in ⌈9C/64⌉ words (xnorWindow) that every filter sweeps;
+// the filters are packed in the same order (BinaryConv2D.SyncWeights).
+// A kernel row's 3C bits are q = ⌊3C/64⌋ whole words and a tail of
+// t = 3C mod 64 bits: the window holds the three rows' whole words,
+// then the three tails back to back, so its words are exactly
+// 3q + ⌈3t/64⌉ = ⌈9C/64⌉ — 4 for the default cloud's C = 24, where a
+// row padded to whole words took 6. The shifts that align a row's bits
+// are paid once per padded row (segments), which three window rows
+// share; a window only copies words and merges tails (assemble). The
+// sweep writes each count, an integer of magnitude ≤ 9C, as an int16
+// record in the layout of tensor.PoolFrameThreshold, the epilogue of
+// every serving block.
 
-// xnorSegWords returns the words one kernel row of a window (3C bits)
-// spans.
-func xnorSegWords(c int) int { return (3*c + 63) / 64 }
+// xnorWindow is the word layout of a 3×3×C window and of a packed
+// filter: kernel row ky's whole words at ky·q … ky·q+q−1, then the
+// tails, row ky's t bits from bit ky·t of word 3q on.
+type xnorWindow struct{ q, t, ww int }
+
+func windowOf(c int) xnorWindow {
+	q, t := 3*c/64, 3*c%64
+	return xnorWindow{q: q, t: t, ww: 3*q + (3*t+63)/64}
+}
+
+// segWords returns the words of one row segment (xnorWindow.segments):
+// q whole (sign, nonzero) pairs, a tail pair when t > 0,
+// and the nonzero count.
+func (wl xnorWindow) segWords() int { return 2*wl.q + 2*min(wl.t, 1) + 1 }
+
+// windowTails says, per kernel row ky, where its tail goes in a window:
+// the byte offset of its tail word's (sign, nonzero) pair, its shift,
+// and 1 when it spills into the next pair.
+type windowTails [9]int
+
+func (wl xnorWindow) tails() (t windowTails) {
+	for ky := 0; ky < 3; ky++ {
+		bt := ky * wl.t
+		t[3*ky], t[3*ky+1] = 16*(3*wl.q+bt/64), bt%64
+		if bt%64+wl.t > 64 {
+			t[3*ky+2] = 1
+		}
+	}
+	return t
+}
+
+// at returns the word and bit of bit b (= kx·C + ci) of kernel row ky.
+func (wl xnorWindow) at(ky, b int) (int, uint) {
+	if b < 64*wl.q {
+		return ky*wl.q + b/64, uint(b % 64)
+	}
+	tails := wl.tails()
+	pair, sh := tails[3*ky]/16, tails[3*ky+1]
+	return pair + (sh+b-64*wl.q)/64, uint((sh + b - 64*wl.q) % 64)
+}
+
+// segments writes the row segments of rows padded rows, read from the
+// bit planes sgn and nz (rsw words a row), into seg: per row and
+// position ox < w, the 3C bits from bit ox·c as q whole (sign, nonzero)
+// word pairs, the tail pair when t > 0 and the nonzero count, segWords
+// words. Each padded row is extracted once for the three window rows
+// that read it.
+func (wl xnorWindow) segments(seg, sgn, nz []uint64, c, w, rows, rsw int) {
+	q, ss := wl.q, wl.segWords()
+	tmask := uint64(1)<<uint(wl.t) - 1
+	for t := 0; t < rows; t++ {
+		for ox := 0; ox < w; ox++ {
+			v := seg[(t*w+ox)*ss : (t*w+ox+1)*ss : (t*w+ox+1)*ss]
+			off := ox * c
+			r, l := uint(off)&63, (63-uint(off))&63 // a word at bit off is p[i]>>r | p[i+1]<<1<<l
+			at := t*rsw + off/64
+			ps, pm := sgn[at:at+q+2:at+q+2], nz[at:at+q+2:at+q+2]
+			nzc := 0
+			for i := 0; i < q; i++ {
+				m := pm[i]>>r | pm[i+1]<<1<<l
+				v[2*i], v[2*i+1] = ps[i]>>r|ps[i+1]<<1<<l, m
+				nzc += bits.OnesCount64(m)
+			}
+			if wl.t > 0 {
+				m := (pm[q]>>r | pm[q+1]<<1<<l) & tmask
+				v[2*q], v[2*q+1] = (ps[q]>>r|ps[q+1]<<1<<l)&tmask, m
+				nzc += bits.OnesCount64(m)
+			}
+			v[ss-1] = uint64(nzc)
+		}
+	}
+}
+
+// assemble builds the windows of one output row from the segments of
+// its three padded rows, seg starting at the first, into win: per
+// column, its ww (sign, nonzero) word pairs — the rows' whole pairs,
+// then their tails merged (tails) — and its nonzero count, 2·ww+1
+// words. The even columns come first and then the odd ones, the order
+// of the record slots they fill.
+func (wl xnorWindow) assemble(win, seg []uint64, w int, tails *windowTails) {
+	q, ws, ss, ne := wl.q, 2*wl.ww+1, wl.segWords(), (w+1)/2
+	for ox := 0; ox < w; ox++ {
+		k := ox/2 + ox%2*ne
+		v := win[k*ws : (k+1)*ws : (k+1)*ws]
+		clear(v[6*q : 2*wl.ww])
+		nzc := 0
+		for ky := 0; ky < 3; ky++ {
+			sg := seg[(ky*w+ox)*ss : (ky*w+ox+1)*ss : (ky*w+ox+1)*ss]
+			copy(v[2*ky*q:2*(ky+1)*q], sg)
+			if wl.t > 0 {
+				j, sh := tails[3*ky]/8, uint(tails[3*ky+1])
+				v[j] |= sg[2*q] << sh
+				v[j+1] |= sg[2*q+1] << sh
+				if tails[3*ky+2] != 0 {
+					v[j+2] |= sg[2*q] >> (64 - sh)
+					v[j+3] |= sg[2*q+1] >> (64 - sh)
+				}
+			}
+			nzc += int(sg[ss-1])
+		}
+		v[2*wl.ww] = uint64(nzc)
+	}
+}
 
 // xnorRowWords returns the words of one padded row's bit string: wp
 // pixels of c bits, plus the two words a window read or a pixel store may
 // touch past the last bit.
 func xnorRowWords(c, wp int) int { return (wp*c+63)/64 + 2 }
 
-// xnorSegmentWords returns the words of a band's row segments (see
-// xnorConv3x3) for rows convolution rows w wide: per padded row and
-// position, segw sign/nonzero word pairs and their nonzero count.
-func xnorSegmentWords(c, w, rows int) int { return (rows + 2) * w * (2*xnorSegWords(c) + 1) }
-
-// packXnorFilters packs ±1 filters [f, c, 3, 3] in window order: a
-// filter is kw = 3·segw words, kernel row ky at words ky·segw.., bit
-// kx·c+ci set when w[f, ci, ky, kx] is +1. Filters are stored in groups of
-// four with their words interleaved — word i of filter fi at
-// ((fi/4)·kw + i)·4 + fi%4 — so the AVX2 sweep loads word i of four
+// packXnorFilters packs ±1 filters [f, c, 3, 3] in window order
+// (xnorWindow): tap (ky, kx) of channel ci is bit kx·c + ci of kernel
+// row ky, set when w[f, ci, ky, kx] is +1. Filters are stored in groups
+// of four with their ww words interleaved — word i of filter fi at
+// ((fi/4)·ww + i)·4 + fi%4 — so the AVX2 sweep loads word i of four
 // filters at once; a short last group is zero-filled. dst is reused when
 // its length fits.
 func packXnorFilters(dst []uint64, w []float32, f, c int) []uint64 {
-	segw := xnorSegWords(c)
-	kw := 3 * segw
-	if n := (f + 3) / 4 * 4 * kw; len(dst) != n {
+	wl := windowOf(c)
+	if n := (f + 3) / 4 * 4 * wl.ww; len(dst) != n {
 		dst = make([]uint64, n)
 	} else {
 		clear(dst)
@@ -65,9 +173,8 @@ func packXnorFilters(dst []uint64, w []float32, f, c int) []uint64 {
 		for ci := 0; ci < c; ci++ {
 			for k, v := range w[(fi*c+ci)*9 : (fi*c+ci+1)*9] {
 				if v > 0 {
-					ky, kx := k/3, k%3
-					b := kx*c + ci
-					dst[((fi/4)*kw+ky*segw+b/64)*4+fi%4] |= 1 << uint(b%64)
+					word, bit := wl.at(k/3, k%3*c+ci)
+					dst[((fi/4)*wl.ww+word)*4+fi%4] |= 1 << bit
 				}
 			}
 		}
@@ -89,106 +196,70 @@ func wordView(f []float32) []uint64 {
 }
 
 // xnorConv3x3 writes the convolution of rows output rows, read from the
-// bit planes sgn and nz from the band's first padded row on, for every
-// filter into conv: filter f's output row oy, column ox at
-// conv[f*cs + oy*wp + ox]. It writes only the w image columns of each
-// row; the two that end it are the pool's padding (fused.go).
-// Each padded row's segments — per position ox, the 3C bits from bit ox·C
-// as segw (sign, nonzero) word pairs, then their nonzero count — are
-// extracted once into seg (xnorSegmentWords); the window of output
-// (oy, ox) is the segments of rows oy, oy+1 and oy+2 at ox, w·(2·segw+1)
-// words apart, which every filter sweeps: on the simd path the whole
-// groups of four by the AVX2 kernel, the rest one filter at a time.
-func xnorConv3x3(path tensor.KernelPath, conv []float32, cs int, wts, sgn, nz, seg []uint64, pl fusedPlan, rows int) {
-	c, w, rsw := pl.c, pl.w, pl.rsw
-	segw := xnorSegWords(c)
-	kw, ss := 3*segw, 2*segw+1
-	rs := w * ss                               // words between a window's kernel rows
-	last := ^uint64(0) >> uint((64-3*c%64)%64) // the 3C bits of a segment's last word
-	seg = seg[:(rows+2)*rs]
-	simd := 0 // filters [0, simd) go to the AVX2 sweep
-	if path == tensor.KernelSIMD && kw <= 31 {
-		simd = pl.f / 4 * 4
+// bit planes sgn and nz from the band's first padded row on, into int16
+// records: filter f's output row oy, column ox at rec[f*ds + oy*rs + i],
+// i being the column's slot in tensor.PoolFrameThreshold's record (odd
+// columns from 1, even ones from 1+half). It writes no other slot. The
+// band's padded rows are cut into segments once (seg), each output
+// row's windows are assembled from them once (win) and every filter
+// sweeps them: on the simd path in scalar amd64 and, for the filters in
+// whole groups of eight, the AVX2 sweep; otherwise in Go, one filter at
+// a time.
+func xnorConv3x3(path tensor.KernelPath, rec []int16, ds int, wts, sgn, nz, win, seg []uint64, pl *fusedPlan, rows int) {
+	wl, w := pl.win, pl.w
+	tails := wl.tails()
+	ws, ne, half := 2*wl.ww+1, (w+1)/2, tensor.FrameHalfWidth(w)
+	simd := path == tensor.KernelSIMD
+	vec := 0 // filters [0, vec) go to the AVX2 sweep
+	if simd && wl.ww <= 31 {
+		vec = pl.f / 8 * 8
 	}
-	for t := 0; t < rows+2; t++ {
-		for ox := 0; ox < w; ox++ {
-			v := seg[t*rs+ox*ss : t*rs+(ox+1)*ss : t*rs+(ox+1)*ss]
-			off := ox * c
-			r, l := uint(off)&63, (63-uint(off))&63 // a word at bit off is p[q]>>r | p[q+1]<<1<<l
-			q := t*rsw + off/64
-			ps, pm := sgn[q:q+segw+1:q+segw+1], nz[q:q+segw+1:q+segw+1]
-			nzc := 0
-			for i := 0; i < segw; i++ {
-				m := pm[i]>>r | pm[i+1]<<1<<l
-				if i == segw-1 {
-					m &= last
-				}
-				v[2*i], v[2*i+1] = ps[i]>>r|ps[i+1]<<1<<l, m
-				nzc += bits.OnesCount64(m)
-			}
-			v[2*segw] = uint64(nzc)
-		}
+	if simd {
+		wl.segmentsSIMD(seg, sgn, nz, pl.c, w, rows+2, pl.rsw)
+	} else {
+		wl.segments(seg, sgn, nz, pl.c, w, rows+2, pl.rsw)
 	}
 	for oy := 0; oy < rows; oy++ {
-		win := seg[oy*rs:]
-		if simd > 0 {
-			xnorRowSIMD(conv[oy*pl.wp:], cs, win, w, segw, rs, simd/4, wts)
+		if row := seg[oy*w*wl.segWords():]; simd {
+			wl.assembleSIMD(win, row, w, &tails)
+		} else {
+			wl.assemble(win, row, w, &tails)
 		}
-		for f := simd; f < pl.f; f++ {
-			out := conv[f*cs+oy*pl.wp:][:w]
-			b := wts[f/4*kw*4+f%4:]
-			switch segw {
-			case 1:
-				xnorRow3(out, win, rs, b[0], b[4], b[8])
-			case 2:
-				xnorRow6(out, win, rs, b[0], b[4], b[8], b[12], b[16], b[20])
-			default:
-				xnorRowN(out, win, rs, segw, b)
+		for _, part := range [2][3]int{{0, ne, 1 + half}, {ne, w - ne, 1}} { // even columns, odd columns
+			k0, n, at := part[0], part[1], part[2]
+			out, v := rec[oy*pl.rs+at:], win[k0*ws:]
+			if vec > 0 && n > 0 {
+				xnorSweepSIMD(out, ds, v, n, wl.ww, vec/8, wts)
+			}
+			xnorSweep(out, ds, v, n, wl.ww, vec, pl.f, wts)
+		}
+	}
+}
+
+// xnorSweep sweeps filters [f0, f1), f0 a multiple of four, over n
+// consecutive windows of ww words each, writing filter f's count for
+// window k to out[f*ds+k]. A group of four filters reads each window
+// word once: word i of filter f is wts[(f/4*ww+i)*4 + f%4]
+// (packXnorFilters' interleaving; a short last group's missing filters
+// are zero words, whose counts are not stored).
+func xnorSweep(out []int16, ds int, win []uint64, n, ww, f0, f1 int, wts []uint64) {
+	for g := f0 / 4; g < (f1+3)/4; g++ {
+		fw := wts[g*ww*4 : (g+1)*ww*4]
+		var h [4]int
+		for k := 0; k < n; k++ {
+			v := win[k*(2*ww+1):][:2*ww+1] // the pairs, then the count
+			h = [4]int{}
+			for i := 0; i+3 < len(fw); i += 4 {
+				s, m := v[i/2], v[i/2+1]
+				h[0] += bits.OnesCount64((s ^ fw[i]) & m)
+				h[1] += bits.OnesCount64((s ^ fw[i+1]) & m)
+				h[2] += bits.OnesCount64((s ^ fw[i+2]) & m)
+				h[3] += bits.OnesCount64((s ^ fw[i+3]) & m)
+			}
+			for l := range min(4, f1-4*g) {
+				out[(4*g+l)*ds+k] = int16(int(v[2*ww]) - 2*h[l])
 			}
 		}
-	}
-}
-
-// xnorRow3 sweeps one filter over a row of windows whose kernel rows are
-// one word each (C ≤ 21): the segments at win, win[rs:] and win[2rs:],
-// three words per position.
-func xnorRow3(out []float32, win []uint64, rs int, b0, b1, b2 uint64) {
-	for ox := range out {
-		u := win[ox*3 : ox*3+3 : ox*3+3]
-		v := win[rs+ox*3 : rs+ox*3+3 : rs+ox*3+3]
-		x := win[2*rs+ox*3 : 2*rs+ox*3+3 : 2*rs+ox*3+3]
-		h := bits.OnesCount64((u[0]^b0)&u[1]) + bits.OnesCount64((v[0]^b1)&v[1]) + bits.OnesCount64((x[0]^b2)&x[1])
-		out[ox] = float32(int(u[2]+v[2]+x[2]) - 2*h)
-	}
-}
-
-// xnorRow6 is xnorRow3 for kernel rows of two words (22 ≤ C ≤ 42).
-func xnorRow6(out []float32, win []uint64, rs int, b0, b1, b2, b3, b4, b5 uint64) {
-	for ox := range out {
-		u := win[ox*5 : ox*5+5 : ox*5+5]
-		v := win[rs+ox*5 : rs+ox*5+5 : rs+ox*5+5]
-		x := win[2*rs+ox*5 : 2*rs+ox*5+5 : 2*rs+ox*5+5]
-		h := bits.OnesCount64((u[0]^b0)&u[1]) + bits.OnesCount64((u[2]^b1)&u[3]) +
-			bits.OnesCount64((v[0]^b2)&v[1]) + bits.OnesCount64((v[2]^b3)&v[3]) +
-			bits.OnesCount64((x[0]^b4)&x[1]) + bits.OnesCount64((x[2]^b5)&x[3])
-		out[ox] = float32(int(u[4]+v[4]+x[4]) - 2*h)
-	}
-}
-
-// xnorRowN is the sweep for kernel rows of any segw words; the filter's
-// words are b[0], b[4], … (packXnorFilters' interleaving).
-func xnorRowN(out []float32, win []uint64, rs, segw int, b []uint64) {
-	ss := 2*segw + 1
-	for ox := range out {
-		h, nzc := 0, 0
-		for ky := 0; ky < 3; ky++ {
-			v := win[ky*rs+ox*ss : ky*rs+(ox+1)*ss]
-			for i := 0; i < segw; i++ {
-				h += bits.OnesCount64((v[2*i] ^ b[4*(ky*segw+i)]) & v[2*i+1])
-			}
-			nzc += int(v[2*segw])
-		}
-		out[ox] = float32(nzc - 2*h)
 	}
 }
 
@@ -260,58 +331,95 @@ func (pl Planes) Place(i, c0 int, maps [][]byte, f int) {
 	// Every image pixel gets the same nonzero bits, so image row 0 (padded
 	// row 1) collects them and is copied to the others.
 	tmpl := nz[rsw : 2*rsw]
+	var px [1]uint64 // one pixel's bits, when they fit a word
 	for k, m := range maps {
 		if m != nil {
+			if c <= 64 {
+				setRun(px[:], c0+k*f, f)
+				continue
+			}
 			for x := 1; x <= w; x++ {
 				setRun(tmpl, x*c+c0+k*f, f)
 			}
 		}
+	}
+	for b := uint(c); px[0] != 0 && b <= uint(w*c); b += uint(c) {
+		tmpl[b/64] |= px[0] << (b % 64)
+		tmpl[b/64+1] |= px[0] >> 1 >> (63 - b%64)
 	}
 	for y := 2; y <= h; y++ {
 		for j, v := range tmpl {
 			nz[y*rsw+j] |= v
 		}
 	}
-	// Signs, 64 channels at a time: per 8-pixel run of a row, eight
-	// channels are one 8×8 bit transpose, and a pixel's channels are then
-	// one run of bits.
-	var src [64][]byte // the chunk's channels: their map, nil if absent
-	var off [64]int    // the bit where each one's plane starts
-	for k64 := 0; k64 < n; k64 += 64 {
-		cn := min(64, n-k64)
-		for k := 0; k < cn; k++ {
-			src[k], off[k] = maps[(k64+k)/f], (k64+k)%f*h*w
+	if tensor.CurrentKernelPath() == tensor.KernelSIMD && pl.placeSIMD(sgn, c0, maps, f) {
+		return
+	}
+	// Signs, eight channels at a time: per image row each channel's row
+	// is read as words of up to 56 pixels, and per 8-pixel run the eight
+	// channels' bytes are one 8×8 bit transpose from the run's pixels'
+	// channel bytes, each ored in at its pixel's bits.
+	for k0 := 0; k0 < n; k0 += 8 {
+		var src [8][]byte // the group's channels: their map, nil if absent
+		var off [8]int    // the bit where each one's plane starts
+		some := false
+		for k := 0; k < min(8, n-k0); k++ {
+			src[k], off[k] = maps[(k0+k)/f], (k0+k)%f*h*w
+			some = some || src[k] != nil
+		}
+		if !some {
+			continue
 		}
 		for y := 0; y < h; y++ {
-			row := uint((y+1)*rsw*64 + c0 + k64)
-			for x0 := 0; x0 < w; x0 += 8 {
-				var pix [8]uint64
-				for k0 := 0; k0 < cn; k0 += 8 {
-					var t uint64
-					for k := k0; k < min(cn, k0+8); k++ {
-						if src[k] != nil {
-							t |= bits8(src[k], off[k]+y*w+x0) << uint(8*(k-k0))
-						}
+			at := uint((y+1)*rsw*64 + c + c0 + k0) // image pixel 0's bit of the group
+			for x0 := 0; x0 < w; x0 += 56 {
+				var row [8]uint64
+				for k, m := range src {
+					if m != nil {
+						row[k] = loadBits(m, off[k]+y*w+x0)
 					}
+				}
+				xn := min(56, w-x0)
+				for j0 := uint(0); j0 < uint(xn); j0 += 8 {
+					t := row[0]>>j0&0xff | row[1]>>j0&0xff<<8 | row[2]>>j0&0xff<<16 | row[3]>>j0&0xff<<24 |
+						row[4]>>j0&0xff<<32 | row[5]>>j0&0xff<<40 | row[6]>>j0&0xff<<48 | row[7]>>j0&0xff<<56
 					if t == 0 {
 						continue
 					}
-					t = transpose8(t) // byte j: pixel x0+j's channels k0 … k0+7
-					for j := range pix {
-						pix[j] |= (t >> uint(8*j) & 0xff) << uint(k0)
-					}
-				}
-				b := row + uint((x0+1)*c)
-				for j := 0; j < min(8, w-x0); j, b = j+1, b+uint(c) {
-					if v := pix[j]; v != 0 {
+					t = transpose8(t) // byte j: pixel x0+j0+j's channels k0 … k0+7
+					b := at + (uint(x0)+j0)*uint(c)
+					for j, jn := uint(0), min(8, uint(xn)-j0); j < jn; j, b = j+1, b+uint(c) {
+						v := t >> (8 * j) & 0xff
 						q, r := b/64, b%64
 						sgn[q] |= v << r
-						sgn[q+1] |= v >> 1 >> (63 - r)
+						if r > 56 {
+							sgn[q+1] |= v >> (64 - r)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// placeSIMD runs Place's signs on the simd kernel, 32 channels a call,
+// and reports false, having placed nothing, for a width it does not take.
+func (pl Planes) placeSIMD(sgn []uint64, c0 int, maps [][]byte, f int) bool {
+	h, w, n := pl.H, pl.W, len(maps)*f
+	var chans [32][]byte
+	for k0 := 0; k0 < n; k0 += 32 {
+		kn := min(32, n-k0)
+		for k := range kn {
+			chans[k] = nil
+			if m := maps[(k0+k)/f]; m != nil {
+				chans[k] = m[(k0+k)%f*h*w/8:]
+			}
+		}
+		if !placeSignsSIMD(sgn, &chans, kn, h, w, pl.rsw*64, pl.rsw*64+pl.C+c0+k0, pl.C) {
+			return false
+		}
+	}
+	return true
 }
 
 // transpose8 transposes the 8×8 bit matrix whose row k is byte k of x.
@@ -334,16 +442,16 @@ func setRun(words []uint64, b, n int) {
 	}
 }
 
-// bits8 returns the eight bits of src from bit off on (LSB first), zero
-// past its end.
-func bits8(src []byte, off int) uint64 {
+// loadBits returns at least the 56 bits of src from bit off on (LSB
+// first) in one word, zero past its end.
+func loadBits(src []byte, off int) uint64 {
 	q, r := off/8, uint(off%8)
-	if r == 0 {
-		return uint64(src[q])
+	if q+8 <= len(src) {
+		return binary.LittleEndian.Uint64(src[q:]) >> r
 	}
-	v := uint64(src[q])
-	if q+1 < len(src) {
-		v |= uint64(src[q+1]) << 8
+	var v uint64
+	for i, b := range src[q:] {
+		v |= uint64(b) << (8 * uint(i))
 	}
-	return v >> r & 0xff
+	return v >> r
 }

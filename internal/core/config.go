@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"github.com/ddnn/ddnn-go/internal/agg"
+	"github.com/ddnn/ddnn-go/internal/bnn"
 	"github.com/ddnn/ddnn-go/internal/dataset"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
@@ -89,6 +90,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: cloud filters must be positive, got %d", c.CloudFilters)
 	case c.UseEdge && c.EdgeFilters <= 0:
 		return fmt.Errorf("core: edge filters must be positive, got %d", c.EdgeFilters)
+	case max(c.Devices*c.DeviceFilters, c.CloudFilters, c.EdgeFilters) > bnn.MaxPlaneChannels:
+		return fmt.Errorf("core: a bit-plane block takes at most %d input channels (int16 counts), got %d devices of %d filters, %d cloud and %d edge filters",
+			bnn.MaxPlaneChannels, c.Devices, c.DeviceFilters, c.CloudFilters, c.EdgeFilters)
 	}
 	for _, s := range []agg.Scheme{c.LocalAgg, c.CloudAgg} {
 		if s != agg.MP && s != agg.AP && s != agg.CC {

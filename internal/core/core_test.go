@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/ddnn/ddnn-go/internal/agg"
+	"github.com/ddnn/ddnn-go/internal/bnn"
 	"github.com/ddnn/ddnn-go/internal/branchy"
 	"github.com/ddnn/ddnn-go/internal/dataset"
 	"github.com/ddnn/ddnn-go/internal/nn"
@@ -68,6 +69,9 @@ func TestConfigValidate(t *testing.T) {
 		{"non-divisible input", func(c *Config) { c.InputH = 30 }, false},
 		{"zero device filters", func(c *Config) { c.DeviceFilters = 0 }, false},
 		{"zero cloud filters", func(c *Config) { c.CloudFilters = 0 }, false},
+		{"most cloud filters", func(c *Config) { c.CloudFilters = bnn.MaxPlaneChannels }, true},
+		{"too many cloud filters", func(c *Config) { c.CloudFilters = bnn.MaxPlaneChannels + 1 }, false},
+		{"too many CC channels", func(c *Config) { c.DeviceFilters = bnn.MaxPlaneChannels/6 + 1 }, false},
 		{"bad local agg", func(c *Config) { c.LocalAgg = 0 }, false},
 		{"bad cloud agg", func(c *Config) { c.CloudAgg = 99 }, false},
 		{"edge without filters", func(c *Config) { c.UseEdge = true; c.EdgeFilters = 0 }, false},

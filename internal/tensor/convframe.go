@@ -5,14 +5,17 @@ import (
 	"fmt"
 )
 
-// This file holds the two kernels of the integer ConvP block on byte
-// frames (bnn.ConvP.ForwardFrames): a 3×3 stride-1 ±1 convolution over
-// a zero-padded band of bytes that writes int16 sums, and the 3×3
-// stride-2 max pool that ends in an integer threshold and returns the
-// output signs as bits. Every sum is an exact integer — at most
-// 9·ch·255 in magnitude, which fits int16 for ch ≤ FrameMaxChannels —
-// so the paths agree by construction. The go path (and naive, which
-// has no kernel of its own) runs them in scalar code, simd in AVX2.
+// This file holds the integer kernels of the serving ConvP blocks: a
+// 3×3 stride-1 ±1 convolution over a zero-padded band of frame bytes
+// that writes int16 sums (the device block, bnn.ConvP.ForwardFrames),
+// and the 3×3 stride-2 max pool that ends in an integer threshold and
+// returns the output signs as bits — the epilogue of the device block
+// and of the bit-plane block (bnn.ConvP.ForwardPacked), whose XNOR
+// counts it reads in the same records. Every sum is an exact integer —
+// at most 9·ch·255 in magnitude for frames, which fits int16 for ch ≤
+// FrameMaxChannels — so the paths agree by construction. The go path
+// (and naive, which has no kernel of its own) runs them in scalar code,
+// simd in AVX2.
 //
 // The convolution writes each output row split by column parity, the
 // layout the stride-2 pool reads: a row record of FrameRowLen(w) int16
@@ -153,15 +156,17 @@ func frameTap(w int8, e, o, ve, vo uint64) (uint64, uint64) {
 // PoolFrameThreshold pools one filter's convolution records into sign
 // bits: pooled row j < prows reads the records rec[2j*rs:],
 // rec[(2j+1)*rs:] and rec[(2j+2)*rs:] — rows 2j−1, 2j and 2j+1 of a run
-// of records that starts at row −1 — with rs = FrameRowLen(w), w even.
-// Output px < w/2 of row j is the maximum m over its window's three
-// columns in those three rows, and bit off + j·w/2 + px of dst is set
+// of records that starts at row −1 — with rs = FrameRowLen(w). Output
+// px < (w+1)/2 of row j is the maximum m over its window's three
+// columns in those three rows, and bit off + j·(w+1)/2 + px of dst is set
 // when s·m > t1 (s = ±1; the other bits are left alone). Every window
-// must hold a column the convolution wrote: the caller pads column −1
-// and row −1 with −32768.
+// must hold a column the convolution wrote, and the caller pads what
+// lies outside the image with −32768: row −1, every row's column −1, for
+// an odd w column w's odd slot (record index 1+(w−1)/2), and for an odd
+// image height the row below it.
 func PoolFrameThreshold(path KernelPath, dst []byte, off int, rec []int16, w, prows int, s, t1 int16) {
-	rs, half, pw := FrameRowLen(w), FrameHalfWidth(w), w/2
-	if w%2 != 0 || len(rec) < 2*prows*rs+rs || len(dst)*8 < off+prows*pw {
+	rs, half, pw := FrameRowLen(w), FrameHalfWidth(w), (w+1)/2
+	if w < 1 || len(rec) < 2*prows*rs+rs || len(dst)*8 < off+prows*pw {
 		panic(fmt.Sprintf("tensor: PoolFrameThreshold w=%d: %d records of %d for %d pooled rows, %d bytes from bit %d", w, len(rec)/rs, rs, prows, len(dst), off))
 	}
 	if path == KernelSIMD && poolFrameSIMD(dst, off, rec, w, prows, s, t1) {
@@ -190,6 +195,10 @@ func PoolFrameThreshold(path KernelPath, dst []byte, off int, rec []int16, w, pr
 // byte being element 8·byte+i (PackSigns order). The bits of v at and
 // above k must be zero: they are not masked off.
 func OrBits(dst []byte, off int, v uint64, k int) {
+	if q := off / 8; off%8 == 0 && k == 64 && q+8 <= len(dst) {
+		binary.LittleEndian.PutUint64(dst[q:], binary.LittleEndian.Uint64(dst[q:])|v)
+		return
+	}
 	for k > 0 {
 		q, r := off/8, off%8
 		dst[q] |= byte(v << uint(r))

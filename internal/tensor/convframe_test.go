@@ -20,6 +20,19 @@ func frameRecIndex(c, half int) int {
 	}
 }
 
+// fusedPaths are the dispatch paths the ConvP pool and frame kernels
+// implement: the naive path runs the portable kernel, which the go path
+// covers.
+func fusedPaths() []KernelPath {
+	var out []KernelPath
+	for _, p := range KernelPaths() {
+		if p != KernelNaive {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // frameSentinel marks int16 slots no kernel may write.
 const frameSentinel = int16(0x5A5A)
 
@@ -226,7 +239,7 @@ func TestOrBitsMatchesBitLoop(t *testing.T) {
 
 // TestPoolKernelsRejectShortSlices checks the bound checks that stand
 // in front of the simd kernels, which take raw pointers: each of
-// PoolThresholdRows, ConvFrame3x3 and PoolFrameThreshold runs on slices
+// ConvFrame3x3 and PoolFrameThreshold runs on slices
 // of exactly the length its contract names and panics, on every path,
 // when one of them is a single element short.
 func TestPoolKernelsRejectShortSlices(t *testing.T) {
@@ -236,23 +249,6 @@ func TestPoolKernelsRejectShortSlices(t *testing.T) {
 		return false
 	}
 	for _, path := range KernelPaths() {
-		// PoolThresholdRows: p = 2 rows of k = 8, step 20.
-		const p, k, step = 2, 8, 20
-		need := (p-1)*step + 2*k + 1
-		row := make([]float32, need)
-		short := row[:need-1]
-		if panics(func() { PoolThresholdRows(path, row, row, row, step, p, k, 1, 0) }) {
-			t.Fatalf("path=%v: PoolThresholdRows panicked on rows of the exact length", path)
-		}
-		for i, rs := range [][3][]float32{{short, row, row}, {row, short, row}, {row, row, short}} {
-			if !panics(func() { PoolThresholdRows(path, rs[0], rs[1], rs[2], step, p, k, 1, 0) }) {
-				t.Fatalf("path=%v: PoolThresholdRows ran with row %d one short", path, i)
-			}
-		}
-		if !panics(func() { PoolThresholdRows(path, row, row, row, 0, 5, 13, 1, 0) }) {
-			t.Fatalf("path=%v: PoolThresholdRows ran 65 outputs", path)
-		}
-
 		// ConvFrame3x3: 3 channels, 5 filters, 2 rows of 10 columns.
 		const ch, filters, rows, w = 3, 5, 2, 10
 		wp, plane, rs := w+2, (rows+2)*(w+2), FrameRowLen(w)

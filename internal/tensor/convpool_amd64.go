@@ -1,17 +1,5 @@
 package tensor
 
-// poolThresholdKernel4 (convpool_amd64.s) computes rows pooled rows of
-// quads×4 outputs of PoolThresholdRows as bits; step is in bytes.
-//
-//go:noescape
-func poolThresholdKernel4(r0, r1, r2 *float32, step, rows, quads int, s, t float32) uint64
-
-// poolThresholdRowsSIMD runs the AVX2 kernel; the caller keeps k a
-// multiple of 4.
-func poolThresholdRowsSIMD(r0, r1, r2 []float32, step, p, k int, s, t float32) uint64 {
-	return poolThresholdKernel4(&r0[0], &r1[0], &r2[0], 4*step, p, k/4, s, t)
-}
-
 // convFrameKernel4x32 (convpool_amd64.s) computes four filters × 32
 // columns of one row of ConvFrame3x3: odd columns to dst, even ones to
 // dst+eoff, filters ds int16 apart.
@@ -44,16 +32,32 @@ func convFrameSIMD(dst []int16, ds int, w []int8, src []byte, ch, plane, wp, row
 
 // poolFrameSIMD runs PoolFrameThreshold's groups of 16 outputs on the
 // AVX2 kernel, up to 64 pooled rows a call, and keeps each row's bits
-// below w/2. A full group that starts on a byte boundary (every group
-// of the device geometry) is ored in as two bytes.
+// below (w+1)/2. A full group that starts on a byte boundary (every
+// group of the device geometry) is ored in as two bytes; rows of at most
+// one group, whose bits are consecutive, are ored in up to 64 bits at a
+// time.
 func poolFrameSIMD(dst []byte, off int, rec []int16, w, prows int, s, t1 int16) bool {
-	rs, half, pw := FrameRowLen(w), FrameHalfWidth(w), w/2
+	rs, half, pw := FrameRowLen(w), FrameHalfWidth(w), (w+1)/2
 	var out [64]uint16
 	for j0 := 0; j0 < prows; j0 += len(out) {
 		n := min(len(out), prows-j0)
 		for px0 := 0; px0 < pw; px0 += 16 {
 			k := min(16, pw-px0)
 			poolFrameKernel16(&rec[2*j0*rs+px0], rs, half, n, s, t1, &out[0])
+			if k == pw && k < 16 { // the row's only group: batch the rows' bits
+				var acc uint64
+				at, nb := off+j0*pw, 0
+				for _, bits := range out[:n] {
+					if nb+k > 64 {
+						OrBits(dst, at, acc, nb)
+						at, acc, nb = at+nb, 0, 0
+					}
+					acc |= uint64(bits) & (1<<k - 1) << nb
+					nb += k
+				}
+				OrBits(dst, at, acc, nb)
+				continue
+			}
 			for j, bits := range out[:n] {
 				at := off + (j0+j)*pw + px0
 				if k == 16 && at%8 == 0 {

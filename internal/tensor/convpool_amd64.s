@@ -1,121 +1,8 @@
 #include "textflag.h"
 
-// AVX2 kernels of the serving ConvP blocks: the max pool and threshold
-// of the bit-domain block, over float rows of exact integers, and the
-// integer convolution and pool of the byte-frame block. Each is
-// bit-identical to its portable kernel.
-
-// POOLROW folds one input row's three window columns into the running
-// maxima in Y0, in kx order. The row pointer addresses input column
-// 2·i0−1 for the group's first output i0: the even elements of the 16
-// floats at (r) are the kx=0 taps, the odd ones kx=1, and the odd
-// elements of the 16 floats at 4(r) are kx=2. VSHUFPS works within
-// 128-bit halves, so all three land in the same permuted lane order
-// (outputs 0,1,4,5 | 2,3,6,7), which the caller undoes once at the end.
-//
-// VMAXPS returns its second source unless the first compares greater
-// (so also when either is NaN); with the candidate first and the
-// running maximum second that is `v > m ? v : m` — NaN never wins.
-#define POOLROW(r) \
-	VMOVUPS (r), Y1; \
-	VMOVUPS 32(r), Y2; \
-	VSHUFPS $0x88, Y2, Y1, Y3; \
-	VSHUFPS $0xDD, Y2, Y1, Y4; \
-	VMOVUPS 4(r), Y1; \
-	VMOVUPS 36(r), Y2; \
-	VSHUFPS $0xDD, Y2, Y1, Y5; \
-	VMAXPS Y0, Y3, Y0; \
-	VMAXPS Y0, Y4, Y0; \
-	VMAXPS Y0, Y5, Y0
-
-// POOLROWX is POOLROW for four outputs in XMM registers, where VSHUFPS
-// already yields output order.
-#define POOLROWX(r) \
-	VMOVUPS (r), X1; \
-	VMOVUPS 16(r), X2; \
-	VSHUFPS $0x88, X2, X1, X3; \
-	VSHUFPS $0xDD, X2, X1, X4; \
-	VMOVUPS 4(r), X1; \
-	VMOVUPS 20(r), X2; \
-	VSHUFPS $0xDD, X2, X1, X5; \
-	VMAXPS X0, X3, X0; \
-	VMAXPS X0, X4, X0; \
-	VMAXPS X0, X5, X0
-
-// func poolThresholdKernel4(r0, r1, r2 *float32, step, rows, quads int, s, t float32) uint64
-//
-// The 3×3 stride-2 max pool with a threshold for an epilogue, over
-// rows pooled rows step bytes apart: per row quads×4 window maxima m,
-// eight at a time and then a last four, and bit i of the result set
-// where s·m >= t (ordered), i counting outputs across the rows. A
-// group's bits come from VMOVMSKPS and land at its first output's
-// position.
-TEXT ·poolThresholdKernel4(SB), NOSPLIT, $0-64
-	MOVQ r0+0(FP), R8
-	MOVQ r1+8(FP), R9
-	MOVQ r2+16(FP), R10
-	MOVQ step+24(FP), R12
-	MOVQ rows+32(FP), R13
-	MOVQ quads+40(FP), DI
-	VBROADCASTSS s+48(FP), Y8
-	VBROADCASTSS t+52(FP), Y9
-
-	VPCMPEQD Y10, Y10, Y10
-	VPSLLD $23, Y10, Y10    // 0xFF800000 = −Inf
-
-	XORQ AX, AX             // result
-	XORQ CX, CX             // bit position of the next group (CL: the shift count)
-
-threshrow:
-	MOVQ R8, R11            // the row's cursors
-	MOVQ R9, R14
-	MOVQ R10, SI
-	MOVQ DI, DX
-	SHRQ $1, DX             // groups of eight
-	JE threshquad
-
-threshgroup:
-	VMOVAPS Y10, Y0
-	POOLROW(R11)
-	POOLROW(R14)
-	POOLROW(SI)
-	VPERMPD $0xD8, Y0, Y0   // back to output order
-	VMULPS Y8, Y0, Y0
-	VCMPPS $13, Y9, Y0, Y1  // s·m >= t, ordered (GE_OS)
-	VMOVMSKPS Y1, BX
-	SHLQ CX, BX
-	ORQ BX, AX
-	ADDQ $8, CX
-	ADDQ $64, R11
-	ADDQ $64, R14
-	ADDQ $64, SI
-	DECQ DX
-	JNE threshgroup
-
-threshquad:
-	TESTQ $1, DI            // a trailing group of four
-	JE threshnext
-	VMOVAPS X10, X0
-	POOLROWX(R11)
-	POOLROWX(R14)
-	POOLROWX(SI)
-	VMULPS X8, X0, X0
-	VCMPPS $13, X9, X0, X1
-	VMOVMSKPS X1, BX
-	SHLQ CX, BX
-	ORQ BX, AX
-	ADDQ $4, CX
-
-threshnext:
-	ADDQ R12, R8
-	ADDQ R12, R9
-	ADDQ R12, R10
-	DECQ R13
-	JNE threshrow
-
-	MOVQ AX, ret+56(FP)
-	VZEROUPPER
-	RET
+// AVX2 kernels of the serving ConvP blocks: the integer convolution of
+// the byte-frame block and the int16 pool and threshold every serving
+// block ends in. Each is bit-identical to its portable kernel.
 
 // FROW is one filter's kernel row in convFrameKernel4x32: VPMADDUBSW
 // multiplies the frame bytes (unsigned) by the filter's signed byte
