@@ -19,19 +19,20 @@ import (
 // compare per output by evaluating the float epilogue's own expression
 // at v = m·2⁻⁸ for every m (deriveThresholds). The block therefore
 // writes the PackSigns bits the layered forward's ±1 map packs to, bit
-// for bit, on every kernel path: frame bytes in, a zero-padded byte
-// band, int16 sums (tensor.ConvFrame3x3), an int16 pool ending in the
-// threshold (tensor.PoolFrameThreshold), bits out.
+// for bit, on every kernel path: frame bytes in, read where they lie,
+// int16 sums from a table of each frame row's ±1 row sums
+// (tensor.ConvFrame3x3), an int16 pool ending in the threshold
+// (tensor.PoolFrameThreshold), bits out.
 
 // frameUnit is the value of one frame grid step, 2⁻⁸.
 const frameUnit = 1.0 / 256
 
 // frameEpilogue is what a Frames block derives from its parameters in
-// SyncWeights: the convolution's byte weight table and each filter's
-// integer threshold (see threshold).
+// SyncWeights: the convolution's taps — each kernel row's row sum — and
+// each filter's integer threshold (see threshold).
 type frameEpilogue struct {
-	weights []int8
-	thresh  []threshold
+	taps   tensor.FrameTaps
+	thresh []threshold
 }
 
 // sync re-derives the epilogue of b.
@@ -40,26 +41,25 @@ func (fe *frameEpilogue) sync(b *ConvP) {
 	if conv.InC > tensor.FrameMaxChannels {
 		panic(fmt.Sprintf("bnn: frame block %s has %d channels, at most %d fit int16 sums", conv.Weight.Name, conv.InC, tensor.FrameMaxChannels))
 	}
-	fe.weights = tensor.FrameWeights(fe.weights, conv.Weight.Value.Data(), conv.OutC, conv.InC)
+	fe.taps.Set(conv.Weight.Value.Data(), conv.OutC, conv.InC)
 	fe.thresh = deriveThresholds(fe.thresh, b.BN, 9*conv.InC*255, frameUnit)
 }
 
 // framePlan is the scratch layout of ForwardFrames for one geometry:
-// per filter, h+1 convolution row records of rs int16 (the first is row
-// −1, the pool's padding), then the zero-padded byte band of c planes,
-// h+2 rows of wp bytes each.
+// the convolution's row-sum table of words words, then per filter h+1
+// convolution row records of rs int16 (the first is row −1, the pool's
+// padding).
 type framePlan struct {
 	c, h, w, f int
-	wp, plane  int
+	words      int // row-sum table
 	rs, ds     int // record length; records per filter × rs
-	size       int // scratch bytes: records, band and its slack
+	size       int // scratch bytes: table and records
 }
 
 func planFrames(c, h, w, f int) framePlan {
-	pl := framePlan{c: c, h: h, w: w, f: f, wp: w + 2, rs: tensor.FrameRowLen(w)}
-	pl.plane = (h + 2) * pl.wp
+	pl := framePlan{c: c, h: h, w: w, f: f, words: tensor.FrameTableLen(c, w), rs: tensor.FrameRowLen(w)}
 	pl.ds = (h + 1) * pl.rs
-	pl.size = 2*f*pl.ds + c*pl.plane + tensor.FrameBandSlack
+	pl.size = 8*pl.words + 2*f*pl.ds
 	return pl
 }
 
@@ -95,12 +95,10 @@ func (b *ConvP) ForwardFrames(frames []byte, n, h, w int, p *tensor.Pool) []byte
 func (b *ConvP) framesRange(path tensor.KernelPath, frames, out []byte, stride int, pl framePlan, p *tensor.Pool, n0, n1 int) {
 	buf := p.GetBytes(pl.size)
 	defer p.PutBytes(buf)
-	rec := unsafe.Slice((*int16)(unsafe.Pointer(&buf[0])), pl.f*pl.ds)
-	band := buf[2*len(rec):]
-	// The band's borders and the records' padding (row −1 and every
-	// row's column −1) are never written by a sample, so they are set
-	// once.
-	clear(band)
+	table := unsafe.Slice((*uint64)(unsafe.Pointer(&buf[0])), pl.words)
+	rec := unsafe.Slice((*int16)(unsafe.Pointer(&buf[8*pl.words])), pl.f*pl.ds)
+	// The records' padding (row −1 and every row's column −1) is never
+	// written by a sample, so it is set once.
 	for f := 0; f < pl.f; f++ {
 		recs := rec[f*pl.ds : (f+1)*pl.ds]
 		for i := range recs[:pl.rs] {
@@ -113,15 +111,7 @@ func (b *ConvP) framesRange(path tensor.KernelPath, frames, out []byte, stride i
 	fe := &b.frames
 	size, pooled := pl.c*pl.h*pl.w, (pl.h/2)*(pl.w/2)
 	for ni := n0; ni < n1; ni++ {
-		frame := frames[ni*size : (ni+1)*size]
-		for ci := 0; ci < pl.c; ci++ {
-			dst := band[ci*pl.plane+pl.wp+1:]
-			for y := 0; y < pl.h; y++ {
-				copy(dst[y*pl.wp:], frame[:pl.w])
-				frame = frame[pl.w:]
-			}
-		}
-		tensor.ConvFrame3x3(path, rec, pl.ds, fe.weights, band, pl.c, pl.plane, pl.wp)
+		tensor.ConvFrame3x3(path, rec, pl.ds, &fe.taps, frames[ni*size:(ni+1)*size], pl.h, pl.w, table)
 		signs := out[ni*stride : (ni+1)*stride]
 		for f, th := range fe.thresh {
 			tensor.PoolFrameThreshold(path, signs, f*pooled, rec[f*pl.ds:(f+1)*pl.ds], pl.w, pl.h/2, th.s, th.t1)

@@ -38,15 +38,16 @@ const frameSentinel = int16(0x5A5A)
 
 // TestConvFrame3x3DiffAllPaths pins the byte-frame convolution's raw
 // int16 sums on both paths to the formula in its contract, computed in
-// int for each real output from the ±1 weights and the padded bytes —
-// before any pool or threshold, where an error shows in every sum and
-// not only at a threshold crossing. It covers every channel count up to
-// FrameMaxChannels (all-255 bytes under all-+1 or all-−1 weights reach
-// the int16 bound), filter counts on both sides of the simd tile of
-// four, widths on both sides of its 32 columns, zero to several rows,
-// a filter stride larger than a filter's records, and junk in the band's
-// slack. Column −1, row −1, the gap between filters and everything past
-// the last record must stay untouched.
+// int for each real output from the ±1 weights and the frame bytes
+// (zero outside the frame) — before any pool or threshold, where an
+// error shows in every sum and not only at a threshold crossing. It
+// covers every channel count up to FrameMaxChannels (all-255 bytes under
+// all-+1 or all-−1 weights reach the int16 bound), filter counts on both
+// sides of the simd group of four, widths on both sides of its 32-column
+// runs, zero to several rows, a filter stride larger than a filter's
+// records, junk in the table scratch and junk around the frames, which
+// must not reach a sum. Column −1, row −1, the gap between filters and
+// everything past the last record must stay untouched.
 func TestConvFrame3x3DiffAllPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	widths := []int{1, 2, 7, 8, 15, 16, 31, 32, 33, 40, 63, 64, 65}
@@ -55,7 +56,6 @@ func TestConvFrame3x3DiffAllPaths(t *testing.T) {
 		filters := []int{1, 3, 4, 5, 8, 9}[rng.Intn(6)]
 		w := widths[rng.Intn(len(widths))]
 		rows := []int{0, 1, 2, 3, 5, 8}[rng.Intn(6)]
-		wp, plane := w+2, (rows+2)*(w+2)
 		rs, half := FrameRowLen(w), FrameHalfWidth(w)
 		ds := (rows+1)*rs + rng.Intn(3)*7
 
@@ -67,24 +67,26 @@ func TestConvFrame3x3DiffAllPaths(t *testing.T) {
 				wt[i] = float32(1 - 2*(i/(ch*9)%2)) // every filter all +1 or all −1
 			}
 		}
-		src := make([]byte, ch*plane+FrameBandSlack)
-		for i := range src {
-			src[i] = byte(rng.Intn(256)) // the slack keeps its junk
+		const junk = 40
+		around := make([]byte, junk+ch*rows*w+junk)
+		for i := range around {
+			around[i] = byte(rng.Intn(256)) // the bytes around the frames keep their junk
 		}
-		for c := 0; c < ch; c++ {
-			for y := 0; y < rows+2; y++ {
-				for x := 0; x < wp; x++ {
-					at := c*plane + y*wp + x
-					switch {
-					case y == 0 || y == rows+1 || x == 0 || x == wp-1:
-						src[at] = 0
-					case extreme:
-						src[at] = 255
-					}
-				}
+		frames := around[junk : junk+ch*rows*w]
+		if extreme {
+			for i := range frames {
+				frames[i] = 255
 			}
 		}
-		fw := FrameWeights(nil, wt, filters, ch)
+		at := func(c, y, x int) int {
+			if y < 0 || y >= rows || x < 0 || x >= w {
+				return 0
+			}
+			return int(frames[(c*rows+y)*w+x])
+		}
+		var taps FrameTaps
+		taps.Set(wt, filters, ch)
+		table := make([]uint64, FrameTableLen(ch, w))
 
 		n := (filters-1)*ds + (rows+1)*rs
 		for _, p := range fusedPaths() {
@@ -93,7 +95,10 @@ func TestConvFrame3x3DiffAllPaths(t *testing.T) {
 				backing[i] = frameSentinel
 			}
 			dst := backing[:n:n]
-			ConvFrame3x3(p, dst, ds, fw, src, ch, plane, wp)
+			for i := range table {
+				table[i] = rng.Uint64()
+			}
+			ConvFrame3x3(p, dst, ds, &taps, frames, rows, w, table)
 			mayWrite := make([]bool, len(backing))
 			for f := 0; f < filters; f++ {
 				for oy := 0; oy < rows; oy++ {
@@ -106,7 +111,7 @@ func TestConvFrame3x3DiffAllPaths(t *testing.T) {
 						for c := 0; c < ch; c++ {
 							for ky := 0; ky < 3; ky++ {
 								for kx := 0; kx < 3; kx++ {
-									want += int(wt[((f*ch+c)*3+ky)*3+kx]) * int(src[c*plane+(oy+ky)*wp+ox+kx])
+									want += int(wt[((f*ch+c)*3+ky)*3+kx]) * at(c, oy+ky-1, ox+kx-1)
 								}
 							}
 						}
@@ -251,19 +256,24 @@ func TestPoolKernelsRejectShortSlices(t *testing.T) {
 	for _, path := range KernelPaths() {
 		// ConvFrame3x3: 3 channels, 5 filters, 2 rows of 10 columns.
 		const ch, filters, rows, w = 3, 5, 2, 10
-		wp, plane, rs := w+2, (rows+2)*(w+2), FrameRowLen(w)
+		rs := FrameRowLen(w)
 		ds := (rows + 1) * rs
-		fw := FrameWeights(nil, make([]float32, filters*ch*9), filters, ch)
+		var taps FrameTaps
+		taps.Set(make([]float32, filters*ch*9), filters, ch)
 		dst := make([]int16, (filters-1)*ds+(rows+1)*rs)
-		src := make([]byte, ch*plane+FrameBandSlack)
-		if panics(func() { ConvFrame3x3(path, dst, ds, fw, src, ch, plane, wp) }) {
+		frames := make([]byte, ch*rows*w)
+		table := make([]uint64, FrameTableLen(ch, w))
+		if panics(func() { ConvFrame3x3(path, dst, ds, &taps, frames, rows, w, table) }) {
 			t.Fatalf("path=%v: ConvFrame3x3 panicked on slices of the exact length", path)
 		}
-		if !panics(func() { ConvFrame3x3(path, dst[:len(dst)-1], ds, fw, src, ch, plane, wp) }) {
+		if !panics(func() { ConvFrame3x3(path, dst[:len(dst)-1], ds, &taps, frames, rows, w, table) }) {
 			t.Fatalf("path=%v: ConvFrame3x3 ran with dst one short", path)
 		}
-		if !panics(func() { ConvFrame3x3(path, dst, ds, fw, src[:len(src)-1], ch, plane, wp) }) {
-			t.Fatalf("path=%v: ConvFrame3x3 ran with src one short", path)
+		if !panics(func() { ConvFrame3x3(path, dst, ds, &taps, frames[:len(frames)-1], rows, w, table) }) {
+			t.Fatalf("path=%v: ConvFrame3x3 ran with frames one short", path)
+		}
+		if !panics(func() { ConvFrame3x3(path, dst, ds, &taps, frames, rows, w, table[:len(table)-1]) }) {
+			t.Fatalf("path=%v: ConvFrame3x3 ran with its table one short", path)
 		}
 
 		// PoolFrameThreshold: 3 pooled rows of w/2 outputs from bit 5.

@@ -1,11 +1,20 @@
 package tensor
 
-// convFrameKernel4x32 (convpool_amd64.s) computes four filters × 32
-// columns of one row of ConvFrame3x3: odd columns to dst, even ones to
-// dst+eoff, filters ds int16 apart.
+import "unsafe"
+
+// frameStripAVX2 (convpool_amd64.s) writes a strip's row-sum table for
+// every channel: a zero row when top is 1, rows frame rows from frames
+// on, a zero row when bottom is 1.
 //
 //go:noescape
-func convFrameKernel4x32(dst *int16, ds, eoff int, w *int8, ws int, src *byte, ch, plane, wp int)
+func frameStripAVX2(tab *int16, frames *byte, ch, plane, w, top, rows, bottom, runLen int)
+
+// convFrameSumsAVX2 (convpool_amd64.s) adds up a strip's sums from its
+// row-sum table into the row records: one filter, eight rows and one run
+// of 32 columns at a time.
+//
+//go:noescape
+func convFrameSumsAVX2(rec *int16, ds, rs, half int, tab *int16, runLen, rows, runs, terms, filters int, taps *int32)
 
 // poolFrameKernel16 (convpool_amd64.s) computes one 16-output group of
 // PoolFrameThreshold for rows pooled rows, one uint16 of bits per row.
@@ -13,21 +22,19 @@ func convFrameKernel4x32(dst *int16, ds, eoff int, w *int8, ws int, src *byte, c
 //go:noescape
 func poolFrameKernel16(rec *int16, rs, half, rows int, s, t1 int16, out *uint16)
 
-// convFrameSIMD tiles filters by 4 and each output row by 32 columns
-// over the AVX2 kernel, and returns the first filter it left to the
-// portable kernel (a tail of fewer than 4).
-func convFrameSIMD(dst []int16, ds int, w []int8, src []byte, ch, plane, wp, rows, filters int) int {
-	iw := wp - 2
-	rs, half, ws := FrameRowLen(iw), FrameHalfWidth(iw), ch*24
-	f := 0
-	for ; f+4 <= filters; f += 4 {
-		for oy := 0; oy < rows; oy++ {
-			for x0 := 0; x0 < iw; x0 += frameTile {
-				convFrameKernel4x32(&dst[f*ds+(oy+1)*rs+1+x0/2], ds, half, &w[f*ws], ws, &src[oy*wp+x0], ch, plane, wp)
-			}
-		}
+// convFrameSIMD runs ConvFrame3x3 on the AVX2 kernels, strip by strip;
+// their table holds the sums themselves.
+func convFrameSIMD(dst []int16, ds, rs int, taps *FrameTaps, frames []byte, h, w int, table []uint64) bool {
+	half := FrameHalfWidth(w)
+	runLen := taps.ch * frameChanLen
+	tab := (*int16)(unsafe.Pointer(&table[0]))
+	for y0 := 0; y0 < h; y0 += frameStrip {
+		n := min(frameStrip, h-y0)
+		lo, hi := max(y0-1, 0), min(y0+n, h-1) // the frame rows the strip reads
+		frameStripAVX2(tab, &frames[lo*w], taps.ch, h*w, w, lo-(y0-1), hi-lo+1, y0+n-hi, runLen)
+		convFrameSumsAVX2(&dst[(y0+1)*rs+1], ds, rs, half, tab, runLen, n, half/16, 3*taps.ch, taps.filters, &taps.off[0])
 	}
-	return f
+	return true
 }
 
 // poolFrameSIMD runs PoolFrameThreshold's groups of 16 outputs on the

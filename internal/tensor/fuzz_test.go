@@ -3,7 +3,9 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 )
 
 // fuzzFill derives matrix elements from the fuzzer's raw byte pool:
@@ -166,6 +168,103 @@ func FuzzPoolFrameThresholdParity(f *testing.F) {
 				}
 				if want := int(s)*m > int(t1); got != want {
 					t.Fatalf("path=%v w=%d prows=%d off=%d s=%d t1=%d k=%d: row %d output %d = %v, reference %v (max %d)", p, w, prows, off, s, t1, k, j, px, got, want, m)
+				}
+			}
+		}
+	})
+}
+
+// FuzzConvFrame3x3Parity pins ConvFrame3x3's raw int16 records on every
+// dispatch path to the formula in its contract, computed in int from the
+// ±1 weights and the frame bytes (zero outside the frame). The fuzzer
+// picks 1–14 channels, 1–9 filters, even sides 2–40 (widths on both
+// sides of the 32-column runs), the weights and every frame byte; mode
+// makes the frames all 255 and every filter all +1 or all −1, which
+// reaches the int16 bound. The frames end just before a PROT_NONE page
+// (mode bit 0 clear) or start just after one, and the row-sum table ends
+// just before one, so a read outside the frames or a write past the table
+// faults; record slots outside the real rows' must keep their values.
+func FuzzConvFrame3x3Parity(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(15), uint8(15), uint8(0), []byte("conv-frame-seed-0123456789abcdef"))
+	f.Add(uint8(13), uint8(8), uint8(19), uint8(19), uint8(2), []byte{0xff})
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), []byte{})
+	f.Add(uint8(5), uint8(4), uint8(3), uint8(16), uint8(3), []byte{0x80, 0x7f, 0x01, 0xfe})
+	f.Fuzz(func(t *testing.T, cr, fr, hr, wr, mode uint8, raw []byte) {
+		ch, filters := 1+int(cr)%FrameMaxChannels, 1+int(fr)%9
+		h, w := 2+2*(int(hr)%20), 2+2*(int(wr)%20)
+		extreme := mode&2 != 0
+		word := func(i int) uint32 {
+			if len(raw) < 4 {
+				return uint32(i+1) * 2654435761
+			}
+			return binary.LittleEndian.Uint32(raw[(4*i)%(len(raw)-3):])
+		}
+		wt := make([]float32, filters*ch*9)
+		for i := range wt {
+			wt[i] = float32(int32(word(i)>>9&2) - 1)
+			if extreme {
+				wt[i] = float32(1 - 2*(i/(ch*9)%2))
+			}
+		}
+		var taps FrameTaps
+		taps.Set(wt, filters, ch)
+
+		frames := guardedBytes(t, ch*h*w, mode&1 != 0)
+		for i := range frames {
+			frames[i] = byte(word(i/4+filters*ch*9) >> (8 * (i % 4)))
+			if extreme {
+				frames[i] = 255
+			}
+		}
+		tb := guardedBytes(t, 8*FrameTableLen(ch, w), false)
+		table := unsafe.Slice((*uint64)(unsafe.Pointer(&tb[0])), len(tb)/8)
+		rs, half := FrameRowLen(w), FrameHalfWidth(w)
+		ds := (h + 1) * rs
+		at := func(c, y, x int) int {
+			if y < 0 || y >= h || x < 0 || x >= w {
+				return 0
+			}
+			return int(frames[(c*h+y)*w+x])
+		}
+		for _, p := range KernelPaths() {
+			for i := range table {
+				table[i] = uint64(word(i)) * 0x9E3779B97F4A7C15
+			}
+			dst := make([]int16, filters*ds)
+			for i := range dst {
+				dst[i] = frameSentinel
+			}
+			func() {
+				defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+				ConvFrame3x3(p, dst, ds, &taps, frames, h, w, table)
+			}()
+			for f := 0; f < filters; f++ {
+				for i := 0; i < ds; i++ {
+					oy, slot := i/rs-1, i%rs
+					if oy < 0 || slot == 0 {
+						if dst[f*ds+i] != frameSentinel {
+							t.Fatalf("path=%v ch=%d h=%d w=%d: filter %d wrote row %d slot %d outside the row records", p, ch, h, w, f, oy, slot)
+						}
+						continue
+					}
+					ox := 2*(slot-1) + 1 // odd column
+					if slot > half {
+						ox = 2 * (slot - 1 - half)
+					}
+					if ox >= w {
+						continue
+					}
+					want := 0
+					for c := 0; c < ch; c++ {
+						for ky := 0; ky < 3; ky++ {
+							for kx := 0; kx < 3; kx++ {
+								want += int(wt[((f*ch+c)*3+ky)*3+kx]) * at(c, oy+ky-1, ox+kx-1)
+							}
+						}
+					}
+					if got := dst[f*ds+i]; int(got) != want {
+						t.Fatalf("path=%v ch=%d filters=%d h=%d w=%d: filter %d (%d,%d) = %d, formula %d", p, ch, filters, h, w, f, oy, ox, got, want)
+					}
 				}
 			}
 		}
