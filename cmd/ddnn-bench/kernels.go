@@ -305,6 +305,34 @@ func runKernels(out io.Writer, jsonPath string) error {
 			MinSpeedup: floor,
 		})
 	}
+	// The device block's convolution alone (frame_conv_device_b32): the
+	// row-sum table kernel over the same batch-32 frames, into one
+	// sample's records at a time as ForwardFrames runs it, per path.
+	var taps tensor.FrameTaps
+	binW := tensor.New(frameBlk.Conv.Latent.Value.Shape()...)
+	bnn.Binarize(binW, frameBlk.Conv.Latent.Value)
+	taps.Set(binW.Data(), m.Cfg.DeviceFilters, m.Cfg.InputC)
+	h, w := m.Cfg.InputH, m.Cfg.InputW
+	recDs := (h + 1) * tensor.FrameRowLen(w)
+	frameConv := func(b *testing.B) {
+		b.ReportAllocs()
+		rec := make([]int16, m.Cfg.DeviceFilters*recDs)
+		table := make([]uint64, tensor.FrameTableLen(m.Cfg.InputC, w))
+		size := m.Cfg.InputC * h * w
+		for i := 0; i < b.N; i++ {
+			batch := frames[i%forwardSets]
+			for s := 0; s < 32; s++ {
+				tensor.ConvFrame3x3(tensor.CurrentKernelPath(), rec, recDs, &taps, batch[s*size:(s+1)*size], h, w, table)
+			}
+		}
+	}
+	var convNames []string
+	var convFs []func(b *testing.B)
+	for _, path := range tensor.KernelPaths() {
+		convNames = append(convNames, "frame_conv_device_b32["+path.String()+"]")
+		convFs = append(convFs, onPath(path, frameConv))
+	}
+	addPaired(convNames, convFs...)
 	// The XNOR convolution against the layered forward on the two cloud
 	// blocks, whose inputs are ternary: ForwardPooled on the ±1 maps as
 	// floats, and ForwardPacked on the same maps as bit planes, built

@@ -130,11 +130,19 @@ func (wl xnorWindow) assemble(win, seg []uint64, w int, tails *windowTails) {
 	for ox := 0; ox < w; ox++ {
 		k := ox/2 + ox%2*ne
 		v := win[k*ws : (k+1)*ws : (k+1)*ws]
-		clear(v[6*q : 2*wl.ww])
+		// A window's few words are moved word by word: a copy or clear
+		// call per row costs more than the words it moves.
+		tail := v[6*q : 2*wl.ww]
+		for i := range tail {
+			tail[i] = 0
+		}
 		nzc := 0
 		for ky := 0; ky < 3; ky++ {
 			sg := seg[(ky*w+ox)*ss : (ky*w+ox+1)*ss : (ky*w+ox+1)*ss]
-			copy(v[2*ky*q:2*(ky+1)*q], sg)
+			row := v[2*ky*q : 2*(ky+1)*q]
+			for i, x := range sg[:len(row)] {
+				row[i] = x
+			}
 			if wl.t > 0 {
 				j, sh := tails[3*ky]/8, uint(tails[3*ky+1])
 				v[j] |= sg[2*q] << sh

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
@@ -82,8 +83,14 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	m := float32(n * s)
-	bn.xhat = tensor.New(x.Shape()...)
-	bn.invStd = make([]float32, c)
+	// Every element of xhat and invStd is written below, so the last
+	// step's are reused when the shape matches.
+	if bn.xhat == nil || !slices.Equal(bn.xhat.Shape(), x.Shape()) {
+		bn.xhat = tensor.New(x.Shape()...)
+	}
+	if len(bn.invStd) != c {
+		bn.invStd = make([]float32, c)
+	}
 	bn.shape = x.Shape()
 	xh := bn.xhat.Data()
 	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()

@@ -168,6 +168,59 @@ func TestMaxPoolPaddingNeverWins(t *testing.T) {
 	}
 }
 
+// TestMaxPoolArgmaxWithoutFiniteValues pins MaxPool2D on a window whose
+// in-bounds values are all NaN or all −Inf, on plane 0 and on a later
+// plane: the output stays −Inf, the argmax is the window's first
+// in-bounds element, and Backward sends that output's gradient there —
+// not to index −1 (a panic on plane 0) nor to the previous plane's last
+// element.
+func TestMaxPoolArgmaxWithoutFiniteValues(t *testing.T) {
+	const n, c, h, w = 2, 2, 4, 4
+	for _, fill := range []float32{float32(math.NaN()), float32(math.Inf(-1))} {
+		for _, plane := range []int{0, 3} {
+			x := tensor.New(n, c, h, w)
+			xd := x.Data()
+			for i := range xd {
+				xd[i] = float32(i%7) - 3
+			}
+			// Window (0, 0) of the 3×3 stride-2 pad-1 pool reads rows and
+			// columns 0 and 1.
+			for _, at := range []int{0, 1, w, w + 1} {
+				xd[plane*h*w+at] = fill
+			}
+			p := NewMaxPool2D(3, 2, 1)
+			y := p.Forward(x, true)
+			oh, ow := y.Dim(2), y.Dim(3)
+			if got := y.Data()[plane*oh*ow]; !math.IsInf(float64(got), -1) {
+				t.Fatalf("fill=%g plane=%d: output %g, want -Inf", fill, plane, got)
+			}
+			if got, want := p.argmax[plane*oh*ow], int32(plane*h*w); got != want {
+				t.Fatalf("fill=%g plane=%d: argmax %d, want the window's first element %d", fill, plane, got, want)
+			}
+			grad := tensor.New(y.Shape()...)
+			for i := range grad.Data() {
+				grad.Data()[i] = float32(1 + i)
+			}
+			dx := p.Backward(grad).Data()
+			for pl := 0; pl < n*c; pl++ {
+				var got, want float32
+				for _, v := range dx[pl*h*w : (pl+1)*h*w] {
+					got += v
+				}
+				for _, v := range grad.Data()[pl*oh*ow : (pl+1)*oh*ow] {
+					want += v
+				}
+				if got != want {
+					t.Fatalf("fill=%g plane=%d: plane %d receives gradient %g, its outputs carry %g", fill, plane, pl, got, want)
+				}
+			}
+			if got, want := dx[plane*h*w], grad.Data()[plane*oh*ow]; got != want {
+				t.Fatalf("fill=%g plane=%d: the window's first element receives %g, want %g", fill, plane, got, want)
+			}
+		}
+	}
+}
+
 func TestConv2DIdentityKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := NewConv2D(rng, "c", 1, 1, 3, 1, 1, false)

@@ -36,7 +36,13 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := p.checkInput(x)
 	y := tensor.New(n, c, p.OutSize(h), p.OutSize(w))
 	if train {
-		p.argmax = make([]int32, y.Size())
+		// Every forward writes each output's argmax, so the last step's
+		// slice is reused as it is.
+		if cap(p.argmax) >= y.Size() {
+			p.argmax = p.argmax[:y.Size()]
+		} else {
+			p.argmax = make([]int32, y.Size())
+		}
 		p.inShape = x.Shape()
 		p.outShape = y.Shape()
 	}
@@ -66,7 +72,9 @@ func (p *MaxPool2D) checkInput(x *tensor.Tensor) (n, c, h, w int) {
 // The scan order (window row-major) matches the original per-element
 // bounds-checked loop, so the winning index on ties is unchanged. A
 // value wins only when it compares greater than the running maximum,
-// which starts at -Inf: NaN never wins, and this scan — with or without
+// which starts at -Inf: NaN never wins — a window with no value above
+// -Inf keeps -Inf and its first in-bounds element as the argmax — and
+// this scan — with or without
 // the argmax bookkeeping — is the pool oracle the fused ConvP kernel is
 // tested against. The n·C planes are independent, so big pools are
 // split over them across the worker pool (each chunk at least
@@ -114,7 +122,7 @@ func (p *MaxPool2D) planesInto(y, x *tensor.Tensor, lo, hi int, train bool) {
 					ix1 = w
 				}
 				best := negInf
-				bestIdx := int32(-1)
+				bestIdx := int32(iy0*w + ix0)
 				for iy := iy0; iy < iy1; iy++ {
 					row := in[iy*w+ix0 : iy*w+ix1]
 					for i, v := range row {

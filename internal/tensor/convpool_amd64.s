@@ -5,8 +5,13 @@
 // every serving block ends in. Each is bit-identical to its portable
 // kernel.
 
+// SUMLEN is frameSumLen, the bytes between a channel's sums in the
+// row-sum table, and CHANLEN frameChanLen, the bytes between channels.
+#define SUMLEN 2176
+#define CHANLEN (4*SUMLEN)
+
 // FSUMS stores a run's four sums of 16 columns of one parity at off,
-// off+2176, off+4352 and off+6528 from BX (frameSumLen apart): a+b+c,
+// off+SUMLEN, off+2·SUMLEN and off+3·SUMLEN from BX: a+b+c,
 // a+b−c, a−b+c and −a+b+c as s+P, s+M, s−M and P−s (even columns: s
 // the bytes left of them, P and M the sum and difference of their own
 // and the odd ones to their right) or as P+s, P−s, M+s and s−M (odd
@@ -14,9 +19,9 @@
 // their left and their own).
 #define FSUMS(v0, v1, v2, v3, off) \
 	VMOVDQU v0, off(BX); \
-	VMOVDQU v1, 2176+off(BX); \
-	VMOVDQU v2, 4352+off(BX); \
-	VMOVDQU v3, 6528+off(BX)
+	VMOVDQU v1, SUMLEN+off(BX); \
+	VMOVDQU v2, 2*SUMLEN+off(BX); \
+	VMOVDQU v3, 3*SUMLEN+off(BX)
 
 // FRUN writes one run of 32 columns of the row-sum table to BX: Y0 holds
 // the run's bytes, AX the byte after it (zero past the row's end) and
@@ -56,12 +61,12 @@
 L: \
 	VMOVDQU Y14, (BX); \
 	VMOVDQU Y14, 32(BX); \
-	VMOVDQU Y14, 2176(BX); \
-	VMOVDQU Y14, 2208(BX); \
-	VMOVDQU Y14, 4352(BX); \
-	VMOVDQU Y14, 4384(BX); \
-	VMOVDQU Y14, 6528(BX); \
-	VMOVDQU Y14, 6560(BX); \
+	VMOVDQU Y14, SUMLEN(BX); \
+	VMOVDQU Y14, SUMLEN+32(BX); \
+	VMOVDQU Y14, 2*SUMLEN(BX); \
+	VMOVDQU Y14, 2*SUMLEN+32(BX); \
+	VMOVDQU Y14, 3*SUMLEN(BX); \
+	VMOVDQU Y14, 3*SUMLEN+32(BX); \
 	ADDQ R11, BX; \
 	SUBQ $32, CX; \
 	JGT L
@@ -140,7 +145,7 @@ striprowdone:
 	FZERO(stripzerobottom)
 stripchanneldone:
 	ADDQ R13, R12
-	ADDQ $8704, DI          // frameChanLen
+	ADDQ $CHANLEN, DI
 	DECQ R8
 	JNE stripchannel
 	VZEROUPPER
