@@ -59,7 +59,7 @@ func FrameRowLen(w int) int { return 1 + 2*FrameHalfWidth(w) }
 // bytes, so a filter's term for the strip's first output row is one
 // table offset from its run, and the next rows' lie 64 bytes apart.
 const (
-	frameStrip   = 32
+	frameStrip   = 16
 	frameSums    = 4
 	frameRowSize = 64                              // bytes of one run of one sum row
 	frameSumLen  = (frameStrip + 2) * frameRowSize // bytes of one sum of a strip

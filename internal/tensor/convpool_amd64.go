@@ -17,7 +17,8 @@ func frameStripAVX2(tab *int16, frames *byte, ch, plane, w, top, rows, bottom, r
 func convFrameSumsAVX2(rec *int16, ds, rs, half int, tab *int16, runLen, rows, runs, terms, filters int, taps *int32)
 
 // poolFrameKernel16 (convpool_amd64.s) computes one 16-output group of
-// PoolFrameThreshold for rows pooled rows, one uint16 of bits per row.
+// PoolFrameThreshold for rows pooled rows, oring one uint16 of bits per
+// row into out.
 //
 //go:noescape
 func poolFrameKernel16(rec *int16, rs, half, rows int, s, t1 int16, out *uint16)
@@ -38,18 +39,24 @@ func convFrameSIMD(dst []int16, ds, rs int, taps *FrameTaps, frames []byte, h, w
 }
 
 // poolFrameSIMD runs PoolFrameThreshold's groups of 16 outputs on the
-// AVX2 kernel, up to 64 pooled rows a call, and keeps each row's bits
-// below (w+1)/2. A full group that starts on a byte boundary (every
-// group of the device geometry) is ored in as two bytes; rows of at most
-// one group, whose bits are consecutive, are ored in up to 64 bits at a
-// time.
+// AVX2 kernel and keeps each row's bits below (w+1)/2. Rows of exactly
+// one group from a byte boundary (the device geometry's) are consecutive
+// uint16s of dst, which the kernel ors into in place. Otherwise it takes
+// up to 64 pooled rows a call into a scratch: a full group that starts
+// on a byte boundary is ored in as two bytes; rows of at most one group,
+// whose bits are consecutive, are ored in up to 64 bits at a time.
 func poolFrameSIMD(dst []byte, off int, rec []int16, w, prows int, s, t1 int16) bool {
 	rs, half, pw := FrameRowLen(w), FrameHalfWidth(w), (w+1)/2
+	if pw == 16 && off%8 == 0 {
+		poolFrameKernel16(&rec[0], rs, half, prows, s, t1, (*uint16)(unsafe.Pointer(&dst[off/8])))
+		return true
+	}
 	var out [64]uint16
 	for j0 := 0; j0 < prows; j0 += len(out) {
 		n := min(len(out), prows-j0)
 		for px0 := 0; px0 < pw; px0 += 16 {
 			k := min(16, pw-px0)
+			clear(out[:n])
 			poolFrameKernel16(&rec[2*j0*rs+px0], rs, half, n, s, t1, &out[0])
 			if k == pw && k < 16 { // the row's only group: batch the rows' bits
 				var acc uint64

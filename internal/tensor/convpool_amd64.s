@@ -5,9 +5,10 @@
 // every serving block ends in. Each is bit-identical to its portable
 // kernel.
 
-// SUMLEN is frameSumLen, the bytes between a channel's sums in the
-// row-sum table, and CHANLEN frameChanLen, the bytes between channels.
-#define SUMLEN 2176
+// SUMLEN is frameSumLen, (frameStrip+2)·64, the bytes between a
+// channel's sums in the row-sum table, and CHANLEN frameChanLen, the
+// bytes between channels; they must match convframe.go.
+#define SUMLEN 1152
 #define CHANLEN (4*SUMLEN)
 
 // FSUMS stores a run's four sums of 16 columns of one parity at off,
@@ -322,7 +323,7 @@ sumstored:
 // row, the window maxima of the odd columns at 0 and 1 and the even
 // column at 1+half of three records (VPMAXSW: exact, in any order), then
 // s·m > t1 (VPSIGNW, VPCMPGTW) packed to 16 bits in output order, one
-// uint16 per row to out.
+// uint16 per row ored into out.
 TEXT ·poolFrameKernel16(SB), NOSPLIT, $0-48
 	MOVQ rec+0(FP), SI
 	MOVQ rs+8(FP), DX
@@ -352,7 +353,7 @@ poolframerow:
 	VEXTRACTI128 $1, Y0, X1
 	VPACKSSWB X1, X0, X0
 	VPMOVMSKB X0, BX
-	MOVW BX, (DI)
+	ORW BX, (DI)
 	ADDQ $2, DI
 	ADDQ R9, SI
 	DECQ CX
