@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"slices"
+
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
@@ -20,22 +22,14 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := x.Clone()
 	yd := y.Data()
-	if !train {
-		for i, v := range yd {
-			if v <= 0 {
-				yd[i] = 0
-			}
-		}
-		return y
-	}
-	// Every entry of the mask is written, so the last step's is reused.
-	if cap(r.mask) >= len(yd) {
-		r.mask = r.mask[:len(yd)]
-	} else {
-		r.mask = make([]bool, len(yd))
+	if train {
+		// Every entry of the mask is written, so the last step's is reused.
+		r.mask = slices.Grow(r.mask[:0], len(yd))[:len(yd)]
 	}
 	for i, v := range yd {
-		r.mask[i] = v > 0
+		if train {
+			r.mask[i] = v > 0
+		}
 		if v <= 0 {
 			yd[i] = 0
 		}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
@@ -38,11 +39,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		// Every forward writes each output's argmax, so the last step's
 		// slice is reused as it is.
-		if cap(p.argmax) >= y.Size() {
-			p.argmax = p.argmax[:y.Size()]
-		} else {
-			p.argmax = make([]int32, y.Size())
-		}
+		p.argmax = slices.Grow(p.argmax[:0], y.Size())[:y.Size()]
 		p.inShape = x.Shape()
 		p.outShape = y.Shape()
 	}

@@ -11,13 +11,8 @@
 #define SUMLEN 1152
 #define CHANLEN (4*SUMLEN)
 
-// FSUMS stores a run's four sums of 16 columns of one parity at off,
-// off+SUMLEN, off+2·SUMLEN and off+3·SUMLEN from BX: a+b+c,
-// a+b−c, a−b+c and −a+b+c as s+P, s+M, s−M and P−s (even columns: s
-// the bytes left of them, P and M the sum and difference of their own
-// and the odd ones to their right) or as P+s, P−s, M+s and s−M (odd
-// columns: s the bytes right of them, P and M those of the even ones to
-// their left and their own).
+// FSUMS stores a run's four sums of 16 columns of one parity, a+b+c,
+// a+b−c, a−b+c and −a+b+c, at off, off+SUMLEN, … from BX.
 #define FSUMS(v0, v1, v2, v3, off) \
 	VMOVDQU v0, off(BX); \
 	VMOVDQU v1, SUMLEN+off(BX); \
