@@ -204,9 +204,10 @@ stripchanneldone:
 // filter, block of eight output rows and run of 32 columns, sixteen
 // accumulators take one table row per output row of each of the
 // filter's terms — one table offset each, for the block's first row —
-// adding the ones it adds (FROWS) and subtracting the others (FROWSSUB),
-// and go to the odd columns at the record and the even ones half int16
-// further on. rec is filter 0's record of the strip's first row from
+// starting from the first added term (FLOAD, or zero when it adds none),
+// adding the rest it adds (FROWS(VPADDW)) and subtracting the others
+// (FROWS(VPSUBW)), and go to the odd columns at the record and the even
+// ones half int16 further on. rec is filter 0's record of the strip's first row from
 // column 1; filters lie ds int16 apart and rows rs; each filter's taps
 // are terms+1 int32, the count it adds first. A block past the strip's
 // last row stores only the strip's rows.
