@@ -169,25 +169,6 @@ stripchanneldone:
 	op 448(R8), Y14, Y14; \
 	op 480(R8), Y15, Y15
 
-// FLOAD takes the first added term's table rows as the accumulators.
-#define FLOAD \
-	VMOVDQU (R8), Y0; \
-	VMOVDQU 32(R8), Y1; \
-	VMOVDQU 64(R8), Y2; \
-	VMOVDQU 96(R8), Y3; \
-	VMOVDQU 128(R8), Y4; \
-	VMOVDQU 160(R8), Y5; \
-	VMOVDQU 192(R8), Y6; \
-	VMOVDQU 224(R8), Y7; \
-	VMOVDQU 256(R8), Y8; \
-	VMOVDQU 288(R8), Y9; \
-	VMOVDQU 320(R8), Y10; \
-	VMOVDQU 352(R8), Y11; \
-	VMOVDQU 384(R8), Y12; \
-	VMOVDQU 416(R8), Y13; \
-	VMOVDQU 448(R8), Y14; \
-	VMOVDQU 480(R8), Y15
-
 // FSTORE stores output row i's odd columns from a and even ones from b
 // at SI and then moves SI to the next row, unless the block holds only i
 // rows.
@@ -204,8 +185,7 @@ stripchanneldone:
 // filter, block of eight output rows and run of 32 columns, sixteen
 // accumulators take one table row per output row of each of the
 // filter's terms — one table offset each, for the block's first row —
-// starting from the first added term (FLOAD, or zero when it adds none),
-// adding the rest it adds (FROWS(VPADDW)) and subtracting the others
+// adding the ones it adds (FROWS(VPADDW)) and subtracting the others
 // (FROWS(VPSUBW)), and go to the odd columns at the record and the even
 // ones half int16 further on. rec is filter 0's record of the strip's first row from
 // column 1; filters lie ds int16 apart and rows rs; each filter's taps
@@ -239,23 +219,6 @@ sumrun:
 	MOVLQSX (R12), CX       // terms added
 	MOVQ terms+64(FP), SI
 	SUBQ CX, SI             // terms subtracted
-	TESTQ CX, CX
-	JEQ sumzero
-	MOVLQSX (BX), R8
-	ADDQ R11, R8
-	FLOAD
-	ADDQ $4, BX
-	DECQ CX
-	JEQ sumsub
-sumadd:
-	MOVLQSX (BX), R8
-	ADDQ R11, R8
-	FROWS(VPADDW)
-	ADDQ $4, BX
-	DECQ CX
-	JNE sumadd
-	JMP sumsub
-sumzero:
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
@@ -272,6 +235,15 @@ sumzero:
 	VPXOR Y13, Y13, Y13
 	VPXOR Y14, Y14, Y14
 	VPXOR Y15, Y15, Y15
+	TESTQ CX, CX
+	JEQ sumsub
+sumadd:
+	MOVLQSX (BX), R8
+	ADDQ R11, R8
+	FROWS(VPADDW)
+	ADDQ $4, BX
+	DECQ CX
+	JNE sumadd
 sumsub:
 	TESTQ SI, SI
 	JEQ sumdone
