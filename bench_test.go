@@ -1,19 +1,15 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§IV), plus micro-benchmarks of the substrate operations. The experiment
-// benchmarks run with experiments.QuickOptions (reduced epochs/dataset) so
-// a full `go test -bench=.` pass completes in minutes on one core;
-// full-scale results are regenerated with cmd/ddnn-bench. The serving
-// stack is measured end to end by the benchmark/ ledger, not here.
+// Micro-benchmarks of the substrate operations. The paper's evaluation
+// (§IV) is the experiments package's record (REPRO.json, retaken by
+// cmd/ddnn-bench -exp repro), and the serving stack is measured end to
+// end by the benchmark/ ledger, not here.
 package ddnn_test
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/bnn"
-	"github.com/ddnn/ddnn-go/internal/branchy"
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
 	"github.com/ddnn/ddnn-go/internal/experiments"
@@ -21,141 +17,6 @@ import (
 	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
-
-// sharedRunner caches trained quick-scale models across the experiment
-// benchmarks, mirroring how cmd/ddnn-bench shares them across experiments.
-var (
-	runnerOnce sync.Once
-	runner     *experiments.Runner
-)
-
-func quickRunner(b *testing.B) *experiments.Runner {
-	b.Helper()
-	runnerOnce.Do(func() {
-		r, err := experiments.NewRunner(experiments.QuickOptions())
-		if err != nil {
-			panic(err)
-		}
-		runner = r
-	})
-	return runner
-}
-
-// BenchmarkTableIAggregationSchemes regenerates Table I: local/cloud
-// accuracy for all nine aggregation-scheme combinations (E1).
-func BenchmarkTableIAggregationSchemes(b *testing.B) {
-	b.ReportAllocs()
-	r := quickRunner(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := r.TableI()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 9 {
-			b.Fatalf("got %d rows, want 9", len(rows))
-		}
-	}
-}
-
-// BenchmarkTableIIThresholdSweep regenerates Table II: exit threshold vs
-// local exit %, overall accuracy and Eq. (1) communication (E2).
-func BenchmarkTableIIThresholdSweep(b *testing.B) {
-	b.ReportAllocs()
-	r := quickRunner(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := r.ThresholdSweep([]float64{0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows[len(rows)-1].CommBytes != 12 {
-			b.Fatalf("T=1 comm = %g B, want 12 (Eq. 1 first term)", rows[len(rows)-1].CommBytes)
-		}
-	}
-}
-
-// BenchmarkFigure6ClassDistribution regenerates the Fig. 6 dataset
-// histogram (E3).
-func BenchmarkFigure6ClassDistribution(b *testing.B) {
-	b.ReportAllocs()
-	r := quickRunner(b)
-	for i := 0; i < b.N; i++ {
-		stats := r.ClassDistribution()
-		if len(stats) != dataset.NumDevices {
-			b.Fatalf("got %d devices, want %d", len(stats), dataset.NumDevices)
-		}
-	}
-}
-
-// BenchmarkFigure7ThresholdCurve regenerates the dense Fig. 7 sweep (E4).
-func BenchmarkFigure7ThresholdCurve(b *testing.B) {
-	b.ReportAllocs()
-	r := quickRunner(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := r.ThresholdSweep(branchy.Grid(20)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure8DeviceScaling regenerates Fig. 8: accuracy as devices
-// are added worst-to-best (E5).
-func BenchmarkFigure8DeviceScaling(b *testing.B) {
-	b.ReportAllocs()
-	r := quickRunner(b)
-	for i := 0; i < b.N; i++ {
-		points, err := r.DeviceScaling()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(points) != dataset.NumDevices {
-			b.Fatalf("got %d points, want %d", len(points), dataset.NumDevices)
-		}
-	}
-}
-
-// BenchmarkFigure9CloudOffloading regenerates Fig. 9: accuracy vs
-// communication as the device model grows (E6).
-func BenchmarkFigure9CloudOffloading(b *testing.B) {
-	b.ReportAllocs()
-	r := quickRunner(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := r.CloudOffloading([]int{1, 2, 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure10FaultTolerance regenerates Fig. 10: accuracy with each
-// single device failed (E7).
-func BenchmarkFigure10FaultTolerance(b *testing.B) {
-	b.ReportAllocs()
-	r := quickRunner(b)
-	for i := 0; i < b.N; i++ {
-		points, err := r.FaultTolerance()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(points) != dataset.NumDevices {
-			b.Fatalf("got %d points, want %d", len(points), dataset.NumDevices)
-		}
-	}
-}
-
-// BenchmarkCommunicationReduction regenerates the §IV-H comparison on a
-// live in-process cluster (E8).
-func BenchmarkCommunicationReduction(b *testing.B) {
-	b.ReportAllocs()
-	r := quickRunner(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := r.CommunicationReduction(0.8, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Reduction <= 1 {
-			b.Fatalf("reduction %.1fx, want > 1x", rep.Reduction)
-		}
-	}
-}
 
 // --- substrate micro-benchmarks ---
 

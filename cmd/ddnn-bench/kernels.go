@@ -39,8 +39,9 @@ type kernelComparison struct {
 
 // ladderFloor is the speedup floor of each step up the dispatch-path
 // ladder (go over naive, simd over go): a step may not lose more than 5%
-// measurement noise. Where two paths run the same code for a shape (a
-// GEMM narrower than the AVX2 tile), the step measures about 1×.
+// measurement noise. A step where both paths run the same kernel for the
+// row's shape (a GEMM narrower than the AVX2 tile) would time one kernel
+// twice; its rows are reported and the step is not compared.
 const ladderFloor = 0.95
 
 // framesFloors are the speedup floors of the integer device block on
@@ -194,17 +195,21 @@ func runKernels(out io.Writer, jsonPath string) error {
 			f(b)
 		}
 	}
+	// gemmCols lists the widths of a row's GEMMs where a GEMM is its only
+	// path-dependent kernel: a step up the ladder on which every one of
+	// them runs the same kernel is not compared (tensor.GemmSameKernel).
 	kernels := []struct {
-		name string
-		f    func(b *testing.B)
+		name     string
+		gemmCols []int
+		f        func(b *testing.B)
 	}{
-		{"gemm", func(b *testing.B) {
+		{"gemm", []int{64}, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tensor.Gemm(gc, ga, gb, 32, 256, 64)
 			}
 		}},
-		{"xnor_dot", func(b *testing.B) {
+		{"xnor_dot", nil, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := bnn.XnorDot(pa, pb); err != nil {
@@ -212,19 +217,19 @@ func runKernels(out io.Writer, jsonPath string) error {
 				}
 			}
 		}},
-		{"pack_signs", func(b *testing.B) {
+		{"pack_signs", nil, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bnn.PackVector(packSrc)
 			}
 		}},
-		{"conv_backward_device", func(b *testing.B) {
+		{"conv_backward_device", []int{cfg.DeviceFilters}, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				devConv.conv.BackwardParams(devConv.grad)
 			}
 		}},
-		{"conv_backward_cloud", func(b *testing.B) {
+		{"conv_backward_cloud", []int{cfg.CloudFilters, cfg.FeatureH() * cfg.FeatureW()}, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cloudConv.conv.Backward(cloudConv.grad)
@@ -471,15 +476,26 @@ func runKernels(out io.Writer, jsonPath string) error {
 
 	report.Comparisons = blockCmps
 	// Chain gates over the dispatch-path matrix: each step up the path
-	// ladder must not lose more than the 5% noise floor, for each kernel.
+	// ladder must not lose more than the 5% noise floor, for each kernel
+	// whose two paths run different code for its shape.
 	pathNames := tensor.KernelPaths()
+	var sameKernel []string
 	for _, k := range kernels {
 		kernel := k.name
 		for i := 1; i < len(pathNames); i++ {
+			label := kernel + " " + pathNames[i].String() + " vs " + pathNames[i-1].String()
+			same := len(k.gemmCols) > 0
+			for _, n := range k.gemmCols {
+				same = same && tensor.GemmSameKernel(pathNames[i-1], pathNames[i], n)
+			}
+			if same {
+				sameKernel = append(sameKernel, label)
+				continue
+			}
 			lo, hi := "["+pathNames[i-1].String()+"]", "["+pathNames[i].String()+"]"
 			base, step := pathRows[kernel+lo], pathRows[kernel+hi]
 			report.Comparisons = append(report.Comparisons, kernelComparison{
-				Label:      kernel + " " + pathNames[i].String() + " vs " + pathNames[i-1].String(),
+				Label:      label,
 				Naive:      kernel + "_" + sizeTag(kernel) + lo,
 				Optimized:  kernel + "_" + sizeTag(kernel) + hi,
 				Speedup:    base.NsPerOp / step.NsPerOp,
@@ -494,6 +510,9 @@ func runKernels(out io.Writer, jsonPath string) error {
 		if cmp.Speedup < cmp.MinSpeedup {
 			slow = append(slow, cmp.Label)
 		}
+	}
+	for _, label := range sameKernel {
+		fmt.Fprintf(out, "%-34s not compared: both paths run the same GEMM kernel at this shape\n", label)
 	}
 	fmt.Fprintln(out)
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/branchy"
@@ -47,7 +46,6 @@ func (r *Runner) MixedPrecisionAblation() ([]AblationRow, error) {
 			DeviceMemBytes: m.DeviceMemoryBytes(),
 			CloudMemBytes:  m.CloudMemoryBytes(),
 		})
-		r.logf("ablation %s: local %.3f cloud %.3f overall %.3f", v.name, rows[len(rows)-1].LocalAcc, rows[len(rows)-1].CloudAcc, rows[len(rows)-1].Overall)
 	}
 	return rows, nil
 }
@@ -70,7 +68,6 @@ func (r *Runner) variantModel(floatCloud bool) (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.logf("training mixed-precision DDNN (%d epochs)", r.opts.Epochs)
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = r.opts.Epochs
 	tc.BatchSize = r.opts.BatchSize
@@ -81,18 +78,6 @@ func (r *Runner) variantModel(floatCloud bool) (*core.Model, error) {
 	r.models[key] = m
 	r.mu.Unlock()
 	return m, nil
-}
-
-// FormatAblation renders the mixed-precision comparison.
-func FormatAblation(rows []AblationRow) string {
-	var sb strings.Builder
-	sb.WriteString("Variant                          Local  Cloud  Overall (%)  DevMem (B)  CloudMem (B)\n")
-	for _, row := range rows {
-		fmt.Fprintf(&sb, "%-32s %5.1f %6.1f %9.1f %10d %12d\n",
-			row.Name, row.LocalAcc*100, row.CloudAcc*100, row.Overall*100,
-			row.DeviceMemBytes, row.CloudMemBytes)
-	}
-	return sb.String()
 }
 
 // EdgeHierarchyRow reports the three-exit hierarchy of Fig. 2(d)/(e).
@@ -119,7 +104,6 @@ func (r *Runner) edgeModel() (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.logf("training device-edge-cloud DDNN (%d epochs)", r.opts.Epochs)
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = r.opts.Epochs
 	tc.BatchSize = r.opts.BatchSize
@@ -151,15 +135,4 @@ func (r *Runner) EdgeHierarchy() (*EdgeHierarchyRow, error) {
 		Overall:       res.OverallAccuracy(pol),
 		ExitFractions: res.ExitFractions(pol),
 	}, nil
-}
-
-// FormatEdgeHierarchy renders the three-exit report.
-func FormatEdgeHierarchy(row *EdgeHierarchyRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "local exit accuracy:  %.1f%%\n", row.LocalAcc*100)
-	fmt.Fprintf(&sb, "edge exit accuracy:   %.1f%%\n", row.EdgeAcc*100)
-	fmt.Fprintf(&sb, "cloud exit accuracy:  %.1f%%\n", row.CloudAcc*100)
-	fmt.Fprintf(&sb, "staged overall:       %.1f%% (exits local/edge/cloud: %.0f%%/%.0f%%/%.0f%%)\n",
-		row.Overall*100, row.ExitFractions[0]*100, row.ExitFractions[1]*100, row.ExitFractions[2]*100)
-	return sb.String()
 }

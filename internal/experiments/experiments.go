@@ -1,22 +1,24 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§IV) on the synthetic MVMC stand-in:
+// Package experiments reproduces the paper's evaluation (§IV) on the
+// synthetic MVMC stand-in as one seeded record, Repro (committed as
+// REPRO.json, retaken by ddnn-bench -exp repro):
 //
 //	Table I  — accuracy of the nine aggregation-scheme combinations
-//	Table II / Fig. 7 — exit-threshold sweep: local exit %, overall
-//	           accuracy and Eq. (1) communication cost
+//	Table II — exit-threshold sweep: local exit %, overall accuracy and
+//	           Eq. (1) communication cost
 //	Fig. 6   — per-device class distribution of the dataset
 //	Fig. 8   — accuracy scaling as end devices are added worst→best
 //	Fig. 9   — accuracy vs. communication as device filters grow
 //	Fig. 10  — fault tolerance under single-device failure
-//	§IV-H    — >20× communication reduction vs. raw offloading
+//	§IV-H    — >20× communication reduction vs. raw offloading, analytic
+//	           and measured on a running cluster
 //
-// A Runner caches trained models so experiments sharing a configuration
-// (e.g. Table II reusing Table I's MP-CC model) train once.
+// plus multi-device failure and the mixed-precision and edge-tier
+// extensions. A Runner caches trained models so experiments sharing a
+// configuration (e.g. Table II reusing Table I's MP-CC model) train once.
 package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -40,32 +42,21 @@ type Options struct {
 	// Model is the base DDNN configuration (aggregation schemes and
 	// filter counts are overridden per experiment).
 	Model core.Config
-	// Verbose, when non-nil, receives progress lines.
-	Verbose io.Writer
 }
 
-// DefaultOptions returns the configuration used for the recorded results
-// in EXPERIMENTS.md.
-func DefaultOptions() Options {
-	return Options{
-		Epochs:           50,
-		IndividualEpochs: 30,
-		BatchSize:        32,
-		Data:             dataset.DefaultConfig(),
-		Model:            core.DefaultConfig(),
-	}
-}
-
-// QuickOptions returns a reduced configuration for smoke tests and
-// benchmarks: same code paths, far less training.
+// QuickOptions returns the scale the record is taken at: 6 epochs (5
+// per individual model) on 200 training and 60 test samples, far less
+// training than the paper's 100 epochs on the same code paths.
 func QuickOptions() Options {
-	o := DefaultOptions()
-	o.Epochs = 6
-	o.IndividualEpochs = 5
 	data := dataset.DefaultConfig()
 	data.Train, data.Test = 200, 60
-	o.Data = data
-	return o
+	return Options{
+		Epochs:           6,
+		IndividualEpochs: 5,
+		BatchSize:        32,
+		Data:             data,
+		Model:            core.DefaultConfig(),
+	}
 }
 
 // Runner executes experiments over one dataset, caching trained models.
@@ -101,12 +92,6 @@ func (r *Runner) Train() *dataset.Dataset { return r.train }
 // Test returns the held-out split.
 func (r *Runner) Test() *dataset.Dataset { return r.test }
 
-func (r *Runner) logf(format string, args ...any) {
-	if r.opts.Verbose != nil {
-		fmt.Fprintf(r.opts.Verbose, format+"\n", args...)
-	}
-}
-
 // model trains (or returns a cached) DDNN with the given overrides on the
 // full training set.
 func (r *Runner) model(local, cloud agg.Scheme, filters int) (*core.Model, error) {
@@ -123,7 +108,6 @@ func (r *Runner) model(local, cloud agg.Scheme, filters int) (*core.Model, error
 	if err != nil {
 		return nil, err
 	}
-	r.logf("training DDNN %s (%d epochs)", key, r.opts.Epochs)
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = r.opts.Epochs
 	tc.BatchSize = r.opts.BatchSize
@@ -148,7 +132,6 @@ func (r *Runner) individual(device int) (*core.IndividualModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.logf("training individual model for device %d (%d epochs)", device, r.opts.IndividualEpochs)
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = r.opts.IndividualEpochs
 	tc.BatchSize = r.opts.BatchSize
@@ -177,7 +160,6 @@ func (r *Runner) IndividualAccuracies() ([]float64, error) {
 			return nil, err
 		}
 		accs[d] = im.Accuracy(r.test, r.opts.BatchSize)
-		r.logf("individual device %d accuracy: %.3f", d, accs[d])
 	}
 	r.mu.Lock()
 	r.indAcc = accs

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/branchy"
@@ -14,16 +13,6 @@ import (
 // split (Fig. 6).
 func (r *Runner) ClassDistribution() []dataset.DeviceStats {
 	return r.train.Stats()
-}
-
-// FormatClassDistribution renders the Fig. 6 histogram as text.
-func FormatClassDistribution(stats []dataset.DeviceStats) string {
-	var sb strings.Builder
-	sb.WriteString("Device  Car  Bus  Person  Not-present\n")
-	for d, st := range stats {
-		fmt.Fprintf(&sb, "%6d %4d %4d %7d %12d\n", d+1, st.PerClass[0], st.PerClass[1], st.PerClass[2], st.NotPresent)
-	}
-	return sb.String()
 }
 
 // ScalingPoint is one x-position of Fig. 8: the system accuracies with the
@@ -57,16 +46,13 @@ func (r *Runner) DeviceScaling() ([]ScalingPoint, error) {
 		testK := r.test.ReorderDevices(order[:k])
 		res := m.Evaluate(testK, nil, r.opts.BatchSize)
 		pol := branchy.NewPolicy(0.8, 1)
-		p := ScalingPoint{
+		points = append(points, ScalingPoint{
 			Devices:    k,
 			Individual: accs[order[k-1]],
 			Local:      res.LocalAccuracy(),
 			Cloud:      res.CloudAccuracy(),
 			Overall:    res.OverallAccuracy(pol),
-		}
-		points = append(points, p)
-		r.logf("Fig 8 k=%d: individual %.3f local %.3f cloud %.3f overall %.3f",
-			k, p.Individual, p.Local, p.Cloud, p.Overall)
+		})
 	}
 	return points, nil
 }
@@ -88,7 +74,6 @@ func (r *Runner) scalingModel(order []int) (*core.Model, error) {
 		return nil, err
 	}
 	trainK := r.train.ReorderDevices(order)
-	r.logf("training DDNN over devices %v (%d epochs)", order, r.opts.Epochs)
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = r.opts.Epochs
 	tc.BatchSize = r.opts.BatchSize
@@ -99,17 +84,6 @@ func (r *Runner) scalingModel(order []int) (*core.Model, error) {
 	r.models[key] = m
 	r.mu.Unlock()
 	return m, nil
-}
-
-// FormatScaling renders the Fig. 8 series as text.
-func FormatScaling(points []ScalingPoint) string {
-	var sb strings.Builder
-	sb.WriteString("Devices  Individual  Local  Cloud  Overall (%)\n")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%7d %11.1f %6.1f %6.1f %8.1f\n",
-			p.Devices, p.Individual*100, p.Local*100, p.Cloud*100, p.Overall*100)
-	}
-	return sb.String()
 }
 
 // OffloadPoint is one x-position of Fig. 9: a device-filter count, the
@@ -141,7 +115,7 @@ func (r *Runner) CloudOffloading(filters []int) ([]OffloadPoint, error) {
 		res := m.Evaluate(r.test, nil, r.opts.BatchSize)
 		sweet := branchy.ThresholdForExitFraction(res.Outcomes(), branchy.Grid(100), 0.75)
 		pol := branchy.NewPolicy(sweet.Threshold, 1)
-		p := OffloadPoint{
+		points = append(points, OffloadPoint{
 			Filters:       f,
 			Threshold:     sweet.Threshold,
 			LocalExitPct:  sweet.ExitFrac * 100,
@@ -150,23 +124,9 @@ func (r *Runner) CloudOffloading(filters []int) ([]OffloadPoint, error) {
 			CloudAcc:      res.CloudAccuracy(),
 			OverallAcc:    res.OverallAccuracy(pol),
 			DeviceMemByte: m.DeviceMemoryBytes(),
-		}
-		points = append(points, p)
-		r.logf("Fig 9 f=%d: T=%.2f exit %.1f%% comm %.0fB local %.3f cloud %.3f overall %.3f mem %dB",
-			f, p.Threshold, p.LocalExitPct, p.CommBytes, p.LocalAcc, p.CloudAcc, p.OverallAcc, p.DeviceMemByte)
+		})
 	}
 	return points, nil
-}
-
-// FormatOffloading renders the Fig. 9 series as text.
-func FormatOffloading(points []OffloadPoint) string {
-	var sb strings.Builder
-	sb.WriteString("Filters  Comm (B)  Local  Cloud  Overall (%)  DeviceMem (B)\n")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%7d %9.0f %6.1f %6.1f %8.1f %10d\n",
-			p.Filters, p.CommBytes, p.LocalAcc*100, p.CloudAcc*100, p.OverallAcc*100, p.DeviceMemByte)
-	}
-	return sb.String()
 }
 
 // FaultPoint is one bar group of Fig. 10: system accuracies when one
@@ -200,28 +160,15 @@ func (r *Runner) FaultTolerance() ([]FaultPoint, error) {
 			mask[i] = i != d
 		}
 		res := m.Evaluate(r.test, mask, r.opts.BatchSize)
-		p := FaultPoint{
+		points = append(points, FaultPoint{
 			FailedDevice: d,
 			Individual:   accs[d],
 			Local:        res.LocalAccuracy(),
 			Cloud:        res.CloudAccuracy(),
 			Overall:      res.OverallAccuracy(pol),
-		}
-		points = append(points, p)
-		r.logf("Fig 10 fail dev %d: local %.3f cloud %.3f overall %.3f", d, p.Local, p.Cloud, p.Overall)
+		})
 	}
 	return points, nil
-}
-
-// FormatFaultTolerance renders the Fig. 10 series as text.
-func FormatFaultTolerance(points []FaultPoint) string {
-	var sb strings.Builder
-	sb.WriteString("Failed  Individual  Local  Cloud  Overall (%)\n")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%6d %11.1f %6.1f %6.1f %8.1f\n",
-			p.FailedDevice+1, p.Individual*100, p.Local*100, p.Cloud*100, p.Overall*100)
-	}
-	return sb.String()
 }
 
 // MultiFailure is an extension of §IV-G: it fails the k best devices (the

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/ddnn/ddnn-go/internal/agg"
 	"github.com/ddnn/ddnn-go/internal/branchy"
@@ -46,22 +45,11 @@ func (r *Runner) TableI() ([]TableIRow, error) {
 			LocalAcc: res.LocalAccuracy(),
 			CloudAcc: res.CloudAccuracy(),
 		})
-		r.logf("Table I %s: local %.3f cloud %.3f", rows[len(rows)-1].Schemes(), res.LocalAccuracy(), res.CloudAccuracy())
 	}
 	return rows, nil
 }
 
-// FormatTableI renders Table I in the paper's layout.
-func FormatTableI(rows []TableIRow) string {
-	var sb strings.Builder
-	sb.WriteString("Schemes  Local Acc. (%)  Cloud Acc. (%)\n")
-	for _, row := range rows {
-		fmt.Fprintf(&sb, "%-8s %14.0f  %14.0f\n", row.Schemes(), row.LocalAcc*100, row.CloudAcc*100)
-	}
-	return sb.String()
-}
-
-// ThresholdRow is one row of Table II / one x-position of Fig. 7.
+// ThresholdRow is one row of Table II.
 type ThresholdRow struct {
 	T            float64
 	LocalExitPct float64 // percentage of samples exiting locally
@@ -71,8 +59,8 @@ type ThresholdRow struct {
 
 // ThresholdSweep evaluates the MP-CC DDNN at each threshold in grid,
 // reporting local exit percentage, overall accuracy and the Eq. (1)
-// communication cost (E2/E4; Table II uses a coarse grid, Fig. 7 a dense
-// one).
+// communication cost (E2; Fig. 7 plots the same curve on a denser
+// grid).
 func (r *Runner) ThresholdSweep(grid []float64) ([]ThresholdRow, error) {
 	m, err := r.model(agg.MP, agg.CC, r.opts.Model.DeviceFilters)
 	if err != nil {
@@ -91,27 +79,4 @@ func (r *Runner) ThresholdSweep(grid []float64) ([]ThresholdRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// FormatTableII renders the sweep in the paper's Table II layout.
-func FormatTableII(rows []ThresholdRow) string {
-	var sb strings.Builder
-	sb.WriteString("T     Local Exit (%)  Overall Acc. (%)  Comm. (B)\n")
-	for _, row := range rows {
-		fmt.Fprintf(&sb, "%.1f %15.2f %17.0f %10.0f\n", row.T, row.LocalExitPct, row.OverallAcc, row.CommBytes)
-	}
-	return sb.String()
-}
-
-// BestThreshold returns the sweep row with the best overall accuracy,
-// breaking ties toward more local exits (the paper's T=0.8 sweet spot).
-func BestThreshold(rows []ThresholdRow) ThresholdRow {
-	best := rows[0]
-	for _, row := range rows[1:] {
-		if row.OverallAcc > best.OverallAcc ||
-			(row.OverallAcc == best.OverallAcc && row.LocalExitPct > best.LocalExitPct) {
-			best = row
-		}
-	}
-	return best
 }

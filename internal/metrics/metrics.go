@@ -1,95 +1,16 @@
-// Package metrics provides evaluation utilities shared by the experiment
-// harness and the cluster runtime: confusion matrices, per-exit counters,
-// communication-byte accounting (both the analytic model of Eq. (1) and
-// bytes measured on the wire) and latency summaries.
+// Package metrics provides two measurement utilities: a
+// communication-byte meter by category, which the cluster nodes keep and
+// the experiment harness sets against the analytic model of Eq. (1), and
+// a latency recorder with order statistics for the command-line drivers
+// and examples.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
-
-// Confusion is a square confusion matrix. Rows are true labels, columns
-// predicted labels.
-type Confusion struct {
-	classes int
-	counts  []int
-}
-
-// NewConfusion builds a confusion matrix over n classes.
-func NewConfusion(n int) *Confusion {
-	return &Confusion{classes: n, counts: make([]int, n*n)}
-}
-
-// Add records one prediction.
-func (c *Confusion) Add(trueLabel, predicted int) {
-	if trueLabel < 0 || trueLabel >= c.classes || predicted < 0 || predicted >= c.classes {
-		panic(fmt.Sprintf("metrics: label pair (%d,%d) out of range for %d classes", trueLabel, predicted, c.classes))
-	}
-	c.counts[trueLabel*c.classes+predicted]++
-}
-
-// At returns the count of samples with the given true label predicted as
-// the given class.
-func (c *Confusion) At(trueLabel, predicted int) int {
-	return c.counts[trueLabel*c.classes+predicted]
-}
-
-// Total returns the number of recorded predictions.
-func (c *Confusion) Total() int {
-	t := 0
-	for _, v := range c.counts {
-		t += v
-	}
-	return t
-}
-
-// Accuracy returns the fraction of correct predictions (trace / total).
-func (c *Confusion) Accuracy() float64 {
-	total := c.Total()
-	if total == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < c.classes; i++ {
-		correct += c.At(i, i)
-	}
-	return float64(correct) / float64(total)
-}
-
-// PerClassRecall returns recall for each class; classes with no samples
-// report NaN.
-func (c *Confusion) PerClassRecall() []float64 {
-	out := make([]float64, c.classes)
-	for i := range out {
-		row := 0
-		for j := 0; j < c.classes; j++ {
-			row += c.At(i, j)
-		}
-		if row == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = float64(c.At(i, i)) / float64(row)
-	}
-	return out
-}
-
-// String renders the matrix for reports.
-func (c *Confusion) String() string {
-	var sb strings.Builder
-	for i := 0; i < c.classes; i++ {
-		for j := 0; j < c.classes; j++ {
-			fmt.Fprintf(&sb, "%6d", c.At(i, j))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
 
 // CommMeter accumulates communication bytes by category. It is safe for
 // concurrent use, so cluster nodes can share one meter.

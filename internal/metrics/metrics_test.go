@@ -1,69 +1,10 @@
 package metrics
 
 import (
-	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestConfusionAccuracy(t *testing.T) {
-	c := NewConfusion(3)
-	c.Add(0, 0)
-	c.Add(0, 0)
-	c.Add(1, 1)
-	c.Add(2, 0) // one mistake
-	if got := c.Total(); got != 4 {
-		t.Errorf("Total = %d, want 4", got)
-	}
-	if got := c.Accuracy(); got != 0.75 {
-		t.Errorf("Accuracy = %g, want 0.75", got)
-	}
-	if got := c.At(2, 0); got != 1 {
-		t.Errorf("At(2,0) = %d, want 1", got)
-	}
-}
-
-func TestConfusionEmptyAccuracyZero(t *testing.T) {
-	if got := NewConfusion(2).Accuracy(); got != 0 {
-		t.Errorf("empty Accuracy = %g, want 0", got)
-	}
-}
-
-func TestConfusionPerClassRecall(t *testing.T) {
-	c := NewConfusion(3)
-	c.Add(0, 0)
-	c.Add(0, 1)
-	c.Add(1, 1)
-	recall := c.PerClassRecall()
-	if recall[0] != 0.5 {
-		t.Errorf("class 0 recall = %g, want 0.5", recall[0])
-	}
-	if recall[1] != 1 {
-		t.Errorf("class 1 recall = %g, want 1", recall[1])
-	}
-	if !math.IsNaN(recall[2]) {
-		t.Errorf("class 2 recall = %g, want NaN (no samples)", recall[2])
-	}
-}
-
-func TestConfusionPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range Add did not panic")
-		}
-	}()
-	NewConfusion(2).Add(0, 5)
-}
-
-func TestConfusionString(t *testing.T) {
-	c := NewConfusion(2)
-	c.Add(0, 1)
-	if s := c.String(); !strings.Contains(s, "1") {
-		t.Errorf("String() = %q missing count", s)
-	}
-}
 
 func TestCommMeter(t *testing.T) {
 	m := NewCommMeter()

@@ -18,7 +18,7 @@ func gemmSIMD(c, a, b []float32, i0, i1, k, n int) {
 	if k == 0 || n == 0 {
 		return
 	}
-	if n < 16 {
+	if n < gemmSIMDCols {
 		matmulBlocked(c, a, b, i0, i1, k, n)
 		return
 	}

@@ -43,6 +43,28 @@ func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestGemmSameKernel: only the go and simd paths share a kernel, and
+// only on products narrower than the simd tile.
+func TestGemmSameKernel(t *testing.T) {
+	for _, c := range []struct {
+		p, q KernelPath
+		n    int
+		want bool
+	}{
+		{KernelSIMD, KernelSIMD, 64, true},
+		{KernelGo, KernelSIMD, 4, true},
+		{KernelSIMD, KernelGo, 15, true},
+		{KernelGo, KernelSIMD, 16, false},
+		{KernelGo, KernelSIMD, 64, false},
+		{KernelNaive, KernelGo, 4, false},
+		{KernelNaive, KernelSIMD, 4, false},
+	} {
+		if got := GemmSameKernel(c.p, c.q, c.n); got != c.want {
+			t.Errorf("GemmSameKernel(%v, %v, %d) = %v, want %v", c.p, c.q, c.n, got, c.want)
+		}
+	}
+}
+
 // TestGemmSignMatchesGemm checks that GemmSign, kept for ±1 A
 // matrices, gives exactly Gemm's result.
 func TestGemmSignMatchesGemm(t *testing.T) {

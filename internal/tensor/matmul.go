@@ -55,6 +55,24 @@ func gemmRowsPath(path KernelPath, c, a, b []float32, i0, i1, k, n int) {
 	}
 }
 
+// gemmSIMDCols is the narrowest product the simd path's 4×16 tile
+// takes: gemmSIMD hands narrower ones to the go path's kernel.
+const gemmSIMDCols = 16
+
+// GemmSameKernel reports whether paths p and q run the same GEMM kernel
+// on a product n columns wide. They do where the simd path hands the
+// product to the go path's kernel, so a benchmark that times the two
+// paths there times one kernel twice.
+func GemmSameKernel(p, q KernelPath, n int) bool {
+	kernel := func(path KernelPath) KernelPath {
+		if path == KernelSIMD && n < gemmSIMDCols {
+			return KernelGo
+		}
+		return path
+	}
+	return kernel(p) == kernel(q)
+}
+
 // GemmSign is Gemm. It survives only for the serving benchmark's
 // tensor.gemm_sign_us probe, whose A must still be ±1 (binarized
 // weights); ROADMAP item B1 deletes it with that probe.
