@@ -11,14 +11,14 @@ import (
 
 // Cloud is the cloud node: it owns the cloud section of the DDNN and runs
 // the final exit, which always classifies. In a two-tier hierarchy it
-// receives the present devices' bit-packed feature maps
-// (CloudClassifyBatch + one FeatureBatch per device), aggregates them and
-// runs the upper NN layers; in a three-tier hierarchy it receives the
-// pre-aggregated maps of one EdgeFeatureBatch escalated by the edge node.
+// receives the present devices' bit-packed feature maps inside one
+// CloudClassifyBatch, aggregates them and runs the upper NN layers; in a
+// three-tier hierarchy it receives the pre-aggregated maps of one
+// EdgeFeatureBatch escalated by the edge node.
 //
-// Sessions are demultiplexed by wire session ID, so one downstream
-// connection carries any number of interleaved sessions; each complete
-// session is classified in its own goroutine against the shared read-only
+// Every escalation is one frame tagged with its wire session ID, so one
+// downstream connection carries any number of interleaved sessions; each
+// is classified on a connection worker against the shared read-only
 // model.
 type Cloud struct {
 	server
@@ -34,66 +34,57 @@ func NewCloud(model *core.Model, modelVersion uint64, logger *slog.Logger) *Clou
 	return c
 }
 
-// frame serves one downstream frame: a two-tier session's header and
-// device feature frames accumulate in the connection's session table, an
-// edge escalation arrives whole, and each complete session classifies on
-// a worker — the model is frozen (read-only), so sessions run genuinely
-// in parallel.
+// frame serves one downstream frame: the escalation frame of the
+// hierarchy — CloudClassifyBatch on two tiers, EdgeFeatureBatch on three
+// — classifies on a worker (the model is frozen, so sessions run
+// genuinely in parallel), and anything else is refused.
 func (c *Cloud) frame(nc *nodeConn, f *wire.Frame) {
-	switch m := f.Msg.(type) {
+	var refuse string
+	switch f.Msg.(type) {
 	case *wire.CloudClassifyBatch:
 		if c.model.Cfg.UseEdge {
-			_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeatureBatch escalations only"})
-		} else {
-			nc.sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, nil)
-		}
-		f.Release()
-	case *wire.FeatureBatch:
-		if up := nc.sessions.add(f); up != nil {
-			nc.spawn(task{up: up})
+			refuse = "edge-tier model: the cloud accepts EdgeFeatureBatch escalations only"
 		}
 	case *wire.EdgeFeatureBatch:
 		if !c.model.Cfg.UseEdge {
-			_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: "model has no edge tier; send CloudClassifyBatch + FeatureBatches"})
-			f.Release()
+			refuse = "model has no edge tier; send CloudClassifyBatch"
+		}
+	default:
+		refuse = fmt.Sprintf("expected CloudClassifyBatch or EdgeFeatureBatch, got %v", f.Msg.MsgType())
+	}
+	if refuse != "" {
+		_ = nc.send(&wire.Error{Session: sessionOf(f.Msg), Code: 400, Msg: refuse})
+		f.Release()
+		return
+	}
+	nc.spawn(f)
+}
+
+// run classifies one escalation on a worker, on the pinned model
+// version's weights, and answers with a single ResultBatch whose verdicts
+// follow the frame's sample order.
+func (c *Cloud) run(nc *nodeConn, f *wire.Frame, sc *scratch) {
+	defer f.Release()
+	switch m := f.Msg.(type) {
+	case *wire.CloudClassifyBatch:
+		// Each sample runs under its own presence mask, on the devices'
+		// packed features as they arrived.
+		model, feats := c.escalation(nc, sc, m.Session, m.ModelVersion, m.Devices, m.Masks, m.F, m.H, m.W, m.Feats)
+		if model != nil {
+			c.reply(nc, m.Session, m.SampleIDs, model.CloudForwardBits(feats, m.Masks, c.pool), sc)
+		}
+	case *wire.EdgeFeatureBatch:
+		model, _, err := c.reg.resolve(m.ModelVersion)
+		if err != nil {
+			_ = nc.send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 			return
 		}
-		nc.spawn(task{f: f})
-	default:
-		_ = nc.send(&wire.Error{Session: sessionOf(f.Msg), Code: 400, Msg: fmt.Sprintf("expected CloudClassifyBatch, FeatureBatch or EdgeFeatureBatch, got %v", f.Msg.MsgType())})
-		f.Release()
+		if err := checkEdgeFeatures(model.Cfg, m); err != nil {
+			_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
+			return
+		}
+		c.reply(nc, m.Session, m.SampleIDs, model.CloudForwardFromEdgeBits(m.Bits, len(m.SampleIDs), c.pool), sc)
 	}
-}
-
-// run serves one task on a worker: a complete two-tier session, or an
-// edge escalation frame.
-func (c *Cloud) run(nc *nodeConn, t task, sc *scratch) {
-	if t.up != nil {
-		c.classify(nc, t.up, sc)
-		nc.sessions.release(t.up)
-		return
-	}
-	defer t.f.Release()
-	m := t.f.Msg.(*wire.EdgeFeatureBatch)
-	model, _, err := c.reg.resolve(m.ModelVersion)
-	if err != nil {
-		_ = nc.send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-		return
-	}
-	if err := checkEdgeFeatures(model.Cfg, m); err != nil {
-		_ = nc.send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-		return
-	}
-	c.classifyFromEdge(nc, model, m, sc)
-}
-
-// classify runs the cloud section for one complete two-tier session, on
-// the devices' packed features as they arrived and each sample under its
-// own presence mask, and answers with a single ResultBatch whose
-// verdicts follow the header's sample order.
-func (c *Cloud) classify(nc *nodeConn, up *uploadSession, sc *scratch) {
-	logits := up.model.CloudForwardBits(up.bits, up.masks, c.pool)
-	c.reply(nc, up.session, up.ids, logits, sc)
 }
 
 // reply answers a session with its cloud verdicts, one per logits row in
@@ -124,13 +115,4 @@ func checkEdgeFeatures(cfg core.Config, m *wire.EdgeFeatureBatch) error {
 		return fmt.Errorf("empty edge feature batch")
 	}
 	return nil
-}
-
-// classifyFromEdge runs the cloud section once over a session's
-// pre-aggregated edge feature maps — the samples that missed the edge
-// exit, packed as they arrived — and answers with one ResultBatch in
-// SampleIDs order.
-func (c *Cloud) classifyFromEdge(nc *nodeConn, model *core.Model, m *wire.EdgeFeatureBatch, sc *scratch) {
-	logits := model.CloudForwardFromEdgeBits(m.Bits, len(m.SampleIDs), c.pool)
-	c.reply(nc, m.Session, m.SampleIDs, logits, sc)
 }

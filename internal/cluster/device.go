@@ -119,7 +119,7 @@ func copyFrame(dst, frame []byte) error {
 func (d *Device) frame(c *nodeConn, f *wire.Frame) {
 	switch f.Msg.(type) {
 	case *wire.CaptureBatch, *wire.FeatureBatchRequest:
-		c.spawn(task{f: f})
+		c.spawn(f)
 	default:
 		_ = c.send(&wire.Error{Session: sessionOf(f.Msg), Code: 400, Msg: fmt.Sprintf("unexpected %v", f.Msg.MsgType())})
 		f.Release()
@@ -127,9 +127,9 @@ func (d *Device) frame(c *nodeConn, f *wire.Frame) {
 }
 
 // run serves one request frame on a worker.
-func (d *Device) run(c *nodeConn, t task, sc *scratch) {
-	defer t.f.Release()
-	switch m := t.f.Msg.(type) {
+func (d *Device) run(c *nodeConn, f *wire.Frame, sc *scratch) {
+	defer f.Release()
+	switch m := f.Msg.(type) {
 	case *wire.CaptureBatch:
 		if err := d.onCapture(c, m, sc); err != nil {
 			d.logger.Debug("capture failed", "session", m.Session, "err", err)

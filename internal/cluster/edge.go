@@ -114,50 +114,46 @@ func (e *Edge) ConnectCloud(ctx context.Context, tr transport.Transport, addrs .
 	return nil
 }
 
-// frame serves one gateway frame: a session's header and device feature
-// frames accumulate in the connection's session table, and each complete
-// session classifies on a worker.
+// frame serves one gateway frame: each EdgeClassifyBatch is a whole
+// escalation and classifies on a worker; anything else is refused.
 func (e *Edge) frame(c *nodeConn, f *wire.Frame) {
-	switch m := f.Msg.(type) {
-	case *wire.EdgeClassifyBatch:
-		c.sessions.begin(m.Session, m.ModelVersion, m.Devices, m.SampleIDs, m.Masks, m.Thresholds)
-		f.Release()
-	case *wire.FeatureBatch:
-		if up := c.sessions.add(f); up != nil {
-			c.spawn(task{up: up})
-		}
-	default:
-		_ = c.send(&wire.Error{Session: sessionOf(f.Msg), Code: 400, Msg: fmt.Sprintf("expected EdgeClassifyBatch or FeatureBatch, got %v", f.Msg.MsgType())})
-		f.Release()
+	if _, ok := f.Msg.(*wire.EdgeClassifyBatch); ok {
+		c.spawn(f)
+		return
+	}
+	_ = c.send(&wire.Error{Session: sessionOf(f.Msg), Code: 400, Msg: fmt.Sprintf("expected EdgeClassifyBatch, got %v", f.Msg.MsgType())})
+	f.Release()
+}
+
+// run classifies one escalation on a worker, then releases its frame.
+func (e *Edge) run(c *nodeConn, f *wire.Frame, sc *scratch) {
+	defer f.Release()
+	m := f.Msg.(*wire.EdgeClassifyBatch)
+	if model, feats := e.escalation(c, sc, m.Session, m.ModelVersion, m.Devices, m.Masks, m.F, m.H, m.W, m.Feats); model != nil {
+		e.classify(c, model, m, feats, sc)
 	}
 }
 
-// run classifies one complete session on a worker, then releases it.
-func (e *Edge) run(c *nodeConn, t task, sc *scratch) {
-	e.classify(c, t.up, sc)
-	c.sessions.release(t.up)
-}
-
-// classify runs the edge stage for one complete session, on the
-// devices' packed features as they arrived and each sample under its own
-// presence mask: confident samples exit here (ExitEdge), and only the
-// hard remainder rides a single EdgeFeatureBatch to the cloud — the
+// classify runs the edge stage for one escalation on the pinned model,
+// on the devices' packed features as they arrived and each sample under
+// its own presence mask: confident samples exit here (ExitEdge), and only
+// the hard remainder rides a single EdgeFeatureBatch to the cloud — the
 // partial exit that keeps upstream hops small. The whole session answers
 // with one ResultBatch in header order.
-func (e *Edge) classify(c *nodeConn, up *uploadSession, sc *scratch) {
-	edgeBits, edgeLogits := up.model.EdgeForwardBits(up.bits, up.masks, e.pool)
+func (e *Edge) classify(c *nodeConn, model *core.Model, m *wire.EdgeClassifyBatch, feats [][]byte, sc *scratch) {
+	edgeBits, edgeLogits := model.EdgeForwardBits(feats, m.Masks, e.pool)
 	defer e.pool.PutBytes(edgeBits)
 	probs := sc.softmaxRows(edgeLogits)
 	classes := edgeLogits.Dim(1)
 	e.pool.Put(edgeLogits)
-	verdicts := resize(sc.results.Verdicts, len(up.ids))
+	verdicts := resize(sc.results.Verdicts, len(m.SampleIDs))
 	hard := sc.hard[:0]
-	for i, id := range up.ids {
+	for i, id := range m.SampleIDs {
 		verdicts[i] = verdictRow(probs, classes, i, id, wire.ExitEdge)
 		// The first relayed threshold is this tier's exit criterion; an
 		// empty list means the edge never exits and always escalates.
-		confident := len(up.thresholds) > 0 &&
-			nn.NormalizedEntropy(verdicts[i].Probs) <= up.thresholds[0]
+		confident := len(m.Thresholds) > 0 &&
+			nn.NormalizedEntropy(verdicts[i].Probs) <= m.Thresholds[0]
 		if !confident {
 			hard = append(hard, i)
 		}
@@ -165,9 +161,9 @@ func (e *Edge) classify(c *nodeConn, up *uploadSession, sc *scratch) {
 	sc.hard = hard
 	var cloud *wire.Frame // the cloud's verdicts, held until the reply is out
 	if len(hard) > 0 {
-		f, err := e.escalate(up, hard, edgeBits, sc)
+		f, err := e.escalate(model, m, hard, edgeBits, sc)
 		if err != nil && !e.cfg.CloudFallback {
-			_ = c.send(&wire.Error{Session: up.session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
+			_ = c.send(&wire.Error{Session: m.Session, Code: 503, Msg: fmt.Sprintf("cloud escalation failed: %v", err)})
 			return
 		}
 		if err != nil {
@@ -181,9 +177,9 @@ func (e *Edge) classify(c *nodeConn, up *uploadSession, sc *scratch) {
 			}
 		}
 	}
-	sc.results = wire.ResultBatch{Session: up.session, Verdicts: verdicts}
+	sc.results = wire.ResultBatch{Session: m.Session, Verdicts: verdicts}
 	if err := c.send(&sc.results); err != nil {
-		e.logger.Debug("edge verdict failed", "session", up.session, "err", err)
+		e.logger.Debug("edge verdict failed", "session", m.Session, "err", err)
 	}
 	cloud.Release()
 }
@@ -194,23 +190,23 @@ func (e *Edge) classify(c *nodeConn, up *uploadSession, sc *scratch) {
 // under a fresh edge-owned session ID; it returns the cloud's
 // ResultBatch frame, whose verdicts follow hard-index order, for the
 // caller to release.
-func (e *Edge) escalate(up *uploadSession, hard []int, edgeBits []byte, sc *scratch) (*wire.Frame, error) {
+func (e *Edge) escalate(model *core.Model, m *wire.EdgeClassifyBatch, hard []int, edgeBits []byte, sc *scratch) (*wire.Frame, error) {
 	if e.cloud == nil {
 		return nil, fmt.Errorf("edge has no cloud connection")
 	}
 	upSession := e.nextUpstream.Add(1)
 	hardIDs := resize(sc.ids, len(hard))
 	sc.ids = hardIDs
-	stride := len(edgeBits) / len(up.ids)
+	stride := len(edgeBits) / len(m.SampleIDs)
 	for k, idx := range hard { // idx ≥ k: a row moves only forward
-		hardIDs[k] = up.ids[idx]
+		hardIDs[k] = m.SampleIDs[idx]
 		copy(edgeBits[k*stride:(k+1)*stride], edgeBits[idx*stride:(idx+1)*stride])
 	}
 	bits := edgeBits[:len(hard)*stride]
-	cfg := up.model.Cfg
+	cfg := model.Cfg
 	sc.edge = wire.EdgeFeatureBatch{
 		Session:      upSession,
-		ModelVersion: up.modelVersion,
+		ModelVersion: m.ModelVersion,
 		F:            uint16(cfg.EdgeFilters),
 		H:            uint16(cfg.FeatureH() / 2),
 		W:            uint16(cfg.FeatureW() / 2),
@@ -225,17 +221,17 @@ func (e *Edge) escalate(up *uploadSession, hard []int, edgeBits []byte, sc *scra
 	if err != nil {
 		return nil, err
 	}
-	switch m := f.Msg.(type) {
+	switch r := f.Msg.(type) {
 	case *wire.ResultBatch:
-		if err := checkVerdicts(m.Verdicts, hardIDs); err != nil {
+		if err := checkVerdicts(r.Verdicts, hardIDs); err != nil {
 			f.Release()
 			return nil, fmt.Errorf("cloud: %w", err)
 		}
 		return f, nil
 	case *wire.Error:
-		err = fmt.Errorf("cloud error %d: %s", m.Code, m.Msg)
+		err = fmt.Errorf("cloud error %d: %s", r.Code, r.Msg)
 	default:
-		err = fmt.Errorf("expected ResultBatch, got %v", m.MsgType())
+		err = fmt.Errorf("expected ResultBatch, got %v", r.MsgType())
 	}
 	f.Release()
 	return nil, err

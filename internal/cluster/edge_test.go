@@ -10,7 +10,6 @@ import (
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/dataset"
-	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -365,9 +364,10 @@ func TestTwoGatewaysShareOneEdge(t *testing.T) {
 func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 	// The hierarchy is part of the protocol contract: a two-tier cloud
 	// must reject EdgeFeatureBatch and an edge-tier cloud must reject
-	// CloudClassifyBatch. And no node accepts the eight retired
-	// single-sample frames any more: each answers a session-tagged 400
-	// and keeps serving the connection.
+	// CloudClassifyBatch; escalation frames the model refuses and stray
+	// FeatureBatches are rejected too. And no node accepts the eight
+	// retired single-sample frames any more: each answers a
+	// session-tagged 400 and keeps serving the connection.
 	twoTier, test := fixture(t)
 	threeTier, _ := edgeFixture(t)
 	type listener struct {
@@ -399,10 +399,36 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 		msg  wire.Message
 	}
 	const sid = 77
+	// Hostile escalation frames decode, so the tiers must refuse them
+	// before any forward: a block shape the model disagrees with, and a
+	// mask naming a device past the hierarchy's. Each frame's blocks
+	// match its own masks and shape; both fixtures share the device
+	// section.
+	cfg := twoTier.Cfg
+	f, h, w := uint16(cfg.DeviceFilters), uint16(cfg.FeatureH()), uint16(cfg.FeatureW())
+	block := make([]byte, (cfg.DeviceFilters*cfg.FeatureH()*cfg.FeatureW()+7)/8)
+	past := uint16(1) << cfg.Devices
+	pastFeats := make([][]byte, cfg.Devices+1)
+	pastFeats[cfg.Devices] = block
+	devices := uint16(cfg.Devices)
 	cases := []rejection{
 		{"two-tier rejects EdgeFeatureBatch", twoTierCloud, &wire.EdgeFeatureBatch{Session: sid, F: 8, H: 8, W: 8, SampleIDs: []uint64{1}, Bits: make([]byte, 64)}},
 		{"edge-tier rejects CloudClassifyBatch", edgeTierCloud, &wire.CloudClassifyBatch{Session: sid, Devices: 6, SampleIDs: []uint64{1}, Masks: []uint16{1}}},
 		{"edge-tier rejects bad shape", edgeTierCloud, &wire.EdgeFeatureBatch{Session: sid, F: 1, H: 1, W: 1, SampleIDs: []uint64{1}, Bits: make([]byte, 1)}},
+		{"two-tier rejects bad block shape", twoTierCloud, &wire.CloudClassifyBatch{Session: sid, Devices: devices, SampleIDs: []uint64{1}, Masks: []uint16{1},
+			F: 1, H: 1, W: 8, Feats: [][]byte{{0xFF}}}},
+		{"edge rejects bad block shape", edge, &wire.EdgeClassifyBatch{Session: sid, Devices: devices, SampleIDs: []uint64{1}, Masks: []uint16{1}, Thresholds: []float64{1},
+			F: 1, H: 1, W: 8, Feats: [][]byte{{0xFF}}}},
+		{"two-tier rejects mask past Devices", twoTierCloud, &wire.CloudClassifyBatch{Session: sid, Devices: devices, SampleIDs: []uint64{1}, Masks: []uint16{past},
+			F: f, H: h, W: w, Feats: pastFeats}},
+		{"edge rejects mask past Devices", edge, &wire.EdgeClassifyBatch{Session: sid, Devices: devices, SampleIDs: []uint64{1}, Masks: []uint16{past}, Thresholds: []float64{1},
+			F: f, H: h, W: w, Feats: pastFeats}},
+	}
+	// Device features travel inside the classify frame: a FeatureBatch
+	// upstream is a stray.
+	for _, on := range []listener{edge, twoTierCloud, edgeTierCloud} {
+		cases = append(cases, rejection{on.name + " refuses FeatureBatch", on,
+			&wire.FeatureBatch{Session: sid, Device: 0, F: f, H: h, W: w, Count: 1, Bits: block}})
 	}
 	for _, on := range []listener{device, edge, twoTierCloud, edgeTierCloud} {
 		for _, msg := range []wire.Message{
@@ -450,97 +476,6 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 			}
 			if hb, ok := msg.(*wire.Heartbeat); !ok || hb.Seq != 9 {
 				t.Errorf("after the refusal the node replied %+v, want the heartbeat echoed", msg)
-			}
-		})
-	}
-}
-
-// TestOpenSessionTableIsBounded drives an edge and a cloud replica with a
-// raw-wire peer that sends classify headers and never the feature frames:
-// past maxOpenSessions the header is refused with a session-tagged 429,
-// the sessions already open still complete, and an open session holds
-// only its frames' payloads: nothing of the node's pool.
-func TestOpenSessionTableIsBounded(t *testing.T) {
-	twoTier, _ := fixture(t)
-	threeTier, _ := edgeFixture(t)
-	cloud := NewCloud(twoTier, 1, quietLogger())
-	edge, err := NewEdge(threeTier, 1, DefaultEdgeConfig(), quietLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, node := range []struct {
-		name   string
-		model  *core.Model
-		serve  func(transport.Transport, string) error
-		close  func() error
-		pool   *tensor.Pool
-		header func(session uint64) wire.Message
-	}{
-		{"cloud", twoTier, cloud.Serve, cloud.Close, cloud.pool, func(s uint64) wire.Message {
-			return &wire.CloudClassifyBatch{Session: s, Devices: 6, SampleIDs: []uint64{1}, Masks: []uint16{1}}
-		}},
-		{"edge", threeTier, edge.Serve, edge.Close, edge.pool, func(s uint64) wire.Message {
-			// Threshold 1: the edge answers the completed session itself.
-			return &wire.EdgeClassifyBatch{Session: s, Devices: 6, SampleIDs: []uint64{1}, Masks: []uint16{1}, Thresholds: []float64{1}}
-		}},
-	} {
-		t.Run(node.name, func(t *testing.T) {
-			tr := transport.NewMem()
-			if err := node.serve(tr, "node"); err != nil {
-				t.Fatal(err)
-			}
-			defer node.close()
-			conn, err := tr.Dial(context.Background(), "node")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			for s := uint64(1); s <= maxOpenSessions+1; s++ {
-				if _, err := wire.Encode(conn, node.header(s)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			msg, err := wire.Decode(conn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e, ok := msg.(*wire.Error); !ok || e.Code != 429 || e.Session != maxOpenSessions+1 {
-				t.Fatalf("header %d past the cap got %+v, want Error 429 on its session", maxOpenSessions+1, msg)
-			}
-			// An open session is unaffected: its frame completes it.
-			cfg := node.model.Cfg
-			fb := &wire.FeatureBatch{Session: 1, Device: 0, Count: 1,
-				F: uint16(cfg.DeviceFilters), H: uint16(cfg.FeatureH()), W: uint16(cfg.FeatureW()),
-				Bits: make([]byte, (cfg.DeviceFilters*cfg.FeatureH()*cfg.FeatureW()+7)/8)}
-			if _, err := wire.Encode(conn, fb); err != nil {
-				t.Fatal(err)
-			}
-			if msg, err = wire.Decode(conn); err != nil {
-				t.Fatal(err)
-			}
-			if rb, ok := msg.(*wire.ResultBatch); !ok || rb.Session != 1 || len(rb.Verdicts) != 1 {
-				t.Fatalf("completed session got %+v, want its ResultBatch", msg)
-			}
-			// A rejected frame drops its session.
-			fb.Session, fb.Device = 2, 3 // device 3 is outside session 2's mask
-			if _, err := wire.Encode(conn, fb); err != nil {
-				t.Fatal(err)
-			}
-			if msg, err = wire.Decode(conn); err != nil {
-				t.Fatal(err)
-			}
-			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 || e.Session != 2 {
-				t.Fatalf("bad frame got %+v, want Error 400 on session 2", msg)
-			}
-			// 63 sessions are still open; dropping them with the
-			// connection returns nothing to the pool, because they drew
-			// nothing from it.
-			featSize := cfg.DeviceFilters * cfg.FeatureH() * cfg.FeatureW()
-			before := node.pool.Retained()[featSize]
-			conn.Close()
-			node.close()
-			if got := node.pool.Retained()[featSize]; got != before {
-				t.Errorf("closing the connection returned %d per-device feature tensors to the pool; open sessions should hold none", got-before)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"io"
-	"math/bits"
 	"net"
 	"slices"
 	"sync/atomic"
@@ -73,29 +72,19 @@ func TestLinkDeathEndsDeviceWait(t *testing.T) {
 }
 
 // TestLinkDeathFailsReplicaOverAtOnce: a cloud replica whose link dies
-// after it has read a session's frames, before it answers, fails the
-// session over to the other replica at once, not after CloudTimeout, and
-// the failed-over answer equals the staged reference.
+// after it has read a session's escalation frame, before it answers,
+// fails the session over to the other replica at once, not after
+// CloudTimeout, and the failed-over answer equals the staged reference.
 func TestLinkDeathFailsReplicaOverAtOnce(t *testing.T) {
 	model, test := fixture(t)
 	tr := transport.NewMem()
 	addrs, cloudAddr := membershipCluster(t, tr, "dying-replica")
-	// The replica hangs up, unanswered, once it has read the header and
-	// one feature frame per device the header's masks name.
-	var frames, hungUp atomic.Int32
+	// The replica hangs up, unanswered, once it has read the escalation.
+	var hungUp atomic.Int32
 	rawPeer(t, tr, "dying-replica-fake", func(_ net.Conn, m wire.Message) bool {
-		switch m := m.(type) {
-		case *wire.CloudClassifyBatch:
-			var union uint16
-			for _, mask := range m.Masks {
-				union |= mask
-			}
-			frames.Store(int32(bits.OnesCount16(union)))
-		case *wire.FeatureBatch:
-			if frames.Add(-1) == 0 {
-				hungUp.Add(1)
-				return true
-			}
+		if _, ok := m.(*wire.CloudClassifyBatch); ok {
+			hungUp.Add(1)
+			return true
 		}
 		return false
 	})

@@ -50,25 +50,25 @@ type gatewaySession struct {
 	results []*Result
 
 	// stage runs the session's round trips: capture, feature fetch and
-	// the upstream relay.
+	// the upstream relay. reqs[d] is device d's request in the device
+	// exchanges (nil for none).
 	stage    stage
 	exitVecs []*tensor.Tensor
-	reqs     [][]wire.Message
+	reqs     []wire.Message
 	capture  wire.CaptureBatch
 	// fetchAll asks a device for every escalating sample; fetch[d] for
 	// the subset device d covers when that is fewer.
-	fetchAll    wire.FeatureBatchRequest
-	fetch       []wire.FeatureBatchRequest
-	frame       [1]wire.Message // capture or fetchAll
-	fetchFrames [][1]wire.Message
-	want        []int
-	hard        []int
-	escIDs      []uint64
-	escMasks    []uint16
-	// held are the device frames of the feature fetch: the relay sends
-	// their messages, so they are released once it returns.
+	fetchAll wire.FeatureBatchRequest
+	fetch    []wire.FeatureBatchRequest
+	want     []int
+	hard     []int
+	escIDs   []uint64
+	escMasks []uint16
+	// held are the device frames of the feature fetch, and feats[d]
+	// aliases device d's feature maps in them: the escalation frame
+	// carries feats, so they are released once the relay returns.
 	held       []*wire.Frame
-	relayed    []wire.Message
+	feats      [][]byte
 	cloudHdr   wire.CloudClassifyBatch
 	edgeHdr    wire.EdgeClassifyBatch
 	thresholds []float64
@@ -91,7 +91,7 @@ func (g *Gateway) recycle(s *gatewaySession) {
 	s.model, s.pipeline = nil, nil
 	s.present, s.probs, s.slab, s.results = nil, nil, nil, nil
 	clear(s.snap.links)
-	clear(s.relayed)
+	clear(s.feats)
 	clear(s.exitVecs)
 	g.sessions.put(s)
 }
@@ -144,10 +144,9 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 	// Stage 1: every live device runs the whole session in one forward
 	// pass and sends a single summary frame.
 	s.capture = wire.CaptureBatch{Session: s.sid, ModelVersion: s.mv, SampleIDs: s.ids}
-	s.frame[0] = &s.capture
 	s.reqs = resize(s.reqs, devices)
 	for d := range s.reqs {
-		s.reqs[d] = s.frame[:] // exchange skips absent and down slots
+		s.reqs[d] = &s.capture // exchange skips absent and down slots
 	}
 	replies, err := s.stage.exchange(ctx, s.sid, s.snap.links, g.cfg.DeviceTimeout, s.reqs)
 	if err != nil {
@@ -248,16 +247,15 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 
 // escalate fetches the escalating samples' (s.hard) feature maps from
 // the devices that cover them — each device packs its whole subset into
-// one frame — and relays them behind a classify header to the next tier
+// one frame — and relays them inside one classify frame to the next tier
 // of the pipeline: an edge replica, which answers confident samples
 // itself and forwards the rest to the cloud, or a cloud replica directly
 // in a two-tier hierarchy. The replica pool picks the least-loaded
-// healthy replica and, because the frames carry the session's complete
-// feature payload, re-sends them verbatim to another replica if the
-// chosen one dies mid-session. The relayed thresholds come from the
-// session's pipeline, so tenant and shed overrides reach the upper tiers.
-// Results are filled for every escalating index from the returned
-// ResultBatch.
+// healthy replica and, because the frame carries the session's complete
+// feature payload, re-sends it verbatim to another replica if the chosen
+// one dies mid-session. The relayed thresholds come from the session's
+// pipeline, so tenant and shed overrides reach the upper tiers. Results
+// are filled for every escalating index from the returned ResultBatch.
 func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 	hard := s.hard
 	sentinel := g.upstreamSentinel()
@@ -276,12 +274,10 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 	// A device is asked for exactly the escalating samples it summarized;
 	// devices that cover all of them share one request.
 	s.fetchAll = wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: escIDs}
-	s.frame[0] = &s.fetchAll
 	reqs := s.reqs
 	want := resize(s.want, devices) // feature maps asked of each device
 	s.want = want
 	s.fetch = resize(s.fetch, devices)
-	s.fetchFrames = resize(s.fetchFrames, devices)
 	for d := range reqs {
 		reqs[d], want[d] = nil, 0
 		bit := uint16(1) << uint(d)
@@ -293,7 +289,7 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 		switch want[d] {
 		case 0:
 		case len(escIDs):
-			reqs[d] = s.frame[:]
+			reqs[d] = &s.fetchAll
 		default:
 			fr := &s.fetch[d]
 			ids := fr.SampleIDs[:0]
@@ -303,8 +299,7 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 				}
 			}
 			*fr = wire.FeatureBatchRequest{Session: s.sid, ModelVersion: s.mv, SampleIDs: ids}
-			s.fetchFrames[d][0] = fr
-			reqs[d] = s.fetchFrames[d][:]
+			reqs[d] = fr
 		}
 	}
 	replies, err := s.stage.exchange(ctx, s.sid, s.snap.links, g.cfg.DeviceTimeout, reqs)
@@ -318,7 +313,12 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 	if err != nil {
 		return err
 	}
-	frames := append(s.relayed[:0], nil) // frames[0] is the header
+	cfg := s.model.Cfg
+	filters, fh, fw := uint16(cfg.DeviceFilters), uint16(cfg.FeatureH()), uint16(cfg.FeatureW())
+	feats := resize(s.feats, devices)
+	clear(feats)
+	s.feats = feats
+	featBytes := 0
 	for d, r := range replies {
 		if reqs[d] == nil {
 			continue
@@ -326,12 +326,13 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 		err := r.err
 		switch m := r.msg().(type) {
 		case *wire.FeatureBatch:
-			if int(m.Count) == want[d] {
-				frames = append(frames, m)
-				g.Meter.Add(g.uploadCategory(), int64(m.Count)*int64(m.SampleBytes()))
+			if int(m.Count) == want[d] && m.F == filters && m.H == fh && m.W == fw {
+				feats[d] = m.Bits
+				featBytes += len(m.Bits)
 				continue
 			}
-			err = fmt.Errorf("cluster: device %d sent %d feature maps, want %d", d, m.Count, want[d])
+			err = fmt.Errorf("cluster: device %d sent %d feature maps of %d×%d×%d, want %d of %d×%d×%d",
+				d, m.Count, m.F, m.H, m.W, want[d], filters, fh, fw)
 		case *wire.Error:
 			if m.Code == 426 {
 				return fmt.Errorf("cluster: session of %d samples: device %d: %w", len(hard), d, ErrModelVersionUnknown)
@@ -342,22 +343,18 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 			err = fmt.Errorf("cluster: expected FeatureBatch, got %v", m.MsgType())
 		}
 		// The device answered the capture but died before the feature
-		// fetch; degrade to the remaining devices for every sample.
+		// fetch; degrade to the remaining devices for every sample. Its
+		// mask bit goes with its block, so masks and blocks still agree.
 		g.logger.Warn("feature fetch failed", "device", d, "err", err)
 		for k, idx := range hard {
 			s.present[idx*devices+d] = false
 			escMasks[k] &^= 1 << uint(d)
 		}
 	}
-	s.relayed = frames
-	if len(frames) == 1 {
-		return fmt.Errorf("cluster: no features collected for session of %d samples: %w", len(hard), ErrNoSummaries)
-	}
+	g.Meter.Add(g.uploadCategory(), int64(featBytes))
 	// Samples whose every covering device died before the fetch have no
-	// features to escalate; drop them (their results stay nil) so the
-	// header masks exactly describe the relayed frames. A sample covered
-	// by any successful frame still has that device's mask bit set and is
-	// kept, so frames and header stay consistent.
+	// features to escalate; drop them (their results stay nil). They
+	// cover no block, so the blocks are unchanged.
 	var dropErr error
 	kept := 0
 	for k, idx := range hard {
@@ -374,7 +371,13 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 	if kept == 0 {
 		return dropErr
 	}
+	// The escalation is one frame, so the codec's payload bound caps its
+	// feature maps and ID list (the rest of the header is under 64 bytes).
+	if featBytes+10*kept+64 > wire.MaxPayload {
+		return fmt.Errorf("cluster: escalation of %d samples carries %d feature bytes, over the %d-byte frame bound", kept, featBytes, wire.MaxPayload)
+	}
 
+	var frame wire.Message
 	if g.upstreamExit() == wire.ExitEdge {
 		s.thresholds = s.pipeline.appendRelayThresholds(s.thresholds[:0])
 		s.edgeHdr = wire.EdgeClassifyBatch{
@@ -384,8 +387,12 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 			SampleIDs:    escIDs,
 			Masks:        escMasks,
 			Thresholds:   s.thresholds,
+			F:            filters,
+			H:            fh,
+			W:            fw,
+			Feats:        feats,
 		}
-		frames[0] = &s.edgeHdr
+		frame = &s.edgeHdr
 	} else {
 		s.cloudHdr = wire.CloudClassifyBatch{
 			Session:      s.sid,
@@ -393,10 +400,14 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 			Devices:      uint16(devices),
 			SampleIDs:    escIDs,
 			Masks:        escMasks,
+			F:            filters,
+			H:            fh,
+			W:            fw,
+			Feats:        feats,
 		}
-		frames[0] = &s.cloudHdr
+		frame = &s.cloudHdr
 	}
-	f, err := g.upstream.relay(ctx, &s.stage, s.sid, g.upstreamTimeout(), time.Time{}, frames...)
+	f, err := g.upstream.relay(ctx, &s.stage, s.sid, g.upstreamTimeout(), time.Time{}, frame)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return ctxErr(cerr)

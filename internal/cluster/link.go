@@ -191,18 +191,18 @@ func (l *link) unsubscribe(session uint64) bool {
 	return true
 }
 
-// send writes frames atomically with respect to other sessions. A
-// non-zero deadline bounds the writes, so a stalled peer cannot wedge the
-// link's writer; a zero one leaves them unbounded. Any write error fails
+// send writes one frame atomically with respect to other sessions. A
+// non-zero deadline bounds the write, so a stalled peer cannot wedge the
+// link's writer; a zero one leaves it unbounded. Any write error fails
 // the link (abort).
-func (l *link) send(deadline time.Time, msgs ...wire.Message) error {
+func (l *link) send(deadline time.Time, m wire.Message) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	return l.write(deadline, msgs...)
+	return l.write(deadline, m)
 }
 
 // write is send for a caller that holds wmu.
-func (l *link) write(deadline time.Time, msgs ...wire.Message) error {
+func (l *link) write(deadline time.Time, m wire.Message) error {
 	if !deadline.IsZero() {
 		l.writeDue.Store(deadline.UnixNano())
 		l.watchdog.Reset(time.Until(deadline))
@@ -211,11 +211,9 @@ func (l *link) write(deadline time.Time, msgs ...wire.Message) error {
 			l.writeDue.Store(0)
 		}()
 	}
-	for _, m := range msgs {
-		if _, err := wire.Encode(l.conn, m); err != nil {
-			l.abort(err)
-			return err
-		}
+	if _, err := wire.Encode(l.conn, m); err != nil {
+		l.abort(err)
+		return err
 	}
 	return nil
 }
@@ -237,26 +235,27 @@ type stage struct {
 	ch    chan reply
 	timer *time.Timer
 	out   []reply
-	// one and oneFrames carry a single-link exchange (ReplicaPool.relay).
-	one       [1]*link
-	oneFrames [1][]wire.Message
+	// one and oneMsg carry a single-link exchange (ReplicaPool.relay).
+	one    [1]*link
+	oneMsg [1]wire.Message
 }
 
 // exchange is one round trip of a session stage: it subscribes every link
-// that has frames to the stage's reply channel, writes the frames from the
-// calling goroutine, and collects the first reply per link until all have
-// answered, the stage deadline passes, or ctx ends. Writes and wait share
-// the deadline; a timeout <= 0 leaves the stage to ctx alone (a zero
-// config is "no per-stage timeout", not "always time out"). Each link gets
-// one entry: its frame, or the error that replaced it (failed write, link
-// failure, deadline); a nil link or one without frames, a zero entry.
-// Only a done context is returned as the error.
+// that has a request (msgs[i] for links[i]) to the stage's reply channel,
+// writes the requests from the calling goroutine, and collects the first
+// reply per link until all have answered, the stage deadline passes, or
+// ctx ends. Writes and wait share the deadline; a timeout <= 0 leaves the
+// stage to ctx alone (a zero config is "no per-stage timeout", not
+// "always time out"). Each link gets one entry: its frame, or the error
+// that replaced it (failed write, link failure, deadline); a nil link or
+// a nil request, a zero entry. Only a done context is returned as the
+// error.
 //
 // The entries alias the stage until its next exchange, and their frames
 // are the caller's to release. A reply that is already on its way when
 // the wait ends is received and released here, so the channel is empty
 // for the next exchange.
-func (st *stage) exchange(ctx context.Context, session uint64, links []*link, timeout time.Duration, frames [][]wire.Message) ([]reply, error) {
+func (st *stage) exchange(ctx context.Context, session uint64, links []*link, timeout time.Duration, msgs []wire.Message) ([]reply, error) {
 	if cap(st.ch) < len(links) {
 		st.ch = make(chan reply, len(links))
 	}
@@ -284,12 +283,12 @@ func (st *stage) exchange(ctx context.Context, session uint64, links []*link, ti
 	}
 	pending := 0
 	for i, l := range links {
-		if l == nil || len(frames[i]) == 0 {
+		if l == nil || msgs[i] == nil {
 			continue
 		}
 		if out[i].err = l.subscribe(session, waiter{tag: i, ch: st.ch}); out[i].err == nil {
 			// A failed write fails the link, which answers the waiter.
-			_ = l.send(deadline, frames[i]...)
+			_ = l.send(deadline, msgs[i])
 			pending++
 		}
 	}
@@ -314,7 +313,7 @@ wait:
 	}
 	late := 0
 	for i, l := range links {
-		if l != nil && len(frames[i]) > 0 && out[i].f == nil && out[i].err == nil {
+		if l != nil && msgs[i] != nil && out[i].f == nil && out[i].err == nil {
 			if !l.unsubscribe(session) {
 				late++
 			}

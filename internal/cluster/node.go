@@ -39,10 +39,9 @@ type server struct {
 	// message types it serves. It owns the frame: it releases it, or
 	// hands it to a worker with nodeConn.spawn.
 	frame func(c *nodeConn, f *wire.Frame)
-	// run is the tier's worker half: it serves one task that frame
-	// spawned, with the worker's reply scratch, and releases what the
-	// task holds.
-	run func(c *nodeConn, t task, sc *scratch)
+	// run is the tier's worker half: it serves one request frame that
+	// frame spawned, with the worker's reply scratch, and releases it.
+	run func(c *nodeConn, f *wire.Frame, sc *scratch)
 	// onClose runs once, after the listener and connections close and
 	// before Close waits for their handlers.
 	onClose func()
@@ -61,7 +60,7 @@ type server struct {
 }
 
 // init sets up a tier node serving model's sections under modelVersion.
-func (s *server) init(name string, model *core.Model, modelVersion uint64, logger *slog.Logger, frame func(*nodeConn, *wire.Frame), run func(*nodeConn, task, *scratch)) {
+func (s *server) init(name string, model *core.Model, modelVersion uint64, logger *slog.Logger, frame func(*nodeConn, *wire.Frame), run func(*nodeConn, *wire.Frame, *scratch)) {
 	if logger == nil {
 		logger = slog.Default()
 	}
@@ -216,18 +215,9 @@ type nodeConn struct {
 	srv  *server
 	wmu  sync.Mutex
 	work sync.WaitGroup
-	// tasks hands spawned work to the connection's idle workers.
-	tasks chan task
-	// sessions holds the connection's open escalation sessions (edge and
-	// cloud only).
-	sessions sessionTable
-}
-
-// task is one unit of work a frame handler spawns: a request frame
-// (device, cloud) or a complete escalation session (edge, cloud).
-type task struct {
-	f  *wire.Frame
-	up *uploadSession
+	// tasks hands spawned request frames to the connection's idle
+	// workers.
+	tasks chan *wire.Frame
 }
 
 // scratch is one worker's reply storage. A worker sends each reply
@@ -241,6 +231,8 @@ type scratch struct {
 	probs    []float32
 	ids      []uint64
 	hard     []int
+	// feats is a classify header's device blocks, one entry per device.
+	feats [][]byte
 	// stage carries the edge's escalations to the cloud pool.
 	stage stage
 }
@@ -253,25 +245,25 @@ func (c *nodeConn) send(m wire.Message) error {
 	return err
 }
 
-// spawn runs t on one of the connection's workers: an idle one when
-// there is one, else a new one, which then stays for later tasks until
+// spawn runs f on one of the connection's workers: an idle one when
+// there is one, else a new one, which then stays for later frames until
 // the frame loop ends. Frames run as concurrently as with a goroutine
 // each, while a steady stream reuses the workers and their scratch.
-func (c *nodeConn) spawn(t task) {
+func (c *nodeConn) spawn(f *wire.Frame) {
 	c.work.Add(1)
 	c.srv.active.Add(1)
 	select {
-	case c.tasks <- t:
+	case c.tasks <- f:
 	default:
-		go c.worker(t)
+		go c.worker(f)
 	}
 }
 
-// worker runs tasks until the frame loop closes tasks.
-func (c *nodeConn) worker(t task) {
+// worker runs frames until the frame loop closes tasks.
+func (c *nodeConn) worker(f *wire.Frame) {
 	sc := new(scratch)
-	for ok := true; ok; t, ok = <-c.tasks {
-		c.srv.run(c, t, sc)
+	for ok := true; ok; f, ok = <-c.tasks {
+		c.srv.run(c, f, sc)
 		c.srv.active.Add(-1)
 		c.work.Done()
 	}
@@ -286,8 +278,7 @@ func (c *nodeConn) worker(t task) {
 // connection carries any number of interleaved sessions. It returns once
 // the connection's spawned work has finished.
 func (s *server) serveFrames(c *nodeConn) {
-	c.sessions = sessionTable{reg: s.reg, send: c.send}
-	c.tasks = make(chan task)
+	c.tasks = make(chan *wire.Frame)
 	defer func() {
 		c.work.Wait()
 		close(c.tasks) // idle workers exit

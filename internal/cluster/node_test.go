@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
@@ -22,22 +21,26 @@ import (
 func TestDrain(t *testing.T) {
 	twoTier, _ := fixture(t)
 	threeTier, _ := edgeFixture(t)
+	// One device's feature map for one sample; both fixtures share the
+	// device section.
+	cfg := twoTier.Cfg
+	f, h, w := uint16(cfg.DeviceFilters), uint16(cfg.FeatureH()), uint16(cfg.FeatureW())
+	feats := [][]byte{make([]byte, (cfg.DeviceFilters*cfg.FeatureH()*cfg.FeatureW()+7)/8)}
 	for _, tc := range []struct {
 		name   string
-		model  *core.Model
 		node   func(t *testing.T) *server
 		header wire.Message
 	}{
-		{"cloud", twoTier, func(*testing.T) *server { return &NewCloud(twoTier, 1, quietLogger()).server },
-			&wire.CloudClassifyBatch{Session: 1, Devices: uint16(twoTier.Cfg.Devices), SampleIDs: []uint64{1}, Masks: []uint16{1}}},
-		{"edge", threeTier, func(t *testing.T) *server {
+		{"cloud", func(*testing.T) *server { return &NewCloud(twoTier, 1, quietLogger()).server },
+			&wire.CloudClassifyBatch{Session: 1, Devices: uint16(cfg.Devices), SampleIDs: []uint64{1}, Masks: []uint16{1}, F: f, H: h, W: w, Feats: feats}},
+		{"edge", func(t *testing.T) *server {
 			e, err := NewEdge(threeTier, 1, DefaultEdgeConfig(), quietLogger())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return &e.server
 		}, // threshold 1: the edge answers the session itself
-			&wire.EdgeClassifyBatch{Session: 1, Devices: uint16(threeTier.Cfg.Devices), SampleIDs: []uint64{1}, Masks: []uint16{1}, Thresholds: []float64{1}}},
+			&wire.EdgeClassifyBatch{Session: 1, Devices: uint16(cfg.Devices), SampleIDs: []uint64{1}, Masks: []uint16{1}, Thresholds: []float64{1}, F: f, H: h, W: w, Feats: feats}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// inFlight serves a fresh node and leaves one complete session
@@ -55,13 +58,8 @@ func TestDrain(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { conn.Close() })
-				cfg := tc.model.Cfg
-				for _, m := range []wire.Message{tc.header, &wire.FeatureBatch{Session: 1, Device: 0, Count: 1,
-					F: uint16(cfg.DeviceFilters), H: uint16(cfg.FeatureH()), W: uint16(cfg.FeatureW()),
-					Bits: make([]byte, (cfg.DeviceFilters*cfg.FeatureH()*cfg.FeatureW()+7)/8)}} {
-					if _, err := wire.Encode(conn, m); err != nil {
-						t.Fatal(err)
-					}
+				if _, err := wire.Encode(conn, tc.header); err != nil {
+					t.Fatal(err)
 				}
 				for stop := time.Now().Add(5 * time.Second); n.active.Load() != 1; time.Sleep(time.Millisecond) {
 					if time.Now().After(stop) {

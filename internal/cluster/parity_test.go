@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -266,5 +267,73 @@ func TestEngineStagedParityLocalAgg(t *testing.T) {
 		slices.Sort(entropies)
 		localT := entropies[len(entropies)/2]
 		checkStagedParity(t, model, test, localT, 0.5, 8, true)
+	}
+}
+
+// TestDeviceLossBeforeFetchParity takes a device down between the capture
+// and the feature fetch of the first escalating session: the device
+// summarized every sample, then never answers the fetch. The escalation
+// frame must drop that device's mask bits together with its block, and
+// every answer — that session's and the later ones', which run without
+// the device — must match staged Evaluate under its own presence mask,
+// probabilities bit for bit, on both hierarchies.
+func TestDeviceLossBeforeFetchParity(t *testing.T) {
+	const lost = 2
+	twoTier, test := fixture(t)
+	threeTier, edgeTest := edgeFixture(t)
+	for _, tc := range []struct {
+		name  string
+		model *core.Model
+		test  *dataset.Dataset
+		pol   branchy.Policy
+	}{
+		{"two-tier", twoTier, test, branchy.NewPolicy(-1, 1)},
+		{"edge-tier", threeTier, edgeTest, branchy.NewPolicy(-1, 0.5, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gcfg := DefaultGatewayConfig()
+			gcfg.Threshold = -1 // every sample escalates
+			gcfg.EdgeThreshold = 0.5
+			gcfg.DeviceTimeout = 200 * time.Millisecond
+			gcfg.HeartbeatInterval = 50 * time.Millisecond
+			eng, err := NewEngine(tc.model, tc.test, EngineConfig{
+				Gateway:        gcfg,
+				MaxConcurrency: 2,
+				Batch:          BatchConfig{MaxBatch: 8},
+				Logger:         quietLogger(),
+			}, transport.NewMem())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			// The local-stage observation fires after the capture round
+			// trip and before the escalation's feature fetch.
+			var once sync.Once
+			eng.Gateway().SetInstrumentation(Instrumentation{StageObserved: func(tier wire.ExitPoint, _ time.Duration) {
+				if tier == wire.ExitLocal {
+					once.Do(func() { eng.Devices()[lost].SetFailed(true) })
+				}
+			}})
+			ids := make([]uint64, tc.test.Len())
+			for i := range ids {
+				ids[i] = uint64(i)
+			}
+			results, err := eng.ClassifyBatchTenantShed(context.Background(), ids, "", ShedNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := core.NewReference(tc.model, tc.test)
+			for i, got := range results {
+				if got.Present[lost] {
+					t.Fatalf("sample %d: device %d present after it died before the fetch", i, lost)
+				}
+				res := ref.For(got.Present, got.ModelVersion)
+				wantExit, wantClass := stagedExpectation(res, tc.pol, i)
+				if got.Exit != wantExit || got.Class != wantClass {
+					t.Errorf("sample %d: exit/class %v/%d, staged Evaluate under %v says %v/%d", i, got.Exit, got.Class, got.Present, wantExit, wantClass)
+				}
+				checkStagedProbs(t, got, res, tc.pol, i)
+			}
+		})
 	}
 }

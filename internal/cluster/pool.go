@@ -78,7 +78,8 @@ func (r *replica) ensureLink(ctx context.Context, tr transport.Transport) (*link
 // detector marked down until their next echo re-admits them, and retries
 // an in-flight escalation on a different replica when one dies
 // mid-session — escalations are idempotent because every retry re-sends
-// the full bit-packed feature frames. Sessions never mark health.
+// the one frame that carries the whole bit-packed feature payload.
+// Sessions never mark health.
 type ReplicaPool struct {
 	tier   wire.ExitPoint
 	tr     transport.Transport
@@ -247,18 +248,18 @@ func (p *ReplicaPool) beat(ctx context.Context, hb *wire.Heartbeat, interval tim
 	}
 }
 
-// relay runs one session's escalation with failover: it sends the frames
-// to a scheduled replica and waits for the session's reply, retrying on
-// a different replica when one proves unreachable mid-session. Every
-// replica is tried at most once per session. Retries are safe because
-// frames carry the session's complete bit-packed feature payload — a
-// replica that half-processed the session before dying leaves no state
-// the retry depends on. Non-replica failures (context cancellation,
+// relay runs one session's escalation with failover: it sends the
+// escalation frame to a scheduled replica and waits for the session's
+// reply, retrying on a different replica when one proves unreachable
+// mid-session. Every replica is tried at most once per session. Retries
+// are safe because the frame carries the session's complete bit-packed
+// feature payload — a replica that half-processed the session before
+// dying leaves no state the retry depends on. Non-replica failures (context cancellation,
 // protocol errors from a live replica) are returned immediately. Each
 // attempt waits up to timeout, cut short by budget when that is not
 // zero: one bound for every attempt together. The round trips run on
 // st, and the reply frame is the caller's to release.
-func (p *ReplicaPool) relay(ctx context.Context, st *stage, sid uint64, timeout time.Duration, budget time.Time, frames ...wire.Message) (*wire.Frame, error) {
+func (p *ReplicaPool) relay(ctx context.Context, st *stage, sid uint64, timeout time.Duration, budget time.Time, m wire.Message) (*wire.Frame, error) {
 	var tried uint64
 	var lastErr error
 	for attempt := 0; attempt < len(p.replicas); attempt++ {
@@ -276,7 +277,7 @@ func (p *ReplicaPool) relay(ctx context.Context, st *stage, sid uint64, timeout 
 				return nil, fmt.Errorf("cluster: %w after %v", ErrDeadlineExceeded, timeout)
 			}
 		}
-		f, rerr := p.relayOn(ctx, st, r, sid, t, frames)
+		f, rerr := p.relayOn(ctx, st, r, sid, t, m)
 		p.done(r)
 		if rerr == nil {
 			return f, nil
@@ -294,14 +295,14 @@ func (p *ReplicaPool) relay(ctx context.Context, st *stage, sid uint64, timeout 
 
 // relayOn performs one escalation attempt against a single replica,
 // re-dialing it first if its connection died.
-func (p *ReplicaPool) relayOn(ctx context.Context, st *stage, r *replica, sid uint64, timeout time.Duration, frames []wire.Message) (*wire.Frame, error) {
+func (p *ReplicaPool) relayOn(ctx context.Context, st *stage, r *replica, sid uint64, timeout time.Duration, m wire.Message) (*wire.Frame, error) {
 	lk, err := r.ensureLink(ctx, p.tr)
 	if err != nil {
 		return nil, err
 	}
-	st.one, st.oneFrames = [1]*link{lk}, [1][]wire.Message{frames}
-	replies, err := st.exchange(ctx, sid, st.one[:], timeout, st.oneFrames[:])
-	st.one, st.oneFrames = [1]*link{}, [1][]wire.Message{}
+	st.one, st.oneMsg = [1]*link{lk}, [1]wire.Message{m}
+	replies, err := st.exchange(ctx, sid, st.one[:], timeout, st.oneMsg[:])
+	st.one, st.oneMsg = [1]*link{}, [1]wire.Message{}
 	if err != nil {
 		return nil, err
 	}

@@ -164,10 +164,9 @@ func (m *FeatureBatchRequest) decodePayload(r *reader) error {
 
 // FeatureBatch carries one device's bit-packed binarized feature maps for
 // Count samples: Count independent PackFeature payloads of (F·H·W+7)/8
-// bytes each, concatenated in the order of the request (FeatureBatchRequest
-// on the device uplink, the batched classify header's per-sample masks on
-// the relay upstream). Each sample charges the same f·o/8 bytes of Eq. (1)
-// as an unbatched FeatureUpload.
+// bytes each, concatenated in the order of the FeatureBatchRequest it
+// answers. Each sample charges the same f·o/8 bytes of Eq. (1) as an
+// unbatched FeatureUpload.
 type FeatureBatch struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
@@ -187,17 +186,6 @@ func (*FeatureBatch) MsgType() MsgType { return TypeFeatureBatch }
 // SessionID implements Sessioned.
 func (m *FeatureBatch) SessionID() uint64 { return m.Session }
 
-// SampleBytes returns the packed size of one sample's feature map.
-func (m *FeatureBatch) SampleBytes() int {
-	return featureBytes(m.F, m.H, m.W)
-}
-
-// Sample returns the packed bits of the i-th sample.
-func (m *FeatureBatch) Sample(i int) []byte {
-	sb := m.SampleBytes()
-	return m.Bits[i*sb : (i+1)*sb]
-}
-
 func (m *FeatureBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
@@ -215,13 +203,11 @@ func (m *FeatureBatch) decodePayload(r *reader) (err error) {
 	return err
 }
 
-// CloudClassifyBatch opens a batched cloud classification session: it
-// lists the escalating samples and, per sample, the bitmask of devices
-// whose features follow (masks may differ across samples — a device can
-// drop out mid-batch). The gateway then relays one FeatureBatch per
-// device in the union of the masks, each carrying that device's present
-// samples in batch order, and the cloud answers with a single
-// ResultBatch.
+// CloudClassifyBatch is a whole two-tier escalation in one frame: it
+// lists the escalating samples with, per sample, the bitmask of devices
+// whose features cover it (masks may differ across samples — a device
+// can drop out mid-batch), and carries those devices' packed feature
+// maps. The cloud answers with a single ResultBatch.
 type CloudClassifyBatch struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
@@ -233,6 +219,14 @@ type CloudClassifyBatch struct {
 	SampleIDs []uint64
 	// Masks[i] has bit d set when device d's features cover sample i.
 	Masks []uint16
+	// F, H, W give every device feature map's shape.
+	F, H, W uint16
+	// Feats[d] is device d's block: the PackFeature payloads of the
+	// samples whose mask has bit d set, in batch order, and empty for a
+	// device no mask names. The payload carries the blocks back to back
+	// in device order; a decoded Feats has an entry for every device up
+	// to the highest in the masks' union.
+	Feats [][]byte
 }
 
 // MsgType implements Message.
@@ -252,25 +246,40 @@ func appendIDMaskPairs(dst []byte, ids []uint64, masks []uint16) []byte {
 	return dst
 }
 
+// appendDeviceFeats encodes the device-feature tail of the classify
+// headers: the shape, then the device blocks in device order (a device
+// outside the masks' union has an empty block).
+func appendDeviceFeats(dst []byte, f, h, w uint16, feats [][]byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, f)
+	dst = binary.LittleEndian.AppendUint16(dst, h)
+	dst = binary.LittleEndian.AppendUint16(dst, w)
+	for _, block := range feats {
+		dst = append(dst, block...)
+	}
+	return dst
+}
+
 func (m *CloudClassifyBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
 	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Devices)
-	return appendIDMaskPairs(dst, m.SampleIDs, m.Masks)
+	dst = appendIDMaskPairs(dst, m.SampleIDs, m.Masks)
+	return appendDeviceFeats(dst, m.F, m.H, m.W, m.Feats)
 }
 
-func (m *CloudClassifyBatch) decodePayload(r *reader) error {
+func (m *CloudClassifyBatch) decodePayload(r *reader) (err error) {
 	m.Session, m.ModelVersion, m.Devices = r.u64(), r.u64(), r.u16()
 	m.SampleIDs, m.Masks = r.idMasks(m.SampleIDs, m.Masks)
-	return r.end()
+	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
+	m.Feats, err = r.deviceFeats("cloud classify batch", m.Masks, m.F, m.H, m.W, m.Feats)
+	return err
 }
 
-// EdgeClassifyBatch opens a batched edge classification session: the
-// batched analogue of EdgeClassify, carrying per-sample device masks like
-// CloudClassifyBatch plus the remaining pipeline thresholds (nearest tier
-// first). The edge answers the whole batch with one ResultBatch; samples
-// confident at the edge exit carry ExitEdge, the rest ride an
-// EdgeFeatureBatch to the cloud and come back with its verdicts.
+// EdgeClassifyBatch is CloudClassifyBatch for the gateway→edge hop, plus
+// the remaining pipeline thresholds (nearest tier first). The edge
+// answers the whole batch with one ResultBatch; samples confident at the
+// edge exit carry ExitEdge, the rest ride an EdgeFeatureBatch to the
+// cloud and come back with its verdicts.
 type EdgeClassifyBatch struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
@@ -285,6 +294,10 @@ type EdgeClassifyBatch struct {
 	// Thresholds holds the remaining exit thresholds, nearest tier first,
 	// at full float64 precision (see EdgeClassify).
 	Thresholds []float64
+	// F, H, W give every device feature map's shape.
+	F, H, W uint16
+	// Feats[d] is device d's block, as in CloudClassifyBatch.
+	Feats [][]byte
 }
 
 // MsgType implements Message.
@@ -302,14 +315,16 @@ func (m *EdgeClassifyBatch) appendPayload(dst []byte) []byte {
 	for _, t := range m.Thresholds {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t))
 	}
-	return dst
+	return appendDeviceFeats(dst, m.F, m.H, m.W, m.Feats)
 }
 
-func (m *EdgeClassifyBatch) decodePayload(r *reader) error {
+func (m *EdgeClassifyBatch) decodePayload(r *reader) (err error) {
 	m.Session, m.ModelVersion, m.Devices = r.u64(), r.u64(), r.u16()
 	m.SampleIDs, m.Masks = r.idMasks(m.SampleIDs, m.Masks)
 	m.Thresholds = r.f64s(int(r.u16()), m.Thresholds)
-	return r.end()
+	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
+	m.Feats, err = r.deviceFeats("edge classify batch", m.Masks, m.F, m.H, m.W, m.Feats)
+	return err
 }
 
 // EdgeFeatureBatch carries the bit-packed edge feature maps of the
@@ -335,17 +350,6 @@ func (*EdgeFeatureBatch) MsgType() MsgType { return TypeEdgeFeatureBatch }
 
 // SessionID implements Sessioned.
 func (m *EdgeFeatureBatch) SessionID() uint64 { return m.Session }
-
-// SampleBytes returns the packed size of one sample's feature map.
-func (m *EdgeFeatureBatch) SampleBytes() int {
-	return featureBytes(m.F, m.H, m.W)
-}
-
-// Sample returns the packed bits of the i-th sample.
-func (m *EdgeFeatureBatch) Sample(i int) []byte {
-	sb := m.SampleBytes()
-	return m.Bits[i*sb : (i+1)*sb]
-}
 
 func (m *EdgeFeatureBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)

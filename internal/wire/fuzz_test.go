@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -37,8 +38,10 @@ func seedMessages() []Message {
 			Probs:   []float32{0.1, 0.7, 0.2, 0.9, 0.05, 0.05}},
 		&FeatureBatchRequest{Session: 16, ModelVersion: 2, SampleIDs: []uint64{7, 9}},
 		&FeatureBatch{Session: 17, Device: 1, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 256)},
-		&CloudClassifyBatch{Session: 18, ModelVersion: 6, Devices: 6, SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b101101}},
-		&EdgeClassifyBatch{Session: 19, ModelVersion: 7, Devices: 6, SampleIDs: []uint64{5}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8, 0.5}},
+		&CloudClassifyBatch{Session: 18, ModelVersion: 6, Devices: 6, SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b101101},
+			F: 1, H: 2, W: 8, Feats: deviceBlocks([]uint16{0b111111, 0b101101}, 2)},
+		&EdgeClassifyBatch{Session: 19, ModelVersion: 7, Devices: 6, SampleIDs: []uint64{5}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8, 0.5},
+			F: 1, H: 2, W: 8, Feats: deviceBlocks([]uint16{0b011011}, 2)},
 		&EdgeFeatureBatch{Session: 20, ModelVersion: 8, F: 8, H: 8, W: 8, SampleIDs: []uint64{11, 12}, Bits: make([]byte, 128)},
 		&ResultBatch{Session: 21, Verdicts: []BatchVerdict{
 			{SampleID: 5, Exit: ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}},
@@ -48,6 +51,27 @@ func seedMessages() []Message {
 		&DeviceWelcome{Slot: 4, Devices: 6, ConfigVersion: 17},
 		&DeviceGoodbye{NodeID: "device-4", Slot: 4, Reason: "draining"},
 	}
+}
+
+// deviceBlocks returns a classify header's Feats for masks: one block
+// per device up to the highest in their union, holding size bytes per
+// sample whose mask names the device, in a pattern that differs from
+// device to device.
+func deviceBlocks(masks []uint16, size int) [][]byte {
+	var union uint16
+	for _, m := range masks {
+		union |= m
+	}
+	feats := make([][]byte, bits.Len16(union))
+	for d := range feats {
+		feats[d] = []byte{}
+		for _, m := range masks {
+			for j := 0; m>>d&1 != 0 && j < size; j++ {
+				feats[d] = append(feats[d], byte(d<<5+len(feats[d])))
+			}
+		}
+	}
+	return feats
 }
 
 // FuzzDecode feeds arbitrary byte streams to both frame decoders. Neither
@@ -243,13 +267,17 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 		}
 		return &FeatureBatch{Session: session, Device: b, F: fDim, H: h, W: w, Count: uint16(count), Bits: bits}
 	case 15:
-		return &CloudClassifyBatch{Session: session, ModelVersion: mv, Devices: a, SampleIDs: ids, Masks: masks}
+		fDim, h, w, one := shape(a, b)
+		return &CloudClassifyBatch{Session: session, ModelVersion: mv, Devices: a, SampleIDs: ids, Masks: masks,
+			F: fDim, H: h, W: w, Feats: deviceBlocks(masks, len(one))}
 	case 16:
 		ts := make([]float64, len(blob)/8%16)
 		for i := range ts {
 			ts[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8*i:]))
 		}
-		return &EdgeClassifyBatch{Session: session, ModelVersion: mv, Devices: a, SampleIDs: ids, Masks: masks, Thresholds: ts}
+		fDim, h, w, one := shape(b, a)
+		return &EdgeClassifyBatch{Session: session, ModelVersion: mv, Devices: a, SampleIDs: ids, Masks: masks, Thresholds: ts,
+			F: fDim, H: h, W: w, Feats: deviceBlocks(masks, len(one))}
 	case 17:
 		fDim, h, w, one := shape(b, a)
 		bits := make([]byte, 0, len(ids)*len(one))

@@ -28,7 +28,22 @@ func frame(m wire.Message) []byte {
 	return buf.Bytes()
 }
 
+// blocks returns a classify header's device blocks for masks: one
+// 128-byte map (4×16×16 bits) per sample a device covers.
+func blocks(masks []uint16) [][]byte {
+	feats := make([][]byte, 6)
+	for d := range feats {
+		for _, m := range masks {
+			if m&(1<<d) != 0 {
+				feats[d] = append(feats[d], bytes.Repeat([]byte{byte(d + 1)}, 128)...)
+			}
+		}
+	}
+	return feats
+}
+
 func main() {
+	cloudMasks, edgeMasks := []uint16{0b111111, 0b101101}, []uint16{0b011011}
 	summary := frame(&wire.LocalSummary{Session: 17, SampleID: 42, Device: 1, Probs: []float32{0.1, 0.7, 0.2}})
 	badtype := append([]byte(nil), summary...)
 	badtype[3] = 200
@@ -61,10 +76,13 @@ func main() {
 		"seed-summary-batch":        frame(&wire.SummaryBatch{Session: 1<<40 + 15, Device: 2, Classes: 3, Count: 3, Present: wire.PackPresent([]bool{true, false, true}), Probs: []float32{0.1, 0.7, 0.2, 0.9, 0.05, 0.05}}),
 		"seed-feature-batch-req":    frame(&wire.FeatureBatchRequest{Session: 1<<40 + 16, ModelVersion: 2, SampleIDs: []uint64{7, 9}}),
 		"seed-feature-batch":        frame(&wire.FeatureBatch{Session: 1<<40 + 17, Device: 1, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 256)}),
-		"seed-cloud-classify-batch": frame(&wire.CloudClassifyBatch{Session: 1<<40 + 18, ModelVersion: 6, Devices: 6, SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b101101}}),
-		"seed-edge-classify-batch":  frame(&wire.EdgeClassifyBatch{Session: 1<<40 + 19, ModelVersion: 7, Devices: 6, SampleIDs: []uint64{5}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8, 0.5}}),
-		"seed-edge-feature-batch":   frame(&wire.EdgeFeatureBatch{Session: 1<<40 + 20, ModelVersion: 8, F: 8, H: 8, W: 8, SampleIDs: []uint64{11, 12}, Bits: make([]byte, 128)}),
-		"seed-result-batch":         frame(&wire.ResultBatch{Session: 1<<40 + 21, Verdicts: []wire.BatchVerdict{{SampleID: 5, Exit: wire.ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}}, {SampleID: 6, Exit: wire.ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}}}}),
+		"seed-cloud-classify-batch": frame(&wire.CloudClassifyBatch{Session: 1<<40 + 18, ModelVersion: 6, Devices: 6, SampleIDs: []uint64{5, 6}, Masks: cloudMasks, F: 4, H: 16, W: 16, Feats: blocks(cloudMasks)}),
+		"seed-edge-classify-batch":  frame(&wire.EdgeClassifyBatch{Session: 1<<40 + 19, ModelVersion: 7, Devices: 6, SampleIDs: []uint64{5}, Masks: edgeMasks, Thresholds: []float64{0.8, 0.5}, F: 4, H: 16, W: 16, Feats: blocks(edgeMasks)}),
+		// Masks that declare more block bytes than the payload holds:
+		// device 5's block is missing.
+		"seed-cloud-classify-batch-short": frame(&wire.CloudClassifyBatch{Session: 1<<40 + 18, ModelVersion: 6, Devices: 6, SampleIDs: []uint64{5, 6}, Masks: cloudMasks, F: 4, H: 16, W: 16, Feats: blocks(cloudMasks)[:5]}),
+		"seed-edge-feature-batch":         frame(&wire.EdgeFeatureBatch{Session: 1<<40 + 20, ModelVersion: 8, F: 8, H: 8, W: 8, SampleIDs: []uint64{11, 12}, Bits: make([]byte, 128)}),
+		"seed-result-batch":               frame(&wire.ResultBatch{Session: 1<<40 + 21, Verdicts: []wire.BatchVerdict{{SampleID: 5, Exit: wire.ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}}, {SampleID: 6, Exit: wire.ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}}}}),
 	}
 
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // reader is a bounds-checked cursor over one frame payload. A decoder
@@ -167,11 +168,40 @@ func (r *reader) features(frame string, bits []byte, count int, f, h, w uint16) 
 	if err := r.end(); err != nil {
 		return nil, err
 	}
-	if want := count * featureBytes(f, h, w); len(bits) != want {
-		return nil, fmt.Errorf("wire: %s has %d bytes for %d maps of %d×%d×%d bits (want %d)", frame, len(bits), count, f, h, w, want)
+	// A map larger than any payload fails before the product can overflow.
+	if fb := featureBytes(f, h, w); fb > MaxPayload || len(bits) != count*fb {
+		return nil, fmt.Errorf("wire: %s has %d bytes for %d maps of %d×%d×%d bits", frame, len(bits), count, f, h, w)
 	}
 	if r.alias {
 		return bits, nil
 	}
 	return append([]byte(nil), bits...), nil
+}
+
+// deviceFeats ends a classify header, whose last field is one block of
+// f×h×w feature maps per device in the union of masks, in device order:
+// device d's block holds a map for every mask with bit d set. It checks
+// the blocks' total size with features and returns them indexed by
+// device, up to the highest device in the union; a device outside the
+// union gets an empty block.
+func (r *reader) deviceFeats(frame string, masks []uint16, f, h, w uint16, dst [][]byte) ([][]byte, error) {
+	maps, union := 0, uint16(0)
+	for _, m := range masks {
+		maps += bits.OnesCount16(m)
+		union |= m
+	}
+	all, err := r.features(frame, r.rest(), maps, f, h, w)
+	if err != nil {
+		return dst[:0], err
+	}
+	feats := resize(dst, bits.Len16(union))
+	size := featureBytes(f, h, w)
+	for d := range feats {
+		n := 0
+		for _, m := range masks {
+			n += int(m>>d) & 1
+		}
+		feats[d], all = all[:n*size:n*size], all[n*size:]
+	}
+	return feats, nil
 }

@@ -3,7 +3,7 @@
 // the cloud). Frames are length-prefixed with a fixed header:
 //
 //	magic   uint16  0xDD17 ("DDNN ICDCS'17")
-//	version uint8   3
+//	version uint8   4
 //	type    uint8   message type
 //	length  uint32  payload length in bytes
 //
@@ -21,7 +21,9 @@
 // assuming lock-step request/reply. Version 3 added a ModelVersion pin to
 // every serving-path request, so a session started during a rolling model
 // reload is answered by one model version at every hop (0 pins nothing and
-// means "the responder's active version").
+// means "the responder's active version"). Version 4 moved the escalating
+// devices' feature maps into the batched classify headers, so each
+// escalation hop is one request frame.
 package wire
 
 import (
@@ -41,8 +43,10 @@ const Magic uint16 = 0xDD17
 // Version is the protocol version this package speaks. Version 2 added
 // the Session tag that multiplexes concurrent inference sessions over one
 // connection; version 3 added the model-version pin on every serving-path
-// request (rolling model reloads).
-const Version uint8 = 3
+// request (rolling model reloads); version 4 carries the device feature
+// maps inside CloudClassifyBatch and EdgeClassifyBatch instead of one
+// FeatureBatch per device behind them.
+const Version uint8 = 4
 
 // MaxPayload bounds frame payloads to guard against corrupt or hostile
 // length fields. Feature maps in this system are tiny; 16 MiB is generous.
@@ -100,11 +104,11 @@ const (
 	// TypeFeatureBatch carries one device's bit-packed feature maps for
 	// several samples in a single frame.
 	TypeFeatureBatch
-	// TypeCloudClassifyBatch announces a batched cloud classification
-	// session with per-sample device masks.
+	// TypeCloudClassifyBatch is a batched cloud escalation: per-sample
+	// device masks and the devices' feature maps.
 	TypeCloudClassifyBatch
-	// TypeEdgeClassifyBatch announces a batched edge classification
-	// session with per-sample device masks and relayed thresholds.
+	// TypeEdgeClassifyBatch is a batched edge escalation: per-sample
+	// device masks, relayed thresholds and the devices' feature maps.
 	TypeEdgeClassifyBatch
 	// TypeEdgeFeatureBatch carries the edge feature maps of the batch
 	// subset that missed the edge exit.

@@ -60,9 +60,11 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		{"FeatureBatchRequest", &FeatureBatchRequest{Session: 16, SampleIDs: []uint64{7, 9}}},
 		{"FeatureBatch", &FeatureBatch{Session: 17, Device: 1, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 2*4*16*16/8)}},
 		{"CloudClassifyBatch", &CloudClassifyBatch{Session: 18, Devices: 6,
-			SampleIDs: []uint64{5, 6, 7}, Masks: []uint16{0b111111, 0b101101, 0b000001}}},
+			SampleIDs: []uint64{5, 6, 7}, Masks: []uint16{0b111111, 0b101101, 0b000001},
+			F: 4, H: 16, W: 16, Feats: deviceBlocks([]uint16{0b111111, 0b101101, 0b000001}, 128)}},
 		{"EdgeClassifyBatch", &EdgeClassifyBatch{Session: 19, Devices: 6,
-			SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b011011}, Thresholds: []float64{0.8, 0.5}}},
+			SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b011011}, Thresholds: []float64{0.8, 0.5},
+			F: 4, H: 16, W: 16, Feats: deviceBlocks([]uint16{0b111111, 0b011011}, 128)}},
 		{"EdgeFeatureBatch", &EdgeFeatureBatch{Session: 20, F: 8, H: 8, W: 8,
 			SampleIDs: []uint64{11, 12, 13}, Bits: make([]byte, 3*8*8*8/8)}},
 		{"ResultBatch", &ResultBatch{Session: 21, Verdicts: []BatchVerdict{
@@ -163,6 +165,33 @@ func TestFeatureUploadRejectsInconsistentBits(t *testing.T) {
 	}
 	if _, err := Decode(&buf); err == nil {
 		t.Error("Decode accepted feature upload with inconsistent bit count")
+	}
+}
+
+// TestClassifyHeaderDeviceFeats pins how a classify header's masks size
+// its device blocks: a zero shape decodes to empty blocks, a mask may
+// name a device past Devices (the receiving tier refuses that, not the
+// codec), and masks that declare more block bytes than the payload holds
+// fail to decode.
+func TestClassifyHeaderDeviceFeats(t *testing.T) {
+	masks := []uint16{0b0101, 0b0100}
+	got := roundTrip(t, &CloudClassifyBatch{Session: 1, Devices: 6, SampleIDs: []uint64{1, 2}, Masks: masks}).(*CloudClassifyBatch)
+	if len(got.Feats) != 3 || len(got.Feats[0])+len(got.Feats[1])+len(got.Feats[2]) != 0 {
+		t.Errorf("zero shape decoded to blocks %v, want three empty ones", got.Feats)
+	}
+	beyond := &EdgeClassifyBatch{Session: 2, Devices: 2, SampleIDs: []uint64{1}, Masks: []uint16{0b1001},
+		F: 1, H: 1, W: 8, Feats: [][]byte{{1}, {}, {}, {4}}}
+	if got := roundTrip(t, beyond).(*EdgeClassifyBatch); !reflect.DeepEqual(got.Feats, beyond.Feats) {
+		t.Errorf("mask past Devices decoded to blocks %v, want %v", got.Feats, beyond.Feats)
+	}
+	short := &CloudClassifyBatch{Session: 3, Devices: 6, SampleIDs: []uint64{1, 2}, Masks: masks,
+		F: 1, H: 1, W: 8, Feats: [][]byte{{1}}} // device 2's two maps are missing
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, short); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(&buf); err == nil {
+		t.Error("Decode accepted masks that declare more block bytes than the payload holds")
 	}
 }
 
@@ -363,8 +392,8 @@ func TestDecodeContract(t *testing.T) {
 		TypeClassifyResult: 2, TypeHeartbeat: 2, TypeError: 2,
 		TypeCaptureRequest: 1, TypeCloudClassify: 1, TypeEdgeClassify: 2,
 		TypeEdgeFeature: 2, TypeCaptureBatch: 2, TypeSummaryBatch: 3,
-		TypeFeatureBatchRequest: 2, TypeFeatureBatch: 2, TypeCloudClassifyBatch: 3,
-		TypeEdgeClassifyBatch: 4, TypeEdgeFeatureBatch: 3, TypeResultBatch: 4,
+		TypeFeatureBatchRequest: 2, TypeFeatureBatch: 2, TypeCloudClassifyBatch: 5,
+		TypeEdgeClassifyBatch: 6, TypeEdgeFeatureBatch: 3, TypeResultBatch: 4,
 		TypeDeviceHello: 2, TypeDeviceWelcome: 1, TypeDeviceGoodbye: 3,
 	}
 	for _, m := range seedMessages() {
