@@ -245,6 +245,12 @@ func (g *Gateway) Classify(ctx context.Context, sampleIDs []uint64, tenant strin
 	return s.results, firstErr
 }
 
+// escalationHeaderBound bounds the payload bytes of a classify frame
+// for kept samples other than its feature blocks, at the uvarint worst
+// case: an upload ID sets the top bit, so its ID+mask pair is 10 + 2
+// bytes, and the rest of the header is under 64 bytes.
+func escalationHeaderBound(kept int) int { return 12*kept + 64 }
+
 // escalate fetches the escalating samples' (s.hard) feature maps from
 // the devices that cover them — each device packs its whole subset into
 // one frame — and relays them inside one classify frame to the next tier
@@ -372,8 +378,8 @@ func (g *Gateway) escalate(ctx context.Context, s *gatewaySession) error {
 		return dropErr
 	}
 	// The escalation is one frame, so the codec's payload bound caps its
-	// feature maps and ID list (the rest of the header is under 64 bytes).
-	if featBytes+10*kept+64 > wire.MaxPayload {
+	// feature maps and ID list.
+	if featBytes+escalationHeaderBound(kept) > wire.MaxPayload {
 		return fmt.Errorf("cluster: escalation of %d samples carries %d feature bytes, over the %d-byte frame bound", kept, featBytes, wire.MaxPayload)
 	}
 

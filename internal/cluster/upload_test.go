@@ -7,7 +7,36 @@ import (
 	"testing"
 
 	"github.com/ddnn/ddnn-go/internal/tensor"
+	"github.com/ddnn/ddnn-go/internal/wire"
 )
+
+// TestEscalationHeaderBoundCoversWorstCase: the gateway refuses an
+// escalation that would not fit one frame by escalationHeaderBound, so
+// the bound must cover a classify frame's bytes other than its feature
+// blocks at the uvarint worst case — upload IDs (top bit set), the
+// largest model version, device count and shape, relayed thresholds —
+// or an upload-heavy escalation would pass the check and fail in
+// wire.Encode with ErrFrameTooLarge instead.
+func TestEscalationHeaderBoundCoversWorstCase(t *testing.T) {
+	const max16 = math.MaxUint16
+	for _, kept := range []int{1, 32, wire.MaxBatch} {
+		ids, masks := make([]uint64, kept), make([]uint16, kept)
+		for i := range ids {
+			ids[i], masks[i] = uploadIDBase|uint64(i), max16
+		}
+		for _, m := range []wire.Message{
+			&wire.CloudClassifyBatch{Session: math.MaxUint64, ModelVersion: math.MaxUint64, Devices: max16,
+				SampleIDs: ids, Masks: masks, F: max16, H: max16, W: max16},
+			&wire.EdgeClassifyBatch{Session: math.MaxUint64, ModelVersion: math.MaxUint64, Devices: max16,
+				SampleIDs: ids, Masks: masks, Thresholds: []float64{0.5, 0.25}, F: max16, H: max16, W: max16},
+		} {
+			const header = 8 // the frame header is not payload
+			if got, bound := wire.EncodedSize(m)-header, escalationHeaderBound(kept); got > bound {
+				t.Errorf("%v of %d upload samples: %d payload bytes besides the blocks, bound %d", m.MsgType(), kept, got, bound)
+			}
+		}
+	}
+}
 
 // TestClassifyUploadFrameGrid: an upload of dataset views (on the frame
 // grid) classifies exactly like the dataset sample, and a view holding

@@ -15,14 +15,21 @@ import (
 const MaxDevices = 16
 
 // MaxBatch is the largest number of samples one batched session may
-// carry; batch frame counts are encoded as uint16.
+// carry: batch frame counts are uvarints the decoder reads as uint16.
 const MaxBatch = 1<<16 - 1
 
-// appendSampleIDs encodes a uint16 count followed by the IDs.
+// appendUv appends v as a uvarint: the batch frames' integers other than
+// the session tag, masks and floats.
+func appendUv[T uint16 | uint64](dst []byte, v T) []byte {
+	return binary.AppendUvarint(dst, uint64(v))
+}
+
+// appendSampleIDs encodes a uvarint count followed by the IDs as
+// uvarints.
 func appendSampleIDs(dst []byte, ids []uint64) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ids)))
+	dst = appendUv(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = binary.LittleEndian.AppendUint64(dst, id)
+		dst = appendUv(dst, id)
 	}
 	return dst
 }
@@ -68,12 +75,12 @@ func (m *CaptureBatch) SessionID() uint64 { return m.Session }
 
 func (m *CaptureBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
+	dst = appendUv(dst, m.ModelVersion)
 	return appendSampleIDs(dst, m.SampleIDs)
 }
 
 func (m *CaptureBatch) decodePayload(r *reader) error {
-	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.u64(), r.ids(m.SampleIDs)
+	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.uv(), r.ids(m.SampleIDs)
 	return r.end()
 }
 
@@ -116,9 +123,9 @@ func (m *SummaryBatch) PresentCount() int {
 
 func (m *SummaryBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Classes)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Count)
+	dst = appendUv(dst, m.Device)
+	dst = appendUv(dst, m.Classes)
+	dst = appendUv(dst, m.Count)
 	dst = append(dst, m.Present...)
 	for _, p := range m.Probs {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p))
@@ -127,7 +134,7 @@ func (m *SummaryBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *SummaryBatch) decodePayload(r *reader) error {
-	m.Session, m.Device, m.Classes, m.Count = r.u64(), r.u16(), r.u16(), r.u16()
+	m.Session, m.Device, m.Classes, m.Count = r.u64(), r.uv16(), r.uv16(), r.uv16()
 	m.Present = r.bytes((int(m.Count) + 7) / 8)
 	m.Probs = r.f32s(m.PresentCount()*int(m.Classes), m.Probs)
 	return r.end()
@@ -153,12 +160,12 @@ func (m *FeatureBatchRequest) SessionID() uint64 { return m.Session }
 
 func (m *FeatureBatchRequest) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
+	dst = appendUv(dst, m.ModelVersion)
 	return appendSampleIDs(dst, m.SampleIDs)
 }
 
 func (m *FeatureBatchRequest) decodePayload(r *reader) error {
-	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.u64(), r.ids(m.SampleIDs)
+	m.Session, m.ModelVersion, m.SampleIDs = r.u64(), r.uv(), r.ids(m.SampleIDs)
 	return r.end()
 }
 
@@ -188,17 +195,15 @@ func (m *FeatureBatch) SessionID() uint64 { return m.Session }
 
 func (m *FeatureBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
-	dst = binary.LittleEndian.AppendUint16(dst, m.F)
-	dst = binary.LittleEndian.AppendUint16(dst, m.H)
-	dst = binary.LittleEndian.AppendUint16(dst, m.W)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Count)
+	dst = appendUv(dst, m.Device)
+	dst = appendShape(dst, m.F, m.H, m.W)
+	dst = appendUv(dst, m.Count)
 	return append(dst, m.Bits...)
 }
 
 func (m *FeatureBatch) decodePayload(r *reader) (err error) {
-	m.Session, m.Device = r.u64(), r.u16()
-	m.F, m.H, m.W, m.Count = r.u16(), r.u16(), r.u16(), r.u16()
+	m.Session, m.Device = r.u64(), r.uv16()
+	m.F, m.H, m.W, m.Count = r.uv16(), r.uv16(), r.uv16(), r.uv16()
 	m.Bits, err = r.features("feature batch", r.rest(), int(m.Count), m.F, m.H, m.W)
 	return err
 }
@@ -236,23 +241,27 @@ func (*CloudClassifyBatch) MsgType() MsgType { return TypeCloudClassifyBatch }
 func (m *CloudClassifyBatch) SessionID() uint64 { return m.Session }
 
 // appendIDMaskPairs encodes the shared (count, ids, masks) tail of the
-// batched classify headers.
+// batched classify headers: a uvarint count, then per sample a uvarint
+// ID and a u16 mask.
 func appendIDMaskPairs(dst []byte, ids []uint64, masks []uint16) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ids)))
+	dst = appendUv(dst, uint64(len(ids)))
 	for i, id := range ids {
-		dst = binary.LittleEndian.AppendUint64(dst, id)
+		dst = appendUv(dst, id)
 		dst = binary.LittleEndian.AppendUint16(dst, masks[i])
 	}
 	return dst
+}
+
+// appendShape encodes a feature-map shape as three uvarints.
+func appendShape(dst []byte, f, h, w uint16) []byte {
+	return appendUv(appendUv(appendUv(dst, f), h), w)
 }
 
 // appendDeviceFeats encodes the device-feature tail of the classify
 // headers: the shape, then the device blocks in device order (a device
 // outside the masks' union has an empty block).
 func appendDeviceFeats(dst []byte, f, h, w uint16, feats [][]byte) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, f)
-	dst = binary.LittleEndian.AppendUint16(dst, h)
-	dst = binary.LittleEndian.AppendUint16(dst, w)
+	dst = appendShape(dst, f, h, w)
 	for _, block := range feats {
 		dst = append(dst, block...)
 	}
@@ -261,16 +270,16 @@ func appendDeviceFeats(dst []byte, f, h, w uint16, feats [][]byte) []byte {
 
 func (m *CloudClassifyBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Devices)
+	dst = appendUv(dst, m.ModelVersion)
+	dst = appendUv(dst, m.Devices)
 	dst = appendIDMaskPairs(dst, m.SampleIDs, m.Masks)
 	return appendDeviceFeats(dst, m.F, m.H, m.W, m.Feats)
 }
 
 func (m *CloudClassifyBatch) decodePayload(r *reader) (err error) {
-	m.Session, m.ModelVersion, m.Devices = r.u64(), r.u64(), r.u16()
+	m.Session, m.ModelVersion, m.Devices = r.u64(), r.uv(), r.uv16()
 	m.SampleIDs, m.Masks = r.idMasks(m.SampleIDs, m.Masks)
-	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
+	m.F, m.H, m.W = r.uv16(), r.uv16(), r.uv16()
 	m.Feats, err = r.deviceFeats("cloud classify batch", m.Masks, m.F, m.H, m.W, m.Feats)
 	return err
 }
@@ -308,10 +317,10 @@ func (m *EdgeClassifyBatch) SessionID() uint64 { return m.Session }
 
 func (m *EdgeClassifyBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Devices)
+	dst = appendUv(dst, m.ModelVersion)
+	dst = appendUv(dst, m.Devices)
 	dst = appendIDMaskPairs(dst, m.SampleIDs, m.Masks)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Thresholds)))
+	dst = appendUv(dst, uint64(len(m.Thresholds)))
 	for _, t := range m.Thresholds {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t))
 	}
@@ -319,10 +328,10 @@ func (m *EdgeClassifyBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *EdgeClassifyBatch) decodePayload(r *reader) (err error) {
-	m.Session, m.ModelVersion, m.Devices = r.u64(), r.u64(), r.u16()
+	m.Session, m.ModelVersion, m.Devices = r.u64(), r.uv(), r.uv16()
 	m.SampleIDs, m.Masks = r.idMasks(m.SampleIDs, m.Masks)
-	m.Thresholds = r.f64s(int(r.u16()), m.Thresholds)
-	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
+	m.Thresholds = r.f64s(r.count(8), m.Thresholds)
+	m.F, m.H, m.W = r.uv16(), r.uv16(), r.uv16()
 	m.Feats, err = r.deviceFeats("edge classify batch", m.Masks, m.F, m.H, m.W, m.Feats)
 	return err
 }
@@ -353,17 +362,15 @@ func (m *EdgeFeatureBatch) SessionID() uint64 { return m.Session }
 
 func (m *EdgeFeatureBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, m.F)
-	dst = binary.LittleEndian.AppendUint16(dst, m.H)
-	dst = binary.LittleEndian.AppendUint16(dst, m.W)
+	dst = appendUv(dst, m.ModelVersion)
+	dst = appendShape(dst, m.F, m.H, m.W)
 	dst = appendSampleIDs(dst, m.SampleIDs)
 	return append(dst, m.Bits...)
 }
 
 func (m *EdgeFeatureBatch) decodePayload(r *reader) (err error) {
-	m.Session, m.ModelVersion = r.u64(), r.u64()
-	m.F, m.H, m.W = r.u16(), r.u16(), r.u16()
+	m.Session, m.ModelVersion = r.u64(), r.uv()
+	m.F, m.H, m.W = r.uv16(), r.uv16(), r.uv16()
 	m.SampleIDs = r.ids(m.SampleIDs)
 	m.Bits, err = r.features("edge feature batch", r.rest(), len(m.SampleIDs), m.F, m.H, m.W)
 	return err
@@ -401,12 +408,12 @@ func (m *ResultBatch) SessionID() uint64 { return m.Session }
 
 func (m *ResultBatch) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Verdicts)))
+	dst = appendUv(dst, uint64(len(m.Verdicts)))
 	for _, v := range m.Verdicts {
-		dst = binary.LittleEndian.AppendUint64(dst, v.SampleID)
+		dst = appendUv(dst, v.SampleID)
 		dst = append(dst, byte(v.Exit))
-		dst = binary.LittleEndian.AppendUint16(dst, v.Class)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Probs)))
+		dst = appendUv(dst, v.Class)
+		dst = appendUv(dst, uint64(len(v.Probs)))
 		for _, p := range v.Probs {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p))
 		}
@@ -416,13 +423,14 @@ func (m *ResultBatch) appendPayload(dst []byte) []byte {
 
 func (m *ResultBatch) decodePayload(r *reader) error {
 	m.Session = r.u64()
-	// Each verdict is at least 13 bytes, so the count is checked against
-	// the payload before the slice is sized from it.
-	m.Verdicts = resize(m.Verdicts, r.count(13))
+	// Each verdict is at least 4 bytes (ID, exit, class, probs count),
+	// so the count is checked against the payload before the slice is
+	// sized from it.
+	m.Verdicts = resize(m.Verdicts, r.count(4))
 	for i := range m.Verdicts {
 		v := &m.Verdicts[i]
-		v.SampleID, v.Exit, v.Class = r.u64(), ExitPoint(r.u8()), r.u16()
-		v.Probs = r.f32s(int(r.u16()), v.Probs)
+		v.SampleID, v.Exit, v.Class = r.uv(), ExitPoint(r.u8()), r.uv16()
+		v.Probs = r.f32s(r.count(4), v.Probs)
 	}
 	return r.end()
 }

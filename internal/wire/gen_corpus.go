@@ -12,6 +12,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,6 +28,20 @@ func frame(m wire.Message) []byte {
 	}
 	return buf.Bytes()
 }
+
+// hostile frames a hand-built payload under a type tag: session tag
+// 1<<40 + 30, then the fields given.
+func hostile(t wire.MsgType, fields ...[]byte) []byte {
+	payload := binary.LittleEndian.AppendUint64(nil, 1<<40+30)
+	payload = append(payload, bytes.Join(fields, nil)...)
+	frame := binary.LittleEndian.AppendUint16(nil, wire.Magic)
+	frame = append(frame, wire.Version, byte(t))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	return append(frame, payload...)
+}
+
+// uv encodes v as a uvarint.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 
 // blocks returns a classify header's device blocks for masks: one
 // 128-byte map (4×16×16 bits) per sample a device covers.
@@ -82,7 +97,19 @@ func main() {
 		// device 5's block is missing.
 		"seed-cloud-classify-batch-short": frame(&wire.CloudClassifyBatch{Session: 1<<40 + 18, ModelVersion: 6, Devices: 6, SampleIDs: []uint64{5, 6}, Masks: cloudMasks, F: 4, H: 16, W: 16, Feats: blocks(cloudMasks)[:5]}),
 		"seed-edge-feature-batch":         frame(&wire.EdgeFeatureBatch{Session: 1<<40 + 20, ModelVersion: 8, F: 8, H: 8, W: 8, SampleIDs: []uint64{11, 12}, Bits: make([]byte, 128)}),
-		"seed-result-batch":               frame(&wire.ResultBatch{Session: 1<<40 + 21, Verdicts: []wire.BatchVerdict{{SampleID: 5, Exit: wire.ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}}, {SampleID: 6, Exit: wire.ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}}}}),
+		// Malformed uvarints and counts past the bytes left, one per row
+		// of TestDecodeHostileVarint: each must fail to decode.
+		"seed-hostile-uvarint-11-bytes":     hostile(wire.TypeCaptureBatch, append(bytes.Repeat([]byte{0x80}, 10), 0x01), uv(0)),
+		"seed-hostile-uvarint-65-bits":      hostile(wire.TypeCaptureBatch, append(bytes.Repeat([]byte{0xFF}, 9), 0x02), uv(0)),
+		"seed-hostile-uvarint-nonminimal":   hostile(wire.TypeCaptureBatch, []byte{0x80, 0x00}, uv(0)),
+		"seed-hostile-sample-id-nonminimal": hostile(wire.TypeCaptureBatch, uv(1), uv(1), []byte{0x85, 0x80, 0x00}),
+		"seed-hostile-count-over-u16":       hostile(wire.TypeSummaryBatch, uv(1), uv(3), uv(1<<16)),
+		"seed-hostile-device-over-u16":      hostile(wire.TypeSummaryBatch, uv(1<<16), uv(3), uv(0)),
+		"seed-hostile-f-over-u16":           hostile(wire.TypeFeatureBatch, uv(1), uv(1<<16), uv(1), uv(8), uv(0)),
+		"seed-hostile-id-count":             hostile(wire.TypeCaptureBatch, uv(1), uv(0xFFFF), []byte{1, 2}),
+		"seed-hostile-id-mask-count":        hostile(wire.TypeCloudClassifyBatch, uv(1), uv(6), uv(3), make([]byte, 8)),
+		"seed-hostile-verdict-count":        hostile(wire.TypeResultBatch, uv(3), make([]byte, 11)),
+		"seed-result-batch":                 frame(&wire.ResultBatch{Session: 1<<40 + 21, Verdicts: []wire.BatchVerdict{{SampleID: 5, Exit: wire.ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}}, {SampleID: 6, Exit: wire.ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}}}}),
 	}
 
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")

@@ -13,6 +13,7 @@ import (
 // zero value, so no decoder computes an offset or a minimum length.
 // Counted lists check their byte length against what is left before
 // allocating, so a hostile count costs no more than the bytes it came in.
+// A malformed uvarint fails the payload the same way, with ErrBadVarint.
 //
 // Every list read takes the slice the message held before and reuses its
 // storage when it has room, so a message a Decoder decodes into again
@@ -21,6 +22,9 @@ import (
 type reader struct {
 	buf   []byte
 	short bool
+	// bad marks a uvarint that is overlong, non-minimal or past its
+	// field's range.
+	bad bool
 	// alias makes byte fields (bytes, features) views of buf instead of
 	// copies: a Decoder's frame keeps its buffer until released.
 	alias bool
@@ -51,13 +55,20 @@ func (r *reader) take(n int) []byte {
 // fail makes the payload short: buf empties, so every later read fails.
 func (r *reader) fail() { r.buf, r.short = nil, true }
 
+// malformed fails the payload on a bad uvarint.
+func (r *reader) malformed() { r.fail(); r.bad = true }
+
 // rest returns a view of every byte left.
 func (r *reader) rest() []byte { return r.take(len(r.buf)) }
 
-// end returns ErrShortPayload after a short read or when bytes are left
-// over: trailing bytes are an error, not padding.
+// end returns ErrBadVarint after a malformed uvarint, and
+// ErrShortPayload after a short read or when bytes are left over:
+// trailing bytes are an error, not padding.
 func (r *reader) end() error {
-	if r.short || len(r.buf) != 0 {
+	switch {
+	case r.bad:
+		return ErrBadVarint
+	case r.short || len(r.buf) != 0:
 		return ErrShortPayload
 	}
 	return nil
@@ -83,6 +94,37 @@ func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
 func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
 func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
 
+// uv reads a uvarint. Every value has exactly one encoding: one that
+// runs past ten bytes or 64 bits, or ends in a zero byte after the
+// first, is malformed.
+func (r *reader) uv() uint64 {
+	if b := r.buf; len(b) > 0 && b[0] < 0x80 {
+		r.buf = b[1:]
+		return uint64(b[0])
+	}
+	v, n := binary.Uvarint(r.buf)
+	switch {
+	case n == 0:
+		r.fail()
+		return 0
+	case n < 0 || r.buf[n-1] == 0:
+		r.malformed()
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+// uv16 reads a uvarint that must fit a uint16.
+func (r *reader) uv16() uint16 {
+	v := r.uv()
+	if v > math.MaxUint16 {
+		r.malformed()
+		return 0
+	}
+	return uint16(v)
+}
+
 // str reads a string: u16 length + bytes. It returns prev when prev
 // already holds those bytes, so a reused message re-reading the same
 // string (a heartbeat's node ID) does not allocate.
@@ -103,10 +145,11 @@ func (r *reader) bytes(n int) []byte {
 	return append([]byte(nil), r.take(n)...)
 }
 
-// count reads a u16 element count and checks that count elements of at
-// least size bytes each are left, returning 0 on a short payload.
+// count reads a uvarint element count (at most 0xFFFF) and checks that
+// count elements of at least size bytes each are left, returning 0 on a
+// short payload.
 func (r *reader) count(size int) int {
-	n := int(r.u16())
+	n := int(r.uv16())
 	if n*size > len(r.buf) {
 		r.fail()
 		n = 0
@@ -114,23 +157,22 @@ func (r *reader) count(size int) int {
 	return n
 }
 
-// ids reads a sample-ID list: u16 count + count × u64.
+// ids reads a sample-ID list: uvarint count + count × uvarint ID.
 func (r *reader) ids(dst []uint64) []uint64 {
-	b := r.take(8 * int(r.u16()))
-	ids := resize(dst, len(b)/8)
+	ids := resize(dst, r.count(1))
 	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint64(b[8*i:])
+		ids[i] = r.uv()
 	}
 	return ids
 }
 
-// idMasks reads an ID+mask list: u16 count + count × (u64 ID, u16 mask).
+// idMasks reads an ID+mask list: uvarint count + count × (uvarint ID,
+// u16 mask).
 func (r *reader) idMasks(idDst []uint64, maskDst []uint16) ([]uint64, []uint16) {
-	b := r.take(10 * int(r.u16()))
-	ids, masks := resize(idDst, len(b)/10), resize(maskDst, len(b)/10)
+	n := r.count(3)
+	ids, masks := resize(idDst, n), resize(maskDst, n)
 	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint64(b[10*i:])
-		masks[i] = binary.LittleEndian.Uint16(b[10*i+8:])
+		ids[i], masks[i] = r.uv(), r.u16()
 	}
 	return ids, masks
 }

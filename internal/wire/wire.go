@@ -3,7 +3,7 @@
 // the cloud). Frames are length-prefixed with a fixed header:
 //
 //	magic   uint16  0xDD17 ("DDNN ICDCS'17")
-//	version uint8   4
+//	version uint8   5
 //	type    uint8   message type
 //	length  uint32  payload length in bytes
 //
@@ -23,7 +23,9 @@
 // reload is answered by one model version at every hop (0 pins nothing and
 // means "the responder's active version"). Version 4 moved the escalating
 // devices' feature maps into the batched classify headers, so each
-// escalation hop is one request frame.
+// escalation hop is one request frame. Version 5 encodes the batch
+// frames' integers other than the session tag and the device masks as
+// uvarints.
 package wire
 
 import (
@@ -45,8 +47,11 @@ const Magic uint16 = 0xDD17
 // connection; version 3 added the model-version pin on every serving-path
 // request (rolling model reloads); version 4 carries the device feature
 // maps inside CloudClassifyBatch and EdgeClassifyBatch instead of one
-// FeatureBatch per device behind them.
-const Version uint8 = 4
+// FeatureBatch per device behind them; version 5 writes the eight batch
+// frames' model versions, sample IDs, counts, devices, classes and
+// shapes as uvarints (the session tag stays a fixed u64, so a frame's
+// size does not depend on how many sessions came before it).
+const Version uint8 = 5
 
 // MaxPayload bounds frame payloads to guard against corrupt or hostile
 // length fields. Feature maps in this system are tiny; 16 MiB is generous.
@@ -189,6 +194,7 @@ var (
 	ErrUnknownType   = errors.New("wire: unknown message type")
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxPayload")
 	ErrShortPayload  = errors.New("wire: payload truncated")
+	ErrBadVarint     = errors.New("wire: overlong, non-minimal or out-of-range uvarint")
 )
 
 // frameBufs recycles frame buffers. Encoding: every io.Writer this

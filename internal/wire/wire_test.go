@@ -538,7 +538,7 @@ func TestDecodeHostileResultBatchCount(t *testing.T) {
 	// Header + session + a count of 0xFFFF verdicts and nothing else: the
 	// count must be checked against the payload before anything is sized
 	// from it.
-	frame := frameOf(TypeResultBatch, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
+	frame := frameOf(TypeResultBatch, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0x03})
 	const runs = 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -550,6 +550,129 @@ func TestDecodeHostileResultBatchCount(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perDecode := (after.TotalAlloc - before.TotalAlloc) / runs; perDecode >= 64<<10 {
 		t.Errorf("an 18-byte frame allocated %d bytes per decode, want < 64 KB", perDecode)
+	}
+}
+
+// TestDecodeHostileVarint: every uvarint has one encoding and a range,
+// and a count is checked against the bytes left before anything is
+// sized from it. Each malformed payload fails both decoders with its
+// error, without a panic.
+func TestDecodeHostileVarint(t *testing.T) {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	payload := func(fields ...[]byte) []byte {
+		return bytes.Join(append([][]byte{binary.LittleEndian.AppendUint64(nil, 7)}, fields...), nil)
+	}
+	tests := []struct {
+		name    string
+		mt      MsgType
+		payload []byte
+		want    error
+	}{
+		{"11-byte uvarint", TypeCaptureBatch, payload(append(bytes.Repeat([]byte{0x80}, 10), 0x01), uv(0)), ErrBadVarint},
+		{"uvarint past 64 bits", TypeCaptureBatch, payload(append(bytes.Repeat([]byte{0xFF}, 9), 0x02), uv(0)), ErrBadVarint},
+		{"non-minimal uvarint", TypeCaptureBatch, payload([]byte{0x80, 0x00}, uv(0)), ErrBadVarint},
+		{"non-minimal sample ID", TypeCaptureBatch, payload(uv(1), uv(1), []byte{0x85, 0x80, 0x00}), ErrBadVarint},
+		{"Count above 0xFFFF", TypeSummaryBatch, payload(uv(1), uv(3), uv(1<<16)), ErrBadVarint},
+		{"Device above 0xFFFF", TypeSummaryBatch, payload(uv(1<<16), uv(3), uv(0)), ErrBadVarint},
+		{"F above 0xFFFF", TypeFeatureBatch, payload(uv(1), uv(1<<16), uv(1), uv(8), uv(0)), ErrBadVarint},
+		{"ID count past the bytes left", TypeCaptureBatch, payload(uv(1), uv(0xFFFF), []byte{1, 2}), ErrShortPayload},
+		{"ID+mask count past the bytes left", TypeCloudClassifyBatch, payload(uv(1), uv(6), uv(3), make([]byte, 8)), ErrShortPayload},
+		{"verdict count past 4-byte verdicts", TypeResultBatch, payload(uv(3), make([]byte, 11)), ErrShortPayload},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			frame := frameOf(tt.mt, tt.payload)
+			if _, err := Decode(bytes.NewReader(frame)); !errors.Is(err, tt.want) {
+				t.Errorf("Decode err = %v, want %v", err, tt.want)
+			}
+			if f, err := NewDecoder(bytes.NewReader(frame)).Next(); !errors.Is(err, tt.want) {
+				f.Release()
+				t.Errorf("Decoder.Next err = %v, want %v", err, tt.want)
+			}
+		})
+	}
+
+	// A hostile ID count allocates nothing it sizes: Decode makes the
+	// message only, and a warm Decoder nothing at all.
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	frame := frameOf(TypeCaptureBatch, payload(uv(1), uv(0xFFFF), []byte{1, 2}))
+	r := bytes.NewReader(frame)
+	if got := testing.AllocsPerRun(100, func() {
+		r.Reset(frame)
+		if _, err := Decode(r); err == nil {
+			t.Fatal("Decode accepted a hostile ID count")
+		}
+	}); got != 1 {
+		t.Errorf("Decode of a hostile ID count allocates %v times, want 1 (the message)", got)
+	}
+	if poison.On {
+		return // poisoning drops released frames
+	}
+	dec := NewDecoder(r)
+	next := func() {
+		r.Reset(frame)
+		if f, err := dec.Next(); err == nil {
+			f.Release()
+			t.Fatal("Decoder.Next accepted a hostile ID count")
+		}
+	}
+	next() // the first frame of a type is made, later ones reused
+	if got := testing.AllocsPerRun(100, next); got != 0 {
+		t.Errorf("Decoder.Next of a hostile ID count allocates %v times, want 0", got)
+	}
+}
+
+// TestBatchFrameSizes pins the encoded size of the eight batch frames
+// for the default model — 6 devices, 3 classes, 4×16×16 device maps
+// (8×8×8 edge maps), model version 1, sample IDs 0…n−1 — at sessions
+// of 1 and 32 samples (docs/WIRE.md's worked example). The session tag
+// is a fixed u64, so no size depends on how many sessions came before:
+// a change that makes it vary must revisit the serving ledger's
+// wire_bytes_per_class rows first.
+func TestBatchFrameSizes(t *testing.T) {
+	const devices, classes, f, h, w = 6, 3, 4, 16, 16
+	const mapBytes, edgeMapBytes = f * h * w / 8, 8 * 8 * 8 / 8
+	frames := func(session uint64, n int) []Message {
+		ids, masks, present := make([]uint64, n), make([]uint16, n), make([]bool, n)
+		verdicts := make([]BatchVerdict, n)
+		for i := range ids {
+			ids[i], masks[i], present[i] = uint64(i), 1<<devices-1, true
+			verdicts[i] = BatchVerdict{SampleID: uint64(i), Exit: ExitCloud, Class: 2, Probs: make([]float32, classes)}
+		}
+		feats := make([][]byte, devices)
+		for d := range feats {
+			feats[d] = make([]byte, n*mapBytes)
+		}
+		return []Message{
+			&CaptureBatch{Session: session, ModelVersion: 1, SampleIDs: ids},
+			&SummaryBatch{Session: session, Device: devices - 1, Classes: classes, Count: uint16(n),
+				Present: PackPresent(present), Probs: make([]float32, n*classes)},
+			&FeatureBatchRequest{Session: session, ModelVersion: 1, SampleIDs: ids},
+			&FeatureBatch{Session: session, Device: devices - 1, F: f, H: h, W: w, Count: uint16(n), Bits: make([]byte, n*mapBytes)},
+			&CloudClassifyBatch{Session: session, ModelVersion: 1, Devices: devices, SampleIDs: ids, Masks: masks,
+				F: f, H: h, W: w, Feats: feats},
+			&EdgeClassifyBatch{Session: session, ModelVersion: 1, Devices: devices, SampleIDs: ids, Masks: masks,
+				Thresholds: []float64{0.5}, F: f, H: h, W: w, Feats: feats},
+			&EdgeFeatureBatch{Session: session, ModelVersion: 1, F: 8, H: 8, W: 8, SampleIDs: ids, Bits: make([]byte, n*edgeMapBytes)},
+			&ResultBatch{Session: session, Verdicts: verdicts},
+		}
+	}
+	want := map[int]map[MsgType]int{
+		1: {TypeCaptureBatch: 19, TypeSummaryBatch: 32, TypeFeatureBatchRequest: 19, TypeFeatureBatch: 149,
+			TypeCloudClassifyBatch: 793, TypeEdgeClassifyBatch: 802, TypeEdgeFeatureBatch: 86, TypeResultBatch: 33},
+		32: {TypeCaptureBatch: 50, TypeSummaryBatch: 407, TypeFeatureBatchRequest: 50, TypeFeatureBatch: 4117,
+			TypeCloudClassifyBatch: 24694, TypeEdgeClassifyBatch: 24703, TypeEdgeFeatureBatch: 2101, TypeResultBatch: 529},
+	}
+	for _, n := range []int{1, 32} {
+		for _, session := range []uint64{1, 1 << 62} {
+			for _, m := range frames(session, n) {
+				if got := EncodedSize(m); got != want[n][m.MsgType()] {
+					t.Errorf("%v at n = %d, session %d: %d bytes, want %d", m.MsgType(), n, session, got, want[n][m.MsgType()])
+				}
+			}
+		}
 	}
 }
 
