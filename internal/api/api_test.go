@@ -711,6 +711,55 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
+// TestAccessLogLine pins the access line's keys and values when Info is
+// enabled, and that a logger above Info gets no access line at all.
+func TestAccessLogLine(t *testing.T) {
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
+	_, ts := newTestServer(t, Config{Engine: newFakeEngine(), Logger: logger})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", classifyBody(1))
+	req.Header.Set(requestIDHeader, "log-id")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ts.Close() // the access line is written before the handler returns
+	mu.Lock()
+	var line map[string]any
+	err = json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &line)
+	mu.Unlock()
+	if err != nil {
+		t.Fatalf("access log is not one JSON line: %v", err)
+	}
+	want := map[string]any{"msg": "http request", "level": "INFO", "id": "log-id", "method": "POST", "path": "/v1/classify", "status": float64(200)}
+	for k, v := range want {
+		if line[k] != v {
+			t.Errorf("access line %s = %v, want %v", k, line[k], v)
+		}
+	}
+	for _, k := range []string{"time", "duration_ms", "remote"} {
+		if _, ok := line[k]; !ok {
+			t.Errorf("access line has no %s", k)
+		}
+	}
+	if len(line) != len(want)+3 {
+		t.Errorf("access line has keys %v, want exactly %d", line, len(want)+3)
+	}
+
+	var quiet bytes.Buffer
+	warn := slog.New(slog.NewTextHandler(lockedWriter{&mu, &quiet}, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	_, ts = newTestServer(t, Config{Engine: newFakeEngine(), Logger: warn})
+	doClassify(t, ts, "", classifyBody(1), "").Body.Close()
+	ts.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if quiet.Len() != 0 {
+		t.Errorf("a Warn logger got %q", quiet.String())
+	}
+}
+
 func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(Config{Devices: 2}); err == nil {
 		t.Error("NewServer accepted a nil engine")

@@ -3,6 +3,7 @@ package api
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"log/slog"
 	"net/http"
 	"time"
 )
@@ -29,13 +30,16 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // response and threaded through access logs.
 const requestIDHeader = "X-Request-Id"
 
-// newRequestID returns a 16-hex-char random correlation ID.
+// newRequestID returns a 16-hex-char random correlation ID; the string
+// is its one allocation.
 func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "unknown"
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // withAccessLog assigns each request an ID (honoring a caller-supplied
@@ -56,14 +60,16 @@ func (s *Server) withAccessLog(next http.Handler) http.Handler {
 		}
 		elapsed := time.Since(start)
 		s.metrics.countResponse(rec.status, elapsed)
-		s.logger.Info("http request",
-			"id", id,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", rec.status,
-			"duration_ms", float64(elapsed.Microseconds())/1000,
-			"remote", r.RemoteAddr,
-		)
+		if ctx := r.Context(); s.logger.Enabled(ctx, slog.LevelInfo) {
+			s.logger.LogAttrs(ctx, slog.LevelInfo, "http request",
+				slog.String("id", id),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", rec.status),
+				slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
+				slog.String("remote", r.RemoteAddr),
+			)
+		}
 	})
 }
 

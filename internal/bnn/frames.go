@@ -64,12 +64,12 @@ func planFrames(c, h, w, f int) framePlan {
 }
 
 // ForwardFrames is the inference forward of a device block on n byte
-// frames of c×h×w values each (h and w even), sample after sample: it
-// returns one PackSigns run of PackedSize(F·h/2·w/2) bytes per sample,
-// back to back, from p (PutBytes it back once consumed) — the signs
-// Forward computes on the frames' values q/256, under the epilogue of
-// the last SyncWeights. It draws only its output and one scratch buffer
-// per worker from p.
+// frames of c×h×w values each (h and w even), sample after sample on the
+// calling goroutine: it returns one PackSigns run of PackedSize(F·h/2·w/2)
+// bytes per sample, back to back, from p (PutBytes it back once
+// consumed) — the signs Forward computes on the frames' values q/256,
+// under the epilogue of the last SyncWeights. It draws only its output
+// and one scratch buffer from p.
 func (b *ConvP) ForwardFrames(frames []byte, n, h, w int, p *tensor.Pool) []byte {
 	conv := b.Conv.inner
 	if len(frames) != n*conv.InC*h*w || h%2 != 0 || w%2 != 0 {
@@ -83,16 +83,6 @@ func (b *ConvP) ForwardFrames(frames []byte, n, h, w int, p *tensor.Pool) []byte
 	out := p.GetBytes(n * stride)
 	clear(out)
 	path := tensor.CurrentKernelPath()
-	if n > 1 && pl.f*pl.c*9*h*w >= fusedParallelOps && tensor.MaxWorkers() > 1 {
-		tensor.ParallelFor(n, 1, func(lo, hi int) { b.framesRange(path, frames, out, stride, pl, p, lo, hi) })
-		return out
-	}
-	b.framesRange(path, frames, out, stride, pl, p, 0, n)
-	return out
-}
-
-// framesRange runs samples [n0, n1) with one scratch buffer from p.
-func (b *ConvP) framesRange(path tensor.KernelPath, frames, out []byte, stride int, pl framePlan, p *tensor.Pool, n0, n1 int) {
 	buf := p.GetBytes(pl.size)
 	defer p.PutBytes(buf)
 	table := unsafe.Slice((*uint64)(unsafe.Pointer(&buf[0])), pl.words)
@@ -110,11 +100,12 @@ func (b *ConvP) framesRange(path tensor.KernelPath, frames, out []byte, stride i
 	}
 	fe := &b.frames
 	size, pooled := pl.c*pl.h*pl.w, (pl.h/2)*(pl.w/2)
-	for ni := n0; ni < n1; ni++ {
+	for ni := 0; ni < n; ni++ {
 		tensor.ConvFrame3x3(path, rec, pl.ds, &fe.taps, frames[ni*size:(ni+1)*size], pl.h, pl.w, table)
 		signs := out[ni*stride : (ni+1)*stride]
 		for f, th := range fe.thresh {
 			tensor.PoolFrameThreshold(path, signs, f*pooled, rec[f*pl.ds:(f+1)*pl.ds], pl.w, pl.h/2, th.s, th.t1)
 		}
 	}
+	return out
 }

@@ -38,7 +38,7 @@ import (
 // float epilogue exactly, by construction; deriveThresholds checks every
 // point anyway.
 
-// fusedScratchBudget caps one worker's scratch at 32 KB so the band's
+// fusedScratchBudget caps a forward's scratch at 32 KB so the band's
 // segments and records and an output row's windows stay cache-resident. A block too
 // wide for even a two-row band exceeds it.
 const fusedScratchBudget = 32 << 10 / 4 // floats
@@ -47,11 +47,6 @@ const fusedScratchBudget = 32 << 10 / 4 // floats
 // its counts, up to 9C in magnitude, are int16 records, and int16's
 // bounds stand for the constant thresholds.
 const MaxPlaneChannels = (math.MaxInt16 - 1) / 9
-
-// fusedParallelOps is the per-sample sign-add count above which a
-// forward is split over samples across the worker pool, as nn.Conv2D
-// splits its GEMMs.
-const fusedParallelOps = 1 << 15
 
 // fusedPlan is the scratch layout for one input geometry: the row
 // segments of a band's padded rows (xnorWindow.segments), the windows of
@@ -96,9 +91,12 @@ func planFused(c, h, w, f int) fusedPlan {
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
 // forwardBits is the bit-domain pass behind ForwardPacked: ternary bit
-// planes in, one PackSigns run of stride bytes per sample out. It splits
-// work over samples only: the filters of one sample share the bytes of
-// its output, so a filter split would race.
+// planes in, one PackSigns run of stride bytes per sample out. It runs
+// every sample and filter on the calling goroutine with one scratch
+// buffer borrowed from p: each band is read from the planes in place and
+// convolved by XNOR into the records, and each filter's pooled rows end
+// in its integer threshold, written as its run of the sample's PackSigns
+// bits.
 func (b *ConvP) forwardBits(in Planes, out []byte, stride int, p *tensor.Pool) {
 	conv := b.Conv.inner
 	if in.C != conv.InC {
@@ -109,19 +107,6 @@ func (b *ConvP) forwardBits(in Planes, out []byte, stride int, p *tensor.Pool) {
 	}
 	path := tensor.CurrentKernelPath()
 	pl := planFused(in.C, in.H, in.W, conv.OutC)
-	if in.N > 1 && pl.f*pl.c*9*pl.h*pl.w >= fusedParallelOps && tensor.MaxWorkers() > 1 {
-		tensor.ParallelFor(in.N, 1, func(lo, hi int) { b.bitsRange(path, in, out, stride, pl, p, lo, hi) })
-		return
-	}
-	b.bitsRange(path, in, out, stride, pl, p, 0, in.N)
-}
-
-// bitsRange runs samples [n0, n1) and every filter with one scratch
-// buffer borrowed from p: each band is read from the planes in place and
-// convolved by XNOR into the records, and each filter's pooled rows end
-// in its integer threshold, written as its run of the sample's PackSigns
-// bits.
-func (b *ConvP) bitsRange(path tensor.KernelPath, in Planes, out []byte, stride int, pl fusedPlan, p *tensor.Pool, n0, n1 int) {
 	buf := p.GetDirty(pl.size)
 	defer p.Put(buf)
 	scratch := buf.Data()
@@ -151,7 +136,7 @@ func (b *ConvP) bitsRange(path tensor.KernelPath, in Planes, out []byte, stride 
 			pad(rec[f*ds+(pl.h%pl.band+1)*rs : f*ds+(pl.h%pl.band+2)*rs])
 		}
 	}
-	for ni := n0; ni < n1; ni++ {
+	for ni := 0; ni < in.N; ni++ {
 		signs := out[ni*stride : (ni+1)*stride]
 		for r0 := 0; r0 < pl.h; r0 += pl.band {
 			rows := min(pl.band, pl.h-r0)

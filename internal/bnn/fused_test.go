@@ -258,8 +258,6 @@ func guardedBytes(n int) ([]byte, func() bool) {
 // held.
 func TestConvPFusedGuardedBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	defer tensor.SetMaxWorkers(0)
-	tensor.SetMaxWorkers(1) // one worker: exactly one scratch draw, ours
 	for _, g := range [][5]int{{2, 3, 4, 32, 32}, {2, 24, 16, 16, 16}, {1, 16, 16, 8, 8}, {3, 5, 7, 9, 11}, {1, 1, 1, 1, 1}} {
 		n, c, f, h, w := g[0], g[1], g[2], g[3], g[4]
 		blk := newDiffConvP(rng, c, f)
@@ -290,7 +288,8 @@ func TestConvPFusedGuardedBuffers(t *testing.T) {
 
 // TestConvPFusedPoolDraws pins the bit-domain pass's memory contract on
 // the serving geometries: from a fresh pool, one ForwardPacked draws its
-// output bytes and one scratch buffer of at most 32 KB per worker — no
+// output bytes and exactly one scratch buffer of at most 32 KB, whatever
+// the worker bound — it runs on the calling goroutine, with no
 // batch-extent intermediate.
 func TestConvPFusedPoolDraws(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
@@ -313,9 +312,9 @@ func TestConvPFusedPoolDraws(t *testing.T) {
 				out := blk.ForwardPacked(in, pool)
 				drawn := pool.Retained() // everything but the output is back
 				for size, count := range drawn {
-					if size != pl.size || count > tc.workers {
-						t.Fatalf("path=%v %v n=%d workers=%d: drew %d buffer(s) of %d floats besides the output; want at most %d of %d",
-							p, g, tc.n, tc.workers, count, size, tc.workers, pl.size)
+					if size != pl.size || count != 1 {
+						t.Fatalf("path=%v %v n=%d workers=%d: drew %d buffer(s) of %d floats besides the output; want one of %d",
+							p, g, tc.n, tc.workers, count, size, pl.size)
 					}
 				}
 				if len(drawn) != 1 {
@@ -331,9 +330,11 @@ func TestConvPFusedPoolDraws(t *testing.T) {
 
 // TestConvPFusedSharedPool runs eight goroutines through one block
 // and one pool, mixing batch sizes and both pooled forwards — the
-// layered one on floats and ForwardPacked on the same maps as planes —
-// so the sample split and the serial path interleave; under -race it is
-// the data-race gate for the pooled forwards and their assembly kernels.
+// layered one on floats, whose convolution splits a batch over workers,
+// and ForwardPacked on the same maps as planes, which runs on its
+// caller — so concurrent callers share the block's weights and the pool;
+// under -race it is the data-race gate for the pooled forwards and their
+// assembly kernels.
 func TestConvPFusedSharedPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	defer tensor.SetMaxWorkers(0)

@@ -306,8 +306,8 @@ func plantBN(blk *ConvP) {
 // reference's ±1 output, packed and as planes: random batch-norm
 // statistics, planted γ < 0, γ = 0, NaN γ or β and an exact zero
 // crossing, zeroed channel groups (absent devices), −0 and all-zero
-// maps, channel counts across the window-segment widths, and a batch
-// split over workers.
+// maps, and channel counts across the window-segment widths, at
+// several batch sizes and worker bounds.
 func TestConvPBitsDiffAllPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	pool := tensor.NewPool()

@@ -339,20 +339,29 @@ func (e *Engine) runBatch(ctx context.Context, sampleIDs []uint64, tenant string
 
 // ClassifyBatchTenantShed classifies the samples under a tenant's
 // pipeline tightened for a shed level (see ClassifyTenantShed) and
-// returns results in input order. The IDs are chunked into sessions of
-// Batch.MaxBatch samples (one sample each when micro-batching is off)
-// that run concurrently, bounded by MaxConcurrency. The first session
-// error cancels the remaining sessions and is returned; results for
-// sessions that completed before the failure are still filled in (nil
-// entries mark samples that did not complete).
+// returns len(sampleIDs) results in input order. Up to Batch.MaxBatch
+// samples are one session on the calling goroutine. More are chunked
+// into sessions of Batch.MaxBatch samples (one sample each when
+// micro-batching is off) that run concurrently, bounded by
+// MaxConcurrency. The first session error cancels the remaining sessions
+// and is returned; results for sessions that completed before the
+// failure are still filled in (nil entries mark samples that did not
+// complete).
 func (e *Engine) ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64, tenant string, level ShedLevel) ([]*Result, error) {
-	results := make([]*Result, len(sampleIDs))
 	if len(sampleIDs) == 0 {
-		return results, nil
+		return []*Result{}, nil
 	}
+	size := e.maxBatch
+	if len(sampleIDs) <= size {
+		results, err := e.runSession(ctx, sampleIDs, tenant, level)
+		if results == nil { // the session failed before it had results
+			results = make([]*Result, len(sampleIDs))
+		}
+		return results, err
+	}
+	results := make([]*Result, len(sampleIDs))
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	size := e.maxBatch
 	type chunk struct{ lo, hi int }
 	chunks := make(chan chunk)
 	// One worker per semaphore slot, not per chunk: huge requests must not

@@ -153,3 +153,78 @@ func TestCloudForwardPooledZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// requireZeroAllocsForked is requireZeroAllocs with the worker bound
+// raised to 4: testing.AllocsPerRun runs at GOMAXPROCS 1, where a
+// forward that forked per call would run inline and allocate nothing.
+func requireZeroAllocsForked(t *testing.T, what string, run func()) {
+	t.Helper()
+	defer tensor.SetMaxWorkers(0)
+	tensor.SetMaxWorkers(4)
+	requireZeroAllocs(t, what, run)
+}
+
+// TestDeviceForwardPackedZeroAllocs pins the device section a serving
+// node runs, on byte frames: once the pool is warm it touches the heap
+// zero times at batch 1 and 32 on every path, and it runs on the calling
+// goroutine even when more workers are allowed.
+func TestDeviceForwardPackedZeroAllocs(t *testing.T) {
+	m := MustNewModel(DefaultConfig())
+	rng := rand.New(rand.NewSource(1))
+	for _, batch := range zeroAllocBatches {
+		frames := make([]byte, batch*m.Cfg.InputC*m.Cfg.InputH*m.Cfg.InputW)
+		rng.Read(frames)
+		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+			pool := tensor.NewPool()
+			requireZeroAllocsForked(t, fmt.Sprintf("path=%v batch=%d: DeviceForwardPacked", p, batch), func() {
+				bits, exitVec := m.DeviceForwardPacked(0, frames, batch, pool)
+				pool.PutBytes(bits)
+				pool.Put(exitVec)
+			})
+		})
+	}
+}
+
+// TestEdgeForwardBitsZeroAllocs is the same contract for the edge
+// section a serving edge runs on a session's packed device features.
+func TestEdgeForwardBitsZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UseEdge = true
+	m := MustNewModel(cfg)
+	rng := rand.New(rand.NewSource(1))
+	for _, batch := range zeroAllocBatches {
+		_, masks, feats := sessionFeatures(m, batch, rng)
+		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+			pool := tensor.NewPool()
+			requireZeroAllocsForked(t, fmt.Sprintf("path=%v batch=%d: EdgeForwardBits", p, batch), func() {
+				bits, logits := m.EdgeForwardBits(feats, masks, pool)
+				pool.PutBytes(bits)
+				pool.Put(logits)
+			})
+		})
+	}
+}
+
+// TestCloudForwardBitsZeroAllocs is the same contract for the cloud
+// section on packed device features (two tiers) and on packed edge
+// features (CloudForwardFromEdgeBits, three tiers).
+func TestCloudForwardBitsZeroAllocs(t *testing.T) {
+	ecfg := DefaultConfig()
+	ecfg.UseEdge = true
+	m, em := MustNewModel(DefaultConfig()), MustNewModel(ecfg)
+	rng := rand.New(rand.NewSource(1))
+	for _, batch := range zeroAllocBatches {
+		_, masks, feats := sessionFeatures(m, batch, rng)
+		_, emasks, efeats := sessionFeatures(em, batch, rng)
+		edgeBits, _ := em.EdgeForwardBits(efeats, emasks, nil)
+		forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
+			pool := tensor.NewPool()
+			requireZeroAllocsForked(t, fmt.Sprintf("path=%v batch=%d: CloudForwardBits", p, batch), func() {
+				pool.Put(m.CloudForwardBits(feats, masks, pool))
+			})
+			requireZeroAllocsForked(t, fmt.Sprintf("path=%v batch=%d: CloudForwardFromEdgeBits", p, batch), func() {
+				pool.Put(em.CloudForwardFromEdgeBits(edgeBits, batch, pool))
+			})
+		})
+	}
+}

@@ -10,11 +10,13 @@ import (
 // means runtime.GOMAXPROCS(0).
 var maxWorkers atomic.Int64
 
-// SetMaxWorkers bounds the worker pool used to split batched inference
-// work (per-sample convolutions, output-channel blocks of large matmuls)
-// across cores. n <= 0 restores the default, GOMAXPROCS. The bound is
-// process-wide: all models and serving engines share the same cores, so
-// they share the same cap.
+// SetMaxWorkers bounds the worker pool ParallelFor splits training work
+// (per-sample convolutions and their backward, pooling, output-channel
+// blocks of large matmuls) and the layered float forward across. The
+// serving forwards on byte frames and bit planes never split: their
+// callers are already concurrent sessions and node goroutines. n <= 0
+// restores the default, GOMAXPROCS. The bound is process-wide: all
+// models share the same cores, so they share the same cap.
 func SetMaxWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -22,7 +24,8 @@ func SetMaxWorkers(n int) {
 	maxWorkers.Store(int64(n))
 }
 
-// MaxWorkers returns the resolved worker bound (never less than 1).
+// MaxWorkers returns the resolved worker bound (never less than 1) that
+// training and the layered float forward split their work by.
 func MaxWorkers() int {
 	n := int(maxWorkers.Load())
 	if n <= 0 {
@@ -36,10 +39,11 @@ func MaxWorkers() int {
 
 // ParallelFor splits [0, n) into contiguous chunks of at least grain
 // items and runs fn on each chunk, using up to MaxWorkers goroutines
-// (one chunk runs on the calling goroutine). fn must be safe to call
-// concurrently on disjoint ranges. With one worker, one chunk, or n <= 0
-// the call degenerates to fn(0, n) inline, so callers need no special
-// small-case path.
+// (one chunk runs on the calling goroutine); training and the layered
+// float forward (nn.Conv2D, pooling, MatMul) use it. fn must be safe to
+// call concurrently on disjoint ranges. With one worker, one chunk, or
+// n <= 0 the call degenerates to fn(0, n) inline, so callers need no
+// special small-case path.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
