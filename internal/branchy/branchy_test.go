@@ -39,18 +39,6 @@ func TestPolicyThresholdZeroExitsNothing(t *testing.T) {
 	}
 }
 
-func TestJointLossWeightsEqual(t *testing.T) {
-	w := JointLossWeights(3)
-	if len(w) != 3 {
-		t.Fatalf("got %d weights, want 3", len(w))
-	}
-	for i, v := range w {
-		if v != 1 {
-			t.Errorf("weight %d = %g, want 1 (paper uses equal weights)", i, v)
-		}
-	}
-}
-
 func mkOutcomes() []ExitOutcome {
 	// 10 samples: 4 confident & locally correct, 2 confident but locally
 	// wrong (cloud would be right), 4 uncertain (cloud right on 3).
@@ -96,36 +84,6 @@ func TestSweepMonotoneExitFraction(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSearchThresholdFindsSweetSpot(t *testing.T) {
-	// With these outcomes, exiting the four entropy≤0.2 samples locally and
-	// sending the rest up scores 3/4·... compute: T=0.2 → local exits 4
-	// (3 correct), upper handles 6 (5 correct) = 8/10. T=0.1 → local 2 (2
-	// correct), upper 8 correct on {0.2:T,T... } = 2 + (of 8: entries with
-	// UpperCorrect: 0.2(false),0.2(true),0.3,0.3,0.9×3) = 2+6 = 8/10.
-	// T=0: 8/10 as well. The search must break ties toward more local
-	// exits.
-	best, err := SearchThreshold(mkOutcomes(), Grid(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Accuracy < 0.8 {
-		t.Errorf("best accuracy = %g, want ≥ 0.8", best.Accuracy)
-	}
-	// Among equal-accuracy thresholds, prefer the one exiting more locally.
-	pts := Sweep(mkOutcomes(), Grid(10))
-	for _, p := range pts {
-		if p.Accuracy == best.Accuracy && p.ExitFrac > best.ExitFrac {
-			t.Errorf("tie broken wrong: chose exit frac %g, available %g", best.ExitFrac, p.ExitFrac)
-		}
-	}
-}
-
-func TestSearchThresholdEmptyGrid(t *testing.T) {
-	if _, err := SearchThreshold(mkOutcomes(), nil); err == nil {
-		t.Error("empty grid accepted")
 	}
 }
 

@@ -20,7 +20,7 @@ const DefaultMaxBatch = 32
 // Classify calls coalesce into one multi-sample session per tier, so
 // wire framing, im2col/conv dispatch and semaphore round trips amortize
 // across the batch. Batching trades a bounded amount of added latency
-// (at most MaxLinger on an idle engine) for substantially higher
+// (at most DefaultMaxLinger on an idle engine) for substantially higher
 // throughput under load; results are bit-identical to per-sample
 // sessions.
 type BatchConfig struct {
@@ -28,17 +28,6 @@ type BatchConfig struct {
 	// disable micro-batching; values above wire.MaxBatch (the largest
 	// batch one wire frame can carry) are clamped to it.
 	MaxBatch int
-	// MaxLinger bounds how long a partial batch waits for more callers
-	// before flushing. Zero means DefaultMaxLinger.
-	MaxLinger time.Duration
-}
-
-// linger returns the effective linger bound.
-func (c BatchConfig) linger() time.Duration {
-	if c.MaxLinger <= 0 {
-		return DefaultMaxLinger
-	}
-	return c.MaxLinger
 }
 
 // batchOutcome is one caller's share of a flushed batch session.
@@ -80,25 +69,20 @@ type batchLane struct {
 
 // batchCollector coalesces concurrent Classify calls into multi-sample
 // gateway sessions, one lane per {tenant, shed level}: a lane's batch
-// flushes as soon as it reaches the engine's maxBatch samples, or linger
-// after its first sample arrived, whichever comes first. Callers that cancel
-// while waiting detach immediately (the batch still classifies their
-// sample; the result is dropped).
+// flushes as soon as it reaches the engine's maxBatch samples, or
+// DefaultMaxLinger after its first sample arrived, whichever comes
+// first. Callers that cancel while waiting detach immediately (the batch
+// still classifies their sample; the result is dropped).
 type batchCollector struct {
-	eng    *Engine
-	linger time.Duration
+	eng *Engine
 
 	mu      sync.Mutex
 	lanes   map[laneKey]*batchLane
 	stopped bool
 }
 
-func newBatchCollector(e *Engine, cfg BatchConfig) *batchCollector {
-	return &batchCollector{
-		eng:    e,
-		linger: cfg.linger(),
-		lanes:  make(map[laneKey]*batchLane),
-	}
+func newBatchCollector(e *Engine) *batchCollector {
+	return &batchCollector{eng: e, lanes: make(map[laneKey]*batchLane)}
 }
 
 // classify queues the sample on the {tenant, shed level} lane's current
@@ -130,7 +114,7 @@ func (c *batchCollector) classify(ctx context.Context, sampleID uint64, tenant s
 	} else {
 		if lane.timer == nil {
 			gen := lane.gen
-			lane.timer = time.AfterFunc(c.linger, func() { c.flushAfterLinger(key, gen) })
+			lane.timer = time.AfterFunc(DefaultMaxLinger, func() { c.flushAfterLinger(key, gen) })
 		}
 		c.mu.Unlock()
 	}

@@ -37,7 +37,7 @@ func TestBatchCollectorMatchesSerial(t *testing.T) {
 	eng, err := NewEngine(model, test, EngineConfig{
 		Gateway:        DefaultGatewayConfig(),
 		MaxConcurrency: 4,
-		Batch:          BatchConfig{MaxBatch: 8, MaxLinger: 3 * time.Millisecond},
+		Batch:          BatchConfig{MaxBatch: 8},
 		Logger:         quietLogger(),
 	}, transport.NewMem())
 	if err != nil {
@@ -119,7 +119,7 @@ func TestBatchCollectorLingerFlushesPartialBatch(t *testing.T) {
 	model, test := fixture(t)
 	eng, err := NewEngine(model, test, EngineConfig{
 		Gateway: DefaultGatewayConfig(),
-		Batch:   BatchConfig{MaxBatch: 64, MaxLinger: 5 * time.Millisecond},
+		Batch:   BatchConfig{MaxBatch: 64},
 		Logger:  quietLogger(),
 	}, transport.NewMem())
 	if err != nil {
@@ -149,7 +149,7 @@ func TestEngineClassifyCloseRace(t *testing.T) {
 			eng, err := NewEngine(model, test, EngineConfig{
 				Gateway:        DefaultGatewayConfig(),
 				MaxConcurrency: 4,
-				Batch:          BatchConfig{MaxBatch: batch, MaxLinger: time.Millisecond},
+				Batch:          BatchConfig{MaxBatch: batch},
 				Logger:         quietLogger(),
 			}, transport.NewMem())
 			if err != nil {

@@ -163,7 +163,7 @@ func newEngine(m *core.Model, cfg EngineConfig, tr transport.Transport) *Engine 
 		reg:      newModelRegistry(m, cfg.ModelVersion),
 	}
 	if e.maxBatch > 1 {
-		e.collector = newBatchCollector(e, cfg.Batch)
+		e.collector = newBatchCollector(e)
 	}
 	return e
 }

@@ -390,7 +390,7 @@ func TestSectionCompositionMatchesInfer(t *testing.T) {
 		vecList = append(vecList, v)
 	}
 	gotLocal := m.LocalAggregate(vecList, nil)
-	gotCloud := m.CloudForward(featList, nil)
+	gotCloud := m.CloudForwardPooled(featList, nil, nil)
 	for i, v := range want.Local.Data() {
 		if gotLocal.Data()[i] != v {
 			t.Fatalf("local logits differ at %d", i)
@@ -468,9 +468,12 @@ func TestOutcomesFeedThresholdSearch(t *testing.T) {
 	if len(outcomes) != test.Len() {
 		t.Fatalf("got %d outcomes, want %d", len(outcomes), test.Len())
 	}
-	best, err := branchy.SearchThreshold(outcomes, branchy.Grid(10))
-	if err != nil {
-		t.Fatal(err)
+	points := branchy.Sweep(outcomes, branchy.Grid(10))
+	best := points[0]
+	for _, p := range points[1:] {
+		if p.Accuracy > best.Accuracy {
+			best = p
+		}
 	}
 	// The searched threshold's accuracy must match OverallAccuracy at the
 	// same T (they are two routes to the same quantity).

@@ -62,7 +62,7 @@ func TestSectionForwardsMatchAcrossPaths(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {
 		f, e := m.DeviceForward(0, x)
 		efp, elp := m.EdgeForward(feats, nil)
-		lg := m.CloudForwardFromEdge(efp)
+		lg := m.CloudForwardFromEdgePooled(efp, nil)
 		requireIdentical(t, fmt.Sprintf("device feat path=%v", p), feat, f)
 		requireIdentical(t, fmt.Sprintf("device exit path=%v", p), exitVec, e)
 		requireIdentical(t, fmt.Sprintf("edge feat path=%v", p), ef, efp)
@@ -91,7 +91,7 @@ func TestSharedPoolConcurrentForwards(t *testing.T) {
 	for d := 0; d < m.Cfg.Devices; d++ {
 		wantFeats[d], wantExits[d] = m.DeviceForward(d, x)
 	}
-	wantLogits := m.CloudForward(feats, nil)
+	wantLogits := m.CloudForwardPooled(feats, nil, nil)
 
 	pool := tensor.NewPool()
 	const workers, rounds = 8, 20

@@ -7,7 +7,7 @@ import (
 
 // Freeze syncs every derived weight (the sign-binarized effective weights
 // of the binary layers) from the latent parameters, after which all
-// inference-mode forwards — DeviceForward, LocalAggregate, CloudForward,
+// inference-mode forwards — DeviceForward, LocalAggregate, CloudForwardPooled,
 // EdgeForward, Infer, Evaluate — are read-only and safe for concurrent use
 // from any number of goroutines. It also releases what training keeps
 // and serving never reads: the last batch's cached activations and the

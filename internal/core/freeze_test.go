@@ -52,7 +52,7 @@ func TestInferenceForwardsAreReadOnly(t *testing.T) {
 				masks := []uint16{1 << uint(device)}
 
 				m.LocalAggregate(vecs, masks)
-				m.CloudForward(feats, masks)
+				m.CloudForwardPooled(feats, masks, nil)
 			}
 		}(w)
 	}

@@ -202,8 +202,8 @@ func (c *cloudSection) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // forwardPooled runs the section on a float map: each block's layered
 // forward (bnn.ConvP.ForwardPooled), then the exit head.
 func (c *cloudSection) forwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	y1 := nn.ForwardPooled(c.b1, x, p)
-	y2 := nn.ForwardPooled(c.b2, y1, p)
+	y1 := c.b1.ForwardPooled(x, p)
+	y2 := c.b2.ForwardPooled(y1, p)
 	p.Put(y1)
 	logits := c.exit.forwardPooled(y2, p)
 	p.Put(y2)

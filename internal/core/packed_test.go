@@ -50,7 +50,7 @@ func TestExitHeadPackedParityAllPaths(t *testing.T) {
 	pool := tensor.NewPool()
 	for name, h := range heads {
 		for _, n := range []int{1, 5} {
-			x := tensor.New(n, h.lin.In())
+			x := tensor.New(n, h.lin.Packed().In)
 			fillSigns(x, rng)
 			want := h.forward(x, false)
 			forEachKernelPath(t, func(t *testing.T, p tensor.KernelPath) {

@@ -43,7 +43,7 @@ func TestPooledForwardsMatchUnpooled(t *testing.T) {
 			feats[d].FillUniform(rng, -1, 1)
 		}
 		masks := []uint16{0b011101, 0b000110}
-		logits := m.CloudForward(feats, masks)
+		logits := m.CloudForwardPooled(feats, masks, nil)
 		plogits := m.CloudForwardPooled(feats, masks, pool)
 		equal("cloud logits", logits, plogits)
 
@@ -65,7 +65,7 @@ func TestPooledForwardsMatchUnpooled(t *testing.T) {
 	pef, pel := em.EdgeForwardPooled(feats, nil, pool)
 	equal("edge feat", ef, pef)
 	equal("edge logits", el, pel)
-	cl := em.CloudForwardFromEdge(ef)
+	cl := em.CloudForwardFromEdgePooled(ef, nil)
 	pcl := em.CloudForwardFromEdgePooled(pef, pool)
 	equal("cloud-from-edge logits", cl, pcl)
 }

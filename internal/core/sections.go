@@ -73,20 +73,16 @@ func (m *Model) LocalAggregatePooled(exitVecs []*tensor.Tensor, masks []uint16, 
 	return m.localAgg.ForwardPooled(exitVecs, masks, p)
 }
 
-// CloudForward aggregates per-device feature maps and runs the cloud
-// section, returning cloud-exit logits. masks are per-sample presence
-// masks as LocalAggregate takes them (nil = all). It must not be used on
-// models built with an edge tier; those use EdgeForward first.
-func (m *Model) CloudForward(feats []*tensor.Tensor, masks []uint16) *tensor.Tensor {
-	return m.CloudForwardPooled(feats, masks, nil)
-}
-
-// CloudForwardPooled is CloudForward drawing the aggregation buffer,
-// layer intermediates and returned logits from a tensor pool; the caller
-// should Put the logits back once consumed. A nil pool allocates.
+// CloudForwardPooled aggregates per-device feature maps and runs the
+// cloud section, returning cloud-exit logits. masks are per-sample
+// presence masks as LocalAggregate takes them (nil = all). The
+// aggregation buffer, layer intermediates and returned logits come from
+// a tensor pool; the caller should Put the logits back once consumed. A
+// nil pool allocates. It must not be used on models built with an edge
+// tier; those use EdgeForward first.
 func (m *Model) CloudForwardPooled(feats []*tensor.Tensor, masks []uint16, p *tensor.Pool) *tensor.Tensor {
 	if m.edge != nil {
-		panic("core: CloudForward on an edge-tier model; use EdgeForward")
+		panic("core: cloud forward on an edge-tier model; use EdgeForward")
 	}
 	cloudIn := m.cloudAgg.ForwardPooled(feats, masks, p)
 	logits := m.cloud.forwardPooled(cloudIn, p)
@@ -112,7 +108,7 @@ func (m *Model) CloudForwardPooled(feats []*tensor.Tensor, masks []uint16, p *te
 // layered forward.
 func (m *Model) CloudForwardBits(feats [][]byte, masks []uint16, p *tensor.Pool) *tensor.Tensor {
 	if m.edge != nil {
-		panic("core: CloudForward on an edge-tier model; use EdgeForward")
+		panic("core: cloud forward on an edge-tier model; use EdgeForward")
 	}
 	if in, ok := m.aggregateBits(m.cloudAgg, m.Cfg.CloudAgg, !m.Cfg.FloatCloud, feats, masks, p); ok {
 		logits := m.cloud.forwardBits(in, p)
@@ -175,17 +171,12 @@ func (m *Model) EdgeForwardPooled(feats []*tensor.Tensor, masks []uint16, p *ten
 	return edgeFeat, edgeLogits
 }
 
-// CloudForwardFromEdge runs the cloud section on an edge feature map
-// (edge-tier models only).
-func (m *Model) CloudForwardFromEdge(edgeFeat *tensor.Tensor) *tensor.Tensor {
-	return m.CloudForwardFromEdgePooled(edgeFeat, nil)
-}
-
-// CloudForwardFromEdgePooled is CloudForwardFromEdge against a tensor
-// pool; the caller should Put the returned logits back once consumed.
+// CloudForwardFromEdgePooled runs the cloud section on an edge feature
+// map (edge-tier models only), drawing from a tensor pool; the caller
+// should Put the returned logits back once consumed.
 func (m *Model) CloudForwardFromEdgePooled(edgeFeat *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
 	if m.edge == nil {
-		panic("core: CloudForwardFromEdge on a model without an edge tier")
+		panic("core: cloud forward from an edge on a model without an edge tier")
 	}
 	return m.cloud.forwardPooled(edgeFeat, p)
 }
@@ -197,7 +188,7 @@ func (m *Model) CloudForwardFromEdgePooled(edgeFeat *tensor.Tensor, p *tensor.Po
 // float cloud unpacks them for CloudForwardFromEdgePooled's layers.
 func (m *Model) CloudForwardFromEdgeBits(edgeBits []byte, n int, p *tensor.Pool) *tensor.Tensor {
 	if m.edge == nil {
-		panic("core: CloudForwardFromEdge on a model without an edge tier")
+		panic("core: cloud forward from an edge on a model without an edge tier")
 	}
 	f, eh, ew := m.Cfg.EdgeFilters, m.Cfg.FeatureH()/2, m.Cfg.FeatureW()/2
 	stride := bnn.PackedSize(f * eh * ew)

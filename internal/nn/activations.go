@@ -71,37 +71,3 @@ func (r *ReLU) ReleaseTraining() { r.mask = nil }
 
 // Params returns nil.
 func (r *ReLU) Params() []*Param { return nil }
-
-// Flatten reshapes [N, ...] inputs to [N, D] and restores the original
-// shape on the backward pass.
-type Flatten struct {
-	inShape []int
-}
-
-var _ Layer = (*Flatten)(nil)
-
-// NewFlatten constructs a flattening layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-// Forward returns a [N, D] view of x.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		f.inShape = x.Shape()
-	}
-	n := x.Dim(0)
-	return x.Reshape(n, x.Size()/n)
-}
-
-// Backward restores the cached input shape.
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if f.inShape == nil {
-		panic("nn: Flatten.Backward called before Forward(train=true)")
-	}
-	return grad.Reshape(f.inShape...)
-}
-
-// ReleaseTraining drops the cached input shape.
-func (f *Flatten) ReleaseTraining() { f.inShape = nil }
-
-// Params returns nil.
-func (f *Flatten) Params() []*Param { return nil }

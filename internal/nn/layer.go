@@ -1,9 +1,8 @@
 // Package nn implements the neural-network substrate used by the DDNN
 // reproduction: a layer-wise framework with explicit forward and backward
 // passes, standard layers (linear, convolution, pooling, batch
-// normalization), the softmax cross-entropy loss, and the Adam and SGD
-// optimizers. All math is float32 and single-threaded deterministic given a
-// fixed seed.
+// normalization), the softmax cross-entropy loss, and the Adam optimizer.
+// All math is float32 and single-threaded deterministic given a fixed seed.
 package nn
 
 import (
@@ -48,85 +47,18 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // activations between the two calls. ReleaseTraining drops those caches
 // (and any training scratch) once training is done; Backward then panics
 // until the next training Forward, as on a fresh layer, and inference is
-// unaffected. Layers are not safe for concurrent use.
+// unaffected. Layers are not safe for concurrent use, except for
+// ForwardPooled: the inference forward drawing its output (and internal
+// scratch) from a tensor.Pool instead of the heap. The caller owns the
+// returned tensor and should Put it back once consumed. ForwardPooled
+// never caches activations and, like inference Forward, never writes to
+// layer state, so concurrent sessions may share a layer.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	ReleaseTraining()
-}
-
-// PooledLayer is implemented by layers whose inference forward can draw
-// its output (and internal scratch) from a tensor.Pool instead of the
-// heap. The returned tensor comes from the pool: the caller owns it and
-// should Put it back once consumed. ForwardPooled is always
-// inference-mode (no activation caching) and, like inference Forward,
-// never writes to layer state, so it is safe for concurrent sessions.
-type PooledLayer interface {
-	ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor
-}
-
-// ForwardPooled runs l's pooled inference forward when it has one and
-// falls back to a plain inference Forward otherwise (the fallback's
-// output is heap-allocated; Put-ting it into the pool afterwards is
-// still valid and lets it recycle).
-func ForwardPooled(l Layer, x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	if pl, ok := l.(PooledLayer); ok {
-		return pl.ForwardPooled(x, p)
-	}
-	return l.Forward(x, false)
-}
-
-// Sequential chains layers, feeding each layer's output to the next.
-type Sequential struct {
-	layers []Layer
-}
-
-var _ Layer = (*Sequential)(nil)
-
-// NewSequential builds a sequential container over the given layers.
-func NewSequential(layers ...Layer) *Sequential {
-	return &Sequential{layers: layers}
-}
-
-// Append adds layers to the end of the chain.
-func (s *Sequential) Append(layers ...Layer) {
-	s.layers = append(s.layers, layers...)
-}
-
-// Layers returns the contained layers in order.
-func (s *Sequential) Layers() []Layer { return s.layers }
-
-// Forward applies every layer in order.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// Backward propagates the gradient through every layer in reverse order.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		grad = s.layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// ReleaseTraining releases every contained layer's training caches.
-func (s *Sequential) ReleaseTraining() {
-	for _, l := range s.layers {
-		l.ReleaseTraining()
-	}
-}
-
-// Params returns the parameters of all contained layers.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
 }
 
 // ZeroGrads clears the gradients of every parameter in ps.

@@ -76,19 +76,6 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int, weight float32) (l
 	return loss, grad
 }
 
-// Accuracy returns the fraction of rows of logits whose argmax equals the
-// label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	n := logits.Dim(0)
-	correct := 0
-	for i := 0; i < n; i++ {
-		if logits.ArgMaxRow(i) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}
-
 // NormalizedEntropy computes the paper's confidence criterion
 // η(x) = −Σᵢ xᵢ·log xᵢ / log|C| for a probability vector x. The result is
 // in [0, 1]: values near 0 mean the prediction is confident, values near 1

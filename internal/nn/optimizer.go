@@ -6,13 +6,6 @@ import (
 	"github.com/ddnn/ddnn-go/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter and then runs each
-	// parameter's PostStep hook.
-	Step(params []*Param)
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2014) with the paper's
 // hyper-parameters as defaults: α=0.001, β₁=0.9, β₂=0.999, ε=1e-8 (§IV-A).
 type Adam struct {
@@ -26,14 +19,13 @@ type adamState struct {
 	m, v *tensor.Tensor
 }
 
-var _ Optimizer = (*Adam)(nil)
-
 // NewAdam constructs an Adam optimizer with the paper's hyper-parameters.
 func NewAdam(lr float32) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, state: make(map[*Param]*adamState)}
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update to every parameter and then runs its
+// PostStep hook.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
@@ -53,48 +45,6 @@ func (a *Adam) Step(params []*Param) {
 			mHat := md[i] / bc1
 			vHat := sd[i] / bc2
 			vd[i] -= a.LR * mHat / (float32(math.Sqrt(float64(vHat))) + a.Eps)
-		}
-		if p.PostStep != nil {
-			p.PostStep(p)
-		}
-	}
-}
-
-// SGD is plain stochastic gradient descent with optional momentum, provided
-// as a baseline optimizer for ablations.
-type SGD struct {
-	LR       float32
-	Momentum float32
-
-	vel map[*Param]*tensor.Tensor
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param]*tensor.Tensor)}
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		vd, gd := p.Value.Data(), p.Grad.Data()
-		if s.Momentum == 0 {
-			for i := range vd {
-				vd[i] -= s.LR * gd[i]
-			}
-		} else {
-			v, ok := s.vel[p]
-			if !ok {
-				v = tensor.New(p.Value.Shape()...)
-				s.vel[p] = v
-			}
-			velD := v.Data()
-			for i := range vd {
-				velD[i] = s.Momentum*velD[i] + gd[i]
-				vd[i] -= s.LR * velD[i]
-			}
 		}
 		if p.PostStep != nil {
 			p.PostStep(p)

@@ -218,23 +218,30 @@ func TestGemmParallelDiffAllPaths(t *testing.T) {
 func TestKernelPathSelection(t *testing.T) {
 	prev := CurrentKernelPath()
 	defer SetKernelPath(prev)
+	setName := func(name string) error {
+		p, err := parseKernelPath(name)
+		if err != nil {
+			return err
+		}
+		return SetKernelPath(p)
+	}
 
-	if err := SetKernelPathName("naive"); err != nil || CurrentKernelPath() != KernelNaive {
+	if err := setName("naive"); err != nil || CurrentKernelPath() != KernelNaive {
 		t.Fatalf("naive: err=%v path=%v", err, CurrentKernelPath())
 	}
-	if err := SetKernelPathName("go"); err != nil || CurrentKernelPath() != KernelGo {
+	if err := setName("go"); err != nil || CurrentKernelPath() != KernelGo {
 		t.Fatalf("go: err=%v path=%v", err, CurrentKernelPath())
 	}
-	if err := SetKernelPathName("bogus"); err == nil {
+	if err := setName("bogus"); err == nil {
 		t.Fatal("accepted unknown kernel path name")
 	}
 	if CurrentKernelPath() != KernelGo {
-		t.Fatal("failed SetKernelPathName changed the active path")
+		t.Fatal("a rejected name changed the active path")
 	}
 	if err := SetKernelPath(KernelPath(42)); err == nil {
 		t.Fatal("accepted out-of-range kernel path")
 	}
-	if err := SetKernelPathName("auto"); err != nil {
+	if err := setName("auto"); err != nil {
 		t.Fatalf("auto: %v", err)
 	}
 	best := KernelGo

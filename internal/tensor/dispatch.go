@@ -111,17 +111,6 @@ func SetKernelPath(p KernelPath) error {
 	return nil
 }
 
-// SetKernelPathName is SetKernelPath for a DDNN_KERNELS-style name
-// ("naive", "go", "simd", "auto" or empty for the best supported path).
-func SetKernelPathName(name string) error {
-	p, err := parseKernelPath(name)
-	if err != nil {
-		return fmt.Errorf("tensor: %v", err)
-	}
-	kernelPath.Store(int32(p))
-	return nil
-}
-
 // KernelPathSupported reports whether the host can execute the path.
 func KernelPathSupported(p KernelPath) bool {
 	switch p {

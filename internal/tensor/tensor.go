@@ -35,13 +35,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
-// Full returns a tensor with every element set to v.
-func Full(v float32, shape ...int) *Tensor {
-	t := New(shape...)
-	t.Fill(v)
-	return t
-}
-
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")

@@ -90,7 +90,8 @@ func TestReshapeSharesStorage(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	tr := Full(2, 2, 2)
+	tr := New(2, 2)
+	tr.Fill(2)
 	c := tr.Clone()
 	c.Set(5, 0, 0)
 	if tr.At(0, 0) != 2 {
@@ -111,39 +112,12 @@ func TestElementwiseOps(t *testing.T) {
 		}
 	}
 
-	diff := b.Clone()
-	diff.Sub(a)
-	wantDiff := []float32{9, 18, 27, 36}
-	for i, v := range diff.Data() {
-		if v != wantDiff[i] {
-			t.Errorf("Sub[%d] = %g, want %g", i, v, wantDiff[i])
-		}
-	}
-
-	prod := a.Clone()
-	prod.Mul(b)
-	wantProd := []float32{10, 40, 90, 160}
-	for i, v := range prod.Data() {
-		if v != wantProd[i] {
-			t.Errorf("Mul[%d] = %g, want %g", i, v, wantProd[i])
-		}
-	}
-
 	sc := a.Clone()
 	sc.Scale(0.5)
 	wantSc := []float32{0.5, 1, 1.5, 2}
 	for i, v := range sc.Data() {
 		if v != wantSc[i] {
 			t.Errorf("Scale[%d] = %g, want %g", i, v, wantSc[i])
-		}
-	}
-
-	axpy := a.Clone()
-	axpy.AddScaled(2, b)
-	wantAxpy := []float32{21, 42, 63, 84}
-	for i, v := range axpy.Data() {
-		if v != wantAxpy[i] {
-			t.Errorf("AddScaled[%d] = %g, want %g", i, v, wantAxpy[i])
 		}
 	}
 }
@@ -161,18 +135,6 @@ func TestClamp(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	tr := FromSlice([]float32{-3, 1, 4, -2}, 2, 2)
-	if got := tr.Sum(); got != 0 {
-		t.Errorf("Sum = %g, want 0", got)
-	}
-	if got := tr.Mean(); got != 0 {
-		t.Errorf("Mean = %g, want 0", got)
-	}
-	if got := tr.Max(); got != 4 {
-		t.Errorf("Max = %g, want 4", got)
-	}
-	if got := tr.Min(); got != -3 {
-		t.Errorf("Min = %g, want -3", got)
-	}
 	if got := tr.AbsMax(); got != 4 {
 		t.Errorf("AbsMax = %g, want 4", got)
 	}
@@ -197,6 +159,13 @@ func TestRowView(t *testing.T) {
 	row[0] = 9
 	if tr.At(1, 0) != 9 {
 		t.Error("Row must return a live view")
+	}
+	img := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 2, 2, 3)
+	if img.SampleSize() != 6 {
+		t.Errorf("SampleSize = %d, want 6", img.SampleSize())
+	}
+	if img.Sample(1)[0] != 7 {
+		t.Errorf("Sample(1)[0] = %v, want 7", img.Sample(1)[0])
 	}
 }
 
@@ -344,16 +313,24 @@ func TestFillDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := New(10000)
 
+	mean := func() float64 {
+		var s float64
+		for _, v := range tr.Data() {
+			s += float64(v)
+		}
+		return s / float64(tr.Size())
+	}
+
 	tr.FillUniform(rng, -1, 1)
-	if m := tr.Mean(); math.Abs(m) > 0.05 {
+	if m := mean(); math.Abs(m) > 0.05 {
 		t.Errorf("uniform mean = %g, want ≈0", m)
 	}
-	if tr.Max() > 1 || tr.Min() < -1 {
+	if tr.AbsMax() > 1 {
 		t.Error("uniform samples out of range")
 	}
 
 	tr.FillNormal(rng, 2, 0.5)
-	if m := tr.Mean(); math.Abs(m-2) > 0.05 {
+	if m := mean(); math.Abs(m-2) > 0.05 {
 		t.Errorf("normal mean = %g, want ≈2", m)
 	}
 
@@ -370,22 +347,7 @@ func TestFillDistributions(t *testing.T) {
 
 	tr.FillGlorot(rng, 30, 70)
 	limit := float32(math.Sqrt(6.0 / 100.0))
-	if tr.Max() > limit || tr.Min() < -limit {
+	if tr.AbsMax() > limit {
 		t.Error("Glorot samples out of range")
-	}
-}
-
-func TestStack(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 1, 2, 3)
-	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 1, 2, 3)
-	s := Stack([]*Tensor{a, b})
-	if got := s.Shape(); got[0] != 2 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("Stack shape = %v, want [2 2 3]", got)
-	}
-	if s.Sample(1)[0] != 7 {
-		t.Errorf("Sample(1)[0] = %v, want 7", s.Sample(1)[0])
-	}
-	if s.SampleSize() != 6 {
-		t.Errorf("SampleSize = %d, want 6", s.SampleSize())
 	}
 }

@@ -198,7 +198,7 @@ func TestEngineBatchingMatchesPerSample(t *testing.T) {
 	}
 	defer plain.Close()
 	cfg := serveConfig(4)
-	cfg.Batch = ddnn.BatchConfig{MaxBatch: 8, MaxLinger: 2 * time.Millisecond}
+	cfg.Batch = ddnn.BatchConfig{MaxBatch: 8}
 	batched, err := ddnn.NewEngine(model, test, cfg)
 	if err != nil {
 		t.Fatal(err)
