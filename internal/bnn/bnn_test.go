@@ -188,6 +188,44 @@ func TestPackedSizeMatchesEquationOne(t *testing.T) {
 	}
 }
 
+// TestBinaryLayersForwardPooledMatchesForward checks the nn.Layer
+// contract on the binarized layers: ForwardPooled equals Forward(x, false)
+// exactly, also when the pool hands back dirty buffers.
+func TestBinaryLayersForwardPooledMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	cases := []struct {
+		name  string
+		layer nn.Layer
+		shape []int
+	}{
+		{"BinaryActivation", NewBinaryActivation(), []int{3, 9}},
+		{"BinaryLinear", NewBinaryLinear(rng, "bl", 10, 4), []int{3, 10}},
+		{"BinaryConv2D", NewBinaryConv2D(rng, "bc", 2, 3, 3, 1, 1), []int{2, 2, 6, 6}},
+		{"BinaryConv2DStride2", NewBinaryConv2D(rng, "bc2", 2, 3, 1, 2, 0), []int{2, 2, 6, 6}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := tensor.NewPool()
+			for trial := 0; trial < 3; trial++ {
+				x := tensor.New(tc.shape...)
+				x.FillUniform(rng, -1, 1)
+				want := tc.layer.Forward(x, false)
+				got := tc.layer.ForwardPooled(x, pool)
+				if !got.SameShape(want) {
+					t.Fatalf("trial %d: shape %v, want %v", trial, got.Shape(), want.Shape())
+				}
+				for i, wv := range want.Data() {
+					if got.Data()[i] != wv {
+						t.Fatalf("trial %d: element %d = %g, want %g", trial, i, got.Data()[i], wv)
+					}
+				}
+				got.Fill(7) // dirty the buffer the next trial draws
+				pool.Put(got)
+			}
+		})
+	}
+}
+
 func TestBinaryTrainingLearnsXOR(t *testing.T) {
 	// A binarized MLP with enough hidden width must solve XOR, proving the
 	// straight-through estimator trains end to end.

@@ -213,6 +213,42 @@ func TestPackedLinearMatchesFloatPath(t *testing.T) {
 	}
 }
 
+func TestPackedLinearMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := NewBinaryLinear(rng, "bl", 1024, 3).Packed()
+	// 1024 bits = 128 B per output column.
+	if got := 8 * len(p.w); got != 3*128 {
+		t.Errorf("packed weights take %d B, want 384", got)
+	}
+	// The float representation would need 4 B per weight: 32× more.
+	if 4*1024*3 < 30*8*len(p.w) {
+		t.Error("packed representation not ≈32× smaller")
+	}
+}
+
+func TestPackedWeightsMatchSigns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const in, out = 70, 3 // 70 inputs span two words, the second partly
+	l := NewBinaryLinear(rng, "bl", in, out)
+	p := l.Packed()
+	if len(p.w) != out*packedWords(in) {
+		t.Fatalf("packed length = %d words, want %d", len(p.w), out*packedWords(in))
+	}
+	latent := l.Latent.Value.Data()
+	for j := 0; j < out; j++ {
+		col := p.w[j*p.words : (j+1)*p.words]
+		for i := 0; i < in; i++ {
+			got := col[i/64]>>uint(i%64)&1 == 1
+			if want := latent[i*out+j] >= 0; got != want {
+				t.Errorf("weight (%d, %d): bit %v, latent %g", i, j, got, latent[i*out+j])
+			}
+		}
+		if tail := col[len(col)-1] >> uint(in%64); tail != 0 {
+			t.Errorf("column %d: bits past In set: %#x", j, tail)
+		}
+	}
+}
+
 func TestPackedLinearRejectsWrongWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := NewBinaryLinear(rng, "bl", 8, 2).Packed()

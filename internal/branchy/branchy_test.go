@@ -87,6 +87,25 @@ func TestSweepMonotoneExitFraction(t *testing.T) {
 	}
 }
 
+func TestSweepAccuracyPerThreshold(t *testing.T) {
+	// Hand-counted over mkOutcomes. The best accuracy sits at an interior
+	// threshold: exiting the confident samples locally beats both sending
+	// everything up (T=0) and exiting everything locally (T=1).
+	grid := []float64{0, 0.1, 0.2, 0.3, 0.5, 0.9, 1}
+	wantExit := []float64{0, 0.2, 0.4, 0.6, 0.6, 1, 1}
+	wantAcc := []float64{0.8, 0.8, 0.9, 0.7, 0.7, 0.4, 0.4}
+	points := Sweep(mkOutcomes(), grid)
+	if len(points) != len(grid) {
+		t.Fatalf("got %d points, want %d", len(points), len(grid))
+	}
+	for i, p := range points {
+		if p.Threshold != grid[i] || p.ExitFrac != wantExit[i] || p.Accuracy != wantAcc[i] {
+			t.Errorf("point %d = %+v, want {Threshold:%g ExitFrac:%g Accuracy:%g}",
+				i, p, grid[i], wantExit[i], wantAcc[i])
+		}
+	}
+}
+
 func TestThresholdForExitFraction(t *testing.T) {
 	outcomes := mkOutcomes()
 	p := ThresholdForExitFraction(outcomes, Grid(20), 0.55)

@@ -280,6 +280,48 @@ func TestEdgeTrainStepThreeLosses(t *testing.T) {
 	}
 }
 
+func TestJointLossWeightsEqual(t *testing.T) {
+	// §III-C: the joint loss weighs every exit equally (wₙ = 1), so
+	// TrainStep's per-exit losses are the unit-weight cross entropies of
+	// the training forward's logits and its total is their plain sum.
+	train, _ := smallData(t)
+	for _, useEdge := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.UseEdge = useEdge
+		m := MustNewModel(cfg)
+		idx := []int{0, 1, 2, 3, 4, 5}
+		xs := train.AllDeviceBatches(m.Cfg.Devices, idx)
+		labels := train.Labels(idx)
+
+		logits := m.forward(xs, nil, true)
+		exits := []*tensor.Tensor{logits.Local, logits.Cloud}
+		if useEdge {
+			exits = []*tensor.Tensor{logits.Local, logits.Edge, logits.Cloud}
+		}
+		var want []float64
+		var wantTotal float64
+		for _, l := range exits {
+			loss, _ := nn.SoftmaxCrossEntropy(l, labels, 1)
+			want = append(want, loss)
+			wantTotal += loss
+		}
+
+		nn.ZeroGrads(m.Params())
+		total, perExit := m.TrainStep(xs, labels)
+		if len(perExit) != len(want) {
+			t.Fatalf("edge=%v: got %d per-exit losses, want %d", useEdge, len(perExit), len(want))
+		}
+		for i := range want {
+			if perExit[i] != want[i] {
+				t.Errorf("edge=%v: exit %d loss = %g, want unit-weight %g", useEdge, i, perExit[i], want[i])
+			}
+		}
+		if total != wantTotal {
+			t.Errorf("edge=%v: total loss = %g, want the plain sum %g", useEdge, total, wantTotal)
+		}
+	}
+}
+
 func TestTrainingReducesLoss(t *testing.T) {
 	train, _ := smallData(t)
 	m := MustNewModel(smallConfig())

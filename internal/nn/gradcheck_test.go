@@ -191,6 +191,73 @@ func TestReLUGradients(t *testing.T) {
 	checkGrads(t, l, x, rng)
 }
 
+// chain runs layers in order forward and in reverse backward, so a
+// gradient check can cover how the layers compose.
+type chain []Layer
+
+func (c chain) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	for _, l := range c {
+		x = l.Forward(x, train)
+	}
+	return x
+}
+
+func (c chain) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
+	return c.Forward(x, false)
+}
+
+func (c chain) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	for i := len(c) - 1; i >= 0; i-- {
+		grad = c[i].Backward(grad)
+	}
+	return grad
+}
+
+func (c chain) Params() []*Param {
+	var ps []*Param
+	for _, l := range c {
+		ps = append(ps, l.Params()...)
+	}
+	return ps
+}
+
+func (c chain) ReleaseTraining() {
+	for _, l := range c {
+		l.ReleaseTraining()
+	}
+}
+
+// flatten views [N, ...] as [N, rest] and restores the input shape on the
+// way back, as the exit heads do before their linear layer.
+type flatten struct{ shape []int }
+
+func (f *flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	f.shape = x.Shape()
+	return x.Reshape(x.Dim(0), x.SampleSize())
+}
+
+func (f *flatten) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
+	return x.Reshape(x.Dim(0), x.SampleSize())
+}
+
+func (f *flatten) Backward(grad *tensor.Tensor) *tensor.Tensor { return grad.Reshape(f.shape...) }
+func (f *flatten) Params() []*Param                            { return nil }
+func (f *flatten) ReleaseTraining()                            {}
+
+func TestSequentialGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	seq := chain{
+		NewConv2D(rng, "c1", 1, 2, 3, 1, 1, false),
+		NewBatchNorm("bn1", 2),
+		NewMaxPool2D(3, 2, 1),
+		&flatten{},
+		NewLinear(rng, "fc1", 2*3*3, 4, true),
+	}
+	x := tensor.New(2, 1, 6, 6)
+	x.FillUniform(rng, -1, 1)
+	checkGrads(t, seq, x, rng)
+}
+
 func TestSoftmaxCrossEntropyGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	logits := tensor.New(5, 3)

@@ -330,6 +330,59 @@ func TestPostStepHookRunsAfterUpdate(t *testing.T) {
 	}
 }
 
+// TestLayerForwardPooledMatchesForward checks the Layer contract that
+// ForwardPooled is the inference forward: for every layer it equals
+// Forward(x, false) exactly, also when the pool hands back dirty buffers.
+func TestLayerForwardPooledMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	trainedBN := func(c int, shape ...int) *BatchNorm {
+		bn := NewBatchNorm("bn", c)
+		// One training forward moves the running statistics off 0 and 1.
+		x := tensor.New(shape...)
+		x.FillUniform(rng, -3, 3)
+		bn.Forward(x, true)
+		bn.Gamma.Value.FillUniform(rng, 0.5, 1.5)
+		bn.Beta.Value.FillUniform(rng, -0.5, 0.5)
+		return bn
+	}
+	cases := []struct {
+		name  string
+		layer Layer
+		shape []int
+	}{
+		{"ReLU", NewReLU(), []int{3, 7}},
+		{"Linear", NewLinear(rng, "fc", 6, 4, true), []int{3, 6}},
+		{"LinearNoBias", NewLinear(rng, "fc", 6, 4, false), []int{3, 6}},
+		{"BatchNorm2D", trainedBN(5, 8, 5), []int{3, 5}},
+		{"BatchNorm4D", trainedBN(2, 4, 2, 3, 3), []int{3, 2, 3, 3}},
+		{"MaxPool2D", NewMaxPool2D(3, 2, 1), []int{2, 3, 7, 7}},
+		{"Conv2D", NewConv2D(rng, "conv", 2, 3, 3, 1, 1, true), []int{2, 2, 5, 5}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := tensor.NewPool()
+			for trial := 0; trial < 3; trial++ {
+				x := tensor.New(tc.shape...)
+				x.FillUniform(rng, -2, 2)
+				want := tc.layer.Forward(x, false)
+				got := tc.layer.ForwardPooled(x, pool)
+				if !got.SameShape(want) {
+					t.Fatalf("trial %d: shape %v, want %v", trial, got.Shape(), want.Shape())
+				}
+				for i, wv := range want.Data() {
+					if got.Data()[i] != wv {
+						t.Fatalf("trial %d: element %d = %g, want %g", trial, i, got.Data()[i], wv)
+					}
+				}
+				// Poison the buffer before it goes back, so the next trial
+				// must overwrite every element it returns.
+				got.Fill(float32(math.NaN()))
+				pool.Put(got)
+			}
+		})
+	}
+}
+
 func TestTrainTinyClassifierEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	// Two well separated Gaussian blobs must be perfectly classifiable.
